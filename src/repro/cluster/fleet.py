@@ -12,10 +12,10 @@ deployment on the shared virtual clock of
   deployment mode (the planning lives in :func:`repro.core.pipeline`'s
   ``plan_camera_job`` so this module stays mode-agnostic);
 * a :class:`PlacementPolicy` shards cameras across edge servers;
-* every tier is a contended resource: camera->edge LAN links and
-  edge->cloud WAN links queue through
-  :class:`~repro.net.contention.ContendedLink`, edge and cloud compute
-  through :class:`~repro.dataflow.scheduler.ServiceStation`;
+* every tier is a contended resource, and every job is one unit of work
+  on the shared :class:`~repro.cluster.topology.StageChain` — the single
+  definition of the LAN -> edge -> WAN -> cloud pipeline this
+  orchestrator, the sharded fleet and the streaming service all drive;
 * the resulting :class:`FleetReport` adds what the single-engine evaluation
   cannot see — per-tier utilisation, peak queue depths, and end-to-end
   latency percentiles — alongside the familiar throughput/bytes totals.
@@ -27,21 +27,22 @@ produce identical reports (see the seeding contract in :mod:`repro.rng`).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..config import SystemConfig, resolve_worker_count
-from ..dataflow.scheduler import EventScheduler, ServiceStation
+from ..dataflow.scheduler import EventScheduler, StationStats
 from ..errors import ClusterError, ConfigurationError
 from ..faults.injector import FleetFaultDriver
 from ..faults.plan import FaultPlan
 from ..faults.stats import FaultStats
-from ..net.contention import ContendedLink
 from ..net.link import NetworkLink
 from ..perf import Stopwatch
 from ..rng import make_rng
+from .topology import StageChain, StageUnit
 
 #: Latency percentiles reported by the fleet simulator.
 LATENCY_PERCENTILES = (50, 95, 99)
@@ -122,8 +123,11 @@ class CameraJob:
     def __post_init__(self) -> None:
         if self.num_frames < 0 or self.frames_for_inference < 0:
             raise ClusterError("frame counts must be >= 0")
-        if self.edge_seconds < 0 or self.cloud_seconds < 0:
-            raise ClusterError("compute seconds must be >= 0")
+        # Chained comparisons so nan (which passes ``< 0``) and inf are
+        # refused here rather than poisoning every downstream statistic.
+        if not (0 <= self.edge_seconds < math.inf
+                and 0 <= self.cloud_seconds < math.inf):
+            raise ClusterError("compute seconds must be finite and >= 0")
         if self.camera_edge_bytes < 0 or self.edge_cloud_bytes < 0:
             raise ClusterError("transfer bytes must be >= 0")
 
@@ -150,19 +154,34 @@ class JobOutcome:
         return self.end_seconds - self.start_seconds
 
 
-class _JobRun:
-    """Pipeline position of one in-flight camera job.
+class _JobRun(StageUnit):
+    """One camera job moving through the fleet's stage chain.
 
-    Carried as the station/link payload so the fault driver can requeue
-    a failed stage (``reenter[stage]``) on the job's current edge.
+    The job's placement lives on its :class:`JobOutcome` (failover
+    rewrites it there, and the report reads it there), so the chain's
+    per-stage ``edge_index`` read goes through to it.
     """
 
-    __slots__ = ("outcome", "stage", "reenter")
+    __slots__ = ("outcome",)
 
     def __init__(self, outcome: JobOutcome) -> None:
+        super().__init__(outcome.job)
         self.outcome = outcome
-        self.stage = "lan"
-        self.reenter: Dict[str, Callable] = {}
+
+    @property
+    def edge_index(self) -> int:
+        return self.outcome.edge_index
+
+    #: One shared LAN link per edge: a job ingests over its edge's.
+    lan_key = edge_index
+
+    @property
+    def lan_description(self) -> str:
+        return f"ingest:{self.work.camera}"
+
+    @property
+    def wan_description(self) -> str:
+        return self.work.transfer_description or self.work.camera
 
 
 @dataclass
@@ -353,6 +372,78 @@ class FleetReport:
         return mismatches
 
 
+def fold_report(policy: PlacementPolicy, outcomes: List[JobOutcome], *,
+                edge_stats: Sequence[StationStats], edge_workers: int,
+                wan_stats: Sequence[StationStats],
+                cloud_stats: StationStats, cloud_workers: int,
+                camera_edge_bytes: int, edge_cloud_bytes: int,
+                wan_transfer_seconds: float, sim_wall_seconds: float,
+                events_processed: int,
+                faults: Optional[FaultStats] = None) -> FleetReport:
+    """Fold per-job timelines and per-tier statistics into a report.
+
+    The one report assembly shared by the single-process fleet, the
+    multiprocess merge and the streaming service.  Placements are read
+    off the outcomes (failover rewrites ``outcome.edge_index`` mid-run,
+    and every failed-over job must be accounted at its final edge);
+    outcomes that never completed (``end_seconds`` is ``nan`` — a live
+    stream still in flight) count toward neither makespan nor latency.
+    """
+    completed = [outcome for outcome in outcomes
+                 if outcome.end_seconds == outcome.end_seconds]
+    makespan = max((outcome.end_seconds for outcome in completed),
+                   default=0.0)
+    edge_tiers = [tier_report(stats, edge_workers, makespan)
+                  for stats in edge_stats]
+    cloud_tier = tier_report(cloud_stats, cloud_workers, makespan)
+    return FleetReport(
+        policy=policy,
+        num_edge_servers=len(edge_tiers),
+        num_cameras=len(outcomes),
+        makespan_seconds=makespan,
+        total_frames=sum(outcome.job.num_frames for outcome in outcomes),
+        frames_for_inference=sum(outcome.job.frames_for_inference
+                                 for outcome in outcomes),
+        camera_edge_bytes=camera_edge_bytes,
+        edge_cloud_bytes=edge_cloud_bytes,
+        edge_busy_seconds=sum(tier.busy_seconds for tier in edge_tiers),
+        cloud_busy_seconds=cloud_tier.busy_seconds,
+        wan_transfer_seconds=wan_transfer_seconds,
+        edge_tiers=edge_tiers,
+        wan_tiers=[tier_report(stats, 1, makespan) for stats in wan_stats],
+        cloud_tier=cloud_tier,
+        latency_percentiles=latency_percentiles_of(
+            sorted(outcome.latency_seconds for outcome in completed)),
+        assignments={outcome.job.camera: outcome.edge_index
+                     for outcome in outcomes},
+        outcomes=outcomes,
+        sim_wall_seconds=sim_wall_seconds,
+        events_processed=events_processed,
+        faults=faults,
+    )
+
+
+def chain_report(chain: StageChain, policy: PlacementPolicy,
+                 outcomes: List[JobOutcome], sim_wall_seconds: float,
+                 faults: Optional[FaultStats] = None) -> FleetReport:
+    """:func:`fold_report` over the live resources of a full stage chain."""
+    wan = [link.link for link in chain.wan_links]
+    return fold_report(
+        policy, outcomes,
+        edge_stats=[station.stats for station in chain.edge_stations],
+        edge_workers=chain.edge_stations[0].capacity,
+        wan_stats=[link.stats for link in chain.wan_links],
+        cloud_stats=chain.cloud_station.stats,
+        cloud_workers=chain.cloud_station.capacity,
+        camera_edge_bytes=sum(link.link.total_bytes
+                              for link in chain.lan_links.values()),
+        edge_cloud_bytes=sum(link.total_bytes for link in wan),
+        wan_transfer_seconds=sum(link.total_seconds for link in wan),
+        sim_wall_seconds=sim_wall_seconds,
+        events_processed=chain.scheduler.events_processed,
+        faults=faults)
+
+
 class FleetOrchestrator:
     """Shards camera jobs over edge servers and simulates the fleet.
 
@@ -423,6 +514,11 @@ class FleetOrchestrator:
         self.fault_plan = faults
         if faults is not None:
             faults.validate_for(self.num_edge_servers)
+        #: Claim pattern recorded by the last work-stealing run (see
+        #: :mod:`repro.parallel.stealing`); ``None`` otherwise.
+        self.last_steal_log = None
+        #: Set to a recorded log to re-run its claim pattern statically.
+        self.replay_steal_log = None
         try:
             self.fleet_workers = resolve_worker_count(
                 int(fleet_workers if fleet_workers is not None
@@ -488,141 +584,38 @@ class FleetOrchestrator:
         return self._run_single_process()
 
     def _run_single_process(self) -> FleetReport:
-        """The reference single-process event loop (``fleet_workers=1``)."""
+        """The reference single-process event loop (``fleet_workers=1``):
+        every job is one unit on one :class:`StageChain`."""
         watch = Stopwatch().start()
         scheduler = EventScheduler()
-        lan_links: List[ContendedLink] = []
-        edge_stations: List[ServiceStation] = []
-        wan_links: List[ContendedLink] = []
-        for index in range(self.num_edge_servers):
-            lan_links.append(ContendedLink(scheduler, NetworkLink(
-                name=f"camera-edge:{index}",
-                bandwidth_mbps=self.config.camera_edge_bandwidth_mbps,
-                latency_ms=self.config.camera_edge_latency_ms)))
-            edge_stations.append(ServiceStation(
-                scheduler, f"edge:{index}", capacity=self.edge_workers))
-            wan_links.append(ContendedLink(scheduler, NetworkLink(
-                name=f"edge-cloud:{index}",
-                bandwidth_mbps=self.config.edge_cloud_bandwidth_mbps,
-                latency_ms=self.config.edge_cloud_latency_ms)))
-        cloud_station = ServiceStation(scheduler, "cloud",
-                                       capacity=self.cloud_workers)
+
+        def _finish(run: _JobRun) -> None:
+            run.outcome.end_seconds = scheduler.now
+
+        chain = StageChain(scheduler, self.config,
+                           range(self.num_edge_servers), self.edge_workers,
+                           self.cloud_workers, on_finish=_finish)
         driver: Optional[FleetFaultDriver] = None
         if (self.fault_plan is not None
                 and self.fault_plan.has_scheduler_faults):
-            driver = FleetFaultDriver(scheduler, self.fault_plan,
-                                      self.num_edge_servers, lan_links,
-                                      edge_stations, wan_links)
+            driver = FleetFaultDriver(chain, self.fault_plan)
+            chain.on_fail = driver.on_job_failed
 
         assignments = self.assign()
-        offsets = self._arrival_offsets()
         outcomes: List[JobOutcome] = []
-        for job, offset in zip(self.jobs, offsets):
-            edge_index = assignments[job.camera]
-            outcome = JobOutcome(job=job, edge_index=edge_index,
+        for job, offset in zip(self.jobs, self._arrival_offsets()):
+            outcome = JobOutcome(job=job, edge_index=assignments[job.camera],
                                  start_seconds=offset)
             outcomes.append(outcome)
-            self._submit_job(scheduler, outcome, lan_links, edge_stations,
-                             wan_links, cloud_station, driver)
+            run = _JobRun(outcome)
+            if driver is not None:
+                driver.register(run)
+            chain.submit_at(offset, run)
         scheduler.run()
-
-        # Report the placements jobs actually ran under: failover rewrites
-        # ``outcome.edge_index`` mid-run, and the report must account every
-        # failed-over job at its final edge.  Fault-free this rebuilds the
-        # planner's dict verbatim (outcomes follow job order).
-        assignments = {outcome.job.camera: outcome.edge_index
-                       for outcome in outcomes}
-        makespan = max((outcome.end_seconds for outcome in outcomes),
-                       default=0.0)
-        latencies = sorted(outcome.latency_seconds for outcome in outcomes)
-        percentiles = latency_percentiles_of(latencies)
-        edge_tiers = [self._tier(station.stats, station.capacity, makespan)
-                      for station in edge_stations]
-        wan_tiers = [self._tier(link.stats, 1, makespan) for link in wan_links]
-        cloud_tier = self._tier(cloud_station.stats, cloud_station.capacity,
-                                makespan)
-        return FleetReport(
-            policy=self.policy,
-            num_edge_servers=self.num_edge_servers,
-            num_cameras=len(self.jobs),
-            makespan_seconds=makespan,
-            total_frames=sum(job.num_frames for job in self.jobs),
-            frames_for_inference=sum(job.frames_for_inference
-                                     for job in self.jobs),
-            camera_edge_bytes=sum(link.link.total_bytes for link in lan_links),
-            edge_cloud_bytes=sum(link.link.total_bytes for link in wan_links),
-            edge_busy_seconds=sum(tier.busy_seconds for tier in edge_tiers),
-            cloud_busy_seconds=cloud_tier.busy_seconds,
-            wan_transfer_seconds=sum(link.link.total_seconds
-                                     for link in wan_links),
-            edge_tiers=edge_tiers,
-            wan_tiers=wan_tiers,
-            cloud_tier=cloud_tier,
-            latency_percentiles=percentiles,
-            assignments=assignments,
-            outcomes=outcomes,
-            sim_wall_seconds=watch.stop(),
-            events_processed=scheduler.events_processed,
+        return chain_report(
+            chain, self.policy, outcomes, watch.stop(),
             faults=(driver.stats if driver is not None
-                    and driver.stats.has_activity() else None),
-        )
-
-    def _submit_job(self, scheduler: EventScheduler, outcome: JobOutcome,
-                    lan_links: Sequence[ContendedLink],
-                    edge_stations: Sequence[ServiceStation],
-                    wan_links: Sequence[ContendedLink],
-                    cloud: ServiceStation,
-                    driver: "Optional[FleetFaultDriver]" = None) -> None:
-        """Chain one job through LAN -> edge -> WAN -> cloud.
-
-        Every stage entry indexes the per-edge resources through
-        ``outcome.edge_index`` *at fire time*, so a job failed over by
-        the fault driver (which rewrites the outcome's edge) lands on
-        its new edge — whether the stage is a requeue of failed work or
-        an ingest that had not even started when the edge died.
-        Fault-free this makes exactly the same submissions in the same
-        order as always.
-        """
-        job = outcome.job
-        run = _JobRun(outcome)
-        on_fail = driver.on_job_failed if driver is not None else None
-        if driver is not None:
-            driver.register(run)
-
-        def _finish(_: object) -> None:
-            outcome.end_seconds = scheduler.now
-
-        def _enter_cloud(_: object) -> None:
-            run.stage = "cloud"
-            cloud.submit(job.cloud_seconds, on_complete=_finish)
-
-        def _enter_wan(_: object) -> None:
-            run.stage = "wan"
-            wan_links[outcome.edge_index].submit(
-                job.edge_cloud_bytes,
-                description=job.transfer_description or job.camera,
-                on_complete=_enter_cloud, payload=run, on_fail=on_fail)
-
-        def _enter_edge(_: object) -> None:
-            run.stage = "edge"
-            edge_stations[outcome.edge_index].submit(
-                job.edge_seconds, on_complete=_enter_wan, payload=run,
-                on_fail=on_fail)
-
-        def _ingest(_: object = None) -> None:
-            run.stage = "lan"
-            lan_links[outcome.edge_index].submit(
-                job.camera_edge_bytes,
-                description=f"ingest:{job.camera}",
-                on_complete=_enter_edge, payload=run, on_fail=on_fail)
-
-        run.reenter = {"lan": _ingest, "edge": _enter_edge,
-                       "wan": _enter_wan, "cloud": _enter_cloud}
-        scheduler.schedule_at(outcome.start_seconds, _ingest)
-
-    # Kept as a method alias so the multiprocess merge and subclasses keep
-    # one definition of tier folding (the logic lives in `tier_report`).
-    _tier = staticmethod(tier_report)
+                    and driver.stats.has_activity() else None))
 
 
 def sweep_edge_counts(jobs: Sequence[CameraJob],

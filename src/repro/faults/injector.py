@@ -1,7 +1,10 @@
 """Fault-plan drivers: inject faults, orchestrate recovery.
 
 Two drivers replay a :class:`~repro.faults.plan.FaultPlan` through the
-shared event scheduler and run the self-healing machinery around it:
+shared event scheduler and run the self-healing machinery around it.
+Both stand on :class:`ChainFaultDriver`, the single definition of the
+crash / restart / WAN-window events over a
+:class:`~repro.cluster.topology.StageChain`:
 
 * :class:`ServiceFaultDriver` rides on a live
   :class:`~repro.service.service.StreamingService`: edge crashes pause
@@ -26,6 +29,7 @@ driver (the chaos-soak contract).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..errors import FaultError
@@ -34,7 +38,7 @@ from .plan import EdgeCrash, FaultPlan, StreamStall, WanDegradation
 from .stats import FaultStats, RecoveryTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; see the import note below.
-    from ..cluster.fleet import JobOutcome
+    from ..cluster.topology import StageChain
     from ..service.service import StreamingService
     from ..service.session import StreamSession
 
@@ -82,51 +86,183 @@ class ResilienceConfig:
             raise FaultError("watchdog_period_seconds must be > 0")
 
 
-class ServiceFaultDriver:
-    """Injects a :class:`FaultPlan` into a live streaming service.
+class ChainFaultDriver:
+    """Replays a plan's edge crashes and WAN windows over a stage chain.
 
-    Built by :class:`StreamingService` when ``faults`` or ``resilience``
-    is passed; schedules every spec of the plan as control events in its
-    constructor (the service clock is still at 0 then), and exposes the
-    hooks the service pipeline calls back into.
+    The injected-event half both drivers share: crash / restart /
+    WAN-window events act on the resources of a
+    :class:`~repro.cluster.topology.StageChain` and differ between the
+    batch fleet and the live service only in *what gets relocated* off a
+    permanently dead edge (:meth:`_relocate`).
+
+    A resource can be held down by several causes at once (a WAN
+    partition overlapping an edge outage); it stays paused until every
+    cause has released it, so one fault ending never lifts another.
 
     Attributes:
         stats: Fault/recovery counters (folded into reports).
         trace: The deterministic :class:`RecoveryTrace` CI diffs.
         edge_online: Per-edge liveness (permanent crashes clear it).
+    """
+
+    def __init__(self, chain: "StageChain", plan: FaultPlan) -> None:
+        num_edges = len(chain.edge_stations)
+        plan.validate_for(num_edges)
+        self.chain = chain
+        self.scheduler = chain.scheduler
+        self.plan = plan
+        self.stats = FaultStats()
+        self.trace = RecoveryTrace()
+        self.edge_online: List[bool] = [True] * num_edges
+        self._failover_counter = 0
+        #: resource -> the fault specs currently pausing it.
+        self._holds: Dict[object, set] = {}
+        for crash in plan.edge_crashes:
+            self.scheduler.schedule_at(crash.at_seconds,
+                                       partial(self._crash, crash))
+        for window in plan.wan_degradations:
+            self.scheduler.schedule_at(window.at_seconds,
+                                       partial(self._wan_down, window))
+
+    def _hold(self, resource, cause) -> None:
+        """Pause ``resource`` on behalf of ``cause``."""
+        self._holds.setdefault(resource, set()).add(cause)
+        resource.pause()
+
+    def _release(self, resource, cause) -> bool:
+        """Drop ``cause``'s hold; resume (and return ``True``) only when
+        no other cause still holds the resource."""
+        causes = self._holds.get(resource, set())
+        causes.discard(cause)
+        if causes:
+            return False
+        resource.resume()
+        return True
+
+    def _on_edge_down(self, index: int) -> None:
+        """An edge just went down (before any relocation or requeue)."""
+
+    def _relocate(self, dead: int) -> None:
+        """Move every unfinished unit of work off a permanently dead edge."""
+        raise NotImplementedError
+
+    def _crash(self, spec: EdgeCrash) -> None:
+        index = spec.edge_index
+        if not self.edge_online[index]:
+            return  # already permanently down; a second crash is moot
+        self.stats.crashes_seen += 1
+        mode = ("permanent" if spec.permanent
+                else f"restart={spec.restart_after_seconds:.6f}")
+        self.trace.record(self.scheduler.now, "edge-crash",
+                          f"edge={index} {mode}")
+        resources = self.chain.edge_resources(index)
+        # Pause BEFORE failing: requeued work must not start on the dead
+        # edge within the same event.
+        for resource in resources:
+            self._hold(resource, spec)
+        self._on_edge_down(index)
+        if spec.permanent:
+            self.edge_online[index] = False
+            self._relocate(index)
+        else:
+            self.scheduler.schedule(spec.restart_after_seconds,
+                                    partial(self._restart, spec))
+        # on_fail hooks fire here: permanent crashes requeue onto the
+        # failed-over edges, transient ones back onto the paused
+        # resources (they wait for the restart).
+        for resource in resources:
+            resource.fail_all("edge-crash")
+
+    def _restart(self, spec: EdgeCrash) -> None:
+        index = spec.edge_index
+        if not self.edge_online[index]:
+            return  # a permanent crash landed during the outage
+        self.stats.edges_restarted += 1
+        self.trace.record(self.scheduler.now, "edge-restart",
+                          f"edge={index}")
+        for resource in self.chain.edge_resources(index):
+            self._release(resource, spec)
+
+    def _pick_healthy(self) -> Optional[int]:
+        """Next failover target, round-robin over the healthy edges
+        (``validate_for`` guarantees one survives)."""
+        for _ in range(len(self.edge_online)):
+            candidate = self._failover_counter % len(self.edge_online)
+            self._failover_counter += 1
+            if self.edge_online[candidate]:
+                return candidate
+        return None
+
+    def _wan_down(self, spec: WanDegradation) -> None:
+        now = self.scheduler.now
+        index = spec.edge_index
+        self.stats.wan_partitions += 1
+        wan = self.chain.wan_links[index]
+        if spec.partition:
+            self.trace.record(now, "wan-partition",
+                              f"edge={index} "
+                              f"duration={spec.duration_seconds:.6f}")
+            self._hold(wan, spec)
+        else:
+            self.trace.record(now, "wan-degraded",
+                              f"edge={index} "
+                              f"factor={spec.bandwidth_factor:.6f}")
+            wan.set_slowdown(1.0 / spec.bandwidth_factor)
+        self.scheduler.schedule(spec.duration_seconds,
+                                partial(self._wan_up, spec))
+
+    def _wan_up(self, spec: WanDegradation) -> None:
+        now = self.scheduler.now
+        index = spec.edge_index
+        wan = self.chain.wan_links[index]
+        if not spec.partition:
+            self.trace.record(now, "wan-restore", f"edge={index}")
+            wan.set_slowdown(1.0)
+        elif self._release(wan, spec):
+            self.trace.record(now, "wan-restore", f"edge={index}")
+        else:
+            # Still held: by the edge's own outage (its restart resumes
+            # the uplink) or by another partition window.
+            holder = ("partitioned" if self.chain.edge_stations[index].online
+                      else "edge-down")
+            self.trace.record(now, "wan-restore-skipped",
+                              f"edge={index} {holder}")
+
+
+class ServiceFaultDriver(ChainFaultDriver):
+    """Injects a :class:`FaultPlan` into a live streaming service.
+
+    Built by :class:`StreamingService` when ``faults`` or ``resilience``
+    is passed; schedules every spec of the plan as control events in its
+    constructor (the service clock is still at 0 then), and exposes the
+    hooks the service pipeline calls back into.  On top of the shared
+    crash / WAN events it relocates *sessions*, runs a per-edge
+    :class:`CircuitBreaker`, stalls camera uplinks and reaps stalled
+    sessions.
+
+    Attributes:
         breakers: Per-edge :class:`CircuitBreaker`.
     """
 
     def __init__(self, service: "StreamingService", plan: FaultPlan,
                  resilience: ResilienceConfig) -> None:
-        plan.validate_for(service.num_edge_servers)
+        super().__init__(service.chain, plan)
         self.service = service
-        self.plan = plan
         self.resilience = resilience
-        self.stats = FaultStats()
-        self.trace = RecoveryTrace()
-        self.edge_online: List[bool] = [True] * service.num_edge_servers
         self.breakers: Dict[int, CircuitBreaker] = {
             index: CircuitBreaker(
                 name=f"edge:{index}",
                 failure_threshold=resilience.breaker_failure_threshold,
                 cooldown_seconds=resilience.breaker_cooldown_seconds,
-                on_open=lambda index=index: self._breaker_opened(index))
+                on_open=partial(self._breaker_opened, index))
             for index in range(service.num_edge_servers)}
-        self._failover_counter = 0
         self._stalled: set = set()
-        for crash in plan.edge_crashes:
-            service.at(crash.at_seconds,
-                       lambda spec=crash: self._crash(spec))
-        for window in plan.wan_degradations:
-            service.at(window.at_seconds,
-                       lambda spec=window: self._wan_down(spec))
         for stall in plan.stream_stalls:
-            service.at(stall.at_seconds,
-                       lambda spec=stall: self._stall(spec))
+            self.scheduler.schedule_at(stall.at_seconds,
+                                       partial(self._stall, stall))
         if resilience.stall_timeout_seconds is not None:
-            service.after(resilience.watchdog_period_seconds,
-                          self._watchdog_tick)
+            self.scheduler.schedule(resilience.watchdog_period_seconds,
+                                    self._watchdog_tick)
 
     # ------------------------------------------------------------------ #
     # Hooks the service pipeline calls
@@ -141,26 +277,25 @@ class ServiceFaultDriver:
             self.stats.breaker_rejections += 1
             return f"edge {edge_index} is offline"
         breaker = self.breakers[edge_index]
-        if not breaker.allow(self.service.scheduler.now):
+        if not breaker.allow(self.scheduler.now):
             self.stats.breaker_rejections += 1
             return f"edge {edge_index} breaker is {breaker.state.value}"
         return None
 
     def on_chunk_complete(self, run) -> None:
         """A chunk finished: its edge's breaker sees a success."""
-        self.breakers[run.session.edge_index].record_success(
-            self.service.scheduler.now)
+        self.breakers[run.edge_index].record_success(self.scheduler.now)
 
     def on_chunk_failed(self, run, reason: str) -> None:
         """A stage submission was failed out; requeue it (or drop).
 
-        Each stage entry re-reads ``session.edge_index``, so requeueing
-        after a failover automatically lands on the session's new edge.
+        The chain re-reads the session's edge at every stage entry, so
+        requeueing after a failover lands on the session's new edge.
         The drop branch only triggers when no healthy edge remained —
         unreachable for plans that pass ``validate_for``, kept so a
         hand-built pathological plan degrades to accounting, not a hang.
         """
-        now = self.service.scheduler.now
+        now = self.scheduler.now
         session = run.session
         if not self.edge_online[session.edge_index]:
             self.stats.chunks_dropped += 1
@@ -173,11 +308,11 @@ class ServiceFaultDriver:
             now, "chunk-requeued",
             f"camera={session.camera} stage={run.stage} "
             f"edge={session.edge_index} reason={reason}")
-        self.service._resubmit_stage(run)
+        self.chain.reenter(run)
 
     def on_session_degraded(self, session: "StreamSession") -> None:
         """An admission was shed to the degraded tenant tier."""
-        self.trace.record(self.service.scheduler.now, "session-degraded",
+        self.trace.record(self.scheduler.now, "session-degraded",
                           f"camera={session.camera} tenant={session.tenant}")
 
     # ------------------------------------------------------------------ #
@@ -185,48 +320,14 @@ class ServiceFaultDriver:
     # ------------------------------------------------------------------ #
     def _breaker_opened(self, index: int) -> None:
         self.stats.breaker_opens += 1
-        self.trace.record(self.service.scheduler.now, "breaker-open",
+        self.trace.record(self.scheduler.now, "breaker-open",
                           f"edge={index}")
 
-    def _crash(self, spec: EdgeCrash) -> None:
-        index = spec.edge_index
-        if not self.edge_online[index]:
-            return  # already permanently down; a second crash is moot
-        now = self.service.scheduler.now
-        self.stats.crashes_seen += 1
-        mode = ("permanent" if spec.permanent
-                else f"restart={spec.restart_after_seconds:.6f}")
-        self.trace.record(now, "edge-crash", f"edge={index} {mode}")
-        station = self.service.edge_stations[index]
-        wan = self.service.wan_links[index]
-        # Pause BEFORE failing: requeued work must not start on the dead
-        # edge within the same event.
-        station.pause()
-        wan.pause()
-        self.breakers[index].trip(now)
-        if spec.permanent:
-            self.edge_online[index] = False
-            self._relocate_sessions(index)
-        else:
-            self.service.after(spec.restart_after_seconds,
-                               lambda: self._restart(index))
-        # on_fail hooks fire here: permanent crashes requeue onto the
-        # failed-over edges, transient ones back onto the paused station
-        # (they wait for the restart).
-        station.fail_all("edge-crash")
-        wan.fail_all("edge-crash")
+    def _on_edge_down(self, index: int) -> None:
+        self.breakers[index].trip(self.scheduler.now)
 
-    def _restart(self, index: int) -> None:
-        if not self.edge_online[index]:
-            return  # a permanent crash landed during the outage
-        now = self.service.scheduler.now
-        self.stats.edges_restarted += 1
-        self.trace.record(now, "edge-restart", f"edge={index}")
-        self.service.edge_stations[index].resume()
-        self.service.wan_links[index].resume()
-
-    def _relocate_sessions(self, dead: int) -> None:
-        now = self.service.scheduler.now
+    def _relocate(self, dead: int) -> None:
+        now = self.scheduler.now
         for session in self.service.ingest.sessions.values():
             if session.edge_index != dead or _closed(session):
                 continue
@@ -243,53 +344,9 @@ class ServiceFaultDriver:
                               f"camera={session.camera} "
                               f"edge={dead}->{target}")
 
-    def _pick_healthy(self) -> Optional[int]:
-        """Next failover target, round-robin over the healthy edges."""
-        for _ in range(len(self.edge_online)):
-            candidate = self._failover_counter % len(self.edge_online)
-            self._failover_counter += 1
-            if self.edge_online[candidate]:
-                return candidate
-        return None
-
-    def _wan_down(self, spec: WanDegradation) -> None:
-        now = self.service.scheduler.now
-        index = spec.edge_index
-        self.stats.wan_partitions += 1
-        wan = self.service.wan_links[index]
-        if spec.partition:
-            self.trace.record(now, "wan-partition",
-                              f"edge={index} "
-                              f"duration={spec.duration_seconds:.6f}")
-            wan.pause()
-        else:
-            self.trace.record(now, "wan-degraded",
-                              f"edge={index} "
-                              f"factor={spec.bandwidth_factor:.6f}")
-            wan.set_slowdown(1.0 / spec.bandwidth_factor)
-        self.service.after(spec.duration_seconds,
-                           lambda: self._wan_up(spec))
-
-    def _wan_up(self, spec: WanDegradation) -> None:
-        now = self.service.scheduler.now
-        index = spec.edge_index
-        wan = self.service.wan_links[index]
-        if not spec.partition:
-            self.trace.record(now, "wan-restore", f"edge={index}")
-            wan.set_slowdown(1.0)
-            return
-        # Don't lift a partition on an edge that is itself down — the
-        # crash owns the uplink's pause (its restart resumes it).
-        if self.edge_online[index] and self.service.edge_stations[index].online:
-            self.trace.record(now, "wan-restore", f"edge={index}")
-            wan.resume()
-        else:
-            self.trace.record(now, "wan-restore-skipped",
-                              f"edge={index} edge-down")
-
     def _stall(self, spec: StreamStall) -> None:
-        now = self.service.scheduler.now
-        lan = self.service.lan_links.get(spec.camera)
+        now = self.scheduler.now
+        lan = self.chain.lan_links.get(spec.camera)
         if lan is None:
             self.trace.record(now, "stream-stall-skipped",
                               f"camera={spec.camera} no-session")
@@ -298,16 +355,14 @@ class ServiceFaultDriver:
         self.trace.record(now, "stream-stall",
                           f"camera={spec.camera} "
                           f"duration={spec.duration_seconds:.6f}")
-        lan.pause()
-        self.service.after(spec.duration_seconds,
-                           lambda: self._unstall(spec))
+        self._hold(lan, spec)
+        self.scheduler.schedule(spec.duration_seconds,
+                                partial(self._unstall, spec, lan))
 
-    def _unstall(self, spec: StreamStall) -> None:
-        lan = self.service.lan_links.get(spec.camera)
-        if lan is not None:
-            self.trace.record(self.service.scheduler.now, "stream-resume",
-                              f"camera={spec.camera}")
-            lan.resume()
+    def _unstall(self, spec: StreamStall, lan) -> None:
+        self.trace.record(self.scheduler.now, "stream-resume",
+                          f"camera={spec.camera}")
+        self._release(lan, spec)
 
     # ------------------------------------------------------------------ #
     # Stall watchdog
@@ -316,7 +371,7 @@ class ServiceFaultDriver:
         """Close sessions that stopped making progress; rearm while any
         session is still live (so the watchdog dies with its sessions
         and a ``drain()`` can terminate)."""
-        now = self.service.scheduler.now
+        now = self.scheduler.now
         timeout = self.resilience.stall_timeout_seconds
         live = False
         for session in list(self.service.ingest.sessions.values()):
@@ -335,39 +390,23 @@ class ServiceFaultDriver:
                 self.service.ingest.close_session(session.session_id,
                                                   reason="stalled")
         if live:
-            self.service.after(self.resilience.watchdog_period_seconds,
-                               self._watchdog_tick)
+            self.scheduler.schedule(self.resilience.watchdog_period_seconds,
+                                    self._watchdog_tick)
 
 
-class FleetFaultDriver:
+class FleetFaultDriver(ChainFaultDriver):
     """Batch-fleet counterpart of :class:`ServiceFaultDriver`.
 
     Injects edge crashes and WAN degradation windows into a
     :class:`~repro.cluster.fleet.FleetOrchestrator` run and fails
-    unfinished camera jobs over to healthy edges.  Stream stalls target
+    unfinished camera *jobs* over to healthy edges.  Stream stalls target
     live sessions and worker kills target the process pool, so both are
     ignored here (the service and parallel paths own them).
     """
 
-    def __init__(self, scheduler, plan: FaultPlan, num_edge_servers: int,
-                 lan_links, edge_stations, wan_links) -> None:
-        plan.validate_for(num_edge_servers)
-        self.scheduler = scheduler
-        self.plan = plan
-        self.stats = FaultStats()
-        self.trace = RecoveryTrace()
-        self.edge_online: List[bool] = [True] * num_edge_servers
-        self.lan_links = lan_links
-        self.edge_stations = edge_stations
-        self.wan_links = wan_links
+    def __init__(self, chain: "StageChain", plan: FaultPlan) -> None:
+        super().__init__(chain, plan)
         self.runs: List[object] = []
-        self._failover_counter = 0
-        for crash in plan.edge_crashes:
-            scheduler.schedule_at(crash.at_seconds,
-                                  lambda spec=crash: self._crash(spec))
-        for window in plan.wan_degradations:
-            scheduler.schedule_at(window.at_seconds,
-                                  lambda spec=window: self._wan_down(spec))
 
     def register(self, run) -> None:
         """Track a job run so crashes can re-place it."""
@@ -376,100 +415,26 @@ class FleetFaultDriver:
     def on_job_failed(self, run, reason: str) -> None:
         """A stage submission was failed out; requeue it on the job's
         (already failed-over) edge."""
-        outcome = run.outcome
         self.stats.chunks_failed_over += 1
         self.trace.record(
             self.scheduler.now, "job-requeued",
-            f"camera={outcome.job.camera} stage={run.stage} "
-            f"edge={outcome.edge_index} reason={reason}")
-        run.reenter[run.stage](run)
+            f"camera={run.work.camera} stage={run.stage} "
+            f"edge={run.edge_index} reason={reason}")
+        self.chain.reenter(run)
 
-    def _crash(self, spec: EdgeCrash) -> None:
-        index = spec.edge_index
-        if not self.edge_online[index]:
-            return
+    def _relocate(self, dead: int) -> None:
+        # Re-place every unfinished job on the dead edge, including ones
+        # whose ingest has not even fired yet: each stage entry re-reads
+        # the job's edge, so pending events follow.
         now = self.scheduler.now
-        self.stats.crashes_seen += 1
-        mode = ("permanent" if spec.permanent
-                else f"restart={spec.restart_after_seconds:.6f}")
-        self.trace.record(now, "edge-crash", f"edge={index} {mode}")
-        lan = self.lan_links[index]
-        station = self.edge_stations[index]
-        wan = self.wan_links[index]
-        for resource in (lan, station, wan):
-            resource.pause()
-        if spec.permanent:
-            self.edge_online[index] = False
-            # Re-place every unfinished job on the dead edge, including
-            # ones whose ingest has not even fired yet: each stage entry
-            # re-reads ``outcome.edge_index``, so pending events follow.
-            for run in self.runs:
-                outcome = run.outcome
-                if (outcome.edge_index != index
-                        or outcome.end_seconds == outcome.end_seconds):
-                    continue
-                target = self._pick_healthy()
-                outcome.edge_index = target
-                self.stats.jobs_failed_over += 1
-                self.trace.record(now, "job-failover",
-                                  f"camera={outcome.job.camera} "
-                                  f"edge={index}->{target}")
-        else:
-            self.scheduler.schedule(spec.restart_after_seconds,
-                                    lambda: self._restart(index))
-        # In-flight work fails here and requeues via on_job_failed —
-        # onto the failed-over edge (permanent) or back onto the paused
-        # stations to wait for the restart (transient).
-        for resource in (lan, station, wan):
-            resource.fail_all("edge-crash")
-
-    def _restart(self, index: int) -> None:
-        if not self.edge_online[index]:
-            return
-        now = self.scheduler.now
-        self.stats.edges_restarted += 1
-        self.trace.record(now, "edge-restart", f"edge={index}")
-        for resource in (self.lan_links[index], self.edge_stations[index],
-                         self.wan_links[index]):
-            resource.resume()
-
-    def _pick_healthy(self) -> int:
-        """Next failover target (``validate_for`` guarantees one)."""
-        while True:
-            candidate = self._failover_counter % len(self.edge_online)
-            self._failover_counter += 1
-            if self.edge_online[candidate]:
-                return candidate
-
-    def _wan_down(self, spec: WanDegradation) -> None:
-        now = self.scheduler.now
-        index = spec.edge_index
-        self.stats.wan_partitions += 1
-        wan = self.wan_links[index]
-        if spec.partition:
-            self.trace.record(now, "wan-partition",
-                              f"edge={index} "
-                              f"duration={spec.duration_seconds:.6f}")
-            wan.pause()
-        else:
-            self.trace.record(now, "wan-degraded",
-                              f"edge={index} "
-                              f"factor={spec.bandwidth_factor:.6f}")
-            wan.set_slowdown(1.0 / spec.bandwidth_factor)
-        self.scheduler.schedule(spec.duration_seconds,
-                                lambda: self._wan_up(spec))
-
-    def _wan_up(self, spec: WanDegradation) -> None:
-        now = self.scheduler.now
-        index = spec.edge_index
-        wan = self.wan_links[index]
-        if not spec.partition:
-            self.trace.record(now, "wan-restore", f"edge={index}")
-            wan.set_slowdown(1.0)
-            return
-        if self.edge_online[index] and self.edge_stations[index].online:
-            self.trace.record(now, "wan-restore", f"edge={index}")
-            wan.resume()
-        else:
-            self.trace.record(now, "wan-restore-skipped",
-                              f"edge={index} edge-down")
+        for run in self.runs:
+            outcome = run.outcome
+            if (outcome.edge_index != dead
+                    or outcome.end_seconds == outcome.end_seconds):
+                continue
+            target = self._pick_healthy()
+            outcome.edge_index = target
+            self.stats.jobs_failed_over += 1
+            self.trace.record(now, "job-failover",
+                              f"camera={outcome.job.camera} "
+                              f"edge={dead}->{target}")

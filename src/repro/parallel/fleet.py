@@ -9,9 +9,11 @@ therefore interact **only** at the cloud tier, which is what makes an
 exact parallel decomposition possible:
 
 1. **Workers** (one task per edge server, sharded over a
-   ``ProcessPoolExecutor``) simulate stages 1-3 for their edge's jobs on a
-   private virtual clock, producing each job's *cloud arrival time* plus
-   the edge's tier statistics.  Virtual timestamps inside one edge's
+   ``ProcessPoolExecutor``) run their edge's jobs through an *edge-only*
+   :class:`~repro.cluster.topology.StageChain` — the same stage chain
+   the single-process fleet runs, minus the cloud station — on a private
+   virtual clock, producing each job's *cloud arrival time* plus the
+   edge's tier statistics.  Virtual timestamps inside one edge's
    pipeline are chains of float additions over that edge's own service
    durations, and the shared scheduler only ever *orders* events across
    edges — it never changes their time values — so the isolated per-edge
@@ -68,16 +70,15 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
+from ..cluster.topology import StageChain, StageUnit
 from ..config import TRANSPORT_PICKLE, SystemConfig
 from ..dataflow.scheduler import EventScheduler, ServiceStation, StationStats
 from ..errors import ClusterError
-from ..net.contention import ContendedLink
-from ..net.link import NetworkLink
 from ..perf import Stopwatch
 from .stealing import (ClaimBoard, StealLog, merge_claims, queue_order,
                        stealing_available)
@@ -117,18 +118,15 @@ class EdgeSimTask:
 
 
 @dataclass(frozen=True)
-class EdgeSimResult:
-    """What one edge's stage-1..3 simulation produced.
+class EdgeShardStats:
+    """The statistics half of one edge's stage-1..3 simulation.
+
+    Under the array transports the per-job numbers (arrivals and the
+    stage-start tie chain) travel through the result bundle, so the pool
+    channel only carries this small fixed-size record per edge.
 
     Attributes:
         edge_index: The simulated edge server.
-        job_indices: Original job positions, aligned with ``cloud_arrivals``.
-        cloud_arrivals: Virtual time each job finished its WAN transfer and
-            became ready for cloud compute.
-        stage_starts: Per job, the virtual times its WAN transfer, edge
-            compute and LAN transfer *started* service — the tie-break
-            chain that reproduces the shared scheduler's insertion order
-            for simultaneous cloud arrivals.
         lan_stats: Camera->edge link station statistics.
         edge_stats: Edge compute station statistics.
         wan_stats: Edge->cloud uplink station statistics.
@@ -139,9 +137,6 @@ class EdgeSimResult:
     """
 
     edge_index: int
-    job_indices: Tuple[int, ...]
-    cloud_arrivals: Tuple[float, ...]
-    stage_starts: Tuple[Tuple[float, float, float], ...]
     lan_stats: StationStats
     edge_stats: StationStats
     wan_stats: StationStats
@@ -152,24 +147,22 @@ class EdgeSimResult:
 
 
 @dataclass(frozen=True)
-class EdgeShardStats:
-    """The statistics half of one edge's simulation (scale-out path).
+class EdgeSimResult(EdgeShardStats):
+    """One edge's statistics plus its per-job numbers (pickle transport).
 
-    Under the array transports the per-job numbers (arrivals and the
-    stage-start tie chain) travel through the result bundle, so the pool
-    channel only carries this small fixed-size record per edge.  The field
-    names deliberately mirror :class:`EdgeSimResult` — the report merge
-    reads either type.
+    Attributes:
+        job_indices: Original job positions, aligned with ``cloud_arrivals``.
+        cloud_arrivals: Virtual time each job finished its WAN transfer and
+            became ready for cloud compute.
+        stage_starts: Per job, the virtual times its WAN transfer, edge
+            compute and LAN transfer *started* service — the tie-break
+            chain that reproduces the shared scheduler's insertion order
+            for simultaneous cloud arrivals.
     """
 
-    edge_index: int
-    lan_stats: StationStats
-    edge_stats: StationStats
-    wan_stats: StationStats
-    lan_bytes: int
-    wan_bytes: int
-    wan_seconds: float
-    events_processed: int
+    job_indices: Tuple[int, ...] = ()
+    cloud_arrivals: Tuple[float, ...] = ()
+    stage_starts: Tuple[Tuple[float, float, float], ...] = ()
 
 
 def empty_edge_result(edge_index: int) -> EdgeSimResult:
@@ -179,19 +172,83 @@ def empty_edge_result(edge_index: int) -> EdgeSimResult:
     0, no queueing) to the merged report rather than being skipped, so
     fleets with more edges than cameras keep one tier entry per server.
     """
-    return EdgeSimResult(edge_index=edge_index, job_indices=(),
-                         cloud_arrivals=(), stage_starts=(),
-                         lan_stats=StationStats(),
+    return EdgeSimResult(edge_index=edge_index, lan_stats=StationStats(),
                          edge_stats=StationStats(), wan_stats=StationStats(),
                          lan_bytes=0, wan_bytes=0, wan_seconds=0.0,
                          events_processed=0)
 
 
-def simulate_edge(task: EdgeSimTask) -> EdgeSimResult:
+class _RowCosts(NamedTuple):
+    """Stage costs of one packed-array job row (native Python scalars)."""
+
+    camera_edge_bytes: int
+    edge_seconds: float
+    edge_cloud_bytes: int
+
+
+class _ShardRow(StageUnit):
+    """One job inside an edge-only chain, recording what the cloud replay
+    needs: its cloud-arrival instant and its stage service-start instants.
+
+    The shard's chain holds a single edge, so every row sits at position 0.
+    """
+
+    __slots__ = ("arrival", "starts")
+
+    edge_index = 0
+    lan_key = 0
+
+    def __init__(self, work: Any) -> None:
+        super().__init__(work)
+        self.arrival = float("nan")
+        self.starts: Dict[str, float] = {}
+
+
+def _simulate_edge_rows(edge_index: int, config: SystemConfig,
+                        edge_workers: int, offsets: Sequence[float],
+                        works: Sequence[Any]
+                        ) -> Tuple[EdgeShardStats, List[_ShardRow]]:
     """Simulate one edge's LAN -> edge compute -> WAN pipeline in isolation.
 
-    This is the worker-side function; it must stay importable at module
-    level (and its argument/return types picklable) for the process pool.
+    The one per-edge simulation body, whatever the transport: ``works``
+    are the jobs' cost records (``CameraJob`` dataclasses or packed-array
+    :class:`_RowCosts`), run as units of an edge-only
+    :class:`~repro.cluster.topology.StageChain`; the returned rows align
+    with them.  A row's WAN delivery is its cloud arrival; every stage's
+    *service start* is recorded too — the instants the joint simulation
+    would insert the corresponding completion events, which the cloud
+    replay needs to break arrival-time ties exactly.
+    """
+    scheduler = EventScheduler()
+
+    def _arrived(row: _ShardRow) -> None:
+        row.arrival = scheduler.now
+
+    def _stage_started(row: _ShardRow) -> None:
+        row.starts[row.stage] = scheduler.now
+
+    chain = StageChain(scheduler, config, (edge_index,), edge_workers,
+                       on_finish=_arrived, on_stage_start=_stage_started)
+    rows = [_ShardRow(work) for work in works]
+    for row, offset in zip(rows, offsets):
+        chain.submit_at(offset, row)
+    scheduler.run()
+    lan, wan = chain.lan_links[0], chain.wan_links[0]
+    stats = EdgeShardStats(
+        edge_index=edge_index,
+        lan_stats=lan.stats, edge_stats=chain.edge_stations[0].stats,
+        wan_stats=wan.stats,
+        lan_bytes=lan.link.total_bytes, wan_bytes=wan.link.total_bytes,
+        wan_seconds=wan.link.total_seconds,
+        events_processed=scheduler.events_processed)
+    return stats, rows
+
+
+def simulate_edge(task: EdgeSimTask) -> EdgeSimResult:
+    """Worker-side function of the pickle transport.
+
+    Must stay importable at module level (and its argument/return types
+    picklable) for the process pool.
     """
     if task.kill_worker and multiprocessing.parent_process() is not None:
         # Injected worker crash: die like a SIGKILL'd process, not an
@@ -201,106 +258,14 @@ def simulate_edge(task: EdgeSimTask) -> EdgeSimResult:
         os._exit(17)
     if not task.jobs:
         return empty_edge_result(task.edge_index)
-    config = task.config
-    scheduler = EventScheduler()
-    lan = ContendedLink(scheduler, NetworkLink(
-        name=f"camera-edge:{task.edge_index}",
-        bandwidth_mbps=config.camera_edge_bandwidth_mbps,
-        latency_ms=config.camera_edge_latency_ms))
-    edge = ServiceStation(scheduler, f"edge:{task.edge_index}",
-                          capacity=task.edge_workers)
-    wan = ContendedLink(scheduler, NetworkLink(
-        name=f"edge-cloud:{task.edge_index}",
-        bandwidth_mbps=config.edge_cloud_bandwidth_mbps,
-        latency_ms=config.edge_cloud_latency_ms))
-
-    arrivals: Dict[int, float] = {}
-    starts: Dict[int, Dict[str, float]] = {}
-    for job_index, job, offset in zip(task.job_indices, task.jobs,
-                                      task.start_offsets):
-        _submit_edge_stages(scheduler, lan, edge, wan, job_index, job, offset,
-                            arrivals, starts)
-    scheduler.run()
+    stats, rows = _simulate_edge_rows(
+        task.edge_index, task.config, task.edge_workers, task.start_offsets,
+        task.jobs)
     return EdgeSimResult(
-        edge_index=task.edge_index,
-        job_indices=task.job_indices,
-        cloud_arrivals=tuple(arrivals[index] for index in task.job_indices),
-        stage_starts=tuple(
-            (starts[index]["wan"], starts[index]["edge"], starts[index]["lan"])
-            for index in task.job_indices),
-        lan_stats=lan.stats,
-        edge_stats=edge.stats,
-        wan_stats=wan.stats,
-        lan_bytes=lan.link.total_bytes,
-        wan_bytes=wan.link.total_bytes,
-        wan_seconds=wan.link.total_seconds,
-        events_processed=scheduler.events_processed,
-    )
-
-
-def _submit_edge_stages(scheduler: EventScheduler, lan: ContendedLink,
-                        edge: ServiceStation, wan: ContendedLink,
-                        job_index: int, job: "CameraJob", offset: float,
-                        arrivals: Dict[int, float],
-                        starts: Dict[int, Dict[str, float]]) -> None:
-    """Chain one job through LAN -> edge -> WAN from its dataclass fields."""
-    _submit_stage_chain(scheduler, lan, edge, wan, job_index, offset,
-                        arrivals, starts,
-                        camera_edge_bytes=job.camera_edge_bytes,
-                        edge_seconds=job.edge_seconds,
-                        edge_cloud_bytes=job.edge_cloud_bytes,
-                        lan_description=f"ingest:{job.camera}",
-                        wan_description=(job.transfer_description
-                                         or job.camera))
-
-
-def _submit_stage_chain(scheduler: EventScheduler, lan: ContendedLink,
-                        edge: ServiceStation, wan: ContendedLink,
-                        job_index: int, offset: float,
-                        arrivals: Dict[int, float],
-                        starts: Dict[int, Dict[str, float]], *,
-                        camera_edge_bytes: int, edge_seconds: float,
-                        edge_cloud_bytes: int, lan_description: str = "",
-                        wan_description: str = "") -> None:
-    """Chain one job through LAN -> edge -> WAN, recording its cloud arrival.
-
-    Mirrors :meth:`FleetOrchestrator._submit_job` stage for stage; the cloud
-    submission is replaced by recording ``scheduler.now`` at WAN delivery.
-    Every stage's *service start* time is also recorded — the instants the
-    joint simulation would insert the corresponding completion events, which
-    the cloud replay needs to break arrival-time ties exactly.  Takes plain
-    scalars so the array-transport workers can feed it straight from their
-    shared-memory views without materialising ``CameraJob`` objects (the
-    descriptions are transfer-record labels only; no statistic depends on
-    them).
-    """
-    job_starts = starts[job_index] = {}
-
-    def _stage_started(stage: str):
-        def _record(_: object) -> None:
-            job_starts[stage] = scheduler.now
-        return _record
-
-    def _arrive_cloud(_: object) -> None:
-        arrivals[job_index] = scheduler.now
-
-    def _enter_wan(_: object) -> None:
-        wan.submit(edge_cloud_bytes,
-                   description=wan_description,
-                   on_complete=_arrive_cloud,
-                   on_start=_stage_started("wan"))
-
-    def _enter_edge(_: object) -> None:
-        edge.submit(edge_seconds, on_complete=_enter_wan,
-                    on_start=_stage_started("edge"))
-
-    def _ingest() -> None:
-        lan.submit(camera_edge_bytes,
-                   description=lan_description,
-                   on_complete=_enter_edge,
-                   on_start=_stage_started("lan"))
-
-    scheduler.schedule_at(offset, _ingest)
+        **vars(stats), job_indices=task.job_indices,
+        cloud_arrivals=tuple(row.arrival for row in rows),
+        stage_starts=tuple((row.starts["wan"], row.starts["edge"],
+                            row.starts["lan"]) for row in rows))
 
 
 def simulate_edge_shard(tasks: Sequence[EdgeSimTask]) -> List[EdgeSimResult]:
@@ -377,52 +342,31 @@ class ShardOutcome:
     results: Optional[Dict[str, np.ndarray]]
 
 
-def _simulate_rows(edge_index: int, config: SystemConfig, edge_workers: int,
-                   job_index: np.ndarray, offsets: np.ndarray,
-                   camera_edge_bytes: np.ndarray, edge_seconds: np.ndarray,
-                   edge_cloud_bytes: np.ndarray
-                   ) -> Tuple[EdgeShardStats, Dict[str, List[float]]]:
-    """Simulate one edge's pipeline straight from packed column slices.
+def _simulate_columns(edge_index: int, config: SystemConfig,
+                      edge_workers: int, jobs: Dict[str, np.ndarray],
+                      low: int, high: int
+                      ) -> Tuple[EdgeShardStats, Dict[str, List[float]]]:
+    """Run rows ``low:high`` of the packed job columns as one edge.
 
     Scalars are pulled out of the arrays as native Python values before
     entering the event chain, so every downstream float operation is the
     same operation (on the same bits) the dataclass path performs — the
     transport changes how numbers travel, never what they are.
     """
-    scheduler = EventScheduler()
-    lan = ContendedLink(scheduler, NetworkLink(
-        name=f"camera-edge:{edge_index}",
-        bandwidth_mbps=config.camera_edge_bandwidth_mbps,
-        latency_ms=config.camera_edge_latency_ms))
-    edge = ServiceStation(scheduler, f"edge:{edge_index}",
-                          capacity=edge_workers)
-    wan = ContendedLink(scheduler, NetworkLink(
-        name=f"edge-cloud:{edge_index}",
-        bandwidth_mbps=config.edge_cloud_bandwidth_mbps,
-        latency_ms=config.edge_cloud_latency_ms))
-    arrivals: Dict[int, float] = {}
-    starts: Dict[int, Dict[str, float]] = {}
-    indices = [int(value) for value in job_index]
-    for row, index in enumerate(indices):
-        _submit_stage_chain(
-            scheduler, lan, edge, wan, index, float(offsets[row]),
-            arrivals, starts,
-            camera_edge_bytes=int(camera_edge_bytes[row]),
-            edge_seconds=float(edge_seconds[row]),
-            edge_cloud_bytes=int(edge_cloud_bytes[row]))
-    scheduler.run()
-    stats = EdgeShardStats(
-        edge_index=edge_index,
-        lan_stats=lan.stats, edge_stats=edge.stats, wan_stats=wan.stats,
-        lan_bytes=lan.link.total_bytes, wan_bytes=wan.link.total_bytes,
-        wan_seconds=wan.link.total_seconds,
-        events_processed=scheduler.events_processed)
+    works = [_RowCosts(int(lan_bytes), float(seconds), int(wan_bytes))
+             for lan_bytes, seconds, wan_bytes in zip(
+                 jobs["camera_edge_bytes"][low:high],
+                 jobs["edge_seconds"][low:high],
+                 jobs["edge_cloud_bytes"][low:high])]
+    stats, rows = _simulate_edge_rows(
+        edge_index, config, edge_workers,
+        [float(value) for value in jobs["offset"][low:high]], works)
     columns: Dict[str, List[float]] = {
-        "job_index": [float(index) for index in indices],
-        "arrival": [arrivals[index] for index in indices],
-        "wan_start": [starts[index]["wan"] for index in indices],
-        "edge_start": [starts[index]["edge"] for index in indices],
-        "lan_start": [starts[index]["lan"] for index in indices],
+        "job_index": [float(value) for value in jobs["job_index"][low:high]],
+        "arrival": [row.arrival for row in rows],
+        "wan_start": [row.starts["wan"] for row in rows],
+        "edge_start": [row.starts["edge"] for row in rows],
+        "lan_start": [row.starts["lan"] for row in rows],
     }
     return stats, columns
 
@@ -468,12 +412,9 @@ def run_fleet_shard(spec: ShardWorkerSpec) -> ShardOutcome:
                     os._exit(17)
                 claims.append((seq, edge_index))
                 low, high = spec.task_ptr[task], spec.task_ptr[task + 1]
-                shard_stats, columns = _simulate_rows(
-                    edge_index, spec.config, spec.edge_workers,
-                    jobs["job_index"][low:high], jobs["offset"][low:high],
-                    jobs["camera_edge_bytes"][low:high],
-                    jobs["edge_seconds"][low:high],
-                    jobs["edge_cloud_bytes"][low:high])
+                shard_stats, columns = _simulate_columns(
+                    edge_index, spec.config, spec.edge_workers, jobs,
+                    low, high)
                 stats.append(shard_stats)
                 rows = [int(value) for value in columns["job_index"]]
                 if shared is not None:
@@ -642,13 +583,8 @@ def _run_shard_fleet(jobs: Sequence["CameraJob"],
                 for edge in missing:
                     task = task_of_edge[edge]
                     low, high = task_ptr[task], task_ptr[task + 1]
-                    shard_stats, recomputed = _simulate_rows(
-                        edge, config, edge_workers,
-                        jobs_view["job_index"][low:high],
-                        jobs_view["offset"][low:high],
-                        jobs_view["camera_edge_bytes"][low:high],
-                        jobs_view["edge_seconds"][low:high],
-                        jobs_view["edge_cloud_bytes"][low:high])
+                    shard_stats, recomputed = _simulate_columns(
+                        edge, config, edge_workers, jobs_view, low, high)
                     stats_by_edge[edge] = shard_stats
                     rows = [int(value) for value in recomputed["job_index"]]
                     for name in _RESULT_COLUMNS:
@@ -818,8 +754,7 @@ def run_parallel(orchestrator: "FleetOrchestrator",
     replay.  ``replay_steal`` (or ``orchestrator.replay_steal_log``)
     re-runs a recorded claim pattern as a static assignment.
     """
-    from ..cluster.fleet import (FleetReport, JobOutcome, TierReport,
-                                 latency_percentiles_of)
+    from ..cluster.fleet import JobOutcome, fold_report
     if fleet_workers < 1:
         raise ClusterError(f"fleet_workers must be >= 1, got {fleet_workers}")
     watch = Stopwatch().start()
@@ -836,14 +771,14 @@ def run_parallel(orchestrator: "FleetOrchestrator",
     edge_job_lists = [(edge_index, job_indices)
                       for edge_index, job_indices in sorted(per_edge.items())
                       if job_indices]
-    plan = getattr(orchestrator, "fault_plan", None)
+    plan = orchestrator.fault_plan
     kill_edges = frozenset(spec.edge_index for spec in plan.worker_kills
                            ) if plan is not None else frozenset()
 
     transport_mode = resolve_transport(config.fleet_transport)
     stealing = bool(config.fleet_stealing) and stealing_available()
     replay_log = (replay_steal if replay_steal is not None
-                  else getattr(orchestrator, "replay_steal_log", None))
+                  else orchestrator.replay_steal_log)
     steal_log: Optional[StealLog] = None
 
     arrival_columns = {name: np.zeros(num_jobs, dtype=np.float64)
@@ -918,41 +853,19 @@ def run_parallel(orchestrator: "FleetOrchestrator",
                    start_seconds=offset, end_seconds=end)
         for job, offset, end in zip(jobs, offsets, ends)
     ]
-    makespan = max((outcome.end_seconds for outcome in outcomes), default=0.0)
-    latencies = sorted(outcome.latency_seconds for outcome in outcomes)
-    percentiles = latency_percentiles_of(latencies)
-
     ordered = [results[index] for index in sorted(results)]
-    tier = orchestrator._tier
-    edge_tiers: List[TierReport] = [
-        tier(result.edge_stats, orchestrator.edge_workers, makespan)
-        for result in ordered]
-    wan_tiers: List[TierReport] = [
-        tier(result.wan_stats, 1, makespan) for result in ordered]
-    cloud_tier = tier(cloud_stats, orchestrator.cloud_workers, makespan)
-    events_processed = (sum(result.events_processed for result in ordered)
-                        + cloud_events)
-    return FleetReport(
-        policy=orchestrator.policy,
-        num_edge_servers=orchestrator.num_edge_servers,
-        num_cameras=len(jobs),
-        makespan_seconds=makespan,
-        total_frames=sum(job.num_frames for job in jobs),
-        frames_for_inference=sum(job.frames_for_inference for job in jobs),
+    return fold_report(
+        orchestrator.policy, outcomes,
+        edge_stats=[result.edge_stats for result in ordered],
+        edge_workers=orchestrator.edge_workers,
+        wan_stats=[result.wan_stats for result in ordered],
+        cloud_stats=cloud_stats, cloud_workers=orchestrator.cloud_workers,
         camera_edge_bytes=sum(result.lan_bytes for result in ordered),
         edge_cloud_bytes=sum(result.wan_bytes for result in ordered),
-        edge_busy_seconds=sum(t.busy_seconds for t in edge_tiers),
-        cloud_busy_seconds=cloud_tier.busy_seconds,
         wan_transfer_seconds=sum(result.wan_seconds for result in ordered),
-        edge_tiers=edge_tiers,
-        wan_tiers=wan_tiers,
-        cloud_tier=cloud_tier,
-        latency_percentiles=percentiles,
-        assignments=assignments,
-        outcomes=outcomes,
         sim_wall_seconds=watch.stop(),
-        events_processed=events_processed,
-    )
+        events_processed=(sum(result.events_processed for result in ordered)
+                          + cloud_events))
 
 
 def _run_edge_tasks(tasks: List[EdgeSimTask],

@@ -1,9 +1,10 @@
 """The long-running streaming service over the discrete-event engine.
 
-:class:`StreamingService` assembles the pieces into the deployment shape
-of the batch :class:`~repro.cluster.fleet.FleetOrchestrator` — per-edge
-compute stations and WAN uplinks funnelling into one cloud tier — but
-driven live:
+:class:`StreamingService` is the live driver of the
+:class:`~repro.cluster.topology.StageChain` the batch
+:class:`~repro.cluster.fleet.FleetOrchestrator` drives in one shot —
+per-edge compute stations and WAN uplinks funnelling into one cloud tier,
+with every pushed chunk one unit of work on the chain:
 
 * cameras connect through :class:`~repro.service.ingest.StreamIngest`
   sessions and push :class:`~repro.service.session.FrameChunk` work
@@ -34,8 +35,8 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from ..adapt.controller import AdaptiveConfig, AdaptiveTuningController
 from ..cluster.fleet import (CameraJob, FleetReport, JobOutcome,
-                             PlacementPolicy, latency_percentiles_of,
-                             tier_report)
+                             PlacementPolicy, chain_report)
+from ..cluster.topology import StageChain, StageUnit
 from ..codec.gop import EncoderParameters
 from ..config import SystemConfig
 from ..dataflow.scheduler import EventScheduler, ServiceStation
@@ -44,7 +45,6 @@ from ..faults.injector import ResilienceConfig, ServiceFaultDriver
 from ..faults.plan import FaultPlan
 from ..faults.stats import FaultStats
 from ..net.contention import ContendedLink
-from ..net.link import NetworkLink
 from ..perf import Stopwatch, section
 from .clock import ClockDriver, RealTimeClock, VirtualClock
 from .ingest import StreamIngest
@@ -53,23 +53,38 @@ from .status import (HealthSample, ServiceStatus, SessionSnapshot,
                      StationSnapshot, snapshot_session, snapshot_station)
 
 
-class _ChunkRun:
-    """Mutable pipeline state of one in-flight chunk.
+class _ChunkRun(StageUnit):
+    """One in-flight chunk moving through the service's stage chain.
 
-    Carried as the station/link payload through every stage, so a stage
-    failed out by the fault plane can be resubmitted — and, because each
-    stage entry re-reads ``session.edge_index``, a resubmission after a
-    session failover automatically lands on the session's new edge.
+    Placement lives on the session: the chain re-reads
+    ``session.edge_index`` at every stage entry, so a chunk requeued (or
+    simply still upstream) after a session failover lands on the
+    session's new edge.
     """
 
-    __slots__ = ("session", "chunk", "arrival", "stage")
+    __slots__ = ("session", "arrival")
 
     def __init__(self, session: StreamSession, chunk: FrameChunk,
                  arrival: float) -> None:
+        super().__init__(chunk)
         self.session = session
-        self.chunk = chunk
         self.arrival = arrival
-        self.stage = "lan"
+
+    @property
+    def edge_index(self) -> int:
+        return self.session.edge_index
+
+    @property
+    def lan_key(self) -> str:
+        return self.session.session_id
+
+    @property
+    def lan_description(self) -> str:
+        return f"ingest:{self.session.camera}"
+
+    @property
+    def wan_description(self) -> str:
+        return f"stream:{self.session.camera}"
 
 
 class StreamingService:
@@ -132,20 +147,18 @@ class StreamingService:
             raise ServiceError("cloud_workers must be >= 1")
         self.clock = clock if clock is not None else VirtualClock()
         self.scheduler = EventScheduler()
-        self.edge_stations: List[ServiceStation] = []
-        self.wan_links: List[ContendedLink] = []
-        for index in range(self.num_edge_servers):
-            self.edge_stations.append(ServiceStation(
-                self.scheduler, f"edge:{index}", capacity=self.edge_workers))
-            self.wan_links.append(ContendedLink(self.scheduler, NetworkLink(
-                name=f"edge-cloud:{index}",
-                bandwidth_mbps=self.config.edge_cloud_bandwidth_mbps,
-                latency_ms=self.config.edge_cloud_latency_ms)))
-        self.cloud_station = ServiceStation(self.scheduler, "cloud",
-                                            capacity=self.cloud_workers)
+        #: The stage chain every chunk flows through.  The four resource
+        #: attributes below are references to the chain's own containers.
+        self.chain = StageChain(
+            self.scheduler, self.config, range(self.num_edge_servers),
+            self.edge_workers, self.cloud_workers, lan_per_edge=False,
+            on_finish=self._finish_chunk)
+        self.edge_stations: List[ServiceStation] = self.chain.edge_stations
+        self.wan_links: List[ContendedLink] = self.chain.wan_links
+        self.cloud_station: ServiceStation = self.chain.cloud_station
         #: One camera uplink per session, keyed by session id (built lazily
         #: on admission so per-tenant LAN sizing applies).
-        self.lan_links: Dict[str, ContendedLink] = {}
+        self.lan_links: Dict[str, ContendedLink] = self.chain.lan_links
         self.ingest = StreamIngest(
             self.scheduler, self.num_edge_servers,
             attach_session=self._attach_session,
@@ -166,6 +179,7 @@ class StreamingService:
             self._fault_driver = ServiceFaultDriver(
                 self, faults if faults is not None else FaultPlan(),
                 resilience if resilience is not None else ResilienceConfig())
+            self.chain.on_fail = self._fault_driver.on_chunk_failed
             self.ingest.on_session_degraded = (
                 self._fault_driver.on_session_degraded)
         self.adaptive: Optional[AdaptiveTuningController] = None
@@ -331,8 +345,6 @@ class StreamingService:
         the tests assert virtual-vs-real-time parity.
         """
         outcomes: List[JobOutcome] = []
-        assignments: Dict[str, int] = {}
-        latencies: List[float] = []
         for session in self.ingest.sessions.values():
             job = CameraJob(
                 camera=session.camera,
@@ -349,48 +361,10 @@ class StreamingService:
             end = (session.last_completion
                    if session.chunks_completed == session.chunks_pushed
                    and session.chunks_pushed > 0 else float("nan"))
-            outcome = JobOutcome(job=job, edge_index=session.edge_index,
-                                 start_seconds=start, end_seconds=end)
-            outcomes.append(outcome)
-            assignments[session.camera] = session.edge_index
-            if end == end:  # not nan: the stream fully completed
-                latencies.append(outcome.latency_seconds)
-        makespan = max((outcome.end_seconds for outcome in outcomes
-                        if outcome.end_seconds == outcome.end_seconds),
-                       default=0.0)
-        edge_tiers = [tier_report(station.stats, station.capacity, makespan)
-                      for station in self.edge_stations]
-        wan_tiers = [tier_report(link.stats, 1, makespan)
-                     for link in self.wan_links]
-        cloud_tier = tier_report(self.cloud_station.stats,
-                                 self.cloud_station.capacity, makespan)
-        jobs = [outcome.job for outcome in outcomes]
-        return FleetReport(
-            policy=PlacementPolicy.ROUND_ROBIN,
-            num_edge_servers=self.num_edge_servers,
-            num_cameras=len(jobs),
-            makespan_seconds=makespan,
-            total_frames=sum(job.num_frames for job in jobs),
-            frames_for_inference=sum(job.frames_for_inference
-                                     for job in jobs),
-            camera_edge_bytes=sum(link.link.total_bytes
-                                  for link in self.lan_links.values()),
-            edge_cloud_bytes=sum(link.link.total_bytes
-                                 for link in self.wan_links),
-            edge_busy_seconds=sum(tier.busy_seconds for tier in edge_tiers),
-            cloud_busy_seconds=cloud_tier.busy_seconds,
-            wan_transfer_seconds=sum(link.link.total_seconds
-                                     for link in self.wan_links),
-            edge_tiers=edge_tiers,
-            wan_tiers=wan_tiers,
-            cloud_tier=cloud_tier,
-            latency_percentiles=latency_percentiles_of(sorted(latencies)),
-            assignments=assignments,
-            outcomes=outcomes,
-            sim_wall_seconds=self.wall_run_seconds,
-            events_processed=self.scheduler.events_processed,
-            faults=self.fault_stats(),
-        )
+            outcomes.append(JobOutcome(job=job, edge_index=session.edge_index,
+                                       start_seconds=start, end_seconds=end))
+        return chain_report(self.chain, PlacementPolicy.ROUND_ROBIN, outcomes,
+                            self.wall_run_seconds, faults=self.fault_stats())
 
     # ------------------------------------------------------------------ #
     # Pipeline internals
@@ -398,68 +372,19 @@ class StreamingService:
     def _attach_session(self, session: StreamSession) -> None:
         """Build the session's camera uplink (tenant config wins)."""
         policy = self.ingest.tenants.get(session.tenant)
-        config = (policy.config if policy is not None
-                  and policy.config is not None else self.config)
-        self.lan_links[session.session_id] = ContendedLink(
-            self.scheduler, NetworkLink(
-                name=f"camera:{session.camera}",
-                bandwidth_mbps=config.camera_edge_bandwidth_mbps,
-                latency_ms=config.camera_edge_latency_ms))
+        self.chain.add_lan_link(
+            session.session_id, f"camera:{session.camera}",
+            policy.config if policy is not None else None)
 
     def _submit_chunk(self, session: StreamSession, chunk: FrameChunk) -> None:
-        """Chain one chunk through LAN -> edge -> WAN -> cloud.
-
-        Each stage entry re-reads ``session.edge_index`` and passes the
-        :class:`_ChunkRun` as the payload with an ``on_fail`` hook, so a
-        stage failed out by an injected edge crash can be resubmitted on
-        the session's (possibly failed-over) edge.  Fault-free this makes
-        exactly the same submissions in the same order as the seed.
-        """
-        self._enter_lan(_ChunkRun(session, chunk, self.scheduler.now))
-
-    def _enter_lan(self, run: _ChunkRun) -> None:
-        run.stage = "lan"
-        self.lan_links[run.session.session_id].submit(
-            run.chunk.camera_edge_bytes,
-            description=f"ingest:{run.session.camera}",
-            on_complete=self._enter_edge, payload=run,
-            on_fail=self._stage_failed)
-
-    def _enter_edge(self, run: _ChunkRun) -> None:
-        run.stage = "edge"
-        self.edge_stations[run.session.edge_index].submit(
-            run.chunk.edge_seconds,
-            on_complete=self._enter_wan, payload=run,
-            on_fail=self._stage_failed)
-
-    def _enter_wan(self, run: _ChunkRun) -> None:
-        run.stage = "wan"
-        self.wan_links[run.session.edge_index].submit(
-            run.chunk.edge_cloud_bytes,
-            description=f"stream:{run.session.camera}",
-            on_complete=self._enter_cloud, payload=run,
-            on_fail=self._stage_failed)
-
-    def _enter_cloud(self, run: _ChunkRun) -> None:
-        run.stage = "cloud"
-        self.cloud_station.submit(run.chunk.cloud_seconds,
-                                  on_complete=self._finish_chunk, payload=run)
-
-    def _resubmit_stage(self, run: _ChunkRun) -> None:
-        """Re-enter the stage a failed chunk was in (fault driver only)."""
-        {"lan": self._enter_lan, "edge": self._enter_edge,
-         "wan": self._enter_wan, "cloud": self._enter_cloud}[run.stage](run)
+        """Start one accepted chunk down the stage chain."""
+        self.chain.enter_lan(_ChunkRun(session, chunk, self.scheduler.now))
 
     def _finish_chunk(self, run: _ChunkRun) -> None:
         self.ingest.on_chunk_complete(run.session,
                                       self.scheduler.now - run.arrival)
         if self._fault_driver is not None:
             self._fault_driver.on_chunk_complete(run)
-
-    def _stage_failed(self, run: _ChunkRun, reason: str) -> None:
-        # on_fail hooks only exist on jobs the driver can fail, and
-        # fail_all is only called by the driver — so it is always present.
-        self._fault_driver.on_chunk_failed(run, reason)
 
     # ------------------------------------------------------------------ #
     # Fault plumbing (all no-ops / constants without a fault driver)

@@ -18,6 +18,7 @@ sizes the camera uplinks of that tenant's sessions.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -66,8 +67,12 @@ class FrameChunk:
     def __post_init__(self) -> None:
         if self.num_frames < 0 or self.frames_for_inference < 0:
             raise ServiceError("chunk frame counts must be >= 0")
-        if self.edge_seconds < 0 or self.cloud_seconds < 0:
-            raise ServiceError("chunk compute seconds must be >= 0")
+        # Chained comparisons so nan (which passes ``< 0``) and inf are
+        # refused at the boundary, not discovered in a report.
+        if not (0 <= self.edge_seconds < math.inf
+                and 0 <= self.cloud_seconds < math.inf):
+            raise ServiceError(
+                "chunk compute seconds must be finite and >= 0")
         if self.camera_edge_bytes < 0 or self.edge_cloud_bytes < 0:
             raise ServiceError("chunk transfer bytes must be >= 0")
 

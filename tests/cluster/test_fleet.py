@@ -72,6 +72,15 @@ class TestValidation:
         with pytest.raises(ClusterError):
             make_job("cam", camera_edge_bytes=-1)
 
+    @pytest.mark.parametrize("field", ["edge_seconds", "cloud_seconds"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_job_seconds_rejected(self, field, value):
+        """Regression: ``nan < 0`` is false, so a nan cost used to sail
+        through and surface as nan utilisation / a nan makespan (plus
+        numpy RuntimeWarnings) in the report; inf as an infinite run."""
+        with pytest.raises(ClusterError):
+            make_job("cam", **{field: value})
+
     def test_policy_from_name_accepts_value_and_name(self):
         assert PlacementPolicy.from_name("least-loaded") is \
             PlacementPolicy.LEAST_LOADED

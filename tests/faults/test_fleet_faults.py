@@ -98,6 +98,25 @@ class TestCrashFailover:
         # Same bytes moved: the partition queues transfers, never drops.
         assert degraded.edge_cloud_bytes == clean.edge_cloud_bytes
 
+    def test_restart_does_not_lift_a_wan_partition(self):
+        """Regression: the restart of a transient crash used to resume the
+        uplink of an edge whose WAN partition was still running, so jobs
+        finished *through* the partition."""
+        plan = FaultPlan((
+            WanDegradation(edge_index=0, at_seconds=1.0,
+                           duration_seconds=10.0),
+            EdgeCrash(edge_index=0, at_seconds=2.0,
+                      restart_after_seconds=1.0)))
+        report = FleetOrchestrator(make_jobs(), num_edge_servers=2,
+                                   faults=plan).run()
+        assert report.faults.edges_restarted == 1
+        ends = [outcome.end_seconds for outcome in report.outcomes
+                if outcome.edge_index == 0]
+        # Nothing leaves edge 0 between its restart and the partition's
+        # end; the jobs caught behind the partition finish after it.
+        assert not [end for end in ends if 3.0 <= end <= 11.0]
+        assert [end for end in ends if end > 11.0]
+
     def test_invalid_plans_rejected_at_construction(self):
         plan = FaultPlan(specs=(EdgeCrash(edge_index=5, at_seconds=1.0),))
         with pytest.raises(FaultError):

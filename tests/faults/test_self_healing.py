@@ -28,7 +28,7 @@ import pytest
 
 from repro.errors import AdmissionError
 from repro.faults import (EdgeCrash, FaultPlan, ResilienceConfig, RetryPolicy,
-                          StreamStall)
+                          StreamStall, WanDegradation)
 from repro.service import (ChunkFeeder, FrameChunk, SessionState,
                            StreamingService, TenantPolicy, VirtualClock)
 
@@ -155,6 +155,56 @@ class TestTransientCrashRecovery:
         assert first.recovery_trace.mismatches(second.recovery_trace) == []
         assert first.fleet_report().parity_mismatches(
             second.fleet_report(), TOLERANCE) == []
+
+
+class TestOverlappingFaults:
+    def test_restart_does_not_lift_a_wan_partition(self):
+        """Regression: a transient crash's restart used to resume the
+        uplink unconditionally — lifting a partition that still had eight
+        seconds to run, while the trace claimed ``wan-restore`` at t=11."""
+        plan = FaultPlan((
+            WanDegradation(edge_index=0, at_seconds=1.0,
+                           duration_seconds=10.0),
+            EdgeCrash(edge_index=0, at_seconds=2.0,
+                      restart_after_seconds=1.0)))
+        service = StreamingService(
+            num_edge_servers=2, faults=plan,
+            resilience=ResilienceConfig(breaker_cooldown_seconds=0.5))
+        service.open_session("cam", edge_index=0)
+        (chunk,) = make_chunks(1, edge_seconds=0.1, cloud_seconds=0.05)
+        service.at(4.0, lambda: service.push_frames("cam", chunk))
+        service.run(until=3.5)
+        assert service.edge_stations[0].online  # the restart did happen
+        assert not service.wan_links[0].online  # the partition still holds
+        service.run(until=10.5)
+        assert service.ingest.sessions["cam"].chunks_completed == 0
+        service.drain()
+        session = service.ingest.sessions["cam"]
+        assert session.chunks_completed == 1
+        assert session.last_completion > 11.0
+        assert [line.split(" ", 1)[1] for line
+                in service.recovery_trace.lines()] == [
+            "wan-partition edge=0 duration=10.000000",
+            "edge-crash edge=0 restart=1.000000",
+            "breaker-open edge=0",
+            "edge-restart edge=0",
+            "wan-restore edge=0"]
+
+    def test_partition_ending_inside_an_outage_waits_for_the_restart(self):
+        """The harmless order: the outage owns the uplink until it ends."""
+        plan = FaultPlan((
+            EdgeCrash(edge_index=0, at_seconds=1.0,
+                      restart_after_seconds=3.0),
+            WanDegradation(edge_index=0, at_seconds=2.0,
+                           duration_seconds=1.0)))
+        service = StreamingService(num_edge_servers=2, faults=plan)
+        service.run(until=3.5)
+        assert not service.wan_links[0].online
+        service.drain()
+        assert service.wan_links[0].online
+        assert service.recovery_trace.kinds() == {
+            "edge-crash": 1, "breaker-open": 1, "wan-partition": 1,
+            "wan-restore-skipped": 1, "edge-restart": 1}
 
 
 class TestPermanentCrashFailover:

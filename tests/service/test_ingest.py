@@ -244,3 +244,13 @@ class TestChunkCameraJob:
             FrameChunk(num_frames=-1, frames_for_inference=0,
                        edge_seconds=0.0, cloud_seconds=0.0,
                        camera_edge_bytes=0, edge_cloud_bytes=0)
+
+    @pytest.mark.parametrize("field", ["edge_seconds", "cloud_seconds"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_chunk_seconds_rejected(self, field, value):
+        """Regression: ``nan < 0`` is false, so nan costs used to be
+        admitted and poison the session's accumulators."""
+        costs = {"edge_seconds": 0.1, "cloud_seconds": 0.1, field: value}
+        with pytest.raises(ServiceError):
+            FrameChunk(num_frames=1, frames_for_inference=1,
+                       camera_edge_bytes=0, edge_cloud_bytes=0, **costs)
