@@ -34,13 +34,16 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
-from ..codec.gop import DEFAULT_PARAMETERS, EncoderParameters
+from ..codec.gop import (DEFAULT_PARAMETERS, EncoderParameters,
+                         KeyframePlacer)
 from ..codec.scenecut import FrameActivity
+from ..core.metrics import evaluate_sampling
 from ..core.tuner import (ParameterLookupTable, RetuneRecord,
                           SemanticEncoderTuner, TuningGrid)
 from ..errors import ServiceError
 from ..faults.stats import RecoveryTrace
 from ..logging_utils import get_logger
+from ..perf import section as perf_section
 from ..video.events import EventTimeline
 from .detectors import (DriftSignal, PageHinkleyDetector,
                         WindowedZScoreDetector)
@@ -186,7 +189,8 @@ class DriftMonitor:
         self._cooldown_until = now + self.config.cooldown_seconds
         self._consecutive = 0
         trigger = ",".join(signal.describe() for signal in signals)
-        decision = self._evaluate(trigger, now)
+        with perf_section("adapt.retune"):
+            decision = self._evaluate(trigger, now)
         for detector in self._detectors:
             detector.reset()
         if decision.applied:
@@ -224,8 +228,6 @@ class DriftMonitor:
             # The incumbent is off-grid (custom offline tune): replay its
             # placement on the same window so the comparison is apples to
             # apples.
-            from ..codec.gop import KeyframePlacer
-            from ..core.metrics import evaluate_sampling
             keyframes = KeyframePlacer(self.current).keyframe_indices(
                 activities)
             old_f1 = evaluate_sampling(timeline, keyframes).f1

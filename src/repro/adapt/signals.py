@@ -23,7 +23,7 @@ from typing import FrozenSet, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from ..codec.scenecut import FrameActivity, scenecut_score_threshold
+from ..codec.scenecut import FrameActivity, scenecut_novelty_floor
 from ..errors import ServiceError
 
 #: Reference scenecut threshold used to turn per-frame novelty into a
@@ -74,7 +74,7 @@ class SceneStats:
         """
         if not activities:
             raise ServiceError("SceneStats needs at least one activity")
-        threshold = max(scenecut_score_threshold(reference_scenecut), 1e-12)
+        threshold = scenecut_novelty_floor(reference_scenecut)
         novelty_sum = 0.0
         cuts = 0
         counted = 0

@@ -13,14 +13,15 @@ from .decoder import VideoDecoder, decode_video
 from .encoder import VideoEncoder, analyze_video, encode_video
 from .entropy import decode_blocks, encode_blocks, encoded_size_bytes
 from .gop import (DEFAULT_GOP_SIZE, DEFAULT_PARAMETERS, DEFAULT_SCENECUT,
-                  EncoderParameters, KeyframePlacer, StreamingKeyframePlacer,
-                  filtering_rate, gop_lengths, sampling_fraction)
+                  ActivityColumns, EncoderParameters, KeyframePlacer,
+                  StreamingKeyframePlacer, filtering_rate, gop_lengths,
+                  sampling_fraction)
 from .iframe_seeker import (IFrameSeeker, SeekResult, seek_keyframes,
                             select_events_from_keyframes)
 from .jpeg import decode_image, encode_image, estimate_encoded_size, roundtrip_psnr
 from .motion import MotionField, estimate_motion, motion_compensate
 from .scenecut import (FrameActivity, SceneCutAnalyzer, is_scenecut,
-                       scenecut_score_threshold)
+                       scenecut_novelty_floor, scenecut_score_threshold)
 from .transform import (dct2_blocks, idct2_blocks, quantisation_matrix,
                         quantise_blocks, dequantise_blocks)
 
@@ -32,12 +33,13 @@ __all__ = [
     "VideoEncoder", "analyze_video", "encode_video",
     "decode_blocks", "encode_blocks", "encoded_size_bytes",
     "DEFAULT_GOP_SIZE", "DEFAULT_PARAMETERS", "DEFAULT_SCENECUT",
-    "EncoderParameters", "KeyframePlacer", "StreamingKeyframePlacer",
-    "filtering_rate", "gop_lengths", "sampling_fraction",
+    "ActivityColumns", "EncoderParameters", "KeyframePlacer",
+    "StreamingKeyframePlacer", "filtering_rate", "gop_lengths", "sampling_fraction",
     "IFrameSeeker", "SeekResult", "seek_keyframes", "select_events_from_keyframes",
     "decode_image", "encode_image", "estimate_encoded_size", "roundtrip_psnr",
     "MotionField", "estimate_motion", "motion_compensate",
-    "FrameActivity", "SceneCutAnalyzer", "is_scenecut", "scenecut_score_threshold",
+    "FrameActivity", "SceneCutAnalyzer", "is_scenecut",
+    "scenecut_novelty_floor", "scenecut_score_threshold",
     "dct2_blocks", "idct2_blocks", "quantisation_matrix", "quantise_blocks",
     "dequantise_blocks",
 ]

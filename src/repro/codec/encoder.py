@@ -210,8 +210,13 @@ class VideoEncoder:
             raise EncodeError(
                 f"analysis pass has {len(activities)} entries for a video of "
                 f"{video.metadata.num_frames} frames")
-        analyzer = None if activities is not None else self.make_analyzer()
-        placer = StreamingKeyframePlacer(parameters)
+        if activities is not None:
+            # A lookahead exists: place every frame type up front.
+            frame_types = self.place_frame_types(activities)
+        else:
+            # Live encode: analyse and decide one frame at a time.
+            analyzer = self.make_analyzer()
+            placer = StreamingKeyframePlacer(parameters)
 
         encoded_frames: List[EncodedFrame] = []
         reference: Optional[np.ndarray] = None
@@ -220,9 +225,10 @@ class VideoEncoder:
             luma = frame.to_grayscale()
             if activities is not None:
                 activity = activities[frame.index]
+                frame_type = frame_types[frame.index]
             else:
                 activity = analyzer.analyze_next(luma)
-            frame_type = placer.decide(activity)
+                frame_type = placer.decide(activity)
             if frame_type is FrameType.I:
                 payload, size, reconstruction = self._encode_keyframe(
                     luma, materialise_payload)

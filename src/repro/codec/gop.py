@@ -14,18 +14,27 @@ produced by one analysis pass, :class:`KeyframePlacer` converts any
 parameter configuration into the corresponding I/P frame-type sequence
 without re-running motion estimation — the property that makes the offline
 grid search of Section IV practical.
+
+The placement rule is stated twice, on purpose and no more:
+:class:`StreamingKeyframePlacer` is the stateful, frame-at-a-time form a
+live encode without a lookahead needs, and
+:meth:`ActivityColumns.keyframe_indices` is the closed form over a whole
+analysis pass, which jumps from one I-frame straight to the next.  A
+property test holds the two equal on random series and parameters.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..video.frame import FrameType
-from .scenecut import MAX_SCENECUT, FrameActivity, is_scenecut
+from .scenecut import (MAX_SCENECUT, FrameActivity, novelty_series,
+                       scenecut_novelty_floor)
 
 #: x264 defaults, quoted in the paper ("the default parameters (i.e., GOP
 #: size = 250, and scenecut = 40)").
@@ -56,6 +65,18 @@ class EncoderParameters:
     search_radius: int = 2
 
     def __post_init__(self) -> None:
+        # Frame distances are whole frames: a fractional value would make
+        # the closed-form placer emit fractional frame indices.
+        for name in ("gop_size", "min_gop_size"):
+            value = getattr(self, name)
+            try:
+                integral = int(value)
+            except (TypeError, ValueError, OverflowError):
+                integral = None
+            if integral is None or integral != value:
+                raise ConfigurationError(
+                    f"{name} must be a whole number of frames, got {value!r}")
+            object.__setattr__(self, name, integral)
         if self.gop_size < 1:
             raise ConfigurationError(f"gop_size must be >= 1, got {self.gop_size}")
         if not 0 <= self.scenecut_threshold <= MAX_SCENECUT:
@@ -115,13 +136,31 @@ class StreamingKeyframePlacer:
     I-frame before the object disappears may be closer than ``min_gop`` to
     the disappearance itself; without latching that final scene cut would be
     dropped and the "object left" event would never receive an I-frame.
+
+    This is the only stateful statement of the rule (a live encode without
+    a lookahead has nothing else to call) and the oracle the closed form,
+    :meth:`ActivityColumns.keyframe_indices`, is property-tested against.
     """
 
     def __init__(self, parameters: EncoderParameters) -> None:
         self.parameters = parameters
-        self._since_keyframe = 0
-        self._pending_scenecut = False
-        self._frame_count = 0
+        self.reset()
+
+    @property
+    def parameters(self) -> EncoderParameters:
+        """The configuration in force."""
+        return self._parameters
+
+    @parameters.setter
+    def parameters(self, parameters: EncoderParameters) -> None:
+        # Assignable mid-stream: a live retune swaps the configuration and
+        # keeps the GOP state.  Everything ``decide`` needs from it is
+        # derived here, once per configuration instead of once per frame.
+        self._parameters = parameters
+        self._gop = parameters.gop_size
+        self._min_gop = parameters.effective_min_gop
+        self._novelty_floor = scenecut_novelty_floor(
+            parameters.scenecut_threshold)
 
     def reset(self) -> None:
         """Restart the placer for a new video."""
@@ -131,8 +170,6 @@ class StreamingKeyframePlacer:
 
     def decide(self, activity: FrameActivity) -> FrameType:
         """Return the frame type of the next frame of the stream."""
-        parameters = self.parameters
-        min_gop = parameters.effective_min_gop
         is_first_frame = self._frame_count == 0 or activity.is_first
         self._frame_count += 1
         if is_first_frame:
@@ -140,17 +177,79 @@ class StreamingKeyframePlacer:
             self._pending_scenecut = False
             return FrameType.I
         self._since_keyframe += 1
-        if is_scenecut(activity, parameters.scenecut_threshold):
+        if activity.novel_block_fraction > self._novelty_floor:
             self._pending_scenecut = True
-        if self._since_keyframe >= parameters.gop_size:
-            self._since_keyframe = 0
-            self._pending_scenecut = False
-            return FrameType.I
-        if self._pending_scenecut and self._since_keyframe >= min_gop:
+        if (self._since_keyframe >= self._gop
+                or (self._pending_scenecut
+                    and self._since_keyframe >= self._min_gop)):
             self._since_keyframe = 0
             self._pending_scenecut = False
             return FrameType.I
         return FrameType.P
+
+
+class ActivityColumns:
+    """The two columns of an analysis pass that key-frame placement reads.
+
+    Extracting ``novel_block_fraction`` and ``is_first`` into arrays costs
+    one pass over the :class:`FrameActivity` records; every placement after
+    that is array work.  The positions at which the scene cut fires depend
+    on the scenecut threshold alone, so they are computed once per distinct
+    threshold and shared by every GOP size of a grid search.
+
+    Args:
+        activities: Per-frame analysis of one video, in frame order.
+    """
+
+    def __init__(self, activities: Sequence[FrameActivity]) -> None:
+        self.num_frames = len(activities)
+        self._novelty = novelty_series(activities)
+        # Frames that are I-frames whatever the parameters: the head of the
+        # series and every ``is_first`` record.  Like the cut positions they
+        # end with a ``num_frames`` sentinel, so "next one after i" is always
+        # a valid lookup.
+        self._forced = [index for index, activity in enumerate(activities)
+                        if index == 0 or activity.is_first]
+        self._forced.append(self.num_frames)
+        self._cuts: Dict[float, List[int]] = {}
+
+    def _cut_positions(self, scenecut: float) -> List[int]:
+        """Sorted frame indices at which the scene cut fires, then a sentinel."""
+        cuts = self._cuts.get(scenecut)
+        if cuts is None:
+            fired = self._novelty > scenecut_novelty_floor(scenecut)
+            cuts = np.flatnonzero(fired).tolist()
+            cuts.append(self.num_frames)
+            self._cuts[scenecut] = cuts
+        return cuts
+
+    def keyframe_indices(self, parameters: EncoderParameters) -> List[int]:
+        """I-frame indices under ``parameters``, in closed form.
+
+        With the last I-frame at ``last``, the rules of
+        :class:`StreamingKeyframePlacer` put the next one at::
+
+            min(last + gop_size,
+                max(last + min_gop, first cut after last),
+                next forced frame after last)
+
+        (the latch is the ``max``: a cut inside the minimum interval fires
+        as soon as the interval allows), so placement jumps from I-frame to
+        I-frame with one bisection each instead of deciding every frame.
+        """
+        num_frames = self.num_frames
+        gop = parameters.gop_size
+        min_gop = parameters.effective_min_gop
+        cuts = self._cut_positions(parameters.scenecut_threshold)
+        forced = self._forced
+        keyframes: List[int] = []
+        index = 0
+        while index < num_frames:
+            keyframes.append(index)
+            index = min(index + gop,
+                        max(index + min_gop, cuts[bisect_right(cuts, index)]),
+                        forced[bisect_right(forced, index)])
+        return keyframes
 
 
 class KeyframePlacer:
@@ -163,18 +262,22 @@ class KeyframePlacer:
     def __init__(self, parameters: EncoderParameters) -> None:
         self.parameters = parameters
 
-    def place(self, activities: Sequence[FrameActivity]) -> List[FrameType]:
-        """Assign a :class:`FrameType` to every analysed frame.
-
-        See :class:`StreamingKeyframePlacer` for the placement rules.
-        """
-        placer = StreamingKeyframePlacer(self.parameters)
-        return [placer.decide(activity) for activity in activities]
-
     def keyframe_indices(self, activities: Sequence[FrameActivity]) -> List[int]:
-        """Indices of the frames that would be encoded as I-frames."""
-        return [index for index, frame_type in enumerate(self.place(activities))
-                if frame_type is FrameType.I]
+        """Indices of the frames that would be encoded as I-frames.
+
+        See :class:`StreamingKeyframePlacer` for the placement rules and
+        :meth:`ActivityColumns.keyframe_indices` for their closed form.
+        Callers placing many configurations over one analysis pass build
+        the :class:`ActivityColumns` once and call it directly.
+        """
+        return ActivityColumns(activities).keyframe_indices(self.parameters)
+
+    def place(self, activities: Sequence[FrameActivity]) -> List[FrameType]:
+        """Assign a :class:`FrameType` to every analysed frame."""
+        frame_types = [FrameType.P] * len(activities)
+        for index in self.keyframe_indices(activities):
+            frame_types[index] = FrameType.I
+        return frame_types
 
 
 def keyframe_flags(frame_types: Sequence[FrameType]) -> np.ndarray:

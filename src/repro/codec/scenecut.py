@@ -29,6 +29,7 @@ the more sensitive it is to small motion").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -103,20 +104,33 @@ def scenecut_score_threshold(scenecut: float) -> float:
     Returns:
         The minimum ``novel_block_fraction`` that triggers a scene cut.
     """
-    clipped = float(np.clip(scenecut, 0.0, MAX_SCENECUT))
+    clipped = min(max(float(scenecut), 0.0), float(MAX_SCENECUT))
     if clipped >= MAX_SCENECUT:
         return 0.0
     return _SCORE_SCALE * (1.0 - clipped / MAX_SCENECUT) ** _SCORE_GAMMA
+
+
+def scenecut_novelty_floor(scenecut: float) -> float:
+    """The ``novel_block_fraction`` a frame must *exceed* for a cut to fire.
+
+    This is the one statement of the "cut fired" predicate
+    (``novelty > scenecut_novelty_floor(scenecut)``) shared by
+    :func:`is_scenecut`, both key-frame placers and the drift statistics:
+    ``scenecut <= 0`` disables scene cuts (the floor is ``inf``), and the
+    ``1e-12`` guard keeps ``scenecut=400`` from firing on exactly zero
+    novelty.  It depends only on the threshold, so a grid search needs it
+    once per distinct scenecut value, not once per frame.
+    """
+    if scenecut <= 0:
+        return math.inf
+    return max(scenecut_score_threshold(scenecut), 1e-12)
 
 
 def is_scenecut(activity: FrameActivity, scenecut: float) -> bool:
     """Whether ``activity`` crosses the scene-cut decision for ``scenecut``."""
     if activity.is_first:
         return True
-    if scenecut <= 0:
-        return False
-    threshold = scenecut_score_threshold(scenecut)
-    return activity.novel_block_fraction > max(threshold, 1e-12)
+    return activity.novel_block_fraction > scenecut_novelty_floor(scenecut)
 
 
 class SceneCutAnalyzer:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..cluster.costmodel import CostModel
 from ..codec.encoder import VideoEncoder
-from ..codec.gop import EncoderParameters, KeyframePlacer
+from ..codec.gop import ActivityColumns, EncoderParameters, KeyframePlacer
 from ..codec.scenecut import FrameActivity
 from ..errors import PipelineError
 from ..video.events import EventTimeline
@@ -224,8 +224,9 @@ def sieve_sampling_sweep(activities: Sequence[FrameActivity],
     fraction / accuracy point.
     """
     results = []
+    columns = ActivityColumns(activities)
     for parameters in parameters_list:
-        keyframes = KeyframePlacer(parameters).keyframe_indices(activities)
+        keyframes = columns.keyframe_indices(parameters)
         score = evaluate_sampling(timeline, keyframes)
         results.append(EventDetectionResult(
             method="sieve", sample_indices=list(keyframes),

@@ -22,21 +22,89 @@ sampled frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..video.events import EventTimeline, LabelSet, NO_LABEL
+from ..video.events import EventTimeline, LabelSet
 
 
-def _validate_samples(sample_indices: Sequence[int], num_frames: int) -> List[int]:
-    indices = sorted(set(int(index) for index in sample_indices))
-    if indices and (indices[0] < 0 or indices[-1] >= num_frames):
+def _validate_samples(sample_indices: Iterable[int],
+                      num_frames: int) -> np.ndarray:
+    """Sorted, de-duplicated ``int64`` frame indices, all in range.
+
+    Raises:
+        ConfigurationError: If an index is not a whole number (``1.5``,
+            ``nan``, ``"x"``, ``None``) or lies outside ``[0, num_frames)``.
+    """
+    def malformed() -> ConfigurationError:
+        return ConfigurationError(
+            f"sample indices must be a flat sequence of whole frame numbers, "
+            f"got {sample_indices!r}")
+
+    try:
+        if not isinstance(sample_indices, (np.ndarray, list, tuple)):
+            sample_indices = list(sample_indices)
+        indices = np.asarray(sample_indices)
+    except (TypeError, ValueError):  # not iterable / ragged nesting
+        raise malformed() from None
+    if indices.size == 0:
+        return np.empty(0, dtype=np.int64)
+    kind = indices.dtype.kind
+    if indices.ndim != 1 or kind not in "biuf":
+        raise malformed()
+    # ``int(1.5)`` would silently score frame 1; nan/inf have no frame.
+    if kind == "f" and not (np.isfinite(indices).all()
+                            and (indices == np.floor(indices)).all()):
+        raise malformed()
+    indices = np.unique(indices.astype(np.int64))
+    if indices[0] < 0 or indices[-1] >= num_frames:
         raise ConfigurationError(
             f"sample indices must lie in [0, {num_frames}), got "
             f"{indices[0]}..{indices[-1]}")
     return indices
+
+
+def _propagated_ids(timeline: EventTimeline, indices: np.ndarray) -> np.ndarray:
+    """Per-frame label id under propagation from validated ``indices``.
+
+    Every frame takes the id of the most recent sample at or before it
+    (``searchsorted`` finds that sample for all frames at once); frames
+    before the first sample take id 0, the background.
+    """
+    frame_ids = timeline.arrays().frame_ids
+    sampled_ids = np.concatenate(([0], frame_ids[indices]))
+    latest = np.searchsorted(indices, np.arange(timeline.num_frames),
+                             side="right")
+    return sampled_ids[latest]
+
+
+def _first_sample_offsets(timeline: EventTimeline, indices: np.ndarray):
+    """Per event: is any validated sample inside it, and how late is the first.
+
+    Returns ``(inside, offsets)``; ``offsets`` is meaningful where
+    ``inside`` holds.
+    """
+    arrays = timeline.arrays()
+    # One sentinel past the last frame keeps the lookup valid for events
+    # that start after the last sample (and reads as "not inside").
+    padded = np.append(indices, timeline.num_frames)
+    first = padded[np.searchsorted(indices, arrays.starts, side="left")]
+    return first < arrays.ends, first - arrays.starts
+
+
+def _propagation_accuracy(timeline: EventTimeline, indices: np.ndarray) -> float:
+    correct = np.count_nonzero(
+        _propagated_ids(timeline, indices) == timeline.arrays().frame_ids)
+    return int(correct) / timeline.num_frames
+
+
+def _event_start_accuracy(timeline: EventTimeline, indices: np.ndarray) -> float:
+    arrays = timeline.arrays()
+    inside, offsets = _first_sample_offsets(timeline, indices)
+    wrong = np.where(inside, offsets, arrays.ends - arrays.starts).sum()
+    return 1.0 - int(wrong) / timeline.num_frames
 
 
 def propagate_labels(timeline: EventTimeline,
@@ -56,25 +124,16 @@ def propagate_labels(timeline: EventTimeline,
         One label set per frame.
     """
     indices = _validate_samples(sample_indices, timeline.num_frames)
-    labels: List[LabelSet] = []
-    current: LabelSet = NO_LABEL
-    sample_cursor = 0
-    for frame_index in range(timeline.num_frames):
-        while sample_cursor < len(indices) and indices[sample_cursor] == frame_index:
-            current = timeline.labels_at(frame_index)
-            sample_cursor += 1
-        labels.append(current)
-    return labels
+    label_sets = timeline.arrays().label_sets
+    return [label_sets[label_id]
+            for label_id in _propagated_ids(timeline, indices).tolist()]
 
 
 def propagation_accuracy(timeline: EventTimeline,
                          sample_indices: Sequence[int]) -> float:
     """Per-frame label accuracy under label propagation from sampled frames."""
-    predicted = propagate_labels(timeline, sample_indices)
-    truth = timeline.frame_labels()
-    correct = sum(1 for observed, expected in zip(predicted, truth)
-                  if observed == expected)
-    return correct / timeline.num_frames
+    return _propagation_accuracy(
+        timeline, _validate_samples(sample_indices, timeline.num_frames))
 
 
 def event_start_accuracy(timeline: EventTimeline,
@@ -86,16 +145,8 @@ def event_start_accuracy(timeline: EventTimeline,
     sampled frame inside the event (or the whole event, if it contains no
     sample) are counted as wrong.
     """
-    indices = np.array(_validate_samples(sample_indices, timeline.num_frames),
-                       dtype=np.int64)
-    wrong = 0
-    for event in timeline.events:
-        inside = indices[(indices >= event.start_frame) & (indices < event.end_frame)]
-        if inside.size == 0:
-            wrong += event.num_frames
-        else:
-            wrong += int(inside.min()) - event.start_frame
-    return 1.0 - wrong / timeline.num_frames
+    return _event_start_accuracy(
+        timeline, _validate_samples(sample_indices, timeline.num_frames))
 
 
 def sampling_fraction(sample_indices: Sequence[int], num_frames: int) -> float:
@@ -168,9 +219,9 @@ def evaluate_sampling(timeline: EventTimeline,
         The full :class:`DetectionScore`.
     """
     indices = _validate_samples(sample_indices, timeline.num_frames)
-    accuracy = propagation_accuracy(timeline, indices)
-    event_acc = event_start_accuracy(timeline, indices)
-    fraction = sampling_fraction(indices, timeline.num_frames)
+    accuracy = _propagation_accuracy(timeline, indices)
+    event_acc = _event_start_accuracy(timeline, indices)
+    fraction = len(indices) / timeline.num_frames
     filtering = 1.0 - fraction
     return DetectionScore(
         accuracy=accuracy,
@@ -191,13 +242,10 @@ def detection_latencies(timeline: EventTimeline,
     first sampled frame inside the event, or ``None`` when the event contains
     no sampled frame at all.
     """
-    indices = np.array(_validate_samples(sample_indices, timeline.num_frames),
-                       dtype=np.int64)
-    latencies: List[Optional[int]] = []
-    for event in timeline.events:
-        inside = indices[(indices >= event.start_frame) & (indices < event.end_frame)]
-        latencies.append(int(inside.min()) - event.start_frame if inside.size else None)
-    return latencies
+    indices = _validate_samples(sample_indices, timeline.num_frames)
+    inside, offsets = _first_sample_offsets(timeline, indices)
+    return [offset if hit else None
+            for hit, offset in zip(inside.tolist(), offsets.tolist())]
 
 
 def summarize_latencies(latencies: Sequence[Optional[int]]) -> Dict[str, float]:

@@ -15,7 +15,11 @@ Re-encoding the footage k*l times is unnecessary with this codec: I-frame
 placement is a pure function of the parameter pair and the per-frame
 scene-cut analysis, which is parameter independent.  The tuner therefore
 runs the analysis pass once and replays the placement for every
-configuration, which is what makes the grid search cheap.
+configuration, which is what makes the grid search cheap — and the replay
+is an array program: the analysis columns are extracted once per search,
+the positions where the scene cut fires once per distinct scenecut value
+(``l`` times, not ``k*l``), and each configuration's I-frames then follow in
+closed form (:meth:`repro.codec.gop.ActivityColumns.keyframe_indices`).
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..codec.encoder import VideoEncoder
-from ..codec.gop import EncoderParameters, KeyframePlacer
+from ..codec.gop import ActivityColumns, EncoderParameters
 from ..codec.scenecut import FrameActivity
+from ..contracts import validate_precision
 from ..errors import TuningError
 from ..logging_utils import get_logger
 from ..video.events import EventTimeline
@@ -157,7 +162,6 @@ class SemanticEncoderTuner:
                  precision: str = "exact") -> None:
         self.grid = grid or TuningGrid()
         self.base_parameters = base_parameters or EncoderParameters()
-        from ..contracts import validate_precision
         self.precision = validate_precision(precision)
 
     # ------------------------------------------------------------------ #
@@ -187,9 +191,10 @@ class SemanticEncoderTuner:
             raise TuningError(
                 f"analysis pass covers {len(activities)} frames but the timeline "
                 f"has {timeline.num_frames}")
+        columns = ActivityColumns(activities)
         results: List[ConfigurationResult] = []
         for parameters in self.grid.configurations(self.base_parameters):
-            keyframes = KeyframePlacer(parameters).keyframe_indices(activities)
+            keyframes = columns.keyframe_indices(parameters)
             score = evaluate_sampling(timeline, keyframes)
             results.append(ConfigurationResult(parameters=parameters, score=score,
                                                keyframe_indices=tuple(keyframes)))

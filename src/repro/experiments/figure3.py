@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..codec.gop import EncoderParameters, KeyframePlacer
+from ..codec.gop import ActivityColumns, EncoderParameters
 from ..core.metrics import evaluate_sampling
 from ..parallel.workloads import WorkloadBuilder
 from ..vision.mse import MseChangeDetector
@@ -72,8 +72,9 @@ def run_dataset(prepared: PreparedDataset,
 
     # --- SiEVE: one point per encoder configuration -----------------------
     sieve_fractions: List[float] = []
+    columns = ActivityColumns(prepared.activities)
     for parameters in sieve_sweep:
-        keyframes = KeyframePlacer(parameters).keyframe_indices(prepared.activities)
+        keyframes = columns.keyframe_indices(parameters)
         score = evaluate_sampling(timeline, keyframes)
         sieve_fractions.append(score.sampling_fraction)
         points.append(Figure3Point(prepared.name, "sieve",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..codec.gop import DEFAULT_PARAMETERS, EncoderParameters, KeyframePlacer
+from ..codec.gop import DEFAULT_PARAMETERS, ActivityColumns, EncoderParameters
 from ..core.metrics import evaluate_sampling
 from ..core.tuner import SemanticEncoderTuner, TuningGrid
 from ..parallel.workloads import WorkloadBuilder
@@ -70,10 +70,9 @@ def run_dataset(train: PreparedDataset, test: PreparedDataset,
     tuning = tuner.tune_from_activities(train.activities, train.timeline, train.name)
     semantic_parameters = tuning.best_parameters
 
-    semantic_keyframes = KeyframePlacer(semantic_parameters).keyframe_indices(
-        test.activities)
-    default_keyframes = KeyframePlacer(default_parameters).keyframe_indices(
-        test.activities)
+    columns = ActivityColumns(test.activities)
+    semantic_keyframes = columns.keyframe_indices(semantic_parameters)
+    default_keyframes = columns.keyframe_indices(default_parameters)
     semantic_score = evaluate_sampling(test.timeline, semantic_keyframes)
     default_score = evaluate_sampling(test.timeline, default_keyframes)
     return Table2Row(

@@ -10,7 +10,10 @@ evaluation measures per-frame label accuracy against these timelines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import (FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
+
+import numpy as np
 
 from ..errors import ConfigurationError
 
@@ -62,6 +65,25 @@ class Event:
         return self.start_frame <= frame_index < self.end_frame
 
 
+class TimelineArrays(NamedTuple):
+    """Read-only integer-array view of an :class:`EventTimeline`.
+
+    Attributes:
+        label_sets: The distinct label sets of the timeline;
+            ``label_sets[0]`` is always :data:`NO_LABEL`.
+        frame_ids: Per frame, the index into ``label_sets`` of its label
+            set — two frames carry equal labels exactly when their ids are
+            equal.
+        starts: First frame of every event.
+        ends: One past the last frame of every event.
+    """
+
+    label_sets: Tuple[LabelSet, ...]
+    frame_ids: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+
+
 class EventTimeline:
     """Ground-truth labels for every frame of a video, stored as events.
 
@@ -98,10 +120,8 @@ class EventTimeline:
             merged.append(event)
         self._events: Tuple[Event, ...] = tuple(merged)
         self._num_frames = self._events[-1].end_frame
-        boundaries = []
-        for event in self._events:
-            boundaries.append(event.start_frame)
-        self._starts = boundaries
+        self._starts = [event.start_frame for event in self._events]
+        self._arrays: Optional[TimelineArrays] = None
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -185,6 +205,24 @@ class EventTimeline:
         for event in self._events:
             labels.extend([event.labels] * event.num_frames)
         return labels
+
+    def arrays(self) -> "TimelineArrays":
+        """The timeline as integer arrays, for array-at-a-time scoring.
+
+        Computed on first use and cached (a timeline is immutable).
+        """
+        if self._arrays is None:
+            ids = {NO_LABEL: 0}
+            event_ids = [ids.setdefault(event.labels, len(ids))
+                         for event in self._events]
+            starts = np.array(self._starts, dtype=np.int64)
+            ends = np.append(starts[1:], self._num_frames)
+            frame_ids = np.repeat(np.array(event_ids, dtype=np.int64),
+                                  ends - starts)
+            for array in (starts, ends, frame_ids):
+                array.setflags(write=False)
+            self._arrays = TimelineArrays(tuple(ids), frame_ids, starts, ends)
+        return self._arrays
 
     def sliced(self, start: int, stop: int) -> "EventTimeline":
         """Return the timeline restricted to frames ``[start, stop)``.

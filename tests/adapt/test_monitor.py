@@ -9,6 +9,7 @@ from repro.adapt import (AdaptiveConfig, ChunkScene, DriftMonitor, SceneStats,
 from repro.codec.gop import EncoderParameters
 from repro.codec.scenecut import FrameActivity
 from repro.errors import ServiceError
+from repro.perf import get_recorder
 
 #: Matches the conftest chunking: one chunk per 2 virtual seconds.
 CHUNK_SECONDS = 2.0
@@ -128,6 +129,17 @@ class TestMonitorOnDriftingClip:
         assert applied[-1].new_f1 > applied[-1].old_f1
         assert monitor.current == applied[-1].new
         assert monitor.current != frozen_parameters
+
+    def test_every_evaluation_is_timed_under_adapt_retune(
+            self, drift_chunks, frozen_parameters):
+        """The recorder attributes retune cost inside the program: one
+        ``adapt.retune`` visit per confirmed-drift grid search."""
+        sections = get_recorder().sections
+        before = sections["adapt.retune"].calls \
+            if "adapt.retune" in sections else 0
+        decisions, _ = self.decisions_of(drift_chunks, frozen_parameters)
+        assert sections["adapt.retune"].calls - before == len(decisions) > 0
+        assert sections["adapt.retune"].total_seconds > 0.0
 
     def test_same_chunks_same_decisions(self, drift_chunks,
                                         frozen_parameters):

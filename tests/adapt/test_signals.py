@@ -36,6 +36,15 @@ class TestSceneStats:
             activity(2, below), activity(3, above)])
         assert stats.scenecut_rate == pytest.approx(0.5)
 
+    def test_cut_rate_uses_the_placers_cut_predicate(self):
+        # One predicate for "the cut fired": a disabled scenecut never
+        # cuts here either, whatever the novelty, exactly as is_scenecut.
+        busy = [activity(index, 0.9) for index in range(4)]
+        assert SceneStats.from_activities(
+            busy, reference_scenecut=0.0).scenecut_rate == 0.0
+        assert SceneStats.from_activities(
+            busy, reference_scenecut=REFERENCE_SCENECUT).scenecut_rate == 1.0
+
     def test_all_first_frames_degenerate_to_zero(self):
         stats = SceneStats.from_activities([activity(0, 1.0, is_first=True)])
         assert stats.mean_novelty == 0.0
