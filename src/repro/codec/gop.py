@@ -41,6 +41,10 @@ from .scenecut import (MAX_SCENECUT, FrameActivity, novelty_series,
 DEFAULT_GOP_SIZE = 250
 DEFAULT_SCENECUT = 40.0
 
+#: Largest values the bitstream's one-byte fields can carry.
+MAX_BLOCK_SIZE = 255
+MAX_SEARCH_RADIUS = 127
+
 
 @dataclass(frozen=True)
 class EncoderParameters:
@@ -87,10 +91,17 @@ class EncoderParameters:
             raise ConfigurationError("min_gop_size must be >= 0")
         if not 1 <= self.quality <= 100:
             raise ConfigurationError(f"quality must be in [1, 100], got {self.quality}")
-        if self.block_size < 2:
-            raise ConfigurationError("block_size must be >= 2")
-        if self.search_radius < 0:
-            raise ConfigurationError("search_radius must be >= 0")
+        # The bitstream stores the block size in one unsigned byte (I- and
+        # P-frame headers) and each motion-vector component in one signed
+        # byte; anything larger would not survive a round trip.
+        if not 2 <= self.block_size <= MAX_BLOCK_SIZE:
+            raise ConfigurationError(
+                f"block_size must be in [2, {MAX_BLOCK_SIZE}], "
+                f"got {self.block_size}")
+        if not 0 <= self.search_radius <= MAX_SEARCH_RADIUS:
+            raise ConfigurationError(
+                f"search_radius must be in [0, {MAX_SEARCH_RADIUS}], "
+                f"got {self.search_radius}")
 
     @property
     def effective_min_gop(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,12 +48,12 @@ class ImageCodecStats:
         return self.raw_bytes / self.encoded_bytes
 
 
-def _encode_plane(plane: np.ndarray, quality: int, block_size: int) -> bytes:
+def quantise_plane(plane: np.ndarray, matrix: np.ndarray,
+                   block_size: int) -> np.ndarray:
+    """Level-shift, block-transform and quantise one ``uint8`` plane."""
     blocks = to_blocks(pad_plane(plane.astype(np.float64) - 128.0, block_size),
                        block_size)
-    matrix = quantisation_matrix(quality, block_size)
-    quantised = quantise_blocks(dct2_blocks(blocks), matrix)
-    return encode_blocks(quantised)
+    return quantise_blocks(dct2_blocks(blocks), matrix)
 
 
 def _decode_plane(payload: bytes, height: int, width: int, quality: int,
@@ -69,6 +69,36 @@ def _decode_plane(payload: bytes, height: int, width: int, quality: int,
     return np.clip(plane, 0, 255).astype(np.uint8)
 
 
+def _image_planes(image: np.ndarray) -> List[np.ndarray]:
+    if image.ndim == 2:
+        return [image]
+    if image.ndim == 3 and image.shape[2] == 3:
+        return [image[:, :, channel] for channel in range(3)]
+    raise CodecError(f"expected an (H, W) or (H, W, 3) image, got {image.shape}")
+
+
+def pack_image(height: int, width: int, quality: int, block_size: int,
+               quantised_planes: Sequence[np.ndarray]) -> bytes:
+    """Container bytes of already quantised planes (header + payloads)."""
+    if height == 0 or width == 0:
+        raise CodecError("cannot encode an empty image")
+    if height > 0xFFFF or width > 0xFFFF:
+        raise CodecError("image dimensions exceed the 16-bit header fields")
+    pieces = [_HEADER.pack(_MAGIC, height, width, len(quantised_planes),
+                           int(quality), int(block_size))]
+    for quantised in quantised_planes:
+        payload = encode_blocks(quantised)
+        pieces.append(struct.pack(">I", len(payload)))
+        pieces.append(payload)
+    return b"".join(pieces)
+
+
+def packed_image_size(quantised_planes: Sequence[np.ndarray]) -> int:
+    """Exact ``len(pack_image(...))`` without materialising the bytes."""
+    return _HEADER.size + sum(4 + encoded_size_bytes(quantised)
+                              for quantised in quantised_planes)
+
+
 def encode_image(image: np.ndarray, quality: int = 75,
                  block_size: int = DEFAULT_BLOCK_SIZE) -> bytes:
     """Encode a grayscale or RGB ``uint8`` image.
@@ -82,25 +112,10 @@ def encode_image(image: np.ndarray, quality: int = 75,
         The encoded byte string (header + per-plane payloads).
     """
     image = np.asarray(image)
-    if image.ndim == 2:
-        planes = [image]
-    elif image.ndim == 3 and image.shape[2] == 3:
-        planes = [image[:, :, channel] for channel in range(3)]
-    else:
-        raise CodecError(f"encode_image expects (H, W) or (H, W, 3), got {image.shape}")
-    height, width = image.shape[:2]
-    if height == 0 or width == 0:
-        raise CodecError("cannot encode an empty image")
-    if height > 0xFFFF or width > 0xFFFF:
-        raise CodecError("image dimensions exceed the 16-bit header fields")
-    header = _HEADER.pack(_MAGIC, height, width, len(planes), int(quality),
-                          int(block_size))
-    pieces = [header]
-    for plane in planes:
-        payload = _encode_plane(plane, quality, block_size)
-        pieces.append(struct.pack(">I", len(payload)))
-        pieces.append(payload)
-    return b"".join(pieces)
+    matrix = quantisation_matrix(quality, block_size)
+    return pack_image(image.shape[0], image.shape[1], quality, block_size,
+                      [quantise_plane(plane, matrix, block_size)
+                       for plane in _image_planes(image)])
 
 
 def decode_image(data: bytes) -> np.ndarray:
@@ -133,21 +148,9 @@ def decode_image(data: bytes) -> np.ndarray:
 def estimate_encoded_size(image: np.ndarray, quality: int = 75,
                           block_size: int = DEFAULT_BLOCK_SIZE) -> int:
     """Exact encoded size of an image without materialising the bytes."""
-    image = np.asarray(image)
-    if image.ndim == 2:
-        planes = [image]
-    elif image.ndim == 3 and image.shape[2] == 3:
-        planes = [image[:, :, channel] for channel in range(3)]
-    else:
-        raise CodecError(f"expected (H, W) or (H, W, 3), got {image.shape}")
     matrix = quantisation_matrix(quality, block_size)
-    total = _HEADER.size
-    for plane in planes:
-        blocks = to_blocks(pad_plane(plane.astype(np.float64) - 128.0, block_size),
-                           block_size)
-        quantised = quantise_blocks(dct2_blocks(blocks), matrix)
-        total += 4 + encoded_size_bytes(quantised)
-    return total
+    return packed_image_size([quantise_plane(plane, matrix, block_size)
+                              for plane in _image_planes(np.asarray(image))])
 
 
 def roundtrip_psnr(image: np.ndarray, quality: int = 75) -> Tuple[float, ImageCodecStats]:

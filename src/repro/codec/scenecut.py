@@ -38,7 +38,7 @@ import numpy as np
 from ..contracts import validate_precision
 from ..errors import CodecError
 from .blocks import DEFAULT_BLOCK_SIZE, pad_plane, to_blocks
-from .motion import estimate_motion, motion_compensate
+from .motion import MotionSearch, motion_compensate
 
 #: Residual magnitude (luma levels) above which a pixel counts as novel.
 #: Sensor noise in the synthetic scenes has a standard deviation of 2-3
@@ -171,6 +171,8 @@ class SceneCutAnalyzer:
         self.novel_pixel_threshold = float(novel_pixel_threshold)
         self.novel_pixel_count = int(novel_pixel_count)
         self.precision = validate_precision(precision)
+        self._search = MotionSearch(block_size, search_radius, search_step,
+                                    self.precision)
         self._previous: Optional[np.ndarray] = None
         self._frame_index = 0
 
@@ -193,9 +195,7 @@ class SceneCutAnalyzer:
         """Analyse ``current`` against ``previous`` (both luma planes)."""
         previous = np.asarray(previous, dtype=np.float64)
         current = np.asarray(current, dtype=np.float64)
-        field = estimate_motion(previous, current, self.block_size,
-                                self.search_radius, self.search_step,
-                                precision=self.precision)
+        field = self._search(previous, current)
         prediction = motion_compensate(previous, field, current.shape)
         residual = np.abs(current - prediction)
         residual_blocks = to_blocks(pad_plane(residual, self.block_size),

@@ -124,6 +124,21 @@ class TestKeyframePlacement:
         with pytest.raises(ConfigurationError):
             EncoderParameters(quality=0)
 
+    def test_search_radius_beyond_the_vector_byte_rejected(self):
+        """Motion vectors travel as one signed byte per component: a +150 px
+        match used to be written as -106 and decode to garbage, silently."""
+        for radius in (128, 150):
+            with pytest.raises(ConfigurationError, match="search_radius"):
+                EncoderParameters(search_radius=radius)
+        assert EncoderParameters(search_radius=127).search_radius == 127
+
+    def test_block_size_beyond_the_header_byte_rejected(self):
+        """The I- and P-frame headers store the block size in one unsigned
+        byte: 256 used to die in ``struct.pack`` with a bare struct.error."""
+        with pytest.raises(ConfigurationError, match="block_size"):
+            EncoderParameters(block_size=256)
+        assert EncoderParameters(block_size=255).block_size == 255
+
     def test_effective_min_gop(self):
         assert EncoderParameters(gop_size=250).effective_min_gop == 25
         assert EncoderParameters(gop_size=1000).effective_min_gop == 25
