@@ -10,8 +10,7 @@ from .bitstream import (EncodedFrame, EncodedVideo, FrameIndexEntry,
 from .blocks import (DEFAULT_BLOCK_SIZE, block_grid, block_means, from_blocks,
                      pad_plane, to_blocks)
 from .decoder import VideoDecoder, decode_video
-from .encoder import (VideoEncoder, analyze_video, encode_lockstep,
-                      encode_video)
+from .encoder import VideoEncoder, analyze_video, encode_video
 from .entropy import decode_blocks, encode_blocks, encoded_size_bytes
 from .gop import (DEFAULT_GOP_SIZE, DEFAULT_PARAMETERS, DEFAULT_SCENECUT,
                   ActivityColumns, EncoderParameters, KeyframePlacer,
@@ -31,7 +30,7 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE", "block_grid", "block_means", "from_blocks",
     "pad_plane", "to_blocks",
     "VideoDecoder", "decode_video",
-    "VideoEncoder", "analyze_video", "encode_lockstep", "encode_video",
+    "VideoEncoder", "analyze_video", "encode_video",
     "decode_blocks", "encode_blocks", "encoded_size_bytes",
     "DEFAULT_GOP_SIZE", "DEFAULT_PARAMETERS", "DEFAULT_SCENECUT",
     "ActivityColumns", "EncoderParameters", "KeyframePlacer",

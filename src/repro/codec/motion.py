@@ -152,10 +152,12 @@ class MotionSearch:
     An encoder or analyser searches frame after frame of one video, so it
     builds one ``MotionSearch`` and calls it per frame pair: the candidate
     stack is then allocated once.  A fresh quarter-megabyte stack per
-    search sits at the top of the heap, where the allocator hands it back
-    to the OS on every free — 27 page faults per search, 40 k per pass of
-    the ``offline_build`` benchmark.  :func:`estimate_motion` is the
-    one-shot form.  Instances are not re-entrant.
+    search sits at the top of the heap together with the reduction's
+    temporaries, where — depending on what the process allocated before —
+    glibc trims it back to the OS on every free: 23 page faults per search,
+    41 k per pass of the ``offline_build`` benchmark, 15 % of its wall
+    clock.  :func:`estimate_motion` is the one-shot form.  Instances are
+    not re-entrant.
 
     Args:
         block_size: Macroblock size.

@@ -39,7 +39,7 @@ from ..cluster.fleet import (CameraJob, FleetOrchestrator, FleetReport,
                              PlacementPolicy)
 from ..cluster.node import default_cloud_node, default_edge_node
 from ..config import SystemConfig
-from ..codec.encoder import VideoEncoder, encode_lockstep
+from ..codec.encoder import VideoEncoder
 from ..codec.gop import DEFAULT_PARAMETERS, EncoderParameters
 from ..datasets.generator import DatasetInstance
 from ..errors import PipelineError
@@ -243,13 +243,11 @@ def build_workload(instance: DatasetInstance,
                 gop_size=gop, scenecut_threshold=0.0)
 
     # --- encode under both configurations (size-only) ---------------------
-    # One pass over the frames: the two configurations differ only in where
-    # the I-frames go, so every frame they would code identically is coded
-    # once (see encode_lockstep).
     with perf_section("pipeline.encode"):
-        semantic_encoded, default_encoded = encode_lockstep(
-            video, (semantic_parameters, default_parameters),
-            activities=activities, precision=precision)
+        semantic_encoded = VideoEncoder(semantic_parameters, precision).encode(
+            video, activities=activities)
+        default_encoded = VideoEncoder(default_parameters, precision).encode(
+            video, activities=activities)
     semantic_samples = semantic_encoded.keyframe_indices
 
     # --- MSE baseline threshold -------------------------------------------

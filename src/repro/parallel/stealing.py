@@ -88,6 +88,10 @@ class ClaimBoard:
                     return None
                 stream.seek(0)
                 stream.write((cursor + 1).to_bytes(_CURSOR_BYTES, "little"))
+                # The write is buffered: it must reach the file before the
+                # lock goes, or the next claimant reads the old cursor and
+                # the same position is handed out twice.
+                stream.flush()
                 return cursor
             finally:
                 fcntl.flock(stream.fileno(), fcntl.LOCK_UN)

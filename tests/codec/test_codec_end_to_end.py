@@ -8,8 +8,11 @@ from repro.codec import (EncodedFrame, EncodedVideo, EncoderParameters, IFrameSe
                          VideoDecoder, VideoEncoder, decode_image, encode_image,
                          estimate_encoded_size, read_frame_index, roundtrip_psnr,
                          seek_keyframes, select_events_from_keyframes)
+import repro.codec.encoder as encoder_module
+import repro.codec.jpeg as jpeg_module
 from repro.errors import BitstreamError, ConfigurationError, DecodeError, EncodeError
 from repro.video.frame import FrameType
+from repro.video.raw_video import RawVideo
 
 
 class TestStillImageCodec:
@@ -109,6 +112,33 @@ class TestEncoder:
             tiny_video, activities=tiny_activities)
         assert tiny_encoded.num_keyframes > default.num_keyframes
         assert tiny_encoded.total_size_bytes > default.total_size_bytes
+
+    def test_keyframes_transform_once_with_one_matrix_per_encoder(self, rng,
+                                                                  monkeypatch):
+        """An I-frame's payload (or size) and its reconstruction come from one
+        DCT + quantise, the quantisation matrix is built per encoder rather
+        than per frame, and the bytes are still the still-image codec's."""
+        arrays = [rng.integers(0, 256, size=(28, 44)).astype(np.uint8)
+                  for _ in range(6)]
+        video = RawVideo.from_arrays("keyframes", arrays, fps=30.0)
+        parameters = EncoderParameters(gop_size=2, scenecut_threshold=0.0)
+        calls = {"dct2_blocks": 0, "quantisation_matrix": 0}
+        for module in (jpeg_module, encoder_module):
+            for name in calls:
+                def counted(*args, _name=name, _function=getattr(module, name)):
+                    calls[_name] += 1
+                    return _function(*args)
+                monkeypatch.setattr(module, name, counted)
+        for materialise in (False, True):
+            calls.update(dct2_blocks=0, quantisation_matrix=0)
+            encoded = VideoEncoder(parameters).encode(video, materialise)
+            assert encoded.keyframe_indices == [0, 2, 4]
+            assert calls == {"dct2_blocks": len(arrays), "quantisation_matrix": 1}
+            for index in encoded.keyframe_indices:
+                frame = encoded.frames[index]
+                assert frame.size_bytes == estimate_encoded_size(arrays[index])
+                if materialise:
+                    assert frame.payload == encode_image(arrays[index])
 
 
 class TestDecoder:

@@ -68,6 +68,7 @@ import time
 sys.path.insert(0, {src!r})
 from repro.datasets import diskcache
 
+print("ready", flush=True)
 evictions = 0
 for _ in range(120):
     evictions += len(diskcache.sweep(max_bytes={budget}).evicted)
@@ -107,6 +108,11 @@ class TestConcurrentBuildAndSweep:
         sweeper = subprocess.Popen([sys.executable, "-c", sweeper_script],
                                    env=env, stdout=subprocess.PIPE,
                                    stderr=subprocess.PIPE)
+        # The racers' first store enforces the budget too.  Start them once
+        # the sweeper is past its imports, or whoever imports faster evicts
+        # the fillers and a quick build leaves the sweeper nothing to do.
+        assert sweeper.stdout.readline().strip() == b"ready", \
+            sweeper.stderr.read().decode()
         racers = [subprocess.Popen([sys.executable, "-c", racer_script],
                                    env=env, stdout=subprocess.PIPE,
                                    stderr=subprocess.PIPE)

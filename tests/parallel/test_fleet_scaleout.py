@@ -19,6 +19,7 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, WorkerKill
 from repro.parallel import (StealLog, hierarchical_replay_order,
                             shm_available, stealing_available)
+from repro.parallel.stealing import ClaimBoard, fcntl
 
 TOLERANCE = 1e-6
 
@@ -97,6 +98,29 @@ class TestScaleOutParity:
         # regions > 1 routes through the scale-out path even on pickle.
         _, parallel = run_fleet(jobs, workers=2, config=config)
         assert_reports_equal(serial, parallel)
+
+
+@needs_steal
+class TestClaimBoard:
+    def test_cursor_reaches_the_file_before_the_lock_is_released(
+            self, tmp_path, monkeypatch):
+        """A claim whose buffered cursor write is flushed only after the
+        unlock lets the next claimant read the old cursor: one position
+        goes out twice and the run loses its steal log."""
+        board = ClaimBoard.create(3, directory=str(tmp_path))
+        on_disk_at_unlock = []
+        real_flock = fcntl.flock
+
+        def flock(descriptor, operation):
+            if operation == fcntl.LOCK_UN:
+                with open(board.path, "rb") as reader:
+                    on_disk_at_unlock.append(
+                        int.from_bytes(reader.read(8), "little"))
+            return real_flock(descriptor, operation)
+
+        monkeypatch.setattr(fcntl, "flock", flock)
+        assert [board.claim_next() for _ in range(4)] == [0, 1, 2, None]
+        assert on_disk_at_unlock == [1, 2, 3, 3]
 
 
 @needs_steal
