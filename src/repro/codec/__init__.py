@@ -11,7 +11,8 @@ from .blocks import (DEFAULT_BLOCK_SIZE, block_grid, block_means, from_blocks,
                      pad_plane, to_blocks)
 from .decoder import VideoDecoder, decode_video
 from .encoder import VideoEncoder, analyze_video, encode_video
-from .entropy import decode_blocks, encode_blocks, encoded_size_bytes
+from .entropy import (decode_block_payloads, decode_blocks, encode_blocks,
+                      encoded_size_bytes)
 from .gop import (DEFAULT_GOP_SIZE, DEFAULT_PARAMETERS, DEFAULT_SCENECUT,
                   ActivityColumns, EncoderParameters, KeyframePlacer,
                   StreamingKeyframePlacer, filtering_rate, gop_lengths,
@@ -31,7 +32,8 @@ __all__ = [
     "pad_plane", "to_blocks",
     "VideoDecoder", "decode_video",
     "VideoEncoder", "analyze_video", "encode_video",
-    "decode_blocks", "encode_blocks", "encoded_size_bytes",
+    "decode_block_payloads", "decode_blocks", "encode_blocks",
+    "encoded_size_bytes",
     "DEFAULT_GOP_SIZE", "DEFAULT_PARAMETERS", "DEFAULT_SCENECUT",
     "ActivityColumns", "EncoderParameters", "KeyframePlacer",
     "StreamingKeyframePlacer", "filtering_rate", "gop_lengths", "sampling_fraction",

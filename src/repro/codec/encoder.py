@@ -63,12 +63,6 @@ def pack_bitmap(flags: np.ndarray) -> bytes:
     return np.packbits(flags.astype(bool).ravel()).tobytes()
 
 
-def unpack_bitmap(data: bytes, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_bitmap` for the first ``count`` flags."""
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
-    return bits.astype(bool)
-
-
 class VideoEncoder:
     """Semantic video encoder.
 

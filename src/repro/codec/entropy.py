@@ -20,8 +20,11 @@ round-trip used by the still-image codec and the tests.
 Both directions are fully vectorised: encoding is a numpy run-length pass
 over the zig-zag rows (``flatnonzero``/``diff`` -> token/level byte arrays
 -> ``tobytes``), decoding is a token scan over a ``frombuffer`` view whose
-token positions are found by pointer doubling.  The original per-block
-Python implementations are retained as :func:`encode_blocks_reference` /
+token positions are found by pointer doubling.  The scan takes any number
+of back-to-back payloads (:func:`decode_block_payloads` — the video decoder
+hands it the residuals of a whole run of P-frames); :func:`decode_blocks` is
+its one-payload form.  The original per-block Python implementations are
+retained as :func:`encode_blocks_reference` /
 :func:`decode_blocks_reference` — they pin the byte format, and the
 equivalence property tests assert the vectorised pair matches them byte for
 byte.
@@ -30,7 +33,7 @@ byte.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -176,15 +179,20 @@ def encode_blocks(quantised: np.ndarray) -> bytes:
     return output.tobytes()
 
 
-def _token_positions(data: np.ndarray) -> np.ndarray:
-    """Positions of every token byte in an entropy payload, by pointer doubling.
+def _token_positions(data: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Positions of every token byte of back-to-back entropy payloads.
 
-    Treating *every* byte as a potential token start, the byte at ``p``
-    consumes ``1 + size`` bytes when it is a run/level token and ``1`` byte
-    when it is ``EOB``/``ZRL``; the actual token positions are the orbit of
-    ``0`` under ``p -> p + consumed(p)``.  Squaring the jump table marks the
-    whole orbit in ``O(log n)`` vectorised passes: after iteration ``j`` the
-    marked set is exactly the chain's first ``2^j`` positions.
+    ``ends`` holds the exclusive end offset of each (non-empty) payload in
+    ``data``, the last one being ``data.size``.  Treating *every* byte as a
+    potential token start, the byte at ``p`` consumes ``1 + size`` bytes when
+    it is a run/level token and ``1`` byte when it is ``EOB``/``ZRL``; a
+    payload's token positions are the orbit of its first byte under
+    ``p -> p + consumed(p)``.  Squaring the jump table marks every orbit in
+    ``O(log n)`` vectorised passes: the scan is seeded at every payload start
+    and after iteration ``j`` the marked set is exactly the first ``2^j``
+    positions of each chain.  A jump that reaches or passes the end of *its
+    own* payload goes to a sentinel instead, so a malformed payload can never
+    walk into its neighbour.
     """
     length = data.size
     if length == 0:
@@ -192,19 +200,21 @@ def _token_positions(data: np.ndarray) -> np.ndarray:
     step = np.ones(length, dtype=np.int64)
     is_token = (data != EOB) & (data != ZRL)
     step[is_token] += data[is_token] & 0x0F
-    jump = np.minimum(np.arange(length, dtype=np.int64) + step, length)
+    jump = np.arange(length, dtype=np.int64) + step
+    starts = np.concatenate([[0], ends[:-1]])
+    jump[jump >= np.repeat(ends, ends - starts)] = length
     jump = np.append(jump, length)  # position ``length`` is a fixed point
     scratch = np.empty(length + 1, dtype=np.int64)
     marked = np.zeros(length + 1, dtype=bool)
-    marked[0] = True
-    # After iteration ``k`` the frontier holds chain steps ``0..2^k - 1`` and
-    # ``jump`` advances ``2^k`` steps, so jumping the whole frontier yields
-    # steps ``2^k..2^(k+1) - 1`` — all fresh, except the clamped sentinel.
-    frontier = np.zeros(1, dtype=np.int64)
+    marked[starts] = True
+    # After iteration ``k`` the frontier holds steps ``0..2^k - 1`` of every
+    # chain and ``jump`` advances ``2^k`` steps, so jumping the whole
+    # frontier yields steps ``2^k..2^(k+1) - 1`` — all fresh (chains never
+    # merge), except the sentinel.
+    frontier = starts
     while True:
         advanced = jump[frontier]
-        fresh = advanced[~marked[advanced]]
-        fresh = fresh[fresh < length]
+        fresh = advanced[advanced < length]
         if fresh.size == 0:
             break
         marked[fresh] = True
@@ -214,67 +224,69 @@ def _token_positions(data: np.ndarray) -> np.ndarray:
     return np.flatnonzero(marked[:length])
 
 
-def decode_blocks(payload: bytes, blocks_y: int, blocks_x: int,
-                  block_size: int) -> np.ndarray:
-    """Decode :func:`encode_blocks` output back into a 4-D block array.
+def decode_block_payloads(data: np.ndarray, lengths: Sequence[int],
+                          block_counts: Sequence[int],
+                          block_size: int) -> np.ndarray:
+    """Decode several back-to-back :func:`encode_blocks` payloads at once.
 
-    Vectorised token scan over a ``frombuffer`` view of the payload: token
-    positions come from :func:`_token_positions`, then runs, levels and
-    per-block coefficient positions are reconstructed with segmented
-    cumulative sums.  Byte-for-byte equivalent to
-    :func:`decode_blocks_reference` on well-formed payloads and raises
-    :class:`~repro.errors.BitstreamError` on the same malformed ones.
+    One vectorised token scan over all payloads: token positions come from
+    :func:`_token_positions`, then runs, levels and per-block coefficient
+    positions are reconstructed with segmented cumulative sums.  Every
+    payload must close exactly its own number of blocks with its final byte,
+    so the blocks of all payloads are simply consecutive.
 
     Args:
-        payload: Encoded bytes.
-        blocks_y: Number of block rows.
-        blocks_x: Number of block columns.
+        data: ``uint8`` array holding the payloads one after another.
+        lengths: Byte length of each payload (they sum to ``data.size``).
+        block_counts: Number of blocks each payload encodes.
         block_size: Block edge length.
 
     Returns:
-        Quantised coefficient blocks of shape ``(blocks_y, blocks_x, b, b)``.
+        Quantised coefficient blocks of shape ``(sum(block_counts), b, b)``,
+        in payload order.
 
     Raises:
-        BitstreamError: If the payload is truncated or malformed.
+        BitstreamError: If a payload is truncated or malformed.  With one
+            payload this is the error :func:`decode_blocks` documents; with
+            several, which malformed payload gets reported is unspecified.
+        CodecError: If ``lengths`` and ``block_counts`` do not describe
+            ``data``.
     """
-    num_blocks = blocks_y * blocks_x
+    lengths = np.asarray(lengths, dtype=np.int64)
+    block_counts = np.asarray(block_counts, dtype=np.int64)
+    if lengths.shape != block_counts.shape or int(lengths.sum()) != data.size:
+        raise CodecError(
+            f"{lengths.size} payload lengths summing to {int(lengths.sum())} "
+            f"do not describe {block_counts.size} block counts over "
+            f"{data.size} bytes")
+    num_blocks = int(block_counts.sum())
     num_coeffs = block_size * block_size
-    _, inverse = zigzag_order(block_size)
-    rows = np.zeros((num_blocks, num_coeffs), dtype=np.int32)
+    forward, _ = zigzag_order(block_size)
 
-    data = np.frombuffer(payload, dtype=np.uint8)
-    positions = _token_positions(data)
+    occupied = lengths > 0
+    ends = np.cumsum(lengths)[occupied]
+    positions = _token_positions(data, ends)
     tokens = data[positions]
     is_eob = tokens == EOB
-    eob_before = np.cumsum(is_eob) - is_eob  # EOBs seen before each token
+    eob_count = np.cumsum(is_eob)
 
-    # The scan stops at the ``num_blocks``-th EOB; everything after it is
-    # either trailing garbage or evidence of truncation.
-    complete = np.flatnonzero(is_eob & (eob_before == num_blocks - 1)) \
-        if num_blocks else np.empty(0, dtype=np.int64)
-    if num_blocks and complete.size == 0:
-        # Ran out of payload before every block closed.  Distinguish the two
-        # reference error messages: a token whose level bytes run past the
-        # end versus a clean end with blocks still open.
-        if positions.size and positions[-1] + _consumed(tokens[-1]) > data.size:
-            raise BitstreamError("truncated entropy payload (missing level bytes)")
-        raise BitstreamError("truncated entropy payload (missing EOB)")
-    end_index = int(complete[0]) if num_blocks else -1
-    end_offset = (positions[end_index] + 1) if num_blocks else 0
-    if end_offset != data.size:
-        raise BitstreamError(
-            f"trailing {data.size - end_offset} bytes after decoding "
-            f"{num_blocks} blocks")
+    # Framing: a payload's last token is the EOB at its final byte, and it
+    # is the EOB that closes the payload's last block.  An empty payload
+    # holds no token at all, so it must encode no block.
+    last = np.searchsorted(positions, ends) - 1
+    framed = block_counts == 0
+    framed[occupied] = ((tokens[last] == EOB) & (positions[last] == ends - 1)
+                        & (eob_count[last] == np.cumsum(block_counts)[occupied]))
+    if not framed.all():
+        broken = int(framed.argmin())
+        end = int(lengths[:broken + 1].sum())
+        start = end - int(lengths[broken])
+        inside = positions[(positions >= start) & (positions < end)]
+        raise _framing_error(data[start:end], inside - start,
+                             int(block_counts[broken]))
 
-    in_scan = slice(0, end_index + 1)
-    tokens = tokens[in_scan]
-    positions = positions[in_scan]
-    is_eob = is_eob[in_scan]
-    block_of = eob_before[in_scan]
-    is_zrl = tokens == ZRL
-    is_level = ~is_eob
-    np.logical_and(is_level, ~is_zrl, out=is_level)
-    size = (tokens & 0x0F).astype(np.int64)
+    is_level = ~(is_eob | (tokens == ZRL))
+    size = tokens & 0x0F
     bad = is_level & ((size == 0) | (size > 2))
     if bad.any():
         raise BitstreamError(
@@ -288,10 +300,10 @@ def decode_blocks(payload: bytes, blocks_y: int, blocks_x: int,
     advance = (tokens >> 4).astype(np.int64) + 1 - is_eob
     total_advance = np.cumsum(advance)
     block_base = np.zeros(num_blocks, dtype=np.int64)
-    eob_positions = np.flatnonzero(is_eob)
     if num_blocks > 1:
-        block_base[1:] = total_advance[eob_positions[:num_blocks - 1]]
-    coeff_index = total_advance[is_level] - block_base[block_of[is_level]] - 1
+        block_base[1:] = total_advance[np.flatnonzero(is_eob)[:-1]]
+    block_of = (eob_count - is_eob)[is_level]  # EOBs seen before each level
+    coeff_index = total_advance[is_level] - block_base[block_of] - 1
     if coeff_index.size and int(coeff_index.max()) >= num_coeffs:
         raise BitstreamError("coefficient index out of range in entropy payload")
 
@@ -300,10 +312,57 @@ def decode_blocks(payload: bytes, blocks_y: int, blocks_x: int,
     levels = data[level_positions + 1].astype(np.int8).astype(np.int32)
     two = size[is_level] == 2
     levels[two] = levels[two] * 256 + data[level_positions[two] + 2]
-    rows[block_of[is_level], coeff_index] = levels
+    blocks = np.zeros((num_blocks, num_coeffs), dtype=np.int32)
+    blocks[block_of, forward[coeff_index]] = levels  # zig-zag -> raster
+    return blocks.reshape(num_blocks, block_size, block_size)
 
-    raster = rows[:, inverse]
-    return raster.reshape(blocks_y, blocks_x, block_size, block_size)
+
+def _framing_error(data: np.ndarray, positions: np.ndarray,
+                   num_blocks: int) -> BitstreamError:
+    """Why one payload (token bytes at ``positions``) is badly framed.
+
+    The scan stops at the ``num_blocks``-th EOB; everything after it is
+    trailing garbage, and running out of payload first is a truncation —
+    either a token whose level bytes run past the end or a clean end with
+    blocks still open (the two reference error messages).
+    """
+    tokens = data[positions]
+    closing = np.flatnonzero(tokens == EOB)[num_blocks - 1:num_blocks]
+    if num_blocks and closing.size == 0:
+        if positions.size and positions[-1] + _consumed(tokens[-1]) > data.size:
+            return BitstreamError("truncated entropy payload (missing level bytes)")
+        return BitstreamError("truncated entropy payload (missing EOB)")
+    decoded = int(positions[closing[0]]) + 1 if num_blocks else 0
+    return BitstreamError(
+        f"trailing {data.size - decoded} bytes after decoding "
+        f"{num_blocks} blocks")
+
+
+def decode_blocks(payload: bytes, blocks_y: int, blocks_x: int,
+                  block_size: int) -> np.ndarray:
+    """Decode :func:`encode_blocks` output back into a 4-D block array.
+
+    The one-payload form of :func:`decode_block_payloads`.  Byte-for-byte
+    equivalent to :func:`decode_blocks_reference` on well-formed payloads
+    and raises :class:`~repro.errors.BitstreamError` on the same malformed
+    ones.
+
+    Args:
+        payload: Encoded bytes.
+        blocks_y: Number of block rows.
+        blocks_x: Number of block columns.
+        block_size: Block edge length.
+
+    Returns:
+        Quantised coefficient blocks of shape ``(blocks_y, blocks_x, b, b)``.
+
+    Raises:
+        BitstreamError: If the payload is truncated or malformed.
+    """
+    blocks = decode_block_payloads(np.frombuffer(payload, dtype=np.uint8),
+                                   [len(payload)], [blocks_y * blocks_x],
+                                   block_size)
+    return blocks.reshape(blocks_y, blocks_x, block_size, block_size)
 
 
 def _consumed(token: int) -> int:

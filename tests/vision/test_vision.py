@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.vision import (MseChangeDetector, SiftChangeDetector, SiftLite,
@@ -146,6 +146,36 @@ class TestThresholding:
         scores = [float("inf")] + [float(value) for value in range(1, 100)]
         threshold = threshold_for_sampling_fraction(scores, 0.10)
         assert sampled_fraction(scores, threshold) == pytest.approx(0.10, abs=0.02)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                              st.sampled_from([0.0, 1.0, 2.5, 7.0])),
+                    min_size=1, max_size=40),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+           st.integers(min_value=1, max_value=4))
+    @example([3.0] * 12, 0.5, 1)                       # all-equal scores
+    @example([float("nan")] * 5, 0.4, 1)               # no finite candidate
+    @example([float("inf"), 1.0, 1.0, 2.0, 2.0], 0.6, 1)   # tie between rates
+    def test_threshold_search_equals_the_per_candidate_replay(
+            self, scores, fraction, min_interval):
+        """One sort + searchsorted picks the threshold the O(n²) loop picked."""
+        finite = sorted({float(score) for score in scores if np.isfinite(score)})
+        best_threshold, best_error = float("inf"), float("inf")
+        for threshold in finite + [float("inf")]:
+            sampler = ThresholdSampler(threshold=threshold,
+                                       min_interval=min_interval)
+            error = abs(len(sampler.sample(scores)) / len(scores) - fraction)
+            if error < best_error:
+                best_error, best_threshold = error, threshold
+        chosen = threshold_for_sampling_fraction(scores, fraction, min_interval)
+        assert type(chosen) is float
+        assert chosen == best_threshold
+        assert ThresholdSampler(chosen, min_interval).sample(scores) == \
+            ThresholdSampler(best_threshold, min_interval).sample(scores)
+
+    def test_threshold_search_rejects_an_empty_series(self):
+        with pytest.raises(ConfigurationError, match="must not be empty"):
+            threshold_for_sampling_fraction([], 0.5)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(min_value=0, max_value=1000, allow_nan=False),
