@@ -1,20 +1,16 @@
-"""Simulated 3-tier cluster: cameras, edge servers, cloud, cost model."""
+"""Simulated 3-tier cluster: cost model, fleet orchestration, result store.
 
-from .camera import Camera
-from .cloud import CloudServer
+The stage chain the fleet drivers share lives in :mod:`repro.cluster.topology`.
+"""
+
 from .costmodel import CostModel
-from .edge import EdgeServer
 from .fleet import (CameraJob, FleetOrchestrator, FleetReport, JobOutcome,
                     PlacementPolicy, TierReport, sweep_edge_counts)
-from .node import (ComputeNode, default_camera_node, default_cloud_node,
-                   default_edge_node)
 from .resultdb import ResultDatabase, ResultRecord, SQLiteResultStore
-from .storage import EdgeStorage
 
 __all__ = [
-    "Camera", "CloudServer", "CostModel", "EdgeServer",
+    "CostModel",
     "CameraJob", "FleetOrchestrator", "FleetReport", "JobOutcome",
     "PlacementPolicy", "TierReport", "sweep_edge_counts",
-    "ComputeNode", "default_camera_node", "default_cloud_node", "default_edge_node",
-    "ResultDatabase", "ResultRecord", "SQLiteResultStore", "EdgeStorage",
+    "ResultDatabase", "ResultRecord", "SQLiteResultStore",
 ]

@@ -15,7 +15,6 @@ frame resolution and the executing node's speed factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..config import HardwareCalibration
 from ..errors import ClusterError
@@ -97,8 +96,7 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # NN inference
     # ------------------------------------------------------------------ #
-    def nn_seconds(self, num_frames: int, device: str = "cloud",
-                   speed_factor: Optional[float] = None) -> float:
+    def nn_seconds(self, num_frames: int, device: str = "cloud") -> float:
         """Object-detection NN inference on ``device`` (``"edge"``/``"cloud"``)."""
         if num_frames < 0:
             raise ClusterError("num_frames must be >= 0")
@@ -110,10 +108,6 @@ class CostModel:
             factor = self.calibration.cloud_speed_factor
         else:
             raise ClusterError(f"unknown device {device!r}")
-        if speed_factor is not None:
-            if speed_factor <= 0:
-                raise ClusterError("speed_factor must be positive")
-            factor = speed_factor
         # NN cost is independent of the source resolution: frames are resized
         # to the model input first.
         return per_frame * num_frames / factor / 1e3

@@ -16,34 +16,33 @@ The simulation is split into two stages so the expensive part runs once:
   of workloads using the calibrated cost model and the simulated links, and
   reports throughput, data transfer and (when ground truth exists) accuracy.
 
-Since the fleet-simulator refactor the replay itself runs on the
-discrete-event scheduler: every workload becomes a :class:`CameraJob`
-(planned by :func:`plan_camera_job`) executed by a
+The replay runs on the discrete-event scheduler: every workload becomes a
+:class:`CameraJob` (planned by :func:`plan_camera_job`) executed by a
 :class:`~repro.cluster.fleet.FleetOrchestrator`.  With the default single
-edge server the reported totals reproduce the seed's serial accounting (the
-legacy path is kept as :meth:`EndToEndSimulation.run_serial` and pinned by a
-regression test); with ``num_edge_servers > 1`` the same workloads shard
-across a fleet and the report additionally carries per-tier utilisation,
-queue depths and latency percentiles in ``DeploymentReport.fleet``.
+edge server the reported totals reproduce the seed's serial accounting,
+which :meth:`EndToEndSimulation.run_serial` states in closed form — the
+per-mode charge table summed into one edge tally, one cloud tally and one
+uncontended WAN link — as the reference the regression tests and the
+benchmark's output check compare ``run`` against.  With
+``num_edge_servers > 1`` the same workloads shard across a fleet and the
+report additionally carries per-tier utilisation, queue depths and latency
+percentiles in ``DeploymentReport.fleet``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.cloud import CloudServer
 from ..cluster.costmodel import CostModel
-from ..cluster.edge import EdgeServer
 from ..cluster.fleet import (CameraJob, FleetOrchestrator, FleetReport,
                              PlacementPolicy)
-from ..cluster.node import default_cloud_node, default_edge_node
 from ..config import SystemConfig
 from ..codec.encoder import VideoEncoder
 from ..codec.gop import DEFAULT_PARAMETERS, EncoderParameters
 from ..datasets.generator import DatasetInstance
 from ..errors import PipelineError
-from ..jpeg_sizing import resized_frame_bytes  # noqa: F401  (re-exported helper)
+from ..jpeg_sizing import resized_frame_bytes
 from ..logging_utils import get_logger
 from ..codec.scenecut import FrameActivity
 from ..net.link import NetworkLink
@@ -136,7 +135,7 @@ class DeploymentReport:
             (``None`` when no ground truth was available).
         per_video: Per-video breakdown of the same quantities.
         fleet: The underlying fleet-simulation report (utilisation, queue
-            depths, latency percentiles); ``None`` on the legacy serial path.
+            depths, latency percentiles); ``None`` from ``run_serial``.
     """
 
     mode: DeploymentMode
@@ -299,25 +298,20 @@ def _mse_samples_for_f1(scores: Sequence[float], timeline: EventTimeline,
 
 def plan_camera_job(workload: VideoWorkload, mode: DeploymentMode,
                     cost_model: Optional[CostModel] = None,
-                    camera: Optional[str] = None,
-                    edge_speed_factor: Optional[float] = None,
-                    cloud_speed_factor: Optional[float] = None) -> CameraJob:
+                    camera: Optional[str] = None) -> CameraJob:
     """Plan one workload's per-tier costs under a deployment mode.
 
-    The arithmetic is charge-for-charge identical to the seed simulation's
-    serial replay (:meth:`EndToEndSimulation._run_one`); the result is a
+    The arithmetic is charge-for-charge identical to the seed's serial
+    accounting (:meth:`EndToEndSimulation.run_serial`); the result is a
     side-effect-free :class:`~repro.cluster.fleet.CameraJob` that the fleet
-    scheduler can place on any edge server.
+    scheduler can place on any edge server.  Both tiers' CPU speeds come
+    from ``cost_model.calibration``.
 
     Args:
         workload: The prepared video workload.
         mode: Deployment mode to plan for.
         cost_model: Calibrated cost model (defaults to the paper's).
         camera: Camera name (defaults to the workload name).
-        edge_speed_factor: Edge CPU speed (defaults to the paper's edge
-            desktop, 1.0).
-        cloud_speed_factor: Cloud CPU speed (defaults to the paper's cloud
-            server, 2.2).
 
     Returns:
         The planned camera job.
@@ -326,10 +320,8 @@ def plan_camera_job(workload: VideoWorkload, mode: DeploymentMode,
         PipelineError: If ``mode`` is not a known deployment mode.
     """
     cost_model = cost_model or CostModel()
-    edge_speed = (edge_speed_factor if edge_speed_factor is not None
-                  else default_edge_node().speed_factor)
-    cloud_speed = (cloud_speed_factor if cloud_speed_factor is not None
-                   else default_cloud_node().speed_factor)
+    edge_speed = cost_model.calibration.edge_speed_factor
+    cloud_speed = cost_model.calibration.cloud_speed_factor
     samples = workload.samples_for(mode)
     num_samples = len(samples)
     resolution = workload.nominal_resolution
@@ -407,8 +399,8 @@ class EndToEndSimulation:
     planned into a :class:`~repro.cluster.fleet.CameraJob` and executed by a
     :class:`~repro.cluster.fleet.FleetOrchestrator`.  With the default
     single edge server the reported totals match the seed's serial
-    accounting to within floating-point reassociation (~1e-12 relative); the
-    exact legacy path remains available as :meth:`run_serial`.
+    accounting to within floating-point reassociation (~1e-12 relative);
+    :meth:`run_serial` is that accounting in closed form.
 
     Args:
         workloads: Prepared video workloads.
@@ -488,106 +480,112 @@ class EndToEndSimulation:
         return report
 
     def run_serial(self, mode: DeploymentMode) -> DeploymentReport:
-        """The seed's serial replay (kept as the regression reference).
+        """The seed's serial accounting in closed form (the reference for ``run``).
 
-        Charges every stage to one edge server, one cloud server and one
-        uncontended WAN link in workload order, exactly as the pre-scheduler
-        implementation did.
+        Every stage of every workload is charged, in workload order, to one
+        edge tally, one cloud tally and one uncontended WAN link: no
+        scheduler, no queueing.  The charges (:meth:`_charges`) are stated
+        independently of :func:`plan_camera_job`, whose reference they are,
+        and each is added to its tier's running total on its own, in the
+        seed's order, so every float of the report is the seed's.
         """
         report = DeploymentReport(mode=mode)
-        edge = EdgeServer(cost_model=self.cost_model)
-        cloud = CloudServer(cost_model=self.cost_model)
         wan = NetworkLink("edge-cloud", self.config.edge_cloud_bandwidth_mbps,
                           self.config.edge_cloud_latency_ms)
+        edge_seconds = 0.0
+        cloud_seconds = 0.0
         accuracies: List[float] = []
         for workload in self.workloads:
-            breakdown = self._run_one(workload, mode, edge, cloud, wan)
-            report.per_video[workload.name] = breakdown
-            report.total_frames += workload.num_frames
-            report.frames_for_inference += int(breakdown["frames_for_inference"])
-            report.camera_edge_bytes += int(breakdown["camera_edge_bytes"])
-            report.edge_cloud_bytes += int(breakdown["edge_cloud_bytes"])
+            samples = workload.samples_for(mode)
+            edge_before = edge_seconds
+            cloud_before = cloud_seconds
+            transfer_before = wan.total_seconds
+            edge_charges, cloud_charges, edge_cloud_bytes = self._charges(
+                workload, mode)
+            for seconds in edge_charges:
+                edge_seconds += seconds
+            for seconds in cloud_charges:
+                cloud_seconds += seconds
+            wan.transfer(edge_cloud_bytes, workload.name)
+            camera_edge_bytes = (workload.semantic_bytes
+                                 if mode.uses_semantic_encoding
+                                 else workload.default_bytes)
+            accuracy = float("nan")
             if workload.timeline is not None:
-                accuracies.append(breakdown["accuracy"])
-        report.edge_seconds = edge.node.busy_seconds
-        report.cloud_seconds = cloud.node.busy_seconds
+                accuracy = evaluate_sampling(workload.timeline, samples).accuracy
+                accuracies.append(accuracy)
+            report.per_video[workload.name] = {
+                "frames": float(workload.num_frames),
+                "frames_for_inference": float(len(samples)),
+                "edge_seconds": edge_seconds - edge_before,
+                "cloud_seconds": cloud_seconds - cloud_before,
+                "transfer_seconds": wan.total_seconds - transfer_before,
+                "camera_edge_bytes": float(camera_edge_bytes),
+                "edge_cloud_bytes": float(edge_cloud_bytes),
+                "accuracy": accuracy,
+            }
+            report.total_frames += workload.num_frames
+            report.frames_for_inference += len(samples)
+            report.camera_edge_bytes += camera_edge_bytes
+            report.edge_cloud_bytes += edge_cloud_bytes
+        report.edge_seconds = edge_seconds
+        report.cloud_seconds = cloud_seconds
         report.transfer_seconds = wan.total_seconds
         report.accuracy = (sum(accuracies) / len(accuracies)) if accuracies else None
         _LOGGER.debug("%s: %.1f fps, %.2f GB edge->cloud", mode.label,
                       report.throughput_fps, report.edge_cloud_bytes / 1e9)
         return report
 
-    def _run_one(self, workload: VideoWorkload, mode: DeploymentMode,
-                 edge: EdgeServer, cloud: CloudServer,
-                 wan: NetworkLink) -> Dict[str, float]:
-        samples = workload.samples_for(mode)
-        num_samples = len(samples)
-        resolution = workload.nominal_resolution
+    def _charges(self, workload: VideoWorkload, mode: DeploymentMode
+                 ) -> Tuple[List[float], List[float], int]:
+        """One video's row of the per-mode charge table.
+
+        Returns:
+            The edge charges and the cloud charges in seconds, each in the
+            order the seed made them, and the bytes shipped edge -> cloud.
+        """
+        cost = self.cost_model
+        edge_speed = cost.calibration.edge_speed_factor
+        cloud_speed = cost.calibration.cloud_speed_factor
         num_frames = workload.num_frames
-        edge_before = edge.node.busy_seconds
-        cloud_before = cloud.node.busy_seconds
-        transfer_before = wan.total_seconds
-        camera_edge_bytes = (workload.semantic_bytes if mode.uses_semantic_encoding
-                             else workload.default_bytes)
-        edge_cloud_bytes = 0
+        num_samples = len(workload.samples_for(mode))
+        resolution = workload.nominal_resolution
+        resized_bytes = num_samples * workload.resized_frame_bytes
+
+        def iframe_front_end(speed: float) -> List[float]:
+            """Seek the I-frames, decode them as stills, resize for the NN."""
+            return [cost.seek_seconds(num_frames, resolution, speed),
+                    cost.jpeg_decode_seconds(num_samples, resolution, speed),
+                    cost.resize_seconds(num_samples, speed)]
 
         if mode is DeploymentMode.IFRAME_EDGE_CLOUD_NN:
-            edge.node.charge(self.cost_model.seek_seconds(
-                num_frames, resolution, edge.node.speed_factor))
-            edge.decode_keyframes(num_samples, resolution)
-            edge.resize_frames(num_samples)
-            edge_cloud_bytes = num_samples * workload.resized_frame_bytes
-            wan.transfer(edge_cloud_bytes, f"iframes:{workload.name}")
-            cloud.run_cloud_nn(num_samples)
-        elif mode is DeploymentMode.IFRAME_CLOUD_CLOUD_NN:
-            edge_cloud_bytes = workload.semantic_bytes
-            wan.transfer(edge_cloud_bytes, f"full-video:{workload.name}")
-            cloud.node.charge(self.cost_model.seek_seconds(
-                num_frames, resolution, cloud.node.speed_factor))
-            cloud.decode_keyframes(num_samples, resolution)
-            cloud.node.charge(self.cost_model.resize_seconds(
-                num_samples, cloud.node.speed_factor))
-            cloud.run_cloud_nn(num_samples)
-        elif mode is DeploymentMode.IFRAME_EDGE_EDGE_NN:
-            edge.node.charge(self.cost_model.seek_seconds(
-                num_frames, resolution, edge.node.speed_factor))
-            edge.decode_keyframes(num_samples, resolution)
-            edge.resize_frames(num_samples)
-            edge.run_edge_nn(num_samples)
+            return (iframe_front_end(edge_speed),
+                    [cost.nn_seconds(num_samples, "cloud")],
+                    resized_bytes)
+        if mode is DeploymentMode.IFRAME_CLOUD_CLOUD_NN:
+            # The whole semantic stream travels; the cloud seeks and decodes.
+            return ([],
+                    iframe_front_end(cloud_speed)
+                    + [cost.nn_seconds(num_samples, "cloud")],
+                    workload.semantic_bytes)
+        if mode is DeploymentMode.IFRAME_EDGE_EDGE_NN:
             # Only the detection results travel to the cloud.
-            edge_cloud_bytes = num_samples * 128
-            wan.transfer(edge_cloud_bytes, f"results:{workload.name}")
-        elif mode is DeploymentMode.UNIFORM_EDGE_CLOUD_NN:
-            edge.node.charge(self.cost_model.decode_seconds(
-                num_frames, resolution, edge.node.speed_factor))
-            edge.resize_frames(num_samples)
-            edge_cloud_bytes = num_samples * workload.resized_frame_bytes
-            wan.transfer(edge_cloud_bytes, f"uniform:{workload.name}")
-            cloud.run_cloud_nn(num_samples)
-        elif mode is DeploymentMode.MSE_EDGE_CLOUD_NN:
-            edge.node.charge(self.cost_model.decode_seconds(
-                num_frames, resolution, edge.node.speed_factor))
-            edge.run_mse_filter(num_frames, resolution)
-            edge.resize_frames(num_samples)
-            edge_cloud_bytes = num_samples * workload.resized_frame_bytes
-            wan.transfer(edge_cloud_bytes, f"mse:{workload.name}")
-            cloud.run_cloud_nn(num_samples)
-        else:  # pragma: no cover - exhaustive over the enum.
-            raise PipelineError(f"unhandled deployment mode {mode!r}")
-
-        accuracy = float("nan")
-        if workload.timeline is not None:
-            accuracy = evaluate_sampling(workload.timeline, samples).accuracy
-        return {
-            "frames": float(num_frames),
-            "frames_for_inference": float(num_samples),
-            "edge_seconds": edge.node.busy_seconds - edge_before,
-            "cloud_seconds": cloud.node.busy_seconds - cloud_before,
-            "transfer_seconds": wan.total_seconds - transfer_before,
-            "camera_edge_bytes": float(camera_edge_bytes),
-            "edge_cloud_bytes": float(edge_cloud_bytes),
-            "accuracy": accuracy,
-        }
+            return (iframe_front_end(edge_speed)
+                    + [cost.nn_seconds(num_samples, "edge")],
+                    [],
+                    num_samples * 128)
+        if mode is DeploymentMode.UNIFORM_EDGE_CLOUD_NN:
+            return ([cost.decode_seconds(num_frames, resolution, edge_speed),
+                     cost.resize_seconds(num_samples, edge_speed)],
+                    [cost.nn_seconds(num_samples, "cloud")],
+                    resized_bytes)
+        if mode is DeploymentMode.MSE_EDGE_CLOUD_NN:
+            return ([cost.decode_seconds(num_frames, resolution, edge_speed),
+                     cost.mse_seconds(num_frames, resolution, edge_speed),
+                     cost.resize_seconds(num_samples, edge_speed)],
+                    [cost.nn_seconds(num_samples, "cloud")],
+                    resized_bytes)
+        raise PipelineError(f"unhandled deployment mode {mode!r}")
 
     # ------------------------------------------------------------------ #
     # Sweeps

@@ -1,22 +1,5 @@
-"""NiFi-like dataflow engine and Echo-like orchestration."""
+"""The shared virtual-clock scheduler: event loop and service stations."""
 
-from .builtin_ops import (DecodeKeyframeOperator, DetectObjectsOperator, FrameTask,
-                          ResizeOperator, ResultWriterOperator,
-                          frame_tasks_from_encoded)
-from .engine import DataflowEngine
-from .operator import (FilterOperator, FunctionOperator, Operator, OperatorResult,
-                       SinkOperator, SourceOperator)
-from .orchestrator import Orchestrator, StageResult
-from .scheduler import (BatchingPolicy, EventScheduler, ScheduledEngine,
-                        ServiceStation, StationStats, run_engine, run_engines)
+from .scheduler import EventScheduler, ServiceStation, StationStats
 
-__all__ = [
-    "DecodeKeyframeOperator", "DetectObjectsOperator", "FrameTask",
-    "ResizeOperator", "ResultWriterOperator", "frame_tasks_from_encoded",
-    "DataflowEngine",
-    "FilterOperator", "FunctionOperator", "Operator", "OperatorResult",
-    "SinkOperator", "SourceOperator",
-    "Orchestrator", "StageResult",
-    "BatchingPolicy", "EventScheduler", "ScheduledEngine", "ServiceStation",
-    "StationStats", "run_engine", "run_engines",
-]
+__all__ = ["EventScheduler", "ServiceStation", "StationStats"]

@@ -1,10 +1,9 @@
-"""Discrete-event fleet scheduler.
+"""Discrete-event scheduler: the virtual clock every simulation shares.
 
-The seed engine (:class:`~repro.dataflow.engine.DataflowEngine`) drains one
-DAG to completion on one node, so its busy-time totals cannot capture
-contention: two engines, or two operators of one engine, never compete for
-time.  This module adds the missing substrate — a shared virtual-clock
-scheduler in which *everything that takes simulated time is an event*:
+Busy-time totals summed per tier cannot capture contention — two cameras,
+or two stages of one job, would never compete for time.  This module is the
+substrate that makes them compete: *everything that takes simulated time is
+an event* on one shared clock.
 
 * :class:`EventScheduler` — a heap-ordered virtual clock.  Events scheduled
   for the same instant fire in submission order, which makes every run
@@ -14,31 +13,20 @@ scheduler in which *everything that takes simulated time is an event*:
   fire a completion callback.  The station records busy time, queue-depth
   peaks and completion counts, which is where per-tier utilisation and queue
   depth reporting come from.
-* :class:`ScheduledEngine` — runs a :class:`DataflowEngine` *through* the
-  scheduler: each operator becomes a single-worker station whose service
-  times are the operator's reported costs, so multiple engines sharing one
-  :class:`EventScheduler` interleave in virtual time exactly as NiFi
-  processors sharing a host would.  Operator batching is configurable via
-  :class:`BatchingPolicy`.
 
-Single-engine equivalence: for any DAG, running one engine through
-:func:`run_engine` charges the same operator costs and produces the same
-sink multisets as ``engine.run()``; the run-to-completion path is simply the
-degenerate schedule in which nothing ever waits.
+The stage chain (:mod:`repro.cluster.topology`) builds its compute tiers
+from stations, and :class:`~repro.net.contention.ContendedLink` queues a
+link's transfers on one.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, List, Mapping, Optional,
-                    Sequence, Tuple)
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..errors import DataflowError
-from .engine import DataflowEngine
-from .operator import SinkOperator, SourceOperator
 
 Action = Callable[[], None]
 
@@ -48,9 +36,9 @@ class EventScheduler:
 
     Events are ``(time, action)`` pairs kept in a heap; ties in time break by
     submission order, so runs are deterministic regardless of callback
-    content.  All components of one simulation (engines, compute stations,
-    links) must share a single scheduler — that is what makes their service
-    times contend instead of merely accumulating.
+    content.  All components of one simulation (compute stations, links)
+    must share a single scheduler — that is what makes their service times
+    contend instead of merely accumulating.
     """
 
     def __init__(self) -> None:
@@ -338,284 +326,3 @@ class ServiceStation:
                 else self.busy_seconds_elapsed(now))
         return busy / (self.capacity * makespan_seconds)
 
-
-@dataclass(frozen=True)
-class BatchingPolicy:
-    """How many queued items an operator may serve in one event.
-
-    A batch of ``k`` items is processed back to back in a single service
-    event whose duration is the sum of the per-item costs — total busy time
-    is unchanged, but the event count (and, under contention, the queueing
-    pattern) shrinks, which is exactly the trade NiFi's *run duration*
-    setting makes.
-
-    Attributes:
-        default_batch: Batch limit for operators without an override.
-        per_operator: Operator-name -> batch-limit overrides.
-    """
-
-    default_batch: int = 1
-    per_operator: Mapping[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.default_batch < 1:
-            raise DataflowError(
-                f"default_batch must be >= 1, got {self.default_batch}")
-        for name, batch in self.per_operator.items():
-            if batch < 1:
-                raise DataflowError(
-                    f"batch for operator {name!r} must be >= 1, got {batch}")
-
-    def batch_for(self, operator_name: str) -> int:
-        """Batch limit applying to ``operator_name``."""
-        return int(self.per_operator.get(operator_name, self.default_batch))
-
-
-class _OperatorState:
-    __slots__ = ("queue", "busy", "closed", "open_upstreams", "flushed")
-
-    def __init__(self, open_upstreams: int) -> None:
-        self.queue: Deque[Any] = deque()
-        self.busy = False
-        self.closed = False
-        self.flushed = False
-        self.open_upstreams = open_upstreams
-
-
-class ScheduledEngine:
-    """Executes one :class:`DataflowEngine` on a shared virtual clock.
-
-    Every operator becomes a single-worker station: items wait in the
-    operator's FIFO queue, are processed (in batches of up to the batching
-    policy's limit) during a service event lasting the reported operator
-    cost, and are delivered downstream when the event completes.  Several
-    ``ScheduledEngine`` instances sharing one :class:`EventScheduler`
-    interleave in virtual time.
-
-    Args:
-        scheduler: Shared event scheduler.
-        engine: The engine to execute.  Its operators' statistics and
-            ``busy_seconds`` are updated exactly as ``engine.run()`` would.
-        batching: Operator batching policy (default: one item per event).
-        start_time: Virtual time at which the engine's sources fire.
-        external_inputs: Items fed into named non-source operators at start,
-            mirroring ``engine.run(external_inputs=...)``.
-    """
-
-    def __init__(self, scheduler: EventScheduler, engine: DataflowEngine,
-                 batching: Optional[BatchingPolicy] = None,
-                 start_time: float = 0.0,
-                 external_inputs: Optional[Dict[str, List[Any]]] = None) -> None:
-        if not engine.operators:
-            raise DataflowError(f"engine {engine.name!r} has no operators")
-        self.scheduler = scheduler
-        self.engine = engine
-        self.batching = batching or BatchingPolicy()
-        self.start_time = float(start_time)
-        self.finish_time: Optional[float] = None
-        self.sink_arrival_times: Dict[str, List[float]] = {}
-        self.operator_stats: Dict[str, StationStats] = {}
-        #: Measured wall-clock seconds spent inside each operator's real
-        #: computation (as opposed to the simulated ``busy_seconds``).
-        self.operator_wall_seconds: Dict[str, float] = {}
-        self._external_inputs = dict(external_inputs or {})
-        self._states: Dict[str, _OperatorState] = {}
-        self._open_operators = 0
-        self._started = False
-        # Validates the graph (raises on cycles) before any event fires.
-        engine.topological_order(strict=True)
-        for name in self._external_inputs:
-            if not engine.has_operator(name):
-                raise DataflowError(f"unknown external input target {name!r}")
-            if isinstance(engine.operator(name), SourceOperator):
-                raise DataflowError(
-                    f"cannot feed external inputs into source operator {name!r}")
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def start(self) -> "ScheduledEngine":
-        """Schedule the engine's bootstrap at ``start_time``."""
-        if self._started:
-            raise DataflowError(
-                f"engine {self.engine.name!r} is already scheduled")
-        self._started = True
-        for operator in self.engine.operators:
-            upstreams = self.engine.upstreams(operator.name)
-            self._states[operator.name] = _OperatorState(len(upstreams))
-            self.operator_stats[operator.name] = StationStats()
-            self.operator_wall_seconds[operator.name] = 0.0
-            if isinstance(operator, SinkOperator):
-                self.sink_arrival_times[operator.name] = []
-        self._open_operators = len(self._states)
-        self.scheduler.schedule_at(self.start_time, self._bootstrap)
-        return self
-
-    def _bootstrap(self) -> None:
-        for name, items in self._external_inputs.items():
-            state = self._states[name]
-            state.queue.extend(items)
-            self.operator_stats[name].arrivals += len(items)
-        for operator in self.engine.operators:
-            if isinstance(operator, SourceOperator):
-                self._start_source(operator)
-        for operator in self.engine.operators:
-            if not isinstance(operator, SourceOperator):
-                self._try_start(operator.name)
-                self._maybe_close(operator.name)
-
-    def _start_source(self, operator: SourceOperator) -> None:
-        state = self._states[operator.name]
-        state.busy = True
-        wall_start = time.perf_counter()
-        result = operator.drain()
-        self.operator_wall_seconds[operator.name] += \
-            time.perf_counter() - wall_start
-        self._charge(operator.name, result.cost_seconds)
-        self.scheduler.schedule(
-            result.cost_seconds,
-            lambda: self._complete(operator.name, result.outputs))
-
-    # ------------------------------------------------------------------ #
-    # Event handlers
-    # ------------------------------------------------------------------ #
-    def _charge(self, name: str, cost_seconds: float) -> None:
-        self.engine.busy_seconds += cost_seconds
-        self.operator_stats[name].busy_seconds += cost_seconds
-
-    def _enqueue(self, name: str, items: Sequence[Any]) -> None:
-        state = self._states[name]
-        if state.closed:  # pragma: no cover - defensive; DAG order prevents it.
-            raise DataflowError(
-                f"operator {name!r} received items after closing")
-        state.queue.extend(items)
-        self.operator_stats[name].arrivals += len(items)
-        self._try_start(name)
-
-    def _try_start(self, name: str) -> None:
-        state = self._states[name]
-        stats = self.operator_stats[name]
-        if not state.busy and not state.closed and state.queue:
-            operator = self.engine.operator(name)
-            batch = self.batching.batch_for(name)
-            outputs: List[Any] = []
-            cost = 0.0
-            served = 0
-            wall_start = time.perf_counter()
-            while state.queue and served < batch:
-                item = state.queue.popleft()
-                result = operator.process(item)
-                outputs.extend(result.outputs)
-                cost += result.cost_seconds
-                served += 1
-            self.operator_wall_seconds[name] += time.perf_counter() - wall_start
-            state.busy = True
-            self._charge(name, cost)
-            if isinstance(operator, SinkOperator):
-                arrival = self.scheduler.now + cost
-                self.sink_arrival_times[name].extend([arrival] * served)
-            self.scheduler.schedule(cost, lambda: self._complete(name, outputs))
-        # Only items still waiting after dispatch count toward the peak depth.
-        stats.max_queue_depth = max(stats.max_queue_depth, len(state.queue))
-
-    def _complete(self, name: str, outputs: Sequence[Any]) -> None:
-        state = self._states[name]
-        state.busy = False
-        self.operator_stats[name].completed += 1
-        for downstream in self.engine.downstreams(name):
-            self._enqueue(downstream, outputs)
-        self._try_start(name)
-        self._maybe_close(name)
-
-    def _maybe_close(self, name: str) -> None:
-        state = self._states[name]
-        if state.closed or state.busy or state.queue or state.open_upstreams:
-            return
-        operator = self.engine.operator(name)
-        if not state.flushed and not isinstance(operator, SourceOperator):
-            state.flushed = True
-            wall_start = time.perf_counter()
-            flush = operator.on_finish()
-            self.operator_wall_seconds[name] += time.perf_counter() - wall_start
-            if flush.outputs or flush.cost_seconds:
-                state.busy = True
-                self._charge(name, flush.cost_seconds)
-                self.scheduler.schedule(
-                    flush.cost_seconds,
-                    lambda: self._complete(name, flush.outputs))
-                return
-        state.closed = True
-        self._open_operators -= 1
-        if self._open_operators == 0:
-            self.finish_time = self.scheduler.now
-        for downstream in self.engine.downstreams(name):
-            downstream_state = self._states[downstream]
-            downstream_state.open_upstreams -= 1
-            self._maybe_close(downstream)
-
-    # ------------------------------------------------------------------ #
-    # Results
-    # ------------------------------------------------------------------ #
-    @property
-    def finished(self) -> bool:
-        """Whether every operator has drained and closed."""
-        return self._open_operators == 0 and self._started
-
-    def sink_items(self) -> Dict[str, List[Any]]:
-        """Items collected by each sink, like ``engine.run()``'s return."""
-        return {operator.name: list(operator.items)
-                for operator in self.engine.operators
-                if isinstance(operator, SinkOperator)}
-
-    def latencies(self) -> List[float]:
-        """Per-item sink-arrival delays relative to the engine start."""
-        delays: List[float] = []
-        for arrivals in self.sink_arrival_times.values():
-            delays.extend(arrival - self.start_time for arrival in arrivals)
-        return sorted(delays)
-
-
-def run_engine(engine: DataflowEngine,
-               external_inputs: Optional[Dict[str, List[Any]]] = None,
-               batching: Optional[BatchingPolicy] = None
-               ) -> Dict[str, List[Any]]:
-    """Run one engine through a fresh scheduler (single-engine mode).
-
-    Drop-in equivalent of ``engine.run(external_inputs)``: same operator
-    charges, same ``engine.busy_seconds``, same sink contents.
-    """
-    scheduler = EventScheduler()
-    scheduled = ScheduledEngine(scheduler, engine, batching=batching,
-                                external_inputs=external_inputs).start()
-    scheduler.run()
-    if not scheduled.finished:  # pragma: no cover - DAG execution always drains.
-        raise DataflowError(f"engine {engine.name!r} did not drain")
-    return scheduled.sink_items()
-
-
-def run_engines(engines: Sequence[DataflowEngine],
-                batching: Optional[BatchingPolicy] = None,
-                external_inputs: Optional[Dict[str, Dict[str, List[Any]]]] = None
-                ) -> Dict[str, Dict[str, List[Any]]]:
-    """Interleave several engines on one shared virtual clock.
-
-    Args:
-        engines: Engines to execute concurrently (names must be unique).
-        batching: Batching policy applied to every engine.
-        external_inputs: Optional ``{engine name: {operator: items}}``.
-
-    Returns:
-        ``{engine name: {sink name: items}}``.
-    """
-    names = [engine.name for engine in engines]
-    if len(set(names)) != len(names):
-        raise DataflowError(f"engine names must be unique, got {names}")
-    scheduler = EventScheduler()
-    scheduled = [
-        ScheduledEngine(scheduler, engine, batching=batching,
-                        external_inputs=(external_inputs or {}).get(engine.name))
-        .start()
-        for engine in engines
-    ]
-    scheduler.run()
-    return {run.engine.name: run.sink_items() for run in scheduled}

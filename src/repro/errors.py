@@ -41,7 +41,8 @@ class ModelError(SieveError):
 
 
 class DataflowError(SieveError):
-    """Raised by the dataflow engine (bad graph, unknown operator, ...)."""
+    """Raised by the event scheduler and its service stations (an event in
+    the past, a negative service time, a station without workers)."""
 
 
 class NetworkError(SieveError):

@@ -1,9 +1,6 @@
-"""Simulated network substrate: links, channels and the 3-tier topology."""
+"""Simulated network substrate: accounting links and contended links."""
 
-from .channel import Channel, Message
 from .contention import ContendedLink
 from .link import NetworkLink, TransferRecord
-from .topology import ThreeTierTopology
 
-__all__ = ["Channel", "ContendedLink", "Message", "NetworkLink", "TransferRecord",
-           "ThreeTierTopology"]
+__all__ = ["ContendedLink", "NetworkLink", "TransferRecord"]

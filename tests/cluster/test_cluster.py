@@ -1,14 +1,9 @@
-"""Tests for the simulated cluster: cost model, nodes, storage, edge/cloud."""
+"""Tests for the simulated cluster: cost model and in-memory result store."""
 
 import pytest
 
-from repro.cluster import (Camera, CloudServer, ComputeNode, CostModel, EdgeServer,
-                           EdgeStorage, ResultDatabase, default_camera_node,
-                           default_cloud_node, default_edge_node)
-from repro.codec import EncoderParameters
+from repro.cluster import CostModel, ResultDatabase
 from repro.errors import ClusterError
-from repro.net import NetworkLink
-from repro.nn import OracleDetector
 from repro.video import RESOLUTION_1080P, RESOLUTION_400P
 
 
@@ -56,53 +51,6 @@ class TestCostModel:
             model.decode_seconds(1, RESOLUTION_1080P, speed_factor=0)
 
 
-class TestNodes:
-    def test_roles_and_charging(self):
-        node = default_edge_node()
-        assert node.role == "edge"
-        node.charge(1.5)
-        node.charge(0.5)
-        assert node.busy_seconds == pytest.approx(2.0)
-        node.reset()
-        assert node.busy_seconds == 0.0
-        with pytest.raises(ClusterError):
-            node.charge(-1.0)
-
-    def test_defaults(self):
-        assert default_cloud_node().speed_factor > default_edge_node().speed_factor
-        assert default_camera_node("c").speed_factor < 1.0
-        with pytest.raises(ClusterError):
-            ComputeNode(name="x", role="mainframe")
-
-
-class TestStorage:
-    def test_store_retrieve_and_sizes(self, tiny_encoded):
-        storage = EdgeStorage()
-        storage.store(tiny_encoded)
-        assert "tiny" in storage
-        assert storage.used_bytes == tiny_encoded.total_size_bytes
-        assert storage.retrieve("tiny") is tiny_encoded
-        storage.discard("tiny")
-        assert "tiny" not in storage
-        with pytest.raises(ClusterError):
-            storage.retrieve("tiny")
-
-    def test_capacity_enforced(self, tiny_encoded):
-        storage = EdgeStorage(capacity_bytes=tiny_encoded.total_size_bytes // 2)
-        with pytest.raises(ClusterError):
-            storage.store(tiny_encoded)
-
-    def test_gop_for_event(self, tiny_encoded):
-        storage = EdgeStorage()
-        storage.store(tiny_encoded)
-        keyframes = tiny_encoded.keyframe_indices
-        target = keyframes[1] + 1 if len(keyframes) > 1 else 0
-        start, frames = storage.gop_for_event("tiny", target)
-        assert start in keyframes
-        assert frames[0].is_keyframe
-        assert all(not frame.is_keyframe for frame in frames[1:])
-
-
 class TestResultDatabase:
     def test_record_and_query(self):
         database = ResultDatabase()
@@ -117,54 +65,3 @@ class TestResultDatabase:
         assert len(database) == 3
         database.clear()
         assert len(database) == 0
-
-
-class TestEdgeAndCloudServers:
-    def test_edge_seek_and_queue(self, tiny_encoded):
-        edge = EdgeServer()
-        edge.ingest(tiny_encoded)
-        keyframes, stats, seconds = edge.seek_iframes(tiny_encoded)
-        assert len(keyframes) == tiny_encoded.num_keyframes
-        assert edge.queued_events == len(keyframes)
-        assert seconds > 0 and edge.node.busy_seconds == pytest.approx(seconds)
-        drained = edge.drain_event_queue()
-        assert len(drained) == len(keyframes) and edge.queued_events == 0
-
-    def test_edge_charges_are_cumulative(self, tiny_encoded):
-        edge = EdgeServer()
-        resolution = tiny_encoded.metadata.resolution
-        total = (edge.decode_full_video(tiny_encoded)
-                 + edge.run_mse_filter(tiny_encoded.num_frames, resolution)
-                 + edge.resize_frames(5) + edge.run_edge_nn(5))
-        assert edge.node.busy_seconds == pytest.approx(total)
-
-    def test_cloud_inference_and_results(self, tiny_encoded, tiny_timeline):
-        cloud = CloudServer()
-        keyframes, stats, _ = cloud.seek_iframes(tiny_encoded)
-        written = cloud.record_labels("tiny", OracleDetector(tiny_timeline),
-                                      [frame.index for frame in keyframes])
-        assert written == len(keyframes)
-        assert len(cloud.results) == written
-        first = keyframes[0].index
-        assert cloud.results.labels_for("tiny", first) == tiny_timeline.labels_at(first)
-        assert cloud.run_cloud_nn(10) < EdgeServer().run_edge_nn(10)
-
-    def test_role_enforcement(self):
-        with pytest.raises(ClusterError):
-            EdgeServer(node=default_cloud_node())
-        with pytest.raises(ClusterError):
-            CloudServer(node=default_edge_node())
-
-
-class TestCamera:
-    def test_camera_capture_encode_stream(self, tiny_profile):
-        camera = Camera(name="tiny-cam", profile=tiny_profile)
-        semantic = EncoderParameters(gop_size=500, scenecut_threshold=250)
-        camera.configure_encoder(semantic)
-        link = NetworkLink("camera-edge", bandwidth_mbps=100.0)
-        encoded = camera.stream_to_edge(link)
-        assert encoded.parameters == semantic
-        assert link.total_bytes == encoded.total_size_bytes
-        assert camera.ground_truth.num_frames == tiny_profile.num_frames
-        # Cached encodings are reused for the same parameters.
-        assert camera.encode(semantic) is encoded

@@ -1,27 +1,10 @@
-"""Tests for the discrete-event scheduler, stations and scheduled engines."""
+"""Tests for the discrete-event scheduler, stations and contended links."""
 
 import pytest
 
-from repro.dataflow import (BatchingPolicy, DataflowEngine, EventScheduler,
-                            FilterOperator, FunctionOperator, ScheduledEngine,
-                            ServiceStation, SinkOperator, SourceOperator,
-                            run_engine, run_engines)
+from repro.dataflow import EventScheduler, ServiceStation
 from repro.errors import DataflowError, NetworkError
 from repro.net import ContendedLink, NetworkLink
-
-
-def build_linear_engine(items, name="test", source_cost=0.002):
-    engine = DataflowEngine(name)
-    engine.add_operator(SourceOperator("source", items,
-                                       cost_per_item_seconds=source_cost))
-    engine.add_operator(FunctionOperator("double", lambda x: x * 2,
-                                         cost_fn=lambda x: 0.01))
-    engine.add_operator(FilterOperator("evens", lambda x: x % 4 == 0))
-    engine.add_operator(SinkOperator("sink"))
-    engine.connect("source", "double")
-    engine.connect("double", "evens")
-    engine.connect("evens", "sink")
-    return engine
 
 
 class TestEventScheduler:
@@ -118,151 +101,3 @@ class TestContendedLink:
         with pytest.raises(NetworkError):
             ContendedLink(scheduler, link).submit(-1)
 
-
-class TestScheduledEngine:
-    def test_single_engine_matches_run_to_completion(self):
-        items = [1, 2, 3, 4, 5]
-        reference = build_linear_engine(items)
-        reference_sinks = reference.run()
-        scheduled = build_linear_engine(items)
-        sinks = run_engine(scheduled)
-        assert sinks == reference_sinks
-        assert scheduled.busy_seconds == pytest.approx(reference.busy_seconds)
-        assert scheduled.stats() == reference.stats()
-
-    def test_fan_out_matches_run_to_completion(self):
-        def build():
-            engine = DataflowEngine("fan")
-            engine.add_operator(SourceOperator("source", [1, 2, 3]))
-            engine.add_operator(SinkOperator("left"))
-            engine.add_operator(SinkOperator("right"))
-            engine.connect("source", "left")
-            engine.connect("source", "right")
-            return engine
-        assert run_engine(build()) == build().run()
-
-    def test_external_inputs(self):
-        engine = DataflowEngine("ext")
-        engine.add_operator(FunctionOperator("inc", lambda x: x + 1))
-        engine.add_operator(SinkOperator("sink"))
-        engine.connect("inc", "sink")
-        assert run_engine(engine, external_inputs={"inc": [1, 2]}) == \
-            {"sink": [2, 3]}
-
-    def test_unknown_external_input_rejected(self):
-        engine = DataflowEngine("ext")
-        engine.add_operator(SinkOperator("sink"))
-        with pytest.raises(DataflowError):
-            ScheduledEngine(EventScheduler(), engine,
-                            external_inputs={"missing": [1]})
-
-    def test_external_input_into_source_rejected(self):
-        engine = build_linear_engine([1])
-        with pytest.raises(DataflowError, match="source operator"):
-            ScheduledEngine(EventScheduler(), engine,
-                            external_inputs={"source": [2]})
-
-    def test_empty_engine_rejected(self):
-        with pytest.raises(DataflowError):
-            ScheduledEngine(EventScheduler(), DataflowEngine("empty"))
-
-    def test_double_start_rejected(self):
-        engine = build_linear_engine([1])
-        scheduled = ScheduledEngine(EventScheduler(), engine).start()
-        with pytest.raises(DataflowError):
-            scheduled.start()
-
-    def test_operator_service_times_queue_in_virtual_time(self):
-        engine = build_linear_engine([1, 2, 3], source_cost=0.0)
-        scheduler = EventScheduler()
-        scheduled = ScheduledEngine(scheduler, engine).start()
-        scheduler.run()
-        assert scheduled.finished
-        # Three items at 0.01 s each through the serial "double" operator.
-        assert scheduled.finish_time == pytest.approx(0.03)
-        assert scheduled.operator_stats["double"].busy_seconds == \
-            pytest.approx(0.03)
-        assert scheduled.operator_stats["double"].max_queue_depth == 2
-        latencies = scheduled.latencies()
-        assert latencies == sorted(latencies) and len(latencies) == 1
-
-    def test_batching_preserves_totals_with_fewer_events(self):
-        items = list(range(12))
-        one_by_one = build_linear_engine(items, "single")
-        batched = build_linear_engine(items, "batched")
-        single_scheduler = EventScheduler()
-        ScheduledEngine(single_scheduler, one_by_one).start()
-        single_scheduler.run()
-        batch_scheduler = EventScheduler()
-        ScheduledEngine(batch_scheduler, batched,
-                        batching=BatchingPolicy(default_batch=4)).start()
-        batch_scheduler.run()
-        assert batched.busy_seconds == pytest.approx(one_by_one.busy_seconds)
-        assert [op.items for op in batched.operators
-                if isinstance(op, SinkOperator)] == \
-               [op.items for op in one_by_one.operators
-                if isinstance(op, SinkOperator)]
-        assert batch_scheduler.events_processed < single_scheduler.events_processed
-
-    def test_batching_policy_validation(self):
-        with pytest.raises(DataflowError):
-            BatchingPolicy(default_batch=0)
-        with pytest.raises(DataflowError):
-            BatchingPolicy(per_operator={"x": 0})
-        policy = BatchingPolicy(default_batch=2, per_operator={"x": 8})
-        assert policy.batch_for("x") == 8 and policy.batch_for("y") == 2
-
-    def test_two_engines_interleave_on_one_clock(self):
-        fast = build_linear_engine([1, 2], "fast", source_cost=0.0)
-        slow = build_linear_engine(list(range(10)), "slow", source_cost=0.0)
-        scheduler = EventScheduler()
-        fast_run = ScheduledEngine(scheduler, fast).start()
-        slow_run = ScheduledEngine(scheduler, slow).start()
-        scheduler.run()
-        assert fast_run.finished and slow_run.finished
-        # Both engines shared the clock but not each other's stations: the
-        # fast engine finishes earlier in the same virtual timeline.
-        assert fast_run.finish_time < slow_run.finish_time
-        assert fast.busy_seconds == pytest.approx(0.02)
-        assert slow.busy_seconds == pytest.approx(0.10)
-
-    def test_run_engines_returns_per_engine_sinks(self):
-        engines = [build_linear_engine([1, 2, 3, 4], "a"),
-                   build_linear_engine([10, 20], "b")]
-        results = run_engines(engines)
-        assert results == {"a": {"sink": [4, 8]}, "b": {"sink": [20, 40]}}
-
-    def test_run_engines_rejects_duplicate_names(self):
-        engines = [build_linear_engine([1], "dup"),
-                   build_linear_engine([2], "dup")]
-        with pytest.raises(DataflowError):
-            run_engines(engines)
-
-    def test_on_finish_flush_is_delivered(self):
-        class Accumulator(FunctionOperator):
-            def __init__(self, name):
-                super().__init__(name, lambda x: None)
-                self.total = 0
-
-            def process(self, item):
-                self.total += item
-                return self._account(
-                    type(self)._empty_result())
-
-            @staticmethod
-            def _empty_result():
-                from repro.dataflow import OperatorResult
-                return OperatorResult()
-
-            def on_finish(self):
-                from repro.dataflow import OperatorResult
-                return OperatorResult(outputs=[self.total], cost_seconds=0.005)
-
-        engine = DataflowEngine("flush")
-        engine.add_operator(SourceOperator("source", [1, 2, 3]))
-        engine.add_operator(Accumulator("sum"))
-        engine.add_operator(SinkOperator("sink"))
-        engine.connect("source", "sum")
-        engine.connect("sum", "sink")
-        assert run_engine(engine) == {"sink": [6]}
-        assert engine.busy_seconds == pytest.approx(0.005)

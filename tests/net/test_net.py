@@ -1,10 +1,9 @@
-"""Tests for the simulated network links, channels and the 3-tier topology."""
+"""Tests for the simulated network links."""
 
 import pytest
 
-from repro.config import SystemConfig
 from repro.errors import NetworkError
-from repro.net import Channel, NetworkLink, ThreeTierTopology
+from repro.net import NetworkLink
 
 
 class TestNetworkLink:
@@ -35,45 +34,3 @@ class TestNetworkLink:
         with pytest.raises(NetworkError):
             link.transfer_seconds(-1)
 
-
-class TestChannel:
-    def test_fifo_delivery_and_accounting(self):
-        link = NetworkLink("wan", bandwidth_mbps=8.0)
-        channel = Channel("edge", "cloud", link)
-        channel.send("first", 1000)
-        channel.send("second", 2000)
-        assert channel.pending == 2
-        assert channel.receive().payload == "first"
-        assert [message.payload for message in channel.receive_all()] == ["second"]
-        assert channel.receive() is None
-        assert link.total_bytes == 3000
-        assert channel.delivered_messages == 2
-
-    def test_negative_size_rejected(self):
-        channel = Channel("a", "b", NetworkLink("l", 1.0))
-        with pytest.raises(NetworkError):
-            channel.send("x", -1)
-
-
-class TestTopology:
-    def test_camera_registration_and_links(self):
-        topology = ThreeTierTopology(config=SystemConfig())
-        link = topology.add_camera("jackson_square")
-        assert topology.camera_link("jackson_square") is link
-        assert topology.cameras == ["jackson_square"]
-        assert topology.edge_cloud_link.bandwidth_mbps == 30.0
-        with pytest.raises(NetworkError):
-            topology.add_camera("jackson_square")
-        with pytest.raises(NetworkError):
-            topology.camera_link("unknown")
-
-    def test_byte_accounting_and_reset(self):
-        topology = ThreeTierTopology()
-        topology.add_camera("a").transfer(500)
-        topology.add_camera("b").transfer(700)
-        topology.edge_cloud_link.transfer(900)
-        assert topology.total_camera_edge_bytes() == 1200
-        assert topology.total_edge_cloud_bytes() == 900
-        topology.reset()
-        assert topology.total_camera_edge_bytes() == 0
-        assert topology.total_edge_cloud_bytes() == 0

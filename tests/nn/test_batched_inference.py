@@ -10,14 +10,10 @@ classification / detection paths built on top.
 import numpy as np
 import pytest
 
-from repro.dataflow.builtin_ops import DetectObjectsOperator, FrameTask
-from repro.dataflow.engine import DataflowEngine
-from repro.dataflow.operator import SinkOperator, SourceOperator
-from repro.errors import DataflowError, ModelError
+from repro.errors import ModelError
 from repro.nn import (Conv2D, Dense, Flatten, GlobalAveragePool, MaxPool2D,
                       NNDetector, ReLU, Softmax, build_yolo_lite,
                       classify_frame, classify_frames, preprocess_frames)
-from repro.nn.oracle import ConstantDetector
 
 
 @pytest.fixture(scope="module")
@@ -208,37 +204,3 @@ class TestNNDetector:
         with pytest.raises(ModelError):
             NNDetector(bare)
 
-
-class TestBatchedDetectOperator:
-    def _run_engine(self, batch_size, num_items=7):
-        engine = DataflowEngine("detect")
-        rng = np.random.default_rng(5)
-        tasks = [FrameTask(video_name="v", frame_index=index,
-                           pixels=rng.integers(0, 255, size=(16, 16)))
-                 for index in range(num_items)]
-        engine.add_operator(SourceOperator("source", tasks))
-        detect = engine.add_operator(DetectObjectsOperator(
-            "detect", ConstantDetector({"car"}), cost_per_frame_seconds=0.5,
-            batch_size=batch_size))
-        engine.add_operator(SinkOperator("sink"))
-        engine.connect("source", "detect")
-        engine.connect("detect", "sink")
-        return engine, detect, engine.run()
-
-    def test_batched_operator_labels_everything(self):
-        engine, detect, sinks = self._run_engine(batch_size=3)
-        assert len(sinks["sink"]) == 7
-        assert all(task.labels == frozenset({"car"}) for task in sinks["sink"])
-        # Total simulated cost is unchanged by batching.
-        assert detect.total_cost_seconds == pytest.approx(7 * 0.5)
-        assert engine.busy_seconds == pytest.approx(7 * 0.5)
-
-    def test_batched_matches_unbatched_outputs(self):
-        _, _, batched = self._run_engine(batch_size=4)
-        _, _, unbatched = self._run_engine(batch_size=1)
-        assert [(task.frame_index, task.labels) for task in batched["sink"]] == \
-            [(task.frame_index, task.labels) for task in unbatched["sink"]]
-
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(DataflowError):
-            DetectObjectsOperator("bad", ConstantDetector(), batch_size=0)

@@ -1,13 +1,10 @@
-"""Tests for the perf instrumentation subsystem and its engine wiring."""
+"""Tests for the perf instrumentation subsystem and its fleet wiring."""
 
 import json
 
 import pytest
 
 from repro.cluster.fleet import CameraJob, FleetOrchestrator
-from repro.dataflow.engine import DataflowEngine
-from repro.dataflow.operator import FunctionOperator, SinkOperator, SourceOperator
-from repro.dataflow.scheduler import EventScheduler, ScheduledEngine
 from repro.perf import (BenchReport, PerfRecorder, Stopwatch, get_recorder,
                         load_bench_runs, record_value, section)
 
@@ -126,48 +123,6 @@ class TestBenchReport:
         with open(path, "r", encoding="utf-8") as handle:
             parsed = json.load(handle)
         assert parsed[0]["entries"][0]["params"] == {"size": 3}
-
-
-def build_engine():
-    engine = DataflowEngine("perf-engine")
-    engine.add_operator(SourceOperator("source", [1, 2, 3],
-                                       cost_per_item_seconds=0.5))
-    engine.add_operator(FunctionOperator("double", lambda x: 2 * x,
-                                         cost_fn=lambda _: 1.0))
-    engine.add_operator(SinkOperator("sink"))
-    engine.connect("source", "double")
-    engine.connect("double", "sink")
-    return engine
-
-
-class TestEngineWallStats:
-    def test_run_records_wall_seconds(self):
-        engine = build_engine()
-        assert engine.wall_stats() == {}
-        engine.run()
-        walls = engine.wall_stats()
-        assert set(walls) == {"source", "double", "sink"}
-        assert all(value >= 0.0 for value in walls.values())
-        assert engine.last_run_wall_seconds >= max(walls.values())
-        # The deterministic stats view stays wall-clock free.
-        assert "wall_seconds" not in engine.stats()["double"]
-
-    def test_reset_clears_wall_stats(self):
-        engine = build_engine()
-        engine.run()
-        engine.reset()
-        assert engine.wall_stats() == {}
-        assert engine.last_run_wall_seconds == 0.0
-
-    def test_scheduled_engine_records_wall_seconds(self):
-        engine = build_engine()
-        scheduler = EventScheduler()
-        scheduled = ScheduledEngine(scheduler, engine).start()
-        scheduler.run()
-        assert scheduled.finished
-        assert set(scheduled.operator_wall_seconds) == {"source", "double", "sink"}
-        assert all(value >= 0.0
-                   for value in scheduled.operator_wall_seconds.values())
 
 
 class TestFleetPerfFields:

@@ -1,11 +1,14 @@
 """Tests for the shared infrastructure: rng, config, logging, sizing."""
 
+import importlib
 import logging
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.config import HardwareCalibration, SystemConfig
 from repro.errors import ConfigurationError, SieveError
 from repro.jpeg_sizing import raw_frame_bytes, resized_frame_bytes
@@ -125,3 +128,22 @@ class TestSizing:
             resized_frame_bytes(0, 100)
         with pytest.raises(ConfigurationError):
             raw_frame_bytes(10, -1)
+
+
+class TestPublicSurface:
+    """What ``ruff`` F822/F401 would check, for containers without ruff: a
+    deletion that leaves a dangling re-export fails here."""
+
+    PACKAGES = ["repro"] + sorted(
+        f"repro.{module.name}"
+        for module in pkgutil.iter_modules(repro.__path__) if module.ispkg)
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_all_resolves(self, package):
+        module = importlib.import_module(package)
+        names = list(module.__all__)
+        assert sorted(set(names)) == sorted(names), "duplicate in __all__"
+        assert [name for name in names if not hasattr(module, name)] == []
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        assert set(names) <= set(namespace)
