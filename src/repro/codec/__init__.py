@@ -19,7 +19,8 @@ from .gop import (DEFAULT_GOP_SIZE, DEFAULT_PARAMETERS, DEFAULT_SCENECUT,
                   sampling_fraction)
 from .iframe_seeker import (IFrameSeeker, SeekResult, seek_keyframes,
                             select_events_from_keyframes)
-from .jpeg import decode_image, encode_image, estimate_encoded_size, roundtrip_psnr
+from .jpeg import (decode_image, decode_images, encode_image,
+                   estimate_encoded_size, roundtrip_psnr)
 from .motion import MotionField, estimate_motion, motion_compensate
 from .scenecut import (FrameActivity, SceneCutAnalyzer, is_scenecut,
                        scenecut_novelty_floor, scenecut_score_threshold)
@@ -38,7 +39,8 @@ __all__ = [
     "ActivityColumns", "EncoderParameters", "KeyframePlacer",
     "StreamingKeyframePlacer", "filtering_rate", "gop_lengths", "sampling_fraction",
     "IFrameSeeker", "SeekResult", "seek_keyframes", "select_events_from_keyframes",
-    "decode_image", "encode_image", "estimate_encoded_size", "roundtrip_psnr",
+    "decode_image", "decode_images", "encode_image", "estimate_encoded_size",
+    "roundtrip_psnr",
     "MotionField", "estimate_motion", "motion_compensate",
     "FrameActivity", "SceneCutAnalyzer", "is_scenecut",
     "scenecut_novelty_floor", "scenecut_score_threshold",

@@ -255,10 +255,8 @@ def _parse_container(data: bytes) -> Tuple[VideoMetadata, EncoderParameters,
     if metadata.num_frames != num_frames:
         raise BitstreamError("metadata frame count disagrees with the header")
     entries = []
-    for position in range(num_frames):
-        start = metadata_stop + position * _INDEX_RECORD.size
-        code, offset, size = _INDEX_RECORD.unpack(
-            data[start:start + _INDEX_RECORD.size])
+    for position, (code, offset, size) in enumerate(
+            _INDEX_RECORD.iter_unpack(data[metadata_stop:index_stop])):
         if code not in _CODE_FRAME_TYPES:
             raise BitstreamError(f"unknown frame type code {code}")
         entries.append(FrameIndexEntry(index=position,

@@ -8,8 +8,10 @@ carry payloads.  Two paths are provided:
   inverse transform), which is what decode-based baselines such as MSE/SIFT
   filtering must pay for every single frame;
 * :meth:`VideoDecoder.decode_keyframes` — decodes only I-frames, each
-  independently, exactly like still JPEG images.  This is the cheap path the
-  edge compute engine uses after the I-frame seeker.
+  independently, exactly like still JPEG images (and, being independent,
+  all of a clip's in one :func:`~repro.codec.jpeg.decode_images` call).
+  This is the cheap path the edge compute engine uses after the I-frame
+  seeker.
 
 Parsing a P-frame needs nothing but its own bytes, so the full-decode path
 parses a GOP at a time — all headers validated, all bitmaps unpacked, all
@@ -32,7 +34,7 @@ from .bitstream import EncodedFrame, EncodedVideo
 from .blocks import block_grid
 from .encoder import _P_FRAME_HEADER, P_FRAME_MARKER
 from .entropy import decode_block_payloads
-from .jpeg import decode_image
+from .jpeg import decode_images
 from .motion import MotionField, motion_compensate
 from .transform import dequantise_blocks, idct2_blocks, quantisation_matrix
 
@@ -49,14 +51,19 @@ class VideoDecoder:
     # ------------------------------------------------------------------ #
     # Frame-level decoding
     # ------------------------------------------------------------------ #
+    def _decode_stills(self, frames: Sequence[EncodedFrame]) -> List[np.ndarray]:
+        """Decode I-frame payloads into luma planes, as one batch of stills."""
+        for frame in frames:
+            if not frame.is_keyframe:
+                raise DecodeError(f"frame {frame.index} is not an I-frame")
+            if frame.payload is None:
+                raise DecodeError(
+                    f"frame {frame.index} has no payload (size-only encoding)")
+        return decode_images([frame.payload for frame in frames])
+
     def decode_keyframe(self, frame: EncodedFrame) -> np.ndarray:
         """Decode an I-frame payload into a luma plane."""
-        if not frame.is_keyframe:
-            raise DecodeError(f"frame {frame.index} is not an I-frame")
-        if frame.payload is None:
-            raise DecodeError(
-                f"frame {frame.index} has no payload (size-only encoding)")
-        return decode_image(frame.payload)
+        return self._decode_stills([frame])[0]
 
     def _parse_run(self, encoded: EncodedVideo, frames: Sequence[EncodedFrame]
                    ) -> List[Tuple[np.ndarray, ...]]:
@@ -243,15 +250,16 @@ class VideoDecoder:
         return RawVideo(metadata, frames)
 
     def decode_keyframes(self, encoded: EncodedVideo) -> List[Frame]:
-        """Decode only the I-frames, each as an independent still image."""
-        frames = []
-        for encoded_frame in encoded.iter_keyframes():
-            plane = self.decode_keyframe(encoded_frame)
-            frames.append(Frame(
-                index=encoded_frame.index, data=plane,
-                timestamp=encoded.metadata.timestamp_of(encoded_frame.index),
-                frame_type=FrameType.I))
-        return frames
+        """Decode only the I-frames, each as an independent still image.
+
+        A frame without a payload is reported before anything is decoded.
+        """
+        keyframes = list(encoded.iter_keyframes())
+        return [Frame(index=frame.index, data=plane,
+                      timestamp=encoded.metadata.timestamp_of(frame.index),
+                      frame_type=FrameType.I)
+                for frame, plane in zip(keyframes,
+                                        self._decode_stills(keyframes))]
 
     def decode_frame_at(self, encoded: EncodedVideo, frame_index: int) -> Frame:
         """Decode a single frame by index.

@@ -197,10 +197,8 @@ def _token_positions(data: np.ndarray, ends: np.ndarray) -> np.ndarray:
     length = data.size
     if length == 0:
         return np.empty(0, dtype=np.int64)
-    step = np.ones(length, dtype=np.int64)
-    is_token = (data != EOB) & (data != ZRL)
-    step[is_token] += data[is_token] & 0x0F
-    jump = np.arange(length, dtype=np.int64) + step
+    # EOB and ZRL have a zero low nibble, so one expression covers them.
+    jump = np.arange(1, length + 1, dtype=np.int64) + (data & 0x0F)
     starts = np.concatenate([[0], ends[:-1]])
     jump[jump >= np.repeat(ends, ends - starts)] = length
     jump = np.append(jump, length)  # position ``length`` is a fixed point
@@ -219,7 +217,9 @@ def _token_positions(data: np.ndarray, ends: np.ndarray) -> np.ndarray:
             break
         marked[fresh] = True
         frontier = np.concatenate([frontier, fresh])
-        np.take(jump, jump, out=scratch)
+        # Every jump is a valid index; "clip" only spares numpy the
+        # buffered copy its bounds-checking mode makes for `out`.
+        np.take(jump, jump, out=scratch, mode="clip")
         jump, scratch = scratch, jump
     return np.flatnonzero(marked[:length])
 

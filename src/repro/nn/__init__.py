@@ -1,7 +1,7 @@
 """Numpy NN inference engine, the YoloLite reference model and partitioning."""
 
 from .layers import (Conv2D, Dense, Flatten, GlobalAveragePool, Layer, MaxPool2D,
-                     ReLU, Softmax)
+                     ReLU, Softmax, Workspace)
 from .model import LayerSummary, SequentialModel
 from .oracle import (ConstantDetector, NNDetector, ObjectDetector, OracleDetector,
                      detect_many)
@@ -14,7 +14,7 @@ from .yolo_lite import (DEFAULT_BATCH_SIZE, DEFAULT_CLASSES, DEFAULT_INPUT_SIZE,
 
 __all__ = [
     "Conv2D", "Dense", "Flatten", "GlobalAveragePool", "Layer", "MaxPool2D",
-    "ReLU", "Softmax",
+    "ReLU", "Softmax", "Workspace",
     "LayerSummary", "SequentialModel",
     "ConstantDetector", "NNDetector", "ObjectDetector", "OracleDetector",
     "detect_many",

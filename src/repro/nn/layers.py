@@ -26,11 +26,18 @@ identically-shaped product per example — which reassociates the reductions
 and therefore lives under the tolerance contract of
 :data:`repro.contracts.FAST_CONTRACT` rather than the bit-identity
 contract.
+
+Memory: the layers that move whole feature maps (:class:`Conv2D`,
+:class:`MaxPool2D`, :class:`ReLU`) take their scratch and their output from
+a :class:`Workspace`.  A :class:`~repro.nn.model.SequentialModel` owns one
+and keeps it between calls, so a warm forward pass touches no fresh pages;
+a layer called on its own runs the same body on a throw-away one.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import math
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +53,66 @@ Shape = Tuple[int, ...]
 _CONV_BUFFER_BYTES = 4 * 1024 * 1024
 
 
+class Workspace:
+    """Memory an inference engine keeps between forward passes.
+
+    One flat byte buffer per role, grown to the largest request so far and
+    handed out as a view of the requested shape and dtype — the exact and
+    the fast precision share the same bytes.  Fresh multi-megabyte arrays
+    per layer call cost more in page faults than the arithmetic they hold
+    (glibc gives the pages back on every free); kept buffers are faulted in
+    once.
+
+    Roles: the zero-bordered convolution input, the im2col columns — which
+    max-pooling borrows for its row stage, since no layer convolves and
+    pools at once — and two activations that consecutive layers alternate
+    between.  Whatever a layer returns may live here and is overwritten by
+    a later call, so whoever owns the workspace copies out what it hands
+    to its own caller (see :meth:`owns`).
+    """
+
+    PADDED = "padded"
+    COLUMNS = "columns"
+    _ACTIVATIONS = ("activation-0", "activation-1")
+
+    def __init__(self) -> None:
+        self._buffers: Dict[str, np.ndarray] = {}
+        #: Buffers created or grown so far; constant once the workspace has
+        #: seen its largest request.
+        self.allocations = 0
+
+    def take(self, role: str, shape: Shape, dtype) -> np.ndarray:
+        """An uninitialised array of ``shape`` in the buffer of ``role``."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buffer = self._buffers.get(role)
+        if buffer is None or buffer.size < nbytes:
+            buffer = self._buffers[role] = np.empty(nbytes, dtype=np.uint8)
+            self.allocations += 1
+        return buffer[:nbytes].view(dtype).reshape(shape)
+
+    def activation(self, shape: Shape, dtype, inputs: np.ndarray) -> np.ndarray:
+        """An output array in whichever activation buffer ``inputs`` is not in."""
+        first, second = self._ACTIVATIONS
+        held = self._buffers.get(first)
+        reading_first = held is not None and np.may_share_memory(held, inputs)
+        return self.take(second if reading_first else first, shape, dtype)
+
+    def owns(self, array: np.ndarray) -> bool:
+        """Whether ``array`` is (a view of) memory of this workspace.
+
+        Separate allocations never overlap, so the bounds check of
+        ``may_share_memory`` is exact here.
+        """
+        return any(np.may_share_memory(buffer, array)
+                   for buffer in self._buffers.values())
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes currently held."""
+        return sum(buffer.size for buffer in self._buffers.values())
+
+
 class Layer:
     """Base class of all layers.
 
@@ -57,8 +124,14 @@ class Layer:
     #: Human-readable layer name, set by subclasses.
     name: str = "layer"
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Compute the layer output for one example or a leading-axis batch."""
+    def forward(self, inputs: np.ndarray,
+                workspace: Optional[Workspace] = None) -> np.ndarray:
+        """Compute the layer output for one example or a leading-axis batch.
+
+        With a ``workspace`` the result may be a view of its memory, valid
+        until the next layer call on the same workspace; without one the
+        result is the caller's own.
+        """
         raise NotImplementedError
 
     def output_shape(self, input_shape: Shape) -> Shape:
@@ -155,94 +228,92 @@ class Conv2D(Layer):
         per_output = self.in_channels * self.kernel_size * self.kernel_size
         return int(self.out_channels * out_h * out_w * per_output)
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
+    def forward(self, inputs: np.ndarray,
+                workspace: Optional[Workspace] = None) -> np.ndarray:
+        if workspace is None:
+            workspace = Workspace()
         inputs, batched = _as_batched_maps(inputs, self.name)
-        if inputs.dtype == np.float32:
-            output = self._forward_fast(inputs)
-            return output if batched else output[0]
+        fast = inputs.dtype == np.float32
+        dtype = np.dtype(np.float32 if fast else np.float64)
         batch, channels, height, width = inputs.shape
         out_channels, out_h, out_w = self.output_shape((channels, height, width))
         pad = self._pad_amount()
-        if pad:
-            inputs = np.pad(inputs, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         k = self.kernel_size
         stride = self.stride
-        kernel_matrix = self.weights.reshape(out_channels, -1)
-        output = np.empty((batch, out_channels, out_h, out_w))
-        # Batched im2col in (chunk, C*k*k, positions) layout: one strided
-        # copy per kernel tap (k² of them) with contiguous writes, no big
-        # permutation afterwards — the reshape below is a view.  The batch is
-        # processed in chunks that keep the column buffer inside the cache;
-        # chunking cannot change results because every example is multiplied
-        # by one identically-shaped GEMM either way (which is also what keeps
-        # batched results exactly equal to per-example results).
-        per_example = channels * k * k * out_h * out_w * 8
-        chunk_size = max(int(_CONV_BUFFER_BYTES // max(per_example, 1)), 1)
-        out_matrix = output.reshape(batch, out_channels, out_h * out_w)
-        for start in range(0, batch, chunk_size):
-            chunk = inputs[start:start + chunk_size]
-            columns = np.empty((chunk.shape[0], channels, k, k, out_h, out_w))
-            for tap_y in range(k):
-                for tap_x in range(k):
-                    columns[:, :, tap_y, tap_x] = chunk[
-                        :, :,
-                        tap_y:tap_y + out_h * stride:stride,
-                        tap_x:tap_x + out_w * stride:stride]
-            column_matrix = columns.reshape(
-                chunk.shape[0], channels * k * k, out_h * out_w)
-            out_chunk = out_matrix[start:start + chunk_size]
-            np.matmul(kernel_matrix[None], column_matrix, out=out_chunk)
-            # Bias is added per chunk while the output slice is cache-hot; a
-            # whole-batch add afterwards would re-traverse the full array.
-            out_chunk += self.bias[:, None]
-        return output if batched else output[0]
-
-    def _forward_fast(self, inputs: np.ndarray) -> np.ndarray:
-        """float32 forward pass with one *merged* GEMM per batch chunk.
-
-        The im2col buffer is laid out ``(C*k*k, chunk*positions)`` so the
-        whole chunk multiplies in a single sgemm — the merged reduction
-        (and float32 itself) round differently from the exact path, which
-        is precisely what the fast tolerance contract budgets for.
-        """
-        batch, channels, height, width = inputs.shape
-        out_channels, out_h, out_w = self.output_shape((channels, height, width))
-        pad = self._pad_amount()
-        if pad:
-            inputs = np.pad(inputs, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        # Cast per call rather than caching: `weights`/`bias` are public
-        # mutable attributes, and a cached float32 copy would silently go
-        # stale after an assignment.  The cast is a few tens of kilobytes —
-        # noise next to the GEMM it feeds.
-        kernel32 = self.weights.reshape(self.out_channels, -1).astype(np.float32)
-        bias32 = self.bias.astype(np.float32)
-        k = self.kernel_size
-        stride = self.stride
+        taps = channels * k * k
         positions = out_h * out_w
-        output = np.empty((batch, out_channels, out_h, out_w), dtype=np.float32)
+        kernel_matrix = self.weights.reshape(out_channels, taps)
+        bias = self.bias[:, None]
+        if fast:
+            # Cast per call rather than caching: `weights`/`bias` are public
+            # mutable attributes, and a cached float32 copy would silently go
+            # stale after an assignment.  The cast is a few tens of kilobytes
+            # — noise next to the GEMM it feeds.
+            kernel_matrix = kernel_matrix.astype(np.float32)
+            bias = bias.astype(np.float32)
+        output = workspace.activation((batch, out_channels, out_h, out_w),
+                                      dtype, inputs)
         out_matrix = output.reshape(batch, out_channels, positions)
-        per_example = channels * k * k * positions * 4
+        # The batch is processed in chunks that keep the column buffer
+        # inside the cache; chunking cannot change exact results because
+        # every example is multiplied by one identically-shaped GEMM either
+        # way (which is also what keeps batched results exactly equal to
+        # per-example results).
+        per_example = taps * positions * dtype.itemsize
         chunk_size = max(int(_CONV_BUFFER_BYTES // max(per_example, 1)), 1)
         for start in range(0, batch, chunk_size):
             chunk = inputs[start:start + chunk_size]
-            # Channel-major views of the chunk make every tap write one
-            # contiguous (chunk, out_h, out_w) run per channel.
-            chunk_cm = chunk.transpose(1, 0, 2, 3)
-            columns = np.empty((channels, k, k, chunk.shape[0], out_h, out_w),
-                               dtype=np.float32)
+            count = chunk.shape[0]
+            if pad:
+                padded = workspace.take(
+                    Workspace.PADDED,
+                    (count, channels, height + 2 * pad, width + 2 * pad), dtype)
+                # The buffer last held another layer's geometry, so the
+                # border is cleared on every use: four thin strips.
+                padded[:, :, :pad] = 0
+                padded[:, :, -pad:] = 0
+                padded[:, :, pad:-pad, :pad] = 0
+                padded[:, :, pad:-pad, -pad:] = 0
+                padded[:, :, pad:-pad, pad:-pad] = chunk
+                chunk = padded
+            # im2col: one strided copy per kernel tap (k² of them), no big
+            # permutation afterwards — the reshapes below are views.  Exact
+            # keeps every example's (C*k*k, positions) matrix to itself;
+            # fast lays the chunk out (C*k*k, chunk*positions) so it
+            # multiplies in a single sgemm.
+            if fast:
+                columns = workspace.take(
+                    Workspace.COLUMNS, (channels, k, k, count, out_h, out_w),
+                    dtype)
+                by_tap = columns.transpose(1, 2, 3, 0, 4, 5)
+            else:
+                columns = workspace.take(
+                    Workspace.COLUMNS, (count, channels, k, k, out_h, out_w),
+                    dtype)
+                by_tap = columns.transpose(2, 3, 0, 1, 4, 5)
             for tap_y in range(k):
                 for tap_x in range(k):
-                    columns[:, tap_y, tap_x] = chunk_cm[
+                    by_tap[tap_y, tap_x] = chunk[
                         :, :,
                         tap_y:tap_y + out_h * stride:stride,
                         tap_x:tap_x + out_w * stride:stride]
-            column_matrix = columns.reshape(channels * k * k,
-                                            chunk.shape[0] * positions)
-            merged = kernel32 @ column_matrix
-            merged += bias32[:, None]
-            out_matrix[start:start + chunk.shape[0]] = merged.reshape(
-                out_channels, chunk.shape[0], positions).transpose(1, 0, 2)
-        return output
+            out_chunk = out_matrix[start:start + count]
+            if fast:
+                # The merged reduction (and float32 itself) round
+                # differently from the exact path, which is precisely what
+                # the fast tolerance contract budgets for.
+                merged = kernel_matrix @ columns.reshape(taps, count * positions)
+                merged += bias
+                out_chunk[...] = merged.reshape(
+                    out_channels, count, positions).transpose(1, 0, 2)
+            else:
+                np.matmul(kernel_matrix[None],
+                          columns.reshape(count, taps, positions), out=out_chunk)
+                # Bias is added per chunk while the output slice is
+                # cache-hot; a whole-batch add afterwards would re-traverse
+                # the full array.
+                out_chunk += bias
+        return output if batched else output[0]
 
 
 class ReLU(Layer):
@@ -251,8 +322,14 @@ class ReLU(Layer):
     def __init__(self, name: str = "relu") -> None:
         self.name = name
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        return np.maximum(inputs, 0.0)
+    def forward(self, inputs: np.ndarray,
+                workspace: Optional[Workspace] = None) -> np.ndarray:
+        # In place on an activation the workspace owns (the previous layer's
+        # output, which nobody else reads); never on a caller's array.
+        inputs = np.asarray(inputs)
+        in_place = (workspace is not None and inputs.dtype.kind == "f"
+                    and workspace.owns(inputs))
+        return np.maximum(inputs, 0.0, out=inputs if in_place else None)
 
     def output_shape(self, input_shape: Shape) -> Shape:
         return input_shape
@@ -277,7 +354,10 @@ class MaxPool2D(Layer):
     def flops(self, input_shape: Shape) -> int:
         return int(np.prod(self.output_shape(input_shape))) * self.pool_size ** 2
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
+    def forward(self, inputs: np.ndarray,
+                workspace: Optional[Workspace] = None) -> np.ndarray:
+        if workspace is None:
+            workspace = Workspace()
         inputs, batched = _as_batched_maps(inputs, self.name)
         batch, channels, height, width = inputs.shape
         p = self.pool_size
@@ -285,17 +365,30 @@ class MaxPool2D(Layer):
         if out_h == 0 or out_w == 0:
             raise ModelError(f"{self.name}: input {inputs.shape[1:]} too small to pool")
         trimmed = inputs[:, :, :out_h * p, :out_w * p]
-        # Elementwise maximum over the p² tap slices instead of a reduction
-        # over two tiny axes — numpy's reduce machinery costs more per
-        # element than the comparison itself for short axes.  Exactly equal,
-        # since max is order-independent.
-        output = trimmed[:, :, ::p, ::p].copy()
-        for tap_y in range(p):
-            for tap_x in range(p):
-                if tap_y or tap_x:
-                    np.maximum(output, trimmed[:, :, tap_y::p, tap_x::p],
-                               out=output)
+        # Two stages of elementwise maxima over tap slices (numpy's reduce
+        # machinery costs more per element than the comparison itself for
+        # short axes): first across the p rows of a window, which reads
+        # whole contiguous rows, then across its p columns on the 1/p of
+        # the data that is left.  The maximum of a window does not depend
+        # on the order it is taken in; the sign of a zero does, for a
+        # window whose maximum is a zero present with both signs.
+        rows = workspace.take(Workspace.COLUMNS,
+                              (batch, channels, out_h, out_w * p), inputs.dtype)
+        _maximum_of([trimmed[:, :, tap::p] for tap in range(p)], rows)
+        output = workspace.activation((batch, channels, out_h, out_w),
+                                      inputs.dtype, inputs)
+        _maximum_of([rows[:, :, :, tap::p] for tap in range(p)], output)
         return output if batched else output[0]
+
+
+def _maximum_of(arrays: Sequence[np.ndarray], out: np.ndarray) -> None:
+    """Elementwise maximum of equally shaped ``arrays``, written to ``out``."""
+    if len(arrays) == 1:
+        out[...] = arrays[0]
+        return
+    np.maximum(arrays[0], arrays[1], out=out)
+    for array in arrays[2:]:
+        np.maximum(out, array, out=out)
 
 
 class GlobalAveragePool(Layer):
@@ -310,7 +403,8 @@ class GlobalAveragePool(Layer):
     def flops(self, input_shape: Shape) -> int:
         return int(np.prod(input_shape))
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
+    def forward(self, inputs: np.ndarray,
+                workspace: Optional[Workspace] = None) -> np.ndarray:
         inputs, batched = _as_batched_maps(inputs, self.name)
         output = inputs.mean(axis=(2, 3))
         return output if batched else output[0]
@@ -325,7 +419,8 @@ class Flatten(Layer):
     def output_shape(self, input_shape: Shape) -> Shape:
         return (int(np.prod(input_shape)),)
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
+    def forward(self, inputs: np.ndarray,
+                workspace: Optional[Workspace] = None) -> np.ndarray:
         inputs = np.asarray(inputs)
         if inputs.ndim >= 3:
             # A single feature map stays 3-D; anything higher-rank carries a
@@ -368,7 +463,8 @@ class Dense(Layer):
     def flops(self, input_shape: Shape) -> int:
         return self.in_features * self.out_features
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
+    def forward(self, inputs: np.ndarray,
+                workspace: Optional[Workspace] = None) -> np.ndarray:
         inputs = np.asarray(inputs)
         if inputs.ndim == 2 and inputs.shape[1] == self.in_features:
             vectors, batched = inputs, True
@@ -408,7 +504,8 @@ class Softmax(Layer):
     def flops(self, input_shape: Shape) -> int:
         return 3 * int(np.prod(input_shape))
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
+    def forward(self, inputs: np.ndarray,
+                workspace: Optional[Workspace] = None) -> np.ndarray:
         # The fast path keeps float32 end to end; everything else computes
         # in float64 exactly as the seed implementation did.
         dtype = np.float32 if np.asarray(inputs).dtype == np.float32 else np.float64

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..contracts import PRECISION_EXACT, activation_dtype
 from ..errors import ModelError
-from .layers import Layer, Shape
+from .layers import Layer, Shape, Workspace
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,14 @@ class LayerSummary:
 class SequentialModel:
     """A feed-forward stack of layers.
 
+    The model owns one :class:`~repro.nn.layers.Workspace`: the layers take
+    their scratch and intermediate activations from it, so after the first
+    call of a given batch size inference allocates nothing large.  Results
+    are copied out of it before they are returned — no array a caller holds
+    is ever overwritten by a later call.  (One workspace means one forward
+    pass at a time per model, like everything else in this single-threaded
+    engine.)
+
     Args:
         layers: Layers in execution order.
         input_shape: Shape of the model input (``(channels, height, width)``
@@ -54,6 +62,7 @@ class SequentialModel:
         self.name = name
         # Validate the shape chain eagerly so misconfigured models fail fast.
         self._shapes = self._compute_shapes()
+        self.workspace = Workspace()
 
     def _compute_shapes(self) -> List[Shape]:
         shapes = [self.input_shape]
@@ -153,9 +162,10 @@ class SequentialModel:
             raise ModelError(
                 f"layer {start} expects input of shape {expected} "
                 f"(or a (batch, *{expected}) batch), got {activation.shape}")
+        workspace = self.workspace
         for index in range(start, stop):
-            activation = self.layers[index].forward(activation)
-        return activation
+            activation = self.layers[index].forward(activation, workspace)
+        return activation.copy() if workspace.owns(activation) else activation
 
     def predict_class(self, inputs: np.ndarray,
                       precision: str = PRECISION_EXACT) -> Tuple[int, np.ndarray]:

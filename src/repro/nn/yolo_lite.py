@@ -14,13 +14,13 @@ and partitioning experiments need.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..contracts import PRECISION_EXACT
 from ..errors import ModelError
-from ..vision.imageops import normalize_plane, resize, to_grayscale
+from ..vision.imageops import normalize_plane, resize_stack, to_grayscale
 from .layers import Conv2D, Dense, GlobalAveragePool, MaxPool2D, ReLU, Softmax
 from .model import SequentialModel
 
@@ -92,9 +92,7 @@ def preprocess_frame(frame_data: np.ndarray,
                      input_size: Tuple[int, int] = DEFAULT_INPUT_SIZE) -> np.ndarray:
     """Convert a raw frame into the model's input tensor.
 
-    The frame is converted to luma, resized to the network input size and
-    normalised to zero mean / unit variance, then given a leading channel
-    axis.
+    The one-frame form of :func:`preprocess_frames`.
 
     Args:
         frame_data: ``(H, W)`` or ``(H, W, 3)`` pixel array.
@@ -103,16 +101,18 @@ def preprocess_frame(frame_data: np.ndarray,
     Returns:
         Tensor of shape ``(1, height, width)``.
     """
-    height, width = input_size
-    luma = to_grayscale(frame_data)
-    resized = resize(luma, (width, height))
-    return normalize_plane(resized)[None, :, :]
+    return preprocess_frames([frame_data], input_size)[0]
 
 
 def preprocess_frames(frames: Sequence[np.ndarray],
                       input_size: Tuple[int, int] = DEFAULT_INPUT_SIZE
                       ) -> np.ndarray:
     """Convert several raw frames into one batched input tensor.
+
+    Every frame is converted to luma, resized to the network input size and
+    normalised to zero mean / unit variance, then given a channel axis.
+    Frames of equal shape (the frames of one camera) are resized as one
+    stack.
 
     Args:
         frames: Pixel arrays (``(H, W)`` or ``(H, W, 3)``, shapes may vary).
@@ -121,10 +121,19 @@ def preprocess_frames(frames: Sequence[np.ndarray],
     Returns:
         Tensor of shape ``(batch, 1, height, width)``.
     """
-    if len(frames) == 0:
-        height, width = input_size
-        return np.empty((0, 1, height, width))
-    return np.stack([preprocess_frame(frame, input_size) for frame in frames])
+    height, width = input_size
+    planes = [to_grayscale(frame) for frame in frames]
+    same_shape: Dict[Tuple[int, int], List[int]] = {}
+    for position, plane in enumerate(planes):
+        same_shape.setdefault(plane.shape, []).append(position)
+    tensors = np.empty((len(planes), 1, height, width))
+    for positions in same_shape.values():
+        resized = resize_stack(np.stack([planes[position]
+                                         for position in positions]),
+                               (width, height))
+        for position, plane in zip(positions, resized):
+            tensors[position, 0] = normalize_plane(plane)
+    return tensors
 
 
 def classify_frame(model: SequentialModel, frame_data: np.ndarray,

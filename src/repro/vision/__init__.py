@@ -2,7 +2,7 @@
 
 from .imageops import (downsample, gaussian_blur, gradient_magnitude_orientation,
                        gradients, mean_squared_error, normalize_plane, resize,
-                       to_grayscale)
+                       resize_stack, to_grayscale)
 from .mse import MseChangeDetector
 from .sift import FrameFeatures, Keypoint, SiftChangeDetector, SiftLite
 from .similarity import (ChangeDetector, ThresholdSampler, sampled_fraction,
@@ -10,7 +10,8 @@ from .similarity import (ChangeDetector, ThresholdSampler, sampled_fraction,
 
 __all__ = [
     "downsample", "gaussian_blur", "gradient_magnitude_orientation", "gradients",
-    "mean_squared_error", "normalize_plane", "resize", "to_grayscale",
+    "mean_squared_error", "normalize_plane", "resize", "resize_stack",
+    "to_grayscale",
     "MseChangeDetector",
     "FrameFeatures", "Keypoint", "SiftChangeDetector", "SiftLite",
     "ChangeDetector", "ThresholdSampler", "sampled_fraction", "score_video",

@@ -25,8 +25,87 @@ def to_grayscale(image: np.ndarray) -> np.ndarray:
     raise ConfigurationError(f"expected (H, W) or (H, W, 3) image, got {image.shape}")
 
 
+@lru_cache(maxsize=32)
+def _resize_plan(src_h: int, src_w: int, height: int, width: int
+                 ) -> Tuple[np.ndarray, ...]:
+    """Bilinear sampling plan from ``(src_h, src_w)`` to ``(height, width)``.
+
+    Returns ``(rows, row_low, row_high, row_frac, col_low, col_high,
+    col_frac)``: every target column blends source columns ``col_low`` and
+    ``col_high`` with weight ``col_frac`` on the higher one; ``rows`` are
+    the source rows any target row needs, and a target row blends entries
+    ``row_low`` / ``row_high`` *of that selection* likewise.  Shared between
+    calls, hence read-only.
+    """
+    row_positions = np.linspace(0, src_h - 1, height)
+    col_positions = np.linspace(0, src_w - 1, width)
+    row_low = np.floor(row_positions).astype(int)
+    col_low = np.floor(col_positions).astype(int)
+    row_high = np.minimum(row_low + 1, src_h - 1)
+    col_high = np.minimum(col_low + 1, src_w - 1)
+    rows = np.union1d(row_low, row_high)
+    plan = (rows, np.searchsorted(rows, row_low), np.searchsorted(rows, row_high),
+            row_positions - row_low, col_low, col_high, col_positions - col_low)
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+def resize_stack(images: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
+    """Resize equally shaped images, stacked on a leading axis, in one pass.
+
+    Args:
+        images: ``(N, H, W)`` or ``(N, H, W, C)`` array.
+        size: Target ``(width, height)``.
+
+    Returns:
+        The resized stack with the same dtype as the input (rounded for
+        integer inputs); image ``i`` is exactly ``resize(images[i], size)``.
+    """
+    width, height = size
+    if width <= 0 or height <= 0:
+        raise ConfigurationError(f"target size must be positive, got {size}")
+    source = np.asarray(images)
+    if source.ndim not in (3, 4):
+        raise ConfigurationError(
+            f"expected (H, W) or (H, W, C) images, got {source.shape[1:]}")
+    src_h, src_w = source.shape[1:3]
+    if src_h == 0 or src_w == 0:
+        raise ConfigurationError(f"cannot resize an empty {src_h}x{src_w} image")
+    if (src_w, src_h) == (width, height):
+        return source.copy()
+    rows, row_low, row_high, row_frac, col_low, col_high, col_frac = \
+        _resize_plan(src_h, src_w, height, width)
+    # Fractions line up with the column axis (and the row axis one before
+    # it) whether or not a channel axis follows.
+    col_frac = col_frac.reshape((-1,) + (1,) * (source.ndim - 3))
+    row_frac = row_frac.reshape((-1, 1) + (1,) * (source.ndim - 3))
+    # Per pixel: blend the two columns in each of its two source rows, then
+    # blend the rows.  The column blend is taken once per *source* row that
+    # is needed at all and gathered into target rows afterwards — the same
+    # products and sums for every pixel, on min(H, 2h) rows instead of 2h.
+    working = source.astype(np.float64, copy=False)
+    if rows.size < src_h:
+        working = working[:, rows]
+    blended = working[:, :, col_low]
+    blended *= 1 - col_frac
+    high = working[:, :, col_high]
+    high *= col_frac
+    blended += high
+    resized = blended[:, row_low]
+    resized *= 1 - row_frac
+    high = blended[:, row_high]
+    high *= row_frac
+    resized += high
+    if np.issubdtype(source.dtype, np.integer):
+        return np.clip(np.round(resized), 0, 255).astype(source.dtype)
+    return resized
+
+
 def resize(image: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
     """Resize an image to ``(width, height)`` with bilinear interpolation.
+
+    The one-image form of :func:`resize_stack`.
 
     Args:
         image: 2-D or 3-D array.
@@ -36,34 +115,7 @@ def resize(image: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
         The resized array with the same dtype as the input (rounded for
         integer inputs).
     """
-    width, height = size
-    if width <= 0 or height <= 0:
-        raise ConfigurationError(f"target size must be positive, got {size}")
-    source = np.asarray(image)
-    src_h, src_w = source.shape[:2]
-    if (src_w, src_h) == (width, height):
-        return source.copy()
-    row_positions = np.linspace(0, src_h - 1, height)
-    col_positions = np.linspace(0, src_w - 1, width)
-    row_low = np.floor(row_positions).astype(int)
-    col_low = np.floor(col_positions).astype(int)
-    row_high = np.minimum(row_low + 1, src_h - 1)
-    col_high = np.minimum(col_low + 1, src_w - 1)
-    row_frac = (row_positions - row_low)
-    col_frac = (col_positions - col_low)
-    working = source.astype(np.float64)
-
-    def gather(rows, cols):
-        return working[np.ix_(rows, cols)]
-
-    top = (gather(row_low, col_low).T * (1 - col_frac[:, None])
-           + gather(row_low, col_high).T * col_frac[:, None]).T
-    bottom = (gather(row_high, col_low).T * (1 - col_frac[:, None])
-              + gather(row_high, col_high).T * col_frac[:, None]).T
-    resized = top * (1 - row_frac)[:, None] + bottom * row_frac[:, None]
-    if np.issubdtype(source.dtype, np.integer):
-        return np.clip(np.round(resized), 0, 255).astype(source.dtype)
-    return resized
+    return resize_stack(np.asarray(image)[None], size)[0]
 
 
 @lru_cache(maxsize=32)

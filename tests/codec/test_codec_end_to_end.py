@@ -191,6 +191,31 @@ class TestContainerAndSeeker:
         with pytest.raises(BitstreamError):
             EncodedVideo.deserialize(b"JUNK" + data[4:])
 
+    def test_frame_index_entries_and_malformed_index(self, tiny_encoded_payload):
+        """Every index record comes back field for field; an unknown frame
+        type code and an index cut short are ``BitstreamError``s."""
+        from repro.codec.bitstream import _HEADER, _INDEX_RECORD
+        data = tiny_encoded_payload.serialize()
+        _, entries = read_frame_index(data)
+        offset = 0
+        for position, (entry, frame) in enumerate(
+                zip(entries, tiny_encoded_payload.frames)):
+            assert (entry.index, entry.frame_type, entry.payload_offset,
+                    entry.size_bytes) == (position, frame.frame_type, offset,
+                                          frame.size_bytes)
+            offset += frame.size_bytes
+        metadata_length = _HEADER.unpack_from(data)[2]
+        index_start = _HEADER.size + metadata_length
+        third = index_start + 2 * _INDEX_RECORD.size
+        with pytest.raises(BitstreamError, match="unknown frame type code 9"):
+            read_frame_index(data[:third] + b"\x09" + data[third + 1:])
+        index_stop = index_start + len(entries) * _INDEX_RECORD.size
+        for cut in (index_stop - 1, third + 5, index_start):
+            with pytest.raises(BitstreamError, match="truncated before the frame index"):
+                EncodedVideo.deserialize(data[:cut])
+            with pytest.raises(BitstreamError, match="truncated before the frame index"):
+                IFrameSeeker().seek_serialized(data[:cut])
+
     def test_seeker_counts(self, tiny_encoded):
         seeker = IFrameSeeker()
         keyframes, stats = seeker.seek_with_stats(tiny_encoded)
