@@ -383,90 +383,6 @@ class TestAdaptiveOverhead:
         assert entry.value > 0
 
 
-class TestFleetScaleOut:
-    """Scale-out wall-clock ratios of the multiprocess fleet.
-
-    Runs the same synthetic fleet through the parallel path under the
-    scale-out knobs and records two machine-relative ratios: the
-    shared-memory transport vs the pickle default, and work stealing vs
-    the static shards (both sides on this machine, so the ratios transfer
-    across hardware).  On a single-core box both sit near 1.0x — the
-    pools serialise — and multi-core runners can only improve them; the
-    perf gate ``--require``s both entries so the scale-out paths cannot
-    silently fall out of the comparison.  Every configuration is first
-    asserted bit-equal to the serial reference (the parity contract the
-    scale-out must never trade away for speed).
-    """
-
-    NUM_CAMERAS = 2_000
-    NUM_EDGES = 8
-    FLEET_WORKERS = 2
-
-    def _jobs(self):
-        from repro.cluster import CameraJob
-        jobs = []
-        for index in range(self.NUM_CAMERAS):
-            spread = index % 7
-            jobs.append(CameraJob(
-                camera=f"bench-{index:04d}", video=f"feed-{spread}",
-                num_frames=120 + 12 * spread, frames_for_inference=4,
-                edge_seconds=0.3 + 0.07 * spread,
-                cloud_seconds=0.2 + 0.04 * ((index * 3) % 5),
-                camera_edge_bytes=400_000 + 1013 * spread,
-                edge_cloud_bytes=120_000 + 577 * spread))
-        return jobs
-
-    def _run(self, jobs, transport: str, stealing: bool, workers: int):
-        from repro.cluster import FleetOrchestrator
-        from repro.config import SystemConfig
-        config = SystemConfig(fleet_transport=transport,
-                              fleet_stealing=stealing)
-        return FleetOrchestrator(jobs, num_edge_servers=self.NUM_EDGES,
-                                 config=config,
-                                 fleet_workers=workers).run()
-
-    def test_transport_and_stealing_ratios(self, benchmark, hotpaths_report):
-        jobs = self._jobs()
-        serial = self._run(jobs, "pickle", False, workers=1)
-        for transport, stealing in (("pickle", False), ("shm", False),
-                                    ("shm", True)):
-            report = self._run(jobs, transport, stealing,
-                               self.FLEET_WORKERS)
-            assert serial.parity_mismatches(report, 1e-6) == []
-
-        # The parity runs above double as pool warm-up; best-of-N over at
-        # least a second of samples per configuration keeps the recorded
-        # ratios stable against scheduler jitter (each sample spawns a
-        # fresh pool, which is part of what the transports are up against).
-        pickle_static = min_time(
-            lambda: self._run(jobs, "pickle", False, self.FLEET_WORKERS),
-            repeats=5, min_total_seconds=1.0)
-        shm_static = min_time(
-            lambda: self._run(jobs, "shm", False, self.FLEET_WORKERS),
-            repeats=5, min_total_seconds=1.0)
-        shm_steal = min_time(
-            lambda: self._run(jobs, "shm", True, self.FLEET_WORKERS),
-            repeats=5, min_total_seconds=1.0)
-        # Ratios only: absolute fleet wall-clocks are machine-specific and
-        # would flake the 0.45 section tolerance across runners; the raw
-        # seconds ride along as (ungated) context parameters.
-        shm_ratio = hotpaths_report.record(
-            "fleet.shm_transport.vs_pickle", pickle_static / shm_static,
-            "ratio", cameras=self.NUM_CAMERAS, edges=self.NUM_EDGES,
-            workers=self.FLEET_WORKERS, pickle_seconds=pickle_static,
-            shm_seconds=shm_static)
-        steal_ratio = hotpaths_report.record(
-            "fleet.steal.vs_static", shm_static / shm_steal, "ratio",
-            cameras=self.NUM_CAMERAS, edges=self.NUM_EDGES,
-            workers=self.FLEET_WORKERS, static_seconds=shm_static,
-            steal_seconds=shm_steal)
-        benchmark(self._run, jobs, "shm", True, self.FLEET_WORKERS)
-        # ~1.0 on a single core is the expected result; only sanity is
-        # asserted (the perf gate compares the recorded ratios across runs).
-        assert shm_ratio.value > 0
-        assert steal_ratio.value > 0
-
-
 class TestSchedulerEventLoop:
     NUM_JOBS = 20_000
 

@@ -14,7 +14,7 @@ edge servers must never reduce aggregate throughput (the sweep asserts it).
 The ``--workers`` axis executes the same sweep through the multiprocess
 fleet layer (``SystemConfig.fleet_workers``): per-edge pipelines are
 simulated in worker processes and merged deterministically, and the example
-asserts every report matches the single-process run to the 1e-6 contract.
+asserts every report matches the single-process run exactly.
 Table I workloads come from the shared on-disk cache (``REPRO_CACHE_DIR``),
 so a second run skips rendering and tuning entirely; ``--build-workers N``
 builds a cold cache in parallel through
@@ -25,25 +25,21 @@ builds a cold cache in parallel through
 under the :data:`repro.contracts.FAST_CONTRACT` accuracy budget; the
 default ``exact`` keeps every kernel bit-identical to the seed.
 
-The scale-out knobs map straight onto ``SystemConfig``: ``--transport``
-(pickle | shm | auto) selects the worker payload transport,``--steal``
-turns on the work-stealing claim protocol (the recorded steal log lands in
-the JSON artifact), ``--regions`` the hierarchical cloud replay.  Every
-configuration is asserted equal to the serial run — the knobs change how
-fast the answer arrives, never the answer.  ``--scale-cameras N`` switches
-to a synthetic N-camera fleet (no workload rendering) and times the
-pickle/static baseline against the configured scale-out path;
-``--min-speedup`` turns that comparison into a hard gate (the CI
-fleet-scaling lane sets it).  ``--json-out`` writes the sweep + comparison
-as a JSON artifact; ``--store`` round-trips every report through the
+``--scale-cameras N`` switches to a synthetic N-camera fleet (no workload
+rendering) and times the single-process run against the sharded one at the
+largest ``--workers`` count, parity-checked; ``--min-speedup`` turns that
+comparison into a hard gate (the CI fleet-scaling lane sets it).  Nothing
+else about the sharded run is selectable: edges are dealt to the workers
+longest first and the per-job arrays travel over shared memory where the
+platform has it (the pool's pickle channel where it does not — the JSON
+artifact records which).  ``--json-out`` writes the sweep + comparison as
+a JSON artifact; ``--store`` round-trips every report through the
 persistent :class:`repro.cluster.SQLiteResultStore` and verifies the
 content-integrity hashes.
 
 Run with:  python examples/fleet_scaling.py [--workers 1,2,4]
                                             [--build-workers 2]
                                             [--precision exact|fast]
-                                            [--transport shm] [--steal]
-                                            [--regions 0]
                                             [--scale-cameras 64]
                                             [--json-out sweep.json]
                                             [--store results.sqlite]
@@ -59,13 +55,12 @@ from repro import SystemConfig
 from repro.contracts import PRECISION_MODES
 from repro.cluster import (CameraJob, FleetOrchestrator, PlacementPolicy,
                            SQLiteResultStore)
-from repro.config import TRANSPORT_MODES, TRANSPORT_PICKLE
 from repro.core import DeploymentMode, build_workload, plan_camera_job
 from repro.datasets import ALL_DATASETS, DatasetSpec
 from repro.datasets.generator import DatasetInstance
 from repro.experiments import ExperimentConfig
 from repro.logging_utils import configure_logging
-from repro.parallel import WorkloadBuilder
+from repro.parallel import WorkloadBuilder, pick_transport
 from repro.video import RESOLUTION_720P, SyntheticScene, make_scenario
 
 #: Fleet size of the sweep (acceptance floor: at least 16 cameras).
@@ -78,9 +73,9 @@ EDGE_COUNTS = (1, 2, 4, 8)
 DURATION_SECONDS = 12.0
 RENDER_SCALE = 0.06
 
-#: Reports across worker counts must agree to this tolerance (they are in
-#: practice bit-identical; the bound matches the serial regression contract).
-TOLERANCE = 1e-6
+#: Reports across worker counts must agree to this tolerance: the sharded
+#: run performs the same float operations, so they are bit-identical.
+TOLERANCE = 0.0
 
 #: The ``highway`` scenario is not in Table I; this spec gives it the same
 #: nominal-resolution cost accounting the registry datasets get.
@@ -157,8 +152,7 @@ def synthetic_jobs(count: int):
 
     The scale benchmark wants thousands of cameras without paying for
     synthetic video generation; the job costs here follow fixed arithmetic
-    progressions (no RNG), so every run — and every worker/transport
-    configuration — sees exactly the same fleet.
+    progressions (no RNG), so every run sees exactly the same fleet.
     """
     jobs = []
     for index in range(count):
@@ -179,69 +173,46 @@ def timed_run(jobs, config: SystemConfig, num_edges: int, workers: int):
                                      config=config, fleet_workers=workers)
     started = time.perf_counter()
     report = orchestrator.run()
-    return orchestrator, report, time.perf_counter() - started
+    return report, time.perf_counter() - started
 
 
 def run_scale_comparison(num_cameras: int, num_edges: int, workers: int,
-                         scale_config: SystemConfig, min_speedup: float):
-    """Time the pickle/static baseline against the scale-out configuration.
+                         config: SystemConfig, min_speedup: float):
+    """Time the single-process run against the sharded one.
 
-    Both parallel paths (and the serial reference) must produce the same
-    report; only the wall clock may differ.  Returns the comparison rows
-    for the JSON artifact; raises when the configured scale-out path fails
-    the ``--min-speedup`` gate against the serial reference.
+    Both must produce the same report; only the wall clock may differ.
+    Returns the comparison row for the JSON artifact; raises when the
+    sharded run fails the ``--min-speedup`` gate.
     """
     jobs = synthetic_jobs(num_cameras)
-    baseline_config = SystemConfig(
-        precision=scale_config.precision, fleet_transport=TRANSPORT_PICKLE,
-        fleet_stealing=False, fleet_regions=1)
-    _, serial_report, serial_wall = timed_run(jobs, baseline_config,
-                                              num_edges, workers=1)
-    _, static_report, static_wall = timed_run(jobs, baseline_config,
-                                              num_edges, workers)
-    orchestrator, scale_report, scale_wall = timed_run(
-        jobs, scale_config, num_edges, workers)
-    for name, report in (("pickle/static", static_report),
-                         ("scale-out", scale_report)):
-        mismatches = serial_report.parity_mismatches(report, TOLERANCE)
-        if mismatches:
-            raise AssertionError(f"{name} diverged from the serial run: "
-                                 + "; ".join(mismatches))
-    speedup_vs_serial = serial_wall / scale_wall if scale_wall > 0 else 0.0
-    speedup_vs_static = static_wall / scale_wall if scale_wall > 0 else 0.0
-    steal_log = orchestrator.last_steal_log
+    serial_report, serial_wall = timed_run(jobs, config, num_edges, workers=1)
+    sharded_report, sharded_wall = timed_run(jobs, config, num_edges, workers)
+    mismatches = serial_report.parity_mismatches(sharded_report, TOLERANCE)
+    if mismatches:
+        raise AssertionError("the sharded run diverged from the serial run: "
+                             + "; ".join(mismatches))
+    speedup = serial_wall / sharded_wall if sharded_wall > 0 else 0.0
+    transport = pick_transport().kind
     print(f"--- scale comparison: {num_cameras} cameras, {num_edges} edges, "
           f"fleet_workers={workers} ---")
-    print(f"  serial reference      : {serial_wall * 1e3:8.1f} ms")
-    print(f"  pickle/static baseline: {static_wall * 1e3:8.1f} ms")
-    print(f"  scale-out path        : {scale_wall * 1e3:8.1f} ms  "
-          f"({scale_config.fleet_transport}, "
-          f"steal={scale_config.fleet_stealing}, "
-          f"regions={scale_config.fleet_regions})")
-    print(f"  speedup vs serial     : {speedup_vs_serial:8.2f}x")
-    print(f"  speedup vs baseline   : {speedup_vs_static:8.2f}x")
-    if steal_log is not None:
-        print(f"  steals                : {steal_log.steals} of "
-              f"{len(steal_log.records)} claims")
-    print("  parity                : all paths match the serial run "
-          f"(<= {TOLERANCE:g})")
-    if speedup_vs_serial < min_speedup:
+    print(f"  serial reference : {serial_wall * 1e3:8.1f} ms")
+    print(f"  sharded          : {sharded_wall * 1e3:8.1f} ms  "
+          f"(transport: {transport})")
+    print(f"  speedup vs serial: {speedup:8.2f}x")
+    print("  parity           : the sharded report equals the serial one "
+          f"(tolerance {TOLERANCE:g})")
+    if speedup < min_speedup:
         raise AssertionError(
-            f"scale-out speedup {speedup_vs_serial:.2f}x vs serial is below "
+            f"sharded speedup {speedup:.2f}x vs serial is below "
             f"the --min-speedup gate {min_speedup:.2f}x")
     return {
         "num_cameras": num_cameras,
         "num_edges": num_edges,
         "fleet_workers": workers,
         "serial_wall_seconds": serial_wall,
-        "static_wall_seconds": static_wall,
-        "scaleout_wall_seconds": scale_wall,
-        "speedup_vs_serial": speedup_vs_serial,
-        "speedup_vs_static": speedup_vs_static,
-        "transport": scale_config.fleet_transport,
-        "stealing": scale_config.fleet_stealing,
-        "regions": scale_config.fleet_regions,
-        "steal_log": steal_log.as_dict() if steal_log is not None else None,
+        "sharded_wall_seconds": sharded_wall,
+        "speedup_vs_serial": speedup,
+        "transport": transport,
     }
 
 
@@ -298,23 +269,10 @@ def main() -> None:
              "bit-identical hot paths) or 'fast' (float32 kernels under "
              "the FAST_CONTRACT accuracy budget)")
     parser.add_argument(
-        "--transport", choices=sorted(TRANSPORT_MODES),
-        default=TRANSPORT_PICKLE,
-        help="worker payload transport: 'pickle' (default), 'shm' "
-             "(shared-memory segments) or 'auto' (shm when available)")
-    parser.add_argument(
-        "--steal", action="store_true",
-        help="claim edge tasks from the shared work-stealing queue instead "
-             "of static round-robin shards")
-    parser.add_argument(
-        "--regions", type=int, default=1,
-        help="cloud-replay regions for the hierarchical region->global "
-             "merge (default: 1 = flat; 0 = one region per fleet worker)")
-    parser.add_argument(
         "--scale-cameras", type=int, default=0, metavar="N",
         help="also run the synthetic N-camera scale comparison (no "
-             "workload rendering): pickle/static baseline vs the "
-             "configured scale-out path, parity-checked")
+             "workload rendering): single-process vs sharded over the "
+             "largest --workers count, parity-checked")
     parser.add_argument(
         "--min-speedup", type=float, default=0.0,
         help="fail unless the scale comparison's speedup vs the serial "
@@ -330,18 +288,11 @@ def main() -> None:
     arguments = parser.parse_args()
     if arguments.build_workers < 0:
         parser.error("--build-workers must be >= 0 (0 = auto)")
-    if arguments.regions < 0:
-        parser.error("--regions must be >= 0 (0 = auto)")
     if arguments.scale_cameras < 0:
         parser.error("--scale-cameras must be >= 0")
     configure_logging()
-    config = SystemConfig(precision=arguments.precision,
-                          fleet_transport=arguments.transport,
-                          fleet_stealing=arguments.steal,
-                          fleet_regions=arguments.regions)
+    config = SystemConfig(precision=arguments.precision)
     print(f"Numeric contract: {config.contract.describe()}")
-    print(f"Scale-out knobs: transport={config.fleet_transport} "
-          f"steal={config.fleet_stealing} regions={config.fleet_regions}")
     mode = DeploymentMode.IFRAME_EDGE_CLOUD_NN
 
     print(f"Preparing {NUM_CAMERAS}-camera fleet "
@@ -370,8 +321,7 @@ def main() -> None:
         else:
             assert_reports_match(baseline, reports, workers)
             print(f"fleet_workers={workers}: all "
-                  f"{len(reports)} reports match the single-process run "
-                  f"(<= {TOLERANCE:g}).\n")
+                  f"{len(reports)} reports equal the single-process run.\n")
     print("Aggregate throughput is monotonically non-decreasing in the "
           "number of edge servers for every placement policy.")
 
@@ -388,9 +338,6 @@ def main() -> None:
         artifact = {
             "config": {
                 "precision": config.precision,
-                "transport": config.fleet_transport,
-                "stealing": config.fleet_stealing,
-                "regions": config.fleet_regions,
                 "worker_counts": worker_counts,
             },
             "sweep": [

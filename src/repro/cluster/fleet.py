@@ -128,8 +128,14 @@ class CameraJob:
         if not (0 <= self.edge_seconds < math.inf
                 and 0 <= self.cloud_seconds < math.inf):
             raise ClusterError("compute seconds must be finite and >= 0")
-        if self.camera_edge_bytes < 0 or self.edge_cloud_bytes < 0:
-            raise ClusterError("transfer bytes must be >= 0")
+        # Byte counts are whole bytes: the sharded fleet ships them as
+        # int64 columns, where a fraction would be floored (and the serial
+        # loop would not floor it) and 2**63 does not fit.
+        for value in (self.camera_edge_bytes, self.edge_cloud_bytes):
+            if not (0 <= value < 2 ** 63 and value == int(value)):
+                raise ClusterError(
+                    "transfer bytes must be whole numbers in [0, 2**63), "
+                    f"got {value!r}")
 
 
 @dataclass
@@ -498,8 +504,9 @@ class FleetOrchestrator:
             raise ClusterError("num_edge_servers must be >= 1")
         if edge_workers < 1:
             raise ClusterError("edge_workers must be >= 1")
-        if arrival_jitter_seconds < 0:
-            raise ClusterError("arrival_jitter_seconds must be >= 0")
+        if not 0 <= arrival_jitter_seconds < math.inf:
+            raise ClusterError(
+                "arrival_jitter_seconds must be finite and >= 0")
         self.jobs = list(jobs)
         self.num_edge_servers = int(num_edge_servers)
         self.config = config or SystemConfig()
@@ -514,15 +521,10 @@ class FleetOrchestrator:
         self.fault_plan = faults
         if faults is not None:
             faults.validate_for(self.num_edge_servers)
-        #: Claim pattern recorded by the last work-stealing run (see
-        #: :mod:`repro.parallel.stealing`); ``None`` otherwise.
-        self.last_steal_log = None
-        #: Set to a recorded log to re-run its claim pattern statically.
-        self.replay_steal_log = None
         try:
             self.fleet_workers = resolve_worker_count(
-                int(fleet_workers if fleet_workers is not None
-                    else self.config.fleet_workers), "fleet_workers")
+                fleet_workers if fleet_workers is not None
+                else self.config.fleet_workers, "fleet_workers")
         except ConfigurationError as error:
             raise ClusterError(str(error)) from error
 

@@ -9,8 +9,9 @@ paper's physical edge/cloud testbed.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict
 
 from .contracts import (PRECISION_ENV, PRECISION_EXACT, NumericContract,
@@ -29,25 +30,6 @@ DEFAULT_CAMERA_EDGE_BANDWIDTH_MBPS = 100.0
 #: cloud-side YOLO model ("resizing them to the resolution of the YOLO model
 #: (i.e., 300x300)").
 NN_INPUT_RESOLUTION = (300, 300)
-
-#: How the multiprocess fleet ships array payloads to its workers (see
-#: :mod:`repro.parallel.transport`).  ``"pickle"`` is the original pool
-#: channel, ``"shm"`` uses ``multiprocessing.shared_memory`` segments, and
-#: ``"auto"`` picks shared memory when the platform supports it.  The
-#: constants live here (not in the parallel package) so config validation
-#: never imports the execution layer.
-TRANSPORT_PICKLE = "pickle"
-TRANSPORT_SHM = "shm"
-TRANSPORT_AUTO = "auto"
-TRANSPORT_MODES = (TRANSPORT_PICKLE, TRANSPORT_SHM, TRANSPORT_AUTO)
-
-
-def validate_transport(mode: str) -> str:
-    """Validate a ``fleet_transport`` setting, returning it unchanged."""
-    if mode not in TRANSPORT_MODES:
-        raise ConfigurationError(
-            f"fleet_transport must be one of {TRANSPORT_MODES}, got {mode!r}")
-    return mode
 
 
 def default_precision() -> str:
@@ -81,6 +63,19 @@ def available_cpu_count() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
+def _whole_number(value: object, name: str) -> int:
+    """``value`` as an ``int``; fractions, strings, ``nan`` and ``inf`` are
+    refused with a :class:`ConfigurationError` rather than truncated."""
+    try:
+        integral = int(value)  # type: ignore[call-overload]
+    except (TypeError, ValueError, OverflowError):
+        integral = None
+    if integral is None or integral != value:
+        raise ConfigurationError(
+            f"{name} must be a whole number, got {value!r}")
+    return integral
+
+
 def resolve_worker_count(workers: int, name: str) -> int:
     """Resolve a worker-count setting, treating ``0`` as "auto".
 
@@ -88,6 +83,7 @@ def resolve_worker_count(workers: int, name: str) -> int:
     first, then :func:`os.cpu_count`, then ``1``); positive values pass
     through unchanged.
     """
+    workers = _whole_number(workers, name)
     if workers < 0:
         raise ConfigurationError(f"{name} must be >= 0, got {workers}")
     if workers == 0:
@@ -168,6 +164,8 @@ class SystemConfig:
             per-edge pipelines across a ``ProcessPoolExecutor`` and merge
             the results deterministically — the report is equal to the
             serial one regardless of worker count or completion order.
+            It is the only fleet setting: how edges are dealt to workers
+            and how their numbers travel are not configurable.
             ``0`` means "auto": the count resolves to
             :func:`available_cpu_count` at construction time.
         build_workers: Worker *processes* used to build experiment
@@ -179,29 +177,6 @@ class SystemConfig:
             the results deterministically by dataset — byte-identical
             cache artifacts and equal workload objects either way.
             ``0`` means "auto" (resolved via :func:`available_cpu_count`).
-        fleet_transport: How the multiprocess fleet moves array payloads
-            across the pool boundary (see :mod:`repro.parallel.transport`).
-            ``"pickle"`` (the default) serialises through the pool channel
-            exactly as before; ``"shm"`` packs the per-job arrays into
-            ``multiprocessing.shared_memory`` segments so the hot loop
-            stops pickling numpy data; ``"auto"`` resolves to shared
-            memory when the platform supports it.  Every mode produces
-            bit-identical reports — the transport moves bytes, never
-            changes them.
-        fleet_stealing: Whether pool workers *claim* edge tasks from a
-            shared longest-first queue instead of taking a static
-            round-robin shard (see :mod:`repro.parallel.stealing`).
-            ``False`` (the default) keeps the static shards.  Stealing
-            rebalances skewed fleets across workers; the report stays
-            bit-identical because results merge by edge index, and every
-            run records a replayable :class:`~repro.parallel.StealLog`.
-        fleet_regions: Regions of the hierarchical cloud replay.  ``1``
-            (the default) keeps the single-pass replay; larger values
-            split the arrival-order merge into per-region sorts plus a
-            global k-way merge, so the parent's replay stops being the
-            serial bottleneck at fleet scale.  ``0`` means "auto" (one
-            region per fleet worker).  Reports are bit-identical at any
-            region count.
         precision: Numeric mode of the hot paths.  ``"exact"`` (the
             default) keeps every optimised kernel bit-identical to the seed
             implementation; ``"fast"`` routes NN inference and the motion
@@ -222,35 +197,42 @@ class SystemConfig:
     nn_batch_size: int = 16
     fleet_workers: int = 1
     build_workers: int = 1
-    fleet_transport: str = TRANSPORT_PICKLE
-    fleet_stealing: bool = False
-    fleet_regions: int = 1
     precision: str = field(default_factory=default_precision)
     seed: int = 20200601
 
     def __post_init__(self) -> None:
-        if self.edge_cloud_bandwidth_mbps <= 0:
-            raise ConfigurationError("edge_cloud_bandwidth_mbps must be positive")
-        if self.camera_edge_bandwidth_mbps <= 0:
-            raise ConfigurationError("camera_edge_bandwidth_mbps must be positive")
-        if self.edge_cloud_latency_ms < 0 or self.camera_edge_latency_ms < 0:
-            raise ConfigurationError("latencies must be non-negative")
+        try:
+            self._check_fields()
+        except (TypeError, ValueError) as error:
+            # A value of the wrong type or shape ("30", (300,)) fails inside
+            # a comparison or the unpacking below, not at a check.
+            raise ConfigurationError(
+                f"malformed SystemConfig value: {error}") from error
+
+    def _check_fields(self) -> None:
+        # Chained comparisons, so nan (which passes ``<= 0``) and inf are
+        # refused here rather than becoming every transfer's duration.
+        for name in ("edge_cloud_bandwidth_mbps", "camera_edge_bandwidth_mbps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
+        if not (0 <= self.edge_cloud_latency_ms < math.inf
+                and 0 <= self.camera_edge_latency_ms < math.inf):
+            raise ConfigurationError(
+                "latencies must be finite and non-negative")
         width, height = self.nn_input_resolution
-        if width <= 0 or height <= 0:
+        if not (0 < width < math.inf and 0 < height < math.inf):
             raise ConfigurationError("nn_input_resolution must be positive")
+        # The dataclass is frozen, so normalised values (whole numbers as
+        # ints, 0 = "auto" resolved for both worker pools) are written
+        # through object.__setattr__ once here.
+        object.__setattr__(self, "nn_batch_size", _whole_number(
+            self.nn_batch_size, "nn_batch_size"))
         if self.nn_batch_size < 1:
             raise ConfigurationError("nn_batch_size must be >= 1")
-        # 0 = "auto" for both worker pools; the dataclass is frozen, so the
-        # resolved counts are written through object.__setattr__ once here.
         object.__setattr__(self, "fleet_workers", resolve_worker_count(
             self.fleet_workers, "fleet_workers"))
         object.__setattr__(self, "build_workers", resolve_worker_count(
             self.build_workers, "build_workers"))
-        validate_transport(self.fleet_transport)
-        if self.fleet_regions < 0:
-            raise ConfigurationError(
-                f"fleet_regions must be >= 0 (0 = auto), "
-                f"got {self.fleet_regions}")
         validate_precision(self.precision)
 
     @property
@@ -260,22 +242,7 @@ class SystemConfig:
 
     def with_bandwidth(self, edge_cloud_mbps: float) -> "SystemConfig":
         """Return a copy with a different edge->cloud bandwidth."""
-        return SystemConfig(
-            edge_cloud_bandwidth_mbps=edge_cloud_mbps,
-            camera_edge_bandwidth_mbps=self.camera_edge_bandwidth_mbps,
-            edge_cloud_latency_ms=self.edge_cloud_latency_ms,
-            camera_edge_latency_ms=self.camera_edge_latency_ms,
-            hardware=self.hardware,
-            nn_input_resolution=self.nn_input_resolution,
-            nn_batch_size=self.nn_batch_size,
-            fleet_workers=self.fleet_workers,
-            build_workers=self.build_workers,
-            fleet_transport=self.fleet_transport,
-            fleet_stealing=self.fleet_stealing,
-            fleet_regions=self.fleet_regions,
-            precision=self.precision,
-            seed=self.seed,
-        )
+        return replace(self, edge_cloud_bandwidth_mbps=edge_cloud_mbps)
 
 
 DEFAULT_SYSTEM_CONFIG = SystemConfig()

@@ -3,14 +3,14 @@
 The multiprocess fleet (:mod:`repro.parallel.fleet`) ships two payloads per
 run: the packed per-job arrays every worker reads (arrival offsets, per-tier
 byte and second columns) and the per-job result arrays the workers produce
-(cloud arrival times plus the stage service-start tie chain).  The original
-implementation serialised all of it through the process pool's pickle
-channel — one copy to encode, one to decode, per worker.  At fleet scale
-(thousands of cameras) that serialisation is pure overhead: the arrays are
-flat, fixed-dtype and known-size, which is exactly the payload
-``multiprocessing.shared_memory`` moves for free.
+(cloud arrival times plus the stage service-start tie chain).  The arrays
+are flat, fixed-dtype and known-size, which is exactly the payload
+``multiprocessing.shared_memory`` moves for free; serialising them through
+the process pool's pickle channel costs one copy to encode and one to
+decode, per worker.
 
-:class:`ShardTransport` abstracts the choice:
+There are two transports and :func:`pick_transport` chooses between them
+from what the platform offers — it is not a setting:
 
 * :class:`SharedMemoryTransport` packs a bundle of named arrays into one
   shared-memory segment; the :class:`ShardHandle` that crosses the pickle
@@ -19,15 +19,14 @@ flat, fixed-dtype and known-size, which is exactly the payload
   views.  Result bundles are *allocated* by the parent and written in place
   by the workers — each worker owns disjoint row slots, so no locking is
   needed and a crashed worker's partial writes are simply recomputed.
-* :class:`PickleTransport` carries the same bundle inline in the handle —
-  the exact behaviour (and cost) of the original pickle path.  It is the
-  default (``SystemConfig.fleet_transport = "pickle"``) and the automatic
-  fallback when shared memory is unavailable (restricted sandboxes with no
+* :class:`PickleTransport` carries the same bundle inline in the handle,
+  through the pool's pickle channel.  It is what runs where shared-memory
+  segments cannot be created (restricted sandboxes with no writable
   ``/dev/shm``).
 
 Lifecycle: segments are owned by the *creating* process.  Transports track
 every segment they created and :meth:`ShardTransport.cleanup` unlinks them
-all; :func:`transport` is a context manager wrapping that, and a module
+all; a transport is a context manager wrapping that, and a module
 ``atexit`` hook sweeps anything a hard crash left behind.  Workers only
 ever ``close()`` their attachment (dropping a mapping), never ``unlink``
 — so a worker killed mid-simulation (the ``WorkerKill`` fault, an OOM
@@ -40,22 +39,17 @@ from __future__ import annotations
 import atexit
 import os
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..config import (TRANSPORT_AUTO, TRANSPORT_MODES, TRANSPORT_PICKLE,
-                      TRANSPORT_SHM, validate_transport)
 from ..errors import ConfigurationError
 
 __all__ = [
-    "TRANSPORT_AUTO", "TRANSPORT_MODES", "TRANSPORT_PICKLE", "TRANSPORT_SHM",
     "ArraySpec", "ShardHandle", "ShardTransport", "PickleTransport",
-    "SharedMemoryTransport", "make_transport", "transport", "open_handle",
-    "shm_available", "resolve_transport", "validate_transport",
-    "active_segment_names",
+    "SharedMemoryTransport", "pick_transport", "open_handle",
+    "shm_available", "active_segment_names",
 ]
 
 #: Prefix of every shared-memory segment this library creates.  Segment
@@ -98,14 +92,6 @@ def shm_available() -> bool:
     return True
 
 
-def resolve_transport(mode: str) -> str:
-    """Resolve ``"auto"`` to the best available concrete transport."""
-    validate_transport(mode)
-    if mode == TRANSPORT_AUTO:
-        return TRANSPORT_SHM if shm_available() else TRANSPORT_PICKLE
-    return mode
-
-
 @dataclass(frozen=True)
 class ArraySpec:
     """Placement of one named array inside a segment.
@@ -134,8 +120,7 @@ class ShardHandle:
 
     For the shared-memory transport the handle carries only the segment
     name and the specs; for the pickle transport it carries the arrays
-    themselves (``inline``), which reproduces the original pool-channel
-    behaviour byte for byte.
+    themselves (``inline``), which ride the pool channel with it.
 
     Attributes:
         kind: ``"shm"`` or ``"pickle"``.
@@ -163,12 +148,13 @@ class ShardHandle:
 class ShardTransport:
     """Moves named numpy array bundles between the parent and its workers.
 
-    Use :func:`make_transport` (or the :func:`transport` context manager)
-    to construct the right concrete transport; the base class implements
-    the inline/pickle behaviour and the lifecycle bookkeeping.
+    :func:`pick_transport` constructs the right concrete transport; the
+    base class implements the inline/pickle behaviour and the lifecycle
+    bookkeeping.  Use it as a context manager so cleanup always runs, even
+    on pool crashes.
     """
 
-    kind = TRANSPORT_PICKLE
+    kind = "pickle"
 
     def publish(self, arrays: Mapping[str, np.ndarray]) -> ShardHandle:
         """Make a read-only bundle available to workers."""
@@ -217,19 +203,19 @@ class ShardTransport:
 
 
 class PickleTransport(ShardTransport):
-    """The original behaviour: bundles ride the pool's pickle channel."""
+    """Bundles ride the pool's pickle channel inside their handles."""
 
 
 class SharedMemoryTransport(ShardTransport):
     """Bundles live in shared-memory segments; handles carry only names.
 
     The transport owns every segment it creates and unlinks them all in
-    :meth:`cleanup` — callers wrap runs in ``with transport(...)`` (or a
-    try/finally) so a crashed pool, a failed replay or an injected worker
-    kill still releases the segments.
+    :meth:`cleanup` — callers wrap runs in ``with`` (or a try/finally) so
+    a crashed pool, a failed replay or an injected worker kill still
+    releases the segments.
     """
 
-    kind = TRANSPORT_SHM
+    kind = "shm"
 
     def __init__(self) -> None:
         shared_memory = _shared_memory_module()
@@ -297,27 +283,14 @@ class SharedMemoryTransport(ShardTransport):
             _ACTIVE_SEGMENTS.pop(name, None)
 
 
-def make_transport(mode: str) -> ShardTransport:
-    """Construct the transport for a resolved mode (``"auto"`` accepted)."""
-    resolved = resolve_transport(mode)
-    if resolved == TRANSPORT_SHM:
-        try:
-            return SharedMemoryTransport()
-        except ConfigurationError:
-            if mode == TRANSPORT_SHM:
-                raise
-            resolved = TRANSPORT_PICKLE  # pragma: no cover - auto fallback
-    return PickleTransport()
+def pick_transport() -> ShardTransport:
+    """Shared memory where segments can be created, else the pickle channel.
 
-
-@contextmanager
-def transport(mode: str) -> Iterator[ShardTransport]:
-    """Context-managed transport: cleanup always runs, even on pool crashes."""
-    instance = make_transport(mode)
-    try:
-        yield instance
-    finally:
-        instance.cleanup()
+    Reports are bit-identical either way — a transport moves bytes, never
+    changes them — so which one runs is a fact about the platform
+    (:func:`shm_available`), not a choice anyone has to make.
+    """
+    return SharedMemoryTransport() if shm_available() else PickleTransport()
 
 
 @dataclass

@@ -63,6 +63,12 @@ class TestValidation:
             FleetOrchestrator(jobs, cloud_workers=0)
         with pytest.raises(ClusterError):
             FleetOrchestrator(jobs, arrival_jitter_seconds=-1.0)
+        # Regression: nan passed ``< 0`` and died as a bare OverflowError
+        # inside rng.uniform at run time.
+        with pytest.raises(ClusterError):
+            FleetOrchestrator(jobs, arrival_jitter_seconds=float("nan"))
+        with pytest.raises(ClusterError):
+            FleetOrchestrator(jobs, fleet_workers=1.5)
         with pytest.raises(ClusterError):
             FleetOrchestrator(jobs, policy="sharpest-edge-first")
 
@@ -80,6 +86,27 @@ class TestValidation:
         numpy RuntimeWarnings) in the report; inf as an infinite run."""
         with pytest.raises(ClusterError):
             make_job("cam", **{field: value})
+
+    @pytest.mark.parametrize("field", ["camera_edge_bytes",
+                                       "edge_cloud_bytes"])
+    @pytest.mark.parametrize("value", [1_000_000.75, 2 ** 63, 2 ** 70,
+                                       float("nan"), float("inf")])
+    def test_byte_counts_must_be_whole_and_fit_int64(self, field, value):
+        """Regression: the sharded fleet ships byte counts as int64
+        columns, so a fractional count was floored there and nowhere else
+        (eight jobs of 1_000_000.75 + i bytes on 2 edges: makespan
+        0.71166734 serial vs 0.71166675 sharded) and 2**70 was a bare
+        OverflowError only under ``fleet_workers > 1``."""
+        with pytest.raises(ClusterError):
+            make_job("cam", **{field: value})
+
+    def test_whole_valued_float_byte_counts_stay_legal(self):
+        jobs = [make_job(f"cam-{index}", camera_edge_bytes=1e6 + index,
+                         edge_cloud_bytes=2.5e5) for index in range(8)]
+        serial = FleetOrchestrator(jobs, num_edge_servers=2).run()
+        sharded = FleetOrchestrator(jobs, num_edge_servers=2,
+                                    fleet_workers=2).run()
+        assert serial.parity_mismatches(sharded, 0.0) == []
 
     def test_policy_from_name_accepts_value_and_name(self):
         assert PlacementPolicy.from_name("least-loaded") is \

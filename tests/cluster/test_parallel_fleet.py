@@ -2,10 +2,9 @@
 
 The contract under test: for any job list, configuration and seed,
 ``FleetOrchestrator`` with ``fleet_workers=N`` produces a report equal to
-the single-process reference path (``fleet_workers=1``) — the same 1e-6
-bound the serial regression suite pins, though in practice the decomposed
-simulation is bit-identical because per-edge virtual timestamps are chains
-of the same float additions.
+the single-process reference path (``fleet_workers=1``) — bit-identical,
+because per-edge virtual timestamps are chains of the same float
+additions.
 """
 
 import math
@@ -15,10 +14,9 @@ import pytest
 from repro.cluster.fleet import CameraJob, FleetOrchestrator
 from repro.config import SystemConfig
 from repro.errors import ClusterError, ConfigurationError
-from repro.parallel import (EdgeSimTask, empty_edge_result, replay_cloud,
-                            simulate_edge)
+from repro.parallel import empty_edge_result, replay_cloud
 
-TOLERANCE = 1e-6
+TOLERANCE = 0.0
 
 
 def make_jobs(count, heterogeneous=True):
@@ -205,32 +203,34 @@ class TestEmptyTiers:
     def test_empty_edge_result_shape(self):
         result = empty_edge_result(7)
         assert result.edge_index == 7
-        assert result.job_indices == ()
         assert result.events_processed == 0
         assert result.lan_stats.busy_seconds == 0.0
 
 
 class TestParallelComponents:
-    def test_simulate_edge_empty_task(self):
-        task = EdgeSimTask(edge_index=2, job_indices=(), jobs=(),
-                           start_offsets=(), config=SystemConfig(),
-                           edge_workers=1)
-        assert simulate_edge(task) == empty_edge_result(2)
-
     def test_replay_cloud_fifo_and_stats(self):
-        # Three jobs, one cloud slot: arrivals at 0, 0, 1; ties served in
-        # job-index order.
+        # Three jobs, one cloud slot: arrivals at 0, 0, 1, inserted in job
+        # order; the tied pair is served in insertion order.
         ends, stats, finish_events = replay_cloud(
             arrivals=[0.0, 0.0, 1.0], service_seconds=[2.0, 2.0, 2.0],
-            cloud_workers=1)
+            cloud_workers=1, insert_times=[0.0, 0.0, 0.0], order=[0, 1, 2])
         assert ends == [2.0, 4.0, 6.0]
         assert stats.busy_seconds == 6.0
         assert stats.completed == 3
         assert finish_events == 3
 
+    def test_replay_cloud_insertion_order_breaks_arrival_ties(self):
+        # Same arrivals, but job 1's WAN transfer started first: its
+        # completion event was inserted first, so the cloud serves it first.
+        ends, _, _ = replay_cloud(
+            arrivals=[3.0, 3.0], service_seconds=[5.0, 1.0],
+            cloud_workers=1, insert_times=[2.0, 1.0], order=[1, 0])
+        assert ends == [9.0, 4.0]
+
     def test_replay_cloud_parallel_slots(self):
         ends, stats, _ = replay_cloud(
-            arrivals=[0.0, 0.0], service_seconds=[3.0, 1.0], cloud_workers=2)
+            arrivals=[0.0, 0.0], service_seconds=[3.0, 1.0], cloud_workers=2,
+            insert_times=[0.0, 0.0], order=[0, 1])
         assert ends == [3.0, 1.0]
         assert stats.max_queue_depth == 0
 

@@ -10,13 +10,12 @@ import os
 
 import pytest
 
-from repro.cluster.fleet import FleetOrchestrator
-from repro.config import TRANSPORT_SHM, SystemConfig
 from repro.faults import FaultPlan, WorkerKill
-from repro.parallel import active_segment_names, shm_available, transport
+from repro.parallel import (SharedMemoryTransport, active_segment_names,
+                            shm_available)
 from repro.parallel.transport import SEGMENT_PREFIX
 
-from test_fleet_scaleout import make_jobs, run_fleet, scale_config
+from test_fleet_scaleout import make_jobs, run_fleet
 
 pytestmark = pytest.mark.skipif(not shm_available(),
                                 reason="no shared memory here")
@@ -45,8 +44,7 @@ def assert_no_preexisting_leak():
 class TestLifecycle:
     def test_clean_fleet_run_leaves_nothing(self):
         jobs = make_jobs(10)
-        config = scale_config(TRANSPORT_SHM)
-        _, report = run_fleet(jobs, workers=3, config=config)
+        report = run_fleet(jobs, workers=3)
         assert report.num_cameras == len(jobs)
 
     def test_parent_exception_inside_context(self):
@@ -54,7 +52,7 @@ class TestLifecycle:
             pass
 
         with pytest.raises(Boom):
-            with transport(TRANSPORT_SHM) as channel:
+            with SharedMemoryTransport() as channel:
                 channel.allocate({"values": ("float64", (128,))})
                 assert active_segment_names()
                 raise Boom()
@@ -63,19 +61,14 @@ class TestLifecycle:
         """A worker dying mid-task breaks the pool; the parent redoes the
         lost work inline and must still tear every segment down."""
         jobs = make_jobs(10)
-        orchestrator = FleetOrchestrator(
-            jobs, num_edge_servers=4, policy="least-loaded",
-            arrival_jitter_seconds=1.0, seed=7, fleet_workers=3,
-            config=scale_config(TRANSPORT_SHM),
+        report = run_fleet(
+            jobs, workers=3, num_edges=4,
             faults=FaultPlan(specs=(WorkerKill(edge_index=2),)))
-        report = orchestrator.run()
-        _, reference = run_fleet(jobs, workers=1, num_edges=4,
-                                 config=SystemConfig())
-        assert reference.parity_mismatches(report, 1e-6) == []
+        reference = run_fleet(jobs, workers=1, num_edges=4)
+        assert reference.parity_mismatches(report, 0.0) == []
 
     def test_repeated_runs_do_not_accumulate(self):
         jobs = make_jobs(6)
-        config = scale_config(TRANSPORT_SHM)
         for _ in range(3):
-            run_fleet(jobs, workers=2, config=config)
+            run_fleet(jobs, workers=2)
             assert not active_segment_names()

@@ -1,4 +1,4 @@
-"""Shard transport: handle round-trips, SHM lifecycle, fallback resolution."""
+"""Shard transport: handle round-trips and SHM lifecycle."""
 
 import multiprocessing
 import pickle
@@ -6,12 +6,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.config import (TRANSPORT_AUTO, TRANSPORT_MODES, TRANSPORT_PICKLE,
-                          TRANSPORT_SHM, validate_transport)
-from repro.errors import ConfigurationError
 from repro.parallel import (PickleTransport, SharedMemoryTransport,
-                            active_segment_names, make_transport, open_handle,
-                            resolve_transport, shm_available, transport)
+                            active_segment_names, open_handle, shm_available)
 
 
 def sample_arrays():
@@ -28,36 +24,10 @@ def assert_bundle_equal(arrays, expected):
         assert arrays[name].dtype == array.dtype
 
 
-class TestModeValidation:
-    def test_known_modes(self):
-        for mode in TRANSPORT_MODES:
-            validate_transport(mode)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            validate_transport("carrier-pigeon")
-        with pytest.raises(ConfigurationError):
-            make_transport("carrier-pigeon")
-
-    def test_resolution(self):
-        assert resolve_transport(TRANSPORT_PICKLE) == TRANSPORT_PICKLE
-        if shm_available():
-            assert resolve_transport(TRANSPORT_SHM) == TRANSPORT_SHM
-            assert resolve_transport(TRANSPORT_AUTO) == TRANSPORT_SHM
-        else:
-            assert resolve_transport(TRANSPORT_AUTO) == TRANSPORT_PICKLE
-
-    def test_make_transport_types(self):
-        assert isinstance(make_transport(TRANSPORT_PICKLE), PickleTransport)
-        if shm_available():
-            assert isinstance(make_transport(TRANSPORT_SHM),
-                              SharedMemoryTransport)
-
-
 class TestPickleTransport:
     def test_publish_round_trip(self):
         expected = sample_arrays()
-        with transport(TRANSPORT_PICKLE) as channel:
+        with PickleTransport() as channel:
             assert not channel.is_shared
             handle = channel.publish(expected)
             assert handle.is_inline
@@ -65,14 +35,14 @@ class TestPickleTransport:
                 assert_bundle_equal(arrays, expected)
 
     def test_handle_pickles(self):
-        with transport(TRANSPORT_PICKLE) as channel:
+        with PickleTransport() as channel:
             handle = channel.publish(sample_arrays())
             clone = pickle.loads(pickle.dumps(handle))
             with open_handle(clone) as arrays:
                 assert_bundle_equal(arrays, sample_arrays())
 
     def test_attach_returns_arrays(self):
-        with transport(TRANSPORT_PICKLE) as channel:
+        with PickleTransport() as channel:
             handle = channel.publish(sample_arrays())
             assert_bundle_equal(channel.attach(handle), sample_arrays())
 
@@ -81,7 +51,7 @@ class TestPickleTransport:
 class TestSharedMemoryTransport:
     def test_publish_round_trip_and_cleanup(self):
         expected = sample_arrays()
-        with transport(TRANSPORT_SHM) as channel:
+        with SharedMemoryTransport() as channel:
             assert channel.is_shared
             handle = channel.publish(expected)
             assert not handle.is_inline
@@ -91,7 +61,7 @@ class TestSharedMemoryTransport:
         assert not active_segment_names()
 
     def test_allocate_then_write_then_attach(self):
-        with transport(TRANSPORT_SHM) as channel:
+        with SharedMemoryTransport() as channel:
             handle = channel.allocate({"values": ("float64", (4,))})
             with open_handle(handle) as arrays:
                 arrays["values"][:] = [1.0, 2.0, 3.0, 4.0]
@@ -102,7 +72,7 @@ class TestSharedMemoryTransport:
     def test_handle_pickles_and_opens_in_child(self):
         expected = sample_arrays()
         context = multiprocessing.get_context()
-        with transport(TRANSPORT_SHM) as channel:
+        with SharedMemoryTransport() as channel:
             handle = channel.publish(expected)
             with context.Pool(1) as pool:
                 total = pool.apply(_child_sum, (handle,))
@@ -113,7 +83,7 @@ class TestSharedMemoryTransport:
         # numpy views exported from the mapped buffer normally make
         # SharedMemory.close() raise BufferError; cleanup must still
         # unlink the segment (no /dev/shm leak) without raising.
-        channel = make_transport(TRANSPORT_SHM)
+        channel = SharedMemoryTransport()
         handle = channel.publish(sample_arrays())
         arrays = channel.attach(handle)
         assert arrays["offsets"].shape == (5,)

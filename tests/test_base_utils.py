@@ -68,6 +68,32 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SystemConfig(edge_cloud_bandwidth_mbps=0)
 
+    @pytest.mark.parametrize("fields", [
+        {"edge_cloud_bandwidth_mbps": float("nan")},
+        {"camera_edge_bandwidth_mbps": float("nan")},
+        {"edge_cloud_latency_ms": float("nan")},
+        {"camera_edge_latency_ms": float("inf")},
+        {"fleet_workers": 1.5},
+        {"build_workers": float("nan")},
+        {"nn_batch_size": 2.5},
+        {"nn_input_resolution": (300,)},
+        {"nn_input_resolution": "big"},
+        {"nn_input_resolution": (300, float("nan"))},
+        {"edge_cloud_bandwidth_mbps": "30"},
+        {"fleet_workers": "2"},
+    ])
+    def test_malformed_values_raise_the_typed_error(self, fields):
+        """``nan <= 0`` is false, so nan used to be accepted (and fractional
+        counts with it); a string or a mis-shaped tuple escaped as a bare
+        ``TypeError`` / ``ValueError`` out of the comparison itself."""
+        with pytest.raises(ConfigurationError):
+            SystemConfig(**fields)
+
+    def test_whole_valued_floats_normalise_to_ints(self):
+        config = SystemConfig(fleet_workers=2.0, nn_batch_size=8.0)
+        assert (config.fleet_workers, config.nn_batch_size) == (2, 8)
+        assert isinstance(config.fleet_workers, int)
+
     def test_invalid_calibration_rejected(self):
         with pytest.raises(ConfigurationError):
             HardwareCalibration(decode_ms_per_frame_1080p=-1)
