@@ -34,7 +34,6 @@ code with this module on purpose.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from ..config import SystemConfig
@@ -153,7 +152,7 @@ class StageChain:
     # ------------------------------------------------------------------ #
     def submit_at(self, time: float, unit: StageUnit) -> None:
         """Start ``unit`` down the chain at absolute virtual ``time``."""
-        self.scheduler.schedule_at(time, partial(self.enter_lan, unit))
+        self.scheduler.schedule_at(time, self.enter_lan, unit)
 
     def enter_lan(self, unit: StageUnit) -> None:
         """Camera -> edge transfer over the unit's LAN link."""

@@ -21,36 +21,43 @@ link's transfers on one.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from heapq import heappop, heappush
+from math import inf
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import DataflowError
 
-Action = Callable[[], None]
+Action = Callable[..., None]
 
 
 class EventScheduler:
     """A shared virtual clock ordering simulated events.
 
-    Events are ``(time, action)`` pairs kept in a heap; ties in time break by
-    submission order, so runs are deterministic regardless of callback
-    content.  All components of one simulation (compute stations, links)
-    must share a single scheduler — that is what makes their service times
-    contend instead of merely accumulating.
+    Events are ``(time, sequence, action, args)`` entries kept in a heap and
+    fired as ``action(*args)``: an event carries its argument, so scheduling
+    one builds no closure.  Ties in time break by submission sequence, so
+    runs are deterministic regardless of callback content.  All components
+    of one simulation (compute stations, links) must share a single
+    scheduler — that is what makes their service times contend instead of
+    merely accumulating.
+
+    Attributes:
+        now: Current virtual time in seconds.  Only the scheduler writes
+            it; everything else reads.
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Action]] = []
+        self._heap: List[Tuple[float, int, Action, tuple]] = []
         self._sequence = 0
-        self._now = 0.0
-        self.events_processed = 0
+        self.now = 0.0
 
     @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
+    def events_processed(self) -> int:
+        """Events fired so far: every event ever scheduled is either still
+        pending or has fired (the one firing now counts as fired)."""
+        return self._sequence - len(self._heap)
 
     @property
     def pending_events(self) -> int:
@@ -70,41 +77,48 @@ class EventScheduler:
         """Advance the clock to ``time`` without firing any event.
 
         Used by horizon-bounded runs and real-time clock drivers to move the
-        clock to a quiescent instant.  The target must not lie in the past or
-        beyond the next pending event (that event would then appear to fire
-        late).
+        clock to a quiescent instant.  The target must be finite and must
+        not lie in the past or beyond the next pending event (that event
+        would then appear to fire late).
         """
-        if time < self._now:
+        # Chained, like every guard below: nan fails it, ``time < now`` alone
+        # would let nan through and a nan heap key reorders time.
+        if not self.now <= time < inf:
             raise DataflowError(
-                f"cannot advance to {time:.6f}s, clock is at {self._now:.6f}s")
+                f"cannot advance to {time}s, clock is at {self.now:.6f}s")
         if self._heap and self._heap[0][0] < time:
             raise DataflowError(
                 f"cannot advance to {time:.6f}s past the pending event at "
                 f"{self._heap[0][0]:.6f}s")
-        self._now = float(time)
+        self.now = float(time)
 
-    def schedule_at(self, time: float, action: Action) -> None:
-        """Schedule ``action`` to fire at absolute virtual ``time``."""
-        if time < self._now:
+    def schedule_at(self, time: float, action: Action, *args: Any) -> None:
+        """Schedule ``action(*args)`` to fire at absolute virtual ``time``."""
+        if not self.now <= time < inf:
             raise DataflowError(
-                f"cannot schedule at {time:.6f}s, clock is at {self._now:.6f}s")
-        heapq.heappush(self._heap, (float(time), self._sequence, action))
+                f"cannot schedule at {time}s, clock is at {self.now:.6f}s")
+        heappush(self._heap, (float(time), self._sequence, action, args))
         self._sequence += 1
 
-    def schedule(self, delay: float, action: Action) -> None:
-        """Schedule ``action`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise DataflowError(f"event delay must be >= 0, got {delay}")
-        self.schedule_at(self._now + delay, action)
+    def schedule(self, delay: float, action: Action, *args: Any) -> None:
+        """Schedule ``action(*args)`` to fire ``delay`` seconds from now."""
+        if not 0 <= delay < inf:
+            raise DataflowError(
+                f"event delay must be finite and >= 0, got {delay}")
+        heappush(self._heap,
+                 (float(self.now + delay), self._sequence, action, args))
+        self._sequence += 1
 
     def step(self) -> bool:
-        """Fire the next event; returns ``False`` when none remain."""
+        """Fire the next event; returns ``False`` when none remain.
+
+        The one-event form :class:`~repro.service.clock.RealTimeClock`
+        paces; :meth:`run` fires the same events from its own loop.
+        """
         if not self._heap:
             return False
-        time, _, action = heapq.heappop(self._heap)
-        self._now = time
-        self.events_processed += 1
-        action()
+        self.now, _, action, args = heappop(self._heap)
+        action(*args)
         return True
 
     def run(self, until: Optional[float] = None) -> int:
@@ -114,20 +128,26 @@ class EventScheduler:
         pinned by ``tests/service/test_horizon_accounting.py``): an event
         scheduled *exactly at* ``until`` fires, strictly later events stay
         queued, the clock always advances to ``until``, and a subsequent
-        ``run()`` resumes from the untouched heap.
+        ``run()`` resumes from the untouched heap.  ``until`` must be
+        finite.
 
         Returns:
             The number of events fired by this call.
         """
-        fired = 0
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                break
-            self.step()
-            fired += 1
-        if until is not None and until > self._now:
+        if until is None:
+            horizon = inf
+        elif -inf < until < inf:
+            horizon = until
+        else:
+            raise DataflowError(f"run horizon must be finite, got {until}")
+        heap = self._heap
+        already_fired = self.events_processed
+        while heap and heap[0][0] <= horizon:
+            self.now, _, action, args = heappop(heap)
+            action(*args)
+        if until is not None and until > self.now:
             self.advance_to(until)
-        return fired
+        return self.events_processed - already_fired
 
 
 @dataclass
@@ -150,19 +170,23 @@ class StationStats:
     max_queue_depth: int = 0
 
 
-# eq=False: jobs are tracked by identity while in flight (payloads may be
-# numpy arrays, whose ``==`` is elementwise and cannot back list removal).
-@dataclass(eq=False)
 class _StationJob:
-    service_seconds: float
-    on_complete: Optional[Callable[[Any], None]]
-    payload: Any
-    on_start: Optional[Callable[[Any], None]] = None
-    started_at: float = 0.0
-    on_fail: Optional[Callable[[Any, str], None]] = None
-    # Set by fail_all on in-service jobs: their already-scheduled
-    # completion events fire as no-ops.
-    cancelled: bool = False
+    """One job in a station.  Hashed by identity (no ``__eq__``): payloads
+    may be numpy arrays, whose ``==`` is elementwise."""
+
+    #: ``started_at`` is set when the job starts, not before.
+    __slots__ = ("service_seconds", "on_complete", "payload", "on_start",
+                 "on_fail", "started_at")
+
+    def __init__(self, service_seconds: float,
+                 on_complete: Optional[Callable[[Any], None]], payload: Any,
+                 on_start: Optional[Callable[[Any], None]],
+                 on_fail: Optional[Callable[[Any, str], None]]) -> None:
+        self.service_seconds = service_seconds
+        self.on_complete = on_complete
+        self.payload = payload
+        self.on_start = on_start
+        self.on_fail = on_fail
 
 
 class ServiceStation:
@@ -171,20 +195,25 @@ class ServiceStation:
     Args:
         scheduler: The shared event scheduler.
         name: Station name (used in reports).
-        capacity: Number of jobs that can be in service simultaneously.
+        capacity: Number of jobs that can be in service simultaneously (a
+            whole number >= 1).
     """
 
     def __init__(self, scheduler: EventScheduler, name: str,
                  capacity: int = 1) -> None:
-        if capacity < 1:
-            raise DataflowError(f"station capacity must be >= 1, got {capacity}")
+        if not (1 <= capacity < inf and capacity == int(capacity)):
+            raise DataflowError(
+                f"station capacity must be a whole number >= 1, "
+                f"got {capacity}")
         self.scheduler = scheduler
         self.name = name
-        self.capacity = capacity
+        self.capacity = int(capacity)
         self.stats = StationStats()
+        #: Jobs that actually wait: a job submitted to an idle worker
+        #: never enters it.
         self._queue: Deque[_StationJob] = deque()
-        self._active: List[_StationJob] = []
-        self._in_service = 0
+        #: Jobs in service, in start order.
+        self._active: Dict[_StationJob, None] = {}
         self._online = True
 
     @property
@@ -195,7 +224,7 @@ class ServiceStation:
     @property
     def in_service(self) -> int:
         """Jobs currently occupying a worker."""
-        return self._in_service
+        return len(self._active)
 
     @property
     def online(self) -> bool:
@@ -207,25 +236,30 @@ class ServiceStation:
                payload: Any = None,
                on_start: Optional[Callable[[Any], None]] = None,
                on_fail: Optional[Callable[[Any, str], None]] = None) -> None:
-        """Enqueue a job taking ``service_seconds`` of worker time.
+        """Submit a job taking ``service_seconds`` of worker time.
 
-        ``on_start(payload)`` fires the moment the job leaves the queue and
-        occupies a worker (the same instant its completion event is
-        scheduled) — which is the insertion-order key for simultaneous
-        completions, used by the multiprocess decomposition to reproduce
-        the single-scheduler tie-breaking.
+        **Direct start:** when the station is online, nothing is waiting and
+        a worker is free, the job starts inside this call — it is never
+        queued, and its completion is the one event
+        ``schedule(service_seconds, finish, job)``.  Otherwise it joins the
+        FIFO queue and starts when a completion (or :meth:`resume`) frees
+        its turn.
+
+        ``on_start(payload)`` fires the moment the job occupies a worker
+        (the same instant its completion event is scheduled) — which is the
+        insertion-order key for simultaneous completions, used by the
+        multiprocess decomposition to reproduce the single-scheduler
+        tie-breaking.
 
         ``on_fail(payload, reason)`` fires only if the job is failed out
         by :meth:`fail_all` (the fault-injection plane); jobs submitted
         without it are silently dropped on failure.
         """
-        if service_seconds < 0:
+        if not 0 <= service_seconds < inf:
             raise DataflowError(
-                f"service time must be >= 0, got {service_seconds}")
-        self.stats.arrivals += 1
-        self._queue.append(_StationJob(float(service_seconds), on_complete,
-                                       payload, on_start, on_fail=on_fail))
-        self._try_start()
+                f"service time must be finite and >= 0, got {service_seconds}")
+        self._admit(_StationJob(float(service_seconds), on_complete, payload,
+                                on_start, on_fail))
 
     def pause(self) -> None:
         """Stop dispatching queued jobs (fault-injection hook).
@@ -238,7 +272,7 @@ class ServiceStation:
     def resume(self) -> None:
         """Resume dispatching after :meth:`pause`."""
         self._online = True
-        self._try_start()
+        self._dispatch()
 
     def fail_all(self, reason: str = "fault") -> int:
         """Fail every queued and in-service job (fault-injection hook).
@@ -253,12 +287,8 @@ class ServiceStation:
         Returns:
             The number of jobs failed.
         """
-        failed: List[_StationJob] = []
-        for job in self._active:
-            job.cancelled = True
-            failed.append(job)
+        failed: List[_StationJob] = list(self._active)
         self._active.clear()
-        self._in_service = 0
         failed.extend(self._queue)
         self._queue.clear()
         for job in failed:
@@ -266,35 +296,58 @@ class ServiceStation:
                 job.on_fail(job.payload, reason)
         return len(failed)
 
-    def _try_start(self) -> None:
-        while self._online and self._queue and self._in_service < self.capacity:
-            job = self._queue.popleft()
-            self._in_service += 1
-            job.started_at = self.scheduler.now
-            self._active.append(job)
+    def _admit(self, job: _StationJob) -> None:
+        stats = self.stats
+        stats.arrivals += 1
+        queue = self._queue
+        if not queue and self._online and len(self._active) < self.capacity:
+            # Nobody to overtake and a worker free: start in this hop (the
+            # body of the _dispatch loop, minus the queue).
+            scheduler = self.scheduler
+            job.started_at = scheduler.now
+            self._active[job] = None
             if job.on_start is not None:
                 job.on_start(job.payload)
-            self.scheduler.schedule(job.service_seconds,
-                                    lambda job=job: self._finish(job))
-        # Only jobs still waiting after dispatch count toward the peak depth.
-        self.stats.max_queue_depth = max(self.stats.max_queue_depth,
-                                         len(self._queue))
+            scheduler.schedule(job.service_seconds, self._finish, job)
+            return
+        queue.append(job)
+        # A worker can be free with jobs waiting only while _dispatch is
+        # mid-loop and an on_start callback re-entered here.
+        if self._online and len(self._active) < self.capacity:
+            self._dispatch()
+        # The only place depth can rise; jobs still waiting after dispatch
+        # count toward the peak.
+        if len(queue) > stats.max_queue_depth:
+            stats.max_queue_depth = len(queue)
+
+    def _dispatch(self) -> None:
+        """Start waiting jobs while the station is online and a worker free."""
+        queue, active, scheduler = self._queue, self._active, self.scheduler
+        while self._online and queue and len(active) < self.capacity:
+            job = queue.popleft()
+            job.started_at = scheduler.now
+            active[job] = None
+            if job.on_start is not None:
+                job.on_start(job.payload)
+            scheduler.schedule(job.service_seconds, self._finish, job)
 
     def _finish(self, job: _StationJob) -> None:
-        if job.cancelled:
+        try:
+            del self._active[job]
+        except KeyError:
             # The worker serving this job was failed out from under it by
             # fail_all; its completion event is a husk.
             return
-        self._in_service -= 1
-        self._active.remove(job)
         # Busy time accrues at completion, never at dispatch: a run cut off
         # at a horizon must not count unfinished service as consumed (which
         # used to push utilisation past 1.0 on truncated runs).
-        self.stats.busy_seconds += job.service_seconds
-        self.stats.completed += 1
+        stats = self.stats
+        stats.busy_seconds += job.service_seconds
+        stats.completed += 1
         if job.on_complete is not None:
             job.on_complete(job.payload)
-        self._try_start()
+        if self._queue:
+            self._dispatch()
 
     def busy_seconds_elapsed(self, now: Optional[float] = None) -> float:
         """Service time actually consumed by ``now``, in-flight pro-rated.

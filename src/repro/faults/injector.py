@@ -118,11 +118,10 @@ class ChainFaultDriver:
         #: resource -> the fault specs currently pausing it.
         self._holds: Dict[object, set] = {}
         for crash in plan.edge_crashes:
-            self.scheduler.schedule_at(crash.at_seconds,
-                                       partial(self._crash, crash))
+            self.scheduler.schedule_at(crash.at_seconds, self._crash, crash)
         for window in plan.wan_degradations:
             self.scheduler.schedule_at(window.at_seconds,
-                                       partial(self._wan_down, window))
+                                       self._wan_down, window)
 
     def _hold(self, resource, cause) -> None:
         """Pause ``resource`` on behalf of ``cause``."""
@@ -166,7 +165,7 @@ class ChainFaultDriver:
             self._relocate(index)
         else:
             self.scheduler.schedule(spec.restart_after_seconds,
-                                    partial(self._restart, spec))
+                                    self._restart, spec)
         # on_fail hooks fire here: permanent crashes requeue onto the
         # failed-over edges, transient ones back onto the paused
         # resources (they wait for the restart).
@@ -208,8 +207,7 @@ class ChainFaultDriver:
                               f"edge={index} "
                               f"factor={spec.bandwidth_factor:.6f}")
             wan.set_slowdown(1.0 / spec.bandwidth_factor)
-        self.scheduler.schedule(spec.duration_seconds,
-                                partial(self._wan_up, spec))
+        self.scheduler.schedule(spec.duration_seconds, self._wan_up, spec)
 
     def _wan_up(self, spec: WanDegradation) -> None:
         now = self.scheduler.now
@@ -258,8 +256,7 @@ class ServiceFaultDriver(ChainFaultDriver):
             for index in range(service.num_edge_servers)}
         self._stalled: set = set()
         for stall in plan.stream_stalls:
-            self.scheduler.schedule_at(stall.at_seconds,
-                                       partial(self._stall, stall))
+            self.scheduler.schedule_at(stall.at_seconds, self._stall, stall)
         if resilience.stall_timeout_seconds is not None:
             self.scheduler.schedule(resilience.watchdog_period_seconds,
                                     self._watchdog_tick)
@@ -357,7 +354,7 @@ class ServiceFaultDriver(ChainFaultDriver):
                           f"duration={spec.duration_seconds:.6f}")
         self._hold(lan, spec)
         self.scheduler.schedule(spec.duration_seconds,
-                                partial(self._unstall, spec, lan))
+                                self._unstall, spec, lan)
 
     def _unstall(self, spec: StreamStall, lan) -> None:
         self.trace.record(self.scheduler.now, "stream-resume",

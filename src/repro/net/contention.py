@@ -2,27 +2,41 @@
 
 A :class:`~repro.net.link.NetworkLink` is pure accounting: ``transfer``
 records how long a payload *would* take, but concurrent transfers do not
-delay one another.  :class:`ContendedLink` layers queueing on top — it
-serialises transfers over the link through a
-:class:`~repro.dataflow.scheduler.ServiceStation`, so when many cameras (or
-many edge servers) share one uplink, later transfers wait in virtual time
-and the fleet simulator observes the resulting queue depths and latency
-inflation.  The underlying link still receives one
-:class:`~repro.net.link.TransferRecord` per payload, so byte and duration
-totals stay comparable with the uncontended accounting.
+delay one another.  :class:`ContendedLink` layers queueing on top — it is
+the :class:`~repro.dataflow.scheduler.ServiceStation` the link's transfers
+are served by, so when many cameras (or many edge servers) share one
+uplink, later transfers wait in virtual time and the fleet simulator
+observes the resulting queue depths and latency inflation.  The underlying
+link still receives one :class:`~repro.net.link.TransferRecord` per
+payload, so byte and duration totals stay comparable with the uncontended
+accounting.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Optional
 
-from ..dataflow.scheduler import EventScheduler, ServiceStation, StationStats
+from ..dataflow.scheduler import EventScheduler, ServiceStation, _StationJob
 from ..errors import NetworkError
-from .link import NetworkLink
+from .link import NetworkLink, TransferRecord
 
 
-class ContendedLink:
+class _Transfer(_StationJob):
+    """A station job that carries the accounting entry of its transfer."""
+
+    __slots__ = ("record",)
+
+
+class ContendedLink(ServiceStation):
     """A network link whose transfers queue on a shared event scheduler.
+
+    The link *is* the station its transfers wait at (named
+    ``link:<link name>``), so queueing statistics (``stats``,
+    ``queue_depth``, ``in_service``, ``utilisation``) and the
+    fault-injection hooks (``pause`` partitions the link, ``resume`` lifts
+    the partition, ``fail_all`` loses every queued and in-flight transfer)
+    are :class:`ServiceStation`'s own.
 
     Args:
         scheduler: The shared virtual clock.
@@ -33,46 +47,17 @@ class ContendedLink:
 
     def __init__(self, scheduler: EventScheduler, link: NetworkLink,
                  channels: int = 1) -> None:
-        if channels < 1:
-            raise NetworkError(f"channels must be >= 1, got {channels}")
+        if not (1 <= channels < inf and channels == int(channels)):
+            raise NetworkError(
+                f"channels must be a whole number >= 1, got {channels}")
+        super().__init__(scheduler, f"link:{link.name}", capacity=channels)
         self.link = link
-        self._station = ServiceStation(scheduler, f"link:{link.name}",
-                                       capacity=channels)
         self._slowdown = 1.0
-
-    @property
-    def stats(self) -> StationStats:
-        """Queueing statistics of the link (busy time, peak queue depth)."""
-        return self._station.stats
-
-    @property
-    def queue_depth(self) -> int:
-        """Transfers currently waiting for the link."""
-        return self._station.queue_depth
-
-    @property
-    def in_service(self) -> int:
-        """Transfers currently occupying the link."""
-        return self._station.in_service
-
-    @property
-    def online(self) -> bool:
-        """Whether the link is carrying transfers (see :meth:`pause`)."""
-        return self._station.online
 
     @property
     def slowdown(self) -> float:
         """Current degradation factor (1.0 = full bandwidth)."""
         return self._slowdown
-
-    def pause(self) -> None:
-        """Partition the link (fault-injection hook): in-flight transfers
-        complete, queued and new transfers wait for :meth:`resume`."""
-        self._station.pause()
-
-    def resume(self) -> None:
-        """Lift a partition started by :meth:`pause`."""
-        self._station.resume()
 
     def set_slowdown(self, factor: float) -> None:
         """Stretch transfer times of *subsequently submitted* transfers.
@@ -82,19 +67,10 @@ class ContendedLink:
         duration arithmetic is skipped entirely, so the fault-free path
         produces bit-identical floats.
         """
-        if factor < 1.0:
-            raise NetworkError(f"slowdown factor must be >= 1.0, got {factor}")
+        if not 1.0 <= factor < inf:
+            raise NetworkError(
+                f"slowdown factor must be finite and >= 1.0, got {factor}")
         self._slowdown = float(factor)
-
-    def fail_all(self, reason: str = "fault") -> int:
-        """Fail every queued and in-flight transfer (fault-injection hook).
-
-        Failed transfers never reach the underlying link, so no bytes are
-        recorded for them — lost traffic is lost.  Returns the number of
-        transfers failed; their ``on_fail`` callbacks fire in order (see
-        :meth:`ServiceStation.fail_all`).
-        """
-        return self._station.fail_all(reason)
 
     def submit(self, size_bytes: int, description: str = "",
                on_complete: Optional[Callable[[Any], None]] = None,
@@ -103,33 +79,28 @@ class ContendedLink:
                on_fail: Optional[Callable[[Any, str], None]] = None) -> None:
         """Queue a transfer; ``on_complete(payload)`` fires on delivery.
 
+        The transfer's :class:`~repro.net.link.TransferRecord` — its size,
+        label and nominal (un-slowed) duration, computed once here — rides
+        on the station job and lands in ``link.transfers`` at delivery,
+        just before ``on_complete``; a transfer lost to :meth:`fail_all`
+        records nothing.  Starting follows the station's direct-start rule
+        (see :meth:`ServiceStation.submit`): an idle, online link carries
+        the transfer without queueing it.
+
         ``on_start(payload)`` fires when the transfer actually occupies the
         link (after any queueing).  ``on_fail(payload, reason)`` fires only
         if the transfer is failed out by :meth:`fail_all`.
         """
-        if size_bytes < 0:
-            raise NetworkError("size_bytes must be >= 0")
-        duration = self.link.transfer_seconds(size_bytes)
-        if self._slowdown != 1.0:
-            duration *= self._slowdown
+        nominal = self.link.transfer_seconds(size_bytes)
+        job = _Transfer(
+            nominal if self._slowdown == 1.0 else nominal * self._slowdown,
+            on_complete, payload, on_start, on_fail)
+        job.record = TransferRecord(description, int(size_bytes), nominal)
+        self._admit(job)
 
-        def _deliver(delivered: Any) -> None:
-            self.link.transfer(size_bytes, description)
-            if on_complete is not None:
-                on_complete(delivered)
-
-        self._station.submit(duration, on_complete=_deliver, payload=payload,
-                             on_start=on_start, on_fail=on_fail)
-
-    def busy_seconds_elapsed(self, now: Optional[float] = None) -> float:
-        """Transfer time actually consumed by ``now`` (in-flight pro-rated)."""
-        return self._station.busy_seconds_elapsed(now)
-
-    def utilisation(self, makespan_seconds: float,
-                    now: Optional[float] = None) -> float:
-        """Fraction of link time spent transferring over ``makespan_seconds``.
-
-        With ``now`` given, an in-flight transfer is pro-rated to the
-        snapshot instant (see :meth:`ServiceStation.utilisation`).
-        """
-        return self._station.utilisation(makespan_seconds, now=now)
+    def _finish(self, job: _Transfer) -> None:
+        if job in self._active:  # else lost to fail_all: nothing moved
+            self.link.transfers.append(job.record)
+        # Named, not super(): two of a chunk's five events come through
+        # here and super() doubles the cost of the hop.
+        ServiceStation._finish(self, job)

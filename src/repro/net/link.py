@@ -9,12 +9,13 @@ transfer, which is what the data-transfer evaluation (Figure 5) reads out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import List
 
 from ..errors import NetworkError
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferRecord:
     """One completed transfer over a link.
 
@@ -45,21 +46,28 @@ class NetworkLink:
     transfers: List[TransferRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.bandwidth_mbps <= 0:
-            raise NetworkError(f"bandwidth must be positive, got {self.bandwidth_mbps}")
-        if self.latency_ms < 0:
-            raise NetworkError(f"latency must be >= 0, got {self.latency_ms}")
+        # Chained comparisons so nan (which passes ``<= 0``) and inf (a
+        # link that moves anything in 0.0 s) are refused too.
+        if not 0 < self.bandwidth_mbps < inf:
+            raise NetworkError(
+                f"bandwidth must be positive and finite, "
+                f"got {self.bandwidth_mbps}")
+        if not 0 <= self.latency_ms < inf:
+            raise NetworkError(
+                f"latency must be finite and >= 0, got {self.latency_ms}")
 
     def transfer_seconds(self, size_bytes: int) -> float:
         """Time to move ``size_bytes`` over the link (latency included)."""
-        if size_bytes < 0:
-            raise NetworkError("size_bytes must be >= 0")
+        if not 0 <= size_bytes < inf:
+            raise NetworkError(
+                f"size_bytes must be finite and >= 0, got {size_bytes}")
         return (size_bytes * 8) / (self.bandwidth_mbps * 1e6) + self.latency_ms / 1e3
 
     def transfer(self, size_bytes: int, description: str = "") -> TransferRecord:
         """Record a transfer and return its accounting entry."""
-        record = TransferRecord(description=description, size_bytes=int(size_bytes),
-                                duration_seconds=self.transfer_seconds(size_bytes))
+        # Duration first: it is what refuses a size int() would choke on.
+        duration = self.transfer_seconds(size_bytes)
+        record = TransferRecord(description, int(size_bytes), duration)
         self.transfers.append(record)
         return record
 

@@ -470,14 +470,15 @@ def replay_cloud(arrivals: Sequence[float], service_seconds: Sequence[float],
     cloud = ServiceStation(scheduler, "cloud", capacity=cloud_workers)
     ends: List[float] = [float("nan")] * len(arrivals)
 
+    def _finish(job_index: int) -> None:
+        ends[job_index] = scheduler.now
+
     def _submit(job_index: int) -> None:
-        def _finish(_: object) -> None:
-            ends[job_index] = scheduler.now
-        cloud.submit(service_seconds[job_index], on_complete=_finish)
+        cloud.submit(service_seconds[job_index], on_complete=_finish,
+                     payload=job_index)
 
     def _insert_arrival(job_index: int) -> None:
-        scheduler.schedule_at(arrivals[job_index],
-                              lambda job_index=job_index: _submit(job_index))
+        scheduler.schedule_at(arrivals[job_index], _submit, job_index)
 
     # Each arrival event must enter the heap at the instant the joint
     # simulation inserted the corresponding WAN-completion event — its WAN
@@ -488,9 +489,8 @@ def replay_cloud(arrivals: Sequence[float], service_seconds: Sequence[float],
     # themselves are pre-inserted in tie-chain order so equal start times
     # keep the joint order too.
     for job_index in order:
-        scheduler.schedule_at(
-            insert_times[job_index],
-            lambda job_index=job_index: _insert_arrival(job_index))
+        scheduler.schedule_at(insert_times[job_index],
+                              _insert_arrival, job_index)
     scheduler.run()
     # The starter and arrival events are replay bookkeeping standing in for
     # the workers' WAN-completion events; only cloud completions count.

@@ -19,6 +19,7 @@ the property the parity tests and ``examples/streaming_service.py`` pin.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Dict, Optional, Sequence
 
 from ..errors import BackpressureError, ServiceError
@@ -59,12 +60,16 @@ class ChunkFeeder:
                  retry_seconds: Optional[float] = None,
                  close_when_done: bool = True,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
-        if period_seconds <= 0:
+        # Chained comparisons: nan passes ``<= 0`` and would drain the
+        # feeder with the service clock at nan.
+        if not 0 < period_seconds < inf:
             raise ServiceError(
-                f"period_seconds must be positive, got {period_seconds}")
-        if retry_seconds is not None and retry_seconds <= 0:
+                f"period_seconds must be positive and finite, "
+                f"got {period_seconds}")
+        if retry_seconds is not None and not 0 < retry_seconds < inf:
             raise ServiceError(
-                f"retry_seconds must be positive, got {retry_seconds}")
+                f"retry_seconds must be positive and finite, "
+                f"got {retry_seconds}")
         self._service = service
         self.session_id = session_id
         self.chunks = list(chunks)
@@ -109,11 +114,12 @@ class ChunkFeeder:
         return self
 
     def _push(self) -> None:
-        if self.done:  # pragma: no cover - defensive; _push stops at the end.
-            return
-        chunk = self.chunks[self.next_index]
+        chunks = self.chunks
+        if self.next_index >= len(chunks):
+            return  # pragma: no cover - defensive; _push stops at the end.
         try:
-            self._service.push_frames(self.session_id, chunk)
+            self._service.push_frames(self.session_id,
+                                      chunks[self.next_index])
         except BackpressureError:
             # Push back: retry the same chunk later instead of dropping
             # it — until the policy's attempt budget runs out.
@@ -132,9 +138,10 @@ class ChunkFeeder:
             self.halted = True
             self._observe_attempts()
             return
-        self._observe_attempts()
+        if self._attempts:
+            self._observe_attempts()
         self.next_index += 1
-        if self.done:
+        if self.next_index >= len(chunks):
             self._maybe_close()
         else:
             self._service.after(self.period_seconds, self._push)

@@ -31,7 +31,8 @@ therefore every report field) is identical under any clock driver.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from math import inf
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..adapt.controller import AdaptiveConfig, AdaptiveTuningController
 from ..cluster.fleet import (CameraJob, FleetReport, JobOutcome,
@@ -59,32 +60,27 @@ class _ChunkRun(StageUnit):
     Placement lives on the session: the chain re-reads
     ``session.edge_index`` at every stage entry, so a chunk requeued (or
     simply still upstream) after a session failover lands on the
-    session's new edge.
+    session's new edge.  What never changes over a session's life — its
+    LAN key and the two transfer labels — is built once per session
+    (:meth:`StreamingService._attach_session`) and handed to every chunk.
     """
 
-    __slots__ = ("session", "arrival")
+    __slots__ = ("session", "arrival", "lan_key", "lan_description",
+                 "wan_description")
 
     def __init__(self, session: StreamSession, chunk: FrameChunk,
-                 arrival: float) -> None:
+                 arrival: float, lan_description: str,
+                 wan_description: str) -> None:
         super().__init__(chunk)
         self.session = session
         self.arrival = arrival
+        self.lan_key = session.session_id
+        self.lan_description = lan_description
+        self.wan_description = wan_description
 
     @property
     def edge_index(self) -> int:
         return self.session.edge_index
-
-    @property
-    def lan_key(self) -> str:
-        return self.session.session_id
-
-    @property
-    def lan_description(self) -> str:
-        return f"ingest:{self.session.camera}"
-
-    @property
-    def wan_description(self) -> str:
-        return f"stream:{self.session.camera}"
 
 
 class StreamingService:
@@ -159,6 +155,18 @@ class StreamingService:
         #: One camera uplink per session, keyed by session id (built lazily
         #: on admission so per-tenant LAN sizing applies).
         self.lan_links: Dict[str, ContendedLink] = self.chain.lan_links
+        #: session id -> the (LAN, WAN) transfer-record labels of its chunks.
+        self._transfer_labels: Dict[str, Tuple[str, str]] = {}
+        # The fault driver is built first so the ingest's gates can be its
+        # own methods: a service without one leaves them unset, and a push
+        # then pays nothing for them.
+        driver: Optional[ServiceFaultDriver] = None
+        if faults is not None or resilience is not None:
+            driver = ServiceFaultDriver(
+                self, faults if faults is not None else FaultPlan(),
+                resilience if resilience is not None else ResilienceConfig())
+            self.chain.on_fail = driver.on_chunk_failed
+        self._fault_driver = driver
         self.ingest = StreamIngest(
             self.scheduler, self.num_edge_servers,
             attach_session=self._attach_session,
@@ -168,20 +176,15 @@ class StreamingService:
             max_wan_queue_depth=max_wan_queue_depth,
             tenants=tenants,
             degraded_tenant=degraded_tenant,
-            push_gate=self._push_refusal,
-            edge_available=self._edge_available)
+            push_gate=driver.push_refusal if driver else None,
+            edge_available=(driver.edge_online.__getitem__ if driver
+                            else None))
+        if driver is not None:
+            self.ingest.on_session_degraded = driver.on_session_degraded
         #: Wall-clock seconds spent inside ``run`` so far.
         self.wall_run_seconds = 0.0
         #: Feeders that registered themselves (for retry accounting).
         self.feeders: List[object] = []
-        self._fault_driver: Optional[ServiceFaultDriver] = None
-        if faults is not None or resilience is not None:
-            self._fault_driver = ServiceFaultDriver(
-                self, faults if faults is not None else FaultPlan(),
-                resilience if resilience is not None else ResilienceConfig())
-            self.chain.on_fail = self._fault_driver.on_chunk_failed
-            self.ingest.on_session_degraded = (
-                self._fault_driver.on_session_degraded)
         self.adaptive: Optional[AdaptiveTuningController] = None
         if adaptive is not None:
             self.adaptive = AdaptiveTuningController(self, adaptive)
@@ -227,18 +230,23 @@ class StreamingService:
     # ------------------------------------------------------------------ #
     # Control events and the event loop
     # ------------------------------------------------------------------ #
-    def at(self, time: float, action: Callable[[], None]) -> None:
-        """Schedule a control action at absolute virtual ``time``.
+    def at(self, time: float, action: Callable[..., None],
+           *args: Any) -> None:
+        """Schedule the control action ``action(*args)`` at absolute
+        virtual ``time``.
 
         Feeders and reconfiguration scripts must use this (or
         :meth:`after`) so their effects are ordered on the event heap —
         that ordering is what makes a run reproducible under any clock.
         """
-        self.scheduler.schedule_at(time, action)
+        if not -inf < time < inf:
+            raise ServiceError(f"control time must be finite, got {time}")
+        self.scheduler.schedule_at(time, action, *args)
 
-    def after(self, delay: float, action: Callable[[], None]) -> None:
-        """Schedule a control action ``delay`` virtual seconds from now."""
-        self.scheduler.schedule(delay, action)
+    def after(self, delay: float, action: Callable[..., None],
+              *args: Any) -> None:
+        """Schedule ``action(*args)`` ``delay`` virtual seconds from now."""
+        self.scheduler.schedule(delay, action, *args)
 
     def run(self, until: Optional[float] = None) -> int:
         """Advance the service under its clock driver.
@@ -254,8 +262,9 @@ class StreamingService:
 
     def run_for(self, seconds: float) -> int:
         """Advance the service ``seconds`` of virtual time from now."""
-        if seconds < 0:
-            raise ServiceError(f"seconds must be >= 0, got {seconds}")
+        if not 0 <= seconds < inf:
+            raise ServiceError(
+                f"seconds must be finite and >= 0, got {seconds}")
         return self.run(until=self.scheduler.now + seconds)
 
     def drain(self) -> int:
@@ -370,15 +379,20 @@ class StreamingService:
     # Pipeline internals
     # ------------------------------------------------------------------ #
     def _attach_session(self, session: StreamSession) -> None:
-        """Build the session's camera uplink (tenant config wins)."""
+        """Build the session's camera uplink (tenant config wins) and the
+        transfer labels all its chunks share."""
         policy = self.ingest.tenants.get(session.tenant)
         self.chain.add_lan_link(
             session.session_id, f"camera:{session.camera}",
             policy.config if policy is not None else None)
+        self._transfer_labels[session.session_id] = (
+            f"ingest:{session.camera}", f"stream:{session.camera}")
 
     def _submit_chunk(self, session: StreamSession, chunk: FrameChunk) -> None:
         """Start one accepted chunk down the stage chain."""
-        self.chain.enter_lan(_ChunkRun(session, chunk, self.scheduler.now))
+        lan_label, wan_label = self._transfer_labels[session.session_id]
+        self.chain.enter_lan(_ChunkRun(session, chunk, self.scheduler.now,
+                                       lan_label, wan_label))
 
     def _finish_chunk(self, run: _ChunkRun) -> None:
         self.ingest.on_chunk_complete(run.session,
@@ -387,19 +401,8 @@ class StreamingService:
             self._fault_driver.on_chunk_complete(run)
 
     # ------------------------------------------------------------------ #
-    # Fault plumbing (all no-ops / constants without a fault driver)
+    # Fault plumbing
     # ------------------------------------------------------------------ #
-    def _push_refusal(self, edge_index: int) -> Optional[str]:
-        """Why a push to ``edge_index`` must bounce (``None`` = admitted)."""
-        if self._fault_driver is None:
-            return None
-        return self._fault_driver.push_refusal(edge_index)
-
-    def _edge_available(self, edge_index: int) -> bool:
-        """Whether ``edge_index`` is accepting placements."""
-        return (self._fault_driver is None
-                or self._fault_driver.edge_online[edge_index])
-
     def _register_feeder(self, feeder: object) -> None:
         """Track a feeder so reports can fold in its retry accounting."""
         self.feeders.append(feeder)

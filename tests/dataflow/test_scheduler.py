@@ -6,6 +6,8 @@ from repro.dataflow import EventScheduler, ServiceStation
 from repro.errors import DataflowError, NetworkError
 from repro.net import ContendedLink, NetworkLink
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestEventScheduler:
     def test_events_fire_in_time_then_submission_order(self):
@@ -39,6 +41,55 @@ class TestEventScheduler:
         assert fired == [1.0, 2.0]
         assert scheduler.pending_events == 1
         assert scheduler.now == pytest.approx(2.5)
+
+    def test_events_carry_their_arguments(self):
+        scheduler = EventScheduler()
+        fired = []
+        scheduler.schedule(1.0, fired.append, "relative")
+        scheduler.schedule_at(0.5, lambda *args: fired.append(args), 1, 2)
+        scheduler.schedule(2.0, lambda: fired.append("bare"))
+        assert scheduler.run() == 3
+        assert fired == [(1, 2), "relative", "bare"]
+
+    def test_a_nan_delay_cannot_reorder_time(self):
+        """A nan heap key breaks the heap invariant: at the parent this
+        fired c, d, b, a — the 1.0 s event before the 0.5 s one."""
+        scheduler = EventScheduler()
+        fired = []
+        scheduler.schedule(2.0, fired.append, "a")
+        with pytest.raises(DataflowError):
+            scheduler.schedule(NAN, fired.append, "b")
+        scheduler.schedule(1.0, fired.append, "c")
+        scheduler.schedule(0.5, fired.append, "d")
+        scheduler.run()
+        assert fired == ["d", "c", "a"]
+
+    @pytest.mark.parametrize("call", [
+        lambda s: s.schedule(NAN, print),
+        lambda s: s.schedule(INF, print),
+        lambda s: s.schedule_at(NAN, print),
+        lambda s: s.schedule_at(INF, print),
+        lambda s: s.advance_to(NAN),
+        lambda s: s.advance_to(INF),
+        lambda s: s.run(until=NAN),
+        lambda s: s.run(until=INF),
+        lambda s: ServiceStation(s, "x").submit(NAN),
+        lambda s: ServiceStation(s, "x").submit(INF),
+        lambda s: ServiceStation(s, "x", capacity=1.5),
+        lambda s: ServiceStation(s, "x", capacity=NAN),
+        lambda s: ServiceStation(s, "x", capacity=INF),
+    ], ids=["schedule-nan", "schedule-inf", "schedule_at-nan",
+            "schedule_at-inf", "advance_to-nan", "advance_to-inf",
+            "run-until-nan", "run-until-inf", "submit-nan", "submit-inf",
+            "capacity-1.5", "capacity-nan", "capacity-inf"])
+    def test_non_finite_and_fractional_values_refused(self, call):
+        scheduler = EventScheduler()
+        scheduler.schedule(1.0, lambda: None)
+        with pytest.raises(DataflowError):
+            call(scheduler)
+        # The refusal left the clock and the heap alone.
+        assert (scheduler.now, scheduler.pending_events) == (0.0, 1)
+        assert scheduler.run() == 1 and scheduler.now == 1.0
 
 
 class TestServiceStation:
@@ -101,3 +152,44 @@ class TestContendedLink:
         with pytest.raises(NetworkError):
             ContendedLink(scheduler, link).submit(-1)
 
+    @pytest.mark.parametrize("call", [
+        lambda s, link: ContendedLink(s, link, channels=1.5),
+        lambda s, link: ContendedLink(s, link, channels=NAN),
+        lambda s, link: ContendedLink(s, link).set_slowdown(NAN),
+        lambda s, link: ContendedLink(s, link).set_slowdown(INF),
+        lambda s, link: ContendedLink(s, link).submit(NAN),
+        lambda s, link: ContendedLink(s, link).submit(INF),
+    ], ids=["channels-1.5", "channels-nan", "slowdown-nan", "slowdown-inf",
+            "submit-nan", "submit-inf"])
+    def test_non_finite_and_fractional_values_refused(self, call):
+        scheduler = EventScheduler()
+        link = NetworkLink("wan", bandwidth_mbps=8.0)
+        with pytest.raises(NetworkError):
+            call(scheduler, link)
+        assert scheduler.pending_events == 0 and link.transfers == []
+
+    def test_a_link_is_the_station_its_transfers_wait_at(self):
+        scheduler = EventScheduler()
+        contended = ContendedLink(scheduler, NetworkLink("wan", 8.0),
+                                  channels=2)
+        assert isinstance(contended, ServiceStation)
+        assert (contended.name, contended.capacity) == ("link:wan", 2)
+
+    def test_a_failed_transfer_records_nothing(self):
+        scheduler = EventScheduler()
+        link = NetworkLink("wan", bandwidth_mbps=8.0)
+        contended = ContendedLink(scheduler, link)
+        failed = []
+        contended.set_slowdown(2.0)
+        contended.submit(int(1e6), "kept")
+        scheduler.run(until=2.0)
+        contended.submit(int(1e6), "lost",
+                         on_fail=lambda _, reason: failed.append(reason))
+        scheduler.run(until=3.0)
+        assert contended.fail_all("cut") == 1
+        scheduler.run()
+        assert failed == ["cut"]
+        # One record, at the nominal (un-slowed) duration.
+        assert [(r.description, r.size_bytes, r.duration_seconds)
+                for r in link.transfers] == [("kept", int(1e6), 1.0)]
+        assert contended.stats.busy_seconds == 2.0

@@ -34,3 +34,22 @@ class TestNetworkLink:
         with pytest.raises(NetworkError):
             link.transfer_seconds(-1)
 
+
+    @pytest.mark.parametrize("build", [
+        lambda: NetworkLink("l", float("nan")),
+        lambda: NetworkLink("l", float("inf")),
+        lambda: NetworkLink("l", -1.0),
+        lambda: NetworkLink("l", 10, latency_ms=float("nan")),
+        lambda: NetworkLink("l", 10, latency_ms=float("inf")),
+        lambda: NetworkLink("l", 10, latency_ms=-1.0),
+        lambda: NetworkLink("l", 10).transfer_seconds(float("nan")),
+        lambda: NetworkLink("l", 10).transfer_seconds(float("inf")),
+        lambda: NetworkLink("l", 10).transfer(float("nan"), "x"),
+    ], ids=["bandwidth-nan", "bandwidth-inf", "bandwidth-negative",
+            "latency-nan", "latency-inf", "latency-negative",
+            "transfer_seconds-nan", "transfer_seconds-inf", "transfer-nan"])
+    def test_non_finite_values_refused(self, build):
+        """``nan <= 0`` is false, so one-sided guards let nan through, and
+        an infinite bandwidth moved anything in 0.0 s."""
+        with pytest.raises(NetworkError):
+            build()

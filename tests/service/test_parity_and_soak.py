@@ -198,3 +198,35 @@ def test_run_for_rejects_negative():
     service = StreamingService()
     with pytest.raises(ServiceError):
         service.run_for(-1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda service: service.run_for(float("nan")),
+    lambda service: service.run_for(float("inf")),
+    lambda service: service.at(float("nan"), print),
+    lambda service: service.at(float("inf"), print),
+    lambda service: ChunkFeeder(service, "cam", [],
+                                period_seconds=float("nan")),
+    lambda service: ChunkFeeder(service, "cam", [],
+                                period_seconds=float("inf")),
+    lambda service: ChunkFeeder(service, "cam", [], period_seconds=1.0,
+                                retry_seconds=float("nan")),
+], ids=["run_for-nan", "run_for-inf", "at-nan", "at-inf", "period-nan",
+        "period-inf", "retry-nan"])
+def test_non_finite_times_are_refused_at_the_service_boundary(call):
+    """``nan < 0`` and ``nan <= 0`` are false: at the parent ``run_for(nan)``
+    returned 0 silently and a nan-period feeder drained the service with
+    its clock at nan."""
+    service = StreamingService()
+    with pytest.raises(ServiceError):
+        call(service)
+    assert (service.scheduler.now, service.scheduler.pending_events) == (0.0, 0)
+
+
+def test_control_events_carry_their_arguments():
+    service = StreamingService()
+    fired = []
+    service.at(1.0, fired.append, "at")
+    service.after(0.5, fired.append, "after")
+    assert service.drain() == 2
+    assert fired == ["after", "at"]
