@@ -10,11 +10,8 @@ per-tier utilisation, WAN queue depths and end-to-end latency percentiles.
 
 With one edge server the fleet degenerates to the paper's testbed; adding
 edge servers must never reduce aggregate throughput (the sweep asserts it).
-
-The ``--workers`` axis executes the same sweep through the multiprocess
-fleet layer (``SystemConfig.fleet_workers``): per-edge pipelines are
-simulated in worker processes and merged deterministically, and the example
-asserts every report matches the single-process run exactly.
+Every sweep report is also computed by the event loop the fleet's
+recurrence is defined by, and the two must be equal exactly.
 Table I workloads come from the shared on-disk cache (``REPRO_CACHE_DIR``),
 so a second run skips rendering and tuning entirely; ``--build-workers N``
 builds a cold cache in parallel through
@@ -25,20 +22,16 @@ builds a cold cache in parallel through
 under the :data:`repro.contracts.FAST_CONTRACT` accuracy budget; the
 default ``exact`` keeps every kernel bit-identical to the seed.
 
-``--scale-cameras N`` switches to a synthetic N-camera fleet (no workload
-rendering) and times the single-process run against the sharded one at the
-largest ``--workers`` count, parity-checked; ``--min-speedup`` turns that
-comparison into a hard gate (the CI fleet-scaling lane sets it).  Nothing
-else about the sharded run is selectable: edges are dealt to the workers
-longest first and the per-job arrays travel over shared memory where the
-platform has it (the pool's pickle channel where it does not — the JSON
-artifact records which).  ``--json-out`` writes the sweep + comparison as
-a JSON artifact; ``--store`` round-trips every report through the
-persistent :class:`repro.cluster.SQLiteResultStore` and verifies the
-content-integrity hashes.
+``--scale-cameras N`` adds two synthetic N-camera fleets (no workload
+rendering): a heterogeneous one on 64 edges, and N identical cameras with
+no arrival jitter on 8 edges, whose every delivery ties across the edges.
+Each runs through the event loop and through the recurrence: both wall
+times are printed and the reports must be equal exactly.  ``--json-out``
+writes the sweep + comparisons as a JSON artifact; ``--store`` round-trips
+every report through the persistent :class:`repro.cluster.SQLiteResultStore`
+and verifies the content-integrity hashes.
 
-Run with:  python examples/fleet_scaling.py [--workers 1,2,4]
-                                            [--build-workers 2]
+Run with:  python examples/fleet_scaling.py [--build-workers 2]
                                             [--precision exact|fast]
                                             [--scale-cameras 64]
                                             [--json-out sweep.json]
@@ -60,7 +53,7 @@ from repro.datasets import ALL_DATASETS, DatasetSpec
 from repro.datasets.generator import DatasetInstance
 from repro.experiments import ExperimentConfig
 from repro.logging_utils import configure_logging
-from repro.parallel import WorkloadBuilder, pick_transport
+from repro.parallel import WorkloadBuilder
 from repro.video import RESOLUTION_720P, SyntheticScene, make_scenario
 
 #: Fleet size of the sweep (acceptance floor: at least 16 cameras).
@@ -73,8 +66,12 @@ EDGE_COUNTS = (1, 2, 4, 8)
 DURATION_SECONDS = 12.0
 RENDER_SCALE = 0.06
 
-#: Reports across worker counts must agree to this tolerance: the sharded
-#: run performs the same float operations, so they are bit-identical.
+#: Edge servers of the heterogeneous and the tied ``--scale-cameras`` fleet.
+SCALE_EDGES = 64
+TIED_EDGES = 8
+
+#: The recurrence performs the event loop's float operations, so its
+#: reports equal the loop's bit for bit.
 TOLERANCE = 0.0
 
 #: The ``highway`` scenario is not in Table I; this spec gives it the same
@@ -109,9 +106,11 @@ def build_fleet_workloads(config: SystemConfig, build_workers: int = 1):
     return workloads
 
 
-def run_sweep(jobs, config: SystemConfig, fleet_workers: int,
-              verbose: bool = True):
-    """Run the edges x policies sweep; returns ``{(policy, edges): report}``."""
+def run_sweep(jobs, config: SystemConfig, verbose: bool = True):
+    """Run the edges x policies sweep; returns ``{(policy, edges): report}``.
+
+    Every report is checked against the event loop's (``_run_chain``).
+    """
     header = (f"{'edges':>5} {'policy':<16} {'makespan s':>10} {'fps':>9} "
               f"{'edge util':>9} {'cloud util':>10} {'wan q':>5} "
               f"{'p50 s':>7} {'p95 s':>7} {'p99 s':>7} {'wall ms':>8}")
@@ -122,9 +121,11 @@ def run_sweep(jobs, config: SystemConfig, fleet_workers: int,
     for policy in PlacementPolicy:
         previous_fps = 0.0
         for num_edges in EDGE_COUNTS:
-            report = FleetOrchestrator(jobs, num_edge_servers=num_edges,
-                                       config=config, policy=policy,
-                                       fleet_workers=fleet_workers).run()
+            orchestrator = FleetOrchestrator(jobs, num_edge_servers=num_edges,
+                                             config=config, policy=policy)
+            report = orchestrator.run()
+            assert_reports_match(orchestrator._run_chain(), report,
+                                 (policy.value, num_edges))
             reports[(policy.value, num_edges)] = report
             fps = report.aggregate_throughput_fps
             if verbose:
@@ -167,52 +168,48 @@ def synthetic_jobs(count: int):
     return jobs
 
 
-def timed_run(jobs, config: SystemConfig, num_edges: int, workers: int):
-    """One fleet run under ``config``; returns ``(report, wall_seconds)``."""
-    orchestrator = FleetOrchestrator(jobs, num_edge_servers=num_edges,
-                                     config=config, fleet_workers=workers)
+def identical_jobs(count: int):
+    """``count`` copies of one camera's job: with no arrival jitter every
+    edge runs the same float timeline, so simultaneous events abound."""
+    return [CameraJob(camera=f"tied-{index:04d}", video="feed-0",
+                      num_frames=240, frames_for_inference=8,
+                      edge_seconds=0.35, cloud_seconds=0.22,
+                      camera_edge_bytes=600_000, edge_cloud_bytes=180_000)
+            for index in range(count)]
+
+
+def timed(run):
+    """``(report, wall seconds)`` of one fleet run."""
     started = time.perf_counter()
-    report = orchestrator.run()
+    report = run()
     return report, time.perf_counter() - started
 
 
-def run_scale_comparison(num_cameras: int, num_edges: int, workers: int,
-                         config: SystemConfig, min_speedup: float):
-    """Time the single-process run against the sharded one.
+def run_scale_comparison(label: str, jobs, num_edges: int,
+                         config: SystemConfig):
+    """Time the event loop against the recurrence on a synthetic fleet.
 
     Both must produce the same report; only the wall clock may differ.
-    Returns the comparison row for the JSON artifact; raises when the
-    sharded run fails the ``--min-speedup`` gate.
+    Returns the comparison row for the JSON artifact.
     """
-    jobs = synthetic_jobs(num_cameras)
-    serial_report, serial_wall = timed_run(jobs, config, num_edges, workers=1)
-    sharded_report, sharded_wall = timed_run(jobs, config, num_edges, workers)
-    mismatches = serial_report.parity_mismatches(sharded_report, TOLERANCE)
-    if mismatches:
-        raise AssertionError("the sharded run diverged from the serial run: "
-                             + "; ".join(mismatches))
-    speedup = serial_wall / sharded_wall if sharded_wall > 0 else 0.0
-    transport = pick_transport().kind
-    print(f"--- scale comparison: {num_cameras} cameras, {num_edges} edges, "
-          f"fleet_workers={workers} ---")
-    print(f"  serial reference : {serial_wall * 1e3:8.1f} ms")
-    print(f"  sharded          : {sharded_wall * 1e3:8.1f} ms  "
-          f"(transport: {transport})")
-    print(f"  speedup vs serial: {speedup:8.2f}x")
-    print("  parity           : the sharded report equals the serial one "
+    orchestrator = FleetOrchestrator(jobs, num_edge_servers=num_edges,
+                                     config=config)
+    chain_report, chain_wall = timed(orchestrator._run_chain)
+    report, wall = timed(orchestrator.run)
+    assert_reports_match(chain_report, report, f"the {label} fleet")
+    print(f"--- scale comparison: {len(jobs)} {label} cameras, "
+          f"{num_edges} edges ---")
+    print(f"  event loop : {chain_wall * 1e3:8.1f} ms")
+    print(f"  recurrence : {wall * 1e3:8.1f} ms  "
+          f"({chain_wall / wall if wall > 0 else 0.0:.2f}x)")
+    print("  parity     : the recurrence's report equals the event loop's "
           f"(tolerance {TOLERANCE:g})")
-    if speedup < min_speedup:
-        raise AssertionError(
-            f"sharded speedup {speedup:.2f}x vs serial is below "
-            f"the --min-speedup gate {min_speedup:.2f}x")
     return {
-        "num_cameras": num_cameras,
+        "fleet": label,
+        "num_cameras": len(jobs),
         "num_edges": num_edges,
-        "fleet_workers": workers,
-        "serial_wall_seconds": serial_wall,
-        "sharded_wall_seconds": sharded_wall,
-        "speedup_vs_serial": speedup,
-        "transport": transport,
+        "chain_wall_seconds": chain_wall,
+        "recurrence_wall_seconds": wall,
     }
 
 
@@ -234,30 +231,16 @@ def store_reports(path: str, reports) -> None:
               f"({len(store.run_ids())} runs, integrity verified).")
 
 
-def assert_reports_match(baseline, candidate, workers: int) -> None:
-    """Every metric of every report must match the single-process run."""
-    for key, report in baseline.items():
-        mismatches = report.parity_mismatches(candidate[key], TOLERANCE)
-        if mismatches:
-            raise AssertionError(
-                f"fleet_workers={workers} diverged at {key}: "
-                + "; ".join(mismatches))
-
-
-def parse_workers(spec: str):
-    counts = sorted({int(part) for part in spec.split(",") if part.strip()})
-    if not counts or counts[0] < 1:
-        raise argparse.ArgumentTypeError(
-            f"--workers needs positive worker counts, got {spec!r}")
-    return counts
+def assert_reports_match(reference, candidate, label) -> None:
+    """Every metric of ``candidate`` must match the event loop's report."""
+    mismatches = reference.parity_mismatches(candidate, TOLERANCE)
+    if mismatches:
+        raise AssertionError(f"the recurrence diverged from the event loop "
+                             f"at {label}: " + "; ".join(mismatches))
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--workers", type=parse_workers, default=[1],
-        help="comma-separated fleet_workers counts to sweep (default: 1); "
-             "multi-process runs are asserted equal to the serial run")
     parser.add_argument(
         "--build-workers", type=int, default=1,
         help="worker processes for the cold workload build (default: 1, "
@@ -270,14 +253,9 @@ def main() -> None:
              "the FAST_CONTRACT accuracy budget)")
     parser.add_argument(
         "--scale-cameras", type=int, default=0, metavar="N",
-        help="also run the synthetic N-camera scale comparison (no "
-             "workload rendering): single-process vs sharded over the "
-             "largest --workers count, parity-checked")
-    parser.add_argument(
-        "--min-speedup", type=float, default=0.0,
-        help="fail unless the scale comparison's speedup vs the serial "
-             "reference reaches this factor (default: 0 = report only; "
-             "the CI fleet-scaling lane gates on it)")
+        help="also run two synthetic N-camera fleets (heterogeneous on 64 "
+             "edges, identical on 8) through the event loop and the "
+             "recurrence, parity-checked, and print both wall times")
     parser.add_argument(
         "--json-out", metavar="PATH",
         help="write the sweep tables + scale comparison as a JSON artifact")
@@ -309,41 +287,31 @@ def main() -> None:
           f"{sum(job.edge_seconds for job in jobs):.1f} s edge work, "
           f"{sum(job.cloud_seconds for job in jobs):.1f} s cloud work\n")
 
-    worker_counts = list(arguments.workers)
-    if worker_counts[0] != 1:
-        worker_counts.insert(0, 1)  # the parity baseline
-    baseline = None
-    for workers in worker_counts:
-        print(f"=== fleet_workers={workers} ===")
-        reports = run_sweep(jobs, config, workers)
-        if baseline is None:
-            baseline = reports
-        else:
-            assert_reports_match(baseline, reports, workers)
-            print(f"fleet_workers={workers}: all "
-                  f"{len(reports)} reports equal the single-process run.\n")
+    reports = run_sweep(jobs, config)
     print("Aggregate throughput is monotonically non-decreasing in the "
-          "number of edge servers for every placement policy.")
+          "number of edge servers for every placement policy, and every "
+          f"report equals the event loop's (tolerance {TOLERANCE:g}).")
 
     comparison = None
     if arguments.scale_cameras:
-        comparison = run_scale_comparison(
-            arguments.scale_cameras, max(EDGE_COUNTS),
-            max(worker_counts), config, arguments.min_speedup)
+        count = arguments.scale_cameras
+        comparison = [
+            run_scale_comparison("heterogeneous", synthetic_jobs(count),
+                                 SCALE_EDGES, config),
+            run_scale_comparison("identical", identical_jobs(count),
+                                 TIED_EDGES, config),
+        ]
 
     if arguments.store:
-        store_reports(arguments.store, baseline)
+        store_reports(arguments.store, reports)
 
     if arguments.json_out:
         artifact = {
-            "config": {
-                "precision": config.precision,
-                "worker_counts": worker_counts,
-            },
+            "config": {"precision": config.precision},
             "sweep": [
                 {"policy": policy, "num_edges": num_edges,
                  **report.as_dict()}
-                for (policy, num_edges), report in sorted(baseline.items())
+                for (policy, num_edges), report in sorted(reports.items())
             ],
             "scale_comparison": comparison,
         }

@@ -6,7 +6,7 @@ weather / day-night / crowd / camera-fault presets), runs each through
 generate -> encode -> tuner -> fleet, and checks the invariant set of
 :mod:`repro.video.fuzzing`: decoder round-trip exactness, no I-frame
 storms, tuner grid convergence, fast-vs-exact agreement budgets and
-serial==parallel fleet parity.
+chain == recurrence fleet parity.
 
 The whole run is a pure function of ``--seed``: CI runs it twice and diffs
 the ``--summary-out`` files verbatim (the ``scenario-fuzz-smoke`` job).
@@ -18,7 +18,6 @@ Run with:  python examples/scenario_fuzz.py [--budget 25] [--seed 11]
                                             [--out-dir DIR]
                                             [--summary-out FILE]
                                             [--replay REPRO.json]
-                                            [--no-fleet]
 """
 
 from __future__ import annotations
@@ -31,14 +30,14 @@ from repro.video.fuzzing import (ScenarioComposition, check_composition,
                                  run_fuzz)
 
 
-def replay(path: str, fleet: bool) -> int:
+def replay(path: str) -> int:
     """Re-run the invariant set over one serialized repro file."""
     with open(path, "r", encoding="utf-8") as handle:
         composition = ScenarioComposition.from_json(handle.read())
     print(f"replaying {composition.describe()} "
           f"({composition.duration_seconds:g}s @ "
           f"scale {composition.render_scale:g})")
-    result = check_composition(composition, fleet=fleet)
+    result = check_composition(composition)
     if result.ok:
         print("every invariant holds — the bug this repro captured is fixed")
         return 0
@@ -61,17 +60,14 @@ def main() -> None:
                              "(CI diffs two same-seed runs)")
     parser.add_argument("--replay", type=str, default=None,
                         help="replay one repro JSON file instead of fuzzing")
-    parser.add_argument("--no-fleet", action="store_true",
-                        help="skip the multiprocess fleet-parity invariant")
     arguments = parser.parse_args()
     configure_logging()
 
     if arguments.replay:
-        sys.exit(replay(arguments.replay, fleet=not arguments.no_fleet))
+        sys.exit(replay(arguments.replay))
 
     run = run_fuzz(arguments.budget, arguments.seed,
-                   out_dir=arguments.out_dir,
-                   fleet=not arguments.no_fleet)
+                   out_dir=arguments.out_dir)
     document = run.lines()
     print("\n".join(document))
     if arguments.summary_out:

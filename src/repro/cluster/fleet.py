@@ -15,7 +15,10 @@ deployment on the shared virtual clock of
 * every tier is a contended resource, and every job is one unit of work
   on the shared :class:`~repro.cluster.topology.StageChain` — the single
   definition of the LAN -> edge -> WAN -> cloud pipeline this
-  orchestrator, the sharded fleet and the streaming service all drive;
+  orchestrator and the streaming service drive.  A fault-free run is
+  computed as a recurrence over the same stations
+  (:mod:`repro.cluster.recurrence`) and equals the chain's report bit for
+  bit;
 * the resulting :class:`FleetReport` adds what the single-engine evaluation
   cannot see — per-tier utilisation, peak queue depths, and end-to-end
   latency percentiles — alongside the familiar throughput/bytes totals.
@@ -29,19 +32,21 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from heapq import heapreplace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..config import SystemConfig, resolve_worker_count
+from ..config import SystemConfig
 from ..dataflow.scheduler import EventScheduler, StationStats
-from ..errors import ClusterError, ConfigurationError
+from ..errors import ClusterError
 from ..faults.injector import FleetFaultDriver
 from ..faults.plan import FaultPlan
 from ..faults.stats import FaultStats
 from ..net.link import NetworkLink
 from ..perf import Stopwatch
 from ..rng import make_rng
+from .recurrence import EVENTS_PER_JOB, replay_fleet
 from .topology import StageChain, StageUnit
 
 #: Latency percentiles reported by the fleet simulator.
@@ -121,16 +126,17 @@ class CameraJob:
     accuracy: float = float("nan")
 
     def __post_init__(self) -> None:
-        if self.num_frames < 0 or self.frames_for_inference < 0:
-            raise ClusterError("frame counts must be >= 0")
         # Chained comparisons so nan (which passes ``< 0``) and inf are
         # refused here rather than poisoning every downstream statistic.
+        for value in (self.num_frames, self.frames_for_inference):
+            if not (0 <= value < math.inf and value == int(value)):
+                raise ClusterError(
+                    f"frame counts must be whole numbers >= 0, got {value!r}")
         if not (0 <= self.edge_seconds < math.inf
                 and 0 <= self.cloud_seconds < math.inf):
             raise ClusterError("compute seconds must be finite and >= 0")
-        # Byte counts are whole bytes: the sharded fleet ships them as
-        # int64 columns, where a fraction would be floored (and the serial
-        # loop would not floor it) and 2**63 does not fit.
+        # Byte counts are whole bytes below 2**63: a fraction has no
+        # meaning on a link, and the result stores keep them as int64.
         for value in (self.camera_edge_bytes, self.edge_cloud_bytes):
             if not (0 <= value < 2 ** 63 and value == int(value)):
                 raise ClusterError(
@@ -317,13 +323,15 @@ class FleetReport:
                           tolerance: float = 1e-6) -> List[str]:
         """Every way ``other`` differs from this report beyond ``tolerance``.
 
-        This is the single definition of the multiprocess parity contract
-        (used by the regression tests and ``examples/fleet_scaling.py``):
+        This is the single definition of the parity contract (used by the
+        regression tests and ``examples/fleet_scaling.py``):
         it covers the flat ``as_dict`` metrics, per-tier statistics
         *including queue depths*, placements and per-job timelines.  An
         empty list means the reports are equal.
         """
         def close(a: float, b: float) -> bool:
+            if a == b:  # equal infinities too: inf - inf is nan
+                return True
             if np.isnan(a) or np.isnan(b):
                 return np.isnan(a) and np.isnan(b)
             return abs(a - b) <= tolerance * max(1.0, abs(a))
@@ -388,8 +396,8 @@ def fold_report(policy: PlacementPolicy, outcomes: List[JobOutcome], *,
                 faults: Optional[FaultStats] = None) -> FleetReport:
     """Fold per-job timelines and per-tier statistics into a report.
 
-    The one report assembly shared by the single-process fleet, the
-    multiprocess merge and the streaming service.  Placements are read
+    The one report assembly shared by the fleet's chain, its recurrence
+    and the streaming service.  Placements are read
     off the outcomes (failover rewrites ``outcome.edge_index`` mid-run,
     and every failed-over job must be accounted at its final edge);
     outcomes that never completed (``end_seconds`` is ``nan`` — a live
@@ -450,6 +458,18 @@ def chain_report(chain: StageChain, policy: PlacementPolicy,
         faults=faults)
 
 
+def _whole_count(value, name: str) -> int:
+    """``value`` as an ``int`` >= 1, or a :class:`ClusterError`.
+
+    Chained, like ``CameraJob``'s checks: nan and inf fail the range test
+    before ``int()`` can raise a bare error on them, and a fraction is
+    refused rather than truncated (the recurrence indexes by counts).
+    """
+    if not (1 <= value < math.inf and value == int(value)):
+        raise ClusterError(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
+
+
 class FleetOrchestrator:
     """Shards camera jobs over edge servers and simulates the fleet.
 
@@ -471,19 +491,13 @@ class FleetOrchestrator:
         arrival_jitter_seconds: Upper bound of the per-camera start-time
             jitter; offsets are drawn deterministically from ``seed``.
         seed: Root seed for the arrival jitter (see :mod:`repro.rng`).
-        fleet_workers: Worker processes executing the simulation (default:
-            ``config.fleet_workers``).  ``1`` runs the original
-            single-process event loop; larger values shard the per-edge
-            pipelines across a process pool (see :mod:`repro.parallel`)
-            and produce the same report.
         faults: Optional :class:`~repro.faults.FaultPlan` injected into
             the run (edge crashes fail unfinished jobs over to healthy
             edges; WAN windows degrade uplinks).  ``None`` — the default
-            everywhere — schedules nothing and leaves the event sequence
-            bit-identical to the seed.  Scheduler-injected faults force
-            the single-process reference loop (failover moves work across
-            edges, which the per-edge decomposition cannot express);
-            worker kills are honoured by the multiprocess path.
+            everywhere — schedules nothing and leaves the report
+            bit-identical to the seed.  A plan with scheduler faults runs
+            the event loop; worker kills act on no fleet (there is no
+            worker process here) and leave the report unchanged.
     """
 
     def __init__(self, jobs: Sequence[CameraJob], num_edge_servers: int = 1,
@@ -492,7 +506,6 @@ class FleetOrchestrator:
                  edge_workers: int = 1, cloud_workers: Optional[int] = None,
                  arrival_jitter_seconds: float = 0.0,
                  seed: Optional[int] = None,
-                 fleet_workers: Optional[int] = None,
                  faults: Optional[FaultPlan] = None) -> None:
         # An empty job list is legal: admission control may reject every
         # camera, and the orchestrator must still produce a well-formed
@@ -500,49 +513,44 @@ class FleetOrchestrator:
         names = [job.camera for job in jobs]
         if len(set(names)) != len(names):
             raise ClusterError(f"camera names must be unique, got {names}")
-        if num_edge_servers < 1:
-            raise ClusterError("num_edge_servers must be >= 1")
-        if edge_workers < 1:
-            raise ClusterError("edge_workers must be >= 1")
+        self.num_edge_servers = _whole_count(num_edge_servers,
+                                            "num_edge_servers")
+        self.edge_workers = _whole_count(edge_workers, "edge_workers")
+        self.cloud_workers = (_whole_count(cloud_workers, "cloud_workers")
+                              if cloud_workers is not None
+                              else self.num_edge_servers)
         if not 0 <= arrival_jitter_seconds < math.inf:
             raise ClusterError(
                 "arrival_jitter_seconds must be finite and >= 0")
         self.jobs = list(jobs)
-        self.num_edge_servers = int(num_edge_servers)
         self.config = config or SystemConfig()
         self.policy = PlacementPolicy.from_name(policy)
-        self.edge_workers = int(edge_workers)
-        self.cloud_workers = (int(cloud_workers) if cloud_workers is not None
-                              else self.num_edge_servers)
-        if self.cloud_workers < 1:
-            raise ClusterError("cloud_workers must be >= 1")
         self.arrival_jitter_seconds = float(arrival_jitter_seconds)
         self.seed = seed
         self.fault_plan = faults
         if faults is not None:
             faults.validate_for(self.num_edge_servers)
-        try:
-            self.fleet_workers = resolve_worker_count(
-                fleet_workers if fleet_workers is not None
-                else self.config.fleet_workers, "fleet_workers")
-        except ConfigurationError as error:
-            raise ClusterError(str(error)) from error
 
     # ------------------------------------------------------------------ #
     # Placement
     # ------------------------------------------------------------------ #
     def assign(self) -> Dict[str, int]:
-        """Shard the cameras over the edge servers under the policy."""
+        """Shard the cameras over the edge servers under the policy.
+
+        The load-based policies place each camera on the first edge with
+        the least load so far: a heap of ``(load, edge index)`` pops the
+        lowest load and, among equal loads, the lowest index.
+        """
         if self.policy is PlacementPolicy.ROUND_ROBIN:
             return {job.camera: index % self.num_edge_servers
                     for index, job in enumerate(self.jobs)}
         estimate = self._make_load_estimator()
-        loads = [0.0] * self.num_edge_servers
+        loads = [(0.0, index) for index in range(self.num_edge_servers)]
         assignments: Dict[str, int] = {}
         for job in self.jobs:
-            target = min(range(self.num_edge_servers), key=lambda i: loads[i])
+            load, target = loads[0]
             assignments[job.camera] = target
-            loads[target] += estimate(job)
+            heapreplace(loads, (load + estimate(job), target))
         return assignments
 
     def _make_load_estimator(self):
@@ -573,21 +581,42 @@ class FleetOrchestrator:
     def run(self) -> FleetReport:
         """Simulate the fleet and return its report.
 
-        With ``fleet_workers > 1`` the per-edge pipelines are simulated in
-        worker processes and merged deterministically (see
-        :func:`repro.parallel.run_parallel`); the report is the same either
-        way, the single-process path below remains the reference.
+        A fault-free run (no plan, or a plan without scheduler faults) is
+        computed by the recurrence of :mod:`repro.cluster.recurrence`;
+        scheduler faults need the event loop (:meth:`_run_chain`), whose
+        report the recurrence's equals bit for bit.
         """
-        if self.fleet_workers > 1 and (
-                self.fault_plan is None
-                or not self.fault_plan.has_scheduler_faults):
-            from ..parallel import run_parallel
-            return run_parallel(self, self.fleet_workers)
-        return self._run_single_process()
+        if (self.fault_plan is not None
+                and self.fault_plan.has_scheduler_faults):
+            return self._run_chain()
+        return self._run_recurrence()
 
-    def _run_single_process(self) -> FleetReport:
-        """The reference single-process event loop (``fleet_workers=1``):
-        every job is one unit on one :class:`StageChain`."""
+    def _run_recurrence(self) -> FleetReport:
+        """The fault-free fleet as start/end recurrences, no event loop."""
+        watch = Stopwatch().start()
+        assignments = self.assign()
+        placements = [assignments[job.camera] for job in self.jobs]
+        offsets = self._arrival_offsets()
+        replay = replay_fleet(self.jobs, placements, offsets, self.config,
+                              self.num_edge_servers, self.edge_workers,
+                              self.cloud_workers)
+        outcomes = [JobOutcome(job, edge, offset, end) for job, edge, offset,
+                    end in zip(self.jobs, placements, offsets, replay.ends)]
+        return fold_report(
+            self.policy, outcomes,
+            edge_stats=replay.edge_stats, edge_workers=self.edge_workers,
+            wan_stats=replay.wan_stats, cloud_stats=replay.cloud_stats,
+            cloud_workers=self.cloud_workers,
+            camera_edge_bytes=replay.camera_edge_bytes,
+            edge_cloud_bytes=replay.edge_cloud_bytes,
+            wan_transfer_seconds=replay.wan_transfer_seconds,
+            sim_wall_seconds=watch.stop(),
+            # The events the chain fires: an ingest and four completions.
+            events_processed=EVENTS_PER_JOB * len(self.jobs))
+
+    def _run_chain(self) -> FleetReport:
+        """The event loop: every job is one unit on one :class:`StageChain`
+        (the definition the recurrence is tested against)."""
         watch = Stopwatch().start()
         scheduler = EventScheduler()
 
@@ -632,7 +661,8 @@ def sweep_edge_counts(jobs: Sequence[CameraJob],
         ``{num_edge_servers: report}`` in ascending edge-count order.
     """
     reports: Dict[int, FleetReport] = {}
-    for count in sorted(set(int(count) for count in edge_counts)):
+    for count in sorted(set(_whole_count(count, "edge count")
+                            for count in edge_counts)):
         orchestrator = FleetOrchestrator(
             jobs, num_edge_servers=count, config=config, policy=policy,
             arrival_jitter_seconds=arrival_jitter_seconds, seed=seed)

@@ -10,7 +10,7 @@ Two implementations share the query surface:
   for single-process simulations and tests;
 * :class:`SQLiteResultStore` — a persistent, multi-process-safe store
   (WAL journal, busy-waiting writers, one transaction per mutation) that
-  the parallel fleet can use as a shared sink.  Every row carries a
+  several processes can share as a sink.  Every row carries a
   sha256 content hash over its canonical encoding, so read-back can prove
   the stored results are exactly what was written
   (:meth:`SQLiteResultStore.verify_integrity`), and whole

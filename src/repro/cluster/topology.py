@@ -2,13 +2,15 @@
 
 SiEVE is a 3-tier pipeline: a camera ships footage over its LAN link to
 an edge server (seek + decode), the edge ships what survives over its WAN
-uplink to the cloud (NN inference).  Every simulator in this repository
-that moves work through those tiers — the batch
-:class:`~repro.cluster.fleet.FleetOrchestrator`, the per-edge shard
-simulation of :mod:`repro.parallel.fleet` and the live
-:class:`~repro.service.service.StreamingService` — is a thin driver over
-the :class:`StageChain` below: it defines a *unit* of work (a camera job,
-a frame chunk, a shard row) and hands it to the chain.
+uplink to the cloud (NN inference).  Both simulators in this repository
+that move work through those tiers — the batch
+:class:`~repro.cluster.fleet.FleetOrchestrator` and the live
+:class:`~repro.service.service.StreamingService` — are thin drivers over
+the :class:`StageChain` below: each defines a *unit* of work (a camera
+job, a frame chunk) and hands it to the chain.  A fault-free batch fleet
+is also computed without events, as a recurrence over the same stations
+(:mod:`repro.cluster.recurrence`); the chain is the definition that
+recurrence is held to at tolerance 0.0.
 
 The chain owns three things and nothing else:
 
@@ -58,8 +60,7 @@ class StageUnit:
         work: The planned costs — any object with ``camera_edge_bytes``,
             ``edge_seconds``, ``edge_cloud_bytes`` and ``cloud_seconds``
             (a :class:`~repro.cluster.fleet.CameraJob` or a
-            :class:`~repro.service.session.FrameChunk`; edge-only chains
-            never read ``cloud_seconds``).
+            :class:`~repro.service.session.FrameChunk`).
         stage: The stage the unit last entered (one of :data:`STAGES`).
     """
 
@@ -88,10 +89,7 @@ class StageChain:
             ``unit.edge_index`` is the *position* in this sequence (the
             two coincide for a whole fleet, ``range(n)``).
         edge_workers: Parallel compute slots per edge station.
-        cloud_workers: Cloud station slots, or ``None`` for an
-            **edge-only** chain: no cloud station exists and a unit's WAN
-            delivery fires ``on_finish`` — the cloud-arrival instant —
-            instead of entering the cloud stage.
+        cloud_workers: Cloud station slots.
         lan_per_edge: Build one LAN link per edge, keyed by edge position
             (the batch shape).  ``False`` starts with none; the driver
             adds keyed links through :meth:`add_lan_link`.
@@ -105,7 +103,7 @@ class StageChain:
 
     def __init__(self, scheduler: EventScheduler, config: SystemConfig,
                  edge_indices: Sequence[int], edge_workers: int = 1,
-                 cloud_workers: Optional[int] = None, *,
+                 cloud_workers: int = 1, *,
                  lan_per_edge: bool = True, on_finish: Hook = None,
                  on_fail: Optional[Callable[[Any, str], None]] = None,
                  on_stage_start: Hook = None) -> None:
@@ -125,9 +123,8 @@ class StageChain:
         if lan_per_edge:
             for position, index in enumerate(edge_indices):
                 self.add_lan_link(position, f"camera-edge:{index}")
-        self.cloud_station: Optional[ServiceStation] = (
-            ServiceStation(scheduler, "cloud", capacity=cloud_workers)
-            if cloud_workers is not None else None)
+        self.cloud_station = ServiceStation(scheduler, "cloud",
+                                            capacity=cloud_workers)
         self.on_finish = on_finish
         self.on_fail = on_fail
         self.on_stage_start = on_stage_start
@@ -174,9 +171,8 @@ class StageChain:
         unit.stage = "wan"
         self.wan_links[unit.edge_index].submit(
             unit.work.edge_cloud_bytes, description=unit.wan_description,
-            on_complete=(self.enter_cloud if self.cloud_station is not None
-                         else self.on_finish),
-            payload=unit, on_start=self.on_stage_start, on_fail=self.on_fail)
+            on_complete=self.enter_cloud, payload=unit,
+            on_start=self.on_stage_start, on_fail=self.on_fail)
 
     def enter_cloud(self, unit: StageUnit) -> None:
         """Cloud compute; its completion is the unit's finish."""

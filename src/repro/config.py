@@ -158,16 +158,6 @@ class SystemConfig:
         nn_batch_size: Frames fed through the NN per batched forward pass
             (the analysis pipeline and the dataflow detector operators chunk
             their sampled frames to this size).
-        fleet_workers: Worker *processes* used to execute a fleet
-            simulation (see :mod:`repro.parallel`).  ``1`` (the default)
-            keeps the single-process serial path; larger values shard the
-            per-edge pipelines across a ``ProcessPoolExecutor`` and merge
-            the results deterministically — the report is equal to the
-            serial one regardless of worker count or completion order.
-            It is the only fleet setting: how edges are dealt to workers
-            and how their numbers travel are not configurable.
-            ``0`` means "auto": the count resolves to
-            :func:`available_cpu_count` at construction time.
         build_workers: Worker *processes* used to build experiment
             workloads (dataset render -> analysis -> tuning -> size-only
             encodes; see :class:`repro.parallel.WorkloadBuilder`).  ``1``
@@ -195,7 +185,6 @@ class SystemConfig:
     hardware: HardwareCalibration = field(default_factory=HardwareCalibration)
     nn_input_resolution: tuple = NN_INPUT_RESOLUTION
     nn_batch_size: int = 16
-    fleet_workers: int = 1
     build_workers: int = 1
     precision: str = field(default_factory=default_precision)
     seed: int = 20200601
@@ -223,14 +212,12 @@ class SystemConfig:
         if not (0 < width < math.inf and 0 < height < math.inf):
             raise ConfigurationError("nn_input_resolution must be positive")
         # The dataclass is frozen, so normalised values (whole numbers as
-        # ints, 0 = "auto" resolved for both worker pools) are written
+        # ints, 0 = "auto" resolved for the worker pool) are written
         # through object.__setattr__ once here.
         object.__setattr__(self, "nn_batch_size", _whole_number(
             self.nn_batch_size, "nn_batch_size"))
         if self.nn_batch_size < 1:
             raise ConfigurationError("nn_batch_size must be >= 1")
-        object.__setattr__(self, "fleet_workers", resolve_worker_count(
-            self.fleet_workers, "fleet_workers"))
         object.__setattr__(self, "build_workers", resolve_worker_count(
             self.build_workers, "build_workers"))
         validate_precision(self.precision)

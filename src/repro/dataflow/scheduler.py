@@ -246,10 +246,7 @@ class ServiceStation:
         its turn.
 
         ``on_start(payload)`` fires the moment the job occupies a worker
-        (the same instant its completion event is scheduled) — which is the
-        insertion-order key for simultaneous completions, used by the
-        multiprocess decomposition to reproduce the single-scheduler
-        tie-breaking.
+        (the same instant its completion event is scheduled).
 
         ``on_fail(payload, reason)`` fires only if the job is failed out
         by :meth:`fail_all` (the fault-injection plane); jobs submitted

@@ -111,19 +111,13 @@ class StreamStall:
 
 @dataclass(frozen=True)
 class WorkerKill:
-    """A pool worker simulating ``edge_index`` dies mid-run.
+    """A pool worker dies mid-run.
 
-    Honoured by the multiprocess fan-out paths:
-
-    * the fleet (:mod:`repro.parallel.fleet`) — the worker process handed
-      this edge's shard exits hard, and the parent re-executes the shard
-      inline, bit-identical, just slower;
-    * the workload builder (:mod:`repro.parallel.workloads`) — the worker
-      picking up the build task at index ``edge_index`` exits hard before
-      writing anything, and the parent's serial assembly pass rebuilds
-      the lost artifact.
-
-    The serial paths ignore worker kills (there is no worker to kill),
+    Honoured by the workload builder (:mod:`repro.parallel.workloads`):
+    the worker picking up the build task at index ``edge_index`` exits
+    hard before writing anything, and the parent's serial assembly pass
+    rebuilds the lost artifact.  Everything without a worker process —
+    the serial build, the fleet, the service — ignores worker kills,
     which is exactly what the serial == parallel parity contract requires.
     """
 

@@ -1,7 +1,6 @@
 """Parallel workload building: prepare/tune datasets across processes.
 
-The fleet layer (:mod:`repro.parallel.fleet`) parallelises *simulation*;
-this module parallelises the other dominant cold-start cost, workload
+This module parallelises the dominant cold-start cost, workload
 *building* — dataset render -> codec analysis -> offline tuning -> the two
 size-only encodes.  The stages of one dataset form a strict chain, but
 different datasets are completely independent, and every intermediate

@@ -17,8 +17,8 @@ layer promises for *any* input, not just the eight shipped profiles:
    grid with a sane F1 and is deterministic under replay.
 4. **Fast-vs-exact agreement** — the ``precision="fast"`` analysis stays
    within the :data:`repro.contracts.FAST_CONTRACT` detections budget.
-5. **Serial == parallel parity** — a fleet built from the composition
-   reports bit-identically at 1 and 2 worker processes.
+5. **Chain == recurrence parity** — a fleet built from the composition
+   reports bit-identically from the event loop and from the recurrence.
 
 Failures serialize to replayable JSON repro files
 (:meth:`ScenarioComposition.to_json`); ``examples/scenario_fuzz.py`` is
@@ -66,8 +66,8 @@ FUZZ_GRID = TuningGrid(gop_sizes=(25, 50, 120),
 #: Cameras in the parity fleet built from each composition.
 FLEET_CAMERAS = 6
 
-#: Parity tolerance, matching the fleet's own contract tests.
-PARITY_TOLERANCE = 1e-6
+#: Parity tolerance: the recurrence is held to the chain bit for bit.
+PARITY_TOLERANCE = 0.0
 
 
 def fuzz_base_names() -> Tuple[str, ...]:
@@ -288,25 +288,20 @@ def _fleet_jobs(composition: ScenarioComposition,
 def _check_fleet_parity(composition: ScenarioComposition,
                         encoded: EncodedVideo,
                         violations: List[InvariantViolation]) -> None:
-    jobs = _fleet_jobs(composition, encoded)
-    serial = FleetOrchestrator(jobs, num_edge_servers=2,
-                               fleet_workers=1).run()
-    parallel = FleetOrchestrator(jobs, num_edge_servers=2,
-                                 fleet_workers=2).run()
-    mismatches = serial.parity_mismatches(parallel, PARITY_TOLERANCE)
+    orchestrator = FleetOrchestrator(_fleet_jobs(composition, encoded),
+                                     num_edge_servers=2)
+    mismatches = orchestrator._run_chain().parity_mismatches(
+        orchestrator._run_recurrence(), PARITY_TOLERANCE)
     if mismatches:
         violations.append(InvariantViolation(
             "fleet_parity", "; ".join(mismatches)))
 
 
-def check_composition(composition: ScenarioComposition, *,
-                      fleet: bool = True) -> FuzzResult:
+def check_composition(composition: ScenarioComposition) -> FuzzResult:
     """Run the full invariant set over one composition.
 
     Args:
         composition: The fuzzed point to check.
-        fleet: Include the (multiprocess) serial==parallel parity check;
-            disable only where process pools are unavailable.
 
     Returns:
         A :class:`FuzzResult`; ``result.ok`` means every invariant held.
@@ -323,8 +318,7 @@ def check_composition(composition: ScenarioComposition, *,
         _check_tuner(encoder.analyze(video), scene.script.timeline(),
                      violations)
         _check_fast_agreement(video, encoded, violations)
-        if fleet:
-            _check_fleet_parity(composition, encoded, violations)
+        _check_fleet_parity(composition, encoded, violations)
     except Exception as exc:  # noqa: BLE001 - a crash IS a finding
         violations.append(InvariantViolation(
             "crash", f"{type(exc).__name__}: {exc}"))
@@ -354,15 +348,14 @@ class FuzzRun:
         return lines
 
 
-def run_fuzz(budget: int, root_seed: int, *, out_dir: Optional[str] = None,
-             fleet: bool = True) -> FuzzRun:
+def run_fuzz(budget: int, root_seed: int, *,
+             out_dir: Optional[str] = None) -> FuzzRun:
     """Check ``budget`` sampled compositions; write repros for failures.
 
     Args:
         budget: Number of compositions to sample and check.
         root_seed: Root seed; the whole run is a pure function of it.
         out_dir: Directory for ``repro_NNN.json`` files (failures only).
-        fleet: Forwarded to :func:`check_composition`.
 
     Returns:
         The :class:`FuzzRun` (summary lines, per-composition results,
@@ -373,7 +366,7 @@ def run_fuzz(budget: int, root_seed: int, *, out_dir: Optional[str] = None,
     for index in range(budget):
         rng = make_rng(root_seed, "scenario-fuzz", str(index))
         composition = sample_composition(rng)
-        result = check_composition(composition, fleet=fleet)
+        result = check_composition(composition)
         results.append(result)
         if not result.ok and out_dir is not None:
             import os

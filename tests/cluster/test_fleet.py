@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (CameraJob, FleetOrchestrator, PlacementPolicy,
                            sweep_edge_counts)
@@ -32,9 +34,9 @@ class TestValidation:
         # Regression: report assembly used to crash on an empty fleet
         # (np.percentile over an empty latency list) — an admission layer
         # that rejects every camera must still get a usable report back.
-        for workers in (1, 2):
-            report = FleetOrchestrator(
-                [], num_edge_servers=2, fleet_workers=workers).run()
+        orchestrator = FleetOrchestrator([], num_edge_servers=2)
+        for report in (orchestrator._run_chain(),
+                       orchestrator._run_recurrence()):
             assert report.num_cameras == 0
             assert report.makespan_seconds == 0.0
             assert report.aggregate_throughput_fps == 0.0
@@ -68,9 +70,51 @@ class TestValidation:
         with pytest.raises(ClusterError):
             FleetOrchestrator(jobs, arrival_jitter_seconds=float("nan"))
         with pytest.raises(ClusterError):
-            FleetOrchestrator(jobs, fleet_workers=1.5)
-        with pytest.raises(ClusterError):
             FleetOrchestrator(jobs, policy="sharpest-edge-first")
+
+    @pytest.mark.parametrize("case", [
+        {"num_edge_servers": float("nan")},
+        {"num_edge_servers": float("inf")},
+        {"num_edge_servers": 1.5},
+        {"edge_workers": float("nan")},
+        {"edge_workers": 2.5},
+        {"cloud_workers": float("nan")},
+        {"cloud_workers": 1.5},
+        {"sweep": float("nan")},
+        {"num_frames": float("nan")},
+        {"num_frames": 2.5},
+        {"frames_for_inference": float("nan")},
+        {"frames_for_inference": 2.5},
+    ], ids=lambda case: "-".join(f"{k}={v}" for k, v in case.items()))
+    def test_bad_counts_raise_the_typed_error(self, case):
+        """Regression: nan counts escaped as a bare ValueError (inf as an
+        OverflowError) out of ``int()``, fractional ones were silently
+        truncated (1.5 edges ran as 1), and a nan frame count poisoned
+        ``total_frames`` and ``throughput_fps``."""
+        (name, value), = case.items()
+        with pytest.raises(ClusterError):
+            if name == "sweep":
+                sweep_edge_counts([make_job("cam")], [value])
+            elif name in ("num_frames", "frames_for_inference"):
+                make_job("cam", **{"num_frames" if name == "num_frames"
+                                   else "samples": value})
+            else:
+                FleetOrchestrator([make_job("cam")], **{name: value})
+
+    def test_whole_valued_float_counts_stay_legal(self):
+        orchestrator = FleetOrchestrator([make_job("cam", num_frames=300.0)],
+                                         num_edge_servers=2.0,
+                                         edge_workers=1.0, cloud_workers=3.0)
+        assert (orchestrator.num_edge_servers, orchestrator.edge_workers,
+                orchestrator.cloud_workers) == (2, 1, 3)
+        assert sorted(sweep_edge_counts([make_job("cam")], [2.0, 1])) == [1, 2]
+
+    def test_fleet_workers_setting_is_gone(self):
+        """The sharded fleet is gone, and so is the knob that chose it."""
+        with pytest.raises(TypeError):
+            FleetOrchestrator([make_job("cam")], fleet_workers=2)
+        with pytest.raises(TypeError):
+            SystemConfig(fleet_workers=2)
 
     def test_negative_job_fields_rejected(self):
         with pytest.raises(ClusterError):
@@ -92,21 +136,33 @@ class TestValidation:
     @pytest.mark.parametrize("value", [1_000_000.75, 2 ** 63, 2 ** 70,
                                        float("nan"), float("inf")])
     def test_byte_counts_must_be_whole_and_fit_int64(self, field, value):
-        """Regression: the sharded fleet ships byte counts as int64
-        columns, so a fractional count was floored there and nowhere else
-        (eight jobs of 1_000_000.75 + i bytes on 2 edges: makespan
-        0.71166734 serial vs 0.71166675 sharded) and 2**70 was a bare
-        OverflowError only under ``fleet_workers > 1``."""
+        """Byte counts are whole bytes below 2**63: a fraction has no
+        meaning on a link and the result stores keep them as int64."""
         with pytest.raises(ClusterError):
             make_job("cam", **{field: value})
 
     def test_whole_valued_float_byte_counts_stay_legal(self):
         jobs = [make_job(f"cam-{index}", camera_edge_bytes=1e6 + index,
                          edge_cloud_bytes=2.5e5) for index in range(8)]
-        serial = FleetOrchestrator(jobs, num_edge_servers=2).run()
-        sharded = FleetOrchestrator(jobs, num_edge_servers=2,
-                                    fleet_workers=2).run()
-        assert serial.parity_mismatches(sharded, 0.0) == []
+        orchestrator = FleetOrchestrator(jobs, num_edge_servers=2)
+        report = orchestrator.run()
+        assert report.camera_edge_bytes == sum(
+            int(job.camera_edge_bytes) for job in jobs)
+        assert orchestrator._run_chain().parity_mismatches(report, 0.0) == []
+
+    def test_parity_treats_equal_infinities_as_equal(self):
+        """Regression: a zero-cost fleet has makespan 0 and throughput
+        inf, and ``abs(inf - inf)`` is nan, so a report used to differ
+        from itself on ``throughput_fps``."""
+        job = make_job("cam", edge_seconds=0.0, cloud_seconds=0.0,
+                       camera_edge_bytes=0, edge_cloud_bytes=0)
+        config = SystemConfig(camera_edge_latency_ms=0.0,
+                              edge_cloud_latency_ms=0.0)
+        report = FleetOrchestrator([job], config=config).run()
+        assert report.as_dict()["throughput_fps"] == math.inf
+        assert report.parity_mismatches(report, tolerance=0.0) == []
+        other = FleetOrchestrator([job]).run()
+        assert report.parity_mismatches(other, tolerance=0.0) != []
 
     def test_policy_from_name_accepts_value_and_name(self):
         assert PlacementPolicy.from_name("least-loaded") is \
@@ -255,3 +311,50 @@ class TestDeterminism:
         slow = FleetOrchestrator(
             jobs, config=SystemConfig(edge_cloud_bandwidth_mbps=5.0)).run()
         assert slow.wan_transfer_seconds > fast.wan_transfer_seconds
+
+
+def assign_by_scan(orchestrator):
+    """The placement ``assign()``'s heap replaced: a linear scan for the
+    first least-loaded edge per camera, O(jobs x edges)."""
+    if orchestrator.policy is PlacementPolicy.ROUND_ROBIN:
+        return {job.camera: index % orchestrator.num_edge_servers
+                for index, job in enumerate(orchestrator.jobs)}
+    estimate = orchestrator._make_load_estimator()
+    loads = [0.0] * orchestrator.num_edge_servers
+    assignments = {}
+    for job in orchestrator.jobs:
+        target = min(range(orchestrator.num_edge_servers),
+                     key=lambda i: loads[i])
+        assignments[job.camera] = target
+        loads[target] += estimate(job)
+    return assignments
+
+
+class TestAssignOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(costs=st.lists(st.tuples(
+               st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1e-300, 3.0]),
+               st.sampled_from([0, 0, 125_000, 1_000_000])),
+               max_size=40),
+           num_edges=st.integers(1, 9),
+           policy=st.sampled_from(list(PlacementPolicy)))
+    def test_heap_equals_scan_under_tied_loads(self, costs, num_edges,
+                                               policy):
+        jobs = [make_job(f"cam-{index}", edge_seconds=seconds,
+                         edge_cloud_bytes=size)
+                for index, (seconds, size) in enumerate(costs)]
+        orchestrator = FleetOrchestrator(jobs, num_edge_servers=num_edges,
+                                         policy=policy)
+        assert orchestrator.assign() == assign_by_scan(orchestrator)
+
+    @pytest.mark.parametrize("policy", ["least-loaded", "bandwidth-aware"])
+    def test_identical_jobs_fill_the_edges_in_index_order(self, policy):
+        """Every load ties at every step: the first least-loaded edge wins,
+        so identical cameras deal round-robin."""
+        jobs = [make_job(f"cam-{index:02d}") for index in range(13)]
+        orchestrator = FleetOrchestrator(jobs, num_edge_servers=4,
+                                         policy=policy)
+        assignments = orchestrator.assign()
+        assert assignments == assign_by_scan(orchestrator)
+        assert [assignments[job.camera] for job in jobs] == [
+            index % 4 for index in range(13)]

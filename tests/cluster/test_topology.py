@@ -1,10 +1,10 @@
-"""The stage-chain primitive and the contract its three drivers share.
+"""The stage-chain primitive and the contract its drivers share.
 
 ``StageChain`` is the one implementation of camera -> LAN -> edge -> WAN
 -> cloud.  The first half of this file pins the primitive itself (stage
 order, placement re-read at fire time, requeue from every stage, hook
-instants, edge-only mode, hooks costing no events); the second half pins
-what no per-driver test can: the batch fleet, the sharded fleet and the
+instants, hooks costing no events); the second half pins what no
+per-driver test can: the batch fleet's event loop, its recurrence and the
 streaming service, fed the same work, report *exactly* the same thing.
 """
 
@@ -179,40 +179,6 @@ class TestReenter:
         assert resource.stats.arrivals == (2 if stage == "cloud" else 1)
 
 
-class TestEdgeOnlyMode:
-    def test_arrivals_equal_the_full_chains_wan_completions(self):
-        jobs = [make_job(edge_seconds=0.2 + 0.15 * index,
-                         edge_cloud_bytes=80_000 + 30_000 * index)
-                for index in range(5)]
-        offsets = [0.05 * index for index in range(5)]
-
-        # Full chain with a cloud slot per unit: cloud service starts the
-        # instant the WAN delivers, so its start instants *are* the WAN
-        # completions.
-        scheduler, full, recorder = make_chain(num_edges=1, cloud_workers=5)
-        full.on_stage_start = recorder.on_stage_start
-        units = [Unit(job) for job in jobs]
-        for unit, offset in zip(units, offsets):
-            full.submit_at(offset, unit)
-        scheduler.run()
-        wan_completions = [dict(recorder.starts[unit])["cloud"]
-                           for unit in units]
-
-        scheduler = EventScheduler()
-        arrivals = {}
-        edge_only = StageChain(
-            scheduler, CONFIG, (7,),
-            on_finish=lambda unit: arrivals.setdefault(unit, scheduler.now))
-        assert edge_only.cloud_station is None
-        assert edge_only.edge_stations[0].name == "edge:7"
-        rows = [Unit(job) for job in jobs]
-        for row, offset in zip(rows, offsets):
-            edge_only.submit_at(offset, row)
-        scheduler.run()
-        assert [arrivals[row] for row in rows] == wan_completions
-        assert all(row.stage == "wan" for row in rows)
-
-
 class TestHooksAreFree:
     def test_unset_hooks_add_no_events(self):
         def run(**hooks):
@@ -242,7 +208,7 @@ class TestHooksAreFree:
 
 
 class TestCrossDriverParity:
-    """N cameras on N edges, same costs: three drivers, one report."""
+    """N cameras on N edges, same costs: three computations, one report."""
 
     @settings(max_examples=12, deadline=None)
     @given(costs=st.lists(
@@ -250,15 +216,13 @@ class TestCrossDriverParity:
                          st.integers(0, 5_000_000), st.integers(0, 500_000)),
                min_size=1, max_size=5),
            edge_workers=st.integers(1, 3), cloud_workers=st.integers(1, 4))
-    def test_batch_sharded_and_service_reports_are_identical(
+    def test_chain_recurrence_and_service_reports_are_identical(
             self, costs, edge_workers, cloud_workers):
         jobs = [make_job(f"cam-{index}", *cost)
                 for index, cost in enumerate(costs)]
-
-        def fleet(workers):
-            return FleetOrchestrator(
-                jobs, num_edge_servers=len(jobs), edge_workers=edge_workers,
-                cloud_workers=cloud_workers, fleet_workers=workers).run()
+        fleet = FleetOrchestrator(
+            jobs, num_edge_servers=len(jobs), edge_workers=edge_workers,
+            cloud_workers=cloud_workers)
 
         service = StreamingService(
             num_edge_servers=len(jobs), edge_workers=edge_workers,
@@ -277,7 +241,8 @@ class TestCrossDriverParity:
                        service.push_frames(job.camera, chunk))
         service.drain()
 
-        serial = fleet(1)
-        assert serial.parity_mismatches(fleet(2), tolerance=0.0) == []
-        assert serial.parity_mismatches(service.fleet_report(),
-                                        tolerance=0.0) == []
+        chain = fleet._run_chain()
+        assert chain.parity_mismatches(fleet._run_recurrence(),
+                                       tolerance=0.0) == []
+        assert chain.parity_mismatches(service.fleet_report(),
+                                       tolerance=0.0) == []

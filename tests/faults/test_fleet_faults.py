@@ -2,10 +2,9 @@
 
 The batch side of the fault plane: edge crashes (transient and
 permanent) injected into ``FleetOrchestrator`` runs, deterministic
-failover of unfinished jobs, the forced single-process path for plans
-that need cross-edge failover, and the pool-worker-kill recovery in the
-multiprocess runner (the parent re-executes only the lost shard inline,
-bit-identically).
+failover of unfinished jobs, and the dispatch rule — a plan with
+scheduler faults runs the event loop, anything else the fault-free
+recurrence.
 """
 
 from __future__ import annotations
@@ -129,46 +128,31 @@ class TestCrashFailover:
             FleetOrchestrator(make_jobs(), num_edge_servers=2, faults=doomed)
 
 
-class TestSchedulerFaultsForceSerial:
-    def test_crash_plan_with_workers_matches_serial(self):
-        """Cross-edge failover cannot be expressed in the per-edge
-        decomposition, so a scheduler-fault plan runs the reference loop
-        even when ``fleet_workers > 1`` — and must match it exactly."""
-        plan_specs = (EdgeCrash(edge_index=0, at_seconds=1.5),)
-        serial = FleetOrchestrator(make_jobs(), num_edge_servers=3,
-                                   faults=FaultPlan(specs=plan_specs),
-                                   fleet_workers=1).run()
-        parallel = FleetOrchestrator(make_jobs(), num_edge_servers=3,
-                                     faults=FaultPlan(specs=plan_specs),
-                                     fleet_workers=3).run()
-        assert serial.parity_mismatches(parallel, TOLERANCE) == []
-        assert serial.faults is not None
-        assert serial.faults.mismatches(parallel.faults) == []
+class TestSchedulerFaultsRunTheChain:
+    def test_crash_plan_runs_the_event_loop(self, monkeypatch):
+        """Cross-edge failover needs the event loop, so a scheduler-fault
+        plan never reaches the recurrence."""
+        def no_recurrence(self):
+            raise AssertionError("a crash plan must run the event loop")
+
+        monkeypatch.setattr(FleetOrchestrator, "_run_recurrence",
+                            no_recurrence)
+        plan = FaultPlan(specs=(EdgeCrash(edge_index=0, at_seconds=1.5),))
+        report = FleetOrchestrator(make_jobs(), num_edge_servers=3,
+                                   faults=plan).run()
+        assert report.faults is not None and report.faults.crashes_seen == 1
 
 
-class TestWorkerKillRecovery:
-    def test_killed_worker_shard_is_rerun_inline_bit_exact(self):
-        """A worker process dying mid-run (the injected ``WorkerKill``
-        poison calls ``os._exit`` inside the pool) breaks the pool; the
-        parent must keep every shard that already returned and re-execute
-        only the lost shards inline, bit-identical to the serial run."""
-        serial = FleetOrchestrator(make_jobs(), num_edge_servers=4,
-                                   fleet_workers=1).run()
-        plan = FaultPlan(specs=(WorkerKill(edge_index=1),
-                                WorkerKill(edge_index=3)))
-        killed = FleetOrchestrator(make_jobs(), num_edge_servers=4,
-                                   fleet_workers=4, faults=plan).run()
-        assert serial.parity_mismatches(killed, TOLERANCE) == []
-        # Worker kills act outside the simulation: no fault counters.
-        assert killed.faults is None
-
-    def test_worker_kill_plan_is_harmless_on_the_serial_path(self):
+class TestWorkerKills:
+    def test_worker_kill_plan_leaves_the_fleet_alone(self):
+        """No fleet run has a worker process to kill: the plan takes the
+        fault-free path and the report is the plain one."""
         plan = FaultPlan(specs=(WorkerKill(edge_index=0),))
-        serial = FleetOrchestrator(make_jobs(6), num_edge_servers=2,
-                                   fleet_workers=1).run()
+        plain = FleetOrchestrator(make_jobs(6), num_edge_servers=2).run()
         with_plan = FleetOrchestrator(make_jobs(6), num_edge_servers=2,
-                                      fleet_workers=1, faults=plan).run()
-        assert serial.parity_mismatches(with_plan, TOLERANCE) == []
+                                      faults=plan).run()
+        assert plain.parity_mismatches(with_plan, 0.0) == []
+        assert with_plan.faults is None
 
 
 class TestFaultFreeBitIdentity:

@@ -38,10 +38,7 @@ class TestInvariantProperties:
     @given(composition=compositions)
     def test_random_compositions_uphold_all_single_process_invariants(
             self, composition):
-        # The multiprocess fleet-parity leg runs in the deterministic test
-        # below — spawning a process pool per hypothesis example would
-        # dominate the suite for no extra coverage of *this* property.
-        result = check_composition(composition, fleet=False)
+        result = check_composition(composition)
         assert result.ok, (
             f"composition {composition.describe()} broke: " + "; ".join(
                 f"{violation.invariant}: {violation.detail}"
@@ -50,7 +47,7 @@ class TestInvariantProperties:
     def test_composed_scenario_upholds_invariants_including_fleet_parity(self):
         composition = ScenarioComposition(
             "highway", ("rain", "night_cycle"), seed=77)
-        result = check_composition(composition, fleet=True)
+        result = check_composition(composition)
         assert result.ok, [violation.detail
                            for violation in result.violations]
 
@@ -86,13 +83,13 @@ class TestReproFiles:
 
 class TestDeterminism:
     def test_same_seed_runs_are_identical(self):
-        first = run_fuzz(3, 42, fleet=False)
-        second = run_fuzz(3, 42, fleet=False)
+        first = run_fuzz(3, 42)
+        second = run_fuzz(3, 42)
         assert first.lines() == second.lines()
 
     def test_different_seeds_sample_different_compositions(self):
         first = [result.composition
-                 for result in run_fuzz(0, 1, fleet=False).results]
+                 for result in run_fuzz(0, 1).results]
         a = [sample_composition(make_rng(1, "scenario-fuzz", str(i)))
              for i in range(6)]
         b = [sample_composition(make_rng(2, "scenario-fuzz", str(i)))

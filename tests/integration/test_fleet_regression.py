@@ -110,9 +110,9 @@ class TestMultiEdgeInvariants:
             assert job.edge_cloud_bytes == int(seed["edge_cloud_bytes"])
 
 
-class TestMultiprocessParity:
-    """Acceptance: ``fleet_workers=N`` equals the serial path (1e-6 bound)
-    on the highway and fleet-scaling scenarios."""
+class TestRecurrenceParity:
+    """The fault-free recurrence equals the event loop exactly on the
+    highway and fleet-scaling scenarios."""
 
     @pytest.fixture(scope="class")
     def highway_jobs(self, workload):
@@ -135,36 +135,27 @@ class TestMultiprocessParity:
                                 camera=f"cam-{index:02d}")
                 for index in range(8)]
 
-    def _assert_fleet_reports_match(self, serial, parallel):
-        assert serial.parity_mismatches(parallel, TOLERANCE) == []
-
     @pytest.mark.parametrize("num_edges", [1, 3, 4])
-    def test_highway_fleet_parallel_matches_serial(self, highway_jobs,
-                                                   num_edges):
-        serial = FleetOrchestrator(highway_jobs, num_edge_servers=num_edges,
-                                   policy="least-loaded").run()
-        parallel = FleetOrchestrator(highway_jobs, num_edge_servers=num_edges,
-                                     policy="least-loaded",
-                                     fleet_workers=2).run()
-        self._assert_fleet_reports_match(serial, parallel)
+    def test_highway_fleet_recurrence_matches_chain(self, highway_jobs,
+                                                    num_edges):
+        orchestrator = FleetOrchestrator(highway_jobs,
+                                         num_edge_servers=num_edges,
+                                         policy="least-loaded")
+        assert orchestrator._run_chain().parity_mismatches(
+            orchestrator.run(), 0.0) == []
 
-    def test_end_to_end_simulation_with_fleet_workers(self, workload):
-        """``SystemConfig.fleet_workers`` flows through the deployment
-        simulation unchanged: every Figure 4/5 metric is preserved."""
+    def test_end_to_end_simulation_report_equals_the_chain(self, workload):
+        """The deployment simulation's fleet report (the recurrence's) is
+        the event loop's, on the same planned jobs and placement."""
         mode = DeploymentMode.IFRAME_EDGE_CLOUD_NN
-        workloads = [workload] * 4
-        serial = EndToEndSimulation(workloads, SystemConfig(),
-                                    num_edge_servers=2).run(mode)
-        parallel = EndToEndSimulation(workloads,
-                                      SystemConfig(fleet_workers=2),
-                                      num_edge_servers=2).run(mode)
-        assert parallel.throughput_fps == pytest.approx(
-            serial.throughput_fps, rel=TOLERANCE)
-        assert parallel.edge_cloud_bytes == serial.edge_cloud_bytes
-        assert parallel.camera_edge_bytes == serial.camera_edge_bytes
-        assert parallel.edge_seconds == pytest.approx(serial.edge_seconds,
-                                                      rel=TOLERANCE)
-        self._assert_fleet_reports_match(serial.fleet, parallel.fleet)
+        simulation = EndToEndSimulation([workload] * 4, SystemConfig(),
+                                        num_edge_servers=2)
+        report = simulation.run(mode)
+        chain = FleetOrchestrator(
+            simulation.plan_jobs(mode), num_edge_servers=2,
+            config=simulation.config, policy=simulation.placement)._run_chain()
+        assert chain.parity_mismatches(report.fleet, 0.0) == []
+        assert report.edge_cloud_bytes == chain.edge_cloud_bytes
 
 
 def make_night_instance() -> DatasetInstance:
@@ -187,7 +178,7 @@ def make_night_instance() -> DatasetInstance:
 
 class TestNightScenario:
     """The flickering low-light profile flows through the whole fleet path:
-    serial == scheduled == multiprocess, under both precision modes, and
+    serial == event loop == recurrence, under both precision modes, and
     the scene-cut stage does not degenerate under sub-threshold flicker."""
 
     @pytest.fixture(scope="class")
@@ -217,15 +208,14 @@ class TestNightScenario:
         assert fleet.throughput_fps == pytest.approx(seed.throughput_fps,
                                                      rel=TOLERANCE)
 
-    def test_multiprocess_parity(self, night_workload):
+    def test_recurrence_parity(self, night_workload):
         mode = DeploymentMode.IFRAME_EDGE_CLOUD_NN
         jobs = [plan_camera_job(night_workload, mode,
                                 camera=f"night-{index}")
                 for index in range(4)]
-        serial = FleetOrchestrator(jobs, num_edge_servers=2).run()
-        parallel = FleetOrchestrator(jobs, num_edge_servers=2,
-                                     fleet_workers=2).run()
-        assert serial.parity_mismatches(parallel, TOLERANCE) == []
+        orchestrator = FleetOrchestrator(jobs, num_edge_servers=2)
+        assert orchestrator._run_chain().parity_mismatches(
+            orchestrator.run(), 0.0) == []
 
     def test_fast_precision_workload_close_to_exact(self, night_workload):
         from repro.contracts import FAST_CONTRACT, selection_agreement

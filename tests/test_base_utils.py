@@ -64,6 +64,11 @@ class TestConfig:
         assert faster.edge_cloud_bandwidth_mbps == 100.0
         assert faster.camera_edge_bandwidth_mbps == SystemConfig().camera_edge_bandwidth_mbps
 
+    def test_with_bandwidth_preserves_build_workers(self):
+        config = SystemConfig(build_workers=3).with_bandwidth(10.0)
+        assert config.build_workers == 3
+        assert config.edge_cloud_bandwidth_mbps == 10.0
+
     def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
             SystemConfig(edge_cloud_bandwidth_mbps=0)
@@ -73,14 +78,14 @@ class TestConfig:
         {"camera_edge_bandwidth_mbps": float("nan")},
         {"edge_cloud_latency_ms": float("nan")},
         {"camera_edge_latency_ms": float("inf")},
-        {"fleet_workers": 1.5},
+        {"build_workers": 1.5},
         {"build_workers": float("nan")},
         {"nn_batch_size": 2.5},
         {"nn_input_resolution": (300,)},
         {"nn_input_resolution": "big"},
         {"nn_input_resolution": (300, float("nan"))},
         {"edge_cloud_bandwidth_mbps": "30"},
-        {"fleet_workers": "2"},
+        {"build_workers": "2"},
     ])
     def test_malformed_values_raise_the_typed_error(self, fields):
         """``nan <= 0`` is false, so nan used to be accepted (and fractional
@@ -90,9 +95,9 @@ class TestConfig:
             SystemConfig(**fields)
 
     def test_whole_valued_floats_normalise_to_ints(self):
-        config = SystemConfig(fleet_workers=2.0, nn_batch_size=8.0)
-        assert (config.fleet_workers, config.nn_batch_size) == (2, 8)
-        assert isinstance(config.fleet_workers, int)
+        config = SystemConfig(build_workers=2.0, nn_batch_size=8.0)
+        assert (config.build_workers, config.nn_batch_size) == (2, 8)
+        assert isinstance(config.build_workers, int)
 
     def test_invalid_calibration_rejected(self):
         with pytest.raises(ConfigurationError):

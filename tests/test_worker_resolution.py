@@ -62,11 +62,11 @@ class TestResolveWorkerCount:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert resolve_worker_count(0, "fleet_workers") == 3
+        assert resolve_worker_count(0, "build_workers") == 3
 
     def test_positive_passes_through(self):
-        assert resolve_worker_count(5, "fleet_workers") == 5
+        assert resolve_worker_count(5, "build_workers") == 5
 
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_worker_count(-1, "fleet_workers")
+            resolve_worker_count(-1, "build_workers")
