@@ -6,20 +6,15 @@ encoding, default encoding, tuned MSE threshold, matched uniform-sampling
 interval), and replays every deployment mode through the simulated 3-tier
 cluster: throughput, data transfer and accuracy per deployment.
 
-Also shows the NN deployment service's Neurosurgeon-style split decision for
-the reference network at the configured WAN bandwidth.
-
 Run with:  python examples/edge_cloud_deployment.py
 """
 
 from __future__ import annotations
 
 from repro import SystemConfig
-from repro.core import (ALL_DEPLOYMENT_MODES, EndToEndSimulation, NNDeploymentService,
-                        NNPlacement, build_workload)
+from repro.core import ALL_DEPLOYMENT_MODES, EndToEndSimulation, build_workload
 from repro.datasets import ALL_DATASETS, build_dataset
 from repro.logging_utils import configure_logging
-from repro.nn import build_yolo_lite
 
 
 def main() -> None:
@@ -48,17 +43,6 @@ def main() -> None:
               f"{report.edge_seconds:>8.1f} {report.cloud_seconds:>8.1f} "
               f"{report.transfer_seconds:>8.1f} "
               f"{report.edge_cloud_bytes / 1e9:>15.4f} {accuracy:>9}")
-
-    print("\nNN deployment service (Neurosurgeon split of the reference network):")
-    service = NNDeploymentService(build_yolo_lite())
-    for bandwidth in (5.0, 30.0, 1000.0):
-        plan = service.plan(NNPlacement.SPLIT, bandwidth_mbps=bandwidth,
-                            latency_ms=config.edge_cloud_latency_ms)
-        best = plan.partition.best
-        print(f"  {bandwidth:7.1f} Mbps -> run {best.split_index} layers on the edge, "
-              f"ship {best.transfer_bytes} B, total {best.total_ms:.1f} ms "
-              f"(edge-only {plan.partition.edge_only_ms:.1f} ms, "
-              f"cloud-only {plan.partition.cloud_only_ms:.1f} ms)")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import BitstreamError, ConfigurationError
 from ..video.frame import FrameType, Resolution
@@ -160,16 +160,6 @@ class EncodedVideo:
     def iter_keyframes(self) -> Iterator[EncodedFrame]:
         """Iterate over I-frames only."""
         return (frame for frame in self.frames if frame.is_keyframe)
-
-    def size_summary(self) -> Dict[str, float]:
-        """Summary of the encoded sizes (used by the data-transfer experiment)."""
-        return {
-            "total_bytes": float(self.total_size_bytes),
-            "keyframe_bytes": float(self.keyframe_size_bytes),
-            "num_frames": float(self.num_frames),
-            "num_keyframes": float(self.num_keyframes),
-            "sampling_fraction": self.sampling_fraction,
-        }
 
     # ------------------------------------------------------------------ #
     # Serialisation

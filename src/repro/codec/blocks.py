@@ -116,9 +116,3 @@ def block_means(plane: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> np.n
     """
     padded = pad_plane(np.asarray(plane, dtype=np.float64), block_size)
     return to_blocks(padded, block_size).mean(axis=(2, 3))
-
-
-def block_sums_abs(plane: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    """Per-block sum of absolute values (SAD-style aggregation)."""
-    padded = pad_plane(np.abs(np.asarray(plane, dtype=np.float64)), block_size)
-    return to_blocks(padded, block_size).sum(axis=(2, 3))

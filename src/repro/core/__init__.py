@@ -1,7 +1,6 @@
 """SiEVE core: metrics, offline tuner, event detection, deployment, pipeline."""
 
-from .deployment import (ALL_DEPLOYMENT_MODES, DeploymentMode, NNDeploymentPlan,
-                         NNDeploymentService, NNPlacement)
+from .deployment import ALL_DEPLOYMENT_MODES, DeploymentMode
 from .event_detection import (EventDetectionResult, EventDetector, MseEventDetector,
                               SieveEventDetector, SiftEventDetector,
                               SimilarityEventDetector, UniformSamplingDetector,
@@ -18,8 +17,7 @@ from .tuner import (ConfigurationResult, ParameterLookupTable, SemanticEncoderTu
                     DEFAULT_SCENECUT_GRID)
 
 __all__ = [
-    "ALL_DEPLOYMENT_MODES", "DeploymentMode", "NNDeploymentPlan",
-    "NNDeploymentService", "NNPlacement",
+    "ALL_DEPLOYMENT_MODES", "DeploymentMode",
     "EventDetectionResult", "EventDetector", "MseEventDetector",
     "SieveEventDetector", "SiftEventDetector", "SimilarityEventDetector",
     "UniformSamplingDetector", "sieve_sampling_sweep",

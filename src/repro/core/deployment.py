@@ -1,22 +1,16 @@
-"""Deployment modes and the NN deployment service.
+"""Deployment modes.
 
 Figure 4/5 of the paper compare five end-to-end deployments, reproduced by
-:class:`DeploymentMode`.  The NN deployment service of Figure 1 additionally
-decides *where the network's layers live*: all on the edge, all in the
-cloud, or split at a layer boundary (Neurosurgeon); :class:`NNDeploymentService`
-implements that decision for the reference network.
+:class:`DeploymentMode`.  Each runs the whole network on one tier, edge or
+cloud, priced by :class:`~repro.cluster.costmodel.CostModel`.  Figure 1's NN
+deployment service can also split the network between the tiers; that split
+is not modelled, because it never beats the better single tier (see the
+README).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
-
-from ..errors import PipelineError
-from ..nn.model import SequentialModel
-from ..nn.partition import NeurosurgeonPartitioner, PartitionDecision
-from ..nn.profiler import CLOUD_DEVICE, EDGE_DEVICE, DeviceSpec
 
 
 class DeploymentMode(enum.Enum):
@@ -65,67 +59,3 @@ ALL_DEPLOYMENT_MODES = (
     DeploymentMode.UNIFORM_EDGE_CLOUD_NN,
     DeploymentMode.MSE_EDGE_CLOUD_NN,
 )
-
-
-class NNPlacement(enum.Enum):
-    """Where the reference network's layers execute."""
-
-    EDGE_ONLY = "edge"
-    CLOUD_ONLY = "cloud"
-    SPLIT = "split"
-
-
-@dataclass(frozen=True)
-class NNDeploymentPlan:
-    """Concrete layer placement produced by the deployment service.
-
-    Attributes:
-        placement: Edge-only, cloud-only or split.
-        split_index: Number of layers on the edge (only meaningful for SPLIT,
-            where ``0 < split_index < num_layers``).
-        partition: The full Neurosurgeon decision when a split was evaluated.
-    """
-
-    placement: NNPlacement
-    split_index: int
-    partition: Optional[PartitionDecision] = None
-
-
-class NNDeploymentService:
-    """Decides the layer placement of the reference network (Figure 1).
-
-    Args:
-        model: The reference network.
-        edge_device: Edge compute capability.
-        cloud_device: Cloud compute capability.
-    """
-
-    def __init__(self, model: SequentialModel,
-                 edge_device: DeviceSpec = EDGE_DEVICE,
-                 cloud_device: DeviceSpec = CLOUD_DEVICE) -> None:
-        self.model = model
-        self.edge_device = edge_device
-        self.cloud_device = cloud_device
-
-    def plan(self, placement: NNPlacement,
-             bandwidth_mbps: Optional[float] = None,
-             latency_ms: float = 0.0) -> NNDeploymentPlan:
-        """Produce a placement plan.
-
-        ``EDGE_ONLY``/``CLOUD_ONLY`` need no network information; ``SPLIT``
-        runs the Neurosurgeon search and therefore requires the edge->cloud
-        bandwidth.
-        """
-        if placement is NNPlacement.EDGE_ONLY:
-            return NNDeploymentPlan(placement=placement,
-                                    split_index=self.model.num_layers)
-        if placement is NNPlacement.CLOUD_ONLY:
-            return NNDeploymentPlan(placement=placement, split_index=0)
-        if bandwidth_mbps is None or bandwidth_mbps <= 0:
-            raise PipelineError("a SPLIT plan requires a positive bandwidth")
-        partitioner = NeurosurgeonPartitioner(self.model, self.edge_device,
-                                              self.cloud_device)
-        decision = partitioner.decide(bandwidth_mbps, latency_ms)
-        return NNDeploymentPlan(placement=placement,
-                                split_index=decision.best.split_index,
-                                partition=decision)

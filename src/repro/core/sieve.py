@@ -47,11 +47,6 @@ class VideoAnalysisResult:
     score: Optional[DetectionScore]
     parameters: EncoderParameters
 
-    @property
-    def num_events_detected(self) -> int:
-        """Number of segments induced by the selected I-frames."""
-        return len(self.keyframe_indices)
-
 
 class Sieve:
     """The SiEVE system facade.

@@ -318,7 +318,10 @@ def load(kind: str, key: str, directory: Optional[str] = None
             pass
         return None
     try:
-        with np.load(path, allow_pickle=False) as bundle:
+        # The handle is opened here, not by np.load: a truncated archive
+        # makes NpzFile raise before np.load could close a file it opened.
+        with open(path, "rb") as handle, \
+                np.load(handle, allow_pickle=False) as bundle:
             manifest_bytes = bytes(bundle[MANIFEST_MEMBER])
             manifest = json.loads(manifest_bytes.decode("utf-8"))
             if (manifest.get("kind") != kind or manifest.get("key") != key

@@ -73,18 +73,6 @@ class ExperimentConfig:
         """A fast configuration used by unit/integration tests."""
         return cls(duration_seconds=20.0, render_scale=0.08, datasets=datasets)
 
-    @classmethod
-    def from_environment(cls) -> "ExperimentConfig":
-        """Build a config honouring the ``REPRO_EXPERIMENT_*`` env overrides.
-
-        ``REPRO_EXPERIMENT_DURATION`` (seconds) and ``REPRO_EXPERIMENT_SCALE``
-        (resolution factor) allow longer, higher-fidelity benchmark runs
-        without code changes.
-        """
-        duration = float(os.environ.get("REPRO_EXPERIMENT_DURATION", 60.0))
-        scale = float(os.environ.get("REPRO_EXPERIMENT_SCALE", 0.12))
-        return cls(duration_seconds=duration, render_scale=scale)
-
 
 @dataclass
 class PreparedDataset:

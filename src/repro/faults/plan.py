@@ -202,12 +202,6 @@ class FaultPlan:
                      if isinstance(spec, WorkerKill))
 
     @property
-    def cache_corruptions(self) -> Tuple[CacheCorruption, ...]:
-        """Disk-cache corruptions (plan order)."""
-        return tuple(spec for spec in self.specs
-                     if isinstance(spec, CacheCorruption))
-
-    @property
     def has_scheduler_faults(self) -> bool:
         """Whether any spec needs in-scheduler injection (crash/WAN/stall).
 

@@ -12,7 +12,7 @@ import logging
 import sys
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 _LIBRARY_ROOT = "repro"
 _DEFAULT_FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
@@ -104,18 +104,3 @@ class ProgressReporter:
     def count(self) -> int:
         """Number of items reported so far."""
         return self._count
-
-
-def null_logger() -> logging.Logger:
-    """Return a logger that drops everything (useful in tight test loops)."""
-    logger = logging.getLogger(f"{_LIBRARY_ROOT}.null")
-    logger.addHandler(logging.NullHandler())
-    logger.propagate = False
-    return logger
-
-
-def describe_level(level: Optional[int]) -> str:
-    """Return the human-readable name of a logging level."""
-    if level is None:
-        return "NOTSET"
-    return logging.getLevelName(level)

@@ -1,12 +1,10 @@
 """Neural-network layers for the numpy inference engine.
 
 The paper treats the object-detection network (YOLOv3 in their prototype) as
-a per-frame black box that is expensive to evaluate and that can be split
-between edge and cloud by the "NN deployment service".  PyTorch is not
-available in this environment, so this module provides a small but real
-inference engine: convolution (via im2col), pooling, dense layers and the
-usual activations, each reporting its parameter count, FLOPs and output size
-— the quantities the deployment service's partitioning algorithm needs.
+a per-frame black box that is expensive to evaluate.  PyTorch is not a
+dependency, so this module provides a small but real inference engine:
+convolution (via im2col), pooling, dense layers and the usual activations,
+each reporting its output shape and parameter count.
 
 Feature maps follow the ``(channels, height, width)`` layout and dense
 activations are plain vectors.  Every layer also accepts a leading batch
@@ -117,8 +115,7 @@ class Layer:
     """Base class of all layers.
 
     Subclasses implement :meth:`forward` and :meth:`output_shape`, and report
-    :attr:`num_parameters` and :meth:`flops` so the profiler can build a cost
-    model without running the network.
+    :attr:`num_parameters`.
     """
 
     #: Human-readable layer name, set by subclasses.
@@ -142,14 +139,6 @@ class Layer:
     def num_parameters(self) -> int:
         """Number of trainable parameters."""
         return 0
-
-    def flops(self, input_shape: Shape) -> int:
-        """Approximate multiply-accumulate count for one forward pass."""
-        return 0
-
-    def output_size_bytes(self, input_shape: Shape, dtype_bytes: int = 4) -> int:
-        """Size of the layer's output activation in bytes."""
-        return int(np.prod(self.output_shape(input_shape))) * dtype_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid.
         return f"{type(self).__name__}(name={self.name!r})"
@@ -222,11 +211,6 @@ class Conv2D(Layer):
         if out_h <= 0 or out_w <= 0:
             raise ModelError(f"{self.name}: input {input_shape} too small")
         return (self.out_channels, out_h, out_w)
-
-    def flops(self, input_shape: Shape) -> int:
-        _, out_h, out_w = self.output_shape(input_shape)
-        per_output = self.in_channels * self.kernel_size * self.kernel_size
-        return int(self.out_channels * out_h * out_w * per_output)
 
     def forward(self, inputs: np.ndarray,
                 workspace: Optional[Workspace] = None) -> np.ndarray:
@@ -334,9 +318,6 @@ class ReLU(Layer):
     def output_shape(self, input_shape: Shape) -> Shape:
         return input_shape
 
-    def flops(self, input_shape: Shape) -> int:
-        return int(np.prod(input_shape))
-
 
 class MaxPool2D(Layer):
     """Max pooling with a square window and equal stride."""
@@ -350,9 +331,6 @@ class MaxPool2D(Layer):
     def output_shape(self, input_shape: Shape) -> Shape:
         channels, height, width = input_shape
         return (channels, height // self.pool_size, width // self.pool_size)
-
-    def flops(self, input_shape: Shape) -> int:
-        return int(np.prod(self.output_shape(input_shape))) * self.pool_size ** 2
 
     def forward(self, inputs: np.ndarray,
                 workspace: Optional[Workspace] = None) -> np.ndarray:
@@ -399,9 +377,6 @@ class GlobalAveragePool(Layer):
 
     def output_shape(self, input_shape: Shape) -> Shape:
         return (input_shape[0],)
-
-    def flops(self, input_shape: Shape) -> int:
-        return int(np.prod(input_shape))
 
     def forward(self, inputs: np.ndarray,
                 workspace: Optional[Workspace] = None) -> np.ndarray:
@@ -460,9 +435,6 @@ class Dense(Layer):
                 f"{self.name}: expected {self.in_features} inputs, got {input_shape}")
         return (self.out_features,)
 
-    def flops(self, input_shape: Shape) -> int:
-        return self.in_features * self.out_features
-
     def forward(self, inputs: np.ndarray,
                 workspace: Optional[Workspace] = None) -> np.ndarray:
         inputs = np.asarray(inputs)
@@ -500,9 +472,6 @@ class Softmax(Layer):
 
     def output_shape(self, input_shape: Shape) -> Shape:
         return input_shape
-
-    def flops(self, input_shape: Shape) -> int:
-        return 3 * int(np.prod(input_shape))
 
     def forward(self, inputs: np.ndarray,
                 workspace: Optional[Workspace] = None) -> np.ndarray:

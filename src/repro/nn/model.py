@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -10,29 +9,6 @@ import numpy as np
 from ..contracts import PRECISION_EXACT, activation_dtype
 from ..errors import ModelError
 from .layers import Layer, Shape, Workspace
-
-
-@dataclass(frozen=True)
-class LayerSummary:
-    """Static description of one layer inside a model.
-
-    Attributes:
-        index: Position of the layer in the model.
-        name: Layer name.
-        kind: Layer class name.
-        output_shape: Activation shape produced by the layer.
-        num_parameters: Trainable parameter count.
-        flops: Multiply-accumulate estimate for one forward pass.
-        output_bytes: Size of the activation in bytes (float32).
-    """
-
-    index: int
-    name: str
-    kind: str
-    output_shape: Shape
-    num_parameters: int
-    flops: int
-    output_bytes: int
 
 
 class SequentialModel:
@@ -90,41 +66,6 @@ class SequentialModel:
         """Total trainable parameter count."""
         return sum(layer.num_parameters for layer in self.layers)
 
-    def layer_input_shape(self, index: int) -> Shape:
-        """Input shape of the layer at ``index``."""
-        self._check_index(index)
-        return self._shapes[index]
-
-    def layer_output_shape(self, index: int) -> Shape:
-        """Output shape of the layer at ``index``."""
-        self._check_index(index)
-        return self._shapes[index + 1]
-
-    def summary(self) -> List[LayerSummary]:
-        """Per-layer static summary (used by the profiler and README docs)."""
-        summaries = []
-        for index, layer in enumerate(self.layers):
-            input_shape = self._shapes[index]
-            summaries.append(LayerSummary(
-                index=index,
-                name=layer.name,
-                kind=type(layer).__name__,
-                output_shape=self._shapes[index + 1],
-                num_parameters=layer.num_parameters,
-                flops=layer.flops(input_shape),
-                output_bytes=layer.output_size_bytes(input_shape),
-            ))
-        return summaries
-
-    def total_flops(self) -> int:
-        """Total multiply-accumulate count of one forward pass."""
-        return sum(entry.flops for entry in self.summary())
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < len(self.layers):
-            raise ModelError(
-                f"layer index {index} out of range [0, {len(self.layers)})")
-
     # ------------------------------------------------------------------ #
     # Inference
     # ------------------------------------------------------------------ #
@@ -137,10 +78,10 @@ class SequentialModel:
                       precision: str = PRECISION_EXACT) -> np.ndarray:
         """Run layers ``start`` (inclusive) to ``stop`` (exclusive).
 
-        This is the primitive the NN deployment service uses: the edge engine
-        runs ``forward_range(x, 0, split)`` and ships the intermediate
-        activation to the cloud engine, which runs
-        ``forward_range(activation, split, num_layers)``.
+        :meth:`forward` is ``forward_range(x, 0, num_layers)``; a partial
+        range resumes from the activation a previous range returned, so
+        ``forward_range(forward_range(x, 0, k), k, num_layers)`` equals
+        ``forward(x)``.
 
         ``inputs`` may be one activation of the expected shape or a batch of
         them with one extra leading axis; a batch flows through every layer's

@@ -3,13 +3,13 @@
 The paper uses YOLOv3 as the downstream NN.  Running (or training) a real
 YOLOv3 is out of scope for an offline, CPU-only reproduction, so this module
 provides **YoloLite**: a deterministic convolutional classifier with the same
-*structural* role — an expensive per-frame network whose layers can be
-profiled, partitioned between edge and cloud, and executed by the numpy
+*structural* role — an expensive per-frame network executed by the numpy
 inference engine.  Frame labels used in the evaluation come from the
 annotation oracle (:mod:`repro.nn.oracle`), matching the paper's assumption
 that the reference NN produces ground-truth labels for the frames it sees;
-YoloLite supplies the compute/activation-size profile that the deployment
-and partitioning experiments need.
+YoloLite supplies the real per-frame inference work that
+:class:`~repro.nn.oracle.NNDetector` and the query benchmarks run on the
+frames a filter keeps.
 """
 
 from __future__ import annotations

@@ -54,6 +54,18 @@ from .status import (HealthSample, ServiceStatus, SessionSnapshot,
                      StationSnapshot, snapshot_session, snapshot_station)
 
 
+def _whole_count(value, name: str) -> int:
+    """``value`` as an ``int`` >= 1, or a :class:`ServiceError`.
+
+    The chained check of :class:`~repro.cluster.fleet.FleetOrchestrator`'s
+    counts: nan and inf fail the range test before ``int()`` can raise a
+    bare error on them, and a fraction is refused rather than truncated.
+    """
+    if not (1 <= value < inf and value == int(value)):
+        raise ServiceError(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
+
+
 class _ChunkRun(StageUnit):
     """One in-flight chunk moving through the service's stage chain.
 
@@ -130,17 +142,15 @@ class StreamingService:
                  degraded_tenant: Optional[TenantPolicy] = None,
                  adaptive: Optional[AdaptiveConfig] = None,
                  health_history_limit: int = 64) -> None:
-        if num_edge_servers < 1:
-            raise ServiceError("num_edge_servers must be >= 1")
-        if edge_workers < 1:
-            raise ServiceError("edge_workers must be >= 1")
         self.config = config or SystemConfig()
-        self.num_edge_servers = int(num_edge_servers)
-        self.edge_workers = int(edge_workers)
-        self.cloud_workers = (int(cloud_workers) if cloud_workers is not None
+        self.num_edge_servers = _whole_count(num_edge_servers, "num_edge_servers")
+        self.edge_workers = _whole_count(edge_workers, "edge_workers")
+        self.cloud_workers = (_whole_count(cloud_workers, "cloud_workers")
+                              if cloud_workers is not None
                               else self.num_edge_servers)
-        if self.cloud_workers < 1:
-            raise ServiceError("cloud_workers must be >= 1")
+        max_sessions = _whole_count(max_sessions, "max_sessions")
+        health_history_limit = _whole_count(health_history_limit,
+                                            "health_history_limit")
         self.clock = clock if clock is not None else VirtualClock()
         self.scheduler = EventScheduler()
         #: The stage chain every chunk flows through.  The four resource
@@ -189,10 +199,8 @@ class StreamingService:
         if adaptive is not None:
             self.adaptive = AdaptiveTuningController(self, adaptive)
             self.ingest.on_chunk_scene = self.adaptive.observe_push
-        if health_history_limit < 1:
-            raise ServiceError("health_history_limit must be >= 1")
         self._health_history: Deque[HealthSample] = deque(
-            maxlen=int(health_history_limit))
+            maxlen=health_history_limit)
 
     # ------------------------------------------------------------------ #
     # Session API (delegated to the ingest front end)

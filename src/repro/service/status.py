@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Tuple, Union
 
 from ..cluster.fleet import latency_percentiles_of
+from ..errors import ServiceError
 from .session import SessionState
 
 
@@ -269,59 +270,63 @@ class ServiceStatus:
         Restores the integer percentile/breaker keys and decodes the
         nan/inf sentinels, so ``from_json(status.to_json())`` reproduces
         ``status`` field-for-field (nan compares unequal to itself, so
-        compare via ``to_json`` for byte-identity).
+        compare via ``to_json`` for byte-identity).  Text that is not such
+        output raises :class:`~repro.errors.ServiceError`.
         """
-        payload = json.loads(text)
-        return cls(
-            virtual_now=_decode_float(payload["virtual_now"]),
-            wall_run_seconds=_decode_float(payload["wall_run_seconds"]),
-            clock=payload["clock"],
-            speedup=_decode_float(payload["speedup"]),
-            clock_max_lag_seconds=_decode_float(
-                payload["clock_max_lag_seconds"]),
-            events_processed=payload["events_processed"],
-            pending_events=payload["pending_events"],
-            active_sessions=payload["active_sessions"],
-            total_sessions=payload["total_sessions"],
-            sessions_rejected=payload["sessions_rejected"],
-            pushes_rejected=payload["pushes_rejected"],
-            tenants=dict(payload["tenants"]),
-            stations=tuple(StationSnapshot(
-                name=station["name"],
-                queue_depth=station["queue_depth"],
-                in_service=station["in_service"],
-                busy_seconds=_decode_float(station["busy_seconds"]),
-                utilisation=_decode_float(station["utilisation"]),
-                completed=station["completed"],
-            ) for station in payload["stations"]),
-            sessions=tuple(SessionSnapshot(
-                session_id=session["session_id"],
-                tenant=session["tenant"],
-                edge_index=session["edge_index"],
-                state=session["state"],
-                frames_pushed=session["frames_pushed"],
-                chunks_pushed=session["chunks_pushed"],
-                chunks_completed=session["chunks_completed"],
-                in_flight=session["in_flight"],
-                lan_queue_depth=session["lan_queue_depth"],
-                latency_percentiles={
-                    int(percentile): _decode_float(value)
-                    for percentile, value
-                    in session["latency_percentiles"].items()},
-                parameter_version=session["parameter_version"],
-            ) for session in payload["sessions"]),
-            sessions_degraded=payload["sessions_degraded"],
-            close_reasons=dict(payload["close_reasons"]),
-            breaker_states={int(index): state for index, state
-                            in payload["breaker_states"].items()},
-            fault_counters=dict(payload["fault_counters"]),
-            retune_counters=dict(payload["retune_counters"]),
-            retune_history=tuple(payload["retune_history"]),
-            health_history=tuple(HealthSample(
-                virtual_now=_decode_float(sample["virtual_now"]),
-                counters=dict(sample["counters"]),
-            ) for sample in payload["health_history"]),
-        )
+        try:
+            payload = json.loads(text)
+            return cls(
+                virtual_now=_decode_float(payload["virtual_now"]),
+                wall_run_seconds=_decode_float(payload["wall_run_seconds"]),
+                clock=payload["clock"],
+                speedup=_decode_float(payload["speedup"]),
+                clock_max_lag_seconds=_decode_float(
+                    payload["clock_max_lag_seconds"]),
+                events_processed=payload["events_processed"],
+                pending_events=payload["pending_events"],
+                active_sessions=payload["active_sessions"],
+                total_sessions=payload["total_sessions"],
+                sessions_rejected=payload["sessions_rejected"],
+                pushes_rejected=payload["pushes_rejected"],
+                tenants=dict(payload["tenants"]),
+                stations=tuple(StationSnapshot(
+                    name=station["name"],
+                    queue_depth=station["queue_depth"],
+                    in_service=station["in_service"],
+                    busy_seconds=_decode_float(station["busy_seconds"]),
+                    utilisation=_decode_float(station["utilisation"]),
+                    completed=station["completed"],
+                ) for station in payload["stations"]),
+                sessions=tuple(SessionSnapshot(
+                    session_id=session["session_id"],
+                    tenant=session["tenant"],
+                    edge_index=session["edge_index"],
+                    state=session["state"],
+                    frames_pushed=session["frames_pushed"],
+                    chunks_pushed=session["chunks_pushed"],
+                    chunks_completed=session["chunks_completed"],
+                    in_flight=session["in_flight"],
+                    lan_queue_depth=session["lan_queue_depth"],
+                    latency_percentiles={
+                        int(percentile): _decode_float(value)
+                        for percentile, value
+                        in session["latency_percentiles"].items()},
+                    parameter_version=session["parameter_version"],
+                ) for session in payload["sessions"]),
+                sessions_degraded=payload["sessions_degraded"],
+                close_reasons=dict(payload["close_reasons"]),
+                breaker_states={int(index): state for index, state
+                                in payload["breaker_states"].items()},
+                fault_counters=dict(payload["fault_counters"]),
+                retune_counters=dict(payload["retune_counters"]),
+                retune_history=tuple(payload["retune_history"]),
+                health_history=tuple(HealthSample(
+                    virtual_now=_decode_float(sample["virtual_now"]),
+                    counters=dict(sample["counters"]),
+                ) for sample in payload["health_history"]),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ServiceError(f"malformed service status: {exc}") from exc
 
 
 def snapshot_station(name: str, station, horizon: float) -> StationSnapshot:

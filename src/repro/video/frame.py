@@ -124,16 +124,6 @@ class Frame:
         """Whether the frame carries three color channels."""
         return self.data.ndim == 3
 
-    @property
-    def num_pixels(self) -> int:
-        """Number of pixels (independent of channel count)."""
-        return self.data.shape[0] * self.data.shape[1]
-
-    @property
-    def raw_size_bytes(self) -> int:
-        """Uncompressed size of the pixel payload in bytes."""
-        return int(self.data.size)
-
     def to_grayscale(self) -> np.ndarray:
         """Return a ``float64`` grayscale (luma) plane in ``[0, 255]``.
 

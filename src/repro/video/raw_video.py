@@ -50,11 +50,6 @@ class VideoMetadata:
         """Video duration in seconds."""
         return self.num_frames / self.fps
 
-    @property
-    def raw_size_bytes(self) -> int:
-        """Size of the uncompressed RGB video in bytes."""
-        return self.num_frames * self.resolution.pixels * 3
-
     def timestamp_of(self, frame_index: int) -> float:
         """Presentation timestamp of ``frame_index`` in seconds."""
         return frame_index / self.fps

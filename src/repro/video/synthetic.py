@@ -707,10 +707,6 @@ class SyntheticScene:
         )
         return GeneratedVideo(metadata, self.frame_array, self.script.timeline())
 
-    def materialised_video(self):
-        """Render every frame into memory (only sensible for short clips)."""
-        return self.video().materialise()
-
 
 def generate_scene_video(profile: SceneProfile, *,
                          materialise: bool = False,

@@ -1,16 +1,14 @@
-"""Tests for event-detection front ends, deployment planning and the pipeline."""
+"""Tests for event-detection front ends, deployment modes and the pipeline."""
 
 import pytest
 
 from repro.codec import EncoderParameters
 from repro.config import SystemConfig
 from repro.core import (ALL_DEPLOYMENT_MODES, DeploymentMode, EndToEndSimulation,
-                        MseEventDetector, NNDeploymentService, NNPlacement,
-                        SieveEventDetector, UniformSamplingDetector, VideoWorkload,
-                        build_workload, sieve_sampling_sweep)
+                        MseEventDetector, SieveEventDetector, UniformSamplingDetector,
+                        VideoWorkload, build_workload, sieve_sampling_sweep)
 from repro.datasets import build_dataset
 from repro.errors import PipelineError
-from repro.nn import build_yolo_lite
 from repro.video import RESOLUTION_400P, Resolution
 
 
@@ -67,17 +65,6 @@ class TestDeploymentService:
         assert DeploymentMode.IFRAME_EDGE_EDGE_NN.nn_device == "edge"
         assert len(ALL_DEPLOYMENT_MODES) == 5
         assert len({mode.label for mode in ALL_DEPLOYMENT_MODES}) == 5
-
-    def test_placement_plans(self):
-        model = build_yolo_lite(input_size=(32, 32), width_multiplier=0.25)
-        service = NNDeploymentService(model)
-        assert service.plan(NNPlacement.EDGE_ONLY).split_index == model.num_layers
-        assert service.plan(NNPlacement.CLOUD_ONLY).split_index == 0
-        split = service.plan(NNPlacement.SPLIT, bandwidth_mbps=30.0)
-        assert 0 <= split.split_index <= model.num_layers
-        assert split.partition is not None
-        with pytest.raises(PipelineError):
-            service.plan(NNPlacement.SPLIT)
 
 
 def synthetic_workload(name="wl", num_frames=3000, iframe_fraction=0.02,

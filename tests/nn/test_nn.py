@@ -1,23 +1,21 @@
-"""Tests for the numpy NN engine, YoloLite, the oracle and partitioning."""
+"""Tests for the numpy NN engine, YoloLite and the oracle."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.nn import (CLOUD_DEVICE, EDGE_DEVICE, Conv2D, Dense, DeviceSpec, Flatten,
-                      GlobalAveragePool, MaxPool2D, ModelProfiler,
-                      NeurosurgeonPartitioner, OracleDetector, ConstantDetector,
-                      ReLU, SequentialModel, Softmax, build_yolo_lite, classify_frame,
-                      detect_many, model_size_bytes, preprocess_frame)
+from repro.nn import (Conv2D, Dense, Flatten, GlobalAveragePool, MaxPool2D,
+                      OracleDetector, ConstantDetector, ReLU, SequentialModel, Softmax,
+                      build_yolo_lite, classify_frame, detect_many, model_size_bytes,
+                      preprocess_frame)
 from repro.video.events import EventTimeline
 
 
 class TestLayers:
-    def test_conv_shapes_and_flops(self):
+    def test_conv_shapes_and_parameters(self):
         conv = Conv2D(3, 8, kernel_size=3, padding="same", name="c")
         assert conv.output_shape((3, 16, 16)) == (8, 16, 16)
         assert conv.num_parameters == 3 * 8 * 9 + 8
-        assert conv.flops((3, 16, 16)) == 8 * 16 * 16 * 3 * 9
         valid = Conv2D(3, 8, kernel_size=3, padding="valid")
         assert valid.output_shape((3, 16, 16)) == (8, 14, 14)
 
@@ -77,12 +75,11 @@ class TestSequentialModel:
         assert full.shape == model.output_shape
         assert full.sum() == pytest.approx(1.0)
 
-    def test_summary_consistency(self):
+    def test_parameter_count_consistency(self):
         model = build_yolo_lite(input_size=(32, 32), width_multiplier=0.25)
-        summary = model.summary()
-        assert len(summary) == model.num_layers
-        assert sum(entry.num_parameters for entry in summary) == model.num_parameters
-        assert model.total_flops() > 0
+        assert len(model.layers) == model.num_layers
+        assert (sum(layer.num_parameters for layer in model.layers)
+                == model.num_parameters)
 
     def test_invalid_range(self):
         model = build_yolo_lite(input_size=(32, 32), width_multiplier=0.25)
@@ -141,46 +138,3 @@ class TestOracle:
     def test_constant_detector(self):
         detector = ConstantDetector({"person"})
         assert detector.detect(0) == frozenset({"person"})
-
-
-class TestProfilerAndPartitioning:
-    def test_analytical_profile_scales_with_device(self):
-        model = build_yolo_lite(input_size=(32, 32), width_multiplier=0.25)
-        profiler = ModelProfiler(model)
-        edge = profiler.total_compute_ms(EDGE_DEVICE)
-        cloud = profiler.total_compute_ms(CLOUD_DEVICE)
-        assert edge > cloud
-        table = profiler.profile_table()
-        assert len(table) == model.num_layers
-        assert all("edge_ms" in row and "cloud_ms" in row for row in table)
-
-    def test_measured_profile_runs(self):
-        model = build_yolo_lite(input_size=(32, 32), width_multiplier=0.25)
-        profiles = ModelProfiler(model).measured_profile(repetitions=1)
-        assert len(profiles) == model.num_layers
-        assert all(profile.compute_ms >= 0 for profile in profiles)
-
-    def test_partitioner_prefers_cloud_on_fast_network(self):
-        model = build_yolo_lite(input_size=(32, 32), width_multiplier=0.5)
-        decision = NeurosurgeonPartitioner(model).decide(bandwidth_mbps=10_000.0)
-        assert decision.best.total_ms <= decision.edge_only_ms + 1e-9
-        assert decision.best.split_index < model.num_layers
-
-    def test_partitioner_prefers_edge_on_slow_network(self):
-        model = build_yolo_lite(input_size=(32, 32), width_multiplier=0.5)
-        decision = NeurosurgeonPartitioner(model).decide(bandwidth_mbps=0.01)
-        # On a near-dead link the best plan keeps (almost) everything on the
-        # edge so that only the tiny final vector crosses the network.
-        assert decision.best.split_index >= model.num_layers - 2
-        assert decision.best.transfer_bytes <= 4096
-
-    def test_candidate_count_and_validation(self):
-        model = build_yolo_lite(input_size=(32, 32), width_multiplier=0.25)
-        partitioner = NeurosurgeonPartitioner(model)
-        decision = partitioner.decide(bandwidth_mbps=30.0)
-        assert len(decision.candidates) == model.num_layers + 1
-        assert decision.speedup_over_edge >= 1.0 or decision.speedup_over_cloud >= 1.0
-        with pytest.raises(ModelError):
-            partitioner.evaluate_split(model.num_layers + 1, 30.0)
-        with pytest.raises(ModelError):
-            DeviceSpec(name="bad", effective_gflops=0.0)

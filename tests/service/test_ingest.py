@@ -254,3 +254,16 @@ class TestChunkCameraJob:
         with pytest.raises(ServiceError):
             FrameChunk(num_frames=1, frames_for_inference=1,
                        camera_edge_bytes=0, edge_cloud_bytes=0, **costs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("edge_workers", 1.5), ("num_edge_servers", 2.7), ("cloud_workers", 2.5),
+    ("max_sessions", 1.5), ("num_edge_servers", float("nan")),
+    ("health_history_limit", float("nan")), ("edge_workers", float("inf")),
+])
+def test_non_whole_service_counts_rejected(field, value):
+    """Regression: fractions used to be truncated (``edge_workers=1.5``
+    ran one worker), nan raised a bare ValueError and inf a bare
+    OverflowError."""
+    with pytest.raises(ServiceError, match=field):
+        StreamingService(**{field: value})

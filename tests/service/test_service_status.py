@@ -200,6 +200,25 @@ class TestStatusJsonRoundTrip:
             status.to_json())
 
 
+def replaced(field: str, value) -> str:
+    """The handcrafted status as JSON with one top-level field swapped."""
+    payload = json.loads(handcrafted_status().to_json())
+    payload[field] = value
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("text", [
+    "not json", "{}", "[]",
+    pytest.param(replaced("virtual_now", "soon"), id="bad-float"),
+    pytest.param(replaced("breaker_states", []), id="list-for-dict"),
+])
+def test_from_json_rejects_malformed_text(text):
+    """Regression: malformed text used to escape as a bare
+    JSONDecodeError, KeyError, TypeError, ValueError or AttributeError."""
+    with pytest.raises(ServiceError, match="malformed service status"):
+        ServiceStatus.from_json(text)
+
+
 class TestHealthHistoryRing:
     def degraded_service(self) -> StreamingService:
         # Quota overflow shed to the degraded tier is the cheapest
