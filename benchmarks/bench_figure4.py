@@ -1,119 +1,20 @@
-"""Benchmark harness for Figure 4 (end-to-end throughput of five deployments).
-
-Besides the pytest-benchmark timing, the harness records its end-to-end
-wall-clock into ``BENCH_figure4.json``: the cold workload build (rendering,
-analysis, tuning, encoding), the warm rebuild through the in-process
-prepared-dataset cache, the warm rebuild through the *on-disk* cache (what
-a second Python session pays), the cold *parallel* build
-(``build_workers=2`` into its own fresh cache directory, asserted
-byte-identical to the serial artifacts), and the deployment replay itself.
-"""
+"""Benchmark harness for Figure 4 (end-to-end throughput of five deployments)."""
 
 import pytest
 
-from repro.config import SystemConfig
-from repro.contracts import FAST_CONTRACT, selection_agreement
 from repro.core import DeploymentMode
-from repro.datasets.diskcache import cache_dir, temporary_cache_dir, tree_digest
-from repro.experiments import figure4, prepare_dataset
-from repro.experiments.common import clear_prepared_cache
-from repro.perf import Stopwatch
+from repro.experiments import figure4
 
 
 @pytest.fixture(scope="module")
-def figure4_report(bench_report_factory):
-    return bench_report_factory("figure4")
-
-
-@pytest.fixture(scope="module")
-def workloads(bench_config_small, figure4_report, tmp_path_factory):
+def workloads(bench_config_small):
     """Workloads over all five Table I datasets (shared with Figure 5)."""
-    with Stopwatch() as cold:
-        built = figure4.build_workloads(bench_config_small)
-    figure4_report.record("build_workloads.cold", cold.elapsed_seconds,
-                          "seconds", datasets=len(built))
-    # Re-prepare one dataset through the shared cache: the hit cost is what
-    # every later harness (Figure 5, the examples) pays for its footage.
-    with Stopwatch() as warm:
-        prepare_dataset("jackson_square", bench_config_small, split="full")
-    figure4_report.record("prepare_dataset.warm_cached", warm.elapsed_seconds,
-                          "seconds", datasets=1)
-    # Drop the in-process layer and rebuild everything through the on-disk
-    # cache: this is what a *new* Python session (a second pytest run, a CI
-    # re-run with a persistent REPRO_CACHE_DIR) pays instead of the cold
-    # build — no rendering, no tuning, no encodes.
-    clear_prepared_cache()
-    with Stopwatch() as disk_warm:
-        rebuilt = figure4.build_workloads(bench_config_small)
-    figure4_report.record("prepare_workload.warm_disk",
-                          disk_warm.elapsed_seconds, "seconds",
-                          datasets=len(rebuilt))
-    # The cold/warm ratio is the machine-relative view the CI gate relies
-    # on: both sides ran on the same hardware, so a collapse of the ratio
-    # means the cache stopped working, not that the runner was slow.
-    figure4_report.record_speedup("workload_cache", cold.elapsed_seconds,
-                                  disk_warm.elapsed_seconds,
-                                  datasets=len(rebuilt))
-    # Cold *parallel* build into its own fresh cache directory: times the
-    # build_workers=2 fan-out against the serial cold build above and
-    # asserts the byte-identity contract at bench scale — every cache
-    # artifact the workers wrote must equal the serial session's.  The
-    # gated metric is the machine-relative serial/parallel ratio: on a
-    # multi-core runner it exceeds 1, on a single-core one the pool
-    # overhead keeps it just under; either way a collapse means the
-    # parallel path broke, not that the runner was slow.
-    serial_cache = cache_dir()
-    clear_prepared_cache()
-    with temporary_cache_dir(tmp_path_factory.mktemp("parallel-cache")) as parallel_cache:
-        with Stopwatch() as parallel_cold:
-            parallel_built = figure4.build_workloads(bench_config_small,
-                                                     build_workers=2)
-    figure4_report.record("build_workloads.cold_parallel",
-                          parallel_cold.elapsed_seconds, "seconds",
-                          datasets=len(parallel_built), build_workers=2)
-    figure4_report.record("build_parallel.vs_serial",
-                          cold.elapsed_seconds
-                          / max(parallel_cold.elapsed_seconds, 1e-9),
-                          "ratio", datasets=len(parallel_built),
-                          build_workers=2)
-    assert tree_digest(parallel_cache) == tree_digest(serial_cache), (
-        "parallel build produced different cache artifacts than serial")
-    # Cold *fast-precision* build: the same end-to-end build through the
-    # float32 kernels (motion SADs in the analysis pass and both size-only
-    # encodes).  Fast sessions key their own cache artifacts, so this is a
-    # genuinely cold build on the same runner as the serial cold build
-    # above — the gated `precision_fast.build.speedup` ratio is
-    # machine-relative, and the recorded agreement pins the end-to-end
-    # accuracy contract at bench scale.
-    clear_prepared_cache()
-    with Stopwatch() as fast_cold:
-        fast_built = figure4.build_workloads(
-            bench_config_small, system_config=SystemConfig(precision="fast"))
-    figure4_report.record_speedup("precision_fast.build",
-                                  cold.elapsed_seconds,
-                                  fast_cold.elapsed_seconds,
-                                  datasets=len(fast_built))
-    agreement = min(
-        selection_agreement(exact.semantic_samples, fast.semantic_samples)
-        for exact, fast in zip(built, fast_built))
-    figure4_report.record("precision_fast.agreement", agreement, "ratio",
-                          datasets=len(fast_built))
-    assert agreement >= FAST_CONTRACT.detections.min_agreement, (
-        f"fast workload selection agreement {agreement} below contract")
-    # Drop the fast/parallel in-process layers so later harnesses resolve
-    # against the exact session cache artifacts again.
-    clear_prepared_cache()
-    return built
+    return figure4.build_workloads(bench_config_small)
 
 
-def test_figure4(benchmark, workloads, figure4_report):
+def test_figure4(benchmark, workloads):
     """Replay the five deployments over 1/3/5 videos and print Figure 4."""
-    # One timed invocation: with --benchmark-disable this is exactly one
-    # replay; with --benchmark-only the recorded value covers the rounds.
-    with Stopwatch() as watch:
-        results = benchmark(figure4.run, workloads)
-    figure4_report.record("run", watch.elapsed_seconds, "seconds",
-                          datasets=len(workloads))
+    results = benchmark(figure4.run, workloads)
     print()
     print(figure4.render(results))
     five_videos = {mode: reports[max(reports)] for mode, reports in results.items()}

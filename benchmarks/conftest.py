@@ -4,13 +4,12 @@ Each ``bench_*`` module regenerates one table or figure of the paper, prints
 it, and records its wall-clock cost with pytest-benchmark.  The footage scale
 is controlled by the ``REPRO_EXPERIMENT_DURATION`` / ``REPRO_EXPERIMENT_SCALE``
 environment variables (see :class:`repro.experiments.ExperimentConfig`); the
-defaults below keep a full ``pytest benchmarks/ --benchmark-only`` run in the
-ten-minute range on a laptop CPU.
+defaults below keep a full ``pytest benchmarks/bench_*.py --benchmark-only``
+run in the ten-minute range on a laptop CPU.
 
-Benchmark modules additionally record machine-readable measurements through
-:class:`repro.perf.BenchReport`; reports are written to ``BENCH_<name>.json``
-at the repository root when the session ends, which is how the repo's perf
-trajectory accumulates across PRs.
+These harnesses check the paper's shapes; they write nothing into the
+checkout.  Performance is measured by the repository benchmark
+(``benchmarks/e2e/run.py``, declared in ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -21,15 +20,10 @@ import pytest
 
 from repro.experiments import ExperimentConfig
 from repro.logging_utils import configure_logging
-from repro.perf import BenchReport
-from repro.perf.report import load_bench_runs
 
 #: Default benchmark footage scale (can be overridden via the environment).
 BENCH_DURATION_SECONDS = float(os.environ.get("REPRO_EXPERIMENT_DURATION", 30.0))
 BENCH_RENDER_SCALE = float(os.environ.get("REPRO_EXPERIMENT_SCALE", 0.10))
-
-#: Repository root — bench reports are written next to ROADMAP.md.
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -41,12 +35,9 @@ def _logging():
 def _cold_cache_dir(tmp_path_factory):
     """Run every benchmark session against a fresh ``REPRO_CACHE_DIR``.
 
-    The recorded "cold" timings must measure real renders/encodes, not
-    whatever happens to sit in the developer's warm user-level cache —
-    otherwise committed baselines would not be comparable with CI's fresh
-    runners and the perf gate would misfire.  Warm-hit costs are measured
-    explicitly (``prepare_workload.warm_disk`` in ``bench_figure4``)
-    against this same per-session directory.
+    The pytest-benchmark timings must measure real renders/encodes, not
+    whatever happens to sit in the developer's warm user-level cache, and
+    a session must leave no cache artifacts behind.
     """
     from repro.datasets.diskcache import temporary_cache_dir
     with temporary_cache_dir(tmp_path_factory.mktemp("bench-cache")):
@@ -67,77 +58,3 @@ def bench_config_small() -> ExperimentConfig:
     return ExperimentConfig(duration_seconds=min(BENCH_DURATION_SECONDS, 20.0),
                             render_scale=min(BENCH_RENDER_SCALE, 0.08))
 
-
-#: How many of the most recent run records feed the variance estimate.
-#: The trajectory spans code versions (intentional perf changes land as
-#: new records), so only a short trailing window approximates same-code
-#: run-over-run noise; the caveat is inherent — the estimate is an upper
-#: bound whenever a real perf change sits inside the window.
-VARIANCE_WINDOW_RUNS = 5
-
-
-def observed_run_variance(path: str) -> dict:
-    """Run-over-run variance of each wall-clock entry in a bench trajectory.
-
-    Reads the committed ``BENCH_*.json`` run records and reports, per
-    ``seconds`` entry with at least three recorded runs inside the
-    trailing :data:`VARIANCE_WINDOW_RUNS` window, the mean and the
-    coefficient of variation.  The result is stored in every new run's
-    context metadata, which is what justifies (and re-audits, every run)
-    the end-to-end wall-clock tolerance the CI figure4 gate applies: the
-    gate's allowance should track the *measured* runner noise instead of a
-    guessed constant.  Note this measures same-machine repeat noise — the
-    gate still pairs it with wide per-section allowances for entries whose
-    absolute value depends on the runner's hardware.
-    """
-    try:
-        runs = load_bench_runs(path)
-    except (OSError, ValueError):
-        return {}
-    series: dict = {}
-    for run in runs[-VARIANCE_WINDOW_RUNS:]:
-        for entry in run.get("entries", []):
-            if entry.get("unit") == "seconds":
-                series.setdefault(str(entry["name"]), []).append(
-                    float(entry["value"]))
-    stats = {}
-    for name, values in sorted(series.items()):
-        if len(values) < 3:
-            continue
-        mean = sum(values) / len(values)
-        if mean <= 0:
-            continue
-        deviation = (sum((value - mean) ** 2 for value in values)
-                     / len(values)) ** 0.5
-        stats[name] = {"runs": len(values),
-                       "mean_seconds": round(mean, 6),
-                       "cv": round(deviation / mean, 4)}
-    return stats
-
-
-@pytest.fixture(scope="session")
-def bench_report_factory():
-    """Factory producing named :class:`BenchReport` instances.
-
-    Every report created through the factory that recorded at least one
-    entry is written to ``BENCH_<name>.json`` at the repository root when
-    the test session finishes.  Each run's context carries the observed
-    run-over-run wall-clock variance of the existing trajectory (see
-    :func:`observed_run_variance`).
-    """
-    reports = []
-
-    def make(name: str) -> BenchReport:
-        report = BenchReport(name, context={
-            "duration_seconds": BENCH_DURATION_SECONDS,
-            "render_scale": BENCH_RENDER_SCALE,
-            "observed_wallclock_variance": observed_run_variance(
-                os.path.join(REPO_ROOT, f"BENCH_{name}.json")),
-        })
-        reports.append(report)
-        return report
-
-    yield make
-    for report in reports:
-        if report.entries:
-            report.write(report.default_path(REPO_ROOT))

@@ -23,17 +23,15 @@ over the zig-zag rows (``flatnonzero``/``diff`` -> token/level byte arrays
 token positions are found by pointer doubling.  The scan takes any number
 of back-to-back payloads (:func:`decode_block_payloads` — the video decoder
 hands it the residuals of a whole run of P-frames); :func:`decode_blocks` is
-its one-payload form.  The original per-block Python implementations are
-retained as :func:`encode_blocks_reference` /
-:func:`decode_blocks_reference` — they pin the byte format, and the
-equivalence property tests assert the vectorised pair matches them byte for
-byte.
+its one-payload form.  The per-block Python coders they replaced live in
+``tests/codec/entropy_oracle.py``, where the equivalence property tests hold
+the vectorised pair to them byte for byte.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -121,8 +119,7 @@ def encode_blocks(quantised: np.ndarray) -> bytes:
     Vectorised run-length pass: every non-zero coefficient becomes one chunk
     of ``[ZRL...] token level-bytes`` whose offset into the output buffer is
     computed with a cumulative sum, and the buffer starts zeroed so the EOB
-    byte (``0x00``) of every block is already in place.  Byte-for-byte
-    identical to :func:`encode_blocks_reference`.
+    byte (``0x00``) of every block is already in place.
     """
     rows = _to_zigzag_rows(np.clip(quantised, -MAX_LEVEL, MAX_LEVEL))
     num_blocks, num_coeffs = rows.shape
@@ -324,7 +321,7 @@ def _framing_error(data: np.ndarray, positions: np.ndarray,
     The scan stops at the ``num_blocks``-th EOB; everything after it is
     trailing garbage, and running out of payload first is a truncation —
     either a token whose level bytes run past the end or a clean end with
-    blocks still open (the two reference error messages).
+    blocks still open (two distinct messages).
     """
     tokens = data[positions]
     closing = np.flatnonzero(tokens == EOB)[num_blocks - 1:num_blocks]
@@ -342,10 +339,7 @@ def decode_blocks(payload: bytes, blocks_y: int, blocks_x: int,
                   block_size: int) -> np.ndarray:
     """Decode :func:`encode_blocks` output back into a 4-D block array.
 
-    The one-payload form of :func:`decode_block_payloads`.  Byte-for-byte
-    equivalent to :func:`decode_blocks_reference` on well-formed payloads
-    and raises :class:`~repro.errors.BitstreamError` on the same malformed
-    ones.
+    The one-payload form of :func:`decode_block_payloads`.
 
     Args:
         payload: Encoded bytes.
@@ -370,119 +364,3 @@ def _consumed(token: int) -> int:
     if token == EOB or token == ZRL:
         return 1
     return 1 + (int(token) & 0x0F)
-
-
-def encode_blocks_reference(quantised: np.ndarray) -> bytes:
-    """Reference per-block Python encoder (pins the byte format).
-
-    This is the original implementation :func:`encode_blocks` replaced; the
-    equivalence property tests assert both produce identical payloads, and
-    the micro-benchmarks use it as the speedup baseline.
-    """
-    rows = _to_zigzag_rows(np.clip(quantised, -MAX_LEVEL, MAX_LEVEL))
-    output = bytearray()
-    for row in rows:
-        nonzero_positions = np.nonzero(row)[0]
-        previous = -1
-        for position in nonzero_positions:
-            run = int(position - previous - 1)
-            previous = int(position)
-            while run >= 16:
-                output.append(ZRL)
-                run -= 16
-            level = int(row[position])
-            size = 1 if -128 <= level <= 127 else 2
-            output.append((run << 4) | size)
-            output.extend(int(level).to_bytes(size, "big", signed=True))
-        output.append(EOB)
-    return bytes(output)
-
-
-def decode_blocks_reference(payload: bytes, blocks_y: int, blocks_x: int,
-                            block_size: int) -> np.ndarray:
-    """Reference per-byte Python decoder (pins the byte format).
-
-    See :func:`encode_blocks_reference`; kept for the equivalence tests and
-    as the micro-benchmark baseline.
-    """
-    num_blocks = blocks_y * blocks_x
-    num_coeffs = block_size * block_size
-    _, inverse = zigzag_order(block_size)
-    rows = np.zeros((num_blocks, num_coeffs), dtype=np.int32)
-    offset = 0
-    length = len(payload)
-    for block_index in range(num_blocks):
-        position = 0
-        while True:
-            if offset >= length:
-                raise BitstreamError("truncated entropy payload (missing EOB)")
-            token = payload[offset]
-            offset += 1
-            if token == EOB:
-                break
-            if token == ZRL:
-                position += 16
-                continue
-            run = token >> 4
-            size = token & 0x0F
-            if size not in (1, 2):
-                raise BitstreamError(f"invalid level size {size} in entropy payload")
-            if offset + size > length:
-                raise BitstreamError("truncated entropy payload (missing level bytes)")
-            level = int.from_bytes(payload[offset:offset + size], "big", signed=True)
-            offset += size
-            position += run
-            if position >= num_coeffs:
-                raise BitstreamError("coefficient index out of range in entropy payload")
-            rows[block_index, position] = level
-            position += 1
-    if offset != length:
-        raise BitstreamError(
-            f"trailing {length - offset} bytes after decoding {num_blocks} blocks")
-    raster = rows[:, inverse]
-    return raster.reshape(blocks_y, blocks_x, block_size, block_size)
-
-
-def coefficient_statistics(quantised: np.ndarray) -> dict:
-    """Summary statistics of a quantised block array (for tests/diagnostics)."""
-    rows = _to_zigzag_rows(quantised)
-    nonzero = rows != 0
-    return {
-        "num_blocks": int(rows.shape[0]),
-        "nonzero_coefficients": int(nonzero.sum()),
-        "nonzero_fraction": float(nonzero.mean()) if rows.size else 0.0,
-        "max_abs_level": int(np.abs(rows).max()) if rows.size else 0,
-        "encoded_size_bytes": encoded_size_bytes(quantised),
-    }
-
-
-def split_block_payloads(payload: bytes, num_blocks: int) -> List[bytes]:
-    """Split an encoded payload into one byte string per block (diagnostics).
-
-    Raises:
-        BitstreamError: If the payload is truncated or a token carries an
-            invalid level size — an unvalidated size nibble (3-15) would
-            otherwise silently desynchronise the scan.
-    """
-    pieces: List[bytes] = []
-    offset = 0
-    length = len(payload)
-    for _ in range(num_blocks):
-        start = offset
-        while True:
-            if offset >= length:
-                raise BitstreamError("truncated entropy payload while splitting")
-            token = payload[offset]
-            offset += 1
-            if token == EOB:
-                break
-            if token == ZRL:
-                continue
-            size = token & 0x0F
-            if size not in (1, 2):
-                raise BitstreamError(f"invalid level size {size} in entropy payload")
-            if offset + size > length:
-                raise BitstreamError("truncated entropy payload (missing level bytes)")
-            offset += size
-        pieces.append(payload[start:offset])
-    return pieces

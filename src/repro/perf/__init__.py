@@ -1,26 +1,16 @@
-"""Performance instrumentation: stopwatches, counters and bench reports.
+"""Performance instrumentation: wall-clock stopwatches and section timers.
 
-The ROADMAP's north star is a system that runs "as fast as the hardware
-allows", which only means something if the hot paths are *measured*.  This
-package provides the measuring kit:
-
-* :class:`Stopwatch` / :class:`PerfRecorder` — low-overhead wall-clock
-  section timers and counters.  The engines and experiment harnesses hang
-  their stage-level timings off the module-global recorder so a run can be
-  broken down after the fact without sprinkling ``time.perf_counter`` calls
-  everywhere.
-* :class:`BenchReport` — collects named measurements (value + unit +
-  parameters) and writes them as machine-readable ``BENCH_<name>.json``
-  files, which is how the repository's perf trajectory accumulates across
-  PRs (every benchmark harness appends to the same files).
+:class:`Stopwatch` / :class:`PerfRecorder` are low-overhead wall-clock
+section timers.  The engines and experiment harnesses hang their
+stage-level timings off the module-global recorder so a run can be broken
+down after the fact without sprinkling ``time.perf_counter`` calls
+everywhere.  Performance itself is measured by the repository benchmark
+(``benchmarks/e2e/``, declared in ``BENCHMARK.json``).
 """
 
-from .report import BenchEntry, BenchReport, load_bench_runs
-from .stopwatch import (Counter, PerfRecorder, SectionStats, Stopwatch,
-                        get_recorder, record_value, section)
+from .stopwatch import (PerfRecorder, SectionStats, Stopwatch, get_recorder,
+                        section)
 
 __all__ = [
-    "BenchEntry", "BenchReport", "load_bench_runs",
-    "Counter", "PerfRecorder", "SectionStats", "Stopwatch",
-    "get_recorder", "record_value", "section",
+    "PerfRecorder", "SectionStats", "Stopwatch", "get_recorder", "section",
 ]

@@ -1,4 +1,4 @@
-"""Low-overhead wall-clock section timers and counters.
+"""Low-overhead wall-clock section timers.
 
 Design constraints:
 
@@ -94,27 +94,14 @@ class Stopwatch:
 
 
 @dataclass
-class Counter:
-    """A named monotonically increasing counter."""
-
-    value: float = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        """Increase the counter by ``amount``."""
-        self.value += amount
-
-
-@dataclass
 class PerfRecorder:
-    """Collects section timings and counters for one run.
+    """Collects section timings for one run.
 
     Attributes:
         sections: ``name -> SectionStats``.
-        counters: ``name -> Counter``.
     """
 
     sections: Dict[str, SectionStats] = field(default_factory=dict)
-    counters: Dict[str, Counter] = field(default_factory=dict)
 
     def add_section_time(self, name: str, seconds: float) -> None:
         """Fold ``seconds`` into the section called ``name``."""
@@ -122,13 +109,6 @@ class PerfRecorder:
         if stats is None:
             stats = self.sections[name] = SectionStats()
         stats.add(seconds)
-
-    def count(self, name: str, amount: float = 1.0) -> None:
-        """Increase counter ``name`` by ``amount``."""
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter()
-        counter.add(amount)
 
     @contextmanager
     def section(self, name: str) -> Iterator[None]:
@@ -140,9 +120,8 @@ class PerfRecorder:
             self.add_section_time(name, (time.perf_counter_ns() - start) / 1e9)
 
     def reset(self) -> None:
-        """Forget every section and counter."""
+        """Forget every section."""
         self.sections.clear()
-        self.counters.clear()
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Flat numeric view of every section (for reports and tests)."""
@@ -170,8 +149,3 @@ def get_recorder() -> PerfRecorder:
 def section(name: str):
     """Context manager timing a block under ``name`` on the global recorder."""
     return _GLOBAL_RECORDER.section(name)
-
-
-def record_value(name: str, amount: float = 1.0) -> None:
-    """Increase counter ``name`` on the global recorder."""
-    _GLOBAL_RECORDER.count(name, amount)

@@ -9,6 +9,7 @@ timestamp.  Encoded pictures live in :mod:`repro.codec.bitstream` instead.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -71,6 +72,9 @@ class Resolution:
 
     def scaled(self, factor: float) -> "Resolution":
         """Return this resolution scaled by ``factor`` (minimum 16x16)."""
+        if not 0 < factor < math.inf:
+            raise ConfigurationError(
+                f"scale factor must be positive and finite, got {factor!r}")
         return Resolution(max(int(round(self.width * factor)), 16),
                           max(int(round(self.height * factor)), 16))
 

@@ -114,8 +114,16 @@ class ScenarioComposition:
         """Parse a repro file produced by :meth:`to_json`."""
         try:
             raw = json.loads(data)
-            return cls(base=raw["base"], transforms=tuple(raw["transforms"]),
-                       seed=int(raw["seed"]),
+            base, transforms, seed = raw["base"], raw["transforms"], raw["seed"]
+            if not isinstance(base, str):
+                raise TypeError(f"base must be a string, got {base!r}")
+            if not (isinstance(transforms, list)
+                    and all(isinstance(name, str) for name in transforms)):
+                raise TypeError(
+                    f"transforms must be a list of strings, got {transforms!r}")
+            if type(seed) is not int:
+                raise TypeError(f"seed must be a whole number, got {seed!r}")
+            return cls(base=base, transforms=tuple(transforms), seed=seed,
                        duration_seconds=float(raw["duration_seconds"]),
                        render_scale=float(raw["render_scale"]))
         except (KeyError, TypeError, ValueError) as exc:

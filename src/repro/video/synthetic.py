@@ -193,8 +193,10 @@ class SceneProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.fps <= 0 or self.duration_seconds <= 0:
-            raise ConfigurationError("fps and duration_seconds must be positive")
+        if not (0 < self.fps < math.inf and 0 < self.duration_seconds < math.inf):
+            raise ConfigurationError(
+                f"fps and duration_seconds must be positive and finite, got "
+                f"fps={self.fps!r}, duration_seconds={self.duration_seconds!r}")
         if int(round(self.duration_seconds * self.fps)) < 2:
             raise ConfigurationError(
                 f"duration_seconds={self.duration_seconds!r} at "

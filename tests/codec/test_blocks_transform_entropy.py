@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codec.blocks import (block_grid, block_means, crop_plane, from_blocks,
                                 pad_plane, padded_shape, to_blocks)
-from repro.codec.entropy import (coefficient_statistics, decode_blocks, encode_blocks,
-                                 encoded_size_bytes, split_block_payloads,
+from repro.codec.entropy import (decode_blocks, encode_blocks, encoded_size_bytes,
                                  zigzag_order)
 from repro.codec.transform import (JPEG_LUMA_QUANT, dct2_blocks, dct_matrix,
                                    dequantise_blocks, idct2_blocks,
@@ -124,15 +123,6 @@ class TestEntropy:
             decode_blocks(payload[:-1], 1, 1, 8)
         with pytest.raises(BitstreamError):
             decode_blocks(payload + b"\x00", 1, 1, 8)
-
-    def test_statistics_and_split(self):
-        blocks = np.zeros((2, 1, 4, 4), dtype=np.int32)
-        blocks[0, 0, 0, 0] = 3
-        stats = coefficient_statistics(blocks)
-        assert stats["num_blocks"] == 2
-        assert stats["nonzero_coefficients"] == 1
-        pieces = split_block_payloads(encode_blocks(blocks), 2)
-        assert len(pieces) == 2 and len(pieces[1]) == 1  # second block is just EOB
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),

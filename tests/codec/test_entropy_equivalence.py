@@ -1,19 +1,19 @@
 """Equivalence of the vectorised entropy coder with the reference coder.
 
 The vectorised ``encode_blocks`` / ``decode_blocks`` must be byte-for-byte
-(and error-for-error) interchangeable with the retained per-block Python
-reference implementations — the byte format is pinned by the reference, not
-by the fast path.
+(and error-for-error) interchangeable with the per-block Python coders in
+``entropy_oracle.py`` — the byte format is pinned by the oracle, not by the
+fast path.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codec.entropy import (MAX_LEVEL, decode_blocks,
-                                 decode_blocks_reference, encode_blocks,
-                                 encode_blocks_reference, encoded_size_bytes,
-                                 split_block_payloads)
+from entropy_oracle import decode_blocks_reference, encode_blocks_reference
+from repro.codec.entropy import (MAX_LEVEL, decode_block_payloads,
+                                 decode_blocks, encode_blocks,
+                                 encoded_size_bytes)
 from repro.errors import BitstreamError
 
 
@@ -130,26 +130,37 @@ class TestDecodeErrorEquivalence:
             decode_blocks(payload, 1, 1, 8)
 
 
-class TestSplitBlockPayloadsValidation:
-    def test_split_round_trips_valid_payloads(self):
-        quantised = random_blocks(2, 2, 8, 0.3, seed=7)
+class TestBlockFraming:
+    """Every block ends at its own EOB, and a malformed token is named."""
+
+    def test_per_block_payloads_concatenate_to_the_frame_payload(self):
+        quantised = random_blocks(2, 2, 8, 0.3, seed=7, level_range=300)
         payload = encode_blocks(quantised)
-        pieces = split_block_payloads(payload, 4)
+        pieces = [encode_blocks(quantised[y:y + 1, x:x + 1])
+                  for y in range(2) for x in range(2)]
         assert b"".join(pieces) == payload
         assert all(piece.endswith(b"\x00") for piece in pieces)
+        blocks = decode_block_payloads(np.frombuffer(payload, dtype=np.uint8),
+                                       [len(piece) for piece in pieces],
+                                       [1] * 4, 8)
+        assert np.array_equal(blocks, quantised.reshape(4, 8, 8))
 
     @pytest.mark.parametrize("size", range(3, 16))
     def test_invalid_level_size_raises(self, size):
-        """Regression: sizes 3-15 used to silently desynchronise the scan."""
-        token = bytes([(0 << 4) | size])
-        payload = token + b"\x00" * size + b"\x00"
-        with pytest.raises(BitstreamError, match="invalid level size"):
-            split_block_payloads(payload, 1)
+        """Sizes 3-15 are rejected, not skipped over as level bytes."""
+        payload = bytes([(0 << 4) | size]) + b"\x00" * size + b"\x00"
+        for decode in (decode_blocks, decode_blocks_reference):
+            with pytest.raises(BitstreamError,
+                               match=f"invalid level size {size} in"):
+                decode(payload, 1, 1, 8)
 
     def test_truncated_level_bytes_raise(self):
-        with pytest.raises(BitstreamError):
-            split_block_payloads(b"\x12\x01", 1)
+        for decode in (decode_blocks, decode_blocks_reference):
+            with pytest.raises(BitstreamError, match="missing level bytes"):
+                decode(b"\x12\x01", 1, 1, 8)
 
     def test_truncated_block_raises(self):
-        with pytest.raises(BitstreamError, match="truncated"):
-            split_block_payloads(b"\x00", 2)
+        for decode in (decode_blocks, decode_blocks_reference):
+            with pytest.raises(BitstreamError, match="missing EOB"):
+                decode(b"\x00", 2, 1, 8)
+

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codec.entropy import (decode_block_payloads, decode_blocks,
-                                 decode_blocks_reference,
-                                 encode_blocks_reference)
+from entropy_oracle import decode_blocks_reference, encode_blocks_reference
+from repro.codec.entropy import decode_block_payloads, decode_blocks
 from repro.errors import BitstreamError, CodecError
 
 

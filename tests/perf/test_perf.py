@@ -1,12 +1,9 @@
 """Tests for the perf instrumentation subsystem and its fleet wiring."""
 
-import json
-
 import pytest
 
 from repro.cluster.fleet import CameraJob, FleetOrchestrator
-from repro.perf import (BenchReport, PerfRecorder, Stopwatch, get_recorder,
-                        load_bench_runs, record_value, section)
+from repro.perf import PerfRecorder, Stopwatch, get_recorder, section
 
 
 class TestStopwatch:
@@ -41,12 +38,6 @@ class TestPerfRecorder:
         assert stats.min_seconds <= stats.max_seconds
         assert stats.mean_seconds == pytest.approx(stats.total_seconds / 2)
 
-    def test_counters(self):
-        recorder = PerfRecorder()
-        recorder.count("frames", 5)
-        recorder.count("frames")
-        assert recorder.counters["frames"].value == 6.0
-
     def test_summary_and_reset(self):
         recorder = PerfRecorder()
         with recorder.section("a"):
@@ -54,75 +45,12 @@ class TestPerfRecorder:
         summary = recorder.summary()
         assert summary["a"]["calls"] == 1.0
         recorder.reset()
-        assert recorder.sections == {} and recorder.counters == {}
+        assert recorder.sections == {}
 
     def test_global_recorder_helpers(self):
-        baseline = get_recorder().counters.get("test-counter")
-        baseline_value = baseline.value if baseline else 0.0
-        record_value("test-counter", 2)
         with section("test-section"):
             pass
-        assert get_recorder().counters["test-counter"].value == baseline_value + 2
         assert get_recorder().sections["test-section"].calls >= 1
-
-
-class TestBenchReport:
-    def test_record_and_speedup(self):
-        report = BenchReport("unit", context={"scale": 0.1})
-        report.record("encode", 0.5, "seconds", frames=10)
-        entry = report.record_speedup("codec", baseline_seconds=1.0,
-                                      optimised_seconds=0.25)
-        assert entry.value == pytest.approx(4.0)
-        assert report.value_of("codec.baseline") == 1.0
-        assert report.value_of("codec.speedup") == pytest.approx(4.0)
-        with pytest.raises(KeyError):
-            report.value_of("missing")
-
-    def test_write_appends_runs(self, tmp_path):
-        path = str(tmp_path / "BENCH_unit.json")
-        first = BenchReport("unit")
-        first.record("metric", 1.0)
-        assert first.write(path) == path
-        second = BenchReport("unit")
-        second.record("metric", 2.0)
-        second.write(path)
-        runs = load_bench_runs(path)
-        assert len(runs) == 2
-        assert runs[0]["entries"][0]["value"] == 1.0
-        assert runs[1]["entries"][0]["value"] == 2.0
-        assert runs[1]["report"] == "unit"
-
-    def test_write_replaces_corrupt_files(self, tmp_path):
-        path = tmp_path / "BENCH_unit.json"
-        path.write_text("{not json")
-        report = BenchReport("unit")
-        report.record("metric", 3.0)
-        report.write(str(path))
-        assert len(load_bench_runs(str(path))) == 1
-
-    def test_write_caps_history(self, tmp_path):
-        path = str(tmp_path / "BENCH_unit.json")
-        for index in range(5):
-            report = BenchReport("unit")
-            report.record("metric", float(index))
-            report.write(path, max_runs=3)
-        runs = load_bench_runs(path)
-        assert len(runs) == 3
-        assert runs[-1]["entries"][0]["value"] == 4.0
-
-    def test_default_path_and_validation(self, tmp_path):
-        assert BenchReport("x").default_path(str(tmp_path)).endswith("BENCH_x.json")
-        with pytest.raises(ValueError):
-            BenchReport("")
-
-    def test_written_json_is_sorted_and_valid(self, tmp_path):
-        path = str(tmp_path / "BENCH_unit.json")
-        report = BenchReport("unit")
-        report.record("metric", 1.5, "ratio", size=3)
-        report.write(path)
-        with open(path, "r", encoding="utf-8") as handle:
-            parsed = json.load(handle)
-        assert parsed[0]["entries"][0]["params"] == {"size": 3}
 
 
 class TestFleetPerfFields:

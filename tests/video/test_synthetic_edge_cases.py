@@ -4,14 +4,20 @@ Each test here pins a specific bug: a redundant background copy on every
 rendered frame, a degenerate one-frame clip crashing downstream consumers
 that assume at least two frames, and a single-frame object visit whose
 trajectory interpolation divided by zero (or, once patched naively,
-parked the object off-frame where clipping deleted its box).
+parked the object off-frame where clipping deleted its box), and scenario
+or repro-file inputs that were silently accepted or failed with a bare
+exception instead of a typed one.
 """
+
+import json
+import math
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DatasetError
 from repro.video.frame import Resolution
+from repro.video.fuzzing import ScenarioComposition
 from repro.video.scenarios import make_scenario
 from repro.video.synthetic import ObjectClassSpec, ObjectTrack, SceneProfile, SyntheticScene
 
@@ -107,3 +113,35 @@ class TestSingleFrameVisit:
         resolution = Resolution(64, 36)
         assert track.bounding_box(4, resolution) is None
         assert track.bounding_box(6, resolution) is None
+
+
+def repro_file(**overrides):
+    fields = {"base": "highway", "transforms": ["rain"], "seed": 1,
+              "duration_seconds": 4.0, "render_scale": 0.05}
+    return json.dumps({**fields, **overrides})
+
+
+class TestTypedInputErrors:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: make_scenario("highway", render_scale=-1.0), ConfigurationError),
+        (lambda: make_scenario("highway", render_scale=0.0), ConfigurationError),
+        (lambda: make_scenario("highway", render_scale=math.inf), ConfigurationError),
+        (lambda: make_scenario("highway", render_scale=math.nan), ConfigurationError),
+        (lambda: make_scenario("highway", duration_seconds=math.nan), ConfigurationError),
+        (lambda: make_scenario("highway", duration_seconds=math.inf), ConfigurationError),
+        (lambda: Resolution(64, 36).scaled(-0.5), ConfigurationError),
+        (lambda: ScenarioComposition.from_json(repro_file(base=5)), DatasetError),
+        (lambda: ScenarioComposition.from_json(repro_file(transforms=[1])), DatasetError),
+        (lambda: ScenarioComposition.from_json(repro_file(transforms="rain")), DatasetError),
+        (lambda: ScenarioComposition.from_json(repro_file(seed=1.5)), DatasetError),
+        (lambda: ScenarioComposition.from_json(repro_file(seed=True)), DatasetError),
+    ], ids=["scale-negative", "scale-zero", "scale-inf", "scale-nan",
+            "duration-nan", "duration-inf", "resolution-negative", "base-int",
+            "transform-int", "transforms-str", "seed-fraction", "seed-bool"])
+    def test_bad_input_raises_a_typed_error(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    def test_a_valid_repro_file_still_parses(self):
+        composition = ScenarioComposition.from_json(repro_file())
+        assert composition == ScenarioComposition("highway", ("rain",), seed=1)

@@ -79,6 +79,10 @@ class TestTransformEffects:
         assert crowded.max_concurrent_objects > profile.max_concurrent_objects
         assert (generate_script(crowded).tracks
                 != generate_script(profile).tracks)
+        # The only preset the pixel tests skip must still render.
+        scene = SyntheticScene(crowded)
+        for index in (0, crowded.num_frames - 1):
+            assert scene.frame_array(index).shape == profile.resolution.shape
 
     def test_transforms_may_not_rename_the_profile(self):
         from dataclasses import replace
