@@ -221,7 +221,10 @@ class VideoEncoder:
                 activity = activities[frame.index]
                 frame_type = frame_types[frame.index]
             else:
-                activity = analyzer.analyze_next(luma)
+                # A grayscale frame is analysed as its uint8 plane: the
+                # integer path, exact like the float one and cheaper.
+                activity = analyzer.analyze_next(
+                    frame.data if frame.data.ndim == 2 else luma)
                 frame_type = placer.decide(activity)
             if frame_type is FrameType.I:
                 payload, size, reconstruction = self._encode_keyframe(

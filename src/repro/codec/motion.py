@@ -6,7 +6,10 @@ zero vector plus a small square neighbourhood), evaluated for *all* blocks
 of a frame and a whole batch of candidates simultaneously: the shifted
 reference planes are stacked, differenced against the current frame once,
 and reduced to per-block SADs with whole-stack adds, which keeps
-pure-numpy encoding fast enough for multi-thousand-frame videos.
+pure-numpy encoding fast enough for multi-thousand-frame videos.  The
+scene-cut analysis of raw ``uint8`` frames runs the same search over a
+whole batch of frames in 2-byte integers (:func:`integer_candidate_sads`),
+which is exact in any summation order.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ _BATCH_ELEMENTS = 32768
 
 
 @lru_cache(maxsize=32)
-def _offset_table(search_radius: int, step: int) -> np.ndarray:
+def offset_table(search_radius: int, step: int) -> np.ndarray:
     """:func:`candidate_offsets` as a read-only ``(n, 2)`` int16 table."""
     table = np.asarray(candidate_offsets(search_radius, step), dtype=np.int16)
     table.setflags(write=False)
@@ -178,7 +181,7 @@ class MotionSearch:
         self.search_radius = search_radius
         self.search_step = search_step
         self._offsets = candidate_offsets(search_radius, search_step)
-        self._offset_table = _offset_table(search_radius, search_step)
+        self._offset_table = offset_table(search_radius, search_step)
         self._stack: Optional[np.ndarray] = None
 
     def __call__(self, reference: np.ndarray, current: np.ndarray) -> MotionField:
@@ -197,6 +200,8 @@ class MotionSearch:
         if reference.shape != current.shape:
             raise CodecError(
                 f"reference {reference.shape} and current {current.shape} differ in shape")
+        if current.size == 0:
+            raise CodecError(f"cannot search motion on an empty plane {current.shape}")
         reference = pad_plane(reference, block_size)
         current = pad_plane(current, block_size)
         # Pad the reference once by the search radius (edge replication);
@@ -292,6 +297,103 @@ def estimate_motion(reference: np.ndarray, current: np.ndarray,
     """
     return MotionSearch(block_size, search_radius, search_step, precision,
                         contract)(reference, current)
+
+
+def integer_sad_dtype(block_size: int) -> Optional[np.dtype]:
+    """The 2-byte accumulator that holds a block SAD of ``uint8`` planes.
+
+    A ``b x b`` block SAD of ``uint8`` planes is at most ``b² · 255``:
+    ``int16`` holds it while that is below 2¹⁵ (``b <= 11``), ``uint16``
+    while it is below 2¹⁶ (``b <= 16``).  Larger blocks have no 2-byte
+    accumulator and return ``None``.
+    """
+    bound = block_size * block_size * 255
+    if bound < 1 << 15:
+        return np.dtype(np.int16)
+    if bound < 1 << 16:
+        return np.dtype(np.uint16)
+    return None
+
+
+def integer_block_sums(stack: np.ndarray, block_size: int) -> np.ndarray:
+    """Per-block sums of an integer ``(n, H, W)`` stack, in its own dtype.
+
+    Integer addition is associative, so the terms are added in whatever
+    order keeps numpy's inner loops long: the ``b`` rows of every block
+    are folded in halves with whole-row adds, in place, then the ``b``
+    columns of the ``b``-times smaller result are added as strided lanes.
+    ``stack`` is the scratch space, so its contents are lost.  The caller
+    picks a dtype that holds a whole block's sum (see
+    :func:`integer_sad_dtype`).
+    """
+    count, height, width = stack.shape
+    rows = stack.reshape(count, height // block_size, block_size, width)
+    size = block_size
+    while size > 1:
+        # Rows [0, half) gain rows [size - half, size); an odd middle row
+        # stays where it is for the next fold.
+        half = size // 2
+        np.add(rows[:, :, :half], rows[:, :, size - half:size],
+               out=rows[:, :, :half])
+        size -= half
+    lanes = rows[:, :, 0].reshape(count, height // block_size,
+                                  width // block_size, block_size)
+    sums = lanes[..., 0].copy()
+    for lane in range(1, block_size):
+        sums += lanes[..., lane]
+    return sums
+
+
+def integer_candidate_sads(padded: np.ndarray, block_size: int,
+                           search_radius: int, search_step: int,
+                           budget: int) -> np.ndarray:
+    """Block SADs of every candidate for a batch of consecutive ``uint8`` frames.
+
+    ``padded`` is an ``int16`` stack ``(m, H + 2r, W + 2r)`` of ``m``
+    frames, each block-padded to ``(H, W)`` and edge-padded by the search
+    radius ``r`` (:func:`pad_plane` then :func:`pad_edge`).  Frame ``j`` is
+    searched against frame ``j - 1``, so the result has shape
+    ``(candidates, m - 1, H / b, W / b)``, candidates in
+    :func:`candidate_offsets` order, in the dtype of
+    :func:`integer_sad_dtype`.
+
+    Every SAD is an integer below that dtype's range, and integer sums are
+    exact in any order: the result equals the float64 search's SADs
+    exactly, so its argmin (first minimum, origin first) picks the same
+    vectors.  One subtract per candidate covers the whole batch; the abs
+    and the block sums cover up to ``budget`` elements of candidates at a
+    time, so a single frame pair still takes a handful of numpy calls.
+    """
+    dtype = integer_sad_dtype(block_size)
+    if dtype is None:
+        raise CodecError(
+            f"block size {block_size} has no 2-byte SAD accumulator")
+    offsets = candidate_offsets(search_radius, search_step)
+    radius = search_radius
+    frames = padded.shape[0] - 1
+    height = padded.shape[1] - 2 * radius
+    width = padded.shape[2] - 2 * radius
+    reference = padded[:-1]
+    current = padded[1:, radius:radius + height, radius:radius + width]
+    batch = max(1, min(len(offsets), budget // (frames * height * width)))
+    stack = np.empty((batch, frames, height, width), dtype=np.int16)
+    sads = np.empty((len(offsets), frames, height // block_size,
+                     width // block_size), dtype=dtype)
+    for start in range(0, len(offsets), batch):
+        chunk = offsets[start:start + batch]
+        diff = stack[:len(chunk)]
+        for plane, (dy, dx) in zip(diff, chunk):
+            np.subtract(reference[:, radius - dy:radius - dy + height,
+                                  radius - dx:radius - dx + width],
+                        current, out=plane)
+        np.abs(diff, out=diff)
+        # |diff| <= 255, so the int16 bits read the same as uint16.
+        sums = integer_block_sums(
+            diff.view(dtype).reshape(len(chunk) * frames, height, width),
+            block_size)
+        sads[start:start + len(chunk)] = sums.reshape(
+            len(chunk), frames, *sads.shape[2:])
+    return sads
 
 
 def _block_sums_exact(diff: np.ndarray, block_size: int) -> np.ndarray:

@@ -76,13 +76,16 @@ def analyse_scenario(name: str, duration_seconds: float,
                             render_scale=render_scale, seed=seed)
     scene = SyntheticScene(profile)
     labels = scene.script.frame_labels()
-    analyzer = SceneCutAnalyzer(precision=precision)
-    activities: List[FrameActivity] = []
     lumas: List[float] = []
-    for index in range(profile.num_frames):
-        frame = scene.frame_array(index)
-        activities.append(analyzer.analyze_next(frame))
-        lumas.append(float(np.asarray(frame, dtype=np.float64).mean()))
+
+    def frames():
+        for index in range(profile.num_frames):
+            frame = scene.frame_array(index)
+            lumas.append(float(np.asarray(frame, dtype=np.float64).mean()))
+            yield frame
+
+    # The rendered uint8 planes go to the analyser in batches.
+    activities = SceneCutAnalyzer(precision=precision).analyze_frames(frames())
     return ClipAnalysis(activities=tuple(activities),
                         frame_labels=tuple(frozenset(f) for f in labels),
                         lumas=tuple(lumas), fps=profile.fps)

@@ -6,8 +6,8 @@ import pytest
 from repro.codec.gop import (DEFAULT_PARAMETERS, EncoderParameters, KeyframePlacer,
                              StreamingKeyframePlacer, filtering_rate, gop_lengths,
                              sampling_fraction)
-from repro.codec.motion import (candidate_offsets, estimate_motion, motion_compensate,
-                                residual_plane, shift_plane)
+from repro.codec.motion import (MotionSearch, candidate_offsets, estimate_motion,
+                                motion_compensate, residual_plane, shift_plane)
 from repro.codec.scenecut import (FrameActivity, SceneCutAnalyzer, is_scenecut,
                                   novelty_series, scenecut_score_threshold,
                                   summarize_activities)
@@ -52,6 +52,18 @@ class TestMotion:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(CodecError):
             estimate_motion(np.zeros((8, 8)), np.zeros((8, 16)))
+
+    @pytest.mark.parametrize("shape", [(0, 16), (16, 0), (0, 0)])
+    @pytest.mark.parametrize("search_radius", [0, 3])
+    def test_empty_plane_rejected(self, shape, search_radius):
+        """A plane without rows used to die in ``pad_edge`` with a bare
+        IndexError (and without columns, at radius 0, dividing by zero)."""
+        with pytest.raises(CodecError, match="empty"):
+            estimate_motion(np.zeros(shape), np.zeros(shape),
+                            search_radius=search_radius)
+        with pytest.raises(CodecError, match="empty"):
+            MotionSearch(search_radius=search_radius)(np.zeros(shape),
+                                                      np.zeros(shape))
 
 
 class TestSceneCut:
@@ -107,6 +119,51 @@ class TestSceneCut:
             SceneCutAnalyzer(block_size=0)
         with pytest.raises(CodecError):
             SceneCutAnalyzer(novel_pixel_count=0)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"),
+                                           -float("inf"), "25"])
+    def test_threshold_must_be_positive_and_finite(self, threshold):
+        """``nan`` and ``inf`` used to be accepted, and then no residual ever
+        exceeded them: novelty read 0.0 with an object in the frame."""
+        with pytest.raises(CodecError, match="novel_pixel_threshold"):
+            SceneCutAnalyzer(novel_pixel_threshold=threshold)
+
+    def test_an_object_is_novel_at_any_finite_threshold_below_it(self, rng):
+        background = rng.integers(60, 140, size=(40, 64)).astype(np.uint8)
+        with_object = background.copy()
+        with_object[8:16, 8:16] = 255  # one whole 64-pixel block
+        for threshold in (0.5, 25.0, 100.0):
+            activity = SceneCutAnalyzer(
+                novel_pixel_threshold=threshold).analyze_pair(
+                    background, with_object, 1)
+            assert activity.novel_block_fraction > 0
+
+    @pytest.mark.parametrize("count", [2.5, 4.0, True, "4"])
+    def test_novel_pixel_count_must_be_an_integer(self, count):
+        """A fractional count used to be truncated (2.5 counted as 2)."""
+        with pytest.raises(CodecError, match="novel_pixel_count"):
+            SceneCutAnalyzer(novel_pixel_count=count)
+
+    @pytest.mark.parametrize("block_size", [8.0, 7.5, True, False, None])
+    def test_block_size_must_be_an_integer(self, block_size):
+        """A float or bool block size used to fail later with a bare
+        TypeError, or (``True``) analyse with one-pixel blocks."""
+        with pytest.raises(CodecError, match="block_size"):
+            SceneCutAnalyzer(block_size=block_size)
+
+    @pytest.mark.parametrize("knob", [dict(search_radius=1.5),
+                                      dict(search_radius=-1),
+                                      dict(search_step=0),
+                                      dict(search_step=1.0)])
+    def test_search_knobs_must_be_integers(self, knob):
+        with pytest.raises(CodecError):
+            SceneCutAnalyzer(**knob)
+
+    def test_numpy_integers_are_integers(self):
+        analyzer = SceneCutAnalyzer(block_size=np.int64(8),
+                                    novel_pixel_count=np.int32(4))
+        assert (analyzer.block_size, analyzer.novel_pixel_count) == (8, 4)
+        assert type(analyzer.block_size) is int
 
 
 def _activity(index, novelty):
