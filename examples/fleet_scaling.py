@@ -27,15 +27,12 @@ rendering): a heterogeneous one on 64 edges, and N identical cameras with
 no arrival jitter on 8 edges, whose every delivery ties across the edges.
 Each runs through the event loop and through the recurrence: both wall
 times are printed and the reports must be equal exactly.  ``--json-out``
-writes the sweep + comparisons as a JSON artifact; ``--store`` round-trips
-every report through the persistent :class:`repro.cluster.SQLiteResultStore`
-and verifies the content-integrity hashes.
+writes the sweep + comparisons as a JSON artifact.
 
 Run with:  python examples/fleet_scaling.py [--build-workers 2]
                                             [--precision exact|fast]
                                             [--scale-cameras 64]
                                             [--json-out sweep.json]
-                                            [--store results.sqlite]
 """
 
 from __future__ import annotations
@@ -46,8 +43,7 @@ import time
 
 from repro import SystemConfig
 from repro.contracts import PRECISION_MODES
-from repro.cluster import (CameraJob, FleetOrchestrator, PlacementPolicy,
-                           SQLiteResultStore)
+from repro.cluster import CameraJob, FleetOrchestrator, PlacementPolicy
 from repro.core import DeploymentMode, build_workload, plan_camera_job
 from repro.datasets import ALL_DATASETS, DatasetSpec
 from repro.datasets.generator import DatasetInstance
@@ -213,24 +209,6 @@ def run_scale_comparison(label: str, jobs, num_edges: int,
     }
 
 
-def store_reports(path: str, reports) -> None:
-    """Round-trip every sweep report through the persistent SQLite store."""
-    with SQLiteResultStore(path) as store:
-        for (policy, num_edges), report in reports.items():
-            run_id = f"{policy}-{num_edges}edges"
-            store.store_fleet_report(run_id, report)
-            summary = store.report_summary(run_id)
-            if summary["metrics"] != json.loads(
-                    json.dumps(report.as_dict())):
-                raise AssertionError(f"store round-trip diverged for {run_id}")
-        problems = store.verify_integrity()
-        if problems:
-            raise AssertionError("result store failed its integrity check: "
-                                 + "; ".join(problems))
-        print(f"Stored {len(reports)} reports in {path} "
-              f"({len(store.run_ids())} runs, integrity verified).")
-
-
 def assert_reports_match(reference, candidate, label) -> None:
     """Every metric of ``candidate`` must match the event loop's report."""
     mismatches = reference.parity_mismatches(candidate, TOLERANCE)
@@ -259,10 +237,6 @@ def main() -> None:
     parser.add_argument(
         "--json-out", metavar="PATH",
         help="write the sweep tables + scale comparison as a JSON artifact")
-    parser.add_argument(
-        "--store", metavar="PATH",
-        help="round-trip every sweep report through the persistent SQLite "
-             "result store at PATH and verify its content-integrity hashes")
     arguments = parser.parse_args()
     if arguments.build_workers < 0:
         parser.error("--build-workers must be >= 0 (0 = auto)")
@@ -301,9 +275,6 @@ def main() -> None:
             run_scale_comparison("identical", identical_jobs(count),
                                  TIED_EDGES, config),
         ]
-
-    if arguments.store:
-        store_reports(arguments.store, reports)
 
     if arguments.json_out:
         artifact = {

@@ -21,20 +21,18 @@ Cache activity is observable through :mod:`repro.perf` stage sections
 (``dataset.render`` / ``dataset.analyze`` / ``dataset.disk_hit`` and
 ``workload.build`` / ``workload.disk_hit`` / ``workload.parallel_warm``) —
 the warm-session acceptance test asserts that a warm run records no
-``dataset.render`` section.  Set ``REPRO_DATASET_CACHE=0`` to disable every
-layer.
+``dataset.render`` section.  There is one build path: a cache directory that
+cannot be written means every run recomputes, since a failed store is
+caught and dropped, never raised.
 
 Builds can fan out across processes: the experiment harnesses accept a
 ``build_workers`` count (default ``SystemConfig.build_workers``) and route
 through :class:`repro.parallel.WorkloadBuilder`, which warms the disk cache
-from worker processes and assembles identical results here.  While a build
-is in flight its cache keys are pinned (:func:`repro.datasets.diskcache.pinned`)
-so the ``REPRO_CACHE_MAX_BYTES`` LRU sweep cannot evict them.
+from worker processes and assembles identical results here.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -107,27 +105,16 @@ class PreparedDataset:
 #: the analysis pass dominate harness start-up, yet Figures 3-5, Tables 1-3
 #: and the examples all prepare the same clips — the cache makes every repeat
 #: preparation free.  The persistent (L2) layer lives in
-#: :mod:`repro.datasets.diskcache`.  Disable with ``REPRO_DATASET_CACHE=0``.
+#: :mod:`repro.datasets.diskcache`.
 _PREPARED_CACHE: Dict[tuple, PreparedDataset] = {}
 
 #: In-process (L1) cache of built workloads (see :func:`prepare_workload`),
 #: mapping key tuples to :class:`~repro.core.pipeline.VideoWorkload`.
 _WORKLOAD_CACHE: Dict[tuple, object] = {}
 
-#: Environment variable that disables the prepared-dataset and workload
-#: caches (both in-process and on-disk) when set to ``0`` / ``false`` /
-#: ``off`` / ``no``.
-DATASET_CACHE_ENV = "REPRO_DATASET_CACHE"
-
 #: Disk-cache artifact kinds (directory names under ``REPRO_CACHE_DIR``).
 DATASET_CACHE_KIND = "prepared-dataset"
 WORKLOAD_CACHE_KIND = "workload"
-
-
-def dataset_cache_enabled() -> bool:
-    """Whether the prepared-dataset cache is active (honours the env var)."""
-    value = os.environ.get(DATASET_CACHE_ENV, "1").strip().lower()
-    return value not in ("0", "false", "off", "no")
 
 
 def clear_prepared_cache() -> int:
@@ -156,19 +143,6 @@ def _cache_key(name: str, config: ExperimentConfig, split: str,
             float(config.render_scale), base_parameters, precision)
 
 
-def dataset_disk_key(name: str, config: ExperimentConfig, split: str,
-                     base_parameters: EncoderParameters,
-                     precision: str = PRECISION_EXACT) -> str:
-    """Disk-cache key of one prepared dataset (same inputs as L1).
-
-    Public so the parallel :class:`~repro.parallel.WorkloadBuilder` can pin
-    the entries of an active build against the LRU sweep.
-    """
-    return diskcache.content_key(
-        DATASET_CACHE_KIND, name, split, float(config.duration_seconds),
-        float(config.render_scale), base_parameters, precision)
-
-
 def prepare_dataset(name: str, config: ExperimentConfig, split: str = "test",
                     base_parameters: EncoderParameters = EncoderParameters(),
                     precision: str = PRECISION_EXACT) -> PreparedDataset:
@@ -177,28 +151,21 @@ def prepare_dataset(name: str, config: ExperimentConfig, split: str = "test",
     Results are cached in-process under a content key (dataset name, split,
     duration, render scale, encoder parameters, precision), persisted to the
     on-disk cache under ``REPRO_CACHE_DIR``, and shared across every
-    harness; set ``REPRO_DATASET_CACHE=0`` to opt out of all caching.
-    Callers receive the shared instance and must not mutate it.  Fast and
-    exact sessions never share an artifact: the analysis pass depends on the
-    numeric mode, so ``precision`` is part of both cache keys.
+    harness.  Callers receive the shared instance and must not mutate it.
+    Fast and exact sessions never share an artifact: the analysis pass
+    depends on the numeric mode, so ``precision`` is part of both cache
+    keys.
     """
     validate_precision(precision)
-    if not dataset_cache_enabled():
-        return _prepare_dataset_uncached(name, config, split, base_parameters,
-                                         precision)
     key = _cache_key(name, config, split, base_parameters, precision)
     prepared = _PREPARED_CACHE.get(key)
     if prepared is None:
-        disk_key = dataset_disk_key(name, config, split, base_parameters,
-                                    precision)
-        # Pinned while in flight so a concurrent budget sweep (triggered by
-        # another store in this process) cannot evict the entry mid-build.
-        with diskcache.pinned([(DATASET_CACHE_KIND, disk_key)]):
-            prepared = _load_prepared_from_disk(name, config, split, disk_key)
-            if prepared is None:
-                prepared = _prepare_dataset_uncached(name, config, split,
-                                                     base_parameters, precision)
-                _store_prepared_to_disk(disk_key, name, config, split, prepared)
+        disk_key = diskcache.content_key(DATASET_CACHE_KIND, *key)
+        prepared = _load_prepared_from_disk(name, config, split, disk_key)
+        if prepared is None:
+            prepared = _prepare_dataset_uncached(name, config, split,
+                                                 base_parameters, precision)
+            _store_prepared_to_disk(disk_key, name, config, split, prepared)
         _PREPARED_CACHE[key] = prepared
     return prepared
 
@@ -388,20 +355,6 @@ def _workload_key_parts(name: str, config: ExperimentConfig, split: str,
             float(H264_EFFICIENCY_FACTOR), system_config.precision)
 
 
-def workload_disk_key(name: str, config: ExperimentConfig, split: str,
-                      base_parameters: EncoderParameters,
-                      system_config: SystemConfig, target_f1: float,
-                      unlabelled_sample_period_seconds: float) -> str:
-    """Disk-cache key of one condensed workload artifact.
-
-    Public so the parallel :class:`~repro.parallel.WorkloadBuilder` can pin
-    the entries of an active build against the LRU sweep.
-    """
-    return diskcache.content_key(*_workload_key_parts(
-        name, config, split, base_parameters, system_config, target_f1,
-        unlabelled_sample_period_seconds))
-
-
 def prepare_workload(name: str, config: ExperimentConfig, split: str = "full",
                      system_config: Optional[SystemConfig] = None,
                      base_parameters: EncoderParameters = DEFAULT_PARAMETERS,
@@ -412,24 +365,13 @@ def prepare_workload(name: str, config: ExperimentConfig, split: str = "full",
     The heavy stages — offline tuning, the two size-only encodes, the MSE
     baseline fit — run only on a cold cache; a warm hit reconstructs the
     :class:`~repro.core.pipeline.VideoWorkload` from the on-disk artifact
-    without touching the footage at all.  ``REPRO_DATASET_CACHE=0`` opts out.
+    without touching the footage at all.
 
     Returns:
         The prepared :class:`~repro.core.pipeline.VideoWorkload`.
     """
     from ..core.pipeline import build_workload
     system_config = system_config or SystemConfig()
-    precision = system_config.precision
-    if not dataset_cache_enabled():
-        prepared = prepare_dataset(name, config, split, base_parameters,
-                                   precision)
-        with perf_section("workload.build"):
-            return build_workload(prepared.instance, config=system_config,
-                                  default_parameters=base_parameters,
-                                  target_f1=target_f1,
-                                  unlabelled_sample_period_seconds=(
-                                      unlabelled_sample_period_seconds),
-                                  activities=prepared.activities)
     key_parts = _workload_key_parts(name, config, split, base_parameters,
                                     system_config, target_f1,
                                     unlabelled_sample_period_seconds)
@@ -437,26 +379,18 @@ def prepare_workload(name: str, config: ExperimentConfig, split: str = "full",
     if workload is not None:
         return workload
     disk_key = diskcache.content_key(*key_parts)
-    # Pin both artifacts of the build in flight: the workload entry being
-    # (re)built and the prepared dataset it reads, so an LRU sweep riding
-    # on another store cannot evict either from underneath the build.
-    pins = [(WORKLOAD_CACHE_KIND, disk_key),
-            (DATASET_CACHE_KIND, dataset_disk_key(name, config, split,
-                                                  base_parameters, precision))]
-    with diskcache.pinned(pins):
-        workload = _load_workload_from_disk(name, disk_key)
-        if workload is None:
-            prepared = prepare_dataset(name, config, split, base_parameters,
-                                       precision)
-            with perf_section("workload.build"):
-                workload = build_workload(prepared.instance,
-                                          config=system_config,
-                                          default_parameters=base_parameters,
-                                          target_f1=target_f1,
-                                          unlabelled_sample_period_seconds=(
-                                              unlabelled_sample_period_seconds),
-                                          activities=prepared.activities)
-            _store_workload_to_disk(disk_key, name, workload)
+    workload = _load_workload_from_disk(name, disk_key)
+    if workload is None:
+        prepared = prepare_dataset(name, config, split, base_parameters,
+                                   system_config.precision)
+        with perf_section("workload.build"):
+            workload = build_workload(prepared.instance, config=system_config,
+                                      default_parameters=base_parameters,
+                                      target_f1=target_f1,
+                                      unlabelled_sample_period_seconds=(
+                                          unlabelled_sample_period_seconds),
+                                      activities=prepared.activities)
+        _store_workload_to_disk(disk_key, name, workload)
     _WORKLOAD_CACHE[key_parts] = workload
     return workload
 

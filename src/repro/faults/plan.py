@@ -25,7 +25,7 @@ from ..errors import FaultError
 from ..rng import make_rng
 
 #: Supported :class:`CacheCorruption` modes (see ``apply_cache_corruption``).
-CACHE_CORRUPTION_MODES = ("torn-write", "truncate-bundle", "garbage-sibling")
+CACHE_CORRUPTION_MODES = ("torn-write", "truncate-bundle")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -290,9 +290,6 @@ def apply_cache_corruption(spec: CacheCorruption,
       next load is a clean miss.
     * ``truncate-bundle`` — chop the stored ``.npz`` in half; the next
       load fails verification, evicts and recomputes.
-    * ``garbage-sibling`` — overwrite the sibling ``.json`` (the LRU
-      atime carrier) with garbage; the embedded manifest remains
-      authoritative, so a verified hit survives.
     """
     import os
 
@@ -309,12 +306,7 @@ def apply_cache_corruption(spec: CacheCorruption,
         return torn
     if not os.path.exists(bundle):
         raise FaultError(f"no cached bundle to corrupt at {bundle}")
-    if spec.mode == "truncate-bundle":
-        size = os.path.getsize(bundle)
-        with open(bundle, "r+b") as handle:
-            handle.truncate(max(size // 2, 1))
-        return bundle
-    sibling = os.path.splitext(bundle)[0] + ".json"
-    with open(sibling, "w", encoding="utf-8") as handle:
-        handle.write("{corrupt")
-    return sibling
+    size = os.path.getsize(bundle)
+    with open(bundle, "r+b") as handle:
+        handle.truncate(max(size // 2, 1))
+    return bundle

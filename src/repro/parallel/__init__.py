@@ -8,10 +8,6 @@ per dataset behind the content-keyed disk cache — used by the experiment
 harnesses when ``SystemConfig.build_workers > 1``.
 """
 
-from .workloads import (BuildTask, WorkloadBuilder, execute_build_task,
-                        task_cache_entries)
+from .workloads import BuildTask, WorkloadBuilder, execute_build_task
 
-__all__ = [
-    "BuildTask", "WorkloadBuilder", "execute_build_task",
-    "task_cache_entries",
-]
+__all__ = ["BuildTask", "WorkloadBuilder", "execute_build_task"]

@@ -27,14 +27,12 @@ parallel decomposition trivial:
 
 ``SystemConfig.build_workers == 1`` (the default) bypasses the fan-out
 entirely; the parity of the two paths is pinned by
-``tests/parallel/test_workload_builder.py``.  When process pools are
-unavailable (restricted sandboxes) or the artifact cache is disabled
-(``REPRO_DATASET_CACHE=0`` — there is no disk hand-off to assemble from),
-the builder silently degrades to the serial path: same results, no
-parallelism.  Workers inherit ``REPRO_CACHE_DIR`` / ``REPRO_CACHE_MAX_BYTES``
-through the environment; the parent pins every key of the active build
-(:func:`repro.datasets.diskcache.pinned`) so a concurrent LRU sweep cannot
-evict artifacts mid-assembly.
+``tests/parallel/test_workload_builder.py``.  Workers inherit
+``REPRO_CACHE_DIR`` through the environment.  When process pools are
+unavailable (restricted sandboxes) the builder degrades to the serial path:
+same results, no parallelism.  So does a cache directory that cannot be
+written: the workers' stores fail quietly, and the parent's assembly pass
+recomputes every artifact itself.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -103,13 +100,6 @@ class BuildTask:
     unlabelled_sample_period_seconds: float = 5.0
     precision: str = "exact"
     kill_worker: bool = False
-
-    @property
-    def dataset_precision(self) -> str:
-        """The precision the task's prepared-dataset artifact is keyed by."""
-        if self.artifact == WORKLOAD_ARTIFACT and self.system_config is not None:
-            return self.system_config.precision
-        return self.precision
 
 
 def execute_build_task(task: BuildTask) -> Tuple[str, str, str]:
@@ -207,14 +197,12 @@ class WorkloadBuilder:
                       precision=precision)
             for name in names for split in splits
         ]
-        tasks = self._poison(tasks)
-        with self._pinned(tasks):
-            self._warm(tasks)
-            return {
-                (name, split): prepare_dataset(name, self.config, split,
-                                               base_parameters, precision)
-                for name in names for split in splits
-            }
+        self._warm(self._poison(tasks))
+        return {
+            (name, split): prepare_dataset(name, self.config, split,
+                                           base_parameters, precision)
+            for name in names for split in splits
+        }
 
     def build_workloads(
             self, names: Optional[Sequence[str]] = None, split: str = "full",
@@ -239,15 +227,13 @@ class WorkloadBuilder:
                           unlabelled_sample_period_seconds))
             for name in names
         ]
-        tasks = self._poison(tasks)
-        with self._pinned(tasks):
-            self._warm(tasks)
-            return [
-                prepare_workload(name, self.config, split,
-                                 self.system_config, base_parameters,
-                                 target_f1, unlabelled_sample_period_seconds)
-                for name in names
-            ]
+        self._warm(self._poison(tasks))
+        return [
+            prepare_workload(name, self.config, split,
+                             self.system_config, base_parameters,
+                             target_f1, unlabelled_sample_period_seconds)
+            for name in names
+        ]
 
     # ------------------------------------------------------------------ #
     # Fan-out machinery
@@ -270,24 +256,6 @@ class WorkloadBuilder:
                 poisoned.append(task)
         return poisoned
 
-    @contextmanager
-    def _pinned(self, tasks: Sequence[BuildTask]):
-        """Pin every cache key of the active build for the enclosed block.
-
-        On exit the pins are released and, when a size budget is
-        configured, the cache is swept once more: stores during the build
-        could not evict the pinned working set, so a corpus larger than
-        ``REPRO_CACHE_MAX_BYTES`` would otherwise leave the directory
-        permanently above budget.
-        """
-        from ..datasets import diskcache
-        try:
-            with diskcache.pinned(task_cache_entries(tasks)):
-                yield
-        finally:
-            if diskcache.cache_max_bytes() is not None:
-                diskcache.sweep()
-
     def _warm(self, tasks: Sequence[BuildTask]) -> None:
         """Run ``tasks`` across worker processes, warming the disk cache.
 
@@ -297,9 +265,7 @@ class WorkloadBuilder:
         than failing the build.  Real build errors (a dataset that cannot
         render) surface from the assembly pass either way.
         """
-        from ..experiments.common import dataset_cache_enabled
-        if (self.build_workers <= 1 or len(tasks) <= 1
-                or not dataset_cache_enabled()):
+        if self.build_workers <= 1 or len(tasks) <= 1:
             return
         workers = min(self.build_workers, len(tasks))
         failures = 0
@@ -329,23 +295,3 @@ class WorkloadBuilder:
                 "the serial assembly pass will rebuild them",
                 failures, type(last_error).__name__, last_error)
 
-
-def task_cache_entries(tasks: Sequence[BuildTask]) -> List[Tuple[str, str]]:
-    """The ``(kind, key)`` disk-cache entries ``tasks`` will read/write.
-
-    A workload task owns two entries (its prepared dataset and the
-    condensed workload artifact); a dataset task owns one.
-    """
-    from ..experiments.common import (DATASET_CACHE_KIND, WORKLOAD_CACHE_KIND,
-                                      dataset_disk_key, workload_disk_key)
-    entries: List[Tuple[str, str]] = []
-    for task in tasks:
-        entries.append((DATASET_CACHE_KIND, dataset_disk_key(
-            task.name, task.config, task.split, task.base_parameters,
-            task.dataset_precision)))
-        if task.artifact == WORKLOAD_ARTIFACT:
-            entries.append((WORKLOAD_CACHE_KIND, workload_disk_key(
-                task.name, task.config, task.split, task.base_parameters,
-                task.system_config or SystemConfig(), task.target_f1,
-                task.unlabelled_sample_period_seconds)))
-    return entries

@@ -1,5 +1,6 @@
 """Tests for the simulated cluster: cost model and in-memory result store."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import CostModel, ResultDatabase
@@ -65,3 +66,107 @@ class TestResultDatabase:
         assert len(database) == 3
         database.clear()
         assert len(database) == 0
+
+    def test_rerecorded_frame_keeps_one_row_with_the_new_labels(self):
+        database = ResultDatabase()
+        database.record("v", 0, {"car"})
+        database.record("v", 0, {"bus"})
+        assert database.labels_for("v", 0) == frozenset({"bus"})
+        assert len(database) == 1
+        assert [row.labels for row in database.records_for_video("v")] == [
+            frozenset({"bus"})]
+
+    def test_rows_stay_frame_ordered_when_recorded_out_of_order(self):
+        database = ResultDatabase()
+        for frame in (9, 2, 7, 0, 4):
+            database.record("v", frame, {f"label-{frame}"})
+        database.record("w", 1, {"person", "car"})
+        assert [row.frame_index for row in database.records_for_video("v")
+                ] == [0, 2, 4, 7, 9]
+        assert database.frames_with_label("w", "person") == [1]
+        assert database.frames_with_label("v", "label-7") == [7]
+        assert database.frames_with_label("v", "person") == []
+
+    def test_numpy_integer_frames_are_accepted(self):
+        database = ResultDatabase()
+        row = database.record("v", np.int64(3), ("car",))
+        assert row.frame_index == 3 and type(row.frame_index) is int
+        assert database.labels_for("v", 3) == frozenset({"car"})
+
+    @pytest.mark.parametrize("frame_index", [
+        -1, 1.5, 1.0, True, False, float("nan"), float("inf"), "3", None,
+        np.bool_(True), np.int64(-2), np.float64(2.0)])
+    def test_malformed_frame_index_is_refused(self, frame_index):
+        database = ResultDatabase()
+        database.record("v", 1, {"car"})
+        with pytest.raises(ClusterError):
+            database.record("v", frame_index, {"bus"})
+        # Nothing was stored or overwritten.
+        assert len(database) == 1
+        assert database.labels_for("v", 1) == frozenset({"car"})
+
+    @pytest.mark.parametrize("video_name", [None, 7, b"v"])
+    def test_non_str_video_name_is_refused(self, video_name):
+        database = ResultDatabase()
+        with pytest.raises(ClusterError):
+            database.record(video_name, 0, {"car"})
+        assert len(database) == 0
+        assert database.video_names() == []
+
+    def test_bare_str_labels_are_refused(self):
+        database = ResultDatabase()
+        with pytest.raises(ClusterError):
+            database.record("v", 0, "car")
+        assert len(database) == 0
+        database.record("v", 0, ("car",))
+        assert database.labels_for("v", 0) == frozenset({"car"})
+
+    def test_labels_are_normalised_to_a_frozen_set(self):
+        database = ResultDatabase()
+        database.record("v", 0, ["car", "car", "bus"])
+        database.record("v", 1, (label for label in ("person",)))
+        assert database.labels_for("v", 0) == frozenset({"car", "bus"})
+        assert database.labels_for("v", 1) == frozenset({"person"})
+        assert all(isinstance(row.labels, frozenset)
+                   for row in database.records_for_video("v"))
+
+    def test_empty_label_row_is_kept_but_matches_no_label(self):
+        database = ResultDatabase()
+        database.record("v", 3, ())
+        assert database.labels_for("v", 3) == frozenset()
+        assert len(database) == 1
+        assert database.frames_with_label("v", "") == []
+        assert database.frames_with_label("v", "car") == []
+
+    def test_unknown_video_reads_empty(self):
+        database = ResultDatabase()
+        database.record("v", 0, {"car"})
+        assert database.labels_for("other", 0) is None
+        assert database.records_for_video("other") == []
+        assert database.frames_with_label("other", "car") == []
+
+    def test_record_returns_the_stored_frozen_row(self):
+        import dataclasses
+        database = ResultDatabase()
+        row = database.record("v", 2, {"car"})
+        assert database.records_for_video("v") == [row]
+        assert (row.video_name, row.frame_index) == ("v", 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.frame_index = 3
+
+    def test_video_names_are_sorted_and_distinct(self):
+        database = ResultDatabase()
+        for name, frame in (("w", 0), ("v", 4), ("w", 1), ("a", 0)):
+            database.record(name, frame, {"car"})
+        assert database.video_names() == ["a", "v", "w"]
+
+    def test_clear_then_record_starts_fresh(self):
+        database = ResultDatabase()
+        database.record("v", 0, {"car"})
+        database.record("w", 1, {"bus"})
+        database.clear()
+        assert database.video_names() == []
+        assert database.labels_for("v", 0) is None
+        database.record("v", 0, {"person"})
+        assert len(database) == 1
+        assert database.labels_for("v", 0) == frozenset({"person"})

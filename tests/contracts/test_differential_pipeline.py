@@ -18,8 +18,10 @@ from repro.contracts import (FAST_CONTRACT, agreement_fraction,
 from repro.core import build_workload
 from repro.datasets.generator import DatasetInstance
 from repro.datasets.registry import DatasetSpec
-from repro.experiments.common import (ExperimentConfig, dataset_disk_key,
-                                      workload_disk_key)
+from repro.datasets import diskcache
+from repro.experiments.common import (DATASET_CACHE_KIND, WORKLOAD_CACHE_KIND,
+                                      ExperimentConfig, clear_prepared_cache,
+                                      prepare_workload)
 from repro.video import RESOLUTION_720P, SyntheticScene, make_scenario
 
 #: Scenarios the differential suite sweeps: a daylight Table I feed plus
@@ -109,15 +111,18 @@ class TestWorkloadAgreement:
 
 
 class TestCacheSeparation:
-    def test_fast_and_exact_sessions_never_share_artifacts(self):
-        config = ExperimentConfig.quick()
-        base = EncoderParameters()
-        assert (dataset_disk_key("jackson_square", config, "full", base,
-                                 "exact")
-                != dataset_disk_key("jackson_square", config, "full", base,
-                                    "fast"))
-        assert (workload_disk_key("jackson_square", config, "full", base,
-                                  SystemConfig(precision="exact"), 0.95, 5.0)
-                != workload_disk_key("jackson_square", config, "full", base,
-                                     SystemConfig(precision="fast"), 0.95,
-                                     5.0))
+    def test_fast_and_exact_sessions_never_share_artifacts(self, tmp_path):
+        config = ExperimentConfig(duration_seconds=4.0, render_scale=0.05,
+                                  datasets=("jackson_square",))
+        clear_prepared_cache()
+        try:
+            with diskcache.temporary_cache_dir(tmp_path):
+                for precision in ("exact", "fast"):
+                    prepare_workload("jackson_square", config,
+                                     system_config=SystemConfig(
+                                         precision=precision))
+                # One prepared dataset and one workload per precision.
+                assert len(diskcache.list_keys(DATASET_CACHE_KIND)) == 2
+                assert len(diskcache.list_keys(WORKLOAD_CACHE_KIND)) == 2
+        finally:
+            clear_prepared_cache()

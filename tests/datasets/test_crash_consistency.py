@@ -10,12 +10,6 @@ rotted on disk:
   stray temp file never shadows it, and a recompute stores over it.
 * **truncated bundle** — a half-written ``.npz`` fails verification on
   load, is evicted, and the caller recomputes.
-* **garbage sibling** — the human-readable ``.json`` (the LRU atime
-  carrier) is corrupted while a reader performs a verified hit; the
-  embedded manifest is authoritative so the hit survives.
-
-In every scenario, no stale pin may leak: :func:`pinned_entries` must be
-empty once the access is over.
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ KIND = "crash-consistency"
 @pytest.fixture()
 def cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path))
-    monkeypatch.delenv(diskcache.CACHE_MAX_BYTES_ENV, raising=False)
     return tmp_path
 
 
@@ -50,29 +43,20 @@ class TestTornWrite:
         torn_path = apply_cache_corruption(spec)
         assert os.path.exists(torn_path)
 
-        with diskcache.pinned([(KIND, key)]):
-            # The rename never happened: the entry is absent, the stray
-            # temp file does not shadow it.
-            assert diskcache.load(KIND, key) is None
-            # The "recompute" stores normally and the next load hits.
-            diskcache.store(KIND, key, arrays())
-            loaded = diskcache.load(KIND, key)
+        # The rename never happened: the entry is absent, the stray temp
+        # file does not shadow it.
+        assert diskcache.load(KIND, key) is None
+        # The "recompute" stores normally and the next load hits.
+        diskcache.store(KIND, key, arrays())
+        loaded = diskcache.load(KIND, key)
         assert loaded is not None
         got, manifest = loaded
         assert np.array_equal(got["frames"], arrays()["frames"])
         assert manifest["key"] == key
-        assert diskcache.pinned_entries() == set()
-
-    def test_sweep_tolerates_the_stray_temp_file(self, cache_dir):
-        key = diskcache.content_key("torn-sweep")
-        apply_cache_corruption(
-            CacheCorruption(kind=KIND, key=key, mode="torn-write"))
-        diskcache.store(KIND, key, arrays())
-        # A sweep over a directory holding a torn temp file must neither
-        # crash nor evict the healthy entry next to it.
-        result = diskcache.sweep(max_bytes=10 * 1024 * 1024)
-        assert result.evicted == []
-        assert diskcache.load(KIND, key) is not None
+        # The stray temp file is neither listed as an entry nor cleared.
+        assert list(diskcache.list_keys(KIND)) == [key]
+        assert diskcache.clear_cache(KIND) == 1
+        assert os.path.exists(torn_path)
 
 
 class TestTruncatedBundle:
@@ -84,48 +68,21 @@ class TestTruncatedBundle:
             CacheCorruption(kind=KIND, key=key, mode="truncate-bundle"))
         assert os.path.getsize(bundle) < whole
 
-        with diskcache.pinned([(KIND, key)]):
-            # Verification fails -> miss; the bad entry is evicted so it
-            # cannot poison later readers.
-            assert diskcache.load(KIND, key) is None
-            assert not os.path.exists(path)
-            # Recompute restores a verified hit.
-            diskcache.store(KIND, key, arrays())
-            assert diskcache.load(KIND, key) is not None
-        assert diskcache.pinned_entries() == set()
-
-
-class TestGarbageSibling:
-    def test_verified_hit_survives_corrupted_sibling(self, cache_dir):
-        key = diskcache.content_key("sibling")
-        path = diskcache.store(KIND, key, arrays())
-        sibling = apply_cache_corruption(
-            CacheCorruption(kind=KIND, key=key, mode="garbage-sibling"))
-        with open(sibling, "r", encoding="utf-8") as handle:
-            assert handle.read() == "{corrupt"
-
-        with diskcache.pinned([(KIND, key)]):
-            loaded = diskcache.load(KIND, key)
-        # The embedded manifest is authoritative: the hit survives.
-        assert loaded is not None
-        got, manifest = loaded
-        assert np.array_equal(got["costs"], arrays()["costs"])
-        assert manifest["kind"] == KIND
-        assert os.path.exists(path)
-        assert diskcache.pinned_entries() == set()
-
-    def test_missing_sibling_is_restored_on_hit(self, cache_dir):
-        key = diskcache.content_key("sibling-missing")
-        path = diskcache.store(KIND, key, arrays())
-        sibling = path[:-len(".npz")] + ".json"
-        os.unlink(sibling)
+        # Verification fails -> miss; the bad entry is evicted so it cannot
+        # poison later readers.
+        assert diskcache.load(KIND, key) is None
+        assert not os.path.exists(path)
+        # Recompute restores a verified hit.
+        diskcache.store(KIND, key, arrays())
         assert diskcache.load(KIND, key) is not None
-        # The hit rewrote the sibling from the embedded manifest, so the
-        # entry regains its LRU access-time carrier.
-        assert os.path.exists(sibling)
 
 
 class TestCorruptionSpecPlumbing:
+    def test_modes_are_torn_write_and_truncate_bundle(self):
+        from repro.faults import CACHE_CORRUPTION_MODES
+        assert CACHE_CORRUPTION_MODES == ("torn-write", "truncate-bundle")
+        assert CacheCorruption(kind=KIND, key="k").mode == "truncate-bundle"
+
     def test_modes_are_validated(self):
         from repro.errors import FaultError
         with pytest.raises(FaultError):

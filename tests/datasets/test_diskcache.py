@@ -1,6 +1,5 @@
 """Tests for the on-disk artifact cache (``repro.datasets.diskcache``)."""
 
-import json
 import os
 import subprocess
 import sys
@@ -42,6 +41,11 @@ class TestContentKey:
                             diskcache.CACHE_SCHEMA_VERSION + 1)
         assert diskcache.content_key("x") != before
 
+    def test_numpy_scalars_key_like_python_scalars(self):
+        assert diskcache.content_key(np.int64(3), np.float64(2.5)) == (
+            diskcache.content_key(3, 2.5))
+        assert diskcache.content_key((1, 2)) == diskcache.content_key([1, 2])
+
     def test_unkeyable_objects_are_rejected(self):
         """Objects without a stable canonical form must raise, not fall
         back to a memory-address repr that differs in every process."""
@@ -71,12 +75,14 @@ class TestStoreLoad:
     def test_miss_on_absent_key(self, cache_dir):
         assert diskcache.load("unit", diskcache.content_key("nothing")) is None
 
-    def test_sibling_json_manifest_written(self, cache_dir):
-        key = diskcache.content_key("manifest")
+    def test_store_writes_exactly_one_file(self, cache_dir):
+        key = diskcache.content_key("one-file")
         path = diskcache.store("unit", key, {"x": np.zeros(1)}, {"a": 1})
-        sibling = path[:-len(".npz")] + ".json"
-        with open(sibling, "r", encoding="utf-8") as handle:
-            assert json.load(handle)["a"] == 1
+        # The manifest travels inside the bundle; nothing lands beside it
+        # (no sibling manifest, no leftover temp file).
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+        assert diskcache.tree_digest(str(cache_dir)).keys() == {
+            os.path.join("unit", f"{key}.npz")}
 
     def test_reserved_member_rejected(self, cache_dir):
         with pytest.raises(ValueError):
@@ -114,40 +120,14 @@ class TestStoreLoad:
                             diskcache.CACHE_SCHEMA_VERSION + 1)
         assert diskcache.load("unit", key) is None
 
-    def test_missing_sibling_json_is_still_a_hit(self, cache_dir):
-        """Partial deletion, order 1: the sibling ``.json`` is lost.
-
-        The authoritative manifest is embedded in the bundle, so the load
-        must hit — and the sibling (the entry's LRU access-time carrier)
-        must be restored from the embedded copy.
-        """
-        key = diskcache.content_key("lost-sibling")
-        path = diskcache.store("unit", key, {"x": np.arange(7)}, {"a": 1})
-        sibling = path[:-len(".npz")] + ".json"
-        os.unlink(sibling)
-        loaded = diskcache.load("unit", key)
-        assert loaded is not None
-        arrays, manifest = loaded
-        assert np.array_equal(arrays["x"], np.arange(7))
-        assert manifest["a"] == 1
-        # The sibling was rewritten from the embedded manifest.
-        assert os.path.exists(sibling)
-        with open(sibling, "r", encoding="utf-8") as handle:
-            assert json.load(handle)["a"] == 1
-
-    def test_missing_npz_with_lingering_json_is_a_miss(self, cache_dir):
-        """Partial deletion, order 2: the bundle is lost, the ``.json``
-        lingers.  Must be a clean miss that also removes the orphan (it
-        would otherwise sit in the cache directory forever)."""
-        key = diskcache.content_key("lost-bundle")
+    def test_evict_removes_the_entry(self, cache_dir):
+        key = diskcache.content_key("evicted")
         path = diskcache.store("unit", key, {"x": np.arange(7)})
-        sibling = path[:-len(".npz")] + ".json"
-        os.unlink(path)
+        assert diskcache.evict("unit", key)
+        assert not os.path.exists(path)
         assert diskcache.load("unit", key) is None
-        assert not os.path.exists(sibling)
-        # A re-store after the cleanup works normally.
-        diskcache.store("unit", key, {"x": np.arange(7)})
-        assert diskcache.load("unit", key) is not None
+        # Evicting an absent entry reports that nothing was removed.
+        assert not diskcache.evict("unit", key)
 
     def test_wrong_kind_is_a_miss(self, cache_dir):
         key = diskcache.content_key("kinds")
@@ -164,6 +144,78 @@ class TestStoreLoad:
         # Clearing an empty/absent cache is a no-op.
         assert diskcache.clear_cache() == 0
 
+    def test_stores_never_evict_other_entries(self, cache_dir):
+        """The cache has no size budget: every store adds its entry and
+        leaves every other entry, of any kind, readable."""
+        keys = [diskcache.content_key("grow", index) for index in range(4)]
+        for index, key in enumerate(keys):
+            diskcache.store("kind-a", key, {"x": np.full(64, index)})
+            diskcache.store("kind-b", key, {"x": np.full(64, -index)})
+        for index, key in enumerate(keys):
+            assert np.array_equal(diskcache.load("kind-a", key)[0]["x"],
+                                  np.full(64, index))
+            assert np.array_equal(diskcache.load("kind-b", key)[0]["x"],
+                                  np.full(64, -index))
+        assert diskcache.clear_cache() == 8
+
+    def test_embedded_key_mismatch_is_a_miss_and_evicted(self, cache_dir):
+        """A bundle under the wrong file name fails manifest verification:
+        a miss, the impostor is deleted, the real entry is untouched."""
+        genuine = diskcache.content_key("genuine")
+        impostor = diskcache.content_key("impostor")
+        source = diskcache.store("unit", genuine, {"x": np.arange(4)})
+        target = diskcache.artifact_path("unit", impostor)
+        with open(source, "rb") as reader, open(target, "wb") as writer:
+            writer.write(reader.read())
+        assert diskcache.load("unit", impostor) is None
+        assert not os.path.exists(target)
+        assert diskcache.load("unit", genuine) is not None
+
+    def test_store_into_a_regular_file_raises_oserror(self, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_bytes(b"")
+        with pytest.raises(OSError):
+            diskcache.store("unit", "k", {"x": np.zeros(1)},
+                            directory=str(blocker))
+        # Reads of the same broken directory are plain misses.
+        assert diskcache.load("unit", "k", directory=str(blocker)) is None
+        assert list(diskcache.list_keys("unit", str(blocker))) == []
+
+    def test_failed_write_keeps_the_old_entry_and_no_temp_file(
+            self, cache_dir, monkeypatch):
+        """A writer dying inside the temp write never replaces the entry
+        already in place and never leaves its temp file behind."""
+        key = diskcache.content_key("atomic")
+        path = diskcache.store("unit", key, {"x": np.arange(3)})
+
+        def failing_savez(handle, **arrays):
+            handle.write(b"partial")
+            raise RuntimeError("disk vanished mid-write")
+        with monkeypatch.context() as patch:
+            patch.setattr(diskcache.np, "savez_compressed", failing_savez)
+            with pytest.raises(RuntimeError):
+                diskcache.store("unit", key, {"x": np.arange(99)})
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+        arrays, _ = diskcache.load("unit", key)
+        assert np.array_equal(arrays["x"], np.arange(3))
+
+    def test_list_keys_of_an_absent_kind_is_empty(self, cache_dir):
+        assert list(diskcache.list_keys("never-stored")) == []
+
+    def test_tree_digest_tracks_content(self, cache_dir, tmp_path):
+        key = diskcache.content_key("digest")
+        first = tmp_path / "first"
+        second = tmp_path / "second"
+        for directory in (first, second):
+            diskcache.store("unit", key, {"x": np.arange(5)},
+                            directory=str(directory))
+        assert diskcache.tree_digest(str(first)) == (
+            diskcache.tree_digest(str(second)))
+        diskcache.store("unit", key, {"x": np.arange(6)},
+                        directory=str(second))
+        assert diskcache.tree_digest(str(first)) != (
+            diskcache.tree_digest(str(second)))
+
 
 class TestCacheDirSelection:
     def test_env_var_wins(self, monkeypatch, tmp_path):
@@ -174,6 +226,17 @@ class TestCacheDirSelection:
         monkeypatch.delenv(diskcache.CACHE_DIR_ENV, raising=False)
         assert diskcache.cache_dir() == diskcache.default_cache_dir()
         assert diskcache.default_cache_dir().endswith("repro-sieve")
+
+    def test_temporary_cache_dir_restores_the_previous_value(
+            self, monkeypatch, tmp_path):
+        monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "outer"))
+        with diskcache.temporary_cache_dir(tmp_path / "inner") as inner:
+            assert diskcache.cache_dir() == inner == str(tmp_path / "inner")
+        assert diskcache.cache_dir() == str(tmp_path / "outer")
+        monkeypatch.delenv(diskcache.CACHE_DIR_ENV)
+        with diskcache.temporary_cache_dir(tmp_path / "inner"):
+            pass
+        assert diskcache.CACHE_DIR_ENV not in os.environ
 
 
 #: Script run by each racing writer process: stores a deterministic bundle

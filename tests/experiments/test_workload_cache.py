@@ -19,6 +19,7 @@ from repro.datasets import diskcache
 from repro.experiments import ExperimentConfig, prepare_dataset, prepare_workload
 from repro.experiments.common import (DATASET_CACHE_KIND, WORKLOAD_CACHE_KIND,
                                       clear_prepared_cache)
+from repro.faults import CacheCorruption, apply_cache_corruption
 from repro.perf import get_recorder
 
 QUICK = ExperimentConfig(duration_seconds=8.0, render_scale=0.06,
@@ -75,12 +76,51 @@ class TestPreparedDatasetDiskCache:
         assert "dataset.render" in get_recorder().sections
         assert prepared.timeline is not None
 
-    def test_cache_disabled_writes_nothing(self, cache_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_DATASET_CACHE", "0")
-        prepare_dataset("jackson_square", QUICK)
-        prepare_workload("jackson_square", QUICK)
-        assert list(diskcache.list_keys(DATASET_CACHE_KIND)) == []
-        assert list(diskcache.list_keys(WORKLOAD_CACHE_KIND)) == []
+
+
+class TestUnwritableCacheDir:
+    """The one "cache cannot help" path: ``REPRO_CACHE_DIR`` names a regular
+    file, so no entry can ever be stored.  Every call must still succeed,
+    recompute, and return what a run with a working cache returns."""
+
+    @pytest.fixture()
+    def blocker(self, cache_dir, monkeypatch):
+        """Point the cache at a regular file (after the test's normal run)."""
+        path = cache_dir / "not-a-directory"
+        path.write_bytes(b"")
+
+        def block():
+            monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(path))
+        yield block
+        assert path.read_bytes() == b""
+
+    def test_prepare_dataset_recomputes(self, blocker):
+        dataset = prepare_dataset("jackson_square", QUICK)
+        blocker()
+        for _ in range(2):  # the second pass finds nothing on disk either
+            clear_prepared_cache()
+            get_recorder().reset()
+            again = prepare_dataset("jackson_square", QUICK)
+            assert "dataset.render" in get_recorder().sections
+            assert "dataset.disk_hit" not in get_recorder().sections
+            assert np.array_equal(np.stack(dataset.instance.video.as_arrays()),
+                                  np.stack(again.instance.video.as_arrays()))
+            assert dataset.activities == again.activities
+            assert dataset.timeline == again.timeline
+
+    def test_prepare_workload_recomputes(self, blocker):
+        workload = prepare_workload("jackson_square", QUICK)
+        blocker()
+        for _ in range(2):
+            clear_prepared_cache()
+            get_recorder().reset()
+            rebuilt = prepare_workload("jackson_square", QUICK)
+            sections = get_recorder().sections
+            assert "workload.build" in sections
+            assert "workload.disk_hit" not in sections
+            assert workload_fingerprint(workload) == workload_fingerprint(
+                rebuilt)
+            assert workload.timeline == rebuilt.timeline
 
 
 class TestWorkloadDiskCache:
@@ -100,6 +140,40 @@ class TestWorkloadDiskCache:
         assert workload_fingerprint(cold) == workload_fingerprint(warm)
         assert cold.timeline == warm.timeline
         assert cold.nominal_resolution == warm.nominal_resolution
+
+    def test_truncated_workload_artifact_rebuilds(self, cache_dir):
+        cold = prepare_workload("jackson_square", QUICK)
+        (key,) = diskcache.list_keys(WORKLOAD_CACHE_KIND)
+        apply_cache_corruption(CacheCorruption(
+            kind=WORKLOAD_CACHE_KIND, key=key, mode="truncate-bundle"))
+        clear_prepared_cache()
+        get_recorder().reset()
+        rebuilt = prepare_workload("jackson_square", QUICK)
+        # The bad bundle was a miss; the footage came from the (intact)
+        # dataset entry and the workload was rebuilt and stored again.
+        sections = get_recorder().sections
+        assert "workload.build" in sections
+        assert "dataset.disk_hit" in sections
+        assert "dataset.render" not in sections
+        assert workload_fingerprint(rebuilt) == workload_fingerprint(cold)
+        assert diskcache.load(WORKLOAD_CACHE_KIND, key) is not None
+
+    def test_torn_write_is_a_miss_then_rebuilt(self, cache_dir):
+        cold = prepare_workload("jackson_square", QUICK)
+        (key,) = diskcache.list_keys(WORKLOAD_CACHE_KIND)
+        # The writer died between its temp write and the rename: the entry
+        # is absent and only a stray temp file sits where it would live.
+        diskcache.evict(WORKLOAD_CACHE_KIND, key)
+        torn = apply_cache_corruption(CacheCorruption(
+            kind=WORKLOAD_CACHE_KIND, key=key, mode="torn-write"))
+        for expected in ("workload.build", "workload.disk_hit"):
+            clear_prepared_cache()
+            get_recorder().reset()
+            again = prepare_workload("jackson_square", QUICK)
+            assert expected in get_recorder().sections
+            assert workload_fingerprint(again) == workload_fingerprint(cold)
+        assert os.path.exists(torn)
+        assert list(diskcache.list_keys(WORKLOAD_CACHE_KIND)) == [key]
 
     def test_in_process_layer_serves_repeat_calls(self, cache_dir):
         first = prepare_workload("jackson_square", QUICK)

@@ -3,8 +3,8 @@
 Acceptance contract (ISSUE 4): ``build_workers > 1`` must produce
 byte-identical cache artifacts and value-identical workload objects to the
 serial path, with results assembled deterministically by dataset order
-regardless of worker scheduling; unavailable pools and disabled caches
-degrade to the serial path rather than failing.
+regardless of worker scheduling; unavailable pools and unwritable cache
+directories degrade to the serial path rather than failing.
 """
 
 import hashlib
@@ -76,8 +76,8 @@ class TestParallelSerialParity:
         parallel_tree = diskcache.tree_digest(parallel_cache)
         assert sorted(serial_tree) == sorted(parallel_tree)
         assert serial_tree == parallel_tree  # byte-identical bundles
-        # 2 datasets x (prepared-dataset + workload) x (.npz + .json)
-        assert len(serial_tree) == 8
+        # 2 datasets x (prepared-dataset + workload), one .npz per entry
+        assert len(serial_tree) == 4
 
     def test_parent_process_does_not_render_in_parallel_mode(self, tmp_path,
                                                              fresh_state):
@@ -118,33 +118,41 @@ class TestParallelSerialParity:
                 != dataset_fingerprint(matrix[("jackson_square", "test")]))
 
 
-class TestBudgetedBuild:
-    def test_build_settles_under_the_budget_after_pins_release(
-            self, tmp_path, fresh_state, monkeypatch):
-        """During the build every corpus key is pinned (stores cannot
-        evict the working set); once the builder's pin scope closes a
-        settle sweep brings the cache back under ``REPRO_CACHE_MAX_BYTES``
-        even when the corpus itself exceeds it."""
-        budget = 400_000  # well below the two-dataset working set
-        monkeypatch.setenv(diskcache.CACHE_MAX_BYTES_ENV, str(budget))
-        with diskcache.temporary_cache_dir(tmp_path / "budgeted"):
-            clear_prepared_cache()
-            built = WorkloadBuilder(QUICK, build_workers=1).build_workloads()
-            assert [w.name for w in built] == list(QUICK.datasets)
-            assert diskcache.cache_total_bytes() <= budget
-        assert not diskcache.pinned_entries()
-
-
 class TestDegradationPaths:
-    def test_disabled_cache_falls_back_to_serial(self, tmp_path, fresh_state,
-                                                 monkeypatch):
-        monkeypatch.setenv("REPRO_DATASET_CACHE", "0")
-        with diskcache.temporary_cache_dir(tmp_path / "disabled"):
-            built = WorkloadBuilder(QUICK, build_workers=4).build_workloads()
-        assert [w.name for w in built] == list(QUICK.datasets)
+    def test_unwritable_cache_dir_falls_back_to_recompute(self, tmp_path,
+                                                          fresh_state):
+        """A cache directory that is a regular file cannot hold a single
+        entry: the workers' stores fail quietly, and the parent rebuilds
+        everything itself — raising nothing, equal to a normal build."""
+        normal, _ = build_in(tmp_path, "normal", 1)
+        get_recorder().reset()
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_bytes(b"")
+        with diskcache.temporary_cache_dir(blocker):
+            clear_prepared_cache()
+            built = WorkloadBuilder(QUICK, build_workers=2).build_workloads()
+        clear_prepared_cache()
+        assert [workload_fingerprint(w) for w in built] == [
+            workload_fingerprint(w) for w in normal]
         # No disk hand-off happened: the parent built everything itself.
-        assert "workload.parallel_warm" not in get_recorder().sections
+        assert "workload.disk_hit" not in get_recorder().sections
         assert "workload.build" in get_recorder().sections
+        assert blocker.read_bytes() == b""
+
+    def test_unwritable_cache_dir_dataset_parity(self, tmp_path, fresh_state):
+        with diskcache.temporary_cache_dir(tmp_path / "ds-normal"):
+            clear_prepared_cache()
+            normal = WorkloadBuilder(QUICK, build_workers=1).prepare_datasets()
+        blocker = tmp_path / "ds-blocker"
+        blocker.write_bytes(b"")
+        with diskcache.temporary_cache_dir(blocker):
+            clear_prepared_cache()
+            built = WorkloadBuilder(QUICK, build_workers=2).prepare_datasets()
+        clear_prepared_cache()
+        assert list(built) == list(normal)
+        for name in normal:
+            assert (dataset_fingerprint(built[name])
+                    == dataset_fingerprint(normal[name]))
 
     def test_broken_pool_falls_back_to_serial(self, tmp_path, fresh_state,
                                               monkeypatch):
@@ -253,18 +261,6 @@ class TestBuildTaskPlumbing:
         assert builder.build_workers == 3
         assert WorkloadBuilder(QUICK, system_config,
                                build_workers=1).build_workers == 1
-
-    def test_task_cache_entries_cover_both_artifacts(self):
-        tasks = [workloads_module.BuildTask(
-            artifact=workloads_module.WORKLOAD_ARTIFACT,
-            name="jackson_square", split="full", config=QUICK)]
-        entries = workloads_module.task_cache_entries(tasks)
-        kinds = [kind for kind, _ in entries]
-        assert kinds == ["prepared-dataset", "workload"]
-        # Pinning the active build protects these exact entries.
-        with diskcache.pinned(entries):
-            assert set(entries) <= diskcache.pinned_entries()
-        assert not (set(entries) & diskcache.pinned_entries())
 
     def test_unknown_artifact_rejected(self):
         task = workloads_module.BuildTask(
