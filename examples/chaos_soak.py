@@ -26,7 +26,7 @@ Run with:  python examples/chaos_soak.py [--seed 7] [--speedup 400]
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.cluster import CameraJob
 from repro.faults import FaultPlan, ResilienceConfig

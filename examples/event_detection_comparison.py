@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from repro.codec import EncoderParameters, IFrameSeeker, VideoEncoder
+from repro.codec import EncoderParameters, VideoEncoder
 from repro.core import evaluate_sampling
 from repro.logging_utils import configure_logging
 from repro.video import SyntheticScene, make_scenario
@@ -34,8 +34,8 @@ def main() -> None:
     for scenecut in (100.0, 200.0, 250.0, 300.0):
         parameters = EncoderParameters(gop_size=1000, scenecut_threshold=scenecut)
         encoded = VideoEncoder(parameters).encode(video, activities=activities)
-        keyframes = IFrameSeeker().keyframe_indices(encoded)
-        sieve_points.append((parameters, evaluate_sampling(timeline, keyframes)))
+        sieve_points.append(
+            (parameters, evaluate_sampling(timeline, encoded.keyframe_indices)))
 
     # Baseline score series (each requires decoding every frame).
     start = time.perf_counter()

@@ -7,13 +7,11 @@ from .controller import (AdaptiveConfig, AdaptiveTuningController,
                          DriftMonitor, RetuneDecision, retune_history)
 from .detectors import (DriftSignal, PageHinkleyDetector,
                         WindowedZScoreDetector)
-from .signals import (REFERENCE_SCENECUT, ChunkScene, SceneStats,
-                      chunk_scene, mean_luma)
+from .signals import REFERENCE_SCENECUT, ChunkScene, SceneStats, chunk_scene
 
 __all__ = [
     "AdaptiveConfig", "AdaptiveTuningController", "DriftMonitor",
     "RetuneDecision", "retune_history",
     "DriftSignal", "PageHinkleyDetector", "WindowedZScoreDetector",
     "REFERENCE_SCENECUT", "ChunkScene", "SceneStats", "chunk_scene",
-    "mean_luma",
 ]

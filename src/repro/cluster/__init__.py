@@ -5,12 +5,12 @@ The stage chain the fleet drivers share lives in :mod:`repro.cluster.topology`.
 
 from .costmodel import CostModel
 from .fleet import (CameraJob, FleetOrchestrator, FleetReport, JobOutcome,
-                    PlacementPolicy, TierReport, sweep_edge_counts)
+                    PlacementPolicy, TierReport)
 from .resultdb import ResultDatabase, ResultRecord
 
 __all__ = [
     "CostModel",
     "CameraJob", "FleetOrchestrator", "FleetReport", "JobOutcome",
-    "PlacementPolicy", "TierReport", "sweep_edge_counts",
+    "PlacementPolicy", "TierReport",
     "ResultDatabase", "ResultRecord",
 ]

@@ -266,13 +266,6 @@ class FleetReport:
     faults: Optional[FaultStats] = None
 
     @property
-    def events_per_second(self) -> float:
-        """Scheduler event throughput of the simulation (perf metric)."""
-        if self.sim_wall_seconds <= 0:
-            return 0.0
-        return self.events_processed / self.sim_wall_seconds
-
-    @property
     def aggregate_throughput_fps(self) -> float:
         """Fleet-wide frames per second over the makespan."""
         if self.makespan_seconds <= 0:
@@ -647,24 +640,3 @@ class FleetOrchestrator:
             chain, self.policy, outcomes, watch.stop(),
             faults=(driver.stats if driver is not None
                     and driver.stats.has_activity() else None))
-
-
-def sweep_edge_counts(jobs: Sequence[CameraJob],
-                      edge_counts: Sequence[int],
-                      config: Optional[SystemConfig] = None,
-                      policy: "PlacementPolicy | str" = PlacementPolicy.LEAST_LOADED,
-                      arrival_jitter_seconds: float = 0.0,
-                      seed: Optional[int] = None) -> Dict[int, FleetReport]:
-    """Run the same fleet over several edge-server counts.
-
-    Returns:
-        ``{num_edge_servers: report}`` in ascending edge-count order.
-    """
-    reports: Dict[int, FleetReport] = {}
-    for count in sorted(set(_whole_count(count, "edge count")
-                            for count in edge_counts)):
-        orchestrator = FleetOrchestrator(
-            jobs, num_edge_servers=count, config=config, policy=policy,
-            arrival_jitter_seconds=arrival_jitter_seconds, seed=seed)
-        reports[count] = orchestrator.run()
-    return reports

@@ -76,11 +76,6 @@ class EncodedFrame:
         """Whether this is an independently decodable I-frame."""
         return self.frame_type is FrameType.I
 
-    @property
-    def has_payload(self) -> bool:
-        """Whether the encoded bytes were materialised."""
-        return self.payload is not None
-
 
 @dataclass
 class FrameIndexEntry:

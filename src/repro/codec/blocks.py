@@ -102,17 +102,3 @@ def block_grid(height: int, width: int, block_size: int = DEFAULT_BLOCK_SIZE
     """Number of blocks ``(blocks_y, blocks_x)`` covering a padded plane."""
     target_h, target_w = padded_shape(height, width, block_size)
     return target_h // block_size, target_w // block_size
-
-
-def block_means(plane: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    """Per-block mean of a (possibly unaligned) plane.
-
-    Args:
-        plane: 2-D array.
-        block_size: Block edge length.
-
-    Returns:
-        2-D array of shape ``(blocks_y, blocks_x)``.
-    """
-    padded = pad_plane(np.asarray(plane, dtype=np.float64), block_size)
-    return to_blocks(padded, block_size).mean(axis=(2, 3))

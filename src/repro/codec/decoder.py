@@ -23,7 +23,7 @@ loop.  It streams run by run rather than staging a whole clip.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class VideoDecoder:
         scanned and its coded blocks inverse-transformed in one pass each.
         The checks come in the order a single frame meets them, so a run of
         one raises exactly that frame's first error; a longer run raises
-        *some* error of a malformed frame and :meth:`_decode_range` parses
+        *some* error of a malformed frame and :meth:`iter_decoded_frames` parses
         it again frame by frame.  (So does a run whose frames change
         ``quality``, which the encoder never writes: a run shares one
         quantisation matrix.)
@@ -177,9 +177,8 @@ class VideoDecoder:
     # ------------------------------------------------------------------ #
     # Video-level decoding
     # ------------------------------------------------------------------ #
-    def _decode_range(self, encoded: EncodedVideo, start: int, stop: int
-                      ) -> Iterator[Frame]:
-        """Yield decoded ``frames[start:stop]``; ``start`` is an I-frame.
+    def iter_decoded_frames(self, encoded: EncodedVideo) -> Iterator[Frame]:
+        """Yield fully decoded frames in presentation order.
 
         I-frames decode as still images.  The P-frames up to the next
         I-frame (or :data:`_RUN_BYTES`) are parsed together by
@@ -194,7 +193,7 @@ class VideoDecoder:
         block_size = encoded.parameters.block_size
         blocks_y, blocks_x = block_grid(height, width, block_size)
         reference: np.ndarray = None
-        position = start
+        position, stop = 0, encoded.num_frames
         while position < stop:
             frame = encoded.frames[position]
             if frame.is_keyframe:
@@ -235,10 +234,6 @@ class VideoDecoder:
                             timestamp=metadata.timestamp_of(frame.index),
                             frame_type=frame.frame_type)
 
-    def iter_decoded_frames(self, encoded: EncodedVideo) -> Iterator[Frame]:
-        """Yield fully decoded frames in presentation order."""
-        return self._decode_range(encoded, 0, encoded.num_frames)
-
     def decode_video(self, encoded: EncodedVideo) -> RawVideo:
         """Decode every frame (the classical, expensive pipeline)."""
         frames = list(self.iter_decoded_frames(encoded))
@@ -260,37 +255,6 @@ class VideoDecoder:
                       frame_type=FrameType.I)
                 for frame, plane in zip(keyframes,
                                         self._decode_stills(keyframes))]
-
-    def decode_frame_at(self, encoded: EncodedVideo, frame_index: int) -> Frame:
-        """Decode a single frame by index.
-
-        I-frames are decoded directly; P-frames require decoding forward from
-        the preceding I-frame, which is exactly the seek penalty the paper's
-        edge storage avoids by keeping the semantically encoded video (the
-        event of interest starts at an I-frame).
-        """
-        if not 0 <= frame_index < encoded.num_frames:
-            raise DecodeError(f"frame index {frame_index} out of range")
-        start = frame_index
-        while start > 0 and not encoded.frames[start].is_keyframe:
-            start -= 1
-        if not encoded.frames[start].is_keyframe:
-            raise DecodeError("no I-frame precedes the requested frame")
-        for frame in self._decode_range(encoded, start, frame_index + 1):
-            pass
-        return frame
-
-    def reconstruction_error(self, encoded: EncodedVideo, original: RawVideo
-                             ) -> Dict[str, float]:
-        """PSNR statistics of the decoded video against the original."""
-        errors = []
-        for decoded, source in zip(self.iter_decoded_frames(encoded), original.frames()):
-            difference = (decoded.data.astype(np.float64)
-                          - source.to_grayscale())
-            errors.append(float(np.mean(difference ** 2)))
-        mse = float(np.mean(errors)) if errors else 0.0
-        psnr = float("inf") if mse == 0 else 10.0 * np.log10(255.0 ** 2 / mse)
-        return {"mean_mse": mse, "psnr_db": psnr, "num_frames": len(errors)}
 
 
 def decode_video(encoded: EncodedVideo) -> RawVideo:

@@ -244,15 +244,6 @@ class VideoEncoder:
         return EncodedVideo(video.metadata, parameters, encoded_frames)
 
 
-def encode_video(video: VideoSource, parameters: Optional[EncoderParameters] = None,
-                 materialise_payload: bool = False,
-                 activities: Optional[Sequence[FrameActivity]] = None,
-                 precision: str = "exact") -> EncodedVideo:
-    """Module-level convenience wrapper around :class:`VideoEncoder`."""
-    return VideoEncoder(parameters, precision).encode(video, materialise_payload,
-                                                      activities)
-
-
 def analyze_video(video: VideoSource,
                   parameters: Optional[EncoderParameters] = None,
                   precision: str = "exact") -> List[FrameActivity]:

@@ -289,32 +289,3 @@ class KeyframePlacer:
         for index in self.keyframe_indices(activities):
             frame_types[index] = FrameType.I
         return frame_types
-
-
-def keyframe_flags(frame_types: Sequence[FrameType]) -> np.ndarray:
-    """Boolean array marking the I-frames of a frame-type sequence."""
-    return np.array([frame_type is FrameType.I for frame_type in frame_types],
-                    dtype=bool)
-
-
-def sampling_fraction(frame_types: Sequence[FrameType]) -> float:
-    """Fraction of frames that are I-frames (the paper's sample size *SS*)."""
-    if not frame_types:
-        return 0.0
-    return float(keyframe_flags(frame_types).mean())
-
-
-def filtering_rate(frame_types: Sequence[FrameType]) -> float:
-    """Fraction of frames that are *not* I-frames (the paper's ``fr_i``)."""
-    return 1.0 - sampling_fraction(frame_types)
-
-
-def gop_lengths(frame_types: Sequence[FrameType]) -> List[int]:
-    """Lengths of every GOP (distance between consecutive I-frames)."""
-    indices = [index for index, frame_type in enumerate(frame_types)
-               if frame_type is FrameType.I]
-    if not indices:
-        return [len(frame_types)] if frame_types else []
-    lengths = [later - earlier for earlier, later in zip(indices, indices[1:])]
-    lengths.append(len(frame_types) - indices[-1])
-    return lengths

@@ -4,10 +4,11 @@
 video but instead it searches through the video metadata and drops every
 frame that is not of type I-frame." (Section III)
 
-The seeker therefore touches only the container's frame index — frame types,
-offsets and sizes — and returns the I-frames (or, for serialised
-containers, their index entries) without any pixel work.  Its per-frame cost
-is what gives SiEVE the 100x+ event-detection speedup of Table III.
+The seeker therefore reads only a serialised container's frame index —
+frame types, offsets and sizes — and returns the I-frames' index entries
+without any pixel work.  Its per-frame cost is what gives SiEVE the 100x+
+event-detection speedup of Table III.  An in-memory :class:`EncodedVideo`
+answers the same question with ``keyframe_indices`` / ``iter_keyframes``.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from ..config import whole_number
 from ..errors import BitstreamError
-from ..video.frame import FrameType
 from ..video.raw_video import VideoMetadata
-from .bitstream import (EncodedFrame, EncodedVideo, FrameIndexEntry,
-                        read_frame_index)
+from .bitstream import FrameIndexEntry, read_frame_index
 
 
 @dataclass
@@ -38,55 +38,9 @@ class SeekResult:
     keyframe_bytes: int
     total_bytes: int
 
-    @property
-    def num_keyframes(self) -> int:
-        """Number of I-frames found."""
-        return len(self.keyframe_indices)
-
-    @property
-    def sampling_fraction(self) -> float:
-        """Fraction of frames that passed the seeker (the paper's *SS*)."""
-        if self.frames_scanned == 0:
-            return 0.0
-        return self.num_keyframes / self.frames_scanned
-
-    @property
-    def filtering_rate(self) -> float:
-        """Fraction of frames dropped without any decoding."""
-        return 1.0 - self.sampling_fraction
-
-    @property
-    def data_reduction_factor(self) -> float:
-        """Encoded-bytes reduction achieved by keeping only I-frames."""
-        if self.keyframe_bytes == 0:
-            return float("inf")
-        return self.total_bytes / self.keyframe_bytes
-
 
 class IFrameSeeker:
-    """Extracts I-frames from encoded videos using metadata only."""
-
-    def seek(self, encoded: EncodedVideo) -> List[EncodedFrame]:
-        """Return the I-frames of an in-memory encoded video."""
-        return [frame for frame in encoded.frames if frame.frame_type is FrameType.I]
-
-    def seek_with_stats(self, encoded: EncodedVideo) -> Tuple[List[EncodedFrame], SeekResult]:
-        """Return the I-frames together with seek statistics."""
-        keyframes: List[EncodedFrame] = []
-        keyframe_bytes = 0
-        total_bytes = 0
-        for frame in encoded.frames:
-            total_bytes += frame.size_bytes
-            if frame.frame_type is FrameType.I:
-                keyframes.append(frame)
-                keyframe_bytes += frame.size_bytes
-        result = SeekResult(
-            keyframe_indices=[frame.index for frame in keyframes],
-            frames_scanned=encoded.num_frames,
-            keyframe_bytes=keyframe_bytes,
-            total_bytes=total_bytes,
-        )
-        return keyframes, result
+    """Extracts I-frames from serialised videos using metadata only."""
 
     def seek_serialized(self, data: bytes
                         ) -> Tuple[VideoMetadata, List[FrameIndexEntry], SeekResult]:
@@ -112,16 +66,6 @@ class IFrameSeeker:
         )
         return metadata, keyframes, result
 
-    def keyframe_indices(self, encoded: EncodedVideo) -> List[int]:
-        """Indices of the I-frames of an encoded video."""
-        return [frame.index for frame in encoded.frames
-                if frame.frame_type is FrameType.I]
-
-
-def seek_keyframes(encoded: EncodedVideo) -> List[EncodedFrame]:
-    """Module-level convenience wrapper around :class:`IFrameSeeker.seek`."""
-    return IFrameSeeker().seek(encoded)
-
 
 def select_events_from_keyframes(keyframe_indices: Sequence[int],
                                  num_frames: int) -> List[Tuple[int, int]]:
@@ -137,14 +81,25 @@ def select_events_from_keyframes(keyframe_indices: Sequence[int],
 
     Returns:
         List of ``(start_frame, end_frame_exclusive)`` segments.
+
+    Raises:
+        BitstreamError: If an index or ``num_frames`` is not a whole number
+            (``2.5`` would silently become frame 2), an index lies outside
+            ``[0, num_frames)`` (it would yield an inverted segment), or
+            the first I-frame is not frame 0.
     """
-    if not keyframe_indices:
+    num_frames = whole_number(num_frames, "num_frames", BitstreamError)
+    if num_frames < 0:
+        raise BitstreamError(f"num_frames must be >= 0, got {num_frames}")
+    indices = sorted({whole_number(index, "keyframe index", BitstreamError)
+                      for index in keyframe_indices})
+    if not indices:
         return [(0, num_frames)] if num_frames else []
-    indices = sorted(set(int(index) for index in keyframe_indices))
+    if indices[0] < 0 or indices[-1] >= num_frames:
+        raise BitstreamError(
+            f"keyframe indices must lie in [0, {num_frames}), got "
+            f"{indices[0]}..{indices[-1]}")
     if indices[0] != 0:
         raise BitstreamError("the first keyframe of a video must be frame 0")
-    segments = []
-    for position, start in enumerate(indices):
-        stop = indices[position + 1] if position + 1 < len(indices) else num_frames
-        segments.append((start, stop))
-    return segments
+    bounds = indices + [num_frames]
+    return list(zip(bounds, bounds[1:]))

@@ -13,7 +13,6 @@ and channel count so :func:`decode_image` needs no side information.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -28,26 +27,6 @@ from .transform import (dct2_blocks, dequantise_blocks, idct2_blocks,
 _MAGIC = b"SJPG"
 _HEADER = struct.Struct(">4sHHBBB")  # magic, height, width, channels, quality, block
 _PLANE_LENGTH = struct.Struct(">I")
-
-
-@dataclass(frozen=True)
-class ImageCodecStats:
-    """Statistics of one still-image encode.
-
-    Attributes:
-        encoded_bytes: Size of the encoded image (header included).
-        raw_bytes: Size of the raw pixel data.
-    """
-
-    encoded_bytes: int
-    raw_bytes: int
-
-    @property
-    def compression_ratio(self) -> float:
-        """Raw size divided by encoded size."""
-        if self.encoded_bytes == 0:
-            return float("inf")
-        return self.raw_bytes / self.encoded_bytes
 
 
 def quantise_plane(plane: np.ndarray, matrix: np.ndarray,
@@ -210,16 +189,3 @@ def estimate_encoded_size(image: np.ndarray, quality: int = 75,
     matrix = quantisation_matrix(quality, block_size)
     return packed_image_size([quantise_plane(plane, matrix, block_size)
                               for plane in _image_planes(np.asarray(image))])
-
-
-def roundtrip_psnr(image: np.ndarray, quality: int = 75) -> Tuple[float, ImageCodecStats]:
-    """Encode + decode an image and report PSNR and size statistics."""
-    encoded = encode_image(image, quality)
-    decoded = decode_image(encoded)
-    original = np.asarray(image, dtype=np.float64)
-    reconstructed = decoded.astype(np.float64)
-    mse = float(np.mean((original - reconstructed) ** 2))
-    psnr = float("inf") if mse == 0 else 10.0 * np.log10(255.0 ** 2 / mse)
-    stats = ImageCodecStats(encoded_bytes=len(encoded),
-                            raw_bytes=int(original.size))
-    return psnr, stats

@@ -21,8 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..contracts import (NumericContract, PRECISION_EXACT, resolve_contract,
-                         validate_precision)
+from ..contracts import PRECISION_EXACT, resolve_contract, validate_precision
 from ..errors import CodecError
 from .blocks import DEFAULT_BLOCK_SIZE, from_blocks, pad_plane, to_blocks
 
@@ -101,11 +100,6 @@ class MotionField:
     block_size: int
 
     @property
-    def mean_sad_per_pixel(self) -> float:
-        """Mean absolute prediction error per pixel over the whole frame."""
-        return float(self.block_sad.mean() / (self.block_size ** 2))
-
-    @property
     def nonzero_vector_fraction(self) -> float:
         """Fraction of blocks with a non-zero motion vector."""
         moving = np.any(self.vectors != 0, axis=2)
@@ -166,17 +160,15 @@ class MotionSearch:
         block_size: Macroblock size.
         search_radius: Maximum displacement searched per axis.
         search_step: Candidate grid step (``2`` halves the search cost).
-        precision: ``"exact"`` or ``"fast"``.
-        contract: Numeric contract supplying the near-tie margin of the
-            fast path (defaults to the contract of ``precision``).
+        precision: ``"exact"`` or ``"fast"``; the fast path's near-tie
+            margin comes from the precision's numeric contract.
     """
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE,
                  search_radius: int = 3, search_step: int = 1,
-                 precision: str = PRECISION_EXACT,
-                 contract: Optional[NumericContract] = None) -> None:
+                 precision: str = PRECISION_EXACT) -> None:
         self.precision = validate_precision(precision)
-        self.contract = contract or resolve_contract(precision)
+        self.contract = resolve_contract(precision)
         self.block_size = block_size
         self.search_radius = search_radius
         self.search_step = search_step
@@ -276,8 +268,7 @@ class MotionSearch:
 def estimate_motion(reference: np.ndarray, current: np.ndarray,
                     block_size: int = DEFAULT_BLOCK_SIZE,
                     search_radius: int = 3, search_step: int = 1,
-                    precision: str = PRECISION_EXACT,
-                    contract: Optional[NumericContract] = None) -> MotionField:
+                    precision: str = PRECISION_EXACT) -> MotionField:
     """One-shot :class:`MotionSearch`: configure, search one frame pair.
 
     Args:
@@ -289,14 +280,12 @@ def estimate_motion(reference: np.ndarray, current: np.ndarray,
         precision: ``"exact"`` (default, bit-identical to the seed
             implementation) or ``"fast"`` (float32 SADs under the tolerance
             contract).
-        contract: Numeric contract supplying the near-tie margin of the
-            fast path (defaults to the contract of ``precision``).
 
     Returns:
         The :class:`MotionField` with the best candidate per block.
     """
-    return MotionSearch(block_size, search_radius, search_step, precision,
-                        contract)(reference, current)
+    return MotionSearch(block_size, search_radius, search_step,
+                        precision)(reference, current)
 
 
 def integer_sad_dtype(block_size: int) -> Optional[np.dtype]:
@@ -514,12 +503,3 @@ def motion_compensate(reference: np.ndarray, field: MotionField,
         reference = from_blocks(windows[rows - vectors[:, :, 0],
                                         cols - vectors[:, :, 1]])
     return reference[:output_shape[0], :output_shape[1]]
-
-
-def residual_plane(current: np.ndarray, prediction: np.ndarray) -> np.ndarray:
-    """Prediction residual (current minus prediction) as float64."""
-    current = np.asarray(current, dtype=np.float64)
-    if current.shape != prediction.shape:
-        raise CodecError(
-            f"current {current.shape} and prediction {prediction.shape} differ in shape")
-    return current - prediction

@@ -456,18 +456,3 @@ def _first_activity(frame_index: int, intra_cost: float) -> FrameActivity:
 def novelty_series(activities: Sequence[FrameActivity]) -> np.ndarray:
     """Extract the ``novel_block_fraction`` series from an analysis pass."""
     return np.array([a.novel_block_fraction for a in activities], dtype=np.float64)
-
-
-def summarize_activities(activities: Iterable[FrameActivity]) -> dict:
-    """Aggregate statistics of an analysis pass (for logging/tests)."""
-    activities = list(activities)
-    if not activities:
-        return {"num_frames": 0}
-    novelty = novelty_series(activities)
-    return {
-        "num_frames": len(activities),
-        "mean_novelty": float(novelty.mean()),
-        "max_novelty": float(novelty.max()),
-        "frames_with_novelty": int((novelty > 0).sum()),
-        "mean_predictability": float(np.mean([a.predictability for a in activities])),
-    }

@@ -110,15 +110,3 @@ def quantise_blocks(coefficients: np.ndarray, quant_matrix: np.ndarray) -> np.nd
 def dequantise_blocks(quantised: np.ndarray, quant_matrix: np.ndarray) -> np.ndarray:
     """Reconstruct approximate DCT coefficients from quantised integers."""
     return quantised.astype(np.float64) * quant_matrix
-
-
-def transform_and_quantise(blocks: np.ndarray, quality: int) -> np.ndarray:
-    """DCT + quantise a 4-D block array in one call."""
-    matrix = quantisation_matrix(quality, blocks.shape[2])
-    return quantise_blocks(dct2_blocks(blocks), matrix)
-
-
-def reconstruct_blocks(quantised: np.ndarray, quality: int) -> np.ndarray:
-    """Dequantise + inverse DCT a 4-D quantised coefficient array."""
-    matrix = quantisation_matrix(quality, quantised.shape[2])
-    return idct2_blocks(dequantise_blocks(quantised, matrix))

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
-from typing import Dict
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Type
 
 from .contracts import (PRECISION_ENV, PRECISION_EXACT, NumericContract,
                         resolve_contract, validate_precision)
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SieveError
 
 #: Default wide-area bandwidth between edge and cloud, from Section V of the
 #: paper ("We control the bandwidth from edge to cloud server to be 30 Mbps").
@@ -63,15 +63,17 @@ def available_cpu_count() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
-def _whole_number(value: object, name: str) -> int:
+def whole_number(value: object, name: str,
+                 error: Type[SieveError] = ConfigurationError) -> int:
     """``value`` as an ``int``; fractions, strings, ``nan`` and ``inf`` are
-    refused with a :class:`ConfigurationError` rather than truncated."""
+    refused with ``error`` (a :class:`ConfigurationError` by default)
+    rather than truncated."""
     try:
         integral = int(value)  # type: ignore[call-overload]
     except (TypeError, ValueError, OverflowError):
         integral = None
     if integral is None or integral != value:
-        raise ConfigurationError(
+        raise error(
             f"{name} must be a whole number, got {value!r}")
     return integral
 
@@ -83,7 +85,7 @@ def resolve_worker_count(workers: int, name: str) -> int:
     first, then :func:`os.cpu_count`, then ``1``); positive values pass
     through unchanged.
     """
-    workers = _whole_number(workers, name)
+    workers = whole_number(workers, name)
     if workers < 0:
         raise ConfigurationError(f"{name} must be >= 0, got {workers}")
     if workers == 0:
@@ -214,7 +216,7 @@ class SystemConfig:
         # The dataclass is frozen, so normalised values (whole numbers as
         # ints, 0 = "auto" resolved for the worker pool) are written
         # through object.__setattr__ once here.
-        object.__setattr__(self, "nn_batch_size", _whole_number(
+        object.__setattr__(self, "nn_batch_size", whole_number(
             self.nn_batch_size, "nn_batch_size"))
         if self.nn_batch_size < 1:
             raise ConfigurationError("nn_batch_size must be >= 1")
@@ -226,10 +228,6 @@ class SystemConfig:
     def contract(self) -> NumericContract:
         """The numeric contract selected by :attr:`precision`."""
         return resolve_contract(self.precision)
-
-    def with_bandwidth(self, edge_cloud_mbps: float) -> "SystemConfig":
-        """Return a copy with a different edge->cloud bandwidth."""
-        return replace(self, edge_cloud_bandwidth_mbps=edge_cloud_mbps)
 
 
 DEFAULT_SYSTEM_CONFIG = SystemConfig()

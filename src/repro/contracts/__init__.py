@@ -11,12 +11,12 @@ bounded by :data:`FAST_CONTRACT` and pinned by the differential harness in
 from .contract import (EXACT_CONTRACT, FAST_CONTRACT, NumericContract,
                        PRECISION_ENV, PRECISION_EXACT, PRECISION_FAST,
                        PRECISION_MODES, ToleranceBudget, activation_dtype,
-                       agreement_fraction, resolve_contract,
-                       selection_agreement, validate_precision)
+                       resolve_contract, selection_agreement,
+                       validate_precision)
 
 __all__ = [
     "EXACT_CONTRACT", "FAST_CONTRACT", "NumericContract",
     "PRECISION_ENV", "PRECISION_EXACT", "PRECISION_FAST", "PRECISION_MODES",
-    "ToleranceBudget", "activation_dtype", "agreement_fraction",
+    "ToleranceBudget", "activation_dtype",
     "resolve_contract", "selection_agreement", "validate_precision",
 ]

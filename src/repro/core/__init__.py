@@ -1,14 +1,8 @@
-"""SiEVE core: metrics, offline tuner, event detection, deployment, pipeline."""
+"""SiEVE core: metrics, offline tuner, deployment, pipeline."""
 
 from .deployment import ALL_DEPLOYMENT_MODES, DeploymentMode
-from .event_detection import (EventDetectionResult, EventDetector, MseEventDetector,
-                              SieveEventDetector, SiftEventDetector,
-                              SimilarityEventDetector, UniformSamplingDetector,
-                              sieve_sampling_sweep)
-from .metrics import (DetectionScore, detection_latencies, evaluate_sampling,
-                      event_start_accuracy, f1_score, filtering_rate,
-                      propagate_labels, propagation_accuracy, sampling_fraction,
-                      summarize_latencies)
+from .metrics import (DetectionScore, evaluate_sampling, event_start_accuracy,
+                      f1_score, propagation_accuracy)
 from .pipeline import (DeploymentReport, EndToEndSimulation, VideoWorkload,
                        build_workload, plan_camera_job)
 from .sieve import Sieve, VideoAnalysisResult
@@ -18,12 +12,8 @@ from .tuner import (ConfigurationResult, ParameterLookupTable, SemanticEncoderTu
 
 __all__ = [
     "ALL_DEPLOYMENT_MODES", "DeploymentMode",
-    "EventDetectionResult", "EventDetector", "MseEventDetector",
-    "SieveEventDetector", "SiftEventDetector", "SimilarityEventDetector",
-    "UniformSamplingDetector", "sieve_sampling_sweep",
-    "DetectionScore", "detection_latencies", "evaluate_sampling",
-    "event_start_accuracy", "f1_score", "filtering_rate", "propagate_labels",
-    "propagation_accuracy", "sampling_fraction", "summarize_latencies",
+    "DetectionScore", "evaluate_sampling", "event_start_accuracy", "f1_score",
+    "propagation_accuracy",
     "DeploymentReport", "EndToEndSimulation", "VideoWorkload", "build_workload",
     "plan_camera_job",
     "Sieve", "VideoAnalysisResult",

@@ -35,11 +35,6 @@ class DeploymentMode(enum.Enum):
                         DeploymentMode.IFRAME_EDGE_EDGE_NN)
 
     @property
-    def nn_device(self) -> str:
-        """Where NN inference runs for this mode."""
-        return "edge" if self is DeploymentMode.IFRAME_EDGE_EDGE_NN else "cloud"
-
-    @property
     def label(self) -> str:
         """The legend label used in Figure 4/5."""
         return {

@@ -22,12 +22,12 @@ sampled frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..video.events import EventTimeline, LabelSet
+from ..video.events import EventTimeline
 
 
 def _validate_samples(sample_indices: Iterable[int],
@@ -107,28 +107,6 @@ def _event_start_accuracy(timeline: EventTimeline, indices: np.ndarray) -> float
     return 1.0 - int(wrong) / timeline.num_frames
 
 
-def propagate_labels(timeline: EventTimeline,
-                     sample_indices: Sequence[int]) -> List[LabelSet]:
-    """Propagate the labels of sampled frames to every frame.
-
-    Sampled frames are assumed to be labelled perfectly by the reference NN
-    (the paper's assumption: the NN is the ground-truth oracle for the frames
-    it sees); every other frame inherits the labels of the most recent
-    sampled frame.  Frames before the first sample are labelled as background.
-
-    Args:
-        timeline: Ground-truth event timeline.
-        sample_indices: Indices of the frames that undergo NN inference.
-
-    Returns:
-        One label set per frame.
-    """
-    indices = _validate_samples(sample_indices, timeline.num_frames)
-    label_sets = timeline.arrays().label_sets
-    return [label_sets[label_id]
-            for label_id in _propagated_ids(timeline, indices).tolist()]
-
-
 def propagation_accuracy(timeline: EventTimeline,
                          sample_indices: Sequence[int]) -> float:
     """Per-frame label accuracy under label propagation from sampled frames."""
@@ -147,18 +125,6 @@ def event_start_accuracy(timeline: EventTimeline,
     """
     return _event_start_accuracy(
         timeline, _validate_samples(sample_indices, timeline.num_frames))
-
-
-def sampling_fraction(sample_indices: Sequence[int], num_frames: int) -> float:
-    """Fraction of frames that are sampled (the paper's *SS*)."""
-    if num_frames <= 0:
-        raise ConfigurationError("num_frames must be positive")
-    return len(set(sample_indices)) / num_frames
-
-
-def filtering_rate(sample_indices: Sequence[int], num_frames: int) -> float:
-    """Fraction of frames filtered out before NN inference (``fr_i``)."""
-    return 1.0 - sampling_fraction(sample_indices, num_frames)
 
 
 def f1_score(accuracy: float, filtering: float) -> float:
@@ -232,34 +198,3 @@ def evaluate_sampling(timeline: EventTimeline,
         num_samples=len(indices),
         num_frames=timeline.num_frames,
     )
-
-
-def detection_latencies(timeline: EventTimeline,
-                        sample_indices: Sequence[int]) -> List[Optional[int]]:
-    """Per-event detection latency in frames.
-
-    For every event, the number of frames between the event start and the
-    first sampled frame inside the event, or ``None`` when the event contains
-    no sampled frame at all.
-    """
-    indices = _validate_samples(sample_indices, timeline.num_frames)
-    inside, offsets = _first_sample_offsets(timeline, indices)
-    return [offset if hit else None
-            for hit, offset in zip(inside.tolist(), offsets.tolist())]
-
-
-def summarize_latencies(latencies: Sequence[Optional[int]]) -> Dict[str, float]:
-    """Aggregate latency statistics (mean/median/miss rate)."""
-    observed = [latency for latency in latencies if latency is not None]
-    missed = sum(1 for latency in latencies if latency is None)
-    if not latencies:
-        return {"mean": 0.0, "median": 0.0, "max": 0.0, "miss_rate": 0.0}
-    if not observed:
-        return {"mean": float("inf"), "median": float("inf"), "max": float("inf"),
-                "miss_rate": 1.0}
-    return {
-        "mean": float(np.mean(observed)),
-        "median": float(np.median(observed)),
-        "max": float(np.max(observed)),
-        "miss_rate": missed / len(latencies),
-    }

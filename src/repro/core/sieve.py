@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 from ..cluster.resultdb import ResultDatabase
 from ..codec.encoder import VideoEncoder
 from ..codec.gop import DEFAULT_PARAMETERS, EncoderParameters
-from ..codec.iframe_seeker import IFrameSeeker, select_events_from_keyframes
+from ..codec.iframe_seeker import select_events_from_keyframes
 from ..config import SystemConfig
 from ..datasets.generator import DatasetInstance
 from ..errors import PipelineError
@@ -119,7 +119,7 @@ class Sieve:
                     "analyze_video needs a detector when the video has no ground truth")
             detector = OracleDetector(timeline)
         encoded = VideoEncoder(parameters, self.config.precision).encode(video)
-        keyframes = IFrameSeeker().keyframe_indices(encoded)
+        keyframes = encoded.keyframe_indices
         segments = select_events_from_keyframes(keyframes, encoded.num_frames)
         starts = [start for start, _ in segments]
         segment_labels: List[frozenset] = []

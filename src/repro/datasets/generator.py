@@ -10,9 +10,8 @@ with different schedule seeds, i.e. the same camera on different days.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..errors import DatasetError
 from ..rng import derive_seed
 from ..video.raw_video import VideoSource
 from ..video.scenarios import DEFAULT_RENDER_SCALE
@@ -78,16 +77,3 @@ def build_split(name: str, duration_seconds: float = 120.0,
     train = build_dataset(name, duration_seconds, render_scale, split="train")
     test = build_dataset(name, duration_seconds, render_scale, split="test")
     return train, test
-
-
-def build_all(names, duration_seconds: float = 120.0,
-              render_scale: float = DEFAULT_RENDER_SCALE,
-              split: str = "full") -> Dict[str, DatasetInstance]:
-    """Build several datasets at once."""
-    instances = {}
-    for name in names:
-        instances[name] = build_dataset(name, duration_seconds, render_scale,
-                                        split=split)
-    if not instances:
-        raise DatasetError("no dataset names given")
-    return instances

@@ -57,11 +57,6 @@ class DatasetSpec:
             raise DatasetError("rendered resolution must be non-empty")
         return self.nominal_resolution.pixels / rendered.pixels
 
-    @property
-    def paper_num_frames(self) -> int:
-        """Number of frames in the footage the paper used."""
-        return int(self.paper_duration_hours * 3600 * self.fps)
-
 
 #: The five datasets of Table I.
 TABLE_I: Dict[str, DatasetSpec] = {

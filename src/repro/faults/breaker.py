@@ -1,10 +1,12 @@
 """Per-edge circuit breakers.
 
-A :class:`CircuitBreaker` guards one edge server: after
-``failure_threshold`` *consecutive* failures it opens and sheds load
-(pushes bounce as backpressure instead of queueing onto a sick edge);
-after ``cooldown_seconds`` it half-opens and admits exactly one probe.
-A success closes it, a failure re-opens it and restarts the cooldown.
+A :class:`CircuitBreaker` guards one edge server.  It opens when the edge
+is known to be down (:meth:`CircuitBreaker.trip`, called by the fault
+driver when the edge crashes) and sheds load: pushes bounce as
+backpressure instead of queueing onto a sick edge.  After
+``cooldown_seconds`` it half-opens and admits exactly one probe; a
+completed chunk closes it, and another trip re-opens it and restarts the
+cooldown.
 
 Time is whatever clock the caller passes in (virtual seconds here), so
 breaker transitions are part of the deterministic event sequence and
@@ -14,6 +16,7 @@ show up identically in same-seed recovery traces.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Callable, Optional
 
 from ..errors import FaultError
@@ -28,27 +31,23 @@ class BreakerState(enum.Enum):
 
 
 class CircuitBreaker:
-    """Consecutive-failure breaker with half-open probes.
+    """Trip-opened breaker with half-open probes.
 
     Attributes:
         state: Current :class:`BreakerState`.
-        consecutive_failures: Failures since the last success.
         opened_at: Time of the most recent open (``nan`` before any).
         opens: CLOSED/HALF_OPEN -> OPEN transitions seen.
     """
 
-    def __init__(self, name: str = "", failure_threshold: int = 3,
-                 cooldown_seconds: float = 5.0,
+    def __init__(self, name: str = "", cooldown_seconds: float = 5.0,
                  on_open: Optional[Callable[[], None]] = None) -> None:
-        if failure_threshold < 1:
-            raise FaultError("failure_threshold must be >= 1")
-        if cooldown_seconds <= 0.0:
-            raise FaultError("cooldown_seconds must be > 0")
+        # Chained, so nan (which would admit a probe the instant the
+        # breaker trips) and inf are refused.
+        if not 0.0 < cooldown_seconds < math.inf:
+            raise FaultError("cooldown_seconds must be positive and finite")
         self.name = name
-        self.failure_threshold = failure_threshold
         self.cooldown_seconds = cooldown_seconds
         self.state = BreakerState.CLOSED
-        self.consecutive_failures = 0
         self.opened_at = float("nan")
         self.opens = 0
         self._on_open = on_open
@@ -75,17 +74,9 @@ class CircuitBreaker:
         return True
 
     def record_success(self, now: float = 0.0) -> None:
-        """A request succeeded: close and reset."""
+        """A request succeeded: close."""
         self.state = BreakerState.CLOSED
-        self.consecutive_failures = 0
         self._probe_in_flight = False
-
-    def record_failure(self, now: float) -> None:
-        """A request failed; may trip the breaker."""
-        self.consecutive_failures += 1
-        if (self.state is BreakerState.HALF_OPEN
-                or self.consecutive_failures >= self.failure_threshold):
-            self.trip(now)
 
     def trip(self, now: float) -> None:
         """Force the breaker open (e.g. the edge is known dead).

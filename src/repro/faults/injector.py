@@ -28,6 +28,7 @@ driver (the chaos-soak contract).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional
@@ -58,9 +59,8 @@ class ResilienceConfig:
     """Self-healing knobs of the streaming service.
 
     Attributes:
-        breaker_failure_threshold: Consecutive failures that open an
-            edge's circuit breaker.
-        breaker_cooldown_seconds: OPEN -> HALF_OPEN cooldown.
+        breaker_cooldown_seconds: OPEN -> HALF_OPEN cooldown of an edge's
+            circuit breaker (it opens when the edge goes down).
         stall_timeout_seconds: A session making no progress (no accepted
             push, no completion) for longer than this is closed with
             reason ``"stalled"`` and requeued to the client.  ``None``
@@ -69,21 +69,31 @@ class ResilienceConfig:
         watchdog_period_seconds: How often the stall watchdog scans.
     """
 
-    breaker_failure_threshold: int = 3
     breaker_cooldown_seconds: float = 5.0
     stall_timeout_seconds: Optional[float] = None
     watchdog_period_seconds: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.breaker_failure_threshold < 1:
-            raise FaultError("breaker_failure_threshold must be >= 1")
-        if self.breaker_cooldown_seconds <= 0.0:
-            raise FaultError("breaker_cooldown_seconds must be > 0")
-        if (self.stall_timeout_seconds is not None
-                and self.stall_timeout_seconds <= 0.0):
-            raise FaultError("stall_timeout_seconds must be > 0 or None")
-        if self.watchdog_period_seconds <= 0.0:
-            raise FaultError("watchdog_period_seconds must be > 0")
+        try:
+            self._check_fields()
+        except TypeError as error:
+            raise FaultError(
+                f"malformed ResilienceConfig value: {error}") from error
+
+    def _check_fields(self) -> None:
+        # Chained comparisons, so nan (which passes ``<= 0``) and inf are
+        # refused: a nan cooldown admits a probe the instant a breaker
+        # trips, and a nan timeout silently turns the watchdog off.
+        if not 0.0 < self.breaker_cooldown_seconds < math.inf:
+            raise FaultError(
+                "breaker_cooldown_seconds must be positive and finite")
+        if not (self.stall_timeout_seconds is None
+                or 0.0 < self.stall_timeout_seconds < math.inf):
+            raise FaultError(
+                "stall_timeout_seconds must be positive and finite, or None")
+        if not 0.0 < self.watchdog_period_seconds < math.inf:
+            raise FaultError(
+                "watchdog_period_seconds must be positive and finite")
 
 
 class ChainFaultDriver:
@@ -250,7 +260,6 @@ class ServiceFaultDriver(ChainFaultDriver):
         self.breakers: Dict[int, CircuitBreaker] = {
             index: CircuitBreaker(
                 name=f"edge:{index}",
-                failure_threshold=resilience.breaker_failure_threshold,
                 cooldown_seconds=resilience.breaker_cooldown_seconds,
                 on_open=partial(self._breaker_opened, index))
             for index in range(service.num_edge_servers)}

@@ -10,9 +10,11 @@ the same jitter, so retries never break run-to-run determinism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
+from ..config import whole_number
 from ..errors import FaultError
 from ..rng import make_rng
 
@@ -39,14 +41,28 @@ class RetryPolicy:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
+        try:
+            self._check_fields()
+        except TypeError as error:
+            raise FaultError(f"malformed RetryPolicy value: {error}") from error
+
+    def _check_fields(self) -> None:
+        # The dataclass is frozen: a whole-number budget given as a float
+        # is written back as an int once here.  A fractional or nan budget
+        # is refused, since ``attempts >= nan`` never reports exhausted.
+        object.__setattr__(self, "max_attempts", whole_number(
+            self.max_attempts, "max_attempts", FaultError))
         if self.max_attempts < 1:
             raise FaultError("max_attempts must be >= 1")
-        if self.base_delay_seconds <= 0.0:
-            raise FaultError("base_delay_seconds must be > 0")
-        if self.multiplier < 1.0:
-            raise FaultError("multiplier must be >= 1.0")
-        if self.max_delay_seconds < self.base_delay_seconds:
-            raise FaultError("max_delay_seconds must be >= base delay")
+        # Chained comparisons, so nan (which fails every comparison) and
+        # inf are refused rather than becoming every retry's delay.
+        if not 0.0 < self.base_delay_seconds < math.inf:
+            raise FaultError("base_delay_seconds must be positive and finite")
+        if not 1.0 <= self.multiplier < math.inf:
+            raise FaultError("multiplier must be >= 1.0 and finite")
+        if not self.base_delay_seconds <= self.max_delay_seconds < math.inf:
+            raise FaultError(
+                "max_delay_seconds must be finite and >= base delay")
         if not 0.0 <= self.jitter_fraction < 1.0:
             raise FaultError("jitter_fraction must be in [0, 1)")
 
@@ -60,7 +76,7 @@ class RetryPolicy:
         Deterministic: the same ``(seed, key, attempt)`` always yields
         the same delay, jittered or not.
         """
-        if attempt < 1:
+        if not attempt >= 1:
             raise FaultError("attempt is 1-based")
         delay = min(
             self.base_delay_seconds * self.multiplier ** (attempt - 1),

@@ -46,10 +46,3 @@ def resized_frame_bytes(width: int, height: int,
     luma = width * height * bytes_per_pixel
     chroma = width * height * bytes_per_pixel * 0.5 * max(channels - 1, 0) / 2.0
     return int(luma + chroma) + HEADER_OVERHEAD_BYTES
-
-
-def raw_frame_bytes(width: int, height: int, channels: int = 3) -> int:
-    """Uncompressed size of a frame (used for worst-case link budgeting)."""
-    if width <= 0 or height <= 0 or channels < 1:
-        raise ConfigurationError("invalid frame dimensions")
-    return width * height * channels

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import logging
 import sys
-import time
-from contextlib import contextmanager
-from typing import Iterator
 
 _LIBRARY_ROOT = "repro"
 _DEFAULT_FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
@@ -57,50 +54,3 @@ def configure_logging(level: int = logging.INFO, stream=None) -> logging.Logger:
     logger.addHandler(handler)
     logger.propagate = False
     return logger
-
-
-@contextmanager
-def log_duration(logger: logging.Logger, message: str,
-                 level: int = logging.DEBUG) -> Iterator[None]:
-    """Log the wall-clock duration of a block.
-
-    Args:
-        logger: Destination logger.
-        message: Human-readable label for the block.
-        level: Logging level used for the emitted record.
-    """
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - start
-        logger.log(level, "%s took %.3f s", message, elapsed)
-
-
-class ProgressReporter:
-    """Tiny progress reporter for long offline stages (tuning, generation).
-
-    The reporter logs at most ``max_messages`` evenly spaced progress lines,
-    which keeps benchmark output readable even for multi-thousand-frame
-    videos.
-    """
-
-    def __init__(self, logger: logging.Logger, total: int, label: str,
-                 max_messages: int = 10) -> None:
-        self._logger = logger
-        self._total = max(int(total), 1)
-        self._label = label
-        self._every = max(self._total // max(max_messages, 1), 1)
-        self._count = 0
-
-    def update(self, step: int = 1) -> None:
-        """Advance the reporter by ``step`` items, logging when due."""
-        self._count += step
-        if self._count % self._every == 0 or self._count >= self._total:
-            self._logger.debug("%s: %d/%d", self._label,
-                               min(self._count, self._total), self._total)
-
-    @property
-    def count(self) -> int:
-        """Number of items reported so far."""
-        return self._count

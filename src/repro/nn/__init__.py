@@ -3,19 +3,15 @@
 from .layers import (Conv2D, Dense, Flatten, GlobalAveragePool, Layer, MaxPool2D,
                      ReLU, Softmax, Workspace)
 from .model import SequentialModel
-from .oracle import (ConstantDetector, NNDetector, ObjectDetector, OracleDetector,
-                     detect_many)
+from .oracle import NNDetector, ObjectDetector, OracleDetector
 from .yolo_lite import (DEFAULT_BATCH_SIZE, DEFAULT_CLASSES, DEFAULT_INPUT_SIZE,
-                        build_yolo_lite, classify_frame, classify_frames,
-                        model_size_bytes, preprocess_frame, preprocess_frames)
+                        build_yolo_lite, classify_frames, preprocess_frames)
 
 __all__ = [
     "Conv2D", "Dense", "Flatten", "GlobalAveragePool", "Layer", "MaxPool2D",
     "ReLU", "Softmax", "Workspace",
     "SequentialModel",
-    "ConstantDetector", "NNDetector", "ObjectDetector", "OracleDetector",
-    "detect_many",
+    "NNDetector", "ObjectDetector", "OracleDetector",
     "DEFAULT_BATCH_SIZE", "DEFAULT_CLASSES", "DEFAULT_INPUT_SIZE",
-    "build_yolo_lite", "classify_frame", "classify_frames", "model_size_bytes",
-    "preprocess_frame", "preprocess_frames",
+    "build_yolo_lite", "classify_frames", "preprocess_frames",
 ]

@@ -108,17 +108,10 @@ class SequentialModel:
             activation = self.layers[index].forward(activation, workspace)
         return activation.copy() if workspace.owns(activation) else activation
 
-    def predict_class(self, inputs: np.ndarray,
-                      precision: str = PRECISION_EXACT) -> Tuple[int, np.ndarray]:
-        """Full forward pass followed by an argmax over the output vector."""
-        output = self.forward(inputs, precision)
-        vector = np.asarray(output).ravel()
-        return int(np.argmax(vector)), vector
-
     def predict_classes(self, batch: np.ndarray,
                         precision: str = PRECISION_EXACT
                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`predict_class`.
+        """Forward pass and per-example argmax over the output vector.
 
         Args:
             batch: Batch of inputs with one extra leading axis.

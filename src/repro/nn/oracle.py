@@ -100,18 +100,6 @@ class OracleDetector(ObjectDetector):
         return frozenset(list(truth) + [added])
 
 
-class ConstantDetector(ObjectDetector):
-    """Detector that always returns the same label set (tests and ablations)."""
-
-    name = "constant"
-
-    def __init__(self, labels: Iterable[str] = ()) -> None:
-        self._labels: LabelSet = frozenset(labels)
-
-    def detect(self, frame_index: int, frame_data=None) -> LabelSet:
-        return self._labels
-
-
 class NNDetector(ObjectDetector):
     """Detector backed by the numpy NN engine (YoloLite by default).
 
@@ -166,9 +154,3 @@ class NNDetector(ObjectDetector):
                                           batch_size=self.batch_size,
                                           precision=self.precision)
         return [self._to_labels(label) for label in labels]
-
-
-def detect_many(detector: ObjectDetector,
-                frame_indices: Sequence[int]) -> dict:
-    """Run a detector over many frame indices, returning ``{index: labels}``."""
-    return {int(index): detector.detect(int(index)) for index in frame_indices}

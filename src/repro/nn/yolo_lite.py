@@ -88,22 +88,6 @@ def build_yolo_lite(input_size: Tuple[int, int] = DEFAULT_INPUT_SIZE,
     return model
 
 
-def preprocess_frame(frame_data: np.ndarray,
-                     input_size: Tuple[int, int] = DEFAULT_INPUT_SIZE) -> np.ndarray:
-    """Convert a raw frame into the model's input tensor.
-
-    The one-frame form of :func:`preprocess_frames`.
-
-    Args:
-        frame_data: ``(H, W)`` or ``(H, W, 3)`` pixel array.
-        input_size: ``(height, width)`` expected by the model.
-
-    Returns:
-        Tensor of shape ``(1, height, width)``.
-    """
-    return preprocess_frames([frame_data], input_size)[0]
-
-
 def preprocess_frames(frames: Sequence[np.ndarray],
                       input_size: Tuple[int, int] = DEFAULT_INPUT_SIZE
                       ) -> np.ndarray:
@@ -134,18 +118,6 @@ def preprocess_frames(frames: Sequence[np.ndarray],
         for position, plane in zip(positions, resized):
             tensors[position, 0] = normalize_plane(plane)
     return tensors
-
-
-def classify_frame(model: SequentialModel, frame_data: np.ndarray,
-                   precision: str = PRECISION_EXACT) -> Tuple[str, np.ndarray]:
-    """Run a frame through the model and return ``(label, probabilities)``."""
-    classes = getattr(model, "classes", None)
-    if classes is None:
-        raise ModelError("model has no attached class list")
-    input_height, input_width = model.input_shape[1], model.input_shape[2]
-    tensor = preprocess_frame(frame_data, (input_height, input_width))
-    index, probabilities = model.predict_class(tensor, precision)
-    return classes[index], probabilities
 
 
 #: Default number of frames fed through the network per batched forward pass.
@@ -190,8 +162,3 @@ def classify_frames(model: SequentialModel, frames: Sequence[np.ndarray],
     if not outputs:
         return [], np.empty((0, len(classes)))
     return labels, np.concatenate(outputs, axis=0)
-
-
-def model_size_bytes(model: SequentialModel, dtype_bytes: int = 4) -> int:
-    """Size of the model weights in bytes (used by deployment planning)."""
-    return model.num_parameters * dtype_bytes

@@ -39,7 +39,7 @@ including the discrete-event fleet simulator — bit for bit:
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -94,16 +94,3 @@ def make_rng(seed: SeedLike = None, *labels: str) -> np.random.Generator:
     if labels:
         return np.random.default_rng(derive_seed(root, *labels))
     return np.random.default_rng(root)
-
-
-def spawn_seeds(root: int, labels: Iterable[str]) -> dict:
-    """Derive one child seed per label.
-
-    Args:
-        root: Root integer seed.
-        labels: Iterable of string labels.
-
-    Returns:
-        Mapping from label to derived child seed.
-    """
-    return {label: derive_seed(root, label) for label in labels}

@@ -14,8 +14,7 @@ See ``examples/streaming_service.py`` for the end-to-end demonstration.
 from .clock import ClockDriver, RealTimeClock, VirtualClock
 from .feeder import ChunkFeeder
 from .ingest import StreamIngest
-from .scenario_feed import (ClipAnalysis, analyse_scenario, chunk_analysis,
-                            scenario_chunks)
+from .scenario_feed import ClipAnalysis, analyse_scenario, chunk_analysis
 from .service import StreamingService
 from .session import (FrameChunk, SessionState, StreamSession, TenantPolicy,
                       chunk_camera_job)
@@ -27,7 +26,7 @@ __all__ = [
     "ChunkFeeder",
     "StreamIngest",
     "StreamingService",
-    "ClipAnalysis", "analyse_scenario", "chunk_analysis", "scenario_chunks",
+    "ClipAnalysis", "analyse_scenario", "chunk_analysis",
     "FrameChunk", "SessionState", "StreamSession", "TenantPolicy",
     "chunk_camera_job",
     "HealthSample", "ServiceStatus", "SessionSnapshot", "StationSnapshot",

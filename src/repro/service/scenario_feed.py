@@ -120,13 +120,3 @@ def chunk_analysis(analysis: ClipAnalysis,
             edge_cloud_bytes=wan_bytes_per_frame * per_chunk,
             scene=scene))
     return chunks
-
-
-def scenario_chunks(name: str, duration_seconds: float, render_scale: float,
-                    seed: Optional[int] = None,
-                    chunk_seconds: float = DEFAULT_CHUNK_SECONDS,
-                    ) -> List[FrameChunk]:
-    """Render, analyse and chunk a scenario in one call."""
-    analysis = analyse_scenario(name, duration_seconds, render_scale,
-                                seed=seed)
-    return chunk_analysis(analysis, chunk_seconds=chunk_seconds)

@@ -4,16 +4,15 @@ from .events import Event, EventTimeline, LabelSet, NO_LABEL, as_label_set
 from .frame import (Frame, FrameType, Resolution, RESOLUTION_1080P,
                     RESOLUTION_400P, RESOLUTION_720P)
 from .raw_video import GeneratedVideo, RawVideo, VideoMetadata, VideoSource
-from .scenarios import (LABELLED_SCENARIOS, SCENARIOS, UNLABELLED_SCENARIOS,
-                        all_scenarios, amsterdam, coral_reef, jackson_square,
-                        make_scenario, taipei, venice)
+from .scenarios import (SCENARIOS, all_scenarios, amsterdam, coral_reef,
+                        jackson_square, make_scenario, taipei, venice)
 from .synthetic import (ObjectClassSpec, ObjectTrack, SceneProfile, SceneScript,
-                        SyntheticScene, generate_scene_video, generate_script)
+                        SyntheticScene, generate_script)
 # Importing transforms also registers the built-in composed scenarios
 # (BUILTIN_COMPOSED_SPECS) into SCENARIOS.
-from .transforms import (BUILTIN_COMPOSED_SPECS, TRANSFORM_FACTORIES,
-                         TRANSFORMS, ScenarioTransform, apply_transforms,
-                         compose, compose_spec, parse_spec, register_composed)
+from .transforms import (BUILTIN_COMPOSED_SPECS, TRANSFORMS, ScenarioTransform,
+                         apply_transforms, compose, compose_spec, parse_spec,
+                         register_composed)
 
 __all__ = [
     "Event", "EventTimeline", "LabelSet", "NO_LABEL", "as_label_set",
@@ -21,11 +20,10 @@ __all__ = [
     "RESOLUTION_400P", "RESOLUTION_720P", "RESOLUTION_1080P",
     "GeneratedVideo", "RawVideo", "VideoMetadata", "VideoSource",
     "ObjectClassSpec", "ObjectTrack", "SceneProfile", "SceneScript",
-    "SyntheticScene", "generate_scene_video", "generate_script",
-    "SCENARIOS", "LABELLED_SCENARIOS", "UNLABELLED_SCENARIOS",
-    "all_scenarios", "make_scenario",
+    "SyntheticScene", "generate_script",
+    "SCENARIOS", "all_scenarios", "make_scenario",
     "jackson_square", "coral_reef", "venice", "taipei", "amsterdam",
-    "ScenarioTransform", "TRANSFORMS", "TRANSFORM_FACTORIES",
+    "ScenarioTransform", "TRANSFORMS",
     "BUILTIN_COMPOSED_SPECS", "apply_transforms", "compose", "compose_spec",
     "parse_spec", "register_composed",
 ]

@@ -169,11 +169,6 @@ class EventTimeline:
         return len(self._events)
 
     @property
-    def event_start_frames(self) -> List[int]:
-        """Indices of the first frame of every event."""
-        return list(self._starts)
-
-    @property
     def object_labels(self) -> Set[str]:
         """The union of all object labels appearing in the timeline."""
         labels: Set[str] = set()

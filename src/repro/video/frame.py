@@ -32,11 +32,6 @@ class FrameType(enum.Enum):
     P = "P"
     B = "B"
 
-    @property
-    def is_key(self) -> bool:
-        """Whether the frame type is an independently decodable key frame."""
-        return self is FrameType.I
-
 
 @dataclass(frozen=True, order=True)
 class Resolution:
@@ -123,11 +118,6 @@ class Frame:
         """Resolution of the frame."""
         return Resolution(self.data.shape[1], self.data.shape[0])
 
-    @property
-    def is_color(self) -> bool:
-        """Whether the frame carries three color channels."""
-        return self.data.ndim == 3
-
     def to_grayscale(self) -> np.ndarray:
         """Return a ``float64`` grayscale (luma) plane in ``[0, 255]``.
 
@@ -138,11 +128,6 @@ class Frame:
             return self.data.astype(np.float64)
         weights = np.array([0.299, 0.587, 0.114])
         return self.data.astype(np.float64) @ weights
-
-    def with_type(self, frame_type: FrameType) -> "Frame":
-        """Return a shallow copy tagged with ``frame_type``."""
-        return Frame(index=self.index, data=self.data, timestamp=self.timestamp,
-                     frame_type=frame_type, metadata=dict(self.metadata))
 
     def copy(self) -> "Frame":
         """Return a deep copy (pixel data included)."""

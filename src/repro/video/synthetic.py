@@ -282,14 +282,6 @@ class SceneProfile:
         return replace(self, name=name or self.name,
                        resolution=self.resolution.scaled(factor))
 
-    def with_duration(self, duration_seconds: float) -> "SceneProfile":
-        """Return a copy with a different duration."""
-        return replace(self, duration_seconds=duration_seconds)
-
-    def with_seed(self, seed: int) -> "SceneProfile":
-        """Return a copy with a different schedule seed."""
-        return replace(self, seed=seed)
-
 
 @dataclass(frozen=True)
 class ObjectTrack:
@@ -708,22 +700,3 @@ class SyntheticScene:
             extra={"synthetic": True, "seed": self.profile.seed},
         )
         return GeneratedVideo(metadata, self.frame_array, self.script.timeline())
-
-
-def generate_scene_video(profile: SceneProfile, *,
-                         materialise: bool = False,
-                         as_color: bool = False):
-    """Convenience helper: build the video (and ground truth) for a profile.
-
-    Args:
-        profile: Scene description.
-        materialise: Render all frames into memory.
-        as_color: Render RGB frames.
-
-    Returns:
-        A :class:`GeneratedVideo` (or :class:`RawVideo` when materialised)
-        whose ``timeline`` attribute carries the ground truth.
-    """
-    scene = SyntheticScene(profile, as_color=as_color)
-    video = scene.video()
-    return video.materialise() if materialise else video

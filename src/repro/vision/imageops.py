@@ -177,20 +177,6 @@ def gradient_magnitude_orientation(image: np.ndarray) -> Tuple[np.ndarray, np.nd
     return magnitude, orientation
 
 
-def downsample(image: np.ndarray, factor: int = 2) -> np.ndarray:
-    """Downsample a 2-D plane by an integer factor (block averaging)."""
-    if factor < 1:
-        raise ConfigurationError("factor must be >= 1")
-    plane = np.asarray(image, dtype=np.float64)
-    height = (plane.shape[0] // factor) * factor
-    width = (plane.shape[1] // factor) * factor
-    if height == 0 or width == 0:
-        raise ConfigurationError("image too small for the requested downsampling")
-    trimmed = plane[:height, :width]
-    return trimmed.reshape(height // factor, factor, width // factor, factor).mean(
-        axis=(1, 3))
-
-
 def normalize_plane(image: np.ndarray) -> np.ndarray:
     """Scale a plane to zero mean and unit variance (used by NN preprocessing)."""
     plane = np.asarray(image, dtype=np.float64)

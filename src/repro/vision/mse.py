@@ -15,46 +15,26 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from .imageops import downsample, mean_squared_error
+from .imageops import mean_squared_error
 from .similarity import ChangeDetector
 
 
 class MseChangeDetector(ChangeDetector):
-    """Frame-difference detector using pixel-wise mean squared error.
-
-    Args:
-        downsample_factor: Optional integer factor by which frames are
-            downsampled before the comparison (NoScope uses 100x100
-            thumbnails; ``1`` compares at full resolution).
-        blur_sigma: Unused placeholder for API symmetry with richer
-            detectors; MSE operates on raw pixels.
-    """
+    """Frame-difference detector using pixel-wise mean squared error at full
+    resolution."""
 
     name = "mse"
 
-    def __init__(self, downsample_factor: int = 1) -> None:
-        if downsample_factor < 1:
-            raise ConfigurationError("downsample_factor must be >= 1")
-        self.downsample_factor = downsample_factor
+    def __init__(self) -> None:
         self._previous: Optional[np.ndarray] = None
 
     def reset(self) -> None:
         self._previous = None
 
-    def _prepare(self, plane: np.ndarray) -> np.ndarray:
-        plane = np.asarray(plane, dtype=np.float64)
-        if self.downsample_factor > 1:
-            plane = downsample(plane, self.downsample_factor)
-        return plane
-
-    def score_pair(self, previous: np.ndarray, current: np.ndarray) -> float:
-        return mean_squared_error(self._prepare(previous), self._prepare(current))
-
     def score_next(self, current: np.ndarray) -> float:
-        prepared = self._prepare(current)
+        plane = np.asarray(current, dtype=np.float64)
         previous = self._previous
-        self._previous = prepared
+        self._previous = plane
         if previous is None:
             return float("inf")
-        return mean_squared_error(previous, prepared)
+        return mean_squared_error(previous, plane)

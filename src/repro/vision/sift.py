@@ -244,10 +244,6 @@ class SiftChangeDetector(ChangeDetector):
     def reset(self) -> None:
         self._previous_features = None
 
-    def score_pair(self, previous: np.ndarray, current: np.ndarray) -> float:
-        return 1.0 - self.sift.match_fraction(self.sift.extract(previous),
-                                              self.sift.extract(current))
-
     def score_next(self, current: np.ndarray) -> float:
         features = self.sift.extract(np.asarray(current, dtype=np.float64))
         previous = self._previous_features

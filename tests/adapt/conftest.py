@@ -13,7 +13,8 @@ from typing import List, Sequence
 import numpy as np
 import pytest
 
-from repro.adapt import chunk_scene, mean_luma
+from repro.adapt import chunk_scene
+from repro.adapt.signals import mean_luma
 from repro.codec.gop import EncoderParameters, StreamingKeyframePlacer
 from repro.codec.scenecut import SceneCutAnalyzer
 from repro.core.metrics import evaluate_sampling

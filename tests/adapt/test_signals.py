@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.adapt import ChunkScene, SceneStats, chunk_scene, mean_luma
+from repro.adapt import ChunkScene, SceneStats, chunk_scene
+from repro.adapt.signals import mean_luma
 from repro.adapt.signals import REFERENCE_SCENECUT
 from repro.codec.scenecut import FrameActivity, scenecut_score_threshold
 from repro.errors import ServiceError

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import (CameraJob, FleetOrchestrator, PlacementPolicy,
-                           sweep_edge_counts)
+from repro.cluster import CameraJob, FleetOrchestrator, PlacementPolicy
 from repro.config import SystemConfig
 from repro.errors import ClusterError
 
@@ -80,7 +79,6 @@ class TestValidation:
         {"edge_workers": 2.5},
         {"cloud_workers": float("nan")},
         {"cloud_workers": 1.5},
-        {"sweep": float("nan")},
         {"num_frames": float("nan")},
         {"num_frames": 2.5},
         {"frames_for_inference": float("nan")},
@@ -93,9 +91,7 @@ class TestValidation:
         ``total_frames`` and ``throughput_fps``."""
         (name, value), = case.items()
         with pytest.raises(ClusterError):
-            if name == "sweep":
-                sweep_edge_counts([make_job("cam")], [value])
-            elif name in ("num_frames", "frames_for_inference"):
+            if name in ("num_frames", "frames_for_inference"):
                 make_job("cam", **{"num_frames" if name == "num_frames"
                                    else "samples": value})
             else:
@@ -107,7 +103,6 @@ class TestValidation:
                                          edge_workers=1.0, cloud_workers=3.0)
         assert (orchestrator.num_edge_servers, orchestrator.edge_workers,
                 orchestrator.cloud_workers) == (2, 1, 3)
-        assert sorted(sweep_edge_counts([make_job("cam")], [2.0, 1])) == [1, 2]
 
     def test_fleet_workers_setting_is_gone(self):
         """The sharded fleet is gone, and so is the knob that chose it."""
@@ -228,7 +223,9 @@ class TestFleetSimulation:
     def test_throughput_monotone_in_edge_count(self):
         jobs = make_fleet_jobs(16)
         for policy in PlacementPolicy:
-            reports = sweep_edge_counts(jobs, (1, 2, 4, 8), policy=policy)
+            reports = {count: FleetOrchestrator(jobs, num_edge_servers=count,
+                                                policy=policy).run()
+                       for count in (1, 2, 4, 8)}
             fps = [reports[count].aggregate_throughput_fps
                    for count in sorted(reports)]
             assert fps == sorted(fps), (policy, fps)

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codec.blocks import (block_grid, block_means, crop_plane, from_blocks,
-                                pad_plane, padded_shape, to_blocks)
+from repro.codec.blocks import (block_grid, crop_plane, from_blocks, pad_plane,
+                                padded_shape, to_blocks)
 from repro.codec.entropy import (decode_blocks, encode_blocks, encoded_size_bytes,
                                  zigzag_order)
 from repro.codec.transform import (JPEG_LUMA_QUANT, dct2_blocks, dct_matrix,
                                    dequantise_blocks, idct2_blocks,
                                    quantisation_matrix, quantise_blocks,
-                                   quality_to_scale, reconstruct_blocks,
-                                   transform_and_quantise)
+                                   quality_to_scale)
 from repro.errors import BitstreamError, CodecError
 
 
@@ -42,11 +41,8 @@ class TestBlocks:
         with pytest.raises(CodecError):
             to_blocks(np.zeros((10, 16)), 8)
 
-    def test_block_grid_and_means(self):
+    def test_block_grid(self):
         assert block_grid(20, 30, 8) == (3, 4)
-        means = block_means(np.full((8, 16), 5.0), 8)
-        assert means.shape == (1, 2)
-        assert np.allclose(means, 5.0)
 
 
 class TestTransform:
@@ -82,10 +78,11 @@ class TestTransform:
         reconstructed = dequantise_blocks(quantise_blocks(blocks, matrix), matrix)
         assert np.abs(reconstructed - blocks).max() <= matrix.max() / 2 + 1e-9
 
-    def test_reconstruct_matches_manual_chain(self, rng):
+    def test_transform_chain_reconstructs(self, rng):
         blocks = rng.uniform(-50, 50, size=(2, 3, 8, 8))
-        quantised = transform_and_quantise(blocks, 90)
-        reconstructed = reconstruct_blocks(quantised, 90)
+        matrix = quantisation_matrix(90)
+        quantised = quantise_blocks(dct2_blocks(blocks), matrix)
+        reconstructed = idct2_blocks(dequantise_blocks(quantised, matrix))
         # Per-pixel error is bounded by the quantisation error energy; at
         # quality 90 the RMS error of even white-noise blocks stays small.
         rms = np.sqrt(np.mean((reconstructed - blocks) ** 2))

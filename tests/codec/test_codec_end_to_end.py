@@ -6,13 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codec import (EncodedFrame, EncodedVideo, EncoderParameters, IFrameSeeker,
                          VideoDecoder, VideoEncoder, decode_image, encode_image,
-                         estimate_encoded_size, read_frame_index, roundtrip_psnr,
-                         seek_keyframes, select_events_from_keyframes)
+                         estimate_encoded_size, read_frame_index,
+                         select_events_from_keyframes)
 import repro.codec.encoder as encoder_module
 import repro.codec.jpeg as jpeg_module
 from repro.errors import BitstreamError, ConfigurationError, DecodeError, EncodeError
 from repro.video.frame import FrameType
 from repro.video.raw_video import RawVideo
+
+
+def psnr(original, decoded) -> float:
+    mse = float(np.mean((np.asarray(original, dtype=np.float64)
+                         - np.asarray(decoded, dtype=np.float64)) ** 2))
+    return float("inf") if mse == 0 else 10.0 * np.log10(255.0 ** 2 / mse)
 
 
 class TestStillImageCodec:
@@ -21,18 +27,17 @@ class TestStillImageCodec:
         # kind of content the synthetic scenes produce.
         ramp = np.tile(np.linspace(60, 180, 53), (37, 1))
         image = np.clip(ramp + rng.normal(0, 15, size=(37, 53)), 0, 255).astype(np.uint8)
-        decoded = decode_image(encode_image(image, quality=90))
+        encoded = encode_image(image, quality=90)
+        decoded = decode_image(encoded)
         assert decoded.shape == image.shape
-        psnr, stats = roundtrip_psnr(image, quality=90)
-        assert psnr > 25.0
-        assert stats.compression_ratio > 0.5
+        assert psnr(image, decoded) > 25.0
+        assert image.size / len(encoded) > 0.5
 
     def test_smooth_image_compresses_well(self):
         gradient = np.tile(np.linspace(0, 255, 64, dtype=np.uint8), (64, 1))
         encoded = encode_image(gradient, quality=75)
         assert len(encoded) < gradient.size / 4
-        psnr, _ = roundtrip_psnr(gradient, quality=75)
-        assert psnr > 35.0
+        assert psnr(gradient, decode_image(encoded)) > 35.0
 
     def test_color_roundtrip(self, rng):
         image = rng.integers(0, 255, size=(24, 24, 3), dtype=np.uint8)
@@ -75,7 +80,8 @@ class TestEncoder:
         assert [frame.size_bytes for frame in tiny_encoded.frames] == \
             [frame.size_bytes for frame in tiny_encoded_payload.frames]
         assert all(frame.payload is None for frame in tiny_encoded.frames)
-        assert all(frame.has_payload for frame in tiny_encoded_payload.frames)
+        assert all(frame.payload is not None
+                   for frame in tiny_encoded_payload.frames)
 
     def test_encoder_types_match_placer(self, tiny_video, tuned_parameters,
                                         tiny_activities, tiny_encoded):
@@ -143,22 +149,18 @@ class TestEncoder:
 
 class TestDecoder:
     def test_full_decode_reconstruction(self, tiny_encoded_payload, tiny_raw_video):
-        report = VideoDecoder().reconstruction_error(tiny_encoded_payload,
-                                                     tiny_raw_video)
-        assert report["num_frames"] == tiny_raw_video.metadata.num_frames
-        assert report["psnr_db"] > 24.0
+        decoded = VideoDecoder().decode_video(tiny_encoded_payload)
+        assert decoded.metadata.num_frames == tiny_raw_video.metadata.num_frames
+        frame_mse = [float(np.mean((frame.data.astype(np.float64)
+                                    - source.to_grayscale()) ** 2))
+                     for frame, source in zip(decoded.frames(),
+                                              tiny_raw_video.frames())]
+        assert 10.0 * np.log10(255.0 ** 2 / np.mean(frame_mse)) > 24.0
 
     def test_decode_keyframes_only(self, tiny_encoded_payload):
         frames = VideoDecoder().decode_keyframes(tiny_encoded_payload)
         assert len(frames) == tiny_encoded_payload.num_keyframes
         assert all(frame.frame_type is FrameType.I for frame in frames)
-
-    def test_decode_frame_at_matches_sequential(self, tiny_encoded_payload):
-        decoder = VideoDecoder()
-        sequential = list(decoder.iter_decoded_frames(tiny_encoded_payload))
-        target = min(10, tiny_encoded_payload.num_frames - 1)
-        random_access = decoder.decode_frame_at(tiny_encoded_payload, target)
-        assert np.array_equal(random_access.data, sequential[target].data)
 
     def test_size_only_frames_cannot_be_decoded(self, tiny_encoded):
         with pytest.raises(DecodeError):
@@ -216,27 +218,47 @@ class TestContainerAndSeeker:
             with pytest.raises(BitstreamError, match="truncated before the frame index"):
                 IFrameSeeker().seek_serialized(data[:cut])
 
-    def test_seeker_counts(self, tiny_encoded):
-        seeker = IFrameSeeker()
-        keyframes, stats = seeker.seek_with_stats(tiny_encoded)
-        assert len(keyframes) == tiny_encoded.num_keyframes
-        assert stats.frames_scanned == tiny_encoded.num_frames
-        assert stats.sampling_fraction == pytest.approx(tiny_encoded.sampling_fraction)
-        assert 0.0 < stats.sampling_fraction < 0.5
-        assert stats.data_reduction_factor > 1.0
+    def test_seeker_counts(self, tiny_encoded_payload):
+        _, keyframes, stats = IFrameSeeker().seek_serialized(
+            tiny_encoded_payload.serialize())
+        assert len(keyframes) == tiny_encoded_payload.num_keyframes
+        assert stats.frames_scanned == tiny_encoded_payload.num_frames
+        fraction = len(stats.keyframe_indices) / stats.frames_scanned
+        assert fraction == pytest.approx(tiny_encoded_payload.sampling_fraction)
+        assert 0.0 < fraction < 0.5
+        assert stats.total_bytes > stats.keyframe_bytes > 0
 
     def test_seek_serialized_matches_in_memory(self, tiny_encoded_payload):
         seeker = IFrameSeeker()
         _, entries, stats = seeker.seek_serialized(tiny_encoded_payload.serialize())
         assert [e.index for e in entries] == tiny_encoded_payload.keyframe_indices
         assert stats.keyframe_bytes == tiny_encoded_payload.keyframe_size_bytes
-        assert seek_keyframes(tiny_encoded_payload)[0].index == entries[0].index
+        assert [frame.index for frame in tiny_encoded_payload.iter_keyframes()] \
+            == stats.keyframe_indices
 
     def test_segments_from_keyframes(self):
         segments = select_events_from_keyframes([0, 10, 25], 40)
         assert segments == [(0, 10), (10, 25), (25, 40)]
         with pytest.raises(BitstreamError):
             select_events_from_keyframes([5, 10], 20)
+        assert select_events_from_keyframes([], 7) == [(0, 7)]
+        assert select_events_from_keyframes([0.0, 3.0, 3], 5) == [(0, 3), (3, 5)]
+
+    @pytest.mark.parametrize("indices, num_frames", [
+        ([0, 10], 5),             # was the inverted segment (10, 5)
+        ([0, 5], 5),              # was the empty segment (5, 5)
+        ([-1, 0, 3], 5),
+        ([0, 2.5], 5),            # was silently frame 2
+        ([0, float("nan")], 5),
+        ([0, float("inf")], 5),
+        ([0, "2"], 5),
+        ([0, None], 5),
+        ([0, 2], 4.5),
+        ([0, 2], -1),
+    ])
+    def test_segments_refuse_malformed_indices(self, indices, num_frames):
+        with pytest.raises(BitstreamError):
+            select_events_from_keyframes(indices, num_frames)
 
     def test_encoded_frame_validation(self):
         with pytest.raises(ConfigurationError):

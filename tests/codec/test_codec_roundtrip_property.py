@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codec import (EncodedVideo, EncoderParameters, VideoDecoder,
                          VideoEncoder)
-from repro.codec.gop import KeyframePlacer, gop_lengths
+from repro.codec.gop import KeyframePlacer
 from repro.video.frame import FrameType
 from repro.video.raw_video import RawVideo
 
@@ -117,7 +117,9 @@ class TestCodecRoundTripProperties:
         assert frame_types[0] is FrameType.I
         # No GOP may exceed the configured maximum I-frame spacing (the
         # trailing partial GOP may be shorter, never longer).
-        assert max(gop_lengths(frame_types)) <= parameters.gop_size
+        keyframes = encoded.keyframe_indices + [len(frame_types)]
+        assert max(later - earlier for earlier, later
+                   in zip(keyframes, keyframes[1:])) <= parameters.gop_size
         assert all(frame_type in (FrameType.I, FrameType.P)
                    for frame_type in frame_types)
 

@@ -309,29 +309,14 @@ class TestRunDecodeMatchesLoop:
                                          .frames(), expected):
                 assert_same_frame(actual, reference)
 
-    def test_decode_frame_at_equals_sequential_decode_everywhere(self):
-        encoded = encode(make_clip("noise", 22, 30, 14, seed=10), gop_size=5)
-        assert encoded.keyframe_indices == [0, 5, 10]
-        decoder = VideoDecoder()
-        for expected in loop_decode_video(encoded):
-            assert_same_frame(decoder.decode_frame_at(encoded, expected.index),
-                              expected)
-
-    def test_decode_video_and_reconstruction_error_use_the_generator(self):
+    def test_decode_video_uses_the_generator(self):
         video = make_clip("noise", 22, 30, 9, seed=11)
         encoded = encode(video, gop_size=4)
-        decoder = VideoDecoder()
         expected = loop_decode_video(encoded)
-        raw = decoder.decode_video(encoded)
+        raw = VideoDecoder().decode_video(encoded)
         assert raw.metadata.num_frames == len(expected)
         for actual, reference in zip(raw.frames(), expected):
             assert_same_frame(actual, reference)
-        errors = [float(np.mean((frame.data.astype(np.float64)
-                                 - source.to_grayscale()) ** 2))
-                  for frame, source in zip(expected, video.frames())]
-        report = decoder.reconstruction_error(encoded, video)
-        assert report["num_frames"] == len(expected)
-        assert report["mean_mse"] == float(np.mean(errors))
 
 
 class TestOneScanOneTransformPerRun:
@@ -447,10 +432,6 @@ class TestMalformedStreams:
         assert message in str(error)
         with pytest.raises(error_type, match=message):
             VideoDecoder().decode_video(broken)
-        with pytest.raises(error_type, match=message):
-            VideoDecoder().decode_frame_at(broken, 9)
-        assert_same_frame(VideoDecoder().decode_frame_at(broken, position - 1),
-                          frames[-1])
 
     def test_the_first_malformed_frame_in_stream_order_wins(self, one_run_clip):
         broken = with_payload(one_run_clip, 7,

@@ -1,14 +1,16 @@
 """The numeric-contract objects and their wiring into SystemConfig."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import SystemConfig
 from repro.contracts import (EXACT_CONTRACT, FAST_CONTRACT, NumericContract,
                              PRECISION_ENV, PRECISION_MODES, ToleranceBudget,
-                             activation_dtype, agreement_fraction,
-                             resolve_contract, selection_agreement,
-                             validate_precision)
+                             activation_dtype, resolve_contract,
+                             selection_agreement, validate_precision)
+from repro.contracts.contract import agreement_fraction
 from repro.errors import ConfigurationError
 
 
@@ -117,8 +119,8 @@ class TestSystemConfigPrecision:
         with pytest.raises(ConfigurationError):
             SystemConfig()
 
-    def test_with_bandwidth_preserves_precision(self):
-        config = SystemConfig(precision="fast").with_bandwidth(10.0)
+    def test_replace_preserves_precision(self):
+        config = replace(SystemConfig(precision="fast"), edge_cloud_bandwidth_mbps=10.0)
         assert config.precision == "fast"
 
     def test_precision_modes_exported(self):

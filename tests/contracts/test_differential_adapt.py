@@ -11,9 +11,11 @@ within the tie budget anyway.
 import numpy as np
 import pytest
 
-from repro.adapt import AdaptiveConfig, DriftMonitor, chunk_scene, mean_luma
+from repro.adapt import AdaptiveConfig, DriftMonitor, chunk_scene
+from repro.adapt.signals import mean_luma
 from repro.codec.scenecut import SceneCutAnalyzer
-from repro.contracts import FAST_CONTRACT, agreement_fraction
+from repro.contracts import FAST_CONTRACT
+from repro.contracts.contract import agreement_fraction
 from repro.core.tuner import SemanticEncoderTuner
 from repro.video import make_scenario
 from repro.video.events import EventTimeline

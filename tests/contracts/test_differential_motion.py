@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.codec.blocks import pad_plane, to_blocks
 from repro.codec.motion import (candidate_offsets, estimate_motion,
                                 shift_plane)
-from repro.contracts import FAST_CONTRACT, agreement_fraction
+from repro.contracts import FAST_CONTRACT
+from repro.contracts.contract import agreement_fraction
 from repro.errors import ConfigurationError
 from repro.video import SyntheticScene, make_scenario
 

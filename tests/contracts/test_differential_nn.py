@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.contracts import FAST_CONTRACT, agreement_fraction
+from repro.contracts import FAST_CONTRACT
+from repro.contracts.contract import agreement_fraction
 from repro.nn import (NNDetector, SequentialModel, build_yolo_lite,
-                      classify_frame, classify_frames)
+                      classify_frames)
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Softmax
 from repro.video import SyntheticScene, make_scenario
 
@@ -121,10 +122,10 @@ class TestClassifierSurfaces:
             FAST_CONTRACT.nn_classes.min_agreement)
         assert FAST_CONTRACT.nn_logits.values_within(exact_probs, fast_probs)
 
-    def test_classify_frame_fast_single(self, scenario_frames):
+    def test_classify_frames_fast_single(self, scenario_frames):
         model = build_yolo_lite()
-        label, probabilities = classify_frame(model, scenario_frames[0],
-                                              precision="fast")
+        (label,), probabilities = classify_frames(
+            model, scenario_frames[:1], precision="fast")
         assert probabilities.dtype == np.float32
         assert label in model.classes
 

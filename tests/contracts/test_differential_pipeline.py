@@ -12,9 +12,8 @@ import pytest
 
 from repro import Sieve, SystemConfig
 from repro.codec import EncoderParameters, VideoEncoder
-from repro.codec.iframe_seeker import IFrameSeeker
-from repro.contracts import (FAST_CONTRACT, agreement_fraction,
-                             selection_agreement)
+from repro.contracts import FAST_CONTRACT, selection_agreement
+from repro.contracts.contract import agreement_fraction
 from repro.core import build_workload
 from repro.datasets.generator import DatasetInstance
 from repro.datasets.registry import DatasetSpec
@@ -42,9 +41,8 @@ class TestEncoderAgreement:
     def test_keyframe_selection_agreement(self, scenario_video):
         exact = VideoEncoder(PARAMETERS).encode(scenario_video)
         fast = VideoEncoder(PARAMETERS, "fast").encode(scenario_video)
-        exact_keys = IFrameSeeker().keyframe_indices(exact)
-        fast_keys = IFrameSeeker().keyframe_indices(fast)
-        assert selection_agreement(exact_keys, fast_keys) >= (
+        assert selection_agreement(exact.keyframe_indices,
+                                   fast.keyframe_indices) >= (
             FAST_CONTRACT.detections.min_agreement)
 
     def test_frame_sizes_close(self, scenario_video):

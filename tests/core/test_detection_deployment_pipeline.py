@@ -1,68 +1,69 @@
-"""Tests for event-detection front ends, deployment modes and the pipeline."""
+"""Tests for the event-detection front end, deployment modes and the pipeline."""
 
 import pytest
 
-from repro.codec import EncoderParameters
+from repro.cluster import CostModel
+from repro.codec import ActivityColumns, EncoderParameters
 from repro.config import SystemConfig
 from repro.core import (ALL_DEPLOYMENT_MODES, DeploymentMode, EndToEndSimulation,
-                        MseEventDetector, SieveEventDetector, UniformSamplingDetector,
-                        VideoWorkload, build_workload, sieve_sampling_sweep)
+                        VideoWorkload, build_workload, evaluate_sampling)
 from repro.datasets import build_dataset
 from repro.errors import PipelineError
 from repro.video import RESOLUTION_400P, Resolution
+from repro.vision import (MseChangeDetector, ThresholdSampler, score_video,
+                          threshold_for_sampling_fraction)
 
 
-class TestEventDetectors:
-    def test_sieve_detector_scores_well(self, tiny_video, tuned_parameters,
+class TestEventDetection:
+    """The front end as it ships: SiEVE's I-frames from the placer over one
+    analysis pass, the MSE baseline's samples from a threshold fitted to a
+    sampling fraction; both scored by ``evaluate_sampling``."""
+
+    @staticmethod
+    def mse_samples(video, fraction):
+        scores = score_video(MseChangeDetector(), video)
+        threshold = threshold_for_sampling_fraction(scores, fraction)
+        return ThresholdSampler(threshold).sample(scores)
+
+    def test_sieve_detector_scores_well(self, tiny_timeline, tuned_parameters,
                                         tiny_activities):
-        detector = SieveEventDetector(tuned_parameters, tiny_activities)
-        result = detector.detect(tiny_video, cost_resolution=RESOLUTION_400P)
-        assert result.method == "sieve"
-        assert result.score is not None and result.score.accuracy > 0.85
-        assert 0.0 < result.sampling_fraction < 0.2
-        assert result.simulated_fps is not None and result.simulated_fps > 1000
+        keyframes = ActivityColumns(tiny_activities).keyframe_indices(
+            tuned_parameters)
+        score = evaluate_sampling(tiny_timeline, keyframes)
+        assert score.accuracy > 0.85
+        assert 0.0 < score.sampling_fraction < 0.2
+        assert CostModel().event_detection_fps("sieve", RESOLUTION_400P) > 1000
 
     def test_mse_detector_threshold_fitting(self, tiny_video):
-        detector = MseEventDetector()
         target = 0.05
-        detector.fit_threshold(tiny_video, target)
-        result = detector.detect(tiny_video)
-        assert abs(result.sampling_fraction - target) < 0.05
-        assert result.score is not None
-
-    def test_mse_detector_requires_threshold(self, tiny_video):
-        with pytest.raises(PipelineError):
-            MseEventDetector().detect(tiny_video)
-
-    def test_uniform_detector(self, tiny_video):
-        detector = UniformSamplingDetector.for_sample_count(
-            tiny_video.metadata.num_frames, 10)
-        result = detector.detect(tiny_video)
-        assert 8 <= len(result.sample_indices) <= 12
-        assert result.sample_indices[0] == 0
+        samples = self.mse_samples(tiny_video, target)
+        assert abs(len(samples) / tiny_video.metadata.num_frames - target) < 0.05
+        assert samples[0] == 0
 
     def test_sieve_sweep_monotone_sampling(self, tiny_activities, tiny_timeline):
-        parameters = [EncoderParameters(gop_size=1000, scenecut_threshold=value)
-                      for value in (0, 150, 250, 350)]
-        results = sieve_sampling_sweep(tiny_activities, tiny_timeline, parameters)
-        fractions = [result.sampling_fraction for result in results]
+        columns = ActivityColumns(tiny_activities)
+        fractions = [
+            evaluate_sampling(tiny_timeline, columns.keyframe_indices(
+                EncoderParameters(gop_size=1000, scenecut_threshold=value)
+            )).sampling_fraction
+            for value in (0, 150, 250, 350)]
         assert fractions == sorted(fractions)
 
-    def test_sieve_beats_mse_at_matched_sampling(self, tiny_video, tuned_parameters,
+    def test_sieve_beats_mse_at_matched_sampling(self, tiny_video, tiny_timeline,
+                                                 tuned_parameters,
                                                  tiny_activities):
         """The paper's core claim at the scale of the tiny fixture."""
-        sieve = SieveEventDetector(tuned_parameters, tiny_activities).detect(tiny_video)
-        mse = MseEventDetector()
-        mse.fit_threshold(tiny_video, sieve.sampling_fraction)
-        mse_result = mse.detect(tiny_video)
-        assert sieve.score.accuracy >= mse_result.score.accuracy - 0.02
+        sieve = evaluate_sampling(tiny_timeline, ActivityColumns(
+            tiny_activities).keyframe_indices(tuned_parameters))
+        mse = evaluate_sampling(
+            tiny_timeline, self.mse_samples(tiny_video, sieve.sampling_fraction))
+        assert sieve.accuracy >= mse.accuracy - 0.02
 
 
 class TestDeploymentService:
     def test_modes_metadata(self):
         assert DeploymentMode.IFRAME_EDGE_CLOUD_NN.uses_semantic_encoding
         assert not DeploymentMode.MSE_EDGE_CLOUD_NN.uses_semantic_encoding
-        assert DeploymentMode.IFRAME_EDGE_EDGE_NN.nn_device == "edge"
         assert len(ALL_DEPLOYMENT_MODES) == 5
         assert len({mode.label for mode in ALL_DEPLOYMENT_MODES}) == 5
 
@@ -148,5 +149,9 @@ class TestBuildWorkload:
         assert workload.semantic_samples[0] == 0
         assert workload.semantic_bytes > workload.semantic_iframe_bytes
         assert len(workload.uniform_samples) >= workload.num_semantic_iframes
+        # Uniform sampling: frame 0, then a fixed stride.
+        assert workload.uniform_samples[0] == 0
+        assert len({later - earlier for earlier, later in zip(
+            workload.uniform_samples, workload.uniform_samples[1:])}) == 1
         assert workload.samples_for(DeploymentMode.MSE_EDGE_CLOUD_NN) == \
             workload.mse_samples

@@ -7,9 +7,8 @@ from repro.codec import EncoderParameters
 from repro.codec.scenecut import FrameActivity
 from repro.core import (DEFAULT_GOP_GRID, DEFAULT_SCENECUT_GRID, ParameterLookupTable,
                         SemanticEncoderTuner, TuningGrid, evaluate_sampling, f1_score,
-                        propagate_labels, propagation_accuracy, sampling_fraction)
-from repro.core.metrics import (detection_latencies, event_start_accuracy,
-                                summarize_latencies)
+                        propagation_accuracy)
+from repro.core.metrics import event_start_accuracy
 from repro.errors import ConfigurationError, TuningError
 from repro.video import EventTimeline
 
@@ -39,17 +38,14 @@ class TestMetrics:
         timeline = make_timeline()
         score = evaluate_sampling(timeline, [0])
         assert score.accuracy == pytest.approx(20 / 30)
-        latencies = detection_latencies(timeline, [0])
-        assert latencies == [0, None, None]
-        summary = summarize_latencies(latencies)
-        assert summary["miss_rate"] == pytest.approx(2 / 3)
+        # Only the first (background) event starts with a sample.
+        assert score.event_accuracy == pytest.approx(10 / 30)
 
-    def test_propagate_labels_before_first_sample(self):
+    def test_propagation_before_first_sample_and_after_event_end(self):
         timeline = make_timeline()
-        labels = propagate_labels(timeline, [12])
-        assert labels[0] == frozenset()
-        assert labels[12] == frozenset({"car"})
-        assert labels[25] == frozenset({"car"})  # stale after the event ends
+        # Frames 0-11 read background (10-11 wrongly), 12-29 read "car"
+        # (20-29 wrongly, stale after the event ends).
+        assert evaluate_sampling(timeline, [12]).accuracy == pytest.approx(18 / 30)
 
     def test_sampling_every_frame_is_perfect_but_filters_nothing(self):
         timeline = make_timeline()
@@ -62,8 +58,6 @@ class TestMetrics:
         assert f1_score(0.0, 0.0) == 0.0
         with pytest.raises(ConfigurationError):
             f1_score(-0.1, 0.5)
-        with pytest.raises(ConfigurationError):
-            sampling_fraction([0], 0)
         with pytest.raises(ConfigurationError):
             evaluate_sampling(make_timeline(), [40])
 

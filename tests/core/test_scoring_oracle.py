@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.metrics import (DetectionScore, detection_latencies,
-                                evaluate_sampling, event_start_accuracy,
-                                f1_score, propagate_labels,
+from repro.core.metrics import (DetectionScore, evaluate_sampling,
+                                event_start_accuracy, f1_score,
                                 propagation_accuracy)
 from repro.errors import ConfigurationError
 from repro.video.events import NO_LABEL, EventTimeline
@@ -58,16 +57,6 @@ def loop_event_start_accuracy(timeline, sample_indices):
         else:
             wrong += min(inside) - event.start_frame
     return 1.0 - wrong / timeline.num_frames
-
-
-def loop_detection_latencies(timeline, sample_indices):
-    indices = sorted(set(int(index) for index in sample_indices))
-    latencies = []
-    for event in timeline.events:
-        inside = [index for index in indices
-                  if event.start_frame <= index < event.end_frame]
-        latencies.append(min(inside) - event.start_frame if inside else None)
-    return latencies
 
 
 def loop_evaluate_sampling(timeline, sample_indices):
@@ -121,20 +110,12 @@ class TestVectorisedScoringEqualsTheLoop:
         assert event_start_accuracy(timeline, samples) == \
             oracle.event_accuracy
 
-    @settings(max_examples=100, deadline=None)
-    @given(_timeline_and_samples())
-    def test_propagated_labels_and_latencies(self, case):
-        timeline, samples = case
-        assert propagate_labels(timeline, samples) == \
-            loop_propagate_labels(timeline, samples)
-        assert detection_latencies(timeline, samples) == \
-            loop_detection_latencies(timeline, samples)
-
     def test_no_samples_labels_everything_background(self):
         timeline = make_timeline()
         assert astuple(evaluate_sampling(timeline, [])) == \
             astuple(loop_evaluate_sampling(timeline, []))
-        assert propagate_labels(timeline, []) == [NO_LABEL] * 30
+        assert loop_propagate_labels(timeline, []) == [NO_LABEL] * 30
+        assert evaluate_sampling(timeline, []).accuracy == 20 / 30
 
     @pytest.mark.parametrize("container", [list, tuple, set, np.array, iter])
     def test_any_iterable_of_whole_numbers_is_accepted(self, container):
@@ -172,8 +153,7 @@ class TestSampleIndexValidation:
     def test_fractional_index_is_not_truncated_to_a_frame(self):
         """``1.5`` used to be scored, silently, as frame 1."""
         timeline = make_timeline()
-        for function in (evaluate_sampling, propagate_labels,
-                         propagation_accuracy, event_start_accuracy,
-                         detection_latencies):
+        for function in (evaluate_sampling, propagation_accuracy,
+                         event_start_accuracy):
             with pytest.raises(ConfigurationError, match="whole"):
                 function(timeline, [0, 1.5])

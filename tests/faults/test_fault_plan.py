@@ -13,8 +13,11 @@ import pytest
 
 from repro.errors import FaultError
 from repro.faults import (BreakerState, CircuitBreaker, EdgeCrash, FaultPlan,
-                          FaultStats, RecoveryTrace, RetryPolicy, StreamStall,
-                          WanDegradation, WorkerKill)
+                          FaultStats, RecoveryTrace, ResilienceConfig,
+                          RetryPolicy, StreamStall, WanDegradation, WorkerKill)
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestRetryPolicy:
@@ -64,33 +67,68 @@ class TestRetryPolicy:
         with pytest.raises(FaultError):
             RetryPolicy(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_attempts": NAN},
+        {"max_attempts": INF},
+        {"max_attempts": 2.5},
+        {"max_attempts": "8"},
+        {"base_delay_seconds": NAN},
+        {"base_delay_seconds": INF},
+        {"multiplier": NAN},
+        {"multiplier": INF},
+        {"max_delay_seconds": NAN},
+        {"max_delay_seconds": INF},
+        {"jitter_fraction": NAN},
+        {"base_delay_seconds": "0.05"},
+        {"multiplier": None},
+    ])
+    def test_non_finite_fractional_and_malformed_values_rejected(self, kwargs):
+        with pytest.raises(FaultError):
+            RetryPolicy(**kwargs)
+
+    def test_whole_number_budget_is_normalised(self):
+        policy = RetryPolicy(max_attempts=3.0)
+        assert policy.max_attempts == 3
+        assert type(policy.max_attempts) is int
+        assert policy.exhausted(3)
+
     def test_attempt_is_one_based(self):
         with pytest.raises(FaultError):
             RetryPolicy().delay_seconds(0)
+        with pytest.raises(FaultError):
+            RetryPolicy().delay_seconds(NAN)
+
+
+class TestResilienceConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"breaker_cooldown_seconds": 0.0},
+        {"breaker_cooldown_seconds": NAN},
+        {"breaker_cooldown_seconds": INF},
+        {"stall_timeout_seconds": 0.0},
+        {"stall_timeout_seconds": NAN},
+        {"stall_timeout_seconds": INF},
+        {"watchdog_period_seconds": 0.0},
+        {"watchdog_period_seconds": NAN},
+        {"watchdog_period_seconds": INF},
+        {"watchdog_period_seconds": "1"},
+    ])
+    def test_invalid_configs_rejected(self, kwargs):
+        with pytest.raises(FaultError):
+            ResilienceConfig(**kwargs)
 
 
 class TestCircuitBreaker:
-    def test_opens_after_consecutive_failures(self):
-        breaker = CircuitBreaker("edge:0", failure_threshold=3,
-                                 cooldown_seconds=5.0)
-        breaker.record_failure(1.0)
-        breaker.record_failure(2.0)
-        assert breaker.state is BreakerState.CLOSED
-        breaker.record_failure(3.0)
+    def test_trip_opens_and_sheds(self):
+        breaker = CircuitBreaker("edge:0", cooldown_seconds=5.0)
+        assert breaker.allow(0.5)
+        breaker.trip(3.0)
         assert breaker.state is BreakerState.OPEN
         assert breaker.opens == 1
         assert not breaker.allow(3.5)
 
-    def test_success_resets_the_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure(1.0)
-        breaker.record_success(1.5)
-        breaker.record_failure(2.0)
-        assert breaker.state is BreakerState.CLOSED
-
     def test_half_open_admits_exactly_one_probe(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=2.0)
-        breaker.record_failure(0.0)
+        breaker = CircuitBreaker(cooldown_seconds=2.0)
+        breaker.trip(0.0)
         assert not breaker.allow(1.9)          # still cooling down
         assert breaker.allow(2.5)              # the probe slot
         assert breaker.state is BreakerState.HALF_OPEN
@@ -100,10 +138,10 @@ class TestCircuitBreaker:
         assert breaker.allow(3.1)
 
     def test_half_open_failure_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_seconds=1.0)
+        breaker = CircuitBreaker(cooldown_seconds=1.0)
         breaker.trip(0.0)
         assert breaker.allow(1.5)
-        breaker.record_failure(1.6)  # the probe failed
+        breaker.trip(1.6)  # the edge went down again under the probe
         assert breaker.state is BreakerState.OPEN
         assert breaker.opened_at == 1.6
         assert breaker.opens == 2
@@ -119,11 +157,10 @@ class TestCircuitBreaker:
         assert breaker.opened_at == 0.5
         assert not breaker.allow(1.2)  # cooldown restarted at 0.5
 
-    def test_invalid_configs_rejected(self):
+    @pytest.mark.parametrize("cooldown", [0.0, -1.0, NAN, INF])
+    def test_invalid_configs_rejected(self, cooldown):
         with pytest.raises(FaultError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(FaultError):
-            CircuitBreaker(cooldown_seconds=0.0)
+            CircuitBreaker(cooldown_seconds=cooldown)
 
 
 class TestFaultSpecs:

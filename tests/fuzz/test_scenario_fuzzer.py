@@ -9,8 +9,6 @@ is deterministic (the property the ``scenario-fuzz-smoke`` CI job diffs),
 and that failures actually produce replayable repro files.
 """
 
-import json
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 

@@ -3,11 +3,15 @@
 import pytest
 
 from repro import DeploymentMode, Sieve, SystemConfig
-from repro.codec import EncoderParameters, VideoDecoder, VideoEncoder
-from repro.core import MseEventDetector, SieveEventDetector
+from repro.cluster import CostModel
+from repro.codec import (ActivityColumns, EncodedVideo, EncoderParameters,
+                         IFrameSeeker, VideoDecoder, VideoEncoder)
+from repro.core import evaluate_sampling
 from repro.datasets import build_dataset
 from repro.nn import OracleDetector
-from repro.video import SyntheticScene, make_scenario
+from repro.video import RESOLUTION_400P, SyntheticScene, make_scenario
+from repro.vision import (MseChangeDetector, ThresholdSampler, score_video,
+                          threshold_for_sampling_fraction)
 
 
 class TestSieveFacade:
@@ -73,24 +77,26 @@ class TestPaperClaims:
         # much higher event density, so the bound is proportionally looser.
         assert best.sampling_fraction < 0.08
 
-    def test_event_detection_speedup_over_decode_baselines(self, tuned_setup):
+    def test_event_detection_speedup_over_decode_baselines(self):
         """">100x speedup compared to classical approaches that decompress
         every video frame" — checked through the calibrated cost model."""
-        video, tuning = tuned_setup
-        detector = SieveEventDetector(tuning.best_parameters)
-        from repro.video import RESOLUTION_400P
-        result = detector.detect(video, cost_resolution=RESOLUTION_400P)
-        from repro.cluster import CostModel
-        mse_fps = CostModel().event_detection_fps("mse", RESOLUTION_400P)
-        assert result.simulated_fps / mse_fps > 50
+        model = CostModel()
+        sieve_fps = model.event_detection_fps("sieve", RESOLUTION_400P)
+        mse_fps = model.event_detection_fps("mse", RESOLUTION_400P)
+        assert sieve_fps / mse_fps > 50
 
     def test_sieve_accuracy_dominates_mse_at_same_budget(self, tuned_setup):
         video, tuning = tuned_setup
-        sieve_result = SieveEventDetector(tuning.best_parameters).detect(video)
-        mse = MseEventDetector()
-        mse.fit_threshold(video, sieve_result.sampling_fraction)
-        mse_result = mse.detect(video)
-        assert sieve_result.score.accuracy >= mse_result.score.accuracy - 0.02
+        parameters = tuning.best_parameters
+        keyframes = ActivityColumns(
+            VideoEncoder(parameters).analyze(video)).keyframe_indices(parameters)
+        sieve = evaluate_sampling(video.timeline, keyframes)
+        scores = score_video(MseChangeDetector(), video)
+        threshold = threshold_for_sampling_fraction(scores,
+                                                    sieve.sampling_fraction)
+        mse = evaluate_sampling(video.timeline,
+                                ThresholdSampler(threshold).sample(scores))
+        assert sieve.accuracy >= mse.accuracy - 0.02
 
 
 class TestCodecPipelineIntegration:
@@ -102,10 +108,11 @@ class TestCodecPipelineIntegration:
                                                   materialise_payload=True)
         data = encoded.serialize()
 
-        from repro.codec import EncodedVideo, IFrameSeeker
-        parsed = EncodedVideo.deserialize(data)
-        keyframes, stats = IFrameSeeker().seek_with_stats(parsed)
-        assert 0 < stats.sampling_fraction < 0.2
+        _, _, stats = IFrameSeeker().seek_serialized(data)
+        assert 0 < len(stats.keyframe_indices) / stats.frames_scanned < 0.2
+        keyframes = list(EncodedVideo.deserialize(data).iter_keyframes())
+        assert [keyframe.index for keyframe in keyframes] == \
+            stats.keyframe_indices
 
         decoder = VideoDecoder()
         oracle = OracleDetector(quick_scenario_video.timeline)
@@ -116,4 +123,4 @@ class TestCodecPipelineIntegration:
             labels = oracle.detect(keyframe.index, pixels)
             assert labels == quick_scenario_video.timeline.labels_at(keyframe.index)
             labelled += 1
-        assert labelled == stats.num_keyframes
+        assert labelled == len(stats.keyframe_indices)

@@ -13,7 +13,7 @@ import pytest
 from repro.errors import ModelError
 from repro.nn import (Conv2D, Dense, Flatten, GlobalAveragePool, MaxPool2D,
                       NNDetector, ReLU, Softmax, build_yolo_lite,
-                      classify_frame, classify_frames, preprocess_frames)
+                      classify_frames, preprocess_frames)
 
 
 @pytest.fixture(scope="module")
@@ -120,12 +120,12 @@ class TestModelBatchEquivalence:
         resumed = model.forward_range(partial, split, model.num_layers)
         assert np.array_equal(resumed, model.forward(batch))
 
-    def test_predict_classes_matches_predict_class(self, model):
+    def test_predict_classes_matches_per_example_forward(self, model):
         batch = np.random.default_rng(2).normal(size=(5,) + model.input_shape)
         indices, outputs = model.predict_classes(batch)
         for position, example in enumerate(batch):
-            index, vector = model.predict_class(example)
-            assert int(indices[position]) == index
+            vector = np.asarray(model.forward(example)).ravel()
+            assert int(indices[position]) == int(np.argmax(vector))
             assert np.array_equal(outputs[position], vector)
 
     def test_predict_classes_rejects_single_example(self, model):
@@ -148,12 +148,14 @@ class TestClassifyFrames:
         return [rng.integers(0, 255, size=(48, 64), dtype=np.uint8)
                 for _ in range(7)]
 
-    def test_matches_classify_frame(self, model, frames):
+    def test_matches_per_frame_forward(self, model, frames):
         labels, probabilities = classify_frames(model, frames, batch_size=3)
         assert probabilities.shape == (len(frames), len(model.classes))
+        input_size = model.input_shape[1:]
         for position, frame in enumerate(frames):
-            label, vector = classify_frame(model, frame)
-            assert labels[position] == label
+            tensor = preprocess_frames([frame], input_size)[0]
+            vector = np.asarray(model.forward(tensor)).ravel()
+            assert labels[position] == model.classes[int(np.argmax(vector))]
             assert np.array_equal(probabilities[position], vector)
 
     def test_chunk_size_does_not_change_results(self, model, frames):

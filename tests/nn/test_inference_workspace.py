@@ -242,8 +242,6 @@ class TestWorkspaceEqualsFreshArrays:
             assert same_bits(outputs, expected)
             assert np.array_equal(indices, np.argmax(
                 expected.reshape(size, -1), axis=1))
-            index, vector = model.predict_class(batch[0])
-            assert index == int(indices[0]) and same_bits(vector, expected[0])
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_fast_precision_is_the_parents_fast_path(self, name):
@@ -358,11 +356,10 @@ class TestNoAliasing:
         rng = np.random.default_rng(12)
         batch = rng.normal(size=(5,) + model.input_shape)
         indices, outputs = model.predict_classes(batch)
-        index, vector = model.predict_class(batch[0])
         frames = [rng.integers(0, 255, size=(20, 30), dtype=np.uint8)
                   for _ in range(5)]
         labels, probabilities = classify_frames(model, frames, batch_size=2)
-        for array in (indices, outputs, vector, probabilities):
+        for array in (indices, outputs, probabilities):
             assert not aliases_workspace(model.workspace, array)
         kept = probabilities.copy()
         classify_frames(model, frames[::-1], batch_size=3)

@@ -5,9 +5,8 @@ import pytest
 
 from repro.errors import ModelError
 from repro.nn import (Conv2D, Dense, Flatten, GlobalAveragePool, MaxPool2D,
-                      OracleDetector, ConstantDetector, ReLU, SequentialModel, Softmax,
-                      build_yolo_lite, classify_frame, detect_many, model_size_bytes,
-                      preprocess_frame)
+                      OracleDetector, ReLU, SequentialModel, Softmax,
+                      build_yolo_lite, classify_frames, preprocess_frames)
 from repro.video.events import EventTimeline
 
 
@@ -91,20 +90,19 @@ class TestYoloLite:
     def test_classifier_outputs_known_label(self, rng):
         model = build_yolo_lite(input_size=(32, 32), width_multiplier=0.5)
         frame = rng.integers(0, 255, size=(60, 80), dtype=np.uint8)
-        label, probabilities = classify_frame(model, frame)
+        (label,), probabilities = classify_frames(model, [frame])
         assert label in model.classes
-        assert probabilities.shape == (len(model.classes),)
+        assert probabilities.shape == (1, len(model.classes))
         assert probabilities.sum() == pytest.approx(1.0)
 
     def test_preprocess_shape(self, rng):
-        tensor = preprocess_frame(rng.integers(0, 255, size=(45, 77, 3)), (32, 32))
-        assert tensor.shape == (1, 32, 32)
+        tensor = preprocess_frames([rng.integers(0, 255, size=(45, 77, 3))], (32, 32))
+        assert tensor.shape == (1, 1, 32, 32)
 
     def test_deterministic_weights(self):
         a = build_yolo_lite(input_size=(32, 32), width_multiplier=0.25, seed=3)
         b = build_yolo_lite(input_size=(32, 32), width_multiplier=0.25, seed=3)
         assert np.array_equal(a.layers[0].weights, b.layers[0].weights)
-        assert model_size_bytes(a) == a.num_parameters * 4
 
     def test_invalid_configuration(self):
         with pytest.raises(ModelError):
@@ -123,7 +121,7 @@ class TestOracle:
         oracle = OracleDetector(timeline)
         assert oracle.detect(7) == frozenset({"car"})
         assert oracle.detect(2) == frozenset()
-        assert detect_many(oracle, [0, 7]) == {0: frozenset(), 7: frozenset({"car"})}
+        assert oracle.detect_batch([0, 7]) == [frozenset(), frozenset({"car"})]
 
     def test_error_rate_perturbs_some_frames(self):
         timeline = self._timeline()
@@ -134,7 +132,3 @@ class TestOracle:
     def test_error_rate_validation(self):
         with pytest.raises(ModelError):
             OracleDetector(self._timeline(), error_rate=2.0)
-
-    def test_constant_detector(self):
-        detector = ConstantDetector({"person"})
-        assert detector.detect(0) == frozenset({"person"})

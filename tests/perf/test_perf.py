@@ -63,7 +63,6 @@ class TestFleetPerfFields:
         report = FleetOrchestrator(jobs, num_edge_servers=2).run()
         assert report.sim_wall_seconds > 0.0
         assert report.events_processed > 0
-        assert report.events_per_second > 0.0
         # The deterministic flat view excludes wall-clock noise but keeps the
         # (deterministic) event count.
         row = report.as_dict()

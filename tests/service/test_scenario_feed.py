@@ -1,7 +1,7 @@
 """Composed scenarios stream through the service via scenario_feed."""
 
 from repro.service import (ChunkFeeder, StreamingService, VirtualClock,
-                           analyse_scenario, chunk_analysis, scenario_chunks)
+                           analyse_scenario, chunk_analysis)
 
 SPEC = "highway+rain+night_cycle"
 DURATION = 8.0
@@ -11,7 +11,7 @@ SEED = 5
 
 class TestScenarioFeed:
     def test_chunks_carry_scene_payloads(self):
-        chunks = scenario_chunks(SPEC, DURATION, SCALE, seed=SEED)
+        chunks = chunk_analysis(analyse_scenario(SPEC, DURATION, SCALE, seed=SEED))
         assert len(chunks) == 4
         for chunk in chunks:
             assert chunk.num_frames == 60
@@ -41,7 +41,7 @@ class TestScenarioFeed:
         assert sum(chunk.num_frames for chunk in chunks) == 120
 
     def test_composed_spec_streams_through_the_service(self):
-        chunks = scenario_chunks(SPEC, DURATION, SCALE, seed=SEED)
+        chunks = chunk_analysis(analyse_scenario(SPEC, DURATION, SCALE, seed=SEED))
 
         def run():
             service = StreamingService(clock=VirtualClock(),

@@ -1,6 +1,7 @@
 """Tests for the shared infrastructure: rng, config, logging, sizing."""
 
 import importlib
+from dataclasses import replace
 import logging
 import pkgutil
 
@@ -11,9 +12,9 @@ from hypothesis import given, strategies as st
 import repro
 from repro.config import HardwareCalibration, SystemConfig
 from repro.errors import ConfigurationError, SieveError
-from repro.jpeg_sizing import raw_frame_bytes, resized_frame_bytes
-from repro.logging_utils import ProgressReporter, configure_logging, get_logger, log_duration
-from repro.rng import DEFAULT_SEED, derive_seed, make_rng, spawn_seeds
+from repro.jpeg_sizing import resized_frame_bytes
+from repro.logging_utils import configure_logging, get_logger
+from repro.rng import DEFAULT_SEED, derive_seed, make_rng
 
 
 class TestRng:
@@ -40,11 +41,6 @@ class TestRng:
         seed = derive_seed(root, label)
         assert 0 <= seed < 2**63
 
-    def test_spawn_seeds(self):
-        seeds = spawn_seeds(3, ["a", "b"])
-        assert set(seeds) == {"a", "b"}
-        assert seeds["a"] != seeds["b"]
-
     def test_generator_passthrough(self):
         generator = np.random.default_rng(0)
         assert make_rng(generator) is generator
@@ -59,15 +55,19 @@ class TestConfig:
         assert config.edge_cloud_bandwidth_mbps == 30.0
         assert config.hardware.seek_ms_per_frame_1080p == pytest.approx(0.43)
 
-    def test_with_bandwidth(self):
-        faster = SystemConfig().with_bandwidth(100.0)
+    def test_replace_bandwidth(self):
+        faster = replace(SystemConfig(), edge_cloud_bandwidth_mbps=100.0)
         assert faster.edge_cloud_bandwidth_mbps == 100.0
         assert faster.camera_edge_bandwidth_mbps == SystemConfig().camera_edge_bandwidth_mbps
 
-    def test_with_bandwidth_preserves_build_workers(self):
-        config = SystemConfig(build_workers=3).with_bandwidth(10.0)
+    def test_replace_preserves_build_workers(self):
+        config = replace(SystemConfig(build_workers=3), edge_cloud_bandwidth_mbps=10.0)
         assert config.build_workers == 3
         assert config.edge_cloud_bandwidth_mbps == 10.0
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ConfigurationError):
+            replace(SystemConfig(), edge_cloud_bandwidth_mbps=float("nan"))
 
     def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -123,24 +123,6 @@ class TestLogging:
         assert first is second
         assert len(managed) == 1
 
-    def test_log_duration_context(self, caplog):
-        logger = get_logger("tests.duration")
-        # configure_logging() stops propagation at the library root; re-enable
-        # it so caplog's root handler sees the record.
-        logging.getLogger("repro").propagate = True
-        try:
-            with caplog.at_level(logging.DEBUG, logger=logger.name):
-                with log_duration(logger, "unit of work"):
-                    pass
-        finally:
-            logging.getLogger("repro").propagate = False
-        assert any("unit of work" in record.message for record in caplog.records)
-
-    def test_progress_reporter_counts(self):
-        reporter = ProgressReporter(get_logger("tests.progress"), total=10, label="x")
-        for _ in range(10):
-            reporter.update()
-        assert reporter.count == 10
 
 
 class TestSizing:
@@ -151,14 +133,9 @@ class TestSizing:
         size = resized_frame_bytes(300, 300)
         assert 10_000 < size < 80_000
 
-    def test_raw_frame_bytes(self):
-        assert raw_frame_bytes(10, 10, channels=3) == 300
-
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ConfigurationError):
             resized_frame_bytes(0, 100)
-        with pytest.raises(ConfigurationError):
-            raw_frame_bytes(10, -1)
 
 
 class TestPublicSurface:

@@ -29,7 +29,7 @@ class TestFrame:
     def test_grayscale_passthrough(self):
         data = np.arange(12, dtype=np.uint8).reshape(3, 4)
         frame = Frame(index=0, data=data)
-        assert not frame.is_color
+        assert frame.data.ndim == 2
         assert frame.resolution == Resolution(4, 3)
         assert np.allclose(frame.to_grayscale(), data)
 
@@ -37,7 +37,7 @@ class TestFrame:
         data = np.zeros((2, 2, 3), dtype=np.uint8)
         data[..., 1] = 100  # pure green
         frame = Frame(index=0, data=data)
-        assert frame.is_color
+        assert frame.data.ndim == 3
         assert np.allclose(frame.to_grayscale(), 58.7)
 
     def test_clipping_of_float_input(self):
@@ -45,11 +45,10 @@ class TestFrame:
         assert frame.data.dtype == np.uint8
         assert frame.data[0, 0] == 255 and frame.data[0, 1] == 0
 
-    def test_with_type_and_copy(self):
-        frame = Frame(index=3, data=np.zeros((4, 4)))
-        key = frame.with_type(FrameType.I)
-        assert key.frame_type is FrameType.I and key.index == 3
+    def test_copy_is_deep(self):
+        frame = Frame(index=3, data=np.zeros((4, 4)), frame_type=FrameType.I)
         clone = frame.copy()
+        assert clone.frame_type is FrameType.I and clone.index == 3
         clone.data[0, 0] = 9
         assert frame.data[0, 0] == 0
 
@@ -58,9 +57,6 @@ class TestFrame:
             Frame(index=0, data=np.zeros((2, 2, 4)))
         with pytest.raises(ConfigurationError):
             Frame(index=-1, data=np.zeros((2, 2)))
-
-    def test_frame_type_is_key(self):
-        assert FrameType.I.is_key and not FrameType.P.is_key
 
 
 class TestEvent:
@@ -81,7 +77,7 @@ class TestEventTimeline:
         timeline = EventTimeline.from_frame_labels(labels)
         assert timeline.num_events == 3
         assert timeline.num_frames == 10
-        assert timeline.event_start_frames == [0, 3, 7]
+        assert [event.start_frame for event in timeline] == [0, 3, 7]
         assert timeline.labels_at(4) == frozenset({"car"})
         assert timeline.labels_at(9) == NO_LABEL
 

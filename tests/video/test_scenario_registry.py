@@ -4,7 +4,7 @@ The seed override must reach the scenario *constructor* — not be patched
 onto the profile afterwards — because schedule generation and every
 derived RNG stream key off the seed the constructor bakes in.  The probe
 test below fails on any implementation that builds the profile first and
-applies ``with_seed`` after the fact.
+replaces the seed after the fact.
 """
 
 import pytest

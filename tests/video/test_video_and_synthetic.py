@@ -1,13 +1,15 @@
 """Tests for video containers, the synthetic scene generator and scenarios."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DatasetError
 from repro.video import (ObjectClassSpec, RawVideo, Resolution,
                          SceneProfile, SyntheticScene, VideoMetadata,
-                         generate_script, make_scenario, SCENARIOS,
-                         LABELLED_SCENARIOS)
+                         generate_script, make_scenario, SCENARIOS)
+from repro.video.scenarios import LABELLED_SCENARIOS
 
 
 class TestRawVideo:
@@ -104,9 +106,9 @@ class TestSyntheticScene:
                          object_classes=((ObjectClassSpec("car", 0.3), 1.0),))
 
     def test_profile_copies(self, tiny_profile):
-        longer = tiny_profile.with_duration(40.0)
+        longer = replace(tiny_profile, duration_seconds=40.0)
         assert longer.num_frames == 2 * tiny_profile.num_frames
-        reseeded = tiny_profile.with_seed(99)
+        reseeded = replace(tiny_profile, seed=99)
         assert reseeded.seed == 99 and reseeded.name == tiny_profile.name
         scaled = tiny_profile.scaled(0.5)
         assert scaled.resolution.width == tiny_profile.resolution.width // 2

@@ -4,8 +4,8 @@ against the per-frame loop it replaced.
 ``loop_resize`` is the body ``vision/imageops.py::resize`` carried before
 same-shaped frames were resized as one stack from a cached sampling plan
 (per call: two ``linspace``, four ``np.ix_`` gathers, four transposes);
-``loop_preprocess_frame`` is ``nn/yolo_lite.py::preprocess_frame`` on top of
-it.  They live here as the oracle.  The tensors feed the NN whose
+``loop_preprocess_frame`` is the one-frame preprocessing ``nn/yolo_lite.py``
+carried on top of it.  They live here as the oracle.  The tensors feed the NN whose
 probabilities the benchmark's golden digests cover, so results are compared
 on ``.tobytes()`` (dtype and shape included).
 """
@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.nn import (build_yolo_lite, classify_frames, preprocess_frame,
-                      preprocess_frames)
+from repro.nn import build_yolo_lite, classify_frames, preprocess_frames
 from repro.vision import normalize_plane, resize, resize_stack, to_grayscale
 from repro.vision.imageops import _resize_plan
 
@@ -160,7 +159,7 @@ class TestResizeStack:
 
 
 # --------------------------------------------------------------------- #
-# preprocess_frame(s)
+# preprocess_frames
 # --------------------------------------------------------------------- #
 class TestPreprocessFrames:
     @settings(max_examples=40, deadline=None)
@@ -183,7 +182,7 @@ class TestPreprocessFrames:
                              for frame in frames])
         assert same_bits(tensors, expected)
         for frame, tensor in zip(frames, tensors):
-            assert same_bits(preprocess_frame(frame, input_size), tensor)
+            assert same_bits(preprocess_frames([frame], input_size)[0], tensor)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     def test_one_camera(self, dtype):
@@ -216,4 +215,4 @@ class TestPreprocessFrames:
         with pytest.raises(ConfigurationError, match="empty"):
             preprocess_frames([np.zeros((4, 4)), np.zeros((3, 0, 3))], (16, 16))
         with pytest.raises(ConfigurationError, match="empty"):
-            preprocess_frame(np.zeros((0, 0)), (16, 16))
+            preprocess_frames([np.zeros((0, 0))], (16, 16))

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.video import RawVideo
 from repro.vision import (MseChangeDetector, SiftChangeDetector, SiftLite,
-                          ThresholdSampler, downsample, gaussian_blur, gradients,
-                          mean_squared_error, normalize_plane, resize,
-                          sampled_fraction, score_video,
+                          ThresholdSampler, gaussian_blur, gradients,
+                          mean_squared_error, normalize_plane, resize, score_video,
                           threshold_for_sampling_fraction, to_grayscale)
+
+
+def sampled_fraction(scores, threshold):
+    return len(ThresholdSampler(threshold).sample(scores)) / len(scores)
 
 
 class TestImageOps:
@@ -45,12 +49,6 @@ class TestImageOps:
         assert np.allclose(dx[:, 1:-1], 1.0)
         assert np.allclose(dy[1:-1, :], 0.0)
 
-    def test_downsample_block_average(self):
-        plane = np.arange(16.0).reshape(4, 4)
-        small = downsample(plane, 2)
-        assert small.shape == (2, 2)
-        assert small[0, 0] == pytest.approx(plane[:2, :2].mean())
-
     def test_normalize_plane(self, rng):
         plane = rng.uniform(0, 255, size=(16, 16))
         normalized = normalize_plane(plane)
@@ -78,17 +76,23 @@ class TestMseDetector:
         modified[5:15, 5:15] += 80
         assert detector.score_next(modified) > 100.0
 
-    def test_downsampling_variant(self, rng):
-        detector = MseChangeDetector(downsample_factor=2)
-        plane = rng.uniform(0, 255, size=(16, 16))
-        detector.score_next(plane)
-        assert detector.score_next(plane) == pytest.approx(0.0)
-
     def test_score_video_series(self, tiny_video):
         scores = score_video(MseChangeDetector(), tiny_video)
         assert len(scores) == tiny_video.metadata.num_frames
         assert scores[0] == float("inf")
         assert all(score >= 0 for score in scores[1:])
+
+    @pytest.mark.parametrize("detector", [MseChangeDetector(), SiftChangeDetector()],
+                             ids=["mse", "sift"])
+    def test_score_video_resets_the_detector(self, rng, detector):
+        """A detector's stream state never leaks into the next video."""
+        video = RawVideo.from_arrays("clip", [
+            rng.integers(0, 255, size=(40, 40), dtype=np.uint8)
+            for _ in range(4)], fps=10.0)
+        first = score_video(detector, video)
+        detector.score_next(rng.uniform(0, 255, size=(40, 40)))
+        assert score_video(detector, video) == first
+        assert first[0] == float("inf")
 
 
 class TestSift:
@@ -137,10 +141,9 @@ class TestThresholding:
         sampler = ThresholdSampler(threshold=10.0)
         assert sampler.sample([0.0, 1.0, 2.0]) == [0]
 
-    def test_sampler_threshold_and_interval(self):
-        scores = [float("inf"), 0.0, 20.0, 20.0, 0.0, 20.0]
+    def test_sampler_threshold(self):
+        scores = [float("inf"), 0.0, 20.0, 20.0, 0.0, 20.0, float("nan"), 10.0]
         assert ThresholdSampler(10.0).sample(scores) == [0, 2, 3, 5]
-        assert ThresholdSampler(10.0, min_interval=3).sample(scores) == [0, 3]
 
     def test_threshold_for_target_fraction(self):
         scores = [float("inf")] + [float(value) for value in range(1, 100)]
@@ -151,27 +154,23 @@ class TestThresholding:
     @given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                               st.sampled_from([0.0, 1.0, 2.5, 7.0])),
                     min_size=1, max_size=40),
-           st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
-           st.integers(min_value=1, max_value=4))
-    @example([3.0] * 12, 0.5, 1)                       # all-equal scores
-    @example([float("nan")] * 5, 0.4, 1)               # no finite candidate
-    @example([float("inf"), 1.0, 1.0, 2.0, 2.0], 0.6, 1)   # tie between rates
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    @example([3.0] * 12, 0.5)                          # all-equal scores
+    @example([float("nan")] * 5, 0.4)                  # no finite candidate
+    @example([float("inf"), 1.0, 1.0, 2.0, 2.0], 0.6)  # tie between rates
     def test_threshold_search_equals_the_per_candidate_replay(
-            self, scores, fraction, min_interval):
+            self, scores, fraction):
         """One sort + searchsorted picks the threshold the O(n²) loop picked."""
         finite = sorted({float(score) for score in scores if np.isfinite(score)})
         best_threshold, best_error = float("inf"), float("inf")
         for threshold in finite + [float("inf")]:
-            sampler = ThresholdSampler(threshold=threshold,
-                                       min_interval=min_interval)
+            sampler = ThresholdSampler(threshold=threshold)
             error = abs(len(sampler.sample(scores)) / len(scores) - fraction)
             if error < best_error:
                 best_error, best_threshold = error, threshold
-        chosen = threshold_for_sampling_fraction(scores, fraction, min_interval)
+        chosen = threshold_for_sampling_fraction(scores, fraction)
         assert type(chosen) is float
         assert chosen == best_threshold
-        assert ThresholdSampler(chosen, min_interval).sample(scores) == \
-            ThresholdSampler(best_threshold, min_interval).sample(scores)
 
     def test_threshold_search_rejects_an_empty_series(self):
         with pytest.raises(ConfigurationError, match="must not be empty"):
