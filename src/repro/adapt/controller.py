@@ -30,17 +30,20 @@ sessions.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
 
 from ..codec.gop import (DEFAULT_PARAMETERS, EncoderParameters,
                          KeyframePlacer)
 from ..codec.scenecut import FrameActivity
+from ..config import whole_number
+from ..contracts import validate_precision
 from ..core.metrics import evaluate_sampling
 from ..core.tuner import (ParameterLookupTable, RetuneRecord,
                           SemanticEncoderTuner, TuningGrid)
-from ..errors import ServiceError
+from ..errors import ConfigurationError, ServiceError
 from ..faults.stats import RecoveryTrace
 from ..logging_utils import get_logger
 from ..perf import section as perf_section
@@ -83,6 +86,12 @@ class AdaptiveConfig:
         precision: Numeric mode of the re-tune grid search (``"exact"``
             default; ``"fast"`` rides the float32 motion-search path and
             is covered by the differential contract tests).
+
+    Raises:
+        ServiceError: At construction, if a count is not a whole number in
+            range, a threshold or the cooldown is not finite and in range,
+            ``grid`` is not a :class:`TuningGrid`, or ``precision`` is not
+            a known mode.
     """
 
     grid: TuningGrid = field(default_factory=TuningGrid)
@@ -100,15 +109,31 @@ class AdaptiveConfig:
     precision: str = "exact"
 
     def __post_init__(self) -> None:
-        if self.window_chunks < 1:
-            raise ServiceError("window_chunks must be >= 1")
+        # Counts are whole numbers (``confirm_chunks=1.5`` would act as 2)
+        # and every bound is a chained comparison, which ``nan`` fails: a
+        # ``nan`` cooldown or threshold would otherwise switch its check
+        # off.  Everything a session's DriftMonitor builds is checked here,
+        # so a bad config fails before the first push.
+        for name in ("window_chunks", "min_window_chunks", "confirm_chunks"):
+            object.__setattr__(self, name, whole_number(
+                getattr(self, name), name, ServiceError))
         if not 1 <= self.min_window_chunks <= self.window_chunks:
             raise ServiceError(
-                "min_window_chunks must be within [1, window_chunks]")
+                "window_chunks must be >= 1 and min_window_chunks within "
+                "[1, window_chunks]")
         if self.confirm_chunks < 1:
             raise ServiceError("confirm_chunks must be >= 1")
-        if self.cooldown_seconds < 0:
-            raise ServiceError("cooldown_seconds must be >= 0")
+        if not 0 <= self.cooldown_seconds < math.inf:
+            raise ServiceError(f"cooldown_seconds must be finite and >= 0, "
+                               f"got {self.cooldown_seconds!r}")
+        if not isinstance(self.grid, TuningGrid):
+            raise ServiceError(
+                f"grid must be a TuningGrid, got {self.grid!r}")
+        try:
+            validate_precision(self.precision)
+        except ConfigurationError as exc:
+            raise ServiceError(str(exc)) from None
+        _drift_detectors(self)
 
 
 @dataclass(frozen=True)
@@ -149,23 +174,9 @@ class DriftMonitor:
     def __init__(self, config: AdaptiveConfig) -> None:
         self.config = config
         self.current = config.initial_parameters
+        self._tuner: Optional[SemanticEncoderTuner] = None
         self._window: Deque[ChunkScene] = deque(maxlen=config.window_chunks)
-        self._detectors = [
-            WindowedZScoreDetector(
-                "novelty", threshold=config.novelty_threshold,
-                window=config.detector_window,
-                min_samples=config.detector_min_samples,
-                min_std=1e-3),
-            WindowedZScoreDetector(
-                "scenecut-rate", threshold=config.scenecut_rate_threshold,
-                window=config.detector_window,
-                min_samples=config.detector_min_samples,
-                min_std=5e-3),
-            PageHinkleyDetector(
-                "brightness", delta=config.brightness_delta,
-                threshold=config.brightness_threshold,
-                min_samples=config.detector_min_samples),
-        ]
+        self._detectors = _drift_detectors(config)
         self._consecutive = 0
         self._cooldown_until = float("-inf")
 
@@ -195,6 +206,7 @@ class DriftMonitor:
             detector.reset()
         if decision.applied:
             self.current = decision.new
+            self._tuner = None
         return decision
 
     def _fold(self, scene: ChunkScene) -> List[DriftSignal]:
@@ -217,10 +229,13 @@ class DriftMonitor:
             activities.extend(scene.activities)
             frame_labels.extend(scene.frame_labels)
         timeline = EventTimeline.from_frame_labels(frame_labels)
-        tuner = SemanticEncoderTuner(grid=self.config.grid,
-                                     base_parameters=self.current,
-                                     precision=self.config.precision)
-        result = tuner.tune_from_activities(activities, timeline)
+        # The grid around the incumbent is built at its first evaluation and
+        # kept until a retune replaces the incumbent.
+        if self._tuner is None:
+            self._tuner = SemanticEncoderTuner(
+                grid=self.config.grid, base_parameters=self.current,
+                precision=self.config.precision)
+        result = self._tuner.tune_from_activities(activities, timeline)
         incumbent = result.score_of(self.current)
         if incumbent is not None:
             old_f1 = incumbent.score.f1
@@ -241,6 +256,31 @@ class DriftMonitor:
             time=now, trigger=trigger, old=self.current,
             new=winner.parameters, old_f1=old_f1,
             new_f1=winner.score.f1, applied=applied)
+
+
+def _drift_detectors(config: AdaptiveConfig
+                     ) -> List[Union[WindowedZScoreDetector, PageHinkleyDetector]]:
+    """The three detectors of one session, in the order ``_fold`` feeds them.
+
+    Raises:
+        ServiceError: If a detector knob of ``config`` is out of range.
+    """
+    return [
+        WindowedZScoreDetector(
+            "novelty", threshold=config.novelty_threshold,
+            window=config.detector_window,
+            min_samples=config.detector_min_samples,
+            min_std=1e-3),
+        WindowedZScoreDetector(
+            "scenecut-rate", threshold=config.scenecut_rate_threshold,
+            window=config.detector_window,
+            min_samples=config.detector_min_samples,
+            min_std=5e-3),
+        PageHinkleyDetector(
+            "brightness", delta=config.brightness_delta,
+            threshold=config.brightness_threshold,
+            min_samples=config.detector_min_samples),
+    ]
 
 
 class AdaptiveTuningController:

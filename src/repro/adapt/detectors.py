@@ -27,7 +27,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional
 
+from ..config import whole_number
 from ..errors import ServiceError
+
+
+def _count(value, name: str, minimum: int) -> int:
+    """``value`` as a whole number ``>= minimum``, or a :class:`ServiceError`."""
+    count = whole_number(value, name, ServiceError)
+    if count < minimum:
+        raise ServiceError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -76,16 +85,22 @@ class WindowedZScoreDetector:
     def __init__(self, statistic: str, threshold: float = 4.0,
                  window: int = 12, min_samples: int = 4,
                  min_std: float = 1e-3) -> None:
-        if threshold <= 0:
-            raise ServiceError("z-score threshold must be > 0")
-        if window < 2 or min_samples < 2:
-            raise ServiceError("z-score window/min_samples must be >= 2")
-        if min_std <= 0:
-            raise ServiceError("min_std must be > 0")
+        # Chained checks, which nan fails: `z > nan` would never fire.
+        if not 0 < threshold < math.inf:
+            raise ServiceError(
+                f"z-score threshold must be finite and > 0, got {threshold!r}")
+        if not 0 < min_std < math.inf:
+            raise ServiceError(f"min_std must be finite and > 0, got {min_std!r}")
         self.statistic = statistic
         self.threshold = float(threshold)
-        self.window = int(window)
-        self.min_samples = int(min_samples)
+        self.window = _count(window, "z-score window", 2)
+        self.min_samples = _count(min_samples, "z-score min_samples", 2)
+        # The baseline never holds more than ``window`` samples, so a larger
+        # ``min_samples`` would never let the detector fire.
+        if self.min_samples > self.window:
+            raise ServiceError(
+                f"z-score min_samples ({self.min_samples}) must be <= "
+                f"window ({self.window})")
         self.min_std = float(min_std)
         self._baseline: Deque[float] = deque(maxlen=self.window)
 
@@ -135,16 +150,17 @@ class PageHinkleyDetector:
 
     def __init__(self, statistic: str, delta: float = 0.5,
                  threshold: float = 20.0, min_samples: int = 4) -> None:
-        if delta < 0:
-            raise ServiceError("Page-Hinkley delta must be >= 0")
-        if threshold <= 0:
-            raise ServiceError("Page-Hinkley threshold must be > 0")
-        if min_samples < 2:
-            raise ServiceError("Page-Hinkley min_samples must be >= 2")
+        if not 0 <= delta < math.inf:
+            raise ServiceError(
+                f"Page-Hinkley delta must be finite and >= 0, got {delta!r}")
+        if not 0 < threshold < math.inf:
+            raise ServiceError(
+                f"Page-Hinkley threshold must be finite and > 0, "
+                f"got {threshold!r}")
         self.statistic = statistic
         self.delta = float(delta)
         self.threshold = float(threshold)
-        self.min_samples = int(min_samples)
+        self.min_samples = _count(min_samples, "Page-Hinkley min_samples", 2)
         self.reset()
 
     def observe(self, value: float) -> Optional[DriftSignal]:

@@ -22,7 +22,8 @@ sampled frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from itertools import accumulate
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,9 +31,19 @@ from ..errors import ConfigurationError
 from ..video.events import EventTimeline
 
 
-def _validate_samples(sample_indices: Iterable[int],
-                      num_frames: int) -> np.ndarray:
-    """Sorted, de-duplicated ``int64`` frame indices, all in range.
+#: Most elements one scoring table (sample sets x events) may hold; a larger
+#: batch of sets is scored a slice of sets at a time, like the analysis
+#: pass's frame batches.
+_SCORE_TABLE_ELEMENTS = 1 << 17
+
+
+def _validate_sample_sets(sample_sets: Iterable[Iterable[int]], num_frames: int
+                          ) -> Tuple[np.ndarray, List[int], List[int]]:
+    """All sets' frame indices concatenated as ``int64``, with each set's
+    size and its number of distinct frames.
+
+    The checks run once, over the concatenation.  Order and duplicates
+    within a set do not matter to the scorer.
 
     Raises:
         ConfigurationError: If an index is not a whole number (``1.5``,
@@ -40,17 +51,24 @@ def _validate_samples(sample_indices: Iterable[int],
     """
     def malformed() -> ConfigurationError:
         return ConfigurationError(
-            f"sample indices must be a flat sequence of whole frame numbers, "
-            f"got {sample_indices!r}")
+            f"sample indices must be flat sequences of whole frame numbers, "
+            f"got {sample_sets!r}")
 
+    flat: list = []
+    sizes: List[int] = []
+    distinct: List[int] = []
     try:
-        if not isinstance(sample_indices, (np.ndarray, list, tuple)):
-            sample_indices = list(sample_indices)
-        indices = np.asarray(sample_indices)
-    except (TypeError, ValueError):  # not iterable / ragged nesting
+        for samples in sample_sets:
+            before = len(flat)
+            flat.extend(samples)
+            sizes.append(len(flat) - before)
+            # Whole floats hash as their ints, so this counts frames.
+            distinct.append(len(set(flat[before:])))
+        indices = np.array(flat)
+    except (TypeError, ValueError, OverflowError):  # not iterable / ragged
         raise malformed() from None
     if indices.size == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), sizes, distinct
     kind = indices.dtype.kind
     if indices.ndim != 1 or kind not in "biuf":
         raise malformed()
@@ -58,60 +76,61 @@ def _validate_samples(sample_indices: Iterable[int],
     if kind == "f" and not (np.isfinite(indices).all()
                             and (indices == np.floor(indices)).all()):
         raise malformed()
-    indices = np.unique(indices.astype(np.int64))
-    if indices[0] < 0 or indices[-1] >= num_frames:
+    indices = indices.astype(np.int64)
+    low = int(np.minimum.reduce(indices))
+    high = int(np.maximum.reduce(indices))
+    if low < 0 or high >= num_frames:
         raise ConfigurationError(
-            f"sample indices must lie in [0, {num_frames}), got "
-            f"{indices[0]}..{indices[-1]}")
-    return indices
+            f"sample indices must lie in [0, {num_frames}), got {low}..{high}")
+    return indices, sizes, distinct
 
 
-def _propagated_ids(timeline: EventTimeline, indices: np.ndarray) -> np.ndarray:
-    """Per-frame label id under propagation from validated ``indices``.
+def _frame_counts(timeline: EventTimeline, frames: np.ndarray,
+                  sizes: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Per sample set: correctly propagated frames and Section-IV wrong frames.
 
-    Every frame takes the id of the most recent sample at or before it
-    (``searchsorted`` finds that sample for all frames at once); frames
-    before the first sample take id 0, the background.
-    """
-    frame_ids = timeline.arrays().frame_ids
-    sampled_ids = np.concatenate(([0], frame_ids[indices]))
-    latest = np.searchsorted(indices, np.arange(timeline.num_frames),
-                             side="right")
-    return sampled_ids[latest]
+    ``frames`` holds the sets' samples one set after another, ``sizes[i]``
+    of them for set ``i``.  Keyed ``set * num_frames + frame`` and sorted,
+    every set's samples form one run of a single array, and one
+    ``searchsorted`` fills a sets x events table of each set's first sample
+    at or after every event start and of its latest sample before it.
+    Within an event, the frames up to the first sample inside it carry the
+    label of that latest sample (the background when there is none); every
+    later frame carries the event's own label.  So per set:
 
-
-def _first_sample_offsets(timeline: EventTimeline, indices: np.ndarray):
-    """Per event: is any validated sample inside it, and how late is the first.
-
-    Returns ``(inside, offsets)``; ``offsets`` is meaningful where
-    ``inside`` holds.
+    * Section-IV wrong frames = the sum of the events' start offsets (an
+      event with no sample inside counts all its frames);
+    * correctly propagated frames = all frames minus the offsets of the
+      events whose carried-in label differs from their own.
     """
     arrays = timeline.arrays()
-    # One sentinel past the last frame keeps the lookup valid for events
-    # that start after the last sample (and reads as "not inside").
-    padded = np.append(indices, timeline.num_frames)
-    first = padded[np.searchsorted(indices, arrays.starts, side="left")]
-    return first < arrays.ends, first - arrays.starts
-
-
-def _propagation_accuracy(timeline: EventTimeline, indices: np.ndarray) -> float:
-    correct = np.count_nonzero(
-        _propagated_ids(timeline, indices) == timeline.arrays().frame_ids)
-    return int(correct) / timeline.num_frames
-
-
-def _event_start_accuracy(timeline: EventTimeline, indices: np.ndarray) -> float:
-    arrays = timeline.arrays()
-    inside, offsets = _first_sample_offsets(timeline, indices)
-    wrong = np.where(inside, offsets, arrays.ends - arrays.starts).sum()
-    return 1.0 - int(wrong) / timeline.num_frames
+    num_frames = timeline.num_frames
+    origins = np.arange(len(sizes), dtype=np.int64) * num_frames
+    keys = np.repeat(origins, sizes) + frames
+    keys.sort()
+    origins = origins[:, None]
+    starts = origins + arrays.starts
+    # A -1 in front reads as "no earlier sample"; the sentinel behind as
+    # "no later one".
+    padded = np.concatenate(([-1], keys, [len(sizes) * num_frames]))
+    position = np.searchsorted(keys, starts)
+    first = padded[position + 1]
+    offsets = np.where(first < origins + arrays.ends, first - starts,
+                       arrays.ends - arrays.starts)
+    # A latest sample in an earlier set clamps to -1, which reads the
+    # appended 0: the background.
+    carried = np.concatenate((arrays.frame_ids, [0]))[
+        np.maximum(padded[position] - origins, -1)]
+    mismatched = carried != arrays.frame_ids[arrays.starts]
+    wrong = np.add.reduce(offsets, axis=1)
+    correct = num_frames - np.add.reduce(offsets * mismatched, axis=1)
+    return correct.tolist(), wrong.tolist()
 
 
 def propagation_accuracy(timeline: EventTimeline,
                          sample_indices: Sequence[int]) -> float:
     """Per-frame label accuracy under label propagation from sampled frames."""
-    return _propagation_accuracy(
-        timeline, _validate_samples(sample_indices, timeline.num_frames))
+    return evaluate_sampling(timeline, sample_indices).accuracy
 
 
 def event_start_accuracy(timeline: EventTimeline,
@@ -123,8 +142,7 @@ def event_start_accuracy(timeline: EventTimeline,
     sampled frame inside the event (or the whole event, if it contains no
     sample) are counted as wrong.
     """
-    return _event_start_accuracy(
-        timeline, _validate_samples(sample_indices, timeline.num_frames))
+    return evaluate_sampling(timeline, sample_indices).event_accuracy
 
 
 def f1_score(accuracy: float, filtering: float) -> float:
@@ -171,9 +189,61 @@ class DetectionScore:
         }
 
 
+def evaluate_sample_sets(timeline: EventTimeline,
+                         sample_sets: Iterable[Iterable[int]]
+                         ) -> List[DetectionScore]:
+    """Score many sets of sampled frame indices against one ground truth.
+
+    All sets are validated at once and scored in one array program: a
+    sets x events table of each set's first sample in every event, and of
+    the label it carries into the event, counts the correctly propagated
+    frames and the event-start offsets per set.  The floats are the same
+    integer-count divisions, and the same :func:`f1_score`, as scoring the
+    sets one by one, so every score is *equal* to that.
+
+    Args:
+        timeline: Ground-truth event timeline.
+        sample_sets: Sets of sampled frame indices, in any order and with
+            duplicates allowed (for SiEVE, one I-frame placement per
+            encoder configuration; for the baselines, one threshold each).
+
+    Returns:
+        One :class:`DetectionScore` per set, in input order.
+
+    Raises:
+        ConfigurationError: If any index is not a whole frame number or
+            lies outside the timeline.
+    """
+    num_frames = timeline.num_frames
+    frames, sizes, distinct = _validate_sample_sets(sample_sets, num_frames)
+    bounds = [0, *accumulate(sizes)]
+    per_pass = max(_SCORE_TABLE_ELEMENTS // timeline.num_events, 1)
+    correct: List[int] = []
+    wrong: List[int] = []
+    for lo in range(0, len(sizes), per_pass):
+        hi = min(lo + per_pass, len(sizes))
+        counts = _frame_counts(timeline, frames[bounds[lo]:bounds[hi]],
+                               sizes[lo:hi])
+        correct += counts[0]
+        wrong += counts[1]
+    scores = []
+    for right, missed, samples in zip(correct, wrong, distinct):
+        accuracy = right / num_frames
+        fraction = samples / num_frames
+        filtering = 1.0 - fraction
+        scores.append(DetectionScore(
+            accuracy=accuracy, event_accuracy=1.0 - missed / num_frames,
+            sampling_fraction=fraction, filtering_rate=filtering,
+            f1=f1_score(accuracy, filtering), num_samples=samples,
+            num_frames=num_frames))
+    return scores
+
+
 def evaluate_sampling(timeline: EventTimeline,
                       sample_indices: Sequence[int]) -> DetectionScore:
     """Score a set of sampled frame indices against the ground truth.
+
+    The one-set form of :func:`evaluate_sample_sets`.
 
     Args:
         timeline: Ground-truth event timeline.
@@ -184,17 +254,4 @@ def evaluate_sampling(timeline: EventTimeline,
     Returns:
         The full :class:`DetectionScore`.
     """
-    indices = _validate_samples(sample_indices, timeline.num_frames)
-    accuracy = _propagation_accuracy(timeline, indices)
-    event_acc = _event_start_accuracy(timeline, indices)
-    fraction = len(indices) / timeline.num_frames
-    filtering = 1.0 - fraction
-    return DetectionScore(
-        accuracy=accuracy,
-        event_accuracy=event_acc,
-        sampling_fraction=fraction,
-        filtering_rate=filtering,
-        f1=f1_score(accuracy, filtering),
-        num_samples=len(indices),
-        num_frames=timeline.num_frames,
-    )
+    return evaluate_sample_sets(timeline, (sample_indices,))[0]

@@ -52,7 +52,7 @@ from ..video.frame import Resolution
 from ..vision.mse import MseChangeDetector
 from ..vision.similarity import ThresholdSampler, score_video
 from .deployment import ALL_DEPLOYMENT_MODES, DeploymentMode
-from .metrics import evaluate_sampling
+from .metrics import evaluate_sample_sets, evaluate_sampling
 from .tuner import SemanticEncoderTuner, TuningGrid
 
 _LOGGER = get_logger(__name__)
@@ -284,11 +284,12 @@ def _mse_samples_for_f1(scores: Sequence[float], timeline: EventTimeline,
     """Pick the MSE threshold whose F1 score is closest to ``target_f1``."""
     finite = sorted({float(score) for score in scores if score != float("inf")})
     candidates = finite[:: max(len(finite) // 64, 1)] + [float("inf")]
+    placements = [ThresholdSampler(threshold).sample(scores)
+                  for threshold in candidates]
     best_samples: List[int] = [0]
     best_gap = float("inf")
-    for threshold in candidates:
-        samples = ThresholdSampler(threshold).sample(scores)
-        score = evaluate_sampling(timeline, samples)
+    for samples, score in zip(placements,
+                              evaluate_sample_sets(timeline, placements)):
         gap = abs(score.f1 - target_f1)
         if gap < best_gap:
             best_gap = gap

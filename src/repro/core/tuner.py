@@ -20,22 +20,25 @@ is an array program: the analysis columns are extracted once per search,
 the positions where the scene cut fires once per distinct scenecut value
 (``l`` times, not ``k*l``), and each configuration's I-frames then follow in
 closed form (:meth:`repro.codec.gop.ActivityColumns.keyframe_indices`).
+All ``k*l`` placements are scored against the timeline in one call
+(:func:`repro.core.metrics.evaluate_sample_sets`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..codec.encoder import VideoEncoder
 from ..codec.gop import ActivityColumns, EncoderParameters
 from ..codec.scenecut import FrameActivity
 from ..contracts import validate_precision
-from ..errors import TuningError
+from ..errors import ConfigurationError, TuningError
 from ..logging_utils import get_logger
 from ..video.events import EventTimeline
 from ..video.raw_video import VideoSource
-from .metrics import DetectionScore, evaluate_sampling
+from .metrics import DetectionScore, evaluate_sample_sets
 
 _LOGGER = get_logger(__name__)
 
@@ -57,8 +60,21 @@ class TuningGrid:
     scenecut_thresholds: Tuple[float, ...] = DEFAULT_SCENECUT_GRID
 
     def __post_init__(self) -> None:
-        if not self.gop_sizes or not self.scenecut_thresholds:
+        # Every point must be one the encoder takes, so a bad grid fails
+        # here rather than at the first retune that walks it.  Sequences
+        # become tuples, which keeps the grid hashable.
+        try:
+            gop_sizes = tuple(EncoderParameters(gop_size=gop).gop_size
+                              for gop in self.gop_sizes)
+            scenecuts = tuple(self.scenecut_thresholds)
+            for scenecut in scenecuts:
+                EncoderParameters(scenecut_threshold=scenecut)
+        except (ConfigurationError, TypeError) as exc:
+            raise TuningError(f"invalid tuning grid point: {exc}") from None
+        if not gop_sizes or not scenecuts:
             raise TuningError("the tuning grid must not be empty")
+        object.__setattr__(self, "gop_sizes", gop_sizes)
+        object.__setattr__(self, "scenecut_thresholds", scenecuts)
 
     @property
     def num_configurations(self) -> int:
@@ -149,6 +165,10 @@ class TuningResult:
 class SemanticEncoderTuner:
     """Grid-search tuner for the semantic video encoder.
 
+    The grid's configurations are built once, with the tuner, so a tuner
+    kept across searches (the online controller keeps one per incumbent)
+    pays for them once.
+
     Args:
         grid: The (GOP, scenecut) grid to explore.
         base_parameters: Template providing the non-tuned parameters
@@ -163,6 +183,7 @@ class SemanticEncoderTuner:
         self.grid = grid or TuningGrid()
         self.base_parameters = base_parameters or EncoderParameters()
         self.precision = validate_precision(precision)
+        self._configurations = self.grid.configurations(self.base_parameters)
 
     # ------------------------------------------------------------------ #
     # Grid search
@@ -192,16 +213,15 @@ class SemanticEncoderTuner:
                 f"analysis pass covers {len(activities)} frames but the timeline "
                 f"has {timeline.num_frames}")
         columns = ActivityColumns(activities)
-        results: List[ConfigurationResult] = []
-        for parameters in self.grid.configurations(self.base_parameters):
-            keyframes = columns.keyframe_indices(parameters)
-            score = evaluate_sampling(timeline, keyframes)
-            results.append(ConfigurationResult(parameters=parameters, score=score,
-                                               keyframe_indices=tuple(keyframes)))
+        placements = [columns.keyframe_indices(parameters)
+                      for parameters in self._configurations]
+        scores = evaluate_sample_sets(timeline, placements)
+        results = list(map(ConfigurationResult, self._configurations, scores,
+                           map(tuple, placements)))
         # `max` keeps the first maximum, so F1 ties resolve to the first
         # configuration in grid order — the documented tie-break contract
         # (see TuningResult).
-        best = max(results, key=lambda result: result.score.f1)
+        best = max(results, key=attrgetter("score.f1"))
         _LOGGER.debug("tuned %s: best %s (F1=%.3f, acc=%.3f, SS=%.4f)",
                       camera_name or "camera", best.parameters.describe(),
                       best.score.f1, best.score.accuracy,

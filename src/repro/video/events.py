@@ -24,8 +24,17 @@ NO_LABEL: LabelSet = frozenset()
 
 
 def as_label_set(labels: Iterable[str]) -> LabelSet:
-    """Normalise an iterable of labels into a canonical frozen set."""
-    return frozenset(str(label) for label in labels)
+    """Normalise an iterable of labels into a canonical frozen set.
+
+    Raises:
+        ConfigurationError: If ``labels`` is a bare string, which would
+            otherwise split into one label per character.
+    """
+    if isinstance(labels, str):
+        raise ConfigurationError(
+            f"a label set must be a collection of labels, not the string "
+            f"{labels!r} (write [{labels!r}])")
+    return frozenset(map(str, labels))
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,11 @@ class EventTimeline:
     def from_frame_labels(cls, frame_labels: Sequence[Iterable[str]]) -> "EventTimeline":
         """Build a timeline from per-frame label sets.
 
+        A frame's entry is normalised only where it differs from the
+        frame before it: an entry equal to its predecessor holds the same
+        labels, so a timeline of ``n`` frames and a few events normalises a
+        few label sets, not ``n``.
+
         Args:
             frame_labels: One iterable of labels per frame.
 
@@ -139,10 +153,15 @@ class EventTimeline:
         if not frame_labels:
             raise ConfigurationError("frame_labels must not be empty")
         events: List[Event] = []
-        current = as_label_set(frame_labels[0])
+        previous = frame_labels[0]
+        current = as_label_set(previous)
         start = 0
         for index in range(1, len(frame_labels)):
-            labels = as_label_set(frame_labels[index])
+            raw = frame_labels[index]
+            if raw == previous:
+                continue
+            previous = raw
+            labels = as_label_set(raw)
             if labels != current:
                 events.append(Event(start, index, current))
                 start = index

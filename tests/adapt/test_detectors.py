@@ -1,5 +1,7 @@
 """Unit tests of the sequential drift detectors (pure, no rendering)."""
 
+import math
+
 import pytest
 
 from repro.adapt import (DriftSignal, PageHinkleyDetector,
@@ -83,6 +85,15 @@ class TestWindowedZScore:
         with pytest.raises(ServiceError):
             WindowedZScoreDetector("x", min_std=0.0)
 
+    @pytest.mark.parametrize("knobs", [
+        {"threshold": math.nan}, {"threshold": math.inf},
+        {"min_std": math.nan}, {"window": 12.5}, {"min_samples": 3.5},
+        {"min_samples": math.nan}, {"window": 4, "min_samples": 5},
+    ])
+    def test_nan_fractions_and_unreachable_minimums_are_refused(self, knobs):
+        with pytest.raises(ServiceError):
+            WindowedZScoreDetector("x", **knobs)
+
 
 class TestPageHinkley:
     def test_steady_signal_never_fires(self):
@@ -141,6 +152,14 @@ class TestPageHinkley:
             PageHinkleyDetector("x", threshold=0.0)
         with pytest.raises(ServiceError):
             PageHinkleyDetector("x", min_samples=1)
+
+    @pytest.mark.parametrize("knobs", [
+        {"delta": math.nan}, {"threshold": math.nan},
+        {"threshold": math.inf}, {"min_samples": 2.5},
+    ])
+    def test_nan_and_fractions_are_refused(self, knobs):
+        with pytest.raises(ServiceError):
+            PageHinkleyDetector("x", **knobs)
 
 
 class TestDriftSignal:

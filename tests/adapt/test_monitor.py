@@ -1,6 +1,7 @@
 """DriftMonitor: hysteresis, cooldown, determinism, tie no-ops."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -8,7 +9,8 @@ from repro.adapt import (AdaptiveConfig, ChunkScene, DriftMonitor, SceneStats,
                          retune_history)
 from repro.codec.gop import EncoderParameters
 from repro.codec.scenecut import FrameActivity
-from repro.errors import ServiceError
+from repro.core.tuner import TuningGrid
+from repro.errors import ServiceError, TuningError
 from repro.perf import get_recorder
 
 #: Matches the conftest chunking: one chunk per 2 virtual seconds.
@@ -40,6 +42,48 @@ class TestAdaptiveConfig:
             AdaptiveConfig(confirm_chunks=0)
         with pytest.raises(ServiceError):
             AdaptiveConfig(cooldown_seconds=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        # nan passes `< 0` / `<= 0` checks and then disables what it bounds:
+        # `now < nan` never holds, `z > nan` never fires.
+        ("cooldown_seconds", math.nan),
+        ("cooldown_seconds", math.inf),
+        ("novelty_threshold", math.nan),
+        ("scenecut_rate_threshold", math.nan),
+        ("brightness_threshold", math.nan),
+        ("brightness_delta", math.nan),
+        ("novelty_threshold", math.inf),
+        # Fractional counts used to act as the next whole number.
+        ("confirm_chunks", 1.5),
+        ("window_chunks", 8.5),
+        ("min_window_chunks", 2.5),
+        ("detector_window", 12.5),
+        # These used to raise a bare ValueError, or only once a session's
+        # monitor was built.
+        ("detector_min_samples", math.nan),
+        ("detector_min_samples", "4"),
+        ("brightness_threshold", -1.0),
+        ("detector_window", 0),
+        # A z-score baseline never holds more than `detector_window`
+        # samples, so this detector could never fire.
+        ("detector_min_samples", 13),
+        ("precision", "turbo"),
+        ("grid", ((100,), (40.0,))),
+    ])
+    def test_bad_knobs_fail_at_construction(self, field, value):
+        with pytest.raises(ServiceError):
+            AdaptiveConfig(**{field: value})
+
+    def test_whole_valued_counts_become_ints(self):
+        config = AdaptiveConfig(window_chunks=8.0, confirm_chunks=2.0,
+                                detector_window=12.0)
+        assert config.window_chunks == 8 and type(config.window_chunks) is int
+        assert type(config.confirm_chunks) is int
+        assert DriftMonitor(config)._detectors[0].window == 12
+
+    def test_grid_points_no_encoder_takes_fail_before_the_first_push(self):
+        with pytest.raises(TuningError):
+            AdaptiveConfig(grid=TuningGrid(gop_sizes=(0,)))
 
 
 class TestHysteresisAndCooldown:

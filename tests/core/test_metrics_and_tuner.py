@@ -1,5 +1,7 @@
 """Tests for the event-detection metrics and the offline tuner."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,6 +92,30 @@ class TestTuner:
         assert len(grid.configurations()) == 25
         with pytest.raises(TuningError):
             TuningGrid(gop_sizes=())
+
+    @pytest.mark.parametrize("axes", [
+        {"gop_sizes": (0,)}, {"gop_sizes": (100.5,)}, {"gop_sizes": (-5,)},
+        {"gop_sizes": (math.nan,)}, {"gop_sizes": ("100",)},
+        {"gop_sizes": 100}, {"gop_sizes": (100, None)},
+        {"scenecut_thresholds": (math.nan,)},
+        {"scenecut_thresholds": (-1.0,)}, {"scenecut_thresholds": (401.0,)},
+        {"scenecut_thresholds": ("40",)}, {"scenecut_thresholds": ()},
+    ])
+    def test_grid_points_no_encoder_takes_fail_at_construction(self, axes):
+        """These used to construct and fail only when a search walked them."""
+        with pytest.raises(TuningError):
+            TuningGrid(**axes)
+
+    def test_sequences_become_tuples_and_the_grid_hashes(self):
+        grid = TuningGrid(gop_sizes=[100, 250.0],
+                          scenecut_thresholds=[20.0, 40.0])
+        assert grid.gop_sizes == (100, 250)
+        assert type(grid.gop_sizes[1]) is int
+        assert grid.scenecut_thresholds == (20.0, 40.0)
+        assert hash(grid) == hash(TuningGrid(gop_sizes=(100, 250),
+                                             scenecut_thresholds=(20.0, 40.0)))
+        assert grid.configurations() == TuningGrid(
+            (100, 250), (20.0, 40.0)).configurations()
 
     def test_tune_finds_high_f1_configuration(self, tiny_video, tiny_timeline):
         tuner = SemanticEncoderTuner()

@@ -1,23 +1,33 @@
-"""Array-at-a-time scoring against the per-frame loop it replaced.
+"""Array-at-a-time scoring against the per-set and per-frame code it replaced.
 
-The functions prefixed ``loop_`` are the implementation ``core/metrics.py``
-carried before scoring became ``searchsorted`` label propagation over the
-timeline's cached integer label ids.  They live here as the oracle: the
-divisions are the same integer-count divisions, so every float — and
-therefore every F1 tie the tuner and the retune controller break — must be
-*equal*, not approximately equal.
+Two oracles live here.  The functions prefixed ``loop_`` are the
+implementation ``core/metrics.py`` carried before scoring became
+``searchsorted`` label propagation over the timeline's cached integer label
+ids.  The functions prefixed ``per_set_`` are that ``searchsorted`` body,
+which scored one sample set per call before ``evaluate_sample_sets`` scored
+a whole batch in one sets x events table.  The divisions are the same
+integer-count divisions throughout, so every float — and therefore every
+F1 tie the tuner and the retune controller break — must be *equal*, not
+approximately equal.  ``loop_tune_from_activities`` is the tuner's
+per-configuration loop, the oracle of the batched grid search.
 """
 
 import math
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.metrics import (DetectionScore, evaluate_sampling,
-                                event_start_accuracy, f1_score,
-                                propagation_accuracy)
+from repro.codec.gop import ActivityColumns
+from repro.codec.scenecut import FrameActivity
+from repro.core import metrics
+from repro.core.metrics import (DetectionScore, evaluate_sample_sets,
+                                evaluate_sampling, event_start_accuracy,
+                                f1_score, propagation_accuracy)
+from repro.core.tuner import (ConfigurationResult, SemanticEncoderTuner,
+                              TuningGrid, TuningResult)
 from repro.errors import ConfigurationError
 from repro.video.events import NO_LABEL, EventTimeline
 
@@ -70,6 +80,75 @@ def loop_evaluate_sampling(timeline, sample_indices):
         sampling_fraction=fraction, filtering_rate=filtering,
         f1=f1_score(accuracy, filtering), num_samples=len(indices),
         num_frames=timeline.num_frames)
+
+
+# --------------------------------------------------------------------- #
+# The per-set oracle: one sample set per call, searchsorted propagation
+# --------------------------------------------------------------------- #
+def per_set_validate_samples(sample_indices, num_frames):
+    def malformed():
+        return ConfigurationError(
+            f"sample indices must be a flat sequence of whole frame numbers, "
+            f"got {sample_indices!r}")
+
+    try:
+        if not isinstance(sample_indices, (np.ndarray, list, tuple)):
+            sample_indices = list(sample_indices)
+        indices = np.asarray(sample_indices)
+    except (TypeError, ValueError):
+        raise malformed() from None
+    if indices.size == 0:
+        return np.empty(0, dtype=np.int64)
+    kind = indices.dtype.kind
+    if indices.ndim != 1 or kind not in "biuf":
+        raise malformed()
+    if kind == "f" and not (np.isfinite(indices).all()
+                            and (indices == np.floor(indices)).all()):
+        raise malformed()
+    indices = np.unique(indices.astype(np.int64))
+    if indices[0] < 0 or indices[-1] >= num_frames:
+        raise ConfigurationError(
+            f"sample indices must lie in [0, {num_frames}), got "
+            f"{indices[0]}..{indices[-1]}")
+    return indices
+
+
+def per_set_evaluate_sampling(timeline, sample_indices):
+    indices = per_set_validate_samples(sample_indices, timeline.num_frames)
+    arrays = timeline.arrays()
+    # Every frame takes the id of the most recent sample at or before it;
+    # frames before the first sample take id 0, the background.
+    sampled_ids = np.concatenate(([0], arrays.frame_ids[indices]))
+    latest = np.searchsorted(indices, np.arange(timeline.num_frames),
+                             side="right")
+    correct = np.count_nonzero(sampled_ids[latest] == arrays.frame_ids)
+    accuracy = int(correct) / timeline.num_frames
+    padded = np.append(indices, timeline.num_frames)
+    first = padded[np.searchsorted(indices, arrays.starts, side="left")]
+    wrong = np.where(first < arrays.ends, first - arrays.starts,
+                     arrays.ends - arrays.starts).sum()
+    event_accuracy = 1.0 - int(wrong) / timeline.num_frames
+    fraction = len(indices) / timeline.num_frames
+    filtering = 1.0 - fraction
+    return DetectionScore(
+        accuracy=accuracy, event_accuracy=event_accuracy,
+        sampling_fraction=fraction, filtering_rate=filtering,
+        f1=f1_score(accuracy, filtering), num_samples=len(indices),
+        num_frames=timeline.num_frames)
+
+
+def loop_tune_from_activities(tuner, activities, timeline):
+    """The grid search one configuration at a time, scored by the oracle."""
+    columns = ActivityColumns(activities)
+    results = []
+    for parameters in tuner.grid.configurations(tuner.base_parameters):
+        keyframes = columns.keyframe_indices(parameters)
+        results.append(ConfigurationResult(
+            parameters=parameters,
+            score=per_set_evaluate_sampling(timeline, keyframes),
+            keyframe_indices=tuple(keyframes)))
+    best = max(results, key=lambda result: result.score.f1)
+    return TuningResult(best=best, results=results)
 
 
 # --------------------------------------------------------------------- #
@@ -157,3 +236,166 @@ class TestSampleIndexValidation:
                          event_start_accuracy):
             with pytest.raises(ConfigurationError, match="whole"):
                 function(timeline, [0, 1.5])
+
+
+# --------------------------------------------------------------------- #
+# Batched scoring == the per-set oracle
+# --------------------------------------------------------------------- #
+@st.composite
+def _timeline_and_sample_sets(draw):
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(LABEL_SETS), st.integers(1, 12)),
+        min_size=1, max_size=12))
+    frame_labels = [labels for labels, length in runs for _ in range(length)]
+    timeline = EventTimeline.from_frame_labels(frame_labels)
+    # Sets come unsorted, with duplicates, and some empty.
+    sample_sets = draw(st.lists(
+        st.lists(st.integers(0, timeline.num_frames - 1), max_size=30),
+        max_size=12))
+    # A table budget of a few rows puts set boundaries across passes.
+    events = timeline.num_events
+    budget = draw(st.sampled_from(
+        [metrics._SCORE_TABLE_ELEMENTS, 1, events, 2 * events + 1,
+         5 * events - 1]))
+    return timeline, sample_sets, budget
+
+
+class TestBatchedScoringEqualsThePerSetOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_timeline_and_sample_sets())
+    def test_every_field_of_every_set_is_equal(self, case):
+        timeline, sample_sets, budget = case
+        with mock.patch.object(metrics, "_SCORE_TABLE_ELEMENTS", budget):
+            scores = evaluate_sample_sets(timeline, sample_sets)
+        assert len(scores) == len(sample_sets)
+        for score, samples in zip(scores, sample_sets):
+            oracle = per_set_evaluate_sampling(timeline, samples)
+            assert astuple(score) == astuple(oracle)
+            assert [type(value) for value in astuple(score)] == \
+                [type(value) for value in astuple(oracle)]
+            assert evaluate_sampling(timeline, samples) == oracle
+
+    def test_no_sets_is_no_scores(self):
+        assert evaluate_sample_sets(make_timeline(), []) == []
+        assert evaluate_sample_sets(make_timeline(), iter(())) == []
+
+    def test_sets_that_straddle_a_pass_boundary(self):
+        timeline = make_timeline()
+        sample_sets = [[0], [29, 3, 3], [], [10, 20], list(range(30))]
+        # Two sets a pass: passes of (0, 1), (2, 3), (4,).
+        with mock.patch.object(metrics, "_SCORE_TABLE_ELEMENTS",
+                               2 * timeline.num_events):
+            scores = evaluate_sample_sets(timeline, sample_sets)
+        assert scores == [per_set_evaluate_sampling(timeline, samples)
+                          for samples in sample_sets]
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [[math.nan], [1.5], [-1], [30], ["x"],
+                                     None, [[0, 1]]])
+    def test_one_bad_set_fails_the_batch_with_the_typed_error(self, position,
+                                                              bad):
+        sample_sets = [[0, 10], [20]]
+        sample_sets.insert(position, bad)
+        with pytest.raises(ConfigurationError):
+            evaluate_sample_sets(make_timeline(), sample_sets)
+        with pytest.raises(ConfigurationError):
+            per_set_evaluate_sampling(make_timeline(), bad)
+
+    def test_mixed_containers_in_one_batch(self):
+        timeline = make_timeline()
+        sample_sets = [np.array([20, 0]), (12.0, 12), {5, 25}, iter([3]),
+                       range(0, 30, 7)]
+        expected = [per_set_evaluate_sampling(timeline, list(samples))
+                    for samples in ([20, 0], [12], [5, 25], [3],
+                                    range(0, 30, 7))]
+        assert evaluate_sample_sets(timeline, sample_sets) == expected
+
+
+# --------------------------------------------------------------------- #
+# The batched grid search == the per-configuration loop
+# --------------------------------------------------------------------- #
+@st.composite
+def _tuning_case(draw):
+    num_frames = draw(st.integers(2, 150))
+    # Few distinct novelty levels, so many configurations place the same
+    # I-frames and tie exactly on F1.
+    novelty = draw(st.lists(st.sampled_from([0.0, 0.004, 0.02, 0.08, 0.3, 1.0]),
+                            min_size=num_frames, max_size=num_frames))
+    firsts = draw(st.sets(st.integers(1, num_frames - 1), max_size=3))
+    activities = [FrameActivity(
+        frame_index=index, inter_cost=10.0, intra_cost=100.0,
+        novel_block_fraction=1.0 if index == 0 else value,
+        moving_block_fraction=0.0, is_first=index == 0 or index in firsts)
+        for index, value in enumerate(novelty)]
+    cuts = sorted(draw(st.sets(st.integers(1, num_frames - 1), max_size=6)))
+    bounds = [0] + cuts + [num_frames]
+    labels = draw(st.lists(st.sampled_from(LABEL_SETS),
+                           min_size=len(bounds) - 1,
+                           max_size=len(bounds) - 1))
+    frame_labels = [label for label, lo, hi in zip(labels, bounds, bounds[1:])
+                    for _ in range(hi - lo)]
+    grid = TuningGrid(
+        gop_sizes=draw(st.lists(st.sampled_from([1, 2, 5, 10, 30, 100, 250]),
+                                min_size=1, max_size=4)),
+        scenecut_thresholds=draw(st.lists(
+            st.sampled_from([0.0, 20.0, 40.0, 100.0, 250.0, 400.0]),
+            min_size=1, max_size=4)))
+    return activities, EventTimeline.from_frame_labels(frame_labels), grid
+
+
+def _position(results, chosen):
+    return next(index for index, result in enumerate(results)
+                if result is chosen)
+
+
+class TestTunerEqualsThePerConfigurationLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(_tuning_case())
+    def test_results_best_and_tie_break(self, case):
+        activities, timeline, grid = case
+        tuner = SemanticEncoderTuner(grid)
+        result = tuner.tune_from_activities(activities, timeline)
+        oracle = loop_tune_from_activities(tuner, activities, timeline)
+        assert result.results == oracle.results
+        assert [astuple(r.score) for r in result.results] == \
+            [astuple(r.score) for r in oracle.results]
+        # The same *position* wins: the first F1 maximum in grid order.
+        assert _position(result.results, result.best) == \
+            _position(oracle.results, oracle.best)
+        assert result.leaderboard(len(result.results)) == \
+            oracle.leaderboard(len(oracle.results))
+
+    def test_exact_ties_resolve_to_the_first_in_grid_order(self):
+        # Duplicated grid points and a flat clip: every cell places frame 0
+        # alone and ties exactly, so the first cell must win.
+        activities = [FrameActivity(
+            frame_index=index, inter_cost=0.0, intra_cost=100.0,
+            novel_block_fraction=1.0 if index == 0 else 0.0,
+            moving_block_fraction=0.0, is_first=index == 0)
+            for index in range(40)]
+        timeline = EventTimeline.from_frame_labels([set()] * 40)
+        tuner = SemanticEncoderTuner(TuningGrid(gop_sizes=(250, 100, 250),
+                                                scenecut_thresholds=(40, 20)))
+        result = tuner.tune_from_activities(activities, timeline)
+        oracle = loop_tune_from_activities(tuner, activities, timeline)
+        assert len({r.score.f1 for r in result.results}) == 1
+        assert result.best is result.results[0]
+        assert _position(oracle.results, oracle.best) == 0
+        assert result.results == oracle.results
+
+    def test_a_kept_tuner_searches_again_with_the_same_answer(self):
+        activities, timeline, grid = (
+            [FrameActivity(frame_index=index, inter_cost=10.0,
+                           intra_cost=100.0,
+                           novel_block_fraction=0.3 if index % 17 == 0
+                           else 0.0, moving_block_fraction=0.0,
+                           is_first=index == 0) for index in range(120)],
+            EventTimeline.from_frame_labels(
+                [set()] * 34 + [{"car"}] * 40 + [set()] * 46),
+            TuningGrid())
+        tuner = SemanticEncoderTuner(grid)
+        first = tuner.tune_from_activities(activities, timeline)
+        second = tuner.tune_from_activities(activities, timeline)
+        assert first.results == second.results
+        assert first.results == loop_tune_from_activities(
+            tuner, activities, timeline).results

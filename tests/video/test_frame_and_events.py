@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.video import (Event, EventTimeline, Frame, FrameType, NO_LABEL, Resolution,
@@ -69,6 +69,15 @@ class TestEvent:
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
             Event(5, 5)
+
+    def test_a_bare_string_is_not_split_into_characters(self):
+        """``Event(0, 1, "car")`` used to carry the labels {a, c, r}."""
+        with pytest.raises(ConfigurationError, match="string 'car'"):
+            Event(0, 1, "car")
+        with pytest.raises(ConfigurationError):
+            as_label_set("car")
+        assert as_label_set(["car"]) == frozenset({"car"})
+        assert as_label_set(("car", "bus", "car")) == frozenset({"car", "bus"})
 
 
 class TestEventTimeline:
@@ -138,3 +147,68 @@ class TestEventTimeline:
         for earlier, later in zip(events, events[1:]):
             assert earlier.end_frame == later.start_frame
             assert earlier.labels != later.labels
+
+    def test_bare_string_frame_entries_are_refused(self):
+        """``["car", "car", "bus"]`` used to yield the events {a, c, r} and
+        {b, s, u}."""
+        with pytest.raises(ConfigurationError, match="string 'car'"):
+            EventTimeline.from_frame_labels(["car", "car", "bus"])
+        with pytest.raises(ConfigurationError, match="string 'bus'"):
+            EventTimeline.from_frame_labels([["car"], ["car"], "bus"])
+
+
+def loop_from_frame_labels(frame_labels):
+    """The per-frame loop ``from_frame_labels`` replaced: every entry is
+    normalised, then compared with the current event's labels."""
+    events = []
+    current = as_label_set(frame_labels[0])
+    start = 0
+    for index in range(1, len(frame_labels)):
+        labels = as_label_set(frame_labels[index])
+        if labels != current:
+            events.append(Event(start, index, current))
+            start = index
+            current = labels
+    events.append(Event(start, len(frame_labels), current))
+    return EventTimeline(events)
+
+
+#: One label set in the containers callers pass: lists (with repeats and in
+#: either order), tuples, sets and frozensets compare unequal as raw entries
+#: while naming the same labels.
+_RAW_ENTRIES = st.sampled_from([
+    [], (), frozenset(), set(),
+    ["car"], ("car",), {"car"}, frozenset({"car"}), ["car", "car"],
+    ["car", "bus"], ["bus", "car"], ("bus", "car"), frozenset({"car", "bus"}),
+    {"boat"}, ["boat"],
+])
+
+
+class TestRunLengthFromFrameLabels:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_RAW_ENTRIES, st.integers(1, 6)),
+                    min_size=1, max_size=25))
+    def test_equals_the_per_frame_loop_on_mixed_containers(self, runs):
+        frame_labels = [entry for entry, length in runs
+                        for _ in range(length)]
+        timeline = EventTimeline.from_frame_labels(frame_labels)
+        oracle = loop_from_frame_labels(frame_labels)
+        assert timeline == oracle
+        assert timeline.frame_labels() == oracle.frame_labels()
+
+    def test_shared_entries_are_normalised_once_per_change(self, monkeypatch):
+        import repro.video.events as events_module
+        calls = []
+        real = events_module.as_label_set
+
+        def counting(labels):
+            calls.append(labels)
+            return real(labels)
+
+        monkeypatch.setattr(events_module, "as_label_set", counting)
+        car, empty = frozenset({"car"}), frozenset()
+        frame_labels = [empty] * 200 + [car] * 200 + [empty] * 80
+        timeline = EventTimeline.from_frame_labels(frame_labels)
+        assert timeline.num_events == 3
+        # Three changes of entry, then once more per event in ``Event``.
+        assert len(calls) == 3 + 3
