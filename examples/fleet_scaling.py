@@ -22,11 +22,14 @@ builds a cold cache in parallel through
 under the :data:`repro.contracts.FAST_CONTRACT` accuracy budget; the
 default ``exact`` keeps every kernel bit-identical to the seed.
 
-``--scale-cameras N`` adds two synthetic N-camera fleets (no workload
-rendering): a heterogeneous one on 64 edges, and N identical cameras with
-no arrival jitter on 8 edges, whose every delivery ties across the edges.
-Each runs through the event loop and through the recurrence: both wall
-times are printed and the reports must be equal exactly.  ``--json-out``
+``--scale-cameras N`` adds three synthetic N-camera fleets (no workload
+rendering): a heterogeneous one on 64 edges, N identical cameras with no
+arrival jitter on 8 edges, whose every delivery ties across the edges, and
+the same identical cameras on 8 edges of two workers each.  The first two
+run every edge station on one worker; the third takes the recurrence's
+multi-worker path at the edges too.  Each runs through the event loop and
+through the recurrence: both wall times are printed and the reports must
+be equal exactly.  ``--json-out``
 writes the sweep + comparisons as a JSON artifact.
 
 Run with:  python examples/fleet_scaling.py [--build-workers 2]
@@ -182,19 +185,19 @@ def timed(run):
 
 
 def run_scale_comparison(label: str, jobs, num_edges: int,
-                         config: SystemConfig):
+                         config: SystemConfig, edge_workers: int = 1):
     """Time the event loop against the recurrence on a synthetic fleet.
 
     Both must produce the same report; only the wall clock may differ.
     Returns the comparison row for the JSON artifact.
     """
     orchestrator = FleetOrchestrator(jobs, num_edge_servers=num_edges,
-                                     config=config)
+                                     config=config, edge_workers=edge_workers)
     chain_report, chain_wall = timed(orchestrator._run_chain)
     report, wall = timed(orchestrator.run)
     assert_reports_match(chain_report, report, f"the {label} fleet")
     print(f"--- scale comparison: {len(jobs)} {label} cameras, "
-          f"{num_edges} edges ---")
+          f"{num_edges} edges x {edge_workers} workers ---")
     print(f"  event loop : {chain_wall * 1e3:8.1f} ms")
     print(f"  recurrence : {wall * 1e3:8.1f} ms  "
           f"({chain_wall / wall if wall > 0 else 0.0:.2f}x)")
@@ -204,6 +207,7 @@ def run_scale_comparison(label: str, jobs, num_edges: int,
         "fleet": label,
         "num_cameras": len(jobs),
         "num_edges": num_edges,
+        "edge_workers": edge_workers,
         "chain_wall_seconds": chain_wall,
         "recurrence_wall_seconds": wall,
     }
@@ -231,9 +235,10 @@ def main() -> None:
              "the FAST_CONTRACT accuracy budget)")
     parser.add_argument(
         "--scale-cameras", type=int, default=0, metavar="N",
-        help="also run two synthetic N-camera fleets (heterogeneous on 64 "
-             "edges, identical on 8) through the event loop and the "
-             "recurrence, parity-checked, and print both wall times")
+        help="also run three synthetic N-camera fleets (heterogeneous on 64 "
+             "edges, identical on 8, identical on 8 with two workers each) "
+             "through the event loop and the recurrence, parity-checked, "
+             "and print both wall times")
     parser.add_argument(
         "--json-out", metavar="PATH",
         help="write the sweep tables + scale comparison as a JSON artifact")
@@ -274,6 +279,8 @@ def main() -> None:
                                  SCALE_EDGES, config),
             run_scale_comparison("identical", identical_jobs(count),
                                  TIED_EDGES, config),
+            run_scale_comparison("identical", identical_jobs(count),
+                                 TIED_EDGES, config, edge_workers=2),
         ]
 
     if arguments.json_out:

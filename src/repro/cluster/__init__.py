@@ -4,13 +4,14 @@ The stage chain the fleet drivers share lives in :mod:`repro.cluster.topology`.
 """
 
 from .costmodel import CostModel
-from .fleet import (CameraJob, FleetOrchestrator, FleetReport, JobOutcome,
-                    PlacementPolicy, TierReport)
+from .fleet import (CameraJob, FleetOrchestrator, FleetOutcomes, FleetReport,
+                    JobOutcome, PlacementPolicy, TierReport)
 from .resultdb import ResultDatabase, ResultRecord
 
 __all__ = [
     "CostModel",
-    "CameraJob", "FleetOrchestrator", "FleetReport", "JobOutcome",
+    "CameraJob", "FleetOrchestrator", "FleetOutcomes", "FleetReport",
+    "JobOutcome",
     "PlacementPolicy", "TierReport",
     "ResultDatabase", "ResultRecord",
 ]

@@ -31,9 +31,12 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heapreplace
-from typing import Dict, List, Optional, Sequence
+from operator import attrgetter
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,8 +66,8 @@ def latency_percentiles_of(latencies: Sequence[float]) -> Dict[int, float]:
     """
     if len(latencies) == 0:
         return {percentile: float("nan") for percentile in LATENCY_PERCENTILES}
-    return {percentile: float(np.percentile(latencies, percentile))
-            for percentile in LATENCY_PERCENTILES}
+    return dict(zip(LATENCY_PERCENTILES,
+                    np.percentile(latencies, LATENCY_PERCENTILES).tolist()))
 
 
 def tier_report(stats, capacity: int, makespan: float) -> "TierReport":
@@ -97,6 +100,26 @@ class PlacementPolicy(enum.Enum):
             f"expected one of {[policy.value for policy in cls]}")
 
 
+def _real(value, name: str):
+    """``value`` if it is a real number, else a :class:`ClusterError`.
+
+    A ``bool`` is refused although Python counts it as an integer: ``True``
+    frames or seconds is a caller's mistake, not a count of one.
+    """
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, numbers.Real)):
+        raise ClusterError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+#: The type each numeric :class:`CameraJob` field is stored as.
+_STORED_AS = (("num_frames", int), ("frames_for_inference", int),
+              ("edge_seconds", float), ("cloud_seconds", float),
+              ("camera_edge_bytes", int), ("edge_cloud_bytes", int))
+_STORED_TYPES = tuple(kind for _, kind in _STORED_AS)
+_stored_values = attrgetter(*(name for name, _ in _STORED_AS))
+
+
 @dataclass(frozen=True)
 class CameraJob:
     """The planned cost of pushing one camera's footage through the fleet.
@@ -126,6 +149,16 @@ class CameraJob:
     accuracy: float = float("nan")
 
     def __post_init__(self) -> None:
+        # Counts and bytes are stored as ``int`` and seconds as ``float``,
+        # whatever real type they came in as; anything else is refused
+        # before a comparison can raise a bare TypeError on it.
+        values = _stored_values(self)
+        stored = tuple(map(type, values)) == _STORED_TYPES
+        if not stored:
+            for (name, kind), value in zip(_STORED_AS, values):
+                # np.float64 is a float, so needs no ABC check.
+                if type(value) is not kind and not isinstance(value, float):
+                    _real(value, name)
         # Chained comparisons so nan (which passes ``< 0``) and inf are
         # refused here rather than poisoning every downstream statistic.
         for value in (self.num_frames, self.frames_for_inference):
@@ -142,23 +175,27 @@ class CameraJob:
                 raise ClusterError(
                     "transfer bytes must be whole numbers in [0, 2**63), "
                     f"got {value!r}")
+        if not stored:
+            for (name, kind), value in zip(_STORED_AS, values):
+                if type(value) is not kind:
+                    object.__setattr__(self, name, kind(value))
 
 
-@dataclass
-class JobOutcome:
-    """Timeline of one camera job through the fleet.
+class JobOutcome(NamedTuple):
+    """One job's row of a :class:`FleetOutcomes` record, built on demand.
 
     Attributes:
         job: The planned job.
-        edge_index: Edge server the camera was placed on.
+        edge_index: Edge server the camera ended up on.
         start_seconds: Virtual time the camera started streaming.
-        end_seconds: Virtual time the cloud finished its inference.
+        end_seconds: Virtual time the cloud finished its inference
+            (``nan`` while it has not).
     """
 
     job: CameraJob
     edge_index: int
     start_seconds: float
-    end_seconds: float = float("nan")
+    end_seconds: float
 
     @property
     def latency_seconds(self) -> float:
@@ -166,26 +203,124 @@ class JobOutcome:
         return self.end_seconds - self.start_seconds
 
 
+#: A row from its four values, built in C: no Python-level call per row.
+_row = partial(tuple.__new__, JobOutcome)
+
+#: Rows of :attr:`FleetOutcomes.instants`: the ingest, then the ends of the
+#: LAN, edge, WAN and cloud stages (the recurrence's events, in order).
+_INGEST, _LAN_END, _EDGE_END, _WAN_END, _CLOUD_END = range(EVENTS_PER_JOB)
+
+
+class FleetOutcomes:
+    """Every job's placement and stage instants, one column each.
+
+    The fleet's per-job timelines as one struct of arrays: the recurrence
+    writes it from its event times, the event loop stamps it as jobs move
+    through the chain, and :func:`fold_report` reduces it column by column.
+    Iterating yields one :class:`JobOutcome` row per job, built on demand.
+
+    Attributes:
+        jobs: The planned jobs, in submission order.
+        edges: Each job's edge index (int64); fail-over rewrites it, so it
+            holds the edge a job finished on.
+        instants: float64 array of shape ``(5, len(jobs))``: per job its
+            ingest and the instants its LAN, edge, WAN and cloud stages
+            ended, ``nan`` for a stage that has not ended.
+    """
+
+    __slots__ = ("jobs", "edges", "instants")
+
+    def __init__(self, jobs: Sequence[CameraJob], edges: np.ndarray,
+                 instants: np.ndarray) -> None:
+        self.jobs = jobs
+        self.edges = edges
+        self.instants = instants
+
+    @classmethod
+    def starting(cls, jobs: Sequence[CameraJob], edges: Sequence[int],
+                 starts: Sequence[float]) -> "FleetOutcomes":
+        """A record of jobs ingested at ``starts`` that ended no stage yet."""
+        instants = np.full((EVENTS_PER_JOB, len(jobs)), np.nan)
+        instants[_INGEST] = starts
+        return cls(jobs, np.array(edges, dtype=np.int64), instants)
+
+    @property
+    def ingest(self) -> np.ndarray:
+        """When each camera started streaming."""
+        return self.instants[_INGEST]
+
+    @property
+    def cloud_end(self) -> np.ndarray:
+        """When the cloud finished each job's inference."""
+        return self.instants[_CLOUD_END]
+
+    def __len__(self) -> int:
+        return len(self.jobs)
+
+    def __iter__(self) -> Iterator[JobOutcome]:
+        return map(_row, zip(self.jobs, self.edges.tolist(),
+                             self.ingest.tolist(), self.cloud_end.tolist()))
+
+    def __getitem__(self, index: int) -> JobOutcome:
+        return JobOutcome(self.jobs[index], int(self.edges[index]),
+                          float(self.ingest[index]),
+                          float(self.cloud_end[index]))
+
+
+#: The record row a stage entry stamps: entering a stage ends the one before.
+_ENDED_BY_ENTRY = {"edge": _LAN_END, "wan": _EDGE_END, "cloud": _WAN_END}
+
+
 class _JobRun(StageUnit):
     """One camera job moving through the fleet's stage chain.
 
-    The job's placement lives on its :class:`JobOutcome` (failover
-    rewrites it there, and the report reads it there), so the chain's
-    per-stage ``edge_index`` read goes through to it.
+    The run is a cursor on the job's column of a :class:`FleetOutcomes`.
+    The chain reads the job's placement from the edge column at every
+    stage entry (fail-over rewrites it there, and the report reads it
+    there), and each stage entry stamps the instant the stage before it
+    ended; a requeue re-enters the same stage and stamps nothing.
     """
 
-    __slots__ = ("outcome",)
+    __slots__ = ("outcomes", "index", "scheduler", "_stage")
 
-    def __init__(self, outcome: JobOutcome) -> None:
-        super().__init__(outcome.job)
-        self.outcome = outcome
+    def __init__(self, outcomes: FleetOutcomes, index: int,
+                 scheduler: EventScheduler) -> None:
+        self.outcomes = outcomes
+        self.index = index
+        self.scheduler = scheduler
+        super().__init__(outcomes.jobs[index])
 
     @property
     def edge_index(self) -> int:
-        return self.outcome.edge_index
+        return int(self.outcomes.edges[self.index])
+
+    @edge_index.setter
+    def edge_index(self, edge: int) -> None:
+        self.outcomes.edges[self.index] = edge
 
     #: One shared LAN link per edge: a job ingests over its edge's.
     lan_key = edge_index
+
+    @property
+    def stage(self) -> str:
+        return self._stage
+
+    @stage.setter
+    def stage(self, name: str) -> None:
+        row = _ENDED_BY_ENTRY.get(name)
+        if row is not None and name != self._stage:
+            self.outcomes.instants[row, self.index] = self.scheduler.now
+        self._stage = name
+
+    @property
+    def finished(self) -> bool:
+        """Whether the cloud has finished the job."""
+        end = self.outcomes.instants[_CLOUD_END, self.index]
+        return end == end
+
+    def finish(self) -> None:
+        """Stamp the end of the job's cloud stage."""
+        self.outcomes.instants[_CLOUD_END, self.index] = self.scheduler.now
 
     @property
     def lan_description(self) -> str:
@@ -235,7 +370,8 @@ class FleetReport:
         latency_percentiles: ``{50: ..., 95: ..., 99: ...}`` end-to-end
             camera latency percentiles in seconds.
         assignments: ``camera name -> edge index``.
-        outcomes: Per-camera timelines.
+        outcomes: Per-camera timelines, one :class:`FleetOutcomes` record
+            (empty for reports built by hand).
         sim_wall_seconds: Real wall-clock time the simulation itself took
             (perf instrumentation; ``0`` for reports built by hand).
         events_processed: Discrete events fired during the simulation.
@@ -260,7 +396,8 @@ class FleetReport:
     cloud_tier: TierReport
     latency_percentiles: Dict[int, float]
     assignments: Dict[str, int]
-    outcomes: List[JobOutcome] = field(default_factory=list)
+    outcomes: FleetOutcomes = field(
+        default_factory=lambda: FleetOutcomes.starting([], [], []))
     sim_wall_seconds: float = 0.0
     events_processed: int = 0
     faults: Optional[FaultStats] = None
@@ -319,8 +456,9 @@ class FleetReport:
         This is the single definition of the parity contract (used by the
         regression tests and ``examples/fleet_scaling.py``):
         it covers the flat ``as_dict`` metrics, per-tier statistics
-        *including queue depths*, placements and per-job timelines.  An
-        empty list means the reports are equal.
+        *including queue depths*, placements and per-job timelines (edge,
+        ingest and cloud end: the service's sessions end no single middle
+        stage).  An empty list means the reports are equal.
         """
         def close(a: float, b: float) -> bool:
             if a == b:  # equal infinities too: inf - inf is nan
@@ -328,6 +466,13 @@ class FleetReport:
             if np.isnan(a) or np.isnan(b):
                 return np.isnan(a) and np.isnan(b)
             return abs(a - b) <= tolerance * max(1.0, abs(a))
+
+        def close_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            """``close`` elementwise."""
+            with np.errstate(invalid="ignore"):
+                return ((a == b) | (np.isnan(a) & np.isnan(b))
+                        | (np.abs(a - b)
+                           <= tolerance * np.maximum(1.0, np.abs(a))))
 
         mismatches: List[str] = []
         left, right = self.as_dict(), other.as_dict()
@@ -355,20 +500,20 @@ class FleetReport:
                         and tier_a.completed == tier_b.completed):
                     mismatches.append(
                         f"{label} tier {index}: {tier_a} != {tier_b}")
-        if len(self.outcomes) != len(other.outcomes):
+        mine, theirs = self.outcomes, other.outcomes
+        if len(mine) != len(theirs):
             mismatches.append("outcome count differs")
         else:
-            for outcome_a, outcome_b in zip(self.outcomes, other.outcomes):
-                if not (outcome_a.edge_index == outcome_b.edge_index
-                        and close(outcome_a.start_seconds,
-                                  outcome_b.start_seconds)
-                        and close(outcome_a.end_seconds,
-                                  outcome_b.end_seconds)):
-                    mismatches.append(
-                        f"outcome {outcome_a.job.camera}: "
-                        f"({outcome_a.start_seconds}, {outcome_a.end_seconds})"
-                        f" != ({outcome_b.start_seconds}, "
-                        f"{outcome_b.end_seconds})")
+            differs = ((mine.edges != theirs.edges)
+                       | ~close_arrays(mine.ingest, theirs.ingest)
+                       | ~close_arrays(mine.cloud_end, theirs.cloud_end))
+            for index in np.flatnonzero(differs).tolist():
+                row_a, row_b = mine[index], theirs[index]
+                mismatches.append(
+                    f"outcome {row_a.job.camera}: edge {row_a.edge_index} "
+                    f"({row_a.start_seconds}, {row_a.end_seconds}) != edge "
+                    f"{row_b.edge_index} ({row_b.start_seconds}, "
+                    f"{row_b.end_seconds})")
         # Fault/recovery counters are part of the parity contract too: a
         # report without them is an empty counter block, so fault-free
         # runs compare clean against each other.
@@ -379,7 +524,7 @@ class FleetReport:
         return mismatches
 
 
-def fold_report(policy: PlacementPolicy, outcomes: List[JobOutcome], *,
+def fold_report(policy: PlacementPolicy, outcomes: FleetOutcomes, *,
                 edge_stats: Sequence[StationStats], edge_workers: int,
                 wan_stats: Sequence[StationStats],
                 cloud_stats: StationStats, cloud_workers: int,
@@ -390,27 +535,26 @@ def fold_report(policy: PlacementPolicy, outcomes: List[JobOutcome], *,
     """Fold per-job timelines and per-tier statistics into a report.
 
     The one report assembly shared by the fleet's chain, its recurrence
-    and the streaming service.  Placements are read
-    off the outcomes (failover rewrites ``outcome.edge_index`` mid-run,
-    and every failed-over job must be accounted at its final edge);
-    outcomes that never completed (``end_seconds`` is ``nan`` — a live
-    stream still in flight) count toward neither makespan nor latency.
+    and the streaming service.  Placements are read off the record's edge
+    column (failover rewrites it mid-run, and every failed-over job must
+    be accounted at its final edge); jobs that never completed (a ``nan``
+    cloud end — a live stream still in flight) count toward neither
+    makespan nor latency.
     """
-    completed = [outcome for outcome in outcomes
-                 if outcome.end_seconds == outcome.end_seconds]
-    makespan = max((outcome.end_seconds for outcome in completed),
-                   default=0.0)
+    ends = outcomes.cloud_end
+    completed = ends == ends
+    makespan = float(ends[completed].max()) if completed.any() else 0.0
+    jobs = outcomes.jobs
     edge_tiers = [tier_report(stats, edge_workers, makespan)
                   for stats in edge_stats]
     cloud_tier = tier_report(cloud_stats, cloud_workers, makespan)
     return FleetReport(
         policy=policy,
         num_edge_servers=len(edge_tiers),
-        num_cameras=len(outcomes),
+        num_cameras=len(jobs),
         makespan_seconds=makespan,
-        total_frames=sum(outcome.job.num_frames for outcome in outcomes),
-        frames_for_inference=sum(outcome.job.frames_for_inference
-                                 for outcome in outcomes),
+        total_frames=sum([job.num_frames for job in jobs]),
+        frames_for_inference=sum([job.frames_for_inference for job in jobs]),
         camera_edge_bytes=camera_edge_bytes,
         edge_cloud_bytes=edge_cloud_bytes,
         edge_busy_seconds=sum(tier.busy_seconds for tier in edge_tiers),
@@ -420,9 +564,9 @@ def fold_report(policy: PlacementPolicy, outcomes: List[JobOutcome], *,
         wan_tiers=[tier_report(stats, 1, makespan) for stats in wan_stats],
         cloud_tier=cloud_tier,
         latency_percentiles=latency_percentiles_of(
-            sorted(outcome.latency_seconds for outcome in completed)),
-        assignments={outcome.job.camera: outcome.edge_index
-                     for outcome in outcomes},
+            (ends - outcomes.ingest)[completed]),
+        assignments=dict(zip([job.camera for job in jobs],
+                             outcomes.edges.tolist())),
         outcomes=outcomes,
         sim_wall_seconds=sim_wall_seconds,
         events_processed=events_processed,
@@ -431,7 +575,7 @@ def fold_report(policy: PlacementPolicy, outcomes: List[JobOutcome], *,
 
 
 def chain_report(chain: StageChain, policy: PlacementPolicy,
-                 outcomes: List[JobOutcome], sim_wall_seconds: float,
+                 outcomes: FleetOutcomes, sim_wall_seconds: float,
                  faults: Optional[FaultStats] = None) -> FleetReport:
     """:func:`fold_report` over the live resources of a full stage chain."""
     wan = [link.link for link in chain.wan_links]
@@ -458,6 +602,7 @@ def _whole_count(value, name: str) -> int:
     before ``int()`` can raise a bare error on them, and a fraction is
     refused rather than truncated (the recurrence indexes by counts).
     """
+    value = _real(value, name)
     if not (1 <= value < math.inf and value == int(value)):
         raise ClusterError(f"{name} must be a whole number >= 1, got {value!r}")
     return int(value)
@@ -512,9 +657,14 @@ class FleetOrchestrator:
         self.cloud_workers = (_whole_count(cloud_workers, "cloud_workers")
                               if cloud_workers is not None
                               else self.num_edge_servers)
-        if not 0 <= arrival_jitter_seconds < math.inf:
+        if not 0 <= _real(arrival_jitter_seconds,
+                          "arrival_jitter_seconds") < math.inf:
             raise ClusterError(
                 "arrival_jitter_seconds must be finite and >= 0")
+        if seed is not None and (isinstance(seed, (bool, np.bool_))
+                                 or not isinstance(seed, numbers.Integral)):
+            raise ClusterError(f"seed must be an integer or None, "
+                               f"got {seed!r}")
         self.jobs = list(jobs)
         self.config = config or SystemConfig()
         self.policy = PlacementPolicy.from_name(policy)
@@ -528,23 +678,28 @@ class FleetOrchestrator:
     # Placement
     # ------------------------------------------------------------------ #
     def assign(self) -> Dict[str, int]:
-        """Shard the cameras over the edge servers under the policy.
+        """Shard the cameras over the edge servers under the policy."""
+        return dict(zip([job.camera for job in self.jobs],
+                        self._placements().tolist()))
+
+    def _placements(self) -> np.ndarray:
+        """Each job's edge index under the policy, in job order.
 
         The load-based policies place each camera on the first edge with
         the least load so far: a heap of ``(load, edge index)`` pops the
         lowest load and, among equal loads, the lowest index.
         """
         if self.policy is PlacementPolicy.ROUND_ROBIN:
-            return {job.camera: index % self.num_edge_servers
-                    for index, job in enumerate(self.jobs)}
+            return np.arange(len(self.jobs), dtype=np.int64) \
+                % self.num_edge_servers
         estimate = self._make_load_estimator()
         loads = [(0.0, index) for index in range(self.num_edge_servers)]
-        assignments: Dict[str, int] = {}
+        placements: List[int] = []
         for job in self.jobs:
             load, target = loads[0]
-            assignments[job.camera] = target
+            placements.append(target)
             heapreplace(loads, (load + estimate(job), target))
-        return assignments
+        return np.array(placements, dtype=np.int64)
 
     def _make_load_estimator(self):
         """Estimator of the edge-local time a job occupies its server."""
@@ -565,8 +720,8 @@ class FleetOrchestrator:
         if self.arrival_jitter_seconds == 0:
             return [0.0] * len(self.jobs)
         rng = make_rng(self.seed, "fleet", "arrivals")
-        return [float(value) for value in
-                rng.uniform(0.0, self.arrival_jitter_seconds, size=len(self.jobs))]
+        return rng.uniform(0.0, self.arrival_jitter_seconds,
+                           size=len(self.jobs)).tolist()
 
     # ------------------------------------------------------------------ #
     # Simulation
@@ -587,16 +742,13 @@ class FleetOrchestrator:
     def _run_recurrence(self) -> FleetReport:
         """The fault-free fleet as start/end recurrences, no event loop."""
         watch = Stopwatch().start()
-        assignments = self.assign()
-        placements = [assignments[job.camera] for job in self.jobs]
+        placements = self._placements()
         offsets = self._arrival_offsets()
         replay = replay_fleet(self.jobs, placements, offsets, self.config,
                               self.num_edge_servers, self.edge_workers,
                               self.cloud_workers)
-        outcomes = [JobOutcome(job, edge, offset, end) for job, edge, offset,
-                    end in zip(self.jobs, placements, offsets, replay.ends)]
         return fold_report(
-            self.policy, outcomes,
+            self.policy, FleetOutcomes(self.jobs, placements, replay.instants),
             edge_stats=replay.edge_stats, edge_workers=self.edge_workers,
             wan_stats=replay.wan_stats, cloud_stats=replay.cloud_stats,
             cloud_workers=self.cloud_workers,
@@ -612,26 +764,20 @@ class FleetOrchestrator:
         (the definition the recurrence is tested against)."""
         watch = Stopwatch().start()
         scheduler = EventScheduler()
-
-        def _finish(run: _JobRun) -> None:
-            run.outcome.end_seconds = scheduler.now
-
         chain = StageChain(scheduler, self.config,
                            range(self.num_edge_servers), self.edge_workers,
-                           self.cloud_workers, on_finish=_finish)
+                           self.cloud_workers, on_finish=_JobRun.finish)
         driver: Optional[FleetFaultDriver] = None
         if (self.fault_plan is not None
                 and self.fault_plan.has_scheduler_faults):
             driver = FleetFaultDriver(chain, self.fault_plan)
             chain.on_fail = driver.on_job_failed
 
-        assignments = self.assign()
-        outcomes: List[JobOutcome] = []
-        for job, offset in zip(self.jobs, self._arrival_offsets()):
-            outcome = JobOutcome(job=job, edge_index=assignments[job.camera],
-                                 start_seconds=offset)
-            outcomes.append(outcome)
-            run = _JobRun(outcome)
+        offsets = self._arrival_offsets()
+        outcomes = FleetOutcomes.starting(self.jobs, self._placements(),
+                                          offsets)
+        for index, offset in enumerate(offsets):
+            run = _JobRun(outcomes, index, scheduler)
             if driver is not None:
                 driver.register(run)
             chain.submit_at(offset, run)

@@ -30,6 +30,7 @@ this module to it at tolerance 0.0.
 
 from __future__ import annotations
 
+import math
 from functools import cmp_to_key
 from heapq import heappush, heapreplace
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -51,7 +52,9 @@ _LAN, _EDGE, _WAN, _CLOUD = 1, 2, 3, 4
 class FleetReplay(NamedTuple):
     """What :func:`replay_fleet` computed (the inputs of ``fold_report``)."""
 
-    ends: List[float]
+    #: Row ``s`` holds every job's event ``s`` instant (ingest, then the
+    #: LAN, edge, WAN and cloud completions), one column per job.
+    instants: np.ndarray
     edge_stats: List[StationStats]
     wan_stats: List[StationStats]
     cloud_stats: StationStats
@@ -103,7 +106,7 @@ def _fires_before(x: int, y: int, when: List[float], parent: List[int],
 def _serve(admitted: Sequence[int], stage: int, service: Sequence[float],
            slots: int, when: List[float], parent: List[int],
            ties: Dict[Tuple[int, int], bool]
-           ) -> Tuple[List[int], StationStats]:
+           ) -> Tuple[Sequence[int], StationStats]:
     """One FIFO station with ``slots`` workers.
 
     ``admitted`` holds job indices in the order their admission events
@@ -113,6 +116,8 @@ def _serve(admitted: Sequence[int], stage: int, service: Sequence[float],
     summed in completion order, and the peak of admitted-but-not-started
     jobs sampled at each admission.
     """
+    if slots == 1:
+        return _serve_one(admitted, stage, service, when, parent, ties)
     peak = done = 0
     in_service: List[Tuple[float, int, int]] = []
     fired: List[int] = []  # completion events, in firing order
@@ -160,6 +165,47 @@ def _serve(admitted: Sequence[int], stage: int, service: Sequence[float],
                                    max_queue_depth=peak)
 
 
+def _serve_one(admitted: Sequence[int], stage: int, service: Sequence[float],
+               when: List[float], parent: List[int],
+               ties: Dict[Tuple[int, int], bool]
+               ) -> Tuple[Sequence[int], StationStats]:
+    """:func:`_serve` on one worker, which needs no heap.
+
+    Each start waits for the previous job's end, so completions fire in
+    admission order: the worker a job takes is always freed by the job
+    admitted just before it, the completions that can have fired before
+    an admission are those of the jobs admitted before that one, and busy
+    seconds accrue in admission order.
+    """
+    peak = done = 0
+    busy = 0.0
+    free, freed = -math.inf, -1
+    for rank, job in enumerate(admitted):
+        event = EVENTS_PER_JOB * job + stage
+        admission = event - 1
+        arrival = when[admission]
+        seconds = service[job]
+        busy += seconds
+        if arrival > free or (arrival == free and _fires_before(
+                freed, admission, when, parent, ties)):
+            parent[event] = admission
+            free = when[event] = arrival + seconds
+        else:
+            parent[event] = freed
+            free = when[event] = free + seconds
+            while done < rank - 1:
+                left = EVENTS_PER_JOB * admitted[done] + stage
+                if when[left] > arrival or (when[left] == arrival and not (
+                        _fires_before(left, admission, when, parent, ties))):
+                    break
+                done += 1
+            if rank - done > peak:
+                peak = rank - done
+        freed = event
+    return admitted, StationStats(busy_seconds=busy, completed=len(admitted),
+                                  arrivals=len(admitted), max_queue_depth=peak)
+
+
 def _cloud_arrival_order(when: List[float], parent: List[int],
                          ties: Dict[Tuple[int, int], bool]) -> List[int]:
     """Job indices in the order their WAN deliveries fire: by time, then
@@ -187,6 +233,15 @@ def _cloud_arrival_order(when: List[float], parent: List[int],
     return ordered
 
 
+def _transfer_seconds(link: NetworkLink, sizes: List[int]) -> List[float]:
+    """``link.transfer_seconds`` of every size, as one float64 column: the
+    same float operations elementwise, so the same bits (``size * 8`` is
+    exact in float64)."""
+    column = np.array(sizes, dtype=np.float64)
+    return ((column * 8) / (link.bandwidth_mbps * 1e6)
+            + link.latency_ms / 1e3).tolist()
+
+
 def replay_fleet(jobs: Sequence, placements: Sequence[int],
                  offsets: Sequence[float], config: SystemConfig,
                  num_edges: int, edge_workers: int,
@@ -194,7 +249,8 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
     """The fault-free fleet's timelines and tier statistics.
 
     Args:
-        jobs: The camera jobs (anything with ``CameraJob``'s cost fields).
+        jobs: The camera jobs (``CameraJob`` stores its seconds as
+            ``float`` and its bytes as ``int``).
         placements: Edge index of each job.
         offsets: Ingest instant of each job.
         config: Bandwidths and latencies of the links.
@@ -211,19 +267,21 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
                       config.camera_edge_latency_ms)
     wan = NetworkLink("edge-cloud", config.edge_cloud_bandwidth_mbps,
                       config.edge_cloud_latency_ms)
-    lan_seconds = [lan.transfer_seconds(job.camera_edge_bytes)
-                   for job in jobs]
-    edge_seconds = [float(job.edge_seconds) for job in jobs]
-    wan_seconds = [wan.transfer_seconds(job.edge_cloud_bytes)
-                   for job in jobs]
+    lan_bytes = [job.camera_edge_bytes for job in jobs]
+    wan_bytes = [job.edge_cloud_bytes for job in jobs]
+    lan_seconds = _transfer_seconds(lan, lan_bytes)
+    edge_seconds = [job.edge_seconds for job in jobs]
+    wan_seconds = _transfer_seconds(wan, wan_bytes)
 
-    # Ingests fire in (offset, job index) order.
-    per_edge: List[List[int]] = [[] for _ in range(num_edges)]
-    for job in sorted(range(count), key=offsets.__getitem__):
-        per_edge[placements[job]].append(job)
+    # Ingests fire in (offset, job index) order; each edge admits its own
+    # jobs in that order.
+    edges = np.asarray(placements, dtype=np.int64)
+    ingest_order = np.lexsort((np.asarray(offsets, dtype=np.float64), edges))
+    per_edge = np.split(ingest_order, np.cumsum(
+        np.bincount(edges, minlength=num_edges))[:-1])
     edge_stats, wan_stats, wan_totals = [], [], []
     for admitted in per_edge:
-        through_lan, _ = _serve(admitted, _LAN, lan_seconds, 1,
+        through_lan, _ = _serve(admitted.tolist(), _LAN, lan_seconds, 1,
                                 when, parent, ties)
         through_edge, stats = _serve(through_lan, _EDGE, edge_seconds,
                                      edge_workers, when, parent, ties)
@@ -232,14 +290,14 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
                                   when, parent, ties)
         wan_stats.append(stats)
         # NetworkLink.total_seconds: summed in delivery order.
-        wan_totals.append(sum(wan_seconds[job] for job in delivered))
+        wan_totals.append(sum(map(wan_seconds.__getitem__, delivered)))
 
     _, cloud_stats = _serve(_cloud_arrival_order(when, parent, ties), _CLOUD,
-                            [float(job.cloud_seconds) for job in jobs],
+                            [job.cloud_seconds for job in jobs],
                             cloud_workers, when, parent, ties)
     return FleetReplay(
-        ends=when[_CLOUD::EVENTS_PER_JOB],
+        instants=np.fromiter(when, dtype=np.float64, count=len(when)).reshape(
+            count, EVENTS_PER_JOB).T.copy(),
         edge_stats=edge_stats, wan_stats=wan_stats, cloud_stats=cloud_stats,
-        camera_edge_bytes=sum(int(job.camera_edge_bytes) for job in jobs),
-        edge_cloud_bytes=sum(int(job.edge_cloud_bytes) for job in jobs),
+        camera_edge_bytes=sum(lan_bytes), edge_cloud_bytes=sum(wan_bytes),
         wan_transfer_seconds=sum(wan_totals))

@@ -434,13 +434,11 @@ class FleetFaultDriver(ChainFaultDriver):
         # the job's edge, so pending events follow.
         now = self.scheduler.now
         for run in self.runs:
-            outcome = run.outcome
-            if (outcome.edge_index != dead
-                    or outcome.end_seconds == outcome.end_seconds):
+            if run.edge_index != dead or run.finished:
                 continue
             target = self._pick_healthy()
-            outcome.edge_index = target
+            run.edge_index = target
             self.stats.jobs_failed_over += 1
             self.trace.record(now, "job-failover",
-                              f"camera={outcome.job.camera} "
+                              f"camera={run.work.camera} "
                               f"edge={dead}->{target}")

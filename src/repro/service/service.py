@@ -35,7 +35,7 @@ from math import inf
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..adapt.controller import AdaptiveConfig, AdaptiveTuningController
-from ..cluster.fleet import (CameraJob, FleetReport, JobOutcome,
+from ..cluster.fleet import (CameraJob, FleetOutcomes, FleetReport,
                              PlacementPolicy, chain_report)
 from ..cluster.topology import StageChain, StageUnit
 from ..codec.gop import EncoderParameters
@@ -356,12 +356,17 @@ class StreamingService:
         """Fold the service's streams into a batch-comparable report.
 
         Each session becomes one synthetic :class:`CameraJob` from its push
-        accumulators; outcomes span first push to last completion.  The
+        accumulators and one row of the outcome record, which spans first
+        push to last completion (a session's chunks end the middle stages
+        many times, so those instants stay ``nan``).  The
         report satisfies the same :meth:`FleetReport.parity_mismatches`
         contract as the batch orchestrator's, which is how the example and
         the tests assert virtual-vs-real-time parity.
         """
-        outcomes: List[JobOutcome] = []
+        jobs: List[CameraJob] = []
+        edges: List[int] = []
+        starts: List[float] = []
+        ends: List[float] = []
         for session in self.ingest.sessions.values():
             job = CameraJob(
                 camera=session.camera,
@@ -373,13 +378,15 @@ class StreamingService:
                 camera_edge_bytes=session.camera_edge_bytes_pushed,
                 edge_cloud_bytes=session.edge_cloud_bytes_pushed,
             )
-            start = (session.first_arrival
-                     if session.chunks_pushed > 0 else session.opened_at)
-            end = (session.last_completion
-                   if session.chunks_completed == session.chunks_pushed
-                   and session.chunks_pushed > 0 else float("nan"))
-            outcomes.append(JobOutcome(job=job, edge_index=session.edge_index,
-                                       start_seconds=start, end_seconds=end))
+            jobs.append(job)
+            edges.append(session.edge_index)
+            starts.append(session.first_arrival
+                          if session.chunks_pushed > 0 else session.opened_at)
+            ends.append(session.last_completion
+                        if session.chunks_completed == session.chunks_pushed
+                        and session.chunks_pushed > 0 else float("nan"))
+        outcomes = FleetOutcomes.starting(jobs, edges, starts)
+        outcomes.cloud_end[:] = ends
         return chain_report(self.chain, PlacementPolicy.ROUND_ROBIN, outcomes,
                             self.wall_run_seconds, faults=self.fault_stats())
 

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import CameraJob, FleetOrchestrator, PlacementPolicy
+from repro.cluster.fleet import LATENCY_PERCENTILES, latency_percentiles_of
 from repro.config import SystemConfig
 from repro.errors import ClusterError
 
@@ -40,7 +42,9 @@ class TestValidation:
             assert report.makespan_seconds == 0.0
             assert report.aggregate_throughput_fps == 0.0
             assert report.total_frames == 0
-            assert report.outcomes == []
+            assert len(report.outcomes) == 0
+            assert list(report.outcomes) == []
+            assert report.outcomes.instants.shape == (5, 0)
             assert report.assignments == {}
             assert len(report.edge_tiers) == 2
             assert all(math.isnan(value)
@@ -96,6 +100,72 @@ class TestValidation:
                                    else "samples": value})
             else:
                 FleetOrchestrator([make_job("cam")], **{name: value})
+
+    @pytest.mark.parametrize("field", [
+        "num_frames", "frames_for_inference", "edge_seconds",
+        "cloud_seconds", "camera_edge_bytes", "edge_cloud_bytes"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1",
+                                       None, [1]],
+                             ids=repr)
+    def test_non_numeric_job_fields_raise_the_typed_error(self, field,
+                                                          value):
+        """Regression: ``True`` ran as one frame, second or byte, and a
+        string or ``None`` died as a bare TypeError in a comparison."""
+        fields = dict(camera="cam", video="cam", num_frames=3,
+                      frames_for_inference=1, edge_seconds=1.0,
+                      cloud_seconds=0.5, camera_edge_bytes=10,
+                      edge_cloud_bytes=5)
+        with pytest.raises(ClusterError):
+            CameraJob(**{**fields, field: value})
+
+    def test_numpy_job_fields_are_stored_as_python_numbers(self):
+        """Regression: ``np.float64(3.0)`` frames were kept as a float, so
+        ``total_frames`` came out a ``numpy.float64``."""
+        job = CameraJob(camera="cam", video="cam",
+                        num_frames=np.float64(3.0),
+                        frames_for_inference=np.int64(2),
+                        edge_seconds=np.float32(0.5), cloud_seconds=1,
+                        camera_edge_bytes=np.float64(1e6),
+                        edge_cloud_bytes=np.uint32(5))
+        assert [type(value) for value in (
+            job.num_frames, job.frames_for_inference, job.edge_seconds,
+            job.cloud_seconds, job.camera_edge_bytes,
+            job.edge_cloud_bytes)] == [int, int, float, float, int, int]
+        assert (job.num_frames, job.edge_seconds,
+                job.camera_edge_bytes) == (3, 0.5, 1_000_000)
+        for report in (FleetOrchestrator([job]).run(),
+                       FleetOrchestrator([job])._run_chain()):
+            assert type(report.total_frames) is int
+            assert type(report.frames_for_inference) is int
+            assert type(report.camera_edge_bytes) is int
+            assert report.total_frames == 3
+
+    @pytest.mark.parametrize("name", ["num_edge_servers", "edge_workers",
+                                      "cloud_workers",
+                                      "arrival_jitter_seconds"])
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "2"],
+                             ids=repr)
+    def test_bool_and_text_settings_raise_the_typed_error(self, name,
+                                                          value):
+        """Regression: ``True`` edges, workers or jitter ran as 1, and a
+        string died as a bare TypeError."""
+        with pytest.raises(ClusterError):
+            FleetOrchestrator([make_job("cam")], **{name: value})
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, 2.0, True, [1]], ids=repr)
+    def test_a_non_integer_seed_is_refused_at_construction(self, seed):
+        """Regression: ``seed="x"`` with jitter was accepted here and died
+        inside ``run()`` as a bare ValueError from ``int()``."""
+        with pytest.raises(ClusterError):
+            FleetOrchestrator([make_job("cam")], arrival_jitter_seconds=1.0,
+                              seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, np.int64(7)], ids=repr)
+    def test_integer_seeds_stay_legal(self, seed):
+        report = FleetOrchestrator([make_job("cam")],
+                                   arrival_jitter_seconds=1.0,
+                                   seed=seed).run()
+        assert report.cloud_tier.completed == 1
 
     def test_whole_valued_float_counts_stay_legal(self):
         orchestrator = FleetOrchestrator([make_job("cam", num_frames=300.0)],
@@ -308,6 +378,69 @@ class TestDeterminism:
         slow = FleetOrchestrator(
             jobs, config=SystemConfig(edge_cloud_bandwidth_mbps=5.0)).run()
         assert slow.wan_transfer_seconds > fast.wan_transfer_seconds
+
+
+class TestOutcomeRecord:
+    """``report.outcomes`` is one columnar record; rows are built on demand."""
+
+    @pytest.mark.parametrize("runner", ["run", "_run_chain"])
+    def test_rows_read_the_columns(self, runner):
+        jobs = make_fleet_jobs(9)
+        report = getattr(FleetOrchestrator(
+            jobs, num_edge_servers=3, arrival_jitter_seconds=1.0,
+            seed=3), runner)()
+        record = report.outcomes
+        rows = list(record)
+        assert len(record) == len(rows) == 9
+        assert [row.job for row in rows] == jobs
+        assert [row.edge_index for row in rows] == record.edges.tolist()
+        assert [row.start_seconds for row in rows] == record.ingest.tolist()
+        assert [row.end_seconds for row in rows] == record.cloud_end.tolist()
+        assert rows[-1] == record[-1] and rows[4] == record[4]
+        assert all(row.latency_seconds == row.end_seconds - row.start_seconds
+                   for row in rows)
+        assert report.assignments == {
+            row.job.camera: row.edge_index for row in rows}
+
+    @pytest.mark.parametrize("runner", ["run", "_run_chain"])
+    def test_every_stage_instant_follows_the_one_before(self, runner):
+        report = getattr(FleetOrchestrator(
+            make_fleet_jobs(12), num_edge_servers=2, edge_workers=2,
+            arrival_jitter_seconds=2.0, seed=9), runner)()
+        instants = report.outcomes.instants
+        assert instants.shape == (5, 12) and instants.dtype == np.float64
+        assert not np.isnan(instants).any()
+        assert (np.diff(instants, axis=0) > 0).all()
+        assert report.makespan_seconds == report.outcomes.cloud_end.max()
+
+    def test_rows_are_copies(self):
+        report = FleetOrchestrator(make_fleet_jobs(3)).run()
+        with pytest.raises(AttributeError):
+            report.outcomes[0].end_seconds = 0.0
+        assert report.outcomes[0].end_seconds > 0.0
+
+
+class TestLatencyPercentiles:
+    """The report's percentiles come from one ``np.percentile`` call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(latencies=st.lists(
+        st.one_of(st.floats(0.0, 1e6),
+                  st.sampled_from((0.0, 0.5, 1.0, 1.0 + 2 ** -52, 3.0))),
+        min_size=1, max_size=80))
+    def test_one_call_equals_a_call_per_percentile(self, latencies):
+        expected = {percentile: float(np.percentile(latencies, percentile))
+                    for percentile in LATENCY_PERCENTILES}
+        assert latency_percentiles_of(latencies) == expected
+        assert latency_percentiles_of(np.array(latencies)) == expected
+        assert all(type(value) is float
+                   for value in latency_percentiles_of(latencies).values())
+
+    @pytest.mark.parametrize("empty", [[], np.array([])], ids=repr)
+    def test_an_empty_sample_is_nan_at_every_percentile(self, empty):
+        percentiles = latency_percentiles_of(empty)
+        assert list(percentiles) == list(LATENCY_PERCENTILES)
+        assert all(math.isnan(value) for value in percentiles.values())
 
 
 def assign_by_scan(orchestrator):

@@ -3,8 +3,9 @@
 ``FleetOrchestrator.run()`` computes a fault-free fleet as start/end
 recurrences (``repro.cluster.recurrence``); ``_run_chain()`` is the event
 loop over ``StageChain`` that defines it.  The contract is bit identity:
-no parity mismatch at tolerance 0.0, and every outcome time and tier
-statistic equal down to ``float.hex()``.  The draws are tie-prone on
+no parity mismatch at tolerance 0.0, and every outcome time (all five
+stage instants of the record) and tier statistic equal down to
+``float.hex()``.  The draws are tie-prone on
 purpose — a handful of stage seconds, zero-byte transfers, zero link
 latency, equal offsets — because simultaneous events are where a
 recurrence can order things differently from the heap.
@@ -12,7 +13,9 @@ recurrence can order things differently from the heap.
 
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +78,8 @@ def exact_view(report):
         "outcomes": [(outcome.job.camera, outcome.edge_index,
                       outcome.start_seconds.hex(), outcome.end_seconds.hex())
                      for outcome in report.outcomes],
+        "instants": [value.hex()
+                     for value in report.outcomes.instants.ravel().tolist()],
         "tiers": [(tier.busy_seconds.hex(), tier.utilisation.hex(),
                    tier.max_queue_depth, tier.completed) for tier in tiers],
     }
@@ -200,6 +205,89 @@ class TestOracle:
         first, second = run(), run()
         assert first.as_dict() == second.as_dict()
         assert exact_view(first) == exact_view(second)
+
+
+def scaled_fleet(costs, config, jitter, k):
+    """The fleet's jobs, config and jitter with time scaled by ``2**k``:
+    stage seconds, latencies and jitter times ``2**k``, bandwidths over
+    it, so every transfer time is ``2**k`` times the unscaled one."""
+    factor = 2.0 ** k
+    jobs = [make_job(f"cam-{index}", edge * factor, cloud * factor, lan, wan)
+            for index, (edge, cloud, lan, wan) in enumerate(costs)]
+    config = replace(
+        config,
+        camera_edge_bandwidth_mbps=config.camera_edge_bandwidth_mbps / factor,
+        edge_cloud_bandwidth_mbps=config.edge_cloud_bandwidth_mbps / factor,
+        camera_edge_latency_ms=config.camera_edge_latency_ms * factor,
+        edge_cloud_latency_ms=config.edge_cloud_latency_ms * factor)
+    return jobs, config, jitter * factor
+
+
+def times_of(report):
+    """Every number of the report that is a time, in one array."""
+    tiers = report.edge_tiers + report.wan_tiers + [report.cloud_tier]
+    return np.concatenate([
+        report.outcomes.instants.ravel(),
+        [tier.busy_seconds for tier in tiers],
+        [report.makespan_seconds, report.edge_busy_seconds,
+         report.cloud_busy_seconds, report.wan_transfer_seconds],
+        list(report.latency_percentiles.values())])
+
+
+def untimed_view(report):
+    """Every number of the report that time scaling must not move."""
+    tiers = report.edge_tiers + report.wan_tiers + [report.cloud_tier]
+    return ([(tier.utilisation.hex(), tier.max_queue_depth, tier.completed)
+             for tier in tiers],
+            report.outcomes.edges.tolist(), report.assignments,
+            report.total_frames, report.camera_edge_bytes,
+            report.edge_cloud_bytes, report.events_processed)
+
+
+class TestPowerOfTwoTimeScaling:
+    """An oracle-free relation that holds bit for bit (ROADMAP 13(a)).
+
+    A power of two moves only a float's exponent, so scaling every time of
+    a fault-free fleet by ``2**k`` scales every sum, max and interpolation
+    the fleet makes of them by exactly ``2**k``.  Any absolute constant
+    in a station breaks it: an epsilon in the comparison of an arrival
+    with the instant a worker frees up makes the ``2**-52`` gap of
+    ``1 + 2**-52`` a tie at one scale and not at another.
+    """
+
+    @pytest.mark.parametrize("runner", ["_run_recurrence", "_run_chain"])
+    @settings(max_examples=60, deadline=None)
+    @given(costs=st.lists(st.tuples(st.sampled_from(TIE_PRONE_SECONDS),
+                                    st.sampled_from(TIE_PRONE_SECONDS),
+                                    st.sampled_from(TIE_PRONE_BYTES),
+                                    st.sampled_from(TIE_PRONE_BYTES)),
+                          min_size=1, max_size=12),
+           identical=st.booleans(),
+           num_edges=st.integers(1, 4), edge_workers=st.integers(1, 3),
+           cloud_workers=st.integers(1, 4), policy=st.sampled_from(POLICIES),
+           config=st.sampled_from((SystemConfig(), ZERO_LATENCY)),
+           jitter=st.sampled_from((0.0, 0.0, 0.75, 2.0)),
+           seed=st.integers(0, 1000),
+           k=st.integers(-40, 40).filter(bool))
+    def test_every_time_scales_exactly(
+            self, runner, costs, identical, num_edges, edge_workers,
+            cloud_workers, policy, config, jitter, seed, k):
+        if identical:
+            # Identical jobs with no jitter tie at every delivery.
+            costs, jitter = [costs[0]] * len(costs), 0.0
+
+        def run(scale):
+            jobs, scaled_config, scaled_jitter = scaled_fleet(
+                costs, config, jitter, scale)
+            return getattr(FleetOrchestrator(
+                jobs, num_edge_servers=num_edges, config=scaled_config,
+                policy=policy, edge_workers=edge_workers,
+                cloud_workers=cloud_workers,
+                arrival_jitter_seconds=scaled_jitter, seed=seed), runner)()
+
+        base, scaled = run(0), run(k)
+        assert np.array_equal(times_of(scaled), times_of(base) * 2.0 ** k)
+        assert untimed_view(scaled) == untimed_view(base)
 
 
 class TestTieBreaks:
