@@ -9,7 +9,7 @@ from .bitstream import (EncodedFrame, EncodedVideo, FrameIndexEntry,
                         read_frame_index)
 from .blocks import DEFAULT_BLOCK_SIZE, block_grid, from_blocks, pad_plane, to_blocks
 from .decoder import VideoDecoder, decode_video
-from .encoder import VideoEncoder, analyze_video
+from .encoder import VideoEncoder
 from .entropy import (decode_block_payloads, decode_blocks, encode_blocks,
                       encoded_size_bytes)
 from .gop import (DEFAULT_GOP_SIZE, DEFAULT_PARAMETERS, DEFAULT_SCENECUT,
@@ -28,7 +28,7 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE", "block_grid", "from_blocks",
     "pad_plane", "to_blocks",
     "VideoDecoder", "decode_video",
-    "VideoEncoder", "analyze_video",
+    "VideoEncoder",
     "decode_block_payloads", "decode_blocks", "encode_blocks",
     "encoded_size_bytes",
     "DEFAULT_GOP_SIZE", "DEFAULT_PARAMETERS", "DEFAULT_SCENECUT",

@@ -16,10 +16,11 @@ Two encoding modes are provided:
   without emitting bytes).  This is what the experiment harnesses use: frame
   types and sizes fully determine the paper's metrics.
 
-The encoder also exposes :meth:`VideoEncoder.analyze`, a parameter-free
-lookahead pass producing one :class:`FrameActivity` per frame; the offline
-tuner evaluates every (GOP, scenecut) configuration against a single such
-pass instead of re-encoding the video k*l times.
+Every encode places its frames from :meth:`VideoEncoder.analyze`, a
+parameter-free lookahead pass producing one :class:`FrameActivity` per
+frame, run first when the caller does not pass one in; the offline tuner
+evaluates every (GOP, scenecut) configuration against a single such pass
+instead of re-encoding the video k*l times.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..video.raw_video import VideoSource
 from .bitstream import EncodedFrame, EncodedVideo
 from .blocks import pad_plane, to_blocks, from_blocks, crop_plane
 from .entropy import encode_blocks, encoded_size_bytes
-from .gop import EncoderParameters, KeyframePlacer, StreamingKeyframePlacer
+from .gop import EncoderParameters, KeyframePlacer
 from .jpeg import pack_image, packed_image_size, quantise_plane
 from .motion import MotionSearch, motion_compensate
 from .scenecut import FrameActivity, SceneCutAnalyzer
@@ -84,15 +85,11 @@ class VideoEncoder:
     # ------------------------------------------------------------------ #
     # Lookahead analysis
     # ------------------------------------------------------------------ #
-    def make_analyzer(self) -> SceneCutAnalyzer:
-        """Build a scene-cut analyser matching the encoder's block settings."""
-        return SceneCutAnalyzer(block_size=self.parameters.block_size,
-                                search_radius=self.parameters.search_radius,
-                                precision=self.precision)
-
     def analyze(self, video: VideoSource) -> List[FrameActivity]:
         """Run the parameter-independent lookahead pass over ``video``."""
-        return self.make_analyzer().analyze_video(video)
+        return SceneCutAnalyzer(self.parameters.block_size,
+                                self.parameters.search_radius,
+                                self.precision).analyze_video(video)
 
     def place_frame_types(self, activities: Sequence[FrameActivity]) -> List[FrameType]:
         """Frame types this encoder's parameters assign to an analysis pass."""
@@ -180,6 +177,9 @@ class VideoEncoder:
                activities: Optional[Sequence[FrameActivity]] = None) -> EncodedVideo:
         """Encode a whole video.
 
+        Frame types come from one lookahead pass (:meth:`analyze`) through
+        :class:`KeyframePlacer`, whether the pass is given or run here.
+
         Args:
             video: Source video.
             materialise_payload: Produce decodable byte payloads (slower) or
@@ -197,17 +197,13 @@ class VideoEncoder:
                 video length.
         """
         parameters = self.parameters
-        if activities is not None and len(activities) != video.metadata.num_frames:
+        if activities is None:
+            activities = self.analyze(video)
+        elif len(activities) != video.metadata.num_frames:
             raise EncodeError(
                 f"analysis pass has {len(activities)} entries for a video of "
                 f"{video.metadata.num_frames} frames")
-        if activities is not None:
-            # A lookahead exists: place every frame type up front.
-            frame_types = self.place_frame_types(activities)
-        else:
-            # Live encode: analyse and decide one frame at a time.
-            analyzer = self.make_analyzer()
-            placer = StreamingKeyframePlacer(parameters)
+        frame_types = self.place_frame_types(activities)
         # One search for the whole video: it keeps its candidate stack.
         search = MotionSearch(parameters.block_size, parameters.search_radius,
                               precision=self.precision)
@@ -217,15 +213,7 @@ class VideoEncoder:
         keyframes = 0
         for frame in video.frames():
             luma = frame.to_grayscale()
-            if activities is not None:
-                activity = activities[frame.index]
-                frame_type = frame_types[frame.index]
-            else:
-                # A grayscale frame is analysed as its uint8 plane: the
-                # integer path, exact like the float one and cheaper.
-                activity = analyzer.analyze_next(
-                    frame.data if frame.data.ndim == 2 else luma)
-                frame_type = placer.decide(activity)
+            frame_type = frame_types[frame.index]
             if frame_type is FrameType.I:
                 payload, size, reconstruction = self._encode_keyframe(
                     luma, materialise_payload)
@@ -237,15 +225,8 @@ class VideoEncoder:
             encoded_frames.append(EncodedFrame(
                 index=frame.index, frame_type=frame_type, size_bytes=size,
                 payload=payload,
-                novel_block_fraction=activity.novel_block_fraction))
+                novel_block_fraction=activities[frame.index].novel_block_fraction))
         _LOGGER.debug("encoded %s: %d frames, %d keyframes (%s)",
                       video.metadata.name, len(encoded_frames), keyframes,
                       parameters.describe())
         return EncodedVideo(video.metadata, parameters, encoded_frames)
-
-
-def analyze_video(video: VideoSource,
-                  parameters: Optional[EncoderParameters] = None,
-                  precision: str = "exact") -> List[FrameActivity]:
-    """Run the lookahead analysis pass for ``video``."""
-    return VideoEncoder(parameters, precision).analyze(video)

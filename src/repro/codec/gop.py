@@ -16,10 +16,12 @@ without re-running motion estimation — the property that makes the offline
 grid search of Section IV practical.
 
 The placement rule is stated twice, on purpose and no more:
-:class:`StreamingKeyframePlacer` is the stateful, frame-at-a-time form a
-live encode without a lookahead needs, and
 :meth:`ActivityColumns.keyframe_indices` is the closed form over a whole
-analysis pass, which jumps from one I-frame straight to the next.  A
+analysis pass, which jumps from one I-frame straight to the next and
+places every encode's frames; :class:`StreamingKeyframePlacer` is the
+stateful, frame-at-a-time form, kept for the one caller the closed form
+cannot serve — the drift soak's schedule replay
+(``examples/drift_soak.py``), which swaps parameters mid-stream.  A
 property test holds the two equal on random series and parameters.
 """
 
@@ -27,10 +29,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Dict, List, Sequence
 
 import numpy as np
 
+from ..config import whole_number
 from ..errors import ConfigurationError
 from ..video.frame import FrameType
 from .scenecut import (MAX_SCENECUT, FrameActivity, novelty_series,
@@ -69,24 +73,25 @@ class EncoderParameters:
     search_radius: int = 2
 
     def __post_init__(self) -> None:
-        # Frame distances are whole frames: a fractional value would make
-        # the closed-form placer emit fractional frame indices.
-        for name in ("gop_size", "min_gop_size"):
+        # Frame distances, the quality and the block geometry are whole
+        # numbers: a fractional one would place fractional frame indices or
+        # fail late, inside numpy or ``struct``.  A bool is no count at all.
+        for name in ("gop_size", "min_gop_size", "quality", "block_size",
+                     "search_radius"):
             value = getattr(self, name)
-            try:
-                integral = int(value)
-            except (TypeError, ValueError, OverflowError):
-                integral = None
-            if integral is None or integral != value:
+            if isinstance(value, bool):
                 raise ConfigurationError(
-                    f"{name} must be a whole number of frames, got {value!r}")
-            object.__setattr__(self, name, integral)
+                    f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, whole_number(value, name))
         if self.gop_size < 1:
             raise ConfigurationError(f"gop_size must be >= 1, got {self.gop_size}")
-        if not 0 <= self.scenecut_threshold <= MAX_SCENECUT:
+        # Kept exactly as given: ``describe()`` and every digest print it.
+        scenecut = self.scenecut_threshold
+        if (isinstance(scenecut, bool) or not isinstance(scenecut, Real)
+                or not 0 <= scenecut <= MAX_SCENECUT):
             raise ConfigurationError(
-                f"scenecut_threshold must be in [0, {MAX_SCENECUT}], "
-                f"got {self.scenecut_threshold}")
+                f"scenecut_threshold must be a number in [0, {MAX_SCENECUT}], "
+                f"got {scenecut!r}")
         if self.min_gop_size < 0:
             raise ConfigurationError("min_gop_size must be >= 0")
         if not 1 <= self.quality <= 100:
@@ -148,14 +153,19 @@ class StreamingKeyframePlacer:
     the disappearance itself; without latching that final scene cut would be
     dropped and the "object left" event would never receive an I-frame.
 
-    This is the only stateful statement of the rule (a live encode without
-    a lookahead has nothing else to call) and the oracle the closed form,
-    :meth:`ActivityColumns.keyframe_indices`, is property-tested against.
+    This is the only stateful statement of the rule and the oracle the
+    closed form, :meth:`ActivityColumns.keyframe_indices`, is
+    property-tested against.  Encodes place from the closed form; the
+    drift soak's schedule replay (``examples/drift_soak.py``) calls this
+    form because it assigns :attr:`parameters` mid-stream, which the closed
+    form cannot express.
     """
 
     def __init__(self, parameters: EncoderParameters) -> None:
         self.parameters = parameters
-        self.reset()
+        self._since_keyframe = 0
+        self._pending_scenecut = False
+        self._frame_count = 0
 
     @property
     def parameters(self) -> EncoderParameters:
@@ -172,12 +182,6 @@ class StreamingKeyframePlacer:
         self._min_gop = parameters.effective_min_gop
         self._novelty_floor = scenecut_novelty_floor(
             parameters.scenecut_threshold)
-
-    def reset(self) -> None:
-        """Restart the placer for a new video."""
-        self._since_keyframe = 0
-        self._pending_scenecut = False
-        self._frame_count = 0
 
     def decide(self, activity: FrameActivity) -> FrameType:
         """Return the frame type of the next frame of the stream."""

@@ -334,8 +334,7 @@ def integer_block_sums(stack: np.ndarray, block_size: int) -> np.ndarray:
 
 
 def integer_candidate_sads(padded: np.ndarray, block_size: int,
-                           search_radius: int, search_step: int,
-                           budget: int) -> np.ndarray:
+                           search_radius: int, budget: int) -> np.ndarray:
     """Block SADs of every candidate for a batch of consecutive ``uint8`` frames.
 
     ``padded`` is an ``int16`` stack ``(m, H + 2r, W + 2r)`` of ``m``
@@ -357,7 +356,7 @@ def integer_candidate_sads(padded: np.ndarray, block_size: int,
     if dtype is None:
         raise CodecError(
             f"block size {block_size} has no 2-byte SAD accumulator")
-    offsets = candidate_offsets(search_radius, search_step)
+    offsets = candidate_offsets(search_radius)
     radius = search_radius
     frames = padded.shape[0] - 1
     height = padded.shape[1] - 2 * radius

@@ -51,6 +51,10 @@ NOVEL_PIXEL_THRESHOLD = 25.0
 #: Number of novel pixels a macroblock must contain to count as a novel block.
 NOVEL_PIXEL_COUNT = 4
 
+#: :data:`NOVEL_PIXEL_THRESHOLD` for integer residuals: ``r`` exceeds the
+#: threshold ``t`` iff ``r > floor(t)``.
+_NOVEL_LEVEL = math.floor(NOVEL_PIXEL_THRESHOLD)
+
 #: Maximum scenecut threshold accepted by x264 (and by this reproduction).
 MAX_SCENECUT = 400
 
@@ -160,14 +164,16 @@ def is_scenecut(activity: FrameActivity, scenecut: float) -> bool:
 
 
 class SceneCutAnalyzer:
-    """Per-frame motion/novelty analyser.
+    """Whole-clip motion/novelty analyser.
 
-    The analyser is stateful: feed frames in presentation order with
-    :meth:`analyze_next`, or analyse a whole video with
-    :meth:`analyze_video`.  The statistics depend only on consecutive frame
-    pairs, never on encoder parameters, so one analysis pass can be reused to
-    evaluate every (GOP, scenecut) configuration — this is what makes the
-    offline tuner of Section IV cheap.
+    :meth:`analyze_frames` takes a clip's luma planes in presentation order
+    and returns one :class:`FrameActivity` per frame; :meth:`analyze_video`
+    does the same for a video.  The analyser holds its settings and nothing
+    else: every call starts at frame 0.  The statistics depend only on
+    consecutive frame pairs, never on encoder parameters, so one analysis
+    pass can be reused to evaluate every (GOP, scenecut) configuration —
+    this is what makes the offline tuner of Section IV cheap, and it is the
+    pass every encode places its frames from.
 
     Raw ``uint8`` planes (grayscale frames as captured) take the integer
     path: a run of consecutive frames is padded once into an ``int16``
@@ -178,80 +184,38 @@ class SceneCutAnalyzer:
     Other planes — RGB-derived luma, reconstructions — take the float64
     :class:`MotionSearch` of ``precision`` one frame pair at a time, as do
     blocks larger than 16, whose SADs need more than two bytes.
-    :meth:`analyze_pair` and :meth:`analyze_next` are the one-frame form of
-    the same pass.
 
     Args:
         block_size: Macroblock size for motion estimation.
         search_radius: Motion search radius in pixels.
-        search_step: Motion search grid step.
-        novel_pixel_threshold: Override of :data:`NOVEL_PIXEL_THRESHOLD`.
-        novel_pixel_count: Override of :data:`NOVEL_PIXEL_COUNT`.
         precision: Numeric mode of the float motion search (``"exact"``
             default; ``"fast"`` selects the float32 SAD path under the
             tolerance contract).
     """
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE, search_radius: int = 2,
-                 search_step: int = 1,
-                 novel_pixel_threshold: float = NOVEL_PIXEL_THRESHOLD,
-                 novel_pixel_count: int = NOVEL_PIXEL_COUNT,
                  precision: str = "exact") -> None:
         self.block_size = _require_int("block_size", block_size, 1)
         self.search_radius = _require_int("search_radius", search_radius, 0)
-        self.search_step = _require_int("search_step", search_step, 1)
-        threshold = novel_pixel_threshold
-        if (isinstance(threshold, bool)
-                or not isinstance(threshold, (int, float, np.integer, np.floating))
-                or not 0.0 < threshold < math.inf):
-            raise CodecError("novel_pixel_threshold must be positive and finite, "
-                             f"got {threshold!r}")
-        self.novel_pixel_threshold = threshold = float(threshold)
-        self.novel_pixel_count = _require_int("novel_pixel_count",
-                                              novel_pixel_count, 1)
         self.precision = validate_precision(precision)
         self._search = MotionSearch(self.block_size, self.search_radius,
-                                    self.search_step, self.precision)
+                                    precision=self.precision)
         self._sad_dtype = integer_sad_dtype(self.block_size)
-        self._offset_table = offset_table(self.search_radius, self.search_step)
-        # An integer residual r exceeds the threshold t iff r > floor(t);
-        # residuals of uint8 planes never exceed 255.
-        self._novel_level = min(math.floor(threshold), 255)
-        self._previous: Optional[np.ndarray] = None
-        self._frame_index = 0
-
-    def reset(self) -> None:
-        """Forget the previous frame and restart frame numbering."""
-        self._previous = None
-        self._frame_index = 0
+        self._offset_table = offset_table(self.search_radius, 1)
 
     # ------------------------------------------------------------------ #
     # Analysis
     # ------------------------------------------------------------------ #
-    def analyze_pair(self, previous: np.ndarray, current: np.ndarray,
-                     frame_index: int) -> FrameActivity:
-        """Analyse ``current`` against ``previous`` (both luma planes)."""
-        return self._analyze_run(previous, [current], frame_index)[0]
-
-    def analyze_next(self, luma: np.ndarray) -> FrameActivity:
-        """Analyse the next frame of a stream (presentation order)."""
-        plane = _as_plane(luma)
-        if plane.dtype == np.uint8:
-            # It becomes the next frame's reference: the caller may refill
-            # its buffer before then.
-            plane = plane.copy()
-        return self.analyze_frames([plane])[0]
-
     def analyze_frames(self, planes: Iterable[np.ndarray]) -> List[FrameActivity]:
-        """Analyse the stream's next frames (presentation order), batched.
+        """Analyse a clip's luma planes, from frame 0, in presentation order.
 
-        The batched form of :meth:`analyze_next`, with the same activities:
-        planes are taken in runs of up to :data:`_FRAME_BATCH_ELEMENTS`
-        pixels, and the last one becomes the stream's reference.  Each
-        plane must be an array of its own: a buffer refilled in place would
-        be read after the refill.
+        Planes are taken in runs of up to :data:`_FRAME_BATCH_ELEMENTS`
+        pixels; the last plane of a run is the reference of the next run's
+        first.  Each plane must be an array of its own: a buffer refilled
+        in place would be read after the refill.
         """
         activities: List[FrameActivity] = []
+        previous: Optional[np.ndarray] = None
         batch: List[np.ndarray] = []
         limit = 0
         for plane in planes:
@@ -259,10 +223,11 @@ class SceneCutAnalyzer:
             if not limit:
                 limit = max(1, _FRAME_BATCH_ELEMENTS // max(np.size(plane), 1))
             if len(batch) == limit:
-                activities += self._advance(batch)
+                activities += self._analyze_run(previous, batch, len(activities))
+                previous = batch[-1]
                 batch = []
         if batch:
-            activities += self._advance(batch)
+            activities += self._analyze_run(previous, batch, len(activities))
         return activities
 
     def analyze_video(self, video) -> List[FrameActivity]:
@@ -271,18 +236,9 @@ class SceneCutAnalyzer:
         Grayscale frames are analysed as their ``uint8`` planes, colour
         frames by their float luma.
         """
-        self.reset()
         return self.analyze_frames(
             frame.data if frame.data.ndim == 2 else frame.to_grayscale()
             for frame in video.frames())
-
-    def _advance(self, planes: List[np.ndarray]) -> List[FrameActivity]:
-        """Analyse the stream's next frames and make the last one the reference."""
-        activities = self._analyze_run(self._previous, planes,
-                                       self._frame_index)
-        self._previous = _as_plane(planes[-1])
-        self._frame_index += len(planes)
-        return activities
 
     def _analyze_run(self, previous: Optional[np.ndarray],
                      planes: Sequence[np.ndarray],
@@ -334,8 +290,8 @@ class SceneCutAnalyzer:
         residual = np.abs(current - prediction)
         residual_blocks = to_blocks(pad_plane(residual, self.block_size),
                                     self.block_size)
-        novel_pixels = (residual_blocks > self.novel_pixel_threshold).sum(axis=(2, 3))
-        novel_blocks = novel_pixels >= self.novel_pixel_count
+        novel_pixels = (residual_blocks > NOVEL_PIXEL_THRESHOLD).sum(axis=(2, 3))
+        novel_blocks = novel_pixels >= NOVEL_PIXEL_COUNT
         return FrameActivity(
             frame_index=frame_index,
             inter_cost=float(field.block_sad.sum()),
@@ -386,7 +342,7 @@ class SceneCutAnalyzer:
         """``(inter_cost, novel_block_fraction, moving_block_fraction)`` of
         frames ``1..m-1`` of a padded ``int16`` stack."""
         block, radius = self.block_size, self.search_radius
-        sads = integer_candidate_sads(padded, block, radius, self.search_step,
+        sads = integer_candidate_sads(padded, block, radius,
                                       _FRAME_BATCH_ELEMENTS)
         best = sads.argmin(axis=0)  # first minimum: the origin wins ties
         pairs, blocks_y, blocks_x = best.shape
@@ -412,9 +368,8 @@ class SceneCutAnalyzer:
                    .transpose(0, 1, 3, 2, 4))
         residual = np.subtract(current, prediction, out=prediction)
         novel_pixels = (np.abs(residual, out=residual)
-                        > self._novel_level).sum(axis=(3, 4))
-        novel = np.count_nonzero(novel_pixels >= self.novel_pixel_count,
-                                 axis=(1, 2))
+                        > _NOVEL_LEVEL).sum(axis=(3, 4))
+        novel = np.count_nonzero(novel_pixels >= NOVEL_PIXEL_COUNT, axis=(1, 2))
         count = blocks_y * blocks_x
         return [(float(cost), novel_count / count, moving_count / count)
                 for cost, novel_count, moving_count

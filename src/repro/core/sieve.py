@@ -16,7 +16,7 @@ from ..cluster.resultdb import ResultDatabase
 from ..codec.encoder import VideoEncoder
 from ..codec.gop import DEFAULT_PARAMETERS, EncoderParameters
 from ..codec.iframe_seeker import select_events_from_keyframes
-from ..config import SystemConfig
+from ..config import SystemConfig, whole_number
 from ..datasets.generator import DatasetInstance
 from ..errors import PipelineError
 from ..nn.oracle import ObjectDetector, OracleDetector
@@ -107,6 +107,11 @@ class Sieve:
         """
         if detector_batch_size is None:
             detector_batch_size = self.config.nn_batch_size
+        if isinstance(detector_batch_size, bool):
+            raise PipelineError(
+                f"detector_batch_size must be a whole number, got {detector_batch_size!r}")
+        detector_batch_size = whole_number(detector_batch_size,
+                                           "detector_batch_size", PipelineError)
         if detector_batch_size < 1:
             raise PipelineError(
                 f"detector_batch_size must be >= 1, got {detector_batch_size}")

@@ -320,11 +320,11 @@ def check_composition(composition: ScenarioComposition) -> FuzzResult:
         scene = SyntheticScene(profile)
         video = scene.video().materialise()
         encoder = VideoEncoder(FUZZ_PARAMETERS)
-        encoded = encoder.encode(video, materialise_payload=True)
+        activities = encoder.analyze(video)
+        encoded = encoder.encode(video, True, activities)
         _check_roundtrip(encoded, violations)
         _check_iframe_storm(encoded, FUZZ_PARAMETERS, violations)
-        _check_tuner(encoder.analyze(video), scene.script.timeline(),
-                     violations)
+        _check_tuner(activities, scene.script.timeline(), violations)
         _check_fast_agreement(video, encoded, violations)
         _check_fleet_parity(composition, encoded, violations)
     except Exception as exc:  # noqa: BLE001 - a crash IS a finding

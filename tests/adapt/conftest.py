@@ -42,10 +42,9 @@ def drift_clip():
                             render_scale=RENDER_SCALE, seed=CLIP_SEED)
     scene = SyntheticScene(profile)
     frames = [scene.frame_array(index) for index in range(profile.num_frames)]
-    analyzer = SceneCutAnalyzer(precision="exact")
     return {
         "frames": frames,
-        "activities": [analyzer.analyze_next(frame) for frame in frames],
+        "activities": SceneCutAnalyzer(precision="exact").analyze_frames(frames),
         "labels": scene.script.frame_labels(),
         "lumas": [mean_luma(frame) for frame in frames],
         "fps": profile.fps,

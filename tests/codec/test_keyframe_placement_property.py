@@ -1,9 +1,9 @@
 """The closed-form key-frame placer against its stateful oracle.
 
 ``src/`` states the placement rule exactly twice: one frame at a time in
-:class:`StreamingKeyframePlacer` (what a live encode calls) and in closed
-form in :meth:`ActivityColumns.keyframe_indices` (what every lookahead
-caller and the tuner's grid search call).  The property test below is what
+:class:`StreamingKeyframePlacer` (what the drift soak's schedule replay
+calls) and in closed form in :meth:`ActivityColumns.keyframe_indices`
+(what every encode and the tuner's grid search call).  The property test below is what
 ties the two together; the count guard keeps the grid search an array
 program (the cut mask is per distinct scenecut, not per grid point).
 """

@@ -83,7 +83,7 @@ class TestSceneCut:
         base = rng.uniform(60, 200, size=(40, 64))
         noisy_a = base + rng.normal(0, 2.0, size=base.shape)
         noisy_b = base + rng.normal(0, 2.0, size=base.shape)
-        activity = analyzer.analyze_pair(noisy_a, noisy_b, 1)
+        activity = analyzer.analyze_frames([noisy_a, noisy_b])[1]
         assert activity.novel_block_fraction == 0.0
 
     def test_appearing_object_triggers_novelty(self, rng):
@@ -91,7 +91,7 @@ class TestSceneCut:
         background = rng.uniform(60, 200, size=(40, 64))
         with_object = background.copy()
         with_object[10:26, 20:44] += 80.0
-        activity = analyzer.analyze_pair(background, with_object, 1)
+        activity = analyzer.analyze_frames([background, with_object])[1]
         assert activity.novel_block_fraction > 0.05
         assert activity.inter_cost > 0
 
@@ -99,7 +99,7 @@ class TestSceneCut:
         analyzer = SceneCutAnalyzer(search_radius=2)
         background = rng.uniform(60, 200, size=(40, 64))
         shifted = shift_plane(background, 0, 1)
-        activity = analyzer.analyze_pair(background, shifted, 1)
+        activity = analyzer.analyze_frames([background, shifted])[1]
         # A global pan is motion-compensable: only frame-edge blocks may be novel.
         assert activity.novel_block_fraction < 0.2
 
@@ -113,32 +113,6 @@ class TestSceneCut:
     def test_invalid_construction(self):
         with pytest.raises(CodecError):
             SceneCutAnalyzer(block_size=0)
-        with pytest.raises(CodecError):
-            SceneCutAnalyzer(novel_pixel_count=0)
-
-    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"),
-                                           -float("inf"), "25"])
-    def test_threshold_must_be_positive_and_finite(self, threshold):
-        """``nan`` and ``inf`` used to be accepted, and then no residual ever
-        exceeded them: novelty read 0.0 with an object in the frame."""
-        with pytest.raises(CodecError, match="novel_pixel_threshold"):
-            SceneCutAnalyzer(novel_pixel_threshold=threshold)
-
-    def test_an_object_is_novel_at_any_finite_threshold_below_it(self, rng):
-        background = rng.integers(60, 140, size=(40, 64)).astype(np.uint8)
-        with_object = background.copy()
-        with_object[8:16, 8:16] = 255  # one whole 64-pixel block
-        for threshold in (0.5, 25.0, 100.0):
-            activity = SceneCutAnalyzer(
-                novel_pixel_threshold=threshold).analyze_pair(
-                    background, with_object, 1)
-            assert activity.novel_block_fraction > 0
-
-    @pytest.mark.parametrize("count", [2.5, 4.0, True, "4"])
-    def test_novel_pixel_count_must_be_an_integer(self, count):
-        """A fractional count used to be truncated (2.5 counted as 2)."""
-        with pytest.raises(CodecError, match="novel_pixel_count"):
-            SceneCutAnalyzer(novel_pixel_count=count)
 
     @pytest.mark.parametrize("block_size", [8.0, 7.5, True, False, None])
     def test_block_size_must_be_an_integer(self, block_size):
@@ -148,18 +122,30 @@ class TestSceneCut:
             SceneCutAnalyzer(block_size=block_size)
 
     @pytest.mark.parametrize("knob", [dict(search_radius=1.5),
-                                      dict(search_radius=-1),
-                                      dict(search_step=0),
-                                      dict(search_step=1.0)])
+                                      dict(search_radius=-1)])
     def test_search_knobs_must_be_integers(self, knob):
         with pytest.raises(CodecError):
             SceneCutAnalyzer(**knob)
 
     def test_numpy_integers_are_integers(self):
         analyzer = SceneCutAnalyzer(block_size=np.int64(8),
-                                    novel_pixel_count=np.int32(4))
-        assert (analyzer.block_size, analyzer.novel_pixel_count) == (8, 4)
+                                    search_radius=np.int32(2))
+        assert (analyzer.block_size, analyzer.search_radius) == (8, 2)
         assert type(analyzer.block_size) is int
+        assert type(analyzer.search_radius) is int
+
+    def test_the_analyser_keeps_no_stream(self, rng):
+        """Each call is a whole clip from frame 0: a second call on the same
+        analyser gives what a fresh analyser gives."""
+        background = rng.integers(60, 200, size=(24, 40)).astype(np.uint8)
+        with_object = background.copy()
+        with_object[8:16, 8:24] = 255
+        analyzer = SceneCutAnalyzer()
+        first = analyzer.analyze_frames([background, with_object])
+        assert analyzer.analyze_frames([with_object, background]) == (
+            SceneCutAnalyzer().analyze_frames([with_object, background]))
+        assert analyzer.analyze_frames([background, with_object]) == first
+        assert first[0].is_first and first[0].frame_index == 0
 
 
 def _activity(index, novelty):
@@ -176,6 +162,39 @@ class TestKeyframePlacement:
             EncoderParameters(scenecut_threshold=500)
         with pytest.raises(ConfigurationError):
             EncoderParameters(quality=0)
+
+    @pytest.mark.parametrize("fields", [
+        dict(block_size=8.5), dict(quality=75.5), dict(search_radius=2.5),
+        dict(gop_size=2.5), dict(min_gop_size=0.5), dict(block_size="8"),
+        dict(quality=None), dict(search_radius=float("nan")),
+        dict(gop_size=True), dict(min_gop_size=True), dict(quality=True),
+        dict(block_size=True), dict(search_radius=False),
+        dict(scenecut_threshold="40"), dict(scenecut_threshold=True),
+        dict(scenecut_threshold=None), dict(scenecut_threshold=float("nan")),
+        dict(scenecut_threshold=complex(40, 0))])
+    def test_bad_fields_are_refused_when_built(self, fields):
+        """A fractional block size used to fail at encode with a bare
+        TypeError, a fractional quality with ``struct.error`` at a
+        materialised encode, a fractional radius only when the analyser was
+        built; a string scenecut raised a bare TypeError, and bools were
+        taken as 1 (or 0)."""
+        with pytest.raises(ConfigurationError, match=next(iter(fields))):
+            EncoderParameters(**fields)
+
+    def test_whole_numbers_become_ints_and_scenecut_is_kept_as_given(self):
+        parameters = EncoderParameters(
+            gop_size=np.int64(30), min_gop_size=3.0, quality=np.float64(75.0),
+            block_size=np.float64(8.0), search_radius=np.int32(2),
+            scenecut_threshold=250)
+        for name in ("gop_size", "min_gop_size", "quality", "block_size",
+                     "search_radius"):
+            assert type(getattr(parameters, name)) is int, name
+        assert (parameters.gop_size, parameters.min_gop_size, parameters.quality,
+                parameters.block_size, parameters.search_radius) == (30, 3, 75, 8, 2)
+        assert type(parameters.scenecut_threshold) is int
+        assert parameters.describe() == "gop=30, sc=250"
+        assert EncoderParameters(scenecut_threshold=np.float64(40.5)).describe() == (
+            "gop=250, sc=40.5")
 
     def test_search_radius_beyond_the_vector_byte_rejected(self):
         """Motion vectors travel as one signed byte per component: a +150 px

@@ -45,8 +45,8 @@ def drifting_frames():
 
 def adapt_pipeline(clip, precision):
     """Analyse -> chunk -> warm-up tune -> drift-monitor, one precision."""
-    analyzer = SceneCutAnalyzer(precision=precision)
-    activities = [analyzer.analyze_next(frame) for frame in clip["frames"]]
+    activities = SceneCutAnalyzer(precision=precision).analyze_frames(
+        clip["frames"])
     per_chunk = int(round(CHUNK_SECONDS * clip["fps"]))
     scenes = []
     for index in range(len(activities) // per_chunk):

@@ -8,6 +8,7 @@ from repro.codec import (ActivityColumns, EncodedVideo, EncoderParameters,
                          IFrameSeeker, VideoDecoder, VideoEncoder)
 from repro.core import evaluate_sampling
 from repro.datasets import build_dataset
+from repro.errors import PipelineError
 from repro.nn import OracleDetector
 from repro.video import RESOLUTION_400P, SyntheticScene, make_scenario
 from repro.vision import (MseChangeDetector, ThresholdSampler, score_video,
@@ -41,6 +42,13 @@ class TestSieveFacade:
         # Results were recorded in the result database, one row per segment.
         assert len(sieve.results.records_for_video("jackson_square")) == \
             len(result.keyframe_indices)
+
+    @pytest.mark.parametrize("batch_size", [2.5, "4", float("nan"), True, 0])
+    def test_detector_batch_size_is_a_whole_number(self, tiny_video, batch_size):
+        """2.5, "4" and nan used to raise a bare TypeError, and True ran
+        one-frame batches."""
+        with pytest.raises(PipelineError, match="detector_batch_size"):
+            Sieve().analyze_video(tiny_video, detector_batch_size=batch_size)
 
     def test_simulate_deployment_small(self):
         sieve = Sieve(SystemConfig())
