@@ -136,20 +136,21 @@ class VideoEncoder:
         block_size = self.parameters.block_size
         field = search(reference, luma)
         prediction = motion_compensate(reference, field, luma.shape)
-        residual = luma - prediction
-        residual_blocks = to_blocks(pad_plane(residual, block_size), block_size)
         matrix = self._matrix
-        quantised = quantise_blocks(dct2_blocks(residual_blocks), matrix)
+        # One expression, so the residual plane and its padded blocks are
+        # freed once transformed rather than held through the frame.
+        quantised = quantise_blocks(dct2_blocks(to_blocks(
+            pad_plane(luma - prediction, block_size), block_size)), matrix)
         quantised[np.abs(quantised) <= P_FRAME_DEADZONE] = 0
         blocks_y, blocks_x = quantised.shape[:2]
 
-        moving = np.any(field.vectors != 0, axis=2)
-        coded = np.any(quantised != 0, axis=(2, 3))
-        mv_bitmap = pack_bitmap(moving)
-        coded_bitmap = pack_bitmap(coded)
-        mv_bytes = field.vectors[moving].astype(np.int8).tobytes()
+        moving = (field.vectors != 0).any(axis=2)
+        coded = (quantised != 0).any(axis=(2, 3))
         coded_blocks = quantised[coded][:, None, :, :]  # (n, 1, b, b) block array
         if materialise:
+            mv_bitmap = pack_bitmap(moving)
+            coded_bitmap = pack_bitmap(coded)
+            mv_bytes = field.vectors[moving].astype(np.int8).tobytes()
             residual_payload = (encode_blocks(coded_blocks)
                                 if coded_blocks.shape[0] else b"")
             header = _P_FRAME_HEADER.pack(P_FRAME_MARKER, block_size,
@@ -159,11 +160,13 @@ class VideoEncoder:
                        + residual_payload)
             size = len(payload)
         else:
+            # The same layout, counted: two bitmaps of one bit per block,
+            # two bytes per moving block, and the residual's exact size.
             payload = None
             residual_size = (encoded_size_bytes(coded_blocks)
                              if coded_blocks.shape[0] else 0)
-            size = (_P_FRAME_HEADER.size + len(mv_bitmap) + len(coded_bitmap)
-                    + len(mv_bytes) + residual_size)
+            size = (_P_FRAME_HEADER.size + 2 * (-(-moving.size // 8))
+                    + 2 * int(moving.sum()) + residual_size)
         reconstructed_residual = idct2_blocks(dequantise_blocks(quantised, matrix))
         residual_plane_full = crop_plane(from_blocks(reconstructed_residual),
                                          luma.shape[0], luma.shape[1])

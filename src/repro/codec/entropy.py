@@ -95,22 +95,28 @@ def _level_bytes(levels: np.ndarray) -> np.ndarray:
 def encoded_size_bytes(quantised: np.ndarray) -> int:
     """Exact encoded size in bytes of a 4-D quantised block array.
 
-    This is fully vectorised and matches :func:`encode_blocks` byte for byte.
+    This is fully vectorised and matches :func:`encode_blocks` byte for
+    byte.  Only the non-zero coefficients cost anything beyond the EOB
+    byte of each block, so only they are visited: each costs a token byte,
+    one or two level bytes, and a ZRL byte per full run of 16 zeros before
+    it in its block.
     """
     rows = _to_zigzag_rows(quantised)
     num_blocks, num_coeffs = rows.shape
-    nonzero = rows != 0
-    # Bytes for (token + level) of every non-zero coefficient.
-    level_cost = np.where(nonzero, 1 + _level_bytes(rows), 0).sum()
-    # ZRL tokens: one byte per full run of 16 zeros preceding a non-zero.
-    positions = np.where(nonzero, np.arange(num_coeffs)[None, :], -1)
-    previous = np.maximum.accumulate(positions, axis=1)
-    shifted = np.concatenate(
-        [np.full((num_blocks, 1), -1, dtype=previous.dtype), previous[:, :-1]], axis=1)
-    runs = np.where(nonzero, np.arange(num_coeffs)[None, :] - shifted - 1, 0)
-    zrl_cost = (runs // 16).sum()
-    # One EOB byte per block.
-    return int(level_cost + zrl_cost + num_blocks)
+    nonzero = np.flatnonzero(rows)
+    if nonzero.size == 0:
+        return num_blocks
+    levels = rows.ravel()[nonzero]
+    long_levels = int(np.count_nonzero((levels < -128) | (levels > 127)))
+    # The zero run before a coefficient reaches back to the previous
+    # non-zero one, or to its block's start.
+    previous = np.empty_like(nonzero)
+    previous[0] = -1
+    previous[1:] = nonzero[:-1]
+    block_start = nonzero - nonzero % num_coeffs
+    runs = nonzero - np.maximum(previous, block_start - 1) - 1
+    zrl_bytes = int((runs >> 4).sum())
+    return 2 * nonzero.size + long_levels + zrl_bytes + num_blocks
 
 
 def encode_blocks(quantised: np.ndarray) -> bytes:

@@ -8,7 +8,7 @@ the library has no OpenCV dependency.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -186,10 +186,20 @@ def normalize_plane(image: np.ndarray) -> np.ndarray:
     return (plane - plane.mean()) / std
 
 
-def mean_squared_error(first: np.ndarray, second: np.ndarray) -> float:
-    """Pixel-wise mean squared error between two planes of equal shape."""
+def mean_squared_error(first: np.ndarray,
+                       second: np.ndarray) -> Union[float, np.ndarray]:
+    """Pixel-wise mean squared error between two planes of equal shape.
+
+    Two ``(n, H, W)`` stacks give the ``n`` errors of their plane pairs as
+    an array.  Each error is its plane's squares summed over one
+    contiguous ``H · W`` run, the order a lone plane's are summed in, so a
+    stack's errors are bit-identical to ``n`` calls on its planes.
+    """
     a = np.asarray(first, dtype=np.float64)
     b = np.asarray(second, dtype=np.float64)
     if a.shape != b.shape:
         raise ConfigurationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
+    squares = np.subtract(a, b)
+    np.square(squares, out=squares)
+    errors = squares.sum(axis=(-2, -1)) / (a.shape[-2] * a.shape[-1])
+    return float(errors) if a.ndim == 2 else errors

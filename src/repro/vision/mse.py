@@ -11,17 +11,27 @@ behaviour the paper observes in Figure 3.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from .imageops import mean_squared_error
 from .similarity import ChangeDetector
+
+#: Upper bound, in pixels, on one batch of consecutive planes scored
+#: together (256 KiB of float64: a batch and its squares stay in cache).
+_BATCH_ELEMENTS = 1 << 15
 
 
 class MseChangeDetector(ChangeDetector):
     """Frame-difference detector using pixel-wise mean squared error at full
-    resolution."""
+    resolution.
+
+    :meth:`score_planes` scores a clip in batches of consecutive planes,
+    one :func:`~repro.vision.imageops.mean_squared_error` call over two
+    stacks per batch; :meth:`score_next` is the one-pair call.
+    """
 
     name = "mse"
 
@@ -38,3 +48,30 @@ class MseChangeDetector(ChangeDetector):
         if previous is None:
             return float("inf")
         return mean_squared_error(previous, plane)
+
+    def score_planes(self, planes: Iterable[np.ndarray]) -> List[float]:
+        self.reset()
+        scores: List[float] = []
+        stack: Optional[np.ndarray] = None
+        filled = 0
+        for plane in planes:
+            plane = np.asarray(plane)
+            if stack is None:
+                scores.append(float("inf"))
+                stack = np.empty((max(2, _BATCH_ELEMENTS // max(plane.size, 1)),
+                                  *plane.shape))
+            elif plane.shape != stack.shape[1:]:
+                raise ConfigurationError(
+                    f"shape mismatch: {stack.shape[1:]} vs {plane.shape}")
+            stack[filled] = plane  # converted to float64 here
+            filled += 1
+            if filled == len(stack):
+                scores += mean_squared_error(stack[:-1], stack[1:]).tolist()
+                stack[0] = stack[-1]
+                filled = 1
+        if filled > 1:
+            scores += mean_squared_error(stack[:filled - 1],
+                                         stack[1:filled]).tolist()
+        if stack is not None:
+            self._previous = stack[filled - 1].copy()
+        return scores

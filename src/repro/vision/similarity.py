@@ -19,7 +19,7 @@ shared machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -48,14 +48,25 @@ class ChangeDetector:
         """Score a luma plane against the previous one."""
         raise NotImplementedError
 
+    def score_planes(self, planes: Iterable[np.ndarray]) -> List[float]:
+        """Scores of a whole stream of luma planes, from a :meth:`reset`.
+
+        Plane by plane here; a detector that can score consecutive planes
+        together overrides it.
+        """
+        self.reset()
+        return [self.score_next(plane) for plane in planes]
+
 
 def score_video(detector: ChangeDetector, video: VideoSource) -> List[float]:
-    """Compute the change-score series of a video (first frame scores ``inf``)."""
-    detector.reset()
-    scores: List[float] = []
-    for frame in video.frames():
-        scores.append(detector.score_next(to_grayscale(frame.data)))
-    return scores
+    """Compute the change-score series of a video (first frame scores ``inf``).
+
+    Grayscale frames are scored as their planes, colour frames by their
+    float luma.
+    """
+    return detector.score_planes(
+        frame.data if frame.data.ndim == 2 else to_grayscale(frame.data)
+        for frame in video.frames())
 
 
 @dataclass

@@ -10,14 +10,18 @@ counting, encoded size-only with the default parameters.
   off: Python-level calls into ``repro`` itself, all Python-level calls,
   and C calls.  The first count does not depend on the numpy version, so
   its ceiling is the tight one.  ``encode(video)`` runs the batched
-  analysis pass and then the encode: 39.6 ``repro`` / 75.0 Python-level /
-  104.7 C calls a frame.  Given the pass, ``encode(video,
-  activities=...)`` makes 34.5 / 67.3 / 86.0.  The live loop this
-  replaced, which analysed and placed one frame at a time, made 127.9
-  Python-level and 176.4 C calls; a ``MotionSearch`` built per frame adds
-  four ``repro`` calls a P-frame.
-* The ``tracemalloc`` peak of one warm encode: 0.95 MB with the analysis
-  pass (one frame batch of its ``int16`` stacks), 0.79 MB without.
+  analysis pass and then the encode: 31.7 ``repro`` / 73.5 Python-level /
+  96.2 C calls a frame.  Given the pass, ``encode(video,
+  activities=...)`` makes 26.6 / 65.7 / 73.5.  The float64 candidate
+  stack the integer screen replaced made 39.6 / 75.0 / 104.7 and 34.5 /
+  67.3 / 86.0; the live loop before that, which analysed and placed one
+  frame at a time, made 127.9 Python-level and 176.4 C calls; a
+  ``MotionSearch`` built per frame adds four ``repro`` calls a P-frame.
+* The share of searched blocks the exact search settles in float64
+  because its integer screen left two candidates in the running: 30 of
+  12,376 (0.24 %), in 119 searches.
+* The ``tracemalloc`` peak of one warm encode: 1.00 MB with the analysis
+  pass (one frame batch of its ``int16`` stacks), 0.85 MB without.
 """
 
 from __future__ import annotations
@@ -30,14 +34,17 @@ import tracemalloc
 import pytest
 
 import repro
+import repro.codec.motion as motion
 from repro.codec.encoder import VideoEncoder
 from repro.datasets.generator import build_dataset
 
 FRAMES = 120
 
 #: ``repro`` / all Python-level / C calls per frame, and traced peak bytes.
-ANALYSE_FIRST_CEILINGS = (41.5, 84.0, 118.0, 1_100_000)
-GIVEN_PASS_CEILINGS = (36.0, 75.0, 97.0, 900_000)
+ANALYSE_FIRST_CEILINGS = (33.0, 78.0, 101.0, 1_100_000)
+GIVEN_PASS_CEILINGS = (28.0, 70.0, 78.0, 900_000)
+#: Blocks settled in float64 per block searched.
+SETTLE_SHARE_CEILING = 0.005
 
 PACKAGE = os.path.dirname(repro.__file__)
 
@@ -110,3 +117,23 @@ class TestWhatAnEncodeCosts:
         encode()
         peak = _peak_bytes(encode)
         assert peak <= ceilings[-1], peak
+
+    def test_settle_share(self, clip, monkeypatch):
+        settled, searched = [0], [0]
+        settle, search = motion.MotionSearch._settle, motion.MotionSearch.__call__
+
+        def counted_settle(self, reference, current, running, tied, *rest):
+            settled[0] += int(tied.sum())
+            return settle(self, reference, current, running, tied, *rest)
+
+        def counted_search(self, reference, current):
+            field = search(self, reference, current)
+            searched[0] += field.vectors.shape[0] * field.vectors.shape[1]
+            return field
+
+        monkeypatch.setattr(motion.MotionSearch, "_settle", counted_settle)
+        monkeypatch.setattr(motion.MotionSearch, "__call__", counted_search)
+        encoder = VideoEncoder()
+        encoder.encode(clip, activities=encoder.analyze(clip))
+        assert searched[0] == 119 * 8 * 13
+        assert settled[0] / searched[0] <= SETTLE_SHARE_CEILING, settled

@@ -1,13 +1,14 @@
-"""The batched motion kernels against the per-candidate loops they replaced.
+"""The batched motion kernels against the bodies they replaced.
 
 The functions prefixed ``loop_`` are the bodies ``codec/motion.py`` carried
 before the search became one batched ``(c, H, W)`` candidate kernel and the
-compensation one block gather.  They live here as the oracle.  The exact
-search is under the bit-identity contract — every SAD feeds an argmin whose
-tie-breaks decide motion vectors, frame sizes and the benchmark's golden
-digests — so the comparison is on ``.tobytes()`` (dtype included), never on
-``allclose``: the new kernel spells out numpy's summation order instead of
-calling the same reduction, and this is what holds it to that order.
+compensation one block gather; ``stack_estimate_motion`` is that batched
+float64 kernel, which the exact search carried until it became an integer
+screen that settles only near-ties in float64.  They live here as the
+oracle.  The exact search is under the bit-identity contract — every SAD
+feeds an argmin whose tie-breaks decide motion vectors, frame sizes and the
+benchmark's golden digests — so the comparison is on ``.tobytes()`` (dtype
+included), never on ``allclose``.
 """
 
 import numpy as np
@@ -16,8 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro.codec.motion as motion_module
 from repro.codec.blocks import from_blocks, pad_plane, to_blocks
-from repro.codec.motion import (MotionField, MotionSearch, candidate_offsets,
-                                estimate_motion, motion_compensate, pad_edge,
+from repro.codec.motion import (MotionField, MotionSearch, _block_sums_exact,
+                                candidate_offsets, estimate_motion,
+                                integer_block_sums, integer_sad_dtype,
+                                motion_compensate, offset_table, pad_edge,
                                 shift_plane)
 from repro.errors import CodecError
 
@@ -51,6 +54,32 @@ def loop_estimate_motion(reference, current, block_size, search_radius,
     offset_table = np.asarray(offsets, dtype=np.int16)
     return MotionField(vectors=offset_table[best_index], block_sad=best_sad,
                        zero_sad=sads[0], block_size=block_size)
+
+
+def stack_estimate_motion(reference, current, block_size, search_radius,
+                          search_step=1):
+    """The exact search as one float64 SAD surface: candidates a batch of
+    32 k elements at a time in a ``(c, H, W)`` stack, summed in the pinned
+    order."""
+    reference = pad_plane(np.asarray(reference, dtype=np.float64), block_size)
+    current = pad_plane(np.asarray(current, dtype=np.float64), block_size)
+    offsets = candidate_offsets(search_radius, search_step)
+    padded = pad_edge(reference, search_radius)
+    height, width = current.shape
+    batch = max(1, min(len(offsets), 32768 // (height * width)))
+    sads = np.empty((len(offsets), height // block_size, width // block_size))
+    for start in range(0, len(offsets), batch):
+        chunk = offsets[start:start + batch]
+        diff = np.empty((len(chunk), height, width))
+        for plane, (dy, dx) in zip(diff, chunk):
+            plane[...] = padded[search_radius - dy:search_radius - dy + height,
+                                search_radius - dx:search_radius - dx + width]
+        np.subtract(diff, current, out=diff)
+        np.abs(diff, out=diff)
+        sads[start:start + len(chunk)] = _block_sums_exact(diff, block_size)
+    return MotionField(
+        vectors=offset_table(search_radius, search_step)[sads.argmin(axis=0)],
+        block_sad=sads.min(axis=0), zero_sad=sads[0], block_size=block_size)
 
 
 def loop_motion_compensate(reference, field, output_shape):
@@ -125,10 +154,11 @@ def _plane_pairs(draw):
         current = np.full((height, width), 31.5)
     radius = draw(st.integers(0, 3))
     step = draw(st.integers(1, 2))
-    # 1 puts every candidate in its own batch; the small budgets put a batch
-    # boundary inside the candidate list; the module's own value is last.
+    # 1 puts every grid row of candidates in its own batch; the small
+    # budgets put a batch boundary inside the grid; the module's own value
+    # is last.
     batch_elements = draw(st.sampled_from(
-        (1, 600, 5000, motion_module._BATCH_ELEMENTS)))
+        (1, 600, 5000, motion_module._SCREEN_BATCH_ELEMENTS)))
     return reference, current, block_size, radius, step, batch_elements
 
 
@@ -137,13 +167,13 @@ class TestSearchMatchesLoop:
     @given(_plane_pairs())
     def test_fields_are_byte_identical(self, case):
         reference, current, block_size, radius, step, batch_elements = case
-        original = motion_module._BATCH_ELEMENTS
-        motion_module._BATCH_ELEMENTS = batch_elements
+        original = motion_module._SCREEN_BATCH_ELEMENTS
+        motion_module._SCREEN_BATCH_ELEMENTS = batch_elements
         try:
             field = estimate_motion(reference, current, block_size, radius,
                                     step)
         finally:
-            motion_module._BATCH_ELEMENTS = original
+            motion_module._SCREEN_BATCH_ELEMENTS = original
         assert_same_field(field, loop_estimate_motion(
             reference, current, block_size, radius, step))
 
@@ -216,6 +246,150 @@ class TestSearchMatchesLoop:
             with pytest.raises(CodecError):
                 estimate_motion(np.zeros((8, 8)), np.zeros((8, 16)),
                                 precision=precision)
+
+
+# --------------------------------------------------------------------- #
+# The screened exact search against the float64 stack
+# --------------------------------------------------------------------- #
+#: 24 and 32 add blocks past the 2-byte accumulators and a tail-free
+#: pairwise tree of four rounds.
+SCREEN_BLOCK_SIZES = (4, 8, 12, 16, 24, 32)
+
+
+def rounding_tie(block_size, blocks=2):
+    """Planes on which the screen misjudges an exact tie by its full bound.
+
+    Every value is a half-integer in units of ``2^-6`` (the fixed point of
+    planes in ``[0, 255]``), so ``rint`` rounds each half to even.  Along a
+    row the reference climbs 6 units a column and the current sits 3 units
+    below it: the zero vector and ``dx = +1`` both miss by exactly 3 units a
+    pixel, a tie the origin wins, while the screen scores them 4 and 2.  A
+    bound of less than ``2 · b²`` units drops the origin from the running.
+    """
+    width = blocks * block_size
+    columns = 12805.5 + 6.0 * np.arange(width)
+    reference = np.tile(columns, (block_size, 1)) / 64.0
+    return reference, reference - 3.0 / 64.0
+
+
+@st.composite
+def _screen_cases(draw):
+    """(reference, current, block_size, radius, step) near the screen's
+    bound: exact ties, flat planes, ties broken by an ulp or by less than
+    the margin, non-integer reconstructions, one-block-wide frames."""
+    block_size = draw(st.sampled_from(SCREEN_BLOCK_SIZES))
+    height = draw(st.integers(1, 2 * block_size + 5))
+    width = draw(st.one_of(st.integers(1, block_size),
+                           st.integers(1, 3 * block_size + 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    kind = draw(st.sampled_from(
+        ("raw", "reconstruction", "flat", "stripes", "nudged", "rounding")))
+    shift = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    if kind == "raw":
+        reference = rng.integers(0, 256, size=(height, width)).astype(np.float64)
+        current = np.roll(reference, shift, axis=(0, 1))
+    elif kind == "reconstruction":
+        reference = rng.uniform(0.0, 255.0, size=(height, width))
+        current = np.clip(shift_plane(reference, *shift)
+                          + rng.normal(0.0, draw(st.sampled_from((0.01, 2.0))),
+                                       size=(height, width)), 0.0, 255.0)
+    elif kind == "flat":
+        reference = np.full((height, width), draw(st.sampled_from((0.0, 127.25))))
+        current = np.full((height, width), draw(st.sampled_from((0.0, 31.5))))
+    elif kind in ("stripes", "nudged"):
+        # Periodic along x: shifts by the period tie away from the borders.
+        period = draw(st.integers(1, 3))
+        base = rng.uniform(0.0, 255.0, size=(height, period))
+        reference = np.tile(base, (1, -(-width // period)))[:, :width]
+        current = shift_plane(reference, *shift)
+        if kind == "nudged":
+            # Break the ties by one ulp, or by far less than the margin.
+            nudged = rng.random((height, width)) < 0.3
+            if draw(st.booleans()):
+                current = np.where(nudged, np.nextafter(current, 256.0), current)
+            else:
+                current = current + nudged * draw(st.sampled_from((1e-9, 1e-3, 0.05)))
+    else:
+        reference, current = rounding_tie(block_size, max(1, width // block_size))
+        reference, current = reference[:height], current[:height]
+    radius = draw(st.integers(0, 3))
+    step = draw(st.integers(1, 2))
+    return reference, current, block_size, radius, step
+
+
+class TestScreenedSearchMatchesStack:
+    @settings(max_examples=400, deadline=None)
+    @given(_screen_cases())
+    @example((*rounding_tie(8), 8, 1, 1))
+    @example((*rounding_tie(16, 3), 16, 2, 1))
+    def test_fields_are_byte_identical(self, case):
+        reference, current, block_size, radius, step = case
+        assert_same_field(
+            estimate_motion(reference, current, block_size, radius, step),
+            stack_estimate_motion(reference, current, block_size, radius, step))
+
+    @pytest.mark.parametrize("block_size", SCREEN_BLOCK_SIZES)
+    def test_a_tie_misjudged_by_the_full_bound_is_settled(self, block_size):
+        reference, current = rounding_tie(block_size)
+        field = estimate_motion(reference, current, block_size, 1)
+        assert not field.vectors.any()
+        assert_same_field(field, stack_estimate_motion(reference, current,
+                                                       block_size, 1))
+
+    def test_sads_settle_once_and_alias_nothing(self):
+        """``block_sad`` and ``zero_sad`` are settled when first read, from
+        the planes of their own search, after later searches reuse the
+        screen's buffers."""
+        rng = np.random.default_rng(12)
+        search = MotionSearch(8, 2)
+        pairs, fields = [], []
+        for _ in range(3):
+            reference = rng.uniform(0.0, 255.0, size=(30, 41))
+            current = np.clip(shift_plane(reference, 1, 2)
+                              + rng.normal(0.0, 1.0, size=(30, 41)), 0.0, 255.0)
+            pairs.append((reference, current))
+            fields.append(search(reference, current))
+        for (reference, current), field in zip(pairs, fields):
+            expected = stack_estimate_motion(reference, current, 8, 2)
+            assert_same_field(field, expected)
+            assert field.block_sad is field.block_sad
+
+    def test_wide_spans_and_tiny_values(self):
+        """Planes far outside [0, 255]: the fixed point scales down, or up;
+        a span too wide to screen settles every block."""
+        rng = np.random.default_rng(13)
+        base = rng.uniform(0.0, 1.0, size=(20, 28))
+        moved = shift_plane(base, 1, 1) + rng.normal(0.0, 0.01, size=(20, 28))
+        for scale in (1e-300, 1e-6, 1.0, 1e6, 1e290, 1e305):
+            assert_same_field(estimate_motion(base * scale, moved * scale, 8, 2),
+                              stack_estimate_motion(base * scale, moved * scale,
+                                                    8, 2))
+        mixed = np.where(base > 0.5, 1e300, -1e300)
+        assert_same_field(estimate_motion(mixed, moved, 8, 1),
+                          stack_estimate_motion(mixed, moved, 8, 1))
+
+
+class TestIntegerBlockSums:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((1, 2, 3, 4, 5, 8, 12, 16, 24, 32)),
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from((None, 255, 16383, 32767)),
+           st.integers(0, 2**31 - 1))
+    def test_sums_equal_int64_sums(self, block_size, count, blocks_y, blocks_x,
+                                   term_bound, seed):
+        rng = np.random.default_rng(seed)
+        shape = (count, blocks_y * block_size, blocks_x * block_size)
+        if term_bound is None:
+            stack = rng.integers(0, 4, size=shape).astype(np.int32)
+        else:
+            stack = rng.integers(term_bound - 2, term_bound + 1,
+                                 size=shape).astype(np.uint16)
+        expected = stack.astype(np.int64).reshape(
+            count, blocks_y, block_size, blocks_x, block_size).sum(axis=(2, 4))
+        sums = integer_block_sums(stack, block_size, term_bound)
+        assert np.array_equal(sums, expected)
+        assert sums.dtype == (stack.dtype if term_bound is None else
+                              integer_sad_dtype(block_size, term_bound, np.int64))
 
 
 @st.composite

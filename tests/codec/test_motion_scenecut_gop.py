@@ -63,6 +63,50 @@ class TestMotion:
             MotionSearch(search_radius=search_radius)(np.zeros(shape),
                                                       np.zeros(shape))
 
+    @pytest.mark.parametrize("precision", ["exact", "fast"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["reference", "current"])
+    def test_non_finite_plane_rejected(self, precision, bad, which):
+        """A NaN or an infinity used to come back as all-zero vectors."""
+        planes = {"reference": np.full((16, 24), 80.0),
+                  "current": np.full((16, 24), 90.0)}
+        planes[which][5, 7] = bad
+        with pytest.raises(CodecError, match="NaN or infinity"):
+            estimate_motion(planes["reference"], planes["current"], 8, 2,
+                            precision=precision)
+        with pytest.raises(CodecError, match="NaN or infinity"):
+            MotionSearch(8, 2, precision=precision)(planes["reference"],
+                                                    planes["current"])
+
+    @pytest.mark.parametrize("precision", ["exact", "fast"])
+    def test_complex_plane_rejected(self, precision):
+        """A complex plane used to lose its imaginary part with a
+        ComplexWarning."""
+        real = np.full((16, 16), 50.0)
+        for reference, current in ((real + 1j, real), (real, real + 0j)):
+            with pytest.raises(CodecError, match="complex"):
+                estimate_motion(reference, current, 8, 2, precision=precision)
+
+    @pytest.mark.parametrize("arguments", [
+        (8, True), (True, 2), (8, 2, True), (8, False),
+        (8, 2.5), (8.5, 2), (8, 2, 1.5), (8, "2"), (8, None),
+        (0, 2), (8, -1), (8, 2, 0)])
+    def test_search_geometry_must_be_whole_numbers(self, arguments):
+        """``MotionSearch(8, True)`` used to search radius 1, and
+        ``MotionSearch(8, 2.5)`` to raise a bare TypeError."""
+        with pytest.raises(CodecError):
+            MotionSearch(*arguments)
+        with pytest.raises(CodecError):
+            estimate_motion(np.zeros((16, 16)), np.zeros((16, 16)), *arguments)
+
+    def test_integral_floats_are_whole_numbers(self, rng):
+        reference = rng.uniform(0, 255, size=(24, 32))
+        current = shift_plane(reference, 1, -1)
+        field = MotionSearch(8.0, np.int64(2), 1.0)(reference, current)
+        expected = MotionSearch(8, 2, 1)(reference, current)
+        assert field.block_size == 8 and type(field.block_size) is int
+        assert np.array_equal(field.vectors, expected.vectors)
+
 
 class TestSceneCut:
     def test_threshold_mapping_monotone(self):
