@@ -40,7 +40,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..config import SystemConfig
+from ..config import SystemConfig, real_number
 from ..dataflow.scheduler import EventScheduler, StationStats
 from ..errors import ClusterError
 from ..faults.injector import FleetFaultDriver
@@ -100,18 +100,6 @@ class PlacementPolicy(enum.Enum):
             f"expected one of {[policy.value for policy in cls]}")
 
 
-def _real(value, name: str):
-    """``value`` if it is a real number, else a :class:`ClusterError`.
-
-    A ``bool`` is refused although Python counts it as an integer: ``True``
-    frames or seconds is a caller's mistake, not a count of one.
-    """
-    if (isinstance(value, (bool, np.bool_))
-            or not isinstance(value, numbers.Real)):
-        raise ClusterError(f"{name} must be a real number, got {value!r}")
-    return value
-
-
 #: The type each numeric :class:`CameraJob` field is stored as.
 _STORED_AS = (("num_frames", int), ("frames_for_inference", int),
               ("edge_seconds", float), ("cloud_seconds", float),
@@ -158,7 +146,7 @@ class CameraJob:
             for (name, kind), value in zip(_STORED_AS, values):
                 # np.float64 is a float, so needs no ABC check.
                 if type(value) is not kind and not isinstance(value, float):
-                    _real(value, name)
+                    real_number(value, name, ClusterError)
         # Chained comparisons so nan (which passes ``< 0``) and inf are
         # refused here rather than poisoning every downstream statistic.
         for value in (self.num_frames, self.frames_for_inference):
@@ -602,7 +590,7 @@ def _whole_count(value, name: str) -> int:
     before ``int()`` can raise a bare error on them, and a fraction is
     refused rather than truncated (the recurrence indexes by counts).
     """
-    value = _real(value, name)
+    value = real_number(value, name, ClusterError)
     if not (1 <= value < math.inf and value == int(value)):
         raise ClusterError(f"{name} must be a whole number >= 1, got {value!r}")
     return int(value)
@@ -657,8 +645,9 @@ class FleetOrchestrator:
         self.cloud_workers = (_whole_count(cloud_workers, "cloud_workers")
                               if cloud_workers is not None
                               else self.num_edge_servers)
-        if not 0 <= _real(arrival_jitter_seconds,
-                          "arrival_jitter_seconds") < math.inf:
+        if not 0 <= real_number(arrival_jitter_seconds,
+                                "arrival_jitter_seconds",
+                                ClusterError) < math.inf:
             raise ClusterError(
                 "arrival_jitter_seconds must be finite and >= 0")
         if seed is not None and (isinstance(seed, (bool, np.bool_))

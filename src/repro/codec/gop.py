@@ -29,12 +29,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from numbers import Real
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..config import whole_number
+from ..config import real_number, whole_number
 from ..errors import ConfigurationError
 from ..video.frame import FrameType
 from .scenecut import (MAX_SCENECUT, FrameActivity, novelty_series,
@@ -86,9 +85,8 @@ class EncoderParameters:
         if self.gop_size < 1:
             raise ConfigurationError(f"gop_size must be >= 1, got {self.gop_size}")
         # Kept exactly as given: ``describe()`` and every digest print it.
-        scenecut = self.scenecut_threshold
-        if (isinstance(scenecut, bool) or not isinstance(scenecut, Real)
-                or not 0 <= scenecut <= MAX_SCENECUT):
+        scenecut = real_number(self.scenecut_threshold, "scenecut_threshold")
+        if not 0 <= scenecut <= MAX_SCENECUT:
             raise ConfigurationError(
                 f"scenecut_threshold must be a number in [0, {MAX_SCENECUT}], "
                 f"got {scenecut!r}")

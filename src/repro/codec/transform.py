@@ -10,6 +10,7 @@ with a couple of einsums.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -107,6 +108,11 @@ def quantise_blocks(coefficients: np.ndarray, quant_matrix: np.ndarray) -> np.nd
     return np.round(coefficients / quant_matrix).astype(np.int32)
 
 
-def dequantise_blocks(quantised: np.ndarray, quant_matrix: np.ndarray) -> np.ndarray:
-    """Reconstruct approximate DCT coefficients from quantised integers."""
-    return quantised.astype(np.float64) * quant_matrix
+def dequantise_blocks(quantised: np.ndarray, quant_matrix: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Reconstruct approximate DCT coefficients from quantised integers.
+
+    ``out``, a ``float64`` array of the result's shape, receives them
+    without a temporary.  The integers widen to ``float64`` exactly.
+    """
+    return np.multiply(quantised, quant_matrix, out=out)

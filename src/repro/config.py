@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from typing import Dict, Type
 
 from .contracts import (PRECISION_ENV, PRECISION_EXACT, NumericContract,
@@ -76,6 +77,20 @@ def whole_number(value: object, name: str,
         raise error(
             f"{name} must be a whole number, got {value!r}")
     return integral
+
+
+def real_number(value: object, name: str,
+                error: Type[SieveError] = ConfigurationError) -> Real:
+    """``value`` unchanged if it is a real number, else ``error`` (a
+    :class:`ConfigurationError` by default).
+
+    A ``bool`` is refused although Python counts it as an integer: ``True``
+    as a threshold or a count of seconds is a caller's mistake.  ``nan`` and
+    ``inf`` pass; ranges are the caller's to check.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 def resolve_worker_count(workers: int, name: str) -> int:

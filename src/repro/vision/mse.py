@@ -24,6 +24,21 @@ from .similarity import ChangeDetector
 _BATCH_ELEMENTS = 1 << 15
 
 
+def _real_plane(plane) -> np.ndarray:
+    """``plane`` as an array if it is a non-empty 2-D plane of real numbers.
+
+    Only the shape and dtype are read.  A colour frame is scored as its
+    luma (:func:`~repro.vision.similarity.score_video` converts it); a
+    3-D array here would be read as a stack of planes.
+    """
+    plane = np.asarray(plane)
+    if plane.ndim != 2 or plane.size == 0 or plane.dtype.kind not in "biuf":
+        raise ConfigurationError(
+            f"MSE scores non-empty 2-D planes of real numbers, got shape "
+            f"{plane.shape} of {plane.dtype}")
+    return plane
+
+
 class MseChangeDetector(ChangeDetector):
     """Frame-difference detector using pixel-wise mean squared error at full
     resolution.
@@ -42,7 +57,7 @@ class MseChangeDetector(ChangeDetector):
         self._previous = None
 
     def score_next(self, current: np.ndarray) -> float:
-        plane = np.asarray(current, dtype=np.float64)
+        plane = _real_plane(current).astype(np.float64, copy=False)
         previous = self._previous
         self._previous = plane
         if previous is None:
@@ -55,10 +70,10 @@ class MseChangeDetector(ChangeDetector):
         stack: Optional[np.ndarray] = None
         filled = 0
         for plane in planes:
-            plane = np.asarray(plane)
+            plane = _real_plane(plane)
             if stack is None:
                 scores.append(float("inf"))
-                stack = np.empty((max(2, _BATCH_ELEMENTS // max(plane.size, 1)),
+                stack = np.empty((max(2, _BATCH_ELEMENTS // plane.size),
                                   *plane.shape))
             elif plane.shape != stack.shape[1:]:
                 raise ConfigurationError(

@@ -23,6 +23,7 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
+from ..config import real_number
 from ..errors import ConfigurationError
 from ..video.raw_video import VideoSource
 from .imageops import to_grayscale
@@ -77,10 +78,18 @@ class ThresholdSampler:
     the first frame of a video is always sampled (its score is infinite).
 
     Attributes:
-        threshold: Change-score threshold.
+        threshold: Change-score threshold, a real number; ``±inf`` are
+            legal (``inf`` samples only the first frame), NaN is not.
     """
 
     threshold: float
+
+    def __post_init__(self) -> None:
+        threshold = real_number(self.threshold, "threshold")
+        if threshold != threshold:  # NaN, the one real unequal to itself
+            raise ConfigurationError(
+                f"threshold must be a real number other than NaN, "
+                f"got {threshold!r}")
 
     def sample(self, scores: Sequence[float]) -> List[int]:
         """Indices of the frames whose score exceeds the threshold."""
@@ -105,7 +114,7 @@ def threshold_for_sampling_fraction(scores: Sequence[float],
     Returns:
         The selected threshold.
     """
-    if not 0.0 < fraction <= 1.0:
+    if not 0.0 < real_number(fraction, "fraction") <= 1.0:
         raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
     values = np.asarray(scores, dtype=np.float64)
     if values.size == 0:

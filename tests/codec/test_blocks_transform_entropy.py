@@ -78,6 +78,13 @@ class TestTransform:
         reconstructed = dequantise_blocks(quantise_blocks(blocks, matrix), matrix)
         assert np.abs(reconstructed - blocks).max() <= matrix.max() / 2 + 1e-9
 
+    def test_dequantise_into_out_gives_the_same_bits(self, rng):
+        quantised = rng.integers(-2000, 2000, size=(5, 8, 8)).astype(np.int32)
+        matrix = quantisation_matrix(37)
+        out = np.empty((5, 8, 8))
+        assert dequantise_blocks(quantised, matrix, out=out) is out
+        assert out.tobytes() == (quantised.astype(np.float64) * matrix).tobytes()
+
     def test_transform_chain_reconstructs(self, rng):
         blocks = rng.uniform(-50, 50, size=(2, 3, 8, 8))
         matrix = quantisation_matrix(90)

@@ -1,14 +1,14 @@
-"""The run-at-a-time decoder against the per-frame loop it replaced.
+"""The window-at-a-time decoder against the per-frame loop it replaced.
 
 The functions prefixed ``loop_`` are the bodies ``codec/decoder.py`` carried
-before P-frames were parsed a GOP at a time (one ``unpackbits``, one
-multi-payload entropy scan, one inverse transform per run): every P-frame
+before P-frames were parsed in batches (one ``unpackbits``, one
+multi-payload entropy scan, one inverse transform per window): every P-frame
 parsed, entropy-decoded (here with the per-byte reference scanner),
-dequantised and inverse-transformed on its own.  They live here as the
-oracle.  Decoded pixels feed the benchmark's golden digests, so frames are
-compared on ``.tobytes()`` (dtype included), and a malformed stream must
-raise the oracle's exception — type and message — after yielding every frame
-that precedes the malformed one.
+dequantised, inverse-transformed and motion-compensated on its own.  They
+live here as the oracle.  Decoded pixels feed the benchmark's golden
+digests, so frames are compared on ``.tobytes()`` (dtype included), and a
+malformed stream must raise the oracle's exception — type and message —
+after yielding every frame that precedes the malformed one.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from repro.codec import (EncodedVideo, EncoderParameters, VideoDecoder,
 from repro.codec.bitstream import EncodedFrame
 from repro.codec.blocks import crop_plane, from_blocks
 from repro.codec.encoder import _P_FRAME_HEADER, P_FRAME_MARKER
+from repro.codec.jpeg import encode_image
 from repro.codec.entropy import EOB, ZRL
 from repro.codec.motion import MotionField, motion_compensate
 from repro.codec.transform import (dct_matrix, dequantise_blocks, idct2_blocks,
@@ -299,15 +300,42 @@ class TestRunDecodeMatchesLoop:
             assert sum(map(bool, counts)) >= 3, counts
             assert_same_outcome(encoded)
 
-    def test_runs_cut_by_the_byte_cap_decode_the_same(self, monkeypatch):
-        encoded = encode(make_clip("noise", 24, 40, 12, seed=9), gop_size=64)
+    def test_windows_cut_by_the_byte_budget_decode_the_same(self, monkeypatch):
+        encoded = encode(make_clip("noise", 24, 40, 12, seed=9), gop_size=5)
         expected = loop_decode_video(encoded)
-        sizes = [frame.size_bytes for frame in encoded.frames[1:]]
+        sizes = [frame.size_bytes for frame in encoded.frames]
         for cap in (1, max(sizes) + 1, 3 * max(sizes)):
-            monkeypatch.setattr(decoder_module, "_RUN_BYTES", cap)
+            monkeypatch.setattr(decoder_module, "_WINDOW_BYTES", cap)
             for actual, reference in zip(VideoDecoder().decode_video(encoded)
-                                         .frames(), expected):
+                                         .frames(), expected, strict=True):
                 assert_same_frame(actual, reference)
+
+    @pytest.mark.parametrize("style", ["noise", "shift"])
+    def test_sub_batches_cut_by_the_stack_budget_decode_the_same(
+            self, monkeypatch, style):
+        encoded = encode(make_clip(style, 21, 19, 14, seed=10, radius=3),
+                         gop_size=6, search_radius=3)
+        expected = loop_decode_video(encoded)
+        pixels = 24 * 24  # the 21x19 picture padded to 8x8 blocks
+        for budget in (1, pixels, 3 * pixels, 5 * pixels - 1):
+            monkeypatch.setattr(decoder_module, "_STACK_PIXELS", budget)
+            for actual, reference in zip(VideoDecoder().decode_video(encoded)
+                                         .frames(), expected, strict=True):
+                assert_same_frame(actual, reference)
+
+    def test_interleaved_decodes_on_one_decoder_do_not_share_buffers(
+            self, monkeypatch):
+        monkeypatch.setattr(decoder_module, "_WINDOW_BYTES", 1)
+        first = encode(make_clip("shift", 24, 24, 8, seed=16), gop_size=64)
+        second = encode(make_clip("noise", 24, 24, 8, seed=17), gop_size=3)
+        decoder = VideoDecoder()
+        for (ours, theirs), expected in zip(
+                zip(decoder.iter_decoded_frames(first),
+                    decoder.iter_decoded_frames(second), strict=True),
+                zip(loop_decode_video(first), loop_decode_video(second),
+                    strict=True), strict=True):
+            assert_same_frame(ours, expected[0])
+            assert_same_frame(theirs, expected[1])
 
     def test_decode_video_uses_the_generator(self):
         video = make_clip("noise", 22, 30, 9, seed=11)
@@ -319,13 +347,19 @@ class TestRunDecodeMatchesLoop:
             assert_same_frame(actual, reference)
 
 
-class TestOneScanOneTransformPerRun:
-    def test_a_run_costs_one_token_scan_and_one_inverse_transform(
-            self, monkeypatch):
+class TestOneScanOneTransformPerWindow:
+    @pytest.mark.parametrize("cut, scans, transforms",
+                             [(None, 2, 1), (10, 4, 2)],
+                             ids=["one window", "two windows"])
+    def test_a_window_costs_one_token_scan_and_one_inverse_transform(
+            self, monkeypatch, cut, scans, transforms):
         encoded = encode(make_clip("noise", 24, 32, 20, seed=12), gop_size=7)
-        keyframes = encoded.num_keyframes
-        runs = 3  # frames 1-6, 8-13, 15-19
         assert encoded.keyframe_indices == [0, 7, 14]
+        sizes = [frame.size_bytes for frame in encoded.frames]
+        assert sum(sizes) < decoder_module._WINDOW_BYTES
+        if cut is not None:  # frames 0-9 (I-frames 0, 7), 10-19 (I-frame 14)
+            monkeypatch.setattr(decoder_module, "_WINDOW_BYTES",
+                                sum(sizes[:cut]))
         calls = {"scan": 0, "idct": 0}
 
         def counted(name, function):
@@ -336,12 +370,13 @@ class TestOneScanOneTransformPerRun:
 
         monkeypatch.setattr(entropy_module, "_token_positions",
                             counted("scan", entropy_module._token_positions))
-        monkeypatch.setattr(decoder_module, "idct2_blocks",
-                            counted("idct", decoder_module.idct2_blocks))
+        # The decoder looks the DCT matrix up once per inverse transform.
+        monkeypatch.setattr(decoder_module, "dct_matrix",
+                            counted("idct", decoder_module.dct_matrix))
         VideoDecoder().decode_video(encoded)
-        # Every I-frame is one still image (one scan of its own); the 17
-        # P-frames cost one scan and one inverse transform per run.
-        assert calls == {"scan": keyframes + runs, "idct": runs}
+        # A window's I-frames are one batch of stills (one scan); its
+        # P-frames, across GOPs, cost one scan and one inverse transform.
+        assert calls == {"scan": scans, "idct": transforms}
 
 
 # --------------------------------------------------------------------- #
@@ -512,3 +547,15 @@ class TestHeaderValidation:
             _P_FRAME_HEADER.pack(*fields) + payload[_P_FRAME_HEADER.size:])
         with pytest.raises(DecodeError, match="P-frame 2 declares a 6x2 block grid"):
             VideoDecoder().decode_video(broken)
+
+    @pytest.mark.parametrize("still_shape", [(16, 32), (24, 40), (24, 32, 3)])
+    def test_an_i_frame_of_another_shape_is_named(self, still_shape):
+        encoded = encode(make_clip("noise", 24, 32, 12, seed=18), gop_size=7)
+        assert encoded.keyframe_indices == [0, 7]
+        still = np.full(still_shape, 90, dtype=np.uint8)
+        broken = with_payload(encoded, 7, encode_image(still))
+        frames, error = drain(VideoDecoder().iter_decoded_frames(broken))
+        assert len(frames) == 7
+        assert type(error) is DecodeError
+        assert str(error) == (f"I-frame 7 decodes to a {still_shape} plane, "
+                              "the stream's frames are (24, 32)")

@@ -94,6 +94,24 @@ class TestMseDetector:
         assert score_video(detector, video) == first
         assert first[0] == float("inf")
 
+    @pytest.mark.parametrize("plane", [
+        np.zeros((4, 5, 3)), np.zeros(5), np.zeros((0, 5)),
+        np.zeros((4, 5), dtype=complex), np.full((4, 5), "a"),
+        np.zeros((4, 5), dtype=object)],
+        ids=["colour", "1-D", "empty", "complex", "string", "object"])
+    def test_only_real_2d_planes_are_scored(self, plane):
+        good = np.zeros((4, 5))
+        for planes in ([plane], [good, plane], [plane, good]):
+            with pytest.raises(ConfigurationError, match="2-D planes"):
+                MseChangeDetector().score_planes(planes)
+        detector = MseChangeDetector()
+        with pytest.raises(ConfigurationError, match="2-D planes"):
+            detector.score_next(plane)
+        assert detector.score_next(good) == float("inf")
+        with pytest.raises(ConfigurationError, match="2-D planes"):
+            detector.score_next(plane)
+        assert detector.score_next(good) == 0.0
+
 
 class TestSift:
     def test_keypoints_on_corner_pattern(self, rng):
@@ -187,3 +205,23 @@ class TestThresholding:
         # The achieved rate is the closest achievable one; it never exceeds
         # sampling every frame and never drops below sampling just the first.
         assert 1.0 / len(scores) <= achieved <= 1.0
+
+    @pytest.mark.parametrize("threshold", [float("nan"), np.float64("nan"),
+                                           True, np.bool_(False), "1", None,
+                                           1 + 0j])
+    def test_sampler_refuses_a_threshold_that_is_not_a_real_number(
+            self, threshold):
+        with pytest.raises(ConfigurationError, match="threshold must be"):
+            ThresholdSampler(threshold)
+
+    def test_infinite_thresholds_stay_legal(self):
+        scores = [float("inf"), 1.0, float("inf"), 2.0]
+        assert ThresholdSampler(float("inf")).sample(scores) == [0]
+        assert ThresholdSampler(-np.inf).sample(scores) == [0, 1, 2, 3]
+        assert ThresholdSampler(np.int64(1)).sample(scores) == [0, 2, 3]
+
+    @pytest.mark.parametrize("fraction", [True, False, "0.5", None, 0.5 + 0j,
+                                          float("nan")])
+    def test_fraction_must_be_a_real_number(self, fraction):
+        with pytest.raises(ConfigurationError, match="fraction must be"):
+            threshold_for_sampling_fraction([float("inf"), 1.0, 2.0], fraction)
