@@ -7,8 +7,9 @@ that move work through those tiers — the batch
 :class:`~repro.cluster.fleet.FleetOrchestrator` and the live
 :class:`~repro.service.service.StreamingService` — are thin drivers over
 the :class:`StageChain` below: each defines a *unit* of work (a camera
-job, a frame chunk) and hands it to the chain.  A fault-free batch fleet
-is also computed without events, as a recurrence over the same stations
+job, a frame chunk) and hands it to the chain.  A fault-free batch fleet,
+and a service drain of nothing but feeder pushes, are also computed
+without events, as a recurrence over the same stations
 (:mod:`repro.cluster.recurrence`); the chain is the definition that
 recurrence is held to at tolerance 0.0.
 

@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import inf
+from operator import itemgetter
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import DataflowError
@@ -108,6 +109,20 @@ class EventScheduler:
         heappush(self._heap,
                  (float(self.now + delay), self._sequence, action, args))
         self._sequence += 1
+
+    def _pending(self) -> List[Tuple[float, Action, tuple]]:
+        """Every pending event as ``(time, action, args)``, in the order
+        the events were scheduled (the order ties fire in)."""
+        return [(time, action, args) for time, _, action, args
+                in sorted(self._heap, key=itemgetter(1))]
+
+    def _fired_offline(self, scheduled: int, now: float) -> None:
+        """Account for a run computed without the heap: every pending
+        event fired, ``scheduled`` more were scheduled and fired while it
+        ran, and the clock stopped at ``now``."""
+        self._heap.clear()
+        self._sequence += scheduled
+        self.now = now
 
     def step(self) -> bool:
         """Fire the next event; returns ``False`` when none remain.

@@ -1,0 +1,263 @@
+"""A feeder-fed service run as one batch through the fleet's recurrence.
+
+:meth:`StreamingService.run <repro.service.service.StreamingService.run>`
+hands a run here when the event loop would do nothing but fire
+:class:`~repro.service.feeder.ChunkFeeder` pushes into an idle chain.
+:class:`FeederBatch` lays every remaining push out as one column of
+chunks, computes their timelines with
+:func:`~repro.cluster.recurrence.replay_fleet` (the fault-free fleet's
+recurrence, with a LAN link per session and each push inserted by the one
+before it), checks every push against the bounds ``push_frames`` would
+apply at its instant, and then writes the run into the live stations,
+links, sessions and feeders exactly as the event loop leaves them.
+"""
+
+from __future__ import annotations
+
+from array import array
+from dataclasses import replace
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, attrgetter
+from typing import TYPE_CHECKING, List, Optional, Tuple
+
+import numpy as np
+
+from ..cluster.recurrence import (EVENTS_PER_JOB, _transfer_seconds,
+                                  replay_fleet)
+from ..net.link import TransferRecord
+from .feeder import ChunkFeeder
+from .session import FrameChunk, SessionState, StreamSession
+
+if TYPE_CHECKING:
+    from .service import StreamingService
+
+#: Rows of a replay's instants: the push, then the ends of the LAN, edge,
+#: WAN and cloud stages.
+_PUSH, _LAN_END, _EDGE_END, _WAN_END, _CLOUD_END = range(EVENTS_PER_JOB)
+_lan_bytes = attrgetter("camera_edge_bytes")
+_wan_bytes = attrgetter("edge_cloud_bytes")
+_pushed_counts = (("frames_pushed", attrgetter("num_frames")),
+                  ("frames_for_inference", attrgetter("frames_for_inference")),
+                  ("camera_edge_bytes_pushed", _lan_bytes),
+                  ("edge_cloud_bytes_pushed", _wan_bytes))
+_pushed_seconds = (("edge_seconds_pushed", attrgetter("edge_seconds")),
+                   ("cloud_seconds_pushed", attrgetter("cloud_seconds")))
+
+
+def _instants_of(instants: np.ndarray, events: np.ndarray) -> np.ndarray:
+    """The instant of each event of a replay."""
+    return instants[events % EVENTS_PER_JOB, events // EVENTS_PER_JOB]
+
+
+class FeederBatch:
+    """Every remaining push of the pending feeders as one columnar batch.
+
+    Chunks are numbered feed by feed in push order, the feeds in the order
+    their pending pushes were scheduled.  A feed's first push was inserted
+    before the run (parent ``-1``, in job order, as the recurrence
+    assumes) and each later one by the push before it, at the instant the
+    feeder's own arithmetic gives: ``now + period``.
+    """
+
+    def __init__(self, service: "StreamingService",
+                 feeds: List[Tuple[ChunkFeeder, StreamSession, float]]
+                 ) -> None:
+        self.service = service
+        self.feeds = feeds
+        self.chunks: List[FrameChunk] = []
+        self.counts: List[int] = []
+        #: Each chunk's feed (the index of its LAN link).
+        self.keys = array("i")
+        for key, (feeder, _, _) in enumerate(feeds):
+            plan = feeder.chunks[feeder.next_index:]
+            self.chunks.extend(plan)
+            self.counts.append(len(plan))
+            self.keys.extend(repeat(key, len(plan)))
+        chain = service.chain
+        self.lans = [chain.lan_links[session.session_id]
+                     for _, session, _ in feeds]
+        # The stations fold the run into copies: nothing live changes
+        # unless every push is admitted.  The push instants and edges are
+        # handed over, not kept.
+        self.replay = replay_fleet(
+            self.chunks, self.edges(), self._push_instants(), service.config,
+            service.num_edge_servers, service.edge_workers,
+            service.cloud_workers,
+            lan_keys=np.frombuffer(self.keys, dtype=np.intc),
+            lan_links=[lan.link for lan in self.lans], chained_ingests=True,
+            stats=([replace(lan.stats) for lan in self.lans],
+                   [replace(station.stats) for station in chain.edge_stations],
+                   [replace(link.stats) for link in chain.wan_links],
+                   replace(chain.cloud_station.stats)))
+        self.last = float(self.replay.instants[_CLOUD_END].max())
+
+    def _push_instants(self) -> array:
+        """Every chunk's push instant, by the feeder's arithmetic."""
+        pushes = array("d")
+        for (feeder, _, first), count in zip(self.feeds, self.counts):
+            pushes.extend(accumulate(
+                repeat(feeder.period_seconds, count - 1), initial=first))
+        return pushes
+
+    def edges(self) -> np.ndarray:
+        """Every chunk's edge."""
+        return np.repeat([session.edge_index for _, session, _ in self.feeds],
+                         self.counts)
+
+    def admitted(self, until: Optional[float]) -> bool:
+        """Whether the run ends by ``until`` and every push passes the
+        checks ``push_frames`` makes at its instant."""
+        return ((until is None or self.last <= until)
+                and self._within_pending_bounds()
+                and self._within_wan_bound())
+
+    def _within_pending_bounds(self) -> bool:
+        """Each push finds fewer than ``max_pending_chunks`` of its
+        session's chunks in flight."""
+        instants = self.replay.instants
+        fires_before = self.replay.fires_before
+        ends, pushes = instants[_CLOUD_END], instants[_PUSH]
+        start = 0
+        for (_, session, _), count in zip(self.feeds, self.counts):
+            bound = session.max_pending_chunks
+            if count > bound:
+                # Push k is admitted when chunks 0 .. k - bound all ended
+                # before its instant; the rest are counted event by event.
+                ended = np.maximum.accumulate(
+                    ends[start:start + count - bound])
+                doubtful = np.flatnonzero(
+                    ended >= pushes[start + bound:start + count]) + bound
+                for k in doubtful.tolist():
+                    push = EVENTS_PER_JOB * (start + k)
+                    completed = sum([fires_before(
+                        EVENTS_PER_JOB * (start + i) + _CLOUD_END, push)
+                        for i in range(k)])
+                    if k - completed >= bound:
+                        return False
+            start += count
+        return True
+
+    def _within_wan_bound(self) -> bool:
+        """Each push finds its edge's WAN queue below
+        ``max_wan_queue_depth``: a transfer waits from its admission (its
+        edge completion) until the delivery that starts it, unless it
+        started at once."""
+        bound = self.service.ingest.max_wan_queue_depth
+        if bound is None:
+            return True
+        replay = self.replay
+        instants = replay.instants
+        edges = self.edges()
+        for edge, order in enumerate(replay.delivered):
+            pushed = np.flatnonzero(edges == edge)
+            if not len(order) or not len(pushed):
+                continue
+            transfers = EVENTS_PER_JOB * np.asarray(order) + _WAN_END
+            starts = np.array([replay.started_by(event)
+                               for event in transfers.tolist()])
+            waited = starts != transfers - 1
+            joined, left = transfers[waited] - 1, starts[waited]
+            # At most this many wait at each push (ties counted waiting).
+            times = instants[_PUSH, pushed]
+            upper = (np.searchsorted(np.sort(_instants_of(instants, joined)),
+                                     times, "right")
+                     - np.searchsorted(np.sort(_instants_of(instants, left)),
+                                       times, "left"))
+            for job in pushed[upper >= bound].tolist():
+                push = EVENTS_PER_JOB * job
+                waiting = (sum([replay.fires_before(event, push)
+                                for event in joined.tolist()])
+                           - sum([replay.fires_before(event, push)
+                                  for event in left.tolist()]))
+                if waiting >= bound:
+                    return False
+        return True
+
+    def commit(self, until: Optional[float]) -> int:
+        """Write the run into the live service, as the event loop leaves
+        it, and return the number of events it fired."""
+        service = self.service
+        chain, ingest = service.chain, service.ingest
+        # Drop the event graph before anything is written.
+        replay = self.replay._replace(fires_before=None, started_by=None)
+        self.replay = None
+        for resource, stats in zip(
+                (*self.lans, *chain.edge_stations, *chain.wan_links,
+                 chain.cloud_station),
+                (*replay.lan_stats, *replay.edge_stats, *replay.wan_stats,
+                 replay.cloud_stats)):
+            vars(resource.stats).update(vars(stats))
+
+        chunks, counts = self.chunks, self.counts
+        instants = replay.instants
+        ends, pushes = instants[_CLOUD_END], instants[_PUSH]
+        # Each completion appends its chunk's latency to its session's.
+        latencies = (ends - pushes).tolist()
+        appenders = [session.chunk_latencies.append
+                     for _, session, _ in self.feeds]
+        keys = self.keys
+        for job in replay.finished:
+            appenders[keys[job]](latencies[job])
+        del latencies
+        start = 0
+        for (feeder, session, _), count in zip(self.feeds, counts):
+            plan = chunks[start:start + count]
+            if session.chunks_pushed == 0:
+                session.first_arrival = float(pushes[start])
+            session.last_push = float(pushes[start + count - 1])
+            session.chunks_pushed += count
+            session.chunks_completed += count
+            for name, field in _pushed_counts:
+                setattr(session, name,
+                        getattr(session, name) + sum(map(field, plan)))
+            for name, field in _pushed_seconds:
+                setattr(session, name,
+                        reduce(add, map(field, plan), getattr(session, name)))
+            session.last_completion = float(ends[start:start + count].max())
+            feeder.next_index = len(feeder.chunks)
+            if feeder.close_when_done:
+                # Closed at the last push, finalised at the last completion.
+                session.close_reason = session.close_reason or "client"
+                ingest.close_reasons[session.close_reason] = (
+                    ingest.close_reasons.get(session.close_reason, 0) + 1)
+                session.state = SessionState.CLOSED
+                session.closed_at = session.last_completion
+            start += count
+
+        # Drop the replay's columns before allocating the records.
+        delivered = replay.delivered
+        del replay, instants, ends, pushes
+        labels = [service._transfer_labels[session.session_id]
+                  for _, session, _ in self.feeds]
+        # Transfer records land in delivery order: a session's LAN link
+        # delivers in push order, each WAN link in its replayed order.
+        # Records of one size on one link share their duration's float.
+        start = 0
+        for lan, (lan_label, _), count in zip(self.lans, labels, counts):
+            sizes = list(map(_lan_bytes, chunks[start:start + count]))
+            seconds = dict(zip(sizes, _transfer_seconds(
+                sizes, lan.link.bandwidth_mbps, lan.link.latency_ms)))
+            lan.link.transfers.extend(map(
+                TransferRecord, repeat(lan_label, count), sizes,
+                map(seconds.__getitem__, sizes)))
+            start += count
+        uplink = chain.wan_links[0].link
+        sizes = list(map(_wan_bytes, chunks))
+        seconds = dict(zip(sizes, _transfer_seconds(
+            sizes, uplink.bandwidth_mbps, uplink.latency_ms)))
+        del sizes
+        for wan, order in zip(chain.wan_links, delivered):
+            wan.link.transfers.extend([
+                TransferRecord(labels[keys[job]][1],
+                               chunks[job].edge_cloud_bytes,
+                               seconds[chunks[job].edge_cloud_bytes])
+                for job in order])
+
+        fired = EVENTS_PER_JOB * len(chunks)
+        # Every push but a feed's first was scheduled during the run.
+        service.scheduler._fired_offline(
+            fired - len(counts),
+            float(until) if until is not None and until > self.last
+            else self.last)
+        return fired

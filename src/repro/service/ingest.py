@@ -28,7 +28,8 @@ from typing import Callable, Dict, Optional, Sequence
 
 from ..codec.gop import EncoderParameters
 from ..errors import AdmissionError, BackpressureError, ServiceError
-from .session import FrameChunk, SessionState, StreamSession, TenantPolicy
+from .session import (FrameChunk, SessionState, StreamSession, TenantPolicy,
+                      whole_bound)
 
 
 class StreamIngest:
@@ -73,19 +74,16 @@ class StreamIngest:
                  push_gate: Optional[Callable[[int], Optional[str]]] = None,
                  edge_available: Optional[Callable[[int], bool]] = None
                  ) -> None:
-        if num_edge_servers < 1:
-            raise ServiceError("num_edge_servers must be >= 1")
-        if max_sessions < 1:
-            raise ServiceError("max_sessions must be >= 1")
-        if max_wan_queue_depth is not None and max_wan_queue_depth < 1:
-            raise ServiceError("max_wan_queue_depth must be >= 1 or None")
         self._scheduler = scheduler
-        self.num_edge_servers = int(num_edge_servers)
+        self.num_edge_servers = whole_bound(num_edge_servers,
+                                            "num_edge_servers")
         self._attach_session = attach_session
         self._submit_chunk = submit_chunk
         self._wan_queue_depth = wan_queue_depth
-        self.max_sessions = int(max_sessions)
-        self.max_wan_queue_depth = max_wan_queue_depth
+        self.max_sessions = whole_bound(max_sessions, "max_sessions")
+        self.max_wan_queue_depth = (
+            whole_bound(max_wan_queue_depth, "max_wan_queue_depth")
+            if max_wan_queue_depth is not None else None)
         self.tenants: Dict[str, TenantPolicy] = {}
         for policy in tenants:
             self.tenants[policy.name] = policy
@@ -308,13 +306,14 @@ class StreamIngest:
         if max_pending_chunks is None and parameters is None:
             raise ServiceError(
                 "retune_session needs max_pending_chunks and/or parameters")
-        if max_pending_chunks is not None and max_pending_chunks < 1:
-            raise ServiceError("max_pending_chunks must be >= 1")
+        if max_pending_chunks is not None:
+            max_pending_chunks = whole_bound(max_pending_chunks,
+                                             "max_pending_chunks")
         session = self._session(session_id)
         if session.state is SessionState.CLOSED:
             raise ServiceError(f"session {session_id!r} is closed")
         if max_pending_chunks is not None:
-            session.max_pending_chunks = int(max_pending_chunks)
+            session.max_pending_chunks = max_pending_chunks
         if parameters is not None:
             session.parameters = parameters
             session.parameter_version += 1

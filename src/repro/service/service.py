@@ -12,6 +12,12 @@ with every pushed chunk one unit of work on the chain:
 * a :class:`~repro.service.clock.ClockDriver` decides how the event loop
   advances — :class:`VirtualClock` drains as fast as possible (bit-identical
   to the batch simulators), :class:`RealTimeClock` paces against the wall;
+* two drivers compute a run, with the same result bit for bit: the event
+  loop, and the fleet's recurrence (:mod:`repro.cluster.recurrence`),
+  which :meth:`StreamingService.run` takes when a virtual-clock run of an
+  idle chain has only :class:`~repro.service.feeder.ChunkFeeder` pushes
+  pending and no push would be refused (see ``_run_batch`` for the
+  rest);
 * :meth:`status` serves live health snapshots whose utilisations are exact
   (and bounded by 1.0) even mid-service, via the pro-rated busy accounting
   on :class:`~repro.dataflow.scheduler.ServiceStation`;
@@ -31,7 +37,10 @@ therefore every report field) is identical under any clock driver.
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from itertools import repeat
 from math import inf
+from operator import add
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..adapt.controller import AdaptiveConfig, AdaptiveTuningController
@@ -47,23 +56,14 @@ from ..faults.plan import FaultPlan
 from ..faults.stats import FaultStats
 from ..net.contention import ContendedLink
 from ..perf import Stopwatch, section
+from .batch import FeederBatch
 from .clock import ClockDriver, RealTimeClock, VirtualClock
+from .feeder import ChunkFeeder
 from .ingest import StreamIngest
-from .session import FrameChunk, SessionState, StreamSession, TenantPolicy
+from .session import (FrameChunk, SessionState, StreamSession, TenantPolicy,
+                      whole_bound)
 from .status import (HealthSample, ServiceStatus, SessionSnapshot,
                      StationSnapshot, snapshot_session, snapshot_station)
-
-
-def _whole_count(value, name: str) -> int:
-    """``value`` as an ``int`` >= 1, or a :class:`ServiceError`.
-
-    The chained check of :class:`~repro.cluster.fleet.FleetOrchestrator`'s
-    counts: nan and inf fail the range test before ``int()`` can raise a
-    bare error on them, and a fraction is refused rather than truncated.
-    """
-    if not (1 <= value < inf and value == int(value)):
-        raise ServiceError(f"{name} must be a whole number >= 1, got {value!r}")
-    return int(value)
 
 
 class _ChunkRun(StageUnit):
@@ -143,14 +143,15 @@ class StreamingService:
                  adaptive: Optional[AdaptiveConfig] = None,
                  health_history_limit: int = 64) -> None:
         self.config = config or SystemConfig()
-        self.num_edge_servers = _whole_count(num_edge_servers, "num_edge_servers")
-        self.edge_workers = _whole_count(edge_workers, "edge_workers")
-        self.cloud_workers = (_whole_count(cloud_workers, "cloud_workers")
+        self.num_edge_servers = whole_bound(num_edge_servers,
+                                            "num_edge_servers")
+        self.edge_workers = whole_bound(edge_workers, "edge_workers")
+        self.cloud_workers = (whole_bound(cloud_workers, "cloud_workers")
                               if cloud_workers is not None
                               else self.num_edge_servers)
-        max_sessions = _whole_count(max_sessions, "max_sessions")
-        health_history_limit = _whole_count(health_history_limit,
-                                            "health_history_limit")
+        max_sessions = whole_bound(max_sessions, "max_sessions")
+        health_history_limit = whole_bound(health_history_limit,
+                                           "health_history_limit")
         self.clock = clock if clock is not None else VirtualClock()
         self.scheduler = EventScheduler()
         #: The stage chain every chunk flows through.  The four resource
@@ -264,7 +265,10 @@ class StreamingService:
         """
         watch = Stopwatch().start()
         try:
-            return self.clock.run(self.scheduler, until=until)
+            fired = self._run_batch(until)
+            if fired is None:
+                fired = self.clock.run(self.scheduler, until=until)
+            return fired
         finally:
             self.wall_run_seconds += watch.stop()
 
@@ -278,6 +282,74 @@ class StreamingService:
     def drain(self) -> int:
         """Run until no events remain (all pushed work completes)."""
         return self.run(until=None)
+
+    # ------------------------------------------------------------------ #
+    # The batch path: a feeder-fed run through the chain's recurrence
+    # ------------------------------------------------------------------ #
+    def _run_batch(self, until: Optional[float]) -> Optional[int]:
+        """Compute the run with :func:`replay_fleet` instead of the event
+        loop, or return ``None`` to leave it to the loop.
+
+        The batch is the loop's arithmetic on the same values, so it
+        leaves the same state behind, bit for bit.  It runs when the clock
+        is a :class:`VirtualClock`, the chain is idle, the run goes to
+        completion and every pending event is the next push of a
+        registered :class:`ChunkFeeder`; and it commits only when every
+        push it computed would have been admitted.  Everything else — a
+        real-time clock, a horizon that cuts work, a fault driver, the
+        adaptive controller, a chain hook, any other control event, a
+        feeder retrying a push, a push a bound would refuse — is the
+        loop's, from untouched state.
+        """
+        feeds = self._batch_feeds(until)
+        if feeds is None:
+            return None
+        batch = FeederBatch(self, feeds)
+        if not batch.admitted(until):
+            return None
+        return batch.commit(until)
+
+    def _batch_feeds(self, until: Optional[float]
+                     ) -> Optional[List[Tuple[ChunkFeeder, StreamSession,
+                                              float]]]:
+        """``(feeder, session, next push instant)`` of every pending event,
+        in the order they were scheduled, when the run can be a batch (a
+        horizon before some feeder's last push cuts it for sure)."""
+        chain = self.chain
+        if ((until is not None and not -inf < until < inf)
+                or type(self.clock) is not VirtualClock
+                or self._fault_driver is not None
+                or self.ingest.on_chunk_scene is not None
+                or chain.on_stage_start is not None
+                or chain.on_fail is not None
+                or chain.on_finish != self._finish_chunk):
+            return None
+        links = [*chain.wan_links, *chain.lan_links.values()]
+        for resource in (*chain.edge_stations, chain.cloud_station, *links):
+            if (resource.in_service or resource.queue_depth
+                    or not resource.online):
+                return None
+        if any(link.slowdown != 1.0 for link in links):
+            return None
+        feeds = []
+        fed = set()
+        for time, action, args in self.scheduler._pending():
+            feeder = getattr(action, "__self__", None)
+            if (type(feeder) is not ChunkFeeder or args
+                    or action.__func__ is not ChunkFeeder._push
+                    or feeder._service is not self or feeder._attempts
+                    or feeder.done or feeder.session_id in fed):
+                return None
+            session = self.ingest.sessions.get(feeder.session_id)
+            if (session is None or not session.is_open or session.in_flight
+                    or until is not None and reduce(add, repeat(
+                        feeder.period_seconds,
+                        len(feeder.chunks) - feeder.next_index - 1),
+                        time) > until):
+                return None
+            fed.add(feeder.session_id)
+            feeds.append((feeder, session, time))
+        return feeds or None
 
     # ------------------------------------------------------------------ #
     # Health / metrics

@@ -20,11 +20,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional
 
 from ..adapt.signals import ChunkScene
 from ..codec.gop import EncoderParameters
-from ..config import SystemConfig
+from ..config import SystemConfig, real_number, whole_number
 from ..errors import ServiceError
 
 
@@ -65,16 +66,47 @@ class FrameChunk:
     scene: Optional[ChunkScene] = None
 
     def __post_init__(self) -> None:
-        if self.num_frames < 0 or self.frames_for_inference < 0:
+        # Counts and bytes are stored as ``int`` and seconds as ``float``
+        # (as ``CameraJob`` stores them), whatever real type they came in
+        # as.  A bool, a fraction, nan and inf are refused here, before a
+        # push counts the chunk and the link refuses its bytes.
+        values = _chunk_values(self)
+        if tuple(map(type, values)) != _CHUNK_TYPES:
+            values = tuple(
+                whole_number(real_number(value, name, ServiceError), name,
+                             ServiceError) if kind is int
+                else float(real_number(value, name, ServiceError))
+                for (name, kind), value in zip(_CHUNK_FIELDS, values))
+            for (name, _), value in zip(_CHUNK_FIELDS, values):
+                object.__setattr__(self, name, value)
+        frames, inference, edge, cloud, lan, wan = values
+        if frames < 0 or inference < 0:
             raise ServiceError("chunk frame counts must be >= 0")
         # Chained comparisons so nan (which passes ``< 0``) and inf are
         # refused at the boundary, not discovered in a report.
-        if not (0 <= self.edge_seconds < math.inf
-                and 0 <= self.cloud_seconds < math.inf):
+        if not (0 <= edge < math.inf and 0 <= cloud < math.inf):
             raise ServiceError(
                 "chunk compute seconds must be finite and >= 0")
-        if self.camera_edge_bytes < 0 or self.edge_cloud_bytes < 0:
-            raise ServiceError("chunk transfer bytes must be >= 0")
+        if not (0 <= lan < 2 ** 63 and 0 <= wan < 2 ** 63):
+            raise ServiceError("chunk transfer bytes must be in [0, 2**63)")
+
+
+#: The type each numeric :class:`FrameChunk` field is stored as.
+_CHUNK_FIELDS = (("num_frames", int), ("frames_for_inference", int),
+                 ("edge_seconds", float), ("cloud_seconds", float),
+                 ("camera_edge_bytes", int), ("edge_cloud_bytes", int))
+_CHUNK_TYPES = tuple(kind for _, kind in _CHUNK_FIELDS)
+_chunk_values = attrgetter(*(name for name, _ in _CHUNK_FIELDS))
+
+
+def whole_bound(value, name: str) -> int:
+    """``value`` as an ``int`` >= 1, or a :class:`ServiceError`: a bool, a
+    fraction, nan and inf are refused rather than read as a bound."""
+    count = whole_number(real_number(value, name, ServiceError), name,
+                         ServiceError)
+    if count < 1:
+        raise ServiceError(f"{name} must be >= 1, got {value!r}")
+    return count
 
 
 def _split_int(total: int, weights: List[float], parts: int) -> List[int]:
@@ -162,10 +194,9 @@ class TenantPolicy:
     def __post_init__(self) -> None:
         if not self.name:
             raise ServiceError("tenant name must be non-empty")
-        if self.max_sessions < 1:
-            raise ServiceError("max_sessions must be >= 1")
-        if self.max_pending_chunks < 1:
-            raise ServiceError("max_pending_chunks must be >= 1")
+        for name in ("max_sessions", "max_pending_chunks"):
+            object.__setattr__(self, name,
+                               whole_bound(getattr(self, name), name))
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster import CameraJob
@@ -267,3 +268,74 @@ def test_non_whole_service_counts_rejected(field, value):
     OverflowError."""
     with pytest.raises(ServiceError, match=field):
         StreamingService(**{field: value})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("camera_edge_bytes", INF), ("camera_edge_bytes", NAN),
+    ("edge_cloud_bytes", 2.5), ("num_frames", 1.5), ("num_frames", NAN),
+    ("frames_for_inference", True), ("camera_edge_bytes", True),
+    ("edge_seconds", True), ("cloud_seconds", "0.5"),
+])
+def test_malformed_chunk_fields_are_refused(field, value):
+    """Regression: ``FrameChunk(camera_edge_bytes=inf)`` constructed, and
+    ``push_frames`` counted the chunk before its link refused the bytes,
+    so the session waited for it forever in DRAINING."""
+    fields = dict(num_frames=30, frames_for_inference=3, edge_seconds=0.2,
+                  cloud_seconds=0.05, camera_edge_bytes=1_000,
+                  edge_cloud_bytes=100)
+    fields[field] = value
+    with pytest.raises(ServiceError, match=field):
+        FrameChunk(**fields)
+
+
+def test_chunk_fields_are_stored_as_int_and_float():
+    chunk = FrameChunk(num_frames=np.int64(30), frames_for_inference=3.0,
+                       edge_seconds=1, cloud_seconds=np.float32(0.5),
+                       camera_edge_bytes=1_000.0,
+                       edge_cloud_bytes=np.int32(100))
+    values = (chunk.num_frames, chunk.frames_for_inference,
+              chunk.edge_seconds, chunk.cloud_seconds,
+              chunk.camera_edge_bytes, chunk.edge_cloud_bytes)
+    assert values == (30, 3, 1.0, 0.5, 1_000, 100)
+    assert [type(value) for value in values] == [int, int, float, float,
+                                                 int, int]
+
+
+@pytest.mark.parametrize("bounds", [
+    {"max_pending_chunks": NAN}, {"max_pending_chunks": 2.5},
+    {"max_pending_chunks": True}, {"max_sessions": True},
+    {"max_sessions": INF},
+])
+def test_malformed_tenant_bounds_are_refused(bounds):
+    """Regression: a nan bound constructed and was silently off
+    (``in_flight >= nan`` is never true); a fraction or ``True`` stood
+    for a count."""
+    with pytest.raises(ServiceError, match=next(iter(bounds))):
+        TenantPolicy(name="t", **bounds)
+
+
+@pytest.mark.parametrize("value", [NAN, 1.5, True, INF, 0])
+def test_malformed_wan_queue_bound_is_refused(value):
+    with pytest.raises(ServiceError, match="max_wan_queue_depth"):
+        StreamingService(max_wan_queue_depth=value)
+
+
+@pytest.mark.parametrize("field", ["max_sessions", "num_edge_servers",
+                                   "edge_workers"])
+def test_boolean_service_counts_are_refused(field):
+    with pytest.raises(ServiceError, match=field):
+        StreamingService(**{field: True})
+
+
+@pytest.mark.parametrize("value", [NAN, 2.5, True])
+def test_malformed_retune_bound_is_refused(value):
+    """Regression: ``retune_session(max_pending_chunks=nan)`` raised a bare
+    ValueError from ``int()``, and 2.5 was truncated to 2."""
+    service = make_service()
+    service.open_session("cam")
+    with pytest.raises(ServiceError, match="max_pending_chunks"):
+        service.retune_session("cam", max_pending_chunks=value)
+    assert service.ingest.sessions["cam"].max_pending_chunks == 8
