@@ -3,10 +3,8 @@
 
 Where ``streaming_service.py`` demonstrates the happy path, this example
 draws a **seeded fault plan** (two edge crashes — one permanent, one
-transient — a WAN partition window and a camera stream stall; the plan's
-pool-worker kill acts only on a multiprocess workload build, so nothing
-here runs it) and replays it against the live service.  It asserts the
-whole self-healing contract:
+transient — a WAN partition window and a camera stream stall) and replays
+it against the live service.  It asserts the whole self-healing contract:
 
 1. **Zero lost chunks** — every chunk accepted by the service completes
    or is failed out with a reason; the drain terminates.
@@ -184,8 +182,7 @@ def main() -> None:
     print(f"storm (seed {arguments.seed}): "
           f"{len(plan.edge_crashes)} edge crashes, "
           f"{len(plan.wan_degradations)} WAN partition(s), "
-          f"{len(plan.stream_stalls)} stream stall(s), "
-          f"{len(plan.worker_kills)} worker kill(s) over "
+          f"{len(plan.stream_stalls)} stream stall(s) over "
           f"{arguments.cameras} cameras x {arguments.chunks} chunks on "
           f"{arguments.edges} edges\n")
 

@@ -225,9 +225,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--build-workers", type=int, default=1,
-        help="worker processes for the cold workload build (default: 1, "
-             "0 = auto-size from os.cpu_count()); parallel builds write "
-             "byte-identical cache artifacts")
+        help="worker processes for the cold workload build (default: 1); "
+             "parallel builds write byte-identical cache artifacts")
     parser.add_argument(
         "--precision", choices=sorted(PRECISION_MODES), default="exact",
         help="numeric mode of the workload build: 'exact' (default, "
@@ -243,8 +242,8 @@ def main() -> None:
         "--json-out", metavar="PATH",
         help="write the sweep tables + scale comparison as a JSON artifact")
     arguments = parser.parse_args()
-    if arguments.build_workers < 0:
-        parser.error("--build-workers must be >= 0 (0 = auto)")
+    if arguments.build_workers < 1:
+        parser.error("--build-workers must be >= 1")
     if arguments.scale_cameras < 0:
         parser.error("--scale-cameras must be >= 0")
     configure_logging()

@@ -26,7 +26,7 @@ from .core import (ALL_DEPLOYMENT_MODES, DeploymentMode, DeploymentReport,
                    evaluate_sampling)
 from .codec import (EncoderParameters, EncodedVideo, IFrameSeeker, VideoDecoder,
                     VideoEncoder)
-from .datasets import DatasetSpec, TABLE_I, build_dataset, build_split
+from .datasets import DatasetSpec, TABLE_I, build_dataset
 from .errors import SieveError
 from .video import (EventTimeline, Frame, FrameType, Resolution, SceneProfile,
                     SyntheticScene, make_scenario)
@@ -41,7 +41,7 @@ __all__ = [
     "TuningResult", "VideoAnalysisResult", "build_workload", "evaluate_sampling",
     "EncoderParameters", "EncodedVideo", "IFrameSeeker", "VideoDecoder",
     "VideoEncoder",
-    "DatasetSpec", "TABLE_I", "build_dataset", "build_split",
+    "DatasetSpec", "TABLE_I", "build_dataset",
     "SieveError",
     "EventTimeline", "Frame", "FrameType", "Resolution", "SceneProfile",
     "SyntheticScene", "make_scenario",

@@ -4,14 +4,14 @@ See :mod:`repro.adapt.controller` for the architecture overview.
 """
 
 from .controller import (AdaptiveConfig, AdaptiveTuningController,
-                         DriftMonitor, RetuneDecision, retune_history)
+                         DriftMonitor, RetuneDecision)
 from .detectors import (DriftSignal, PageHinkleyDetector,
                         WindowedZScoreDetector)
 from .signals import REFERENCE_SCENECUT, ChunkScene, SceneStats, chunk_scene
 
 __all__ = [
     "AdaptiveConfig", "AdaptiveTuningController", "DriftMonitor",
-    "RetuneDecision", "retune_history",
+    "RetuneDecision",
     "DriftSignal", "PageHinkleyDetector", "WindowedZScoreDetector",
     "REFERENCE_SCENECUT", "ChunkScene", "SceneStats", "chunk_scene",
 ]

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Union
 
 from ..codec.gop import (DEFAULT_PARAMETERS, EncoderParameters,
                          KeyframePlacer)
@@ -41,8 +41,8 @@ from ..codec.scenecut import FrameActivity
 from ..config import whole_number
 from ..contracts import validate_precision
 from ..core.metrics import evaluate_sampling
-from ..core.tuner import (ParameterLookupTable, RetuneRecord,
-                          SemanticEncoderTuner, TuningGrid)
+from ..core.tuner import (ParameterLookupTable, SemanticEncoderTuner,
+                          TuningGrid)
 from ..errors import ConfigurationError, ServiceError
 from ..faults.stats import RecoveryTrace
 from ..logging_utils import get_logger
@@ -307,10 +307,6 @@ class AdaptiveTuningController:
         #: Confirmed drifts whose winner was tie-equal (no-ops).
         self.retunes_suppressed = 0
 
-    def monitor(self, session_id: str) -> Optional[DriftMonitor]:
-        """The monitor of one session (``None`` before its first scene)."""
-        return self._monitors.get(session_id)
-
     def observe_push(self, session: "StreamSession",
                      chunk: "FrameChunk") -> None:
         """Fold one accepted push into the session's drift monitor."""
@@ -371,17 +367,3 @@ class AdaptiveTuningController:
         if driver is not None:
             driver.trace.record(time, kind, detail)
 
-
-def retune_history(monitor_decisions: Tuple[RetuneDecision, ...]
-                   ) -> List[RetuneRecord]:
-    """Render standalone monitor decisions as versioned records (tests)."""
-    records: List[RetuneRecord] = []
-    version = 0
-    for decision in monitor_decisions:
-        if not decision.applied:
-            continue
-        version += 1
-        records.append(RetuneRecord(
-            version=version, time=decision.time, trigger=decision.trigger,
-            old=decision.old, new=decision.new, score=decision.new_f1))
-    return records

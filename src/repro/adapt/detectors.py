@@ -31,14 +31,6 @@ from ..config import whole_number
 from ..errors import ServiceError
 
 
-def _count(value, name: str, minimum: int) -> int:
-    """``value`` as a whole number ``>= minimum``, or a :class:`ServiceError`."""
-    count = whole_number(value, name, ServiceError)
-    if count < minimum:
-        raise ServiceError(f"{name} must be >= {minimum}, got {count}")
-    return count
-
-
 @dataclass(frozen=True)
 class DriftSignal:
     """One detector firing.
@@ -93,8 +85,9 @@ class WindowedZScoreDetector:
             raise ServiceError(f"min_std must be finite and > 0, got {min_std!r}")
         self.statistic = statistic
         self.threshold = float(threshold)
-        self.window = _count(window, "z-score window", 2)
-        self.min_samples = _count(min_samples, "z-score min_samples", 2)
+        self.window = whole_number(window, "z-score window", ServiceError, 2)
+        self.min_samples = whole_number(min_samples, "z-score min_samples",
+                                        ServiceError, 2)
         # The baseline never holds more than ``window`` samples, so a larger
         # ``min_samples`` would never let the detector fire.
         if self.min_samples > self.window:
@@ -160,7 +153,8 @@ class PageHinkleyDetector:
         self.statistic = statistic
         self.delta = float(delta)
         self.threshold = float(threshold)
-        self.min_samples = _count(min_samples, "Page-Hinkley min_samples", 2)
+        self.min_samples = whole_number(
+            min_samples, "Page-Hinkley min_samples", ServiceError, 2)
         self.reset()
 
     def observe(self, value: float) -> Optional[DriftSignal]:

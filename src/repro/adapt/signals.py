@@ -17,11 +17,8 @@ bit-identical to the seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Sequence, Tuple
-
-import numpy as np
 
 from ..codec.scenecut import FrameActivity, scenecut_novelty_floor
 from ..errors import ServiceError
@@ -134,9 +131,3 @@ def chunk_scene(activities: Sequence[FrameActivity],
                       frame_labels=tuple(frozenset(labels)
                                          for labels in frame_labels))
 
-
-def mean_luma(frame) -> float:
-    """Mean luma of one frame array (the brightness statistic)."""
-    if frame.size == 0:
-        return math.nan
-    return float(np.asarray(frame, dtype=np.float64).mean())

@@ -15,8 +15,8 @@ deployment on the shared virtual clock of
 * every tier is a contended resource, and every job is one unit of work
   on the shared :class:`~repro.cluster.topology.StageChain` — the single
   definition of the LAN -> edge -> WAN -> cloud pipeline this
-  orchestrator and the streaming service drive.  A fault-free run is
-  computed as a recurrence over the same stations
+  orchestrator and the streaming service drive.  A run is computed as a
+  recurrence over the same stations
   (:mod:`repro.cluster.recurrence`) and equals the chain's report bit for
   bit;
 * the resulting :class:`FleetReport` adds what the single-engine evaluation
@@ -40,11 +40,9 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..config import SystemConfig, real_number
+from ..config import SystemConfig, real_number, whole_number
 from ..dataflow.scheduler import EventScheduler, StationStats
 from ..errors import ClusterError
-from ..faults.injector import FleetFaultDriver
-from ..faults.plan import FaultPlan
 from ..faults.stats import FaultStats
 from ..net.link import NetworkLink
 from ..perf import Stopwatch
@@ -185,11 +183,6 @@ class JobOutcome(NamedTuple):
     start_seconds: float
     end_seconds: float
 
-    @property
-    def latency_seconds(self) -> float:
-        """End-to-end latency of the camera's footage through the fleet."""
-        return self.end_seconds - self.start_seconds
-
 
 #: A row from its four values, built in C: no Python-level call per row.
 _row = partial(tuple.__new__, JobOutcome)
@@ -264,12 +257,11 @@ class _JobRun(StageUnit):
 
     The run is a cursor on the job's column of a :class:`FleetOutcomes`.
     The chain reads the job's placement from the edge column at every
-    stage entry (fail-over rewrites it there, and the report reads it
-    there), and each stage entry stamps the instant the stage before it
-    ended; a requeue re-enters the same stage and stamps nothing.
+    stage entry, and each stage entry stamps the instant the stage before
+    it ended.
     """
 
-    __slots__ = ("outcomes", "index", "scheduler", "_stage")
+    __slots__ = ("outcomes", "index", "scheduler")
 
     def __init__(self, outcomes: FleetOutcomes, index: int,
                  scheduler: EventScheduler) -> None:
@@ -282,29 +274,16 @@ class _JobRun(StageUnit):
     def edge_index(self) -> int:
         return int(self.outcomes.edges[self.index])
 
-    @edge_index.setter
-    def edge_index(self, edge: int) -> None:
-        self.outcomes.edges[self.index] = edge
-
     #: One shared LAN link per edge: a job ingests over its edge's.
     lan_key = edge_index
 
-    @property
-    def stage(self) -> str:
-        return self._stage
-
-    @stage.setter
-    def stage(self, name: str) -> None:
+    def _enter(self, name: str) -> None:
         row = _ENDED_BY_ENTRY.get(name)
-        if row is not None and name != self._stage:
+        if row is not None:
             self.outcomes.instants[row, self.index] = self.scheduler.now
-        self._stage = name
 
-    @property
-    def finished(self) -> bool:
-        """Whether the cloud has finished the job."""
-        end = self.outcomes.instants[_CLOUD_END, self.index]
-        return end == end
+    #: Written by the chain at every stage entry; nothing reads it back.
+    stage = property(fset=_enter)
 
     def finish(self) -> None:
         """Stamp the end of the job's cloud stage."""
@@ -583,19 +562,6 @@ def chain_report(chain: StageChain, policy: PlacementPolicy,
         faults=faults)
 
 
-def _whole_count(value, name: str) -> int:
-    """``value`` as an ``int`` >= 1, or a :class:`ClusterError`.
-
-    Chained, like ``CameraJob``'s checks: nan and inf fail the range test
-    before ``int()`` can raise a bare error on them, and a fraction is
-    refused rather than truncated (the recurrence indexes by counts).
-    """
-    value = real_number(value, name, ClusterError)
-    if not (1 <= value < math.inf and value == int(value)):
-        raise ClusterError(f"{name} must be a whole number >= 1, got {value!r}")
-    return int(value)
-
-
 class FleetOrchestrator:
     """Shards camera jobs over edge servers and simulates the fleet.
 
@@ -617,13 +583,6 @@ class FleetOrchestrator:
         arrival_jitter_seconds: Upper bound of the per-camera start-time
             jitter; offsets are drawn deterministically from ``seed``.
         seed: Root seed for the arrival jitter (see :mod:`repro.rng`).
-        faults: Optional :class:`~repro.faults.FaultPlan` injected into
-            the run (edge crashes fail unfinished jobs over to healthy
-            edges; WAN windows degrade uplinks).  ``None`` — the default
-            everywhere — schedules nothing and leaves the report
-            bit-identical to the seed.  A plan with scheduler faults runs
-            the event loop; worker kills act on no fleet (there is no
-            worker process here) and leave the report unchanged.
     """
 
     def __init__(self, jobs: Sequence[CameraJob], num_edge_servers: int = 1,
@@ -631,18 +590,19 @@ class FleetOrchestrator:
                  policy: "PlacementPolicy | str" = PlacementPolicy.ROUND_ROBIN,
                  edge_workers: int = 1, cloud_workers: Optional[int] = None,
                  arrival_jitter_seconds: float = 0.0,
-                 seed: Optional[int] = None,
-                 faults: Optional[FaultPlan] = None) -> None:
+                 seed: Optional[int] = None) -> None:
         # An empty job list is legal: admission control may reject every
         # camera, and the orchestrator must still produce a well-formed
         # (all-zero, nan-percentile) report rather than crash downstream.
         names = [job.camera for job in jobs]
         if len(set(names)) != len(names):
             raise ClusterError(f"camera names must be unique, got {names}")
-        self.num_edge_servers = _whole_count(num_edge_servers,
-                                            "num_edge_servers")
-        self.edge_workers = _whole_count(edge_workers, "edge_workers")
-        self.cloud_workers = (_whole_count(cloud_workers, "cloud_workers")
+        self.num_edge_servers = whole_number(
+            num_edge_servers, "num_edge_servers", ClusterError, 1)
+        self.edge_workers = whole_number(edge_workers, "edge_workers",
+                                         ClusterError, 1)
+        self.cloud_workers = (whole_number(cloud_workers, "cloud_workers",
+                                           ClusterError, 1)
                               if cloud_workers is not None
                               else self.num_edge_servers)
         if not 0 <= real_number(arrival_jitter_seconds,
@@ -659,9 +619,6 @@ class FleetOrchestrator:
         self.policy = PlacementPolicy.from_name(policy)
         self.arrival_jitter_seconds = float(arrival_jitter_seconds)
         self.seed = seed
-        self.fault_plan = faults
-        if faults is not None:
-            faults.validate_for(self.num_edge_servers)
 
     # ------------------------------------------------------------------ #
     # Placement
@@ -718,18 +675,10 @@ class FleetOrchestrator:
     def run(self) -> FleetReport:
         """Simulate the fleet and return its report.
 
-        A fault-free run (no plan, or a plan without scheduler faults) is
-        computed by the recurrence of :mod:`repro.cluster.recurrence`;
-        scheduler faults need the event loop (:meth:`_run_chain`), whose
-        report the recurrence's equals bit for bit.
+        The fleet is computed as start/end recurrences
+        (:mod:`repro.cluster.recurrence`), no event loop; its report equals
+        the event loop's (:meth:`_run_chain`) bit for bit.
         """
-        if (self.fault_plan is not None
-                and self.fault_plan.has_scheduler_faults):
-            return self._run_chain()
-        return self._run_recurrence()
-
-    def _run_recurrence(self) -> FleetReport:
-        """The fault-free fleet as start/end recurrences, no event loop."""
         watch = Stopwatch().start()
         placements = self._placements()
         offsets = self._arrival_offsets()
@@ -756,22 +705,10 @@ class FleetOrchestrator:
         chain = StageChain(scheduler, self.config,
                            range(self.num_edge_servers), self.edge_workers,
                            self.cloud_workers, on_finish=_JobRun.finish)
-        driver: Optional[FleetFaultDriver] = None
-        if (self.fault_plan is not None
-                and self.fault_plan.has_scheduler_faults):
-            driver = FleetFaultDriver(chain, self.fault_plan)
-            chain.on_fail = driver.on_job_failed
-
         offsets = self._arrival_offsets()
         outcomes = FleetOutcomes.starting(self.jobs, self._placements(),
                                           offsets)
         for index, offset in enumerate(offsets):
-            run = _JobRun(outcomes, index, scheduler)
-            if driver is not None:
-                driver.register(run)
-            chain.submit_at(offset, run)
+            chain.submit_at(offset, _JobRun(outcomes, index, scheduler))
         scheduler.run()
-        return chain_report(
-            chain, self.policy, outcomes, watch.stop(),
-            faults=(driver.stats if driver is not None
-                    and driver.stats.has_activity() else None))
+        return chain_report(chain, self.policy, outcomes, watch.stop())

@@ -2,7 +2,7 @@
 
 Two drivers compute their runs here instead of on the event loop:
 
-* a fault-free :class:`~repro.cluster.fleet.FleetOrchestrator` run, whose
+* a :class:`~repro.cluster.fleet.FleetOrchestrator` run, whose
   camera jobs ingest over one LAN link per edge at their arrival offsets;
 * a :class:`~repro.service.service.StreamingService` drain whose pending
   events are all :class:`~repro.service.feeder.ChunkFeeder` pushes (see
@@ -275,15 +275,6 @@ def _firing_order(jobs: List[int], stage: int, times: np.ndarray,
                                      key=cmp_to_key(compare))
         index += 1
     return ordered
-
-
-def _cloud_arrival_order(when: MutableSequence[float],
-                         parent: MutableSequence[int],
-                         ties: Dict[Tuple[int, int], bool]) -> List[int]:
-    """Job indices in the order their WAN deliveries fire."""
-    times = np.asarray(when[_WAN::EVENTS_PER_JOB], dtype=np.float64)
-    return _firing_order(list(range(len(times))), _WAN, times,
-                         when, parent, ties)
 
 
 def _transfer_seconds(sizes: List[int], bandwidth_mbps,

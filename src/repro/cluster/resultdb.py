@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..errors import ClusterError
 from ..video.events import LabelSet, as_label_set
@@ -66,28 +66,10 @@ class ResultDatabase:
         self._records[(video_name, row.frame_index)] = row
         return row
 
-    def labels_for(self, video_name: str, frame_index: int) -> Optional[LabelSet]:
-        """Labels recorded for a frame, or ``None`` when absent."""
-        row = self._records.get((video_name, frame_index))
-        return row.labels if row is not None else None
-
     def records_for_video(self, video_name: str) -> List[ResultRecord]:
         """All rows of one video, ordered by frame index."""
         rows = [row for (name, _), row in self._records.items() if name == video_name]
         return sorted(rows, key=lambda row: row.frame_index)
 
-    def frames_with_label(self, video_name: str, label: str) -> List[int]:
-        """Frame indices of a video where ``label`` was detected."""
-        return [row.frame_index for row in self.records_for_video(video_name)
-                if label in row.labels]
-
-    def video_names(self) -> List[str]:
-        """Names of all videos with at least one recorded frame."""
-        return sorted({name for name, _ in self._records})
-
     def __len__(self) -> int:
         return len(self._records)
-
-    def clear(self) -> None:
-        """Drop every record."""
-        self._records.clear()

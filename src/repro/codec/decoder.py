@@ -90,10 +90,6 @@ class VideoDecoder:
                     f"frame {frame.index} has no payload (size-only encoding)")
         return decode_images([frame.payload for frame in frames])
 
-    def decode_keyframe(self, frame: EncodedFrame) -> np.ndarray:
-        """Decode an I-frame payload into a luma plane."""
-        return self._decode_stills([frame])[0]
-
     def _parse_run(self, encoded: EncodedVideo, frames: Sequence[EncodedFrame],
                    coefficients: _Coefficients, scratch: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -391,8 +387,3 @@ class VideoDecoder:
                       frame_type=FrameType.I)
                 for frame, plane in zip(keyframes,
                                         self._decode_stills(keyframes))]
-
-
-def decode_video(encoded: EncodedVideo) -> RawVideo:
-    """Module-level convenience wrapper around :class:`VideoDecoder`."""
-    return VideoDecoder().decode_video(encoded)

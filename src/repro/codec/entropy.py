@@ -14,16 +14,16 @@ run-length + magnitude coding:
 Because the format is byte aligned, the encoded size of a frame can be
 computed exactly without materialising the payload
 (:func:`encoded_size_bytes`), which is what the video encoder uses on its
-fast path; :func:`encode_blocks` / :func:`decode_blocks` provide the real
-round-trip used by the still-image codec and the tests.
+fast path; :func:`encode_blocks` / :func:`decode_block_payloads` provide
+the real round-trip used by the still-image and video decoders.
 
 Both directions are fully vectorised: encoding is a numpy run-length pass
 over the zig-zag rows (``flatnonzero``/``diff`` -> token/level byte arrays
 -> ``tobytes``), decoding is a token scan over a ``frombuffer`` view whose
 token positions are found by pointer doubling.  The scan takes any number
 of back-to-back payloads (:func:`decode_block_payloads` — the video decoder
-hands it the residuals of a whole run of P-frames); :func:`decode_blocks` is
-its one-payload form.  The per-block Python coders they replaced live in
+hands it the residuals of a whole run of P-frames, the still-image decoder
+every I-frame of a batch).  The per-block Python coders they replaced live in
 ``tests/codec/entropy_oracle.py``, where the equivalence property tests hold
 the vectorised pair to them byte for byte.
 """
@@ -249,9 +249,9 @@ def decode_block_payloads(data: np.ndarray, lengths: Sequence[int],
         in payload order.
 
     Raises:
-        BitstreamError: If a payload is truncated or malformed.  With one
-            payload this is the error :func:`decode_blocks` documents; with
-            several, which malformed payload gets reported is unspecified.
+        BitstreamError: If a payload is truncated or malformed (with
+            several malformed payloads, which one gets reported is
+            unspecified).
         CodecError: If ``lengths`` and ``block_counts`` do not describe
             ``data``.
     """
@@ -339,30 +339,6 @@ def _framing_error(data: np.ndarray, positions: np.ndarray,
     return BitstreamError(
         f"trailing {data.size - decoded} bytes after decoding "
         f"{num_blocks} blocks")
-
-
-def decode_blocks(payload: bytes, blocks_y: int, blocks_x: int,
-                  block_size: int) -> np.ndarray:
-    """Decode :func:`encode_blocks` output back into a 4-D block array.
-
-    The one-payload form of :func:`decode_block_payloads`.
-
-    Args:
-        payload: Encoded bytes.
-        blocks_y: Number of block rows.
-        blocks_x: Number of block columns.
-        block_size: Block edge length.
-
-    Returns:
-        Quantised coefficient blocks of shape ``(blocks_y, blocks_x, b, b)``.
-
-    Raises:
-        BitstreamError: If the payload is truncated or malformed.
-    """
-    blocks = decode_block_payloads(np.frombuffer(payload, dtype=np.uint8),
-                                   [len(payload)], [blocks_y * blocks_x],
-                                   block_size)
-    return blocks.reshape(blocks_y, blocks_x, block_size, block_size)
 
 
 def _consumed(token: int) -> int:

@@ -165,21 +165,18 @@ class StreamingKeyframePlacer:
         self._pending_scenecut = False
         self._frame_count = 0
 
-    @property
-    def parameters(self) -> EncoderParameters:
-        """The configuration in force."""
-        return self._parameters
-
-    @parameters.setter
-    def parameters(self, parameters: EncoderParameters) -> None:
+    def _configure(self, parameters: EncoderParameters) -> None:
         # Assignable mid-stream: a live retune swaps the configuration and
         # keeps the GOP state.  Everything ``decide`` needs from it is
         # derived here, once per configuration instead of once per frame.
-        self._parameters = parameters
         self._gop = parameters.gop_size
         self._min_gop = parameters.effective_min_gop
         self._novelty_floor = scenecut_novelty_floor(
             parameters.scenecut_threshold)
+
+    #: The configuration in force; write-only, the placer keeps only what
+    #: it derives from it.
+    parameters = property(fset=_configure)
 
     def decide(self, activity: FrameActivity) -> FrameType:
         """Return the frame type of the next frame of the stream."""

@@ -7,7 +7,7 @@ DCT + quantisation + run/level entropy coder for single grayscale planes
 (colour frames are encoded plane by plane).
 
 The format is self-describing: a small header records dimensions, quality
-and channel count so :func:`decode_image` needs no side information.
+and channel count so :func:`decode_images` needs no side information.
 """
 
 from __future__ import annotations
@@ -65,25 +65,6 @@ def packed_image_size(quantised_planes: Sequence[np.ndarray]) -> int:
     """Exact ``len(pack_image(...))`` without materialising the bytes."""
     return _HEADER.size + sum(_PLANE_LENGTH.size + encoded_size_bytes(quantised)
                               for quantised in quantised_planes)
-
-
-def encode_image(image: np.ndarray, quality: int = 75,
-                 block_size: int = DEFAULT_BLOCK_SIZE) -> bytes:
-    """Encode a grayscale or RGB ``uint8`` image.
-
-    Args:
-        image: Array of shape ``(H, W)`` or ``(H, W, 3)``.
-        quality: JPEG-style quality factor in ``[1, 100]``.
-        block_size: Transform block size.
-
-    Returns:
-        The encoded byte string (header + per-plane payloads).
-    """
-    image = np.asarray(image)
-    matrix = quantisation_matrix(quality, block_size)
-    return pack_image(image.shape[0], image.shape[1], quality, block_size,
-                      [quantise_plane(plane, matrix, block_size)
-                       for plane in _image_planes(image)])
 
 
 def _parse_image(data: bytes) -> Tuple[Tuple[int, int, int, int, int],
@@ -162,13 +143,13 @@ def _decode_batch(payloads: Sequence[bytes]) -> List[np.ndarray]:
 
 
 def decode_images(payloads: Sequence[bytes]) -> List[np.ndarray]:
-    """Decode several :func:`encode_image` outputs into ``uint8`` arrays.
+    """Decode several :func:`pack_image` outputs into ``uint8`` arrays.
 
     Images of equal format (the I-frames of one clip) share one entropy
     scan, one dequantise + inverse transform and one clip/cast; formats may
     be mixed freely.  A batch that fails any check is decoded again one
     image at a time, so the first malformed image in order raises exactly
-    the error :func:`decode_image` raises for it.
+    the error a batch of that image alone raises.
     """
     if len(payloads) > 1:
         try:
@@ -176,11 +157,6 @@ def decode_images(payloads: Sequence[bytes]) -> List[np.ndarray]:
         except CodecError:
             pass  # decoded again below, where the first malformed image raises
     return [_decode_batch([payload])[0] for payload in payloads]
-
-
-def decode_image(data: bytes) -> np.ndarray:
-    """Decode :func:`encode_image` output back into a ``uint8`` array."""
-    return decode_images([data])[0]
 
 
 def estimate_encoded_size(image: np.ndarray, quality: int = 75,

@@ -72,19 +72,6 @@ def pad_edge(plane: np.ndarray, radius: int) -> np.ndarray:
     return padded
 
 
-def shift_plane(plane: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Shift a plane by ``(dy, dx)`` with edge replication.
-
-    A positive ``dy`` moves content downwards, i.e. the value at ``(y, x)``
-    of the result is the value at ``(y - dy, x - dx)`` of the input clamped
-    to the frame.
-    """
-    height, width = plane.shape
-    ys = np.clip(np.arange(height) - dy, 0, height - 1)
-    xs = np.clip(np.arange(width) - dx, 0, width - 1)
-    return plane[np.ix_(ys, xs)]
-
-
 class MotionField:
     """Result of motion estimation for one frame.
 
@@ -176,16 +163,6 @@ def offset_table(search_radius: int, step: int) -> np.ndarray:
     return table
 
 
-def _search_geometry(value: object, name: str, minimum: int) -> int:
-    """A block size, radius or step: a whole number (not a bool) >= ``minimum``."""
-    if isinstance(value, bool):
-        raise CodecError(f"{name} must be a whole number, got {value!r}")
-    value = whole_number(value, name, CodecError)
-    if value < minimum:
-        raise CodecError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
 def _fixed_point_shift(low: float, high: float) -> Optional[int]:
     """The ``k`` of the screen's fixed point ``rint(x · 2^k)`` for values
     in ``[low, high]``, or ``None`` when the span is too wide to screen.
@@ -254,9 +231,11 @@ class MotionSearch:
                  precision: str = PRECISION_EXACT) -> None:
         self.precision = validate_precision(precision)
         self.contract = resolve_contract(precision)
-        self.block_size = _search_geometry(block_size, "block_size", 1)
-        self.search_radius = _search_geometry(search_radius, "search_radius", 0)
-        self.search_step = _search_geometry(search_step, "search_step", 1)
+        self.block_size = whole_number(block_size, "block_size", CodecError, 1)
+        self.search_radius = whole_number(search_radius, "search_radius",
+                                          CodecError, 0)
+        self.search_step = whole_number(search_step, "search_step",
+                                        CodecError, 1)
         self._offsets = candidate_offsets(self.search_radius, self.search_step)
         self._offset_table = offset_table(self.search_radius, self.search_step)
         self._stack: Optional[np.ndarray] = None
@@ -395,8 +374,8 @@ class MotionSearch:
         current = pad_plane(current, block_size)
         # Pad the reference once by the search radius (edge replication);
         # every candidate shift is then a pure slice view into the padded
-        # plane: ``padded[r-dy : r-dy+H, r-dx : r-dx+W]`` equals
-        # ``shift_plane(reference, dy, dx)`` for every ``|dy|, |dx| <= r``.
+        # plane: ``padded[r-dy : r-dy+H, r-dx : r-dx+W]`` is ``reference``
+        # shifted by ``(dy, dx)`` for every ``|dy|, |dx| <= r``.
         padded = pad_edge(reference, self.search_radius)
         sads = self._candidate_sads(padded.astype(np.float32),
                                     current.astype(np.float32))

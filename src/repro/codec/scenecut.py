@@ -109,13 +109,6 @@ class FrameActivity:
     moving_block_fraction: float
     is_first: bool = False
 
-    @property
-    def predictability(self) -> float:
-        """Inter/intra cost ratio; small values mean cheap P-frames."""
-        if self.intra_cost <= 0:
-            return 0.0
-        return self.inter_cost / self.intra_cost
-
 
 def scenecut_score_threshold(scenecut: float) -> float:
     """Map an x264-style scenecut threshold (0-400) to a required novelty score.
@@ -144,8 +137,8 @@ def scenecut_novelty_floor(scenecut: float) -> float:
     """The ``novel_block_fraction`` a frame must *exceed* for a cut to fire.
 
     This is the one statement of the "cut fired" predicate
-    (``novelty > scenecut_novelty_floor(scenecut)``) shared by
-    :func:`is_scenecut`, both key-frame placers and the drift statistics:
+    (``novelty > scenecut_novelty_floor(scenecut)``) shared by both
+    key-frame placers and the drift statistics:
     ``scenecut <= 0`` disables scene cuts (the floor is ``inf``), and the
     ``1e-12`` guard keeps ``scenecut=400`` from firing on exactly zero
     novelty.  It depends only on the threshold, so a grid search needs it
@@ -154,13 +147,6 @@ def scenecut_novelty_floor(scenecut: float) -> float:
     if scenecut <= 0:
         return math.inf
     return max(scenecut_score_threshold(scenecut), 1e-12)
-
-
-def is_scenecut(activity: FrameActivity, scenecut: float) -> bool:
-    """Whether ``activity`` crosses the scene-cut decision for ``scenecut``."""
-    if activity.is_first:
-        return True
-    return activity.novel_block_fraction > scenecut_novelty_floor(scenecut)
 
 
 class SceneCutAnalyzer:

@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 from numbers import Real
-from typing import Dict, Type
+from typing import Optional, Type
 
 from .contracts import (PRECISION_ENV, PRECISION_EXACT, NumericContract,
                         resolve_contract, validate_precision)
@@ -44,31 +44,17 @@ def default_precision() -> str:
         os.environ.get(PRECISION_ENV, PRECISION_EXACT).strip() or PRECISION_EXACT)
 
 
-def available_cpu_count() -> int:
-    """CPUs actually available to this process.
-
-    Resolution order: the scheduling-affinity mask first
-    (``len(os.sched_getaffinity(0))`` — it honours container cpusets,
-    cgroup CPU pinning and ``taskset`` restrictions, where
-    :func:`os.cpu_count` reports the whole machine and over-subscribes
-    CI containers), then :func:`os.cpu_count`, then ``1``.
-    """
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    if getaffinity is not None:  # absent on macOS/Windows
-        try:
-            affinity = getaffinity(0)
-        except OSError:
-            affinity = None
-        if affinity:
-            return len(affinity)
-    return max(os.cpu_count() or 1, 1)
-
-
 def whole_number(value: object, name: str,
-                 error: Type[SieveError] = ConfigurationError) -> int:
-    """``value`` as an ``int``; fractions, strings, ``nan`` and ``inf`` are
-    refused with ``error`` (a :class:`ConfigurationError` by default)
-    rather than truncated."""
+                 error: Type[SieveError] = ConfigurationError,
+                 least: Optional[int] = None) -> int:
+    """``value`` as an ``int`` (one >= ``least`` when given), else ``error``
+    (a :class:`ConfigurationError` by default).
+
+    Anything :func:`real_number` refuses (bools and text among them),
+    fractions, ``nan`` and ``inf`` are refused rather than truncated.
+    """
+    if type(value) is not int:  # a plain int needs no type check
+        real_number(value, name, error)
     try:
         integral = int(value)  # type: ignore[call-overload]
     except (TypeError, ValueError, OverflowError):
@@ -76,6 +62,8 @@ def whole_number(value: object, name: str,
     if integral is None or integral != value:
         raise error(
             f"{name} must be a whole number, got {value!r}")
+    if least is not None and integral < least:
+        raise error(f"{name} must be >= {least}, got {value!r}")
     return integral
 
 
@@ -91,21 +79,6 @@ def real_number(value: object, name: str,
     if isinstance(value, bool) or not isinstance(value, Real):
         raise error(f"{name} must be a real number, got {value!r}")
     return value
-
-
-def resolve_worker_count(workers: int, name: str) -> int:
-    """Resolve a worker-count setting, treating ``0`` as "auto".
-
-    ``0`` sizes the pool from :func:`available_cpu_count` (affinity mask
-    first, then :func:`os.cpu_count`, then ``1``); positive values pass
-    through unchanged.
-    """
-    workers = whole_number(workers, name)
-    if workers < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {workers}")
-    if workers == 0:
-        return available_cpu_count()
-    return workers
 
 
 @dataclass(frozen=True)
@@ -155,10 +128,6 @@ class HardwareCalibration:
                 raise ConfigurationError(
                     f"HardwareCalibration.{name} must be positive, got {value!r}")
 
-    def as_dict(self) -> Dict[str, float]:
-        """Return the calibration as a plain dictionary."""
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -183,7 +152,6 @@ class SystemConfig:
             content-keyed disk-cache entries, and the parent assembles
             the results deterministically by dataset — byte-identical
             cache artifacts and equal workload objects either way.
-            ``0`` means "auto" (resolved via :func:`available_cpu_count`).
         precision: Numeric mode of the hot paths.  ``"exact"`` (the
             default) keeps every optimised kernel bit-identical to the seed
             implementation; ``"fast"`` routes NN inference and the motion
@@ -229,14 +197,10 @@ class SystemConfig:
         if not (0 < width < math.inf and 0 < height < math.inf):
             raise ConfigurationError("nn_input_resolution must be positive")
         # The dataclass is frozen, so normalised values (whole numbers as
-        # ints, 0 = "auto" resolved for the worker pool) are written
-        # through object.__setattr__ once here.
-        object.__setattr__(self, "nn_batch_size", whole_number(
-            self.nn_batch_size, "nn_batch_size"))
-        if self.nn_batch_size < 1:
-            raise ConfigurationError("nn_batch_size must be >= 1")
-        object.__setattr__(self, "build_workers", resolve_worker_count(
-            self.build_workers, "build_workers"))
+        # ints) are written through object.__setattr__ once here.
+        for name in ("nn_batch_size", "build_workers"):
+            object.__setattr__(self, name, whole_number(
+                getattr(self, name), name, least=1))
         validate_precision(self.precision)
 
     @property

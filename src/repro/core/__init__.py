@@ -2,7 +2,7 @@
 
 from .deployment import ALL_DEPLOYMENT_MODES, DeploymentMode
 from .metrics import (DetectionScore, evaluate_sample_sets, evaluate_sampling,
-                      event_start_accuracy, f1_score, propagation_accuracy)
+                      f1_score)
 from .pipeline import (DeploymentReport, EndToEndSimulation, VideoWorkload,
                        build_workload, plan_camera_job)
 from .sieve import Sieve, VideoAnalysisResult
@@ -13,7 +13,7 @@ from .tuner import (ConfigurationResult, ParameterLookupTable, SemanticEncoderTu
 __all__ = [
     "ALL_DEPLOYMENT_MODES", "DeploymentMode",
     "DetectionScore", "evaluate_sample_sets", "evaluate_sampling",
-    "event_start_accuracy", "f1_score", "propagation_accuracy",
+    "f1_score",
     "DeploymentReport", "EndToEndSimulation", "VideoWorkload", "build_workload",
     "plan_camera_job",
     "Sieve", "VideoAnalysisResult",

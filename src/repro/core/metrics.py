@@ -11,11 +11,12 @@ three quantities:
 * **F1 score** — the harmonic mean of accuracy and filtering rate, used by
   the offline tuner to pick the best configuration.
 
-Two accuracy variants are provided.  :func:`propagation_accuracy` is the
-per-frame label accuracy actually used in the evaluation (Figure 3,
-Table II).  :func:`event_start_accuracy` is the formulation of Section IV
-(each event contributes the fraction of its frames from the event start to
-its first I-frame); the two coincide when every event contains at least one
+:func:`evaluate_sampling` reports two accuracy variants.
+``DetectionScore.accuracy`` is the per-frame label accuracy under label
+propagation, the one used in the evaluation (Figure 3, Table II).
+``DetectionScore.event_accuracy`` is the formulation of Section IV (each
+event contributes the fraction of its frames from the event start to its
+first I-frame); the two coincide when every event contains at least one
 sampled frame.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -127,24 +128,6 @@ def _frame_counts(timeline: EventTimeline, frames: np.ndarray,
     return correct.tolist(), wrong.tolist()
 
 
-def propagation_accuracy(timeline: EventTimeline,
-                         sample_indices: Sequence[int]) -> float:
-    """Per-frame label accuracy under label propagation from sampled frames."""
-    return evaluate_sampling(timeline, sample_indices).accuracy
-
-
-def event_start_accuracy(timeline: EventTimeline,
-                         sample_indices: Sequence[int]) -> float:
-    """Accuracy as defined in Section IV of the paper.
-
-    Every event contributes its full frame count when it starts with a
-    sampled frame; otherwise the frames from the event start until the first
-    sampled frame inside the event (or the whole event, if it contains no
-    sample) are counted as wrong.
-    """
-    return evaluate_sampling(timeline, sample_indices).event_accuracy
-
-
 def f1_score(accuracy: float, filtering: float) -> float:
     """Harmonic mean of accuracy and filtering rate (Section IV)."""
     if accuracy < 0 or filtering < 0:
@@ -176,17 +159,6 @@ class DetectionScore:
     num_samples: int
     num_frames: int
 
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dictionary view (used by the experiment tables)."""
-        return {
-            "accuracy": self.accuracy,
-            "event_accuracy": self.event_accuracy,
-            "sampling_fraction": self.sampling_fraction,
-            "filtering_rate": self.filtering_rate,
-            "f1": self.f1,
-            "num_samples": float(self.num_samples),
-            "num_frames": float(self.num_frames),
-        }
 
 
 def evaluate_sample_sets(timeline: EventTimeline,

@@ -2,29 +2,27 @@
 
 :class:`Sieve` ties the pieces together the way an operator would use the
 system (Figure 1): tune each camera offline, store the winning parameters in
-the lookup table, configure the cameras, and then analyse footage — either
-just answering "which frames changed and what is in them" for one video, or
-simulating a full multi-camera edge/cloud deployment.
+the lookup table, configure the cameras, and then analyse footage: "which
+frames changed and what is in them" for one video.  Multi-camera
+deployments are simulated by :class:`~repro.core.pipeline.EndToEndSimulation`
+and the fleet and service simulators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..cluster.resultdb import ResultDatabase
 from ..codec.encoder import VideoEncoder
 from ..codec.gop import DEFAULT_PARAMETERS, EncoderParameters
 from ..codec.iframe_seeker import select_events_from_keyframes
 from ..config import SystemConfig, whole_number
-from ..datasets.generator import DatasetInstance
 from ..errors import PipelineError
 from ..nn.oracle import ObjectDetector, OracleDetector
 from ..video.events import EventTimeline
 from ..video.raw_video import VideoSource
-from .deployment import DeploymentMode
 from .metrics import DetectionScore, evaluate_sampling
-from .pipeline import DeploymentReport, EndToEndSimulation, build_workload
 from .tuner import (ParameterLookupTable, SemanticEncoderTuner, TuningGrid,
                     TuningResult)
 
@@ -140,33 +138,3 @@ class Sieve:
         return VideoAnalysisResult(video_name=name, keyframe_indices=keyframes,
                                    frame_labels=frame_labels, score=score,
                                    parameters=parameters)
-
-    # ------------------------------------------------------------------ #
-    # Online stage: multi-camera deployment simulation
-    # ------------------------------------------------------------------ #
-    def simulate_deployment(self, instances: Sequence[DatasetInstance],
-                            mode: DeploymentMode = DeploymentMode.IFRAME_EDGE_CLOUD_NN,
-                            tune: bool = True) -> DeploymentReport:
-        """Simulate an end-to-end deployment over several camera feeds.
-
-        Args:
-            instances: Dataset clips (one per camera).
-            mode: Deployment mode to simulate.
-            tune: Tune labelled cameras before building their workloads
-                (unlabelled cameras always fall back to the fixed-rate rule).
-
-        Returns:
-            The deployment report (throughput, transfer, accuracy).
-        """
-        if not instances:
-            raise PipelineError("simulate_deployment needs at least one camera feed")
-        workloads = []
-        for instance in instances:
-            parameters = None
-            if tune and instance.timeline is not None:
-                if instance.name not in self.lookup_table:
-                    self.tune_camera(instance.name, instance.video, instance.timeline)
-                parameters = self.lookup_table.lookup(instance.name)
-            workloads.append(build_workload(instance, parameters, self.config,
-                                            self.base_parameters))
-        return EndToEndSimulation(workloads, self.config).run(mode)

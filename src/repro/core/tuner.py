@@ -324,10 +324,6 @@ class ParameterLookupTable:
         """The camera's full version history (empty if never stored)."""
         return tuple(self._history.get(camera_name, ()))
 
-    def version(self, camera_name: str) -> int:
-        """Current version number of a camera (``0`` if never stored)."""
-        return len(self._history.get(camera_name, ()))
-
     def history_lines(self) -> List[str]:
         """All cameras' histories as deterministic one-line records.
 

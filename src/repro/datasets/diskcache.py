@@ -28,8 +28,8 @@ Design:
 * **Corruption safety.**  A load that fails for *any* reason — truncated
   file, wrong embedded key, schema mismatch, unpicklable garbage — is a
   cache miss: the bad entry is deleted best-effort and the caller
-  recomputes.  The cache can always be deleted wholesale
-  (:func:`clear_cache`); nothing in it is authoritative.
+  recomputes.  The cache directory can always be deleted wholesale;
+  nothing in it is authoritative.
 * **Never fatal.**  The cache only ever saves work.  A cache directory that
   cannot be written (read-only, full, or a path naming a regular file)
   makes :func:`store` raise ``OSError``; the callers in
@@ -43,7 +43,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -58,17 +58,15 @@ CACHE_SCHEMA_VERSION = 1
 MANIFEST_MEMBER = "__manifest__"
 
 
-def default_cache_dir() -> str:
-    """The cache directory used when ``REPRO_CACHE_DIR`` is unset."""
+def cache_dir() -> str:
+    """The active cache directory: ``REPRO_CACHE_DIR`` when set, else
+    ``repro-sieve`` under ``XDG_CACHE_HOME`` (default ``~/.cache``)."""
+    configured = os.environ.get(CACHE_DIR_ENV, "").strip()
+    if configured:
+        return configured
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = xdg if xdg else os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "repro-sieve")
-
-
-def cache_dir() -> str:
-    """The active cache directory (honours ``REPRO_CACHE_DIR``)."""
-    configured = os.environ.get(CACHE_DIR_ENV, "").strip()
-    return configured if configured else default_cache_dir()
 
 
 @contextmanager
@@ -215,50 +213,3 @@ def evict(kind: str, key: str, directory: Optional[str] = None) -> bool:
         return False
     return True
 
-
-def tree_digest(directory: Optional[str] = None) -> Dict[str, str]:
-    """``{relative path: sha256 hex}`` of every file under ``directory``.
-
-    Verification helper for the byte-identity contract of parallel builds:
-    two cache directories produced from the same inputs must compare equal
-    (asserted by the workload-builder tests and ``bench_figure4``).
-    """
-    root = directory or cache_dir()
-    digests: Dict[str, str] = {}
-    for dirpath, _, names in os.walk(root):
-        for name in names:
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as handle:
-                digests[os.path.relpath(path, root)] = hashlib.sha256(
-                    handle.read()).hexdigest()
-    return digests
-
-
-def list_keys(kind: str, directory: Optional[str] = None) -> Iterable[str]:
-    """Keys currently stored under ``kind`` (unverified, newest last)."""
-    root = os.path.join(directory or cache_dir(), kind)
-    try:
-        names = sorted(
-            entry for entry in os.listdir(root) if entry.endswith(".npz"))
-    except OSError:
-        return []
-    return [name[:-len(".npz")] for name in names]
-
-
-def clear_cache(kind: Optional[str] = None,
-                directory: Optional[str] = None) -> int:
-    """Remove every cached bundle (of ``kind``, or all kinds); returns count."""
-    root = directory or cache_dir()
-    kinds = [kind] if kind else []
-    if not kinds:
-        try:
-            kinds = [entry for entry in os.listdir(root)
-                     if os.path.isdir(os.path.join(root, entry))]
-        except OSError:
-            return 0
-    removed = 0
-    for one_kind in kinds:
-        for key in list_keys(one_kind, root):
-            if evict(one_kind, key, root):
-                removed += 1
-    return removed

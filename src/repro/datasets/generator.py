@@ -2,15 +2,16 @@
 
 The paper uses the first half of every labelled feed to tune encoder
 parameters (and the baselines' thresholds) and the second half for
-evaluation.  :func:`build_split` reproduces that protocol for the synthetic
-stand-ins: the train and test clips come from the same scene profile but
-with different schedule seeds, i.e. the same camera on different days.
+evaluation.  :func:`build_dataset`'s ``split`` reproduces that protocol for
+the synthetic stand-ins: the train and test clips come from the same scene
+profile but with different schedule seeds, i.e. the same camera on
+different days.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..rng import derive_seed
 from ..video.raw_video import VideoSource
@@ -69,11 +70,3 @@ def build_dataset(name: str, duration_seconds: float = 120.0,
     video = SyntheticScene(profile).video()
     return DatasetInstance(spec=spec, profile=profile, video=video, split=split)
 
-
-def build_split(name: str, duration_seconds: float = 120.0,
-                render_scale: float = DEFAULT_RENDER_SCALE
-                ) -> Tuple[DatasetInstance, DatasetInstance]:
-    """Build the train/test pair for a dataset (same camera, different days)."""
-    train = build_dataset(name, duration_seconds, render_scale, split="train")
-    test = build_dataset(name, duration_seconds, render_scale, split="test")
-    return train, test

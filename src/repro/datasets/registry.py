@@ -103,11 +103,6 @@ def get_dataset(name: str) -> DatasetSpec:
             f"unknown dataset {name!r}; expected one of {sorted(TABLE_I)}") from exc
 
 
-def labelled_datasets() -> List[DatasetSpec]:
-    """Specs of the datasets with ground-truth labels."""
-    return [TABLE_I[name] for name in LABELLED_DATASETS]
-
-
 def all_datasets() -> List[DatasetSpec]:
     """Specs of all five datasets."""
     return [TABLE_I[name] for name in ALL_DATASETS]

@@ -2,9 +2,8 @@
 
 Every table/figure module accepts an :class:`ExperimentConfig` controlling
 the synthetic-footage scale.  The defaults regenerate the paper's result
-*shapes* in a few minutes on a laptop CPU; ``ExperimentConfig.quick()`` is a
-smaller setting used by the test suite, and longer/larger settings can be
-passed for higher-fidelity runs.
+*shapes* in a few minutes on a laptop CPU; shorter settings serve the test
+suite, and longer/larger settings can be passed for higher-fidelity runs.
 
 This module also owns the two-level artifact cache the harnesses share:
 
@@ -48,7 +47,7 @@ from ..datasets.generator import DatasetInstance, build_dataset
 from ..datasets.registry import LABELLED_DATASETS, get_dataset
 from ..perf import section as perf_section
 from ..video.events import Event, EventTimeline
-from ..video.frame import Frame
+from ..video.frame import Frame, Resolution
 from ..video.raw_video import RawVideo, VideoMetadata
 
 
@@ -65,11 +64,6 @@ class ExperimentConfig:
     duration_seconds: float = 60.0
     render_scale: float = 0.12
     datasets: Sequence[str] = LABELLED_DATASETS
-
-    @classmethod
-    def quick(cls, datasets: Sequence[str] = ("jackson_square",)) -> "ExperimentConfig":
-        """A fast configuration used by unit/integration tests."""
-        return cls(duration_seconds=20.0, render_scale=0.08, datasets=datasets)
 
 
 @dataclass
@@ -115,19 +109,6 @@ _WORKLOAD_CACHE: Dict[tuple, object] = {}
 #: Disk-cache artifact kinds (directory names under ``REPRO_CACHE_DIR``).
 DATASET_CACHE_KIND = "prepared-dataset"
 WORKLOAD_CACHE_KIND = "workload"
-
-
-def clear_prepared_cache() -> int:
-    """Drop every in-process cached artifact; returns how many were dropped.
-
-    Only the in-process layer is cleared — on-disk entries persist (use
-    :func:`repro.datasets.diskcache.clear_cache` for those), which is what
-    lets a fresh session reuse a warm ``REPRO_CACHE_DIR``.
-    """
-    dropped = len(_PREPARED_CACHE) + len(_WORKLOAD_CACHE)
-    _PREPARED_CACHE.clear()
-    _WORKLOAD_CACHE.clear()
-    return dropped
 
 
 def _cache_key(name: str, config: ExperimentConfig, split: str,
@@ -197,14 +178,6 @@ def _prepare_dataset_uncached(name: str, config: ExperimentConfig, split: str,
         activities = VideoEncoder(base_parameters,
                                   precision).analyze(instance.video)
     return PreparedDataset(instance=instance, activities=activities)
-
-
-def prepare_datasets(config: ExperimentConfig, split: str = "test",
-                     precision: str = PRECISION_EXACT
-                     ) -> Dict[str, PreparedDataset]:
-    """Prepare every dataset named in ``config`` (through the cache)."""
-    return {name: prepare_dataset(name, config, split, precision=precision)
-            for name in config.datasets}
 
 
 # --------------------------------------------------------------------------- #
@@ -323,7 +296,8 @@ def _load_prepared_from_disk(name: str, config: ExperimentConfig, split: str,
                   for index in range(stacked.shape[0])]
         metadata = VideoMetadata(
             name=str(manifest["video_name"]),
-            resolution=frames[0].resolution, fps=fps,
+            resolution=Resolution(stacked.shape[2], stacked.shape[1]),
+            fps=fps,
             num_frames=len(frames),
             extra={"synthetic": True, "seed": profile.seed})
         video = RawVideo(metadata, frames, timeline)
@@ -429,7 +403,6 @@ def _store_workload_to_disk(disk_key: str, name: str, workload) -> bool:
 def _load_workload_from_disk(name: str, disk_key: str):
     from ..core.pipeline import VideoWorkload
     from ..perf import Stopwatch, get_recorder
-    from ..video.frame import Resolution
     watch = Stopwatch().start()
     loaded = diskcache.load(WORKLOAD_CACHE_KIND, disk_key)
     if loaded is None:

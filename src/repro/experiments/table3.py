@@ -23,7 +23,7 @@ from ..cluster.costmodel import CostModel
 from ..codec.encoder import VideoEncoder
 from ..codec.gop import EncoderParameters
 from ..codec.iframe_seeker import IFrameSeeker
-from ..datasets.registry import get_dataset, labelled_datasets
+from ..datasets.registry import LABELLED_DATASETS, get_dataset
 from ..parallel.workloads import WorkloadBuilder
 from ..vision.mse import MseChangeDetector
 from ..vision.sift import SiftChangeDetector
@@ -128,8 +128,7 @@ def run(config: ExperimentConfig = ExperimentConfig(),
     out across processes when ``build_workers > 1``.
     """
     rows = []
-    names = list(config.datasets or
-                 [spec.name for spec in labelled_datasets()])
+    names = list(config.datasets or LABELLED_DATASETS)
     if measure_wallclock:
         # Warm the prepared-dataset cache for every measured clip up front
         # (in parallel when asked); measured_row then hits the cache.

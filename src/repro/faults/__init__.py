@@ -2,15 +2,15 @@
 
 The fault plane is strictly opt-in: nothing in this package runs unless
 a :class:`FaultPlan` (or a :class:`ResilienceConfig`) is handed to the
-service or the fleet orchestrator, and the injection hooks those
-components expose are no-ops by default — the fault-free pipeline stays
-bit-identical to the seed (the standing bitwise-stability contract).
+streaming service, and the injection hooks it exposes are no-ops by
+default — the fault-free pipeline stays bit-identical to the seed (the
+standing bitwise-stability contract).
 
 Public surface:
 
 * :class:`FaultPlan` and its specs (:class:`EdgeCrash`,
-  :class:`WanDegradation`, :class:`StreamStall`, :class:`WorkerKill`,
-  :class:`CacheCorruption`) — composable, seeded, replayable.
+  :class:`WanDegradation`, :class:`StreamStall`) — composable, seeded,
+  replayable.
 * :class:`RetryPolicy` — the one backoff/budget policy every retry
   loop shares.
 * :class:`CircuitBreaker` / :class:`BreakerState` — per-edge load
@@ -21,18 +21,14 @@ Public surface:
 """
 
 from .breaker import BreakerState, CircuitBreaker
-from .injector import FleetFaultDriver, ResilienceConfig, ServiceFaultDriver
-from .plan import (CACHE_CORRUPTION_MODES, CacheCorruption, EdgeCrash,
-                   FaultPlan, FaultSpec, StreamStall, WanDegradation,
-                   WorkerKill, apply_cache_corruption)
+from .injector import ResilienceConfig, ServiceFaultDriver
+from .plan import EdgeCrash, FaultPlan, FaultSpec, StreamStall, WanDegradation
 from .retry import RetryPolicy
 from .stats import FaultStats, RecoveryTrace, TraceEvent
 
 __all__ = [
-    "BreakerState", "CircuitBreaker", "FleetFaultDriver",
-    "ResilienceConfig", "ServiceFaultDriver", "CACHE_CORRUPTION_MODES",
-    "CacheCorruption", "EdgeCrash", "FaultPlan", "FaultSpec",
-    "StreamStall", "WanDegradation", "WorkerKill",
-    "apply_cache_corruption", "RetryPolicy", "FaultStats",
+    "BreakerState", "CircuitBreaker", "ResilienceConfig",
+    "ServiceFaultDriver", "EdgeCrash", "FaultPlan", "FaultSpec",
+    "StreamStall", "WanDegradation", "RetryPolicy", "FaultStats",
     "RecoveryTrace", "TraceEvent",
 ]

@@ -1,25 +1,17 @@
-"""Fault-plan drivers: inject faults, orchestrate recovery.
+"""The fault-plan driver: inject faults into the service, orchestrate recovery.
 
-Two drivers replay a :class:`~repro.faults.plan.FaultPlan` through the
-shared event scheduler and run the self-healing machinery around it.
-Both stand on :class:`ChainFaultDriver`, the single definition of the
-crash / restart / WAN-window events over a
-:class:`~repro.cluster.topology.StageChain`:
+:class:`ServiceFaultDriver` replays a :class:`~repro.faults.plan.FaultPlan`
+through a live :class:`~repro.service.service.StreamingService`'s event
+scheduler and runs the self-healing machinery around it: edge crashes
+pause the edge's station and uplink and fail out its in-flight chunks,
+sessions are failed over to healthy edges, a per-edge
+:class:`~repro.faults.breaker.CircuitBreaker` sheds pushes while an edge
+is sick, WAN windows partition or slow an uplink, stream stalls pause a
+camera's LAN link, and an optional watchdog closes sessions that stop
+making progress.
 
-* :class:`ServiceFaultDriver` rides on a live
-  :class:`~repro.service.service.StreamingService`: edge crashes pause
-  the edge's station and uplink and fail out its in-flight chunks,
-  sessions are failed over to healthy edges, a per-edge
-  :class:`~repro.faults.breaker.CircuitBreaker` sheds pushes while an
-  edge is sick, and an optional stall watchdog closes sessions that
-  stop making progress.
-* :class:`FleetFaultDriver` does the batch equivalent for
-  :class:`~repro.cluster.fleet.FleetOrchestrator`: unfinished
-  :class:`CameraJob` pipelines are re-placed off a crashed edge and
-  their failed stage submissions requeued, deterministically.
-
-Neither driver exists on the fault-free path — services and
-orchestrators built without a plan never construct one, so the default
+No driver exists on the fault-free path — a service built without a plan
+or a :class:`ResilienceConfig` never constructs one, so the default
 pipeline stays bit-identical to the seed.  With a driver installed, all
 injection and recovery happens as ordinary events on the one scheduler
 heap, which is what makes recovery traces reproducible under any clock
@@ -39,7 +31,6 @@ from .plan import EdgeCrash, FaultPlan, StreamStall, WanDegradation
 from .stats import FaultStats, RecoveryTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; see the import note below.
-    from ..cluster.topology import StageChain
     from ..service.service import StreamingService
     from ..service.session import StreamSession
 
@@ -96,14 +87,17 @@ class ResilienceConfig:
                 "watchdog_period_seconds must be positive and finite")
 
 
-class ChainFaultDriver:
-    """Replays a plan's edge crashes and WAN windows over a stage chain.
+class ServiceFaultDriver:
+    """Injects a :class:`FaultPlan` into a live streaming service.
 
-    The injected-event half both drivers share: crash / restart /
-    WAN-window events act on the resources of a
-    :class:`~repro.cluster.topology.StageChain` and differ between the
-    batch fleet and the live service only in *what gets relocated* off a
-    permanently dead edge (:meth:`_relocate`).
+    Built by :class:`StreamingService` when ``faults`` or ``resilience``
+    is passed; schedules every spec of the plan as control events in its
+    constructor (the service clock is still at 0 then), and exposes the
+    hooks the service pipeline calls back into.  Crash / restart /
+    WAN-window events act on the resources of the service's
+    :class:`~repro.cluster.topology.StageChain`; a permanently dead
+    edge's sessions are failed over, a per-edge :class:`CircuitBreaker`
+    sheds pushes, camera uplinks stall and stalled sessions are reaped.
 
     A resource can be held down by several causes at once (a WAN
     partition overlapping an edge outage); it stays paused until every
@@ -113,14 +107,19 @@ class ChainFaultDriver:
         stats: Fault/recovery counters (folded into reports).
         trace: The deterministic :class:`RecoveryTrace` CI diffs.
         edge_online: Per-edge liveness (permanent crashes clear it).
+        breakers: Per-edge :class:`CircuitBreaker`.
     """
 
-    def __init__(self, chain: "StageChain", plan: FaultPlan) -> None:
+    def __init__(self, service: "StreamingService", plan: FaultPlan,
+                 resilience: ResilienceConfig) -> None:
+        chain = service.chain
         num_edges = len(chain.edge_stations)
         plan.validate_for(num_edges)
+        self.service = service
         self.chain = chain
         self.scheduler = chain.scheduler
         self.plan = plan
+        self.resilience = resilience
         self.stats = FaultStats()
         self.trace = RecoveryTrace()
         self.edge_online: List[bool] = [True] * num_edges
@@ -132,6 +131,18 @@ class ChainFaultDriver:
         for window in plan.wan_degradations:
             self.scheduler.schedule_at(window.at_seconds,
                                        self._wan_down, window)
+        self.breakers: Dict[int, CircuitBreaker] = {
+            index: CircuitBreaker(
+                name=f"edge:{index}",
+                cooldown_seconds=resilience.breaker_cooldown_seconds,
+                on_open=partial(self._breaker_opened, index))
+            for index in range(service.num_edge_servers)}
+        self._stalled: set = set()
+        for stall in plan.stream_stalls:
+            self.scheduler.schedule_at(stall.at_seconds, self._stall, stall)
+        if resilience.stall_timeout_seconds is not None:
+            self.scheduler.schedule(resilience.watchdog_period_seconds,
+                                    self._watchdog_tick)
 
     def _hold(self, resource, cause) -> None:
         """Pause ``resource`` on behalf of ``cause``."""
@@ -148,13 +159,6 @@ class ChainFaultDriver:
         resource.resume()
         return True
 
-    def _on_edge_down(self, index: int) -> None:
-        """An edge just went down (before any relocation or requeue)."""
-
-    def _relocate(self, dead: int) -> None:
-        """Move every unfinished unit of work off a permanently dead edge."""
-        raise NotImplementedError
-
     def _crash(self, spec: EdgeCrash) -> None:
         index = spec.edge_index
         if not self.edge_online[index]:
@@ -169,7 +173,7 @@ class ChainFaultDriver:
         # edge within the same event.
         for resource in resources:
             self._hold(resource, spec)
-        self._on_edge_down(index)
+        self.breakers[index].trip(self.scheduler.now)
         if spec.permanent:
             self.edge_online[index] = False
             self._relocate(index)
@@ -237,39 +241,6 @@ class ChainFaultDriver:
                               f"edge={index} {holder}")
 
 
-class ServiceFaultDriver(ChainFaultDriver):
-    """Injects a :class:`FaultPlan` into a live streaming service.
-
-    Built by :class:`StreamingService` when ``faults`` or ``resilience``
-    is passed; schedules every spec of the plan as control events in its
-    constructor (the service clock is still at 0 then), and exposes the
-    hooks the service pipeline calls back into.  On top of the shared
-    crash / WAN events it relocates *sessions*, runs a per-edge
-    :class:`CircuitBreaker`, stalls camera uplinks and reaps stalled
-    sessions.
-
-    Attributes:
-        breakers: Per-edge :class:`CircuitBreaker`.
-    """
-
-    def __init__(self, service: "StreamingService", plan: FaultPlan,
-                 resilience: ResilienceConfig) -> None:
-        super().__init__(service.chain, plan)
-        self.service = service
-        self.resilience = resilience
-        self.breakers: Dict[int, CircuitBreaker] = {
-            index: CircuitBreaker(
-                name=f"edge:{index}",
-                cooldown_seconds=resilience.breaker_cooldown_seconds,
-                on_open=partial(self._breaker_opened, index))
-            for index in range(service.num_edge_servers)}
-        self._stalled: set = set()
-        for stall in plan.stream_stalls:
-            self.scheduler.schedule_at(stall.at_seconds, self._stall, stall)
-        if resilience.stall_timeout_seconds is not None:
-            self.scheduler.schedule(resilience.watchdog_period_seconds,
-                                    self._watchdog_tick)
-
     # ------------------------------------------------------------------ #
     # Hooks the service pipeline calls
     # ------------------------------------------------------------------ #
@@ -329,10 +300,8 @@ class ServiceFaultDriver(ChainFaultDriver):
         self.trace.record(self.scheduler.now, "breaker-open",
                           f"edge={index}")
 
-    def _on_edge_down(self, index: int) -> None:
-        self.breakers[index].trip(self.scheduler.now)
-
     def _relocate(self, dead: int) -> None:
+        """Fail every live session on a permanently dead edge over."""
         now = self.scheduler.now
         for session in self.service.ingest.sessions.values():
             if session.edge_index != dead or _closed(session):
@@ -399,46 +368,3 @@ class ServiceFaultDriver(ChainFaultDriver):
             self.scheduler.schedule(self.resilience.watchdog_period_seconds,
                                     self._watchdog_tick)
 
-
-class FleetFaultDriver(ChainFaultDriver):
-    """Batch-fleet counterpart of :class:`ServiceFaultDriver`.
-
-    Injects edge crashes and WAN degradation windows into a
-    :class:`~repro.cluster.fleet.FleetOrchestrator` run and fails
-    unfinished camera *jobs* over to healthy edges.  Stream stalls target
-    live sessions and worker kills target the process pool, so both are
-    ignored here (the service and parallel paths own them).
-    """
-
-    def __init__(self, chain: "StageChain", plan: FaultPlan) -> None:
-        super().__init__(chain, plan)
-        self.runs: List[object] = []
-
-    def register(self, run) -> None:
-        """Track a job run so crashes can re-place it."""
-        self.runs.append(run)
-
-    def on_job_failed(self, run, reason: str) -> None:
-        """A stage submission was failed out; requeue it on the job's
-        (already failed-over) edge."""
-        self.stats.chunks_failed_over += 1
-        self.trace.record(
-            self.scheduler.now, "job-requeued",
-            f"camera={run.work.camera} stage={run.stage} "
-            f"edge={run.edge_index} reason={reason}")
-        self.chain.reenter(run)
-
-    def _relocate(self, dead: int) -> None:
-        # Re-place every unfinished job on the dead edge, including ones
-        # whose ingest has not even fired yet: each stage entry re-reads
-        # the job's edge, so pending events follow.
-        now = self.scheduler.now
-        for run in self.runs:
-            if run.edge_index != dead or run.finished:
-                continue
-            target = self._pick_healthy()
-            run.edge_index = target
-            self.stats.jobs_failed_over += 1
-            self.trace.record(now, "job-failover",
-                              f"camera={run.work.camera} "
-                              f"edge={dead}->{target}")

@@ -1,12 +1,11 @@
 """Deterministic, seeded fault plans.
 
 A :class:`FaultPlan` is a frozen bag of fault *specs* — edge crashes,
-WAN degradation windows, per-camera stream stalls, pool-worker kills and
-disk-cache corruptions — that the injection drivers (see
-:mod:`repro.faults.injector`) replay through the discrete-event
-scheduler.  Plans are plain data: the same plan produces the same fault
-events in the same order on every run, under either clock driver, which
-is what makes recovery traces diffable.
+WAN degradation windows and per-camera stream stalls — that the
+service's fault driver (see :mod:`repro.faults.injector`) replays through
+the discrete-event scheduler.  Plans are plain data: the same plan
+produces the same fault events in the same order on every run, under
+either clock driver, which is what makes recovery traces diffable.
 
 ``FaultPlan.seeded`` draws a plan from the seeded RNG tree
 (:mod:`repro.rng`), so chaos soaks are reproducible from a single root
@@ -14,23 +13,35 @@ seed.  An **empty plan is the default everywhere**: with no plan
 installed the injection hooks are never scheduled and the fault-free
 path stays bit-identical to the seed (the standing bitwise-stability
 contract).
+
+Every spec checks its fields when it is built: a malformed value (a
+string, ``None``, a ``bool``, a fraction for an index, ``nan`` or ``inf``
+for a time) raises :class:`~repro.errors.FaultError` there, never a bare
+error later inside a drain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
+from ..config import real_number, whole_number
 from ..errors import FaultError
 from ..rng import make_rng
-
-#: Supported :class:`CacheCorruption` modes (see ``apply_cache_corruption``).
-CACHE_CORRUPTION_MODES = ("torn-write", "truncate-bundle")
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise FaultError(message)
+
+
+def _seconds(value: object, name: str, positive: bool = False) -> None:
+    """Refuse a time that is not a finite real >= 0 (> 0 if ``positive``)."""
+    value = real_number(value, name, FaultError)
+    _require((0.0 < value if positive else 0.0 <= value) and value < math.inf,
+             f"{name} must be finite and {'> 0' if positive else '>= 0'}, "
+             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,11 +60,12 @@ class EdgeCrash:
     restart_after_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require(self.edge_index >= 0, "edge_index must be >= 0")
-        _require(self.at_seconds >= 0.0, "at_seconds must be >= 0")
+        object.__setattr__(self, "edge_index", whole_number(
+            self.edge_index, "edge_index", FaultError, 0))
+        _seconds(self.at_seconds, "at_seconds")
         if self.restart_after_seconds is not None:
-            _require(self.restart_after_seconds > 0.0,
-                     "restart_after_seconds must be > 0 when set")
+            _seconds(self.restart_after_seconds, "restart_after_seconds",
+                     positive=True)
 
     @property
     def permanent(self) -> bool:
@@ -77,11 +89,13 @@ class WanDegradation:
     bandwidth_factor: float = 0.0
 
     def __post_init__(self) -> None:
-        _require(self.edge_index >= 0, "edge_index must be >= 0")
-        _require(self.at_seconds >= 0.0, "at_seconds must be >= 0")
-        _require(self.duration_seconds > 0.0, "duration_seconds must be > 0")
-        _require(0.0 <= self.bandwidth_factor < 1.0,
-                 "bandwidth_factor must be in [0, 1)")
+        object.__setattr__(self, "edge_index", whole_number(
+            self.edge_index, "edge_index", FaultError, 0))
+        _seconds(self.at_seconds, "at_seconds")
+        _seconds(self.duration_seconds, "duration_seconds", positive=True)
+        factor = real_number(self.bandwidth_factor, "bandwidth_factor",
+                             FaultError)
+        _require(0.0 <= factor < 1.0, "bandwidth_factor must be in [0, 1)")
 
     @property
     def partition(self) -> bool:
@@ -104,52 +118,14 @@ class StreamStall:
     duration_seconds: float
 
     def __post_init__(self) -> None:
-        _require(bool(self.camera), "camera must be non-empty")
-        _require(self.at_seconds >= 0.0, "at_seconds must be >= 0")
-        _require(self.duration_seconds > 0.0, "duration_seconds must be > 0")
-
-
-@dataclass(frozen=True)
-class WorkerKill:
-    """A pool worker dies mid-run.
-
-    Honoured by the workload builder (:mod:`repro.parallel.workloads`):
-    the worker picking up the build task at index ``edge_index`` exits
-    hard before writing anything, and the parent's serial assembly pass
-    rebuilds the lost artifact.  Everything without a worker process —
-    the serial build, the fleet, the service — ignores worker kills,
-    which is exactly what the serial == parallel parity contract requires.
-    """
-
-    edge_index: int
-
-    def __post_init__(self) -> None:
-        _require(self.edge_index >= 0, "edge_index must be >= 0")
-
-
-@dataclass(frozen=True)
-class CacheCorruption:
-    """On-disk corruption of one dataset-cache entry.
-
-    Applied by ``apply_cache_corruption`` (chaos tests call it between
-    a store and the next load); the cache's own verification degrades
-    every mode to a clean miss / recompute.
-    """
-
-    kind: str
-    key: str
-    mode: str = "truncate-bundle"
-
-    def __post_init__(self) -> None:
-        _require(bool(self.kind) and bool(self.key),
-                 "kind and key must be non-empty")
-        _require(self.mode in CACHE_CORRUPTION_MODES,
-                 f"mode must be one of {CACHE_CORRUPTION_MODES}")
+        _require(isinstance(self.camera, str) and bool(self.camera),
+                 f"camera must be a non-empty string, got {self.camera!r}")
+        _seconds(self.at_seconds, "at_seconds")
+        _seconds(self.duration_seconds, "duration_seconds", positive=True)
 
 
 #: Any single fault specification.
-FaultSpec = Union[EdgeCrash, WanDegradation, StreamStall, WorkerKill,
-                  CacheCorruption]
+FaultSpec = Union[EdgeCrash, WanDegradation, StreamStall]
 
 
 def _by_time(specs: Sequence[FaultSpec]) -> Tuple[FaultSpec, ...]:
@@ -163,18 +139,20 @@ class FaultPlan:
     """A composable, replayable set of fault specs.
 
     The empty plan (``FaultPlan()``) installs the hooks but schedules no
-    faults — used by the ``faults.recovery_overhead`` bench to show the
-    hooks themselves are free.
+    faults; the service's bit-identity tests hold it to a run with no plan.
     """
 
     specs: Tuple[FaultSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        _require(not isinstance(self.specs, (str, bytes))
+                 and hasattr(self.specs, "__iter__"),
+                 f"specs must be a sequence of fault specs, "
+                 f"got {self.specs!r}")
         object.__setattr__(self, "specs", tuple(self.specs))
         for spec in self.specs:
             _require(isinstance(spec, (EdgeCrash, WanDegradation,
-                                       StreamStall, WorkerKill,
-                                       CacheCorruption)),
+                                       StreamStall)),
                      f"unknown fault spec {spec!r}")
 
     @property
@@ -194,22 +172,6 @@ class FaultPlan:
         """Per-camera stream stalls, time-ordered."""
         return _by_time([spec for spec in self.specs
                          if isinstance(spec, StreamStall)])
-
-    @property
-    def worker_kills(self) -> Tuple[WorkerKill, ...]:
-        """Pool-worker kills (plan order)."""
-        return tuple(spec for spec in self.specs
-                     if isinstance(spec, WorkerKill))
-
-    @property
-    def has_scheduler_faults(self) -> bool:
-        """Whether any spec needs in-scheduler injection (crash/WAN/stall).
-
-        Worker kills and cache corruptions act outside the event loop,
-        so a plan holding only those leaves the simulation untouched.
-        """
-        return any(isinstance(spec, (EdgeCrash, WanDegradation, StreamStall))
-                   for spec in self.specs)
 
     def validate_for(self, num_edge_servers: int) -> None:
         """Check every edge-indexed spec fits a fleet of this size.
@@ -236,8 +198,7 @@ class FaultPlan:
                horizon_seconds: float = 10.0,
                num_edge_crashes: int = 2,
                num_wan_partitions: int = 1,
-               num_stream_stalls: int = 1,
-               num_worker_kills: int = 1) -> "FaultPlan":
+               num_stream_stalls: int = 1) -> "FaultPlan":
         """Draw a reproducible plan from the seeded RNG tree.
 
         Crash targets are distinct edges (a permutation draw); crashes
@@ -245,8 +206,15 @@ class FaultPlan:
         default plan exercises both failover and restart.  All times
         land inside ``horizon_seconds``.  Same arguments, same plan.
         """
-        _require(num_edge_servers >= 1, "num_edge_servers must be >= 1")
-        _require(horizon_seconds > 0.0, "horizon_seconds must be > 0")
+        num_edge_servers = whole_number(num_edge_servers, "num_edge_servers",
+                                        FaultError, 1)
+        num_edge_crashes = whole_number(num_edge_crashes, "num_edge_crashes",
+                                        FaultError, 0)
+        num_wan_partitions = whole_number(
+            num_wan_partitions, "num_wan_partitions", FaultError, 0)
+        num_stream_stalls = whole_number(
+            num_stream_stalls, "num_stream_stalls", FaultError, 0)
+        _seconds(horizon_seconds, "horizon_seconds", positive=True)
         _require(num_edge_crashes < num_edge_servers
                  or num_edge_crashes == 0,
                  "need more edges than crashes to keep a healthy survivor")
@@ -272,41 +240,7 @@ class FaultPlan:
             duration = float(rng.uniform(0.2, 0.5) * horizon_seconds)
             specs.append(StreamStall(camera=camera, at_seconds=at,
                                      duration_seconds=duration))
-        for index in range(num_worker_kills):
-            specs.append(WorkerKill(
-                edge_index=int(rng.integers(0, num_edge_servers))))
         plan = cls(specs=tuple(specs))
         plan.validate_for(num_edge_servers)
         return plan
 
-
-def apply_cache_corruption(spec: CacheCorruption,
-                           directory: Optional[str] = None) -> str:
-    """Inflict ``spec`` on the on-disk dataset cache; returns the path hit.
-
-    * ``torn-write`` — plant a truncated ``.tmp-*`` file next to where
-      the bundle would live, as if the process died between the temp
-      write and the atomic rename.  The entry itself is absent, so the
-      next load is a clean miss.
-    * ``truncate-bundle`` — chop the stored ``.npz`` in half; the next
-      load fails verification, evicts and recomputes.
-    """
-    import os
-
-    from ..datasets import diskcache
-
-    bundle = diskcache.artifact_path(spec.kind, spec.key,
-                                     directory=directory)
-    if spec.mode == "torn-write":
-        torn = os.path.join(os.path.dirname(bundle),
-                            f".tmp-torn-{spec.key[:16]}")
-        os.makedirs(os.path.dirname(bundle), exist_ok=True)
-        with open(torn, "wb") as handle:
-            handle.write(b"\x00" * 7)
-        return torn
-    if not os.path.exists(bundle):
-        raise FaultError(f"no cached bundle to corrupt at {bundle}")
-    size = os.path.getsize(bundle)
-    with open(bundle, "r+b") as handle:
-        handle.truncate(max(size // 2, 1))
-    return bundle

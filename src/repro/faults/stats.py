@@ -39,6 +39,8 @@ class FaultStats:
         sessions_stalled: Sessions the watchdog closed as stalled.
         sessions_degraded: Admissions shed to the degraded tenant tier.
         jobs_failed_over: Batch ``CameraJob``s re-placed off a dead edge.
+            No batch fleet takes a fault plan, so it stays 0; it keeps
+            its place in reports and in the chaos soak's printout.
         chunks_failed_over: Chunk/job stage submissions requeued after a
             station failure.
         chunks_dropped: Chunks lost for good (no healthy edge remained).
@@ -122,13 +124,6 @@ class RecoveryTrace:
     def lines(self) -> List[str]:
         """All events as stable text lines."""
         return [event.line() for event in self.events]
-
-    def kinds(self) -> Dict[str, int]:
-        """``{kind: occurrences}`` summary."""
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
 
     def mismatches(self, other: "RecoveryTrace") -> List[str]:
         """Line-by-line differences against ``other``."""

@@ -80,7 +80,3 @@ class NetworkLink:
     def total_seconds(self) -> float:
         """Total simulated transfer time so far."""
         return sum(record.duration_seconds for record in self.transfers)
-
-    def reset(self) -> None:
-        """Forget all recorded transfers."""
-        self.transfers.clear()

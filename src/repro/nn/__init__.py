@@ -1,17 +1,17 @@
 """Numpy NN inference engine and the YoloLite reference model."""
 
-from .layers import (Conv2D, Dense, Flatten, GlobalAveragePool, Layer, MaxPool2D,
-                     ReLU, Softmax, Workspace)
+from .layers import (Conv2D, Dense, GlobalAveragePool, Layer, MaxPool2D, ReLU,
+                     Softmax, Workspace)
 from .model import SequentialModel
-from .oracle import NNDetector, ObjectDetector, OracleDetector
+from .oracle import ObjectDetector, OracleDetector
 from .yolo_lite import (DEFAULT_BATCH_SIZE, DEFAULT_CLASSES, DEFAULT_INPUT_SIZE,
                         build_yolo_lite, classify_frames, preprocess_frames)
 
 __all__ = [
-    "Conv2D", "Dense", "Flatten", "GlobalAveragePool", "Layer", "MaxPool2D",
+    "Conv2D", "Dense", "GlobalAveragePool", "Layer", "MaxPool2D",
     "ReLU", "Softmax", "Workspace",
     "SequentialModel",
-    "NNDetector", "ObjectDetector", "OracleDetector",
+    "ObjectDetector", "OracleDetector",
     "DEFAULT_BATCH_SIZE", "DEFAULT_CLASSES", "DEFAULT_INPUT_SIZE",
     "build_yolo_lite", "classify_frames", "preprocess_frames",
 ]

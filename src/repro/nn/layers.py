@@ -105,17 +105,11 @@ class Workspace:
         return any(np.may_share_memory(buffer, array)
                    for buffer in self._buffers.values())
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes currently held."""
-        return sum(buffer.size for buffer in self._buffers.values())
-
 
 class Layer:
     """Base class of all layers.
 
-    Subclasses implement :meth:`forward` and :meth:`output_shape`, and report
-    :attr:`num_parameters`.
+    Subclasses implement :meth:`forward` and :meth:`output_shape`.
     """
 
     #: Human-readable layer name, set by subclasses.
@@ -134,11 +128,6 @@ class Layer:
     def output_shape(self, input_shape: Shape) -> Shape:
         """Shape of the output given a (single-example) input shape."""
         raise NotImplementedError
-
-    @property
-    def num_parameters(self) -> int:
-        """Number of trainable parameters."""
-        return 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid.
         return f"{type(self).__name__}(name={self.name!r})"
@@ -192,10 +181,6 @@ class Conv2D(Layer):
         self.weights = rng.normal(
             0.0, scale, size=(out_channels, in_channels, kernel_size, kernel_size))
         self.bias = np.zeros(out_channels)
-
-    @property
-    def num_parameters(self) -> int:
-        return int(self.weights.size + self.bias.size)
 
     def _pad_amount(self) -> int:
         return (self.kernel_size - 1) // 2 if self.padding == "same" else 0
@@ -385,31 +370,6 @@ class GlobalAveragePool(Layer):
         return output if batched else output[0]
 
 
-class Flatten(Layer):
-    """Flatten a feature map into a vector (per example in a batch)."""
-
-    def __init__(self, name: str = "flatten") -> None:
-        self.name = name
-
-    def output_shape(self, input_shape: Shape) -> Shape:
-        return (int(np.prod(input_shape)),)
-
-    def forward(self, inputs: np.ndarray,
-                workspace: Optional[Workspace] = None) -> np.ndarray:
-        inputs = np.asarray(inputs)
-        if inputs.ndim >= 3:
-            # A single feature map stays 3-D; anything higher-rank carries a
-            # leading batch axis.
-            if inputs.ndim == 3:
-                return inputs.ravel()
-            return inputs.reshape(inputs.shape[0], -1)
-        if inputs.ndim == 2:
-            # (batch, features): already flat per example — keep the batch
-            # axis so batched and per-example pipelines stay equivalent.
-            return inputs
-        return inputs.ravel()
-
-
 class Dense(Layer):
     """Fully connected layer."""
 
@@ -425,10 +385,6 @@ class Dense(Layer):
         self.weights = rng.normal(0.0, scale, size=(out_features, in_features))
         self.bias = np.zeros(out_features)
 
-    @property
-    def num_parameters(self) -> int:
-        return int(self.weights.size + self.bias.size)
-
     def output_shape(self, input_shape: Shape) -> Shape:
         if int(np.prod(input_shape)) != self.in_features:
             raise ModelError(
@@ -443,7 +399,7 @@ class Dense(Layer):
         elif inputs.size == self.in_features:
             # A single example in any shape (the original implementation
             # ravelled multi-dimensional inputs, e.g. a conv feature map fed
-            # straight into a dense layer without a Flatten).
+            # straight into a dense layer).
             vectors, batched = inputs.reshape(1, -1), False
         else:
             raise ModelError(

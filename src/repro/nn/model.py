@@ -56,16 +56,6 @@ class SequentialModel:
         """Number of layers."""
         return len(self.layers)
 
-    @property
-    def output_shape(self) -> Shape:
-        """Shape of the model output."""
-        return self._shapes[-1]
-
-    @property
-    def num_parameters(self) -> int:
-        """Total trainable parameter count."""
-        return sum(layer.num_parameters for layer in self.layers)
-
     # ------------------------------------------------------------------ #
     # Inference
     # ------------------------------------------------------------------ #
@@ -132,5 +122,4 @@ class SequentialModel:
         return np.argmax(matrix, axis=1), outputs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid.
-        return (f"SequentialModel(name={self.name!r}, layers={self.num_layers}, "
-                f"parameters={self.num_parameters})")
+        return f"SequentialModel(name={self.name!r}, layers={self.num_layers})"

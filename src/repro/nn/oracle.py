@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-
-from ..contracts import validate_precision
 from ..errors import ModelError
 from ..rng import make_rng
-from ..video.events import EventTimeline, LabelSet, NO_LABEL
+from ..video.events import EventTimeline, LabelSet
 
 
 class ObjectDetector:
@@ -33,11 +31,9 @@ class ObjectDetector:
                      frames: Optional[Sequence] = None) -> List[LabelSet]:
         """Label several frames at once.
 
-        The default implementation visits the frames one by one in order —
-        which keeps stateful detectors (e.g. the oracle's sequential error
-        process) byte-identical between batched and per-frame use.  Detectors
-        backed by the numpy NN engine override this with a genuinely batched
-        forward pass (:class:`NNDetector`).
+        The frames are visited one by one in order, which keeps stateful
+        detectors (e.g. the oracle's sequential error process)
+        byte-identical between batched and per-frame use.
 
         Args:
             frame_indices: Frame indices to label.
@@ -99,58 +95,3 @@ class OracleDetector(ObjectDetector):
         added = absent[int(self._rng.integers(len(absent)))]
         return frozenset(list(truth) + [added])
 
-
-class NNDetector(ObjectDetector):
-    """Detector backed by the numpy NN engine (YoloLite by default).
-
-    Frames are classified by the network; the predicted class becomes the
-    frame's label set (``background`` maps to the empty set, mirroring the
-    paper's "no object of interest" outcome).  :meth:`detect_batch` feeds
-    the frames through the batched forward path in configurable chunks,
-    which is how the dataflow operators and the analysis pipeline amortise
-    the per-layer dispatch overhead.
-
-    Args:
-        model: A classifier with an attached ``classes`` tuple (see
-            :func:`repro.nn.yolo_lite.build_yolo_lite`).
-        background_label: Class name treated as "nothing detected".
-        batch_size: Frames per batched forward pass.
-        precision: Numeric mode of the forward pass — ``"exact"`` (default)
-            or ``"fast"`` (float32 under the tolerance contract).
-    """
-
-    name = "yolo-lite"
-
-    def __init__(self, model, background_label: str = "background",
-                 batch_size: int = 32, precision: str = "exact") -> None:
-        from .yolo_lite import classify_frames  # local import avoids cycles
-        if getattr(model, "classes", None) is None:
-            raise ModelError("NNDetector needs a model with an attached class list")
-        if batch_size < 1:
-            raise ModelError(f"batch_size must be >= 1, got {batch_size}")
-        self.model = model
-        self.background_label = background_label
-        self.batch_size = int(batch_size)
-        self.precision = validate_precision(precision)
-        self._classify_frames = classify_frames
-
-    def _to_labels(self, label: str) -> LabelSet:
-        if label == self.background_label:
-            return NO_LABEL
-        return frozenset({label})
-
-    def detect(self, frame_index: int, frame_data=None) -> LabelSet:
-        return self.detect_batch([frame_index], [frame_data])[0]
-
-    def detect_batch(self, frame_indices: Sequence[int],
-                     frames: Optional[Sequence] = None) -> List[LabelSet]:
-        if frames is None or any(frame is None for frame in frames):
-            raise ModelError(f"{self.name} needs frame pixel data to detect")
-        if len(frames) != len(frame_indices):
-            raise ModelError(
-                f"detect_batch got {len(frame_indices)} indices but "
-                f"{len(frames)} frames")
-        labels, _ = self._classify_frames(self.model, list(frames),
-                                          batch_size=self.batch_size,
-                                          precision=self.precision)
-        return [self._to_labels(label) for label in labels]

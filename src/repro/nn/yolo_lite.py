@@ -7,9 +7,8 @@ provides **YoloLite**: a deterministic convolutional classifier with the same
 inference engine.  Frame labels used in the evaluation come from the
 annotation oracle (:mod:`repro.nn.oracle`), matching the paper's assumption
 that the reference NN produces ground-truth labels for the frames it sees;
-YoloLite supplies the real per-frame inference work that
-:class:`~repro.nn.oracle.NNDetector` and the query benchmarks run on the
-frames a filter keeps.
+YoloLite supplies the real per-frame inference work the query benchmarks
+run on the frames a filter keeps (:func:`classify_frames`).
 """
 
 from __future__ import annotations

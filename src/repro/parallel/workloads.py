@@ -37,16 +37,13 @@ recomputes every artifact itself.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..codec.gop import DEFAULT_PARAMETERS, EncoderParameters
-from ..config import SystemConfig
+from ..config import SystemConfig, whole_number
 from ..errors import ConfigurationError
-from ..faults.plan import FaultPlan
 from ..logging_utils import get_logger
 from ..perf import section as perf_section
 
@@ -82,12 +79,6 @@ class BuildTask:
             unlabelled datasets (workload tasks only).
         precision: Numeric mode of the analysis pass (dataset tasks;
             workload tasks take theirs from ``system_config.precision``).
-        kill_worker: Fault-injection poison (``WorkerKill`` specs of the
-            builder's :class:`~repro.faults.plan.FaultPlan`): a pool
-            worker picking this task up exits hard instead of building,
-            simulating an OOM-kill mid-build.  The parent's assembly pass
-            rebuilds the lost artifact serially, so results stay
-            bit-identical.  Ignored outside a pool worker.
     """
 
     artifact: str
@@ -99,7 +90,6 @@ class BuildTask:
     target_f1: float = 0.95
     unlabelled_sample_period_seconds: float = 5.0
     precision: str = "exact"
-    kill_worker: bool = False
 
 
 def execute_build_task(task: BuildTask) -> Tuple[str, str, str]:
@@ -110,11 +100,6 @@ def execute_build_task(task: BuildTask) -> Tuple[str, str, str]:
     token; the heavy results travel through the on-disk cache, not the
     pickle channel.
     """
-    if task.kill_worker and multiprocessing.parent_process() is not None:
-        # Fault injection: die the way an OOM-killed worker would — no
-        # exception, no cleanup, no cache write.  Only ever taken inside a
-        # pool worker; the parent running the same task serially builds it.
-        os._exit(17)
     from ..experiments.common import prepare_dataset, prepare_workload
     if task.artifact == WORKLOAD_ARTIFACT:
         prepare_workload(
@@ -138,30 +123,16 @@ class WorkloadBuilder:
             default worker count.
         build_workers: Worker-process override (``None`` defers to
             ``system_config.build_workers``; ``1`` is the serial path).
-        faults: Optional :class:`~repro.faults.plan.FaultPlan` whose
-            ``WorkerKill`` specs poison the build fan-out — spec
-            ``edge_index`` selects the task index to kill a worker on.
-            The warm-up pass loses that worker; the serial assembly pass
-            rebuilds whatever it failed to persist, so the returned
-            workloads are bit-identical to a fault-free build.
     """
 
     def __init__(self, config: "ExperimentConfig",
                  system_config: Optional[SystemConfig] = None,
-                 build_workers: Optional[int] = None,
-                 faults: Optional[FaultPlan] = None) -> None:
+                 build_workers: Optional[int] = None) -> None:
         self.config = config
         self.system_config = system_config or SystemConfig()
-        from ..config import resolve_worker_count
-        self.build_workers = resolve_worker_count(
+        self.build_workers = whole_number(
             self.system_config.build_workers if build_workers is None
-            else build_workers, "build_workers")
-        self._kill_task_indices = frozenset(
-            spec.edge_index for spec in faults.worker_kills
-        ) if faults is not None else frozenset()
-        #: Tasks the fault plan poisoned in this builder's lifetime (the
-        #: pool honours the poison only when it actually fans out).
-        self.tasks_poisoned = 0
+            else build_workers, "build_workers", least=1)
 
     # ------------------------------------------------------------------ #
     # Public build surfaces
@@ -173,7 +144,7 @@ class WorkloadBuilder:
         """Prepare every named dataset (rendered clip + analysis pass).
 
         Returns ``{name: PreparedDataset}`` in input order; equal to the
-        serial :func:`repro.experiments.common.prepare_datasets` result.
+        serial :func:`repro.experiments.common.prepare_dataset` results.
         """
         matrix = self.prepare_dataset_splits(names, (split,), base_parameters)
         return {name: prepared for (name, _), prepared in matrix.items()}
@@ -197,7 +168,7 @@ class WorkloadBuilder:
                       precision=precision)
             for name in names for split in splits
         ]
-        self._warm(self._poison(tasks))
+        self._warm(tasks)
         return {
             (name, split): prepare_dataset(name, self.config, split,
                                            base_parameters, precision)
@@ -227,7 +198,7 @@ class WorkloadBuilder:
                           unlabelled_sample_period_seconds))
             for name in names
         ]
-        self._warm(self._poison(tasks))
+        self._warm(tasks)
         return [
             prepare_workload(name, self.config, split,
                              self.system_config, base_parameters,
@@ -238,24 +209,6 @@ class WorkloadBuilder:
     # ------------------------------------------------------------------ #
     # Fan-out machinery
     # ------------------------------------------------------------------ #
-    def _poison(self, tasks: Sequence[BuildTask]) -> List[BuildTask]:
-        """Mark the fault plan's ``WorkerKill`` task indices for death.
-
-        Poisoned tasks only matter to the warm-up pool (the parent's
-        assembly pass never honours ``kill_worker``), so a plan that
-        kills every worker simply degrades the build to serial.
-        """
-        if not self._kill_task_indices:
-            return list(tasks)
-        poisoned = []
-        for index, task in enumerate(tasks):
-            if index in self._kill_task_indices:
-                poisoned.append(replace(task, kill_worker=True))
-                self.tasks_poisoned += 1
-            else:
-                poisoned.append(task)
-        return poisoned
-
     def _warm(self, tasks: Sequence[BuildTask]) -> None:
         """Run ``tasks`` across worker processes, warming the disk cache.
 

@@ -81,11 +81,6 @@ class Stopwatch:
         self._start_ns = None
         return self.elapsed_seconds
 
-    @property
-    def running(self) -> bool:
-        """Whether the stopwatch is currently running."""
-        return self._start_ns is not None
-
     def __enter__(self) -> "Stopwatch":
         return self.start()
 
@@ -118,10 +113,6 @@ class PerfRecorder:
             yield
         finally:
             self.add_section_time(name, (time.perf_counter_ns() - start) / 1e9)
-
-    def reset(self) -> None:
-        """Forget every section."""
-        self.sections.clear()
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Flat numeric view of every section (for reports and tests)."""

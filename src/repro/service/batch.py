@@ -45,11 +45,6 @@ _pushed_seconds = (("edge_seconds_pushed", attrgetter("edge_seconds")),
                    ("cloud_seconds_pushed", attrgetter("cloud_seconds")))
 
 
-def _instants_of(instants: np.ndarray, events: np.ndarray) -> np.ndarray:
-    """The instant of each event of a replay."""
-    return instants[events % EVENTS_PER_JOB, events // EVENTS_PER_JOB]
-
-
 class FeederBatch:
     """Every remaining push of the pending feeders as one columnar batch.
 
@@ -148,6 +143,8 @@ class FeederBatch:
             return True
         replay = self.replay
         instants = replay.instants
+        # Event ``e`` (of job ``e // EVENTS_PER_JOB``) fired at ``at[e]``.
+        at = instants.T.ravel()
         edges = self.edges()
         for edge, order in enumerate(replay.delivered):
             pushed = np.flatnonzero(edges == edge)
@@ -160,10 +157,8 @@ class FeederBatch:
             joined, left = transfers[waited] - 1, starts[waited]
             # At most this many wait at each push (ties counted waiting).
             times = instants[_PUSH, pushed]
-            upper = (np.searchsorted(np.sort(_instants_of(instants, joined)),
-                                     times, "right")
-                     - np.searchsorted(np.sort(_instants_of(instants, left)),
-                                       times, "left"))
+            upper = (np.searchsorted(np.sort(at[joined]), times, "right")
+                     - np.searchsorted(np.sort(at[left]), times, "left"))
             for job in pushed[upper >= bound].tolist():
                 push = EVENTS_PER_JOB * job
                 waiting = (sum([replay.fires_before(event, push)

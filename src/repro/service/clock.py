@@ -108,10 +108,6 @@ class RealTimeClock(ClockDriver):
     def describe(self) -> str:
         return f"{self.name} (speedup={self.speedup:g}x)"
 
-    def reset(self) -> None:
-        """Drop the wall/virtual anchor so the next ``run`` re-anchors."""
-        self._wall_anchor = None
-
     def _pace(self, virtual_time: float) -> None:
         """Sleep until ``virtual_time``'s wall deadline (record any lag)."""
         assert self._wall_anchor is not None

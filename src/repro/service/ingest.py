@@ -27,9 +27,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Sequence
 
 from ..codec.gop import EncoderParameters
+from ..config import whole_number
 from ..errors import AdmissionError, BackpressureError, ServiceError
-from .session import (FrameChunk, SessionState, StreamSession, TenantPolicy,
-                      whole_bound)
+from .session import FrameChunk, SessionState, StreamSession, TenantPolicy
 
 
 class StreamIngest:
@@ -75,14 +75,16 @@ class StreamIngest:
                  edge_available: Optional[Callable[[int], bool]] = None
                  ) -> None:
         self._scheduler = scheduler
-        self.num_edge_servers = whole_bound(num_edge_servers,
-                                            "num_edge_servers")
+        self.num_edge_servers = whole_number(
+            num_edge_servers, "num_edge_servers", ServiceError, 1)
         self._attach_session = attach_session
         self._submit_chunk = submit_chunk
         self._wan_queue_depth = wan_queue_depth
-        self.max_sessions = whole_bound(max_sessions, "max_sessions")
+        self.max_sessions = whole_number(max_sessions, "max_sessions",
+                                         ServiceError, 1)
         self.max_wan_queue_depth = (
-            whole_bound(max_wan_queue_depth, "max_wan_queue_depth")
+            whole_number(max_wan_queue_depth, "max_wan_queue_depth",
+                         ServiceError, 1)
             if max_wan_queue_depth is not None else None)
         self.tenants: Dict[str, TenantPolicy] = {}
         for policy in tenants:
@@ -307,8 +309,8 @@ class StreamIngest:
             raise ServiceError(
                 "retune_session needs max_pending_chunks and/or parameters")
         if max_pending_chunks is not None:
-            max_pending_chunks = whole_bound(max_pending_chunks,
-                                             "max_pending_chunks")
+            max_pending_chunks = whole_number(
+                max_pending_chunks, "max_pending_chunks", ServiceError, 1)
         session = self._session(session_id)
         if session.state is SessionState.CLOSED:
             raise ServiceError(f"session {session_id!r} is closed")

@@ -48,7 +48,7 @@ from ..cluster.fleet import (CameraJob, FleetOutcomes, FleetReport,
                              PlacementPolicy, chain_report)
 from ..cluster.topology import StageChain, StageUnit
 from ..codec.gop import EncoderParameters
-from ..config import SystemConfig
+from ..config import SystemConfig, whole_number
 from ..dataflow.scheduler import EventScheduler, ServiceStation
 from ..errors import ServiceError
 from ..faults.injector import ResilienceConfig, ServiceFaultDriver
@@ -60,8 +60,7 @@ from .batch import FeederBatch
 from .clock import ClockDriver, RealTimeClock, VirtualClock
 from .feeder import ChunkFeeder
 from .ingest import StreamIngest
-from .session import (FrameChunk, SessionState, StreamSession, TenantPolicy,
-                      whole_bound)
+from .session import FrameChunk, SessionState, StreamSession, TenantPolicy
 from .status import (HealthSample, ServiceStatus, SessionSnapshot,
                      StationSnapshot, snapshot_session, snapshot_station)
 
@@ -143,15 +142,18 @@ class StreamingService:
                  adaptive: Optional[AdaptiveConfig] = None,
                  health_history_limit: int = 64) -> None:
         self.config = config or SystemConfig()
-        self.num_edge_servers = whole_bound(num_edge_servers,
-                                            "num_edge_servers")
-        self.edge_workers = whole_bound(edge_workers, "edge_workers")
-        self.cloud_workers = (whole_bound(cloud_workers, "cloud_workers")
+        self.num_edge_servers = whole_number(
+            num_edge_servers, "num_edge_servers", ServiceError, 1)
+        self.edge_workers = whole_number(edge_workers, "edge_workers",
+                                         ServiceError, 1)
+        self.cloud_workers = (whole_number(cloud_workers, "cloud_workers",
+                                           ServiceError, 1)
                               if cloud_workers is not None
                               else self.num_edge_servers)
-        max_sessions = whole_bound(max_sessions, "max_sessions")
-        health_history_limit = whole_bound(health_history_limit,
-                                           "health_history_limit")
+        max_sessions = whole_number(max_sessions, "max_sessions",
+                                    ServiceError, 1)
+        health_history_limit = whole_number(
+            health_history_limit, "health_history_limit", ServiceError, 1)
         self.clock = clock if clock is not None else VirtualClock()
         self.scheduler = EventScheduler()
         #: The stage chain every chunk flows through.  The four resource

@@ -73,8 +73,7 @@ class FrameChunk:
         values = _chunk_values(self)
         if tuple(map(type, values)) != _CHUNK_TYPES:
             values = tuple(
-                whole_number(real_number(value, name, ServiceError), name,
-                             ServiceError) if kind is int
+                whole_number(value, name, ServiceError) if kind is int
                 else float(real_number(value, name, ServiceError))
                 for (name, kind), value in zip(_CHUNK_FIELDS, values))
             for (name, _), value in zip(_CHUNK_FIELDS, values):
@@ -97,16 +96,6 @@ _CHUNK_FIELDS = (("num_frames", int), ("frames_for_inference", int),
                  ("camera_edge_bytes", int), ("edge_cloud_bytes", int))
 _CHUNK_TYPES = tuple(kind for _, kind in _CHUNK_FIELDS)
 _chunk_values = attrgetter(*(name for name, _ in _CHUNK_FIELDS))
-
-
-def whole_bound(value, name: str) -> int:
-    """``value`` as an ``int`` >= 1, or a :class:`ServiceError`: a bool, a
-    fraction, nan and inf are refused rather than read as a bound."""
-    count = whole_number(real_number(value, name, ServiceError), name,
-                         ServiceError)
-    if count < 1:
-        raise ServiceError(f"{name} must be >= 1, got {value!r}")
-    return count
 
 
 def _split_int(total: int, weights: List[float], parts: int) -> List[int]:
@@ -196,7 +185,8 @@ class TenantPolicy:
             raise ServiceError("tenant name must be non-empty")
         for name in ("max_sessions", "max_pending_chunks"):
             object.__setattr__(self, name,
-                               whole_bound(getattr(self, name), name))
+                               whole_number(getattr(self, name), name,
+                                            ServiceError, 1))
 
 
 @dataclass

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Tuple, Union
 
 from ..cluster.fleet import latency_percentiles_of
@@ -183,24 +183,6 @@ class ServiceStatus:
     def total_in_flight(self) -> int:
         """Chunks currently inside the pipeline, across all sessions."""
         return sum(session.in_flight for session in self.sessions)
-
-    def station(self, name: str) -> StationSnapshot:
-        """Look up one station snapshot by name."""
-        for snapshot in self.stations:
-            if snapshot.name == name:
-                return snapshot
-        raise KeyError(name)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view.
-
-        Handy for quick inspection, but **not** a faithful wire format:
-        ``json.dumps`` would silently stringify the ``int`` keys of
-        ``latency_percentiles``/``breaker_states`` (breaking round-trips)
-        and ``nan``/``inf`` floats are not valid JSON.  Use
-        :meth:`to_json` / :meth:`from_json` for lossless serialisation.
-        """
-        return asdict(self)
 
     def to_json(self, indent: object = None) -> str:
         """Lossless strict-JSON encoding of the snapshot.

@@ -4,7 +4,7 @@ from .events import Event, EventTimeline, LabelSet, NO_LABEL, as_label_set
 from .frame import (Frame, FrameType, Resolution, RESOLUTION_1080P,
                     RESOLUTION_400P, RESOLUTION_720P)
 from .raw_video import GeneratedVideo, RawVideo, VideoMetadata, VideoSource
-from .scenarios import (SCENARIOS, all_scenarios, amsterdam, coral_reef,
+from .scenarios import (SCENARIOS, amsterdam, coral_reef,
                         jackson_square, make_scenario, taipei, venice)
 from .synthetic import (ObjectClassSpec, ObjectTrack, SceneProfile, SceneScript,
                         SyntheticScene, generate_script)
@@ -21,7 +21,7 @@ __all__ = [
     "GeneratedVideo", "RawVideo", "VideoMetadata", "VideoSource",
     "ObjectClassSpec", "ObjectTrack", "SceneProfile", "SceneScript",
     "SyntheticScene", "generate_script",
-    "SCENARIOS", "all_scenarios", "make_scenario",
+    "SCENARIOS", "make_scenario",
     "jackson_square", "coral_reef", "venice", "taipei", "amsterdam",
     "ScenarioTransform", "TRANSFORMS",
     "BUILTIN_COMPOSED_SPECS", "apply_transforms", "compose", "compose_spec",

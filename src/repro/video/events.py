@@ -59,20 +59,6 @@ class Event:
                 f"end_frame ({self.end_frame}) must be > start_frame ({self.start_frame})")
         object.__setattr__(self, "labels", as_label_set(self.labels))
 
-    @property
-    def num_frames(self) -> int:
-        """Number of frames covered by the event."""
-        return self.end_frame - self.start_frame
-
-    @property
-    def is_background(self) -> bool:
-        """Whether the event has no object labels."""
-        return not self.labels
-
-    def contains(self, frame_index: int) -> bool:
-        """Whether ``frame_index`` falls inside the event."""
-        return self.start_frame <= frame_index < self.end_frame
-
 
 class TimelineArrays(NamedTuple):
     """Read-only integer-array view of an :class:`EventTimeline`.
@@ -213,13 +199,6 @@ class EventTimeline:
         """Return the ground-truth label set of ``frame_index``."""
         return self.event_at(frame_index).labels
 
-    def frame_labels(self) -> List[LabelSet]:
-        """Expand the timeline into one label set per frame."""
-        labels: List[LabelSet] = []
-        for event in self._events:
-            labels.extend([event.labels] * event.num_frames)
-        return labels
-
     def arrays(self) -> "TimelineArrays":
         """The timeline as integer arrays, for array-at-a-time scoring.
 
@@ -237,22 +216,6 @@ class EventTimeline:
                 array.setflags(write=False)
             self._arrays = TimelineArrays(tuple(ids), frame_ids, starts, ends)
         return self._arrays
-
-    def sliced(self, start: int, stop: int) -> "EventTimeline":
-        """Return the timeline restricted to frames ``[start, stop)``.
-
-        Frame indices in the result are re-based to start at zero.
-        """
-        if not 0 <= start < stop <= self._num_frames:
-            raise ConfigurationError(
-                f"invalid slice [{start}, {stop}) of {self._num_frames} frames")
-        events: List[Event] = []
-        for event in self._events:
-            lo = max(event.start_frame, start)
-            hi = min(event.end_frame, stop)
-            if lo < hi:
-                events.append(Event(lo - start, hi - start, event.labels))
-        return EventTimeline(events)
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self._events)

@@ -60,11 +60,6 @@ class Resolution:
         """Numpy-style ``(height, width)`` shape."""
         return (self.height, self.width)
 
-    @property
-    def label(self) -> str:
-        """Conventional vertical-line label such as ``'1080p'``."""
-        return f"{self.height}p"
-
     def scaled(self, factor: float) -> "Resolution":
         """Return this resolution scaled by ``factor`` (minimum 16x16)."""
         if not 0 < factor < math.inf:
@@ -113,11 +108,6 @@ class Frame:
         if self.index < 0:
             raise ConfigurationError(f"Frame index must be >= 0, got {self.index}")
 
-    @property
-    def resolution(self) -> Resolution:
-        """Resolution of the frame."""
-        return Resolution(self.data.shape[1], self.data.shape[0])
-
     def to_grayscale(self) -> np.ndarray:
         """Return a ``float64`` grayscale (luma) plane in ``[0, 255]``.
 
@@ -129,13 +119,8 @@ class Frame:
         weights = np.array([0.299, 0.587, 0.114])
         return self.data.astype(np.float64) @ weights
 
-    def copy(self) -> "Frame":
-        """Return a deep copy (pixel data included)."""
-        return Frame(index=self.index, data=self.data.copy(),
-                     timestamp=self.timestamp, frame_type=self.frame_type,
-                     metadata=dict(self.metadata))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid only.
         kind = self.frame_type.value if self.frame_type else "?"
-        return (f"Frame(index={self.index}, {self.resolution}, type={kind}, "
+        height, width = self.data.shape[:2]
+        return (f"Frame(index={self.index}, {width}x{height}, type={kind}, "
                 f"t={self.timestamp:.3f}s)")

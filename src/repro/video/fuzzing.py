@@ -299,7 +299,7 @@ def _check_fleet_parity(composition: ScenarioComposition,
     orchestrator = FleetOrchestrator(_fleet_jobs(composition, encoded),
                                      num_edge_servers=2)
     mismatches = orchestrator._run_chain().parity_mismatches(
-        orchestrator._run_recurrence(), PARITY_TOLERANCE)
+        orchestrator.run(), PARITY_TOLERANCE)
     if mismatches:
         violations.append(InvariantViolation(
             "fleet_parity", "; ".join(mismatches)))

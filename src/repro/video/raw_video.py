@@ -45,11 +45,6 @@ class VideoMetadata:
         if self.num_frames <= 0:
             raise ConfigurationError(f"num_frames must be positive, got {self.num_frames}")
 
-    @property
-    def duration_seconds(self) -> float:
-        """Video duration in seconds."""
-        return self.num_frames / self.fps
-
     def timestamp_of(self, frame_index: int) -> float:
         """Presentation timestamp of ``frame_index`` in seconds."""
         return frame_index / self.fps
@@ -101,29 +96,6 @@ class RawVideo(VideoSource):
         self._frames = frames
         self.timeline = timeline
 
-    @classmethod
-    def from_arrays(cls, name: str, arrays: Sequence[np.ndarray], fps: float = 30.0,
-                    timeline: Optional[EventTimeline] = None) -> "RawVideo":
-        """Build a video from raw numpy arrays.
-
-        Args:
-            name: Video name.
-            arrays: Per-frame pixel arrays, all with the same shape.
-            fps: Frame rate.
-            timeline: Optional ground-truth timeline.
-        """
-        if not arrays:
-            raise ConfigurationError("arrays must not be empty")
-        frames = [Frame(index=i, data=np.asarray(a), timestamp=i / fps)
-                  for i, a in enumerate(arrays)]
-        first = frames[0].resolution
-        for frame in frames:
-            if frame.resolution != first:
-                raise ConfigurationError("all frames must share one resolution")
-        metadata = VideoMetadata(name=name, resolution=first, fps=fps,
-                                 num_frames=len(frames))
-        return cls(metadata, frames, timeline)
-
     def frames(self) -> Iterator[Frame]:
         return iter(self._frames)
 
@@ -136,20 +108,6 @@ class RawVideo(VideoSource):
     def as_arrays(self) -> List[np.ndarray]:
         """Return the underlying pixel arrays (no copy)."""
         return [frame.data for frame in self._frames]
-
-    def sliced(self, start: int, stop: int, name: Optional[str] = None) -> "RawVideo":
-        """Return a sub-video over frames ``[start, stop)`` (re-indexed)."""
-        if not 0 <= start < stop <= len(self._frames):
-            raise ConfigurationError(f"invalid slice [{start}, {stop})")
-        frames = [Frame(index=i, data=f.data, timestamp=i / self.metadata.fps,
-                        frame_type=f.frame_type, metadata=dict(f.metadata))
-                  for i, f in enumerate(self._frames[start:stop])]
-        metadata = VideoMetadata(name=name or f"{self.metadata.name}[{start}:{stop}]",
-                                 resolution=self.metadata.resolution,
-                                 fps=self.metadata.fps, num_frames=len(frames),
-                                 extra=dict(self.metadata.extra))
-        timeline = self.timeline.sliced(start, stop) if self.timeline else None
-        return RawVideo(metadata, frames, timeline)
 
 
 class GeneratedVideo(VideoSource):

@@ -25,7 +25,7 @@ the paper's nominal resolution and duration for cost modelling.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..errors import DatasetError
 from .frame import RESOLUTION_1080P, RESOLUTION_400P, RESOLUTION_720P
@@ -356,10 +356,3 @@ def make_scenario(name: str, duration_seconds: float = DEFAULT_DURATION_SECONDS,
                            render_scale=render_scale)
     return constructor(duration_seconds=duration_seconds,
                        render_scale=render_scale, seed=seed)
-
-
-def all_scenarios(duration_seconds: float = DEFAULT_DURATION_SECONDS,
-                  render_scale: float = DEFAULT_RENDER_SCALE) -> Dict[str, SceneProfile]:
-    """Build every scenario profile."""
-    return {name: make_scenario(name, duration_seconds, render_scale)
-            for name in SCENARIOS}

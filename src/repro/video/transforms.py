@@ -245,7 +245,7 @@ def register_composed(spec: str) -> None:
 #: Composed scenarios shipped in the registry: a rainy highway sliding
 #: into night, a crowded foggy square, and a snowy low-light feed on a
 #: lossy camera link.  They behave exactly like the hand-written entries
-#: (``make_scenario``, ``all_scenarios``, stream sessions, examples).
+#: (``make_scenario``, stream sessions, examples).
 BUILTIN_COMPOSED_SPECS = (
     "highway+rain+night_cycle",
     "taipei+crowd+fog",

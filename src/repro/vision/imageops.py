@@ -60,7 +60,8 @@ def resize_stack(images: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
 
     Returns:
         The resized stack with the same dtype as the input (rounded for
-        integer inputs); image ``i`` is exactly ``resize(images[i], size)``.
+        integer inputs); image ``i`` is the same whatever else is in the
+        stack.
     """
     width, height = size
     if width <= 0 or height <= 0:
@@ -100,22 +101,6 @@ def resize_stack(images: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
     if np.issubdtype(source.dtype, np.integer):
         return np.clip(np.round(resized), 0, 255).astype(source.dtype)
     return resized
-
-
-def resize(image: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
-    """Resize an image to ``(width, height)`` with bilinear interpolation.
-
-    The one-image form of :func:`resize_stack`.
-
-    Args:
-        image: 2-D or 3-D array.
-        size: Target ``(width, height)``.
-
-    Returns:
-        The resized array with the same dtype as the input (rounded for
-        integer inputs).
-    """
-    return resize_stack(np.asarray(image)[None], size)[0]
 
 
 @lru_cache(maxsize=32)

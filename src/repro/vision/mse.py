@@ -45,27 +45,12 @@ class MseChangeDetector(ChangeDetector):
 
     :meth:`score_planes` scores a clip in batches of consecutive planes,
     one :func:`~repro.vision.imageops.mean_squared_error` call over two
-    stacks per batch; :meth:`score_next` is the one-pair call.
+    stacks per batch.  It keeps no state between clips.
     """
 
     name = "mse"
 
-    def __init__(self) -> None:
-        self._previous: Optional[np.ndarray] = None
-
-    def reset(self) -> None:
-        self._previous = None
-
-    def score_next(self, current: np.ndarray) -> float:
-        plane = _real_plane(current).astype(np.float64, copy=False)
-        previous = self._previous
-        self._previous = plane
-        if previous is None:
-            return float("inf")
-        return mean_squared_error(previous, plane)
-
     def score_planes(self, planes: Iterable[np.ndarray]) -> List[float]:
-        self.reset()
         scores: List[float] = []
         stack: Optional[np.ndarray] = None
         filled = 0
@@ -87,6 +72,4 @@ class MseChangeDetector(ChangeDetector):
         if filled > 1:
             scores += mean_squared_error(stack[:filled - 1],
                                          stack[1:filled]).tolist()
-        if stack is not None:
-            self._previous = stack[filled - 1].copy()
         return scores

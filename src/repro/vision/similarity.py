@@ -35,7 +35,8 @@ class ChangeDetector:
     Subclasses implement :meth:`score_next`, which scores each frame
     against the previous one (higher = more change; the first frame after
     a :meth:`reset` scores ``inf``), keeping whatever per-stream state
-    they need (the previous plane, its cached features) in between.
+    they need (the previous plane, its cached features) in between; or
+    they override :meth:`score_planes` and score a whole stream at once.
     """
 
     #: Human-readable name used in experiment tables.

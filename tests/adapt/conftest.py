@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.adapt import chunk_scene
-from repro.adapt.signals import mean_luma
 from repro.codec.gop import EncoderParameters, StreamingKeyframePlacer
 from repro.codec.scenecut import SceneCutAnalyzer
 from repro.core.metrics import evaluate_sampling
@@ -46,7 +45,8 @@ def drift_clip():
         "frames": frames,
         "activities": SceneCutAnalyzer(precision="exact").analyze_frames(frames),
         "labels": scene.script.frame_labels(),
-        "lumas": [mean_luma(frame) for frame in frames],
+        "lumas": [float(np.asarray(frame, dtype=np.float64).mean())
+                  for frame in frames],
         "fps": profile.fps,
     }
 

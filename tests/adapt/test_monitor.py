@@ -5,8 +5,7 @@ import math
 
 import pytest
 
-from repro.adapt import (AdaptiveConfig, ChunkScene, DriftMonitor, SceneStats,
-                         retune_history)
+from repro.adapt import AdaptiveConfig, ChunkScene, DriftMonitor, SceneStats
 from repro.codec.gop import EncoderParameters
 from repro.codec.scenecut import FrameActivity
 from repro.core.tuner import TuningGrid
@@ -140,14 +139,6 @@ class TestHysteresisAndCooldown:
         assert len(decisions) == 1
         assert decisions[0].applied is False
         assert monitor.current == initial
-
-    def test_retune_history_skips_unapplied_decisions(self):
-        monitor = DriftMonitor(self.CONFIG)
-        scenes = ([flat_scene(0.010)] * 4 + [flat_scene(0.500)] * 2)
-        decisions = tuple(d for d in self.feed(monitor, scenes)
-                          if d is not None)
-        records = retune_history(decisions)
-        assert len(records) == sum(1 for d in decisions if d.applied)
 
 
 class TestMonitorOnDriftingClip:

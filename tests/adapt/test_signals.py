@@ -2,11 +2,9 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.adapt import ChunkScene, SceneStats, chunk_scene
-from repro.adapt.signals import mean_luma
 from repro.adapt.signals import REFERENCE_SCENECUT
 from repro.codec.scenecut import FrameActivity, scenecut_score_threshold
 from repro.errors import ServiceError
@@ -85,11 +83,3 @@ class TestChunkScene:
                        activities=(activity(0, 0.1),),
                        frame_labels=(frozenset(),))
 
-
-class TestMeanLuma:
-    def test_mean_luma_matches_numpy_mean(self):
-        frame = np.arange(12, dtype=np.uint8).reshape(3, 4)
-        assert mean_luma(frame) == pytest.approx(float(frame.mean()))
-
-    def test_empty_frame_is_nan(self):
-        assert math.isnan(mean_luma(np.zeros((0, 0), dtype=np.uint8)))

@@ -37,7 +37,7 @@ class TestValidation:
         # that rejects every camera must still get a usable report back.
         orchestrator = FleetOrchestrator([], num_edge_servers=2)
         for report in (orchestrator._run_chain(),
-                       orchestrator._run_recurrence()):
+                       orchestrator.run()):
             assert report.num_cameras == 0
             assert report.makespan_seconds == 0.0
             assert report.aggregate_throughput_fps == 0.0
@@ -397,8 +397,6 @@ class TestOutcomeRecord:
         assert [row.start_seconds for row in rows] == record.ingest.tolist()
         assert [row.end_seconds for row in rows] == record.cloud_end.tolist()
         assert rows[-1] == record[-1] and rows[4] == record[4]
-        assert all(row.latency_seconds == row.end_seconds - row.start_seconds
-                   for row in rows)
         assert report.assignments == {
             row.job.camera: row.edge_index for row in rows}
 

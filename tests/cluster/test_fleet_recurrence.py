@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.fleet import CameraJob, FleetOrchestrator
-from repro.cluster.recurrence import (EVENTS_PER_JOB, _cloud_arrival_order,
-                                      _fires_before, _serve)
+from repro.cluster.recurrence import (_WAN, EVENTS_PER_JOB, _fires_before,
+                                      _firing_order, _serve)
 from repro.config import SystemConfig
 from repro.dataflow.scheduler import EventScheduler, StationStats
 
@@ -87,7 +87,7 @@ def exact_view(report):
 
 def assert_recurrence_is_chain(orchestrator):
     chain = orchestrator._run_chain()
-    recurrence = orchestrator._run_recurrence()
+    recurrence = orchestrator.run()
     assert chain.parity_mismatches(recurrence, tolerance=0.0) == []
     assert exact_view(recurrence) == exact_view(chain)
     return recurrence
@@ -255,7 +255,7 @@ class TestPowerOfTwoTimeScaling:
     ``1 + 2**-52`` a tie at one scale and not at another.
     """
 
-    @pytest.mark.parametrize("runner", ["_run_recurrence", "_run_chain"])
+    @pytest.mark.parametrize("runner", ["run", "_run_chain"])
     @settings(max_examples=60, deadline=None)
     @given(costs=st.lists(st.tuples(st.sampled_from(TIE_PRONE_SECONDS),
                                     st.sampled_from(TIE_PRONE_SECONDS),
@@ -405,6 +405,13 @@ def station_inputs(arrivals, stage=4):
     for job, arrival in enumerate(arrivals):
         when[EVENTS_PER_JOB * job + stage - 1] = arrival
     return when, parent
+
+
+def _cloud_arrival_order(when, parent, ties):
+    """Job indices in the order their WAN deliveries fire."""
+    times = np.asarray(when[_WAN::EVENTS_PER_JOB], dtype=np.float64)
+    return _firing_order(list(range(len(times))), _WAN, times,
+                         when, parent, ties)
 
 
 def completion_times(when, jobs, stage=4):

@@ -242,7 +242,7 @@ class TestCrossDriverParity:
         service.drain()
 
         chain = fleet._run_chain()
-        assert chain.parity_mismatches(fleet._run_recurrence(),
+        assert chain.parity_mismatches(fleet.run(),
                                        tolerance=0.0) == []
         assert chain.parity_mismatches(service.fleet_report(),
                                        tolerance=0.0) == []

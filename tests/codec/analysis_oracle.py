@@ -20,9 +20,16 @@ from repro.codec.bitstream import EncodedFrame, EncodedVideo
 from repro.codec.blocks import pad_plane, to_blocks
 from repro.codec.gop import StreamingKeyframePlacer
 from repro.codec.motion import MotionSearch, motion_compensate
-from repro.codec.scenecut import FrameActivity
+from repro.codec.scenecut import FrameActivity, scenecut_novelty_floor
 from repro.video.frame import Frame, FrameType, Resolution
 from repro.video.raw_video import RawVideo, VideoMetadata
+
+
+def is_scenecut(activity, scenecut):
+    """Whether ``activity`` crosses the scene-cut decision for ``scenecut``."""
+    if activity.is_first:
+        return True
+    return activity.novel_block_fraction > scenecut_novelty_floor(scenecut)
 
 
 # --------------------------------------------------------------------- #

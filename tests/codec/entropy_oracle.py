@@ -1,16 +1,27 @@
 """The per-block entropy coders ``codec/entropy.py`` carried before it was
 vectorised, kept as the oracle that pins the byte format.
 
-``encode_blocks`` / ``decode_blocks`` / ``decode_block_payloads`` must be
-byte-for-byte (and error-for-error) interchangeable with these two
-functions; ``test_entropy_equivalence.py``, ``test_entropy_multi_payload.py``
-and ``test_decode_run_oracle.py`` hold them to it.
+``encode_blocks`` / ``decode_block_payloads`` must be byte-for-byte (and
+error-for-error) interchangeable with these two functions;
+``test_entropy_equivalence.py``, ``test_entropy_multi_payload.py`` and
+``test_decode_run_oracle.py`` hold them to it.  :func:`decode_blocks` is
+the batched decoder called on one payload, the way the suite reads it.
 """
 
 import numpy as np
 
-from repro.codec.entropy import EOB, MAX_LEVEL, ZRL, _to_zigzag_rows, zigzag_order
+from repro.codec.entropy import (EOB, MAX_LEVEL, ZRL, _to_zigzag_rows,
+                                 decode_block_payloads, zigzag_order)
 from repro.errors import BitstreamError
+
+
+def decode_blocks(payload: bytes, blocks_y: int, blocks_x: int,
+                  block_size: int) -> np.ndarray:
+    """:func:`decode_block_payloads` on one payload, as a 4-D block array."""
+    blocks = decode_block_payloads(np.frombuffer(payload, dtype=np.uint8),
+                                   [len(payload)], [blocks_y * blocks_x],
+                                   block_size)
+    return blocks.reshape(blocks_y, blocks_x, block_size, block_size)
 
 
 def encode_blocks_reference(quantised: np.ndarray) -> bytes:

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from video_tools import video_from_arrays
 from repro.codec import (EncodedFrame, EncodedVideo, EncoderParameters, IFrameSeeker,
-                         VideoDecoder, VideoEncoder, decode_image, encode_image,
-                         estimate_encoded_size, read_frame_index,
-                         select_events_from_keyframes)
+                         VideoDecoder, VideoEncoder, estimate_encoded_size,
+                         read_frame_index, select_events_from_keyframes)
+from stills import decode_image, encode_image
 import repro.codec.encoder as encoder_module
 import repro.codec.jpeg as jpeg_module
 from repro.errors import BitstreamError, ConfigurationError, DecodeError, EncodeError
 from repro.video.frame import FrameType
-from repro.video.raw_video import RawVideo
 
 
 def psnr(original, decoded) -> float:
@@ -95,7 +95,7 @@ class TestEncoder:
         # interval (25 frames), i.e. well under a second at 30 fps.
         tolerance = 30
         for event in tiny_timeline:
-            if event.is_background and event.start_frame == 0:
+            if not event.labels and event.start_frame == 0:
                 continue
             distances = keyframes - event.start_frame
             ahead = distances[distances >= 0]
@@ -126,7 +126,7 @@ class TestEncoder:
         than per frame, and the bytes are still the still-image codec's."""
         arrays = [rng.integers(0, 256, size=(28, 44)).astype(np.uint8)
                   for _ in range(6)]
-        video = RawVideo.from_arrays("keyframes", arrays, fps=30.0)
+        video = video_from_arrays("keyframes", arrays, fps=30.0)
         parameters = EncoderParameters(gop_size=2, scenecut_threshold=0.0)
         calls = {"dct2_blocks": 0, "quantisation_matrix": 0}
         for module in (jpeg_module, encoder_module):
@@ -164,12 +164,12 @@ class TestDecoder:
 
     def test_size_only_frames_cannot_be_decoded(self, tiny_encoded):
         with pytest.raises(DecodeError):
-            VideoDecoder().decode_keyframe(tiny_encoded.frames[0])
+            VideoDecoder()._decode_stills([tiny_encoded.frames[0]])[0]
 
     def test_non_keyframe_rejected_by_keyframe_decoder(self, tiny_encoded_payload):
         pframe = next(f for f in tiny_encoded_payload.frames if not f.is_keyframe)
         with pytest.raises(DecodeError):
-            VideoDecoder().decode_keyframe(pframe)
+            VideoDecoder()._decode_stills([pframe])[0]
 
 
 class TestContainerAndSeeker:

@@ -12,11 +12,11 @@ Random resolutions, GOP lengths and :class:`EncoderParameters` grids must
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from video_tools import video_from_arrays
 from repro.codec import (EncodedVideo, EncoderParameters, VideoDecoder,
                          VideoEncoder)
 from repro.codec.gop import KeyframePlacer
 from repro.video.frame import FrameType
-from repro.video.raw_video import RawVideo
 
 
 def make_video(height, width, num_frames, seed, jump_every=0):
@@ -29,7 +29,7 @@ def make_video(height, width, num_frames, seed, jump_every=0):
             base = rng.integers(40, 200, size=(height, width)).astype(np.float64)
         drift = rng.normal(0, 2.0, size=(height, width))
         frames.append(np.clip(base + drift, 0, 255).astype(np.uint8))
-    return RawVideo.from_arrays(f"prop-{seed}", frames)
+    return video_from_arrays(f"prop-{seed}", frames)
 
 
 #: The grid mirrors the offline tuner's search space at test-friendly sizes.

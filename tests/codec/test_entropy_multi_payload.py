@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entropy_oracle import decode_blocks_reference, encode_blocks_reference
-from repro.codec.entropy import decode_block_payloads, decode_blocks
+from repro.codec.entropy import decode_block_payloads
 from repro.errors import BitstreamError, CodecError
 
 
@@ -62,12 +62,6 @@ class TestMultiPayloadDecode:
     def test_no_payload_at_all_decodes_to_no_block(self):
         decoded = decode_block_payloads(np.empty(0, dtype=np.uint8), [], [], 8)
         assert decoded.shape == (0, 8, 8)
-
-    def test_one_payload_form_is_decode_blocks(self):
-        payload = encode_blocks_reference(random_blocks(6, 8, 0.3, seed=3))
-        together = decode_together([payload], [6], 8)
-        assert np.array_equal(together.reshape(2, 3, 8, 8),
-                              decode_blocks(payload, 2, 3, 8))
 
     def test_lengths_must_describe_the_buffer(self):
         data = np.zeros(4, dtype=np.uint8)

@@ -17,11 +17,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro.codec.motion as motion_module
 from repro.codec.blocks import from_blocks, pad_plane, to_blocks
+from video_tools import shift_plane
 from repro.codec.motion import (MotionField, MotionSearch, _block_sums_exact,
                                 candidate_offsets, estimate_motion,
                                 integer_block_sums, integer_sad_dtype,
-                                motion_compensate, offset_table, pad_edge,
-                                shift_plane)
+                                motion_compensate, offset_table, pad_edge)
 from repro.errors import CodecError
 
 

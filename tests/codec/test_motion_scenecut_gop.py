@@ -5,9 +5,11 @@ import pytest
 
 from repro.codec.gop import (DEFAULT_PARAMETERS, EncoderParameters, KeyframePlacer,
                              StreamingKeyframePlacer)
+from analysis_oracle import is_scenecut
+from video_tools import shift_plane
 from repro.codec.motion import (MotionSearch, candidate_offsets, estimate_motion,
-                                motion_compensate, shift_plane)
-from repro.codec.scenecut import (FrameActivity, SceneCutAnalyzer, is_scenecut,
+                                motion_compensate)
+from repro.codec.scenecut import (FrameActivity, SceneCutAnalyzer,
                                   novelty_series, scenecut_score_threshold)
 from repro.errors import CodecError, ConfigurationError
 from repro.video.frame import FrameType

@@ -13,10 +13,10 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from video_tools import video_from_arrays
 from repro.codec import (EncodedVideo, EncoderParameters, VideoDecoder,
                          VideoEncoder)
 from repro.errors import SieveError
-from repro.video.raw_video import RawVideo
 
 
 @lru_cache(maxsize=None)
@@ -28,7 +28,7 @@ def clip() -> bytes:
                       0, 255).astype(np.uint8) for index in range(90)]
     parameters = EncoderParameters(gop_size=30, scenecut_threshold=40.0)
     return VideoEncoder(parameters).encode(
-        RawVideo.from_arrays("probe", frames),
+        video_from_arrays("probe", frames),
         materialise_payload=True).serialize()
 
 

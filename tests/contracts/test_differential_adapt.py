@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.adapt import AdaptiveConfig, DriftMonitor, chunk_scene
-from repro.adapt.signals import mean_luma
 from repro.codec.scenecut import SceneCutAnalyzer
 from repro.contracts import FAST_CONTRACT
 from repro.contracts.contract import agreement_fraction
@@ -38,7 +37,8 @@ def drifting_frames():
     return {
         "frames": frames,
         "labels": scene.script.frame_labels(),
-        "lumas": [mean_luma(frame) for frame in frames],
+        "lumas": [float(np.asarray(frame, dtype=np.float64).mean())
+                  for frame in frames],
         "fps": profile.fps,
     }
 
@@ -84,7 +84,7 @@ def fast_run(drifting_frames):
 
 class TestSceneStatsAgreement:
     def test_brightness_is_precision_independent(self, exact_run, fast_run):
-        # mean_luma never touches the fast kernels: bit-equal, not close.
+        # The mean luma never touches the fast kernels: bit-equal, not close.
         assert ([scene.stats.mean_brightness
                  for scene in exact_run["scenes"]]
                 == [scene.stats.mean_brightness

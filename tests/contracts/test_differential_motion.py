@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from video_tools import shift_plane
 from repro.codec.blocks import pad_plane, to_blocks
-from repro.codec.motion import (candidate_offsets, estimate_motion,
-                                shift_plane)
+from repro.codec.motion import candidate_offsets, estimate_motion
 from repro.contracts import FAST_CONTRACT
 from repro.contracts.contract import agreement_fraction
 from repro.errors import ConfigurationError

@@ -16,9 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.contracts import FAST_CONTRACT
 from repro.contracts.contract import agreement_fraction
-from repro.nn import (NNDetector, SequentialModel, build_yolo_lite,
-                      classify_frames)
-from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Softmax
+from repro.nn import SequentialModel, build_yolo_lite, classify_frames
+from repro.nn.layers import Conv2D, Dense, MaxPool2D, ReLU, Softmax
 from repro.video import SyntheticScene, make_scenario
 
 
@@ -129,12 +128,10 @@ class TestClassifierSurfaces:
         assert probabilities.dtype == np.float32
         assert label in model.classes
 
-    def test_nn_detector_fast_agreement(self, scenario_frames):
+    def test_detections_fast_agreement(self, scenario_frames):
         model = build_yolo_lite()
-        exact = NNDetector(model).detect_batch(
-            list(range(len(scenario_frames))), scenario_frames)
-        fast = NNDetector(model, precision="fast").detect_batch(
-            list(range(len(scenario_frames))), scenario_frames)
+        exact, _ = classify_frames(model, scenario_frames)
+        fast, _ = classify_frames(model, scenario_frames, precision="fast")
         assert agreement_fraction(exact, fast) >= (
             FAST_CONTRACT.detections.min_agreement)
 
@@ -192,11 +189,9 @@ class TestExactStaysExact:
         assert np.allclose(conv.forward(feature_map) - conv.bias[0],
                            2.0 * (before_conv - conv.bias[0]))
 
-    def test_pool_relu_flatten_preserve_float32(self):
+    def test_pool_relu_preserve_float32(self):
         """Fast activations stay float32 through the parameter-free layers."""
         feature_map = np.random.default_rng(1).normal(
             size=(2, 3, 8, 8)).astype(np.float32)
         pooled = MaxPool2D(2).forward(ReLU().forward(feature_map))
-        flat = Flatten().forward(pooled)
         assert pooled.dtype == np.float32
-        assert flat.dtype == np.float32

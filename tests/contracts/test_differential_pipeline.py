@@ -17,10 +17,10 @@ from repro.contracts.contract import agreement_fraction
 from repro.core import build_workload
 from repro.datasets.generator import DatasetInstance
 from repro.datasets.registry import DatasetSpec
+from cache_tools import clear_prepared_cache, list_keys
 from repro.datasets import diskcache
 from repro.experiments.common import (DATASET_CACHE_KIND, WORKLOAD_CACHE_KIND,
-                                      ExperimentConfig, clear_prepared_cache,
-                                      prepare_workload)
+                                      ExperimentConfig, prepare_workload)
 from repro.video import RESOLUTION_720P, SyntheticScene, make_scenario
 
 #: Scenarios the differential suite sweeps: a daylight Table I feed plus
@@ -120,7 +120,7 @@ class TestCacheSeparation:
                                      system_config=SystemConfig(
                                          precision=precision))
                 # One prepared dataset and one workload per precision.
-                assert len(diskcache.list_keys(DATASET_CACHE_KIND)) == 2
-                assert len(diskcache.list_keys(WORKLOAD_CACHE_KIND)) == 2
+                assert len(list_keys(DATASET_CACHE_KIND)) == 2
+                assert len(list_keys(WORKLOAD_CACHE_KIND)) == 2
         finally:
             clear_prepared_cache()

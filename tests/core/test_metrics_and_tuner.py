@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.codec import EncoderParameters
 from repro.codec.scenecut import FrameActivity
 from repro.core import (DEFAULT_GOP_GRID, DEFAULT_SCENECUT_GRID, ParameterLookupTable,
-                        SemanticEncoderTuner, TuningGrid, evaluate_sampling, f1_score,
-                        propagation_accuracy)
-from repro.core.metrics import event_start_accuracy
+                        SemanticEncoderTuner, TuningGrid, evaluate_sampling, f1_score)
 from repro.errors import ConfigurationError, TuningError
 from repro.video import EventTimeline
 
@@ -79,8 +77,8 @@ class TestMetrics:
     def test_accuracy_variants_agree_when_every_event_sampled(self):
         timeline = make_timeline()
         samples = [0, 13, 20]
-        assert propagation_accuracy(timeline, samples) == pytest.approx(
-            event_start_accuracy(timeline, samples))
+        score = evaluate_sampling(timeline, samples)
+        assert score.accuracy == pytest.approx(score.event_accuracy)
 
 
 class TestTuner:
@@ -245,10 +243,8 @@ class TestVersionedLookupTable:
         assert (first.version, second.version) == (1, 2)
         assert first.old is None and first.new == v1_params
         assert second.old == v1_params and second.new == v2_params
-        assert table.version("cam") == 2
         assert table.lookup("cam") == v2_params  # lookup returns latest
         assert table.history("cam") == (first, second)
-        assert table.version("never-stored") == 0
         assert table.history("never-stored") == ()
 
     def test_history_lines_are_deterministic_and_diffable(self):

@@ -1,9 +1,8 @@
 """Crash-consistency of the on-disk artifact cache.
 
-Injects the on-disk corruption modes of the fault plane
-(:func:`repro.faults.plan.apply_cache_corruption`) between a store and
-the next load, simulating a writer that died mid-write or a bundle that
-rotted on disk:
+Injects on-disk corruption (``cache_tools.apply_cache_corruption``)
+between a store and the next load, simulating a writer that died
+mid-write or a bundle that rotted on disk:
 
 * **torn write** — the process died after writing the temp file but
   before the atomic rename: the entry is simply absent (clean miss), the
@@ -19,8 +18,9 @@ import os
 import numpy as np
 import pytest
 
+from cache_tools import (CACHE_CORRUPTION_MODES, CacheCorruption,
+                         apply_cache_corruption, clear_cache, list_keys)
 from repro.datasets import diskcache
-from repro.faults import CacheCorruption, apply_cache_corruption
 
 KIND = "crash-consistency"
 
@@ -54,8 +54,8 @@ class TestTornWrite:
         assert np.array_equal(got["frames"], arrays()["frames"])
         assert manifest["key"] == key
         # The stray temp file is neither listed as an entry nor cleared.
-        assert list(diskcache.list_keys(KIND)) == [key]
-        assert diskcache.clear_cache(KIND) == 1
+        assert list(list_keys(KIND)) == [key]
+        assert clear_cache(KIND) == 1
         assert os.path.exists(torn_path)
 
 
@@ -79,7 +79,6 @@ class TestTruncatedBundle:
 
 class TestCorruptionSpecPlumbing:
     def test_modes_are_torn_write_and_truncate_bundle(self):
-        from repro.faults import CACHE_CORRUPTION_MODES
         assert CACHE_CORRUPTION_MODES == ("torn-write", "truncate-bundle")
         assert CacheCorruption(kind=KIND, key="k").mode == "truncate-bundle"
 

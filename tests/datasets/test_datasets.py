@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datasets import (ALL_DATASETS, LABELLED_DATASETS, TABLE_I,
-                            build_dataset, build_split, get_dataset, labelled_datasets)
+                            build_dataset, get_dataset)
 from repro.errors import DatasetError
 from repro.video import RESOLUTION_1080P, RESOLUTION_400P
 
@@ -32,7 +32,7 @@ class TestRegistry:
         assert total > four_hour_total
 
     def test_helpers(self):
-        assert [spec.name for spec in labelled_datasets()] == list(LABELLED_DATASETS)
+        assert set(LABELLED_DATASETS) <= set(TABLE_I)
         assert len(ALL_DATASETS) == 5
         with pytest.raises(DatasetError):
             get_dataset("missing")
@@ -55,7 +55,9 @@ class TestBuilders:
         assert observed <= set(instance.spec.objects)
 
     def test_train_test_split_differs(self):
-        train, test = build_split("coral_reef", duration_seconds=10, render_scale=0.05)
+        train, test = (build_dataset("coral_reef", duration_seconds=10,
+                                     render_scale=0.05, split=split)
+                       for split in ("train", "test"))
         assert train.split == "train" and test.split == "test"
         assert train.profile.seed != test.profile.seed
         assert train.timeline != test.timeline

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.codec.gop import EncoderParameters
+from cache_tools import clear_cache, list_keys, tree_digest
 from repro.datasets import diskcache
 
 
@@ -81,7 +82,7 @@ class TestStoreLoad:
         # The manifest travels inside the bundle; nothing lands beside it
         # (no sibling manifest, no leftover temp file).
         assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
-        assert diskcache.tree_digest(str(cache_dir)).keys() == {
+        assert tree_digest(str(cache_dir)).keys() == {
             os.path.join("unit", f"{key}.npz")}
 
     def test_reserved_member_rejected(self, cache_dir):
@@ -138,11 +139,11 @@ class TestStoreLoad:
         keys = [diskcache.content_key("entry", index) for index in range(3)]
         for key in keys:
             diskcache.store("unit", key, {"x": np.zeros(2)})
-        assert sorted(diskcache.list_keys("unit")) == sorted(keys)
-        assert diskcache.clear_cache("unit") == 3
-        assert list(diskcache.list_keys("unit")) == []
+        assert sorted(list_keys("unit")) == sorted(keys)
+        assert clear_cache("unit") == 3
+        assert list(list_keys("unit")) == []
         # Clearing an empty/absent cache is a no-op.
-        assert diskcache.clear_cache() == 0
+        assert clear_cache() == 0
 
     def test_stores_never_evict_other_entries(self, cache_dir):
         """The cache has no size budget: every store adds its entry and
@@ -156,7 +157,7 @@ class TestStoreLoad:
                                   np.full(64, index))
             assert np.array_equal(diskcache.load("kind-b", key)[0]["x"],
                                   np.full(64, -index))
-        assert diskcache.clear_cache() == 8
+        assert clear_cache() == 8
 
     def test_embedded_key_mismatch_is_a_miss_and_evicted(self, cache_dir):
         """A bundle under the wrong file name fails manifest verification:
@@ -179,7 +180,7 @@ class TestStoreLoad:
                             directory=str(blocker))
         # Reads of the same broken directory are plain misses.
         assert diskcache.load("unit", "k", directory=str(blocker)) is None
-        assert list(diskcache.list_keys("unit", str(blocker))) == []
+        assert list(list_keys("unit", str(blocker))) == []
 
     def test_failed_write_keeps_the_old_entry_and_no_temp_file(
             self, cache_dir, monkeypatch):
@@ -200,7 +201,7 @@ class TestStoreLoad:
         assert np.array_equal(arrays["x"], np.arange(3))
 
     def test_list_keys_of_an_absent_kind_is_empty(self, cache_dir):
-        assert list(diskcache.list_keys("never-stored")) == []
+        assert list(list_keys("never-stored")) == []
 
     def test_tree_digest_tracks_content(self, cache_dir, tmp_path):
         key = diskcache.content_key("digest")
@@ -209,12 +210,12 @@ class TestStoreLoad:
         for directory in (first, second):
             diskcache.store("unit", key, {"x": np.arange(5)},
                             directory=str(directory))
-        assert diskcache.tree_digest(str(first)) == (
-            diskcache.tree_digest(str(second)))
+        assert tree_digest(str(first)) == (
+            tree_digest(str(second)))
         diskcache.store("unit", key, {"x": np.arange(6)},
                         directory=str(second))
-        assert diskcache.tree_digest(str(first)) != (
-            diskcache.tree_digest(str(second)))
+        assert tree_digest(str(first)) != (
+            tree_digest(str(second)))
 
 
 class TestCacheDirSelection:
@@ -224,8 +225,14 @@ class TestCacheDirSelection:
 
     def test_default_used_when_unset(self, monkeypatch):
         monkeypatch.delenv(diskcache.CACHE_DIR_ENV, raising=False)
-        assert diskcache.cache_dir() == diskcache.default_cache_dir()
-        assert diskcache.default_cache_dir().endswith("repro-sieve")
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        assert diskcache.cache_dir() == os.path.join(
+            os.path.expanduser("~"), ".cache", "repro-sieve")
+
+    def test_xdg_cache_home_is_honoured(self, monkeypatch, tmp_path):
+        monkeypatch.delenv(diskcache.CACHE_DIR_ENV, raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert diskcache.cache_dir() == str(tmp_path / "repro-sieve")
 
     def test_temporary_cache_dir_restores_the_previous_value(
             self, monkeypatch, tmp_path):

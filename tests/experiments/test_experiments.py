@@ -7,9 +7,14 @@ from repro.experiments import (ExperimentConfig, figure3, figure4, figure5, tabl
                                table2, table3, format_table, prepare_dataset)
 
 
+#: A fast configuration for the harness tests.
+QUICK = ExperimentConfig(duration_seconds=20.0, render_scale=0.08,
+                         datasets=("jackson_square",))
+
+
 @pytest.fixture(scope="module")
 def quick_config():
-    return ExperimentConfig.quick(datasets=("jackson_square",))
+    return QUICK
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +95,7 @@ class TestTable3:
 class TestFigures4And5:
     @pytest.fixture(scope="class")
     def workloads(self):
-        config = ExperimentConfig.quick()
-        return figure4.build_workloads(config,
+        return figure4.build_workloads(QUICK,
                                        dataset_names=("jackson_square", "coral_reef"))
 
     def test_figure4_counts_and_values(self, workloads):

@@ -15,11 +15,11 @@ import sys
 import numpy as np
 import pytest
 
+from cache_tools import (CacheCorruption, apply_cache_corruption,
+                         clear_prepared_cache, list_keys)
 from repro.datasets import diskcache
 from repro.experiments import ExperimentConfig, prepare_dataset, prepare_workload
-from repro.experiments.common import (DATASET_CACHE_KIND, WORKLOAD_CACHE_KIND,
-                                      clear_prepared_cache)
-from repro.faults import CacheCorruption, apply_cache_corruption
+from repro.experiments.common import DATASET_CACHE_KIND, WORKLOAD_CACHE_KIND
 from repro.perf import get_recorder
 
 QUICK = ExperimentConfig(duration_seconds=8.0, render_scale=0.06,
@@ -30,10 +30,10 @@ QUICK = ExperimentConfig(duration_seconds=8.0, render_scale=0.06,
 def cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path))
     clear_prepared_cache()
-    get_recorder().reset()
+    get_recorder().sections.clear()
     yield tmp_path
     clear_prepared_cache()
-    get_recorder().reset()
+    get_recorder().sections.clear()
 
 
 def workload_fingerprint(workload):
@@ -52,7 +52,7 @@ class TestPreparedDatasetDiskCache:
 
         # A fresh "session": the in-process layer is empty, the disk warm.
         clear_prepared_cache()
-        get_recorder().reset()
+        get_recorder().sections.clear()
         warm = prepare_dataset("jackson_square", QUICK)
         sections = get_recorder().sections
         assert "dataset.render" not in sections
@@ -66,12 +66,12 @@ class TestPreparedDatasetDiskCache:
 
     def test_corrupted_dataset_artifact_falls_back_to_render(self, cache_dir):
         prepare_dataset("jackson_square", QUICK)
-        for key in diskcache.list_keys(DATASET_CACHE_KIND):
+        for key in list_keys(DATASET_CACHE_KIND):
             with open(diskcache.artifact_path(DATASET_CACHE_KIND, key),
                       "wb") as handle:
                 handle.write(b"garbage")
         clear_prepared_cache()
-        get_recorder().reset()
+        get_recorder().sections.clear()
         prepared = prepare_dataset("jackson_square", QUICK)
         assert "dataset.render" in get_recorder().sections
         assert prepared.timeline is not None
@@ -99,7 +99,7 @@ class TestUnwritableCacheDir:
         blocker()
         for _ in range(2):  # the second pass finds nothing on disk either
             clear_prepared_cache()
-            get_recorder().reset()
+            get_recorder().sections.clear()
             again = prepare_dataset("jackson_square", QUICK)
             assert "dataset.render" in get_recorder().sections
             assert "dataset.disk_hit" not in get_recorder().sections
@@ -113,7 +113,7 @@ class TestUnwritableCacheDir:
         blocker()
         for _ in range(2):
             clear_prepared_cache()
-            get_recorder().reset()
+            get_recorder().sections.clear()
             rebuilt = prepare_workload("jackson_square", QUICK)
             sections = get_recorder().sections
             assert "workload.build" in sections
@@ -129,7 +129,7 @@ class TestWorkloadDiskCache:
         assert "workload.build" in get_recorder().sections
 
         clear_prepared_cache()
-        get_recorder().reset()
+        get_recorder().sections.clear()
         warm = prepare_workload("jackson_square", QUICK)
         sections = get_recorder().sections
         assert "workload.disk_hit" in sections
@@ -143,11 +143,11 @@ class TestWorkloadDiskCache:
 
     def test_truncated_workload_artifact_rebuilds(self, cache_dir):
         cold = prepare_workload("jackson_square", QUICK)
-        (key,) = diskcache.list_keys(WORKLOAD_CACHE_KIND)
+        (key,) = list_keys(WORKLOAD_CACHE_KIND)
         apply_cache_corruption(CacheCorruption(
             kind=WORKLOAD_CACHE_KIND, key=key, mode="truncate-bundle"))
         clear_prepared_cache()
-        get_recorder().reset()
+        get_recorder().sections.clear()
         rebuilt = prepare_workload("jackson_square", QUICK)
         # The bad bundle was a miss; the footage came from the (intact)
         # dataset entry and the workload was rebuilt and stored again.
@@ -160,7 +160,7 @@ class TestWorkloadDiskCache:
 
     def test_torn_write_is_a_miss_then_rebuilt(self, cache_dir):
         cold = prepare_workload("jackson_square", QUICK)
-        (key,) = diskcache.list_keys(WORKLOAD_CACHE_KIND)
+        (key,) = list_keys(WORKLOAD_CACHE_KIND)
         # The writer died between its temp write and the rename: the entry
         # is absent and only a stray temp file sits where it would live.
         diskcache.evict(WORKLOAD_CACHE_KIND, key)
@@ -168,12 +168,12 @@ class TestWorkloadDiskCache:
             kind=WORKLOAD_CACHE_KIND, key=key, mode="torn-write"))
         for expected in ("workload.build", "workload.disk_hit"):
             clear_prepared_cache()
-            get_recorder().reset()
+            get_recorder().sections.clear()
             again = prepare_workload("jackson_square", QUICK)
             assert expected in get_recorder().sections
             assert workload_fingerprint(again) == workload_fingerprint(cold)
         assert os.path.exists(torn)
-        assert list(diskcache.list_keys(WORKLOAD_CACHE_KIND)) == [key]
+        assert list(list_keys(WORKLOAD_CACHE_KIND)) == [key]
 
     def test_in_process_layer_serves_repeat_calls(self, cache_dir):
         first = prepare_workload("jackson_square", QUICK)
@@ -184,11 +184,11 @@ class TestWorkloadDiskCache:
         bigger = ExperimentConfig(duration_seconds=10.0, render_scale=0.06,
                                   datasets=("jackson_square",))
         clear_prepared_cache()
-        get_recorder().reset()
+        get_recorder().sections.clear()
         prepare_workload("jackson_square", bigger)
         # Different scale -> different key -> a real rebuild.
         assert "workload.build" in get_recorder().sections
-        assert len(list(diskcache.list_keys(WORKLOAD_CACHE_KIND))) == 2
+        assert len(list(list_keys(WORKLOAD_CACHE_KIND))) == 2
 
 
 #: One self-contained "pytest session": prepares the Figure 4 workload of

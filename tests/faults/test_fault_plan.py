@@ -14,7 +14,7 @@ import pytest
 from repro.errors import FaultError
 from repro.faults import (BreakerState, CircuitBreaker, EdgeCrash, FaultPlan,
                           FaultStats, RecoveryTrace, ResilienceConfig,
-                          RetryPolicy, StreamStall, WanDegradation, WorkerKill)
+                          RetryPolicy, StreamStall, WanDegradation)
 
 NAN = float("nan")
 INF = float("inf")
@@ -175,8 +175,52 @@ class TestFaultSpecs:
                            duration_seconds=1.0, bandwidth_factor=1.0)
         with pytest.raises(FaultError):
             StreamStall(camera="", at_seconds=1.0, duration_seconds=1.0)
+
+    @pytest.mark.parametrize("spec,kwargs", [
+        (EdgeCrash, {"edge_index": "0"}),
+        (EdgeCrash, {"edge_index": 1.5}),
+        (EdgeCrash, {"edge_index": True}),
+        (EdgeCrash, {"edge_index": None}),
+        (EdgeCrash, {"edge_index": NAN}),
+        (EdgeCrash, {"at_seconds": None}),
+        (EdgeCrash, {"at_seconds": "1"}),
+        (EdgeCrash, {"at_seconds": INF}),
+        (EdgeCrash, {"at_seconds": NAN}),
+        (EdgeCrash, {"restart_after_seconds": INF}),
+        (EdgeCrash, {"restart_after_seconds": "2"}),
+        (WanDegradation, {"edge_index": False}),
+        (WanDegradation, {"at_seconds": INF}),
+        (WanDegradation, {"duration_seconds": INF}),
+        (WanDegradation, {"duration_seconds": None}),
+        (WanDegradation, {"bandwidth_factor": NAN}),
+        (WanDegradation, {"bandwidth_factor": "0.5"}),
+        (StreamStall, {"camera": 5}),
+        (StreamStall, {"camera": None}),
+        (StreamStall, {"duration_seconds": INF}),
+        (FaultPlan, {"specs": None}),
+        (FaultPlan, {"specs": 7}),
+        (FaultPlan, {"specs": "spec"}),
+    ], ids=lambda value: (value.__name__ if isinstance(value, type)
+                          else "-".join(f"{k}={v!r}" for k, v in value.items())))
+    def test_malformed_fields_raise_fault_error_at_construction(self, spec,
+                                                                kwargs):
+        """Each of these raised a bare TypeError, or was accepted and
+        failed later (in a drain or in the scheduler), before the specs
+        checked their field types."""
+        valid = {EdgeCrash: {"edge_index": 0, "at_seconds": 1.0},
+                 WanDegradation: {"edge_index": 0, "at_seconds": 1.0,
+                                  "duration_seconds": 1.0},
+                 StreamStall: {"camera": "cam", "at_seconds": 1.0,
+                               "duration_seconds": 1.0},
+                 FaultPlan: {}}[spec]
+        spec(**valid)
         with pytest.raises(FaultError):
-            WorkerKill(edge_index=-2)
+            spec(**{**valid, **kwargs})
+
+    def test_whole_number_edge_index_is_normalised(self):
+        crash = EdgeCrash(edge_index=2.0, at_seconds=1)
+        assert crash.edge_index == 2 and type(crash.edge_index) is int
+        assert crash == EdgeCrash(edge_index=2, at_seconds=1)
 
     def test_permanence_and_partition_flags(self):
         assert EdgeCrash(edge_index=0, at_seconds=1.0).permanent
@@ -197,16 +241,10 @@ class TestFaultPlan:
                            duration_seconds=1.0),
             EdgeCrash(edge_index=0, at_seconds=1.0,
                       restart_after_seconds=0.5),
-            WorkerKill(edge_index=1),
         ))
         assert [crash.at_seconds for crash in plan.edge_crashes] == [1.0, 5.0]
-        assert plan.worker_kills == (WorkerKill(edge_index=1),)
-        assert plan.has_scheduler_faults
-
-    def test_worker_kill_only_plans_leave_the_simulation_alone(self):
-        plan = FaultPlan(specs=(WorkerKill(edge_index=0),))
-        assert not plan.has_scheduler_faults
-        assert FaultPlan().has_scheduler_faults is False
+        assert [window.at_seconds for window in plan.wan_degradations] == [3.0]
+        assert plan.stream_stalls == ()
 
     def test_validate_for_rejects_out_of_range_targets(self):
         plan = FaultPlan(specs=(EdgeCrash(edge_index=4, at_seconds=1.0),))
@@ -247,7 +285,7 @@ class TestFaultPlan:
         assert len(plan.wan_degradations) == 1
         assert len(plan.stream_stalls) == 1
         assert plan.stream_stalls[0].camera in ("cam-a", "cam-b")
-        assert len(plan.worker_kills) == 1
+        assert len(plan.specs) == 4
         for spec in plan.specs:
             at = getattr(spec, "at_seconds", 0.0)
             assert 0.0 <= at <= 10.0
@@ -255,6 +293,43 @@ class TestFaultPlan:
     def test_seeded_needs_a_surviving_edge(self):
         with pytest.raises(FaultError):
             FaultPlan.seeded(1, num_edge_servers=2, num_edge_crashes=2)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"num_edge_crashes": -1},
+        {"num_edge_crashes": 1.5},
+        {"num_edge_crashes": True},
+        {"num_edge_servers": 2.5},
+        {"num_edge_servers": "3"},
+        {"num_edge_servers": 0},
+        {"num_wan_partitions": -2},
+        {"num_stream_stalls": NAN},
+        {"horizon_seconds": INF},
+        {"horizon_seconds": None},
+    ], ids=lambda kwargs: "-".join(f"{k}={v!r}" for k, v in kwargs.items()))
+    def test_seeded_refuses_malformed_arguments(self, kwargs):
+        """``num_edge_crashes=-1`` used to slice the permutation and draw
+        crashes anyway, and ``num_edge_servers=2.5`` raised numpy's
+        AxisError."""
+        arguments = dict(num_edge_servers=3, cameras=("cam-a",),
+                         horizon_seconds=10.0)
+        arguments.update(kwargs)
+        with pytest.raises(FaultError):
+            FaultPlan.seeded(7, **arguments)
+
+    def test_seeded_plan_is_pinned(self):
+        """Dropping the worker-kill draw (the last one) and checking the
+        arguments moved no spec of a valid seeded plan."""
+        plan = FaultPlan.seeded(7, num_edge_servers=3,
+                                cameras=("cam-0", "cam-1", "cam-2"),
+                                horizon_seconds=13.0)
+        assert plan.specs == (
+            EdgeCrash(1, 3.5207517315533683),
+            EdgeCrash(0, 1.7252108849607188, 2.5728784404957876),
+            WanDegradation(0, 1.6184362446049367, 1.4658336660384683),
+            StreamStall("cam-0", 2.008566619767799, 5.036212272321967))
+        assert FaultPlan.seeded(7, num_edge_servers=3.0,
+                                cameras=("cam-0", "cam-1", "cam-2"),
+                                horizon_seconds=13) == plan
 
 
 class TestFaultStats:
@@ -293,7 +368,7 @@ class TestRecoveryTrace:
         trace.record(2.0, "tick")
         assert trace.lines() == ["t=1.250000 edge-crash edge=1 permanent",
                                  "t=2.000000 tick"]
-        assert trace.kinds() == {"edge-crash": 1, "tick": 1}
+        assert [event.kind for event in trace] == ["edge-crash", "tick"]
         assert len(trace) == 2
 
     def test_mismatches(self):

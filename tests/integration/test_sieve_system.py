@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro import DeploymentMode, Sieve, SystemConfig
+from video_tools import frame_labels
+from repro import Sieve
 from repro.cluster import CostModel
 from repro.codec import (ActivityColumns, EncodedVideo, EncoderParameters,
                          IFrameSeeker, VideoDecoder, VideoEncoder)
 from repro.core import evaluate_sampling
-from repro.datasets import build_dataset
 from repro.errors import PipelineError
 from repro.nn import OracleDetector
 from repro.video import RESOLUTION_400P, SyntheticScene, make_scenario
@@ -35,7 +35,7 @@ class TestSieveFacade:
         assert result.keyframe_indices[0] == 0
         assert result.score is not None and result.score.accuracy > 0.8
         # Per-frame labels agree with the propagation accuracy definition.
-        truth = video.timeline.frame_labels()
+        truth = frame_labels(video.timeline)
         correct = sum(1 for observed, expected in zip(result.frame_labels, truth)
                       if observed == expected)
         assert correct / len(truth) == pytest.approx(result.score.accuracy)
@@ -49,17 +49,6 @@ class TestSieveFacade:
         one-frame batches."""
         with pytest.raises(PipelineError, match="detector_batch_size"):
             Sieve().analyze_video(tiny_video, detector_batch_size=batch_size)
-
-    def test_simulate_deployment_small(self):
-        sieve = Sieve(SystemConfig())
-        instances = [build_dataset("jackson_square", 15, 0.08),
-                     build_dataset("coral_reef", 15, 0.08)]
-        report = sieve.simulate_deployment(instances,
-                                           DeploymentMode.IFRAME_EDGE_CLOUD_NN)
-        assert report.total_frames == sum(i.video.metadata.num_frames
-                                          for i in instances)
-        assert report.throughput_fps > 0
-        assert report.accuracy is not None and report.accuracy > 0.7
 
 
 class TestPaperClaims:
@@ -126,7 +115,7 @@ class TestCodecPipelineIntegration:
         oracle = OracleDetector(quick_scenario_video.timeline)
         labelled = 0
         for keyframe in keyframes:
-            pixels = decoder.decode_keyframe(keyframe)
+            pixels = decoder._decode_stills([keyframe])[0]
             assert pixels.shape == quick_scenario_video.metadata.resolution.shape
             labels = oracle.detect(keyframe.index, pixels)
             assert labels == quick_scenario_video.timeline.labels_at(keyframe.index)

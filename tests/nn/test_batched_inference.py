@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.nn import (Conv2D, Dense, Flatten, GlobalAveragePool, MaxPool2D,
-                      NNDetector, ReLU, Softmax, build_yolo_lite,
+from repro.nn import (Conv2D, Dense, GlobalAveragePool, MaxPool2D,
+                      ReLU, Softmax, build_yolo_lite,
                       classify_frames, preprocess_frames)
 
 
@@ -33,7 +33,6 @@ FEATURE_LAYERS = [
     MaxPool2D(2, "p2"),
     MaxPool2D(3, "p3"),
     GlobalAveragePool("gap"),
-    Flatten("flat"),
     ReLU("relu"),
 ]
 
@@ -70,7 +69,7 @@ class TestLayerBatchEquivalence:
             Dense(4, 2).forward(np.zeros(5))
 
     def test_dense_ravels_single_multi_dim_inputs(self):
-        """Seed compat: a feature map can feed a Dense without a Flatten."""
+        """Seed compat: a feature map can feed a Dense directly."""
         dense = Dense(12, 3)
         feature_map = np.random.default_rng(0).normal(size=(3, 2, 2))
         direct = dense.forward(feature_map)
@@ -85,17 +84,12 @@ class TestLayerBatchEquivalence:
         assert probabilities.shape == (24,)
         assert probabilities.sum() == pytest.approx(1.0)
 
-    def test_flatten_keeps_batch_axis_for_flat_batches(self):
-        """A (batch, features) batch must pass through Flatten unchanged."""
-        batch = np.random.default_rng(2).normal(size=(5, 7))
-        assert np.array_equal(Flatten().forward(batch), batch)
-
-    def test_gap_flatten_dense_chain_batches(self):
-        """Regression: [GAP, Flatten, Dense] batched == per-example."""
+    def test_gap_dense_chain_batches(self):
+        """Regression: [GAP, Dense] batched == per-example."""
         from repro.nn import SequentialModel
         model = SequentialModel(
-            [Conv2D(1, 4, name="c"), GlobalAveragePool(), Flatten(),
-             Dense(4, 2)], input_shape=(1, 8, 8))
+            [Conv2D(1, 4, name="c"), GlobalAveragePool(), Dense(4, 2)],
+            input_shape=(1, 8, 8))
         batch = np.random.default_rng(3).normal(size=(3, 1, 8, 8))
         batched = model.forward(batch)
         singles = np.stack([model.forward(example) for example in batch])
@@ -176,33 +170,3 @@ class TestClassifyFrames:
     def test_preprocess_frames_stacks(self, frames):
         tensors = preprocess_frames(frames, (32, 32))
         assert tensors.shape == (len(frames), 1, 32, 32)
-
-
-class TestNNDetector:
-    @pytest.fixture(scope="class")
-    def model(self):
-        return build_yolo_lite(input_size=(32, 32), width_multiplier=0.25)
-
-    def test_batch_equals_per_frame(self, model):
-        rng = np.random.default_rng(4)
-        frames = [rng.integers(0, 255, size=(40, 40), dtype=np.uint8)
-                  for _ in range(5)]
-        detector = NNDetector(model, batch_size=2)
-        batched = detector.detect_batch(list(range(5)), frames)
-        assert batched == [detector.detect(index, frame)
-                           for index, frame in enumerate(frames)]
-        # Background maps to the empty label set, everything else to {label}.
-        assert all(labels == frozenset() or len(labels) == 1
-                   for labels in batched)
-
-    def test_needs_pixels(self, model):
-        detector = NNDetector(model)
-        with pytest.raises(ModelError):
-            detector.detect_batch([0], [None])
-
-    def test_needs_class_list(self, model):
-        from repro.nn import SequentialModel
-        bare = SequentialModel(model.layers, model.input_shape)
-        with pytest.raises(ModelError):
-            NNDetector(bare)
-

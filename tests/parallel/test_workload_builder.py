@@ -8,14 +8,18 @@ directories degrade to the serial path rather than failing.
 """
 
 import hashlib
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.config import SystemConfig
+from cache_tools import clear_prepared_cache, tree_digest
 from repro.datasets import diskcache
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentConfig
-from repro.experiments.common import clear_prepared_cache
 from repro.parallel import WorkloadBuilder
 from repro.parallel import workloads as workloads_module
 from repro.perf import get_recorder
@@ -44,10 +48,10 @@ def dataset_fingerprint(prepared):
 @pytest.fixture()
 def fresh_state():
     clear_prepared_cache()
-    get_recorder().reset()
+    get_recorder().sections.clear()
     yield
     clear_prepared_cache()
-    get_recorder().reset()
+    get_recorder().sections.clear()
 
 
 def build_in(tmp_path, subdir, build_workers):
@@ -65,15 +69,15 @@ class TestParallelSerialParity:
     def test_byte_identical_artifacts_and_equal_workloads(self, tmp_path,
                                                           fresh_state):
         serial, serial_cache = build_in(tmp_path, "serial", 1)
-        get_recorder().reset()
+        get_recorder().sections.clear()
         parallel, parallel_cache = build_in(tmp_path, "parallel", 2)
 
         assert [w.name for w in parallel] == [w.name for w in serial]
         for left, right in zip(serial, parallel):
             assert workload_fingerprint(left) == workload_fingerprint(right)
 
-        serial_tree = diskcache.tree_digest(serial_cache)
-        parallel_tree = diskcache.tree_digest(parallel_cache)
+        serial_tree = tree_digest(serial_cache)
+        parallel_tree = tree_digest(parallel_cache)
         assert sorted(serial_tree) == sorted(parallel_tree)
         assert serial_tree == parallel_tree  # byte-identical bundles
         # 2 datasets x (prepared-dataset + workload), one .npz per entry
@@ -125,7 +129,7 @@ class TestDegradationPaths:
         entry: the workers' stores fail quietly, and the parent rebuilds
         everything itself — raising nothing, equal to a normal build."""
         normal, _ = build_in(tmp_path, "normal", 1)
-        get_recorder().reset()
+        get_recorder().sections.clear()
         blocker = tmp_path / "not-a-directory"
         blocker.write_bytes(b"")
         with diskcache.temporary_cache_dir(blocker):
@@ -185,73 +189,61 @@ class TestDegradationPaths:
         with pytest.raises(ConfigurationError):
             SystemConfig(build_workers=-1)
 
-    def test_zero_workers_means_auto(self):
-        from repro.config import available_cpu_count
-        expected = available_cpu_count()
-        assert WorkloadBuilder(QUICK, build_workers=0).build_workers == expected
-        assert SystemConfig(build_workers=0).build_workers == expected
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ConfigurationError):
+            WorkloadBuilder(QUICK, build_workers=0)
+        with pytest.raises(ConfigurationError):
+            SystemConfig(build_workers=0)
 
 
-class TestWorkerKillRecovery:
-    """ISSUE: the fault plane reaches the workload builder — a killed
-    pool worker must not change a single byte of the built corpus."""
+#: The task a poisoned pool worker dies on (see ``_die_in_worker``).
+POISONED_TASK = QUICK.datasets[0]
 
-    def build_with_faults(self, tmp_path, subdir, build_workers, faults):
-        cache = tmp_path / subdir
-        with diskcache.temporary_cache_dir(cache):
-            clear_prepared_cache()
-            builder = WorkloadBuilder(QUICK, build_workers=build_workers,
-                                      faults=faults)
-            built = builder.build_workloads()
-        clear_prepared_cache()
-        return built, cache, builder
+
+def _die_in_worker(task):
+    """A build task function that kills its pool worker on one task.
+
+    It dies the way an OOM-killed worker would: no exception, no cleanup,
+    no cache write.  Only a pool worker dies; the parent's assembly pass
+    never calls it.  Module-level, so the pool can pickle it by name.
+    """
+    if (task.name == POISONED_TASK
+            and multiprocessing.parent_process() is not None):
+        os._exit(17)
+    return _EXECUTE_BUILD_TASK(task)
+
+
+_EXECUTE_BUILD_TASK = workloads_module.execute_build_task
+
+
+class TestKilledWorkerRecovery:
+    """A pool worker killed mid-build must not change a single byte of the
+    built corpus: ``_warm`` collects each future on its own, and the
+    parent's serial assembly pass rebuilds what the dead worker lost."""
 
     def test_killed_worker_recovers_bit_identically(self, tmp_path,
-                                                    fresh_state):
-        from repro.faults import FaultPlan, WorkerKill
+                                                    fresh_state,
+                                                    monkeypatch):
         serial, serial_cache = build_in(tmp_path, "serial", 1)
-        get_recorder().reset()
-        # The worker picking up task 0 dies hard (os._exit, no cleanup,
-        # no cache write) before building anything.
-        killed, killed_cache, builder = self.build_with_faults(
-            tmp_path, "killed", 2,
-            FaultPlan(specs=(WorkerKill(edge_index=0),)))
-        assert builder.tasks_poisoned == 1
+        get_recorder().sections.clear()
+        monkeypatch.setattr(workloads_module, "execute_build_task",
+                            _die_in_worker)
+        killed, killed_cache = build_in(tmp_path, "killed", 2)
         assert [w.name for w in killed] == [w.name for w in serial]
         for left, right in zip(serial, killed):
             assert workload_fingerprint(left) == workload_fingerprint(right)
         # The artifacts the parent rebuilt are byte-identical on disk.
-        assert diskcache.tree_digest(serial_cache) == (
-            diskcache.tree_digest(killed_cache))
+        assert tree_digest(serial_cache) == (
+            tree_digest(killed_cache))
 
-    def test_serial_path_ignores_worker_kills(self, tmp_path, fresh_state):
-        from repro.faults import FaultPlan, WorkerKill
-        plain, plain_cache = build_in(tmp_path, "plain", 1)
-        killed, killed_cache, builder = self.build_with_faults(
-            tmp_path, "serial-killed", 1,
-            FaultPlan(specs=(WorkerKill(edge_index=0),)))
-        # The poison is marked but never honoured in-process: the parent
-        # must not os._exit itself.
-        assert builder.tasks_poisoned == 1
-        for left, right in zip(plain, killed):
-            assert workload_fingerprint(left) == workload_fingerprint(right)
-        assert diskcache.tree_digest(plain_cache) == (
-            diskcache.tree_digest(killed_cache))
-
-    def test_out_of_range_kill_index_is_a_noop(self, tmp_path, fresh_state):
-        from repro.faults import FaultPlan, WorkerKill
-        built, _, builder = self.build_with_faults(
-            tmp_path, "oob", 2, FaultPlan(specs=(WorkerKill(edge_index=99),)))
-        assert builder.tasks_poisoned == 0
-        assert [w.name for w in built] == list(QUICK.datasets)
-
-    def test_no_faults_means_no_poison(self, tmp_path, fresh_state):
-        builder = WorkloadBuilder(QUICK, build_workers=1)
-        assert builder.tasks_poisoned == 0
-        tasks = [workloads_module.BuildTask(
-            artifact=workloads_module.WORKLOAD_ARTIFACT,
-            name="jackson_square", split="full", config=QUICK)]
-        assert builder._poison(tasks) == tasks
+    def test_the_poison_kills_a_pool_worker(self):
+        """The test above proves recovery only if a worker really died."""
+        task = workloads_module.BuildTask(
+            artifact=workloads_module.WORKLOAD_ARTIFACT, name=POISONED_TASK,
+            split="full", config=QUICK)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(BrokenProcessPool):
+                pool.submit(_die_in_worker, task).result()
 
 
 class TestBuildTaskPlumbing:

@@ -111,7 +111,7 @@ class TestRealTimeClock:
         assert clock.max_lag_seconds == pytest.approx(2.0)
         assert wall.sleeps == pytest.approx([1.0])
 
-    def test_anchor_persists_across_runs_until_reset(self):
+    def test_anchor_persists_across_runs(self):
         clock, wall = make_clock(speedup=1.0)
         scheduler = EventScheduler()
         trace_run(scheduler, [1.0])
@@ -120,13 +120,6 @@ class TestRealTimeClock:
         clock.run(scheduler)
         # Second run paces against the original anchor: one more second.
         assert wall.sleeps == pytest.approx([1.0, 1.0])
-        clock.reset()
-        wall.advance(50.0)
-        trace_run(scheduler, [2.5])
-        clock.run(scheduler)
-        # Re-anchored: the event half a virtual second ahead of the clock
-        # sleeps 0.5 s from the *new* wall anchor, not 0.5 s minus 50.
-        assert wall.sleeps[-1] == pytest.approx(0.5)
 
     def test_simulation_identical_to_virtual_clock(self):
         times = [0.25, 0.25, 1.0, 1.75, 1.75, 1.75, 3.5]

@@ -103,9 +103,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             HardwareCalibration(decode_ms_per_frame_1080p=-1)
 
-    def test_calibration_as_dict(self):
-        values = HardwareCalibration().as_dict()
-        assert values["decode_ms_per_frame_1080p"] > values["seek_ms_per_frame_1080p"]
+    def test_calibration_decode_costs_more_than_seek(self):
+        calibration = HardwareCalibration()
+        assert (calibration.decode_ms_per_frame_1080p
+                > calibration.seek_ms_per_frame_1080p)
 
     def test_configuration_error_is_sieve_error(self):
         assert issubclass(ConfigurationError, SieveError)

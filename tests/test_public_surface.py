@@ -2,11 +2,16 @@
 
 A name in some ``repro.*.__all__`` is public surface: README documents it,
 tests pin it, and every refactor has to carry it.  Surface that no file
-under ``src/``, ``examples/`` or ``benchmarks/`` mentions is code no run
-reaches, so it cannot show a measured win and goes.  A mention is the name
-as a whole word on any line of those trees, except the lines of the name's
-own definition and the re-export lines (imports and ``__all__``) of package
-``__init__`` modules.
+under ``src/``, ``examples/`` or ``benchmarks/`` uses is code no run
+reaches, so it cannot show a measured win and goes.
+
+A use is read from the syntax tree: the name as an identifier
+(``ast.Name``) or as an attribute (``ast.Attribute``), outside the lines
+of the name's own definition.  Import statements, ``__all__`` entries,
+docstrings and comments are not uses, so a mention in prose or a
+re-export no longer keeps an export alive.  A name written only in a
+string annotation (``"VideoWorkload"``) counts, as the type checker reads
+it.
 """
 
 from __future__ import annotations
@@ -14,9 +19,8 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
-import re
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, Set
 
 import pytest
 
@@ -24,55 +28,79 @@ import repro
 
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "examples", "benchmarks")
-WORD = re.compile(r"\w+")
 
 #: Exports kept without a caller in the program, each with its reason.
 ALLOWED_UNUSED: Dict[str, str] = {
     "__version__": "the package version string, read by packaging tools",
     "DEFAULT_SYSTEM_CONFIG": "the documented default configuration value "
                              "users import instead of calling SystemConfig()",
-    "clear_prepared_cache": "the documented way for a long-lived process to "
-                            "drop the experiment harnesses' in-memory cache",
 }
 
 
-def _span(node: ast.AST) -> Set[int]:
-    return set(range(node.lineno, node.end_lineno + 1))
-
-
-def _skipped_lines(tree: ast.Module, is_init: bool) -> Tuple[Dict[str, Set[int]], Set[int]]:
-    """Per top-level name, the lines that define it; plus re-export lines."""
-    definitions: Dict[str, Set[int]] = {}
-    reexports: Set[int] = set()
+def _definition_lines(tree: ast.Module) -> Dict[str, Set[int]]:
+    """Per top-level name, the lines of its definition."""
+    lines: Dict[str, Set[int]] = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            definitions.setdefault(node.name, set()).update(_span(node))
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    if target.id == "__all__":
-                        reexports |= _span(node)
-                    definitions.setdefault(target.id, set()).update(_span(node))
-        elif is_init and isinstance(node, (ast.Import, ast.ImportFrom)):
-            reexports |= _span(node)
-    return definitions, reexports
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets
+                     if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            lines.setdefault(name, set()).update(
+                range(node.lineno, node.end_lineno + 1))
+    return lines
 
 
-def _program_files() -> List[Tuple[Dict[str, Set[int]], Dict[str, Set[int]], Set[int]]]:
-    """Per file: the lines each word is on, the definitions, the re-exports."""
-    files = []
-    for tree in SEARCHED:
-        for path in sorted((ROOT / tree).rglob("*.py")):
-            text = path.read_text()
-            words: Dict[str, Set[int]] = {}
-            for number, line in enumerate(text.splitlines(), 1):
-                for word in WORD.findall(line):
-                    words.setdefault(word, set()).add(number)
-            definitions, reexports = _skipped_lines(
-                ast.parse(text, filename=str(path)), path.name == "__init__.py")
-            files.append((words, definitions, reexports))
-    return files
+def _annotation_names(node: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of string annotations under ``node``, parsed."""
+    for child in ast.walk(node):
+        annotations = []
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = child.args
+            annotations = [argument.annotation for argument in
+                           (*arguments.posonlyargs, *arguments.args,
+                            *arguments.kwonlyargs, arguments.vararg,
+                            arguments.kwarg) if argument is not None]
+            annotations.append(child.returns)
+        elif isinstance(child, ast.AnnAssign):
+            annotations = [child.annotation]
+        for annotation in annotations:
+            for part in ast.walk(annotation) if annotation else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    try:
+                        parsed = ast.parse(part.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    for inner in ast.walk(parsed):
+                        inner.lineno = child.lineno
+                        yield inner
+
+
+def _uses() -> Dict[str, Set[str]]:
+    """Map each used identifier to the files that use it."""
+    uses: Dict[str, Set[str]] = {}
+    for tree_root in SEARCHED:
+        for path in sorted((ROOT / tree_root).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            definitions = _definition_lines(tree)
+            for node in (*ast.walk(tree), *_annotation_names(tree)):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if node.lineno in definitions.get(name, ()):
+                    continue
+                uses.setdefault(name, set()).add(str(path))
+    return uses
 
 
 def _exports() -> Dict[str, str]:
@@ -86,20 +114,31 @@ def _exports() -> Dict[str, str]:
     return exports
 
 
-def _is_mentioned(name: str, files) -> bool:
-    return any(words.get(name, set()) - reexports - definitions.get(name, set())
-               for words, definitions, reexports in files)
-
-
 def test_every_export_has_a_caller_in_the_program():
-    files = _program_files()
+    uses = _uses()
     orphans = sorted(f"{module}.{name}"
                      for name, module in _exports().items()
-                     if name not in ALLOWED_UNUSED
-                     and not _is_mentioned(name, files))
+                     if name not in ALLOWED_UNUSED and name not in uses)
     assert not orphans, (
-        "exported but mentioned by no file under src/, examples/ or "
+        "exported but used by no file under src/, examples/ or "
         f"benchmarks/: {orphans}")
+
+
+def test_a_mention_in_prose_is_not_a_use(tmp_path):
+    """Docstrings, comments, imports and ``__all__`` keep nothing alive."""
+    source = tmp_path / "module.py"
+    source.write_text(
+        '"""Calls ``orphan`` in prose only."""\n'
+        "from elsewhere import orphan  # orphan\n"
+        '__all__ = ["orphan"]\n'
+        "def user(x: \"Annotated\"):\n"
+        "    return called(x).attribute\n")
+    tree = ast.parse(source.read_text())
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in (*ast.walk(tree), *_annotation_names(tree))
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "orphan" not in names
+    assert {"called", "attribute", "Annotated", "x"} <= names
 
 
 @pytest.mark.parametrize("name", sorted(ALLOWED_UNUSED))

@@ -11,8 +11,7 @@ import pytest
 
 from repro.errors import DatasetError
 from repro.video.scenarios import (LABELLED_SCENARIOS, SCENARIOS,
-                                   UNLABELLED_SCENARIOS, all_scenarios,
-                                   make_scenario)
+                                   UNLABELLED_SCENARIOS, make_scenario)
 from repro.video.synthetic import SyntheticScene, generate_script
 
 DURATION = 30.0
@@ -60,7 +59,7 @@ class TestSeedForwarding:
 
 class TestRegistryCoverage:
     def test_all_scenarios_round_trips_the_registry(self):
-        profiles = all_scenarios(duration_seconds=4.0, render_scale=SCALE)
+        profiles = {name: make_scenario(name, 4.0, SCALE) for name in SCENARIOS}
         assert set(profiles) == set(SCENARIOS)
         for name, profile in profiles.items():
             script = generate_script(profile)

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from video_tools import video_from_arrays
 import repro.vision.mse as mse_module
 from repro.errors import ConfigurationError
-from repro.video import RawVideo
 from repro.vision import MseChangeDetector, mean_squared_error, score_video
 from repro.vision.imageops import to_grayscale
 
@@ -47,7 +47,7 @@ def _videos(draw):
     arrays = rng.integers(0, 256, size=shape, dtype=np.uint8)
     if draw(st.booleans()):
         arrays[1::2] = arrays[::2][:len(arrays[1::2])]  # static frames score 0
-    return RawVideo.from_arrays("clip", list(arrays))
+    return video_from_arrays("clip", list(arrays))
 
 
 class TestBatchedMseMatchesPerFrame:
@@ -61,15 +61,6 @@ class TestBatchedMseMatchesPerFrame:
         finally:
             mse_module._BATCH_ELEMENTS = original
         assert_same_scores(scores, oracle_scores(video))
-
-    def test_streaming_continues_a_batch(self):
-        rng = np.random.default_rng(3)
-        planes = [rng.uniform(0, 255, size=(9, 11)) for _ in range(6)]
-        detector = MseChangeDetector()
-        scores = detector.score_planes(planes[:4])
-        scores += [detector.score_next(plane) for plane in planes[4:]]
-        assert_same_scores(scores, [float("inf")] + [
-            float(np.mean((a - b) ** 2)) for a, b in zip(planes, planes[1:])])
 
     def test_frame_size_change_rejected(self):
         with pytest.raises(ConfigurationError, match="shape mismatch"):

@@ -16,8 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.nn import build_yolo_lite, classify_frames, preprocess_frames
-from repro.vision import normalize_plane, resize, resize_stack, to_grayscale
+from repro.vision import normalize_plane, resize_stack, to_grayscale
 from repro.vision.imageops import _resize_plan
+
+
+def resize(image, size):
+    """:func:`resize_stack` on one image."""
+    return resize_stack(np.asarray(image)[None], size)[0]
 
 
 # --------------------------------------------------------------------- #

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from video_tools import video_from_arrays
 from repro.errors import ConfigurationError
-from repro.video import RawVideo
 from repro.vision import (MseChangeDetector, SiftChangeDetector, SiftLite,
                           ThresholdSampler, gaussian_blur, gradients,
-                          mean_squared_error, normalize_plane, resize, score_video,
+                          mean_squared_error, normalize_plane, resize_stack, score_video,
                           threshold_for_sampling_fraction, to_grayscale)
 
 
 def sampled_fraction(scores, threshold):
     return len(ThresholdSampler(threshold).sample(scores)) / len(scores)
+
+
+def resize(image, size):
+    """:func:`resize_stack` on one image."""
+    return resize_stack(np.asarray(image)[None], size)[0]
 
 
 class TestImageOps:
@@ -64,17 +69,15 @@ class TestImageOps:
 
 class TestMseDetector:
     def test_first_frame_scores_infinite(self):
-        detector = MseChangeDetector()
-        assert detector.score_next(np.zeros((8, 8))) == float("inf")
-        assert detector.score_next(np.zeros((8, 8))) == 0.0
+        assert MseChangeDetector().score_planes(
+            [np.zeros((8, 8))] * 2) == [float("inf"), 0.0]
 
     def test_change_detected(self, rng):
-        detector = MseChangeDetector()
         background = rng.uniform(60, 200, size=(20, 20))
-        detector.score_next(background)
         modified = background.copy()
         modified[5:15, 5:15] += 80
-        assert detector.score_next(modified) > 100.0
+        scores = MseChangeDetector().score_planes([background, modified])
+        assert scores[1] > 100.0
 
     def test_score_video_series(self, tiny_video):
         scores = score_video(MseChangeDetector(), tiny_video)
@@ -86,11 +89,11 @@ class TestMseDetector:
                              ids=["mse", "sift"])
     def test_score_video_resets_the_detector(self, rng, detector):
         """A detector's stream state never leaks into the next video."""
-        video = RawVideo.from_arrays("clip", [
+        video = video_from_arrays("clip", [
             rng.integers(0, 255, size=(40, 40), dtype=np.uint8)
             for _ in range(4)], fps=10.0)
         first = score_video(detector, video)
-        detector.score_next(rng.uniform(0, 255, size=(40, 40)))
+        detector.score_planes([rng.uniform(0, 255, size=(40, 40))])
         assert score_video(detector, video) == first
         assert first[0] == float("inf")
 
@@ -104,13 +107,6 @@ class TestMseDetector:
         for planes in ([plane], [good, plane], [plane, good]):
             with pytest.raises(ConfigurationError, match="2-D planes"):
                 MseChangeDetector().score_planes(planes)
-        detector = MseChangeDetector()
-        with pytest.raises(ConfigurationError, match="2-D planes"):
-            detector.score_next(plane)
-        assert detector.score_next(good) == float("inf")
-        with pytest.raises(ConfigurationError, match="2-D planes"):
-            detector.score_next(plane)
-        assert detector.score_next(good) == 0.0
 
 
 class TestSift:
