@@ -33,9 +33,9 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from heapq import heapreplace
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -119,7 +119,6 @@ class CameraJob:
         cloud_seconds: Compute seconds charged to the cloud tier.
         camera_edge_bytes: Bytes moved camera -> edge (LAN).
         edge_cloud_bytes: Bytes moved edge -> cloud (WAN).
-        transfer_description: Label recorded on the WAN transfer.
         accuracy: Per-frame label accuracy (``nan`` when unlabelled).
     """
 
@@ -131,7 +130,6 @@ class CameraJob:
     cloud_seconds: float
     camera_edge_bytes: int
     edge_cloud_bytes: int
-    transfer_description: str = ""
     accuracy: float = float("nan")
 
     def __post_init__(self) -> None:
@@ -288,14 +286,6 @@ class _JobRun(StageUnit):
     def finish(self) -> None:
         """Stamp the end of the job's cloud stage."""
         self.outcomes.instants[_CLOUD_END, self.index] = self.scheduler.now
-
-    @property
-    def lan_description(self) -> str:
-        return f"ingest:{self.work.camera}"
-
-    @property
-    def wan_description(self) -> str:
-        return self.work.transfer_description or self.work.camera
 
 
 @dataclass
@@ -556,7 +546,9 @@ def chain_report(chain: StageChain, policy: PlacementPolicy,
         camera_edge_bytes=sum(link.link.total_bytes
                               for link in chain.lan_links.values()),
         edge_cloud_bytes=sum(link.total_bytes for link in wan),
-        wan_transfer_seconds=sum(link.total_seconds for link in wan),
+        # The recurrence's fold: ``sum`` is compensated on Python 3.12.
+        wan_transfer_seconds=reduce(
+            add, [link.total_seconds for link in wan], 0.0),
         sim_wall_seconds=sim_wall_seconds,
         events_processed=chain.scheduler.events_processed,
         faults=faults)

@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from functools import cmp_to_key, partial
+from functools import cmp_to_key, partial, reduce
 from heapq import heappush, heapreplace
 from itertools import chain
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import (Callable, Dict, List, MutableSequence, NamedTuple,
                     Optional, Sequence, Tuple)
 
@@ -391,8 +391,9 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
         order, _ = _serve(through_edge, _WAN, wan_seconds, 1,
                           when, parent, ties, wan_stat)
         delivered.append(order)
-        # NetworkLink.total_seconds: summed in delivery order.
-        wan_totals.append(sum(map(wan_seconds.__getitem__, order)))
+        # NetworkLink.total_seconds: folded in delivery order.
+        wan_totals.append(reduce(add, map(wan_seconds.__getitem__, order),
+                                 0.0))
     del per_edge, edge_seconds, wan_seconds
 
     # Every WAN delivery enters the one cloud, in the order they fire.
@@ -408,7 +409,7 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
         cloud_stats=cloud_stats,
         camera_edge_bytes=camera_edge_bytes,
         edge_cloud_bytes=edge_cloud_bytes,
-        wan_transfer_seconds=sum(wan_totals), delivered=delivered,
+        wan_transfer_seconds=reduce(add, wan_totals, 0.0), delivered=delivered,
         finished=finished,
         fires_before=partial(_fires_before, when=when, parent=parent,
                              ties=ties),

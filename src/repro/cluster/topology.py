@@ -54,8 +54,7 @@ class StageUnit:
     Drivers subclass this and add what the chain reads at every stage
     entry: ``edge_index`` (position of the unit's edge in the chain) and
     ``lan_key`` (key of its LAN link) — as plain attributes or as
-    properties over the driver's own placement record — and optionally
-    the transfer-record labels below.
+    properties over the driver's own placement record.
 
     Attributes:
         work: The planned costs — any object with ``camera_edge_bytes``,
@@ -66,10 +65,6 @@ class StageUnit:
     """
 
     __slots__ = ("work", "stage")
-
-    #: Labels recorded on the unit's LAN / WAN transfer records.
-    lan_description = ""
-    wan_description = ""
 
     def __init__(self, work: Any) -> None:
         self.work = work
@@ -156,9 +151,8 @@ class StageChain:
         """Camera -> edge transfer over the unit's LAN link."""
         unit.stage = "lan"
         self.lan_links[unit.lan_key].submit(
-            unit.work.camera_edge_bytes, description=unit.lan_description,
-            on_complete=self.enter_edge, payload=unit,
-            on_start=self.on_stage_start, on_fail=self.on_fail)
+            unit.work.camera_edge_bytes, on_complete=self.enter_edge,
+            payload=unit, on_start=self.on_stage_start, on_fail=self.on_fail)
 
     def enter_edge(self, unit: StageUnit) -> None:
         """Edge compute on the unit's (current) edge station."""
@@ -171,9 +165,8 @@ class StageChain:
         """Edge -> cloud transfer over the (current) edge's uplink."""
         unit.stage = "wan"
         self.wan_links[unit.edge_index].submit(
-            unit.work.edge_cloud_bytes, description=unit.wan_description,
-            on_complete=self.enter_cloud, payload=unit,
-            on_start=self.on_stage_start, on_fail=self.on_fail)
+            unit.work.edge_cloud_bytes, on_complete=self.enter_cloud,
+            payload=unit, on_start=self.on_stage_start, on_fail=self.on_fail)
 
     def enter_cloud(self, unit: StageUnit) -> None:
         """Cloud compute; its completion is the unit's finish."""

@@ -338,11 +338,9 @@ def plan_camera_job(workload: VideoWorkload, mode: DeploymentMode,
                                                        edge_speed)
         edge_seconds += cost_model.resize_seconds(num_samples, edge_speed)
         edge_cloud_bytes = num_samples * workload.resized_frame_bytes
-        description = f"iframes:{workload.name}"
         cloud_seconds += cost_model.nn_seconds(num_samples, device="cloud")
     elif mode is DeploymentMode.IFRAME_CLOUD_CLOUD_NN:
         edge_cloud_bytes = workload.semantic_bytes
-        description = f"full-video:{workload.name}"
         cloud_seconds += cost_model.seek_seconds(num_frames, resolution,
                                                  cloud_speed)
         cloud_seconds += cost_model.jpeg_decode_seconds(num_samples, resolution,
@@ -357,13 +355,11 @@ def plan_camera_job(workload: VideoWorkload, mode: DeploymentMode,
         edge_seconds += cost_model.nn_seconds(num_samples, device="edge")
         # Only the detection results travel to the cloud.
         edge_cloud_bytes = num_samples * 128
-        description = f"results:{workload.name}"
     elif mode is DeploymentMode.UNIFORM_EDGE_CLOUD_NN:
         edge_seconds += cost_model.decode_seconds(num_frames, resolution,
                                                   edge_speed)
         edge_seconds += cost_model.resize_seconds(num_samples, edge_speed)
         edge_cloud_bytes = num_samples * workload.resized_frame_bytes
-        description = f"uniform:{workload.name}"
         cloud_seconds += cost_model.nn_seconds(num_samples, device="cloud")
     elif mode is DeploymentMode.MSE_EDGE_CLOUD_NN:
         edge_seconds += cost_model.decode_seconds(num_frames, resolution,
@@ -371,7 +367,6 @@ def plan_camera_job(workload: VideoWorkload, mode: DeploymentMode,
         edge_seconds += cost_model.mse_seconds(num_frames, resolution, edge_speed)
         edge_seconds += cost_model.resize_seconds(num_samples, edge_speed)
         edge_cloud_bytes = num_samples * workload.resized_frame_bytes
-        description = f"mse:{workload.name}"
         cloud_seconds += cost_model.nn_seconds(num_samples, device="cloud")
     else:  # pragma: no cover - exhaustive over the enum.
         raise PipelineError(f"unhandled deployment mode {mode!r}")
@@ -388,7 +383,6 @@ def plan_camera_job(workload: VideoWorkload, mode: DeploymentMode,
         cloud_seconds=cloud_seconds,
         camera_edge_bytes=int(camera_edge_bytes),
         edge_cloud_bytes=int(edge_cloud_bytes),
-        transfer_description=description,
         accuracy=accuracy,
     )
 
@@ -507,7 +501,7 @@ class EndToEndSimulation:
                 edge_seconds += seconds
             for seconds in cloud_charges:
                 cloud_seconds += seconds
-            wan.transfer(edge_cloud_bytes, workload.name)
+            wan.transfer(edge_cloud_bytes)
             camera_edge_bytes = (workload.semantic_bytes
                                  if mode.uses_semantic_encoding
                                  else workload.default_bytes)

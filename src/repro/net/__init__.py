@@ -1,6 +1,6 @@
 """Simulated network substrate: accounting links and contended links."""
 
 from .contention import ContendedLink
-from .link import NetworkLink, TransferRecord
+from .link import NetworkLink
 
-__all__ = ["ContendedLink", "NetworkLink", "TransferRecord"]
+__all__ = ["ContendedLink", "NetworkLink"]

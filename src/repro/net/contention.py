@@ -6,10 +6,9 @@ delay one another.  :class:`ContendedLink` layers queueing on top — it is
 the :class:`~repro.dataflow.scheduler.ServiceStation` the link's transfers
 are served by, so when many cameras (or many edge servers) share one
 uplink, later transfers wait in virtual time and the fleet simulator
-observes the resulting queue depths and latency inflation.  The underlying
-link still receives one :class:`~repro.net.link.TransferRecord` per
-payload, so byte and duration totals stay comparable with the uncontended
-accounting.
+observes the resulting queue depths and latency inflation.  Each delivered
+payload still adds its size and nominal duration to the underlying link's
+totals, so they stay comparable with the uncontended accounting.
 """
 
 from __future__ import annotations
@@ -19,13 +18,14 @@ from typing import Any, Callable, Optional
 
 from ..dataflow.scheduler import EventScheduler, ServiceStation, _StationJob
 from ..errors import NetworkError
-from .link import NetworkLink, TransferRecord
+from .link import NetworkLink
 
 
 class _Transfer(_StationJob):
-    """A station job that carries the accounting entry of its transfer."""
+    """A station job that carries its transfer's size and nominal
+    duration to the link's totals."""
 
-    __slots__ = ("record",)
+    __slots__ = ("size_bytes", "nominal")
 
 
 class ContendedLink(ServiceStation):
@@ -72,20 +72,19 @@ class ContendedLink(ServiceStation):
                 f"slowdown factor must be finite and >= 1.0, got {factor}")
         self._slowdown = float(factor)
 
-    def submit(self, size_bytes: int, description: str = "",
+    def submit(self, size_bytes: int,
                on_complete: Optional[Callable[[Any], None]] = None,
                payload: Any = None,
                on_start: Optional[Callable[[Any], None]] = None,
                on_fail: Optional[Callable[[Any, str], None]] = None) -> None:
         """Queue a transfer; ``on_complete(payload)`` fires on delivery.
 
-        The transfer's :class:`~repro.net.link.TransferRecord` — its size,
-        label and nominal (un-slowed) duration, computed once here — rides
-        on the station job and lands in ``link.transfers`` at delivery,
-        just before ``on_complete``; a transfer lost to :meth:`fail_all`
-        records nothing.  Starting follows the station's direct-start rule
-        (see :meth:`ServiceStation.submit`): an idle, online link carries
-        the transfer without queueing it.
+        The transfer's size and nominal (un-slowed) duration, computed once
+        here, ride on the station job and are added to the link's totals
+        at delivery, just before ``on_complete``; a transfer lost to
+        :meth:`fail_all` counts nothing.  Starting follows the station's
+        direct-start rule (see :meth:`ServiceStation.submit`): an idle,
+        online link carries the transfer without queueing it.
 
         ``on_start(payload)`` fires when the transfer actually occupies the
         link (after any queueing).  ``on_fail(payload, reason)`` fires only
@@ -95,12 +94,16 @@ class ContendedLink(ServiceStation):
         job = _Transfer(
             nominal if self._slowdown == 1.0 else nominal * self._slowdown,
             on_complete, payload, on_start, on_fail)
-        job.record = TransferRecord(description, int(size_bytes), nominal)
+        job.size_bytes = int(size_bytes)
+        job.nominal = nominal
         self._admit(job)
 
     def _finish(self, job: _Transfer) -> None:
         if job in self._active:  # else lost to fail_all: nothing moved
-            self.link.transfers.append(job.record)
+            link = self.link
+            link.transfer_count += 1
+            link.total_bytes += job.size_bytes
+            link.total_seconds += job.nominal
         # Named, not super(): two of a chunk's five events come through
         # here and super() doubles the cost of the hop.
         ServiceStation._finish(self, job)

@@ -25,9 +25,8 @@ import numpy as np
 
 from ..cluster.recurrence import (EVENTS_PER_JOB, _transfer_seconds,
                                   replay_fleet)
-from ..net.link import TransferRecord
 from .feeder import ChunkFeeder
-from .session import FrameChunk, SessionState, StreamSession
+from .session import FrameChunk, StreamSession
 
 if TYPE_CHECKING:
     from .service import StreamingService
@@ -196,7 +195,8 @@ class FeederBatch:
             appenders[keys[job]](latencies[job])
         del latencies
         start = 0
-        for (feeder, session, _), count in zip(self.feeds, counts):
+        for (feeder, session, _), lan, count in zip(self.feeds, self.lans,
+                                                     counts):
             plan = chunks[start:start + count]
             if session.chunks_pushed == 0:
                 session.first_arrival = float(pushes[start])
@@ -216,38 +216,29 @@ class FeederBatch:
                 session.close_reason = session.close_reason or "client"
                 ingest.close_reasons[session.close_reason] = (
                     ingest.close_reasons.get(session.close_reason, 0) + 1)
-                session.state = SessionState.CLOSED
-                session.closed_at = session.last_completion
+                ingest._finalise(session, session.last_completion)
+            # Each link's seconds are folded in delivery order, as its
+            # transfers would add them: a session's LAN link delivers in
+            # push order, each WAN link (below) in its replayed order.
+            link = lan.link
+            sizes = list(map(_lan_bytes, plan))
+            link.transfer_count += count
+            link.total_bytes += sum(sizes)
+            link.total_seconds = reduce(add, _transfer_seconds(
+                sizes, link.bandwidth_mbps, link.latency_ms),
+                link.total_seconds)
             start += count
 
-        # Drop the replay's columns before allocating the records.
-        delivered = replay.delivered
-        del replay, instants, ends, pushes
-        labels = [service._transfer_labels[session.session_id]
-                  for _, session, _ in self.feeds]
-        # Transfer records land in delivery order: a session's LAN link
-        # delivers in push order, each WAN link in its replayed order.
-        # Records of one size on one link share their duration's float.
-        start = 0
-        for lan, (lan_label, _), count in zip(self.lans, labels, counts):
-            sizes = list(map(_lan_bytes, chunks[start:start + count]))
-            seconds = dict(zip(sizes, _transfer_seconds(
-                sizes, lan.link.bandwidth_mbps, lan.link.latency_ms)))
-            lan.link.transfers.extend(map(
-                TransferRecord, repeat(lan_label, count), sizes,
-                map(seconds.__getitem__, sizes)))
-            start += count
-        uplink = chain.wan_links[0].link
         sizes = list(map(_wan_bytes, chunks))
-        seconds = dict(zip(sizes, _transfer_seconds(
-            sizes, uplink.bandwidth_mbps, uplink.latency_ms)))
-        del sizes
-        for wan, order in zip(chain.wan_links, delivered):
-            wan.link.transfers.extend([
-                TransferRecord(labels[keys[job]][1],
-                               chunks[job].edge_cloud_bytes,
-                               seconds[chunks[job].edge_cloud_bytes])
-                for job in order])
+        uplink = chain.wan_links[0].link
+        seconds = _transfer_seconds(sizes, uplink.bandwidth_mbps,
+                                    uplink.latency_ms)
+        for wan, order in zip(chain.wan_links, replay.delivered):
+            link = wan.link
+            link.transfer_count += len(order)
+            link.total_bytes += sum(map(sizes.__getitem__, order))
+            link.total_seconds = reduce(add, map(seconds.__getitem__, order),
+                                        link.total_seconds)
 
         fired = EVENTS_PER_JOB * len(chunks)
         # Every push but a feed's first was scheduled during the run.

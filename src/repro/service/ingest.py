@@ -98,6 +98,10 @@ class StreamIngest:
         self._edge_available = edge_available
         #: All sessions ever admitted, in admission order, by session id.
         self.sessions: Dict[str, StreamSession] = {}
+        # Sessions open or draining, service-wide and by tenant: kept at
+        # admission and close, so an admission reads them in O(1).
+        self._active = 0
+        self._active_of: Dict[str, int] = {}
         self._placement_counter = 0
         #: Pushes refused with BackpressureError (monotonic counter).
         self.pushes_rejected = 0
@@ -132,15 +136,12 @@ class StreamIngest:
 
     def active_sessions_of(self, tenant: str) -> int:
         """Sessions of ``tenant`` currently open or draining."""
-        return sum(1 for session in self.sessions.values()
-                   if session.tenant == tenant
-                   and session.state is not SessionState.CLOSED)
+        return self._active_of.get(tenant, 0)
 
     @property
     def active_sessions(self) -> int:
         """Sessions currently open or draining, across all tenants."""
-        return sum(1 for session in self.sessions.values()
-                   if session.state is not SessionState.CLOSED)
+        return self._active
 
     # ------------------------------------------------------------------ #
     # Session lifecycle
@@ -223,6 +224,8 @@ class StreamIngest:
             edge_index=edge_index, opened_at=self._scheduler.now,
             max_pending_chunks=policy.max_pending_chunks)
         self.sessions[camera] = session
+        self._active += 1
+        self._active_of[tenant] = self._active_of.get(tenant, 0) + 1
         self._attach_session(session)
         return session
 
@@ -350,5 +353,11 @@ class StreamIngest:
 
     def _maybe_finalise(self, session: StreamSession) -> None:
         if session.state is SessionState.DRAINING and session.in_flight == 0:
-            session.state = SessionState.CLOSED
-            session.closed_at = self._scheduler.now
+            self._finalise(session, self._scheduler.now)
+
+    def _finalise(self, session: StreamSession, at: float) -> None:
+        """Close ``session`` for good at ``at``: it leaves the counts."""
+        session.state = SessionState.CLOSED
+        session.closed_at = at
+        self._active -= 1
+        self._active_of[session.tenant] -= 1

@@ -71,23 +71,18 @@ class _ChunkRun(StageUnit):
     Placement lives on the session: the chain re-reads
     ``session.edge_index`` at every stage entry, so a chunk requeued (or
     simply still upstream) after a session failover lands on the
-    session's new edge.  What never changes over a session's life — its
-    LAN key and the two transfer labels — is built once per session
-    (:meth:`StreamingService._attach_session`) and handed to every chunk.
+    session's new edge.  The LAN key never changes over a session's life:
+    it is the session id.
     """
 
-    __slots__ = ("session", "arrival", "lan_key", "lan_description",
-                 "wan_description")
+    __slots__ = ("session", "arrival", "lan_key")
 
     def __init__(self, session: StreamSession, chunk: FrameChunk,
-                 arrival: float, lan_description: str,
-                 wan_description: str) -> None:
+                 arrival: float) -> None:
         super().__init__(chunk)
         self.session = session
         self.arrival = arrival
         self.lan_key = session.session_id
-        self.lan_description = lan_description
-        self.wan_description = wan_description
 
     @property
     def edge_index(self) -> int:
@@ -168,8 +163,6 @@ class StreamingService:
         #: One camera uplink per session, keyed by session id (built lazily
         #: on admission so per-tenant LAN sizing applies).
         self.lan_links: Dict[str, ContendedLink] = self.chain.lan_links
-        #: session id -> the (LAN, WAN) transfer-record labels of its chunks.
-        self._transfer_labels: Dict[str, Tuple[str, str]] = {}
         # The fault driver is built first so the ingest's gates can be its
         # own methods: a service without one leaves them unset, and a push
         # then pays nothing for them.
@@ -468,20 +461,15 @@ class StreamingService:
     # Pipeline internals
     # ------------------------------------------------------------------ #
     def _attach_session(self, session: StreamSession) -> None:
-        """Build the session's camera uplink (tenant config wins) and the
-        transfer labels all its chunks share."""
+        """Build the session's camera uplink (tenant config wins)."""
         policy = self.ingest.tenants.get(session.tenant)
         self.chain.add_lan_link(
             session.session_id, f"camera:{session.camera}",
             policy.config if policy is not None else None)
-        self._transfer_labels[session.session_id] = (
-            f"ingest:{session.camera}", f"stream:{session.camera}")
 
     def _submit_chunk(self, session: StreamSession, chunk: FrameChunk) -> None:
         """Start one accepted chunk down the stage chain."""
-        lan_label, wan_label = self._transfer_labels[session.session_id]
-        self.chain.enter_lan(_ChunkRun(session, chunk, self.scheduler.now,
-                                       lan_label, wan_label))
+        self.chain.enter_lan(_ChunkRun(session, chunk, self.scheduler.now))
 
     def _finish_chunk(self, run: _ChunkRun) -> None:
         self.ingest.on_chunk_complete(run.session,

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import List, Optional
 
@@ -214,7 +216,8 @@ class StreamSession:
             until then).
         last_completion: Virtual time of the latest chunk completion
             (``nan`` until the first one).
-        chunk_latencies: Push-to-completion latency of every finished chunk.
+        chunk_latencies: Push-to-completion latency of every finished
+            chunk, as packed doubles (8 bytes a chunk).
         closed_at: Virtual time the session reached ``CLOSED`` (``nan``
             while open or draining).
         chunks_failed: Chunks lost for good by the fault plane (always 0
@@ -247,7 +250,7 @@ class StreamSession:
     edge_cloud_bytes_pushed: int = 0
     first_arrival: float = float("nan")
     last_completion: float = float("nan")
-    chunk_latencies: List[float] = field(default_factory=list)
+    chunk_latencies: array = field(default_factory=partial(array, "d"))
     closed_at: float = float("nan")
     chunks_failed: int = 0
     last_push: float = float("nan")

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple, Union
 
+import numpy as np
+
 from ..cluster.fleet import latency_percentiles_of
 from ..errors import ServiceError
 from .session import SessionState
@@ -337,6 +339,8 @@ def snapshot_session(session, lan_queue_depth: int) -> SessionSnapshot:
         chunks_completed=session.chunks_completed,
         in_flight=session.in_flight,
         lan_queue_depth=lan_queue_depth,
-        latency_percentiles=latency_percentiles_of(session.chunk_latencies),
+        # Read in place: the store is packed doubles.
+        latency_percentiles=latency_percentiles_of(
+            np.frombuffer(session.chunk_latencies)),
         parameter_version=session.parameter_version,
     )

@@ -15,7 +15,8 @@ every chunk of the loop goes through and the batch never uses.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from array import array
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 
 import pytest
@@ -25,9 +26,11 @@ from hypothesis import strategies as st
 from repro.adapt import AdaptiveConfig
 from repro.cluster.topology import StageChain
 from repro.config import SystemConfig
-from repro.faults import EdgeCrash, FaultPlan, StreamStall, WanDegradation
+from repro.errors import AdmissionError
+from repro.faults import (EdgeCrash, FaultPlan, ResilienceConfig,
+                          RetryPolicy, StreamStall, WanDegradation)
 from repro.service import (ChunkFeeder, FrameChunk, RealTimeClock,
-                           StreamingService, TenantPolicy)
+                           SessionState, StreamingService, TenantPolicy)
 
 ZERO_LATENCY = SystemConfig(camera_edge_latency_ms=0.0,
                             edge_cloud_latency_ms=0.0)
@@ -125,16 +128,13 @@ def observed(service, fired):
         "status": status.to_json(indent=1),
         "report": {key: repr(value) for key, value
                    in service.fleet_report().as_dict().items()},
-        "links": [(key, link.link.total_bytes,
-                   hexed(link.link.total_seconds), vars(link.stats),
-                   [(record.description, record.size_bytes,
-                     record.duration_seconds.hex())
-                    for record in link.link.transfers])
+        "links": [(key, link.link.transfer_count, link.link.total_bytes,
+                   hexed(link.link.total_seconds), vars(link.stats))
                   for key, link in links],
         "stations": [vars(station.stats) for station
                      in service.edge_stations + [service.cloud_station]],
         "sessions": [{name: ([hexed(v) for v in value]
-                             if isinstance(value, list) else hexed(value))
+                             if isinstance(value, array) else hexed(value))
                       for name, value in vars(session).items()}
                      for session in service.ingest.sessions.values()],
         "feeders": [(feeder.next_index, feeder.retries, feeder.gave_up,
@@ -324,14 +324,97 @@ class TestFallbacks:
         assert service.feeders[0].halted
 
 
+def active_counts(service):
+    """The ingest's kept counts, then the same counts by a scan."""
+    ingest = service.ingest
+    live = [session for session in ingest.sessions.values()
+            if session.state is not SessionState.CLOSED]
+    kept = (ingest.active_sessions,
+            {name: ingest.active_sessions_of(name) for name in ingest.tenants})
+    scanned = (len(live),
+               {name: sum(session.tenant == name for session in live)
+                for name in ingest.tenants})
+    return kept, scanned
+
+
+def counted_service():
+    """Quotas tight enough that admissions are refused and shed."""
+    return StreamingService(
+        num_edge_servers=2, max_sessions=5,
+        tenants=(TenantPolicy("default", max_sessions=3),
+                 TenantPolicy("gold", max_sessions=2)),
+        degraded_tenant=TenantPolicy("shed", max_sessions=1))
+
+
+lifecycle_operations = st.lists(st.one_of(
+    st.tuples(st.just("open"), st.integers(0, 3),
+              st.sampled_from(("default", "gold"))),
+    st.tuples(st.just("feed"), st.integers(0, 3), st.integers(1, 3),
+              st.booleans()),
+    st.tuples(st.just("close"), st.integers(0, 3)),
+    st.tuples(st.just("drain"))), max_size=24)
+
+
+class TestActiveCounts:
+    """The ingest keeps its active-session counts at admission and at the
+    two transitions to ``CLOSED`` (the loop's finalise, the batch's
+    commit); whatever happens, they equal a scan of the sessions."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(operations=lifecycle_operations, loop=st.booleans())
+    def test_counts_equal_a_scan(self, operations, loop):
+        service = counted_service()
+        if loop:
+            force_loop(service)
+        for kind, *arguments in [*operations, ("drain",)]:
+            camera = f"cam-{arguments[0]}" if arguments else None
+            session = service.ingest.sessions.get(camera)
+            if kind == "drain":
+                service.drain()
+            elif kind == "open":
+                with suppress(AdmissionError):
+                    service.open_session(camera, tenant=arguments[1])
+            elif session is not None and kind == "close":
+                service.close_session(camera)
+            elif session is not None and session.is_open:
+                ChunkFeeder(service, camera, [chunk()] * arguments[1],
+                            period_seconds=0.5,
+                            close_when_done=arguments[2]).start()
+            kept, scanned = active_counts(service)
+            assert kept == scanned
+
+    def test_the_batch_closes_what_it_feeds(self, loop_entries):
+        """Shed, refused and fed sessions, drained as one batch."""
+        service = counted_service()
+        for index, tenant in enumerate(("gold", "gold", "gold", "gold")):
+            with suppress(AdmissionError):
+                service.open_session(f"cam-{index}", tenant=tenant)
+        assert service.ingest.sessions_degraded == 1
+        assert service.ingest.sessions_rejected == 1
+        for camera in service.ingest.sessions:
+            ChunkFeeder(service, camera, [chunk()] * 3,
+                        period_seconds=0.5).start()
+        assert active_counts(service)[0] == (3, {"default": 0, "gold": 2,
+                                                 "shed": 1})
+        service.drain()
+        assert not loop_entries
+        kept, scanned = active_counts(service)
+        assert kept == scanned == (0, {"default": 0, "gold": 0, "shed": 0})
+        # The quotas are free again.
+        service.open_session("cam-0", tenant="gold")
+        service.open_session("cam-1", tenant="gold")
+
+
 class TestPowerOfTwoTimeScaling:
     """Relation 13(a) on the service: scale every offset, period, chunk
     second and latency by 2**k and both bandwidths by 2**-k, and every
     instant, latency, busy second, makespan and percentile scales by
-    exactly 2**k, on both paths."""
+    exactly 2**k, on both paths.  With a fault plan, its windows, the
+    feeders' retry backoff and the breaker and watchdog seconds scale
+    too, and so do the recovery trace's instants."""
 
     @staticmethod
-    def scaled(k, *, binding):
+    def scaled(k, *, binding, faulted=False):
         scale = 2.0 ** k
         config = SystemConfig(
             camera_edge_bandwidth_mbps=100.0 / scale,
@@ -349,8 +432,37 @@ class TestPowerOfTwoTimeScaling:
                               camera_edge_bytes=125_000 + 1013 * index,
                               edge_cloud_bytes=SECOND_OF_WAN // 16)] * 5)
                  for index in range(4)]
-        return build(plans, config=config, max_pending=2,
-                     edge_workers=1, cloud_workers=2)
+        if not faulted:
+            return build(plans, config=config, max_pending=2,
+                         edge_workers=1, cloud_workers=2)
+        # A seeded crash and stall, a window at 3/8 of the WAN bandwidth,
+        # and feeders that back off exponentially with seeded jitter.
+        cameras = [f"cam-{index:02d}" for index in range(len(plans))]
+        specs = FaultPlan.seeded(
+            11, num_edge_servers=2, cameras=cameras,
+            horizon_seconds=scale * 3.0, num_edge_crashes=1,
+            num_wan_partitions=0).specs + (
+            EdgeCrash(edge_index=0, at_seconds=scale * 0.75,
+                      restart_after_seconds=scale * 0.5),
+            WanDegradation(edge_index=1, at_seconds=scale * 0.25,
+                           duration_seconds=scale * 1.5,
+                           bandwidth_factor=0.375))
+        service = build([], config=config, max_pending=2, edge_workers=1,
+                        cloud_workers=2, faults=FaultPlan(specs=specs),
+                        resilience=ResilienceConfig(
+                            breaker_cooldown_seconds=scale * 0.375,
+                            stall_timeout_seconds=scale * 2.5,
+                            watchdog_period_seconds=scale * 0.5))
+        retry = RetryPolicy(max_attempts=16,
+                            base_delay_seconds=scale * 0.0625,
+                            max_delay_seconds=scale * 0.5,
+                            jitter_fraction=0.25, seed=5)
+        for camera, (tenant, edge, offset, period, chunks) in zip(
+                cameras, plans):
+            service.open_session(camera, tenant=tenant, edge_index=edge)
+            ChunkFeeder(service, camera, chunks, period_seconds=period,
+                        retry_policy=retry).start(at=offset)
+        return service
 
     @staticmethod
     def times(service):
@@ -363,11 +475,13 @@ class TestPowerOfTwoTimeScaling:
                                *session.chunk_latencies)]
                 + [station.stats.busy_seconds for station
                    in service.edge_stations + [service.cloud_station]]
-                + [link.stats.busy_seconds for link
-                   in list(service.lan_links.values()) + service.wan_links]
-                + [link.link.total_seconds for link in service.wan_links]
+                + [value for link
+                   in list(service.lan_links.values()) + service.wan_links
+                   for value in (link.stats.busy_seconds,
+                                 link.link.total_seconds)]
                 + [report.makespan_seconds, service.scheduler.now,
-                   *report.latency_percentiles.values()])
+                   *report.latency_percentiles.values()]
+                + [event.time for event in service.recovery_trace or ()])
 
     @pytest.mark.parametrize("binding", [False, True],
                              ids=["batch", "loop"])
@@ -383,6 +497,28 @@ class TestPowerOfTwoTimeScaling:
         assert bool(loop_entries) == binding
         assert [value * 2.0 ** k for value in self.times(base)] == \
             self.times(scaled)
+        assert ([feeder.retries for feeder in scaled.feeders]
+                == [feeder.retries for feeder in base.feeders])
+        assert (scaled.scheduler.events_processed
+                == base.scheduler.events_processed)
+
+    @pytest.mark.parametrize("k", [-40, -8, -1, 1, 8, 40])
+    def test_faulted_times_scale_exactly(self, k, loop_entries):
+        base = self.scaled(0, binding=False, faulted=True)
+        base.drain()
+        assert loop_entries, "a fault plan runs the loop"
+        scaled = self.scaled(k, binding=False, faulted=True)
+        scaled.drain()
+        assert [value * 2.0 ** k for value in self.times(base)] == \
+            self.times(scaled)
+        kinds = [event.kind for event in base.recovery_trace]
+        assert [event.kind for event in scaled.recovery_trace] == kinds
+        # Every fault fired and something was recovered.
+        assert {"edge-crash", "edge-restart", "wan-degraded",
+                "wan-restore", "stream-stall", "stream-resume",
+                "session-failover", "chunk-requeued"} <= set(kinds)
+        assert (base.fault_stats().as_dict()
+                == scaled.fault_stats().as_dict())
         assert ([feeder.retries for feeder in scaled.feeders]
                 == [feeder.retries for feeder in base.feeders])
         assert (scaled.scheduler.events_processed

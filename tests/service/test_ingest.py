@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+
 import numpy as np
 import pytest
 
@@ -339,3 +342,34 @@ def test_malformed_retune_bound_is_refused(value):
     with pytest.raises(ServiceError, match="max_pending_chunks"):
         service.retune_session("cam", max_pending_chunks=value)
     assert service.ingest.sessions["cam"].max_pending_chunks == 8
+
+
+def _calls_to_admit(sessions: int, last: int = 16) -> int:
+    """Python-level calls the last ``last`` of ``sessions`` admissions
+    make, with the collector off (it calls back into hooks)."""
+    service = make_service(max_sessions=sessions, tenants=(
+        TenantPolicy(name="default", max_sessions=sessions),))
+    for index in range(sessions - last):
+        service.open_session(f"cam{index}")
+    calls = 0
+
+    def profile(frame, event, argument) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        for index in range(sessions - last, sessions):
+            service.open_session(f"cam{index}")
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+def test_an_admission_costs_the_same_at_any_session_count():
+    """Regression: the active counts were scans over every session ever
+    admitted, so opening the n-th session walked n of them twice."""
+    assert _calls_to_admit(64) == _calls_to_admit(1024)
