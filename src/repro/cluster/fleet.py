@@ -60,12 +60,45 @@ def latency_percentiles_of(latencies: Sequence[float]) -> Dict[int, float]:
     An empty sample — a fleet whose admission control rejected every camera,
     or a service snapshot taken before any completion — yields ``nan`` at
     every percentile rather than raising, so report assembly stays
-    well-formed (``np.percentile`` errors on empty input).
+    well-formed (``np.percentile`` errors on empty input).  This is the
+    one-sample form of :func:`latency_percentiles_of_each`.
     """
-    if len(latencies) == 0:
-        return {percentile: float("nan") for percentile in LATENCY_PERCENTILES}
-    return dict(zip(LATENCY_PERCENTILES,
-                    np.percentile(latencies, LATENCY_PERCENTILES).tolist()))
+    return latency_percentiles_of_each([latencies])[0]
+
+
+#: Values one ``np.percentile`` call of
+#: :func:`latency_percentiles_of_each` takes at most (one sample excepted):
+#: the call copies its matrix, so a snapshot's scratch memory stays bounded
+#: whatever the number of samples.
+PERCENTILE_BATCH_VALUES = 2 ** 20
+
+
+def latency_percentiles_of_each(samples: Sequence[Sequence[float]]
+                                ) -> List[Dict[int, float]]:
+    """:func:`latency_percentiles_of` of every sample, in one
+    ``np.percentile(..., axis=1)`` call per sample length and batch of
+    :data:`PERCENTILE_BATCH_VALUES` values: the samples of one length are
+    the rows of one matrix, and each row's percentiles are the bits a call
+    on that row alone gives."""
+    groups: Dict[int, List[int]] = {}
+    for index, sample in enumerate(samples):
+        groups.setdefault(len(sample), []).append(index)
+    percentiles: List[Dict[int, float]] = [{}] * len(samples)
+    for length, members in groups.items():
+        if length == 0:
+            rows = [[float("nan")] * len(LATENCY_PERCENTILES)] * len(members)
+        else:
+            batch = max(1, PERCENTILE_BATCH_VALUES // length)
+            rows = []
+            for first in range(0, len(members), batch):
+                rows += np.percentile(
+                    np.array([samples[index]
+                              for index in members[first:first + batch]],
+                             dtype=np.float64),
+                    LATENCY_PERCENTILES, axis=1).T.tolist()
+        for index, row in zip(members, rows):
+            percentiles[index] = dict(zip(LATENCY_PERCENTILES, row))
+    return percentiles
 
 
 def tier_report(stats, capacity: int, makespan: float) -> "TierReport":

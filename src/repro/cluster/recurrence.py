@@ -15,9 +15,27 @@ and a WAN uplink per edge, then the one cloud station every edge feeds.
 On such a chain every service start is ``max(arrival, the instant a
 worker frees up)`` and every end is ``start + service`` — the float
 operations the event loop performs, on the same values, without the heap
-or the callbacks.  :func:`replay_fleet` computes those instants pass by
-pass (LAN per link, edge and WAN per edge, then one merged cloud pass),
-together with the statistics the stations would have recorded.
+or the callbacks.  :func:`replay_fleet` computes those instants stage by
+stage, every station of a stage in one :func:`_station` call (every LAN
+link, then every edge, every WAN uplink, then the cloud), together with
+the statistics the stations would have recorded.
+
+A job that starts at its arrival needs no step at all: its end is
+``arrival + service``, its completion's parent its admission, written for
+a whole stage in one array expression.  That *closed form* is exact for
+
+* every job of a one-worker station outside a busy period — admissions
+  arrive in order, so a job whose arrival is after the previous job's
+  closed-form end (``a[r] > a[r-1] + s[r-1]``) and follows a job that
+  started at its arrival starts at its own;
+* every job of a station of several workers when, at each arrival, fewer
+  closed-form ends than workers are at or after it (a tie counts as
+  busy); completions then fire in (end, admission rank) order.
+
+What is left takes the *scalar step*, Lindley's recursion ``start =
+max(arrival, previous end)``: only the jobs of one-worker busy periods
+(:func:`_busy_periods`), and a heap of the jobs in service for a station
+of several workers where some job waits (:func:`_heap_station`).
 
 Ties are where a recurrence can part from the loop.  The scheduler fires
 simultaneous events in insertion order, and an event is inserted while
@@ -40,11 +58,10 @@ property tests hold this module to it at tolerance 0.0.
 
 from __future__ import annotations
 
-import math
 from array import array
 from functools import cmp_to_key, partial, reduce
 from heapq import heappush, heapreplace
-from itertools import chain
+from itertools import accumulate
 from operator import add, attrgetter
 from typing import (Callable, Dict, List, MutableSequence, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -77,10 +94,17 @@ class FleetReplay(NamedTuple):
     camera_edge_bytes: int
     edge_cloud_bytes: int
     wan_transfer_seconds: float
-    #: Per edge, its jobs in the order their WAN deliveries fire.
-    delivered: List[Sequence[int]]
+    #: Every job's LAN and WAN bytes, and the seconds each transfer takes.
+    lan_bytes: List[int]
+    wan_bytes: List[int]
+    lan_seconds: np.ndarray
+    wan_seconds: np.ndarray
+    #: Every job in the order its WAN delivery fires, edge by edge.
+    delivered: np.ndarray
+    #: Jobs placed on each edge.
+    edge_jobs: np.ndarray
     #: Every job in the order its cloud completion fires.
-    finished: Sequence[int]
+    finished: np.ndarray
     #: ``fires_before(x, y)``: whether event ``x`` fires before event ``y``.
     fires_before: Callable[[int, int], bool]
     #: ``started_by(e)``: the event that started the service completing at
@@ -130,27 +154,161 @@ def _fires_before(x: int, y: int, when: MutableSequence[float],
     return before
 
 
-def _serve(admitted: Sequence[int], stage: int, service: Sequence[float],
-           slots: int, when: MutableSequence[float],
-           parent: MutableSequence[int], ties: Dict[Tuple[int, int], bool],
-           stats: Optional[StationStats] = None
-           ) -> Tuple[Sequence[int], StationStats]:
-    """One FIFO station with ``slots`` workers.
+def _station(admitted: np.ndarray, counts: np.ndarray, stage: int,
+             service: np.ndarray, slots: int, when: MutableSequence[float],
+             parent: MutableSequence[int], ties: Dict[Tuple[int, int], bool],
+             stats: Sequence[StationStats]) -> np.ndarray:
+    """Every FIFO station of one stage, each with ``slots`` workers.
 
-    ``admitted`` holds job indices in the order their admission events
-    fire.  Fills in ``when`` / ``parent`` of every job's completion event
-    and returns the jobs in the order those completions fire (the next
-    stage's admission order) with the station's statistics: busy seconds
-    summed in completion order, and the peak of admitted-but-not-started
-    jobs sampled at each admission.  The statistics are folded into
-    ``stats`` (a fresh :class:`StationStats` by default), as a station
-    that had served earlier runs would accrue them.
+    ``admitted`` holds job indices station by station, ``counts[i]`` of
+    station ``i``, each in the order its admission events fire; ``service``
+    holds every job's seconds.  Fills in ``when`` / ``parent`` of every
+    job's completion event and returns the jobs, station by station, in
+    the order those completions fire (the next stage's admission order).
+    Each station's run is folded into ``stats[i]`` as a station that had
+    served earlier runs would accrue it: busy seconds summed in completion
+    order, and the peak of admitted-but-not-started jobs sampled at each
+    admission.
+
+    The closed form first: every job starts at its arrival, so its end is
+    ``arrival + seconds`` and its completion's parent is its admission.
+    On one worker that holds outside busy periods, and only jobs from one
+    whose arrival does not clear the previous closed-form end
+    (``a[r] <= a[r-1] + s[r-1]``) until the worker is found idle again
+    take the scalar step (:func:`_busy_periods`).  On several workers it
+    holds for a whole station when, at every arrival, fewer closed-form
+    ends than slots are at or after it (a tie counts as busy); completions
+    then fire in (end, admission rank) order.  A station where some job
+    waits for one of several workers runs :func:`_heap_station`.
     """
-    if stats is None:
-        stats = StationStats()
+    events = EVENTS_PER_JOB * admitted + stage
+    instants = np.frombuffer(when)
+    arrivals = instants[events - 1]
+    ends = arrivals + service[admitted]
+    instants[events] = ends
+    np.frombuffer(parent, dtype=np.intc)[events] = events - 1
+    del events
+    bounds = (np.cumsum(counts) - counts).tolist()
+    peaks = [0] * len(counts)
     if slots == 1:
-        return _serve_one(admitted, stage, service, when, parent, ties,
-                          stats)
+        completed = admitted
+        first = np.ones(len(admitted), dtype=bool)
+        first[1:] = arrivals[1:] > ends[:-1]
+        first[np.array(bounds, dtype=np.int64)[counts > 0]] = True
+        waits = np.flatnonzero(~first)
+        del first
+        # Each station's waits, and its jobs as lists for the scalar step.
+        lows = np.searchsorted(waits, bounds).tolist()
+        highs = np.searchsorted(waits, np.add(bounds, counts)).tolist()
+        for index, (start, count, low, high) in enumerate(zip(
+                bounds, counts.tolist(), lows, highs)):
+            if low < high:
+                jobs = admitted[start:start + count]
+                peaks[index] = _busy_periods(
+                    (waits[low:high] - start).tolist(),
+                    (EVENTS_PER_JOB * jobs + stage).tolist(),
+                    arrivals[start:start + count].tolist(),
+                    service[jobs].tolist(), when, parent, ties)
+    else:
+        completed = np.empty_like(admitted)
+        for index, (start, count) in enumerate(zip(bounds, counts.tolist())):
+            stop = start + count
+            free = ends[start:stop]
+            # Closed-form ends before each arrival, against the jobs
+            # admitted before it.
+            ended = np.searchsorted(np.sort(free), arrivals[start:stop])
+            if (ended > np.arange(-slots, count - slots)).all():
+                completed[start:stop] = admitted[start:stop][
+                    np.argsort(free, kind="stable")]
+            else:
+                jobs = admitted[start:stop]
+                completed[start:stop], peaks[index] = _heap_station(
+                    jobs.tolist(), service[jobs].tolist(), stage, slots,
+                    when, parent, ties)
+    del arrivals, ends
+    # Busy seconds accrue in completion order, a left fold per station.
+    spent = service[completed]
+    for start, count, peak, station in zip(bounds, counts.tolist(), peaks,
+                                           stats):
+        _fold(station, count, _left_fold(spent[start:start + count],
+                                         station.busy_seconds), peak)
+    return completed
+
+
+#: Values a left fold turns into Python floats at a time.
+_FOLD_SLICE = 2048
+
+
+def _left_fold(values: np.ndarray, start: float) -> float:
+    """``start + values[0] + values[1] + ...``, added left to right in
+    Python floats (a ``sum`` may compensate, ``np.sum`` pairs), converted
+    a bounded slice at a time."""
+    for first in range(0, len(values), _FOLD_SLICE):
+        start = reduce(add, values[first:first + _FOLD_SLICE].tolist(), start)
+    return start
+
+
+def _busy_periods(waits: List[int], events: List[int], arrivals: List[float],
+                  seconds: List[float], when: MutableSequence[float],
+                  parent: MutableSequence[int],
+                  ties: Dict[Tuple[int, int], bool]) -> int:
+    """The scalar step of a one-worker station (Lindley's recursion, ties
+    settled by :func:`_fires_before`) over its busy periods; returns the
+    peak queue depth.
+
+    ``events`` holds the completion event of every job in admission order,
+    and ``arrivals`` and ``seconds`` its admission instant and service
+    time; ``waits`` holds the ranks whose arrival does not clear the
+    previous job's closed-form end.  A period runs from such a rank until a
+    job starts at its arrival: from there the closed form :func:`_station`
+    wrote holds again.  Each start waits for the previous job's end, so
+    completions fire in admission order: the worker a job takes is freed
+    by the job admitted just before it, and the completions that can have
+    fired before an admission are those of the jobs admitted before that
+    one.  The job before a period's first started at its arrival, so every
+    completion before that job's fired before the period's admissions.
+    """
+    peak = resume = 0
+    stop = len(events)
+    for rank in waits:
+        if rank < resume:
+            continue
+        freed = events[rank - 1]
+        free = when[freed]
+        done = rank - 1
+        while rank < stop:
+            event = events[rank]
+            admission = event - 1
+            arrival = arrivals[rank]
+            if arrival > free or (arrival == free and _fires_before(
+                    freed, admission, when, parent, ties)):
+                break
+            parent[event] = freed
+            free = when[event] = free + seconds[rank]
+            # Queued: the completions that fired before this admission
+            # left; the one in service did not.
+            while done < rank - 1:
+                left = events[done]
+                if when[left] > arrival or (when[left] == arrival and not (
+                        _fires_before(left, admission, when, parent, ties))):
+                    break
+                done += 1
+            if rank - done > peak:
+                peak = rank - done
+            freed = event
+            rank += 1
+        resume = rank + 1
+    return peak
+
+
+def _heap_station(admitted: List[int], seconds: List[float], stage: int,
+                  slots: int, when: MutableSequence[float],
+                  parent: MutableSequence[int],
+                  ties: Dict[Tuple[int, int], bool]) -> Tuple[List[int], int]:
+    """One station with ``slots`` workers where some job waits: a heap of
+    the jobs in service.  ``seconds`` is aligned with ``admitted``.
+    Returns the jobs in the order their completions fire and the peak
+    queue depth."""
     peak = done = 0
     # (end, start order, job) of the jobs in service.
     in_service: List[Tuple[float, int, int]] = []
@@ -161,7 +319,7 @@ def _serve(admitted: Sequence[int], stage: int, service: Sequence[float],
         arrival = when[admission]
         if rank < slots:
             parent[event] = admission
-            end = arrival + service[job]
+            end = arrival + seconds[rank]
             heappush(in_service, (end, rank, job))
         else:
             # Completions fire in (end, start order); the earliest one
@@ -187,54 +345,11 @@ def _serve(admitted: Sequence[int], stage: int, service: Sequence[float],
                 if rank + 1 - done - slots > peak:
                     peak = rank + 1 - done - slots
             completed.append(leaving)
-            end = start + service[job]
+            end = start + seconds[rank]
             heapreplace(in_service, (end, rank, job))
         when[event] = end
     completed.extend([job for _, _, job in sorted(in_service)])
-    busy = stats.busy_seconds
-    for job in completed:
-        busy += service[job]
-    return completed, _fold(stats, len(admitted), busy, peak)
-
-
-def _serve_one(admitted: Sequence[int], stage: int, service: Sequence[float],
-               when: MutableSequence[float], parent: MutableSequence[int],
-               ties: Dict[Tuple[int, int], bool], stats: StationStats
-               ) -> Tuple[Sequence[int], StationStats]:
-    """:func:`_serve` on one worker, which needs no heap.
-
-    Each start waits for the previous job's end, so completions fire in
-    admission order: the worker a job takes is always freed by the job
-    admitted just before it, the completions that can have fired before
-    an admission are those of the jobs admitted before that one, and busy
-    seconds accrue in admission order.
-    """
-    peak = done = 0
-    busy = stats.busy_seconds
-    free, freed = -math.inf, -1
-    for rank, job in enumerate(admitted):
-        event = EVENTS_PER_JOB * job + stage
-        admission = event - 1
-        arrival = when[admission]
-        seconds = service[job]
-        busy += seconds
-        if arrival > free or (arrival == free and _fires_before(
-                freed, admission, when, parent, ties)):
-            parent[event] = admission
-            free = when[event] = arrival + seconds
-        else:
-            parent[event] = freed
-            free = when[event] = free + seconds
-            while done < rank - 1:
-                left = EVENTS_PER_JOB * admitted[done] + stage
-                if when[left] > arrival or (when[left] == arrival and not (
-                        _fires_before(left, admission, when, parent, ties))):
-                    break
-                done += 1
-            if rank - done > peak:
-                peak = rank - done
-        freed = event
-    return admitted, _fold(stats, len(admitted), busy, peak)
+    return completed, peak
 
 
 def _fold(stats: StationStats, jobs: int, busy: float,
@@ -247,18 +362,27 @@ def _fold(stats: StationStats, jobs: int, busy: float,
     return stats
 
 
-def _firing_order(jobs: List[int], stage: int, times: np.ndarray,
+def _firing_order(jobs: np.ndarray, stage: int, times: np.ndarray,
                   when: MutableSequence[float], parent: MutableSequence[int],
-                  ties: Dict[Tuple[int, int], bool]) -> List[int]:
+                  ties: Dict[Tuple[int, int], bool],
+                  groups: Optional[np.ndarray] = None) -> np.ndarray:
     """``jobs`` in the order their stage-``stage`` events fire (``times``
     holds every job's instant of that event): by time, then each run of
-    equal times by :func:`_fires_before`.  The result holds the very int
-    objects of ``jobs``."""
+    equal times by :func:`_fires_before`.  With ``groups`` (every job's
+    group) the jobs come group by group, each in the order it fires."""
     arrived = times[jobs]
-    order = np.argsort(arrived, kind="stable")
+    order = np.lexsort((arrived,) if groups is None
+                       else (arrived, groups[jobs]))
+    ordered = jobs[order]
     ranked = arrived[order]
-    tied = np.flatnonzero(ranked[1:] == ranked[:-1]).tolist()
-    ordered = np.array(jobs, dtype=object)[order].tolist()
+    equal = ranked[1:] == ranked[:-1]
+    if groups is not None:
+        grouped = groups[ordered]
+        equal &= grouped[1:] == grouped[:-1]
+    tied = np.flatnonzero(equal).tolist()
+    if not tied:
+        return ordered
+    ordered = ordered.tolist()
 
     def compare(a: int, b: int) -> int:
         return -1 if _fires_before(EVENTS_PER_JOB * a + stage,
@@ -274,18 +398,17 @@ def _firing_order(jobs: List[int], stage: int, times: np.ndarray,
         ordered[first:last] = sorted(ordered[first:last],
                                      key=cmp_to_key(compare))
         index += 1
-    return ordered
+    return np.array(ordered, dtype=np.int64)
 
 
 def _transfer_seconds(sizes: List[int], bandwidth_mbps,
-                      latency_ms) -> List[float]:
+                      latency_ms) -> np.ndarray:
     """``NetworkLink.transfer_seconds`` of every size, as one float64
     column: the same float operations elementwise, so the same bits
     (``size * 8`` is exact in float64).  The bandwidth and latency are
     one link's, or a column of each size's own link."""
     column = np.array(sizes, dtype=np.float64)
-    return ((column * 8) / (bandwidth_mbps * 1e6)
-            + latency_ms / 1e3).tolist()
+    return (column * 8) / (bandwidth_mbps * 1e6) + latency_ms / 1e3
 
 
 def replay_fleet(jobs: Sequence, placements: Sequence[int],
@@ -362,54 +485,60 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
         _chain_ingests(parent, keys, ingest_order)
     ties: Dict[Tuple[int, int], bool] = {}
 
-    # Each column lives for its stage only.
-    per_link = np.split(ingest_order, np.cumsum(
-        np.bincount(keys, minlength=len(lan_links)))[:-1])
+    # Each column lives for its stage only; the result carries the
+    # transfer columns.
     lan_bytes = list(map(attrgetter("camera_edge_bytes"), jobs))
-    camera_edge_bytes = sum(lan_bytes)
     lan_seconds = _transfer_seconds(lan_bytes, bandwidth, latency)
-    del lan_bytes, bandwidth, latency
-    through_lan = [_serve(admitted.tolist(), _LAN, lan_seconds, 1, when,
-                          parent, ties, link_stats)[0]
-                   for admitted, link_stats in zip(per_link, lan_stats)]
-    del ingest_order, per_link, lan_seconds
-    per_edge = (through_lan if lan_keys is None else _merge_by_edge(
-        through_lan, keys, edges, num_edges, when, parent, ties))
-    del through_lan, keys, edges
+    del bandwidth, latency
+    through_lan = _station(
+        ingest_order, np.bincount(keys, minlength=len(lan_links)), _LAN,
+        lan_seconds, 1, when, parent, ties, lan_stats)
+    del ingest_order
+    # Each edge admits the deliveries of every LAN link feeding it, in the
+    # order they fire.
+    per_edge = (through_lan if lan_keys is None else _firing_order(
+        through_lan, _LAN, np.frombuffer(when)[_LAN::EVENTS_PER_JOB], when,
+        parent, ties, groups=edges))
+    del through_lan, keys
+    edge_jobs = np.bincount(edges, minlength=num_edges)
+    del edges
 
-    edge_seconds = list(map(attrgetter("edge_seconds"), jobs))
+    through_edge = _station(
+        per_edge, edge_jobs, _EDGE,
+        np.array(list(map(attrgetter("edge_seconds"), jobs)),
+                 dtype=np.float64), edge_workers, when, parent, ties,
+        edge_stats)
+    del per_edge
     wan_bytes = list(map(attrgetter("edge_cloud_bytes"), jobs))
-    edge_cloud_bytes = sum(wan_bytes)
     wan_seconds = _transfer_seconds(wan_bytes, wan.bandwidth_mbps,
                                     wan.latency_ms)
-    del wan_bytes
-    delivered, wan_totals = [], []
-    for admitted, edge_stat, wan_stat in zip(per_edge, edge_stats,
-                                             wan_stats):
-        through_edge, _ = _serve(admitted, _EDGE, edge_seconds, edge_workers,
-                                 when, parent, ties, edge_stat)
-        order, _ = _serve(through_edge, _WAN, wan_seconds, 1,
-                          when, parent, ties, wan_stat)
-        delivered.append(order)
-        # NetworkLink.total_seconds: folded in delivery order.
-        wan_totals.append(reduce(add, map(wan_seconds.__getitem__, order),
-                                 0.0))
-    del per_edge, edge_seconds, wan_seconds
+    delivered = _station(through_edge, edge_jobs, _WAN, wan_seconds, 1,
+                         when, parent, ties, wan_stats)
+    del through_edge
+    # NetworkLink.total_seconds: folded in delivery order, link by link.
+    wan_transfer_seconds = 0.0
+    for start, jobs_of_edge in zip(accumulate(edge_jobs.tolist(), initial=0),
+                                   edge_jobs.tolist()):
+        wan_transfer_seconds += _left_fold(
+            wan_seconds[delivered[start:start + jobs_of_edge]], 0.0)
 
     # Every WAN delivery enters the one cloud, in the order they fire.
-    finished, _ = _serve(
-        _firing_order(list(chain.from_iterable(delivered)), _WAN,
+    finished = _station(
+        _firing_order(delivered, _WAN,
                       np.frombuffer(when)[_WAN::EVENTS_PER_JOB],
-                      when, parent, ties), _CLOUD,
-        list(map(attrgetter("cloud_seconds"), jobs)), cloud_workers,
-        when, parent, ties, cloud_stats)
+                      when, parent, ties), np.array([count]), _CLOUD,
+        np.array(list(map(attrgetter("cloud_seconds"), jobs)),
+                 dtype=np.float64), cloud_workers, when, parent, ties,
+        [cloud_stats])
     return FleetReplay(
         instants=np.frombuffer(when).reshape(count, EVENTS_PER_JOB).T,
         lan_stats=lan_stats, edge_stats=edge_stats, wan_stats=wan_stats,
         cloud_stats=cloud_stats,
-        camera_edge_bytes=camera_edge_bytes,
-        edge_cloud_bytes=edge_cloud_bytes,
-        wan_transfer_seconds=reduce(add, wan_totals, 0.0), delivered=delivered,
+        camera_edge_bytes=sum(lan_bytes),
+        edge_cloud_bytes=sum(wan_bytes),
+        wan_transfer_seconds=wan_transfer_seconds,
+        lan_bytes=lan_bytes, wan_bytes=wan_bytes, lan_seconds=lan_seconds,
+        wan_seconds=wan_seconds, delivered=delivered, edge_jobs=edge_jobs,
         finished=finished,
         fires_before=partial(_fires_before, when=when, parent=parent,
                              ties=ties),
@@ -424,26 +553,3 @@ def _chain_ingests(parent: MutableSequence[int], keys: np.ndarray,
     chained = keys[later] == keys[earlier]
     np.frombuffer(parent, dtype=np.intc)[EVENTS_PER_JOB * later[chained]] = (
         EVENTS_PER_JOB * earlier[chained])
-
-
-def _merge_by_edge(through_lan: List[Sequence[int]], keys: np.ndarray,
-                   edges: np.ndarray, num_edges: int,
-                   when: MutableSequence[float], parent: MutableSequence[int],
-                   ties: Dict[Tuple[int, int], bool]) -> List[Sequence[int]]:
-    """Each edge's admissions: the deliveries of every LAN link feeding
-    it, merged in the order they fire."""
-    link_edges = np.zeros(len(through_lan), dtype=np.int64)
-    link_edges[keys] = edges
-    feeding: List[List[Sequence[int]]] = [[] for _ in range(num_edges)]
-    for edge, order in zip(link_edges.tolist(), through_lan):
-        if order:
-            feeding[edge].append(order)
-    lan_times = np.frombuffer(when)[_LAN::EVENTS_PER_JOB]
-    per_edge: List[Sequence[int]] = []
-    for orders in feeding:
-        if len(orders) < 2:
-            per_edge.append(orders[0] if orders else [])
-            continue
-        per_edge.append(_firing_order(list(chain.from_iterable(orders)),
-                                      _LAN, lan_times, when, parent, ties))
-    return per_edge

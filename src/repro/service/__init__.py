@@ -19,7 +19,7 @@ from .service import StreamingService
 from .session import (FrameChunk, SessionState, StreamSession, TenantPolicy,
                       chunk_camera_job)
 from .status import (HealthSample, ServiceStatus, SessionSnapshot,
-                     StationSnapshot, snapshot_session, snapshot_station)
+                     StationSnapshot, snapshot_sessions, snapshot_station)
 
 __all__ = [
     "ClockDriver", "RealTimeClock", "VirtualClock",
@@ -30,5 +30,5 @@ __all__ = [
     "FrameChunk", "SessionState", "StreamSession", "TenantPolicy",
     "chunk_camera_job",
     "HealthSample", "ServiceStatus", "SessionSnapshot", "StationSnapshot",
-    "snapshot_session", "snapshot_station",
+    "snapshot_sessions", "snapshot_station",
 ]

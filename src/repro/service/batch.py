@@ -23,8 +23,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from ..cluster.recurrence import (EVENTS_PER_JOB, _transfer_seconds,
-                                  replay_fleet)
+from ..cluster.recurrence import EVENTS_PER_JOB, _left_fold, replay_fleet
 from .feeder import ChunkFeeder
 from .session import FrameChunk, StreamSession
 
@@ -34,14 +33,10 @@ if TYPE_CHECKING:
 #: Rows of a replay's instants: the push, then the ends of the LAN, edge,
 #: WAN and cloud stages.
 _PUSH, _LAN_END, _EDGE_END, _WAN_END, _CLOUD_END = range(EVENTS_PER_JOB)
-_lan_bytes = attrgetter("camera_edge_bytes")
-_wan_bytes = attrgetter("edge_cloud_bytes")
-_pushed_counts = (("frames_pushed", attrgetter("num_frames")),
-                  ("frames_for_inference", attrgetter("frames_for_inference")),
-                  ("camera_edge_bytes_pushed", _lan_bytes),
-                  ("edge_cloud_bytes_pushed", _wan_bytes))
-_pushed_seconds = (("edge_seconds_pushed", attrgetter("edge_seconds")),
-                   ("cloud_seconds_pushed", attrgetter("cloud_seconds")))
+_frames = attrgetter("num_frames")
+_inference = attrgetter("frames_for_inference")
+_edge_seconds = attrgetter("edge_seconds")
+_cloud_seconds = attrgetter("cloud_seconds")
 
 
 class FeederBatch:
@@ -145,11 +140,13 @@ class FeederBatch:
         # Event ``e`` (of job ``e // EVENTS_PER_JOB``) fired at ``at[e]``.
         at = instants.T.ravel()
         edges = self.edges()
-        for edge, order in enumerate(replay.delivered):
+        delivered = np.split(replay.delivered,
+                             np.cumsum(replay.edge_jobs)[:-1])
+        for edge, order in enumerate(delivered):
             pushed = np.flatnonzero(edges == edge)
             if not len(order) or not len(pushed):
                 continue
-            transfers = EVENTS_PER_JOB * np.asarray(order) + _WAN_END
+            transfers = EVENTS_PER_JOB * order + _WAN_END
             starts = np.array([replay.started_by(event)
                                for event in transfers.tolist()])
             waited = starts != transfers - 1
@@ -170,7 +167,13 @@ class FeederBatch:
 
     def commit(self, until: Optional[float]) -> int:
         """Write the run into the live service, as the event loop leaves
-        it, and return the number of events it fired."""
+        it, and return the number of events it fired.
+
+        Column by column: integer totals are run sums over each session's
+        chunks, seconds are left folds in the order the live objects
+        would add them, and each session's latencies arrive in the order
+        its completions fire, one ``frombytes`` a session.
+        """
         service = self.service
         chain, ingest = service.chain, service.ingest
         # Drop the event graph before anything is written.
@@ -184,32 +187,46 @@ class FeederBatch:
             vars(resource.stats).update(vars(stats))
 
         chunks, counts = self.chunks, self.counts
+        starts = list(accumulate(counts[:-1], initial=0))
         instants = replay.instants
         ends, pushes = instants[_CLOUD_END], instants[_PUSH]
-        # Each completion appends its chunk's latency to its session's.
-        latencies = (ends - pushes).tolist()
-        appenders = [session.chunk_latencies.append
-                     for _, session, _ in self.feeds]
-        keys = self.keys
-        for job in replay.finished:
-            appenders[keys[job]](latencies[job])
-        del latencies
-        start = 0
-        for (feeder, session, _), lan, count in zip(self.feeds, self.lans,
-                                                     counts):
-            plan = chunks[start:start + count]
+        # Each session's completions, in the order they fire: the cloud's
+        # completion order, grouped by session.
+        finished = replay.finished
+        by_session = finished[np.argsort(
+            np.frombuffer(self.keys, dtype=np.intc)[finished], kind="stable")]
+        latencies = (ends - pushes)[by_session]
+        firsts = pushes[starts].tolist()
+        lasts = pushes[[start + count - 1 for start, count
+                        in zip(starts, counts)]].tolist()
+        last_completions = np.maximum.reduceat(ends, starts).tolist()
+        totals = {
+            "frames_pushed": _run_sums(list(map(_frames, chunks)), starts,
+                                       counts),
+            "frames_for_inference": _run_sums(
+                list(map(_inference, chunks)), starts, counts),
+            "camera_edge_bytes_pushed": _run_sums(replay.lan_bytes, starts,
+                                                  counts),
+            "edge_cloud_bytes_pushed": _run_sums(replay.wan_bytes, starts,
+                                                 counts)}
+        folds = (("edge_seconds_pushed", list(map(_edge_seconds, chunks))),
+                 ("cloud_seconds_pushed", list(map(_cloud_seconds, chunks))))
+        lan_seconds = replay.lan_seconds
+        for index, ((feeder, session, _), lan, start, count) in enumerate(
+                zip(self.feeds, self.lans, starts, counts)):
+            stop = start + count
+            session.chunk_latencies.frombytes(latencies[start:stop].tobytes())
             if session.chunks_pushed == 0:
-                session.first_arrival = float(pushes[start])
-            session.last_push = float(pushes[start + count - 1])
+                session.first_arrival = firsts[index]
+            session.last_push = lasts[index]
             session.chunks_pushed += count
             session.chunks_completed += count
-            for name, field in _pushed_counts:
-                setattr(session, name,
-                        getattr(session, name) + sum(map(field, plan)))
-            for name, field in _pushed_seconds:
-                setattr(session, name,
-                        reduce(add, map(field, plan), getattr(session, name)))
-            session.last_completion = float(ends[start:start + count].max())
+            for name, sums in totals.items():
+                setattr(session, name, getattr(session, name) + sums[index])
+            for name, column in folds:
+                setattr(session, name, reduce(add, column[start:stop],
+                                              getattr(session, name)))
+            session.last_completion = last_completions[index]
             feeder.next_index = len(feeder.chunks)
             if feeder.close_when_done:
                 # Closed at the last push, finalised at the last completion.
@@ -221,24 +238,25 @@ class FeederBatch:
             # transfers would add them: a session's LAN link delivers in
             # push order, each WAN link (below) in its replayed order.
             link = lan.link
-            sizes = list(map(_lan_bytes, plan))
             link.transfer_count += count
-            link.total_bytes += sum(sizes)
-            link.total_seconds = reduce(add, _transfer_seconds(
-                sizes, link.bandwidth_mbps, link.latency_ms),
-                link.total_seconds)
-            start += count
-
-        sizes = list(map(_wan_bytes, chunks))
-        uplink = chain.wan_links[0].link
-        seconds = _transfer_seconds(sizes, uplink.bandwidth_mbps,
-                                    uplink.latency_ms)
-        for wan, order in zip(chain.wan_links, replay.delivered):
-            link = wan.link
-            link.transfer_count += len(order)
-            link.total_bytes += sum(map(sizes.__getitem__, order))
-            link.total_seconds = reduce(add, map(seconds.__getitem__, order),
+            link.total_bytes += totals["camera_edge_bytes_pushed"][index]
+            link.total_seconds = reduce(add, lan_seconds[start:stop].tolist(),
                                         link.total_seconds)
+
+        # A session's chunks all cross its edge's uplink.
+        wan_bytes = [0] * len(chain.wan_links)
+        for (_, session, _), sent in zip(
+                self.feeds, totals["edge_cloud_bytes_pushed"]):
+            wan_bytes[session.edge_index] += sent
+        for wan, start, count, sent in zip(
+                chain.wan_links,
+                accumulate(replay.edge_jobs.tolist(), initial=0),
+                replay.edge_jobs.tolist(), wan_bytes):
+            link = wan.link
+            link.transfer_count += count
+            link.total_bytes += sent
+            link.total_seconds = _left_fold(replay.wan_seconds[
+                replay.delivered[start:start + count]], link.total_seconds)
 
         fired = EVENTS_PER_JOB * len(chunks)
         # Every push but a feed's first was scheduled during the run.
@@ -247,3 +265,11 @@ class FeederBatch:
             float(until) if until is not None and until > self.last
             else self.last)
         return fired
+
+
+def _run_sums(column: List[int], starts: List[int],
+              counts: List[int]) -> List[int]:
+    """The exact sum of each run of ``counts[i]`` consecutive values of
+    ``column`` from ``starts[i]``, in Python's integers."""
+    return [sum(column[start:start + count])
+            for start, count in zip(starts, counts)]

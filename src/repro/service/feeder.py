@@ -22,6 +22,7 @@ from __future__ import annotations
 from math import inf
 from typing import Dict, Optional, Sequence
 
+from ..config import real_number
 from ..errors import BackpressureError, ServiceError
 from ..faults.retry import RetryPolicy
 from .session import FrameChunk
@@ -62,11 +63,13 @@ class ChunkFeeder:
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         # Chained comparisons: nan passes ``<= 0`` and would drain the
         # feeder with the service clock at nan.
-        if not 0 < period_seconds < inf:
+        if not 0 < real_number(period_seconds, "period_seconds",
+                               ServiceError) < inf:
             raise ServiceError(
                 f"period_seconds must be positive and finite, "
                 f"got {period_seconds}")
-        if retry_seconds is not None and not 0 < retry_seconds < inf:
+        if retry_seconds is not None and not 0 < real_number(
+                retry_seconds, "retry_seconds", ServiceError) < inf:
             raise ServiceError(
                 f"retry_seconds must be positive and finite, "
                 f"got {retry_seconds}")
@@ -104,6 +107,9 @@ class ChunkFeeder:
         if self._started:
             raise ServiceError(
                 f"feeder for {self.session_id!r} already started")
+        if at is not None and not -inf < real_number(
+                at, "at", ServiceError) < inf:
+            raise ServiceError(f"at must be finite, got {at}")
         self._started = True
         if not self.chunks:
             self._maybe_close()

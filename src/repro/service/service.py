@@ -48,7 +48,7 @@ from ..cluster.fleet import (CameraJob, FleetOutcomes, FleetReport,
                              PlacementPolicy, chain_report)
 from ..cluster.topology import StageChain, StageUnit
 from ..codec.gop import EncoderParameters
-from ..config import SystemConfig, whole_number
+from ..config import SystemConfig, real_number, whole_number
 from ..dataflow.scheduler import EventScheduler, ServiceStation
 from ..errors import ServiceError
 from ..faults.injector import ResilienceConfig, ServiceFaultDriver
@@ -61,8 +61,8 @@ from .clock import ClockDriver, RealTimeClock, VirtualClock
 from .feeder import ChunkFeeder
 from .ingest import StreamIngest
 from .session import FrameChunk, SessionState, StreamSession, TenantPolicy
-from .status import (HealthSample, ServiceStatus, SessionSnapshot,
-                     StationSnapshot, snapshot_session, snapshot_station)
+from .status import (HealthSample, ServiceStatus, StationSnapshot,
+                     snapshot_sessions, snapshot_station)
 
 
 class _ChunkRun(StageUnit):
@@ -243,7 +243,8 @@ class StreamingService:
         :meth:`after`) so their effects are ordered on the event heap —
         that ordering is what makes a run reproducible under any clock.
         """
-        if not -inf < time < inf:
+        if not -inf < real_number(time, "control time",
+                                  ServiceError) < inf:
             raise ServiceError(f"control time must be finite, got {time}")
         self.scheduler.schedule_at(time, action, *args)
 
@@ -269,7 +270,7 @@ class StreamingService:
 
     def run_for(self, seconds: float) -> int:
         """Advance the service ``seconds`` of virtual time from now."""
-        if not 0 <= seconds < inf:
+        if not 0 <= real_number(seconds, "seconds", ServiceError) < inf:
             raise ServiceError(
                 f"seconds must be finite and >= 0, got {seconds}")
         return self.run(until=self.scheduler.now + seconds)
@@ -361,11 +362,12 @@ class StreamingService:
                     f"wan:{index}", self.wan_links[index], horizon))
             stations.append(snapshot_station("cloud", self.cloud_station,
                                              horizon))
-            sessions: List[SessionSnapshot] = []
-            for session in self.ingest.sessions.values():
-                lan = self.lan_links.get(session.session_id)
-                sessions.append(snapshot_session(
-                    session, lan.queue_depth if lan is not None else 0))
+            opened = list(self.ingest.sessions.values())
+            lans = [self.lan_links.get(session.session_id)
+                    for session in opened]
+            sessions = snapshot_sessions(
+                opened, [lan.queue_depth if lan is not None else 0
+                         for lan in lans])
             if isinstance(self.clock, RealTimeClock):
                 speedup = self.clock.speedup
                 max_lag = self.clock.max_lag_seconds
@@ -387,7 +389,7 @@ class StreamingService:
                 tenants={name: self.ingest.active_sessions_of(name)
                          for name in self.ingest.tenants},
                 stations=tuple(stations),
-                sessions=tuple(sessions),
+                sessions=sessions,
                 sessions_degraded=self.ingest.sessions_degraded,
                 close_reasons=dict(self.ingest.close_reasons),
                 breaker_states=(

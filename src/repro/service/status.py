@@ -9,8 +9,10 @@ mid-run where the batch report only had to be honest post-drain:
   pro-rates jobs still in service at the snapshot instant, so a station
   saturated since t=0 reads exactly 1.0 — never above — at any horizon cut;
 * latency percentiles come from
-  :func:`repro.cluster.fleet.latency_percentiles_of`, which yields ``nan``
-  (not a crash) while a session has no completions yet.
+  :func:`repro.cluster.fleet.latency_percentiles_of_each`, one
+  ``np.percentile`` call per group of sessions with equally many
+  completions, which yields ``nan`` (not a crash) while a session has none
+  yet.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..cluster.fleet import latency_percentiles_of
+from ..cluster.fleet import latency_percentiles_of_each
 from ..errors import ServiceError
 from .session import SessionState
 
@@ -326,9 +328,20 @@ def snapshot_station(name: str, station, horizon: float) -> StationSnapshot:
     )
 
 
-def snapshot_session(session, lan_queue_depth: int) -> SessionSnapshot:
-    """Snapshot one :class:`~repro.service.session.StreamSession`."""
-    return SessionSnapshot(
+def snapshot_sessions(sessions: Sequence,
+                      lan_queue_depths: Sequence[int]
+                      ) -> Tuple[SessionSnapshot, ...]:
+    """Snapshot every :class:`~repro.service.session.StreamSession`, with
+    the waiting transfers on its camera uplink.
+
+    Latency percentiles are taken in one ``np.percentile`` call per group
+    of sessions holding equally many latencies
+    (:func:`~repro.cluster.fleet.latency_percentiles_of_each`).
+    """
+    # Read in place: each store is packed doubles.
+    percentiles = latency_percentiles_of_each(
+        [np.frombuffer(session.chunk_latencies) for session in sessions])
+    return tuple([SessionSnapshot(
         session_id=session.session_id,
         tenant=session.tenant,
         edge_index=session.edge_index,
@@ -339,8 +352,7 @@ def snapshot_session(session, lan_queue_depth: int) -> SessionSnapshot:
         chunks_completed=session.chunks_completed,
         in_flight=session.in_flight,
         lan_queue_depth=lan_queue_depth,
-        # Read in place: the store is packed doubles.
-        latency_percentiles=latency_percentiles_of(
-            np.frombuffer(session.chunk_latencies)),
+        latency_percentiles=latency_percentiles,
         parameter_version=session.parameter_version,
-    )
+    ) for session, lan_queue_depth, latency_percentiles
+        in zip(sessions, lan_queue_depths, percentiles)])

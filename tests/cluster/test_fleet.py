@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import CameraJob, FleetOrchestrator, PlacementPolicy
-from repro.cluster.fleet import LATENCY_PERCENTILES, latency_percentiles_of
+from repro.cluster import CameraJob, FleetOrchestrator, PlacementPolicy, fleet
+from repro.cluster.fleet import (LATENCY_PERCENTILES, latency_percentiles_of,
+                                 latency_percentiles_of_each)
 from repro.config import SystemConfig
 from repro.errors import ClusterError
 
@@ -433,6 +434,44 @@ class TestLatencyPercentiles:
         assert latency_percentiles_of(np.array(latencies)) == expected
         assert all(type(value) is float
                    for value in latency_percentiles_of(latencies).values())
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=st.lists(st.lists(
+        st.one_of(st.floats(0.0, 1e6),
+                  st.floats(0.0, 100.0).map(lambda value: round(value, 1)),
+                  st.sampled_from((0.0, 0.5, 1.0, 1.0 + 2 ** -52, 3.0))),
+        max_size=9), max_size=12))
+    def test_a_call_per_sample_length_equals_a_call_per_sample(self, samples):
+        """Samples of one length are the rows of one ``np.percentile(...,
+        axis=1)`` call: ragged, tied, rounded and empty samples each get
+        the bits a call of their own gives."""
+        rows = latency_percentiles_of_each(
+            [np.array(sample, dtype=np.float64) for sample in samples])
+        assert len(rows) == len(samples)
+        for sample, row in zip(samples, rows):
+            assert list(row) == list(LATENCY_PERCENTILES)
+            if not sample:
+                assert all(math.isnan(value) for value in row.values())
+                continue
+            expected = np.percentile(sample, LATENCY_PERCENTILES).tolist()
+            assert [value.hex() for value in row.values()] == [
+                value.hex() for value in expected]
+
+    @pytest.mark.parametrize("budget", [1, 7, 20])
+    def test_batches_of_a_length_give_the_same_bits(self, monkeypatch,
+                                                    budget):
+        """A length group split into matrices of at most ``budget`` values
+        (one row at least) gives every row the bits of a call on it
+        alone."""
+        monkeypatch.setattr(fleet, "PERCENTILE_BATCH_VALUES", budget)
+        samples = [[float(index * 7 % 5 + step) / 3 for step in range(length)]
+                   for index, length in enumerate((4, 4, 0, 9, 4, 4, 9, 4))]
+        rows = latency_percentiles_of_each(samples)
+        for sample, row in zip(samples, rows):
+            expected = (np.percentile(sample, LATENCY_PERCENTILES).tolist()
+                        if sample else [math.nan] * len(LATENCY_PERCENTILES))
+            assert [value.hex() for value in row.values()] == [
+                value.hex() for value in expected]
 
     @pytest.mark.parametrize("empty", [[], np.array([])], ids=repr)
     def test_an_empty_sample_is_nan_at_every_percentile(self, empty):

@@ -13,6 +13,7 @@ recurrence can order things differently from the heap.
 
 import math
 import random
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.fleet import CameraJob, FleetOrchestrator
 from repro.cluster.recurrence import (_WAN, EVENTS_PER_JOB, _fires_before,
-                                      _firing_order, _serve)
+                                      _firing_order, _station)
 from repro.config import SystemConfig
 from repro.dataflow.scheduler import EventScheduler, StationStats
 
@@ -399,19 +400,31 @@ class TestEdgeCases:
 
 def station_inputs(arrivals, stage=4):
     """``when`` / ``parent`` with job ``j``'s admission to ``stage`` at
-    ``arrivals[j]``, inserted before the run (parent ``-1``)."""
-    when = [0.0] * (EVENTS_PER_JOB * len(arrivals))
-    parent = [-1] * len(when)
+    ``arrivals[j]``, inserted before the run (parent ``-1``), as the
+    recurrence keeps them: packed columns behind memoryviews."""
+    when = memoryview(array("d", [0.0]) * (EVENTS_PER_JOB * len(arrivals)))
+    parent = memoryview(array("i", [-1]) * len(when))
     for job, arrival in enumerate(arrivals):
         when[EVENTS_PER_JOB * job + stage - 1] = arrival
     return when, parent
 
 
+def serve(admitted, stage, service, slots, when, parent):
+    """One station through the recurrence's station routine: the jobs in
+    the order their completions fire, and the station's statistics."""
+    stats = StationStats()
+    order = _station(np.array(admitted, dtype=np.int64),
+                     np.array([len(admitted)]), stage,
+                     np.array(service, dtype=np.float64), slots, when,
+                     parent, {}, [stats])
+    return order.tolist(), stats
+
+
 def _cloud_arrival_order(when, parent, ties):
     """Job indices in the order their WAN deliveries fire."""
     times = np.asarray(when[_WAN::EVENTS_PER_JOB], dtype=np.float64)
-    return _firing_order(list(range(len(times))), _WAN, times,
-                         when, parent, ties)
+    return _firing_order(np.arange(len(times)), _WAN, times,
+                         when, parent, ties).tolist()
 
 
 def completion_times(when, jobs, stage=4):
@@ -423,8 +436,7 @@ class TestServe:
 
     def test_fifo_and_stats_on_one_slot(self):
         when, parent = station_inputs([0.0, 0.0, 1.0])
-        order, stats = _serve([0, 1, 2], 4, [2.0, 2.0, 2.0], 1,
-                              when, parent, {})
+        order, stats = serve([0, 1, 2], 4, [2.0, 2.0, 2.0], 1, when, parent)
         assert list(order) == [0, 1, 2]
         assert completion_times(when, range(3)) == [2.0, 4.0, 6.0]
         assert stats == StationStats(busy_seconds=6.0, completed=3,
@@ -432,7 +444,7 @@ class TestServe:
 
     def test_parallel_slots_hand_jobs_on_in_completion_order(self):
         when, parent = station_inputs([0.0, 0.0])
-        order, stats = _serve([0, 1], 4, [3.0, 1.0], 2, when, parent, {})
+        order, stats = serve([0, 1], 4, [3.0, 1.0], 2, when, parent)
         assert completion_times(when, range(2)) == [3.0, 1.0]
         assert list(order) == [1, 0]
         assert stats.max_queue_depth == 0
@@ -443,14 +455,13 @@ class TestServe:
         completion during it: at the shared instant the admission fires
         first, finds the worker busy and is counted as queued."""
         when, parent = station_inputs([0.0, 2.0])
-        _, stats = _serve([0, 1], 4, [2.0, 1.0], 1,
-                          when, parent, {})
+        _, stats = serve([0, 1], 4, [2.0, 1.0], 1, when, parent)
         assert completion_times(when, range(2)) == [2.0, 3.0]
         assert stats.max_queue_depth == 1
 
     @pytest.mark.parametrize("slots", [1, 2])
     def test_an_idle_station_has_empty_stats(self, slots):
-        order, stats = _serve([], 2, [], slots, [], [], {})
+        order, stats = serve([], 2, [], slots, *station_inputs([]))
         assert list(order) == []
         assert stats == StationStats()
 

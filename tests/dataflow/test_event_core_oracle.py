@@ -14,8 +14,9 @@ the same order.
 
 The guards at the bottom pin what the rewrites were for: a chunk costs
 five events and a bounded number of Python-level calls on either drain
-path, and a drained service's links hold no more memory after twice the
-chunks.
+path, a drained service's links hold no more memory after twice the
+chunks, and a ``status()`` costs a flat count of calls a session and
+copies a bounded share of the sessions' latencies.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import CameraJob
+from repro.cluster import CameraJob, fleet
 from repro.dataflow.scheduler import (EventScheduler, ServiceStation,
                                       StationStats)
 from repro.errors import DataflowError, NetworkError
 from repro.net import ContendedLink, NetworkLink
-from repro.service import (ChunkFeeder, StreamingService, VirtualClock,
-                           chunk_camera_job)
+from repro.service import (ChunkFeeder, FrameChunk, StreamingService,
+                           TenantPolicy, VirtualClock, chunk_camera_job)
 
 Action = Callable[[], None]
 
@@ -478,12 +479,15 @@ def _no_op() -> None:
     """A control event that changes nothing."""
 
 
-def _drain_counting_calls(service: StreamingService) -> Tuple[int, int]:
+def _counting_calls(action: Callable[[], Any],
+                    kind: str = "call") -> Tuple[Any, int]:
+    """``action()``'s result and the calls it made: Python-level calls
+    (``kind="call"``) or calls into C (``"c_call"``)."""
     calls = 0
 
     def profile(frame, event, argument) -> None:
         nonlocal calls
-        if event == "call":
+        if event == kind:
             calls += 1
 
     # No collector while counting: what it calls back into (hypothesis
@@ -492,19 +496,78 @@ def _drain_counting_calls(service: StreamingService) -> Tuple[int, int]:
     gc.disable()
     sys.setprofile(profile)
     try:
-        fired = service.drain()
+        result = action()
     finally:
         sys.setprofile(previous)
         gc.enable()
-    return fired, calls
+    return result, calls
 
 
-#: Measured: 0.96 Python-level calls a chunk through the recurrence.  One
-#: more call a chunk must fail the guard.
-BATCH_CALLS_PER_CHUNK_CEILING = 1.5
+def _drain_counting_calls(service: StreamingService,
+                          kind: str = "call") -> Tuple[int, int]:
+    return _counting_calls(service.drain, kind)
+
+
+#: Measured: 1.08 Python-level calls a chunk through the recurrence, and
+#: 1.87 calls into C (0.96 and 4.66 before the drain went columnar).  One
+#: more call of either kind a chunk must fail the guard.
+BATCH_CALLS_PER_CHUNK_CEILING = 1.25
+BATCH_C_CALLS_PER_CHUNK_CEILING = 2.5
 #: Measured: 44.3 calls a chunk on the event loop.  One more call a chunk
 #: must fail the guard.
 LOOP_CALLS_PER_CHUNK_CEILING = 45
+
+
+_SMALL_CHUNK = FrameChunk(num_frames=30, frames_for_inference=3,
+                          edge_seconds=0.001, cloud_seconds=0.001,
+                          camera_edge_bytes=10_000, edge_cloud_bytes=1_000)
+
+
+def _fed_service(sessions: int) -> StreamingService:
+    """``sessions`` fed sessions of one to three chunks each, drained."""
+    service = StreamingService(
+        num_edge_servers=2, clock=VirtualClock(), max_sessions=sessions,
+        tenants=(TenantPolicy("default", max_sessions=sessions),))
+    for index in range(sessions):
+        camera = f"cam-{index}"
+        service.open_session(camera)
+        ChunkFeeder(service, camera, [_SMALL_CHUNK] * (1 + index % 3),
+                    period_seconds=2.0).start(at=0.01 * index)
+    service.drain()
+    return service
+
+
+#: Measured: each session past the 64th adds 6.0 Python-level calls to a
+#: ``status()`` (44 with an ``np.percentile`` call a session).
+STATUS_CALLS_PER_SESSION_CEILING = 8
+
+
+def _status_calls(sessions: int) -> int:
+    """Python-level calls of a warm ``status()`` on a fed service."""
+    service = _fed_service(sessions)
+    service.status()  # first-use work (numpy's dispatch, enum lookups)
+    return _counting_calls(service.status)[1]
+
+
+def _status_peak(sessions: int, chunks: int) -> int:
+    """``tracemalloc``'s peak over a warm ``status()`` of ``sessions``
+    sessions holding ``chunks`` latencies each."""
+    service = StreamingService(
+        num_edge_servers=2, clock=VirtualClock(), max_sessions=sessions,
+        tenants=(TenantPolicy("default", max_sessions=sessions),))
+    for index in range(sessions):
+        camera = f"cam-{index}"
+        service.open_session(camera)
+        ChunkFeeder(service, camera, [_SMALL_CHUNK] * chunks,
+                    period_seconds=2.0).start(at=0.01 * index)
+    service.drain()
+    service.status()  # first-use work
+    tracemalloc.start()
+    try:
+        service.status()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _retained_by_links(chunks: int, loop: bool) -> int:
@@ -542,13 +605,40 @@ class TestWhatAChunkCosts:
     def test_the_recurrence_drains_in_one_call_a_chunk(self):
         """The same feed with nothing but feeder pushes pending goes
         through the recurrence as one batch: it reports the loop's five
-        events a chunk, in 0.96 Python-level calls a chunk (44.3 on the
-        loop)."""
+        events a chunk, in 1.08 Python-level calls a chunk (44.3 on the
+        loop) and 1.87 calls into C, a fixed count whatever the chunks.
+        A commit that appends each latency on its own makes one more call
+        into C a chunk."""
         fired, calls = _drain_counting_calls(_soak_service())
         assert (fired, calls) == _drain_counting_calls(_soak_service())
+        _, into_c = _drain_counting_calls(_soak_service(), "c_call")
         chunks = SESSIONS * CHUNKS
         assert fired == 5 * chunks
         assert calls <= BATCH_CALLS_PER_CHUNK_CEILING * chunks, calls / chunks
+        assert into_c <= BATCH_C_CALLS_PER_CHUNK_CEILING * chunks, (
+            into_c / chunks)
+
+    def test_a_snapshot_costs_a_flat_count_of_calls_a_session(self):
+        """``status()`` takes latency percentiles in one ``np.percentile``
+        call per group of sessions holding equally many latencies (three
+        groups here), so from 64 to 1,024 sessions its Python-level calls
+        grow by a fixed few a session."""
+        per_session = (_status_calls(1024) - _status_calls(64)) / (1024 - 64)
+        assert per_session <= STATUS_CALLS_PER_SESSION_CEILING, per_session
+
+    def test_a_snapshot_copies_a_bounded_share_of_the_latencies(
+            self, monkeypatch):
+        """``status()`` copies sessions' latencies into matrices of at
+        most ``PERCENTILE_BATCH_VALUES`` values (here 2,048: eight
+        sessions of 256), so its peak grows by the snapshot objects alone,
+        not by the stores.  Measured: 0.6 KB a session past the 16th; one
+        matrix of every session (and ``np.percentile``'s copy) adds 4.7
+        KB, twice a session's 2 KB store."""
+        monkeypatch.setattr(fleet, "PERCENTILE_BATCH_VALUES", 2048)
+        chunks = 256
+        per_session = (_status_peak(96, chunks)
+                       - _status_peak(16, chunks)) / (96 - 16)
+        assert per_session < 8 * chunks, per_session
 
     @pytest.mark.parametrize("loop", [False, True], ids=["batch", "loop"])
     def test_links_hold_no_more_after_twice_the_chunks(self, loop):

@@ -223,6 +223,27 @@ def test_non_finite_times_are_refused_at_the_service_boundary(call):
     assert (service.scheduler.now, service.scheduler.pending_events) == (0.0, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda service: service.at("1", print),
+    lambda service: service.at(True, print),
+    lambda service: service.run_for("1"),
+    lambda service: ChunkFeeder(service, "cam", [], period_seconds="2"),
+    lambda service: ChunkFeeder(service, "cam", [], period_seconds=True),
+    lambda service: ChunkFeeder(service, "cam", [], period_seconds=1.0,
+                                retry_seconds="1"),
+    lambda service: ChunkFeeder(service, "cam", make_plans(1)[0][1],
+                                period_seconds=1.0).start(at="x"),
+], ids=["at-str", "at-bool", "run_for-str", "period-str", "period-bool",
+        "retry-str", "start-str"])
+def test_non_numbers_are_refused_at_the_service_boundary(call):
+    """At the parent each of these raised a bare ``TypeError`` from a
+    comparison, or (a bool) was taken as one second."""
+    service = StreamingService()
+    with pytest.raises(ServiceError, match="must be a real number"):
+        call(service)
+    assert (service.scheduler.now, service.scheduler.pending_events) == (0.0, 0)
+
+
 def test_control_events_carry_their_arguments():
     service = StreamingService()
     fired = []
