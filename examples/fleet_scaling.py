@@ -17,11 +17,6 @@ so a second run skips rendering and tuning entirely; ``--build-workers N``
 builds a cold cache in parallel through
 :class:`repro.parallel.WorkloadBuilder` (byte-identical artifacts).
 
-``--precision fast`` builds the workloads through the float32 fast paths
-(merged NN GEMMs, dot-product SADs with the exact-argmin tie fallback)
-under the :data:`repro.contracts.FAST_CONTRACT` accuracy budget; the
-default ``exact`` keeps every kernel bit-identical to the seed.
-
 ``--scale-cameras N`` adds three synthetic N-camera fleets (no workload
 rendering): a heterogeneous one on 64 edges, N identical cameras with no
 arrival jitter on 8 edges, whose every delivery ties across the edges, and
@@ -33,7 +28,6 @@ be equal exactly.  ``--json-out``
 writes the sweep + comparisons as a JSON artifact.
 
 Run with:  python examples/fleet_scaling.py [--build-workers 2]
-                                            [--precision exact|fast]
                                             [--scale-cameras 64]
                                             [--json-out sweep.json]
 """
@@ -45,7 +39,6 @@ import json
 import time
 
 from repro import SystemConfig
-from repro.contracts import PRECISION_MODES
 from repro.cluster import CameraJob, FleetOrchestrator, PlacementPolicy
 from repro.core import DeploymentMode, build_workload, plan_camera_job
 from repro.datasets import ALL_DATASETS, DatasetSpec
@@ -228,11 +221,6 @@ def main() -> None:
         help="worker processes for the cold workload build (default: 1); "
              "parallel builds write byte-identical cache artifacts")
     parser.add_argument(
-        "--precision", choices=sorted(PRECISION_MODES), default="exact",
-        help="numeric mode of the workload build: 'exact' (default, "
-             "bit-identical hot paths) or 'fast' (float32 kernels under "
-             "the FAST_CONTRACT accuracy budget)")
-    parser.add_argument(
         "--scale-cameras", type=int, default=0, metavar="N",
         help="also run three synthetic N-camera fleets (heterogeneous on 64 "
              "edges, identical on 8, identical on 8 with two workers each) "
@@ -247,8 +235,7 @@ def main() -> None:
     if arguments.scale_cameras < 0:
         parser.error("--scale-cameras must be >= 0")
     configure_logging()
-    config = SystemConfig(precision=arguments.precision)
-    print(f"Numeric contract: {config.contract.describe()}")
+    config = SystemConfig()
     mode = DeploymentMode.IFRAME_EDGE_CLOUD_NN
 
     print(f"Preparing {NUM_CAMERAS}-camera fleet "
@@ -284,7 +271,6 @@ def main() -> None:
 
     if arguments.json_out:
         artifact = {
-            "config": {"precision": config.precision},
             "sweep": [
                 {"policy": policy, "num_edges": num_edges,
                  **report.as_dict()}

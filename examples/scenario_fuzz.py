@@ -5,8 +5,7 @@ Samples ``--budget`` compositions from the scenario DSL (base profile +
 weather / day-night / crowd / camera-fault presets), runs each through
 generate -> encode -> tuner -> fleet, and checks the invariant set of
 :mod:`repro.video.fuzzing`: decoder round-trip exactness, no I-frame
-storms, tuner grid convergence, fast-vs-exact agreement budgets and
-chain == recurrence fleet parity.
+storms, tuner grid convergence and chain == recurrence fleet parity.
 
 The whole run is a pure function of ``--seed``: CI runs it twice and diffs
 the ``--summary-out`` files verbatim (the ``scenario-fuzz-smoke`` job).

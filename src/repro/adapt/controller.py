@@ -9,8 +9,7 @@ closes the loop in the serving path:
   detectors, applies hysteresis (``confirm_chunks`` consecutive drifting
   chunks) and cooldown, and on confirmed drift re-runs the cheap
   ``tune_from_activities`` grid search over a sliding window of recent
-  activities.  Being pure makes it directly testable — the differential
-  exact-vs-fast contract drives it without a service.
+  activities.  Being pure makes it directly testable without a service.
 * :class:`AdaptiveTuningController` binds monitors to a live
   :class:`~repro.service.service.StreamingService`: it observes accepted
   pushes, applies winning parameters through the existing
@@ -39,11 +38,10 @@ from ..codec.gop import (DEFAULT_PARAMETERS, EncoderParameters,
                          KeyframePlacer)
 from ..codec.scenecut import FrameActivity
 from ..config import whole_number
-from ..contracts import validate_precision
 from ..core.metrics import evaluate_sampling
 from ..core.tuner import (ParameterLookupTable, SemanticEncoderTuner,
                           TuningGrid)
-from ..errors import ConfigurationError, ServiceError
+from ..errors import ServiceError
 from ..faults.stats import RecoveryTrace
 from ..logging_utils import get_logger
 from ..perf import section as perf_section
@@ -83,15 +81,11 @@ class AdaptiveConfig:
         detector_window: Baseline window of the z-score detectors.
         detector_min_samples: Baseline samples required before any
             detector may fire.
-        precision: Numeric mode of the re-tune grid search (``"exact"``
-            default; ``"fast"`` rides the float32 motion-search path and
-            is covered by the differential contract tests).
 
     Raises:
         ServiceError: At construction, if a count is not a whole number in
             range, a threshold or the cooldown is not finite and in range,
-            ``grid`` is not a :class:`TuningGrid`, or ``precision`` is not
-            a known mode.
+            or ``grid`` is not a :class:`TuningGrid`.
     """
 
     grid: TuningGrid = field(default_factory=TuningGrid)
@@ -106,7 +100,6 @@ class AdaptiveConfig:
     brightness_threshold: float = 25.0
     detector_window: int = 12
     detector_min_samples: int = 4
-    precision: str = "exact"
 
     def __post_init__(self) -> None:
         # Counts are whole numbers (``confirm_chunks=1.5`` would act as 2)
@@ -129,10 +122,6 @@ class AdaptiveConfig:
         if not isinstance(self.grid, TuningGrid):
             raise ServiceError(
                 f"grid must be a TuningGrid, got {self.grid!r}")
-        try:
-            validate_precision(self.precision)
-        except ConfigurationError as exc:
-            raise ServiceError(str(exc)) from None
         _drift_detectors(self)
 
 
@@ -233,8 +222,7 @@ class DriftMonitor:
         # kept until a retune replaces the incumbent.
         if self._tuner is None:
             self._tuner = SemanticEncoderTuner(
-                grid=self.config.grid, base_parameters=self.current,
-                precision=self.config.precision)
+                grid=self.config.grid, base_parameters=self.current)
         result = self._tuner.tune_from_activities(activities, timeline)
         incumbent = result.score_of(self.current)
         if incumbent is not None:

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..contracts import validate_precision
+from ..config import validate_precision
 from ..errors import EncodeError
 from ..logging_utils import get_logger
 from ..video.frame import FrameType
@@ -70,15 +70,15 @@ class VideoEncoder:
     Args:
         parameters: Encoder configuration (GOP size, scenecut threshold,
             quality, macroblock size, motion-search radius).
-        precision: Numeric mode of the motion search — ``"exact"`` (the
-            default, bit-identical to the seed) or ``"fast"`` (float32
-            SADs under :data:`repro.contracts.FAST_CONTRACT`).
+        precision: Checked by :func:`~repro.config.validate_precision` and
+            otherwise ignored: the codec has one numeric mode.  The
+            benchmark still passes it; ROADMAP item 18 removes it.
     """
 
     def __init__(self, parameters: Optional[EncoderParameters] = None,
                  precision: str = "exact") -> None:
+        validate_precision(precision)
         self.parameters = parameters or EncoderParameters()
-        self.precision = validate_precision(precision)
         self._matrix = quantisation_matrix(self.parameters.quality,
                                            self.parameters.block_size)
 
@@ -88,8 +88,8 @@ class VideoEncoder:
     def analyze(self, video: VideoSource) -> List[FrameActivity]:
         """Run the parameter-independent lookahead pass over ``video``."""
         return SceneCutAnalyzer(self.parameters.block_size,
-                                self.parameters.search_radius,
-                                self.precision).analyze_video(video)
+                                self.parameters.search_radius
+                                ).analyze_video(video)
 
     def place_frame_types(self, activities: Sequence[FrameActivity]) -> List[FrameType]:
         """Frame types this encoder's parameters assign to an analysis pass."""
@@ -208,8 +208,7 @@ class VideoEncoder:
                 f"{video.metadata.num_frames} frames")
         frame_types = self.place_frame_types(activities)
         # One search for the whole video: it keeps its candidate stack.
-        search = MotionSearch(parameters.block_size, parameters.search_radius,
-                              precision=self.precision)
+        search = MotionSearch(parameters.block_size, parameters.search_radius)
 
         encoded_frames: List[EncodedFrame] = []
         reference: Optional[np.ndarray] = None

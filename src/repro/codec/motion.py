@@ -4,13 +4,13 @@ The encoder predicts every P-frame block from the previous frame shifted by
 a per-block motion vector.  Motion search is a candidate-set search (the
 zero vector plus a small square neighbourhood), evaluated for *all* blocks
 of a frame and a whole batch of candidates simultaneously, which keeps
-pure-numpy encoding fast enough for multi-thousand-frame videos.  The exact
+pure-numpy encoding fast enough for multi-thousand-frame videos.  The
 search screens every candidate in integers, on planes rounded to a fixed
 point, and settles in float64 only the blocks whose winner the rounding
-could have changed (:meth:`MotionSearch._search_exact`); the fast search
-stacks float32 candidate planes.  The scene-cut analysis of raw ``uint8``
-frames runs the search over a whole batch of frames in 2-byte integers
-(:func:`integer_candidate_sads`), which is exact in any summation order.
+could have changed (:meth:`MotionSearch._search_exact`).  The scene-cut
+analysis of raw ``uint8`` frames runs the search over a whole batch of
+frames in 2-byte integers (:func:`integer_candidate_sads`), which is exact
+in any summation order.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from ..config import whole_number
-from ..contracts import PRECISION_EXACT, resolve_contract, validate_precision
+from ..config import validate_precision, whole_number
 from ..errors import CodecError
 from .blocks import (DEFAULT_BLOCK_SIZE, block_grid, from_blocks, pad_plane,
-                     padded_shape, to_blocks)
+                     padded_shape)
 
 
 @lru_cache(maxsize=32)
@@ -82,31 +81,25 @@ class MotionField:
         zero_sad: Per-block SAD of the zero-motion candidate.
         block_size: Block edge length used for the estimation.
 
-    The exact search settles ``block_sad`` and ``zero_sad`` when one of
-    them is first read, from the two planes it searched: the encoder reads
-    only the vectors, and skips the two reductions.  Until then the field
-    holds those planes, so they must not be changed in place.
+    ``block_sad`` and ``zero_sad`` are settled by ``sads()``, called once,
+    when one of them is first read: the encoder reads only the vectors, and
+    skips the two reductions.  Until then the search's field holds the two
+    planes it searched, so they must not be changed in place.  A field
+    built from vectors alone (``sads`` left out) has no SADs to read.
     """
 
-    def __init__(self, vectors: np.ndarray, block_sad: np.ndarray,
-                 zero_sad: np.ndarray, block_size: int) -> None:
+    def __init__(self, vectors: np.ndarray, block_size: int,
+                 sads: Optional[Callable[[], Tuple[np.ndarray, np.ndarray]]]
+                 = None) -> None:
         self.vectors = vectors
         self.block_size = block_size
-        self._sads: Tuple[np.ndarray, np.ndarray] = (block_sad, zero_sad)
-        self._settle_sads: Optional[Callable[[], Tuple[np.ndarray, np.ndarray]]] = None
-
-    @classmethod
-    def _deferred(cls, vectors: np.ndarray, block_size: int,
-                  sads: Callable[[], Tuple[np.ndarray, np.ndarray]]
-                  ) -> "MotionField":
-        """A field whose ``(block_sad, zero_sad)`` come from ``sads()``,
-        called once, when either is first read."""
-        field = cls(vectors, None, None, block_size)  # type: ignore[arg-type]
-        field._settle_sads = sads
-        return field
+        self._settle_sads = sads
+        self._sads: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _settled(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._settle_sads is not None:
+        if self._sads is None:
+            if self._settle_sads is None:
+                raise CodecError("this motion field carries vectors only")
             self._sads = self._settle_sads()
             self._settle_sads = None
         return self._sads
@@ -126,18 +119,11 @@ class MotionField:
         return float(moving.mean())
 
 
-#: Upper bound, in array elements, on one candidate batch of the fast
-#: search (32 k float32 = 128 KiB).  Small frames put every candidate in a
-#: single ``(c, H, W)`` stack, so the search costs a handful of numpy calls
-#: instead of three per candidate; large frames fall back towards one plane
-#: at a time, so the stack and its reduction temporaries stay cache-sized
-#: instead of streaming 25 planes through memory.
-_BATCH_ELEMENTS = 32768
-
-#: The same bound for the exact search's ``int16`` screen (512 KiB): every
-#: candidate of a 58 x 102 frame (25 planes of 64 rows at a 112-element
-#: pitch) fits one batch; a frame whose grid row of candidates does not fit
-#: takes fewer candidates a batch, down to one.
+#: Upper bound, in array elements, on one candidate batch of the search's
+#: ``int16`` screen (512 KiB): every candidate of a 58 x 102 frame (25
+#: planes of 64 rows at a 112-element pitch) fits one batch; a frame whose
+#: grid row of candidates does not fit takes fewer candidates a batch, down
+#: to one.
 _SCREEN_BATCH_ELEMENTS = 1 << 18
 
 #: The widest span, in fixed-point units, of the values of a screened frame
@@ -184,25 +170,11 @@ def _fixed_point_shift(low: float, high: float) -> Optional[int]:
 class MotionSearch:
     """A configured motion search that keeps its buffers between frames.
 
-    The two precisions search differently:
-
-    * ``"exact"`` (default) — bit-identical to the seed's per-candidate
-      float64 search (SADs summed in numpy's own order,
-      :func:`_block_sums_exact`), without computing its SAD surface: it
-      screens every candidate in integers and settles in float64 only the
-      blocks the screen cannot decide (:meth:`_search_exact`).
-    * ``"fast"`` — float32 SADs reduced with two dot products against a
-      ones vector (:func:`_block_sums_fast`).  Both changes reassociate the
-      summation, so the values live under ``contract.sad_values`` rather
-      than the bit-identity contract.  Argmin stability is restored where
-      it matters: every block whose float32 gap between best and
-      second-best candidate falls inside the ``contract.sad_tie`` margin
-      has its full candidate row recomputed in float64 and its winner (and
-      SAD) replaced by the exact result — so genuine ties resolve by the
-      first-candidate-wins rule, and a fast/exact vector disagreement can
-      only happen when two candidates are *nearly* tied beyond float32
-      resolution but outside the margin, which ``contract.sad_argmin``
-      budgets for.
+    The search is bit-identical to the seed's per-candidate float64 search
+    (SADs summed in numpy's own order, :func:`_block_sums_exact`), without
+    computing its SAD surface: it screens every candidate in integers and
+    settles in float64 only the blocks the screen cannot decide
+    (:meth:`_search_exact`).
 
     An encoder or analyser searches frame after frame of one video, so it
     builds one ``MotionSearch`` and calls it per frame pair: its candidate
@@ -218,8 +190,6 @@ class MotionSearch:
         block_size: Macroblock size.
         search_radius: Maximum displacement searched per axis.
         search_step: Candidate grid step (``2`` halves the search cost).
-        precision: ``"exact"`` or ``"fast"``; the fast path's near-tie
-            margin comes from the precision's numeric contract.
 
     Raises:
         CodecError: If the block size, radius or step is not a whole number
@@ -227,10 +197,7 @@ class MotionSearch:
     """
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE,
-                 search_radius: int = 3, search_step: int = 1,
-                 precision: str = PRECISION_EXACT) -> None:
-        self.precision = validate_precision(precision)
-        self.contract = resolve_contract(precision)
+                 search_radius: int = 3, search_step: int = 1) -> None:
         self.block_size = whole_number(block_size, "block_size", CodecError, 1)
         self.search_radius = whole_number(search_radius, "search_radius",
                                           CodecError, 0)
@@ -238,7 +205,6 @@ class MotionSearch:
                                         CodecError, 1)
         self._offsets = candidate_offsets(self.search_radius, self.search_step)
         self._offset_table = offset_table(self.search_radius, self.search_step)
-        self._stack: Optional[np.ndarray] = None
         self._screen: Optional[_Screen] = None
 
     def __call__(self, reference: np.ndarray, current: np.ndarray) -> MotionField:
@@ -273,9 +239,7 @@ class MotionSearch:
         high = float(np.maximum(reference.max(), current.max()))
         if not (math.isfinite(low) and math.isfinite(high)):
             raise CodecError("cannot search motion on a plane with NaN or infinity")
-        if self.precision == PRECISION_EXACT:
-            return self._search_exact(reference, current, low, high)
-        return self._search_fast(reference, current)
+        return self._search_exact(reference, current, low, high)
 
     # ------------------------------------------------------------------ #
     # Exact: screen, bound, settle
@@ -336,7 +300,7 @@ class MotionSearch:
             self._settle(reference, current, running,
                          running.sum(axis=0) > 1, slot_candidates, winners)
         table = self._offset_table
-        return MotionField._deferred(
+        return MotionField(
             table[winners], block_size,
             lambda: _winner_sads(reference, current, table[winners],
                                  block_size))
@@ -363,71 +327,6 @@ class MotionSearch:
         row_of = np.cumsum(tied_rows) - 1
         winners[tied_y, tied_x] = candidates[
             sads[:, row_of[tied_y], tied_x].argmin(axis=0)]
-
-    # ------------------------------------------------------------------ #
-    # Fast: float32 surface, float64 near-tie fallback
-    # ------------------------------------------------------------------ #
-    def _search_fast(self, reference: np.ndarray,
-                     current: np.ndarray) -> MotionField:
-        block_size = self.block_size
-        reference = pad_plane(reference, block_size)
-        current = pad_plane(current, block_size)
-        # Pad the reference once by the search radius (edge replication);
-        # every candidate shift is then a pure slice view into the padded
-        # plane: ``padded[r-dy : r-dy+H, r-dx : r-dx+W]`` is ``reference``
-        # shifted by ``(dy, dx)`` for every ``|dy|, |dx| <= r``.
-        padded = pad_edge(reference, self.search_radius)
-        sads = self._candidate_sads(padded.astype(np.float32),
-                                    current.astype(np.float32))
-        best_index = sads.argmin(axis=0)
-        block_sad = sads.min(axis=0).astype(np.float64)
-        zero_sad = sads[0].astype(np.float64)
-        if len(self._offsets) > 1:
-            runner_up = np.partition(sads, 1, axis=0)[1].astype(np.float64)
-            near_tie = ((runner_up - block_sad)
-                        <= self.contract.sad_tie.margin(block_sad))
-            if np.any(near_tie):
-                tied_y, tied_x = np.nonzero(near_tie)
-                exact_sads = _exact_block_sads(
-                    padded, current, block_size, self.search_radius,
-                    self._offsets, tied_y, tied_x)
-                best_index[near_tie] = exact_sads.argmin(axis=0)
-                block_sad[near_tie] = exact_sads.min(axis=0)
-                zero_sad[near_tie] = exact_sads[0]
-        return MotionField(vectors=self._offset_table[best_index],
-                           block_sad=block_sad, zero_sad=zero_sad,
-                           block_size=block_size)
-
-    def _candidate_sads(self, padded: np.ndarray,
-                        current: np.ndarray) -> np.ndarray:
-        """float32 per-block SAD of every candidate: ``(candidates, by, bx)``.
-
-        ``padded`` is the block-aligned reference pre-padded by the search
-        radius and ``current`` the block-aligned current plane.  Candidates
-        are evaluated a batch at a time (see :data:`_BATCH_ELEMENTS`): their
-        shifted views are gathered into one ``(c, H, W)`` stack, differenced
-        against ``current`` with one subtract and one abs, and reduced per
-        block by :func:`_block_sums_fast`.
-        """
-        offsets, radius, block_size = self._offsets, self.search_radius, self.block_size
-        height, width = current.shape
-        batch = max(1, min(len(offsets), _BATCH_ELEMENTS // (height * width)))
-        stack = self._stack
-        if stack is None or stack.shape != (batch, height, width):
-            stack = self._stack = np.empty((batch, height, width),
-                                           dtype=current.dtype)
-        sads = np.empty((len(offsets), height // block_size, width // block_size),
-                        dtype=current.dtype)
-        for start in range(0, len(offsets), batch):
-            chunk = offsets[start:start + batch]
-            diff = stack[:len(chunk)]
-            for plane, (dy, dx) in zip(diff, chunk):
-                plane[...] = padded[radius - dy:radius - dy + height,
-                                    radius - dx:radius - dx + width]
-            np.subtract(diff, current, out=diff)
-            np.abs(diff, out=diff)
-            sads[start:start + len(chunk)] = _block_sums_fast(diff, block_size)
-        return sads
 
 
 class _Screen:
@@ -573,8 +472,8 @@ def _winner_sads(reference: np.ndarray, current: np.ndarray,
     reference = pad_plane(reference, block_size)
     current = pad_plane(current, block_size)
     planes = np.empty((2, *current.shape))
-    planes[0] = motion_compensate(reference, MotionField(
-        vectors, None, None, block_size), current.shape)  # type: ignore[arg-type]
+    planes[0] = motion_compensate(reference, MotionField(vectors, block_size),
+                                  current.shape)
     planes[1] = reference
     np.subtract(planes, current, out=planes)
     np.abs(planes, out=planes)
@@ -585,7 +484,7 @@ def _winner_sads(reference: np.ndarray, current: np.ndarray,
 def estimate_motion(reference: np.ndarray, current: np.ndarray,
                     block_size: int = DEFAULT_BLOCK_SIZE,
                     search_radius: int = 3, search_step: int = 1,
-                    precision: str = PRECISION_EXACT) -> MotionField:
+                    precision: str = "exact") -> MotionField:
     """One-shot :class:`MotionSearch`: configure, search one frame pair.
 
     Args:
@@ -594,15 +493,16 @@ def estimate_motion(reference: np.ndarray, current: np.ndarray,
         block_size: Macroblock size.
         search_radius: Maximum displacement searched per axis.
         search_step: Candidate grid step (``2`` halves the search cost).
-        precision: ``"exact"`` (default, bit-identical to the seed
-            implementation) or ``"fast"`` (float32 SADs under the tolerance
-            contract).
+        precision: Checked by :func:`~repro.config.validate_precision` and
+            otherwise ignored: the search has one numeric mode.  The
+            benchmark still passes it; ROADMAP item 18 removes it.
 
     Returns:
         The :class:`MotionField` with the best candidate per block.
     """
-    return MotionSearch(block_size, search_radius, search_step,
-                        precision)(reference, current)
+    validate_precision(precision)
+    return MotionSearch(block_size, search_radius, search_step)(reference,
+                                                                current)
 
 
 #: Integer accumulators of block sums, narrowest first.
@@ -784,43 +684,6 @@ def _block_sums_exact(diff: np.ndarray, block_size: int) -> np.ndarray:
     for row in range(2, block_size):
         sums += row_sums[:, :, row]
     return sums
-
-
-def _block_sums_fast(diff: np.ndarray, block_size: int) -> np.ndarray:
-    """Per-block sums of a ``(c, H, W)`` stack as two dot products.
-
-    A matmul against a ones vector over the inner block axis, then over the
-    block-row axis, instead of numpy's generic two-small-axis reduction.
-    """
-    count, height, width = diff.shape
-    ones = np.ones(block_size, dtype=diff.dtype)
-    blocked = diff.reshape(count, height // block_size, block_size,
-                           width // block_size, block_size)
-    return (blocked @ ones).transpose(0, 1, 3, 2) @ ones
-
-
-def _exact_block_sads(padded: np.ndarray, current: np.ndarray,
-                      block_size: int, search_radius: int,
-                      offsets: Tuple[Tuple[int, int], ...],
-                      tied_y: np.ndarray, tied_x: np.ndarray) -> np.ndarray:
-    """float64 SADs of every candidate for the selected blocks.
-
-    The fast search's near-tie fallback.  ``padded`` is the reference plane
-    pre-padded by ``search_radius``.  Returns an array of shape
-    ``(num_candidates, num_blocks)`` in candidate order (origin first),
-    computed entirely in float64 so its argmin resolves ties like the exact
-    search does.
-    """
-    current_blocks = to_blocks(current, block_size)
-    tied_blocks = current_blocks[tied_y, tied_x]
-    windows = sliding_window_view(padded, (block_size, block_size))
-    rows = tied_y * block_size
-    cols = tied_x * block_size
-    sads = np.empty((len(offsets), len(tied_y)))
-    for index, (dy, dx) in enumerate(offsets):
-        shifted = windows[search_radius - dy + rows, search_radius - dx + cols]
-        sads[index] = np.abs(shifted - tied_blocks).sum(axis=(1, 2))
-    return sads
 
 
 def motion_compensate(reference: np.ndarray, field: MotionField,

@@ -36,7 +36,6 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..contracts import validate_precision
 from ..errors import CodecError
 from .blocks import DEFAULT_BLOCK_SIZE, pad_plane, padded_shape, to_blocks
 from .motion import (MotionSearch, integer_block_sums, integer_candidate_sads,
@@ -166,26 +165,21 @@ class SceneCutAnalyzer:
     stack and searched as one batch (:func:`integer_candidate_sads`), and
     the prediction, residual and intra costs are whole-batch integer
     operations.  Every quantity is an integer sum, exact in any order, so
-    the activities equal the float64 path's exactly, in either precision.
-    Other planes — RGB-derived luma, reconstructions — take the float64
-    :class:`MotionSearch` of ``precision`` one frame pair at a time, as do
-    blocks larger than 16, whose SADs need more than two bytes.
+    the activities equal the float64 path's exactly.  Other planes —
+    RGB-derived luma, reconstructions — take the float64
+    :class:`MotionSearch` one frame pair at a time, as do blocks larger
+    than 16, whose SADs need more than two bytes.
 
     Args:
         block_size: Macroblock size for motion estimation.
         search_radius: Motion search radius in pixels.
-        precision: Numeric mode of the float motion search (``"exact"``
-            default; ``"fast"`` selects the float32 SAD path under the
-            tolerance contract).
     """
 
-    def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE, search_radius: int = 2,
-                 precision: str = "exact") -> None:
+    def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE,
+                 search_radius: int = 2) -> None:
         self.block_size = _require_int("block_size", block_size, 1)
         self.search_radius = _require_int("search_radius", search_radius, 0)
-        self.precision = validate_precision(precision)
-        self._search = MotionSearch(self.block_size, self.search_radius,
-                                    precision=self.precision)
+        self._search = MotionSearch(self.block_size, self.search_radius)
         self._sad_dtype = integer_sad_dtype(self.block_size)
         self._offset_table = offset_table(self.search_radius, 1)
 

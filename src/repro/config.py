@@ -10,13 +10,10 @@ paper's physical edge/cloud testbed.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from numbers import Real
-from typing import Optional, Type
+from typing import Optional, Tuple, Type
 
-from .contracts import (PRECISION_ENV, PRECISION_EXACT, NumericContract,
-                        resolve_contract, validate_precision)
 from .errors import ConfigurationError, SieveError
 
 #: Default wide-area bandwidth between edge and cloud, from Section V of the
@@ -33,15 +30,20 @@ DEFAULT_CAMERA_EDGE_BANDWIDTH_MBPS = 100.0
 NN_INPUT_RESOLUTION = (300, 300)
 
 
-def default_precision() -> str:
-    """The default numeric precision mode.
+#: The NN numeric modes a :class:`SystemConfig` can select: ``"exact"``
+#: float64 kernels, bit-identical to the seed, or ``"fast"`` float32 merged
+#: GEMMs (see :func:`repro.nn.model.activation_dtype`).
+PRECISION_EXACT = "exact"
+PRECISION_FAST = "fast"
+PRECISION_MODES: Tuple[str, ...] = (PRECISION_EXACT, PRECISION_FAST)
 
-    ``"exact"`` unless the ``REPRO_PRECISION`` environment variable selects
-    another mode — which is how the CI matrix leg runs the whole tier-1
-    suite under the float32 fast paths without code changes.
-    """
-    return validate_precision(
-        os.environ.get(PRECISION_ENV, PRECISION_EXACT).strip() or PRECISION_EXACT)
+
+def validate_precision(precision: str) -> str:
+    """Return ``precision`` unchanged, raising on unknown modes."""
+    if precision not in PRECISION_MODES:
+        raise ConfigurationError(
+            f"precision must be one of {PRECISION_MODES}, got {precision!r}")
+    return precision
 
 
 def whole_number(value: object, name: str,
@@ -152,14 +154,15 @@ class SystemConfig:
             content-keyed disk-cache entries, and the parent assembles
             the results deterministically by dataset — byte-identical
             cache artifacts and equal workload objects either way.
-        precision: Numeric mode of the hot paths.  ``"exact"`` (the
-            default) keeps every optimised kernel bit-identical to the seed
-            implementation; ``"fast"`` routes NN inference and the motion
-            search through float32 kernels (merged batched GEMMs,
-            dot-product SAD reductions with an exact-argmin fallback on
-            near-ties) whose deviation is bounded by the
-            :data:`repro.contracts.FAST_CONTRACT` accuracy budget.  The
-            default honours the ``REPRO_PRECISION`` environment variable.
+        precision: Numeric mode of NN inference.  ``"exact"`` (the
+            default) computes in float64, bit-identical to the seed
+            implementation; ``"fast"`` runs float32 merged batched GEMMs,
+            whose accuracy budgets ``tests/nn/test_differential_nn.py``
+            pins.  No library code reads this field: a caller selects the
+            float32 path by passing ``precision`` to
+            :meth:`repro.nn.model.SequentialModel.forward`,
+            ``predict_classes`` or :func:`repro.nn.yolo_lite.classify_frames`.
+            The codec has one numeric mode and ignores it.
         seed: Root seed for all stochastic components.
     """
 
@@ -171,7 +174,7 @@ class SystemConfig:
     nn_input_resolution: tuple = NN_INPUT_RESOLUTION
     nn_batch_size: int = 16
     build_workers: int = 1
-    precision: str = field(default_factory=default_precision)
+    precision: str = PRECISION_EXACT
     seed: int = 20200601
 
     def __post_init__(self) -> None:
@@ -202,11 +205,6 @@ class SystemConfig:
             object.__setattr__(self, name, whole_number(
                 getattr(self, name), name, least=1))
         validate_precision(self.precision)
-
-    @property
-    def contract(self) -> NumericContract:
-        """The numeric contract selected by :attr:`precision`."""
-        return resolve_contract(self.precision)
 
 
 DEFAULT_SYSTEM_CONFIG = SystemConfig()

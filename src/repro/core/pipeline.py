@@ -199,9 +199,7 @@ def build_workload(instance: DatasetInstance,
         semantic_parameters: Tuned encoder parameters; when ``None`` and the
             dataset is labelled they are obtained by running the offline
             tuner on the clip itself.
-        config: System configuration (NN input resolution, seed, and the
-            numeric ``precision`` the analysis/tuning/encode stages run
-            under).
+        config: System configuration (NN input resolution, seed).
         default_parameters: The non-semantic encoder configuration.
         target_f1: F1 target used to select the MSE threshold.
         unlabelled_sample_period_seconds: Sampling period used when no ground
@@ -214,7 +212,6 @@ def build_workload(instance: DatasetInstance,
         The condensed :class:`VideoWorkload`.
     """
     config = config or SystemConfig()
-    precision = config.precision
     video = instance.video
     timeline = instance.timeline
     spec = instance.spec
@@ -226,13 +223,11 @@ def build_workload(instance: DatasetInstance,
     # --- analysis pass + semantic parameters ------------------------------
     with perf_section("pipeline.analyze"):
         if activities is None:
-            activities = VideoEncoder(default_parameters,
-                                      precision).analyze(video)
+            activities = VideoEncoder(default_parameters).analyze(video)
     if semantic_parameters is None:
         if timeline is not None:
             with perf_section("pipeline.tune"):
-                tuner = SemanticEncoderTuner(TuningGrid(), default_parameters,
-                                             precision)
+                tuner = SemanticEncoderTuner(TuningGrid(), default_parameters)
                 semantic_parameters = tuner.tune_from_activities(
                     activities, timeline, spec.name).best_parameters
         else:
@@ -243,9 +238,9 @@ def build_workload(instance: DatasetInstance,
 
     # --- encode under both configurations (size-only) ---------------------
     with perf_section("pipeline.encode"):
-        semantic_encoded = VideoEncoder(semantic_parameters, precision).encode(
+        semantic_encoded = VideoEncoder(semantic_parameters).encode(
             video, activities=activities)
-        default_encoded = VideoEncoder(default_parameters, precision).encode(
+        default_encoded = VideoEncoder(default_parameters).encode(
             video, activities=activities)
     semantic_samples = semantic_encoded.keyframe_indices
 

@@ -50,10 +50,8 @@ class Sieve:
     """The SiEVE system facade.
 
     Args:
-        config: System configuration (bandwidths, hardware calibration, and
-            the numeric ``precision`` the tuning/encode paths run under —
-            ``"fast"`` selects the float32 kernels bounded by
-            :data:`repro.contracts.FAST_CONTRACT`).
+        config: System configuration (its ``nn_batch_size`` is the default
+            detector batch size).
         tuning_grid: Grid explored when tuning cameras.
         base_parameters: Non-tuned encoder parameters.
     """
@@ -73,8 +71,7 @@ class Sieve:
     def tune_camera(self, camera_name: str, footage: VideoSource,
                     timeline: Optional[EventTimeline] = None) -> TuningResult:
         """Tune a camera's encoder on labelled footage and remember the result."""
-        tuner = SemanticEncoderTuner(self.tuning_grid, self.base_parameters,
-                                     self.config.precision)
+        tuner = SemanticEncoderTuner(self.tuning_grid, self.base_parameters)
         result = tuner.tune(footage, timeline, camera_name)
         self.lookup_table.store(camera_name, result.best_parameters)
         return result
@@ -121,7 +118,7 @@ class Sieve:
                 raise PipelineError(
                     "analyze_video needs a detector when the video has no ground truth")
             detector = OracleDetector(timeline)
-        encoded = VideoEncoder(parameters, self.config.precision).encode(video)
+        encoded = VideoEncoder(parameters).encode(video)
         keyframes = encoded.keyframe_indices
         segments = select_events_from_keyframes(keyframes, encoded.num_frames)
         starts = [start for start, _ in segments]

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..codec.encoder import VideoEncoder
 from ..codec.gop import ActivityColumns, EncoderParameters
 from ..codec.scenecut import FrameActivity
-from ..contracts import validate_precision
+from ..config import validate_precision
 from ..errors import ConfigurationError, TuningError
 from ..logging_utils import get_logger
 from ..video.events import EventTimeline
@@ -173,16 +173,17 @@ class SemanticEncoderTuner:
         grid: The (GOP, scenecut) grid to explore.
         base_parameters: Template providing the non-tuned parameters
             (quality, block size, motion-search radius).
-        precision: Numeric mode of the analysis pass (``"exact"`` default;
-            ``"fast"`` selects the float32 motion search).
+        precision: Checked by :func:`~repro.config.validate_precision` and
+            otherwise ignored: the codec has one numeric mode.  The
+            benchmark still passes it; ROADMAP item 18 removes it.
     """
 
     def __init__(self, grid: Optional[TuningGrid] = None,
                  base_parameters: Optional[EncoderParameters] = None,
                  precision: str = "exact") -> None:
+        validate_precision(precision)
         self.grid = grid or TuningGrid()
         self.base_parameters = base_parameters or EncoderParameters()
-        self.precision = validate_precision(precision)
         self._configurations = self.grid.configurations(self.base_parameters)
 
     # ------------------------------------------------------------------ #
@@ -190,7 +191,7 @@ class SemanticEncoderTuner:
     # ------------------------------------------------------------------ #
     def analyze(self, video: VideoSource) -> List[FrameActivity]:
         """Run the parameter-independent analysis pass over the footage."""
-        return VideoEncoder(self.base_parameters, self.precision).analyze(video)
+        return VideoEncoder(self.base_parameters).analyze(video)
 
     def tune_from_activities(self, activities: Sequence[FrameActivity],
                              timeline: EventTimeline,

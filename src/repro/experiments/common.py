@@ -41,7 +41,6 @@ from ..codec.encoder import VideoEncoder
 from ..codec.gop import DEFAULT_PARAMETERS, EncoderParameters
 from ..codec.scenecut import FrameActivity
 from ..config import SystemConfig
-from ..contracts import PRECISION_EXACT, validate_precision
 from ..datasets import diskcache
 from ..datasets.generator import DatasetInstance, build_dataset
 from ..datasets.registry import LABELLED_DATASETS, get_dataset
@@ -112,40 +111,35 @@ WORKLOAD_CACHE_KIND = "workload"
 
 
 def _cache_key(name: str, config: ExperimentConfig, split: str,
-               base_parameters: EncoderParameters, precision: str) -> tuple:
+               base_parameters: EncoderParameters) -> tuple:
     """Content key of one prepared dataset.
 
     Covers the rendered footage (dataset, split, duration, render scale) and
-    the analysis pass configuration (the encoder parameters and the numeric
-    precision of the motion search), i.e. every input
-    :func:`prepare_dataset` derives its output from.
+    the analysis pass configuration (the encoder parameters), i.e. every
+    input :func:`prepare_dataset` derives its output from.
     """
     return (name, split, float(config.duration_seconds),
-            float(config.render_scale), base_parameters, precision)
+            float(config.render_scale), base_parameters)
 
 
 def prepare_dataset(name: str, config: ExperimentConfig, split: str = "test",
-                    base_parameters: EncoderParameters = EncoderParameters(),
-                    precision: str = PRECISION_EXACT) -> PreparedDataset:
+                    base_parameters: EncoderParameters = EncoderParameters()
+                    ) -> PreparedDataset:
     """Render one dataset clip and run the codec analysis pass over it.
 
     Results are cached in-process under a content key (dataset name, split,
-    duration, render scale, encoder parameters, precision), persisted to the
-    on-disk cache under ``REPRO_CACHE_DIR``, and shared across every
-    harness.  Callers receive the shared instance and must not mutate it.
-    Fast and exact sessions never share an artifact: the analysis pass
-    depends on the numeric mode, so ``precision`` is part of both cache
-    keys.
+    duration, render scale, encoder parameters), persisted to the on-disk
+    cache under ``REPRO_CACHE_DIR``, and shared across every harness.
+    Callers receive the shared instance and must not mutate it.
     """
-    validate_precision(precision)
-    key = _cache_key(name, config, split, base_parameters, precision)
+    key = _cache_key(name, config, split, base_parameters)
     prepared = _PREPARED_CACHE.get(key)
     if prepared is None:
         disk_key = diskcache.content_key(DATASET_CACHE_KIND, *key)
         prepared = _load_prepared_from_disk(name, config, split, disk_key)
         if prepared is None:
             prepared = _prepare_dataset_uncached(name, config, split,
-                                                 base_parameters, precision)
+                                                 base_parameters)
             _store_prepared_to_disk(disk_key, name, config, split, prepared)
         _PREPARED_CACHE[key] = prepared
     return prepared
@@ -159,8 +153,7 @@ MATERIALISE_LIMIT_BYTES = 256 * 1024 * 1024
 
 
 def _prepare_dataset_uncached(name: str, config: ExperimentConfig, split: str,
-                              base_parameters: EncoderParameters,
-                              precision: str = PRECISION_EXACT
+                              base_parameters: EncoderParameters
                               ) -> PreparedDataset:
     with perf_section("dataset.render"):
         instance = build_dataset(name, duration_seconds=config.duration_seconds,
@@ -175,8 +168,7 @@ def _prepare_dataset_uncached(name: str, config: ExperimentConfig, split: str,
             if frame_bytes * video.metadata.num_frames <= MATERIALISE_LIMIT_BYTES:
                 instance.video = video.materialise()
     with perf_section("dataset.analyze"):
-        activities = VideoEncoder(base_parameters,
-                                  precision).analyze(instance.video)
+        activities = VideoEncoder(base_parameters).analyze(instance.video)
     return PreparedDataset(instance=instance, activities=activities)
 
 
@@ -326,7 +318,7 @@ def _workload_key_parts(name: str, config: ExperimentConfig, split: str,
             float(config.render_scale), base_parameters,
             tuple(system_config.nn_input_resolution), float(target_f1),
             float(unlabelled_sample_period_seconds),
-            float(H264_EFFICIENCY_FACTOR), system_config.precision)
+            float(H264_EFFICIENCY_FACTOR))
 
 
 def prepare_workload(name: str, config: ExperimentConfig, split: str = "full",
@@ -355,8 +347,7 @@ def prepare_workload(name: str, config: ExperimentConfig, split: str = "full",
     disk_key = diskcache.content_key(*key_parts)
     workload = _load_workload_from_disk(name, disk_key)
     if workload is None:
-        prepared = prepare_dataset(name, config, split, base_parameters,
-                                   system_config.precision)
+        prepared = prepare_dataset(name, config, split, base_parameters)
         with perf_section("workload.build"):
             workload = build_workload(prepared.instance, config=system_config,
                                       default_parameters=base_parameters,

@@ -21,9 +21,8 @@ bit-identical to the seed implementation.  Feeding float32 activations
 ``precision="fast"``) routes Conv2D and Dense through *merged* float32
 GEMMs — one BLAS call for a whole batch chunk instead of one
 identically-shaped product per example — which reassociates the reductions
-and therefore lives under the tolerance contract of
-:data:`repro.contracts.FAST_CONTRACT` rather than the bit-identity
-contract.
+and is therefore held to accuracy budgets (``tests/nn/``) rather than to
+bit-identity.
 
 Memory: the layers that move whole feature maps (:class:`Conv2D`,
 :class:`MaxPool2D`, :class:`ReLU`) take their scratch and their output from
@@ -270,7 +269,7 @@ class Conv2D(Layer):
             if fast:
                 # The merged reduction (and float32 itself) round
                 # differently from the exact path, which is precisely what
-                # the fast tolerance contract budgets for.
+                # the fast path's accuracy budgets allow for.
                 merged = kernel_matrix @ columns.reshape(taps, count * positions)
                 merged += bias
                 out_chunk[...] = merged.reshape(
@@ -407,7 +406,7 @@ class Dense(Layer):
                 f"(batch, {self.in_features}) batch, got shape {inputs.shape}")
         if vectors.dtype == np.float32:
             # Fast path: one merged float32 GEMM over the whole batch,
-            # covered by the tolerance contract instead of bit-identity.
+            # held to accuracy budgets instead of bit-identity.
             # Weights are cast per call (not cached) so mutating the public
             # `weights`/`bias` attributes can never leave a stale copy.
             output = (vectors @ self.weights.T.astype(np.float32)

@@ -6,9 +6,15 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..contracts import PRECISION_EXACT, activation_dtype
+from ..config import PRECISION_EXACT, PRECISION_FAST, validate_precision
 from ..errors import ModelError
 from .layers import Layer, Shape, Workspace
+
+
+def activation_dtype(precision: str):
+    """The numpy dtype the NN engine computes in under ``precision``."""
+    validate_precision(precision)
+    return np.float32 if precision == PRECISION_FAST else np.float64
 
 
 class SequentialModel:
@@ -80,8 +86,8 @@ class SequentialModel:
         ``precision`` selects the numeric mode: ``"exact"`` (the default)
         computes in float64 through the bit-identical kernels; ``"fast"``
         casts the activation to float32, routing every layer through its
-        merged-GEMM fast kernel under the tolerance contract of
-        :data:`repro.contracts.FAST_CONTRACT`.
+        merged-GEMM fast kernel, within the accuracy budgets
+        ``tests/nn/test_differential_nn.py`` pins.
         """
         if not 0 <= start <= stop <= self.num_layers:
             raise ModelError(

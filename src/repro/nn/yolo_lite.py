@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..contracts import PRECISION_EXACT
+from ..config import PRECISION_EXACT
 from ..errors import ModelError
 from ..vision.imageops import normalize_plane, resize_stack, to_grayscale
 from .layers import Conv2D, Dense, GlobalAveragePool, MaxPool2D, ReLU, Softmax
@@ -137,8 +137,7 @@ def classify_frames(model: SequentialModel, frames: Sequence[np.ndarray],
         batch_size: Frames per batched forward pass; bounds peak activation
             memory while amortising the per-layer dispatch overhead.
         precision: Numeric mode — ``"exact"`` (default, bit-identical
-            float64) or ``"fast"`` (float32 merged GEMMs under the
-            tolerance contract).
+            float64) or ``"fast"`` (float32 merged GEMMs).
 
     Returns:
         ``(labels, probabilities)`` — one label per frame and the stacked

@@ -77,8 +77,6 @@ class BuildTask:
         target_f1: Tuning target (workload tasks only).
         unlabelled_sample_period_seconds: Fallback sampling period for
             unlabelled datasets (workload tasks only).
-        precision: Numeric mode of the analysis pass (dataset tasks;
-            workload tasks take theirs from ``system_config.precision``).
     """
 
     artifact: str
@@ -89,7 +87,6 @@ class BuildTask:
     system_config: Optional[SystemConfig] = None
     target_f1: float = 0.95
     unlabelled_sample_period_seconds: float = 5.0
-    precision: str = "exact"
 
 
 def execute_build_task(task: BuildTask) -> Tuple[str, str, str]:
@@ -108,7 +105,7 @@ def execute_build_task(task: BuildTask) -> Tuple[str, str, str]:
             task.unlabelled_sample_period_seconds)
     elif task.artifact == DATASET_ARTIFACT:
         prepare_dataset(task.name, task.config, task.split,
-                        task.base_parameters, task.precision)
+                        task.base_parameters)
     else:
         raise ConfigurationError(f"unknown build artifact {task.artifact!r}")
     return (task.artifact, task.name, task.split)
@@ -161,17 +158,15 @@ class WorkloadBuilder:
         """
         from ..experiments.common import prepare_dataset
         names = list(self.config.datasets if names is None else names)
-        precision = self.system_config.precision
         tasks = [
             BuildTask(artifact=DATASET_ARTIFACT, name=name, split=split,
-                      config=self.config, base_parameters=base_parameters,
-                      precision=precision)
+                      config=self.config, base_parameters=base_parameters)
             for name in names for split in splits
         ]
         self._warm(tasks)
         return {
             (name, split): prepare_dataset(name, self.config, split,
-                                           base_parameters, precision)
+                                           base_parameters)
             for name in names for split in splits
         }
 

@@ -16,6 +16,7 @@ the soak examples' CI jobs diff on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -23,6 +24,8 @@ import numpy as np
 
 from ..adapt import chunk_scene
 from ..codec.scenecut import FrameActivity, SceneCutAnalyzer
+from ..config import real_number, validate_precision
+from ..errors import ServiceError
 from ..video.scenarios import make_scenario
 from ..video.synthetic import SyntheticScene
 from .session import FrameChunk
@@ -69,9 +72,11 @@ def analyse_scenario(name: str, duration_seconds: float,
         render_scale: Resolution scale factor.
         seed: Optional schedule-seed override, forwarded to the scenario
             constructor.
-        precision: Scene-cut analyzer precision (``"exact"`` or
-            ``"fast"``).
+        precision: Checked by :func:`~repro.config.validate_precision` and
+            otherwise ignored: the analysis has one numeric mode.  The
+            benchmark still passes it; ROADMAP item 18 removes it.
     """
+    validate_precision(precision)
     profile = make_scenario(name, duration_seconds=duration_seconds,
                             render_scale=render_scale, seed=seed)
     scene = SyntheticScene(profile)
@@ -85,7 +90,7 @@ def analyse_scenario(name: str, duration_seconds: float,
             yield frame
 
     # The rendered uint8 planes go to the analyser in batches.
-    activities = SceneCutAnalyzer(precision=precision).analyze_frames(frames())
+    activities = SceneCutAnalyzer().analyze_frames(frames())
     return ClipAnalysis(activities=tuple(activities),
                         frame_labels=tuple(frozenset(f) for f in labels),
                         lumas=tuple(lumas), fps=profile.fps)
@@ -102,8 +107,20 @@ def chunk_analysis(analysis: ClipAnalysis,
 
     Trailing frames that do not fill a whole chunk are dropped, matching
     the paced feeders' expectation of uniform chunk durations.
+
+    Raises:
+        ServiceError: If ``chunk_seconds`` is not a real number (a bool is
+            not one) that rounds to at least one frame at the clip's rate.
     """
-    per_chunk = int(round(chunk_seconds * analysis.fps))
+    frames = real_number(chunk_seconds, "chunk_seconds",
+                         ServiceError) * analysis.fps
+    # round() raises on nan and inf (1e308 s at 30 fps among them), so they
+    # are refused first.
+    per_chunk = round(frames) if 0 < frames < math.inf else 0
+    if per_chunk < 1:
+        raise ServiceError(
+            f"chunk_seconds must hold at least one frame at "
+            f"{analysis.fps} fps, got {chunk_seconds!r}")
     num_chunks = len(analysis.activities) // per_chunk
     chunks = []
     for index in range(num_chunks):

@@ -15,9 +15,7 @@ layer promises for *any* input, not just the eight shipped profiles:
    weather does to the novelty signal.
 3. **Tuner grid convergence** — the grid search returns a member of the
    grid with a sane F1 and is deterministic under replay.
-4. **Fast-vs-exact agreement** — the ``precision="fast"`` analysis stays
-   within the :data:`repro.contracts.FAST_CONTRACT` detections budget.
-5. **Chain == recurrence parity** — a fleet built from the composition
+4. **Chain == recurrence parity** — a fleet built from the composition
    reports bit-identically from the event loop and from the recurrence.
 
 Failures serialize to replayable JSON repro files
@@ -39,7 +37,6 @@ from ..codec.bitstream import EncodedVideo
 from ..codec.decoder import VideoDecoder
 from ..codec.encoder import VideoEncoder
 from ..codec.gop import EncoderParameters
-from ..contracts import FAST_CONTRACT, selection_agreement
 from ..core.tuner import SemanticEncoderTuner, TuningGrid
 from ..errors import DatasetError
 from ..rng import make_rng
@@ -259,22 +256,6 @@ def _check_tuner(activities, timeline,
                      "winner — the tie-break contract is broken"))
 
 
-def _check_fast_agreement(video, encoded: EncodedVideo,
-                          violations: List[InvariantViolation]) -> None:
-    fast_encoder = VideoEncoder(FUZZ_PARAMETERS, precision="fast")
-    fast_types = fast_encoder.place_frame_types(fast_encoder.analyze(video))
-    from ..video.frame import FrameType
-    fast_keys = [index for index, frame_type in enumerate(fast_types)
-                 if frame_type is FrameType.I]
-    agreement = selection_agreement(encoded.keyframe_indices, fast_keys)
-    budget = FAST_CONTRACT.detections.min_agreement
-    if agreement < budget:
-        violations.append(InvariantViolation(
-            "fast_vs_exact",
-            f"fast/exact keyframe agreement {agreement:.4f} below the "
-            f"contract budget {budget}"))
-
-
 def _fleet_jobs(composition: ScenarioComposition,
                 encoded: EncodedVideo) -> List[CameraJob]:
     """Derive a deterministic parity fleet from the encoded composition."""
@@ -325,7 +306,6 @@ def check_composition(composition: ScenarioComposition) -> FuzzResult:
         _check_roundtrip(encoded, violations)
         _check_iframe_storm(encoded, FUZZ_PARAMETERS, violations)
         _check_tuner(activities, scene.script.timeline(), violations)
-        _check_fast_agreement(video, encoded, violations)
         _check_fleet_parity(composition, encoded, violations)
     except Exception as exc:  # noqa: BLE001 - a crash IS a finding
         violations.append(InvariantViolation(

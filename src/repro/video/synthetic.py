@@ -497,7 +497,7 @@ class SyntheticScene:
         self._background = self._render_background()
         # Every DSL stage below is gated on its non-default value so the
         # default profiles draw zero extra RNG and render bit-identically
-        # (pinned by tests/contracts/test_scenario_anchors.py).
+        # (pinned by tests/integration/test_scenario_anchors.py).
         self._occluders = (self._sample_occluders()
                            if profile.occlusion_fraction > 0 else ())
         self._delivered = (self._delivery_schedule()

@@ -43,7 +43,7 @@ def drift_clip():
     frames = [scene.frame_array(index) for index in range(profile.num_frames)]
     return {
         "frames": frames,
-        "activities": SceneCutAnalyzer(precision="exact").analyze_frames(frames),
+        "activities": SceneCutAnalyzer().analyze_frames(frames),
         "labels": scene.script.frame_labels(),
         "lumas": [float(np.asarray(frame, dtype=np.float64).mean())
                   for frame in frames],

@@ -66,7 +66,6 @@ class TestAdaptiveConfig:
         # A z-score baseline never holds more than `detector_window`
         # samples, so this detector could never fire.
         ("detector_min_samples", 13),
-        ("precision", "turbo"),
         ("grid", ((100,), (40.0,))),
     ])
     def test_bad_knobs_fail_at_construction(self, field, value):

@@ -37,13 +37,11 @@ def is_scenecut(activity, scenecut):
 # --------------------------------------------------------------------- #
 class OracleAnalyzer:
     def __init__(self, block_size=8, search_radius=2, search_step=1,
-                 novel_pixel_threshold=25.0, novel_pixel_count=4,
-                 precision="exact"):
+                 novel_pixel_threshold=25.0, novel_pixel_count=4):
         self.block_size = block_size
         self.novel_pixel_threshold = float(novel_pixel_threshold)
         self.novel_pixel_count = int(novel_pixel_count)
-        self._search = MotionSearch(block_size, search_radius, search_step,
-                                    precision)
+        self._search = MotionSearch(block_size, search_radius, search_step)
         self._previous = None
         self._frame_index = 0
 
@@ -98,11 +96,9 @@ class OracleAnalyzer:
 def live_encode(encoder, video, materialise_payload):
     """``encoder``'s encode of ``video`` as the live loop computed it."""
     parameters = encoder.parameters
-    analyzer = OracleAnalyzer(parameters.block_size, parameters.search_radius,
-                              precision=encoder.precision)
+    analyzer = OracleAnalyzer(parameters.block_size, parameters.search_radius)
     placer = StreamingKeyframePlacer(parameters)
-    search = MotionSearch(parameters.block_size, parameters.search_radius,
-                          precision=encoder.precision)
+    search = MotionSearch(parameters.block_size, parameters.search_radius)
     encoded_frames = []
     reference = None
     for frame in video.frames():

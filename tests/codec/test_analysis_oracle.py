@@ -38,7 +38,6 @@ def cases(draw):
         # Clip lengths from 1 on either side of the batch length.
         length=draw(st.integers(1, 9)),
         batch_frames=draw(st.integers(1, 4)),
-        precision=draw(st.sampled_from(("exact", "fast"))),
     )
 
 
@@ -60,19 +59,18 @@ class TestAgainstThePerFramePass:
     @settings(max_examples=200, deadline=None)
     @given(case=cases())
     @example(case=dict(block_size=8, search_radius=2, kind="pan", seed=0,
-                       height=58, width=102, length=9, batch_frames=4,
-                       precision="exact"))
+                       height=58, width=102, length=9, batch_frames=4))
     @example(case=dict(block_size=16, search_radius=3, kind="saturated",
                        seed=1, height=33, width=16, length=2,
-                       batch_frames=1, precision="exact"))
+                       batch_frames=1))
     def test_every_form_equals_the_oracle(self, case):
-        """``uint8`` frames in either precision equal the exact float pass:
+        """``uint8`` frames equal the float pass:
         the video in frame batches and the planes in frame batches.  One
         analyser serves both calls: each starts again at frame 0."""
         frames = render(case["kind"], case["seed"], case["length"],
                         case["height"], case["width"])
         expected = OracleAnalyzer(**knobs(case)).analyze_video(video_of(frames))
-        analyzer = SceneCutAnalyzer(**knobs(case), precision=case["precision"])
+        analyzer = SceneCutAnalyzer(**knobs(case))
         with batched(case):
             assert analyzer.analyze_video(video_of(frames)) == expected
             assert analyzer.analyze_frames(iter(frames)) == expected
@@ -80,13 +78,12 @@ class TestAgainstThePerFramePass:
     @settings(max_examples=60, deadline=None)
     @given(case=cases())
     def test_float_input_keeps_the_float_path(self, case):
-        """RGB-derived luma is not integer: it takes the float64 search of
-        its own precision, exactly as before, and never the integer kernel."""
+        """RGB-derived luma is not integer: it takes the float64 search,
+        exactly as before, and never the integer kernel."""
         rgb = colour(render(case["kind"], case["seed"], case["length"],
                             case["height"], case["width"]))
-        expected = OracleAnalyzer(
-            **knobs(case), precision=case["precision"]).analyze_video(video_of(rgb))
-        analyzer = SceneCutAnalyzer(**knobs(case), precision=case["precision"])
+        expected = OracleAnalyzer(**knobs(case)).analyze_video(video_of(rgb))
+        analyzer = SceneCutAnalyzer(**knobs(case))
         with batched(case), mock.patch.object(
                 scenecut, "integer_candidate_sads",
                 side_effect=AssertionError("float input took the integer path")):

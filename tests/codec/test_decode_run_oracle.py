@@ -70,10 +70,7 @@ def loop_decode_predicted(frame, reference, frame_shape):
         packed = np.frombuffer(payload[mv_start:residual_start], dtype=np.int8)
         vectors[moving] = packed.reshape(-1, 2).astype(np.int16)
     vectors = vectors.reshape(blocks_y, blocks_x, 2)
-    field = MotionField(vectors=vectors,
-                        block_sad=np.zeros((blocks_y, blocks_x)),
-                        zero_sad=np.zeros((blocks_y, blocks_x)),
-                        block_size=block_size)
+    field = MotionField(vectors, block_size)
     prediction = motion_compensate(reference, field, frame_shape)
     quantised = np.zeros((blocks_y * blocks_x, 1, block_size, block_size),
                          dtype=np.int32)

@@ -23,6 +23,8 @@ from repro.codec.motion import (MotionField, MotionSearch, _block_sums_exact,
                                 integer_block_sums, integer_sad_dtype,
                                 motion_compensate, offset_table, pad_edge)
 from repro.errors import CodecError
+from repro.video import SyntheticScene, make_scenario
+from repro.video.scenarios import SCENARIOS
 
 
 # --------------------------------------------------------------------- #
@@ -52,8 +54,8 @@ def loop_estimate_motion(reference, current, block_size, search_radius,
     best_index = sads.argmin(axis=0)
     best_sad = sads.min(axis=0)
     offset_table = np.asarray(offsets, dtype=np.int16)
-    return MotionField(vectors=offset_table[best_index], block_sad=best_sad,
-                       zero_sad=sads[0], block_size=block_size)
+    return MotionField(offset_table[best_index], block_size,
+                       lambda: (best_sad, sads[0]))
 
 
 def stack_estimate_motion(reference, current, block_size, search_radius,
@@ -78,8 +80,8 @@ def stack_estimate_motion(reference, current, block_size, search_radius,
         np.abs(diff, out=diff)
         sads[start:start + len(chunk)] = _block_sums_exact(diff, block_size)
     return MotionField(
-        vectors=offset_table(search_radius, search_step)[sads.argmin(axis=0)],
-        block_sad=sads.min(axis=0), zero_sad=sads[0], block_size=block_size)
+        offset_table(search_radius, search_step)[sads.argmin(axis=0)],
+        block_size, lambda: (sads.min(axis=0), sads[0]))
 
 
 def loop_motion_compensate(reference, field, output_shape):
@@ -223,12 +225,11 @@ class TestSearchMatchesLoop:
                 estimate_motion(reference, current, 8, 2),
                 loop_estimate_motion(reference, current, 8, 2))
 
-    @pytest.mark.parametrize("precision", ["exact", "fast"])
-    def test_reused_search_equals_one_shot(self, precision):
+    def test_reused_search_equals_one_shot(self):
         """An encoder keeps one MotionSearch for a whole video: its stack
         must follow a change of frame size, and no returned field may alias
         it (the next search would overwrite the previous result)."""
-        search = MotionSearch(8, 2, precision=precision)
+        search = MotionSearch(8, 2)
         rng = np.random.default_rng(11)
         fields, expected = [], []
         for shape in ((32, 48), (32, 48), (58, 102), (20, 20), (32, 48)):
@@ -236,16 +237,36 @@ class TestSearchMatchesLoop:
             current = np.clip(shift_plane(reference, 1, -2)
                               + rng.normal(0.0, 2.0, size=shape), 0.0, 255.0)
             fields.append(search(reference, current))
-            expected.append(estimate_motion(reference, current, 8, 2,
-                                            precision=precision))
+            expected.append(estimate_motion(reference, current, 8, 2))
         for field, one_shot in zip(fields, expected):
             assert_same_field(field, one_shot)
 
     def test_shape_mismatch_still_rejected(self):
-        for precision in ("exact", "fast"):
-            with pytest.raises(CodecError):
-                estimate_motion(np.zeros((8, 8)), np.zeros((8, 16)),
-                                precision=precision)
+        with pytest.raises(CodecError):
+            estimate_motion(np.zeros((8, 8)), np.zeros((8, 16)))
+
+    def test_a_field_of_vectors_alone_has_no_sads(self):
+        field = MotionField(np.zeros((2, 2, 2), dtype=np.int16), 8)
+        for name in ("block_sad", "zero_sad"):
+            with pytest.raises(CodecError, match="vectors only"):
+                getattr(field, name)
+
+
+class TestScenarioFramesMatchTheLoop:
+    """Every shipped scenario's footage: a mid-clip frame pair, searched
+    on float planes, gives the seed loop's field byte for byte."""
+
+    @pytest.mark.parametrize("radius", [2, 3])
+    @pytest.mark.parametrize("name", sorted(
+        name for name in SCENARIOS if "+" not in name))
+    def test_fields_are_byte_identical(self, name, radius):
+        profile = make_scenario(name, duration_seconds=2.0, render_scale=0.08)
+        scene = SyntheticScene(profile)
+        middle = profile.num_frames // 2
+        reference, current = (scene.frame_array(index).astype(np.float64)
+                              for index in (middle - 1, middle))
+        assert_same_field(estimate_motion(reference, current, 8, radius),
+                          loop_estimate_motion(reference, current, 8, radius))
 
 
 # --------------------------------------------------------------------- #
@@ -408,19 +429,18 @@ def _fields(draw):
                            ).astype(np.int16)
     if draw(st.booleans()):
         vectors[rng.random((blocks_y, blocks_x)) < 0.7] = 0
-    zeros = np.zeros((blocks_y, blocks_x))
-    return reference, MotionField(vectors, zeros, zeros, block_size), (height, width)
+    return reference, MotionField(vectors, block_size), (height, width)
 
 
 class TestCompensationMatchesLoop:
     @settings(max_examples=300, deadline=None)
     @given(_fields())
     @example((np.arange(12.0).reshape(3, 4),
-              MotionField(np.full((1, 1, 2), 127, dtype=np.int16),
-                          np.zeros((1, 1)), np.zeros((1, 1)), 8), (3, 4)))
+              MotionField(np.full((1, 1, 2), 127, dtype=np.int16), 8),
+              (3, 4)))
     @example((np.arange(12.0).reshape(3, 4),
-              MotionField(np.full((1, 1, 2), -127, dtype=np.int16),
-                          np.zeros((1, 1)), np.zeros((1, 1)), 4), (3, 4)))
+              MotionField(np.full((1, 1, 2), -127, dtype=np.int16), 4),
+              (3, 4)))
     def test_predictions_are_byte_identical(self, case):
         reference, field, output_shape = case
         assert_same_bytes(motion_compensate(reference, field, output_shape),
@@ -448,7 +468,6 @@ class TestCompensationMatchesLoop:
             loop_motion_compensate(reference, field, current.shape))
 
     def test_field_shape_mismatch_still_rejected(self):
-        field = MotionField(np.zeros((2, 2, 2), dtype=np.int16),
-                            np.zeros((2, 2)), np.zeros((2, 2)), 8)
+        field = MotionField(np.zeros((2, 2, 2), dtype=np.int16), 8)
         with pytest.raises(CodecError):
             motion_compensate(np.zeros((8, 8)), field, (8, 8))

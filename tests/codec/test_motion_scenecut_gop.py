@@ -65,29 +65,25 @@ class TestMotion:
             MotionSearch(search_radius=search_radius)(np.zeros(shape),
                                                       np.zeros(shape))
 
-    @pytest.mark.parametrize("precision", ["exact", "fast"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["reference", "current"])
-    def test_non_finite_plane_rejected(self, precision, bad, which):
+    def test_non_finite_plane_rejected(self, bad, which):
         """A NaN or an infinity used to come back as all-zero vectors."""
         planes = {"reference": np.full((16, 24), 80.0),
                   "current": np.full((16, 24), 90.0)}
         planes[which][5, 7] = bad
         with pytest.raises(CodecError, match="NaN or infinity"):
-            estimate_motion(planes["reference"], planes["current"], 8, 2,
-                            precision=precision)
+            estimate_motion(planes["reference"], planes["current"], 8, 2)
         with pytest.raises(CodecError, match="NaN or infinity"):
-            MotionSearch(8, 2, precision=precision)(planes["reference"],
-                                                    planes["current"])
+            MotionSearch(8, 2)(planes["reference"], planes["current"])
 
-    @pytest.mark.parametrize("precision", ["exact", "fast"])
-    def test_complex_plane_rejected(self, precision):
+    def test_complex_plane_rejected(self):
         """A complex plane used to lose its imaginary part with a
         ComplexWarning."""
         real = np.full((16, 16), 50.0)
         for reference, current in ((real + 1j, real), (real, real + 0j)):
             with pytest.raises(CodecError, match="complex"):
-                estimate_motion(reference, current, 8, 2, precision=precision)
+                estimate_motion(reference, current, 8, 2)
 
     @pytest.mark.parametrize("arguments", [
         (8, True), (True, 2), (8, 2, True), (8, False),

@@ -309,6 +309,11 @@ class TestBatchedScoringEqualsThePerSetOracle:
 # --------------------------------------------------------------------- #
 # The batched grid search == the per-configuration loop
 # --------------------------------------------------------------------- #
+#: The grid values the tuning cases draw from.
+GRID_GOPS = [1, 2, 5, 10, 30, 100, 250]
+GRID_SCENECUTS = [0.0, 20.0, 40.0, 100.0, 250.0, 400.0]
+
+
 @st.composite
 def _tuning_case(draw):
     num_frames = draw(st.integers(2, 150))
@@ -330,11 +335,10 @@ def _tuning_case(draw):
     frame_labels = [label for label, lo, hi in zip(labels, bounds, bounds[1:])
                     for _ in range(hi - lo)]
     grid = TuningGrid(
-        gop_sizes=draw(st.lists(st.sampled_from([1, 2, 5, 10, 30, 100, 250]),
+        gop_sizes=draw(st.lists(st.sampled_from(GRID_GOPS),
                                 min_size=1, max_size=4)),
-        scenecut_thresholds=draw(st.lists(
-            st.sampled_from([0.0, 20.0, 40.0, 100.0, 250.0, 400.0]),
-            min_size=1, max_size=4)))
+        scenecut_thresholds=draw(st.lists(st.sampled_from(GRID_SCENECUTS),
+                                          min_size=1, max_size=4)))
     return activities, EventTimeline.from_frame_labels(frame_labels), grid
 
 
@@ -394,3 +398,58 @@ class TestTunerEqualsThePerConfigurationLoop:
         assert first.results == second.results
         assert first.results == loop_tune_from_activities(
             tuner, activities, timeline).results
+
+
+def _tune(activities, timeline, gop_sizes, scenecut_thresholds):
+    grid = TuningGrid(gop_sizes=gop_sizes,
+                      scenecut_thresholds=scenecut_thresholds)
+    return SemanticEncoderTuner(grid).tune_from_activities(activities,
+                                                           timeline)
+
+
+class TestGridMonotonicity:
+    """A larger grid never picks a worse winner.  Every old point scores
+    as before, so the winning F1 cannot fall; the winner moves only to a
+    strictly better point, or — where new points come before it in grid
+    order — to an equal one that comes first (``TuningResult``'s
+    first-maximum rule)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tuning_case(), st.lists(st.sampled_from(GRID_GOPS), min_size=1,
+                                    max_size=3))
+    def test_appending_gop_values(self, case, extra):
+        # GOP-major order: the new points come after every old one.
+        activities, timeline, grid = case
+        before = _tune(activities, timeline, grid.gop_sizes,
+                       grid.scenecut_thresholds)
+        after = _tune(activities, timeline, grid.gop_sizes + tuple(extra),
+                      grid.scenecut_thresholds)
+        assert after.results[:len(before.results)] == before.results
+        assert after.best.score.f1 >= before.best.score.f1
+        if _position(after.results, after.best) != _position(
+                before.results, before.best):
+            assert after.best.score.f1 > before.best.score.f1
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tuning_case(), st.lists(st.sampled_from(GRID_SCENECUTS),
+                                    min_size=1, max_size=3))
+    def test_appending_scenecut_values(self, case, extra):
+        # Scenecut-minor order: each GOP row gains the new points at its
+        # end, so they interleave with the old rows.
+        activities, timeline, grid = case
+        before = _tune(activities, timeline, grid.gop_sizes,
+                       grid.scenecut_thresholds)
+        after = _tune(activities, timeline, grid.gop_sizes,
+                      grid.scenecut_thresholds + tuple(extra))
+        old, new = len(grid.scenecut_thresholds), len(extra)
+        moved = [row * (old + new) + column
+                 for row in range(len(grid.gop_sizes))
+                 for column in range(old)]
+        assert [after.results[index] for index in moved] == before.results
+        assert after.best.score.f1 >= before.best.score.f1
+        winner = _position(after.results, after.best)
+        incumbent = moved[_position(before.results, before.best)]
+        if winner != incumbent:
+            assert (after.best.score.f1 > before.best.score.f1
+                    or (after.best.score.f1 == before.best.score.f1
+                        and winner < incumbent))

@@ -17,6 +17,7 @@ import pytest
 
 from cache_tools import (CacheCorruption, apply_cache_corruption,
                          clear_prepared_cache, list_keys)
+from repro import SystemConfig
 from repro.datasets import diskcache
 from repro.experiments import ExperimentConfig, prepare_dataset, prepare_workload
 from repro.experiments.common import DATASET_CACHE_KIND, WORKLOAD_CACHE_KIND
@@ -323,3 +324,18 @@ class TestSecondSessionIsWarm:
         cold_seconds = sum(first["stage_seconds"].values())
         warm_seconds = sum(second["stage_seconds"].values())
         assert warm_seconds < cold_seconds
+
+
+def test_nn_precision_shares_the_codec_artifacts(cache_dir):
+    """The workload is codec work, which has one numeric mode: either NN
+    precision builds one artifact and reads it back."""
+    exact = prepare_workload("jackson_square", QUICK,
+                             system_config=SystemConfig(precision="exact"))
+    clear_prepared_cache()
+    get_recorder().sections.clear()
+    fast = prepare_workload("jackson_square", QUICK,
+                            system_config=SystemConfig(precision="fast"))
+    assert "workload.disk_hit" in get_recorder().sections
+    assert workload_fingerprint(fast) == workload_fingerprint(exact)
+    assert len(list_keys(WORKLOAD_CACHE_KIND)) == 1
+    assert len(list_keys(DATASET_CACHE_KIND)) == 1

@@ -178,16 +178,12 @@ def make_night_instance() -> DatasetInstance:
 
 class TestNightScenario:
     """The flickering low-light profile flows through the whole fleet path:
-    serial == event loop == recurrence, under both precision modes, and
-    the scene-cut stage does not degenerate under sub-threshold flicker."""
+    serial == event loop == recurrence, and the scene-cut stage does not
+    degenerate under sub-threshold flicker."""
 
     @pytest.fixture(scope="class")
     def night_workload(self):
-        # Pinned exact: this workload doubles as the reference side of the
-        # fast-vs-exact comparison below, which must stay differential even
-        # on the REPRO_PRECISION=fast CI leg.
-        return build_workload(make_night_instance(),
-                              config=SystemConfig(precision="exact"))
+        return build_workload(make_night_instance(), config=SystemConfig())
 
     def test_flicker_does_not_storm_iframes(self, night_workload):
         # The lamp flicker sits below the novel-pixel threshold: the
@@ -216,11 +212,3 @@ class TestNightScenario:
         orchestrator = FleetOrchestrator(jobs, num_edge_servers=2)
         assert orchestrator._run_chain().parity_mismatches(
             orchestrator.run(), 0.0) == []
-
-    def test_fast_precision_workload_close_to_exact(self, night_workload):
-        from repro.contracts import FAST_CONTRACT, selection_agreement
-        fast = build_workload(make_night_instance(),
-                              config=SystemConfig(precision="fast"))
-        assert selection_agreement(night_workload.semantic_samples,
-                                   fast.semantic_samples) >= (
-            FAST_CONTRACT.detections.min_agreement)

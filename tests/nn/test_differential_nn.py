@@ -1,11 +1,15 @@
 """Differential exact-vs-fast harness for the NN engine.
 
-Every property here is one side of the fast tolerance contract
-(:data:`repro.contracts.FAST_CONTRACT`):
+``precision="fast"``, passed to ``SequentialModel.forward``,
+``predict_classes`` or ``classify_frames``, runs the NN in float32 merged
+GEMMs.  Its accuracy budgets are the module
+constants below:
 
-* fast outputs stay inside the ``nn_logits`` elementwise budget,
-* fast argmax classifications agree with exact at ``nn_classes`` rate and
-  can only disagree on genuine logit near-ties,
+* fast outputs stay within ``NN_LOGITS_ATOL`` + ``NN_LOGITS_RTOL`` · |exact|
+  of the exact float64 outputs, elementwise,
+* fast argmax classifications agree with exact on at least
+  ``NN_CLASSES_MIN_AGREEMENT`` of the examples and can only disagree on
+  genuine logit near-ties,
 * the default (exact) path remains bit-identical: same arrays as before the
   fast path existed, batched == per-example, float64 throughout.
 """
@@ -14,11 +18,47 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.contracts import FAST_CONTRACT
-from repro.contracts.contract import agreement_fraction
+from repro.errors import ConfigurationError
 from repro.nn import SequentialModel, build_yolo_lite, classify_frames
 from repro.nn.layers import Conv2D, Dense, MaxPool2D, ReLU, Softmax
+from repro.nn.model import activation_dtype
 from repro.video import SyntheticScene, make_scenario
+
+#: Elementwise budget of fast NN outputs (softmax probabilities) against
+#: the exact float64 forward pass.  One fused-reduction step loses ~1e-7
+#: relative per term and YoloLite's deepest accumulation chains are a few
+#: hundred terms, so 1e-4 relative is two orders of magnitude above the
+#: observed error while still catching any real numerical defect.
+NN_LOGITS_ATOL = 1e-5
+NN_LOGITS_RTOL = 1e-4
+
+#: Minimum fraction of examples whose fast argmax class equals the exact
+#: one: room only for genuine near-ties.
+NN_CLASSES_MIN_AGREEMENT = 0.98
+
+
+def logit_margin(reference) -> np.ndarray:
+    """The allowed absolute deviation around exact output values."""
+    return NN_LOGITS_ATOL + NN_LOGITS_RTOL * np.abs(
+        np.asarray(reference, dtype=np.float64))
+
+
+def max_violation(exact, fast) -> float:
+    """Largest deviation in excess of the logit budget (<= 0 is within)."""
+    exact = np.asarray(exact, dtype=np.float64)
+    fast = np.asarray(fast, dtype=np.float64)
+    return float((np.abs(fast - exact) - logit_margin(exact)).max())
+
+
+def within_logit_budget(exact, fast) -> bool:
+    return max_violation(exact, fast) <= 0.0
+
+
+def class_agreement(exact, fast) -> float:
+    """Fraction of aligned classifications (indices or labels) that agree."""
+    exact, fast = list(exact), list(fast)
+    assert len(exact) == len(fast)
+    return sum(a == b for a, b in zip(exact, fast)) / len(exact)
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +94,8 @@ class TestLogitBudget:
         exact = tiny_model.forward(inputs)
         fast = tiny_model.forward(inputs, precision="fast")
         assert fast.dtype == np.float32
-        assert FAST_CONTRACT.nn_logits.values_within(exact, fast), (
-            f"violation={FAST_CONTRACT.nn_logits.max_violation(exact, fast)}")
+        assert within_logit_budget(exact, fast), (
+            f"violation={max_violation(exact, fast)}")
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -69,7 +109,7 @@ class TestLogitBudget:
         exact = tiny_model.forward_range(exact_mid, split, tiny_model.num_layers)
         fast = tiny_model.forward_range(fast_mid, split,
                                         tiny_model.num_layers, "fast")
-        assert FAST_CONTRACT.nn_logits.values_within(exact, fast)
+        assert within_logit_budget(exact, fast)
 
 
 class TestClassAgreement:
@@ -80,16 +120,14 @@ class TestClassAgreement:
         inputs = rng.normal(0.0, 1.0, size=(24, *tiny_model.input_shape))
         exact_idx, exact_out = tiny_model.predict_classes(inputs)
         fast_idx, fast_out = tiny_model.predict_classes(inputs, "fast")
-        assert agreement_fraction(exact_idx, fast_idx) >= (
-            FAST_CONTRACT.nn_classes.min_agreement)
+        assert class_agreement(exact_idx, fast_idx) >= NN_CLASSES_MIN_AGREEMENT
         # Any disagreement must be a genuine near-tie: the exact margin
         # between the two top classes fits inside the logit budget.
         matrix = exact_out.reshape(exact_out.shape[0], -1)
         for example in np.nonzero(exact_idx != fast_idx)[0]:
             top_two = np.sort(matrix[example])[-2:]
             margin = float(top_two[1] - top_two[0])
-            allowed = 2.0 * float(
-                FAST_CONTRACT.nn_logits.margin(top_two).max())
+            allowed = 2.0 * float(logit_margin(top_two).max())
             assert margin <= allowed, (
                 f"fast argmax flipped on a clear margin {margin}")
 
@@ -106,8 +144,7 @@ class TestClassAgreement:
         fast_idx, fast_out = model.predict_classes(inputs, "fast")
         # Softmax of a tie is (0.5, 0.5) in both modes (within budget), and
         # argmax resolves to the first class in both modes.
-        assert FAST_CONTRACT.nn_logits.values_within([0.5, 0.5],
-                                                     fast_out.ravel())
+        assert within_logit_budget([0.5, 0.5], fast_out.ravel())
         assert exact_idx[0] == fast_idx[0] == 0
 
 
@@ -117,9 +154,9 @@ class TestClassifierSurfaces:
         exact_labels, exact_probs = classify_frames(model, scenario_frames)
         fast_labels, fast_probs = classify_frames(model, scenario_frames,
                                                   precision="fast")
-        assert agreement_fraction(exact_labels, fast_labels) >= (
-            FAST_CONTRACT.nn_classes.min_agreement)
-        assert FAST_CONTRACT.nn_logits.values_within(exact_probs, fast_probs)
+        assert class_agreement(exact_labels, fast_labels) >= (
+            NN_CLASSES_MIN_AGREEMENT)
+        assert within_logit_budget(exact_probs, fast_probs)
 
     def test_classify_frames_fast_single(self, scenario_frames):
         model = build_yolo_lite()
@@ -128,12 +165,11 @@ class TestClassifierSurfaces:
         assert probabilities.dtype == np.float32
         assert label in model.classes
 
-    def test_detections_fast_agreement(self, scenario_frames):
-        model = build_yolo_lite()
-        exact, _ = classify_frames(model, scenario_frames)
-        fast, _ = classify_frames(model, scenario_frames, precision="fast")
-        assert agreement_fraction(exact, fast) >= (
-            FAST_CONTRACT.detections.min_agreement)
+    def test_activation_dtype_follows_precision(self):
+        assert activation_dtype("exact") is np.float64
+        assert activation_dtype("fast") is np.float32
+        with pytest.raises(ConfigurationError):
+            activation_dtype("fp16")
 
 
 class TestExactStaysExact:

@@ -1,7 +1,14 @@
 """Composed scenarios stream through the service via scenario_feed."""
 
+import math
+
+import pytest
+
+from repro.codec.scenecut import FrameActivity
+from repro.errors import ServiceError
 from repro.service import (ChunkFeeder, StreamingService, VirtualClock,
                            analyse_scenario, chunk_analysis)
+from repro.service.scenario_feed import ClipAnalysis
 
 SPEC = "highway+rain+night_cycle"
 DURATION = 8.0
@@ -58,3 +65,36 @@ class TestScenarioFeed:
         assert report.parity_mismatches(replay.fleet_report(), 1e-6) == []
         expected_frames = sum(chunk.num_frames for chunk in chunks)
         assert report.total_frames == expected_frames
+
+
+def flat_analysis(frames: int = 90, fps: float = 30.0) -> ClipAnalysis:
+    """A still clip, without rendering one."""
+    return ClipAnalysis(
+        activities=tuple(FrameActivity(index, 0.0, 1.0, float(index == 0),
+                                       0.0, is_first=index == 0)
+                         for index in range(frames)),
+        frame_labels=(frozenset(),) * frames, lumas=(100.0,) * frames,
+        fps=fps)
+
+
+class TestChunkSeconds:
+    @pytest.mark.parametrize("chunk_seconds", [
+        0.0,        # used to raise ZeroDivisionError
+        0.01,       # 0.3 frames a chunk: ZeroDivisionError
+        math.nan,   # ValueError out of round()
+        "2",        # TypeError out of the multiplication
+        -2.0,       # used to return no chunks and no error
+        True,       # used to be taken as one second
+        math.inf,   # OverflowError out of round()
+        -math.inf,
+        1e308,      # finite, but 1e308 * 30 fps overflows to inf
+        None,
+        1e-9,
+    ])
+    def test_a_chunk_must_hold_a_frame(self, chunk_seconds):
+        with pytest.raises(ServiceError, match="chunk_seconds"):
+            chunk_analysis(flat_analysis(), chunk_seconds)
+
+    def test_one_frame_chunks(self):
+        chunks = chunk_analysis(flat_analysis(), 1 / 30)
+        assert [chunk.num_frames for chunk in chunks] == [1] * 90

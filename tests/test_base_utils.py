@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import repro
-from repro.config import HardwareCalibration, SystemConfig
+from repro.config import (PRECISION_MODES, HardwareCalibration,
+                          SystemConfig, validate_precision)
 from repro.errors import ConfigurationError, SieveError
 from repro.jpeg_sizing import resized_frame_bytes
 from repro.logging_utils import configure_logging, get_logger
@@ -110,6 +111,25 @@ class TestConfig:
 
     def test_configuration_error_is_sieve_error(self):
         assert issubclass(ConfigurationError, SieveError)
+
+
+class TestPrecision:
+    """``SystemConfig.precision`` is checked against the NN's numeric modes."""
+
+    def test_default_is_exact(self):
+        assert SystemConfig().precision == "exact"
+
+    def test_unknown_precision_rejected(self):
+        assert set(PRECISION_MODES) == {"exact", "fast"}
+        with pytest.raises(ConfigurationError):
+            SystemConfig(precision="fp16")
+        with pytest.raises(ConfigurationError):
+            validate_precision("double")
+
+    def test_replace_preserves_precision(self):
+        config = replace(SystemConfig(precision="fast"),
+                         edge_cloud_bandwidth_mbps=10.0)
+        assert config.precision == "fast"
 
 
 class TestLogging:
