@@ -3,21 +3,19 @@
 The encoder predicts every P-frame block from the previous frame shifted by
 a per-block motion vector.  Motion search is a candidate-set search (the
 zero vector plus a small square neighbourhood), evaluated for *all* blocks
-of a frame and a whole batch of candidates simultaneously, which keeps
-pure-numpy encoding fast enough for multi-thousand-frame videos.  The
-search screens every candidate in integers, on planes rounded to a fixed
-point, and settles in float64 only the blocks whose winner the rounding
-could have changed (:meth:`MotionSearch._search_exact`).  The scene-cut
-analysis of raw ``uint8`` frames runs the search over a whole batch of
-frames in 2-byte integers (:func:`integer_candidate_sads`), which is exact
-in any summation order.
+of a frame and a whole batch of candidates simultaneously.  The encoder's
+search (:class:`MotionSearch`) screens every candidate in integers, on
+planes rounded to a fixed point, and settles in float64 only the blocks
+whose winner the rounding could have changed.  The scene-cut analysis
+searches a whole batch of ``uint8`` frames in integers
+(:func:`integer_candidate_sads`), which is exact in any summation order.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -77,46 +75,12 @@ class MotionField:
     Attributes:
         vectors: Integer motion vectors, shape ``(blocks_y, blocks_x, 2)``
             ordered ``(dy, dx)``.
-        block_sad: Best per-block sum of absolute differences.
-        zero_sad: Per-block SAD of the zero-motion candidate.
         block_size: Block edge length used for the estimation.
-
-    ``block_sad`` and ``zero_sad`` are settled by ``sads()``, called once,
-    when one of them is first read: the encoder reads only the vectors, and
-    skips the two reductions.  Until then the search's field holds the two
-    planes it searched, so they must not be changed in place.  A field
-    built from vectors alone (``sads`` left out) has no SADs to read.
     """
 
-    def __init__(self, vectors: np.ndarray, block_size: int,
-                 sads: Optional[Callable[[], Tuple[np.ndarray, np.ndarray]]]
-                 = None) -> None:
+    def __init__(self, vectors: np.ndarray, block_size: int) -> None:
         self.vectors = vectors
         self.block_size = block_size
-        self._settle_sads = sads
-        self._sads: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def _settled(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._sads is None:
-            if self._settle_sads is None:
-                raise CodecError("this motion field carries vectors only")
-            self._sads = self._settle_sads()
-            self._settle_sads = None
-        return self._sads
-
-    @property
-    def block_sad(self) -> np.ndarray:
-        return self._settled()[0]
-
-    @property
-    def zero_sad(self) -> np.ndarray:
-        return self._settled()[1]
-
-    @property
-    def nonzero_vector_fraction(self) -> float:
-        """Fraction of blocks with a non-zero motion vector."""
-        moving = np.any(self.vectors != 0, axis=2)
-        return float(moving.mean())
 
 
 #: Upper bound, in array elements, on one candidate batch of the search's
@@ -176,15 +140,13 @@ class MotionSearch:
     settles in float64 only the blocks the screen cannot decide
     (:meth:`_search_exact`).
 
-    An encoder or analyser searches frame after frame of one video, so it
-    builds one ``MotionSearch`` and calls it per frame pair: its candidate
-    stack and fixed-point planes are then allocated once per frame size.
-    A fresh quarter-megabyte stack per search sits at the top of the heap
-    together with the reduction's temporaries, where — depending on what
-    the process allocated before — glibc trims it back to the OS on every
-    free: 23 page faults per search, 41 k per pass of the ``offline_build``
-    benchmark, 15 % of its wall clock.  :func:`estimate_motion` is the
-    one-shot form.  Instances are not re-entrant.
+    An encoder builds one ``MotionSearch`` for a video and calls it per
+    frame pair, so the screen's fixed-point planes and candidate stack are
+    allocated once per frame size.  A fresh stack per search sits at the
+    top of the heap, where glibc may trim it back to the OS on every free
+    (41 k page faults per pass of the ``offline_build`` benchmark, 15 % of
+    its wall clock).  :func:`estimate_motion` is the one-shot form.
+    Instances are not re-entrant.
 
     Args:
         block_size: Macroblock size.
@@ -299,11 +261,7 @@ class MotionSearch:
         if np.count_nonzero(running) > winners.size:
             self._settle(reference, current, running,
                          running.sum(axis=0) > 1, slot_candidates, winners)
-        table = self._offset_table
-        return MotionField(
-            table[winners], block_size,
-            lambda: _winner_sads(reference, current, table[winners],
-                                 block_size))
+        return MotionField(self._offset_table[winners], block_size)
 
     def _settle(self, reference: np.ndarray, current: np.ndarray,
                 running: np.ndarray, tied: np.ndarray,
@@ -460,27 +418,6 @@ def _settled_sads(reference: np.ndarray, current: np.ndarray,
     return _block_sums_exact(diff, block_size)
 
 
-def _winner_sads(reference: np.ndarray, current: np.ndarray,
-                 vectors: np.ndarray, block_size: int
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(block_sad, zero_sad)`` of a decided field, in the pinned order.
-
-    The winners' difference plane is gathered block by block and reduced
-    as a whole frame with the zero vector's: every block's SAD is the
-    pinned one of its winning (or zero) candidate.
-    """
-    reference = pad_plane(reference, block_size)
-    current = pad_plane(current, block_size)
-    planes = np.empty((2, *current.shape))
-    planes[0] = motion_compensate(reference, MotionField(vectors, block_size),
-                                  current.shape)
-    planes[1] = reference
-    np.subtract(planes, current, out=planes)
-    np.abs(planes, out=planes)
-    sads = _block_sums_exact(planes, block_size)
-    return sads[0], sads[1]
-
-
 def estimate_motion(reference: np.ndarray, current: np.ndarray,
                     block_size: int = DEFAULT_BLOCK_SIZE,
                     search_radius: int = 3, search_step: int = 1,
@@ -516,49 +453,40 @@ def _dtype_max(dtype: np.dtype) -> int:
 
 
 @lru_cache(maxsize=32)
-def integer_sad_dtype(block_size: int, term_bound: int = 255,
-                      widest: type = np.uint16) -> Optional[np.dtype]:
-    """The narrowest accumulator, up to ``widest``, of a block SAD.
+def integer_sad_dtype(block_size: int, term_bound: int) -> np.dtype:
+    """The narrowest accumulator of a block SAD.
 
     A ``b x b`` block SAD of terms at most ``term_bound`` is at most
-    ``b² · term_bound``.  For ``uint8`` planes (the defaults) ``int16``
-    holds it while that is below 2¹⁵ (``b <= 11``), ``uint16`` while it is
-    below 2¹⁶ (``b <= 16``); larger blocks have no 2-byte accumulator and
-    return ``None``.  The exact search's screen, whose terms are below
-    2¹⁴, allows up to ``int64``.
+    ``b² · term_bound``.  For ``uint8`` planes (``term_bound`` 255)
+    ``int16`` holds it while that is below 2¹⁵ (``b <= 11``), ``uint16``
+    while it is below 2¹⁶ (``b <= 16``), and ``int32`` up to the largest
+    block a bitstream carries (255).
     """
     bound = block_size * block_size * term_bound
     for dtype in _ACCUMULATORS:
         if bound <= _dtype_max(dtype):
             return dtype
-        if dtype == widest:
-            break
-    return None
+    raise CodecError(f"block sums of {block_size} x {block_size} terms up to "
+                     f"{term_bound} overflow int64")
 
 
 def integer_block_sums(stack: np.ndarray, block_size: int,
-                       term_bound: Optional[int] = None) -> np.ndarray:
-    """Per-block sums of a non-negative integer ``(n, H, W)`` stack.
+                       term_bound: int) -> np.ndarray:
+    """Per-block sums of a non-negative integer ``(n, H, W)`` stack whose
+    terms are at most ``term_bound``.
 
     Integer addition is associative, so the terms are added in whatever
     order keeps numpy's inner loops long: the ``b`` image rows of every
     block row are folded in halves with whole-row adds, in place, then the
     ``b`` columns of the ``b``-times smaller result, copied lane-major.
     ``stack`` is the scratch space, so its contents are lost.  Returns
-    ``(n, H / b, W / b)``.
-
-    Without ``term_bound`` the sums stay in the stack's dtype, which the
-    caller picks to hold a whole block's sum (see
-    :func:`integer_sad_dtype`).  With it — every term at most
-    ``term_bound`` — folds stay in the stack's dtype while their partial
-    sums fit it, and the first fold that would overflow writes a new array
-    in the accumulator ``integer_sad_dtype(block_size, term_bound,
-    np.int64)``, the dtype of the result.
+    ``(n, H / b, W / b)`` in ``integer_sad_dtype(block_size, term_bound)``.
+    Folds stay in the stack's dtype while their partial sums fit it, and
+    the first fold that would overflow writes a new array in that dtype.
     """
     count, height, width = stack.shape
     rows = stack.reshape(count * (height // block_size), block_size * width)
-    wide = (rows.dtype if term_bound is None
-            else integer_sad_dtype(block_size, term_bound, np.int64))
+    wide = integer_sad_dtype(block_size, term_bound)
     terms = 1
     size = block_size
     while size > 1:
@@ -598,20 +526,19 @@ def integer_candidate_sads(padded: np.ndarray, block_size: int,
     radius ``r`` (:func:`pad_plane` then :func:`pad_edge`).  Frame ``j`` is
     searched against frame ``j - 1``, so the result has shape
     ``(candidates, m - 1, H / b, W / b)``, candidates in
-    :func:`candidate_offsets` order, in the dtype of
-    :func:`integer_sad_dtype`.
+    :func:`candidate_offsets` order, in ``integer_sad_dtype(b, 255)``.
 
-    Every SAD is an integer below that dtype's range, and integer sums are
-    exact in any order: the result equals the float64 search's SADs
-    exactly, so its argmin (first minimum, origin first) picks the same
-    vectors.  One subtract per candidate covers the whole batch; the abs
-    and the block sums cover up to ``budget`` elements of candidates at a
-    time, so a single frame pair still takes a handful of numpy calls.
+    Integer sums are exact in any order: the result equals the float64
+    search's SADs exactly, so its argmin (first minimum, origin first)
+    picks the same vectors.  One subtract per candidate covers the whole
+    batch; the abs and the block sums cover up to ``budget`` elements of
+    candidates at a time, so a single frame pair still takes a handful of
+    numpy calls.
     """
-    dtype = integer_sad_dtype(block_size)
-    if dtype is None:
-        raise CodecError(
-            f"block size {block_size} has no 2-byte SAD accumulator")
+    dtype = integer_sad_dtype(block_size, 255)
+    # |diff| <= 255, so the int16 bits read the same as uint16; blocks
+    # whose sums need more than two bytes widen as they fold.
+    terms = dtype if dtype.itemsize == 2 else np.dtype(np.uint16)
     offsets = candidate_offsets(search_radius)
     radius = search_radius
     frames = padded.shape[0] - 1
@@ -631,10 +558,9 @@ def integer_candidate_sads(padded: np.ndarray, block_size: int,
                                   radius - dx:radius - dx + width],
                         current, out=plane)
         np.abs(diff, out=diff)
-        # |diff| <= 255, so the int16 bits read the same as uint16.
         sums = integer_block_sums(
-            diff.view(dtype).reshape(len(chunk) * frames, height, width),
-            block_size)
+            diff.view(terms).reshape(len(chunk) * frames, height, width),
+            block_size, 255)
         sads[start:start + len(chunk)] = sums.reshape(
             len(chunk), frames, *sads.shape[2:])
     return sads

@@ -6,19 +6,16 @@ controls how aggressively that decision is made.  SiEVE's contribution is to
 *tune* that parameter (together with the GOP size) so the decision fires
 exactly when an object enters or leaves the scene.
 
-This module implements the per-frame analysis.  For every frame we run
-block-matching motion estimation against the previous frame and compute:
-
-* ``inter_cost``  — total SAD of the best motion-compensated prediction,
-* ``intra_cost``  — total SAD of a cheap intra predictor (per-block DC),
-* ``novel_block_fraction`` — the fraction of macroblocks that contain
-  *new content*: at least :data:`NOVEL_PIXEL_COUNT` pixels whose
-  motion-compensated residual exceeds :data:`NOVEL_PIXEL_THRESHOLD` luma
-  levels.  Sensor noise never reaches that threshold, so the score is a
-  noise-robust measure of how much of the frame could not be explained by
-  motion from the previous frame — exactly the situation when a new object
-  appears (its pixels did not exist before) or leaves (the background it
-  occluded reappears).
+This module implements the per-frame analysis on the 8-bit luma planes an
+encoder's lookahead sees.  Every frame is motion-searched against the
+previous one, and its ``novel_block_fraction`` is the fraction of
+macroblocks that contain *new content*: at least :data:`NOVEL_PIXEL_COUNT`
+pixels whose motion-compensated residual exceeds
+:data:`NOVEL_PIXEL_THRESHOLD` luma levels.  Sensor noise never reaches that
+threshold, so the score is a noise-robust measure of how much of the frame
+could not be explained by motion from the previous frame — exactly the
+situation when a new object appears (its pixels did not exist before) or
+leaves (the background it occluded reappears).
 
 The scenecut *decision* maps the 0-400 threshold onto a required
 ``novel_block_fraction`` via :func:`scenecut_score_threshold`: higher
@@ -37,9 +34,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import CodecError
-from .blocks import DEFAULT_BLOCK_SIZE, pad_plane, padded_shape, to_blocks
-from .motion import (MotionSearch, integer_block_sums, integer_candidate_sads,
-                     integer_sad_dtype, motion_compensate, offset_table)
+from .blocks import DEFAULT_BLOCK_SIZE, padded_shape
+from .motion import integer_candidate_sads, offset_table
 
 #: Residual magnitude (luma levels) above which a pixel counts as novel.
 #: Sensor noise in the synthetic scenes has a standard deviation of 2-3
@@ -62,21 +58,13 @@ MAX_SCENECUT = 400
 _SCORE_SCALE = 0.4
 _SCORE_GAMMA = 6.0
 
-#: Upper bound, in frame pixels, on one batch of the integer analysis pass,
+#: Upper bound, in frame pixels, on one batch of the analysis pass,
 #: and on the search's difference stack (128 k: 22 frames of 102 x 58).
 #: Both stacks are two bytes a pixel.  A larger batch costs fewer numpy
 #: calls a frame but more memory, which adds to the process's peak RSS: on
 #: the ``offline_build`` clips 64 k ran the pass in 0.10 s with a 0.56 MB
 #: traced peak, 128 k in 0.09 s with 0.98 MB, 256 k in 0.08 s with 1.8 MB.
 _FRAME_BATCH_ELEMENTS = 1 << 17
-
-
-def _as_plane(luma) -> np.ndarray:
-    """A ``uint8`` plane as it is; anything else as float64 (the float path)."""
-    luma = np.asarray(luma)
-    if luma.dtype == np.uint8:
-        return luma
-    return np.asarray(luma, dtype=np.float64)
 
 
 def _require_int(name: str, value, minimum: int) -> int:
@@ -89,23 +77,18 @@ def _require_int(name: str, value, minimum: int) -> int:
 
 @dataclass(frozen=True)
 class FrameActivity:
-    """Motion-analysis statistics of one frame relative to its predecessor.
+    """The novelty of one frame relative to its predecessor.
 
     Attributes:
         frame_index: Index of the analysed frame.
-        inter_cost: Total SAD of the best motion-compensated prediction.
-        intra_cost: Total SAD of the per-block DC intra predictor.
-        novel_block_fraction: Fraction of macroblocks with new content.
-        moving_block_fraction: Fraction of blocks with non-zero motion vectors.
+        novel_block_fraction: Fraction of macroblocks with new content
+            (1.0 for the first frame).
         is_first: Whether this is the first frame of the video (always an
             I-frame, with no predecessor to analyse).
     """
 
     frame_index: int
-    inter_cost: float
-    intra_cost: float
     novel_block_fraction: float
-    moving_block_fraction: float
     is_first: bool = False
 
 
@@ -151,24 +134,20 @@ def scenecut_novelty_floor(scenecut: float) -> float:
 class SceneCutAnalyzer:
     """Whole-clip motion/novelty analyser.
 
-    :meth:`analyze_frames` takes a clip's luma planes in presentation order
-    and returns one :class:`FrameActivity` per frame; :meth:`analyze_video`
-    does the same for a video.  The analyser holds its settings and nothing
-    else: every call starts at frame 0.  The statistics depend only on
-    consecutive frame pairs, never on encoder parameters, so one analysis
-    pass can be reused to evaluate every (GOP, scenecut) configuration —
-    this is what makes the offline tuner of Section IV cheap, and it is the
-    pass every encode places its frames from.
+    :meth:`analyze_frames` takes a clip's ``uint8`` luma planes in
+    presentation order and returns one :class:`FrameActivity` per frame;
+    :meth:`analyze_video` does the same for a video.  The analyser holds its
+    settings and nothing else: every call starts at frame 0.  The
+    statistics depend only on consecutive frame pairs, never on encoder
+    parameters, so one analysis pass can be reused to evaluate every (GOP,
+    scenecut) configuration — this is what makes the offline tuner of
+    Section IV cheap, and it is the pass every encode places its frames
+    from.
 
-    Raw ``uint8`` planes (grayscale frames as captured) take the integer
-    path: a run of consecutive frames is padded once into an ``int16``
-    stack and searched as one batch (:func:`integer_candidate_sads`), and
-    the prediction, residual and intra costs are whole-batch integer
-    operations.  Every quantity is an integer sum, exact in any order, so
-    the activities equal the float64 path's exactly.  Other planes —
-    RGB-derived luma, reconstructions — take the float64
-    :class:`MotionSearch` one frame pair at a time, as do blocks larger
-    than 16, whose SADs need more than two bytes.
+    A run of consecutive frames is padded once into an ``int16`` stack and
+    searched as one batch (:func:`integer_candidate_sads`); the prediction
+    and the residual are whole-batch integer operations, exact in any
+    order.
 
     Args:
         block_size: Macroblock size for motion estimation.
@@ -179,20 +158,20 @@ class SceneCutAnalyzer:
                  search_radius: int = 2) -> None:
         self.block_size = _require_int("block_size", block_size, 1)
         self.search_radius = _require_int("search_radius", search_radius, 0)
-        self._search = MotionSearch(self.block_size, self.search_radius)
-        self._sad_dtype = integer_sad_dtype(self.block_size)
         self._offset_table = offset_table(self.search_radius, 1)
 
-    # ------------------------------------------------------------------ #
-    # Analysis
-    # ------------------------------------------------------------------ #
     def analyze_frames(self, planes: Iterable[np.ndarray]) -> List[FrameActivity]:
-        """Analyse a clip's luma planes, from frame 0, in presentation order.
+        """Analyse a clip's ``uint8`` luma planes, from frame 0, in
+        presentation order.
 
         Planes are taken in runs of up to :data:`_FRAME_BATCH_ELEMENTS`
         pixels; the last plane of a run is the reference of the next run's
         first.  Each plane must be an array of its own: a buffer refilled
         in place would be read after the refill.
+
+        Raises:
+            CodecError: If a plane is not a non-empty 2-D ``uint8`` array,
+                or the planes differ in shape.
         """
         activities: List[FrameActivity] = []
         previous: Optional[np.ndarray] = None
@@ -214,10 +193,11 @@ class SceneCutAnalyzer:
         """Analyse every frame of a :class:`~repro.video.raw_video.VideoSource`.
 
         Grayscale frames are analysed as their ``uint8`` planes, colour
-        frames by their float luma.
+        frames on their BT.601 luma, rounded to ``uint8``.
         """
         return self.analyze_frames(
-            frame.data if frame.data.ndim == 2 else frame.to_grayscale()
+            frame.data if frame.data.ndim == 2
+            else np.rint(frame.to_grayscale()).astype(np.uint8)
             for frame in video.frames())
 
     def _analyze_run(self, previous: Optional[np.ndarray],
@@ -225,68 +205,31 @@ class SceneCutAnalyzer:
                      first_index: int) -> List[FrameActivity]:
         """Activities of consecutive ``planes``, the first one following
         ``previous`` (``None``: the first frame of the video)."""
-        stack = [_as_plane(plane) for plane in
+        stack = [np.asarray(plane) for plane in
                  (planes if previous is None else [previous, *planes])]
         shape = stack[0].shape
         for plane in stack:
             if plane.ndim != 2 or plane.size == 0:
                 raise CodecError(
                     f"expected a non-empty 2-D luma plane, got shape {plane.shape}")
+            if plane.dtype != np.uint8:
+                raise CodecError(f"expected a uint8 luma plane, got {plane.dtype}")
             if plane.shape != shape:
                 raise CodecError(
                     f"frame shapes differ within a video: {shape} and {plane.shape}")
-        if (self._sad_dtype is not None
-                and all(plane.dtype == np.uint8 for plane in stack)):
-            return self._analyze_integer(stack, first_index,
-                                         previous is not None)
         activities: List[FrameActivity] = []
-        reference = None if previous is None else stack[0]
-        for plane in stack[len(stack) - len(planes):]:
+        if previous is None:
+            activities.append(FrameActivity(first_index, 1.0, is_first=True))
+        if len(stack) > 1:
             index = first_index + len(activities)
-            if reference is None:
-                activities.append(_first_activity(index, self._intra_cost(plane)))
-            else:
-                activities.append(self._float_pair(reference, plane, index))
-            reference = plane
+            activities += [FrameActivity(index + offset, novelty)
+                           for offset, novelty
+                           in enumerate(self._novelties(stack))]
         return activities
 
-    # ------------------------------------------------------------------ #
-    # The float path: one frame pair at a time
-    # ------------------------------------------------------------------ #
-    def _intra_cost(self, plane: np.ndarray) -> float:
-        """Total SAD of the per-block DC (mean) intra predictor."""
-        plane = np.asarray(plane, dtype=np.float64)
-        blocks = to_blocks(pad_plane(plane, self.block_size), self.block_size)
-        means = blocks.mean(axis=(2, 3), keepdims=True)
-        return float(np.abs(blocks - means).sum())
-
-    def _float_pair(self, previous: np.ndarray, current: np.ndarray,
-                    frame_index: int) -> FrameActivity:
-        """Analyse ``current`` against ``previous`` with the float64 search."""
-        previous = np.asarray(previous, dtype=np.float64)
-        current = np.asarray(current, dtype=np.float64)
-        field = self._search(previous, current)
-        prediction = motion_compensate(previous, field, current.shape)
-        residual = np.abs(current - prediction)
-        residual_blocks = to_blocks(pad_plane(residual, self.block_size),
-                                    self.block_size)
-        novel_pixels = (residual_blocks > NOVEL_PIXEL_THRESHOLD).sum(axis=(2, 3))
-        novel_blocks = novel_pixels >= NOVEL_PIXEL_COUNT
-        return FrameActivity(
-            frame_index=frame_index,
-            inter_cost=float(field.block_sad.sum()),
-            intra_cost=self._intra_cost(current),
-            novel_block_fraction=float(novel_blocks.mean()),
-            moving_block_fraction=field.nonzero_vector_fraction,
-            is_first=False,
-        )
-
-    # ------------------------------------------------------------------ #
-    # The integer path: a run of uint8 frames at a time
-    # ------------------------------------------------------------------ #
-    def _analyze_integer(self, stack: List[np.ndarray], first_index: int,
-                         has_previous: bool) -> List[FrameActivity]:
-        """Activities of ``stack`` (uint8 planes), all but a given previous."""
+    def _novelties(self, stack: List[np.ndarray]) -> List[float]:
+        """``novel_block_fraction`` of frames ``1..m-1`` of ``stack``, each
+        against the one before."""
         block, radius = self.block_size, self.search_radius
         height, width = stack[0].shape
         padded_h, padded_w = padded_shape(height, width, block)
@@ -299,36 +242,11 @@ class SceneCutAnalyzer:
         padded[:, radius + height:] = padded[:, radius + height - 1:radius + height]
         padded[:, :, :radius] = padded[:, :, radius:radius + 1]
         padded[:, :, radius + width:] = padded[:, :, radius + width - 1:radius + width]
-        pairs = (self._integer_pairs(padded, height, width)
-                 if len(stack) > 1 else [])
-        # Last, because the intra costs fold the stack in place.
-        intra = self._integer_intra_costs(
-            padded[int(has_previous):, radius:radius + padded_h,
-                   radius:radius + padded_w])
-        activities: List[FrameActivity] = []
-        if not has_previous:
-            activities.append(_first_activity(first_index, intra.pop(0)))
-        index = first_index + len(activities)
-        activities += [
-            FrameActivity(frame_index=index + offset, inter_cost=inter_cost,
-                          intra_cost=intra_cost, novel_block_fraction=novel,
-                          moving_block_fraction=moving)
-            for offset, ((inter_cost, novel, moving), intra_cost)
-            in enumerate(zip(pairs, intra))]
-        return activities
-
-    def _integer_pairs(self, padded: np.ndarray, height: int,
-                       width: int) -> List[tuple]:
-        """``(inter_cost, novel_block_fraction, moving_block_fraction)`` of
-        frames ``1..m-1`` of a padded ``int16`` stack."""
-        block, radius = self.block_size, self.search_radius
         sads = integer_candidate_sads(padded, block, radius,
                                       _FRAME_BATCH_ELEMENTS)
         best = sads.argmin(axis=0)  # first minimum: the origin wins ties
-        pairs, blocks_y, blocks_x = best.shape
-        inter = sads.min(axis=0).sum(axis=(1, 2), dtype=np.int64)
         del sads  # freed before the prediction's stacks are allocated
-        moving = np.count_nonzero(best, axis=(1, 2))
+        pairs, blocks_y, blocks_x = best.shape
         # The prediction, in block layout: each block fetched from its
         # reference displaced by its vector, in one gather over the batch.
         vectors = self._offset_table[best]
@@ -342,8 +260,7 @@ class SceneCutAnalyzer:
         right = width - (blocks_x - 1) * block
         prediction[:, -1, :, bottom:] = prediction[:, -1, :, bottom - 1:bottom]
         prediction[:, :, -1, :, right:] = prediction[:, :, -1, :, right - 1:right]
-        current = (padded[1:, radius:radius + blocks_y * block,
-                          radius:radius + blocks_x * block]
+        current = (padded[1:, radius:radius + padded_h, radius:radius + padded_w]
                    .reshape(pairs, blocks_y, block, blocks_x, block)
                    .transpose(0, 1, 3, 2, 4))
         residual = np.subtract(current, prediction, out=prediction)
@@ -351,41 +268,7 @@ class SceneCutAnalyzer:
                         > _NOVEL_LEVEL).sum(axis=(3, 4))
         novel = np.count_nonzero(novel_pixels >= NOVEL_PIXEL_COUNT, axis=(1, 2))
         count = blocks_y * blocks_x
-        return [(float(cost), novel_count / count, moving_count / count)
-                for cost, novel_count, moving_count
-                in zip(inter.tolist(), novel.tolist(), moving.tolist())]
-
-    def _integer_intra_costs(self, current: np.ndarray) -> List[float]:
-        """Intra cost of each block-padded ``int16`` plane of ``current``.
-
-        With ``n = b²`` a power of two, a block mean ``S / n`` and every
-        deviation ``v - S / n`` are exact in float64, and so is their sum:
-        the float path's cost is exactly ``sum |n·v - S| / n``, which is
-        computed here in integers, folding ``current`` in place for the
-        block sums.  Other block sizes round ``S / n``, so they keep the
-        float body, frame by frame.
-        """
-        block = self.block_size
-        if block & (block - 1):
-            return [self._intra_cost(plane) for plane in current]
-        frames, padded_h, padded_w = current.shape
-        area = block * block
-        deviation = np.multiply(
-            current.reshape(frames, padded_h // block, block,
-                            padded_w // block, block),
-            area, dtype=np.int16 if area * 255 < 1 << 15 else np.int32)
-        sums = integer_block_sums(current.view(self._sad_dtype), block)
-        deviation -= sums[:, :, None, :, None]
-        totals = np.abs(deviation, out=deviation).sum(axis=(1, 2, 3, 4),
-                                                      dtype=np.int64)
-        return [total / area for total in totals.tolist()]
-
-
-def _first_activity(frame_index: int, intra_cost: float) -> FrameActivity:
-    """The activity of a video's first frame: an I-frame, nothing to predict."""
-    return FrameActivity(frame_index=frame_index, inter_cost=0.0,
-                         intra_cost=intra_cost, novel_block_fraction=1.0,
-                         moving_block_fraction=0.0, is_first=True)
+        return [novel_count / count for novel_count in novel.tolist()]
 
 
 def novelty_series(activities: Sequence[FrameActivity]) -> np.ndarray:

@@ -202,14 +202,8 @@ def _activities_to_arrays(activities: List[FrameActivity]) -> Dict[str, np.ndarr
     return {
         "activity_frame_index": np.array(
             [a.frame_index for a in activities], dtype=np.int64),
-        "activity_inter_cost": np.array(
-            [a.inter_cost for a in activities], dtype=np.float64),
-        "activity_intra_cost": np.array(
-            [a.intra_cost for a in activities], dtype=np.float64),
         "activity_novel": np.array(
             [a.novel_block_fraction for a in activities], dtype=np.float64),
-        "activity_moving": np.array(
-            [a.moving_block_fraction for a in activities], dtype=np.float64),
         "activity_is_first": np.array(
             [a.is_first for a in activities], dtype=np.bool_),
     }
@@ -217,13 +211,11 @@ def _activities_to_arrays(activities: List[FrameActivity]) -> Dict[str, np.ndarr
 
 def _activities_from_arrays(arrays) -> List[FrameActivity]:
     return [
-        FrameActivity(frame_index=int(index), inter_cost=float(inter),
-                      intra_cost=float(intra), novel_block_fraction=float(novel),
-                      moving_block_fraction=float(moving), is_first=bool(first))
-        for index, inter, intra, novel, moving, first in zip(
-            arrays["activity_frame_index"], arrays["activity_inter_cost"],
-            arrays["activity_intra_cost"], arrays["activity_novel"],
-            arrays["activity_moving"], arrays["activity_is_first"])
+        FrameActivity(frame_index=int(index), novel_block_fraction=float(novel),
+                      is_first=bool(first))
+        for index, novel, first in zip(arrays["activity_frame_index"],
+                                       arrays["activity_novel"],
+                                       arrays["activity_is_first"])
     ]
 
 

@@ -20,9 +20,7 @@ def flat_scene(novelty: float, brightness: float = 100.0,
                frames: int = 4) -> ChunkScene:
     """A hand-built chunk whose every frame carries ``novelty``."""
     activities = tuple(
-        FrameActivity(frame_index=index, inter_cost=10.0, intra_cost=100.0,
-                      novel_block_fraction=novelty,
-                      moving_block_fraction=0.0)
+        FrameActivity(frame_index=index, novel_block_fraction=novelty)
         for index in range(frames))
     return ChunkScene(
         stats=SceneStats.from_activities(activities,

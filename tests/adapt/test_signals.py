@@ -12,9 +12,8 @@ from repro.errors import ServiceError
 
 def activity(index: int, novelty: float,
              is_first: bool = False) -> FrameActivity:
-    return FrameActivity(frame_index=index, inter_cost=10.0, intra_cost=100.0,
-                         novel_block_fraction=novelty,
-                         moving_block_fraction=0.0, is_first=is_first)
+    return FrameActivity(frame_index=index, novel_block_fraction=novelty,
+                         is_first=is_first)
 
 
 class TestSceneStats:

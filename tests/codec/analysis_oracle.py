@@ -4,8 +4,10 @@
 ``uint8`` frames were analysed in frame batches with a 2-byte accumulator:
 ``analyze_video`` converts every frame to float64 luma and calls
 ``analyze_next``, which calls ``analyze_pair`` — one float64
-``MotionSearch``, one ``motion_compensate`` and one intra cost per frame.
-Its novelty threshold and count are parameters, as they were there.
+``MotionSearch`` and one ``motion_compensate`` per frame.  Its novelty
+threshold and count are parameters, as they were there.  A colour frame is
+analysed on its BT.601 luma rounded to ``uint8`` (:func:`analysed_luma`),
+the plane the pass itself analyses.
 
 ``live_encode`` is the frame-at-a-time loop ``VideoEncoder.encode`` ran
 when no lookahead pass was given: each frame analysed as it arrived and
@@ -35,6 +37,14 @@ def is_scenecut(activity, scenecut):
 # --------------------------------------------------------------------- #
 # The analysis oracle: the per-frame float64 pass, bodies verbatim in behaviour
 # --------------------------------------------------------------------- #
+def analysed_luma(frame):
+    """The plane the analysis pass sees: a grayscale frame as it is, a
+    colour frame's float luma rounded once to ``uint8``."""
+    if frame.data.ndim == 2:
+        return frame.data
+    return np.rint(frame.to_grayscale()).astype(np.uint8)
+
+
 class OracleAnalyzer:
     def __init__(self, block_size=8, search_radius=2, search_step=1,
                  novel_pixel_threshold=25.0, novel_pixel_count=4):
@@ -44,11 +54,6 @@ class OracleAnalyzer:
         self._search = MotionSearch(block_size, search_radius, search_step)
         self._previous = None
         self._frame_index = 0
-
-    def _intra_cost(self, plane):
-        blocks = to_blocks(pad_plane(plane, self.block_size), self.block_size)
-        means = blocks.mean(axis=(2, 3), keepdims=True)
-        return float(np.abs(blocks - means).sum())
 
     def analyze_pair(self, previous, current, frame_index):
         previous = np.asarray(previous, dtype=np.float64)
@@ -60,23 +65,15 @@ class OracleAnalyzer:
                                     self.block_size)
         novel_pixels = (residual_blocks > self.novel_pixel_threshold).sum(axis=(2, 3))
         novel_blocks = novel_pixels >= self.novel_pixel_count
-        return FrameActivity(
-            frame_index=frame_index,
-            inter_cost=float(field.block_sad.sum()),
-            intra_cost=self._intra_cost(current),
-            novel_block_fraction=float(novel_blocks.mean()),
-            moving_block_fraction=field.nonzero_vector_fraction,
-            is_first=False,
-        )
+        return FrameActivity(frame_index=frame_index,
+                             novel_block_fraction=float(novel_blocks.mean()))
 
     def analyze_next(self, luma):
         luma = np.asarray(luma, dtype=np.float64)
         index = self._frame_index
         if self._previous is None:
-            activity = FrameActivity(frame_index=index, inter_cost=0.0,
-                                     intra_cost=self._intra_cost(luma),
-                                     novel_block_fraction=1.0,
-                                     moving_block_fraction=0.0, is_first=True)
+            activity = FrameActivity(frame_index=index,
+                                     novel_block_fraction=1.0, is_first=True)
         else:
             activity = self.analyze_pair(self._previous, luma, index)
         self._previous = luma
@@ -86,7 +83,7 @@ class OracleAnalyzer:
     def analyze_video(self, video):
         self._previous = None
         self._frame_index = 0
-        return [self.analyze_next(frame.to_grayscale())
+        return [self.analyze_next(analysed_luma(frame))
                 for frame in video.frames()]
 
 
@@ -103,7 +100,7 @@ def live_encode(encoder, video, materialise_payload):
     reference = None
     for frame in video.frames():
         luma = frame.to_grayscale()
-        activity = analyzer.analyze_next(luma)
+        activity = analyzer.analyze_next(analysed_luma(frame))
         frame_type = placer.decide(activity)
         if frame_type is FrameType.I:
             payload, size, reconstruction = encoder._encode_keyframe(

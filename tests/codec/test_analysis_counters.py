@@ -8,9 +8,9 @@ runner's wall clock cannot resolve.  The clip is fixed: 120 frames of
 * Python-level calls per frame of ``VideoEncoder.analyze``, counted with
   ``sys.setprofile`` and the collector off, as
   ``tests/dataflow/test_event_core_oracle.py`` counts a chunk.  The
-  frame-batched integer pass makes 7.8.  The per-frame float pass it
+  frame-batched integer pass makes 4.9.  The per-frame float pass it
   replaced made 44.9, and the integer pass one frame at a time 54.8.
-* The ``tracemalloc`` peak of one warm pass: 1.00 MB, one frame batch of
+* The ``tracemalloc`` peak of one warm pass: 0.94 MB, one frame batch of
   ``int16`` stacks.  A budget large enough to put the whole clip (and all
   25 candidates) in one batch peaks at 72 MB.
 """
@@ -27,7 +27,7 @@ from repro.codec.encoder import VideoEncoder
 from repro.datasets.generator import build_dataset
 
 FRAMES = 120
-CALLS_PER_FRAME_CEILING = 9.0
+CALLS_PER_FRAME_CEILING = 6.0
 PEAK_BYTES_CEILING = 1_100_000
 
 

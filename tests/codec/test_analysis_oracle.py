@@ -4,8 +4,8 @@
 ``SceneCutAnalyzer`` had before ``uint8`` frames were analysed in frame
 batches with a 2-byte accumulator.  The comparison is ``==`` on whole
 ``FrameActivity`` lists: the integer pass is exact by arithmetic (every
-SAD, residual and intra deviation is an integer, or an integer over a power
-of two, below 2**53), so any rounding difference would be a bug, not noise.
+SAD and residual is an integer below 2**53), so any rounding difference
+would be a bug, not noise.
 """
 
 from unittest import mock
@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.codec.scenecut as scenecut
-from analysis_oracle import KINDS, OracleAnalyzer, colour, render, video_of
+from analysis_oracle import (KINDS, OracleAnalyzer, analysed_luma, colour,
+                             render, video_of)
 from repro.codec.encoder import VideoEncoder
 from repro.codec.scenecut import NOVEL_PIXEL_THRESHOLD, SceneCutAnalyzer
 from repro.errors import CodecError
@@ -77,17 +78,18 @@ class TestAgainstThePerFramePass:
 
     @settings(max_examples=60, deadline=None)
     @given(case=cases())
-    def test_float_input_keeps_the_float_path(self, case):
-        """RGB-derived luma is not integer: it takes the float64 search,
-        exactly as before, and never the integer kernel."""
-        rgb = colour(render(case["kind"], case["seed"], case["length"],
-                            case["height"], case["width"]))
-        expected = OracleAnalyzer(**knobs(case)).analyze_video(video_of(rgb))
+    def test_colour_equals_the_oracle_on_rounded_luma(self, case):
+        """A colour frame is analysed on its luma rounded once to ``uint8``,
+        on the integer path; the oracle searches that plane in float64."""
+        gray = render(case["kind"], case["seed"], case["length"],
+                      case["height"], case["width"])
+        video = video_of(colour(gray))
+        expected = OracleAnalyzer(**knobs(case)).analyze_video(video)
+        luma = [analysed_luma(frame) for frame in video.frames()]
         analyzer = SceneCutAnalyzer(**knobs(case))
-        with batched(case), mock.patch.object(
-                scenecut, "integer_candidate_sads",
-                side_effect=AssertionError("float input took the integer path")):
-            assert analyzer.analyze_video(video_of(rgb)) == expected
+        with batched(case):
+            assert analyzer.analyze_video(video) == expected
+            assert analyzer.analyze_frames(luma) == expected
 
     @pytest.mark.parametrize("levels", [(100, 124), (100, 125), (100, 126),
                                         (126, 100), (0, 255), (7, 8)])
@@ -104,15 +106,19 @@ class TestAgainstThePerFramePass:
             1.0 if abs(levels[0] - levels[1]) > 25 else 0.0)
         assert SceneCutAnalyzer().analyze_video(video_of(frames)) == expected
 
-    def test_large_blocks_take_the_float_path(self):
-        """32 x 32 SADs of uint8 planes overflow two bytes."""
-        frames = render("pan", 3, 4, 70, 40)
-        expected = OracleAnalyzer(block_size=32).analyze_video(video_of(frames))
-        with mock.patch.object(
-                scenecut, "integer_candidate_sads",
-                side_effect=AssertionError("no 2-byte accumulator for 32 x 32")):
-            assert SceneCutAnalyzer(block_size=32).analyze_video(
+    @pytest.mark.parametrize("block_size", [17, 24, 32])
+    @pytest.mark.parametrize("kind", ["pan", "saturated"])
+    def test_large_blocks_equal_the_oracle(self, block_size, kind):
+        """Block SADs past two bytes widen as they fold, on the integer
+        path: 0/255 frames give the largest sums a block can hold."""
+        frames = render(kind, block_size, 4, 70, 40)
+        expected = OracleAnalyzer(block_size=block_size).analyze_video(
+            video_of(frames))
+        with mock.patch.object(scenecut, "integer_candidate_sads",
+                               wraps=scenecut.integer_candidate_sads) as kernel:
+            assert SceneCutAnalyzer(block_size=block_size).analyze_video(
                 video_of(frames)) == expected
+        kernel.assert_called_once()
 
     def test_a_rendered_scene_equals_the_oracle(self, tiny_video,
                                                 tuned_parameters):
@@ -144,6 +150,16 @@ class TestErrors:
                                batch_frames * 16 * 24):
             with pytest.raises(CodecError, match="shape"):
                 SceneCutAnalyzer().analyze_video(video)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16,
+                                       np.uint16, bool])
+    def test_a_plane_that_is_not_uint8_is_a_codec_error(self, dtype):
+        """The pass analyses 8-bit planes only, wherever the plane falls."""
+        plane = render("pan", 0, 1, 16, 24)[0]
+        analyzer = SceneCutAnalyzer()
+        for planes in ([plane.astype(dtype)], [plane, plane.astype(dtype)]):
+            with pytest.raises(CodecError, match="uint8"):
+                analyzer.analyze_frames(planes)
 
     @pytest.mark.parametrize("shape", [(0, 16), (16, 0), (8, 8, 3)])
     def test_planes_that_are_not_luma_are_codec_errors(self, shape):

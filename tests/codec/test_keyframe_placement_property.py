@@ -27,8 +27,7 @@ SCENECUTS = (0.0, 20.0, 40.0, 100.0, 200.0, 250.0, 400.0)
 
 
 def _activities(novelty, first=()):
-    return [FrameActivity(frame_index=index, inter_cost=0.0, intra_cost=1.0,
-                          novel_block_fraction=value, moving_block_fraction=0.0,
+    return [FrameActivity(frame_index=index, novel_block_fraction=value,
                           is_first=index in first)
             for index, value in enumerate(novelty)]
 

@@ -51,11 +51,8 @@ def loop_estimate_motion(reference, current, block_size, search_radius,
         np.subtract(shifted, current, out=diff)
         np.abs(diff, out=diff)
         sads[index] = blocked.sum(axis=(1, 3))
-    best_index = sads.argmin(axis=0)
-    best_sad = sads.min(axis=0)
     offset_table = np.asarray(offsets, dtype=np.int16)
-    return MotionField(offset_table[best_index], block_size,
-                       lambda: (best_sad, sads[0]))
+    return MotionField(offset_table[sads.argmin(axis=0)], block_size)
 
 
 def stack_estimate_motion(reference, current, block_size, search_radius,
@@ -81,7 +78,7 @@ def stack_estimate_motion(reference, current, block_size, search_radius,
         sads[start:start + len(chunk)] = _block_sums_exact(diff, block_size)
     return MotionField(
         offset_table(search_radius, search_step)[sads.argmin(axis=0)],
-        block_size, lambda: (sads.min(axis=0), sads[0]))
+        block_size)
 
 
 def loop_motion_compensate(reference, field, output_shape):
@@ -113,8 +110,6 @@ def assert_same_bytes(actual, expected):
 
 def assert_same_field(actual, expected):
     assert_same_bytes(actual.vectors, expected.vectors)
-    assert_same_bytes(actual.block_sad, expected.block_sad)
-    assert_same_bytes(actual.zero_sad, expected.zero_sad)
     assert actual.block_size == expected.block_size
 
 
@@ -245,12 +240,6 @@ class TestSearchMatchesLoop:
         with pytest.raises(CodecError):
             estimate_motion(np.zeros((8, 8)), np.zeros((8, 16)))
 
-    def test_a_field_of_vectors_alone_has_no_sads(self):
-        field = MotionField(np.zeros((2, 2, 2), dtype=np.int16), 8)
-        for name in ("block_sad", "zero_sad"):
-            with pytest.raises(CodecError, match="vectors only"):
-                getattr(field, name)
-
 
 class TestScenarioFramesMatchTheLoop:
     """Every shipped scenario's footage: a mid-clip frame pair, searched
@@ -357,10 +346,9 @@ class TestScreenedSearchMatchesStack:
         assert_same_field(field, stack_estimate_motion(reference, current,
                                                        block_size, 1))
 
-    def test_sads_settle_once_and_alias_nothing(self):
-        """``block_sad`` and ``zero_sad`` are settled when first read, from
-        the planes of their own search, after later searches reuse the
-        screen's buffers."""
+    def test_fields_alias_nothing(self):
+        """Every field keeps the vectors of its own search after later
+        searches reuse the screen's buffers."""
         rng = np.random.default_rng(12)
         search = MotionSearch(8, 2)
         pairs, fields = [], []
@@ -373,7 +361,6 @@ class TestScreenedSearchMatchesStack:
         for (reference, current), field in zip(pairs, fields):
             expected = stack_estimate_motion(reference, current, 8, 2)
             assert_same_field(field, expected)
-            assert field.block_sad is field.block_sad
 
     def test_wide_spans_and_tiny_values(self):
         """Planes far outside [0, 255]: the fixed point scales down, or up;
@@ -394,23 +381,19 @@ class TestIntegerBlockSums:
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from((1, 2, 3, 4, 5, 8, 12, 16, 24, 32)),
            st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
-           st.sampled_from((None, 255, 16383, 32767)),
+           st.sampled_from((1, 255, 16383, 32767)),
            st.integers(0, 2**31 - 1))
     def test_sums_equal_int64_sums(self, block_size, count, blocks_y, blocks_x,
                                    term_bound, seed):
         rng = np.random.default_rng(seed)
         shape = (count, blocks_y * block_size, blocks_x * block_size)
-        if term_bound is None:
-            stack = rng.integers(0, 4, size=shape).astype(np.int32)
-        else:
-            stack = rng.integers(term_bound - 2, term_bound + 1,
-                                 size=shape).astype(np.uint16)
+        stack = rng.integers(max(term_bound - 2, 0), term_bound + 1,
+                             size=shape).astype(np.uint16)
         expected = stack.astype(np.int64).reshape(
             count, blocks_y, block_size, blocks_x, block_size).sum(axis=(2, 4))
         sums = integer_block_sums(stack, block_size, term_bound)
         assert np.array_equal(sums, expected)
-        assert sums.dtype == (stack.dtype if term_bound is None else
-                              integer_sad_dtype(block_size, term_bound, np.int64))
+        assert sums.dtype == integer_sad_dtype(block_size, term_bound)
 
 
 @st.composite

@@ -34,7 +34,9 @@ class TestMotion:
         field = estimate_motion(reference, current, block_size=8, search_radius=3)
         interior = field.vectors[1:-1, 1:-1]
         assert (interior == np.array([2, -1])).all()
-        assert field.block_sad[1:-1, 1:-1].max() < 1e-9
+        # The shift is exact: interior blocks predict the frame bit for bit.
+        prediction = motion_compensate(reference, field, current.shape)
+        assert np.array_equal(prediction[8:-8, 8:-8], current[8:-8, 8:-8])
 
     def test_motion_compensation_reconstructs_translation(self, rng):
         reference = rng.uniform(0, 255, size=(24, 40))
@@ -46,8 +48,8 @@ class TestMotion:
     def test_static_scene_zero_vectors(self, rng):
         plane = rng.uniform(0, 255, size=(16, 16))
         field = estimate_motion(plane, plane, block_size=8, search_radius=2)
-        assert field.nonzero_vector_fraction == 0.0
-        assert field.block_sad.max() == pytest.approx(0.0)
+        assert not field.vectors.any()
+        assert np.array_equal(motion_compensate(plane, field, plane.shape), plane)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(CodecError):
@@ -114,17 +116,17 @@ class TestSceneCut:
         assert scenecut_score_threshold(-5) == scenecut_score_threshold(0)
 
     def test_is_scenecut_first_frame_and_disabled(self):
-        first = FrameActivity(0, 0.0, 1.0, 1.0, 0.0, is_first=True)
+        first = FrameActivity(0, 1.0, is_first=True)
         assert is_scenecut(first, 40)
-        quiet = FrameActivity(1, 1.0, 100.0, 0.2, 0.0)
+        quiet = FrameActivity(1, 0.2)
         assert not is_scenecut(quiet, 0)
         assert is_scenecut(quiet, 300)
 
     def test_noise_does_not_trigger_novelty(self, rng):
         analyzer = SceneCutAnalyzer()
         base = rng.uniform(60, 200, size=(40, 64))
-        noisy_a = base + rng.normal(0, 2.0, size=base.shape)
-        noisy_b = base + rng.normal(0, 2.0, size=base.shape)
+        noisy_a = _luma(base + rng.normal(0, 2.0, size=base.shape))
+        noisy_b = _luma(base + rng.normal(0, 2.0, size=base.shape))
         activity = analyzer.analyze_frames([noisy_a, noisy_b])[1]
         assert activity.novel_block_fraction == 0.0
 
@@ -133,15 +135,16 @@ class TestSceneCut:
         background = rng.uniform(60, 200, size=(40, 64))
         with_object = background.copy()
         with_object[10:26, 20:44] += 80.0
-        activity = analyzer.analyze_frames([background, with_object])[1]
+        activity = analyzer.analyze_frames([_luma(background),
+                                            _luma(with_object)])[1]
         assert activity.novel_block_fraction > 0.05
-        assert activity.inter_cost > 0
 
     def test_translation_of_whole_scene_not_novel(self, rng):
         analyzer = SceneCutAnalyzer(search_radius=2)
         background = rng.uniform(60, 200, size=(40, 64))
         shifted = shift_plane(background, 0, 1)
-        activity = analyzer.analyze_frames([background, shifted])[1]
+        activity = analyzer.analyze_frames([_luma(background),
+                                            _luma(shifted)])[1]
         # A global pan is motion-compensable: only frame-edge blocks may be novel.
         assert activity.novel_block_fraction < 0.2
 
@@ -190,9 +193,13 @@ class TestSceneCut:
         assert first[0].is_first and first[0].frame_index == 0
 
 
+def _luma(plane):
+    """A float plane as the ``uint8`` plane a camera would deliver."""
+    return np.clip(np.rint(plane), 0, 255).astype(np.uint8)
+
+
 def _activity(index, novelty):
-    return FrameActivity(frame_index=index, inter_cost=1.0, intra_cost=10.0,
-                         novel_block_fraction=novelty, moving_block_fraction=0.0,
+    return FrameActivity(frame_index=index, novel_block_fraction=novelty,
                          is_first=index == 0)
 
 

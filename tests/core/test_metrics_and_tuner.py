@@ -183,12 +183,9 @@ class TestTieBreakDeterminism:
         # fires at any threshold, and no GOP under `num_frames` expires,
         # so every one of the 25 grid cells samples exactly frame 0.
         activities = [FrameActivity(
-            frame_index=0, inter_cost=0.0, intra_cost=100.0,
-            novel_block_fraction=1.0, moving_block_fraction=0.0,
-            is_first=True)]
+            frame_index=0, novel_block_fraction=1.0, is_first=True)]
         activities.extend(FrameActivity(
-            frame_index=index, inter_cost=0.0, intra_cost=100.0,
-            novel_block_fraction=0.0, moving_block_fraction=0.0)
+            frame_index=index, novel_block_fraction=0.0)
             for index in range(1, num_frames))
         return activities
 

@@ -323,9 +323,8 @@ def _tuning_case(draw):
                             min_size=num_frames, max_size=num_frames))
     firsts = draw(st.sets(st.integers(1, num_frames - 1), max_size=3))
     activities = [FrameActivity(
-        frame_index=index, inter_cost=10.0, intra_cost=100.0,
-        novel_block_fraction=1.0 if index == 0 else value,
-        moving_block_fraction=0.0, is_first=index == 0 or index in firsts)
+        frame_index=index, novel_block_fraction=1.0 if index == 0 else value,
+        is_first=index == 0 or index in firsts)
         for index, value in enumerate(novelty)]
     cuts = sorted(draw(st.sets(st.integers(1, num_frames - 1), max_size=6)))
     bounds = [0] + cuts + [num_frames]
@@ -368,9 +367,8 @@ class TestTunerEqualsThePerConfigurationLoop:
         # Duplicated grid points and a flat clip: every cell places frame 0
         # alone and ties exactly, so the first cell must win.
         activities = [FrameActivity(
-            frame_index=index, inter_cost=0.0, intra_cost=100.0,
-            novel_block_fraction=1.0 if index == 0 else 0.0,
-            moving_block_fraction=0.0, is_first=index == 0)
+            frame_index=index, novel_block_fraction=1.0 if index == 0 else 0.0,
+            is_first=index == 0)
             for index in range(40)]
         timeline = EventTimeline.from_frame_labels([set()] * 40)
         tuner = SemanticEncoderTuner(TuningGrid(gop_sizes=(250, 100, 250),
@@ -384,10 +382,8 @@ class TestTunerEqualsThePerConfigurationLoop:
 
     def test_a_kept_tuner_searches_again_with_the_same_answer(self):
         activities, timeline, grid = (
-            [FrameActivity(frame_index=index, inter_cost=10.0,
-                           intra_cost=100.0,
-                           novel_block_fraction=0.3 if index % 17 == 0
-                           else 0.0, moving_block_fraction=0.0,
+            [FrameActivity(frame_index=index,
+                           novel_block_fraction=0.3 if index % 17 == 0 else 0.0,
                            is_first=index == 0) for index in range(120)],
             EventTimeline.from_frame_labels(
                 [set()] * 34 + [{"car"}] * 40 + [set()] * 46),

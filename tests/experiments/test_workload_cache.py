@@ -65,6 +65,28 @@ class TestPreparedDatasetDiskCache:
         assert cold.instance.video.metadata == warm.instance.video.metadata
         assert cold.instance.profile == warm.instance.profile
 
+    def test_a_bundle_with_six_activity_arrays_still_loads(self, cache_dir):
+        """Bundles written while an activity also carried its inter cost,
+        intra cost and moving-block fraction hold three more arrays: they
+        are a hit, and the extra arrays are ignored."""
+        cold = prepare_dataset("jackson_square", QUICK)
+        (key,) = list_keys(DATASET_CACHE_KIND)
+        arrays, manifest = diskcache.load(DATASET_CACHE_KIND, key)
+        assert sorted(name for name in arrays if name.startswith("activity_")) == [
+            "activity_frame_index", "activity_is_first", "activity_novel"]
+        frames = len(cold.activities)
+        for name in ("activity_inter_cost", "activity_intra_cost",
+                     "activity_moving"):
+            arrays[name] = np.full(frames, 7.0)
+        diskcache.store(DATASET_CACHE_KIND, key, arrays, manifest)
+        clear_prepared_cache()
+        get_recorder().sections.clear()
+        warm = prepare_dataset("jackson_square", QUICK)
+        sections = get_recorder().sections
+        assert "dataset.render" not in sections
+        assert "dataset.disk_hit" in sections
+        assert warm.activities == cold.activities
+
     def test_corrupted_dataset_artifact_falls_back_to_render(self, cache_dir):
         prepare_dataset("jackson_square", QUICK)
         for key in list_keys(DATASET_CACHE_KIND):

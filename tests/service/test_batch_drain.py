@@ -306,6 +306,24 @@ class TestFallbacks:
         assert loop_entries
         assert sum(feeder.retries for feeder in service.feeders) > 0
 
+    @pytest.mark.parametrize("wan_bound", [2, 3])
+    def test_a_push_that_finds_the_wan_queue_at_its_bound(self, wan_bound,
+                                                          loop_entries):
+        """One-second transfers pushed every quarter second on one uplink:
+        at 0.75 s one is in service and two wait.  A bound of two is met
+        exactly, so the fourth push is refused, by the batch's check and by
+        the loop's; a bound of three admits every push, as a batch."""
+        def make():
+            return build([("default", 0, 0.0, 0.25,
+                           [chunk(0.0, 0.0, 0, SECOND_OF_WAN)] * 4)],
+                         num_edges=1, wan_bound=wan_bound, config=ZERO_LATENCY)
+
+        batch, loop, _, _, used_loop = both_paths(make, loop_entries)
+        assert batch == loop
+        refused = wan_bound == 2
+        assert used_loop == refused
+        assert (loop["feeders"][0][1] > 0) == refused
+
     def test_a_feeder_retrying_a_refused_push(self, loop_entries):
         """Cut mid-retry, the rest of the run stays the loop's."""
         service = build([("default", 0, 0.0, 0.25, [chunk(1.0, 0.5)] * 3)],

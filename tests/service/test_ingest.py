@@ -89,6 +89,30 @@ class TestAdmission:
         service.drain()
         service.open_session("b")  # queue drained; admission recovers
 
+    @pytest.mark.parametrize("bound", [2, 3])
+    def test_an_admission_that_finds_the_wan_queue_at_its_bound(self, bound):
+        """Three one-second uploads on one uplink: one is in service and two
+        wait.  A bound of two is met exactly and refuses the next session;
+        a bound of three admits it."""
+        service = make_service(
+            num_edge_servers=1, max_wan_queue_depth=bound,
+            config=SystemConfig(camera_edge_latency_ms=0.0,
+                                edge_cloud_latency_ms=0.0))
+        service.open_session("a")
+        upload = FrameChunk(num_frames=30, frames_for_inference=3,
+                            edge_seconds=0.0, cloud_seconds=0.0,
+                            camera_edge_bytes=0,
+                            edge_cloud_bytes=int(30e6 / 8))
+        for _ in range(3):
+            service.push_frames("a", upload)
+        service.run_for(0.5)
+        assert service.wan_links[0].queue_depth == 2
+        if bound == 2:
+            with pytest.raises(AdmissionError, match="saturated"):
+                service.open_session("b")
+        else:
+            assert service.open_session("b").edge_index == 0
+
 
 class TestBackpressure:
     def test_in_flight_bound(self):

@@ -70,8 +70,8 @@ class TestScenarioFeed:
 def flat_analysis(frames: int = 90, fps: float = 30.0) -> ClipAnalysis:
     """A still clip, without rendering one."""
     return ClipAnalysis(
-        activities=tuple(FrameActivity(index, 0.0, 1.0, float(index == 0),
-                                       0.0, is_first=index == 0)
+        activities=tuple(FrameActivity(index, float(index == 0),
+                                       is_first=index == 0)
                          for index in range(frames)),
         frame_labels=(frozenset(),) * frames, lumas=(100.0,) * frames,
         fps=fps)
