@@ -17,14 +17,17 @@ so a second run skips rendering and tuning entirely; ``--build-workers N``
 builds a cold cache in parallel through
 :class:`repro.parallel.WorkloadBuilder` (byte-identical artifacts).
 
-``--scale-cameras N`` adds three synthetic N-camera fleets (no workload
+``--scale-cameras N`` adds four synthetic N-camera fleets (no workload
 rendering): a heterogeneous one on 64 edges, N identical cameras with no
-arrival jitter on 8 edges, whose every delivery ties across the edges, and
-the same identical cameras on 8 edges of two workers each.  The first two
-run every edge station on one worker; the third takes the recurrence's
-multi-worker path at the edges too.  Each runs through the event loop and
-through the recurrence: both wall times are printed and the reports must
-be equal exactly.  ``--json-out``
+arrival jitter on 8 edges, whose every delivery ties across the edges, the
+same identical cameras on 8 edges of two workers each, and the
+heterogeneous fleet again with 48 cloud workers behind its 64 edges.  The
+first two run every edge station on one worker; the third takes the
+recurrence's multi-worker path at the edges too; in the fourth a job
+waits for a cloud worker now and then, so the cloud alternates between
+closed-form stretches and heap segments.  Each runs through the event
+loop and through the recurrence: both wall times are printed and the
+reports must be equal exactly.  ``--json-out``
 writes the sweep + comparisons as a JSON artifact.
 
 Run with:  python examples/fleet_scaling.py [--build-workers 2]
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from typing import Optional
 
 from repro import SystemConfig
 from repro.cluster import CameraJob, FleetOrchestrator, PlacementPolicy
@@ -61,6 +65,9 @@ RENDER_SCALE = 0.06
 #: Edge servers of the heterogeneous and the tied ``--scale-cameras`` fleet.
 SCALE_EDGES = 64
 TIED_EDGES = 8
+#: Cloud workers of the fourth ``--scale-cameras`` fleet: fewer than its
+#: edges, so some jobs wait for one.
+SCARCE_CLOUD_WORKERS = 48
 
 #: The recurrence performs the event loop's float operations, so its
 #: reports equal the loop's bit for bit.
@@ -178,19 +185,22 @@ def timed(run):
 
 
 def run_scale_comparison(label: str, jobs, num_edges: int,
-                         config: SystemConfig, edge_workers: int = 1):
+                         config: SystemConfig, edge_workers: int = 1,
+                         cloud_workers: Optional[int] = None):
     """Time the event loop against the recurrence on a synthetic fleet.
 
     Both must produce the same report; only the wall clock may differ.
     Returns the comparison row for the JSON artifact.
     """
     orchestrator = FleetOrchestrator(jobs, num_edge_servers=num_edges,
-                                     config=config, edge_workers=edge_workers)
+                                     config=config, edge_workers=edge_workers,
+                                     cloud_workers=cloud_workers)
     chain_report, chain_wall = timed(orchestrator._run_chain)
     report, wall = timed(orchestrator.run)
     assert_reports_match(chain_report, report, f"the {label} fleet")
     print(f"--- scale comparison: {len(jobs)} {label} cameras, "
-          f"{num_edges} edges x {edge_workers} workers ---")
+          f"{num_edges} edges x {edge_workers} workers, "
+          f"{orchestrator.cloud_workers} cloud workers ---")
     print(f"  event loop : {chain_wall * 1e3:8.1f} ms")
     print(f"  recurrence : {wall * 1e3:8.1f} ms  "
           f"({chain_wall / wall if wall > 0 else 0.0:.2f}x)")
@@ -201,6 +211,7 @@ def run_scale_comparison(label: str, jobs, num_edges: int,
         "num_cameras": len(jobs),
         "num_edges": num_edges,
         "edge_workers": edge_workers,
+        "cloud_workers": orchestrator.cloud_workers,
         "chain_wall_seconds": chain_wall,
         "recurrence_wall_seconds": wall,
     }
@@ -222,10 +233,11 @@ def main() -> None:
              "parallel builds write byte-identical cache artifacts")
     parser.add_argument(
         "--scale-cameras", type=int, default=0, metavar="N",
-        help="also run three synthetic N-camera fleets (heterogeneous on 64 "
-             "edges, identical on 8, identical on 8 with two workers each) "
-             "through the event loop and the recurrence, parity-checked, "
-             "and print both wall times")
+        help="also run four synthetic N-camera fleets (heterogeneous on 64 "
+             "edges, identical on 8, identical on 8 with two workers each, "
+             "heterogeneous on 64 edges with 48 cloud workers) through the "
+             "event loop and the recurrence, parity-checked, and print both "
+             "wall times")
     parser.add_argument(
         "--json-out", metavar="PATH",
         help="write the sweep tables + scale comparison as a JSON artifact")
@@ -267,6 +279,9 @@ def main() -> None:
                                  TIED_EDGES, config),
             run_scale_comparison("identical", identical_jobs(count),
                                  TIED_EDGES, config, edge_workers=2),
+            run_scale_comparison("heterogeneous", synthetic_jobs(count),
+                                 SCALE_EDGES, config,
+                                 cloud_workers=SCARCE_CLOUD_WORKERS),
         ]
 
     if arguments.json_out:

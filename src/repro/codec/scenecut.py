@@ -33,6 +33,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ..config import whole_number
 from ..errors import CodecError
 from .blocks import DEFAULT_BLOCK_SIZE, padded_shape
 from .motion import integer_candidate_sads, offset_table
@@ -65,14 +66,6 @@ _SCORE_GAMMA = 6.0
 #: the ``offline_build`` clips 64 k ran the pass in 0.10 s with a 0.56 MB
 #: traced peak, 128 k in 0.09 s with 0.98 MB, 256 k in 0.08 s with 1.8 MB.
 _FRAME_BATCH_ELEMENTS = 1 << 17
-
-
-def _require_int(name: str, value, minimum: int) -> int:
-    """``value`` as an ``int`` if it is an integer (not a bool) >= ``minimum``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < minimum):
-        raise CodecError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -156,8 +149,9 @@ class SceneCutAnalyzer:
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE,
                  search_radius: int = 2) -> None:
-        self.block_size = _require_int("block_size", block_size, 1)
-        self.search_radius = _require_int("search_radius", search_radius, 0)
+        self.block_size = whole_number(block_size, "block_size", CodecError, 1)
+        self.search_radius = whole_number(search_radius, "search_radius",
+                                          CodecError, 0)
         self._offset_table = offset_table(self.search_radius, 1)
 
     def analyze_frames(self, planes: Iterable[np.ndarray]) -> List[FrameActivity]:

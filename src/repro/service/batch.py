@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import replace
-from functools import reduce
 from itertools import accumulate, repeat
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from ..cluster.recurrence import EVENTS_PER_JOB, _left_fold, replay_fleet
+from ..cluster.recurrence import (EVENTS_PER_JOB, _left_folds,
+                                  _padded_columns, replay_fleet)
 from .feeder import ChunkFeeder
 from .session import FrameChunk, StreamSession
 
@@ -103,28 +103,40 @@ class FeederBatch:
 
     def _within_pending_bounds(self) -> bool:
         """Each push finds fewer than ``max_pending_chunks`` of its
-        session's chunks in flight."""
+        session's chunks in flight.
+
+        Push ``k`` of a session with bound ``b`` is admitted when chunks
+        ``0 .. k - b`` all ended before its instant: one running maximum
+        down a matrix of every session's ends, padded with ``-inf``.  The
+        pushes it cannot clear are counted event by event.
+        """
         instants = self.replay.instants
         fires_before = self.replay.fires_before
         ends, pushes = instants[_CLOUD_END], instants[_PUSH]
-        start = 0
-        for (_, session, _), count in zip(self.feeds, self.counts):
-            bound = session.max_pending_chunks
-            if count > bound:
-                # Push k is admitted when chunks 0 .. k - bound all ended
-                # before its instant; the rest are counted event by event.
-                ended = np.maximum.accumulate(
-                    ends[start:start + count - bound])
-                doubtful = np.flatnonzero(
-                    ended >= pushes[start + bound:start + count]) + bound
-                for k in doubtful.tolist():
-                    push = EVENTS_PER_JOB * (start + k)
-                    completed = sum([fires_before(
-                        EVENTS_PER_JOB * (start + i) + _CLOUD_END, push)
-                        for i in range(k)])
-                    if k - completed >= bound:
-                        return False
-            start += count
+        counts = np.array(self.counts)
+        starts = np.cumsum(counts) - counts
+        bounds = np.array([session.max_pending_chunks
+                           for _, session, _ in self.feeds])
+        # Chunk i of each session, against push i + b.
+        checked = np.maximum(counts - bounds, 0)
+        offsets = np.cumsum(checked) - checked
+        chunks = (np.repeat(starts - offsets, checked)
+                  + np.arange(int(checked.sum())))
+        pushed = chunks + np.repeat(bounds, checked)
+        owner = np.repeat(np.arange(len(counts)), checked)
+        for _, index, inside, grid in _padded_columns(ends[chunks], checked,
+                                                      -np.inf):
+            ended = np.maximum.accumulate(grid, axis=0)[inside]
+            doubtful = index[ended >= pushes[pushed[index]]]
+            for k, start, bound in zip(pushed[doubtful].tolist(),
+                                       starts[owner[doubtful]].tolist(),
+                                       bounds[owner[doubtful]].tolist()):
+                push = EVENTS_PER_JOB * k
+                completed = sum([fires_before(
+                    EVENTS_PER_JOB * i + _CLOUD_END, push)
+                    for i in range(start, k)])
+                if k - start - completed >= bound:
+                    return False
         return True
 
     def _within_wan_bound(self) -> bool:
@@ -209,9 +221,19 @@ class FeederBatch:
                                                   counts),
             "edge_cloud_bytes_pushed": _run_sums(replay.wan_bytes, starts,
                                                  counts)}
-        folds = (("edge_seconds_pushed", list(map(_edge_seconds, chunks))),
-                 ("cloud_seconds_pushed", list(map(_cloud_seconds, chunks))))
-        lan_seconds = replay.lan_seconds
+        # Seconds are left folds from each session's or link's total.
+        # Each link's are folded in delivery order, as its transfers would
+        # add them: a session's LAN link delivers in push order, each WAN
+        # link (below) in its replayed order.
+        sessions = [session for _, session, _ in self.feeds]
+        lengths = np.array(counts)
+        folds = {name: _left_folds(
+            list(map(attrgetter(name), sessions)),
+            np.array(list(map(read, chunks)), dtype=np.float64), lengths)
+            for name, read in (("edge_seconds_pushed", _edge_seconds),
+                               ("cloud_seconds_pushed", _cloud_seconds))}
+        lan_totals = _left_folds([lan.link.total_seconds for lan in self.lans],
+                                 replay.lan_seconds, lengths)
         for index, ((feeder, session, _), lan, start, count) in enumerate(
                 zip(self.feeds, self.lans, starts, counts)):
             stop = start + count
@@ -223,9 +245,8 @@ class FeederBatch:
             session.chunks_completed += count
             for name, sums in totals.items():
                 setattr(session, name, getattr(session, name) + sums[index])
-            for name, column in folds:
-                setattr(session, name, reduce(add, column[start:stop],
-                                              getattr(session, name)))
+            for name, folded in folds.items():
+                setattr(session, name, folded[index])
             session.last_completion = last_completions[index]
             feeder.next_index = len(feeder.chunks)
             if feeder.close_when_done:
@@ -234,29 +255,25 @@ class FeederBatch:
                 ingest.close_reasons[session.close_reason] = (
                     ingest.close_reasons.get(session.close_reason, 0) + 1)
                 ingest._finalise(session, session.last_completion)
-            # Each link's seconds are folded in delivery order, as its
-            # transfers would add them: a session's LAN link delivers in
-            # push order, each WAN link (below) in its replayed order.
             link = lan.link
             link.transfer_count += count
             link.total_bytes += totals["camera_edge_bytes_pushed"][index]
-            link.total_seconds = reduce(add, lan_seconds[start:stop].tolist(),
-                                        link.total_seconds)
+            link.total_seconds = lan_totals[index]
 
         # A session's chunks all cross its edge's uplink.
         wan_bytes = [0] * len(chain.wan_links)
         for (_, session, _), sent in zip(
                 self.feeds, totals["edge_cloud_bytes_pushed"]):
             wan_bytes[session.edge_index] += sent
-        for wan, start, count, sent in zip(
-                chain.wan_links,
-                accumulate(replay.edge_jobs.tolist(), initial=0),
-                replay.edge_jobs.tolist(), wan_bytes):
+        for wan, count, sent, seconds in zip(
+                chain.wan_links, replay.edge_jobs.tolist(), wan_bytes,
+                _left_folds([wan.link.total_seconds for wan in chain.wan_links],
+                            replay.wan_seconds[replay.delivered],
+                            replay.edge_jobs)):
             link = wan.link
             link.transfer_count += count
             link.total_bytes += sent
-            link.total_seconds = _left_fold(replay.wan_seconds[
-                replay.delivered[start:start + count]], link.total_seconds)
+            link.total_seconds = seconds
 
         fired = EVENTS_PER_JOB * len(chunks)
         # Every push but a feed's first was scheduled during the run.

@@ -159,12 +159,20 @@ class TestSceneCut:
         with pytest.raises(CodecError):
             SceneCutAnalyzer(block_size=0)
 
-    @pytest.mark.parametrize("block_size", [8.0, 7.5, True, False, None])
+    @pytest.mark.parametrize("block_size", [7.5, True, False, None, -8])
     def test_block_size_must_be_an_integer(self, block_size):
-        """A float or bool block size used to fail later with a bare
+        """A fractional or bool block size used to fail later with a bare
         TypeError, or (``True``) analyse with one-pixel blocks."""
         with pytest.raises(CodecError, match="block_size"):
             SceneCutAnalyzer(block_size=block_size)
+
+    def test_integral_floats_are_whole_numbers(self):
+        """The analyser reads its knobs as ``MotionSearch`` and
+        ``EncoderParameters`` do (``config.whole_number``)."""
+        analyzer = SceneCutAnalyzer(block_size=8.0, search_radius=2.0)
+        assert (analyzer.block_size, analyzer.search_radius) == (8, 2)
+        assert type(analyzer.block_size) is int
+        assert type(analyzer.search_radius) is int
 
     @pytest.mark.parametrize("knob", [dict(search_radius=1.5),
                                       dict(search_radius=-1)])

@@ -508,9 +508,10 @@ def _drain_counting_calls(service: StreamingService,
     return _counting_calls(service.drain, kind)
 
 
-#: Measured: 1.08 Python-level calls a chunk through the recurrence, and
-#: 1.87 calls into C (0.96 and 4.66 before the drain went columnar).  One
-#: more call of either kind a chunk must fail the guard.
+#: Measured: 0.96 Python-level calls a chunk through the recurrence, and
+#: 2.10 calls into C (1.08 and 1.87 with a fold and a running maximum per
+#: session; 0.96 and 4.66 before the drain went columnar).  One more call
+#: of either kind a chunk must fail the guard.
 BATCH_CALLS_PER_CHUNK_CEILING = 1.25
 BATCH_C_CALLS_PER_CHUNK_CEILING = 2.5
 #: Measured: 44.3 calls a chunk on the event loop.  One more call a chunk
