@@ -6,8 +6,8 @@ closes the loop in the serving path:
 
 * :class:`DriftMonitor` is the pure, clock-free per-session core: it
   folds each chunk's :class:`~repro.adapt.signals.ChunkScene` into the
-  detectors, applies hysteresis (``confirm_chunks`` consecutive drifting
-  chunks) and cooldown, and on confirmed drift re-runs the cheap
+  detectors, applies hysteresis (:data:`CONFIRM_CHUNKS` consecutive
+  drifting chunks) and cooldown, and on confirmed drift re-runs the cheap
   ``tune_from_activities`` grid search over a sliding window of recent
   activities.  Being pure makes it directly testable without a service.
 * :class:`AdaptiveTuningController` binds monitors to a live
@@ -29,15 +29,13 @@ sessions.
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Union
 
 from ..codec.gop import (DEFAULT_PARAMETERS, EncoderParameters,
                          KeyframePlacer)
 from ..codec.scenecut import FrameActivity
-from ..config import whole_number
 from ..core.metrics import evaluate_sampling
 from ..core.tuner import (ParameterLookupTable, SemanticEncoderTuner,
                           TuningGrid)
@@ -57,72 +55,46 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _LOGGER = get_logger(__name__)
 
 
+#: The (GOP, scenecut) grid a triggered re-tune explores.
+RETUNE_GRID = TuningGrid()
+#: Sliding window of recent chunks a re-tune grid-searches over.
+WINDOW_CHUNKS = 8
+#: Chunks required in the window before a re-tune may run (a one-chunk
+#: "window" overfits).
+MIN_WINDOW_CHUNKS = 3
+#: Hysteresis: consecutive drifting chunks required to confirm a drift.
+CONFIRM_CHUNKS = 2
+#: Virtual seconds after a confirmed drift during which new confirmations
+#: are suppressed.
+COOLDOWN_SECONDS = 10.0
+#: Baseline window of the z-score detectors, and the baseline samples
+#: every detector needs before it may fire.
+DETECTOR_WINDOW = 12
+DETECTOR_MIN_SAMPLES = 4
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Knobs of the online adaptive tuning loop.
+    """The online adaptive tuning loop's starting point.
+
+    The loop's tuning (window, hysteresis, cooldown, detector thresholds,
+    grid) is this module's constants.
 
     Attributes:
-        grid: The (GOP, scenecut) grid a triggered re-tune explores.
         initial_parameters: Parameters deployed before the first retune
             (typically the offline tune of the training split); also the
             template for non-tuned fields (quality, block size).
-        window_chunks: Sliding window of recent chunks a re-tune
-            grid-searches over.
-        min_window_chunks: Chunks required in the window before a
-            re-tune may run (a one-chunk "window" overfits).
-        confirm_chunks: Hysteresis — consecutive drifting chunks required
-            before a drift is confirmed.
-        cooldown_seconds: Virtual seconds after a confirmed drift during
-            which new confirmations are suppressed.
-        novelty_threshold: z-score threshold on mean novelty.
-        scenecut_rate_threshold: z-score threshold on the scene-cut rate.
-        brightness_delta: Page–Hinkley per-sample tolerance on mean luma.
-        brightness_threshold: Page–Hinkley cumulative threshold on luma.
-        detector_window: Baseline window of the z-score detectors.
-        detector_min_samples: Baseline samples required before any
-            detector may fire.
-
-    Raises:
-        ServiceError: At construction, if a count is not a whole number in
-            range, a threshold or the cooldown is not finite and in range,
-            or ``grid`` is not a :class:`TuningGrid`.
     """
 
-    grid: TuningGrid = field(default_factory=TuningGrid)
     initial_parameters: EncoderParameters = DEFAULT_PARAMETERS
-    window_chunks: int = 8
-    min_window_chunks: int = 3
-    confirm_chunks: int = 2
-    cooldown_seconds: float = 10.0
-    novelty_threshold: float = 4.0
-    scenecut_rate_threshold: float = 4.0
-    brightness_delta: float = 1.0
-    brightness_threshold: float = 25.0
-    detector_window: int = 12
-    detector_min_samples: int = 4
 
     def __post_init__(self) -> None:
-        # Counts are whole numbers (``confirm_chunks=1.5`` would act as 2)
-        # and every bound is a chained comparison, which ``nan`` fails: a
-        # ``nan`` cooldown or threshold would otherwise switch its check
-        # off.  Everything a session's DriftMonitor builds is checked here,
-        # so a bad config fails before the first push.
-        for name in ("window_chunks", "min_window_chunks", "confirm_chunks"):
-            object.__setattr__(self, name, whole_number(
-                getattr(self, name), name, ServiceError))
-        if not 1 <= self.min_window_chunks <= self.window_chunks:
+        # Anything else would fail at the first confirmed drift, inside a
+        # push event.
+        if not isinstance(self.initial_parameters, EncoderParameters):
             raise ServiceError(
-                "window_chunks must be >= 1 and min_window_chunks within "
-                "[1, window_chunks]")
-        if self.confirm_chunks < 1:
-            raise ServiceError("confirm_chunks must be >= 1")
-        if not 0 <= self.cooldown_seconds < math.inf:
-            raise ServiceError(f"cooldown_seconds must be finite and >= 0, "
-                               f"got {self.cooldown_seconds!r}")
-        if not isinstance(self.grid, TuningGrid):
-            raise ServiceError(
-                f"grid must be a TuningGrid, got {self.grid!r}")
-        _drift_detectors(self)
+                f"initial_parameters must be EncoderParameters, "
+                f"got {self.initial_parameters!r}")
 
 
 @dataclass(frozen=True)
@@ -164,8 +136,8 @@ class DriftMonitor:
         self.config = config
         self.current = config.initial_parameters
         self._tuner: Optional[SemanticEncoderTuner] = None
-        self._window: Deque[ChunkScene] = deque(maxlen=config.window_chunks)
-        self._detectors = _drift_detectors(config)
+        self._window: Deque[ChunkScene] = deque(maxlen=WINDOW_CHUNKS)
+        self._detectors = _drift_detectors()
         self._consecutive = 0
         self._cooldown_until = float("-inf")
 
@@ -178,15 +150,15 @@ class DriftMonitor:
             self._consecutive += 1
         else:
             self._consecutive = 0
-        if self._consecutive < self.config.confirm_chunks:
+        if self._consecutive < CONFIRM_CHUNKS:
             return None
         if now < self._cooldown_until:
             return None
-        if len(self._window) < self.config.min_window_chunks:
+        if len(self._window) < MIN_WINDOW_CHUNKS:
             return None
         # Confirmed drift: arm the cooldown, reset hysteresis and give the
         # detectors a fresh baseline (the post-drift regime).
-        self._cooldown_until = now + self.config.cooldown_seconds
+        self._cooldown_until = now + COOLDOWN_SECONDS
         self._consecutive = 0
         trigger = ",".join(signal.describe() for signal in signals)
         with perf_section("adapt.retune"):
@@ -222,7 +194,7 @@ class DriftMonitor:
         # kept until a retune replaces the incumbent.
         if self._tuner is None:
             self._tuner = SemanticEncoderTuner(
-                grid=self.config.grid, base_parameters=self.current)
+                grid=RETUNE_GRID, base_parameters=self.current)
         result = self._tuner.tune_from_activities(activities, timeline)
         incumbent = result.score_of(self.current)
         if incumbent is not None:
@@ -246,28 +218,21 @@ class DriftMonitor:
             new_f1=winner.score.f1, applied=applied)
 
 
-def _drift_detectors(config: AdaptiveConfig
-                     ) -> List[Union[WindowedZScoreDetector, PageHinkleyDetector]]:
-    """The three detectors of one session, in the order ``_fold`` feeds them.
-
-    Raises:
-        ServiceError: If a detector knob of ``config`` is out of range.
-    """
+def _drift_detectors(
+        ) -> List[Union[WindowedZScoreDetector, PageHinkleyDetector]]:
+    """The three detectors of one session, in the order ``_fold`` feeds
+    them: z-scores of the mean novelty and of the scene-cut rate, and a
+    Page–Hinkley test on the mean luma."""
     return [
         WindowedZScoreDetector(
-            "novelty", threshold=config.novelty_threshold,
-            window=config.detector_window,
-            min_samples=config.detector_min_samples,
-            min_std=1e-3),
+            "novelty", threshold=4.0, window=DETECTOR_WINDOW,
+            min_samples=DETECTOR_MIN_SAMPLES, min_std=1e-3),
         WindowedZScoreDetector(
-            "scenecut-rate", threshold=config.scenecut_rate_threshold,
-            window=config.detector_window,
-            min_samples=config.detector_min_samples,
-            min_std=5e-3),
+            "scenecut-rate", threshold=4.0, window=DETECTOR_WINDOW,
+            min_samples=DETECTOR_MIN_SAMPLES, min_std=5e-3),
         PageHinkleyDetector(
-            "brightness", delta=config.brightness_delta,
-            threshold=config.brightness_threshold,
-            min_samples=config.detector_min_samples),
+            "brightness", delta=1.0, threshold=25.0,
+            min_samples=DETECTOR_MIN_SAMPLES),
     ]
 
 

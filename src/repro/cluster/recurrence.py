@@ -127,9 +127,6 @@ class FleetReplay(NamedTuple):
     finished: np.ndarray
     #: ``fires_before(x, y)``: whether event ``x`` fires before event ``y``.
     fires_before: Callable[[int, int], bool]
-    #: ``started_by(e)``: the event that started the service completing at
-    #: event ``e`` (its admission, or the completion that freed a worker).
-    started_by: Callable[[int], int]
 
 
 def _fires_before(x: int, y: int, when: MutableSequence[float],
@@ -558,21 +555,19 @@ def _firing_order(jobs: np.ndarray, stage: int, times: np.ndarray,
     return np.array(ordered, dtype=np.int64)
 
 
-def _transfer_seconds(sizes: List[int], bandwidth_mbps,
-                      latency_ms) -> np.ndarray:
-    """``NetworkLink.transfer_seconds`` of every size, as one float64
-    column: the same float operations elementwise, so the same bits
-    (``size * 8`` is exact in float64).  The bandwidth and latency are
-    one link's, or a column of each size's own link."""
+def _transfer_seconds(sizes: List[int], link: NetworkLink) -> np.ndarray:
+    """``link.transfer_seconds`` of every size, as one float64 column: the
+    same float operations elementwise, so the same bits (``size * 8`` is
+    exact in float64)."""
     column = np.array(sizes, dtype=np.float64)
-    return (column * 8) / (bandwidth_mbps * 1e6) + latency_ms / 1e3
+    return (column * 8) / (link.bandwidth_mbps * 1e6) + link.latency_ms / 1e3
 
 
 def replay_fleet(jobs: Sequence, placements: Sequence[int],
                  offsets: Sequence[float], config: SystemConfig,
                  num_edges: int, edge_workers: int, cloud_workers: int, *,
                  lan_keys: Optional[Sequence[int]] = None,
-                 lan_links: Optional[Sequence[NetworkLink]] = None,
+                 lan_count: Optional[int] = None,
                  chained_ingests: bool = False,
                  stats: Optional[Tuple[Sequence[StationStats],
                                        Sequence[StationStats],
@@ -588,16 +583,15 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
             and bytes as ``int``).
         placements: Edge index of each job.
         offsets: Ingest instant of each job.
-        config: Bandwidths and latencies of the WAN uplinks (and of the
-            default LAN links).
+        config: Bandwidths and latencies of the WAN uplinks and the LAN
+            links.
         num_edges: Edge servers (one station and uplink each).
         edge_workers: Slots per edge station.
         cloud_workers: Slots of the cloud station.
-        lan_keys: Each job's LAN link, an index into ``lan_links``; all
-            jobs of one link are on one edge.  Default: one LAN link per
-            edge, sized from ``config``, and each job ingests over its
-            edge's.
-        lan_links: The LAN links ``lan_keys`` index.
+        lan_keys: Each job's LAN link, an index into ``range(lan_count)``;
+            all jobs of one link are on one edge.  Default: one LAN link
+            per edge, and each job ingests over its edge's.
+        lan_count: The number of LAN links ``lan_keys`` index.
         chained_ingests: Each link's first ingest was inserted before the
             run and every later one by the ingest before it (a feeder's
             push by its previous push).  Default: every ingest was
@@ -609,21 +603,15 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
     edges = np.asarray(placements, dtype=np.int64)
     del placements  # the caller may hand over its only reference
     if lan_keys is None:
-        keys = edges
-        lan = NetworkLink("camera-edge", config.camera_edge_bandwidth_mbps,
-                          config.camera_edge_latency_ms)
-        lan_links = [lan] * num_edges
-        bandwidth, latency = lan.bandwidth_mbps, lan.latency_ms
+        keys, lan_count = edges, num_edges
     else:
         keys = np.asarray(lan_keys)
-        bandwidth = np.array([link.bandwidth_mbps for link in lan_links],
-                             dtype=np.float64)[keys]
-        latency = np.array([link.latency_ms for link in lan_links],
-                           dtype=np.float64)[keys]
+    lan = NetworkLink("camera-edge", config.camera_edge_bandwidth_mbps,
+                      config.camera_edge_latency_ms)
     wan = NetworkLink("edge-cloud", config.edge_cloud_bandwidth_mbps,
                       config.edge_cloud_latency_ms)
     if stats is None:
-        stats = ([StationStats() for _ in lan_links],
+        stats = ([StationStats() for _ in range(lan_count)],
                  [StationStats() for _ in range(num_edges)],
                  [StationStats() for _ in range(num_edges)], StationStats())
     lan_stats, edge_stats, wan_stats, cloud_stats = stats
@@ -645,10 +633,9 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
     # Each column lives for its stage only; the result carries the
     # transfer columns.
     lan_bytes = list(map(attrgetter("camera_edge_bytes"), jobs))
-    lan_seconds = _transfer_seconds(lan_bytes, bandwidth, latency)
-    del bandwidth, latency
+    lan_seconds = _transfer_seconds(lan_bytes, lan)
     through_lan = _station(
-        ingest_order, np.bincount(keys, minlength=len(lan_links)), _LAN,
+        ingest_order, np.bincount(keys, minlength=lan_count), _LAN,
         lan_seconds, 1, when, parent, ties, lan_stats)
     del ingest_order
     # Each edge admits the deliveries of every LAN link feeding it, in the
@@ -667,8 +654,7 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
         edge_stats)
     del per_edge
     wan_bytes = list(map(attrgetter("edge_cloud_bytes"), jobs))
-    wan_seconds = _transfer_seconds(wan_bytes, wan.bandwidth_mbps,
-                                    wan.latency_ms)
+    wan_seconds = _transfer_seconds(wan_bytes, wan)
     delivered = _station(through_edge, edge_jobs, _WAN, wan_seconds, 1,
                          when, parent, ties, wan_stats)
     del through_edge
@@ -697,8 +683,7 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
         wan_seconds=wan_seconds, delivered=delivered, edge_jobs=edge_jobs,
         finished=finished,
         fires_before=partial(_fires_before, when=when, parent=parent,
-                             ties=ties),
-        started_by=parent.__getitem__)
+                             ties=ties))
 
 
 def _chain_ingests(parent: MutableSequence[int], keys: np.ndarray,

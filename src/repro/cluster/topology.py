@@ -25,10 +25,10 @@ The chain owns three things and nothing else:
   was rewritten mid-flight (fault failover) lands on its new edge at the
   next stage boundary, and :meth:`StageChain.reenter` requeues a failed
   stage the same way;
-* **the stage-boundary callbacks** — ``on_finish``, ``on_fail`` and
-  ``on_stage_start``.  All default to ``None``, and a ``None`` hook is
-  passed straight through to the stations, so a chain with no hooks
-  schedules exactly the events the bare stations would.
+* **the stage-boundary callbacks** — ``on_finish`` and ``on_fail``.
+  Both default to ``None``, and a ``None`` hook is passed straight
+  through to the stations, so a chain with no hooks schedules exactly the
+  events the bare stations would.
 
 ``EndToEndSimulation.run_serial`` in :mod:`repro.core.pipeline` is the
 closed-form oracle the chain is regression-tested against; it shares no
@@ -71,16 +71,13 @@ class StageUnit:
         self.stage = STAGES[0]
 
 
-Hook = Optional[Callable[[Any], None]]
-
-
 class StageChain:
     """Stations and links of N edges plus the stage order over them.
 
     Args:
         scheduler: The shared virtual clock every resource queues on.
-        config: Bandwidths and latencies of the WAN uplinks (and of LAN
-            links added without their own config).
+        config: Bandwidths and latencies of the WAN uplinks and the LAN
+            links.
         edge_indices: Global index of each edge, used in resource names;
             ``unit.edge_index`` is the *position* in this sequence (the
             two coincide for a whole fleet, ``range(n)``).
@@ -92,17 +89,15 @@ class StageChain:
         on_finish: ``(unit)`` — the unit left the chain's last stage.
         on_fail: ``(unit, reason)`` — the unit's current stage submission
             was failed out by the fault plane (``fail_all``).
-        on_stage_start: ``(unit)`` — the unit left a queue and occupies
-            its stage's resource; ``unit.stage`` names the stage and the
-            scheduler clock reads the service-start instant.
     """
 
     def __init__(self, scheduler: EventScheduler, config: SystemConfig,
                  edge_indices: Sequence[int], edge_workers: int = 1,
                  cloud_workers: int = 1, *,
-                 lan_per_edge: bool = True, on_finish: Hook = None,
-                 on_fail: Optional[Callable[[Any, str], None]] = None,
-                 on_stage_start: Hook = None) -> None:
+                 lan_per_edge: bool = True,
+                 on_finish: Optional[Callable[[Any], None]] = None,
+                 on_fail: Optional[Callable[[Any, str], None]] = None
+                 ) -> None:
         self.scheduler = scheduler
         self.config = config
         self.edge_stations: List[ServiceStation] = [
@@ -123,16 +118,13 @@ class StageChain:
                                             capacity=cloud_workers)
         self.on_finish = on_finish
         self.on_fail = on_fail
-        self.on_stage_start = on_stage_start
 
-    def add_lan_link(self, key: Hashable, name: str,
-                     config: Optional[SystemConfig] = None) -> None:
+    def add_lan_link(self, key: Hashable, name: str) -> None:
         """Build the LAN link units with ``lan_key == key`` ingest over."""
-        config = config if config is not None else self.config
         self.lan_links[key] = ContendedLink(self.scheduler, NetworkLink(
             name=name,
-            bandwidth_mbps=config.camera_edge_bandwidth_mbps,
-            latency_ms=config.camera_edge_latency_ms))
+            bandwidth_mbps=self.config.camera_edge_bandwidth_mbps,
+            latency_ms=self.config.camera_edge_latency_ms))
 
     def edge_resources(self, position: int) -> list:
         """Everything that goes down with one edge, in pipeline order."""
@@ -152,28 +144,28 @@ class StageChain:
         unit.stage = "lan"
         self.lan_links[unit.lan_key].submit(
             unit.work.camera_edge_bytes, on_complete=self.enter_edge,
-            payload=unit, on_start=self.on_stage_start, on_fail=self.on_fail)
+            payload=unit, on_fail=self.on_fail)
 
     def enter_edge(self, unit: StageUnit) -> None:
         """Edge compute on the unit's (current) edge station."""
         unit.stage = "edge"
         self.edge_stations[unit.edge_index].submit(
             unit.work.edge_seconds, on_complete=self.enter_wan, payload=unit,
-            on_start=self.on_stage_start, on_fail=self.on_fail)
+            on_fail=self.on_fail)
 
     def enter_wan(self, unit: StageUnit) -> None:
         """Edge -> cloud transfer over the (current) edge's uplink."""
         unit.stage = "wan"
         self.wan_links[unit.edge_index].submit(
             unit.work.edge_cloud_bytes, on_complete=self.enter_cloud,
-            payload=unit, on_start=self.on_stage_start, on_fail=self.on_fail)
+            payload=unit, on_fail=self.on_fail)
 
     def enter_cloud(self, unit: StageUnit) -> None:
         """Cloud compute; its completion is the unit's finish."""
         unit.stage = "cloud"
         self.cloud_station.submit(
             unit.work.cloud_seconds, on_complete=self.on_finish, payload=unit,
-            on_start=self.on_stage_start, on_fail=self.on_fail)
+            on_fail=self.on_fail)
 
     def reenter(self, unit: StageUnit) -> None:
         """Requeue ``unit`` at the stage it was in (after a failed stage).

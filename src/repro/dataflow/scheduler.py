@@ -190,17 +190,15 @@ class _StationJob:
     may be numpy arrays, whose ``==`` is elementwise."""
 
     #: ``started_at`` is set when the job starts, not before.
-    __slots__ = ("service_seconds", "on_complete", "payload", "on_start",
-                 "on_fail", "started_at")
+    __slots__ = ("service_seconds", "on_complete", "payload", "on_fail",
+                 "started_at")
 
     def __init__(self, service_seconds: float,
                  on_complete: Optional[Callable[[Any], None]], payload: Any,
-                 on_start: Optional[Callable[[Any], None]],
                  on_fail: Optional[Callable[[Any, str], None]]) -> None:
         self.service_seconds = service_seconds
         self.on_complete = on_complete
         self.payload = payload
-        self.on_start = on_start
         self.on_fail = on_fail
 
 
@@ -249,7 +247,6 @@ class ServiceStation:
     def submit(self, service_seconds: float,
                on_complete: Optional[Callable[[Any], None]] = None,
                payload: Any = None,
-               on_start: Optional[Callable[[Any], None]] = None,
                on_fail: Optional[Callable[[Any, str], None]] = None) -> None:
         """Submit a job taking ``service_seconds`` of worker time.
 
@@ -260,9 +257,6 @@ class ServiceStation:
         FIFO queue and starts when a completion (or :meth:`resume`) frees
         its turn.
 
-        ``on_start(payload)`` fires the moment the job occupies a worker
-        (the same instant its completion event is scheduled).
-
         ``on_fail(payload, reason)`` fires only if the job is failed out
         by :meth:`fail_all` (the fault-injection plane); jobs submitted
         without it are silently dropped on failure.
@@ -271,7 +265,7 @@ class ServiceStation:
             raise DataflowError(
                 f"service time must be finite and >= 0, got {service_seconds}")
         self._admit(_StationJob(float(service_seconds), on_complete, payload,
-                                on_start, on_fail))
+                                on_fail))
 
     def pause(self) -> None:
         """Stop dispatching queued jobs (fault-injection hook).
@@ -318,13 +312,11 @@ class ServiceStation:
             scheduler = self.scheduler
             job.started_at = scheduler.now
             self._active[job] = None
-            if job.on_start is not None:
-                job.on_start(job.payload)
             scheduler.schedule(job.service_seconds, self._finish, job)
             return
         queue.append(job)
-        # A worker can be free with jobs waiting only while _dispatch is
-        # mid-loop and an on_start callback re-entered here.
+        # A worker can be free with jobs waiting only while _finish is
+        # calling on_complete and that callback re-entered here.
         if self._online and len(self._active) < self.capacity:
             self._dispatch()
         # The only place depth can rise; jobs still waiting after dispatch
@@ -339,8 +331,6 @@ class ServiceStation:
             job = queue.popleft()
             job.started_at = scheduler.now
             active[job] = None
-            if job.on_start is not None:
-                job.on_start(job.payload)
             scheduler.schedule(job.service_seconds, self._finish, job)
 
     def _finish(self, job: _StationJob) -> None:

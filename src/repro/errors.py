@@ -76,7 +76,7 @@ class AdmissionError(ServiceError):
         sheddable: Whether the refusal is a capacity overload that a
             degraded tenant tier could absorb (tenant quota exhausted),
             as opposed to a hard refusal (duplicate camera, unknown
-            tenant, bad edge index, saturated WAN, service full).
+            tenant, bad or offline edge, service full).
     """
 
     def __init__(self, message: str, *, sheddable: bool = False) -> None:

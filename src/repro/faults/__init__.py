@@ -11,8 +11,6 @@ Public surface:
 * :class:`FaultPlan` and its specs (:class:`EdgeCrash`,
   :class:`WanDegradation`, :class:`StreamStall`) — composable, seeded,
   replayable.
-* :class:`RetryPolicy` — the one backoff/budget policy every retry
-  loop shares.
 * :class:`CircuitBreaker` / :class:`BreakerState` — per-edge load
   shedding.
 * :class:`ResilienceConfig` — the service's self-healing knobs.
@@ -23,12 +21,11 @@ Public surface:
 from .breaker import BreakerState, CircuitBreaker
 from .injector import ResilienceConfig, ServiceFaultDriver
 from .plan import EdgeCrash, FaultPlan, FaultSpec, StreamStall, WanDegradation
-from .retry import RetryPolicy
 from .stats import FaultStats, RecoveryTrace, TraceEvent
 
 __all__ = [
     "BreakerState", "CircuitBreaker", "ResilienceConfig",
     "ServiceFaultDriver", "EdgeCrash", "FaultPlan", "FaultSpec",
-    "StreamStall", "WanDegradation", "RetryPolicy", "FaultStats",
+    "StreamStall", "WanDegradation", "FaultStats",
     "RecoveryTrace", "TraceEvent",
 ]

@@ -75,7 +75,6 @@ class ContendedLink(ServiceStation):
     def submit(self, size_bytes: int,
                on_complete: Optional[Callable[[Any], None]] = None,
                payload: Any = None,
-               on_start: Optional[Callable[[Any], None]] = None,
                on_fail: Optional[Callable[[Any, str], None]] = None) -> None:
         """Queue a transfer; ``on_complete(payload)`` fires on delivery.
 
@@ -86,14 +85,13 @@ class ContendedLink(ServiceStation):
         direct-start rule (see :meth:`ServiceStation.submit`): an idle,
         online link carries the transfer without queueing it.
 
-        ``on_start(payload)`` fires when the transfer actually occupies the
-        link (after any queueing).  ``on_fail(payload, reason)`` fires only
-        if the transfer is failed out by :meth:`fail_all`.
+        ``on_fail(payload, reason)`` fires only if the transfer is failed
+        out by :meth:`fail_all`.
         """
         nominal = self.link.transfer_seconds(size_bytes)
         job = _Transfer(
             nominal if self._slowdown == 1.0 else nominal * self._slowdown,
-            on_complete, payload, on_start, on_fail)
+            on_complete, payload, on_fail)
         job.size_bytes = int(size_bytes)
         job.nominal = nominal
         self._admit(job)

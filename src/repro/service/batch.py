@@ -7,8 +7,8 @@ hands a run here when the event loop would do nothing but fire
 chunks, computes their timelines with
 :func:`~repro.cluster.recurrence.replay_fleet` (the fault-free fleet's
 recurrence, with a LAN link per session and each push inserted by the one
-before it), checks every push against the bounds ``push_frames`` would
-apply at its instant, and then writes the run into the live stations,
+before it), checks every push against the in-flight bound
+``push_frames`` would apply at its instant, and then writes the run into the live stations,
 links, sessions and feeders exactly as the event loop leaves them.
 """
 
@@ -70,11 +70,14 @@ class FeederBatch:
         # unless every push is admitted.  The push instants and edges are
         # handed over, not kept.
         self.replay = replay_fleet(
-            self.chunks, self.edges(), self._push_instants(), service.config,
+            self.chunks,
+            np.repeat([session.edge_index for _, session, _ in feeds],
+                      self.counts),
+            self._push_instants(), service.config,
             service.num_edge_servers, service.edge_workers,
             service.cloud_workers,
             lan_keys=np.frombuffer(self.keys, dtype=np.intc),
-            lan_links=[lan.link for lan in self.lans], chained_ingests=True,
+            lan_count=len(feeds), chained_ingests=True,
             stats=([replace(lan.stats) for lan in self.lans],
                    [replace(station.stats) for station in chain.edge_stations],
                    [replace(link.stats) for link in chain.wan_links],
@@ -89,17 +92,11 @@ class FeederBatch:
                 repeat(feeder.period_seconds, count - 1), initial=first))
         return pushes
 
-    def edges(self) -> np.ndarray:
-        """Every chunk's edge."""
-        return np.repeat([session.edge_index for _, session, _ in self.feeds],
-                         self.counts)
-
     def admitted(self, until: Optional[float]) -> bool:
         """Whether the run ends by ``until`` and every push passes the
         checks ``push_frames`` makes at its instant."""
         return ((until is None or self.last <= until)
-                and self._within_pending_bounds()
-                and self._within_wan_bound())
+                and self._within_pending_bounds())
 
     def _within_pending_bounds(self) -> bool:
         """Each push finds fewer than ``max_pending_chunks`` of its
@@ -139,44 +136,6 @@ class FeederBatch:
                     return False
         return True
 
-    def _within_wan_bound(self) -> bool:
-        """Each push finds its edge's WAN queue below
-        ``max_wan_queue_depth``: a transfer waits from its admission (its
-        edge completion) until the delivery that starts it, unless it
-        started at once."""
-        bound = self.service.ingest.max_wan_queue_depth
-        if bound is None:
-            return True
-        replay = self.replay
-        instants = replay.instants
-        # Event ``e`` (of job ``e // EVENTS_PER_JOB``) fired at ``at[e]``.
-        at = instants.T.ravel()
-        edges = self.edges()
-        delivered = np.split(replay.delivered,
-                             np.cumsum(replay.edge_jobs)[:-1])
-        for edge, order in enumerate(delivered):
-            pushed = np.flatnonzero(edges == edge)
-            if not len(order) or not len(pushed):
-                continue
-            transfers = EVENTS_PER_JOB * order + _WAN_END
-            starts = np.array([replay.started_by(event)
-                               for event in transfers.tolist()])
-            waited = starts != transfers - 1
-            joined, left = transfers[waited] - 1, starts[waited]
-            # At most this many wait at each push (ties counted waiting).
-            times = instants[_PUSH, pushed]
-            upper = (np.searchsorted(np.sort(at[joined]), times, "right")
-                     - np.searchsorted(np.sort(at[left]), times, "left"))
-            for job in pushed[upper >= bound].tolist():
-                push = EVENTS_PER_JOB * job
-                waiting = (sum([replay.fires_before(event, push)
-                                for event in joined.tolist()])
-                           - sum([replay.fires_before(event, push)
-                                  for event in left.tolist()]))
-                if waiting >= bound:
-                    return False
-        return True
-
     def commit(self, until: Optional[float]) -> int:
         """Write the run into the live service, as the event loop leaves
         it, and return the number of events it fired.
@@ -189,7 +148,7 @@ class FeederBatch:
         service = self.service
         chain, ingest = service.chain, service.ingest
         # Drop the event graph before anything is written.
-        replay = self.replay._replace(fires_before=None, started_by=None)
+        replay = self.replay._replace(fires_before=None)
         self.replay = None
         for resource, stats in zip(
                 (*self.lans, *chain.edge_stations, *chain.wan_links,

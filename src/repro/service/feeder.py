@@ -3,13 +3,12 @@
 A :class:`ChunkFeeder` plays a pre-planned list of
 :class:`~repro.service.session.FrameChunk` into an open session at a fixed
 virtual period, the way a camera delivers one group of pictures per
-interval.  Pushes that hit backpressure are retried under a
-:class:`~repro.faults.retry.RetryPolicy` — bounded attempts, optional
-exponential backoff — instead of being dropped *or* retried forever: a
-feeder that exhausts its budget gives up and closes the session with
-reason ``"backpressure"`` rather than livelocking the event loop against
-a wedge that will never clear.  The session is closed normally when the
-plan is exhausted.
+interval.  A push that hits backpressure is retried a quarter period
+later, up to :data:`RETRY_ATTEMPTS` consecutive refusals, instead of being
+dropped *or* retried forever: a feeder that exhausts its budget gives up
+and closes the session with reason ``"backpressure"`` rather than
+livelocking the event loop against a wedge that will never clear.  The
+session is closed normally when the plan is exhausted.
 
 Everything the feeder does is a control event on the service's scheduler
 (:meth:`StreamingService.at` / :meth:`~StreamingService.after`), so a fed
@@ -24,8 +23,13 @@ from typing import Dict, Optional, Sequence
 
 from ..config import real_number
 from ..errors import BackpressureError, ServiceError
-from ..faults.retry import RetryPolicy
 from .session import FrameChunk
+
+#: Consecutive backpressure refusals of one chunk before the feeder gives
+#: up on its session.
+RETRY_ATTEMPTS = 64
+#: The retry delay, as a fraction of the push period.
+RETRY_PERIOD_FRACTION = 0.25
 
 
 class ChunkFeeder:
@@ -36,15 +40,7 @@ class ChunkFeeder:
         session_id: Target session (must be open when pushes fire).
         chunks: The chunk plan, pushed in order.
         period_seconds: Virtual seconds between consecutive pushes.
-        retry_seconds: Back-off before retrying a push that hit
-            backpressure (default: a quarter period).  Ignored when
-            ``retry_policy`` is given.
         close_when_done: Close the session after the last chunk is pushed.
-        retry_policy: Full backoff/budget control.  The default is
-            ``RetryPolicy.constant(retry_seconds, max_attempts=64)`` —
-            the historical fixed-period cadence, now with a finite
-            budget so a permanently wedged session cannot spin the
-            feeder forever.
 
     Attributes:
         retries: Pushes that hit backpressure and were rescheduled.
@@ -58,9 +54,7 @@ class ChunkFeeder:
 
     def __init__(self, service, session_id: str,
                  chunks: Sequence[FrameChunk], period_seconds: float,
-                 retry_seconds: Optional[float] = None,
-                 close_when_done: bool = True,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+                 close_when_done: bool = True) -> None:
         # Chained comparisons: nan passes ``<= 0`` and would drain the
         # feeder with the service clock at nan.
         if not 0 < real_number(period_seconds, "period_seconds",
@@ -68,20 +62,10 @@ class ChunkFeeder:
             raise ServiceError(
                 f"period_seconds must be positive and finite, "
                 f"got {period_seconds}")
-        if retry_seconds is not None and not 0 < real_number(
-                retry_seconds, "retry_seconds", ServiceError) < inf:
-            raise ServiceError(
-                f"retry_seconds must be positive and finite, "
-                f"got {retry_seconds}")
         self._service = service
         self.session_id = session_id
         self.chunks = list(chunks)
         self.period_seconds = float(period_seconds)
-        self.retry_seconds = (float(retry_seconds) if retry_seconds is not None
-                              else self.period_seconds / 4.0)
-        self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy.constant(self.retry_seconds,
-                                                       max_attempts=64))
         self.close_when_done = close_when_done
         #: Index of the next chunk to push.
         self.next_index = 0
@@ -128,15 +112,14 @@ class ChunkFeeder:
                                       chunks[self.next_index])
         except BackpressureError:
             # Push back: retry the same chunk later instead of dropping
-            # it — until the policy's attempt budget runs out.
+            # it — until the attempt budget runs out.
             self._attempts += 1
             self.retries += 1
-            if self.retry_policy.exhausted(self._attempts):
+            if self._attempts >= RETRY_ATTEMPTS:
                 self._give_up()
                 return
-            delay = self.retry_policy.delay_seconds(
-                self._attempts, key=f"{self.session_id}:{self.next_index}")
-            self._service.after(delay, self._push)
+            self._service.after(self.period_seconds * RETRY_PERIOD_FRACTION,
+                                self._push)
             return
         except ServiceError:
             # The session was closed out from under us (stall watchdog,

@@ -5,18 +5,17 @@ camera streams get in (:meth:`open_session`), polices how fast each one
 may push (:meth:`push_frames`), and tracks the session lifecycle through
 draining and close.  It deliberately knows nothing about stations, links
 or clocks — the owning :class:`~repro.service.service.StreamingService`
-injects three callables (attach a session's uplink, submit a chunk, read a
-WAN queue depth), so admission logic stays unit-testable with stubs.
+injects two callables (attach a session's uplink, submit a chunk), so
+admission logic stays unit-testable with stubs.
 
 Admission is refused (:class:`~repro.errors.AdmissionError`) when the
 service-wide session cap is hit, the tenant is unknown, the tenant's own
-quota is exhausted, or the target edge's WAN uplink queue is already past
-the configured bound.  Accepted sessions are placed round-robin across
-edge servers unless the caller pins one.
+quota is exhausted, or a pinned edge is not a whole number in range or is
+offline.  Accepted sessions are placed round-robin across edge servers
+unless the caller pins one.
 
 Backpressure is per-session and live-tunable: a push that would exceed the
-session's ``max_pending_chunks`` in-flight bound, or that arrives while
-the edge's WAN queue is past the service bound, raises
+session's ``max_pending_chunks`` in-flight bound raises
 :class:`~repro.errors.BackpressureError` — the caller (e.g.
 :class:`~repro.service.feeder.ChunkFeeder`) is expected to retry later
 rather than have the service queue unboundedly.
@@ -42,12 +41,7 @@ class StreamIngest:
             :class:`StreamSession` so the service can build its uplink.
         submit_chunk: Callback ``(session, chunk) -> None`` that injects an
             accepted chunk into the service pipeline.
-        wan_queue_depth: Callback ``(edge_index) -> int`` reporting the
-            edge's WAN uplink queue depth (drives admission/backpressure).
         max_sessions: Service-wide concurrent session cap.
-        max_wan_queue_depth: When set, refuse admission to an edge whose
-            WAN queue is at or past this depth, and push back frame pushes
-            while it stays there.  ``None`` disables the WAN bound.
         tenants: Initial tenant policies.  A ``"default"`` tenant is
             registered automatically if absent.
         degraded_tenant: When set, admissions refused for *sheddable*
@@ -57,7 +51,7 @@ class StreamIngest:
         push_gate: Optional callback ``(edge_index) -> Optional[str]``
             consulted last on every push; a non-``None`` refusal reason
             (offline edge, open circuit breaker) bounces the push as
-            :class:`BackpressureError` so feeders retry with backoff.
+            :class:`BackpressureError` so feeders retry later.
         edge_available: Optional callback ``(edge_index) -> bool``;
             round-robin placement skips unavailable edges and pinned
             placement onto one is refused.
@@ -66,9 +60,7 @@ class StreamIngest:
     def __init__(self, scheduler, num_edge_servers: int,
                  attach_session: Callable[[StreamSession], None],
                  submit_chunk: Callable[[StreamSession, FrameChunk], None],
-                 wan_queue_depth: Callable[[int], int],
                  max_sessions: int = 64,
-                 max_wan_queue_depth: Optional[int] = None,
                  tenants: Sequence[TenantPolicy] = (),
                  degraded_tenant: Optional[TenantPolicy] = None,
                  push_gate: Optional[Callable[[int], Optional[str]]] = None,
@@ -79,13 +71,8 @@ class StreamIngest:
             num_edge_servers, "num_edge_servers", ServiceError, 1)
         self._attach_session = attach_session
         self._submit_chunk = submit_chunk
-        self._wan_queue_depth = wan_queue_depth
         self.max_sessions = whole_number(max_sessions, "max_sessions",
                                          ServiceError, 1)
-        self.max_wan_queue_depth = (
-            whole_number(max_wan_queue_depth, "max_wan_queue_depth",
-                         ServiceError, 1)
-            if max_wan_queue_depth is not None else None)
         self.tenants: Dict[str, TenantPolicy] = {}
         for policy in tenants:
             self.tenants[policy.name] = policy
@@ -206,19 +193,18 @@ class StreamIngest:
                     break
             else:
                 raise AdmissionError("no healthy edge server available")
-        elif not 0 <= edge_index < self.num_edge_servers:
-            raise AdmissionError(
-                f"edge_index {edge_index} out of range "
-                f"[0, {self.num_edge_servers})")
-        elif (self._edge_available is not None
-                and not self._edge_available(edge_index)):
-            raise AdmissionError(f"edge {edge_index} is offline")
-        if (self.max_wan_queue_depth is not None
-                and self._wan_queue_depth(edge_index)
-                >= self.max_wan_queue_depth):
-            raise AdmissionError(
-                f"edge {edge_index} uplink is saturated "
-                f"(queue >= {self.max_wan_queue_depth})")
+        else:
+            # A session's edge indexes the chain's lists, so it is a whole
+            # number: 1.5 would fail in the drain and True land on edge 1.
+            edge_index = whole_number(edge_index, "edge_index",
+                                      AdmissionError)
+            if not 0 <= edge_index < self.num_edge_servers:
+                raise AdmissionError(
+                    f"edge_index {edge_index} out of range "
+                    f"[0, {self.num_edge_servers})")
+            if (self._edge_available is not None
+                    and not self._edge_available(edge_index)):
+                raise AdmissionError(f"edge {edge_index} is offline")
         session = StreamSession(
             session_id=camera, camera=camera, tenant=tenant,
             edge_index=edge_index, opened_at=self._scheduler.now,
@@ -234,8 +220,8 @@ class StreamIngest:
 
         Raises:
             ServiceError: The session does not exist or is not open.
-            BackpressureError: The session's in-flight bound or the edge's
-                WAN queue bound is exceeded; retry later.
+            BackpressureError: The session's in-flight bound is reached,
+                or the fault plane refuses the edge; retry later.
         """
         session = self._session(session_id)
         if not session.is_open:
@@ -247,13 +233,6 @@ class StreamIngest:
             raise BackpressureError(
                 f"session {session_id!r} has {session.in_flight} chunks "
                 f"in flight (bound {session.max_pending_chunks})")
-        if (self.max_wan_queue_depth is not None
-                and self._wan_queue_depth(session.edge_index)
-                >= self.max_wan_queue_depth):
-            self.pushes_rejected += 1
-            raise BackpressureError(
-                f"edge {session.edge_index} uplink is saturated "
-                f"(queue >= {self.max_wan_queue_depth})")
         if self._push_gate is not None:
             # Checked last so a granted half-open breaker probe is always
             # followed by an actual submission.

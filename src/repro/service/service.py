@@ -64,6 +64,9 @@ from .session import FrameChunk, SessionState, StreamSession, TenantPolicy
 from .status import (HealthSample, ServiceStatus, StationSnapshot,
                      snapshot_sessions, snapshot_station)
 
+#: Samples the status health history keeps: the newest ones.
+HEALTH_HISTORY_SAMPLES = 64
+
 
 class _ChunkRun(StageUnit):
     """One in-flight chunk moving through the service's stage chain.
@@ -99,8 +102,6 @@ class StreamingService:
         cloud_workers: Cloud tier slots (default: ``num_edge_servers``).
         clock: Clock driver (default: :class:`VirtualClock`).
         max_sessions: Service-wide concurrent session cap.
-        max_wan_queue_depth: WAN-queue admission/backpressure bound
-            (``None`` disables it).
         tenants: Initial tenant policies (a ``"default"`` tenant is always
             available).
         faults: Optional :class:`~repro.faults.FaultPlan` to inject.  With
@@ -119,9 +120,6 @@ class StreamingService:
             encoder parameters through :meth:`retune_session`.  Without
             it (the default) no controller exists and the serving path
             is bit-identical to the seed.
-        health_history_limit: Ring size of the status health history
-            (samples are only captured when counters are non-empty, so
-            clean runs keep the ring empty).
     """
 
     def __init__(self, config: Optional[SystemConfig] = None,
@@ -129,13 +127,11 @@ class StreamingService:
                  cloud_workers: Optional[int] = None,
                  clock: Optional[ClockDriver] = None,
                  max_sessions: int = 64,
-                 max_wan_queue_depth: Optional[int] = None,
                  tenants: Sequence[TenantPolicy] = (),
                  faults: Optional[FaultPlan] = None,
                  resilience: Optional[ResilienceConfig] = None,
                  degraded_tenant: Optional[TenantPolicy] = None,
-                 adaptive: Optional[AdaptiveConfig] = None,
-                 health_history_limit: int = 64) -> None:
+                 adaptive: Optional[AdaptiveConfig] = None) -> None:
         self.config = config or SystemConfig()
         self.num_edge_servers = whole_number(
             num_edge_servers, "num_edge_servers", ServiceError, 1)
@@ -147,8 +143,6 @@ class StreamingService:
                               else self.num_edge_servers)
         max_sessions = whole_number(max_sessions, "max_sessions",
                                     ServiceError, 1)
-        health_history_limit = whole_number(
-            health_history_limit, "health_history_limit", ServiceError, 1)
         self.clock = clock if clock is not None else VirtualClock()
         self.scheduler = EventScheduler()
         #: The stage chain every chunk flows through.  The four resource
@@ -160,8 +154,8 @@ class StreamingService:
         self.edge_stations: List[ServiceStation] = self.chain.edge_stations
         self.wan_links: List[ContendedLink] = self.chain.wan_links
         self.cloud_station: ServiceStation = self.chain.cloud_station
-        #: One camera uplink per session, keyed by session id (built lazily
-        #: on admission so per-tenant LAN sizing applies).
+        #: One camera uplink per session, keyed by session id (built on
+        #: admission).
         self.lan_links: Dict[str, ContendedLink] = self.chain.lan_links
         # The fault driver is built first so the ingest's gates can be its
         # own methods: a service without one leaves them unset, and a push
@@ -177,9 +171,7 @@ class StreamingService:
             self.scheduler, self.num_edge_servers,
             attach_session=self._attach_session,
             submit_chunk=self._submit_chunk,
-            wan_queue_depth=lambda index: self.wan_links[index].queue_depth,
             max_sessions=max_sessions,
-            max_wan_queue_depth=max_wan_queue_depth,
             tenants=tenants,
             degraded_tenant=degraded_tenant,
             push_gate=driver.push_refusal if driver else None,
@@ -196,7 +188,7 @@ class StreamingService:
             self.adaptive = AdaptiveTuningController(self, adaptive)
             self.ingest.on_chunk_scene = self.adaptive.observe_push
         self._health_history: Deque[HealthSample] = deque(
-            maxlen=health_history_limit)
+            maxlen=HEALTH_HISTORY_SAMPLES)
 
     # ------------------------------------------------------------------ #
     # Session API (delegated to the ingest front end)
@@ -316,7 +308,6 @@ class StreamingService:
                 or type(self.clock) is not VirtualClock
                 or self._fault_driver is not None
                 or self.ingest.on_chunk_scene is not None
-                or chain.on_stage_start is not None
                 or chain.on_fail is not None
                 or chain.on_finish != self._finish_chunk):
             return None
@@ -463,11 +454,9 @@ class StreamingService:
     # Pipeline internals
     # ------------------------------------------------------------------ #
     def _attach_session(self, session: StreamSession) -> None:
-        """Build the session's camera uplink (tenant config wins)."""
-        policy = self.ingest.tenants.get(session.tenant)
-        self.chain.add_lan_link(
-            session.session_id, f"camera:{session.camera}",
-            policy.config if policy is not None else None)
+        """Build the session's camera uplink."""
+        self.chain.add_lan_link(session.session_id,
+                                f"camera:{session.camera}")
 
     def _submit_chunk(self, session: StreamSession, chunk: FrameChunk) -> None:
         """Start one accepted chunk down the stage chain."""

@@ -11,8 +11,7 @@ is what lets the streaming service replay a fleet workload chunk-by-chunk
 and still reconcile against the batch report.
 
 Sessions are grouped under a :class:`TenantPolicy` — the per-customer
-admission quota and (optionally) a per-tenant :class:`SystemConfig` that
-sizes the camera uplinks of that tenant's sessions.
+admission quota and default backpressure bound.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import List, Optional
 
 from ..adapt.signals import ChunkScene
 from ..codec.gop import EncoderParameters
-from ..config import SystemConfig, real_number, whole_number
+from ..config import real_number, whole_number
 from ..errors import ServiceError
 
 
@@ -135,8 +134,7 @@ def chunk_camera_job(job, num_chunks: int) -> List[FrameChunk]:
     reproduces the job's total exactly (floats to rounding error), which the
     streaming example relies on to reconcile against the batch fleet report.
     """
-    if num_chunks < 1:
-        raise ServiceError(f"num_chunks must be >= 1, got {num_chunks}")
+    num_chunks = whole_number(num_chunks, "num_chunks", ServiceError, 1)
     base, remainder = divmod(job.num_frames, num_chunks)
     frame_counts = [base + (1 if index < remainder else 0)
                     for index in range(num_chunks)]
@@ -163,28 +161,27 @@ def chunk_camera_job(job, num_chunks: int) -> List[FrameChunk]:
 
 @dataclass(frozen=True)
 class TenantPolicy:
-    """Admission quota and network sizing for one tenant.
+    """Admission quota and backpressure bound for one tenant.
 
     Attributes:
-        name: Tenant identifier.
+        name: Tenant identifier (a non-empty ``str``).
         max_sessions: Concurrent sessions this tenant may hold open.
         max_pending_chunks: Default per-session backpressure bound — the
             number of in-flight (pushed, not yet completed) chunks a session
             tolerates before pushes raise
             :class:`~repro.errors.BackpressureError`.
-        config: Optional per-tenant :class:`SystemConfig`; when set, the
-            tenant's camera uplinks are sized from its LAN bandwidth and
-            latency instead of the service-wide defaults.
     """
 
     name: str
     max_sessions: int = 16
     max_pending_chunks: int = 8
-    config: Optional[SystemConfig] = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ServiceError("tenant name must be non-empty")
+        # Names key the status JSON, whose sort_keys cannot order 7 and
+        # "default".
+        if not isinstance(self.name, str) or not self.name:
+            raise ServiceError(
+                f"tenant name must be a non-empty str, got {self.name!r}")
         for name in ("max_sessions", "max_pending_chunks"):
             object.__setattr__(self, name,
                                whole_number(getattr(self, name), name,

@@ -1,4 +1,5 @@
-"""DriftMonitor: hysteresis, cooldown, determinism, tie no-ops."""
+"""AdaptiveConfig and the retune constants; DriftMonitor: detectors,
+hysteresis, cooldown, determinism, tie no-ops."""
 
 import dataclasses
 import math
@@ -6,10 +7,14 @@ import math
 import pytest
 
 from repro.adapt import AdaptiveConfig, ChunkScene, DriftMonitor, SceneStats
-from repro.codec.gop import EncoderParameters
+from repro.adapt.controller import (CONFIRM_CHUNKS, COOLDOWN_SECONDS,
+                                    DETECTOR_MIN_SAMPLES, DETECTOR_WINDOW,
+                                    MIN_WINDOW_CHUNKS, RETUNE_GRID,
+                                    WINDOW_CHUNKS)
+from repro.codec.gop import DEFAULT_PARAMETERS, EncoderParameters
 from repro.codec.scenecut import FrameActivity
 from repro.core.tuner import TuningGrid
-from repro.errors import ServiceError, TuningError
+from repro.errors import ServiceError
 from repro.perf import get_recorder
 
 #: Matches the conftest chunking: one chunk per 2 virtual seconds.
@@ -30,62 +35,100 @@ def flat_scene(novelty: float, brightness: float = 100.0,
 
 
 class TestAdaptiveConfig:
-    def test_validation(self):
-        with pytest.raises(ServiceError):
-            AdaptiveConfig(window_chunks=0)
-        with pytest.raises(ServiceError):
-            AdaptiveConfig(window_chunks=4, min_window_chunks=5)
-        with pytest.raises(ServiceError):
-            AdaptiveConfig(confirm_chunks=0)
-        with pytest.raises(ServiceError):
-            AdaptiveConfig(cooldown_seconds=-1.0)
+    """The loop's tuning is the controller's constants; the config holds
+    only where a session starts."""
 
-    @pytest.mark.parametrize("field, value", [
-        # nan passes `< 0` / `<= 0` checks and then disables what it bounds:
-        # `now < nan` never holds, `z > nan` never fires.
-        ("cooldown_seconds", math.nan),
-        ("cooldown_seconds", math.inf),
-        ("novelty_threshold", math.nan),
-        ("scenecut_rate_threshold", math.nan),
-        ("brightness_threshold", math.nan),
-        ("brightness_delta", math.nan),
-        ("novelty_threshold", math.inf),
-        # Fractional counts used to act as the next whole number.
-        ("confirm_chunks", 1.5),
-        ("window_chunks", 8.5),
-        ("min_window_chunks", 2.5),
-        ("detector_window", 12.5),
-        # These used to raise a bare ValueError, or only once a session's
-        # monitor was built.
-        ("detector_min_samples", math.nan),
-        ("detector_min_samples", "4"),
-        ("brightness_threshold", -1.0),
-        ("detector_window", 0),
-        # A z-score baseline never holds more than `detector_window`
-        # samples, so this detector could never fire.
-        ("detector_min_samples", 13),
-        ("grid", ((100,), (40.0,))),
+    def test_the_config_is_the_starting_point_alone(self):
+        assert [field.name for field in dataclasses.fields(AdaptiveConfig)
+                ] == ["initial_parameters"]
+        assert AdaptiveConfig().initial_parameters == DEFAULT_PARAMETERS
+
+    @pytest.mark.parametrize("initial", ["x", None, (250, 100)])
+    def test_initial_parameters_are_encoder_parameters(self, initial):
+        """Regression: ``initial_parameters='x'`` constructed, and the
+        first confirmed drift raised a bare AttributeError from the
+        tuner inside the push event."""
+        with pytest.raises(ServiceError, match="initial_parameters"):
+            AdaptiveConfig(initial_parameters=initial)
+
+    @pytest.mark.parametrize("knob", [
+        "grid", "window_chunks", "min_window_chunks", "confirm_chunks",
+        "cooldown_seconds", "novelty_threshold", "scenecut_rate_threshold",
+        "brightness_delta", "brightness_threshold", "detector_window",
+        "detector_min_samples"])
+    def test_a_removed_knob_is_refused(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            AdaptiveConfig(**{knob: 1})
+
+    @pytest.mark.parametrize("count", [
+        WINDOW_CHUNKS, MIN_WINDOW_CHUNKS, CONFIRM_CHUNKS, DETECTOR_WINDOW,
+        DETECTOR_MIN_SAMPLES], ids=[
+            "window", "min_window", "confirm", "detector_window",
+            "detector_min_samples"])
+    def test_counts_are_positive_ints(self, count):
+        assert type(count) is int and count >= 1
+
+    def test_a_retune_window_can_fill(self):
+        """A minimum above the window's length would never let a re-tune
+        run."""
+        assert MIN_WINDOW_CHUNKS <= WINDOW_CHUNKS
+
+    def test_every_detector_gets_its_baseline(self):
+        """A z-score baseline never holds more than ``DETECTOR_WINDOW``
+        samples, so a larger minimum would never let it fire."""
+        assert DETECTOR_MIN_SAMPLES <= DETECTOR_WINDOW
+        detectors = DriftMonitor(AdaptiveConfig())._detectors
+        assert [detector.min_samples for detector in detectors] == [
+            DETECTOR_MIN_SAMPLES] * 3
+        assert [detector.window for detector in detectors[:2]] == [
+            DETECTOR_WINDOW] * 2
+
+    def test_the_cooldown_is_finite_and_positive(self):
+        """An infinite cooldown would allow one re-tune per session."""
+        assert 0.0 < COOLDOWN_SECONDS < math.inf
+
+    def test_the_retune_grid_is_the_offline_grid(self):
+        assert RETUNE_GRID == TuningGrid()
+
+
+class TestEachDetectorConfirms:
+    @pytest.mark.parametrize("statistic, step", [
+        ("novelty", {"mean_novelty": 0.5}),
+        ("scenecut-rate", {"scenecut_rate": 0.5}),
+        ("brightness", {"mean_brightness": 200.0}),
     ])
-    def test_bad_knobs_fail_at_construction(self, field, value):
-        with pytest.raises(ServiceError):
-            AdaptiveConfig(**{field: value})
+    def test_a_step_in_its_statistic_alone(self, statistic, step):
+        """Each of the three detectors confirms a drift on its own: a
+        flat baseline, then a step in one statistic held for the
+        confirmation's chunks."""
+        def scene(**overrides):
+            values = dict(num_frames=4, mean_novelty=0.01,
+                          scenecut_rate=0.0, mean_brightness=100.0)
+            values.update(overrides)
+            activities = tuple(
+                FrameActivity(frame_index=index,
+                              novel_block_fraction=values["mean_novelty"])
+                for index in range(4))
+            return ChunkScene(stats=SceneStats(**values),
+                              activities=activities,
+                              frame_labels=(frozenset(),) * 4)
 
-    def test_whole_valued_counts_become_ints(self):
-        config = AdaptiveConfig(window_chunks=8.0, confirm_chunks=2.0,
-                                detector_window=12.0)
-        assert config.window_chunks == 8 and type(config.window_chunks) is int
-        assert type(config.confirm_chunks) is int
-        assert DriftMonitor(config)._detectors[0].window == 12
-
-    def test_grid_points_no_encoder_takes_fail_before_the_first_push(self):
-        with pytest.raises(TuningError):
-            AdaptiveConfig(grid=TuningGrid(gop_sizes=(0,)))
+        monitor = DriftMonitor(AdaptiveConfig())
+        scenes = ([scene()] * DETECTOR_MIN_SAMPLES
+                  + [scene(**step)] * CONFIRM_CHUNKS)
+        decisions = [monitor.observe(chunk, now=index * CHUNK_SECONDS)
+                     for index, chunk in enumerate(scenes)]
+        assert decisions[:-1] == [None] * (len(scenes) - 1)
+        assert decisions[-1] is not None
+        assert [signal.split(":")[0]
+                for signal in decisions[-1].trigger.split(",")] == [statistic]
 
 
 class TestHysteresisAndCooldown:
-    CONFIG = AdaptiveConfig(confirm_chunks=2, min_window_chunks=3,
-                            cooldown_seconds=10.0, detector_min_samples=4,
-                            novelty_threshold=4.0)
+    """Two drifting chunks confirm, a window needs three chunks, every
+    detector four baseline samples, and the cooldown is 10 s (5 chunks)."""
+
+    CONFIG = AdaptiveConfig()
 
     def feed(self, monitor, scenes):
         return [monitor.observe(scene, now=index * CHUNK_SECONDS)
@@ -114,8 +157,10 @@ class TestHysteresisAndCooldown:
         # After a confirmation the detectors reset, so the sustained
         # 0.500 level becomes the new baseline; a second *shift* past
         # the cooldown confirms again.
-        config = dataclasses.replace(self.CONFIG, cooldown_seconds=4.0)
-        monitor = DriftMonitor(config)
+        # The second shift confirms at 22 s, after the first confirmation's
+        # cooldown ran out.
+        assert 5 * CHUNK_SECONDS + COOLDOWN_SECONDS <= 11 * CHUNK_SECONDS
+        monitor = DriftMonitor(self.CONFIG)
         scenes = ([flat_scene(0.010)] * 4 + [flat_scene(0.500)] * 6
                   + [flat_scene(2.0)] * 2)
         decisions = [d for d in self.feed(monitor, scenes) if d is not None]
@@ -128,9 +173,7 @@ class TestHysteresisAndCooldown:
         # cell ties: the winner must not be applied and the incumbent
         # parameters must survive.
         initial = EncoderParameters(gop_size=250, scenecut_threshold=100)
-        config = dataclasses.replace(self.CONFIG,
-                                     initial_parameters=initial)
-        monitor = DriftMonitor(config)
+        monitor = DriftMonitor(AdaptiveConfig(initial_parameters=initial))
         scenes = ([flat_scene(0.010)] * 4 + [flat_scene(0.500)] * 2)
         decisions = [d for d in self.feed(monitor, scenes) if d is not None]
         assert len(decisions) == 1

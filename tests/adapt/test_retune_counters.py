@@ -28,6 +28,7 @@ import sys
 import pytest
 
 from repro.adapt import AdaptiveConfig, DriftMonitor
+from repro.adapt.controller import RETUNE_GRID, WINDOW_CHUNKS
 from repro.service.scenario_feed import analyse_scenario, chunk_analysis
 
 CHUNK_SECONDS = 2.0
@@ -69,17 +70,16 @@ def _calls_of_the_push(chunks) -> int:
 
 class TestWhatARetuneCosts:
     def test_the_window_is_a_full_25_point_search(self, chunks):
-        config = AdaptiveConfig()
-        assert config.grid.num_configurations == 25
-        assert config.window_chunks * chunks[0].num_frames == 480
-        monitor = DriftMonitor(config)
+        assert RETUNE_GRID.num_configurations == 25
+        assert WINDOW_CHUNKS * chunks[0].num_frames == 480
+        monitor = DriftMonitor(AdaptiveConfig())
         decisions = [monitor.observe(chunk.scene, index * CHUNK_SECONDS)
                      for index, chunk in enumerate(chunks)]
         applied = {index: decision.applied
                    for index, decision in enumerate(decisions)
                    if decision is not None}
         assert applied == {9: True, 18: False, PUSH: True}
-        assert PUSH - 18 >= config.window_chunks
+        assert PUSH - 18 >= WINDOW_CHUNKS
 
     def test_python_level_calls_of_one_retune(self, chunks):
         calls = _calls_of_the_push(chunks)

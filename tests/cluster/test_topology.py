@@ -2,8 +2,8 @@
 
 ``StageChain`` is the one implementation of camera -> LAN -> edge -> WAN
 -> cloud.  The first half of this file pins the primitive itself (stage
-order, placement re-read at fire time, requeue from every stage, hook
-instants, hooks costing no events); the second half pins what no
+order, service-start instants, placement re-read at fire time, requeue
+from every stage, hooks costing no events); the second half pins what no
 per-driver test can: the batch fleet's event loop, its recurrence and the
 streaming service, fed the same work, report *exactly* the same thing.
 """
@@ -61,16 +61,11 @@ class Unit(StageUnit):
 
 
 class Recorder:
-    """Chain hooks that log ``(stage, instant)`` per unit."""
+    """Chain hooks that log each unit's finish and failures."""
 
     def __init__(self, scheduler):
         self.scheduler = scheduler
-        self.starts = {}
         self.failures = []
-
-    def on_stage_start(self, unit):
-        self.starts.setdefault(unit, []).append(
-            (unit.stage, self.scheduler.now))
 
     def on_finish(self, unit):
         unit.finished_at = self.scheduler.now
@@ -97,19 +92,26 @@ def stage_resource(chain, stage, position=0):
 
 class TestStageOrder:
     def test_unit_visits_the_four_stages_in_order(self):
-        scheduler, chain, recorder = make_chain()
-        chain.on_stage_start = recorder.on_stage_start
+        scheduler, chain, _ = make_chain()
+        entries = []
+        for stage in STAGES:
+            # The chain looks its next stage up on itself at every hop.
+            def enter(unit, stage=stage, enter=getattr(chain,
+                                                      f"enter_{stage}")):
+                entries.append((stage, scheduler.now))
+                enter(unit)
+            setattr(chain, f"enter_{stage}", enter)
         job = make_job()
         unit = Unit(job)
         chain.submit_at(1.0, unit)
         scheduler.run()
-        assert [stage for stage, _ in recorder.starts[unit]] == list(STAGES)
+        assert [stage for stage, _ in entries] == list(STAGES)
         # Uncontended, each stage starts the instant the previous ends.
         durations = [lan_seconds(job), job.edge_seconds, wan_seconds(job),
                      job.cloud_seconds]
         instant = 1.0
-        for (_, started), duration in zip(recorder.starts[unit], durations):
-            assert started == instant
+        for (_, entered), duration in zip(entries, durations):
+            assert entered == instant
             instant += duration
         assert unit.finished_at == instant
         assert unit.stage == "cloud"
@@ -117,8 +119,17 @@ class TestStageOrder:
     def test_stage_start_is_the_service_start_not_the_entry(self):
         """Two units contending for one edge: the second's start instants
         are when each resource actually frees up, not when it queued."""
-        scheduler, chain, recorder = make_chain(num_edges=1)
-        chain.on_stage_start = recorder.on_stage_start
+        scheduler, chain, _ = make_chain(num_edges=1)
+        starts = {}
+        for stage in STAGES:
+            resource = stage_resource(chain, stage)
+
+            # Each job carries its start instant to its completion.
+            def finish(job, stage=stage, finish=resource._finish):
+                starts.setdefault(job.payload, []).append(
+                    (stage, job.started_at))
+                finish(job)
+            resource._finish = finish
         job = make_job()
         first, second = Unit(job), Unit(job)
         chain.submit_at(0.0, first)
@@ -126,10 +137,10 @@ class TestStageOrder:
         scheduler.run()
         lan, edge, wan = lan_seconds(job), job.edge_seconds, wan_seconds(job)
         assert edge > lan and edge > wan  # the edge is the bottleneck
-        assert dict(recorder.starts[first]) == {
+        assert dict(starts[first]) == {
             "lan": 0.0, "edge": lan, "wan": lan + edge,
             "cloud": lan + edge + wan}
-        assert dict(recorder.starts[second]) == {
+        assert dict(starts[second]) == {
             "lan": lan,                      # behind the first transfer
             "edge": lan + edge,              # behind the first compute
             "wan": lan + edge + edge,
@@ -194,7 +205,7 @@ class TestHooksAreFree:
             return scheduler.events_processed, [u.finished_at for u in units]
 
         bare_events, bare_ends = run()
-        hooked_events, hooked_ends = run(on_stage_start=True, on_fail=True)
+        hooked_events, hooked_ends = run(on_fail=True)
         # One start event plus one completion per stage, hooks or not.
         assert bare_events == hooked_events == 6 * (1 + len(STAGES))
         assert bare_ends == hooked_ends

@@ -6,7 +6,8 @@
 zero-argument actions, ``submit`` -> ``_try_start`` -> a ``lambda job=job:``
 per completion -> ``_finish`` -> ``_active.remove`` -> ``_try_start``, and a
 ``_deliver`` closure per transfer (which adds to the link's running
-totals).  Hypothesis draws whole programs — tie-prone service times,
+totals).  Their ``on_start`` argument is one the event core no longer
+has, and the programs below never pass it.  Hypothesis draws whole programs — tie-prone service times,
 pauses, resumes, ``fail_all``, slowdowns, callbacks that resubmit — and
 runs each through both; everything observable must be
 equal at tolerance 0.0, with the same events at the same virtual times in
@@ -289,9 +290,9 @@ SLOWDOWNS = (1.0, 1.5, 2.0)
 LINK = 2
 
 #: What a job's callbacks do: nothing; resubmit on completion to the same
-#: resource / the next one; requeue on failure (the fault plane's move);
-#: submit a sibling from ``on_start`` (re-enters the station mid-dispatch).
-BEHAVIOURS = ("plain", "again", "next", "requeue", "sibling")
+#: resource (re-enters the station before it dispatches its queue) / the
+#: next one; requeue on failure (the fault plane's move).
+BEHAVIOURS = ("plain", "again", "next", "requeue")
 
 job_specs = st.tuples(st.integers(0, 2), st.integers(0, len(TIMES) - 1),
                       st.sampled_from(BEHAVIOURS), st.integers(0, 2))
@@ -340,17 +341,11 @@ class Harness:
         self.serial += 1
         payload = (self.serial, target, cost, behaviour, budget)
         callbacks = dict(on_complete=self.completed, payload=payload,
-                         on_start=self.started, on_fail=self.failed)
+                         on_fail=self.failed)
         if target == LINK:
             self.resources[LINK].submit(SIZES[cost], **callbacks)
         else:
             self.resources[target].submit(TIMES[cost], **callbacks)
-
-    def started(self, payload) -> None:
-        self.note("start", payload)
-        _, target, cost, behaviour, budget = payload
-        if behaviour == "sibling" and budget:
-            self.submit((target, cost, "plain", 0))
 
     def completed(self, payload) -> None:
         self.note("complete", payload)
@@ -426,7 +421,7 @@ class TestAgainstTheParentsBodies:
         and resubmit; one hand-written program shows each in the trace."""
         program = [(0.0, ("pause", 0)),
                    (0.0, ("submit", (0, 2, "requeue", 1))),
-                   (0.0, ("submit", (0, 2, "sibling", 1))),
+                   (0.0, ("submit", (0, 2, "again", 1))),
                    (0.5, ("fail_all", 0)),
                    (0.5, ("resume", 0)),
                    (0.0, ("set_slowdown", 1.5)),
@@ -438,7 +433,7 @@ class TestAgainstTheParentsBodies:
         assert actual.trace == expected.trace
         assert actual.horizons == expected.horizons
         kinds = {kind for _, kind, _ in actual.trace}
-        assert {"start", "complete", "fail:drawn"} <= kinds
+        assert {"complete", "fail:drawn"} <= kinds
         assert any(snapshot[0][3] for *_, stations, _ in actual.horizons
                    for snapshot in stations)  # someone waited
         assert actual.link.transfer_count  # and something was delivered

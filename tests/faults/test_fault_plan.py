@@ -2,8 +2,7 @@
 
 Covers the plain-data layer underneath the injection drivers: fault
 specs and :class:`FaultPlan` (validation, seeded draws, composition),
-the shared :class:`RetryPolicy`, the per-edge :class:`CircuitBreaker`
-state machine, and the :class:`FaultStats` / :class:`RecoveryTrace`
+the per-edge :class:`CircuitBreaker` state machine, and the :class:`FaultStats` / :class:`RecoveryTrace`
 accounting the chaos-soak contract diffs.
 """
 
@@ -14,89 +13,10 @@ import pytest
 from repro.errors import FaultError
 from repro.faults import (BreakerState, CircuitBreaker, EdgeCrash, FaultPlan,
                           FaultStats, RecoveryTrace, ResilienceConfig,
-                          RetryPolicy, StreamStall, WanDegradation)
+                          StreamStall, WanDegradation)
 
 NAN = float("nan")
 INF = float("inf")
-
-
-class TestRetryPolicy:
-    def test_exponential_growth_and_cap(self):
-        policy = RetryPolicy(max_attempts=8, base_delay_seconds=0.1,
-                             multiplier=2.0, max_delay_seconds=0.5)
-        assert policy.delay_seconds(1) == pytest.approx(0.1)
-        assert policy.delay_seconds(2) == pytest.approx(0.2)
-        assert policy.delay_seconds(3) == pytest.approx(0.4)
-        # The ceiling clamps every later attempt.
-        assert policy.delay_seconds(4) == pytest.approx(0.5)
-        assert policy.delay_seconds(20) == pytest.approx(0.5)
-
-    def test_constant_policy_is_flat(self):
-        policy = RetryPolicy.constant(0.25, max_attempts=4)
-        assert [policy.delay_seconds(n) for n in range(1, 5)] == [0.25] * 4
-        assert not policy.exhausted(3)
-        assert policy.exhausted(4)
-        assert policy.exhausted(5)
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay_seconds=1.0, multiplier=1.0,
-                             max_delay_seconds=1.0, jitter_fraction=0.5,
-                             seed=11)
-        delays = [policy.delay_seconds(n, key="cam-3") for n in range(1, 9)]
-        again = [policy.delay_seconds(n, key="cam-3") for n in range(1, 9)]
-        assert delays == again  # same (seed, key, attempt) -> same jitter
-        assert all(0.5 <= delay <= 1.5 for delay in delays)
-        # Different keys draw different jitter (the retries decorrelate).
-        other = [policy.delay_seconds(n, key="cam-4") for n in range(1, 9)]
-        assert other != delays
-
-    def test_no_jitter_means_no_rng(self):
-        policy = RetryPolicy(base_delay_seconds=0.5, multiplier=1.0,
-                             max_delay_seconds=0.5)
-        assert policy.delay_seconds(3, key="anything") == 0.5
-
-    @pytest.mark.parametrize("kwargs", [
-        {"max_attempts": 0},
-        {"base_delay_seconds": 0.0},
-        {"multiplier": 0.5},
-        {"max_delay_seconds": 0.01, "base_delay_seconds": 0.05},
-        {"jitter_fraction": 1.0},
-        {"jitter_fraction": -0.1},
-    ])
-    def test_invalid_policies_rejected(self, kwargs):
-        with pytest.raises(FaultError):
-            RetryPolicy(**kwargs)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"max_attempts": NAN},
-        {"max_attempts": INF},
-        {"max_attempts": 2.5},
-        {"max_attempts": "8"},
-        {"base_delay_seconds": NAN},
-        {"base_delay_seconds": INF},
-        {"multiplier": NAN},
-        {"multiplier": INF},
-        {"max_delay_seconds": NAN},
-        {"max_delay_seconds": INF},
-        {"jitter_fraction": NAN},
-        {"base_delay_seconds": "0.05"},
-        {"multiplier": None},
-    ])
-    def test_non_finite_fractional_and_malformed_values_rejected(self, kwargs):
-        with pytest.raises(FaultError):
-            RetryPolicy(**kwargs)
-
-    def test_whole_number_budget_is_normalised(self):
-        policy = RetryPolicy(max_attempts=3.0)
-        assert policy.max_attempts == 3
-        assert type(policy.max_attempts) is int
-        assert policy.exhausted(3)
-
-    def test_attempt_is_one_based(self):
-        with pytest.raises(FaultError):
-            RetryPolicy().delay_seconds(0)
-        with pytest.raises(FaultError):
-            RetryPolicy().delay_seconds(NAN)
 
 
 class TestResilienceConfig:

@@ -28,11 +28,12 @@ import math
 
 import pytest
 
-from repro.errors import AdmissionError
-from repro.faults import (EdgeCrash, FaultPlan, ResilienceConfig, RetryPolicy,
+from repro.errors import AdmissionError, BackpressureError
+from repro.faults import (EdgeCrash, FaultPlan, ResilienceConfig,
                           StreamStall, WanDegradation)
 from repro.service import (ChunkFeeder, FrameChunk, SessionState,
                            StreamingService, TenantPolicy, VirtualClock)
+from repro.service.feeder import RETRY_ATTEMPTS
 
 TOLERANCE = 1e-6
 
@@ -62,7 +63,9 @@ class TestBoundedFeederRetries:
     def test_never_clearing_backpressure_ends_in_give_up(self):
         """Regression: the feeder must not livelock against a permanent
         wedge.  Before the retry budget, this drain never returned — every
-        bounced push rescheduled another one forever."""
+        bounced push rescheduled another one forever.  The feeder retries
+        a refused push a quarter period later, and gives up at the 64th
+        refusal in a row."""
         service = StreamingService(
             num_edge_servers=1,
             tenants=(TenantPolicy(name="tight", max_pending_chunks=1),))
@@ -70,40 +73,86 @@ class TestBoundedFeederRetries:
         # Wedge the pipeline for good: the edge never serves, so the first
         # chunk never completes and in_flight stays pinned at the bound.
         service.edge_stations[0].pause()
-        feeder = ChunkFeeder(
-            service, "cam-wedge", make_chunks(4), period_seconds=0.5,
-            retry_policy=RetryPolicy.constant(0.05, max_attempts=5)).start()
+        pushes = []
+        push_frames = service.push_frames
+
+        def timed_push(session_id, chunk):
+            pushes.append(service.scheduler.now)
+            push_frames(session_id, chunk)
+
+        service.push_frames = timed_push
+        feeder = ChunkFeeder(service, "cam-wedge", make_chunks(4),
+                             period_seconds=0.5).start()
         service.drain()  # terminates: the budget caps the retry loop
+        assert RETRY_ATTEMPTS == 64
+        # One accepted push at 0, then the second chunk at 0.5 and its
+        # 63 retries an eighth of a second apart (all exact in binary).
+        assert pushes == [0.0] + [0.5 + 0.125 * retry
+                                  for retry in range(RETRY_ATTEMPTS)]
         assert feeder.gave_up
         assert not feeder.done
-        assert feeder.retries == 5
-        assert feeder.attempt_histogram == {5: 1}
+        assert feeder.retries == RETRY_ATTEMPTS
+        assert feeder.attempt_histogram == {RETRY_ATTEMPTS: 1}
         session = service.ingest.sessions["cam-wedge"]
         assert session.close_reason == "backpressure"
+        assert service.scheduler.now == pushes[-1]  # closed at the give-up
         assert session.state is SessionState.DRAINING  # chunk still wedged
         stats = service.fault_stats()
         assert stats is not None
         assert stats.feeder_give_ups == 1
-        assert stats.feeder_retries == 5
+        assert stats.feeder_retries == RETRY_ATTEMPTS
         assert service.status().close_reasons == {"backpressure": 1}
 
-    def test_exponential_backoff_changes_only_timing(self):
-        """A clearing wedge: backoff retries eventually get through."""
+    def test_retries_get_through_a_clearing_wedge(self):
+        """A clearing wedge: the retries eventually get through."""
         service = StreamingService(
             num_edge_servers=1,
             tenants=(TenantPolicy(name="tight", max_pending_chunks=1),))
         service.open_session("cam", tenant="tight")
         feeder = ChunkFeeder(
             service, "cam", make_chunks(6, edge_seconds=0.6),
-            period_seconds=0.2,
-            retry_policy=RetryPolicy(max_attempts=32,
-                                     base_delay_seconds=0.05,
-                                     multiplier=2.0,
-                                     max_delay_seconds=0.8)).start()
+            period_seconds=0.2).start()
         service.drain()
         assert feeder.done
         assert not feeder.gave_up
         assert feeder.retries > 0
+        assert_no_lost_chunks(service)
+
+    @pytest.mark.parametrize("period", [0.25, 1.0, 2.0, 4.0])
+    def test_a_refused_push_is_retried_a_quarter_period_later(self, period):
+        """A refused push comes back a quarter period later; the chunk
+        after an accepted one follows a full period after it."""
+        service = StreamingService(
+            num_edge_servers=1,
+            tenants=(TenantPolicy(name="tight", max_pending_chunks=1),))
+        service.open_session("cam", tenant="tight")
+        # Hold the first chunk on the edge for two and a half periods.
+        edge = service.edge_stations[0]
+        edge.pause()
+        service.at(2.5 * period, edge.resume)
+        pushes = []
+        push_frames = service.push_frames
+
+        def timed_push(session_id, chunk):
+            try:
+                push_frames(session_id, chunk)
+            except BackpressureError:
+                pushes.append((service.scheduler.now, False))
+                raise
+            pushes.append((service.scheduler.now, True))
+
+        service.push_frames = timed_push
+        feeder = ChunkFeeder(service, "cam", make_chunks(3),
+                             period_seconds=period).start()
+        service.drain()
+        assert feeder.done and not feeder.gave_up
+        assert feeder.retries == sum(not accepted for _, accepted in pushes)
+        # While the edge is paused, the second chunk bounces at p, 1.25p,
+        # ..., 2.25p.
+        assert feeder.retries >= 6
+        # Powers of two throughout: every instant is exact in binary.
+        for (time, accepted), (next_time, _) in zip(pushes, pushes[1:]):
+            assert next_time == time + (period if accepted else period / 4)
         assert_no_lost_chunks(service)
 
 

@@ -7,8 +7,9 @@ objects; anything else runs the event loop.  The contract is bit identity
 at tolerance 0.0: the report, ``status()``, the event count, the clock,
 every link, station, session and feeder the two paths leave behind.
 
-The loop is forced here with a no-op ``on_stage_start`` hook on the chain:
-it schedules nothing, so even the event count and the clock must agree.
+The loop is forced here by replacing the service's ``_run_batch`` with one
+that declines every run: it schedules nothing, so even the event count and
+the clock must agree.
 Whether the loop ran is read off ``StageChain.enter_lan``, the one door
 every chunk of the loop goes through and the batch never uses.
 """
@@ -28,7 +29,7 @@ from repro.cluster.topology import StageChain
 from repro.config import SystemConfig
 from repro.errors import AdmissionError
 from repro.faults import (EdgeCrash, FaultPlan, ResilienceConfig,
-                          RetryPolicy, StreamStall, WanDegradation)
+                          StreamStall, WanDegradation)
 from repro.service import (ChunkFeeder, FrameChunk, RealTimeClock,
                            SessionState, StreamingService, TenantPolicy)
 
@@ -36,9 +37,6 @@ ZERO_LATENCY = SystemConfig(camera_edge_latency_ms=0.0,
                             edge_cloud_latency_ms=0.0)
 #: 30 Mbps WAN: this many bytes take exactly one second (before latency).
 SECOND_OF_WAN = int(30e6 / 8)
-#: A tenant whose sessions ingest over a slower, farther camera uplink.
-SLOW_LAN = SystemConfig(camera_edge_bandwidth_mbps=25.0,
-                        camera_edge_latency_ms=2.0)
 
 TIE_PRONE_SECONDS = (0.0, 0.25, 0.5, 1.0)
 TIE_PRONE_BYTES = (0, SECOND_OF_WAN // 4, SECOND_OF_WAN // 2, SECOND_OF_WAN)
@@ -52,18 +50,16 @@ def chunk(edge_seconds=0.3, cloud_seconds=0.2, lan_bytes=250_000,
 
 
 def build(plans, *, num_edges=2, edge_workers=1, cloud_workers=None,
-          config=None, max_pending=64, wan_bound=None, **kwargs):
+          config=None, max_pending=64, **kwargs):
     """A service with one fed session per ``(tenant, edge, offset, period,
     chunks)`` plan."""
     service = StreamingService(
         config=config, num_edge_servers=num_edges, edge_workers=edge_workers,
         cloud_workers=cloud_workers, max_sessions=64,
-        max_wan_queue_depth=wan_bound,
         tenants=(TenantPolicy("default", max_sessions=64,
                               max_pending_chunks=max_pending),
-                 TenantPolicy("slow", max_sessions=64,
-                              max_pending_chunks=max_pending,
-                              config=SLOW_LAN)), **kwargs)
+                 TenantPolicy("other", max_sessions=64,
+                              max_pending_chunks=max_pending)), **kwargs)
     feed(service, plans)
     return service
 
@@ -79,8 +75,8 @@ def feed(service, plans, first=0):
 
 
 def force_loop(service):
-    """Install a hook that schedules nothing: the run is the loop's."""
-    service.chain.on_stage_start = lambda unit: None
+    """Decline every batch: the run is the loop's."""
+    service._run_batch = lambda until: None
 
 
 def plain_plans(sessions=4, chunks=6):
@@ -159,7 +155,7 @@ def both_paths(make, loop_entries):
 
 
 plan_strategy = st.tuples(
-    st.sampled_from(("default", "default", "slow")),
+    st.sampled_from(("default", "default", "other")),
     st.integers(0, 5),
     st.sampled_from((0.0, 0.0, 0.5, 1.0, 0.3)),
     st.sampled_from((0.5, 1.0, 2.0, 0.75)),
@@ -199,16 +195,15 @@ class TestBatchEqualsLoop:
     @settings(max_examples=40, deadline=None)
     @given(plans=st.lists(plan_strategy, min_size=1, max_size=6),
            max_pending=st.integers(1, 3),
-           wan_bound=st.sampled_from((None, 1, 2)),
            edge_workers=st.integers(1, 2))
     def test_bounds_are_checked_at_every_push(self, plans, max_pending,
-                                              wan_bound, edge_workers):
+                                              edge_workers):
         """Tight bounds: the batch commits only when no push would have
         been refused, and either way the run is the loop's, bit for bit."""
         with counting_loop_entries() as entered:
             batch, loop, _, _, used_loop = both_paths(
                 lambda: build(plans, num_edges=1, edge_workers=edge_workers,
-                              max_pending=max_pending, wan_bound=wan_bound),
+                              max_pending=max_pending),
                 entered)
         assert batch == loop
         refused = sum(retries for _, retries, *_ in loop["feeders"])
@@ -220,7 +215,7 @@ class TestBatchEqualsLoop:
         def make():
             service = build(plain_plans(3, 5), edge_workers=2)
             service.drain()
-            feed(service, [("slow", 1, service.scheduler.now + 0.25, 0.5,
+            feed(service, [("other", 1, service.scheduler.now + 0.25, 0.5,
                             [chunk(0.4, 0.1)] * 4)], first=3)
             return service
 
@@ -267,10 +262,27 @@ class TestFallbacks:
         assert len(loop_entries) == 24
 
     def test_chain_hook(self, loop_entries):
+        """A failure hook on the chain: the batch computes no failures, so
+        the run is the loop's."""
         service = build(plain_plans())
-        force_loop(service)
+        service.chain.on_fail = lambda unit, reason: None
         service.drain()
         assert len(loop_entries) == 24
+
+    def test_a_replaced_finish_hook(self, loop_entries):
+        """A finish hook other than the service's: the batch would skip
+        it, so the run is the loop's, and the hook sees every chunk."""
+        service = build(plain_plans())
+        finished = []
+        finish_chunk = service.chain.on_finish
+
+        def on_finish(unit):
+            finished.append(unit)
+            finish_chunk(unit)
+
+        service.chain.on_finish = on_finish
+        service.drain()
+        assert len(loop_entries) == len(finished) == 24
 
     def test_non_feeder_control_event(self, loop_entries):
         """A no-op control event: the loop runs, fires it and leaves the
@@ -295,34 +307,6 @@ class TestFallbacks:
         service.drain()
         assert loop_entries
         assert service.feeders[0].retries > 0
-
-    def test_a_push_the_wan_bound_refuses(self, loop_entries):
-        plans = [("default", 0, 0.0, 0.1,
-                  [chunk(0.0, 0.0, 0, 2 * SECOND_OF_WAN)] * 4),
-                 ("default", 0, 0.0, 0.1,
-                  [chunk(0.0, 0.0, 0, 2 * SECOND_OF_WAN)] * 4)]
-        service = build(plans, num_edges=1, wan_bound=1)
-        service.drain()
-        assert loop_entries
-        assert sum(feeder.retries for feeder in service.feeders) > 0
-
-    @pytest.mark.parametrize("wan_bound", [2, 3])
-    def test_a_push_that_finds_the_wan_queue_at_its_bound(self, wan_bound,
-                                                          loop_entries):
-        """One-second transfers pushed every quarter second on one uplink:
-        at 0.75 s one is in service and two wait.  A bound of two is met
-        exactly, so the fourth push is refused, by the batch's check and by
-        the loop's; a bound of three admits every push, as a batch."""
-        def make():
-            return build([("default", 0, 0.0, 0.25,
-                           [chunk(0.0, 0.0, 0, SECOND_OF_WAN)] * 4)],
-                         num_edges=1, wan_bound=wan_bound, config=ZERO_LATENCY)
-
-        batch, loop, _, _, used_loop = both_paths(make, loop_entries)
-        assert batch == loop
-        refused = wan_bound == 2
-        assert used_loop == refused
-        assert (loop["feeders"][0][1] > 0) == refused
 
     def test_a_feeder_retrying_a_refused_push(self, loop_entries):
         """Cut mid-retry, the rest of the run stays the loop's."""
@@ -428,7 +412,7 @@ class TestPowerOfTwoTimeScaling:
     second and latency by 2**k and both bandwidths by 2**-k, and every
     instant, latency, busy second, makespan and percentile scales by
     exactly 2**k, on both paths.  With a fault plan, its windows, the
-    feeders' retry backoff and the breaker and watchdog seconds scale
+    feeders' retry delays and the breaker and watchdog seconds scale
     too, and so do the recovery trace's instants."""
 
     @staticmethod
@@ -454,7 +438,7 @@ class TestPowerOfTwoTimeScaling:
             return build(plans, config=config, max_pending=2,
                          edge_workers=1, cloud_workers=2)
         # A seeded crash and stall, a window at 3/8 of the WAN bandwidth,
-        # and feeders that back off exponentially with seeded jitter.
+        # and feeders that retry a quarter period after a refusal.
         cameras = [f"cam-{index:02d}" for index in range(len(plans))]
         specs = FaultPlan.seeded(
             11, num_edge_servers=2, cameras=cameras,
@@ -471,15 +455,11 @@ class TestPowerOfTwoTimeScaling:
                             breaker_cooldown_seconds=scale * 0.375,
                             stall_timeout_seconds=scale * 2.5,
                             watchdog_period_seconds=scale * 0.5))
-        retry = RetryPolicy(max_attempts=16,
-                            base_delay_seconds=scale * 0.0625,
-                            max_delay_seconds=scale * 0.5,
-                            jitter_fraction=0.25, seed=5)
         for camera, (tenant, edge, offset, period, chunks) in zip(
                 cameras, plans):
             service.open_session(camera, tenant=tenant, edge_index=edge)
-            ChunkFeeder(service, camera, chunks, period_seconds=period,
-                        retry_policy=retry).start(at=offset)
+            ChunkFeeder(service, camera, chunks,
+                        period_seconds=period).start(at=offset)
         return service
 
     @staticmethod

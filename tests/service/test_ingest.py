@@ -37,6 +37,13 @@ class TestAdmission:
         with pytest.raises(AdmissionError):
             service.open_session("b", edge_index=2)
 
+    def test_a_negative_pinned_edge_is_refused(self):
+        """A list index of -1 would land the session on the last edge."""
+        service = make_service()
+        with pytest.raises(AdmissionError, match="out of range"):
+            service.open_session("a", edge_index=-1)
+        assert not service.ingest.sessions
+
     def test_service_wide_session_cap(self):
         service = make_service(max_sessions=2)
         service.open_session("a")
@@ -69,49 +76,26 @@ class TestAdmission:
         service.close_session("a")
         assert service.open_session("a").state is SessionState.OPEN
 
-    def test_wan_saturation_refuses_admissions_and_pushes(self):
-        service = make_service(num_edge_servers=1, max_wan_queue_depth=1)
-        service.open_session("a")
-        # Uplink-heavy chunks (10 MB over the 30 Mbps WAN, no edge compute)
-        # pile up on the single WAN: one in service, two queued.
-        heavy = FrameChunk(num_frames=30, frames_for_inference=3,
-                           edge_seconds=0.0, cloud_seconds=0.05,
-                           camera_edge_bytes=1_000,
-                           edge_cloud_bytes=10_000_000)
-        for _ in range(3):
-            service.push_frames("a", heavy)
-        service.run_for(0.1)
-        assert service.wan_links[0].queue_depth >= 1
-        with pytest.raises(AdmissionError):
-            service.open_session("b")
-        with pytest.raises(BackpressureError):
-            service.push_frames("a", heavy)
-        service.drain()
-        service.open_session("b")  # queue drained; admission recovers
+    @pytest.mark.parametrize("edge_index", [1.5, True, "1", float("nan")])
+    def test_a_pinned_edge_is_a_whole_number(self, edge_index):
+        """Regression: 1.5 was admitted and the drain crashed on a bare
+        TypeError (list indices must be integers); True landed on edge 1."""
+        service = make_service()
+        with pytest.raises(AdmissionError, match="edge_index"):
+            service.open_session("a", edge_index=edge_index)
+        assert service.ingest.sessions_rejected == 1
+        assert not service.ingest.sessions
 
-    @pytest.mark.parametrize("bound", [2, 3])
-    def test_an_admission_that_finds_the_wan_queue_at_its_bound(self, bound):
-        """Three one-second uploads on one uplink: one is in service and two
-        wait.  A bound of two is met exactly and refuses the next session;
-        a bound of three admits it."""
-        service = make_service(
-            num_edge_servers=1, max_wan_queue_depth=bound,
-            config=SystemConfig(camera_edge_latency_ms=0.0,
-                                edge_cloud_latency_ms=0.0))
-        service.open_session("a")
-        upload = FrameChunk(num_frames=30, frames_for_inference=3,
-                            edge_seconds=0.0, cloud_seconds=0.0,
-                            camera_edge_bytes=0,
-                            edge_cloud_bytes=int(30e6 / 8))
-        for _ in range(3):
-            service.push_frames("a", upload)
-        service.run_for(0.5)
-        assert service.wan_links[0].queue_depth == 2
-        if bound == 2:
-            with pytest.raises(AdmissionError, match="saturated"):
-                service.open_session("b")
-        else:
-            assert service.open_session("b").edge_index == 0
+    def test_a_whole_float_edge_is_stored_as_an_int(self):
+        """Regression: ``edge_index=1.0`` was stored as a float, and the
+        drain crashed indexing the chain's lists with it."""
+        service = make_service()
+        session = service.open_session("a", edge_index=1.0)
+        assert session.edge_index == 1 and type(session.edge_index) is int
+        service.push_frames("a", CHUNK)
+        service.drain()
+        assert session.chunks_completed == 1
+        assert service.edge_stations[1].stats.completed == 1
 
 
 class TestBackpressure:
@@ -223,16 +207,19 @@ class TestTenantReconfiguration:
         service.drain()
         assert session.chunks_completed == 1  # nothing was dropped
 
-    def test_tenant_config_sizes_camera_uplink(self):
-        fast = SystemConfig(camera_edge_bandwidth_mbps=1000.0,
-                            camera_edge_latency_ms=0.0)
+    def test_every_camera_uplink_is_sized_from_the_service_config(self):
+        """A tenant sets quotas, not links: each session's camera uplink
+        gets the service's LAN bandwidth and latency."""
+        config = SystemConfig(camera_edge_bandwidth_mbps=1000.0,
+                              camera_edge_latency_ms=0.0)
         service = make_service(
-            tenants=(TenantPolicy(name="fast", config=fast),))
+            config=config, tenants=(TenantPolicy(name="fast"),))
         service.open_session("a", tenant="fast")
         service.open_session("b")
-        assert service.lan_links["a"].link.bandwidth_mbps == 1000.0
-        assert (service.lan_links["b"].link.bandwidth_mbps
-                == service.config.camera_edge_bandwidth_mbps)
+        for session in ("a", "b"):
+            link = service.lan_links[session].link
+            assert link.bandwidth_mbps == 1000.0
+            assert link.latency_ms == 0.0
 
 
 class TestChunkCameraJob:
@@ -273,6 +260,26 @@ class TestChunkCameraJob:
                        edge_seconds=0.0, cloud_seconds=0.0,
                        camera_edge_bytes=0, edge_cloud_bytes=0)
 
+    @pytest.mark.parametrize("num_chunks", [True, 2.5, "2", float("nan"),
+                                            float("inf"), None, -1])
+    def test_a_chunk_count_is_a_whole_number(self, num_chunks):
+        """Regression: ``True`` gave one chunk, and ``"2"`` raised a bare
+        TypeError from a comparison."""
+        job = CameraJob(camera="c", video="v", num_frames=10,
+                        frames_for_inference=2, edge_seconds=1.0,
+                        cloud_seconds=0.5, camera_edge_bytes=100,
+                        edge_cloud_bytes=50)
+        with pytest.raises(ServiceError, match="num_chunks"):
+            chunk_camera_job(job, num_chunks)
+
+    def test_a_whole_float_chunk_count_is_taken(self):
+        """Regression: ``2.0`` raised a bare TypeError from ``range``."""
+        job = CameraJob(camera="c", video="v", num_frames=10,
+                        frames_for_inference=2, edge_seconds=1.0,
+                        cloud_seconds=0.5, camera_edge_bytes=100,
+                        edge_cloud_bytes=50)
+        assert chunk_camera_job(job, 2.0) == chunk_camera_job(job, 2)
+
     @pytest.mark.parametrize("field", ["edge_seconds", "cloud_seconds"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_chunk_seconds_rejected(self, field, value):
@@ -287,7 +294,8 @@ class TestChunkCameraJob:
 @pytest.mark.parametrize("field, value", [
     ("edge_workers", 1.5), ("num_edge_servers", 2.7), ("cloud_workers", 2.5),
     ("max_sessions", 1.5), ("num_edge_servers", float("nan")),
-    ("health_history_limit", float("nan")), ("edge_workers", float("inf")),
+    ("edge_workers", float("inf")), ("cloud_workers", float("nan")),
+    ("max_sessions", float("inf")),
 ])
 def test_non_whole_service_counts_rejected(field, value):
     """Regression: fractions used to be truncated (``edge_workers=1.5``
@@ -344,10 +352,13 @@ def test_malformed_tenant_bounds_are_refused(bounds):
         TenantPolicy(name="t", **bounds)
 
 
-@pytest.mark.parametrize("value", [NAN, 1.5, True, INF, 0])
-def test_malformed_wan_queue_bound_is_refused(value):
-    with pytest.raises(ServiceError, match="max_wan_queue_depth"):
-        StreamingService(max_wan_queue_depth=value)
+@pytest.mark.parametrize("name", [7, None, b"t", "", 1.5, ("t",)])
+def test_a_tenant_name_is_a_non_empty_str(name):
+    """Regression: ``TenantPolicy(name=7)`` was accepted, and once a
+    session opened under it ``status().to_json()`` raised a bare
+    TypeError (``sort_keys`` cannot order 7 and "default")."""
+    with pytest.raises(ServiceError, match="tenant name"):
+        TenantPolicy(name=name)
 
 
 @pytest.mark.parametrize("field", ["max_sessions", "num_edge_servers",

@@ -209,10 +209,15 @@ def test_run_for_rejects_negative():
                                 period_seconds=float("nan")),
     lambda service: ChunkFeeder(service, "cam", [],
                                 period_seconds=float("inf")),
-    lambda service: ChunkFeeder(service, "cam", [], period_seconds=1.0,
-                                retry_seconds=float("nan")),
+    lambda service: ChunkFeeder(service, "cam", [], period_seconds=0.0),
+    lambda service: ChunkFeeder(service, "cam", [], period_seconds=-1.0),
+    lambda service: ChunkFeeder(service, "cam", make_plans(1)[0][1],
+                                period_seconds=1.0).start(at=float("nan")),
+    lambda service: ChunkFeeder(service, "cam", make_plans(1)[0][1],
+                                period_seconds=1.0).start(at=float("inf")),
 ], ids=["run_for-nan", "run_for-inf", "at-nan", "at-inf", "period-nan",
-        "period-inf", "retry-nan"])
+        "period-inf", "period-zero", "period-negative", "start-nan",
+        "start-inf"])
 def test_non_finite_times_are_refused_at_the_service_boundary(call):
     """``nan < 0`` and ``nan <= 0`` are false: at the parent ``run_for(nan)``
     returned 0 silently and a nan-period feeder drained the service with
@@ -229,12 +234,10 @@ def test_non_finite_times_are_refused_at_the_service_boundary(call):
     lambda service: service.run_for("1"),
     lambda service: ChunkFeeder(service, "cam", [], period_seconds="2"),
     lambda service: ChunkFeeder(service, "cam", [], period_seconds=True),
-    lambda service: ChunkFeeder(service, "cam", [], period_seconds=1.0,
-                                retry_seconds="1"),
     lambda service: ChunkFeeder(service, "cam", make_plans(1)[0][1],
                                 period_seconds=1.0).start(at="x"),
 ], ids=["at-str", "at-bool", "run_for-str", "period-str", "period-bool",
-        "retry-str", "start-str"])
+        "start-str"])
 def test_non_numbers_are_refused_at_the_service_boundary(call):
     """At the parent each of these raised a bare ``TypeError`` from a
     comparison, or (a bool) was taken as one second."""

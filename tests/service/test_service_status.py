@@ -10,6 +10,7 @@ import pytest
 from repro.errors import AdmissionError, ServiceError
 from repro.service import (FrameChunk, RealTimeClock, StreamingService,
                            TenantPolicy)
+from repro.service.service import HEALTH_HISTORY_SAMPLES
 from repro.service.status import (HealthSample, ServiceStatus,
                                   SessionSnapshot, StationSnapshot)
 
@@ -244,24 +245,14 @@ class TestHealthHistoryRing:
         assert sample.counters == status.fault_counters
 
     def test_ring_is_bounded_and_keeps_the_newest(self):
-        service = StreamingService(
-            num_edge_servers=1,
-            tenants=(TenantPolicy(name="gold", max_sessions=1),),
-            degraded_tenant=TenantPolicy(name="degraded", max_sessions=8),
-            health_history_limit=3)
-        service.open_session("cam-1", tenant="gold")
-        service.open_session("cam-2", tenant="gold")  # shed
+        service = self.degraded_service()
         times = []
-        for step in range(1, 6):
+        for step in range(1, HEALTH_HISTORY_SAMPLES + 3):
             service.run(until=float(step))
             times.append(service.status().virtual_now)
         history = service.status().health_history
-        assert len(history) == 3
+        assert len(history) == HEALTH_HISTORY_SAMPLES == 64
         # The ring evicted the oldest samples and kept the latest ones
-        # (the final status() call itself appended the 6th sample).
-        assert [sample.virtual_now for sample in history] == times[-2:] + [
-            service.scheduler.now]
-
-    def test_health_history_limit_validation(self):
-        with pytest.raises(ServiceError):
-            StreamingService(health_history_limit=0)
+        # (the final status() call itself appended one more sample).
+        assert [sample.virtual_now for sample in history] == times[
+            -(HEALTH_HISTORY_SAMPLES - 1):] + [service.scheduler.now]
