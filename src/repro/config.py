@@ -125,10 +125,15 @@ class HardwareCalibration:
     cloud_speed_factor: float = 2.2
 
     def __post_init__(self) -> None:
+        # Chained, so nan (which passes ``<= 0``) and inf are refused: an
+        # infinite speed factor makes every cost 0.0, a nan one every
+        # cost nan.
         for name, value in asdict(self).items():
-            if value <= 0:
+            if not 0 < real_number(value, f"HardwareCalibration.{name}"
+                                   ) < math.inf:
                 raise ConfigurationError(
-                    f"HardwareCalibration.{name} must be positive, got {value!r}")
+                    f"HardwareCalibration.{name} must be positive and "
+                    f"finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -70,18 +70,10 @@ class FaultError(SieveError):
 
 
 class AdmissionError(ServiceError):
-    """Raised when a new stream session is refused admission.
-
-    Attributes:
-        sheddable: Whether the refusal is a capacity overload that a
-            degraded tenant tier could absorb (tenant quota exhausted),
-            as opposed to a hard refusal (duplicate camera, unknown
-            tenant, bad or offline edge, service full).
-    """
-
-    def __init__(self, message: str, *, sheddable: bool = False) -> None:
-        super().__init__(message)
-        self.sheddable = sheddable
+    """Raised when a new stream session is refused admission: a duplicate
+    camera, a full service, an unknown tenant or one at its quota, or a
+    pinned edge that is malformed, out of range or offline.  Every refusal
+    is final; the caller decides whether to retry."""
 
 
 class BackpressureError(ServiceError):

@@ -8,9 +8,11 @@ standing bitwise-stability contract).
 
 Public surface:
 
-* :class:`FaultPlan` and its specs (:class:`EdgeCrash`,
-  :class:`WanDegradation`, :class:`StreamStall`) — composable, seeded,
-  replayable.
+* :class:`FaultPlan` and its specs — :class:`EdgeCrash` (permanent or
+  with a restart), :class:`WanDegradation` (a full partition of one
+  edge's uplink) and :class:`StreamStall` (one camera's uplink drops
+  out) — composable, seeded, replayable.  These three kinds are all a
+  storm injects.
 * :class:`CircuitBreaker` / :class:`BreakerState` — per-edge load
   shedding.
 * :class:`ResilienceConfig` — the service's self-healing knobs.

@@ -6,9 +6,9 @@ scheduler and runs the self-healing machinery around it: edge crashes
 pause the edge's station and uplink and fail out its in-flight chunks,
 sessions are failed over to healthy edges, a per-edge
 :class:`~repro.faults.breaker.CircuitBreaker` sheds pushes while an edge
-is sick, WAN windows partition or slow an uplink, stream stalls pause a
-camera's LAN link, and an optional watchdog closes sessions that stop
-making progress.
+is sick, WAN windows partition an uplink, stream stalls pause a camera's
+LAN link, and an optional watchdog closes sessions that stop making
+progress.
 
 No driver exists on the fault-free path — a service built without a plan
 or a :class:`ResilienceConfig` never constructs one, so the default
@@ -32,7 +32,6 @@ from .stats import FaultStats, RecoveryTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; see the import note below.
     from ..service.service import StreamingService
-    from ..service.session import StreamSession
 
 
 def _closed(session) -> bool:
@@ -94,7 +93,7 @@ class ServiceFaultDriver:
     is passed; schedules every spec of the plan as control events in its
     constructor (the service clock is still at 0 then), and exposes the
     hooks the service pipeline calls back into.  Crash / restart /
-    WAN-window events act on the resources of the service's
+    WAN-partition events act on the resources of the service's
     :class:`~repro.cluster.topology.StageChain`; a permanently dead
     edge's sessions are failed over, a per-edge :class:`CircuitBreaker`
     sheds pushes, camera uplinks stall and stalled sessions are reaped.
@@ -207,30 +206,18 @@ class ServiceFaultDriver:
         return None
 
     def _wan_down(self, spec: WanDegradation) -> None:
-        now = self.scheduler.now
         index = spec.edge_index
         self.stats.wan_partitions += 1
-        wan = self.chain.wan_links[index]
-        if spec.partition:
-            self.trace.record(now, "wan-partition",
-                              f"edge={index} "
-                              f"duration={spec.duration_seconds:.6f}")
-            self._hold(wan, spec)
-        else:
-            self.trace.record(now, "wan-degraded",
-                              f"edge={index} "
-                              f"factor={spec.bandwidth_factor:.6f}")
-            wan.set_slowdown(1.0 / spec.bandwidth_factor)
+        self.trace.record(self.scheduler.now, "wan-partition",
+                          f"edge={index} "
+                          f"duration={spec.duration_seconds:.6f}")
+        self._hold(self.chain.wan_links[index], spec)
         self.scheduler.schedule(spec.duration_seconds, self._wan_up, spec)
 
     def _wan_up(self, spec: WanDegradation) -> None:
         now = self.scheduler.now
         index = spec.edge_index
-        wan = self.chain.wan_links[index]
-        if not spec.partition:
-            self.trace.record(now, "wan-restore", f"edge={index}")
-            wan.set_slowdown(1.0)
-        elif self._release(wan, spec):
+        if self._release(self.chain.wan_links[index], spec):
             self.trace.record(now, "wan-restore", f"edge={index}")
         else:
             # Still held: by the edge's own outage (its restart resumes
@@ -286,11 +273,6 @@ class ServiceFaultDriver:
             f"camera={session.camera} stage={run.stage} "
             f"edge={session.edge_index} reason={reason}")
         self.chain.reenter(run)
-
-    def on_session_degraded(self, session: "StreamSession") -> None:
-        """An admission was shed to the degraded tenant tier."""
-        self.trace.record(self.scheduler.now, "session-degraded",
-                          f"camera={session.camera} tenant={session.tenant}")
 
     # ------------------------------------------------------------------ #
     # Injected events

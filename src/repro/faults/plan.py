@@ -1,18 +1,18 @@
 """Deterministic, seeded fault plans.
 
 A :class:`FaultPlan` is a frozen bag of fault *specs* — edge crashes,
-WAN degradation windows and per-camera stream stalls — that the
+WAN partition windows and per-camera stream stalls — that the
 service's fault driver (see :mod:`repro.faults.injector`) replays through
 the discrete-event scheduler.  Plans are plain data: the same plan
 produces the same fault events in the same order on every run, under
 either clock driver, which is what makes recovery traces diffable.
 
 ``FaultPlan.seeded`` draws a plan from the seeded RNG tree
-(:mod:`repro.rng`), so chaos soaks are reproducible from a single root
-seed.  An **empty plan is the default everywhere**: with no plan
-installed the injection hooks are never scheduled and the fault-free
-path stays bit-identical to the seed (the standing bitwise-stability
-contract).
+(:mod:`repro.rng`) — two edge crashes, one WAN partition and one stream
+stall — so chaos soaks are reproducible from a single root seed.  An
+**empty plan is the default everywhere**: with no plan installed the
+injection hooks are never scheduled and the fault-free path stays
+bit-identical to the seed (the standing bitwise-stability contract).
 
 Every spec checks its fields when it is built: a malformed value (a
 string, ``None``, a ``bool``, a fraction for an index, ``nan`` or ``inf``
@@ -75,32 +75,21 @@ class EdgeCrash:
 
 @dataclass(frozen=True)
 class WanDegradation:
-    """The WAN uplink of one edge degrades for a window.
+    """The WAN uplink of one edge is partitioned for a window.
 
-    ``bandwidth_factor`` is the fraction of bandwidth that survives:
-    ``0.0`` is a full partition (the link pauses; queued transfers wait,
-    nothing is lost), ``0 < factor < 1`` stretches transfer times by
-    ``1 / factor`` for transfers *submitted* during the window.
+    The link pauses: queued transfers wait for the window to end, nothing
+    is lost.
     """
 
     edge_index: int
     at_seconds: float
     duration_seconds: float
-    bandwidth_factor: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edge_index", whole_number(
             self.edge_index, "edge_index", FaultError, 0))
         _seconds(self.at_seconds, "at_seconds")
         _seconds(self.duration_seconds, "duration_seconds", positive=True)
-        factor = real_number(self.bandwidth_factor, "bandwidth_factor",
-                             FaultError)
-        _require(0.0 <= factor < 1.0, "bandwidth_factor must be in [0, 1)")
-
-    @property
-    def partition(self) -> bool:
-        """Whether the window is a full partition (no bandwidth at all)."""
-        return self.bandwidth_factor <= 0.0
 
 
 @dataclass(frozen=True)
@@ -163,7 +152,7 @@ class FaultPlan:
 
     @property
     def wan_degradations(self) -> Tuple[WanDegradation, ...]:
-        """WAN degradation windows, time-ordered."""
+        """WAN partition windows, time-ordered."""
         return _by_time([spec for spec in self.specs
                          if isinstance(spec, WanDegradation)])
 
@@ -195,46 +184,36 @@ class FaultPlan:
     @classmethod
     def seeded(cls, seed: int, *, num_edge_servers: int,
                cameras: Sequence[str] = (),
-               horizon_seconds: float = 10.0,
-               num_edge_crashes: int = 2,
-               num_wan_partitions: int = 1,
-               num_stream_stalls: int = 1) -> "FaultPlan":
+               horizon_seconds: float = 10.0) -> "FaultPlan":
         """Draw a reproducible plan from the seeded RNG tree.
 
-        Crash targets are distinct edges (a permutation draw); crashes
-        alternate permanent / transient starting permanent, so the
-        default plan exercises both failover and restart.  All times
-        land inside ``horizon_seconds``.  Same arguments, same plan.
+        The storm is two crashes on distinct edges (a permutation draw),
+        the first permanent and the second transient so it exercises both
+        failover and restart, one WAN partition and, given cameras, one
+        stream stall.  All times land inside ``horizon_seconds``.  Same
+        arguments, same plan.
         """
         num_edge_servers = whole_number(num_edge_servers, "num_edge_servers",
                                         FaultError, 1)
-        num_edge_crashes = whole_number(num_edge_crashes, "num_edge_crashes",
-                                        FaultError, 0)
-        num_wan_partitions = whole_number(
-            num_wan_partitions, "num_wan_partitions", FaultError, 0)
-        num_stream_stalls = whole_number(
-            num_stream_stalls, "num_stream_stalls", FaultError, 0)
         _seconds(horizon_seconds, "horizon_seconds", positive=True)
-        _require(num_edge_crashes < num_edge_servers
-                 or num_edge_crashes == 0,
-                 "need more edges than crashes to keep a healthy survivor")
+        _require(num_edge_servers > 2,
+                 "two crashes need a third edge to keep a healthy survivor")
         rng = make_rng(seed, "faults", "plan")
-        specs: List[FaultSpec] = []
-        crash_edges = rng.permutation(num_edge_servers)[:num_edge_crashes]
-        for order, edge in enumerate(crash_edges):
-            at = float(rng.uniform(0.1, 0.6) * horizon_seconds)
-            restart = None
-            if order % 2 == 1:
-                restart = float(rng.uniform(0.05, 0.2) * horizon_seconds)
-            specs.append(EdgeCrash(edge_index=int(edge), at_seconds=at,
-                                   restart_after_seconds=restart))
-        for _ in range(num_wan_partitions):
-            edge = int(rng.integers(0, num_edge_servers))
-            at = float(rng.uniform(0.1, 0.5) * horizon_seconds)
-            duration = float(rng.uniform(0.1, 0.3) * horizon_seconds)
-            specs.append(WanDegradation(edge_index=edge, at_seconds=at,
-                                        duration_seconds=duration))
-        for _ in range(num_stream_stalls if cameras else 0):
+        doomed, restarted = rng.permutation(num_edge_servers)[:2]
+        specs: List[FaultSpec] = [EdgeCrash(
+            edge_index=int(doomed),
+            at_seconds=float(rng.uniform(0.1, 0.6) * horizon_seconds))]
+        specs.append(EdgeCrash(
+            edge_index=int(restarted),
+            at_seconds=float(rng.uniform(0.1, 0.6) * horizon_seconds),
+            restart_after_seconds=float(
+                rng.uniform(0.05, 0.2) * horizon_seconds)))
+        edge = int(rng.integers(0, num_edge_servers))
+        at = float(rng.uniform(0.1, 0.5) * horizon_seconds)
+        duration = float(rng.uniform(0.1, 0.3) * horizon_seconds)
+        specs.append(WanDegradation(edge_index=edge, at_seconds=at,
+                                    duration_seconds=duration))
+        if cameras:
             camera = str(cameras[int(rng.integers(0, len(cameras)))])
             at = float(rng.uniform(0.1, 0.4) * horizon_seconds)
             duration = float(rng.uniform(0.2, 0.5) * horizon_seconds)

@@ -1,9 +1,12 @@
 """Fault / recovery accounting and the diffable recovery trace.
 
 :class:`FaultStats` is the counter block that rides on
-:class:`~repro.cluster.fleet.FleetReport` and ``ServiceStatus`` — it
-only appears when something fault-related actually happened, so
-fault-free reports stay bit-identical to the seed.
+:class:`~repro.cluster.fleet.FleetReport` and ``ServiceStatus``: the
+faults a storm injected (edge crashes, WAN partitions, stream stalls) and
+the recovery work they and backpressure caused (failovers, requeues,
+watchdog closes, feeder retries, breaker trips).  It only appears when
+something fault-related actually happened, so fault-free reports stay
+bit-identical to the seed.
 
 :class:`RecoveryTrace` is an append-only log of recovery decisions
 (crash seen, session failed over, chunk requeued, breaker opened, …)
@@ -19,9 +22,8 @@ from typing import Dict, Iterator, List
 
 _COUNTERS = (
     "crashes_seen", "edges_restarted", "wan_partitions", "stream_stalls",
-    "sessions_relocated", "sessions_stalled", "sessions_degraded",
-    "jobs_failed_over", "chunks_failed_over", "chunks_dropped",
-    "feeder_retries", "feeder_give_ups", "breaker_opens",
+    "sessions_relocated", "sessions_stalled", "chunks_failed_over",
+    "chunks_dropped", "feeder_retries", "feeder_give_ups", "breaker_opens",
     "breaker_rejections",
 )
 
@@ -33,15 +35,11 @@ class FaultStats:
     Attributes:
         crashes_seen: Edge crashes injected (permanent or transient).
         edges_restarted: Transient crashes that came back.
-        wan_partitions: WAN degradation windows opened.
+        wan_partitions: WAN partition windows opened.
         stream_stalls: Camera stream stalls injected.
         sessions_relocated: Live sessions moved off a dead edge.
         sessions_stalled: Sessions the watchdog closed as stalled.
-        sessions_degraded: Admissions shed to the degraded tenant tier.
-        jobs_failed_over: Batch ``CameraJob``s re-placed off a dead edge.
-            No batch fleet takes a fault plan, so it stays 0; it keeps
-            its place in reports and in the chaos soak's printout.
-        chunks_failed_over: Chunk/job stage submissions requeued after a
+        chunks_failed_over: Chunk stage submissions requeued after a
             station failure.
         chunks_dropped: Chunks lost for good (no healthy edge remained).
         feeder_retries: Backpressure retries across all feeders.
@@ -60,8 +58,6 @@ class FaultStats:
     stream_stalls: int = 0
     sessions_relocated: int = 0
     sessions_stalled: int = 0
-    sessions_degraded: int = 0
-    jobs_failed_over: int = 0
     chunks_failed_over: int = 0
     chunks_dropped: int = 0
     feeder_retries: int = 0

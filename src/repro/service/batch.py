@@ -208,12 +208,11 @@ class FeederBatch:
                 setattr(session, name, folded[index])
             session.last_completion = last_completions[index]
             feeder.next_index = len(feeder.chunks)
-            if feeder.close_when_done:
-                # Closed at the last push, finalised at the last completion.
-                session.close_reason = session.close_reason or "client"
-                ingest.close_reasons[session.close_reason] = (
-                    ingest.close_reasons.get(session.close_reason, 0) + 1)
-                ingest._finalise(session, session.last_completion)
+            # Closed at the last push, finalised at the last completion.
+            session.close_reason = session.close_reason or "client"
+            ingest.close_reasons[session.close_reason] = (
+                ingest.close_reasons.get(session.close_reason, 0) + 1)
+            ingest._finalise(session, session.last_completion)
             link = lan.link
             link.transfer_count += count
             link.total_bytes += totals["camera_edge_bytes_pushed"][index]

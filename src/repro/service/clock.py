@@ -23,9 +23,11 @@ contract ``tests/service/test_parity_and_soak.py`` pins and
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Optional
 
+from ..config import real_number
 from ..dataflow.scheduler import EventScheduler
 from ..errors import ServiceError
 
@@ -80,7 +82,7 @@ class RealTimeClock(ClockDriver):
     measure of how far the loop is falling behind real time.
 
     Args:
-        speedup: Virtual-to-wall time ratio (must be positive).
+        speedup: Virtual-to-wall time ratio (positive and finite).
         wall: Monotonic wall-clock source (injectable for deterministic
             tests; defaults to :func:`time.monotonic`).
         sleep: Sleep function (injectable for tests; :func:`time.sleep`).
@@ -91,8 +93,11 @@ class RealTimeClock(ClockDriver):
     def __init__(self, speedup: float = 1.0, *,
                  wall: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep) -> None:
-        if speedup <= 0:
-            raise ServiceError(f"speedup must be positive, got {speedup}")
+        # Chained, so nan (which passes ``<= 0`` and never paces) and inf
+        # are refused; a real-time clock without pacing is VirtualClock.
+        if not 0 < real_number(speedup, "speedup", ServiceError) < math.inf:
+            raise ServiceError(
+                f"speedup must be positive and finite, got {speedup}")
         self.speedup = float(speedup)
         self._wall = wall
         self._sleep = sleep

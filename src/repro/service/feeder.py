@@ -40,7 +40,6 @@ class ChunkFeeder:
         session_id: Target session (must be open when pushes fire).
         chunks: The chunk plan, pushed in order.
         period_seconds: Virtual seconds between consecutive pushes.
-        close_when_done: Close the session after the last chunk is pushed.
 
     Attributes:
         retries: Pushes that hit backpressure and were rescheduled.
@@ -53,8 +52,8 @@ class ChunkFeeder:
     """
 
     def __init__(self, service, session_id: str,
-                 chunks: Sequence[FrameChunk], period_seconds: float,
-                 close_when_done: bool = True) -> None:
+                 chunks: Sequence[FrameChunk], period_seconds: float
+                 ) -> None:
         # Chained comparisons: nan passes ``<= 0`` and would drain the
         # feeder with the service clock at nan.
         if not 0 < real_number(period_seconds, "period_seconds",
@@ -66,7 +65,6 @@ class ChunkFeeder:
         self.session_id = session_id
         self.chunks = list(chunks)
         self.period_seconds = float(period_seconds)
-        self.close_when_done = close_when_done
         #: Index of the next chunk to push.
         self.next_index = 0
         #: Pushes that hit backpressure and were rescheduled.
@@ -96,7 +94,7 @@ class ChunkFeeder:
             raise ServiceError(f"at must be finite, got {at}")
         self._started = True
         if not self.chunks:
-            self._maybe_close()
+            self._service.close_session(self.session_id)
             return self
         if at is None:
             at = self._service.scheduler.now
@@ -131,7 +129,7 @@ class ChunkFeeder:
             self._observe_attempts()
         self.next_index += 1
         if self.next_index >= len(chunks):
-            self._maybe_close()
+            self._service.close_session(self.session_id)
         else:
             self._service.after(self.period_seconds, self._push)
 
@@ -148,7 +146,3 @@ class ChunkFeeder:
             self.attempt_histogram.get(self._attempts, 0) + 1)
         self._attempts = 0
         self._service.close_session(self.session_id, reason="backpressure")
-
-    def _maybe_close(self) -> None:
-        if self.close_when_done:
-            self._service.close_session(self.session_id)

@@ -11,7 +11,8 @@ admission logic stays unit-testable with stubs.
 Admission is refused (:class:`~repro.errors.AdmissionError`) when the
 service-wide session cap is hit, the tenant is unknown, the tenant's own
 quota is exhausted, or a pinned edge is not a whole number in range or is
-offline.  Accepted sessions are placed round-robin across edge servers
+offline.  A refusal is final: no other tenant's policy is tried in its
+place.  Accepted sessions are placed round-robin across edge servers
 unless the caller pins one.
 
 Backpressure is per-session and live-tunable: a push that would exceed the
@@ -44,10 +45,6 @@ class StreamIngest:
         max_sessions: Service-wide concurrent session cap.
         tenants: Initial tenant policies.  A ``"default"`` tenant is
             registered automatically if absent.
-        degraded_tenant: When set, admissions refused for *sheddable*
-            reasons (the requested tenant's quota is exhausted) are
-            retried under this tenant's policy instead of failing hard —
-            graceful degradation under sustained overload.
         push_gate: Optional callback ``(edge_index) -> Optional[str]``
             consulted last on every push; a non-``None`` refusal reason
             (offline edge, open circuit breaker) bounces the push as
@@ -62,7 +59,6 @@ class StreamIngest:
                  submit_chunk: Callable[[StreamSession, FrameChunk], None],
                  max_sessions: int = 64,
                  tenants: Sequence[TenantPolicy] = (),
-                 degraded_tenant: Optional[TenantPolicy] = None,
                  push_gate: Optional[Callable[[int], Optional[str]]] = None,
                  edge_available: Optional[Callable[[int], bool]] = None
                  ) -> None:
@@ -78,9 +74,6 @@ class StreamIngest:
             self.tenants[policy.name] = policy
         if "default" not in self.tenants:
             self.tenants["default"] = TenantPolicy(name="default")
-        self.degraded_tenant = degraded_tenant
-        if degraded_tenant is not None:
-            self.tenants.setdefault(degraded_tenant.name, degraded_tenant)
         self._push_gate = push_gate
         self._edge_available = edge_available
         #: All sessions ever admitted, in admission order, by session id.
@@ -94,14 +87,8 @@ class StreamIngest:
         self.pushes_rejected = 0
         #: Sessions refused with AdmissionError (monotonic counter).
         self.sessions_rejected = 0
-        #: Admissions shed to the degraded tenant tier (monotonic counter).
-        self.sessions_degraded = 0
         #: Close-reason histogram ("client", "completed", "stalled", ...).
         self.close_reasons: Dict[str, int] = {}
-        #: Optional observer fired when an admission is shed to the
-        #: degraded tier (the fault driver records it in the trace).
-        self.on_session_degraded: Optional[
-            Callable[[StreamSession], None]] = None
         #: Optional observer fired after every *accepted* push whose chunk
         #: carries a scene payload (the adaptive controller's feed).  Runs
         #: after the chunk is submitted, so a triggered retune only
@@ -135,35 +122,17 @@ class StreamIngest:
     # ------------------------------------------------------------------ #
     def open_session(self, camera: str, tenant: str = "default",
                      edge_index: Optional[int] = None) -> StreamSession:
-        """Admit a camera stream, or raise :class:`AdmissionError`.
-
-        With a ``degraded_tenant`` configured, a *sheddable* refusal
-        (tenant quota exhausted) retries the admission under the degraded
-        tier's policy before giving up — the session is admitted with the
-        degraded tenant's (tighter) backpressure bounds instead of being
-        bounced.
-        """
+        """Admit a camera stream, or raise :class:`AdmissionError` (counted
+        in :attr:`sessions_rejected`)."""
         try:
             return self._admit(camera, tenant, edge_index)
-        except AdmissionError as error:
-            degraded = self.degraded_tenant
-            if (degraded is not None and error.sheddable
-                    and tenant != degraded.name):
-                try:
-                    session = self._admit(camera, degraded.name, edge_index)
-                except AdmissionError:
-                    self.sessions_rejected += 1
-                    raise error from None
-                self.sessions_degraded += 1
-                if self.on_session_degraded is not None:
-                    self.on_session_degraded(session)
-                return session
+        except AdmissionError:
             self.sessions_rejected += 1
             raise
 
     def _admit(self, camera: str, tenant: str,
                edge_index: Optional[int]) -> StreamSession:
-        """One admission attempt under one tenant policy."""
+        """One admission under the tenant's policy."""
         if camera in self.sessions and (
                 self.sessions[camera].state is not SessionState.CLOSED):
             raise AdmissionError(
@@ -175,11 +144,9 @@ class StreamIngest:
         if policy is None:
             raise AdmissionError(f"unknown tenant {tenant!r}")
         if self.active_sessions_of(tenant) >= policy.max_sessions:
-            # Sheddable: this is the capacity-overload case a degraded
-            # tier exists to absorb.
             raise AdmissionError(
                 f"tenant {tenant!r} is at its session quota "
-                f"({policy.max_sessions})", sheddable=True)
+                f"({policy.max_sessions})")
         if edge_index is None:
             # Round-robin over the healthy edges: each candidate consumes
             # one counter tick, so with every edge healthy (the fault-free

@@ -110,9 +110,6 @@ class StreamingService:
         resilience: Self-healing knobs (:class:`ResilienceConfig`:
             breaker thresholds, stall watchdog).  Setting it installs the
             fault driver even without a plan.
-        degraded_tenant: Overloaded admissions are shed to this tenant
-            tier instead of raising ``AdmissionError`` (see
-            :meth:`StreamIngest.open_session`).
         adaptive: Optional :class:`~repro.adapt.AdaptiveConfig`.  Setting
             it installs the online :class:`AdaptiveTuningController` —
             accepted pushes carrying a scene payload feed per-session
@@ -130,7 +127,6 @@ class StreamingService:
                  tenants: Sequence[TenantPolicy] = (),
                  faults: Optional[FaultPlan] = None,
                  resilience: Optional[ResilienceConfig] = None,
-                 degraded_tenant: Optional[TenantPolicy] = None,
                  adaptive: Optional[AdaptiveConfig] = None) -> None:
         self.config = config or SystemConfig()
         self.num_edge_servers = whole_number(
@@ -173,12 +169,9 @@ class StreamingService:
             submit_chunk=self._submit_chunk,
             max_sessions=max_sessions,
             tenants=tenants,
-            degraded_tenant=degraded_tenant,
             push_gate=driver.push_refusal if driver else None,
             edge_available=(driver.edge_online.__getitem__ if driver
                             else None))
-        if driver is not None:
-            self.ingest.on_session_degraded = driver.on_session_degraded
         #: Wall-clock seconds spent inside ``run`` so far.
         self.wall_run_seconds = 0.0
         #: Feeders that registered themselves (for retry accounting).
@@ -311,13 +304,11 @@ class StreamingService:
                 or chain.on_fail is not None
                 or chain.on_finish != self._finish_chunk):
             return None
-        links = [*chain.wan_links, *chain.lan_links.values()]
-        for resource in (*chain.edge_stations, chain.cloud_station, *links):
+        for resource in (*chain.edge_stations, chain.cloud_station,
+                         *chain.wan_links, *chain.lan_links.values()):
             if (resource.in_service or resource.queue_depth
                     or not resource.online):
                 return None
-        if any(link.slowdown != 1.0 for link in links):
-            return None
         feeds = []
         fed = set()
         for time, action, args in self.scheduler._pending():
@@ -381,7 +372,6 @@ class StreamingService:
                          for name in self.ingest.tenants},
                 stations=tuple(stations),
                 sessions=sessions,
-                sessions_degraded=self.ingest.sessions_degraded,
                 close_reasons=dict(self.ingest.close_reasons),
                 breaker_states=(
                     {index: breaker.state.value for index, breaker
@@ -479,13 +469,11 @@ class StreamingService:
         """Fault/recovery counters, or ``None`` when nothing happened.
 
         Combines the fault driver's counters (crashes, failovers,
-        breakers) with feeder retry accounting and degraded admissions.
-        Returns ``None`` on a clean run so fault-free reports stay
-        bit-identical to the seed.
+        breakers) with feeder retry accounting.  Returns ``None`` on a
+        clean run so fault-free reports stay bit-identical to the seed.
         """
         driver = self._fault_driver
         stats = driver.stats if driver is not None else FaultStats()
-        stats.sessions_degraded = self.ingest.sessions_degraded
         stats.feeder_retries = sum(
             getattr(feeder, "retries", 0) for feeder in self.feeders)
         stats.feeder_give_ups = sum(

@@ -138,7 +138,6 @@ class ServiceStatus:
         tenants: ``tenant name -> active session count``.
         stations: Per-station snapshots (edges, WAN uplinks, cloud).
         sessions: Per-session snapshots, in admission order.
-        sessions_degraded: Admissions shed to the degraded tenant tier.
         close_reasons: ``reason -> count`` histogram of session closes.
         breaker_states: ``edge index -> breaker state value`` (empty
             without a fault driver).
@@ -169,7 +168,6 @@ class ServiceStatus:
     tenants: Dict[str, int]
     stations: Tuple[StationSnapshot, ...]
     sessions: Tuple[SessionSnapshot, ...]
-    sessions_degraded: int = 0
     close_reasons: Dict[str, int] = field(default_factory=dict)
     breaker_states: Dict[int, str] = field(default_factory=dict)
     fault_counters: Dict[str, int] = field(default_factory=dict)
@@ -234,7 +232,6 @@ class ServiceStatus:
                     in session.latency_percentiles.items()},
                 "parameter_version": session.parameter_version,
             } for session in self.sessions],
-            "sessions_degraded": self.sessions_degraded,
             "close_reasons": dict(self.close_reasons),
             "breaker_states": {str(index): state for index, state
                                in self.breaker_states.items()},
@@ -299,7 +296,6 @@ class ServiceStatus:
                         in session["latency_percentiles"].items()},
                     parameter_version=session["parameter_version"],
                 ) for session in payload["sessions"]),
-                sessions_degraded=payload["sessions_degraded"],
                 close_reasons=dict(payload["close_reasons"]),
                 breaker_states={int(index): state for index, state
                                 in payload["breaker_states"].items()},

@@ -114,24 +114,18 @@ def gaussian_kernel_1d(sigma: float, radius: int) -> np.ndarray:
 
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur of a 2-D plane (reflect padding).
+    """Separable Gaussian blur of a 2-D plane, in numpy alone.
 
-    Uses :func:`scipy.ndimage.gaussian_filter` when SciPy is available and
-    falls back to a pure-numpy separable convolution otherwise; both paths
-    use the same truncation radius so results agree to numerical precision.
+    The kernel is truncated at ``round(3 * sigma)`` samples (at least one)
+    and the plane is mirrored about its edge samples, which are not
+    repeated (``np.pad``'s ``"reflect"``: ``c b | a b c``), before each
+    pass.
     """
     plane = np.asarray(image, dtype=np.float64)
     if plane.ndim != 2:
         raise ConfigurationError("gaussian_blur expects a 2-D plane")
     if sigma <= 0:
         return plane.copy()
-    try:
-        from scipy import ndimage
-    except ImportError:  # pragma: no cover - SciPy is an optional accelerator.
-        ndimage = None
-    if ndimage is not None:
-        return ndimage.gaussian_filter(plane, sigma=float(sigma), mode="reflect",
-                                       truncate=3.0)
     radius = max(int(round(3.0 * sigma)), 1)
     kernel = gaussian_kernel_1d(float(sigma), radius)
     padded = np.pad(plane, ((0, 0), (radius, radius)), mode="reflect")

@@ -148,19 +148,12 @@ class TestContendedLink:
         scheduler = EventScheduler()
         link = NetworkLink("wan", bandwidth_mbps=8.0)
         with pytest.raises(NetworkError):
-            ContendedLink(scheduler, link, channels=0)
-        with pytest.raises(NetworkError):
             ContendedLink(scheduler, link).submit(-1)
 
     @pytest.mark.parametrize("call", [
-        lambda s, link: ContendedLink(s, link, channels=1.5),
-        lambda s, link: ContendedLink(s, link, channels=NAN),
-        lambda s, link: ContendedLink(s, link).set_slowdown(NAN),
-        lambda s, link: ContendedLink(s, link).set_slowdown(INF),
         lambda s, link: ContendedLink(s, link).submit(NAN),
         lambda s, link: ContendedLink(s, link).submit(INF),
-    ], ids=["channels-1.5", "channels-nan", "slowdown-nan", "slowdown-inf",
-            "submit-nan", "submit-inf"])
+    ], ids=["submit-nan", "submit-inf"])
     def test_non_finite_and_fractional_values_refused(self, call):
         scheduler = EventScheduler()
         link = NetworkLink("wan", bandwidth_mbps=8.0)
@@ -172,26 +165,24 @@ class TestContendedLink:
 
     def test_a_link_is_the_station_its_transfers_wait_at(self):
         scheduler = EventScheduler()
-        contended = ContendedLink(scheduler, NetworkLink("wan", 8.0),
-                                  channels=2)
+        contended = ContendedLink(scheduler, NetworkLink("wan", 8.0))
         assert isinstance(contended, ServiceStation)
-        assert (contended.name, contended.capacity) == ("link:wan", 2)
+        assert (contended.name, contended.capacity) == ("link:wan", 1)
 
     def test_a_failed_transfer_records_nothing(self):
         scheduler = EventScheduler()
         link = NetworkLink("wan", bandwidth_mbps=8.0)
         contended = ContendedLink(scheduler, link)
         failed = []
-        contended.set_slowdown(2.0)
         contended.submit(int(1e6))
-        scheduler.run(until=2.0)
+        scheduler.run(until=1.0)
         contended.submit(int(1e6),
                          on_fail=lambda _, reason: failed.append(reason))
-        scheduler.run(until=3.0)
+        scheduler.run(until=1.5)
         assert contended.fail_all("cut") == 1
         scheduler.run()
         assert failed == ["cut"]
-        # One transfer, at the nominal (un-slowed) duration.
+        # One transfer: the delivered one.
         assert (link.transfer_count, link.total_bytes,
                 link.total_seconds) == (1, int(1e6), 1.0)
-        assert contended.stats.busy_seconds == 2.0
+        assert contended.stats.busy_seconds == 1.0

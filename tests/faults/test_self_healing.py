@@ -347,36 +347,6 @@ class TestStallWatchdog:
         assert service.fault_stats() is None
 
 
-class TestGracefulDegradation:
-    def test_quota_overflow_sheds_to_degraded_tier(self):
-        service = StreamingService(
-            num_edge_servers=1,
-            tenants=(TenantPolicy(name="gold", max_sessions=1),),
-            degraded_tenant=TenantPolicy(name="degraded", max_sessions=8,
-                                         max_pending_chunks=2))
-        first = service.open_session("cam-1", tenant="gold")
-        shed = service.open_session("cam-2", tenant="gold")
-        assert first.tenant == "gold"
-        assert shed.tenant == "degraded"
-        assert shed.max_pending_chunks == 2
-        assert service.ingest.sessions_degraded == 1
-        status = service.status()
-        assert status.sessions_degraded == 1
-        assert status.sessions_rejected == 0
-        stats = service.fault_stats()
-        assert stats is not None and stats.sessions_degraded == 1
-
-    def test_hard_refusals_still_raise(self):
-        service = StreamingService(
-            num_edge_servers=1, max_sessions=1,
-            degraded_tenant=TenantPolicy(name="degraded"))
-        service.open_session("cam-1")
-        with pytest.raises(AdmissionError):
-            # Service-wide cap is not sheddable: the degraded tier cannot
-            # conjure capacity the whole service lacks.
-            service.open_session("cam-2")
-
-
 class TestFaultFreeBitIdentity:
     def _run(self, **kwargs) -> StreamingService:
         service = StreamingService(num_edge_servers=2, clock=VirtualClock(),
@@ -407,7 +377,6 @@ class TestFaultFreeBitIdentity:
         status = plain.status()
         assert status.fault_counters == {}
         assert status.breaker_states == {}
-        assert status.sessions_degraded == 0
         report = plain.fleet_report()
         assert report.faults is None
         assert all(not math.isnan(outcome.end_seconds)

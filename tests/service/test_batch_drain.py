@@ -340,19 +340,17 @@ def active_counts(service):
 
 
 def counted_service():
-    """Quotas tight enough that admissions are refused and shed."""
+    """Quotas tight enough that admissions are refused."""
     return StreamingService(
-        num_edge_servers=2, max_sessions=5,
+        num_edge_servers=2, max_sessions=4,
         tenants=(TenantPolicy("default", max_sessions=3),
-                 TenantPolicy("gold", max_sessions=2)),
-        degraded_tenant=TenantPolicy("shed", max_sessions=1))
+                 TenantPolicy("gold", max_sessions=2)))
 
 
 lifecycle_operations = st.lists(st.one_of(
     st.tuples(st.just("open"), st.integers(0, 3),
               st.sampled_from(("default", "gold"))),
-    st.tuples(st.just("feed"), st.integers(0, 3), st.integers(1, 3),
-              st.booleans()),
+    st.tuples(st.just("feed"), st.integers(0, 3), st.integers(1, 3)),
     st.tuples(st.just("close"), st.integers(0, 3)),
     st.tuples(st.just("drain"))), max_size=24)
 
@@ -380,28 +378,25 @@ class TestActiveCounts:
                 service.close_session(camera)
             elif session is not None and session.is_open:
                 ChunkFeeder(service, camera, [chunk()] * arguments[1],
-                            period_seconds=0.5,
-                            close_when_done=arguments[2]).start()
+                            period_seconds=0.5).start()
             kept, scanned = active_counts(service)
             assert kept == scanned
 
     def test_the_batch_closes_what_it_feeds(self, loop_entries):
-        """Shed, refused and fed sessions, drained as one batch."""
+        """Refused and fed sessions, drained as one batch."""
         service = counted_service()
-        for index, tenant in enumerate(("gold", "gold", "gold", "gold")):
+        for index, tenant in enumerate(("gold", "gold", "gold", "default")):
             with suppress(AdmissionError):
                 service.open_session(f"cam-{index}", tenant=tenant)
-        assert service.ingest.sessions_degraded == 1
         assert service.ingest.sessions_rejected == 1
         for camera in service.ingest.sessions:
             ChunkFeeder(service, camera, [chunk()] * 3,
                         period_seconds=0.5).start()
-        assert active_counts(service)[0] == (3, {"default": 0, "gold": 2,
-                                                 "shed": 1})
+        assert active_counts(service)[0] == (3, {"default": 1, "gold": 2})
         service.drain()
         assert not loop_entries
         kept, scanned = active_counts(service)
-        assert kept == scanned == (0, {"default": 0, "gold": 0, "shed": 0})
+        assert kept == scanned == (0, {"default": 0, "gold": 0})
         # The quotas are free again.
         service.open_session("cam-0", tenant="gold")
         service.open_session("cam-1", tenant="gold")
@@ -437,18 +432,18 @@ class TestPowerOfTwoTimeScaling:
         if not faulted:
             return build(plans, config=config, max_pending=2,
                          edge_workers=1, cloud_workers=2)
-        # A seeded crash and stall, a window at 3/8 of the WAN bandwidth,
+        # A permanent crash and a stall, a transient crash, a partition,
         # and feeders that retry a quarter period after a refusal.
         cameras = [f"cam-{index:02d}" for index in range(len(plans))]
-        specs = FaultPlan.seeded(
-            11, num_edge_servers=2, cameras=cameras,
-            horizon_seconds=scale * 3.0, num_edge_crashes=1,
-            num_wan_partitions=0).specs + (
+        specs = (
+            EdgeCrash(edge_index=0, at_seconds=scale * 1.4715503249338302),
+            StreamStall(camera="cam-00",
+                        at_seconds=scale * 0.9924366969035749,
+                        duration_seconds=scale * 0.6171192395675154),
             EdgeCrash(edge_index=0, at_seconds=scale * 0.75,
                       restart_after_seconds=scale * 0.5),
             WanDegradation(edge_index=1, at_seconds=scale * 0.25,
-                           duration_seconds=scale * 1.5,
-                           bandwidth_factor=0.375))
+                           duration_seconds=scale * 1.5))
         service = build([], config=config, max_pending=2, edge_workers=1,
                         cloud_workers=2, faults=FaultPlan(specs=specs),
                         resilience=ResilienceConfig(
@@ -512,7 +507,7 @@ class TestPowerOfTwoTimeScaling:
         kinds = [event.kind for event in base.recovery_trace]
         assert [event.kind for event in scaled.recovery_trace] == kinds
         # Every fault fired and something was recovered.
-        assert {"edge-crash", "edge-restart", "wan-degraded",
+        assert {"edge-crash", "edge-restart", "wan-partition",
                 "wan-restore", "stream-stall", "stream-resume",
                 "session-failover", "chunk-requeued"} <= set(kinds)
         assert (base.fault_stats().as_dict()
@@ -539,7 +534,7 @@ class TestLateFaultsAreNoFaults:
                 WanDegradation(edge_index=0, at_seconds=after + 1.5,
                                duration_seconds=1.0),
                 WanDegradation(edge_index=1, at_seconds=after + 2.5,
-                               duration_seconds=0.5, bandwidth_factor=0.5),
+                               duration_seconds=0.5),
                 StreamStall(camera="cam-02", at_seconds=after + 3.0,
                             duration_seconds=0.75),
                 EdgeCrash(edge_index=0, at_seconds=after + 4.0))
@@ -587,19 +582,3 @@ class TestLateFaultsAreNoFaults:
             runs.append((observed(service, fired),
                          service.recovery_trace.lines()))
         assert runs[0] == runs[1] == runs[2]
-
-    def test_a_unit_slowdown_window_is_a_no_op(self, loop_entries):
-        """``WanDegradation`` refuses ``bandwidth_factor=1.0``; the
-        slowdown its window would set, ``1.0 / 1.0``, applied mid-run to
-        every uplink as a control event, moves nothing but the count."""
-        batch = build(self.PLANS)
-        fired = batch.drain()
-        service = build(self.PLANS)
-        for link in service.wan_links:
-            service.at(0.7, link.set_slowdown, 1.0 / 1.0)
-        assert service.drain() == fired + len(service.wan_links)
-        assert loop_entries
-        expected, actual = observed(batch, fired), observed(service, fired)
-        for key in ("events", "status", "report"):
-            expected.pop(key), actual.pop(key)
-        assert actual == expected

@@ -63,6 +63,15 @@ class TestRealTimeClock:
             with pytest.raises(ServiceError):
                 RealTimeClock(speedup=speedup)
 
+    @pytest.mark.parametrize("speedup", [
+        float("nan"), float("inf"), "2", True, None])
+    def test_speedup_is_a_positive_finite_real(self, speedup):
+        """``nan`` was accepted and silently stopped pacing (``describe()``
+        read ``speedup=nanx``), ``"2"`` raised a bare TypeError and
+        ``True`` ran at 1x."""
+        with pytest.raises(ServiceError, match="speedup"):
+            RealTimeClock(speedup=speedup)
+
     def test_sleeps_match_event_spacing(self):
         clock, wall = make_clock(speedup=1.0)
         scheduler = EventScheduler()

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from repro.errors import AdmissionError, ServiceError
+from repro.faults import EdgeCrash, FaultPlan
 from repro.service import (FrameChunk, RealTimeClock, StreamingService,
                            TenantPolicy)
 from repro.service.service import HEALTH_HISTORY_SAMPLES
@@ -215,16 +216,12 @@ def test_from_json_rejects_malformed_text(text):
 
 
 class TestHealthHistoryRing:
-    def degraded_service(self) -> StreamingService:
-        # Quota overflow shed to the degraded tier is the cheapest
+    def faulted_service(self) -> StreamingService:
+        # One edge of two crashing for good at t=0.5 is the cheapest
         # deterministic way to make the combined counters non-empty.
-        service = StreamingService(
-            num_edge_servers=1,
-            tenants=(TenantPolicy(name="gold", max_sessions=1),),
-            degraded_tenant=TenantPolicy(name="degraded", max_sessions=8))
-        service.open_session("cam-1", tenant="gold")
-        service.open_session("cam-2", tenant="gold")  # shed
-        return service
+        return StreamingService(
+            num_edge_servers=2,
+            faults=FaultPlan((EdgeCrash(edge_index=1, at_seconds=0.5),)))
 
     def test_clean_runs_never_sample(self):
         service = StreamingService(num_edge_servers=1)
@@ -236,16 +233,16 @@ class TestHealthHistoryRing:
         assert service.status().health_history == ()
 
     def test_samples_capture_time_and_counters(self):
-        service = self.degraded_service()
+        service = self.faulted_service()
         service.run_for(1.0)
         status = service.status()
         (sample,) = status.health_history
         assert sample.virtual_now == status.virtual_now
-        assert sample.counters["sessions_degraded"] == 1
+        assert sample.counters["crashes_seen"] == 1
         assert sample.counters == status.fault_counters
 
     def test_ring_is_bounded_and_keeps_the_newest(self):
-        service = self.degraded_service()
+        service = self.faulted_service()
         times = []
         for step in range(1, HEALTH_HISTORY_SAMPLES + 3):
             service.run(until=float(step))

@@ -104,6 +104,21 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             HardwareCalibration(decode_ms_per_frame_1080p=-1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("cloud_speed_factor", float("inf")),
+        ("cloud_speed_factor", float("nan")),
+        ("edge_nn_ms_per_frame", float("nan")),
+        ("seek_ms_per_frame_1080p", float("inf")),
+        ("decode_ms_per_frame_1080p", "11"),
+        ("edge_speed_factor", None),
+        ("edge_speed_factor", True),
+    ])
+    def test_calibration_values_are_positive_finite_reals(self, name, value):
+        """``cloud_speed_factor=inf`` made every cloud cost 0.0 and nan
+        made costs nan; a string raised a bare TypeError."""
+        with pytest.raises(ConfigurationError, match=name):
+            HardwareCalibration(**{name: value})
+
     def test_calibration_decode_costs_more_than_seek(self):
         calibration = HardwareCalibration()
         assert (calibration.decode_ms_per_frame_1080p

@@ -80,7 +80,7 @@ def test_allow_list_entries_name_functions_that_need_one(functions):
 
 
 def test_rules_cover_dunders_raise_only_bodies_and_abstract_methods(functions):
-    assert functions["errors.py::AdmissionError.__init__"].by_rule == "dunder"
+    assert functions["faults/stats.py::RecoveryTrace.__init__"].by_rule == "dunder"
     assert (functions["vision/similarity.py::ChangeDetector.score_next"].by_rule
             == "raise-only")
     assert functions["config.py::whole_number"].by_rule == ""

@@ -48,6 +48,33 @@ class TestImageOps:
         assert blurred.mean() == pytest.approx(plane.mean(), rel=0.02)
         assert blurred.std() < plane.std()
 
+    def test_gaussian_blur_mirrors_the_border_without_repeating_it(self,
+                                                                   rng):
+        """Past the edge the blur reads ``c b | a b c`` (numpy's
+        ``"reflect"``, not SciPy's, which repeats the edge sample): each
+        sample is the kernel's weighted sum over mirrored indices, rows
+        first, then columns."""
+        plane = rng.uniform(0, 255, size=(9, 13))
+        sigma, radius = 1.6, 5  # round(3 * 1.6) taps either side
+        offsets = np.arange(-radius, radius + 1)
+        taps = np.exp(-offsets ** 2 / (2.0 * sigma ** 2))
+        taps /= taps.sum()
+
+        def mirrored(index, size):
+            if index < 0:
+                return -index
+            return 2 * (size - 1) - index if index >= size else index
+
+        def blur_rows(values):
+            height, width = values.shape
+            return np.array([[sum(tap * values[y, mirrored(x + dx, width)]
+                                  for tap, dx in zip(taps, offsets))
+                              for x in range(width)] for y in range(height)])
+
+        expected = blur_rows(blur_rows(plane).T).T
+        assert np.allclose(gaussian_blur(plane, sigma), expected,
+                           rtol=0.0, atol=1e-9)
+
     def test_gradients_of_ramp(self):
         ramp = np.tile(np.arange(10.0), (8, 1))
         dy, dx = gradients(ramp)
