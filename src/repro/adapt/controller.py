@@ -8,8 +8,8 @@ closes the loop in the serving path:
   folds each chunk's :class:`~repro.adapt.signals.ChunkScene` into the
   detectors, applies hysteresis (:data:`CONFIRM_CHUNKS` consecutive
   drifting chunks) and cooldown, and on confirmed drift re-runs the cheap
-  ``tune_from_activities`` grid search over a sliding window of recent
-  activities.  Being pure makes it directly testable without a service.
+  ``tune_from_columns`` grid search over a sliding window of recent
+  chunks.  Being pure makes it directly testable without a service.
 * :class:`AdaptiveTuningController` binds monitors to a live
   :class:`~repro.service.service.StreamingService`: it observes accepted
   pushes, applies winning parameters through the existing
@@ -33,9 +33,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Union
 
-from ..codec.gop import (DEFAULT_PARAMETERS, EncoderParameters,
-                         KeyframePlacer)
-from ..codec.scenecut import FrameActivity
+from ..codec.gop import (DEFAULT_PARAMETERS, ActivityColumns,
+                         EncoderParameters)
 from ..core.metrics import evaluate_sampling
 from ..core.tuner import (ParameterLookupTable, SemanticEncoderTuner,
                           TuningGrid)
@@ -135,7 +134,6 @@ class DriftMonitor:
     def __init__(self, config: AdaptiveConfig) -> None:
         self.config = config
         self.current = config.initial_parameters
-        self._tuner: Optional[SemanticEncoderTuner] = None
         self._window: Deque[ChunkScene] = deque(maxlen=WINDOW_CHUNKS)
         self._detectors = _drift_detectors()
         self._consecutive = 0
@@ -167,7 +165,6 @@ class DriftMonitor:
             detector.reset()
         if decision.applied:
             self.current = decision.new
-            self._tuner = None
         return decision
 
     def _fold(self, scene: ChunkScene) -> List[DriftSignal]:
@@ -184,18 +181,21 @@ class DriftMonitor:
 
     def _evaluate(self, trigger: str, now: float) -> RetuneDecision:
         """Grid-search the window and compare the winner to the incumbent."""
-        activities: List[FrameActivity] = []
+        window = self._window
+        # The chunks carry their placement columns: joining them is the
+        # window's analysis pass.
+        columns = ActivityColumns.concatenate(
+            [scene.novelty for scene in window],
+            [scene.firsts for scene in window])
         frame_labels: List[frozenset] = []
-        for scene in self._window:
-            activities.extend(scene.activities)
+        for scene in window:
             frame_labels.extend(scene.frame_labels)
         timeline = EventTimeline.from_frame_labels(frame_labels)
-        # The grid around the incumbent is built at its first evaluation and
-        # kept until a retune replaces the incumbent.
-        if self._tuner is None:
-            self._tuner = SemanticEncoderTuner(
-                grid=RETUNE_GRID, base_parameters=self.current)
-        result = self._tuner.tune_from_activities(activities, timeline)
+        # A tuner is cheap to build: every tuner of the same grid and base
+        # shares the grid's configurations.
+        result = SemanticEncoderTuner(
+            grid=RETUNE_GRID, base_parameters=self.current
+        ).tune_from_columns(columns, timeline)
         incumbent = result.score_of(self.current)
         if incumbent is not None:
             old_f1 = incumbent.score.f1
@@ -203,8 +203,7 @@ class DriftMonitor:
             # The incumbent is off-grid (custom offline tune): replay its
             # placement on the same window so the comparison is apples to
             # apples.
-            keyframes = KeyframePlacer(self.current).keyframe_indices(
-                activities)
+            keyframes = columns.keyframe_indices(self.current)
             old_f1 = evaluate_sampling(timeline, keyframes).f1
         winner = result.best
         # Tie-break contract: only a *strictly* better F1 with genuinely

@@ -17,10 +17,13 @@ bit-identical to the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Sequence, Tuple
 
-from ..codec.scenecut import FrameActivity, scenecut_novelty_floor
+import numpy as np
+
+from ..codec.scenecut import (FrameActivity, novelty_series,
+                              scenecut_novelty_floor)
 from ..errors import ServiceError
 
 #: Reference scenecut threshold used to turn per-frame novelty into a
@@ -102,11 +105,23 @@ class ChunkScene:
         frame_labels: Ground-truth (or detector-predicted) label sets per
             frame, aligned with ``activities`` — the re-tune scores
             candidate placements against the timeline these reconstruct.
+        novelty: The ``novel_block_fraction`` column of ``activities``
+            (read-only float64).
+        firsts: The positions of the ``is_first`` records in
+            ``activities``.
+
+    ``novelty`` and ``firsts`` are the two columns key-frame placement
+    reads.  They are computed once, when the scene is built, so a re-tune
+    joins its window's columns
+    (:meth:`~repro.codec.gop.ActivityColumns.concatenate`) instead of
+    re-reading every record.
     """
 
     stats: SceneStats
     activities: Tuple[FrameActivity, ...]
     frame_labels: Tuple[FrozenSet[str], ...]
+    novelty: np.ndarray = field(init=False, repr=False, compare=False)
+    firsts: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.activities) != len(self.frame_labels):
@@ -117,6 +132,12 @@ class ChunkScene:
             raise ServiceError(
                 f"chunk scene stats cover {self.stats.num_frames} frames "
                 f"but {len(self.activities)} activities were attached")
+        novelty = novelty_series(self.activities)
+        novelty.flags.writeable = False
+        object.__setattr__(self, "novelty", novelty)
+        object.__setattr__(self, "firsts", tuple(
+            index for index, activity in enumerate(self.activities)
+            if activity.is_first))
 
 
 def chunk_scene(activities: Sequence[FrameActivity],

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -203,24 +203,53 @@ class ActivityColumns:
 
     Extracting ``novel_block_fraction`` and ``is_first`` into arrays costs
     one pass over the :class:`FrameActivity` records; every placement after
-    that is array work.  The positions at which the scene cut fires depend
-    on the scenecut threshold alone, so they are computed once per distinct
-    threshold and shared by every GOP size of a grid search.
+    that is array work.  Consecutive passes that already carry their
+    columns (the online controller's window of chunks) are joined with
+    :meth:`concatenate` instead.  The positions at which the scene cut
+    fires depend on the scenecut threshold alone, so they are computed once
+    per distinct threshold and shared by every GOP size of a grid search;
+    and :meth:`distinct_placements` places each distinct I-frame placement
+    of a grid once.
 
     Args:
         activities: Per-frame analysis of one video, in frame order.
     """
 
     def __init__(self, activities: Sequence[FrameActivity]) -> None:
-        self.num_frames = len(activities)
-        self._novelty = novelty_series(activities)
+        self._adopt(novelty_series(activities),
+                    [index for index, activity in enumerate(activities)
+                     if activity.is_first])
+
+    @classmethod
+    def concatenate(cls, novelties: Sequence[np.ndarray],
+                    firsts: Sequence[Sequence[int]]) -> "ActivityColumns":
+        """The columns of consecutive analysis passes, joined end to end.
+
+        Args:
+            novelties: Each pass's ``novel_block_fraction`` column.
+            firsts: Each pass's ``is_first`` positions, ascending and
+                relative to the start of that pass.
+        """
+        positions: List[int] = []
+        offset = 0
+        for novelty, part in zip(novelties, firsts):
+            positions.extend(offset + index for index in part)
+            offset += len(novelty)
+        columns = cls.__new__(cls)
+        columns._adopt(np.concatenate(novelties), positions)
+        return columns
+
+    def _adopt(self, novelty: np.ndarray, firsts: List[int]) -> None:
+        self.num_frames = len(novelty)
+        self._novelty = novelty
         # Frames that are I-frames whatever the parameters: the head of the
         # series and every ``is_first`` record.  Like the cut positions they
         # end with a ``num_frames`` sentinel, so "next one after i" is always
         # a valid lookup.
-        self._forced = [index for index, activity in enumerate(activities)
-                        if index == 0 or activity.is_first]
-        self._forced.append(self.num_frames)
+        if firsts[:1] != [0]:
+            firsts.insert(0, 0)
+        firsts.append(self.num_frames)
+        self._forced = firsts
         self._cuts: Dict[float, List[int]] = {}
 
     def _cut_positions(self, scenecut: float) -> List[int]:
@@ -247,10 +276,45 @@ class ActivityColumns:
         as soon as the interval allows), so placement jumps from I-frame to
         I-frame with one bisection each instead of deciding every frame.
         """
+        return self._place(parameters.gop_size, parameters.effective_min_gop,
+                           self._cut_positions(parameters.scenecut_threshold))
+
+    def distinct_placements(self, configurations: Sequence[EncoderParameters]
+                            ) -> Tuple[List[Tuple[int, ...]], List[int]]:
+        """Each distinct I-frame placement of ``configurations``, once.
+
+        Two configurations place the same I-frames when they agree on
+        ``(min(gop_size, num_frames), effective_min_gop, number of cuts)``:
+
+        * a GOP cap of ``num_frames`` or more never binds, because the next
+          forced frame (the sentinel at the latest) is never beyond
+          ``num_frames <= last + gop_size``;
+        * the cut positions of any two thresholds are nested (both are
+          ``novelty > floor``), so equally many cuts are the same cuts.
+
+        Returns:
+            The distinct placements, in order of first appearance, and for
+            each configuration the index of its placement among them.
+        """
         num_frames = self.num_frames
-        gop = parameters.gop_size
-        min_gop = parameters.effective_min_gop
-        cuts = self._cut_positions(parameters.scenecut_threshold)
+        slot_of: Dict[Tuple[int, int, int], int] = {}
+        placements: List[Tuple[int, ...]] = []
+        slots: List[int] = []
+        for parameters in configurations:
+            gop = min(parameters.gop_size, num_frames)
+            min_gop = parameters.effective_min_gop
+            cuts = self._cut_positions(parameters.scenecut_threshold)
+            key = (gop, min_gop, len(cuts))
+            slot = slot_of.get(key)
+            if slot is None:
+                slot = slot_of[key] = len(placements)
+                placements.append(tuple(self._place(gop, min_gop, cuts)))
+            slots.append(slot)
+        return placements, slots
+
+    def _place(self, gop: int, min_gop: int, cuts: List[int]) -> List[int]:
+        """The closed form of :meth:`keyframe_indices` on resolved values."""
+        num_frames = self.num_frames
         forced = self._forced
         keyframes: List[int] = []
         index = 0

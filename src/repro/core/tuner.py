@@ -18,20 +18,26 @@ runs the analysis pass once and replays the placement for every
 configuration, which is what makes the grid search cheap — and the replay
 is an array program: the analysis columns are extracted once per search,
 the positions where the scene cut fires once per distinct scenecut value
-(``l`` times, not ``k*l``), and each configuration's I-frames then follow in
-closed form (:meth:`repro.codec.gop.ActivityColumns.keyframe_indices`).
-All ``k*l`` placements are scored against the timeline in one call
-(:func:`repro.core.metrics.evaluate_sample_sets`).
+(``l`` times, not ``k*l``), and I-frames then follow in closed form
+(:meth:`repro.codec.gop.ActivityColumns.keyframe_indices`).  Many grid
+points place the same I-frames — a GOP cap longer than the footage never
+binds, and thresholds that cut the same frames are one — so each distinct
+placement is placed once
+(:meth:`repro.codec.gop.ActivityColumns.distinct_placements`), and the
+distinct placements are scored against the timeline in one call
+(:func:`repro.core.metrics.evaluate_sample_sets`).  The grid's ``k*l``
+configurations are built once per (grid, base parameters) and shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..codec.encoder import VideoEncoder
-from ..codec.gop import ActivityColumns, EncoderParameters
+from ..codec.gop import DEFAULT_PARAMETERS, ActivityColumns, EncoderParameters
 from ..codec.scenecut import FrameActivity
 from ..config import validate_precision
 from ..errors import ConfigurationError, TuningError
@@ -82,12 +88,35 @@ class TuningGrid:
         return len(self.gop_sizes) * len(self.scenecut_thresholds)
 
     def configurations(self, base: Optional[EncoderParameters] = None
-                       ) -> List[EncoderParameters]:
-        """Materialise every (GOP, scenecut) configuration of the grid."""
-        base = base or EncoderParameters()
-        return [base.with_(gop_size=gop, scenecut_threshold=scenecut)
-                for gop in self.gop_sizes
-                for scenecut in self.scenecut_thresholds]
+                       ) -> Tuple[EncoderParameters, ...]:
+        """Every (GOP, scenecut) configuration of the grid, in grid order.
+
+        A pure function of two frozen values, so it is built once per
+        (grid, base) and the same tuple is returned to every caller.
+
+        Raises:
+            TuningError: If ``base`` is not :class:`EncoderParameters`.
+        """
+        if base is None:
+            base = DEFAULT_PARAMETERS
+        elif not isinstance(base, EncoderParameters):
+            raise TuningError(
+                f"base parameters must be EncoderParameters, got {base!r}")
+        # Equal grids may spell a threshold differently (40, 40.0, -0.0),
+        # and a configuration prints its threshold as the grid spelled it,
+        # so the spelling is part of the key.
+        return _grid_configurations(
+            self, base, tuple(map(repr, self.scenecut_thresholds)))
+
+
+@lru_cache(maxsize=128)
+def _grid_configurations(grid: TuningGrid, base: EncoderParameters,
+                         spelling: Tuple[str, ...]
+                         ) -> Tuple[EncoderParameters, ...]:
+    """:meth:`TuningGrid.configurations`, memoized."""
+    return tuple(base.with_(gop_size=gop, scenecut_threshold=scenecut)
+                 for gop in grid.gop_sizes
+                 for scenecut in grid.scenecut_thresholds)
 
 
 @dataclass(frozen=True)
@@ -165,9 +194,11 @@ class TuningResult:
 class SemanticEncoderTuner:
     """Grid-search tuner for the semantic video encoder.
 
-    The grid's configurations are built once, with the tuner, so a tuner
-    kept across searches (the online controller keeps one per incumbent)
-    pays for them once.
+    The grid's configurations are built once per (grid, base parameters)
+    by :meth:`TuningGrid.configurations`, not once per tuner: every tuner
+    of the same grid and base shares one tuple, so after the first such
+    tuner another validates no parameters (the online controller builds
+    one per drift evaluation).
 
     Args:
         grid: The (GOP, scenecut) grid to explore.
@@ -176,15 +207,24 @@ class SemanticEncoderTuner:
         precision: Checked by :func:`~repro.config.validate_precision` and
             otherwise ignored: the codec has one numeric mode.  The
             benchmark still passes it; ROADMAP item 18 removes it.
+
+    Raises:
+        TuningError: If ``grid`` is not a :class:`TuningGrid` or
+            ``base_parameters`` not :class:`EncoderParameters`.
     """
 
     def __init__(self, grid: Optional[TuningGrid] = None,
                  base_parameters: Optional[EncoderParameters] = None,
                  precision: str = "exact") -> None:
         validate_precision(precision)
-        self.grid = grid or TuningGrid()
-        self.base_parameters = base_parameters or EncoderParameters()
-        self._configurations = self.grid.configurations(self.base_parameters)
+        if grid is None:
+            grid = TuningGrid()
+        elif not isinstance(grid, TuningGrid):
+            raise TuningError(f"grid must be a TuningGrid, got {grid!r}")
+        self.grid = grid
+        self._configurations = grid.configurations(base_parameters)
+        self.base_parameters = (DEFAULT_PARAMETERS if base_parameters is None
+                                else base_parameters)
 
     # ------------------------------------------------------------------ #
     # Grid search
@@ -209,16 +249,28 @@ class SemanticEncoderTuner:
         Raises:
             TuningError: If the analysis pass and timeline disagree in length.
         """
-        if len(activities) != timeline.num_frames:
+        return self.tune_from_columns(ActivityColumns(activities), timeline,
+                                      camera_name)
+
+    def tune_from_columns(self, columns: ActivityColumns,
+                          timeline: EventTimeline,
+                          camera_name: str = "") -> TuningResult:
+        """:meth:`tune_from_activities` on an analysis pass's columns.
+
+        Each distinct I-frame placement of the grid is placed and scored
+        once (:meth:`ActivityColumns.distinct_placements`); every grid
+        point then takes its placement's score, so the results, and the
+        tie-break, are those of placing and scoring all ``k*l`` points.
+        """
+        if columns.num_frames != timeline.num_frames:
             raise TuningError(
-                f"analysis pass covers {len(activities)} frames but the timeline "
-                f"has {timeline.num_frames}")
-        columns = ActivityColumns(activities)
-        placements = [columns.keyframe_indices(parameters)
-                      for parameters in self._configurations]
+                f"analysis pass covers {columns.num_frames} frames but the "
+                f"timeline has {timeline.num_frames}")
+        placements, slots = columns.distinct_placements(self._configurations)
         scores = evaluate_sample_sets(timeline, placements)
-        results = list(map(ConfigurationResult, self._configurations, scores,
-                           map(tuple, placements)))
+        results = [ConfigurationResult(parameters, scores[slot],
+                                       placements[slot])
+                   for parameters, slot in zip(self._configurations, slots)]
         # `max` keeps the first maximum, so F1 ties resolve to the first
         # configuration in grid order — the documented tie-break contract
         # (see TuningResult).

@@ -43,6 +43,8 @@ from typing import Union
 
 import numpy as np
 
+from .config import whole_number
+
 #: Default root seed used across the library when the caller does not care.
 DEFAULT_SEED = 20200601  # arXiv submission date of the SiEVE paper.
 
@@ -62,9 +64,13 @@ def derive_seed(root: int, *labels: str) -> int:
 
     Returns:
         A non-negative integer seed strictly below ``2**63``.
+
+    Raises:
+        ConfigurationError: If ``root`` is not a whole number (``1.5``,
+            ``True``, ``nan`` or ``"x"``); numpy integers are whole numbers.
     """
     hasher = hashlib.sha256()
-    hasher.update(str(int(root)).encode("utf-8"))
+    hasher.update(str(whole_number(root, "seed")).encode("utf-8"))
     for label in labels:
         hasher.update(b"\x00")
         hasher.update(str(label).encode("utf-8"))
@@ -84,13 +90,18 @@ def make_rng(seed: SeedLike = None, *labels: str) -> np.random.Generator:
 
     Returns:
         A NumPy random generator.
+
+    Raises:
+        ConfigurationError: If ``seed`` is not a whole number, or is
+            negative with no labels to derive a child seed from.
     """
     if isinstance(seed, np.random.Generator):
         if not labels:
             return seed
         child_root = int(seed.integers(0, 2**62))
         return np.random.default_rng(derive_seed(child_root, *labels))
-    root = DEFAULT_SEED if seed is None else int(seed)
+    root = DEFAULT_SEED if seed is None else whole_number(
+        seed, "seed", least=None if labels else 0)
     if labels:
         return np.random.default_rng(derive_seed(root, *labels))
     return np.random.default_rng(root)

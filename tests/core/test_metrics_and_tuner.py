@@ -115,6 +115,40 @@ class TestTuner:
         assert grid.configurations() == TuningGrid(
             (100, 250), (20.0, 40.0)).configurations()
 
+    @pytest.mark.parametrize("arguments", [
+        {"grid": "x"}, {"grid": (100, 250)}, {"grid": 0},
+        {"base_parameters": "x"}, {"base_parameters": 250},
+        {"base_parameters": ""}, {"grid": TuningGrid(), "base_parameters": {}},
+    ])
+    def test_a_tuner_of_something_else_fails_at_construction(self, arguments):
+        """Regression: ``grid="x"`` and ``base_parameters="x"`` raised a
+        bare AttributeError (``base_parameters=""`` fell back silently to
+        the defaults)."""
+        with pytest.raises(TuningError):
+            SemanticEncoderTuner(**arguments)
+
+    def test_configurations_are_built_once_and_shared(self):
+        base = EncoderParameters(quality=60)
+        grid = TuningGrid((100, 250), (20.0, 40.0))
+        configurations = grid.configurations(base)
+        assert isinstance(configurations, tuple)
+        assert TuningGrid((100, 250), (20.0, 40.0)).configurations(
+            EncoderParameters(quality=60)) is configurations
+        assert SemanticEncoderTuner(grid, base)._configurations \
+            is configurations
+        assert grid.configurations() is not configurations
+        assert all(parameters.quality == 60 for parameters in configurations)
+        with pytest.raises(TuningError):
+            grid.configurations("x")
+
+    def test_a_shared_configuration_keeps_its_grid_s_spelling(self):
+        # Equal grids, equal hashes: the cache must not hand one grid the
+        # other's thresholds, which print differently.
+        spelled = [repr(TuningGrid((100,), (threshold,)).configurations()[0]
+                        .scenecut_threshold)
+                   for threshold in (40, 40.0, 0.0, -0.0)]
+        assert spelled == ["40", "40.0", "0.0", "-0.0"]
+
     def test_tune_finds_high_f1_configuration(self, tiny_video, tiny_timeline):
         tuner = SemanticEncoderTuner()
         result = tuner.tune(tiny_video, camera_name="tiny")

@@ -3,6 +3,7 @@
 import importlib
 from dataclasses import replace
 import logging
+import math
 import pkgutil
 
 import numpy as np
@@ -13,6 +14,7 @@ import repro
 from repro.config import (PRECISION_MODES, HardwareCalibration,
                           SystemConfig, validate_precision)
 from repro.errors import ConfigurationError, SieveError
+from repro.faults import FaultPlan
 from repro.jpeg_sizing import resized_frame_bytes
 from repro.logging_utils import configure_logging, get_logger
 from repro.rng import DEFAULT_SEED, derive_seed, make_rng
@@ -48,6 +50,45 @@ class TestRng:
 
     def test_default_seed_value(self):
         assert DEFAULT_SEED == 20200601
+
+    @pytest.mark.parametrize("seed", [1.5, True, False, "x", "3", math.nan,
+                                      math.inf, None, [1], np.float64(0.5)])
+    def test_derive_seed_refuses_what_is_not_a_whole_number(self, seed):
+        """Regression: ``int(seed)`` made ``1.5`` and ``True`` seed 1, and
+        ``"x"`` and ``nan`` raised a bare ValueError."""
+        with pytest.raises(ConfigurationError, match="seed"):
+            derive_seed(seed, "camera")
+
+    @pytest.mark.parametrize("seed", [1.5, True, "x", math.nan])
+    @pytest.mark.parametrize("labels", [(), ("camera",)])
+    def test_make_rng_refuses_what_is_not_a_whole_number(self, seed, labels):
+        with pytest.raises(ConfigurationError, match="seed"):
+            make_rng(seed, *labels)
+
+    def test_a_negative_seed_needs_labels_to_derive_from(self):
+        """``numpy`` refused ``-1`` with a bare ValueError."""
+        with pytest.raises(ConfigurationError, match="seed"):
+            make_rng(-1)
+        assert np.array_equal(make_rng(-1, "camera").normal(size=4),
+                              make_rng(-1, "camera").normal(size=4))
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint32, np.int8, int])
+    def test_numpy_integer_seeds_stay_legal(self, integer):
+        assert derive_seed(integer(7), "x") == derive_seed(7, "x")
+        assert make_rng(integer(7)).integers(0, 2**30) == \
+            make_rng(7).integers(0, 2**30)
+        assert make_rng(integer(7), "x").integers(0, 2**30) == \
+            make_rng(7, "x").integers(0, 2**30)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "x", math.nan])
+    def test_a_seeded_consumer_inherits_the_check(self, seed):
+        """``FaultPlan.seeded(1.5, ...)`` drew seed 1's storm."""
+        with pytest.raises(ConfigurationError, match="seed"):
+            FaultPlan.seeded(seed, num_edge_servers=3)
+
+    def test_a_whole_float_seed_is_its_integer(self):
+        # What ``int(seed)`` gave before, so no seeded stream moves.
+        assert derive_seed(7.0, "x") == derive_seed(7, "x")
 
 
 class TestConfig:
