@@ -32,6 +32,7 @@ from worker processes and assembles identical results here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -40,10 +41,11 @@ import numpy as np
 from ..codec.encoder import VideoEncoder
 from ..codec.gop import DEFAULT_PARAMETERS, EncoderParameters
 from ..codec.scenecut import FrameActivity
-from ..config import SystemConfig
+from ..config import SystemConfig, real_number
 from ..datasets import diskcache
 from ..datasets.generator import DatasetInstance, build_dataset
 from ..datasets.registry import LABELLED_DATASETS, get_dataset
+from ..errors import ConfigurationError
 from ..perf import section as perf_section
 from ..video.events import Event, EventTimeline
 from ..video.frame import Frame, Resolution
@@ -63,6 +65,11 @@ class ExperimentConfig:
     duration_seconds: float = 60.0
     render_scale: float = 0.12
     datasets: Sequence[str] = LABELLED_DATASETS
+
+    def __post_init__(self) -> None:
+        for name in ("duration_seconds", "render_scale"):
+            if not 0.0 < real_number(getattr(self, name), name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
 
 
 @dataclass

@@ -19,6 +19,7 @@ import enum
 import math
 from typing import Callable, Optional
 
+from ..config import real_number
 from ..errors import FaultError
 
 
@@ -43,7 +44,8 @@ class CircuitBreaker:
                  on_open: Optional[Callable[[], None]] = None) -> None:
         # Chained, so nan (which would admit a probe the instant the
         # breaker trips) and inf are refused.
-        if not 0.0 < cooldown_seconds < math.inf:
+        if not 0.0 < real_number(cooldown_seconds, "cooldown_seconds",
+                                 FaultError) < math.inf:
             raise FaultError("cooldown_seconds must be positive and finite")
         self.name = name
         self.cooldown_seconds = cooldown_seconds

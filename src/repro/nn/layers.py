@@ -38,6 +38,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import whole_number
 from ..errors import ModelError
 from ..rng import make_rng
 
@@ -307,9 +308,7 @@ class MaxPool2D(Layer):
     """Max pooling with a square window and equal stride."""
 
     def __init__(self, pool_size: int = 2, name: str = "maxpool") -> None:
-        if pool_size < 1:
-            raise ModelError("pool_size must be >= 1")
-        self.pool_size = pool_size
+        self.pool_size = whole_number(pool_size, "pool_size", ModelError, 1)
         self.name = name
 
     def output_shape(self, input_shape: Shape) -> Shape:

@@ -19,11 +19,13 @@ reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..config import real_number, whole_number
 from ..errors import ConfigurationError
 from .imageops import gaussian_blur, gradient_magnitude_orientation
 from .similarity import ChangeDetector
@@ -79,16 +81,20 @@ class SiftLite:
     def __init__(self, num_scales: int = 4, base_sigma: float = 1.2,
                  contrast_threshold: float = 4.0, max_keypoints: int = 200,
                  ratio_threshold: float = 0.8) -> None:
-        if num_scales < 3:
-            raise ConfigurationError("num_scales must be >= 3 for DoG extrema")
-        if not 0.0 < ratio_threshold <= 1.0:
+        # Three levels give two DoG layers, the fewest an extremum needs.
+        self.num_scales = whole_number(num_scales, "num_scales", least=3)
+        self.max_keypoints = whole_number(max_keypoints, "max_keypoints",
+                                          least=1)
+        if not 0.0 < real_number(base_sigma, "base_sigma") < math.inf:
+            raise ConfigurationError("base_sigma must be positive and finite")
+        if not 0.0 <= real_number(contrast_threshold,
+                                  "contrast_threshold") < math.inf:
+            raise ConfigurationError(
+                "contrast_threshold must be finite and >= 0")
+        if not 0.0 < real_number(ratio_threshold, "ratio_threshold") <= 1.0:
             raise ConfigurationError("ratio_threshold must be in (0, 1]")
-        if max_keypoints < 1:
-            raise ConfigurationError("max_keypoints must be >= 1")
-        self.num_scales = num_scales
         self.base_sigma = base_sigma
         self.contrast_threshold = contrast_threshold
-        self.max_keypoints = max_keypoints
         self.ratio_threshold = ratio_threshold
 
     # ------------------------------------------------------------------ #

@@ -82,3 +82,21 @@ class TestChunkScene:
                        activities=(activity(0, 0.1),),
                        frame_labels=(frozenset(),))
 
+    def test_the_columns_are_the_records_and_read_only(self):
+        activities = (activity(0, 1.0, True), activity(1, 0.25),
+                      activity(2, 1.0, True), activity(3, 0.0))
+
+        def scene():
+            return ChunkScene(
+                stats=SceneStats(num_frames=4, mean_novelty=0.1,
+                                 scenecut_rate=0.0, mean_brightness=100.0),
+                activities=activities, frame_labels=(frozenset(),) * 4)
+
+        columns = scene()
+        assert columns.novelty.tolist() == [1.0, 0.25, 1.0, 0.0]
+        assert columns.firsts == (0, 2)
+        with pytest.raises(ValueError):
+            columns.novelty[0] = 0.5
+        # Derived, so not compared: equal records are equal scenes.
+        assert columns == scene()
+

@@ -2,13 +2,17 @@
 
 ``FleetOrchestrator.run()`` computes a fault-free fleet as start/end
 recurrences (``repro.cluster.recurrence``); ``_run_chain()`` is the event
-loop over ``StageChain`` that defines it.  The contract is bit identity:
-no parity mismatch at tolerance 0.0, and every outcome time (all five
-stage instants of the record) and tier statistic equal down to
+loop over ``StageChain`` that defines it, and the one oracle of the
+recurrence and of its station routine ``_station``.  The contract is bit
+identity: no parity mismatch at tolerance 0.0, and every outcome time
+(all five stage instants of the record) and tier statistic equal down to
 ``float.hex()``.  The draws are tie-prone on
 purpose — a handful of stage seconds, zero-byte transfers, zero link
 latency, equal offsets — because simultaneous events are where a
-recurrence can order things differently from the heap.
+recurrence can order things differently from the heap.  Fleets shaped at
+the seams of the stations' columns (``TestStationSeams``) reach the
+busy-period merges and heap segments that small tie-prone fleets rarely
+do.
 """
 
 import math
@@ -22,8 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.fleet import CameraJob, FleetOrchestrator
-from repro.cluster.recurrence import (_WAN, EVENTS_PER_JOB, _fires_before,
-                                      _firing_order, _station)
+from repro.cluster.recurrence import (_WAN, _WINDOW, EVENTS_PER_JOB,
+                                      _fires_before, _firing_order, _station)
 from repro.config import SystemConfig
 from repro.dataflow.scheduler import EventScheduler, StationStats
 
@@ -38,14 +42,21 @@ POLICIES = ("round-robin", "least-loaded", "bandwidth-aware")
 
 
 class PinnedOffsets(FleetOrchestrator):
-    """A fleet whose ingest instants are given instead of drawn."""
+    """A fleet whose ingest instants, and optionally each job's edge, are
+    given instead of drawn."""
 
-    def __init__(self, jobs, offsets, **kwargs):
+    def __init__(self, jobs, offsets, placement=None, **kwargs):
         super().__init__(jobs, **kwargs)
         self.offsets = list(offsets)
+        self.placement = placement
 
     def _arrival_offsets(self):
         return list(self.offsets)
+
+    def _placements(self):
+        if self.placement is None:
+            return super()._placements()
+        return np.array(self.placement, dtype=np.int64)
 
 
 def make_job(camera, edge_seconds=0.5, cloud_seconds=0.5,
@@ -118,7 +129,11 @@ class TestOracle:
             offsets = data.draw(st.lists(
                 st.sampled_from((0.0, 0.5, 0.75, 1.0, 2.0)),
                 min_size=len(jobs), max_size=len(jobs)))
-            orchestrator = PinnedOffsets(jobs, offsets, **kwargs)
+            # Any placement, not only a policy's: empty and crowded edges.
+            placement = data.draw(st.none() | st.lists(
+                st.integers(0, num_edges - 1), min_size=len(jobs),
+                max_size=len(jobs)))
+            orchestrator = PinnedOffsets(jobs, offsets, placement, **kwargs)
         else:
             orchestrator = FleetOrchestrator(
                 jobs, arrival_jitter_seconds=(
@@ -206,6 +221,140 @@ class TestOracle:
         first, second = run(), run()
         assert first.as_dict() == second.as_dict()
         assert exact_view(first) == exact_view(second)
+
+
+#: Service seconds on a dyadic grid: sums of them are exact, so ends fall
+#: on later arrivals and on each other, and each is a whole number of WAN
+#: bytes at zero latency.
+QUARTER_SECONDS = (0.0, 0.25, 0.5, 1.0)
+
+
+def seam_fleet(offsets, placement, count, edge, wan_seconds, cloud):
+    """A fleet of ``count`` edges at zero latency with zero LAN bytes, so
+    every station sees the drawn seconds: each edge station serves
+    ``edge = (workers, seconds)``, each uplink takes ``wan_seconds`` a job
+    and the cloud serves ``cloud = (workers, seconds)``."""
+    (edge_workers, edge_seconds), (cloud_workers, cloud_seconds) = edge, cloud
+    jobs = [make_job(f"cam-{index}", edge_job, cloud_job,
+                     edge_cloud_bytes=int(wan * SECOND_OF_WAN))
+            for index, (edge_job, cloud_job, wan) in enumerate(zip(
+                edge_seconds, cloud_seconds, wan_seconds))]
+    return PinnedOffsets(jobs, offsets, placement, num_edge_servers=count,
+                         edge_workers=edge_workers,
+                         cloud_workers=cloud_workers, config=ZERO_LATENCY)
+
+
+def paced(rng, jobs, count, gaps):
+    """Ingests of ``jobs`` jobs on ``count`` edges (job ``j`` on edge
+    ``j % count``), each a drawn gap after its edge's last."""
+    clocks = [0.0] * count
+    offsets = []
+    for job in range(jobs):
+        clocks[job % count] += rng.choice(gaps)
+        offsets.append(clocks[job % count])
+    return offsets
+
+
+def downstream(rng, jobs):
+    """Tie-prone uplink seconds and a cloud of 1-3 workers behind the
+    edges under test."""
+    return ([rng.choice(QUARTER_SECONDS) for _ in range(jobs)],
+            (rng.randint(1, 3), [rng.choice(QUARTER_SECONDS)
+                                 for _ in range(jobs)]))
+
+
+def sparse_waits(rng):
+    """Edges of 2-3 workers fed every 0.25 or 0.5 s whose services mostly
+    fit between arrivals, and now and then one does not: jobs wait
+    mid-run, sparsely, so heap segments open and close several times per
+    edge.  On the dyadic grid many ends fall on arrivals, so segments also
+    open and close on ties."""
+    count, jobs = rng.randint(1, 2), rng.randint(48, 160)
+    seconds = [rng.choice((0.0, 0.25, 0.5) * 6 + (1.0, 1.75))
+               for _ in range(jobs)]
+    return seam_fleet(paced(rng, jobs, count, (0.25, 0.5)),
+                      [job % count for job in range(jobs)], count,
+                      (rng.randint(2, 3), seconds), *downstream(rng, jobs))
+
+
+def cascades(rng):
+    """One-worker edges where one long service swallows a cascade of later
+    runs.  Jobs ingest a second apart with services that mostly end
+    before the next arrival, so the closed form splits them into short
+    runs; the long service's backlog drains a quarter second or so a job,
+    and each run it reaches pushes the next one's ends later."""
+    count, jobs = rng.randint(1, 2), rng.randint(12, 48)
+    seconds = [rng.choice((0.5, 0.75, 0.75, 1.0, 1.25)) for _ in range(jobs)]
+    seconds[rng.randrange(min(jobs, 4 * count))] = rng.choice((4.0, 8.0,
+                                                               16.0))
+    return seam_fleet(paced(rng, jobs, count, (1.0,)),
+                      [job % count for job in range(jobs)], count,
+                      (1, seconds), *downstream(rng, jobs))
+
+
+def zero_second_boundaries(rng):
+    """Zero-second services where runs meet, on 1-3 workers: ingests on a
+    half-second grid with repeats and services of 0 or 0.5 s, so a run
+    ends on a later arrival, a zero-second job ends at its own start, and
+    runs begin and end on ties."""
+    count, jobs = rng.randint(1, 3), rng.randint(8, 40)
+
+    def seconds():
+        return [rng.choice((0.0, 0.0, 0.5)) for _ in range(jobs)]
+
+    return seam_fleet([0.5 * rng.randint(0, jobs // 2) for _ in range(jobs)],
+                      [rng.randrange(count) for _ in range(jobs)], count,
+                      (rng.randint(1, 3), seconds()), seconds(),
+                      (rng.randint(1, 3), seconds()))
+
+
+class TestStationSeams:
+    """The seams of the stations' columns, as fleets against the event
+    loop: one-worker busy periods that merge until none swallows the next,
+    and heap segments of a station of several workers that open and close
+    between closed-form stretches.  Each large fleet is built from one
+    drawn seed."""
+
+    @pytest.mark.parametrize("shape", [sparse_waits, cascades,
+                                       zero_second_boundaries])
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_fleets_of_each_shape(self, shape, seed):
+        assert_recurrence_is_chain(shape(random.Random(seed)))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("pattern", ["all-busy", "all-idle"])
+    def test_busy_and_idle_stations(self, workers, pattern):
+        jobs = 12
+        offsets = ([0.0] * jobs if pattern == "all-busy"
+                   else [10.0 * job for job in range(jobs)])
+        seconds = [0.5, 0.0, 1.0, 0.25] * 3
+        assert_recurrence_is_chain(seam_fleet(
+            offsets, [job % 2 for job in range(jobs)], 2, (workers, seconds),
+            seconds[::-1], (workers, seconds[::-1])))
+
+    @pytest.mark.parametrize("edge", range(_WINDOW, _WINDOW + 8))
+    def test_a_wait_just_past_a_checked_window(self, edge):
+        """Two workers.  Rank 2 waits, so a heap segment opens and closes
+        a rank or two later; the closed-form check then covers about
+        ``_WINDOW`` ranks, passes, and hands on the keys of the jobs still
+        in service.  Ranks ``edge - 2`` and ``edge - 1`` arrive together
+        and are both busy when rank ``edge`` arrives, which waits: for
+        some ``edge`` the window ends between them and it, so the wait is
+        found from keys the window handed on."""
+        offsets = [0.0, 0.0, 0.0] + [float(rank) for rank in range(3, edge)]
+        offsets[edge - 1] = offsets[edge - 2]
+        offsets.append(offsets[edge - 1] + 0.5)
+        seconds = [1.0] * 3 + [0.5] * (edge - 5) + [2.0, 2.0, 0.5]
+        assert_recurrence_is_chain(seam_fleet(
+            offsets, [0] * len(offsets), 1, (2, seconds), seconds,
+            (1, seconds)))
+
+    def test_an_empty_station_between_busy_ones(self):
+        report = assert_recurrence_is_chain(seam_fleet(
+            [0.0, 0.0, 0.5, 0.5], [0, 0, 2, 2], 3, (1, [1.0, 0.0, 1.0, 0.0]),
+            [0.5] * 4, (2, [0.5] * 4)))
+        assert report.edge_tiers[1].completed == 0
 
 
 def scaled_fleet(costs, config, jitter, k):

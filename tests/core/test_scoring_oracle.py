@@ -1,15 +1,23 @@
-"""Array-at-a-time scoring against the per-set and per-frame code it replaced.
+"""Scoring and the grid search against the loops that define them.
 
-Two oracles live here.  The functions prefixed ``loop_`` are the
-implementation ``core/metrics.py`` carried before scoring became
-``searchsorted`` label propagation over the timeline's cached integer label
-ids.  The functions prefixed ``per_set_`` are that ``searchsorted`` body,
-which scored one sample set per call before ``evaluate_sample_sets`` scored
-a whole batch in one sets x events table.  The divisions are the same
-integer-count divisions throughout, so every float — and therefore every
-F1 tie the tuner and the retune controller break — must be *equal*, not
-approximately equal.  ``loop_tune_from_activities`` is the tuner's
-per-configuration loop, the oracle of the batched grid search.
+``loop_evaluate_sampling`` is the one scoring oracle: the per-frame loop
+``core/metrics.py`` carried before scoring became ``searchsorted`` label
+propagation over the timeline's cached integer label ids.
+``evaluate_sampling`` and ``evaluate_sample_sets`` (at every table budget,
+so set boundaries fall across passes) are held to it directly.  The
+divisions are the same integer-count divisions throughout, so every float
+— and therefore every F1 tie the tuner and the retune controller break —
+must be *equal*, not approximately equal.
+
+``loop_tune_from_activities`` is the tuner's one oracle: it places every
+configuration of the grid with ``ActivityColumns.keyframe_indices`` and
+scores each one with ``evaluate_sampling``.  The tuner places and scores
+only the distinct placements (``ActivityColumns.distinct_placements``,
+keyed ``(min(gop_size, num_frames), effective_min_gop, number of cuts)``)
+in one batch.  Results, scores, keyframe tuples and the winner's grid
+position must all equal the oracle's, also through a ``DriftMonitor``,
+whose window is joined from its chunks' columns and whose incumbent may
+lie off the grid.
 """
 
 import math
@@ -20,8 +28,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codec.gop import ActivityColumns
-from repro.codec.scenecut import FrameActivity
+from repro.adapt import AdaptiveConfig, ChunkScene, DriftMonitor, SceneStats
+from repro.adapt.controller import (CONFIRM_CHUNKS, DETECTOR_MIN_SAMPLES,
+                                    RETUNE_GRID)
+from repro.codec.gop import (ActivityColumns, EncoderParameters,
+                             KeyframePlacer)
+from repro.codec.scenecut import FrameActivity, novelty_series
 from video_tools import frame_labels
 from repro.core import metrics
 from repro.core.metrics import (DetectionScore, evaluate_sample_sets,
@@ -82,73 +94,35 @@ def loop_evaluate_sampling(timeline, sample_indices):
         num_frames=timeline.num_frames)
 
 
-# --------------------------------------------------------------------- #
-# The per-set oracle: one sample set per call, searchsorted propagation
-# --------------------------------------------------------------------- #
-def per_set_validate_samples(sample_indices, num_frames):
-    def malformed():
-        return ConfigurationError(
-            f"sample indices must be a flat sequence of whole frame numbers, "
-            f"got {sample_indices!r}")
-
-    try:
-        if not isinstance(sample_indices, (np.ndarray, list, tuple)):
-            sample_indices = list(sample_indices)
-        indices = np.asarray(sample_indices)
-    except (TypeError, ValueError):
-        raise malformed() from None
-    if indices.size == 0:
-        return np.empty(0, dtype=np.int64)
-    kind = indices.dtype.kind
-    if indices.ndim != 1 or kind not in "biuf":
-        raise malformed()
-    if kind == "f" and not (np.isfinite(indices).all()
-                            and (indices == np.floor(indices)).all()):
-        raise malformed()
-    indices = np.unique(indices.astype(np.int64))
-    if indices[0] < 0 or indices[-1] >= num_frames:
-        raise ConfigurationError(
-            f"sample indices must lie in [0, {num_frames}), got "
-            f"{indices[0]}..{indices[-1]}")
-    return indices
-
-
-def per_set_evaluate_sampling(timeline, sample_indices):
-    indices = per_set_validate_samples(sample_indices, timeline.num_frames)
-    arrays = timeline.arrays()
-    # Every frame takes the id of the most recent sample at or before it;
-    # frames before the first sample take id 0, the background.
-    sampled_ids = np.concatenate(([0], arrays.frame_ids[indices]))
-    latest = np.searchsorted(indices, np.arange(timeline.num_frames),
-                             side="right")
-    correct = np.count_nonzero(sampled_ids[latest] == arrays.frame_ids)
-    accuracy = int(correct) / timeline.num_frames
-    padded = np.append(indices, timeline.num_frames)
-    first = padded[np.searchsorted(indices, arrays.starts, side="left")]
-    wrong = np.where(first < arrays.ends, first - arrays.starts,
-                     arrays.ends - arrays.starts).sum()
-    event_accuracy = 1.0 - int(wrong) / timeline.num_frames
-    fraction = len(indices) / timeline.num_frames
-    filtering = 1.0 - fraction
-    return DetectionScore(
-        accuracy=accuracy, event_accuracy=event_accuracy,
-        sampling_fraction=fraction, filtering_rate=filtering,
-        f1=f1_score(accuracy, filtering), num_samples=len(indices),
-        num_frames=timeline.num_frames)
-
-
 def loop_tune_from_activities(tuner, activities, timeline):
-    """The grid search one configuration at a time, scored by the oracle."""
+    """The grid search one configuration at a time: every configuration
+    placed and scored on its own, the first F1 maximum the winner."""
     columns = ActivityColumns(activities)
     results = []
     for parameters in tuner.grid.configurations(tuner.base_parameters):
         keyframes = columns.keyframe_indices(parameters)
         results.append(ConfigurationResult(
             parameters=parameters,
-            score=per_set_evaluate_sampling(timeline, keyframes),
+            score=evaluate_sampling(timeline, keyframes),
             keyframe_indices=tuple(keyframes)))
     best = max(results, key=lambda result: result.score.f1)
     return TuningResult(best=best, results=results)
+
+
+def _position(results, chosen):
+    return next(index for index, result in enumerate(results)
+                if result is chosen)
+
+
+def assert_equal_to_the_oracle(result, oracle):
+    assert result.results == oracle.results
+    assert [astuple(r.score) for r in result.results] == \
+        [astuple(r.score) for r in oracle.results]
+    assert [r.keyframe_indices for r in result.results] == \
+        [r.keyframe_indices for r in oracle.results]
+    # The same *position* wins: the first F1 maximum in grid order.
+    assert _position(result.results, result.best) == \
+        _position(oracle.results, oracle.best)
 
 
 # --------------------------------------------------------------------- #
@@ -234,7 +208,7 @@ class TestSampleIndexValidation:
 
 
 # --------------------------------------------------------------------- #
-# Batched scoring == the per-set oracle
+# Batched scoring == the loop
 # --------------------------------------------------------------------- #
 @st.composite
 def _timeline_and_sample_sets(draw):
@@ -255,7 +229,7 @@ def _timeline_and_sample_sets(draw):
     return timeline, sample_sets, budget
 
 
-class TestBatchedScoringEqualsThePerSetOracle:
+class TestBatchedScoringEqualsTheLoop:
     @settings(max_examples=300, deadline=None)
     @given(_timeline_and_sample_sets())
     def test_every_field_of_every_set_is_equal(self, case):
@@ -264,7 +238,7 @@ class TestBatchedScoringEqualsThePerSetOracle:
             scores = evaluate_sample_sets(timeline, sample_sets)
         assert len(scores) == len(sample_sets)
         for score, samples in zip(scores, sample_sets):
-            oracle = per_set_evaluate_sampling(timeline, samples)
+            oracle = loop_evaluate_sampling(timeline, samples)
             assert astuple(score) == astuple(oracle)
             assert [type(value) for value in astuple(score)] == \
                 [type(value) for value in astuple(oracle)]
@@ -281,7 +255,7 @@ class TestBatchedScoringEqualsThePerSetOracle:
         with mock.patch.object(metrics, "_SCORE_TABLE_ELEMENTS",
                                2 * timeline.num_events):
             scores = evaluate_sample_sets(timeline, sample_sets)
-        assert scores == [per_set_evaluate_sampling(timeline, samples)
+        assert scores == [loop_evaluate_sampling(timeline, samples)
                           for samples in sample_sets]
 
     @pytest.mark.parametrize("position", [0, 1, 2])
@@ -293,14 +267,12 @@ class TestBatchedScoringEqualsThePerSetOracle:
         sample_sets.insert(position, bad)
         with pytest.raises(ConfigurationError):
             evaluate_sample_sets(make_timeline(), sample_sets)
-        with pytest.raises(ConfigurationError):
-            per_set_evaluate_sampling(make_timeline(), bad)
 
     def test_mixed_containers_in_one_batch(self):
         timeline = make_timeline()
         sample_sets = [np.array([20, 0]), (12.0, 12), {5, 25}, iter([3]),
                        range(0, 30, 7)]
-        expected = [per_set_evaluate_sampling(timeline, list(samples))
+        expected = [loop_evaluate_sampling(timeline, samples)
                     for samples in ([20, 0], [12], [5, 25], [3],
                                     range(0, 30, 7))]
         assert evaluate_sample_sets(timeline, sample_sets) == expected
@@ -312,6 +284,21 @@ class TestBatchedScoringEqualsThePerSetOracle:
 #: The grid values the tuning cases draw from.
 GRID_GOPS = [1, 2, 5, 10, 30, 100, 250]
 GRID_SCENECUTS = [0.0, 20.0, 40.0, 100.0, 250.0, 400.0]
+#: Novelty levels.  0.3 and 1.0 cut under both thresholds 20 and 40, 0.25
+#: under 40 only, so their cut sets coincide unless a 0.25 frame is drawn.
+NOVELTY_LEVELS = [0.0, 0.004, 0.02, 0.08, 0.25, 0.3, 1.0]
+THRESHOLDS = [0.0, 20.0, 40.0, 100.0, 200.0, 250.0, 400.0]
+
+
+def _frame_labels(draw, num_frames):
+    cuts = sorted(draw(st.sets(st.integers(1, num_frames - 1), max_size=6))
+                  ) if num_frames > 1 else []
+    bounds = [0] + cuts + [num_frames]
+    labels = draw(st.lists(st.sampled_from(LABEL_SETS),
+                           min_size=len(bounds) - 1,
+                           max_size=len(bounds) - 1))
+    return [label for label, lo, hi in zip(labels, bounds, bounds[1:])
+            for _ in range(hi - lo)]
 
 
 @st.composite
@@ -326,24 +313,55 @@ def _tuning_case(draw):
         frame_index=index, novel_block_fraction=1.0 if index == 0 else value,
         is_first=index == 0 or index in firsts)
         for index, value in enumerate(novelty)]
-    cuts = sorted(draw(st.sets(st.integers(1, num_frames - 1), max_size=6)))
-    bounds = [0] + cuts + [num_frames]
-    labels = draw(st.lists(st.sampled_from(LABEL_SETS),
-                           min_size=len(bounds) - 1,
-                           max_size=len(bounds) - 1))
-    frame_labels = [label for label, lo, hi in zip(labels, bounds, bounds[1:])
-                    for _ in range(hi - lo)]
+    timeline = EventTimeline.from_frame_labels(_frame_labels(draw, num_frames))
     grid = TuningGrid(
         gop_sizes=draw(st.lists(st.sampled_from(GRID_GOPS),
                                 min_size=1, max_size=4)),
         scenecut_thresholds=draw(st.lists(st.sampled_from(GRID_SCENECUTS),
                                           min_size=1, max_size=4)))
-    return activities, EventTimeline.from_frame_labels(frame_labels), grid
+    return activities, timeline, grid
 
 
-def _position(results, chosen):
-    return next(index for index, result in enumerate(results)
-                if result is chosen)
+def _activities(draw, num_frames):
+    novelty = draw(st.lists(st.sampled_from(NOVELTY_LEVELS),
+                            min_size=num_frames, max_size=num_frames))
+    # Mid-window is_first records: a joined window holds one per chunk
+    # that opened a clip.
+    firsts = draw(st.sets(st.integers(0, num_frames - 1), max_size=3))
+    return [FrameActivity(frame_index=index, novel_block_fraction=value,
+                          is_first=index in firsts)
+            for index, value in enumerate(novelty)]
+
+
+def _gop_sizes(num_frames):
+    """GOP caps below, at and above the window's length."""
+    above = st.integers(num_frames + 1, 3 * num_frames + 1)
+    choices = [st.just(num_frames), above,
+               st.sampled_from([500, 1000, 5000])]
+    if num_frames > 1:
+        choices.append(st.integers(1, num_frames - 1))
+    return st.one_of(*choices)
+
+
+@st.composite
+def _grid_case(draw):
+    """A window of 1-120 frames whose grid holds GOP caps below, at and
+    above its length, duplicate and unsorted values, and a base with an
+    explicit minimum interval."""
+    num_frames = draw(st.integers(1, 120))
+    activities = _activities(draw, num_frames)
+    timeline = EventTimeline.from_frame_labels(
+        _frame_labels(draw, num_frames))
+    # Lists, not sets: duplicate and unsorted grid values.
+    grid = TuningGrid(
+        gop_sizes=draw(st.lists(_gop_sizes(num_frames), min_size=1,
+                                max_size=6)),
+        scenecut_thresholds=draw(st.lists(st.sampled_from(THRESHOLDS),
+                                          min_size=1, max_size=6)))
+    # An explicit minimum interval, at or beyond the window too.
+    base = EncoderParameters(min_gop_size=draw(st.sampled_from(
+        [0, 0, 1, 3, num_frames, 2 * num_frames])))
+    return activities, timeline, grid, base
 
 
 class TestTunerEqualsThePerConfigurationLoop:
@@ -354,14 +372,62 @@ class TestTunerEqualsThePerConfigurationLoop:
         tuner = SemanticEncoderTuner(grid)
         result = tuner.tune_from_activities(activities, timeline)
         oracle = loop_tune_from_activities(tuner, activities, timeline)
-        assert result.results == oracle.results
-        assert [astuple(r.score) for r in result.results] == \
-            [astuple(r.score) for r in oracle.results]
-        # The same *position* wins: the first F1 maximum in grid order.
-        assert _position(result.results, result.best) == \
-            _position(oracle.results, oracle.best)
+        assert_equal_to_the_oracle(result, oracle)
         assert result.leaderboard(len(result.results)) == \
             oracle.leaderboard(len(oracle.results))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_grid_case())
+    def test_gop_caps_around_the_window_and_minimum_intervals(self, case):
+        activities, timeline, grid, base = case
+        tuner = SemanticEncoderTuner(grid, base)
+        assert_equal_to_the_oracle(
+            tuner.tune_from_activities(activities, timeline),
+            loop_tune_from_activities(tuner, activities, timeline))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_grid_case(), st.data())
+    def test_joined_columns_place_as_the_whole_pass(self, case, data):
+        activities, _, grid, base = case
+        cuts = sorted(data.draw(st.sets(
+            st.integers(1, max(len(activities) - 1, 1)), max_size=5)))
+        bounds = [0] + [cut for cut in cuts if cut < len(activities)] + [
+            len(activities)]
+        parts = [activities[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        joined = ActivityColumns.concatenate(
+            [novelty_series(part) for part in parts],
+            [[index for index, activity in enumerate(part)
+              if activity.is_first] for part in parts])
+        whole = ActivityColumns(activities)
+        assert joined.num_frames == whole.num_frames
+        for parameters in grid.configurations(base):
+            assert joined.keyframe_indices(parameters) == \
+                whole.keyframe_indices(parameters)
+        assert joined.distinct_placements(grid.configurations(base)) == \
+            whole.distinct_placements(grid.configurations(base))
+
+    def test_the_paper_grid_over_a_480_frame_window(self):
+        """GOP caps of 500, 1000 and 5000 never bind inside 480 frames,
+        and here thresholds 20 and 40 cut the same frames, as do 200 and
+        250: 25 grid points, 3 x 3 placement keys.  (Distinct keys may
+        still place the same frames; the key only has to be sufficient.)"""
+        activities = [FrameActivity(
+            frame_index=index,
+            novel_block_fraction=(1.0 if index % 97 == 0 else
+                                  0.3 if index % 41 == 0 else
+                                  0.08 if index % 29 == 0 else
+                                  0.02 if index % 13 == 0 else 0.0),
+            is_first=index in (0, 240))
+            for index in range(480)]
+        timeline = EventTimeline.from_frame_labels(
+            [set()] * 100 + [{"car"}] * 150 + [set()] * 230)
+        tuner = SemanticEncoderTuner(TuningGrid())
+        placements, slots = ActivityColumns(activities).distinct_placements(
+            TuningGrid().configurations())
+        assert len(slots) == 25 and len(placements) == 9
+        assert_equal_to_the_oracle(
+            tuner.tune_from_activities(activities, timeline),
+            loop_tune_from_activities(tuner, activities, timeline))
 
     def test_exact_ties_resolve_to_the_first_in_grid_order(self):
         # Duplicated grid points and a flat clip: every cell places frame 0
@@ -449,3 +515,68 @@ class TestGridMonotonicity:
             assert (after.best.score.f1 > before.best.score.f1
                     or (after.best.score.f1 == before.best.score.f1
                         and winner < incumbent))
+
+
+# --------------------------------------------------------------------- #
+# Through the drift monitor: joined chunk columns, off-grid incumbents
+# --------------------------------------------------------------------- #
+def _scene(activities, labels, novelty_stat):
+    """A chunk whose statistics are set by hand (they decide when drift
+    confirms) and whose analysis pass is drawn (it decides placement)."""
+    return ChunkScene(
+        stats=SceneStats(num_frames=len(activities),
+                         mean_novelty=novelty_stat, scenecut_rate=0.0,
+                         mean_brightness=100.0),
+        activities=tuple(activities), frame_labels=tuple(labels))
+
+
+@st.composite
+def _monitor_case(draw):
+    chunks = DETECTOR_MIN_SAMPLES + CONFIRM_CHUNKS
+    scenes = []
+    for index in range(chunks):
+        size = draw(st.integers(5, 90))
+        drifting = index >= DETECTOR_MIN_SAMPLES
+        scenes.append(_scene(_activities(draw, size),
+                             [frozenset(labels) for labels
+                              in _frame_labels(draw, size)],
+                             0.5 if drifting else 0.01))
+    on_grid = EncoderParameters(
+        gop_size=draw(st.sampled_from(RETUNE_GRID.gop_sizes)),
+        scenecut_threshold=draw(st.sampled_from(
+            RETUNE_GRID.scenecut_thresholds)))
+    off_grid = EncoderParameters(
+        gop_size=draw(st.integers(1, 700)),
+        scenecut_threshold=draw(st.sampled_from(THRESHOLDS + [77.0])),
+        min_gop_size=draw(st.sampled_from([0, 2, 30])))
+    return scenes, draw(st.sampled_from([on_grid, off_grid]))
+
+
+class TestTheMonitorDecidesAsTheLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(_monitor_case())
+    def test_decision_from_joined_chunk_columns(self, case):
+        scenes, initial = case
+        monitor = DriftMonitor(AdaptiveConfig(initial_parameters=initial))
+        decisions = [monitor.observe(scene, now=2.0 * index)
+                     for index, scene in enumerate(scenes)]
+        assert decisions[:-1] == [None] * (len(scenes) - 1)
+        decision = decisions[-1]
+        assert decision is not None
+
+        activities = [activity for scene in scenes
+                      for activity in scene.activities]
+        timeline = EventTimeline.from_frame_labels(
+            [labels for scene in scenes for labels in scene.frame_labels])
+        oracle = loop_tune_from_activities(
+            SemanticEncoderTuner(RETUNE_GRID, initial), activities, timeline)
+        incumbent = oracle.score_of(initial)
+        old_f1 = (incumbent.score.f1 if incumbent is not None else
+                  evaluate_sampling(timeline, KeyframePlacer(initial)
+                                    .keyframe_indices(activities)).f1)
+        assert (decision.old, decision.new) == (initial,
+                                                oracle.best.parameters)
+        assert (decision.old_f1, decision.new_f1) == (old_f1,
+                                                      oracle.best.score.f1)
+        assert decision.applied == (oracle.best.parameters != initial
+                                    and oracle.best.score.f1 > old_f1)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ALL_DEPLOYMENT_MODES, DeploymentMode
+from repro.errors import ConfigurationError
 from repro.experiments import (ExperimentConfig, figure3, figure4, figure5, table1,
                                table2, table3, format_table, prepare_dataset)
 
@@ -26,6 +27,13 @@ class TestCommon:
     def test_quick_config(self, quick_config):
         assert quick_config.duration_seconds < ExperimentConfig().duration_seconds
         assert quick_config.datasets == ("jackson_square",)
+
+    @pytest.mark.parametrize("name", ["duration_seconds", "render_scale"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"),
+                                       "x", None, True])
+    def test_footage_scale_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            ExperimentConfig(**{name: value})
 
     def test_format_table(self):
         text = format_table([{"a": 1.23456, "b": "x"}], ["a", "b"], title="T")

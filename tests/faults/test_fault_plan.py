@@ -77,7 +77,8 @@ class TestCircuitBreaker:
         assert breaker.opened_at == 0.5
         assert not breaker.allow(1.2)  # cooldown restarted at 0.5
 
-    @pytest.mark.parametrize("cooldown", [0.0, -1.0, NAN, INF])
+    @pytest.mark.parametrize("cooldown", [0.0, -1.0, NAN, INF, "x", None,
+                                          True])
     def test_invalid_configs_rejected(self, cooldown):
         with pytest.raises(FaultError):
             CircuitBreaker(cooldown_seconds=cooldown)

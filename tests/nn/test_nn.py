@@ -57,6 +57,12 @@ class TestLayers:
         with pytest.raises(ModelError):
             Dense(4, 0)
 
+    @pytest.mark.parametrize("pool_size", [0, -1, 1.5, float("nan"),
+                                           float("inf"), "x", None, True])
+    def test_pool_size_must_be_a_whole_number(self, pool_size):
+        with pytest.raises(ModelError, match="pool_size"):
+            MaxPool2D(pool_size)
+
 
 class TestSequentialModel:
     def test_shape_chain_validated_eagerly(self):

@@ -170,11 +170,21 @@ class TestSift:
         different = detector.score_next(rng.uniform(0, 255, size=(72, 72)))
         assert different >= same
 
-    def test_invalid_configuration(self):
-        with pytest.raises(ConfigurationError):
-            SiftLite(num_scales=2)
-        with pytest.raises(ConfigurationError):
-            SiftLite(ratio_threshold=0.0)
+    @pytest.mark.parametrize("name,value", [
+        ("num_scales", 2), ("num_scales", 3.5), ("num_scales", "x"),
+        ("num_scales", float("nan")), ("num_scales", None),
+        ("max_keypoints", 0), ("max_keypoints", "x"),
+        ("max_keypoints", float("nan")), ("max_keypoints", float("inf")),
+        ("ratio_threshold", 0.0), ("ratio_threshold", 1.5),
+        ("ratio_threshold", "x"), ("ratio_threshold", float("nan")),
+        ("base_sigma", 0.0), ("base_sigma", "x"), ("base_sigma", float("nan")),
+        ("base_sigma", float("inf")), ("contrast_threshold", -1.0),
+        ("contrast_threshold", "x"), ("contrast_threshold", float("nan")),
+        ("contrast_threshold", float("inf")), ("contrast_threshold", True),
+    ])
+    def test_invalid_configuration(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            SiftLite(**{name: value})
 
 
 class TestThresholding:
