@@ -18,6 +18,8 @@ dropping it.  The soak asserts the whole contract:
 3. **Determinism** — the virtual-clock and real-time runs produce
    *byte-identical* retune histories and parity-exact fleet reports; CI
    runs this example twice and diffs the ``--history-out`` files verbatim.
+   The virtual run drains as one batch, the controller fed at its commit,
+   and the real-time run on the event loop, so this is also batch == loop.
 
 Any scenario name or composition spec works as the content source —
 ``--scenario drifting`` is the default, but e.g.

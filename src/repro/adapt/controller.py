@@ -18,13 +18,16 @@ closes the loop in the serving path:
   into the fault driver's recovery trace when one is installed.
 
 Determinism: every decision is a pure function of the pushed chunk
-sequence and the virtual clock, and all controller work happens inside
-push events on the shared event heap — so same-seed runs produce
+sequence and the push instants, and the controller's effects (table
+versions, trace records, counters, ``retune_session``) happen in the
+order the pushes fire — inside the push events on the event loop, or at
+a batch drain's commit in the same order — so same-seed runs produce
 byte-identical retune histories under the virtual and the real-time
-clock alike.  Tie-break contract: a grid winner whose F1 does not
-*strictly* beat the incumbent's on the same window is a no-op (see
-:class:`~repro.core.tuner.TuningResult`), so exact ties never churn
-sessions.
+clock alike.  No chunk's cost reads a session's parameters, so the
+controller never changes a run's timelines.  Tie-break contract: a grid
+winner whose F1 does not *strictly* beat the incumbent's on the same
+window is a no-op (see :class:`~repro.core.tuner.TuningResult`), so exact
+ties never churn sessions.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ class AdaptiveConfig:
 
     def __post_init__(self) -> None:
         # Anything else would fail at the first confirmed drift, inside a
-        # push event.
+        # push event or a batch drain's commit.
         if not isinstance(self.initial_parameters, EncoderParameters):
             raise ServiceError(
                 f"initial_parameters must be EncoderParameters, "
@@ -240,9 +243,12 @@ class AdaptiveTuningController:
 
     Installed by :class:`~repro.service.service.StreamingService` when an
     :class:`AdaptiveConfig` is passed (and never otherwise — the default
-    serving path stays bit-identical to the seed).  The service calls
-    :meth:`observe_push` from inside every accepted push event; chunks
-    without a :class:`ChunkScene` payload are ignored.
+    serving path stays bit-identical to the seed).  Every accepted push
+    reaches :meth:`observe_push` with its instant: the event loop calls it
+    inside the push event, and a batch drain
+    (:class:`~repro.service.batch.FeederBatch`) calls it at commit, push
+    by push in the order the loop would have fired them.  Chunks without
+    a :class:`ChunkScene` payload are ignored.
     """
 
     def __init__(self, service: "StreamingService",
@@ -259,13 +265,13 @@ class AdaptiveTuningController:
         #: Confirmed drifts whose winner was tie-equal (no-ops).
         self.retunes_suppressed = 0
 
-    def observe_push(self, session: "StreamSession",
-                     chunk: "FrameChunk") -> None:
-        """Fold one accepted push into the session's drift monitor."""
+    def observe_push(self, session: "StreamSession", chunk: "FrameChunk",
+                     now: float) -> None:
+        """Fold one accepted push, made at virtual instant ``now``, into
+        the session's drift monitor."""
         scene = chunk.scene
         if scene is None:
             return
-        now = self.service.scheduler.now
         monitor = self._monitors.get(session.session_id)
         if monitor is None:
             monitor = DriftMonitor(self.config)

@@ -517,13 +517,13 @@ def _fold(stats: StationStats, jobs: int, busy: float,
 
 
 def _firing_order(jobs: np.ndarray, stage: int, times: np.ndarray,
-                  when: MutableSequence[float], parent: MutableSequence[int],
-                  ties: Dict[Tuple[int, int], bool],
+                  fires_before: Callable[[int, int], bool],
                   groups: Optional[np.ndarray] = None) -> np.ndarray:
     """``jobs`` in the order their stage-``stage`` events fire (``times``
     holds every job's instant of that event): by time, then each run of
-    equal times by :func:`_fires_before`.  With ``groups`` (every job's
-    group) the jobs come group by group, each in the order it fires."""
+    equal times by ``fires_before`` (:func:`_fires_before` bound to the
+    run's event graph).  With ``groups`` (every job's group) the jobs come
+    group by group, each in the order it fires."""
     arrived = times[jobs]
     order = np.lexsort((arrived,) if groups is None
                        else (arrived, groups[jobs]))
@@ -539,9 +539,8 @@ def _firing_order(jobs: np.ndarray, stage: int, times: np.ndarray,
     ordered = ordered.tolist()
 
     def compare(a: int, b: int) -> int:
-        return -1 if _fires_before(EVENTS_PER_JOB * a + stage,
-                                   EVENTS_PER_JOB * b + stage,
-                                   when, parent, ties) else 1
+        return -1 if fires_before(EVENTS_PER_JOB * a + stage,
+                                  EVENTS_PER_JOB * b + stage) else 1
 
     index = 0
     while index < len(tied):
@@ -629,6 +628,7 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
     if chained_ingests:
         _chain_ingests(parent, keys, ingest_order)
     ties: Dict[Tuple[int, int], bool] = {}
+    fires_before = partial(_fires_before, when=when, parent=parent, ties=ties)
 
     # Each column lives for its stage only; the result carries the
     # transfer columns.
@@ -641,8 +641,8 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
     # Each edge admits the deliveries of every LAN link feeding it, in the
     # order they fire.
     per_edge = (through_lan if lan_keys is None else _firing_order(
-        through_lan, _LAN, np.frombuffer(when)[_LAN::EVENTS_PER_JOB], when,
-        parent, ties, groups=edges))
+        through_lan, _LAN, np.frombuffer(when)[_LAN::EVENTS_PER_JOB],
+        fires_before, groups=edges))
     del through_lan, keys
     edge_jobs = np.bincount(edges, minlength=num_edges)
     del edges
@@ -668,7 +668,7 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
     finished = _station(
         _firing_order(delivered, _WAN,
                       np.frombuffer(when)[_WAN::EVENTS_PER_JOB],
-                      when, parent, ties), np.array([count]), _CLOUD,
+                      fires_before), np.array([count]), _CLOUD,
         np.array(list(map(attrgetter("cloud_seconds"), jobs)),
                  dtype=np.float64), cloud_workers, when, parent, ties,
         [cloud_stats])
@@ -681,9 +681,7 @@ def replay_fleet(jobs: Sequence, placements: Sequence[int],
         wan_transfer_seconds=wan_transfer_seconds,
         lan_bytes=lan_bytes, wan_bytes=wan_bytes, lan_seconds=lan_seconds,
         wan_seconds=wan_seconds, delivered=delivered, edge_jobs=edge_jobs,
-        finished=finished,
-        fires_before=partial(_fires_before, when=when, parent=parent,
-                             ties=ties))
+        finished=finished, fires_before=fires_before)
 
 
 def _chain_ingests(parent: MutableSequence[int], keys: np.ndarray,

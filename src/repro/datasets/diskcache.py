@@ -47,6 +47,8 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
+from ..errors import DatasetError
+
 #: Environment variable naming the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
@@ -106,7 +108,7 @@ def _canonical(value):
     # No repr() fallback: a default repr embeds a memory address, which
     # would silently produce a different key in every process and turn the
     # cross-session cache into a write-only store.
-    raise TypeError(
+    raise DatasetError(
         f"cannot canonicalise {type(value).__name__!r} into a cache key; "
         "pass primitives, containers or dataclasses")
 
@@ -115,7 +117,8 @@ def content_key(*parts) -> str:
     """Hash ``parts`` (plus the schema version) into a stable hex key.
 
     Dataclasses are keyed by their field values, containers recursively;
-    the digest is stable across processes and Python versions.
+    the digest is stable across processes and Python versions.  A part
+    with no canonical form raises :class:`~repro.errors.DatasetError`.
     """
     payload = json.dumps(_canonical([CACHE_SCHEMA_VERSION, *parts]),
                          sort_keys=True, separators=(",", ":"))
@@ -152,10 +155,11 @@ def store(kind: str, key: str, arrays: Dict[str, np.ndarray],
     The manifest (augmented with the kind/key/schema version) is embedded
     in the bundle, which is the entry's only file.  Failures to write
     (read-only filesystem, disk full) raise ``OSError`` for the caller to
-    handle; the cache never half-writes thanks to the rename.
+    handle; the cache never half-writes thanks to the rename.  An array
+    named :data:`MANIFEST_MEMBER` raises :class:`~repro.errors.DatasetError`.
     """
     if MANIFEST_MEMBER in arrays:
-        raise ValueError(f"array name {MANIFEST_MEMBER!r} is reserved")
+        raise DatasetError(f"array name {MANIFEST_MEMBER!r} is reserved")
     path = artifact_path(kind, key, directory)
     full_manifest = dict(manifest or {})
     full_manifest.update({

@@ -10,6 +10,12 @@ recurrence, with a LAN link per session and each push inserted by the one
 before it), checks every push against the in-flight bound
 ``push_frames`` would apply at its instant, and then writes the run into the live stations,
 links, sessions and feeders exactly as the event loop leaves them.
+
+The service's adaptive controller (``ingest.on_chunk_scene``) rides
+along.  Nothing it does changes a timeline: no chunk's cost reads the
+parameters a retune sets.  So the commit hands it every scene-carrying
+push at the push's instant, in the order the loop fires those pushes (by
+instant, ties by the event graph), before any session is finalised.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from ..cluster.recurrence import (EVENTS_PER_JOB, _left_folds,
-                                  _padded_columns, replay_fleet)
+from ..cluster.recurrence import (EVENTS_PER_JOB, _firing_order,
+                                  _left_folds, _padded_columns, replay_fleet)
 from .feeder import ChunkFeeder
 from .session import FrameChunk, StreamSession
 
@@ -136,6 +142,16 @@ class FeederBatch:
                     return False
         return True
 
+    def _scene_pushes(self) -> List[Tuple[int, float]]:
+        """``(chunk, push instant)`` of every scene-carrying push, in the
+        order the loop fires them."""
+        scened = np.array([index for index, chunk in enumerate(self.chunks)
+                           if chunk.scene is not None], dtype=np.int64)
+        pushes = self.replay.instants[_PUSH]
+        order = _firing_order(scened, _PUSH, pushes,
+                              self.replay.fires_before)
+        return list(zip(order.tolist(), pushes[order].tolist()))
+
     def commit(self, until: Optional[float]) -> int:
         """Write the run into the live service, as the event loop leaves
         it, and return the number of events it fired.
@@ -147,9 +163,15 @@ class FeederBatch:
         """
         service = self.service
         chain, ingest = service.chain, service.ingest
+        scene_pushes = (self._scene_pushes()
+                        if ingest.on_chunk_scene is not None else [])
         # Drop the event graph before anything is written.
         replay = self.replay._replace(fires_before=None)
         self.replay = None
+        # The scene hook sees the pushes while every session is open.
+        for index, now in scene_pushes:
+            ingest.on_chunk_scene(self.feeds[self.keys[index]][1],
+                                  self.chunks[index], now)
         for resource, stats in zip(
                 (*self.lans, *chain.edge_stations, *chain.wan_links,
                  chain.cloud_station),

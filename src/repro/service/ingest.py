@@ -89,12 +89,13 @@ class StreamIngest:
         self.sessions_rejected = 0
         #: Close-reason histogram ("client", "completed", "stalled", ...).
         self.close_reasons: Dict[str, int] = {}
-        #: Optional observer fired after every *accepted* push whose chunk
-        #: carries a scene payload (the adaptive controller's feed).  Runs
-        #: after the chunk is submitted, so a triggered retune only
-        #: affects later chunks.
+        #: Optional observer ``(session, chunk, now)`` fired after every
+        #: *accepted* push whose chunk carries a scene payload (the adaptive
+        #: controller's feed).  A retune it triggers changes the session's
+        #: parameters only: no chunk's cost reads them, so the run's
+        #: timelines are the same with or without it.
         self.on_chunk_scene: Optional[
-            Callable[[StreamSession, FrameChunk], None]] = None
+            Callable[[StreamSession, FrameChunk, float], None]] = None
 
     # ------------------------------------------------------------------ #
     # Tenants
@@ -220,7 +221,7 @@ class StreamIngest:
         session.edge_cloud_bytes_pushed += chunk.edge_cloud_bytes
         self._submit_chunk(session, chunk)
         if self.on_chunk_scene is not None and chunk.scene is not None:
-            self.on_chunk_scene(session, chunk)
+            self.on_chunk_scene(session, chunk, now)
 
     def close_session(self, session_id: str,
                       reason: str = "client") -> StreamSession:

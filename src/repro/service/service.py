@@ -276,11 +276,13 @@ class StreamingService:
         is a :class:`VirtualClock`, the chain is idle, the run goes to
         completion and every pending event is the next push of a
         registered :class:`ChunkFeeder`; and it commits only when every
-        push it computed would have been admitted.  Everything else — a
-        real-time clock, a horizon that cuts work, a fault driver, the
-        adaptive controller, a chain hook, any other control event, a
-        feeder retrying a push, a push a bound would refuse — is the
-        loop's, from untouched state.
+        push it computed would have been admitted.  The service's own
+        adaptive controller rides along: no chunk's cost reads what it
+        changes, so the commit replays its scene pushes in the loop's
+        firing order.  Everything else — a real-time clock, a horizon that
+        cuts work, a fault driver, a foreign scene hook, a chain hook, any
+        other control event, a feeder retrying a push, a push a bound
+        would refuse — is the loop's, from untouched state.
         """
         feeds = self._batch_feeds(until)
         if feeds is None:
@@ -297,10 +299,12 @@ class StreamingService:
         in the order they were scheduled, when the run can be a batch (a
         horizon before some feeder's last push cuts it for sure)."""
         chain = self.chain
+        own_scene_hook = (self.adaptive.observe_push
+                          if self.adaptive is not None else None)
         if ((until is not None and not -inf < until < inf)
                 or type(self.clock) is not VirtualClock
                 or self._fault_driver is not None
-                or self.ingest.on_chunk_scene is not None
+                or self.ingest.on_chunk_scene != own_scene_hook
                 or chain.on_fail is not None
                 or chain.on_finish != self._finish_chunk):
             return None

@@ -19,6 +19,7 @@ import math
 import random
 from array import array
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -572,8 +573,8 @@ def serve(admitted, stage, service, slots, when, parent):
 def _cloud_arrival_order(when, parent, ties):
     """Job indices in the order their WAN deliveries fire."""
     times = np.asarray(when[_WAN::EVENTS_PER_JOB], dtype=np.float64)
-    return _firing_order(np.arange(len(times)), _WAN, times,
-                         when, parent, ties).tolist()
+    return _firing_order(np.arange(len(times)), _WAN, times, partial(
+        _fires_before, when=when, parent=parent, ties=ties)).tolist()
 
 
 def completion_times(when, jobs, stage=4):

@@ -28,7 +28,7 @@ import heapq
 import sys
 import tracemalloc
 from collections import deque
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
@@ -36,13 +36,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adapt import AdaptiveConfig, ChunkScene
 from repro.cluster import CameraJob, fleet
 from repro.dataflow.scheduler import (EventScheduler, ServiceStation,
                                       StationStats)
 from repro.errors import DataflowError, NetworkError
 from repro.net import ContendedLink, NetworkLink
 from repro.service import (ChunkFeeder, FrameChunk, StreamingService,
-                           TenantPolicy, VirtualClock, chunk_camera_job)
+                           TenantPolicy, VirtualClock, analyse_scenario,
+                           chunk_analysis, chunk_camera_job)
 
 Action = Callable[[], None]
 
@@ -444,13 +446,16 @@ class TestAgainstTheParentsBodies:
 SESSIONS, CHUNKS = 4, 64
 
 
-def _soak_service(loop: bool = False,
-                  chunks: int = CHUNKS) -> StreamingService:
+def _soak_service(loop: bool = False, chunks: int = CHUNKS,
+                  adaptive: Optional[AdaptiveConfig] = None,
+                  scenes: Optional[List[ChunkScene]] = None
+                  ) -> StreamingService:
     """Four fed sessions on two edges.  With ``loop`` a no-op control event
     keeps the drain on the event loop: the service computes a run of
-    nothing but feeder pushes through the recurrence instead."""
+    nothing but feeder pushes through the recurrence instead.  With
+    ``scenes`` each session's first chunks carry them, in order."""
     service = StreamingService(num_edge_servers=2, clock=VirtualClock(),
-                               max_sessions=SESSIONS)
+                               max_sessions=SESSIONS, adaptive=adaptive)
     if loop:
         service.at(0.0, _no_op)
     for index in range(SESSIONS):
@@ -463,7 +468,10 @@ def _soak_service(loop: bool = False,
             camera_edge_bytes=150_000 * chunks,
             edge_cloud_bytes=20_000 * chunks)
         service.open_session(camera)
-        ChunkFeeder(service, camera, chunk_camera_job(job, chunks),
+        plan = chunk_camera_job(job, chunks)
+        for position, scene in enumerate(scenes or ()):
+            plan[position] = replace(plan[position], scene=scene)
+        ChunkFeeder(service, camera, plan,
                     period_seconds=2.0).start(at=0.1 * index)
     return service
 
@@ -510,6 +518,23 @@ BATCH_C_CALLS_PER_CHUNK_CEILING = 2.5
 #: Measured: 44.3 calls a chunk on the event loop.  One more call a chunk
 #: must fail the guard.
 LOOP_CALLS_PER_CHUNK_CEILING = 45
+#: Measured: a batch drain with the adaptive controller on makes 15.25
+#: more Python-level calls a scene-carrying chunk than the same feed
+#: without scenes, when no chunk confirms a drift (nine chunks a session;
+#: each session's first builds its monitor and stores the initial
+#: version).  One more call a chunk must fail the guard.
+SCENE_CALLS_PER_CHUNK_CEILING = 16
+#: Scene chunks of the drifting clip before its first confirmed drift.
+QUIET_SCENE_CHUNKS = 9
+
+
+@pytest.fixture(scope="module")
+def quiet_scenes() -> List[ChunkScene]:
+    """The drifting clip's opening scenes: fed in order to a fresh
+    monitor, none confirms a drift (the tenth does)."""
+    feed = chunk_analysis(analyse_scenario("drifting", 60.0, 0.05, seed=0),
+                          2.0)
+    return [chunk.scene for chunk in feed[:QUIET_SCENE_CHUNKS]]
 
 
 _SMALL_CHUNK = FrameChunk(num_frames=30, frames_for_inference=3,
@@ -611,6 +636,33 @@ class TestWhatAChunkCosts:
         assert calls <= BATCH_CALLS_PER_CHUNK_CEILING * chunks, calls / chunks
         assert into_c <= BATCH_C_CALLS_PER_CHUNK_CEILING * chunks, (
             into_c / chunks)
+
+    def test_a_controller_on_batch_drains_scene_less_chunks_as_cheaply(
+            self):
+        """The controller installed, chunks without scenes: the drain is
+        the same batch, under the same guard."""
+        fired, calls = _drain_counting_calls(
+            _soak_service(adaptive=AdaptiveConfig()))
+        chunks = SESSIONS * CHUNKS
+        assert fired == 5 * chunks
+        assert calls <= BATCH_CALLS_PER_CHUNK_CEILING * chunks, calls / chunks
+
+    def test_a_scene_chunk_that_confirms_nothing_costs_a_few_calls(
+            self, quiet_scenes):
+        """Each scene chunk costs the controller's fold of it into the
+        session's monitor, and nothing else, at the batch's commit."""
+        chunks = QUIET_SCENE_CHUNKS
+        plain = _soak_service(chunks=chunks, adaptive=AdaptiveConfig())
+        scened = _soak_service(chunks=chunks, adaptive=AdaptiveConfig(),
+                               scenes=quiet_scenes)
+        fired, base = _drain_counting_calls(plain)
+        assert (fired, base) == _drain_counting_calls(
+            _soak_service(chunks=chunks, adaptive=AdaptiveConfig()))
+        _, calls = _drain_counting_calls(scened)
+        assert scened.adaptive.counters() == {}
+        assert len(scened.adaptive.history_lines()) == SESSIONS
+        per_chunk = (calls - base) / (SESSIONS * chunks)
+        assert per_chunk <= SCENE_CALLS_PER_CHUNK_CEILING, per_chunk
 
     def test_a_snapshot_costs_a_flat_count_of_calls_a_session(self):
         """``status()`` takes latency percentiles in one ``np.percentile``

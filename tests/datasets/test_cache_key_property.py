@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.codec.gop import EncoderParameters
 from repro.datasets import diskcache
 from repro.experiments import ExperimentConfig
+from repro.errors import DatasetError
 
 #: JSON-representable scalars usable as canonical leaves.
 scalars = st.one_of(
@@ -177,5 +178,5 @@ class TestCrossProcessStability:
         """Anything keyed by memory address must raise rather than produce
         a per-process key (regression guard mirrored from the unit suite,
         kept here because it is the property the rest relies on)."""
-        with pytest.raises(TypeError):
+        with pytest.raises(DatasetError):
             diskcache.content_key(object())

@@ -10,6 +10,7 @@ import pytest
 from repro.codec.gop import EncoderParameters
 from cache_tools import clear_cache, list_keys, tree_digest
 from repro.datasets import diskcache
+from repro.errors import DatasetError
 
 
 @pytest.fixture()
@@ -52,7 +53,7 @@ class TestContentKey:
         back to a memory-address repr that differs in every process."""
         class Opaque:
             pass
-        with pytest.raises(TypeError):
+        with pytest.raises(DatasetError, match="Opaque"):
             diskcache.content_key(Opaque())
 
 
@@ -86,7 +87,7 @@ class TestStoreLoad:
             os.path.join("unit", f"{key}.npz")}
 
     def test_reserved_member_rejected(self, cache_dir):
-        with pytest.raises(ValueError):
+        with pytest.raises(DatasetError, match="reserved"):
             diskcache.store("unit", "k",
                             {diskcache.MANIFEST_MEMBER: np.zeros(1)})
 

@@ -31,7 +31,8 @@ from repro.errors import AdmissionError
 from repro.faults import (EdgeCrash, FaultPlan, ResilienceConfig,
                           StreamStall, WanDegradation)
 from repro.service import (ChunkFeeder, FrameChunk, RealTimeClock,
-                           SessionState, StreamingService, TenantPolicy)
+                           SessionState, StreamingService, TenantPolicy,
+                           analyse_scenario, chunk_analysis)
 
 ZERO_LATENCY = SystemConfig(camera_edge_latency_ms=0.0,
                             edge_cloud_latency_ms=0.0)
@@ -234,6 +235,151 @@ class TestBatchEqualsLoop:
         assert batch.scheduler.now == 1000.0
 
 
+@pytest.fixture(scope="module")
+def drift_feed():
+    """60 s of the ``drifting`` scenario in 2 s scene-carrying chunks: a
+    session fed all 30 confirms drift at its 10th, 19th and 29th pushes,
+    and the 19th push's winner ties the incumbent (a no-op)."""
+    return chunk_analysis(analyse_scenario("drifting", 60.0, 0.05, seed=0),
+                          2.0)
+
+
+def controller_views(service):
+    """What the controller leaves behind, and the status that serves it."""
+    controller = service.adaptive
+    status = service.status()
+    return (controller.history_lines(), controller.trace.lines(),
+            controller.counters(), status.retune_history,
+            status.retune_counters)
+
+
+def without_scenes(chunks):
+    return [replace(chunk, scene=None) for chunk in chunks]
+
+
+class TestTheControllerRidesTheBatch:
+    """With the service's own adaptive controller installed, a feeder-fed
+    virtual run is still one batch: the commit hands the controller every
+    scene push at its instant, in the order the loop fires them, and the
+    controller's table, trace, counters and retunes equal the loop's."""
+
+    @staticmethod
+    def controlled(plans, **kwargs):
+        return build(plans, adaptive=AdaptiveConfig(), **kwargs)
+
+    @staticmethod
+    def assert_batch_is_loop(make, loop_entries):
+        """Drain ``make()``'s service as a batch and on the forced loop:
+        the runs and the controllers' records are equal.  Returns the two
+        services."""
+        services = []
+
+        def made():
+            services.append(make())
+            return services[-1]
+
+        batch, loop, batch_report, loop_report, used_loop = both_paths(
+            made, loop_entries)
+        assert not used_loop
+        assert batch_report.parity_mismatches(loop_report,
+                                              tolerance=0.0) == []
+        assert batch == loop
+        assert controller_views(services[0]) == controller_views(services[1])
+        return services
+
+    def test_controller_on_feeds_take_the_batch(self, loop_entries,
+                                                drift_feed):
+        """Eight sessions, one in three without scenes, pushes 0.1 s
+        apart: the benchmark's ``adaptive_soak`` in miniature."""
+        plans = [("default" if index % 2 else "other", index, 0.1 * index,
+                  2.0, drift_feed if index % 3 != 2
+                  else without_scenes(drift_feed)) for index in range(8)]
+        batch, _ = self.assert_batch_is_loop(
+            lambda: self.controlled(plans, edge_workers=2), loop_entries)
+        # Applied retunes and tie no-ops both happened.
+        assert batch.adaptive.counters() == {"retunes_applied": 12,
+                                             "retunes_suppressed": 6}
+        assert [session.parameter_version for session
+                in batch.ingest.sessions.values()] == [2, 2, 0] * 2 + [2, 2]
+
+    def test_a_second_drain_keeps_the_monitors(self, loop_entries,
+                                               drift_feed):
+        """A camera re-opened after its first drain keeps its monitor:
+        the second batch folds into the first's detectors and table."""
+        def make():
+            service = self.controlled([("default", index, 0.0, 2.0,
+                                        drift_feed[:12])
+                                       for index in range(2)])
+            service.drain()
+            feed(service, [("default", 0, service.scheduler.now, 2.0,
+                            drift_feed[12:])])
+            return service
+
+        batch, _ = self.assert_batch_is_loop(make, loop_entries)
+        assert batch.adaptive.counters()
+
+    def test_records_that_tie_follow_the_event_graph(self, loop_entries,
+                                                      drift_feed):
+        """Both sessions evaluate at 40 s.  The later session's push there
+        descends from its first push (inserted before the run), the
+        earlier one's from a push inserted during it, so the loop fires
+        the later session's first although its chunks come second."""
+        plans = [("default", 0, 0.0, 2.0, drift_feed[3:]),
+                 ("default", 1, 4.0, 2.0, drift_feed)]
+        batch, _ = self.assert_batch_is_loop(
+            lambda: self.controlled(plans), loop_entries)
+        tied = [line.split()[2] for line in batch.adaptive.trace.lines()
+                if line.startswith("t=40.000000 ")]
+        assert tied == ["camera=cam-01", "camera=cam-00"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(windows=st.lists(st.tuples(st.integers(0, 12),
+                                      st.integers(3, 30), st.booleans()),
+                            min_size=1, max_size=4),
+           starts=st.lists(st.sampled_from((0.0, 2.0, 4.0)), min_size=4,
+                           max_size=4),
+           num_edges=st.integers(1, 3), edge_workers=st.integers(1, 2),
+           period=st.sampled_from((2.0, 0.5)))
+    def test_scene_pushes_that_tie_are_recorded_in_firing_order(
+            self, drift_feed, windows, starts, num_edges, edge_workers,
+            period):
+        """Sessions at offsets a whole number of periods apart, with equal
+        periods: their scene pushes share instants, so the order of the
+        controller's records across sessions is decided by the pushes'
+        event graph (``fires_before``), not by time."""
+        plans = [("default", index, starts[index] * period / 2.0, period,
+                  drift_feed[first:first + length] if scened
+                  else without_scenes(drift_feed[first:first + length]))
+                 for index, (first, length, scened) in enumerate(windows)]
+        with counting_loop_entries() as entered:
+            self.assert_batch_is_loop(
+                lambda: self.controlled(plans, num_edges=num_edges,
+                                        edge_workers=edge_workers), entered)
+
+    @pytest.mark.parametrize("loop", [False, True], ids=["batch", "loop"])
+    def test_the_controller_changes_no_timeline(self, loop, drift_feed):
+        """What the batch rests on: the controller on or off, the same
+        feed gives the same report and the same per-session timelines, on
+        either path (only the parameters a retune sets differ)."""
+        plans = [("default", index, 0.0, 2.0, drift_feed)
+                 for index in range(3)]
+        runs = []
+        for adaptive in (None, AdaptiveConfig()):
+            service = build(plans, adaptive=adaptive)
+            if loop:
+                force_loop(service)
+            fired = service.drain()
+            view = observed(service, fired)
+            view.pop("status")
+            for session in view["sessions"]:
+                session.pop("parameters"), session.pop("parameter_version")
+            runs.append((view, service.fleet_report()))
+        (off, off_report), (on, on_report) = runs
+        assert on_report.parity_mismatches(off_report, tolerance=0.0) == []
+        assert on == off
+        assert service.adaptive.counters()
+
+
 class TestFallbacks:
     """Each reason the batch declines runs the loop, from untouched state."""
 
@@ -257,8 +403,22 @@ class TestFallbacks:
         build(plain_plans(), faults=FaultPlan()).drain()
         assert len(loop_entries) == 24
 
-    def test_adaptive_controller(self, loop_entries):
-        build(plain_plans(), adaptive=AdaptiveConfig()).drain()
+    def test_a_foreign_scene_hook(self, loop_entries, drift_feed):
+        """A scene hook other than the service's controller: the batch
+        would call it at commit, not inside its pushes, so the run is the
+        loop's, and the hook sees every push at its instant."""
+        service = build([("default", index, 0.1 * index, 2.0,
+                          drift_feed[:6]) for index in range(4)])
+        seen = []
+        service.ingest.on_chunk_scene = (
+            lambda session, chunk, now: seen.append(now))
+        service.drain()
+        assert len(loop_entries) == len(seen) == 24
+        assert seen == sorted(seen)
+
+    def test_adaptive_controller_with_a_fault_plan(self, loop_entries):
+        build(plain_plans(), adaptive=AdaptiveConfig(),
+              faults=FaultPlan()).drain()
         assert len(loop_entries) == 24
 
     def test_chain_hook(self, loop_entries):
