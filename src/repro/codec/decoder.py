@@ -300,8 +300,8 @@ class VideoDecoder:
             has_coded = coded.any(axis=1)
             coded_bounds = [0, *coded.sum(axis=1).cumsum().tolist()]
             # A moving block reads its displaced pixels, clamped to the
-            # picture's edge — the pixels motion_compensate's padded-window
-            # gather reads; the rest of its frame is the reference.
+            # picture's edge — the pixels motion_compensate's gather
+            # reads; the rest of its frame is the reference.
             moved_frame, moved_y, moved_x = np.logical_or(
                 vectors[..., 0], vectors[..., 1]).nonzero()
             shifts = vectors[moved_frame, moved_y, moved_x]

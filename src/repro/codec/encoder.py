@@ -6,26 +6,31 @@ P-frames coded as motion-compensated residuals), with I-frame placement
 driven by the two parameters the paper tunes: GOP size and scenecut
 threshold.
 
-Two encoding modes are provided:
-
-* ``materialise_payload=True`` — real byte payloads are produced for every
-  frame so the video can be serialised and decoded again (used by the
-  round-trip tests and the edge-storage path);
-* ``materialise_payload=False`` (default) — only the *exact* payload sizes
-  are computed (the entropy coder is byte-aligned, so sizes can be computed
-  without emitting bytes).  This is what the experiment harnesses use: frame
-  types and sizes fully determine the paper's metrics.
+Two modes share one frame loop: ``materialise_payload=True`` produces the
+byte payloads, so the video can be stored and decoded again; the default
+computes only their *exact* sizes, which is what the experiment harnesses
+use (frame types and sizes fully determine the paper's metrics).
 
 Every encode places its frames from :meth:`VideoEncoder.analyze`, a
 parameter-free lookahead pass producing one :class:`FrameActivity` per
 frame, run first when the caller does not pass one in; the offline tuner
 evaluates every (GOP, scenecut) configuration against a single such pass
 instead of re-encoding the video k*l times.
+
+The frame loop carries only the closed loop the next reference needs:
+search, prediction, residual transform, quantisation and dead-zone, and
+reconstruction.  The search takes the video's plane bounds, as its screen
+needs only an interval holding both planes (``_search_exact``), and the
+prediction is a :class:`CompensationPlan` kept for the video.  P-frame
+sizes and payloads are computed after the loop, a run of frames at a time
+(:meth:`VideoEncoder._size_run`); I-frames are sized as they are coded.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import abc
+from itertools import repeat
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -37,10 +42,10 @@ from ..video.frame import FrameType
 from ..video.raw_video import VideoSource
 from .bitstream import EncodedFrame, EncodedVideo
 from .blocks import pad_plane, to_blocks, from_blocks, crop_plane
-from .entropy import encode_blocks, encoded_size_bytes
+from .entropy import encode_blocks, encoded_block_sizes
 from .gop import EncoderParameters, KeyframePlacer
 from .jpeg import pack_image, packed_image_size, quantise_plane
-from .motion import MotionSearch, motion_compensate
+from .motion import CompensationPlan, MotionSearch
 from .scenecut import FrameActivity, SceneCutAnalyzer
 from .transform import (dct2_blocks, dequantise_blocks, idct2_blocks,
                         quantisation_matrix, quantise_blocks)
@@ -58,10 +63,14 @@ P_FRAME_MARKER = b"P"
 #: prediction failures (new objects, disocclusions) do.
 P_FRAME_DEADZONE = 1
 
+#: Bounds of every plane an encode searches: a reconstruction is clipped to
+#: [0, 255], and the luma of ``uint8`` channels rounds at most ulps past it.
+_PLANE_BOUNDS = (0.0, 255.0 * (1.0 + 2.0 ** -40))
 
-def pack_bitmap(flags: np.ndarray) -> bytes:
-    """Pack a boolean array into a row-major bitmap (MSB first)."""
-    return np.packbits(flags.astype(bool).ravel()).tobytes()
+#: The motion vectors and coded blocks, in bytes, that P-frames awaiting
+#: their sizes may hold before the run is sized: enough to share the
+#: sizing's numpy calls, little enough to stay under the traced peak.
+_SIZING_BYTES = 1 << 16
 
 
 class VideoEncoder:
@@ -73,11 +82,17 @@ class VideoEncoder:
         precision: Checked by :func:`~repro.config.validate_precision` and
             otherwise ignored: the codec has one numeric mode.  The
             benchmark still passes it; ROADMAP item 18 removes it.
+
+    Raises:
+        EncodeError: If ``parameters`` is not an :class:`EncoderParameters`.
     """
 
     def __init__(self, parameters: Optional[EncoderParameters] = None,
                  precision: str = "exact") -> None:
         validate_precision(precision)
+        if not isinstance(parameters, (EncoderParameters, type(None))):
+            raise EncodeError(f"parameters must be EncoderParameters, got "
+                              f"{type(parameters).__name__}")
         self.parameters = parameters or EncoderParameters()
         self._matrix = quantisation_matrix(self.parameters.quality,
                                            self.parameters.block_size)
@@ -120,58 +135,60 @@ class VideoEncoder:
         plane = crop_plane(from_blocks(reconstructed), height, width)
         return payload, size, np.clip(plane, 0, 255)
 
-    def _encode_predicted(self, search: MotionSearch, reference: np.ndarray,
-                          luma: np.ndarray, materialise: bool):
-        """Encode a P-frame against ``reference``; returns (payload, size, recon).
-
-        The P-frame payload mimics a real inter-coded picture:
-
-        * a bitmap marking the blocks with a non-zero motion vector, followed
-          by two bytes per such block (``dy``, ``dx``) — blocks that did not
-          move cost one bit each, like H.264 skip signalling;
-        * a bitmap marking the blocks whose quantised residual (after the
-          dead-zone) has any non-zero coefficient, followed by the entropy
-          payload of only those blocks.
-        """
-        block_size = self.parameters.block_size
-        field = search(reference, luma)
-        prediction = motion_compensate(reference, field, luma.shape)
-        matrix = self._matrix
-        # One expression, so the residual plane and its padded blocks are
-        # freed once transformed rather than held through the frame.
+    def _predict(self, search: MotionSearch, plan: CompensationPlan,
+                 reference: np.ndarray, luma: np.ndarray):
+        """The closed loop of one P-frame: search, prediction, residual and
+        reconstruction; returns (vectors, coded, coded blocks, recon)."""
+        block_size, matrix = self.parameters.block_size, self._matrix
+        vectors = search._search_exact(reference, luma, *_PLANE_BOUNDS).vectors
+        prediction = plan(reference, vectors, luma.shape)
         quantised = quantise_blocks(dct2_blocks(to_blocks(
             pad_plane(luma - prediction, block_size), block_size)), matrix)
-        quantised[np.abs(quantised) <= P_FRAME_DEADZONE] = 0
-        blocks_y, blocks_x = quantised.shape[:2]
+        kept = np.abs(quantised) > P_FRAME_DEADZONE
+        quantised *= kept  # the dead-zone, without a boolean scatter
+        coded = kept.any(axis=(2, 3))
+        blocks = quantised[coded]
+        if blocks.size:
+            # A block without coefficients inverse-transforms to +0.0, which
+            # leaves its prediction as it is: only coded blocks are added.
+            residual = np.zeros(plan.shape)
+            to_blocks(residual, block_size)[coded] = idct2_blocks(
+                dequantise_blocks(blocks[:, None], matrix))[:, 0]
+            prediction = np.clip(prediction + crop_plane(residual, *luma.shape),
+                                 0, 255)
+        return vectors, coded, blocks, prediction
 
-        moving = (field.vectors != 0).any(axis=2)
-        coded = (quantised != 0).any(axis=(2, 3))
-        coded_blocks = quantised[coded][:, None, :, :]  # (n, 1, b, b) block array
+    def _size_run(self, run: list, sizes: np.ndarray,
+                  payloads: List[Optional[bytes]], materialise: bool) -> None:
+        """Size (and, materialising, pack) a run of P-frames at once.
+
+        ``run`` holds each frame's ``(index, vectors, coded, blocks)``.  A
+        P-frame is a header, bitmaps of the moving and of the coded blocks
+        (like H.264 skip signalling), ``dy, dx`` bytes per moving block and
+        the coded blocks' entropy payload, byte-aligned per block: one
+        sizing (and one :func:`encode_blocks`) splits back per frame."""
+        indices, vectors, coded, blocks = zip(*run)
+        vectors, coded = np.stack(vectors), np.stack(coded)
+        moving = vectors.any(axis=3)
+        moved = moving.sum(axis=(1, 2))
+        bounds = np.cumsum([0, *map(len, blocks)])
+        blocks = np.concatenate(blocks)[:, None]
+        # Each frame's residual ends here in the run's entropy payload.
+        ends = np.concatenate(([0], np.cumsum(encoded_block_sizes(blocks))))[bounds]
+        sizes[list(indices)] = (_P_FRAME_HEADER.size + 2 * -(-coded[0].size // 8)
+                                + 2 * moved + np.diff(ends))
         if materialise:
-            mv_bitmap = pack_bitmap(moving)
-            coded_bitmap = pack_bitmap(coded)
-            mv_bytes = field.vectors[moving].astype(np.int8).tobytes()
-            residual_payload = (encode_blocks(coded_blocks)
-                                if coded_blocks.shape[0] else b"")
-            header = _P_FRAME_HEADER.pack(P_FRAME_MARKER, block_size,
-                                          self.parameters.quality, blocks_y, blocks_x,
-                                          len(residual_payload))
-            payload = (header + mv_bitmap + coded_bitmap + mv_bytes
-                       + residual_payload)
-            size = len(payload)
-        else:
-            # The same layout, counted: two bitmaps of one bit per block,
-            # two bytes per moving block, and the residual's exact size.
-            payload = None
-            residual_size = (encoded_size_bytes(coded_blocks)
-                             if coded_blocks.shape[0] else 0)
-            size = (_P_FRAME_HEADER.size + 2 * (-(-moving.size // 8))
-                    + 2 * int(moving.sum()) + residual_size)
-        reconstructed_residual = idct2_blocks(dequantise_blocks(quantised, matrix))
-        residual_plane_full = crop_plane(from_blocks(reconstructed_residual),
-                                         luma.shape[0], luma.shape[1])
-        reconstruction = np.clip(prediction + residual_plane_full, 0, 255)
-        return payload, size, reconstruction
+            residuals, ends = encode_blocks(blocks), ends.tolist()
+            flags = np.packbits(np.stack((moving, coded), axis=1).reshape(
+                len(run), 2, -1), axis=2)
+            motion = vectors[moving].astype(np.int8).tobytes()
+            moved = [0, *np.cumsum(2 * moved).tolist()]
+            for k, index in enumerate(indices):
+                payloads[index] = b"".join((_P_FRAME_HEADER.pack(
+                    P_FRAME_MARKER, self.parameters.block_size,
+                    self.parameters.quality, *coded.shape[1:],
+                    ends[k + 1] - ends[k]), flags[k].tobytes(),
+                    motion[moved[k]:moved[k + 1]], residuals[ends[k]:ends[k + 1]]))
 
     # ------------------------------------------------------------------ #
     # Video-level encoding
@@ -196,39 +213,57 @@ class VideoEncoder:
             payloads.
 
         Raises:
-            EncodeError: If a precomputed analysis pass does not match the
-                video length.
+            EncodeError: If a precomputed analysis pass is not a sequence of
+                :class:`FrameActivity` matching the video length, or a frame
+                is not a ``uint8`` frame of the video's resolution.
         """
         parameters = self.parameters
+        num_frames = video.metadata.num_frames
         if activities is None:
             activities = self.analyze(video)
-        elif len(activities) != video.metadata.num_frames:
+        elif not (isinstance(activities, abc.Sequence) and all(
+                map(isinstance, activities, repeat(FrameActivity)))):
+            raise EncodeError(f"activities must be a sequence of FrameActivity, "
+                              f"got {type(activities).__name__}")
+        elif len(activities) != num_frames:
             raise EncodeError(
                 f"analysis pass has {len(activities)} entries for a video of "
-                f"{video.metadata.num_frames} frames")
+                f"{num_frames} frames")
         frame_types = self.place_frame_types(activities)
-        # One search for the whole video: it keeps its candidate stack.
-        search = MotionSearch(parameters.block_size, parameters.search_radius)
-
-        encoded_frames: List[EncodedFrame] = []
+        # One search and one compensation plan for the whole video.
+        shape, radius = video.metadata.resolution.shape, parameters.search_radius
+        search = MotionSearch(parameters.block_size, radius)
+        plan = CompensationPlan(shape, parameters.block_size, radius)
+        sizes = np.zeros(num_frames, dtype=np.int64)
+        payloads: List[Optional[bytes]] = [None] * num_frames
+        run, held = [], 0  # P-frames awaiting their sizes, and their bytes
         reference: Optional[np.ndarray] = None
-        keyframes = 0
-        for frame in video.frames():
-            luma = frame.to_grayscale()
-            frame_type = frame_types[frame.index]
-            if frame_type is FrameType.I:
-                payload, size, reconstruction = self._encode_keyframe(
+        count = 0  # frames the source yields; EncodedVideo checks them
+        for count, frame in enumerate(video.frames(), 1):
+            luma, index = frame.to_grayscale(), frame.index
+            if luma.shape != shape or frame.data.dtype != np.uint8:
+                raise EncodeError(
+                    f"frame {index} holds a {luma.shape} {frame.data.dtype} plane; "
+                    f"the encode takes uint8 frames of the video's {shape}")
+            if frame_types[index] is FrameType.I:
+                payloads[index], sizes[index], reference = self._encode_keyframe(
                     luma, materialise_payload)
-                keyframes += 1
-            else:
-                payload, size, reconstruction = self._encode_predicted(
-                    search, reference, luma, materialise_payload)
-            reference = reconstruction
-            encoded_frames.append(EncodedFrame(
-                index=frame.index, frame_type=frame_type, size_bytes=size,
-                payload=payload,
-                novel_block_fraction=activities[frame.index].novel_block_fraction))
+                continue
+            vectors, coded, blocks, reference = self._predict(
+                search, plan, reference, luma)
+            run.append((index, vectors, coded, blocks))
+            held += vectors.nbytes + blocks.nbytes
+            if held >= _SIZING_BYTES:
+                self._size_run(run, sizes, payloads, materialise_payload)
+                run, held = [], 0
+        if run:
+            self._size_run(run, sizes, payloads, materialise_payload)
+        encoded_frames = [
+            EncodedFrame(index, frame_type, size, payload,
+                         activity.novel_block_fraction)
+            for index, (frame_type, size, payload, activity) in enumerate(
+                zip(frame_types[:count], sizes.tolist(), payloads, activities))]
         _LOGGER.debug("encoded %s: %d frames, %d keyframes (%s)",
-                      video.metadata.name, len(encoded_frames), keyframes,
-                      parameters.describe())
+                      video.metadata.name, len(encoded_frames),
+                      frame_types.count(FrameType.I), parameters.describe())
         return EncodedVideo(video.metadata, parameters, encoded_frames)

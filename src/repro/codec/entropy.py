@@ -11,11 +11,12 @@ run-length + magnitude coding:
   are split with ``ZRL`` tokens, exactly like JPEG);
 * each block ends with an ``EOB`` byte.
 
-Because the format is byte aligned, the encoded size of a frame can be
-computed exactly without materialising the payload
-(:func:`encoded_size_bytes`), which is what the video encoder uses on its
-fast path; :func:`encode_blocks` / :func:`decode_block_payloads` provide
-the real round-trip used by the still-image and video decoders.
+Because the format is byte aligned per block, the size of every block
+can be computed exactly without materialising the payload
+(:func:`encoded_block_sizes`, summed by :func:`encoded_size_bytes`), which
+is what the video encoder sizes its P-frames with; :func:`encode_blocks` /
+:func:`decode_block_payloads` provide the real round-trip used by the
+still-image and video decoders.
 
 Both directions are fully vectorised: encoding is a numpy run-length pass
 over the zig-zag rows (``flatnonzero``/``diff`` -> token/level byte arrays
@@ -73,12 +74,13 @@ def zigzag_order(block_size: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _to_zigzag_rows(quantised: np.ndarray) -> np.ndarray:
     """Flatten a 4-D quantised block array into (num_blocks, block²) zig-zag rows."""
+    quantised = np.asarray(quantised)
     if quantised.ndim != 4 or quantised.shape[2] != quantised.shape[3]:
         raise CodecError(f"expected (by, bx, b, b) blocks, got {quantised.shape}")
     block_size = quantised.shape[2]
     forward, _ = zigzag_order(block_size)
-    rows = quantised.reshape(-1, block_size * block_size)
-    return rows[:, forward]
+    # ``take`` keeps the rows C-contiguous, so they ravel without a copy.
+    return quantised.reshape(-1, block_size * block_size).take(forward, axis=1)
 
 
 def _level_bytes(levels: np.ndarray) -> np.ndarray:
@@ -92,31 +94,33 @@ def _level_bytes(levels: np.ndarray) -> np.ndarray:
     return np.where((levels >= -128) & (levels <= 127), 1, 2)
 
 
-def encoded_size_bytes(quantised: np.ndarray) -> int:
-    """Exact encoded size in bytes of a 4-D quantised block array.
-
-    This is fully vectorised and matches :func:`encode_blocks` byte for
-    byte.  Only the non-zero coefficients cost anything beyond the EOB
-    byte of each block, so only they are visited: each costs a token byte,
-    one or two level bytes, and a ZRL byte per full run of 16 zeros before
-    it in its block.
-    """
+def encoded_block_sizes(quantised: np.ndarray) -> np.ndarray:
+    """Exact :func:`encode_blocks` size of each block of a 4-D quantised
+    block array, in row-major block order.  Only the non-zero coefficients
+    cost anything beyond a block's EOB byte, so only they are visited: each
+    costs a token byte, one or two level bytes, and a ZRL byte per full run
+    of 16 zeros before it in its block."""
     rows = _to_zigzag_rows(quantised)
     num_blocks, num_coeffs = rows.shape
-    nonzero = np.flatnonzero(rows)
-    if nonzero.size == 0:
-        return num_blocks
+    # numpy finds the non-zeros of a boolean array several times faster.
+    nonzero = np.flatnonzero(rows != 0)
     levels = rows.ravel()[nonzero]
-    long_levels = int(np.count_nonzero((levels < -128) | (levels > 127)))
     # The zero run before a coefficient reaches back to the previous
     # non-zero one, or to its block's start.
-    previous = np.empty_like(nonzero)
-    previous[0] = -1
-    previous[1:] = nonzero[:-1]
+    previous = np.concatenate(([-1], nonzero[:-1]))
     block_start = nonzero - nonzero % num_coeffs
     runs = nonzero - np.maximum(previous, block_start - 1) - 1
-    zrl_bytes = int((runs >> 4).sum())
-    return 2 * nonzero.size + long_levels + zrl_bytes + num_blocks
+    spent = np.concatenate(([0], np.cumsum(
+        2 + ((levels < -128) | (levels > 127)) + (runs >> 4))))
+    # A block costs what the running total gains across its coefficients.
+    bounds = np.searchsorted(nonzero, np.arange(num_blocks + 1) * num_coeffs)
+    return np.diff(spent[bounds]) + 1
+
+
+def encoded_size_bytes(quantised: np.ndarray) -> int:
+    """Exact encoded size in bytes of a 4-D quantised block array: the sum
+    of :func:`encoded_block_sizes`."""
+    return int(encoded_block_sizes(quantised).sum())
 
 
 def encode_blocks(quantised: np.ndarray) -> bytes:
@@ -130,7 +134,7 @@ def encode_blocks(quantised: np.ndarray) -> bytes:
     rows = _to_zigzag_rows(np.clip(quantised, -MAX_LEVEL, MAX_LEVEL))
     num_blocks, num_coeffs = rows.shape
     flat = rows.ravel()
-    nonzero_flat = np.flatnonzero(flat)
+    nonzero_flat = np.flatnonzero(flat != 0)
     if nonzero_flat.size == 0:
         # Every block is empty: the payload is one EOB per block.
         return bytes(num_blocks)

@@ -18,12 +18,11 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ..config import validate_precision, whole_number
 from ..errors import CodecError
-from .blocks import (DEFAULT_BLOCK_SIZE, block_grid, from_blocks, pad_plane,
-                     padded_shape)
+from .blocks import DEFAULT_BLOCK_SIZE, block_grid, padded_shape
 
 
 @lru_cache(maxsize=32)
@@ -47,26 +46,6 @@ def candidate_offsets(search_radius: int, step: int = 1) -> Tuple[Tuple[int, int
             if (dy, dx) != (0, 0):
                 offsets.append((dy, dx))
     return tuple(offsets)
-
-
-def pad_edge(plane: np.ndarray, radius: int) -> np.ndarray:
-    """Pad a plane by ``radius`` on every side with edge replication.
-
-    Equivalent to ``np.pad(plane, radius, mode="edge")`` but hand-rolled —
-    np.pad's generic machinery dominates the copy cost on this per-frame
-    hot path.
-    """
-    if radius <= 0:
-        return plane
-    height, width = plane.shape
-    padded = np.empty((height + 2 * radius, width + 2 * radius),
-                      dtype=plane.dtype)
-    padded[radius:height + radius, radius:width + radius] = plane
-    padded[:radius, radius:width + radius] = plane[0]
-    padded[height + radius:, radius:width + radius] = plane[-1]
-    padded[:, :radius] = padded[:, radius:radius + 1]
-    padded[:, width + radius:] = padded[:, width + radius - 1:width + radius]
-    return padded
 
 
 class MotionField:
@@ -140,13 +119,13 @@ class MotionSearch:
     settles in float64 only the blocks the screen cannot decide
     (:meth:`_search_exact`).
 
-    An encoder builds one ``MotionSearch`` for a video and calls it per
-    frame pair, so the screen's fixed-point planes and candidate stack are
-    allocated once per frame size.  A fresh stack per search sits at the
-    top of the heap, where glibc may trim it back to the OS on every free
-    (41 k page faults per pass of the ``offline_build`` benchmark, 15 % of
-    its wall clock).  :func:`estimate_motion` is the one-shot form.
-    Instances are not re-entrant.
+    An encoder builds one ``MotionSearch`` for a video and calls
+    :meth:`_search_exact` per frame pair with the video's plane bounds, so
+    the screen is allocated once per frame size.  A fresh stack per search
+    sits at the top of the heap, where glibc may trim it back to the OS on
+    every free (41 k page faults per ``offline_build`` pass, 15 % of its
+    wall clock).  A call checks the pair and takes its own bounds;
+    :func:`estimate_motion` is the one-shot form.  Not re-entrant.
 
     Args:
         block_size: Macroblock size.
@@ -232,6 +211,10 @@ class MotionSearch:
         get float64 SADs of just their candidates, summed in the pinned
         order over the pinned layout (:func:`_settled_sads`), and take the
         first minimum in candidate order — the seed's tie-break.
+
+        **Bounds.** ``[low, high]`` need only hold both planes: a wider one
+        only coarsens the screen (a smaller ``k``, a larger ``span``, which
+        still bounds every ``|r - c|``); the encoder passes one per video.
         """
         block_size = self.block_size
         shift = _fixed_point_shift(low, high)
@@ -523,7 +506,7 @@ def integer_candidate_sads(padded: np.ndarray, block_size: int,
 
     ``padded`` is an ``int16`` stack ``(m, H + 2r, W + 2r)`` of ``m``
     frames, each block-padded to ``(H, W)`` and edge-padded by the search
-    radius ``r`` (:func:`pad_plane` then :func:`pad_edge`).  Frame ``j`` is
+    radius ``r`` (block padding, then edge padding).  Frame ``j`` is
     searched against frame ``j - 1``, so the result has shape
     ``(candidates, m - 1, H / b, W / b)``, candidates in
     :func:`candidate_offsets` order, in ``integer_sad_dtype(b, 255)``.
@@ -612,14 +595,49 @@ def _block_sums_exact(diff: np.ndarray, block_size: int) -> np.ndarray:
     return sums
 
 
+class CompensationPlan:
+    """Where a prediction reads each pixel from, per reference shape, block
+    size and radius.  A pixel of the padded reference shifted by ``(dy,
+    dx)`` is the reference's own at clipped coordinates (the paddings
+    replicate edges): two tables indexed by vector component (a negative
+    one wraps) give each block's rows and columns, then one ``take``."""
+
+    def __init__(self, shape: Tuple[int, int], block_size: int,
+                 radius: int) -> None:
+        height, width = shape
+        self.grid = blocks_y, blocks_x = block_grid(height, width, block_size)
+        self.shape = (blocks_y * block_size, blocks_x * block_size)
+        shifts = np.r_[0:radius + 1, -radius:0][:, None]
+        self._rows = (np.clip(np.arange(self.shape[0]) - shifts, 0, height - 1)
+                      * width).reshape(len(shifts), blocks_y, block_size)
+        self._columns = np.clip(np.arange(self.shape[1]) - shifts, 0, width - 1
+                                ).reshape(len(shifts), blocks_x, block_size)
+        self._blocks = (np.arange(blocks_y)[:, None], np.arange(blocks_x))
+
+    def __call__(self, reference: np.ndarray, vectors: np.ndarray,
+                 output_shape: Tuple[int, int]) -> np.ndarray:
+        """``reference`` predicted under ``vectors``, cropped to
+        ``output_shape``: without motion, a view of the reference."""
+        height, width = output_shape
+        if (not vectors.any() and height <= reference.shape[0]
+                and width <= reference.shape[1]):
+            return reference[:height, :width]
+        rows = self._rows[vectors[..., 0], self._blocks[0]]
+        columns = self._columns[vectors[..., 1], self._blocks[1]]
+        index = rows.transpose(0, 2, 1)[..., None] + columns[:, None]
+        return reference.take(index.reshape(self.shape)[:height, :width])
+
+
+_plan = lru_cache(maxsize=16)(CompensationPlan)
+
+
 def motion_compensate(reference: np.ndarray, field: MotionField,
                       output_shape: Tuple[int, int]) -> np.ndarray:
     """Build the motion-compensated prediction of the current frame.
 
     Every block is fetched from the edge-padded reference displaced by its
-    own vector in one gather.  A field without motion predicts the
-    reference itself, so the result may be a view of ``reference``: callers
-    that mutate it should copy first.
+    own vector in one gather (a :class:`CompensationPlan`, cached per shape).
+    Without motion the result may be a view of ``reference``.
 
     Args:
         reference: Previous reconstructed luma plane.
@@ -629,21 +647,14 @@ def motion_compensate(reference: np.ndarray, field: MotionField,
     Returns:
         The prediction plane cropped to ``output_shape``.
     """
-    block_size = field.block_size
+    reference = np.asarray(reference, dtype=np.float64)
+    if reference.ndim != 2:
+        raise CodecError(f"expected a 2-D reference plane, got {reference.shape}")
     vectors = field.vectors
-    reference = pad_plane(np.asarray(reference, dtype=np.float64), block_size)
-    blocks_y, blocks_x = vectors.shape[:2]
-    expected_shape = (blocks_y * block_size, blocks_x * block_size)
-    if reference.shape != expected_shape:
+    plan = _plan(reference.shape, field.block_size,
+                 int(np.abs(vectors).max(initial=0)))
+    if vectors.shape[:2] != plan.grid:
         raise CodecError(
-            f"reference shape {reference.shape} does not match motion field "
-            f"{expected_shape}")
-    if vectors.any():
-        radius = int(np.abs(vectors).max())
-        windows = sliding_window_view(pad_edge(reference, radius),
-                                      (block_size, block_size))
-        rows = (np.arange(blocks_y) * block_size + radius)[:, None]
-        cols = (np.arange(blocks_x) * block_size + radius)[None, :]
-        reference = from_blocks(windows[rows - vectors[:, :, 0],
-                                        cols - vectors[:, :, 1]])
-    return reference[:output_shape[0], :output_shape[1]]
+            f"reference shape {plan.shape} does not match motion field "
+            f"{tuple(side * field.block_size for side in vectors.shape[:2])}")
+    return plan(reference, vectors, output_shape)

@@ -227,8 +227,8 @@ class SceneCutAnalyzer:
         block, radius = self.block_size, self.search_radius
         height, width = stack[0].shape
         padded_h, padded_w = padded_shape(height, width, block)
-        # pad_plane to the block grid, then pad_edge by the search radius:
-        # both replicate edges, so one replication of the frame's border does.
+        # Pad to the block grid, then by the search radius: both
+        # replicate edges, so one replication of the frame's border does.
         padded = np.empty((len(stack), padded_h + 2 * radius,
                            padded_w + 2 * radius), dtype=np.int16)
         padded[:, radius:radius + height, radius:radius + width] = stack

@@ -13,16 +13,25 @@ the plane the pass itself analyses.
 when no lookahead pass was given: each frame analysed as it arrived and
 its type decided by ``StreamingKeyframePlacer``.  ``encode`` now always
 places from a whole-clip pass with ``KeyframePlacer``'s closed form, and
-must give the same encode.
+must give the same encode.  Its P-frames are coded by
+:func:`encode_predicted`, the per-frame body the encoder had before its
+frame loop kept only the closed loop: a ``MotionSearch`` call with the
+frame pair's own bounds, a one-shot ``motion_compensate``, and the frame
+sized (or packed) on its own.
 """
 
 import numpy as np
 
 from repro.codec.bitstream import EncodedFrame, EncodedVideo
-from repro.codec.blocks import pad_plane, to_blocks
+from repro.codec.blocks import crop_plane, from_blocks, pad_plane, to_blocks
+from repro.codec.encoder import (_P_FRAME_HEADER, P_FRAME_DEADZONE,
+                                 P_FRAME_MARKER)
+from repro.codec.entropy import encode_blocks, encoded_size_bytes
 from repro.codec.gop import StreamingKeyframePlacer
 from repro.codec.motion import MotionSearch, motion_compensate
 from repro.codec.scenecut import FrameActivity, scenecut_novelty_floor
+from repro.codec.transform import (dct2_blocks, dequantise_blocks,
+                                   idct2_blocks, quantise_blocks)
 from repro.video.frame import Frame, FrameType, Resolution
 from repro.video.raw_video import RawVideo, VideoMetadata
 
@@ -90,6 +99,41 @@ class OracleAnalyzer:
 # --------------------------------------------------------------------- #
 # The encode oracle: the live loop, analysing and deciding frame by frame
 # --------------------------------------------------------------------- #
+def encode_predicted(encoder, search, reference, luma, materialise):
+    """One P-frame against ``reference``: (payload or None, size, recon)."""
+    block_size = encoder.parameters.block_size
+    field = search(reference, luma)
+    prediction = motion_compensate(reference, field, luma.shape)
+    matrix = encoder._matrix
+    quantised = quantise_blocks(dct2_blocks(to_blocks(
+        pad_plane(luma - prediction, block_size), block_size)), matrix)
+    quantised[np.abs(quantised) <= P_FRAME_DEADZONE] = 0
+    blocks_y, blocks_x = quantised.shape[:2]
+    moving = (field.vectors != 0).any(axis=2)
+    coded = (quantised != 0).any(axis=(2, 3))
+    coded_blocks = quantised[coded][:, None, :, :]
+    if materialise:
+        residual_payload = (encode_blocks(coded_blocks)
+                            if coded_blocks.shape[0] else b"")
+        header = _P_FRAME_HEADER.pack(P_FRAME_MARKER, block_size,
+                                      encoder.parameters.quality, blocks_y,
+                                      blocks_x, len(residual_payload))
+        payload = (header + np.packbits(moving.ravel()).tobytes()
+                   + np.packbits(coded.ravel()).tobytes()
+                   + field.vectors[moving].astype(np.int8).tobytes()
+                   + residual_payload)
+        size = len(payload)
+    else:
+        payload = None
+        residual_size = (encoded_size_bytes(coded_blocks)
+                         if coded_blocks.shape[0] else 0)
+        size = (_P_FRAME_HEADER.size + 2 * (-(-moving.size // 8))
+                + 2 * int(moving.sum()) + residual_size)
+    residual = crop_plane(from_blocks(idct2_blocks(
+        dequantise_blocks(quantised, matrix))), luma.shape[0], luma.shape[1])
+    return payload, size, np.clip(prediction + residual, 0, 255)
+
+
 def live_encode(encoder, video, materialise_payload):
     """``encoder``'s encode of ``video`` as the live loop computed it."""
     parameters = encoder.parameters
@@ -106,8 +150,8 @@ def live_encode(encoder, video, materialise_payload):
             payload, size, reconstruction = encoder._encode_keyframe(
                 luma, materialise_payload)
         else:
-            payload, size, reconstruction = encoder._encode_predicted(
-                search, reference, luma, materialise_payload)
+            payload, size, reconstruction = encode_predicted(
+                encoder, search, reference, luma, materialise_payload)
         reference = reconstruction
         encoded_frames.append(EncodedFrame(
             index=frame.index, frame_type=frame_type, size_bytes=size,

@@ -111,6 +111,35 @@ class TestEncoder:
         with pytest.raises(EncodeError):
             VideoEncoder().encode(tiny_video, activities=tiny_activities[:-1])
 
+    @pytest.mark.parametrize("activities", [5, "x", {0: None}],
+                             ids=["int", "str", "dict"])
+    def test_ill_typed_activities_rejected(self, tiny_video, activities):
+        with pytest.raises(EncodeError, match="sequence of FrameActivity"):
+            VideoEncoder().encode(tiny_video, activities=activities)
+
+    def test_activities_of_another_type_rejected(self, tiny_video):
+        with pytest.raises(EncodeError, match="sequence of FrameActivity"):
+            VideoEncoder().encode(
+                tiny_video, activities=[1] * tiny_video.metadata.num_frames)
+
+    def test_parameters_of_another_type_rejected(self):
+        with pytest.raises(EncodeError, match="EncoderParameters, got str"):
+            VideoEncoder("x")
+
+    def test_a_frame_the_search_bounds_do_not_cover_is_rejected(self, rng):
+        """The encode searches with bounds fixed per video, so a frame of
+        another shape, or one whose data is no longer uint8, is refused
+        (the analysis pass refuses both too, so it is given here)."""
+        planes = rng.integers(0, 256, size=(3, 16, 16), dtype=np.uint8)
+        video = video_from_arrays("clip", list(planes))
+        encoder = VideoEncoder(EncoderParameters(gop_size=10,
+                                                 scenecut_threshold=0.0))
+        activities = encoder.analyze(video)
+        for data in (planes[2] * 300.0, planes[2][:8]):
+            video.frame(2).data = data
+            with pytest.raises(EncodeError, match="frame 2 holds a"):
+                encoder.encode(video, activities=activities)
+
     def test_semantic_encoding_has_more_keyframes_than_default(self, tiny_video,
                                                                tiny_activities,
                                                                tiny_encoded):

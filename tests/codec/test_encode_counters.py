@@ -10,18 +10,24 @@ counting, encoded size-only with the default parameters.
   off: Python-level calls into ``repro`` itself, all Python-level calls,
   and C calls.  The first count does not depend on the numpy version, so
   its ceiling is the tight one.  ``encode(video)`` runs the batched
-  analysis pass and then the encode: 31.7 ``repro`` / 73.5 Python-level /
-  96.2 C calls a frame.  Given the pass, ``encode(video,
-  activities=...)`` makes 26.6 / 65.7 / 73.5.  The float64 candidate
+  analysis pass and then the encode: 23.3 ``repro`` / 50.3 Python-level /
+  69.3 C calls a frame.  Given the pass, ``encode(video,
+  activities=...)`` makes 20.6 / 45.5 / 48.0.  The frame loop carries
+  only the closed loop, and P-frames are sized after it in runs; sizing
+  each P-frame inside the loop again makes 25.9 and 23.3 ``repro`` calls,
+  and the loop before (a ``MotionSearch`` call with each pair's bounds, a
+  one-shot ``motion_compensate`` and the frame sized on its own) made
+  28.3 / 69.6 / 93.8 and 25.6 / 64.7 / 72.5.  The float64 candidate
   stack the integer screen replaced made 39.6 / 75.0 / 104.7 and 34.5 /
   67.3 / 86.0; the live loop before that, which analysed and placed one
   frame at a time, made 127.9 Python-level and 176.4 C calls; a
   ``MotionSearch`` built per frame adds four ``repro`` calls a P-frame.
 * The share of searched blocks the exact search settles in float64
   because its integer screen left two candidates in the running: 30 of
-  12,376 (0.24 %), in 119 searches.
-* The ``tracemalloc`` peak of one warm encode: 1.00 MB with the analysis
-  pass (one frame batch of its ``int16`` stacks), 0.85 MB without.
+  12,376 (0.24 %), in 119 searches with the video's plane bounds.
+* The ``tracemalloc`` peak of one warm encode: 0.94 MB with the analysis
+  pass (one frame batch of its ``int16`` stacks), 0.81 MB without (with
+  up to 64 KiB of P-frames awaiting their sizes).
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ from repro.datasets.generator import build_dataset
 FRAMES = 120
 
 #: ``repro`` / all Python-level / C calls per frame, and traced peak bytes.
-ANALYSE_FIRST_CEILINGS = (33.0, 78.0, 101.0, 1_100_000)
-GIVEN_PASS_CEILINGS = (28.0, 70.0, 78.0, 900_000)
+ANALYSE_FIRST_CEILINGS = (24.5, 55.0, 74.0, 1_100_000)
+GIVEN_PASS_CEILINGS = (22.0, 50.0, 52.0, 900_000)
 #: Blocks settled in float64 per block searched.
 SETTLE_SHARE_CEILING = 0.005
 
@@ -120,19 +126,21 @@ class TestWhatAnEncodeCosts:
 
     def test_settle_share(self, clip, monkeypatch):
         settled, searched = [0], [0]
-        settle, search = motion.MotionSearch._settle, motion.MotionSearch.__call__
+        settle = motion.MotionSearch._settle
+        search = motion.MotionSearch._search_exact
 
         def counted_settle(self, reference, current, running, tied, *rest):
             settled[0] += int(tied.sum())
             return settle(self, reference, current, running, tied, *rest)
 
-        def counted_search(self, reference, current):
-            field = search(self, reference, current)
+        def counted_search(self, reference, current, *bounds):
+            field = search(self, reference, current, *bounds)
             searched[0] += field.vectors.shape[0] * field.vectors.shape[1]
             return field
 
         monkeypatch.setattr(motion.MotionSearch, "_settle", counted_settle)
-        monkeypatch.setattr(motion.MotionSearch, "__call__", counted_search)
+        # The entry the encoder calls, with the video's plane bounds.
+        monkeypatch.setattr(motion.MotionSearch, "_search_exact", counted_search)
         encoder = VideoEncoder()
         encoder.encode(clip, activities=encoder.analyze(clip))
         assert searched[0] == 119 * 8 * 13

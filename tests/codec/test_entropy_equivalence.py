@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from entropy_oracle import (decode_blocks, decode_blocks_reference,
                             encode_blocks_reference)
 from repro.codec.entropy import (MAX_LEVEL, decode_block_payloads,
-                                 encode_blocks, encoded_size_bytes)
-from repro.errors import BitstreamError
+                                 encode_blocks, encoded_block_sizes,
+                                 encoded_size_bytes)
+from repro.errors import BitstreamError, CodecError
 
 
 def random_blocks(blocks_y, blocks_x, block_size, density, seed,
@@ -93,6 +94,28 @@ class TestEncodeDecodeEquivalence:
         assert (reference_error is None) == (fast_error is None)
         if reference_error is None:
             assert np.array_equal(fast, reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(quantised=block_arrays,
+           cuts=st.lists(st.integers(min_value=0, max_value=36), max_size=5))
+    def test_block_sizes_sum_over_any_split(self, quantised, cuts):
+        """The per-block size rule, summed over any run of blocks (empty
+        ones included), is that run's payload length, by both coders."""
+        blocks = quantised.reshape(-1, 1, *quantised.shape[2:])
+        sizes = encoded_block_sizes(quantised)
+        assert sizes.shape == (len(blocks),)
+        bounds = sorted([0, len(blocks), *(cut % (len(blocks) + 1)
+                                           for cut in cuts)])
+        for start, end in zip(bounds, bounds[1:]):
+            split = blocks[start:end]
+            assert (int(sizes[start:end].sum()) == len(encode_blocks(split))
+                    == len(encode_blocks_reference(split)))
+        assert int(sizes.sum()) == encoded_size_bytes(quantised)
+
+    def test_a_block_array_is_required(self):
+        for bad in ([[1]], np.zeros((2, 2)), np.zeros((1, 1, 2, 3))):
+            with pytest.raises(CodecError):
+                encoded_size_bytes(bad)
 
     def test_empty_blocks_are_one_eob_each(self):
         quantised = np.zeros((2, 3, 8, 8), dtype=np.int64)

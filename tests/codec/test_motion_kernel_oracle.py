@@ -21,7 +21,7 @@ from video_tools import shift_plane
 from repro.codec.motion import (MotionField, MotionSearch, _block_sums_exact,
                                 candidate_offsets, estimate_motion,
                                 integer_block_sums, integer_sad_dtype,
-                                motion_compensate, offset_table, pad_edge)
+                                motion_compensate, offset_table)
 from repro.errors import CodecError
 from repro.video import SyntheticScene, make_scenario
 from repro.video.scenarios import SCENARIOS
@@ -30,6 +30,22 @@ from repro.video.scenarios import SCENARIOS
 # --------------------------------------------------------------------- #
 # The oracle: the per-candidate loops, verbatim in behaviour
 # --------------------------------------------------------------------- #
+def pad_edge(plane, radius):
+    """``np.pad(plane, radius, mode="edge")``, hand-rolled as the search's
+    padding was before the searches gathered their rows directly."""
+    if radius <= 0:
+        return plane
+    height, width = plane.shape
+    padded = np.empty((height + 2 * radius, width + 2 * radius),
+                      dtype=plane.dtype)
+    padded[radius:height + radius, radius:width + radius] = plane
+    padded[:radius, radius:width + radius] = plane[0]
+    padded[height + radius:, radius:width + radius] = plane[-1]
+    padded[:, :radius] = padded[:, radius:radius + 1]
+    padded[:, width + radius:] = padded[:, width + radius - 1:width + radius]
+    return padded
+
+
 def loop_estimate_motion(reference, current, block_size, search_radius,
                          search_step=1):
     reference = np.asarray(reference, dtype=np.float64)
