@@ -19,9 +19,10 @@ instead of re-encoding the video k*l times.
 
 The frame loop carries only the closed loop the next reference needs:
 search, prediction, residual transform, quantisation and dead-zone, and
-reconstruction.  The search takes the video's plane bounds, as its screen
-needs only an interval holding both planes (``_search_exact``), and the
-prediction is a :class:`CompensationPlan` kept for the video.  P-frame
+reconstruction.  The search skips the per-pair checks of its call
+(``_search_exact``): every plane an encode searches is in ``[0,
+motion.PLANE_MAX]``.  The prediction is a :class:`CompensationPlan` kept
+for the video.  P-frame
 sizes and payloads are computed after the loop, a run of frames at a time
 (:meth:`VideoEncoder._size_run`); I-frames are sized as they are coded.
 """
@@ -62,10 +63,6 @@ P_FRAME_MARKER = b"P"
 #: dead-zone: sensor noise never survives into the bitstream, only genuine
 #: prediction failures (new objects, disocclusions) do.
 P_FRAME_DEADZONE = 1
-
-#: Bounds of every plane an encode searches: a reconstruction is clipped to
-#: [0, 255], and the luma of ``uint8`` channels rounds at most ulps past it.
-_PLANE_BOUNDS = (0.0, 255.0 * (1.0 + 2.0 ** -40))
 
 #: The motion vectors and coded blocks, in bytes, that P-frames awaiting
 #: their sizes may hold before the run is sized: enough to share the
@@ -140,7 +137,7 @@ class VideoEncoder:
         """The closed loop of one P-frame: search, prediction, residual and
         reconstruction; returns (vectors, coded, coded blocks, recon)."""
         block_size, matrix = self.parameters.block_size, self._matrix
-        vectors = search._search_exact(reference, luma, *_PLANE_BOUNDS).vectors
+        vectors = search._search_exact(reference, luma).vectors
         prediction = plan(reference, vectors, luma.shape)
         quantised = quantise_blocks(dct2_blocks(to_blocks(
             pad_plane(luma - prediction, block_size), block_size)), matrix)

@@ -94,6 +94,19 @@ def _level_bytes(levels: np.ndarray) -> np.ndarray:
     return np.where((levels >= -128) & (levels <= 127), 1, 2)
 
 
+def _nonzero_runs(rows: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(nonzero, levels, runs)`` of zig-zag ``rows``: the flat index and
+    level of every non-zero coefficient, and the zero run before it, which
+    reaches back to the previous non-zero one or to its block's start."""
+    # numpy finds the non-zeros of a boolean array several times faster.
+    nonzero = np.flatnonzero(rows != 0)
+    previous = np.concatenate(([-1], nonzero[:-1]))
+    block_start = nonzero - nonzero % rows.shape[1]
+    runs = nonzero - np.maximum(previous, block_start - 1) - 1
+    return nonzero, rows.ravel()[nonzero], runs
+
+
 def encoded_block_sizes(quantised: np.ndarray) -> np.ndarray:
     """Exact :func:`encode_blocks` size of each block of a 4-D quantised
     block array, in row-major block order.  Only the non-zero coefficients
@@ -102,14 +115,7 @@ def encoded_block_sizes(quantised: np.ndarray) -> np.ndarray:
     of 16 zeros before it in its block."""
     rows = _to_zigzag_rows(quantised)
     num_blocks, num_coeffs = rows.shape
-    # numpy finds the non-zeros of a boolean array several times faster.
-    nonzero = np.flatnonzero(rows != 0)
-    levels = rows.ravel()[nonzero]
-    # The zero run before a coefficient reaches back to the previous
-    # non-zero one, or to its block's start.
-    previous = np.concatenate(([-1], nonzero[:-1]))
-    block_start = nonzero - nonzero % num_coeffs
-    runs = nonzero - np.maximum(previous, block_start - 1) - 1
+    nonzero, levels, runs = _nonzero_runs(rows)
     spent = np.concatenate(([0], np.cumsum(
         2 + ((levels < -128) | (levels > 127)) + (runs >> 4))))
     # A block costs what the running total gains across its coefficients.
@@ -133,26 +139,13 @@ def encode_blocks(quantised: np.ndarray) -> bytes:
     """
     rows = _to_zigzag_rows(np.clip(quantised, -MAX_LEVEL, MAX_LEVEL))
     num_blocks, num_coeffs = rows.shape
-    flat = rows.ravel()
-    nonzero_flat = np.flatnonzero(flat != 0)
+    nonzero_flat, levels, run = _nonzero_runs(rows)
     if nonzero_flat.size == 0:
         # Every block is empty: the payload is one EOB per block.
         return bytes(num_blocks)
 
-    levels = flat[nonzero_flat].astype(np.int64)
+    levels = levels.astype(np.int64)
     block_index = nonzero_flat // num_coeffs
-    position = nonzero_flat - block_index * num_coeffs
-    # Zig-zag position of the previous non-zero coefficient in the same
-    # block (-1 at a block start), from which the zero-run length follows.
-    previous = np.empty_like(position)
-    previous[0] = -1
-    previous[1:] = position[:-1]
-    first_in_block = np.empty(nonzero_flat.size, dtype=bool)
-    first_in_block[0] = True
-    np.not_equal(block_index[1:], block_index[:-1], out=first_in_block[1:])
-    previous[first_in_block] = -1
-    run = position - previous - 1
-
     zrl_count = run >> 4
     short_run = run & 0x0F
     size = _level_bytes(levels)

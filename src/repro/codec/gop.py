@@ -77,11 +77,8 @@ class EncoderParameters:
         # fail late, inside numpy or ``struct``.  A bool is no count at all.
         for name in ("gop_size", "min_gop_size", "quality", "block_size",
                      "search_radius"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ConfigurationError(
-                    f"{name} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, whole_number(value, name))
+            object.__setattr__(self, name, whole_number(getattr(self, name),
+                                                        name))
         if self.gop_size < 1:
             raise ConfigurationError(f"gop_size must be >= 1, got {self.gop_size}")
         # Kept exactly as given: ``describe()`` and every digest print it.

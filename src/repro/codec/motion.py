@@ -13,9 +13,8 @@ searches a whole batch of ``uint8`` frames in integers
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -26,26 +25,18 @@ from .blocks import DEFAULT_BLOCK_SIZE, block_grid, padded_shape
 
 
 @lru_cache(maxsize=32)
-def candidate_offsets(search_radius: int, step: int = 1) -> Tuple[Tuple[int, int], ...]:
-    """Candidate motion vectors: the origin plus a square grid of offsets.
+def candidate_offsets(search_radius: int) -> Tuple[Tuple[int, int], ...]:
+    """Candidate motion vectors: the origin plus every other offset of the
+    square of ``search_radius``, row by row.
 
-    Args:
-        search_radius: Maximum absolute displacement in pixels per axis.
-        step: Grid step between candidates.
-
-    Returns:
-        Tuple of ``(dy, dx)`` candidates, origin first.
+    Raises:
+        CodecError: If ``search_radius`` is negative.
     """
     if search_radius < 0:
         raise CodecError(f"search_radius must be >= 0, got {search_radius}")
-    if step <= 0:
-        raise CodecError(f"step must be positive, got {step}")
-    offsets: List[Tuple[int, int]] = [(0, 0)]
-    for dy in range(-search_radius, search_radius + 1, step):
-        for dx in range(-search_radius, search_radius + 1, step):
-            if (dy, dx) != (0, 0):
-                offsets.append((dy, dx))
-    return tuple(offsets)
+    span = range(-search_radius, search_radius + 1)
+    return ((0, 0),) + tuple((dy, dx) for dy in span for dx in span
+                             if (dy, dx) != (0, 0))
 
 
 class MotionField:
@@ -62,6 +53,20 @@ class MotionField:
         self.block_size = block_size
 
 
+#: The largest value of a plane the search takes: a reconstruction is
+#: clipped to [0, 255], and the luma of ``uint8`` channels rounds at most
+#: ulps past 255.
+PLANE_MAX = 255.0 * (1.0 + 2.0 ** -40)
+
+#: The screen's fixed point ``rint(x · 2^6)``: a plane in ``[0,
+#: PLANE_MAX]`` rounds into ``[0, 16320]``, so every value and every
+#: ``|difference|`` of two fits ``int16``, and four of them sum in
+#: ``uint16``: the first two row folds of a block need no wider type.
+_FIXED_POINT_SCALE = 2.0 ** 6
+
+#: The bound on one screened ``|difference|``: the largest rounded value.
+_SCREEN_TERM_BOUND = round(PLANE_MAX * _FIXED_POINT_SCALE)
+
 #: Upper bound, in array elements, on one candidate batch of the search's
 #: ``int16`` screen (512 KiB): every candidate of a 58 x 102 frame (25
 #: planes of 64 rows at a 112-element pitch) fits one batch; a frame whose
@@ -69,45 +74,13 @@ class MotionField:
 #: to one.
 _SCREEN_BATCH_ELEMENTS = 1 << 18
 
-#: The widest span, in fixed-point units, of the values of a screened frame
-#: pair.  With the origin inside it, every rounded value and every
-#: ``|difference|`` of two is at most 2¹⁴ - 1, so four of them sum in
-#: ``uint16``: the first two row folds of a block need no wider type.
-_FIXED_POINT_SPAN = (1 << 14) - 2
-
-#: The bound on one screened ``|difference|``: the span, plus one for the
-#: rounding of its two ends.
-_SCREEN_TERM_BOUND = _FIXED_POINT_SPAN + 1
-
-#: Spans above this (~1e301) are not screened: their float64 differences
-#: may overflow, which no bound covers.
-_MAX_SCREENED_SPAN = 2.0 ** 1000
-
 
 @lru_cache(maxsize=32)
-def offset_table(search_radius: int, step: int) -> np.ndarray:
+def offset_table(search_radius: int) -> np.ndarray:
     """:func:`candidate_offsets` as a read-only ``(n, 2)`` int16 table."""
-    table = np.asarray(candidate_offsets(search_radius, step), dtype=np.int16)
+    table = np.asarray(candidate_offsets(search_radius), dtype=np.int16)
     table.setflags(write=False)
     return table
-
-
-def _fixed_point_shift(low: float, high: float) -> Optional[int]:
-    """The ``k`` of the screen's fixed point ``rint(x · 2^k)`` for values
-    in ``[low, high]``, or ``None`` when the span is too wide to screen.
-
-    ``k`` is the largest with ``(max(high, 0) - min(low, 0)) · 2^k`` at most
-    :data:`_FIXED_POINT_SPAN`, capped at 1000 (a zero span allows any).
-    """
-    span = max(high, 0.0) - min(low, 0.0)
-    if not span <= _MAX_SCREENED_SPAN:
-        return None
-    if span * 2.0 ** 1000 <= _FIXED_POINT_SPAN:
-        return 1000
-    shift = math.frexp(_FIXED_POINT_SPAN / span)[1] - 1
-    while span * 2.0 ** shift > _FIXED_POINT_SPAN:
-        shift -= 1
-    return shift
 
 
 class MotionSearch:
@@ -120,47 +93,51 @@ class MotionSearch:
     (:meth:`_search_exact`).
 
     An encoder builds one ``MotionSearch`` for a video and calls
-    :meth:`_search_exact` per frame pair with the video's plane bounds, so
-    the screen is allocated once per frame size.  A fresh stack per search
-    sits at the top of the heap, where glibc may trim it back to the OS on
-    every free (41 k page faults per ``offline_build`` pass, 15 % of its
-    wall clock).  A call checks the pair and takes its own bounds;
-    :func:`estimate_motion` is the one-shot form.  Not re-entrant.
+    :meth:`_search_exact` per frame pair, so the screen is allocated once
+    per frame size.  A fresh stack per search sits at the top of the heap,
+    where glibc may trim it back to the OS on every free (41 k page faults
+    per ``offline_build`` pass, 15 % of its wall clock).  A call checks the
+    pair first; :func:`estimate_motion` is the one-shot form.  Not
+    re-entrant.
 
     Args:
         block_size: Macroblock size.
         search_radius: Maximum displacement searched per axis.
-        search_step: Candidate grid step (``2`` halves the search cost).
 
     Raises:
-        CodecError: If the block size, radius or step is not a whole number
-            (a bool is not one) in range.
+        CodecError: If the block size or radius is not a whole number (a
+            bool is not one) in range.
     """
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE,
-                 search_radius: int = 3, search_step: int = 1) -> None:
+                 search_radius: int = 3) -> None:
         self.block_size = whole_number(block_size, "block_size", CodecError, 1)
         self.search_radius = whole_number(search_radius, "search_radius",
                                           CodecError, 0)
-        self.search_step = whole_number(search_step, "search_step",
-                                        CodecError, 1)
-        self._offsets = candidate_offsets(self.search_radius, self.search_step)
-        self._offset_table = offset_table(self.search_radius, self.search_step)
+        self._offset_table = offset_table(self.search_radius)
         self._screen: Optional[_Screen] = None
+        # 2E · 2^6 (see :meth:`_search_exact`), rounded up past any rounding
+        # of its float part.  The screen's accumulator holds the minimum
+        # plus this margin.
+        terms = self.block_size * self.block_size
+        self._margin = 2 * terms + 1 + int(
+            2.0 * terms * terms * PLANE_MAX * _FIXED_POINT_SCALE * 2.0 ** -52)
 
     def __call__(self, reference: np.ndarray, current: np.ndarray) -> MotionField:
         """Estimate per-block motion of ``current`` with respect to ``reference``.
 
         Args:
-            reference: Previous (reference) luma plane, float or uint8.
-            current: Current luma plane of the same shape.
+            reference: Previous (reference) luma plane, float or integer,
+                with values in ``[0, PLANE_MAX]``.
+            current: Current luma plane of the same shape and range.
 
         Returns:
             The :class:`MotionField` with the best candidate per block.
 
         Raises:
             CodecError: If the planes differ in shape, are empty or not 2-D,
-                are complex, or hold a NaN or an infinity.
+                are not real, or hold a value outside ``[0, PLANE_MAX]`` (a
+                NaN among them).
         """
         reference, current = np.asarray(reference), np.asarray(current)
         if reference.shape != current.shape:
@@ -170,81 +147,56 @@ class MotionSearch:
             raise CodecError(f"cannot search motion on an empty plane {current.shape}")
         if current.ndim != 2:
             raise CodecError(f"expected a 2-D luma plane, got shape {current.shape}")
-        if "c" in (reference.dtype.kind, current.dtype.kind):
-            raise CodecError(
-                f"cannot search motion on complex planes ({reference.dtype}, "
-                f"{current.dtype})")
-        reference = reference.astype(np.float64, copy=False)
-        current = current.astype(np.float64, copy=False)
-        low = float(np.minimum(reference.min(), current.min()))
-        high = float(np.maximum(reference.max(), current.max()))
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise CodecError("cannot search motion on a plane with NaN or infinity")
-        return self._search_exact(reference, current, low, high)
+        for plane in (reference, current):
+            if not (plane.dtype.kind in "uif"
+                    and 0 <= plane.min() and plane.max() <= PLANE_MAX):
+                raise CodecError(
+                    f"expected real luma planes in [0, {PLANE_MAX!r}], got a "
+                    f"{plane.dtype} plane that is not one")
+        return self._search_exact(reference.astype(np.float64, copy=False),
+                                  current.astype(np.float64, copy=False))
 
     # ------------------------------------------------------------------ #
     # Exact: screen, bound, settle
     # ------------------------------------------------------------------ #
-    def _search_exact(self, reference: np.ndarray, current: np.ndarray,
-                      low: float, high: float) -> MotionField:
-        """The exact search on finite float64 planes.
+    def _search_exact(self, reference: np.ndarray,
+                      current: np.ndarray) -> MotionField:
+        """The exact search on float64 planes in ``[0, PLANE_MAX]``.
 
         **Screen.** Both planes are rounded to the fixed point
-        ``q = rint(x · 2^k)``, with ``k`` as large as keeps every value and
-        every ``|difference|`` below 2¹⁴ (:func:`_fixed_point_shift`; 6
-        for planes in ``[0, 255]``), and every candidate's block SAD ``Q``
+        ``q = rint(x · 2^k)``, ``k = 6``, which keeps every value and every
+        ``|difference|`` below 2¹⁴, and every candidate's block SAD ``Q``
         is summed exactly in integers (:class:`_Screen`).
 
         **Bound.** Scaling by ``2^k`` is exact, so each rounding is off by
         at most ``2^-(k+1)``, and each ``|q_r - q_c| / 2^k`` by at most
         ``2^-k`` from ``|r - c|``: over ``n = b²`` terms, ``Q / 2^k`` is
         within ``n · 2^-k`` of the true SAD.  The pinned float64 SAD is
-        within ``γ_n · S <= n² · 2^-52 · span`` of the true SAD ``S``
+        within ``γ_n · S <= n² · 2^-52 · PLANE_MAX`` of the true SAD ``S``
         (``n`` rounded subtractions and additions of non-negative terms, in
-        any order; ``span`` bounds every ``|r - c|``).  Together the pinned
-        SAD is within ``E = n · 2^-k + n² · 2^-52 · span`` of ``Q / 2^k``,
-        so a candidate whose ``Q`` exceeds the block's screened minimum by
-        more than ``2E · 2^k`` is *strictly* worse than the candidate at
-        that minimum and cannot be the pinned argmin.
+        any order; ``PLANE_MAX`` bounds every ``|r - c|``).  Together the
+        pinned SAD is within ``E = n · 2^-k + n² · 2^-52 · PLANE_MAX`` of
+        ``Q / 2^k``, so a candidate whose ``Q`` exceeds the block's screened
+        minimum by more than ``2E · 2^k`` (the margin) is *strictly* worse
+        than the candidate at that minimum and cannot be the pinned argmin.
 
         **Settle.** A block with one candidate left is decided.  The others
         get float64 SADs of just their candidates, summed in the pinned
         order over the pinned layout (:func:`_settled_sads`), and take the
         first minimum in candidate order — the seed's tie-break.
-
-        **Bounds.** ``[low, high]`` need only hold both planes: a wider one
-        only coarsens the screen (a smaller ``k``, a larger ``span``, which
-        still bounds every ``|r - c|``); the encoder passes one per video.
         """
-        block_size = self.block_size
-        shift = _fixed_point_shift(low, high)
-        if shift is None:
-            # Nothing to screen with: every candidate stays in the running.
-            blocks_y, blocks_x = block_grid(*current.shape, block_size)
-            screened = np.zeros((len(self._offsets), blocks_y, blocks_x),
-                                dtype=np.int64)
-            margin = 0
-            slot_candidates = np.arange(len(self._offsets))
-        else:
-            screen = self._screen
-            if screen is None or screen.shape != current.shape:
-                screen = self._screen = _Screen(
-                    current.shape, block_size, self.search_radius,
-                    self.search_step)
-            scale = 2.0 ** shift
-            screened = screen(reference, current, scale)
-            slot_candidates = screen.slot_candidates
-            # 2E · 2^k, rounded up past any rounding of its float part.  The
-            # screen's accumulator holds the minimum plus this margin.
-            terms = block_size * block_size
-            margin = 2 * terms + 1 + int(
-                2.0 * terms * terms * (high - low) * scale * 2.0 ** -52)
-        running = screened <= screened.min(axis=0) + margin
+        screen = self._screen
+        if screen is None or screen.shape != current.shape:
+            screen = self._screen = _Screen(current.shape, self.block_size,
+                                            self.search_radius)
+        screened = screen(reference, current)
+        slot_candidates = screen.slot_candidates
+        running = screened <= screened.min(axis=0) + self._margin
         winners = slot_candidates[screened.argmin(axis=0)]
         if np.count_nonzero(running) > winners.size:
             self._settle(reference, current, running,
                          running.sum(axis=0) > 1, slot_candidates, winners)
-        return MotionField(self._offset_table[winners], block_size)
+        return MotionField(self._offset_table[winners], self.block_size)
 
     def _settle(self, reference: np.ndarray, current: np.ndarray,
                 running: np.ndarray, tied: np.ndarray,
@@ -284,15 +236,13 @@ class _Screen:
     (:meth:`__call__`).  The ``P - W`` columns past each row are scratch,
     summed into blocks that are never read.
 
-    Candidates are taken in *slot* order: the square grid of shifts, grid
-    row by grid row with dy and dx descending, then the origin when the
-    grid misses it (a radius that is not a multiple of the step).
-    ``slot_candidates`` maps each slot to its :func:`candidate_offsets`
-    index.
+    Candidates are taken in *slot* order: the square of shifts, row by row
+    with dy and dx descending.  ``slot_candidates`` maps each slot to its
+    :func:`candidate_offsets` index.
     """
 
     def __init__(self, shape: Tuple[int, int], block_size: int,
-                 radius: int, step: int) -> None:
+                 radius: int) -> None:
         self.shape = shape
         self.block_size = block_size
         self.radius = radius
@@ -306,36 +256,26 @@ class _Screen:
             radius * pitch + radius:radius * pitch + radius + run]
         flat = self.fixed[0].reshape(-1)
         item = flat.itemsize
-        first = 2 * radius % step
-        across = 2 * radius // step + 1
-        parts = [as_strided(flat[first * pitch + first:],
-                            shape=(across, across, run),
-                            strides=(step * pitch * item, step * item, item),
-                            writeable=False)]
+        across = 2 * radius + 1
+        grid = as_strided(flat, shape=(across, across, run),
+                          strides=(pitch * item, item, item), writeable=False)
         index = {offset: position for position, offset
-                 in enumerate(candidate_offsets(radius, step))}
-        slots = [index[(radius - y, radius - x)]
-                 for y in range(first, 2 * radius + 1, step)
-                 for x in range(first, 2 * radius + 1, step)]
-        if radius % step:
-            parts.append(flat[radius * pitch + radius:][:run][None, None])
-            slots.append(0)
-        self.slot_candidates = np.asarray(slots)
+                 in enumerate(candidate_offsets(radius))}
+        self.slot_candidates = np.asarray([
+            index[(radius - y, radius - x)]
+            for y in range(across) for x in range(across)])
         # Batches under the element budget, in slot order: whole grid rows
         # while one fits, else runs of candidates along a grid row.  Each
         # batch's views of the kept stack are made once.
         budget = max(1, _SCREEN_BATCH_ELEMENTS // run)
-        chunks = []
-        for part in parts:
-            down, wide = part.shape[:2]
-            if budget >= wide:
-                rows = budget // wide
-                chunks += [part[start:start + rows]
-                           for start in range(0, down, rows)]
-            else:
-                chunks += [part[row:row + 1, start:start + budget]
-                           for row in range(down)
-                           for start in range(0, wide, budget)]
+        if budget >= across:
+            rows = budget // across
+            chunks = [grid[start:start + rows]
+                      for start in range(0, across, rows)]
+        else:
+            chunks = [grid[row:row + 1, start:start + budget]
+                      for row in range(across)
+                      for start in range(0, across, budget)]
         stack = np.empty((max(chunk.shape[0] * chunk.shape[1]
                               for chunk in chunks), run), dtype=np.int16)
         self.batches = []
@@ -345,12 +285,11 @@ class _Screen:
                 chunk, diff.reshape(chunk.shape), diff,
                 diff.view(np.uint16).reshape(-1, height, pitch)))
 
-    def __call__(self, reference: np.ndarray, current: np.ndarray,
-                 scale: float) -> np.ndarray:
-        """Screened block SADs ``(slots, by, bx)`` of the frame pair at
-        fixed-point ``scale``: exact integers, in ``int32`` up to 362-pixel
-        blocks."""
-        self._fix((reference, current), scale)
+    def __call__(self, reference: np.ndarray,
+                 current: np.ndarray) -> np.ndarray:
+        """Screened block SADs ``(slots, by, bx)`` of the frame pair:
+        exact integers, in ``int32`` up to 362-pixel blocks."""
+        self._fix((reference, current))
         sums = []
         for chunk, out, diff, terms in self.batches:
             np.subtract(chunk, self.current, out=out)
@@ -360,16 +299,16 @@ class _Screen:
         screened = sums[0] if len(sums) == 1 else np.concatenate(sums)
         return screened[:, :, :self.blocks_x]
 
-    def _fix(self, planes: Tuple[np.ndarray, np.ndarray], scale: float) -> None:
-        """``rint(plane · scale)`` into the fixed-point pair, every edge
+    def _fix(self, planes: Tuple[np.ndarray, np.ndarray]) -> None:
+        """``rint(plane · 2^6)`` into the fixed-point pair, every edge
         replicated outwards: block padding, the search radius, the pitch
         and the spare row."""
         height, width = self.shape
         fixed, border = self.fixed, self.radius
         bottom, right = border + height, border + width
         for plane, out in zip(planes, fixed):
-            np.rint(plane * scale, out=out[border:bottom, border:right],
-                    casting="unsafe")
+            np.rint(plane * _FIXED_POINT_SCALE,
+                    out=out[border:bottom, border:right], casting="unsafe")
         fixed[:, :border] = fixed[:, border:border + 1]
         fixed[:, bottom:] = fixed[:, bottom - 1:bottom]
         fixed[:, :, :border] = fixed[:, :, border:border + 1]
@@ -403,16 +342,16 @@ def _settled_sads(reference: np.ndarray, current: np.ndarray,
 
 def estimate_motion(reference: np.ndarray, current: np.ndarray,
                     block_size: int = DEFAULT_BLOCK_SIZE,
-                    search_radius: int = 3, search_step: int = 1,
+                    search_radius: int = 3,
                     precision: str = "exact") -> MotionField:
     """One-shot :class:`MotionSearch`: configure, search one frame pair.
 
     Args:
-        reference: Previous (reference) luma plane, float or uint8.
-        current: Current luma plane of the same shape.
+        reference: Previous (reference) luma plane, float or integer, with
+            values in ``[0, PLANE_MAX]``.
+        current: Current luma plane of the same shape and range.
         block_size: Macroblock size.
         search_radius: Maximum displacement searched per axis.
-        search_step: Candidate grid step (``2`` halves the search cost).
         precision: Checked by :func:`~repro.config.validate_precision` and
             otherwise ignored: the search has one numeric mode.  The
             benchmark still passes it; ROADMAP item 18 removes it.
@@ -421,8 +360,7 @@ def estimate_motion(reference: np.ndarray, current: np.ndarray,
         The :class:`MotionField` with the best candidate per block.
     """
     validate_precision(precision)
-    return MotionSearch(block_size, search_radius, search_step)(reference,
-                                                                current)
+    return MotionSearch(block_size, search_radius)(reference, current)
 
 
 #: Integer accumulators of block sums, narrowest first.

@@ -152,7 +152,7 @@ class SceneCutAnalyzer:
         self.block_size = whole_number(block_size, "block_size", CodecError, 1)
         self.search_radius = whole_number(search_radius, "search_radius",
                                           CodecError, 0)
-        self._offset_table = offset_table(self.search_radius, 1)
+        self._offset_table = offset_table(self.search_radius)
 
     def analyze_frames(self, planes: Iterable[np.ndarray]) -> List[FrameActivity]:
         """Analyse a clip's ``uint8`` luma planes, from frame 0, in

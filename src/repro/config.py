@@ -10,6 +10,7 @@ paper's physical edge/cloud testbed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from numbers import Real
 from typing import Optional, Tuple, Type
@@ -183,27 +184,24 @@ class SystemConfig:
     seed: int = 20200601
 
     def __post_init__(self) -> None:
-        try:
-            self._check_fields()
-        except (TypeError, ValueError) as error:
-            # A value of the wrong type or shape ("30", (300,)) fails inside
-            # a comparison or the unpacking below, not at a check.
-            raise ConfigurationError(
-                f"malformed SystemConfig value: {error}") from error
-
-    def _check_fields(self) -> None:
-        # Chained comparisons, so nan (which passes ``<= 0``) and inf are
-        # refused here rather than becoming every transfer's duration.
+        # Real numbers (a bool is none), compared chained, so nan (which
+        # passes ``<= 0``) and inf are refused here rather than becoming
+        # every transfer's duration.
         for name in ("edge_cloud_bandwidth_mbps", "camera_edge_bandwidth_mbps"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not 0 < real_number(getattr(self, name), name) < math.inf:
                 raise ConfigurationError(f"{name} must be positive and finite")
-        if not (0 <= self.edge_cloud_latency_ms < math.inf
-                and 0 <= self.camera_edge_latency_ms < math.inf):
+        for name in ("edge_cloud_latency_ms", "camera_edge_latency_ms"):
+            if not 0 <= real_number(getattr(self, name), name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative")
+        resolution = self.nn_input_resolution
+        if not (isinstance(resolution, Sequence) and len(resolution) == 2):
             raise ConfigurationError(
-                "latencies must be finite and non-negative")
-        width, height = self.nn_input_resolution
-        if not (0 < width < math.inf and 0 < height < math.inf):
-            raise ConfigurationError("nn_input_resolution must be positive")
+                f"nn_input_resolution must be a (width, height) pair, got "
+                f"{resolution!r}")
+        for side in resolution:
+            if not 0 < real_number(side, "nn_input_resolution") < math.inf:
+                raise ConfigurationError("nn_input_resolution must be positive")
         # The dataclass is frozen, so normalised values (whole numbers as
         # ints) are written through object.__setattr__ once here.
         for name in ("nn_batch_size", "build_workers"):

@@ -102,14 +102,8 @@ class Sieve:
         """
         if detector_batch_size is None:
             detector_batch_size = self.config.nn_batch_size
-        if isinstance(detector_batch_size, bool):
-            raise PipelineError(
-                f"detector_batch_size must be a whole number, got {detector_batch_size!r}")
         detector_batch_size = whole_number(detector_batch_size,
-                                           "detector_batch_size", PipelineError)
-        if detector_batch_size < 1:
-            raise PipelineError(
-                f"detector_batch_size must be >= 1, got {detector_batch_size}")
+                                           "detector_batch_size", PipelineError, 1)
         name = camera_name or video.metadata.name
         parameters = parameters or self.parameters_for(name)
         timeline = getattr(video, "timeline", None)

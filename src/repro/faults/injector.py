@@ -20,14 +20,13 @@ driver (the chaos-soak contract).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..errors import FaultError
 from .breaker import CircuitBreaker
-from .plan import EdgeCrash, FaultPlan, StreamStall, WanDegradation
+from .plan import (EdgeCrash, FaultPlan, StreamStall, WanDegradation,
+                   _seconds)
 from .stats import FaultStats, RecoveryTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; see the import note below.
@@ -64,26 +63,16 @@ class ResilienceConfig:
     watchdog_period_seconds: float = 1.0
 
     def __post_init__(self) -> None:
-        try:
-            self._check_fields()
-        except TypeError as error:
-            raise FaultError(
-                f"malformed ResilienceConfig value: {error}") from error
-
-    def _check_fields(self) -> None:
-        # Chained comparisons, so nan (which passes ``<= 0``) and inf are
-        # refused: a nan cooldown admits a probe the instant a breaker
-        # trips, and a nan timeout silently turns the watchdog off.
-        if not 0.0 < self.breaker_cooldown_seconds < math.inf:
-            raise FaultError(
-                "breaker_cooldown_seconds must be positive and finite")
-        if not (self.stall_timeout_seconds is None
-                or 0.0 < self.stall_timeout_seconds < math.inf):
-            raise FaultError(
-                "stall_timeout_seconds must be positive and finite, or None")
-        if not 0.0 < self.watchdog_period_seconds < math.inf:
-            raise FaultError(
-                "watchdog_period_seconds must be positive and finite")
+        # Finite reals > 0 (a bool is no count of seconds): a nan cooldown
+        # admits a probe the instant a breaker trips, and a nan timeout
+        # silently turns the watchdog off.
+        _seconds(self.breaker_cooldown_seconds, "breaker_cooldown_seconds",
+                 positive=True)
+        if self.stall_timeout_seconds is not None:
+            _seconds(self.stall_timeout_seconds, "stall_timeout_seconds",
+                     positive=True)
+        _seconds(self.watchdog_period_seconds, "watchdog_period_seconds",
+                 positive=True)
 
 
 class ServiceFaultDriver:

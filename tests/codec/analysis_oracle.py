@@ -55,12 +55,12 @@ def analysed_luma(frame):
 
 
 class OracleAnalyzer:
-    def __init__(self, block_size=8, search_radius=2, search_step=1,
+    def __init__(self, block_size=8, search_radius=2,
                  novel_pixel_threshold=25.0, novel_pixel_count=4):
         self.block_size = block_size
         self.novel_pixel_threshold = float(novel_pixel_threshold)
         self.novel_pixel_count = int(novel_pixel_count)
-        self._search = MotionSearch(block_size, search_radius, search_step)
+        self._search = MotionSearch(block_size, search_radius)
         self._previous = None
         self._frame_index = 0
 

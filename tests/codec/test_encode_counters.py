@@ -10,9 +10,11 @@ counting, encoded size-only with the default parameters.
   off: Python-level calls into ``repro`` itself, all Python-level calls,
   and C calls.  The first count does not depend on the numpy version, so
   its ceiling is the tight one.  ``encode(video)`` runs the batched
-  analysis pass and then the encode: 23.3 ``repro`` / 50.3 Python-level /
-  69.3 C calls a frame.  Given the pass, ``encode(video,
-  activities=...)`` makes 20.6 / 45.5 / 48.0.  The frame loop carries
+  analysis pass and then the encode: 22.4 ``repro`` / 49.5 Python-level /
+  66.3 C calls a frame.  Given the pass, ``encode(video,
+  activities=...)`` makes 19.8 / 44.6 / 45.0; a fixed point worked out
+  per search, from the planes' span, made 23.3 / 50.3 / 69.3 and
+  20.6 / 45.5 / 48.0.  The frame loop carries
   only the closed loop, and P-frames are sized after it in runs; sizing
   each P-frame inside the loop again makes 25.9 and 23.3 ``repro`` calls,
   and the loop before (a ``MotionSearch`` call with each pair's bounds, a
@@ -24,7 +26,7 @@ counting, encoded size-only with the default parameters.
   ``MotionSearch`` built per frame adds four ``repro`` calls a P-frame.
 * The share of searched blocks the exact search settles in float64
   because its integer screen left two candidates in the running: 30 of
-  12,376 (0.24 %), in 119 searches with the video's plane bounds.
+  12,376 (0.24 %), in 119 searches.
 * The ``tracemalloc`` peak of one warm encode: 0.94 MB with the analysis
   pass (one frame batch of its ``int16`` stacks), 0.81 MB without (with
   up to 64 KiB of P-frames awaiting their sizes).
@@ -133,13 +135,13 @@ class TestWhatAnEncodeCosts:
             settled[0] += int(tied.sum())
             return settle(self, reference, current, running, tied, *rest)
 
-        def counted_search(self, reference, current, *bounds):
-            field = search(self, reference, current, *bounds)
+        def counted_search(self, reference, current):
+            field = search(self, reference, current)
             searched[0] += field.vectors.shape[0] * field.vectors.shape[1]
             return field
 
         monkeypatch.setattr(motion.MotionSearch, "_settle", counted_settle)
-        # The entry the encoder calls, with the video's plane bounds.
+        # The entry the encoder calls, without the call's checks.
         monkeypatch.setattr(motion.MotionSearch, "_search_exact", counted_search)
         encoder = VideoEncoder()
         encoder.encode(clip, activities=encoder.analyze(clip))

@@ -2,10 +2,9 @@
 
 The functions prefixed ``loop_`` are the bodies ``codec/motion.py`` carried
 before the search became one batched ``(c, H, W)`` candidate kernel and the
-compensation one block gather; ``stack_estimate_motion`` is that batched
-float64 kernel, which the exact search carried until it became an integer
-screen that settles only near-ties in float64.  They live here as the
-oracle.  The exact search is under the bit-identity contract — every SAD
+compensation one block gather.  They live here as the oracle of the
+search, an integer screen that settles only near-ties in float64, and of
+the compensation.  The exact search is under the bit-identity contract — every SAD
 feeds an argmin whose tie-breaks decide motion vectors, frame sizes and the
 benchmark's golden digests — so the comparison is on ``.tobytes()`` (dtype
 included), never on ``allclose``.
@@ -18,12 +17,13 @@ from hypothesis import example, given, settings, strategies as st
 import repro.codec.motion as motion_module
 from repro.codec.blocks import from_blocks, pad_plane, to_blocks
 from video_tools import shift_plane
-from repro.codec.motion import (MotionField, MotionSearch, _block_sums_exact,
+from repro.codec.motion import (PLANE_MAX, MotionField, MotionSearch,
                                 candidate_offsets, estimate_motion,
                                 integer_block_sums, integer_sad_dtype,
-                                motion_compensate, offset_table)
+                                motion_compensate)
 from repro.errors import CodecError
 from repro.video import SyntheticScene, make_scenario
+from repro.video.frame import Frame
 from repro.video.scenarios import SCENARIOS
 
 
@@ -46,8 +46,7 @@ def pad_edge(plane, radius):
     return padded
 
 
-def loop_estimate_motion(reference, current, block_size, search_radius,
-                         search_step=1):
+def loop_estimate_motion(reference, current, block_size, search_radius):
     reference = np.asarray(reference, dtype=np.float64)
     current = np.asarray(current, dtype=np.float64)
     reference = pad_plane(reference, block_size)
@@ -56,7 +55,7 @@ def loop_estimate_motion(reference, current, block_size, search_radius,
     blocks_y, blocks_x = current_blocks.shape[:2]
     height, width = current.shape
 
-    offsets = candidate_offsets(search_radius, search_step)
+    offsets = candidate_offsets(search_radius)
     padded = pad_edge(reference, search_radius)
     diff = np.empty((height, width))
     blocked = diff.reshape(blocks_y, block_size, blocks_x, block_size)
@@ -69,32 +68,6 @@ def loop_estimate_motion(reference, current, block_size, search_radius,
         sads[index] = blocked.sum(axis=(1, 3))
     offset_table = np.asarray(offsets, dtype=np.int16)
     return MotionField(offset_table[sads.argmin(axis=0)], block_size)
-
-
-def stack_estimate_motion(reference, current, block_size, search_radius,
-                          search_step=1):
-    """The exact search as one float64 SAD surface: candidates a batch of
-    32 k elements at a time in a ``(c, H, W)`` stack, summed in the pinned
-    order."""
-    reference = pad_plane(np.asarray(reference, dtype=np.float64), block_size)
-    current = pad_plane(np.asarray(current, dtype=np.float64), block_size)
-    offsets = candidate_offsets(search_radius, search_step)
-    padded = pad_edge(reference, search_radius)
-    height, width = current.shape
-    batch = max(1, min(len(offsets), 32768 // (height * width)))
-    sads = np.empty((len(offsets), height // block_size, width // block_size))
-    for start in range(0, len(offsets), batch):
-        chunk = offsets[start:start + batch]
-        diff = np.empty((len(chunk), height, width))
-        for plane, (dy, dx) in zip(diff, chunk):
-            plane[...] = padded[search_radius - dy:search_radius - dy + height,
-                                search_radius - dx:search_radius - dx + width]
-        np.subtract(diff, current, out=diff)
-        np.abs(diff, out=diff)
-        sads[start:start + len(chunk)] = _block_sums_exact(diff, block_size)
-    return MotionField(
-        offset_table(search_radius, search_step)[sads.argmin(axis=0)],
-        block_size)
 
 
 def loop_motion_compensate(reference, field, output_shape):
@@ -139,7 +112,7 @@ BLOCK_SIZES = (4, 8, 12, 16)
 
 @st.composite
 def _plane_pairs(draw):
-    """(reference, current, block_size, radius, step, batch_elements)."""
+    """(reference, current, block_size, radius, batch_elements)."""
     block_size = draw(st.sampled_from(BLOCK_SIZES))
     height = draw(st.integers(1, 45))
     width = draw(st.integers(1, 45))
@@ -166,29 +139,27 @@ def _plane_pairs(draw):
         reference = np.full((height, width), 127.25)
         current = np.full((height, width), 31.5)
     radius = draw(st.integers(0, 3))
-    step = draw(st.integers(1, 2))
     # 1 puts every grid row of candidates in its own batch; the small
     # budgets put a batch boundary inside the grid; the module's own value
     # is last.
     batch_elements = draw(st.sampled_from(
         (1, 600, 5000, motion_module._SCREEN_BATCH_ELEMENTS)))
-    return reference, current, block_size, radius, step, batch_elements
+    return reference, current, block_size, radius, batch_elements
 
 
 class TestSearchMatchesLoop:
     @settings(max_examples=300, deadline=None)
     @given(_plane_pairs())
     def test_fields_are_byte_identical(self, case):
-        reference, current, block_size, radius, step, batch_elements = case
+        reference, current, block_size, radius, batch_elements = case
         original = motion_module._SCREEN_BATCH_ELEMENTS
         motion_module._SCREEN_BATCH_ELEMENTS = batch_elements
         try:
-            field = estimate_motion(reference, current, block_size, radius,
-                                    step)
+            field = estimate_motion(reference, current, block_size, radius)
         finally:
             motion_module._SCREEN_BATCH_ELEMENTS = original
         assert_same_field(field, loop_estimate_motion(
-            reference, current, block_size, radius, step))
+            reference, current, block_size, radius))
 
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     def test_single_block_frame(self, block_size):
@@ -275,7 +246,7 @@ class TestScenarioFramesMatchTheLoop:
 
 
 # --------------------------------------------------------------------- #
-# The screened exact search against the float64 stack
+# The screened exact search at its bound
 # --------------------------------------------------------------------- #
 #: 24 and 32 add blocks past the 2-byte accumulators and a tail-free
 #: pairwise tree of four rounds.
@@ -300,7 +271,7 @@ def rounding_tie(block_size, blocks=2):
 
 @st.composite
 def _screen_cases(draw):
-    """(reference, current, block_size, radius, step) near the screen's
+    """(reference, current, block_size, radius) near the screen's
     bound: exact ties, flat planes, ties broken by an ulp or by less than
     the margin, non-integer reconstructions, one-block-wide frames."""
     block_size = draw(st.sampled_from(SCREEN_BLOCK_SIZES))
@@ -335,32 +306,65 @@ def _screen_cases(draw):
                 current = np.where(nudged, np.nextafter(current, 256.0), current)
             else:
                 current = current + nudged * draw(st.sampled_from((1e-9, 1e-3, 0.05)))
+            current = np.minimum(current, 255.0)
     else:
         reference, current = rounding_tie(block_size, max(1, width // block_size))
         reference, current = reference[:height], current[:height]
     radius = draw(st.integers(0, 3))
-    step = draw(st.integers(1, 2))
-    return reference, current, block_size, radius, step
+    return reference, current, block_size, radius
 
 
-class TestScreenedSearchMatchesStack:
+def screened_tie(block_size, seed=0):
+    """``rounding_tie``'s ramp in the middle block of three, between
+    ``uint8`` texture blocks the current frame repeats.
+
+    The ramp reaches one column into block 0, where ``dx = +1`` reads it,
+    and matches there.  The screen decides both texture blocks on its own,
+    so they add no candidate to what the settle sums: only a margin of
+    ``2 · b²`` keeps the origin in the middle block's running, and without
+    it the settle picks ``(-1, 1)``.
+    """
+    rng = np.random.default_rng(seed)
+    reference = rng.integers(0, 256, size=(block_size, 3 * block_size)
+                             ).astype(np.float64)
+    current = reference.copy()
+    ramp, below = rounding_tie(block_size, 3)
+    reference[:, block_size - 1:] = current[:, block_size - 1:] = ramp[
+        :, block_size - 1:]
+    current[:, block_size:2 * block_size] = below[:, block_size:2 * block_size]
+    reference[:, 2 * block_size:] = current[:, 2 * block_size:] = rng.integers(
+        0, 256, size=(block_size, block_size))
+    return reference, current
+
+
+class TestScreenedSearchMatchesLoop:
     @settings(max_examples=400, deadline=None)
     @given(_screen_cases())
-    @example((*rounding_tie(8), 8, 1, 1))
-    @example((*rounding_tie(16, 3), 16, 2, 1))
+    @example((*rounding_tie(8), 8, 1))
+    @example((*rounding_tie(16, 3), 16, 2))
     def test_fields_are_byte_identical(self, case):
-        reference, current, block_size, radius, step = case
+        reference, current, block_size, radius = case
         assert_same_field(
-            estimate_motion(reference, current, block_size, radius, step),
-            stack_estimate_motion(reference, current, block_size, radius, step))
+            estimate_motion(reference, current, block_size, radius),
+            loop_estimate_motion(reference, current, block_size, radius))
 
     @pytest.mark.parametrize("block_size", SCREEN_BLOCK_SIZES)
     def test_a_tie_misjudged_by_the_full_bound_is_settled(self, block_size):
         reference, current = rounding_tie(block_size)
         field = estimate_motion(reference, current, block_size, 1)
         assert not field.vectors.any()
-        assert_same_field(field, stack_estimate_motion(reference, current,
-                                                       block_size, 1))
+        assert_same_field(field, loop_estimate_motion(reference, current,
+                                                      block_size, 1))
+
+    @pytest.mark.parametrize("block_size", (8, 16))
+    def test_the_margin_holds_the_tie_alone(self, block_size):
+        """The bound is tight: a margin one unit short of ``2 · b²`` loses
+        the origin of the middle block to ``(-1, 1)``."""
+        reference, current = screened_tie(block_size)
+        field = estimate_motion(reference, current, block_size, 1)
+        assert not field.vectors.any()
+        assert_same_field(field, loop_estimate_motion(reference, current,
+                                                      block_size, 1))
 
     def test_fields_alias_nothing(self):
         """Every field keeps the vectors of its own search after later
@@ -375,22 +379,37 @@ class TestScreenedSearchMatchesStack:
             pairs.append((reference, current))
             fields.append(search(reference, current))
         for (reference, current), field in zip(pairs, fields):
-            expected = stack_estimate_motion(reference, current, 8, 2)
+            expected = loop_estimate_motion(reference, current, 8, 2)
             assert_same_field(field, expected)
 
-    def test_wide_spans_and_tiny_values(self):
-        """Planes far outside [0, 255]: the fixed point scales down, or up;
-        a span too wide to screen settles every block."""
+    def test_values_below_the_fixed_point(self):
+        """Planes the fixed point rounds to a few units, or to zero: the
+        screen ties most candidates and the settle decides them."""
         rng = np.random.default_rng(13)
         base = rng.uniform(0.0, 1.0, size=(20, 28))
-        moved = shift_plane(base, 1, 1) + rng.normal(0.0, 0.01, size=(20, 28))
-        for scale in (1e-300, 1e-6, 1.0, 1e6, 1e290, 1e305):
+        moved = np.clip(shift_plane(base, 1, 1)
+                        + rng.normal(0.0, 0.01, size=(20, 28)), 0.0, 1.0)
+        for scale in (1e-300, 1e-6, 1.0, 255.0):
             assert_same_field(estimate_motion(base * scale, moved * scale, 8, 2),
-                              stack_estimate_motion(base * scale, moved * scale,
-                                                    8, 2))
-        mixed = np.where(base > 0.5, 1e300, -1e300)
-        assert_same_field(estimate_motion(mixed, moved, 8, 1),
-                          stack_estimate_motion(mixed, moved, 8, 1))
+                              loop_estimate_motion(base * scale, moved * scale,
+                                                   8, 2))
+
+    def test_planes_up_to_plane_max_are_searched(self):
+        """The luma of white ``uint8`` pixels, and ``PLANE_MAX`` itself, are
+        searched; the next float above it is refused in either plane."""
+        white = Frame(0, np.full((16, 24, 3), 255, dtype=np.uint8)).to_grayscale()
+        assert not estimate_motion(white, white, 8, 2).vectors.any()
+        top = np.full((16, 24), PLANE_MAX)
+        top[3:9, 5:13] = 0.0
+        assert_same_field(estimate_motion(top, np.roll(top, 1, axis=1), 8, 2),
+                          loop_estimate_motion(top, np.roll(top, 1, axis=1), 8, 2))
+        above = top.copy()
+        above[0, 0] = np.nextafter(PLANE_MAX, np.inf)
+        for pair in ((above, top), (top, above)):
+            with pytest.raises(CodecError):
+                estimate_motion(*pair, 8, 2)
+            with pytest.raises(CodecError):
+                MotionSearch(8, 2)(*pair)
 
 
 class TestIntegerBlockSums:

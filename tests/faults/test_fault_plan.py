@@ -31,8 +31,12 @@ class TestResilienceConfig:
         {"watchdog_period_seconds": NAN},
         {"watchdog_period_seconds": INF},
         {"watchdog_period_seconds": "1"},
+        {"breaker_cooldown_seconds": True},
+        {"stall_timeout_seconds": True},
+        {"watchdog_period_seconds": True},
     ])
     def test_invalid_configs_rejected(self, kwargs):
+        """A bool is no number of seconds: ``True`` used to be taken as 1."""
         with pytest.raises(FaultError):
             ResilienceConfig(**kwargs)
 

@@ -59,8 +59,8 @@ def test_estimate_motion():
     # to round differently.
     rng = np.random.default_rng(3)
     reference = rng.uniform(0.0, 255.0, size=(40, 56))
-    current = np.roll(reference, (1, -2), axis=(0, 1)) + rng.normal(
-        0.0, 0.5, size=reference.shape)
+    current = np.clip(np.roll(reference, (1, -2), axis=(0, 1)) + rng.normal(
+        0.0, 0.5, size=reference.shape), 0.0, 255.0)
     exact = estimate_motion(reference, current, 8, 3, precision="exact")
     fast = estimate_motion(reference, current, 8, 3, precision="fast")
     assert fast.vectors.tobytes() == exact.vectors.tobytes()

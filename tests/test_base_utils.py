@@ -128,11 +128,17 @@ class TestConfig:
         {"nn_input_resolution": (300, float("nan"))},
         {"edge_cloud_bandwidth_mbps": "30"},
         {"build_workers": "2"},
+        {"edge_cloud_bandwidth_mbps": True},
+        {"camera_edge_latency_ms": True},
+        {"nn_input_resolution": (True, 300)},
+        {"nn_input_resolution": 300},
     ])
     def test_malformed_values_raise_the_typed_error(self, fields):
         """``nan <= 0`` is false, so nan used to be accepted (and fractional
         counts with it); a string or a mis-shaped tuple escaped as a bare
-        ``TypeError`` / ``ValueError`` out of the comparison itself."""
+        ``TypeError`` / ``ValueError`` out of the comparison itself.  A
+        bool is no number of megabits, milliseconds or pixels: ``True``
+        used to be taken as 1."""
         with pytest.raises(ConfigurationError):
             SystemConfig(**fields)
 
