@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional
 
-from ..config import whole_number
+from ..config import NON_NEGATIVE, POSITIVE, real_number, whole_number
 from ..errors import ServiceError
 
 
@@ -77,24 +77,19 @@ class WindowedZScoreDetector:
     def __init__(self, statistic: str, threshold: float = 4.0,
                  window: int = 12, min_samples: int = 4,
                  min_std: float = 1e-3) -> None:
-        # Chained checks, which nan fails: `z > nan` would never fire.
-        if not 0 < threshold < math.inf:
-            raise ServiceError(
-                f"z-score threshold must be finite and > 0, got {threshold!r}")
-        if not 0 < min_std < math.inf:
-            raise ServiceError(f"min_std must be finite and > 0, got {min_std!r}")
+        # `z > nan` would never fire.
+        self.threshold = float(real_number(
+            threshold, "z-score threshold", ServiceError, **POSITIVE))
+        self.min_std = float(real_number(min_std, "min_std", ServiceError,
+                                         **POSITIVE))
         self.statistic = statistic
-        self.threshold = float(threshold)
-        self.window = whole_number(window, "z-score window", ServiceError, 2)
-        self.min_samples = whole_number(min_samples, "z-score min_samples",
-                                        ServiceError, 2)
+        self.window = whole_number(window, "z-score window", ServiceError,
+                                   2)
         # The baseline never holds more than ``window`` samples, so a larger
         # ``min_samples`` would never let the detector fire.
-        if self.min_samples > self.window:
-            raise ServiceError(
-                f"z-score min_samples ({self.min_samples}) must be <= "
-                f"window ({self.window})")
-        self.min_std = float(min_std)
+        self.min_samples = whole_number(min_samples, "z-score min_samples",
+                                        ServiceError, least=2,
+                                        most=self.window)
         self._baseline: Deque[float] = deque(maxlen=self.window)
 
     def observe(self, value: float) -> Optional[DriftSignal]:
@@ -143,16 +138,11 @@ class PageHinkleyDetector:
 
     def __init__(self, statistic: str, delta: float = 0.5,
                  threshold: float = 20.0, min_samples: int = 4) -> None:
-        if not 0 <= delta < math.inf:
-            raise ServiceError(
-                f"Page-Hinkley delta must be finite and >= 0, got {delta!r}")
-        if not 0 < threshold < math.inf:
-            raise ServiceError(
-                f"Page-Hinkley threshold must be finite and > 0, "
-                f"got {threshold!r}")
+        self.delta = float(real_number(delta, "Page-Hinkley delta",
+                                       ServiceError, **NON_NEGATIVE))
+        self.threshold = float(real_number(
+            threshold, "Page-Hinkley threshold", ServiceError, **POSITIVE))
         self.statistic = statistic
-        self.delta = float(delta)
-        self.threshold = float(threshold)
         self.min_samples = whole_number(
             min_samples, "Page-Hinkley min_samples", ServiceError, 2)
         self.reset()

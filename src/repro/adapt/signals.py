@@ -24,6 +24,7 @@ import numpy as np
 
 from ..codec.scenecut import (FrameActivity, novelty_series,
                               scenecut_novelty_floor)
+from ..config import NON_NEGATIVE, real_number, whole_number
 from ..errors import ServiceError
 
 #: Reference scenecut threshold used to turn per-frame novelty into a
@@ -55,10 +56,11 @@ class SceneStats:
     mean_brightness: float = float("nan")
 
     def __post_init__(self) -> None:
-        if self.num_frames < 1:
-            raise ServiceError("SceneStats needs at least one frame")
-        if not 0.0 <= self.scenecut_rate <= 1.0:
-            raise ServiceError("scenecut_rate must be within [0, 1]")
+        whole_number(self.num_frames, "SceneStats num_frames", ServiceError, 1)
+        real_number(self.mean_novelty, "mean_novelty", ServiceError,
+                    **NON_NEGATIVE)
+        real_number(self.scenecut_rate, "scenecut_rate", ServiceError, 0, most=1)
+        real_number(self.mean_brightness, "mean_brightness", ServiceError)
 
     @classmethod
     def from_activities(cls, activities: Sequence[FrameActivity],

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import HardwareCalibration
+from ..config import POSITIVE, HardwareCalibration, real_number, whole_number
 from ..errors import ClusterError
 from ..video.frame import RESOLUTION_1080P, Resolution
 
@@ -38,20 +38,14 @@ class CostModel:
     # Helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _check(num_frames: int, speed_factor: float) -> None:
-        if num_frames < 0:
-            raise ClusterError("num_frames must be >= 0")
-        if speed_factor <= 0:
-            raise ClusterError("speed_factor must be positive")
-
-    @staticmethod
     def resolution_scale(resolution: Resolution) -> float:
         """Pixel-count ratio of ``resolution`` to the 1080p reference."""
         return resolution.pixels / _REFERENCE_PIXELS
 
     def _scaled(self, per_frame_ms: float, num_frames: int, resolution: Resolution,
                 speed_factor: float) -> float:
-        self._check(num_frames, speed_factor)
+        whole_number(num_frames, "num_frames", ClusterError, least=0)
+        real_number(speed_factor, "speed_factor", ClusterError, **POSITIVE)
         scale = self.resolution_scale(resolution)
         return per_frame_ms * scale * num_frames / speed_factor / 1e3
 
@@ -90,7 +84,8 @@ class CostModel:
 
     def resize_seconds(self, num_frames: int, speed_factor: float = 1.0) -> float:
         """Resizing decoded frames to the NN input resolution."""
-        self._check(num_frames, speed_factor)
+        whole_number(num_frames, "num_frames", ClusterError, least=0)
+        real_number(speed_factor, "speed_factor", ClusterError, **POSITIVE)
         return self.calibration.resize_ms_per_frame * num_frames / speed_factor / 1e3
 
     # ------------------------------------------------------------------ #
@@ -98,8 +93,7 @@ class CostModel:
     # ------------------------------------------------------------------ #
     def nn_seconds(self, num_frames: int, device: str = "cloud") -> float:
         """Object-detection NN inference on ``device`` (``"edge"``/``"cloud"``)."""
-        if num_frames < 0:
-            raise ClusterError("num_frames must be >= 0")
+        whole_number(num_frames, "num_frames", ClusterError, least=0)
         if device == "edge":
             per_frame = self.calibration.edge_nn_ms_per_frame
             factor = self.calibration.edge_speed_factor

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from heapq import heapreplace
@@ -40,7 +39,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..config import SystemConfig, real_number, whole_number
+from ..config import NON_NEGATIVE, SystemConfig, real_number, whole_number
 from ..dataflow.scheduler import EventScheduler, StationStats
 from ..errors import ClusterError
 from ..faults.stats import FaultStats
@@ -176,8 +175,6 @@ class CameraJob:
                 # np.float64 is a float, so needs no ABC check.
                 if type(value) is not kind and not isinstance(value, float):
                     real_number(value, name, ClusterError)
-        # Chained comparisons so nan (which passes ``< 0``) and inf are
-        # refused here rather than poisoning every downstream statistic.
         for value in (self.num_frames, self.frames_for_inference):
             if not (0 <= value < math.inf and value == int(value)):
                 raise ClusterError(
@@ -630,15 +627,12 @@ class FleetOrchestrator:
                                            ClusterError, 1)
                               if cloud_workers is not None
                               else self.num_edge_servers)
-        if not 0 <= real_number(arrival_jitter_seconds,
-                                "arrival_jitter_seconds",
-                                ClusterError) < math.inf:
-            raise ClusterError(
-                "arrival_jitter_seconds must be finite and >= 0")
-        if seed is not None and (isinstance(seed, (bool, np.bool_))
-                                 or not isinstance(seed, numbers.Integral)):
-            raise ClusterError(f"seed must be an integer or None, "
-                               f"got {seed!r}")
+        real_number(arrival_jitter_seconds, "arrival_jitter_seconds",
+                    ClusterError, **NON_NEGATIVE)
+        if isinstance(seed, float):  # even a whole one
+            raise ClusterError(f"seed must be an integer or None, got {seed!r}")
+        if seed is not None:
+            whole_number(seed, "seed", ClusterError)
         self.jobs = list(jobs)
         self.config = config or SystemConfig()
         self.policy = PlacementPolicy.from_name(policy)

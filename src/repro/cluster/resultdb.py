@@ -10,10 +10,10 @@ object names that appear in the frame." (Section III)
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
+from ..config import whole_number
 from ..errors import ClusterError
 from ..video.events import LabelSet, as_label_set
 
@@ -52,16 +52,14 @@ class ResultDatabase:
         if not isinstance(video_name, str):
             raise ClusterError(f"video_name must be a str, "
                                f"got {type(video_name).__name__}")
-        if (isinstance(frame_index, bool)
-                or not isinstance(frame_index, numbers.Integral)):
-            raise ClusterError(f"frame_index must be an integer, "
-                               f"got {frame_index!r}")
-        if frame_index < 0:
-            raise ClusterError("frame_index must be >= 0")
+        if isinstance(frame_index, float):  # even a whole one
+            raise ClusterError(
+                f"frame_index must be an integer, got {frame_index!r}")
+        frame_index = whole_number(frame_index, "frame_index", ClusterError, 0)
         if isinstance(labels, str):
             raise ClusterError(f"labels must be an iterable of label names, "
                                f"got the bare str {labels!r}")
-        row = ResultRecord(video_name=video_name, frame_index=int(frame_index),
+        row = ResultRecord(video_name=video_name, frame_index=frame_index,
                            labels=as_label_set(labels))
         self._records[(video_name, row.frame_index)] = row
         return row

@@ -13,6 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..config import whole_number
 from ..errors import CodecError
 
 #: Default macroblock size used throughout the codec.
@@ -22,8 +23,11 @@ DEFAULT_BLOCK_SIZE = 8
 def padded_shape(height: int, width: int, block_size: int = DEFAULT_BLOCK_SIZE
                  ) -> Tuple[int, int]:
     """Return the block-aligned ``(height, width)`` for a plane."""
-    if block_size <= 0:
-        raise CodecError(f"block_size must be positive, got {block_size}")
+    if not (type(height) is type(width) is type(block_size) is int
+            and min(height, width) >= 0 and block_size > 0):
+        for name, value, least in (("height", height, 0), ("width", width, 0),
+                                   ("block_size", block_size, 1)):
+            whole_number(value, name, CodecError, least=least)
     pad_h = (block_size - height % block_size) % block_size
     pad_w = (block_size - width % block_size) % block_size
     return height + pad_h, width + pad_w
@@ -78,6 +82,8 @@ def to_blocks(plane: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> np.nda
         4-D array of blocks.
     """
     height, width = plane.shape
+    if type(block_size) is not int or block_size < 1:
+        whole_number(block_size, "block_size", CodecError, least=1)
     if height % block_size or width % block_size:
         raise CodecError(
             f"plane shape {plane.shape} is not aligned to block size {block_size}")

@@ -36,6 +36,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ..config import whole_number
 from ..errors import BitstreamError, CodecError
 
 #: End-of-block marker byte.
@@ -54,8 +55,7 @@ def zigzag_order(block_size: int) -> Tuple[np.ndarray, np.ndarray]:
     ``forward`` maps raster index -> zig-zag position is applied as
     ``flat_block[forward]`` to obtain zig-zag order; ``inverse`` undoes it.
     """
-    if block_size <= 0:
-        raise CodecError(f"block_size must be positive, got {block_size}")
+    whole_number(block_size, "block_size", CodecError, least=1)
     indices = []
     for diagonal in range(2 * block_size - 1):
         cells = []

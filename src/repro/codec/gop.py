@@ -34,7 +34,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..config import real_number, whole_number
-from ..errors import ConfigurationError
 from ..video.frame import FrameType
 from .scenecut import (MAX_SCENECUT, FrameActivity, novelty_series,
                        scenecut_novelty_floor)
@@ -75,33 +74,18 @@ class EncoderParameters:
         # Frame distances, the quality and the block geometry are whole
         # numbers: a fractional one would place fractional frame indices or
         # fail late, inside numpy or ``struct``.  A bool is no count at all.
-        for name in ("gop_size", "min_gop_size", "quality", "block_size",
-                     "search_radius"):
-            object.__setattr__(self, name, whole_number(getattr(self, name),
-                                                        name))
-        if self.gop_size < 1:
-            raise ConfigurationError(f"gop_size must be >= 1, got {self.gop_size}")
-        # Kept exactly as given: ``describe()`` and every digest print it.
-        scenecut = real_number(self.scenecut_threshold, "scenecut_threshold")
-        if not 0 <= scenecut <= MAX_SCENECUT:
-            raise ConfigurationError(
-                f"scenecut_threshold must be a number in [0, {MAX_SCENECUT}], "
-                f"got {scenecut!r}")
-        if self.min_gop_size < 0:
-            raise ConfigurationError("min_gop_size must be >= 0")
-        if not 1 <= self.quality <= 100:
-            raise ConfigurationError(f"quality must be in [1, 100], got {self.quality}")
         # The bitstream stores the block size in one unsigned byte (I- and
         # P-frame headers) and each motion-vector component in one signed
         # byte; anything larger would not survive a round trip.
-        if not 2 <= self.block_size <= MAX_BLOCK_SIZE:
-            raise ConfigurationError(
-                f"block_size must be in [2, {MAX_BLOCK_SIZE}], "
-                f"got {self.block_size}")
-        if not 0 <= self.search_radius <= MAX_SEARCH_RADIUS:
-            raise ConfigurationError(
-                f"search_radius must be in [0, {MAX_SEARCH_RADIUS}], "
-                f"got {self.search_radius}")
+        for name, least, most in (
+                ("gop_size", 1, None), ("min_gop_size", 0, None),
+                ("quality", 1, 100), ("block_size", 2, MAX_BLOCK_SIZE),
+                ("search_radius", 0, MAX_SEARCH_RADIUS)):
+            object.__setattr__(self, name, whole_number(
+                getattr(self, name), name, least=least, most=most))
+        # Kept exactly as given: ``describe()`` and every digest print it.
+        real_number(self.scenecut_threshold, "scenecut_threshold", least=0,
+                    most=MAX_SCENECUT)
 
     @property
     def effective_min_gop(self) -> int:

@@ -88,9 +88,7 @@ def select_events_from_keyframes(keyframe_indices: Sequence[int],
             ``[0, num_frames)`` (it would yield an inverted segment), or
             the first I-frame is not frame 0.
     """
-    num_frames = whole_number(num_frames, "num_frames", BitstreamError)
-    if num_frames < 0:
-        raise BitstreamError(f"num_frames must be >= 0, got {num_frames}")
+    num_frames = whole_number(num_frames, "num_frames", BitstreamError, 0)
     indices = sorted({whole_number(index, "keyframe index", BitstreamError)
                       for index in keyframe_indices})
     if not indices:

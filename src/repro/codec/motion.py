@@ -32,8 +32,7 @@ def candidate_offsets(search_radius: int) -> Tuple[Tuple[int, int], ...]:
     Raises:
         CodecError: If ``search_radius`` is negative.
     """
-    if search_radius < 0:
-        raise CodecError(f"search_radius must be >= 0, got {search_radius}")
+    whole_number(search_radius, "search_radius", CodecError, least=0)
     span = range(-search_radius, search_radius + 1)
     return ((0, 0),) + tuple((dy, dx) for dy in span for dx in span
                              if (dy, dx) != (0, 0))

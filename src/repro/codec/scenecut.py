@@ -33,7 +33,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..config import whole_number
+from ..config import real_number, whole_number
 from ..errors import CodecError
 from .blocks import DEFAULT_BLOCK_SIZE, padded_shape
 from .motion import integer_candidate_sads, offset_table
@@ -102,6 +102,8 @@ def scenecut_score_threshold(scenecut: float) -> float:
     Returns:
         The minimum ``novel_block_fraction`` that triggers a scene cut.
     """
+    if type(scenecut) is not float or math.isnan(scenecut):  # per grid point
+        real_number(scenecut, "scenecut", CodecError, least=-math.inf)
     clipped = min(max(float(scenecut), 0.0), float(MAX_SCENECUT))
     if clipped >= MAX_SCENECUT:
         return 0.0
@@ -119,9 +121,8 @@ def scenecut_novelty_floor(scenecut: float) -> float:
     novelty.  It depends only on the threshold, so a grid search needs it
     once per distinct scenecut value, not once per frame.
     """
-    if scenecut <= 0:
-        return math.inf
-    return max(scenecut_score_threshold(scenecut), 1e-12)
+    threshold = scenecut_score_threshold(scenecut)
+    return math.inf if scenecut <= 0 else max(threshold, 1e-12)
 
 
 class SceneCutAnalyzer:

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..config import whole_number
 from ..errors import CodecError
 
 #: The standard JPEG luminance quantisation matrix (ITU-T T.81 Annex K).
@@ -36,8 +37,7 @@ def dct_matrix(size: int) -> np.ndarray:
     ``dct_matrix(n) @ x`` computes the 1-D DCT of a length-``n`` signal; the
     matrix is orthonormal so its transpose is the inverse transform.
     """
-    if size <= 0:
-        raise CodecError(f"DCT size must be positive, got {size}")
+    whole_number(size, "DCT size", CodecError, least=1)
     k = np.arange(size).reshape(-1, 1)
     n = np.arange(size).reshape(1, -1)
     matrix = np.cos(np.pi * (2 * n + 1) * k / (2 * size))
@@ -73,9 +73,7 @@ def quality_to_scale(quality: int) -> float:
     Uses the libjpeg convention: quality 50 keeps the reference matrix,
     higher qualities shrink it (finer quantisation), lower qualities grow it.
     """
-    quality = int(quality)
-    if not 1 <= quality <= 100:
-        raise CodecError(f"quality must be in [1, 100], got {quality}")
+    quality = whole_number(quality, "quality", CodecError, least=1, most=100)
     if quality < 50:
         return 5000.0 / quality / 100.0
     return (200.0 - 2.0 * quality) / 100.0
@@ -90,6 +88,7 @@ def quantisation_matrix(quality: int, block_size: int = 8,
     coarse structure.
     """
     scale = quality_to_scale(quality)
+    whole_number(block_size, "block_size", CodecError, least=1)
     matrix = base
     if block_size != base.shape[0]:
         source = np.linspace(0, base.shape[0] - 1, block_size)

@@ -13,6 +13,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from numbers import Real
+from types import MappingProxyType
 from typing import Optional, Tuple, Type
 
 from .errors import ConfigurationError, SieveError
@@ -47,15 +48,21 @@ def validate_precision(precision: str) -> str:
     return precision
 
 
+#: The bounds of the common ranges: ``**POSITIVE`` is "> 0 and finite",
+#: ``**NON_NEGATIVE`` ">= 0 and finite", ``**FINITE`` neither nan nor inf.
+POSITIVE = MappingProxyType({"above": 0, "below": math.inf})
+NON_NEGATIVE = MappingProxyType({"least": 0, "below": math.inf})
+FINITE = MappingProxyType({"above": -math.inf, "below": math.inf})
+
+
 def whole_number(value: object, name: str,
                  error: Type[SieveError] = ConfigurationError,
-                 least: Optional[int] = None) -> int:
-    """``value`` as an ``int`` (one >= ``least`` when given), else ``error``
-    (a :class:`ConfigurationError` by default).
-
-    Anything :func:`real_number` refuses (bools and text among them),
-    fractions, ``nan`` and ``inf`` are refused rather than truncated.
-    """
+                 least: Optional[Real] = None, *,
+                 above: Optional[Real] = None, most: Optional[Real] = None,
+                 below: Optional[Real] = None) -> int:
+    """``value`` as an ``int`` within the bounds :func:`real_number` takes,
+    else ``error``: what :func:`real_number` refuses, fractions, ``nan``
+    and ``inf`` are refused rather than truncated."""
     if type(value) is not int:  # a plain int needs no type check
         real_number(value, name, error)
     try:
@@ -63,25 +70,46 @@ def whole_number(value: object, name: str,
     except (TypeError, ValueError, OverflowError):
         integral = None
     if integral is None or integral != value:
-        raise error(
-            f"{name} must be a whole number, got {value!r}")
-    if least is not None and integral < least:
-        raise error(f"{name} must be >= {least}, got {value!r}")
-    return integral
+        raise error(f"{name} must be a whole number, got {value!r}")
+    # Inline, not a call to real_number: the call count guards would see it.
+    if ((least is None or integral >= least)
+            and (above is None or integral > above)
+            and (most is None or integral <= most)
+            and (below is None or integral < below)):
+        return integral
+    _out_of_bounds(value, name, error, least, above, most, below)
 
 
 def real_number(value: object, name: str,
-                error: Type[SieveError] = ConfigurationError) -> Real:
-    """``value`` unchanged if it is a real number, else ``error`` (a
-    :class:`ConfigurationError` by default).
+                error: Type[SieveError] = ConfigurationError,
+                least: Optional[Real] = None, *,
+                above: Optional[Real] = None, most: Optional[Real] = None,
+                below: Optional[Real] = None) -> Real:
+    """``value`` unchanged if it is a real number within the bounds, else
+    ``error``.
 
-    A ``bool`` is refused although Python counts it as an integer: ``True``
-    as a threshold or a count of seconds is a caller's mistake.  ``nan`` and
-    ``inf`` pass; ranges are the caller's to check.
+    The bounds are ``value >= least``, ``> above``, ``<= most`` and
+    ``< below``, each checked as holding, so with any bound given ``nan``
+    (for which every comparison is false) is refused; ``below=math.inf``
+    means "finite".  A ``bool`` is refused: ``True`` as a threshold or a
+    count of seconds is a caller's mistake.
     """
-    if isinstance(value, bool) or not isinstance(value, Real):
+    if type(value) not in (float, int) and (  # those need no type check
+            isinstance(value, bool) or not isinstance(value, Real)):
         raise error(f"{name} must be a real number, got {value!r}")
-    return value
+    if ((least is None or value >= least) and (above is None or value > above)
+            and (most is None or value <= most)
+            and (below is None or value < below)):
+        return value
+    _out_of_bounds(value, name, error, least, above, most, below)
+
+
+def _out_of_bounds(value, name, error, least, above, most, below) -> None:
+    """Raise ``error`` for a ``value`` that misses a bound."""
+    raise error(f"{name} must be " + " and ".join(
+        f"{sign} {bound}" for sign, bound in (
+            (">=", least), (">", above), ("<=", most), ("<", below))
+        if bound is not None) + f", got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -126,15 +154,10 @@ class HardwareCalibration:
     cloud_speed_factor: float = 2.2
 
     def __post_init__(self) -> None:
-        # Chained, so nan (which passes ``<= 0``) and inf are refused: an
-        # infinite speed factor makes every cost 0.0, a nan one every
-        # cost nan.
+        # An infinite speed factor would make every cost 0.0, a nan one
+        # every cost nan.
         for name, value in asdict(self).items():
-            if not 0 < real_number(value, f"HardwareCalibration.{name}"
-                                   ) < math.inf:
-                raise ConfigurationError(
-                    f"HardwareCalibration.{name} must be positive and "
-                    f"finite, got {value!r}")
+            real_number(value, f"HardwareCalibration.{name}", **POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -184,29 +207,26 @@ class SystemConfig:
     seed: int = 20200601
 
     def __post_init__(self) -> None:
-        # Real numbers (a bool is none), compared chained, so nan (which
-        # passes ``<= 0``) and inf are refused here rather than becoming
-        # every transfer's duration.
         for name in ("edge_cloud_bandwidth_mbps", "camera_edge_bandwidth_mbps"):
-            if not 0 < real_number(getattr(self, name), name) < math.inf:
-                raise ConfigurationError(f"{name} must be positive and finite")
+            real_number(getattr(self, name), name, **POSITIVE)
         for name in ("edge_cloud_latency_ms", "camera_edge_latency_ms"):
-            if not 0 <= real_number(getattr(self, name), name) < math.inf:
-                raise ConfigurationError(
-                    f"{name} must be finite and non-negative")
+            real_number(getattr(self, name), name, **NON_NEGATIVE)
+        if not isinstance(self.hardware, HardwareCalibration):
+            raise ConfigurationError(
+                f"hardware must be a HardwareCalibration, got {self.hardware!r}")
         resolution = self.nn_input_resolution
         if not (isinstance(resolution, Sequence) and len(resolution) == 2):
             raise ConfigurationError(
                 f"nn_input_resolution must be a (width, height) pair, got "
                 f"{resolution!r}")
         for side in resolution:
-            if not 0 < real_number(side, "nn_input_resolution") < math.inf:
-                raise ConfigurationError("nn_input_resolution must be positive")
+            real_number(side, "nn_input_resolution", **POSITIVE)
         # The dataclass is frozen, so normalised values (whole numbers as
         # ints) are written through object.__setattr__ once here.
         for name in ("nn_batch_size", "build_workers"):
             object.__setattr__(self, name, whole_number(
                 getattr(self, name), name, least=1))
+        whole_number(self.seed, "seed")
         validate_precision(self.precision)
 
 

@@ -22,12 +22,14 @@ sampled frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from ..config import NON_NEGATIVE, real_number
 from ..errors import ConfigurationError
 from ..video.events import EventTimeline
 
@@ -130,8 +132,11 @@ def _frame_counts(timeline: EventTimeline, frames: np.ndarray,
 
 def f1_score(accuracy: float, filtering: float) -> float:
     """Harmonic mean of accuracy and filtering rate (Section IV)."""
-    if accuracy < 0 or filtering < 0:
-        raise ConfigurationError("accuracy and filtering rate must be non-negative")
+    # Called per score, so the helpers run only off the plain-float path.
+    if not (type(accuracy) is type(filtering) is float
+            and 0 <= accuracy < math.inf and 0 <= filtering < math.inf):
+        real_number(accuracy, "accuracy", **NON_NEGATIVE)
+        real_number(filtering, "filtering rate", **NON_NEGATIVE)
     if accuracy + filtering == 0:
         return 0.0
     return 2.0 * accuracy * filtering / (accuracy + filtering)

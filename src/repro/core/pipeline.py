@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..cluster.costmodel import CostModel
 from ..cluster.fleet import (CameraJob, FleetOrchestrator, FleetReport,
                              PlacementPolicy)
-from ..config import SystemConfig
+from ..config import SystemConfig, whole_number
 from ..codec.encoder import VideoEncoder
 from ..codec.gop import DEFAULT_PARAMETERS, EncoderParameters
 from ..datasets.generator import DatasetInstance
@@ -406,8 +406,7 @@ class EndToEndSimulation:
                  ) -> None:
         if not workloads:
             raise PipelineError("the simulation needs at least one workload")
-        if num_edge_servers < 1:
-            raise PipelineError("num_edge_servers must be >= 1")
+        whole_number(num_edge_servers, "num_edge_servers", PipelineError, 1)
         self.workloads = list(workloads)
         self.config = config or SystemConfig()
         self.cost_model = CostModel(self.config.hardware)
@@ -594,9 +593,8 @@ class EndToEndSimulation:
         """
         reports = {}
         for count in video_counts:
-            if not 1 <= count <= len(self.workloads):
-                raise PipelineError(
-                    f"video count {count} out of range [1, {len(self.workloads)}]")
+            whole_number(count, "video count", PipelineError, 1,
+                         most=len(self.workloads))
             subset = EndToEndSimulation(self.workloads[:count], self.config,
                                         num_edge_servers=self.num_edge_servers,
                                         placement=self.placement)

@@ -28,6 +28,7 @@ from math import inf
 from operator import itemgetter
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from ..config import FINITE, real_number, whole_number
 from ..errors import DataflowError
 
 Action = Callable[..., None]
@@ -149,12 +150,8 @@ class EventScheduler:
         Returns:
             The number of events fired by this call.
         """
-        if until is None:
-            horizon = inf
-        elif -inf < until < inf:
-            horizon = until
-        else:
-            raise DataflowError(f"run horizon must be finite, got {until}")
+        horizon = inf if until is None else real_number(
+            until, "run horizon", DataflowError, **FINITE)
         heap = self._heap
         already_fired = self.events_processed
         while heap and heap[0][0] <= horizon:
@@ -214,10 +211,7 @@ class ServiceStation:
 
     def __init__(self, scheduler: EventScheduler, name: str,
                  capacity: int = 1) -> None:
-        if not (1 <= capacity < inf and capacity == int(capacity)):
-            raise DataflowError(
-                f"station capacity must be a whole number >= 1, "
-                f"got {capacity}")
+        whole_number(capacity, "station capacity", DataflowError, least=1)
         self.scheduler = scheduler
         self.name = name
         self.capacity = int(capacity)

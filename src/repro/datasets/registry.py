@@ -53,8 +53,6 @@ class DatasetSpec:
 
     def size_scale_to_nominal(self, rendered: Resolution) -> float:
         """Factor converting rendered-resolution byte counts to nominal ones."""
-        if rendered.pixels <= 0:
-            raise DatasetError("rendered resolution must be non-empty")
         return self.nominal_resolution.pixels / rendered.pixels
 
 

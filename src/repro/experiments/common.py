@@ -32,7 +32,6 @@ from worker processes and assembles identical results here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -41,11 +40,10 @@ import numpy as np
 from ..codec.encoder import VideoEncoder
 from ..codec.gop import DEFAULT_PARAMETERS, EncoderParameters
 from ..codec.scenecut import FrameActivity
-from ..config import SystemConfig, real_number
+from ..config import POSITIVE, SystemConfig, real_number
 from ..datasets import diskcache
 from ..datasets.generator import DatasetInstance, build_dataset
 from ..datasets.registry import LABELLED_DATASETS, get_dataset
-from ..errors import ConfigurationError
 from ..perf import section as perf_section
 from ..video.events import Event, EventTimeline
 from ..video.frame import Frame, Resolution
@@ -68,8 +66,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("duration_seconds", "render_scale"):
-            if not 0.0 < real_number(getattr(self, name), name) < math.inf:
-                raise ConfigurationError(f"{name} must be positive and finite")
+            real_number(getattr(self, name), name, **POSITIVE)
 
 
 @dataclass
@@ -428,7 +425,7 @@ def format_table(rows: Iterable[Dict[str, object]], columns: Sequence[str],
     separator = "-+-".join("-" * 18 for _ in columns)
     lines = []
     if title:
-        lines.append(title)
+        lines.append(str(title))
     lines.append(header)
     lines.append(separator)
     for row in rows:

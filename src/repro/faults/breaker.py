@@ -16,10 +16,9 @@ show up identically in same-seed recovery traces.
 from __future__ import annotations
 
 import enum
-import math
 from typing import Callable, Optional
 
-from ..config import real_number
+from ..config import POSITIVE, real_number
 from ..errors import FaultError
 
 
@@ -42,11 +41,9 @@ class CircuitBreaker:
 
     def __init__(self, name: str = "", cooldown_seconds: float = 5.0,
                  on_open: Optional[Callable[[], None]] = None) -> None:
-        # Chained, so nan (which would admit a probe the instant the
-        # breaker trips) and inf are refused.
-        if not 0.0 < real_number(cooldown_seconds, "cooldown_seconds",
-                                 FaultError) < math.inf:
-            raise FaultError("cooldown_seconds must be positive and finite")
+        # A nan cooldown would admit a probe the instant the breaker trips.
+        real_number(cooldown_seconds, "cooldown_seconds", FaultError,
+                    **POSITIVE)
         self.name = name
         self.cooldown_seconds = cooldown_seconds
         self.state = BreakerState.CLOSED

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from ..config import POSITIVE, real_number
+from ..errors import FaultError
 from .breaker import CircuitBreaker
-from .plan import (EdgeCrash, FaultPlan, StreamStall, WanDegradation,
-                   _seconds)
+from .plan import EdgeCrash, FaultPlan, StreamStall, WanDegradation
 from .stats import FaultStats, RecoveryTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; see the import note below.
@@ -66,13 +67,11 @@ class ResilienceConfig:
         # Finite reals > 0 (a bool is no count of seconds): a nan cooldown
         # admits a probe the instant a breaker trips, and a nan timeout
         # silently turns the watchdog off.
-        _seconds(self.breaker_cooldown_seconds, "breaker_cooldown_seconds",
-                 positive=True)
+        for name in ("breaker_cooldown_seconds", "watchdog_period_seconds"):
+            real_number(getattr(self, name), name, FaultError, **POSITIVE)
         if self.stall_timeout_seconds is not None:
-            _seconds(self.stall_timeout_seconds, "stall_timeout_seconds",
-                     positive=True)
-        _seconds(self.watchdog_period_seconds, "watchdog_period_seconds",
-                 positive=True)
+            real_number(self.stall_timeout_seconds, "stall_timeout_seconds",
+                        FaultError, **POSITIVE)
 
 
 class ServiceFaultDriver:

@@ -22,26 +22,12 @@ error later inside a drain.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..config import real_number, whole_number
+from ..config import NON_NEGATIVE, POSITIVE, real_number, whole_number
 from ..errors import FaultError
 from ..rng import make_rng
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise FaultError(message)
-
-
-def _seconds(value: object, name: str, positive: bool = False) -> None:
-    """Refuse a time that is not a finite real >= 0 (> 0 if ``positive``)."""
-    value = real_number(value, name, FaultError)
-    _require((0.0 < value if positive else 0.0 <= value) and value < math.inf,
-             f"{name} must be finite and {'> 0' if positive else '>= 0'}, "
-             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,10 +48,10 @@ class EdgeCrash:
     def __post_init__(self) -> None:
         object.__setattr__(self, "edge_index", whole_number(
             self.edge_index, "edge_index", FaultError, 0))
-        _seconds(self.at_seconds, "at_seconds")
+        real_number(self.at_seconds, "at_seconds", FaultError, **NON_NEGATIVE)
         if self.restart_after_seconds is not None:
-            _seconds(self.restart_after_seconds, "restart_after_seconds",
-                     positive=True)
+            real_number(self.restart_after_seconds, "restart_after_seconds",
+                        FaultError, **POSITIVE)
 
     @property
     def permanent(self) -> bool:
@@ -88,8 +74,9 @@ class WanDegradation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "edge_index", whole_number(
             self.edge_index, "edge_index", FaultError, 0))
-        _seconds(self.at_seconds, "at_seconds")
-        _seconds(self.duration_seconds, "duration_seconds", positive=True)
+        real_number(self.at_seconds, "at_seconds", FaultError, **NON_NEGATIVE)
+        real_number(self.duration_seconds, "duration_seconds", FaultError,
+                    **POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -107,10 +94,12 @@ class StreamStall:
     duration_seconds: float
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.camera, str) and bool(self.camera),
-                 f"camera must be a non-empty string, got {self.camera!r}")
-        _seconds(self.at_seconds, "at_seconds")
-        _seconds(self.duration_seconds, "duration_seconds", positive=True)
+        if not (isinstance(self.camera, str) and self.camera):
+            raise FaultError(
+                f"camera must be a non-empty string, got {self.camera!r}")
+        real_number(self.at_seconds, "at_seconds", FaultError, **NON_NEGATIVE)
+        real_number(self.duration_seconds, "duration_seconds", FaultError,
+                    **POSITIVE)
 
 
 #: Any single fault specification.
@@ -134,15 +123,14 @@ class FaultPlan:
     specs: Tuple[FaultSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        _require(not isinstance(self.specs, (str, bytes))
-                 and hasattr(self.specs, "__iter__"),
-                 f"specs must be a sequence of fault specs, "
-                 f"got {self.specs!r}")
+        if (isinstance(self.specs, (str, bytes))
+                or not hasattr(self.specs, "__iter__")):
+            raise FaultError(f"specs must be a sequence of fault specs, "
+                             f"got {self.specs!r}")
         object.__setattr__(self, "specs", tuple(self.specs))
         for spec in self.specs:
-            _require(isinstance(spec, (EdgeCrash, WanDegradation,
-                                       StreamStall)),
-                     f"unknown fault spec {spec!r}")
+            if not isinstance(spec, (EdgeCrash, WanDegradation, StreamStall)):
+                raise FaultError(f"unknown fault spec {spec!r}")
 
     @property
     def edge_crashes(self) -> Tuple[EdgeCrash, ...]:
@@ -193,11 +181,10 @@ class FaultPlan:
         stream stall.  All times land inside ``horizon_seconds``.  Same
         arguments, same plan.
         """
+        # Two crashes need a third edge to keep a healthy survivor.
         num_edge_servers = whole_number(num_edge_servers, "num_edge_servers",
-                                        FaultError, 1)
-        _seconds(horizon_seconds, "horizon_seconds", positive=True)
-        _require(num_edge_servers > 2,
-                 "two crashes need a third edge to keep a healthy survivor")
+                                        FaultError, 3)
+        real_number(horizon_seconds, "horizon_seconds", FaultError, **POSITIVE)
         rng = make_rng(seed, "faults", "plan")
         doomed, restarted = rng.permutation(num_edge_servers)[:2]
         specs: List[FaultSpec] = [EdgeCrash(

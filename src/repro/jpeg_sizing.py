@@ -10,7 +10,7 @@ real still-image codec in the test suite).
 
 from __future__ import annotations
 
-from .errors import ConfigurationError
+from .config import POSITIVE, real_number
 
 #: Compressed bytes per pixel of a typical surveillance thumbnail.  JPEG of
 #: natural images at quality ~75 lands between 0.2 and 0.5 byte/pixel; the
@@ -22,27 +22,20 @@ DEFAULT_BYTES_PER_PIXEL = 0.3
 HEADER_OVERHEAD_BYTES = 256
 
 
-def resized_frame_bytes(width: int, height: int,
-                        bytes_per_pixel: float = DEFAULT_BYTES_PER_PIXEL,
-                        channels: int = 3) -> int:
+def resized_frame_bytes(width: int, height: int) -> int:
     """Estimated compressed size of one resized frame as shipped to the cloud.
+
+    The frame has three colour channels; chroma is subsampled, so the two
+    beyond luma add half their raw weight.
 
     Args:
         width: Thumbnail width in pixels.
         height: Thumbnail height in pixels.
-        bytes_per_pixel: Compression density per luma pixel.
-        channels: Number of colour channels (chroma is subsampled, so extra
-            channels add half their raw weight).
 
     Returns:
         Estimated size in bytes.
     """
-    if width <= 0 or height <= 0:
-        raise ConfigurationError("thumbnail dimensions must be positive")
-    if bytes_per_pixel <= 0:
-        raise ConfigurationError("bytes_per_pixel must be positive")
-    if channels < 1:
-        raise ConfigurationError("channels must be >= 1")
-    luma = width * height * bytes_per_pixel
-    chroma = width * height * bytes_per_pixel * 0.5 * max(channels - 1, 0) / 2.0
-    return int(luma + chroma) + HEADER_OVERHEAD_BYTES
+    for name, side in (("width", width), ("height", height)):
+        real_number(side, name, **POSITIVE)
+    luma = width * height * DEFAULT_BYTES_PER_PIXEL
+    return int(luma + luma * 0.5 * 2 / 2.0) + HEADER_OVERHEAD_BYTES

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
+from ..config import NON_NEGATIVE, POSITIVE, real_number
 from ..errors import NetworkError
 
 
@@ -39,15 +40,11 @@ class NetworkLink:
     total_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        # Chained comparisons so nan (which passes ``<= 0``) and inf (a
-        # link that moves anything in 0.0 s) are refused too.
-        if not 0 < self.bandwidth_mbps < inf:
-            raise NetworkError(
-                f"bandwidth must be positive and finite, "
-                f"got {self.bandwidth_mbps}")
-        if not 0 <= self.latency_ms < inf:
-            raise NetworkError(
-                f"latency must be finite and >= 0, got {self.latency_ms}")
+        # An infinite bandwidth would move anything in 0.0 s.
+        real_number(self.bandwidth_mbps, "bandwidth_mbps", NetworkError,
+                    **POSITIVE)
+        real_number(self.latency_ms, "latency_ms", NetworkError,
+                    **NON_NEGATIVE)
 
     def transfer_seconds(self, size_bytes: int) -> float:
         """Time to move ``size_bytes`` over the link (latency included)."""

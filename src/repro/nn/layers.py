@@ -166,8 +166,10 @@ class Conv2D(Layer):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
                  stride: int = 1, padding: str = "same", name: str = "conv",
                  seed: int = 0) -> None:
-        if in_channels < 1 or out_channels < 1 or kernel_size < 1 or stride < 1:
-            raise ModelError("Conv2D dimensions must be positive")
+        for label, value in (("in_channels", in_channels),
+                             ("out_channels", out_channels),
+                             ("kernel_size", kernel_size), ("stride", stride)):
+            whole_number(value, f"Conv2D {label}", ModelError, 1)
         if padding not in ("same", "valid"):
             raise ModelError(f"unknown padding {padding!r}")
         self.in_channels = in_channels
@@ -373,8 +375,8 @@ class Dense(Layer):
 
     def __init__(self, in_features: int, out_features: int, name: str = "dense",
                  seed: int = 0) -> None:
-        if in_features < 1 or out_features < 1:
-            raise ModelError("Dense dimensions must be positive")
+        whole_number(in_features, "Dense in_features", ModelError, 1)
+        whole_number(out_features, "Dense out_features", ModelError, 1)
         self.in_features = in_features
         self.out_features = out_features
         self.name = name

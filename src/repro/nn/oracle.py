@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
+from ..config import real_number
 from ..errors import ModelError
 from ..rng import make_rng
 from ..video.events import EventTimeline, LabelSet
@@ -71,8 +72,7 @@ class OracleDetector(ObjectDetector):
     def __init__(self, timeline: EventTimeline, error_rate: float = 0.0,
                  label_pool: Optional[Iterable[str]] = None,
                  seed: int = 0) -> None:
-        if not 0.0 <= error_rate <= 1.0:
-            raise ModelError(f"error_rate must be in [0, 1], got {error_rate}")
+        real_number(error_rate, "error_rate", ModelError, least=0, most=1)
         self.timeline = timeline
         self.error_rate = float(error_rate)
         pool = set(label_pool) if label_pool is not None else set(timeline.object_labels)

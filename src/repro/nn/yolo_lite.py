@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..config import PRECISION_EXACT
+from ..config import POSITIVE, PRECISION_EXACT, real_number, whole_number
 from ..errors import ModelError
 from ..vision.imageops import normalize_plane, resize_stack, to_grayscale
 from .layers import Conv2D, Dense, GlobalAveragePool, MaxPool2D, ReLU, Softmax
@@ -54,11 +54,10 @@ def build_yolo_lite(input_size: Tuple[int, int] = DEFAULT_INPUT_SIZE,
     """
     if len(classes) < 2:
         raise ModelError("YoloLite needs at least two classes")
-    if width_multiplier <= 0:
-        raise ModelError("width_multiplier must be positive")
+    real_number(width_multiplier, "width_multiplier", ModelError, **POSITIVE)
     height, width = input_size
-    if height < 16 or width < 16:
-        raise ModelError("input_size must be at least 16x16")
+    for side in input_size:
+        whole_number(side, "input_size", ModelError, least=16)
 
     def channels(base: int) -> int:
         return max(int(round(base * width_multiplier)), 1)
@@ -146,8 +145,7 @@ def classify_frames(model: SequentialModel, frames: Sequence[np.ndarray],
     classes = getattr(model, "classes", None)
     if classes is None:
         raise ModelError("model has no attached class list")
-    if batch_size < 1:
-        raise ModelError(f"batch_size must be >= 1, got {batch_size}")
+    whole_number(batch_size, "batch_size", ModelError, least=1)
     input_height, input_width = model.input_shape[1], model.input_shape[2]
     labels: List[str] = []
     outputs: List[np.ndarray] = []

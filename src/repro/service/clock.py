@@ -23,11 +23,10 @@ contract ``tests/service/test_parity_and_soak.py`` pins and
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Callable, Optional
 
-from ..config import real_number
+from ..config import POSITIVE, real_number
 from ..dataflow.scheduler import EventScheduler
 from ..errors import ServiceError
 
@@ -93,11 +92,8 @@ class RealTimeClock(ClockDriver):
     def __init__(self, speedup: float = 1.0, *,
                  wall: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep) -> None:
-        # Chained, so nan (which passes ``<= 0`` and never paces) and inf
-        # are refused; a real-time clock without pacing is VirtualClock.
-        if not 0 < real_number(speedup, "speedup", ServiceError) < math.inf:
-            raise ServiceError(
-                f"speedup must be positive and finite, got {speedup}")
+        # A real-time clock without pacing is VirtualClock.
+        real_number(speedup, "speedup", ServiceError, **POSITIVE)
         self.speedup = float(speedup)
         self._wall = wall
         self._sleep = sleep

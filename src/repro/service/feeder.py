@@ -18,10 +18,9 @@ the property the parity tests and ``examples/streaming_service.py`` pin.
 
 from __future__ import annotations
 
-from math import inf
 from typing import Dict, Optional, Sequence
 
-from ..config import real_number
+from ..config import FINITE, POSITIVE, real_number
 from ..errors import BackpressureError, ServiceError
 from .session import FrameChunk
 
@@ -54,13 +53,7 @@ class ChunkFeeder:
     def __init__(self, service, session_id: str,
                  chunks: Sequence[FrameChunk], period_seconds: float
                  ) -> None:
-        # Chained comparisons: nan passes ``<= 0`` and would drain the
-        # feeder with the service clock at nan.
-        if not 0 < real_number(period_seconds, "period_seconds",
-                               ServiceError) < inf:
-            raise ServiceError(
-                f"period_seconds must be positive and finite, "
-                f"got {period_seconds}")
+        real_number(period_seconds, "period_seconds", ServiceError, **POSITIVE)
         self._service = service
         self.session_id = session_id
         self.chunks = list(chunks)
@@ -89,9 +82,8 @@ class ChunkFeeder:
         if self._started:
             raise ServiceError(
                 f"feeder for {self.session_id!r} already started")
-        if at is not None and not -inf < real_number(
-                at, "at", ServiceError) < inf:
-            raise ServiceError(f"at must be finite, got {at}")
+        if at is not None:
+            real_number(at, "at", ServiceError, **FINITE)
         self._started = True
         if not self.chunks:
             self._service.close_session(self.session_id)

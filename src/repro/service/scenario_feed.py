@@ -24,7 +24,7 @@ import numpy as np
 
 from ..adapt import chunk_scene
 from ..codec.scenecut import FrameActivity, SceneCutAnalyzer
-from ..config import real_number, validate_precision
+from ..config import real_number, validate_precision, whole_number
 from ..errors import ServiceError
 from ..video.scenarios import make_scenario
 from ..video.synthetic import SyntheticScene
@@ -121,6 +121,8 @@ def chunk_analysis(analysis: ClipAnalysis,
         raise ServiceError(
             f"chunk_seconds must hold at least one frame at "
             f"{analysis.fps} fps, got {chunk_seconds!r}")
+    whole_number(lan_bytes_per_frame, "lan_bytes_per_frame", ServiceError, 0)
+    whole_number(wan_bytes_per_frame, "wan_bytes_per_frame", ServiceError, 0)
     num_chunks = len(analysis.activities) // per_chunk
     chunks = []
     for index in range(num_chunks):

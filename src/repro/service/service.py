@@ -48,7 +48,8 @@ from ..cluster.fleet import (CameraJob, FleetOutcomes, FleetReport,
                              PlacementPolicy, chain_report)
 from ..cluster.topology import StageChain, StageUnit
 from ..codec.gop import EncoderParameters
-from ..config import SystemConfig, real_number, whole_number
+from ..config import (FINITE, NON_NEGATIVE, SystemConfig, real_number,
+                      whole_number)
 from ..dataflow.scheduler import EventScheduler, ServiceStation
 from ..errors import ServiceError
 from ..faults.injector import ResilienceConfig, ServiceFaultDriver
@@ -228,9 +229,7 @@ class StreamingService:
         :meth:`after`) so their effects are ordered on the event heap —
         that ordering is what makes a run reproducible under any clock.
         """
-        if not -inf < real_number(time, "control time",
-                                  ServiceError) < inf:
-            raise ServiceError(f"control time must be finite, got {time}")
+        real_number(time, "control time", ServiceError, **FINITE)
         self.scheduler.schedule_at(time, action, *args)
 
     def after(self, delay: float, action: Callable[..., None],
@@ -255,9 +254,7 @@ class StreamingService:
 
     def run_for(self, seconds: float) -> int:
         """Advance the service ``seconds`` of virtual time from now."""
-        if not 0 <= real_number(seconds, "seconds", ServiceError) < inf:
-            raise ServiceError(
-                f"seconds must be finite and >= 0, got {seconds}")
+        real_number(seconds, "seconds", ServiceError, **NON_NEGATIVE)
         return self.run(until=self.scheduler.now + seconds)
 
     def drain(self) -> int:

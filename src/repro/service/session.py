@@ -82,8 +82,6 @@ class FrameChunk:
         frames, inference, edge, cloud, lan, wan = values
         if frames < 0 or inference < 0:
             raise ServiceError("chunk frame counts must be >= 0")
-        # Chained comparisons so nan (which passes ``< 0``) and inf are
-        # refused at the boundary, not discovered in a report.
         if not (0 <= edge < math.inf and 0 <= cloud < math.inf):
             raise ServiceError(
                 "chunk compute seconds must be finite and >= 0")

@@ -15,6 +15,7 @@ from typing import (FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
 
 import numpy as np
 
+from ..config import whole_number
 from ..errors import ConfigurationError
 
 LabelSet = FrozenSet[str]
@@ -52,11 +53,11 @@ class Event:
     labels: LabelSet = NO_LABEL
 
     def __post_init__(self) -> None:
-        if self.start_frame < 0:
-            raise ConfigurationError(f"start_frame must be >= 0, got {self.start_frame}")
-        if self.end_frame <= self.start_frame:
-            raise ConfigurationError(
-                f"end_frame ({self.end_frame}) must be > start_frame ({self.start_frame})")
+        # Built per event of every timeline: the helper runs off the fast path.
+        start, end = self.start_frame, self.end_frame
+        if not (type(start) is type(end) is int and 0 <= start < end):
+            whole_number(end, "end_frame", above=whole_number(
+                start, "start_frame", least=0))
         object.__setattr__(self, "labels", as_label_set(self.labels))
 
 

@@ -9,12 +9,12 @@ timestamp.  Encoded pictures live in :mod:`repro.codec.bitstream` instead.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
+from ..config import POSITIVE, real_number, whole_number
 from ..errors import ConfigurationError
 
 
@@ -46,9 +46,8 @@ class Resolution:
     height: int
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigurationError(
-                f"Resolution must be positive, got {self.width}x{self.height}")
+        whole_number(self.width, "Resolution width", least=1)
+        whole_number(self.height, "Resolution height", least=1)
 
     @property
     def pixels(self) -> int:
@@ -62,9 +61,7 @@ class Resolution:
 
     def scaled(self, factor: float) -> "Resolution":
         """Return this resolution scaled by ``factor`` (minimum 16x16)."""
-        if not 0 < factor < math.inf:
-            raise ConfigurationError(
-                f"scale factor must be positive and finite, got {factor!r}")
+        real_number(factor, "scale factor", **POSITIVE)
         return Resolution(max(int(round(self.width * factor)), 16),
                           max(int(round(self.height * factor)), 16))
 
@@ -105,8 +102,8 @@ class Frame:
                 f"Color frames must have 3 channels, got {self.data.shape[2]}")
         if self.data.dtype != np.uint8:
             self.data = np.clip(self.data, 0, 255).astype(np.uint8)
-        if self.index < 0:
-            raise ConfigurationError(f"Frame index must be >= 0, got {self.index}")
+        if type(self.index) is not int or self.index < 0:
+            whole_number(self.index, "Frame index", least=0)
 
     def to_grayscale(self) -> np.ndarray:
         """Return a ``float64`` grayscale (luma) plane in ``[0, 255]``.

@@ -37,6 +37,7 @@ from ..codec.bitstream import EncodedVideo
 from ..codec.decoder import VideoDecoder
 from ..codec.encoder import VideoEncoder
 from ..codec.gop import EncoderParameters
+from ..config import POSITIVE, real_number, whole_number
 from ..core.tuner import SemanticEncoderTuner, TuningGrid
 from ..errors import DatasetError
 from ..rng import make_rng
@@ -82,6 +83,15 @@ class ScenarioComposition:
     duration_seconds: float = FUZZ_DURATION_SECONDS
     render_scale: float = FUZZ_RENDER_SCALE
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.base, str) and isinstance(self.transforms, tuple)
+                and all(isinstance(name, str) for name in self.transforms)):
+            raise DatasetError(f"base must be a str and transforms a tuple of "
+                               f"str, got {self.base!r}, {self.transforms!r}")
+        whole_number(self.seed, "seed", DatasetError)
+        for name in ("duration_seconds", "render_scale"):
+            real_number(getattr(self, name), name, DatasetError, **POSITIVE)
+
     @property
     def spec(self) -> str:
         """The ``base+t1+t2`` composition spec string."""
@@ -111,16 +121,10 @@ class ScenarioComposition:
         """Parse a repro file produced by :meth:`to_json`."""
         try:
             raw = json.loads(data)
-            base, transforms, seed = raw["base"], raw["transforms"], raw["seed"]
-            if not isinstance(base, str):
-                raise TypeError(f"base must be a string, got {base!r}")
-            if not (isinstance(transforms, list)
-                    and all(isinstance(name, str) for name in transforms)):
-                raise TypeError(
-                    f"transforms must be a list of strings, got {transforms!r}")
-            if type(seed) is not int:
-                raise TypeError(f"seed must be a whole number, got {seed!r}")
-            return cls(base=base, transforms=tuple(transforms), seed=seed,
+            transforms = raw["transforms"]
+            if isinstance(transforms, list):  # JSON has no tuples
+                transforms = tuple(transforms)
+            return cls(base=raw["base"], transforms=transforms, seed=raw["seed"],
                        duration_seconds=float(raw["duration_seconds"]),
                        render_scale=float(raw["render_scale"]))
         except (KeyError, TypeError, ValueError) as exc:

@@ -17,6 +17,7 @@ from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from ..config import POSITIVE, real_number, whole_number
 from ..errors import ConfigurationError
 from .events import EventTimeline
 from .frame import Frame, Resolution
@@ -40,10 +41,8 @@ class VideoMetadata:
     extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if self.fps <= 0:
-            raise ConfigurationError(f"fps must be positive, got {self.fps}")
-        if self.num_frames <= 0:
-            raise ConfigurationError(f"num_frames must be positive, got {self.num_frames}")
+        real_number(self.fps, "fps", **POSITIVE)
+        whole_number(self.num_frames, "num_frames", least=1)
 
     def timestamp_of(self, frame_index: int) -> float:
         """Presentation timestamp of ``frame_index`` in seconds."""

@@ -341,7 +341,7 @@ def make_scenario(name: str, duration_seconds: float = DEFAULT_DURATION_SECONDS,
     try:
         constructor = SCENARIOS[name]
     except KeyError as exc:
-        if "+" in name:
+        if isinstance(name, str) and "+" in name:
             # Unregistered composition specs are built on the fly; the
             # import is deferred because transforms composes *on top of*
             # this module.

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import FINITE, NON_NEGATIVE, POSITIVE, real_number, whole_number
 from ..errors import ConfigurationError
 from ..rng import make_rng
 from .events import EventTimeline
@@ -60,15 +61,33 @@ class ObjectClassSpec:
     shape: str = "rectangle"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.relative_height <= 1.0:
-            raise ConfigurationError(
-                f"relative_height must be in (0, 1], got {self.relative_height}")
-        if self.aspect_ratio <= 0:
-            raise ConfigurationError("aspect_ratio must be positive")
-        if self.speed_fraction <= 0:
-            raise ConfigurationError("speed_fraction must be positive")
+        real_number(self.relative_height, "relative_height", above=0, most=1)
+        real_number(self.aspect_ratio, "aspect_ratio", **POSITIVE)
+        real_number(self.speed_fraction, "speed_fraction", **POSITIVE)
+        real_number(self.brightness_delta, "brightness_delta", **FINITE)
         if self.shape not in ("rectangle", "ellipse"):
             raise ConfigurationError(f"unknown shape {self.shape!r}")
+
+
+#: Each real field of :class:`SceneProfile` with its bounds.
+_PROFILE_REALS = {
+    **dict.fromkeys(("fps", "duration_seconds", "mean_gap_seconds",
+                     "mean_dwell_seconds", "night_cycle_periods"), POSITIVE),
+    **dict.fromkeys(("noise_std", "flicker_amplitude",
+                     "night_cycle_amplitude"), NON_NEGATIVE),
+    **dict.fromkeys(("background_detail", "texture_detail",
+                     "illumination_drift", "brightness_ramp", "flicker_ramp",
+                     "noise_ramp"), FINITE),
+    **dict.fromkeys(("rain_intensity", "snow_density", "blockiness"),
+                    {"least": 0, "most": 1}),
+    **dict.fromkeys(("occlusion_fraction", "dropout_rate"),
+                    {"least": 0, "most": 0.9}),
+    **dict.fromkeys(("fog_density", "exposure_jitter"),
+                    {"least": 0, "below": 1}),
+    "base_brightness": {"least": 0, "most": 255},
+    # Contrast cannot flip.
+    "object_contrast_ramp": {"least": -1, "below": math.inf},
+}
 
 
 @dataclass(frozen=True)
@@ -193,76 +212,27 @@ class SceneProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 < self.fps < math.inf and 0 < self.duration_seconds < math.inf):
-            raise ConfigurationError(
-                f"fps and duration_seconds must be positive and finite, got "
-                f"fps={self.fps!r}, duration_seconds={self.duration_seconds!r}")
+        for name, bounds in _PROFILE_REALS.items():
+            real_number(getattr(self, name), name, **bounds)
+        for name, least in (("sensor_jitter_px", 0),
+                            ("max_concurrent_objects", 1), ("seed", None)):
+            whole_number(getattr(self, name), name, least=least)
         if int(round(self.duration_seconds * self.fps)) < 2:
             raise ConfigurationError(
                 f"duration_seconds={self.duration_seconds!r} at "
                 f"fps={self.fps!r} yields fewer than 2 frames; a clip must "
                 f"span at least 2 frames (ramps, schedules and the encoder "
                 f"lookahead all assume a successor frame exists)")
-        if not 0.0 <= self.base_brightness <= 255.0:
-            raise ConfigurationError(
-                f"base_brightness must be in [0, 255], got {self.base_brightness}")
-        if self.flicker_amplitude < 0:
-            raise ConfigurationError(
-                f"flicker_amplitude must be >= 0, got {self.flicker_amplitude}")
-        if not 0.0 <= self.base_brightness + self.brightness_ramp <= 255.0:
-            raise ConfigurationError(
-                "base_brightness + brightness_ramp must stay in [0, 255], "
-                f"got {self.base_brightness + self.brightness_ramp}")
-        if self.flicker_amplitude + self.flicker_ramp < 0:
-            raise ConfigurationError(
-                "flicker_amplitude + flicker_ramp must be >= 0")
-        if self.noise_std + self.noise_ramp < 0:
-            raise ConfigurationError("noise_std + noise_ramp must be >= 0")
-        if 1.0 + self.object_contrast_ramp < 0:
-            raise ConfigurationError(
-                "object_contrast_ramp must be >= -1 (contrast cannot flip)")
-        if not 0.0 <= self.rain_intensity <= 1.0:
-            raise ConfigurationError(
-                f"rain_intensity must be in [0, 1], got {self.rain_intensity}")
-        if not 0.0 <= self.fog_density < 1.0:
-            raise ConfigurationError(
-                f"fog_density must be in [0, 1), got {self.fog_density}")
-        if not 0.0 <= self.snow_density <= 1.0:
-            raise ConfigurationError(
-                f"snow_density must be in [0, 1], got {self.snow_density}")
-        if self.night_cycle_amplitude < 0:
-            raise ConfigurationError(
-                f"night_cycle_amplitude must be >= 0, "
-                f"got {self.night_cycle_amplitude}")
-        if self.night_cycle_periods <= 0:
-            raise ConfigurationError(
-                f"night_cycle_periods must be > 0, "
-                f"got {self.night_cycle_periods}")
-        if not 0.0 <= self.occlusion_fraction <= 0.9:
-            raise ConfigurationError(
-                f"occlusion_fraction must be in [0, 0.9], "
-                f"got {self.occlusion_fraction}")
-        if not 0.0 <= self.dropout_rate <= 0.9:
-            raise ConfigurationError(
-                f"dropout_rate must be in [0, 0.9], got {self.dropout_rate}")
-        if not 0.0 <= self.exposure_jitter < 1.0:
-            raise ConfigurationError(
-                f"exposure_jitter must be in [0, 1), got {self.exposure_jitter}")
-        if self.sensor_jitter_px < 0:
-            raise ConfigurationError(
-                f"sensor_jitter_px must be >= 0, got {self.sensor_jitter_px}")
-        if not 0.0 <= self.blockiness <= 1.0:
-            raise ConfigurationError(
-                f"blockiness must be in [0, 1], got {self.blockiness}")
+        real_number(self.base_brightness + self.brightness_ramp,
+                    "base_brightness + brightness_ramp", least=0, most=255)
+        real_number(self.flicker_amplitude + self.flicker_ramp,
+                    "flicker_amplitude + flicker_ramp", least=0)
+        real_number(self.noise_std + self.noise_ramp,
+                    "noise_std + noise_ramp", least=0)
         if not self.object_classes:
             raise ConfigurationError("object_classes must not be empty")
-        if self.mean_gap_seconds <= 0 or self.mean_dwell_seconds <= 0:
-            raise ConfigurationError("mean gap/dwell must be positive")
-        if self.max_concurrent_objects < 1:
-            raise ConfigurationError("max_concurrent_objects must be >= 1")
-        total_weight = sum(weight for _, weight in self.object_classes)
-        if total_weight <= 0:
-            raise ConfigurationError("object class weights must sum to a positive value")
+        real_number(sum(weight for _, weight in self.object_classes),
+                    "the object class weights' sum", **POSITIVE)
 
     @property
     def num_frames(self) -> int:
@@ -309,10 +279,13 @@ class ObjectTrack:
     size_jitter: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.exit_frame <= self.enter_frame:
-            raise ConfigurationError("exit_frame must be > enter_frame")
-        if self.direction not in (-1, 1):
+        whole_number(self.exit_frame, "exit_frame",
+                     above=whole_number(self.enter_frame, "enter_frame"))
+        if whole_number(self.direction, "direction") not in (-1, 1):
             raise ConfigurationError("direction must be +1 or -1")
+        real_number(self.lane_fraction, "lane_fraction", **FINITE)
+        real_number(self.brightness, "brightness", **FINITE)
+        real_number(self.size_jitter, "size_jitter", **POSITIVE)
 
     @property
     def num_frames(self) -> int:
@@ -364,8 +337,7 @@ class SceneScript:
     """The event schedule of a synthetic scene: which objects appear when."""
 
     def __init__(self, tracks: Sequence[ObjectTrack], num_frames: int) -> None:
-        if num_frames <= 0:
-            raise ConfigurationError("num_frames must be positive")
+        whole_number(num_frames, "num_frames", least=1)
         self.tracks: Tuple[ObjectTrack, ...] = tuple(
             sorted(tracks, key=lambda track: track.enter_frame))
         self.num_frames = num_frames

@@ -92,8 +92,6 @@ def crowd(gap_factor: float = 1.0, dwell_factor: float = 1.0,
     an event-structure property, not a pixel effect.
     """
     def apply(profile: SceneProfile) -> SceneProfile:
-        if gap_factor <= 0 or dwell_factor <= 0:
-            raise DatasetError("crowd factors must be positive")
         return replace(
             profile,
             mean_gap_seconds=profile.mean_gap_seconds * gap_factor,
@@ -182,6 +180,8 @@ def apply_transforms(profile: SceneProfile,
 
 def parse_spec(spec: str) -> Tuple[str, Tuple[str, ...]]:
     """Split ``"base+transform+transform"`` into its validated parts."""
+    if not isinstance(spec, str):
+        raise DatasetError(f"composition spec must be a str, got {spec!r}")
     base, *names = [part.strip() for part in spec.split("+")]
     if not base:
         raise DatasetError(f"composition spec {spec!r} has an empty base")
@@ -201,6 +201,8 @@ def compose(base: str, *transform_names: str):
     is forwarded to the *base* constructor so it reaches schedule
     generation, exactly like the plain scenarios.
     """
+    if not isinstance(base, str):
+        raise DatasetError(f"base must be a str, got {base!r}")
     unknown = [name for name in transform_names if name not in TRANSFORMS]
     if unknown:
         raise DatasetError(

@@ -12,6 +12,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from ..config import FINITE, real_number, whole_number
 from ..errors import ConfigurationError
 
 
@@ -64,8 +65,8 @@ def resize_stack(images: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
         stack.
     """
     width, height = size
-    if width <= 0 or height <= 0:
-        raise ConfigurationError(f"target size must be positive, got {size}")
+    for side in size:
+        whole_number(side, "target size", least=1)
     source = np.asarray(images)
     if source.ndim not in (3, 4):
         raise ConfigurationError(
@@ -106,8 +107,6 @@ def resize_stack(images: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
 @lru_cache(maxsize=32)
 def gaussian_kernel_1d(sigma: float, radius: int) -> np.ndarray:
     """Normalised 1-D Gaussian kernel."""
-    if sigma <= 0:
-        raise ConfigurationError(f"sigma must be positive, got {sigma}")
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(xs ** 2) / (2.0 * sigma ** 2))
     return kernel / kernel.sum()
@@ -124,7 +123,7 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     plane = np.asarray(image, dtype=np.float64)
     if plane.ndim != 2:
         raise ConfigurationError("gaussian_blur expects a 2-D plane")
-    if sigma <= 0:
+    if real_number(sigma, "sigma", **FINITE) <= 0:
         return plane.copy()
     radius = max(int(round(3.0 * sigma)), 1)
     kernel = gaussian_kernel_1d(float(sigma), radius)

@@ -19,13 +19,12 @@ reports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..config import real_number, whole_number
+from ..config import NON_NEGATIVE, POSITIVE, real_number, whole_number
 from ..errors import ConfigurationError
 from .imageops import gaussian_blur, gradient_magnitude_orientation
 from .similarity import ChangeDetector
@@ -85,14 +84,9 @@ class SiftLite:
         self.num_scales = whole_number(num_scales, "num_scales", least=3)
         self.max_keypoints = whole_number(max_keypoints, "max_keypoints",
                                           least=1)
-        if not 0.0 < real_number(base_sigma, "base_sigma") < math.inf:
-            raise ConfigurationError("base_sigma must be positive and finite")
-        if not 0.0 <= real_number(contrast_threshold,
-                                  "contrast_threshold") < math.inf:
-            raise ConfigurationError(
-                "contrast_threshold must be finite and >= 0")
-        if not 0.0 < real_number(ratio_threshold, "ratio_threshold") <= 1.0:
-            raise ConfigurationError("ratio_threshold must be in (0, 1]")
+        real_number(base_sigma, "base_sigma", **POSITIVE)
+        real_number(contrast_threshold, "contrast_threshold", **NON_NEGATIVE)
+        real_number(ratio_threshold, "ratio_threshold", above=0, most=1)
         self.base_sigma = base_sigma
         self.contrast_threshold = contrast_threshold
         self.ratio_threshold = ratio_threshold

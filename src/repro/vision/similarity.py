@@ -18,6 +18,7 @@ shared machinery:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
@@ -86,11 +87,7 @@ class ThresholdSampler:
     threshold: float
 
     def __post_init__(self) -> None:
-        threshold = real_number(self.threshold, "threshold")
-        if threshold != threshold:  # NaN, the one real unequal to itself
-            raise ConfigurationError(
-                f"threshold must be a real number other than NaN, "
-                f"got {threshold!r}")
+        real_number(self.threshold, "threshold", least=-math.inf)
 
     def sample(self, scores: Sequence[float]) -> List[int]:
         """Indices of the frames whose score exceeds the threshold."""
@@ -115,8 +112,7 @@ def threshold_for_sampling_fraction(scores: Sequence[float],
     Returns:
         The selected threshold.
     """
-    if not 0.0 < real_number(fraction, "fraction") <= 1.0:
-        raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
+    real_number(fraction, "fraction", above=0, most=1)
     values = np.asarray(scores, dtype=np.float64)
     if values.size == 0:
         raise ConfigurationError("scores must not be empty")

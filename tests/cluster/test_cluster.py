@@ -51,6 +51,22 @@ class TestCostModel:
         with pytest.raises(ClusterError):
             model.decode_seconds(1, RESOLUTION_1080P, speed_factor=0)
 
+    @pytest.mark.parametrize("frames, speed", [
+        (3, float("inf")), (float("nan"), 1.0), (1.5, 1.0), (True, 1.0),
+        (3, float("nan")), (3, True), ("3", 1.0)])
+    def test_counts_are_whole_and_speeds_positive_and_finite(self, frames,
+                                                             speed):
+        """``seek_seconds(3, r, inf)`` returned 0.0 and a nan count a nan
+        cost."""
+        model = CostModel()
+        with pytest.raises(ClusterError):
+            model.seek_seconds(frames, RESOLUTION_1080P, speed)
+        with pytest.raises(ClusterError):
+            model.resize_seconds(frames, speed)
+        if frames != 3:
+            with pytest.raises(ClusterError):
+                model.nn_seconds(frames, "edge")
+
 
 def labels_for(database, video_name, frame_index):
     """The labels a frame was recorded with, ``None`` when absent."""

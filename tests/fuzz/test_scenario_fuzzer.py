@@ -64,6 +64,17 @@ class TestReproFiles:
         with pytest.raises(DatasetError):
             ScenarioComposition.from_json("not json at all")
 
+    @pytest.mark.parametrize("fields", [
+        {"base": 5}, {"transforms": ["rain"]}, {"transforms": (1,)},
+        {"transforms": "rain"}, {"seed": 1.5}, {"seed": True},
+        {"duration_seconds": 0.0}, {"duration_seconds": float("nan")},
+        {"render_scale": float("inf")}, {"render_scale": "0.05"}])
+    def test_the_constructor_refuses_what_spec_would_trip_on(self, fields):
+        """``ScenarioComposition(base=5)`` was accepted and failed later,
+        in ``.spec``, with a bare TypeError."""
+        with pytest.raises(DatasetError, match=next(iter(fields))):
+            ScenarioComposition(**{"base": "highway", **fields})
+
     def test_failures_write_replayable_repro_files(self, tmp_path,
                                                    monkeypatch):
         broken = ScenarioComposition("no_such_scenario", (), seed=1)

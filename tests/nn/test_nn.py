@@ -18,6 +18,16 @@ class TestLayers:
         valid = Conv2D(3, 8, kernel_size=3, padding="valid")
         assert valid.output_shape((3, 16, 16)) == (8, 14, 14)
 
+    def test_a_layer_keeps_its_name_and_its_seeded_weights(self):
+        """A layer's weights are drawn from ``(seed, name)``, so a check
+        that rebinds ``name`` would silently redraw every model."""
+        conv = Conv2D(1, 2, name="c", seed=3)
+        assert conv.name == "c" and Dense(4, 2, name="d").name == "d"
+        assert np.array_equal(conv.weights,
+                              Conv2D(1, 2, name="c", seed=3).weights)
+        assert not np.array_equal(conv.weights,
+                                  Conv2D(1, 2, name="stride", seed=3).weights)
+
     def test_conv_identity_kernel(self):
         conv = Conv2D(1, 1, kernel_size=3, padding="same")
         conv.weights[:] = 0.0

@@ -2,9 +2,12 @@
 
 import importlib
 from dataclasses import replace
+from fractions import Fraction
 import logging
 import math
+import operator
 import pkgutil
+from numbers import Real
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from hypothesis import given, strategies as st
 
 import repro
 from repro.config import (PRECISION_MODES, HardwareCalibration,
-                          SystemConfig, validate_precision)
+                          SystemConfig, real_number, validate_precision,
+                          whole_number)
 from repro.errors import ConfigurationError, SieveError
 from repro.faults import FaultPlan
 from repro.jpeg_sizing import resized_frame_bytes
@@ -147,6 +151,21 @@ class TestConfig:
         assert (config.build_workers, config.nn_batch_size) == (2, 8)
         assert isinstance(config.build_workers, int)
 
+    @pytest.mark.parametrize("fields", [
+        {"seed": "x"}, {"seed": 1.5}, {"seed": True}, {"seed": math.nan},
+        {"seed": None}, {"hardware": 5}, {"hardware": None},
+        {"hardware": SystemConfig()},
+    ])
+    def test_seed_and_hardware_are_checked(self, fields):
+        """Both were accepted, to surface only where first used: a seed
+        must be a whole number, as ``make_rng`` takes it, and hardware a
+        ``HardwareCalibration``."""
+        with pytest.raises(ConfigurationError, match=next(iter(fields))):
+            SystemConfig(**fields)
+
+    def test_a_numpy_seed_stays_legal(self):
+        assert SystemConfig(seed=np.int64(7)).seed == 7
+
     def test_invalid_calibration_rejected(self):
         with pytest.raises(ConfigurationError):
             HardwareCalibration(decode_ms_per_frame_1080p=-1)
@@ -173,6 +192,71 @@ class TestConfig:
 
     def test_configuration_error_is_sieve_error(self):
         assert issubclass(ConfigurationError, SieveError)
+
+
+#: Bounds drawn for the validators: finite and infinite reals of each kind.
+_BOUND = st.one_of(st.integers(-3, 3), st.sampled_from(
+    [-math.inf, math.inf, -0.0, 0.5, 1e-300, Fraction(1, 3)]),
+    st.floats(allow_nan=False))
+_BOUNDS = st.fixed_dictionaries({}, optional={
+    name: _BOUND for name in ("least", "above", "most", "below")})
+#: Values: floats of every class, ints, bools, numpy scalars and fractions.
+_VALUE = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     -5e-324, 2.0 ** 63, "1", None]),
+    st.floats(), st.integers(), st.booleans(), st.fractions(),
+    st.floats().map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1).map(
+        np.int64), st.booleans().map(np.bool_))
+_HOLDS = {"least": operator.ge, "above": operator.gt, "most": operator.le,
+          "below": operator.lt}
+
+
+def _within(value, bounds) -> bool:
+    """The chained comparisons the bound keywords replaced."""
+    return all(_HOLDS[name](value, bound) for name, bound in bounds.items())
+
+
+class TestBoundedValidators:
+    """``real_number`` and ``whole_number`` accept exactly the non-bool
+    reals that meet every bound, and nothing else."""
+
+    @given(_VALUE, _BOUNDS)
+    def test_real_number_accepts_exactly_the_bounded_reals(self, value,
+                                                           bounds):
+        legal = (isinstance(value, Real) and not isinstance(value, bool)
+                 and _within(value, bounds))
+        if legal:
+            assert real_number(value, "v", **bounds) is value
+        else:
+            with pytest.raises(ConfigurationError, match="v must be"):
+                real_number(value, "v", **bounds)
+
+    @given(_VALUE, _BOUNDS)
+    def test_whole_number_accepts_exactly_the_bounded_whole_reals(
+            self, value, bounds):
+        legal = (isinstance(value, Real) and not isinstance(value, bool)
+                 and math.isfinite(value) and value == int(value)
+                 and _within(value, bounds))
+        if legal:
+            integral = whole_number(value, "v", **bounds)
+            assert type(integral) is int and integral == value
+        else:
+            with pytest.raises(ConfigurationError, match="v must be"):
+                whole_number(value, "v", **bounds)
+
+    @pytest.mark.parametrize("bounds", [
+        {"least": 0}, {"above": 0}, {"most": 1}, {"below": math.inf}])
+    def test_any_bound_refuses_nan(self, bounds):
+        assert math.isnan(real_number(math.nan, "v"))
+        with pytest.raises(ConfigurationError, match="v must be"):
+            real_number(math.nan, "v", **bounds)
+
+    def test_the_caller_names_the_error_and_the_message_the_bound(self):
+        with pytest.raises(SieveError, match=r"^v must be >= 0 and < inf, "
+                                             r"got -1$") as caught:
+            real_number(-1, "v", type("Oops", (SieveError,), {}), least=0,
+                        below=math.inf)
+        assert type(caught.value).__name__ == "Oops"
 
 
 class TestPrecision:
