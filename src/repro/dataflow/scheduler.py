@@ -96,6 +96,10 @@ class EventScheduler:
 
     def schedule_at(self, time: float, action: Action, *args: Any) -> None:
         """Schedule ``action(*args)`` to fire at absolute virtual ``time``."""
+        if type(time) is not float and type(time) is not int:
+            # Off the plain-type path: a bool or a string is refused here,
+            # before a comparison takes True as 1 or raises a bare error.
+            real_number(time, "time", DataflowError)
         if not self.now <= time < inf:
             raise DataflowError(
                 f"cannot schedule at {time}s, clock is at {self.now:.6f}s")
@@ -104,6 +108,8 @@ class EventScheduler:
 
     def schedule(self, delay: float, action: Action, *args: Any) -> None:
         """Schedule ``action(*args)`` to fire ``delay`` seconds from now."""
+        if type(delay) is not float and type(delay) is not int:
+            real_number(delay, "delay", DataflowError)
         if not 0 <= delay < inf:
             raise DataflowError(
                 f"event delay must be finite and >= 0, got {delay}")
@@ -255,6 +261,9 @@ class ServiceStation:
         by :meth:`fail_all` (the fault-injection plane); jobs submitted
         without it are silently dropped on failure.
         """
+        if (type(service_seconds) is not float
+                and type(service_seconds) is not int):
+            real_number(service_seconds, "service_seconds", DataflowError)
         if not 0 <= service_seconds < inf:
             raise DataflowError(
                 f"service time must be finite and >= 0, got {service_seconds}")

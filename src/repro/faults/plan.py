@@ -156,6 +156,7 @@ class FaultPlan:
         Also rejects plans whose *permanent* crashes would take every
         edge offline: failover needs at least one survivor.
         """
+        whole_number(num_edge_servers, "num_edge_servers", FaultError, 1)
         for spec in self.specs:
             index = getattr(spec, "edge_index", None)
             if index is not None and index >= num_edge_servers:

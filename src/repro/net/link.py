@@ -48,6 +48,8 @@ class NetworkLink:
 
     def transfer_seconds(self, size_bytes: int) -> float:
         """Time to move ``size_bytes`` over the link (latency included)."""
+        if type(size_bytes) is not int and type(size_bytes) is not float:
+            real_number(size_bytes, "size_bytes", NetworkError)
         if not 0 <= size_bytes < inf:
             raise NetworkError(
                 f"size_bytes must be finite and >= 0, got {size_bytes}")

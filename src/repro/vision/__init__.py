@@ -4,7 +4,7 @@ from .imageops import (gaussian_blur, gradient_magnitude_orientation, gradients,
                        mean_squared_error, normalize_plane, resize_stack,
                        to_grayscale)
 from .mse import MseChangeDetector
-from .sift import FrameFeatures, Keypoint, SiftChangeDetector, SiftLite
+from .sift import SiftChangeDetector
 from .similarity import (ChangeDetector, ThresholdSampler, score_video,
                          threshold_for_sampling_fraction)
 
@@ -13,7 +13,7 @@ __all__ = [
     "mean_squared_error", "normalize_plane", "resize_stack",
     "to_grayscale",
     "MseChangeDetector",
-    "FrameFeatures", "Keypoint", "SiftChangeDetector", "SiftLite",
+    "SiftChangeDetector",
     "ChangeDetector", "ThresholdSampler", "score_video",
     "threshold_for_sampling_fraction",
 ]

@@ -2,7 +2,8 @@
 
 Everything operates on 2-D float64 luma planes (or passes colour frames
 through :func:`to_grayscale` first) and is implemented with plain numpy so
-the library has no OpenCV dependency.
+the library has no OpenCV dependency.  The Gaussian blur is two matrix
+products with cached per-axis blur matrices, and takes stacks of planes.
 """
 
 from __future__ import annotations
@@ -105,34 +106,47 @@ def resize_stack(images: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def gaussian_kernel_1d(sigma: float, radius: int) -> np.ndarray:
-    """Normalised 1-D Gaussian kernel."""
-    xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(xs ** 2) / (2.0 * sigma ** 2))
-    return kernel / kernel.sum()
+def _blur_matrix(size: int, sigma: float) -> np.ndarray:
+    """The ``(size, size)`` matrix of a Gaussian blur along one axis.
+
+    Row ``i`` holds the kernel's taps on the samples output ``i`` reads:
+    the window of ``2 * radius + 1`` indices about ``i`` of the axis
+    mirrored about its edge samples, which are not repeated (``np.pad``'s
+    ``"reflect"``, ``c b | a b c``, reflected again on an axis shorter
+    than the radius).  Taps that land on one sample add up.  Shared
+    between calls, hence read-only.
+    """
+    radius = max(int(round(3.0 * sigma)), 1)
+    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+    kernel = np.exp(-(offsets ** 2) / (2.0 * sigma ** 2))
+    kernel /= kernel.sum()
+    mirrored = np.pad(np.arange(size), radius, mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(mirrored, 2 * radius + 1)
+    cells = np.arange(size)[:, None] * size + windows
+    matrix = np.bincount(cells.ravel(), weights=np.tile(kernel, size),
+                         minlength=size * size).reshape(size, size)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur of a 2-D plane, in numpy alone.
+    """Separable Gaussian blur of a plane, or of a ``(..., H, W)`` stack of
+    planes, as two matrix products: ``rows @ plane @ cols.T``.
 
     The kernel is truncated at ``round(3 * sigma)`` samples (at least one)
     and the plane is mirrored about its edge samples, which are not
-    repeated (``np.pad``'s ``"reflect"``: ``c b | a b c``), before each
-    pass.
+    repeated (``np.pad``'s ``"reflect"``: ``c b | a b c``), on each axis.
     """
-    plane = np.asarray(image, dtype=np.float64)
-    if plane.ndim != 2:
-        raise ConfigurationError("gaussian_blur expects a 2-D plane")
+    planes = np.asarray(image, dtype=np.float64)
+    if planes.ndim < 2 or 0 in planes.shape[-2:]:
+        raise ConfigurationError(
+            f"gaussian_blur expects non-empty (..., H, W) planes, got shape "
+            f"{planes.shape}")
     if real_number(sigma, "sigma", **FINITE) <= 0:
-        return plane.copy()
-    radius = max(int(round(3.0 * sigma)), 1)
-    kernel = gaussian_kernel_1d(float(sigma), radius)
-    padded = np.pad(plane, ((0, 0), (radius, radius)), mode="reflect")
-    blurred = np.apply_along_axis(
-        lambda row: np.convolve(row, kernel, mode="valid"), 1, padded)
-    padded = np.pad(blurred, ((radius, radius), (0, 0)), mode="reflect")
-    return np.apply_along_axis(
-        lambda col: np.convolve(col, kernel, mode="valid"), 0, padded)
+        return planes.copy()
+    height, width = planes.shape[-2:]
+    return (_blur_matrix(height, float(sigma)) @ planes
+            @ _blur_matrix(width, float(sigma)).T)
 
 
 def gradients(image: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,9 @@ in exactly one of three tables here:
 
 A few rows sweep callables outside ``__all__`` that take the library's
 configuration numbers (the cost model's methods, ``dct_matrix``,
-``resized_frame_bytes``).  A new public callable needs a row.
+``resized_frame_bytes``), or a number per event (the scheduler's,
+stations' and links' per-event methods, ``FaultPlan.validate_for``).
+A new public callable needs a row.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from repro.video import (Event, EventTimeline, ObjectClassSpec, ObjectTrack,
                          parse_spec, taipei, venice)
 from repro.video.fuzzing import ScenarioComposition
 from repro.video.frame import Frame, Resolution
-from repro.vision import (SiftLite, ThresholdSampler, gaussian_blur,
+from repro.vision import (ThresholdSampler, gaussian_blur,
                           threshold_for_sampling_fraction)
 
 BAD_VALUES = ("x", math.nan, math.inf, -1, True, 1.5, None)
@@ -228,8 +230,16 @@ REGISTRY: Dict[str, Tuple[Callable[[], tuple], object]] = {
         {}), ClusterError),
     "ServiceStation": (lambda: (ServiceStation, (EventScheduler(), "s", 1),
                                 {}), DataflowError),
+    "ServiceStation.submit": (lambda: (ServiceStation(
+        EventScheduler(), "s", 1).submit, (1.0,), {}), DataflowError),
+    "EventScheduler.schedule": (lambda: (EventScheduler().schedule, (
+        1.0, print), {}), DataflowError),
+    "EventScheduler.schedule_at": (lambda: (EventScheduler().schedule_at, (
+        1.0, print), {}), DataflowError),
     "NetworkLink": (lambda: (NetworkLink, ("l", 10.0, 1.0), {}),
                     NetworkError),
+    "NetworkLink.transfer_seconds": (lambda: (NetworkLink(
+        "l", 10.0).transfer_seconds, (100,), {}), NetworkError),
     # repro.adapt, repro.faults, repro.service
     "SceneStats": (lambda: (SceneStats, (10, 0.1, 0.2, 100.0), {}),
                    ServiceError),
@@ -245,6 +255,8 @@ REGISTRY: Dict[str, Tuple[Callable[[], tuple], object]] = {
     "WanDegradation": (lambda: (WanDegradation, (0, 1.0, 2.0), {}),
                        FaultError),
     "StreamStall": (lambda: (StreamStall, ("cam", 1.0, 2.0), {}), FaultError),
+    "FaultPlan.validate_for": (lambda: (FaultPlan(
+        (EdgeCrash(0, 1.0, 2.0),)).validate_for, (2,), {}), FaultError),
     "FaultPlan.seeded": (lambda: (FaultPlan.seeded, (7,), {
         "num_edge_servers": 3, "horizon_seconds": 10.0}),
         (FaultError, ConfigurationError)),
@@ -291,7 +303,6 @@ REGISTRY: Dict[str, Tuple[Callable[[], tuple], object]] = {
         _MODEL, [np.zeros((16, 16), np.uint8)], 4, "exact"), {}),
         (ModelError, ConfigurationError)),
     "section": (lambda: (section, ("s",), {}), ConfigurationError),
-    "SiftLite": (lambda: (SiftLite, (), {}), ConfigurationError),
     "ThresholdSampler": (lambda: (ThresholdSampler, (1.0,), {}),
                          ConfigurationError),
     "gaussian_blur": (lambda: (gaussian_blur, (_PLANE, 1.0), {}),
@@ -326,7 +337,8 @@ NOT_SWEPT: Dict[str, str] = {
     **dict.fromkeys(("IFrameSeeker", "VideoDecoder", "ResultDatabase",
                      "EventScheduler", "ParameterLookupTable",
                      "RecoveryTrace", "Workspace", "VirtualClock",
-                     "Stopwatch", "MseChangeDetector", "get_recorder",
+                     "Stopwatch", "MseChangeDetector", "SiftChangeDetector",
+                     "get_recorder",
                      "all_datasets"), "takes no parameters"),
     **dict.fromkeys((
         "dct2_blocks", "idct2_blocks", "from_blocks", "quantise_blocks",
@@ -344,7 +356,7 @@ NOT_SWEPT: Dict[str, str] = {
         "AdaptiveTuningController", "DriftMonitor", "ChunkScene",
         "CostModel", "ContendedLink", "ServiceFaultDriver", "FaultPlan",
         "VideoEncoder", "SyntheticScene", "GeneratedVideo",
-        "RawVideo", "SiftChangeDetector", "apply_transforms",
+        "RawVideo", "apply_transforms",
         "generate_script", "as_label_set", "DatasetSpec"),
         "takes no scalar but composite objects (or a bool), each checked "
         "by its own row; DatasetSpec is a constant Table I row whose fps "
@@ -371,8 +383,8 @@ OUTPUTS: Dict[str, str] = dict.fromkeys((
     "MotionField", "ConfigurationResult", "VideoWorkload", "StationStats",
     "DatasetInstance", "PreparedDataset", "FaultStats", "TraceEvent",
     "PerfRecorder", "SectionStats", "ClipAnalysis", "HealthSample",
-    "ServiceStatus", "SessionSnapshot", "StationSnapshot", "StreamSession",
-    "FrameFeatures", "Keypoint"), "a result record the library fills in")
+    "ServiceStatus", "SessionSnapshot", "StationSnapshot", "StreamSession"),
+    "a result record the library fills in")
 
 
 def _exported_callables() -> Dict[str, object]:

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from video_tools import video_from_arrays
 from repro.errors import ConfigurationError
-from repro.vision import (MseChangeDetector, SiftChangeDetector, SiftLite,
+from repro.vision import (MseChangeDetector, SiftChangeDetector,
                           ThresholdSampler, gaussian_blur, gradients,
                           mean_squared_error, normalize_plane, resize_stack, score_video,
                           threshold_for_sampling_fraction, to_grayscale)
+from repro.vision.sift import _descriptors, _keypoints, _scale_stack
 
 
 def sampled_fraction(scores, threshold):
@@ -138,53 +139,45 @@ class TestMseDetector:
 
 class TestSift:
     def test_keypoints_on_corner_pattern(self, rng):
-        sift = SiftLite(contrast_threshold=2.0)
         plane = rng.uniform(90, 110, size=(64, 64))
         plane[20:44, 20:44] += 90.0
-        keypoints = sift.detect(plane)
-        assert keypoints, "a high-contrast square should yield keypoints"
+        rows, _, _ = _keypoints(_scale_stack(plane))
+        assert rows.size, "a high-contrast square should yield keypoints"
 
     def test_descriptors_normalised(self, rng):
-        sift = SiftLite(contrast_threshold=2.0)
         plane = rng.uniform(0, 255, size=(72, 72))
-        features = sift.extract(plane)
-        if features.num_keypoints == 0:
-            pytest.skip("no keypoints on this random draw")
-        norms = np.linalg.norm(features.descriptors, axis=1)
-        assert np.all(norms <= 1.0 + 1e-9)
-        assert features.descriptors.shape[1] == 128
+        rows, cols, _ = _keypoints(_scale_stack(plane))
+        assert rows.size
+        descriptors = _descriptors(plane, rows, cols)
+        assert descriptors.shape == (rows.size, 128)
+        assert np.allclose(np.linalg.norm(descriptors, axis=1), 1.0)
 
     def test_identical_frames_match_fully(self, rng):
-        sift = SiftLite(contrast_threshold=2.0)
         plane = rng.uniform(0, 255, size=(72, 72))
-        features = sift.extract(plane)
-        if features.num_keypoints == 0:
-            pytest.skip("no keypoints on this random draw")
-        assert sift.match_fraction(features, features) > 0.9
+        assert SiftChangeDetector().score_planes([plane, plane])[1] == 0.0
 
     def test_detector_scores_change(self, rng):
-        detector = SiftChangeDetector(SiftLite(contrast_threshold=2.0))
+        detector = SiftChangeDetector()
         background = rng.uniform(0, 255, size=(72, 72))
         assert detector.score_next(background) == float("inf")
         same = detector.score_next(background)
         different = detector.score_next(rng.uniform(0, 255, size=(72, 72)))
-        assert different >= same
+        assert different > same
 
-    @pytest.mark.parametrize("name,value", [
-        ("num_scales", 2), ("num_scales", 3.5), ("num_scales", "x"),
-        ("num_scales", float("nan")), ("num_scales", None),
-        ("max_keypoints", 0), ("max_keypoints", "x"),
-        ("max_keypoints", float("nan")), ("max_keypoints", float("inf")),
-        ("ratio_threshold", 0.0), ("ratio_threshold", 1.5),
-        ("ratio_threshold", "x"), ("ratio_threshold", float("nan")),
-        ("base_sigma", 0.0), ("base_sigma", "x"), ("base_sigma", float("nan")),
-        ("base_sigma", float("inf")), ("contrast_threshold", -1.0),
-        ("contrast_threshold", "x"), ("contrast_threshold", float("nan")),
-        ("contrast_threshold", float("inf")), ("contrast_threshold", True),
-    ])
-    def test_invalid_configuration(self, name, value):
-        with pytest.raises(ConfigurationError, match=name):
-            SiftLite(**{name: value})
+    def test_planes_without_keypoints(self, rng):
+        """Too small for a descriptor window: nothing to match, no change.
+        A frame that loses every keypoint has changed completely."""
+        tiny = rng.uniform(0, 255, size=(12, 12))
+        textured = rng.uniform(0, 255, size=(40, 40))
+        assert SiftChangeDetector().score_planes(
+            [tiny, tiny, textured, np.full((40, 40), 9.0)]) == [
+                float("inf"), 0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("plane", [np.zeros((4, 5, 3)), np.zeros(5)],
+                             ids=["colour", "1-D"])
+    def test_only_2d_planes_are_scored(self, plane):
+        with pytest.raises(ConfigurationError, match="2-D luma planes"):
+            SiftChangeDetector().score_next(plane)
 
 
 class TestThresholding:
