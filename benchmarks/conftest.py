@@ -31,19 +31,6 @@ def _logging():
     configure_logging()
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _cold_cache_dir(tmp_path_factory):
-    """Run every benchmark session against a fresh ``REPRO_CACHE_DIR``.
-
-    The pytest-benchmark timings must measure real renders/encodes, not
-    whatever happens to sit in the developer's warm user-level cache, and
-    a session must leave no cache artifacts behind.
-    """
-    from repro.datasets.diskcache import temporary_cache_dir
-    with temporary_cache_dir(tmp_path_factory.mktemp("bench-cache")):
-        yield
-
-
 @pytest.fixture(scope="session")
 def bench_config() -> ExperimentConfig:
     """Footage scale shared by all benchmark harnesses."""

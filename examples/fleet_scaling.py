@@ -12,10 +12,10 @@ With one edge server the fleet degenerates to the paper's testbed; adding
 edge servers must never reduce aggregate throughput (the sweep asserts it).
 Every sweep report is also computed by the event loop the fleet's
 recurrence is defined by, and the two must be equal exactly.
-Table I workloads come from the shared on-disk cache (``REPRO_CACHE_DIR``),
-so a second run skips rendering and tuning entirely; ``--build-workers N``
-builds a cold cache in parallel through
-:class:`repro.parallel.WorkloadBuilder` (byte-identical artifacts).
+Table I workloads are built through
+:class:`repro.experiments.WorkloadBuilder`; ``--build-workers N`` sets
+``SystemConfig.build_workers``, which builds them in N worker processes
+(equal to the serial build).
 
 ``--scale-cameras N`` adds four synthetic N-camera fleets (no workload
 rendering): a heterogeneous one on 64 edges, N identical cameras with no
@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from dataclasses import replace
 from typing import Optional
 
 from repro import SystemConfig
@@ -47,9 +48,8 @@ from repro.cluster import CameraJob, FleetOrchestrator, PlacementPolicy
 from repro.core import DeploymentMode, build_workload, plan_camera_job
 from repro.datasets import ALL_DATASETS, DatasetSpec
 from repro.datasets.generator import DatasetInstance
-from repro.experiments import ExperimentConfig
+from repro.experiments import ExperimentConfig, WorkloadBuilder
 from repro.logging_utils import configure_logging
-from repro.parallel import WorkloadBuilder
 from repro.video import RESOLUTION_720P, SyntheticScene, make_scenario
 
 #: Fleet size of the sweep (acceptance floor: at least 16 cameras).
@@ -81,22 +81,19 @@ HIGHWAY_SPEC = DatasetSpec(
     description="fast vehicles crossing a highway overpass", has_labels=False)
 
 
-def build_fleet_workloads(config: SystemConfig, build_workers: int = 1):
+def build_fleet_workloads(config: SystemConfig):
     """One workload per distinct feed: the five Table I datasets + highway.
 
-    Table I feeds go through the shared workload cache (in-process + disk
-    under ``REPRO_CACHE_DIR``) via :class:`repro.parallel.WorkloadBuilder`
-    — with ``build_workers > 1`` the cold builds fan out across worker
-    processes and still produce byte-identical cache artifacts.  The
-    ad-hoc highway scenario is built directly since it has no registry
-    entry to key a cache artifact on.
+    Table I feeds go through :class:`repro.experiments.WorkloadBuilder`:
+    with ``config.build_workers > 1`` their builds fan out across worker
+    processes and equal the serial build.  The ad-hoc highway scenario is
+    built directly since it has no registry entry.
     """
     experiment_config = ExperimentConfig(
         duration_seconds=DURATION_SECONDS, render_scale=RENDER_SCALE,
         datasets=tuple(ALL_DATASETS))
-    builder = WorkloadBuilder(experiment_config, config,
-                              build_workers=build_workers)
-    workloads = builder.build_workloads(ALL_DATASETS, split="full")
+    workloads = WorkloadBuilder(experiment_config, config).build_workloads(
+        ALL_DATASETS, split="full")
     profile = make_scenario("highway", duration_seconds=DURATION_SECONDS,
                             render_scale=RENDER_SCALE)
     instance = DatasetInstance(spec=HIGHWAY_SPEC, profile=profile,
@@ -229,8 +226,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--build-workers", type=int, default=1,
-        help="worker processes for the cold workload build (default: 1); "
-             "parallel builds write byte-identical cache artifacts")
+        help="worker processes for the workload build (default: 1); "
+             "parallel builds equal the serial build")
     parser.add_argument(
         "--scale-cameras", type=int, default=0, metavar="N",
         help="also run four synthetic N-camera fleets (heterogeneous on 64 "
@@ -253,7 +250,8 @@ def main() -> None:
     print(f"Preparing {NUM_CAMERAS}-camera fleet "
           f"({len(ALL_DATASETS)} Table I feeds + highway, cycled, "
           f"build_workers={arguments.build_workers})...")
-    workloads = build_fleet_workloads(config, arguments.build_workers)
+    workloads = build_fleet_workloads(
+        replace(config, build_workers=arguments.build_workers))
     jobs = []
     for index in range(NUM_CAMERAS):
         workload = workloads[index % len(workloads)]

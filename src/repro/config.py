@@ -177,12 +177,12 @@ class SystemConfig:
             their sampled frames to this size).
         build_workers: Worker *processes* used to build experiment
             workloads (dataset render -> analysis -> tuning -> size-only
-            encodes; see :class:`repro.parallel.WorkloadBuilder`).  ``1``
-            (the default) keeps the serial build path; larger values
-            prepare datasets concurrently, each worker writing its own
-            content-keyed disk-cache entries, and the parent assembles
-            the results deterministically by dataset — byte-identical
-            cache artifacts and equal workload objects either way.
+            encodes; see :class:`repro.experiments.WorkloadBuilder`), the
+            one setting of the worker count.  ``1`` (the default) keeps
+            the serial build path; larger values build datasets
+            concurrently, and the pool returns each result to the
+            parent, which reads them off its cache in dataset order:
+            equal to the serial build either way.
         precision: Numeric mode of NN inference.  ``"exact"`` (the
             default) computes in float64, bit-identical to the seed
             implementation; ``"fast"`` runs float32 merged batched GEMMs,

@@ -18,12 +18,12 @@ from typing import Dict, List, Optional, Sequence
 
 from ..codec.gop import ActivityColumns, EncoderParameters
 from ..core.metrics import evaluate_sampling
-from ..parallel.workloads import WorkloadBuilder
 from ..vision.mse import MseChangeDetector
 from ..vision.sift import SiftChangeDetector
 from ..vision.similarity import (ThresholdSampler, score_video,
                                  threshold_for_sampling_fraction)
-from .common import ExperimentConfig, PreparedDataset, format_table
+from .common import (ExperimentConfig, PreparedDataset, WorkloadBuilder,
+                     format_table)
 
 #: SiEVE configurations swept to cover the 0.5 %-3.5 % sampling range: a
 #: fine scenecut sweep at a large GOP plus the pure-GOP (scenecut-off)
@@ -98,19 +98,17 @@ def run_dataset(prepared: PreparedDataset,
 def run(config: ExperimentConfig = ExperimentConfig(),
         sieve_sweep: Sequence[EncoderParameters] = DEFAULT_SIEVE_SWEEP,
         include_sift: bool = True,
-        prepared: Optional[Dict[str, PreparedDataset]] = None,
-        build_workers: Optional[int] = None) -> List[Figure3Point]:
+        prepared: Optional[Dict[str, PreparedDataset]] = None
+        ) -> List[Figure3Point]:
     """Run the Figure 3 sweep over every labelled dataset in ``config``.
 
-    Dataset preparation (render + analysis pass) goes through the shared
-    two-level cache via :class:`repro.parallel.WorkloadBuilder`; with
-    ``build_workers > 1`` the per-dataset renders fan out across worker
-    processes, producing identical prepared datasets.
+    Datasets not passed in ``prepared`` (render + analysis pass) come from
+    the in-process prepared-dataset cache.
     """
-    builder = WorkloadBuilder(config, build_workers=build_workers)
     missing = [name for name in config.datasets
                if name not in (prepared or {})]
-    built = builder.prepare_datasets(missing) if missing else {}
+    built = (WorkloadBuilder(config).prepare_datasets(missing) if missing
+             else {})
     points: List[Figure3Point] = []
     for name in config.datasets:
         dataset = (prepared or {}).get(name) or built[name]

@@ -20,8 +20,7 @@ from ..core.deployment import ALL_DEPLOYMENT_MODES, DeploymentMode
 from ..core.pipeline import (DeploymentReport, EndToEndSimulation,
                              VideoWorkload)
 from ..datasets.registry import ALL_DATASETS
-from ..parallel.workloads import WorkloadBuilder
-from .common import ExperimentConfig, format_table
+from .common import ExperimentConfig, WorkloadBuilder, format_table
 
 #: The corpus sizes on Figure 4's x-axis.
 DEFAULT_VIDEO_COUNTS: Sequence[int] = (1, 3, 5)
@@ -29,27 +28,20 @@ DEFAULT_VIDEO_COUNTS: Sequence[int] = (1, 3, 5)
 
 def build_workloads(config: ExperimentConfig = ExperimentConfig(),
                     dataset_names: Sequence[str] = ALL_DATASETS,
-                    system_config: Optional[SystemConfig] = None,
-                    build_workers: Optional[int] = None
+                    system_config: Optional[SystemConfig] = None
                     ) -> List[VideoWorkload]:
     """Prepare the per-video workloads used by Figures 4 and 5.
 
-    Workloads come from the shared two-level cache: rendered footage and
-    the analysis pass are reused through the prepared-dataset cache, and the
-    condensed workload itself (tuned parameters' encode sizes, per-method
-    sample sets) is persisted under ``REPRO_CACHE_DIR`` — so warm repeat
-    preparations (the Figure 5 harness, benchmark re-runs, a second pytest
-    session) skip rendering, tuning and encoding entirely.
-
-    With ``build_workers > 1`` (or ``system_config.build_workers > 1``)
-    the per-dataset builds fan out across worker processes through
-    :class:`repro.parallel.WorkloadBuilder`; the result (and every cache
-    artifact) is identical to the serial build.
+    Workloads come from the in-process cache of
+    :mod:`repro.experiments.common`, so a repeat preparation in the same
+    process (the Figure 5 harness after this one) renders, tunes and
+    encodes nothing.  With ``system_config.build_workers > 1`` the
+    per-dataset builds fan out across worker processes through
+    :class:`~repro.experiments.common.WorkloadBuilder`; the result equals
+    the serial build.
     """
-    system_config = system_config or SystemConfig()
-    builder = WorkloadBuilder(config, system_config,
-                              build_workers=build_workers)
-    return builder.build_workloads(dataset_names, split="full")
+    return WorkloadBuilder(config, system_config).build_workloads(
+        dataset_names, split="full")
 
 
 def run(workloads: Optional[List[VideoWorkload]] = None,

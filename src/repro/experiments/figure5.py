@@ -32,20 +32,17 @@ def run(workloads: Optional[List[VideoWorkload]] = None,
         modes: Sequence[DeploymentMode] = ALL_DEPLOYMENT_MODES,
         system_config: Optional[SystemConfig] = None,
         num_edge_servers: int = 1,
-        placement: str = "round-robin",
-        build_workers: Optional[int] = None
+        placement: str = "round-robin"
         ) -> Dict[DeploymentMode, DeploymentReport]:
     """Run the Figure 5 measurement (full corpus, every deployment).
 
     Runs on the discrete-event fleet scheduler; byte totals are placement-
     invariant, so this figure is unchanged by ``num_edge_servers``.
-    Workload building honours ``build_workers`` (see
-    :func:`repro.experiments.figure4.build_workloads`).
+    Workloads come from :func:`repro.experiments.figure4.build_workloads`.
     """
     system_config = system_config or SystemConfig()
     if workloads is None:
-        workloads = build_workloads(config, dataset_names, system_config,
-                                    build_workers=build_workers)
+        workloads = build_workloads(config, dataset_names, system_config)
     simulation = EndToEndSimulation(workloads, system_config,
                                     num_edge_servers=num_edge_servers,
                                     placement=placement)

@@ -7,27 +7,22 @@ same object classes and event structure the descriptions promise.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..datasets.registry import all_datasets
-from ..parallel.workloads import WorkloadBuilder
-from .common import ExperimentConfig, format_table
+from .common import ExperimentConfig, WorkloadBuilder, format_table
 
 
 def run(config: ExperimentConfig = ExperimentConfig(),
-        verify_synthetic: bool = False,
-        build_workers: Optional[int] = None) -> List[Dict[str, object]]:
+        verify_synthetic: bool = False) -> List[Dict[str, object]]:
     """Regenerate Table I.
 
     Args:
         config: Footage scale used when ``verify_synthetic`` is on.
         verify_synthetic: Also render a short clip per dataset and report the
             labels its ground truth actually contains.  The clips come from
-            the shared prepared-dataset cache (split ``"full"``, the same
-            artifacts Figures 4/5 render), so a warm ``REPRO_CACHE_DIR``
-            skips the renders; ``build_workers > 1`` fans cold renders out
-            across worker processes.
-        build_workers: Worker processes for the synthetic verification.
+            the in-process prepared-dataset cache (split ``"full"``, the
+            same clips Figures 4/5 render), so a repeat run renders nothing.
 
     Returns:
         One row per dataset with the paper's columns (plus synthetic-check
@@ -36,9 +31,8 @@ def run(config: ExperimentConfig = ExperimentConfig(),
     specs = list(all_datasets())
     prepared = {}
     if verify_synthetic:
-        builder = WorkloadBuilder(config, build_workers=build_workers)
-        prepared = builder.prepare_datasets([spec.name for spec in specs],
-                                            split="full")
+        prepared = WorkloadBuilder(config).prepare_datasets(
+            [spec.name for spec in specs], split="full")
     rows: List[Dict[str, object]] = []
     for spec in specs:
         row: Dict[str, object] = {

@@ -19,8 +19,8 @@ from typing import Dict, List, Optional
 from ..codec.gop import DEFAULT_PARAMETERS, ActivityColumns, EncoderParameters
 from ..core.metrics import evaluate_sampling
 from ..core.tuner import SemanticEncoderTuner, TuningGrid
-from ..parallel.workloads import WorkloadBuilder
-from .common import ExperimentConfig, PreparedDataset, format_table
+from .common import (ExperimentConfig, PreparedDataset, WorkloadBuilder,
+                     format_table)
 
 
 @dataclass
@@ -88,17 +88,14 @@ def run_dataset(train: PreparedDataset, test: PreparedDataset,
 
 
 def run(config: ExperimentConfig = ExperimentConfig(),
-        grid: Optional[TuningGrid] = None,
-        build_workers: Optional[int] = None) -> List[Table2Row]:
+        grid: Optional[TuningGrid] = None) -> List[Table2Row]:
     """Run Table II over every labelled dataset in ``config``.
 
-    The train/test clips of every dataset are independent cache entries,
-    so with ``build_workers > 1`` the whole ``datasets x splits`` matrix
-    renders concurrently through :class:`repro.parallel.WorkloadBuilder`.
+    The train/test clips of every dataset come from the in-process
+    prepared-dataset cache, as one ``datasets x splits`` matrix.
     """
-    builder = WorkloadBuilder(config, build_workers=build_workers)
-    matrix = builder.prepare_dataset_splits(config.datasets,
-                                            splits=("train", "test"))
+    matrix = WorkloadBuilder(config).prepare_dataset_splits(
+        config.datasets, splits=("train", "test"))
     rows: List[Table2Row] = []
     for name in config.datasets:
         train = matrix[(name, "train")]

@@ -24,11 +24,11 @@ from ..codec.encoder import VideoEncoder
 from ..codec.gop import EncoderParameters
 from ..codec.iframe_seeker import IFrameSeeker
 from ..datasets.registry import LABELLED_DATASETS, get_dataset
-from ..parallel.workloads import WorkloadBuilder
 from ..vision.mse import MseChangeDetector
 from ..vision.sift import SiftChangeDetector
 from ..vision.similarity import score_video
-from .common import ExperimentConfig, format_table, prepare_dataset
+from .common import (ExperimentConfig, WorkloadBuilder, format_table,
+                     prepare_dataset)
 
 
 @dataclass
@@ -119,21 +119,18 @@ def measured_row(row: Table3Row, config: ExperimentConfig) -> Table3Row:
 
 
 def run(config: ExperimentConfig = ExperimentConfig(),
-        measure_wallclock: bool = False,
-        build_workers: Optional[int] = None) -> List[Table3Row]:
+        measure_wallclock: bool = False) -> List[Table3Row]:
     """Run Table III over the labelled datasets.
 
-    The wall-clock measurements run on cached prepared clips; a cold cache
-    renders them through :class:`repro.parallel.WorkloadBuilder`, fanning
-    out across processes when ``build_workers > 1``.
+    The wall-clock measurements run on prepared clips from the in-process
+    cache.
     """
     rows = []
     names = list(config.datasets or LABELLED_DATASETS)
     if measure_wallclock:
-        # Warm the prepared-dataset cache for every measured clip up front
-        # (in parallel when asked); measured_row then hits the cache.
-        WorkloadBuilder(config,
-                        build_workers=build_workers).prepare_datasets(names)
+        # Prepare every measured clip up front; measured_row then hits the
+        # cache.
+        WorkloadBuilder(config).prepare_datasets(names)
     for name in names:
         row = simulated_row(name)
         if measure_wallclock:

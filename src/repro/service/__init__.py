@@ -1,6 +1,6 @@
 """Real-time streaming service layer over the discrete-event engine.
 
-The batch simulators (:mod:`repro.cluster`, :mod:`repro.parallel`) drain a
+The batch simulator (:mod:`repro.cluster`) drains a
 pre-planned workload as fast as Python allows.  This package runs the same
 engine as a *service*: a clock driver paces events against wall time, an
 ingest front end admits per-camera stream sessions with backpressure, a

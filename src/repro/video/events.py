@@ -160,11 +160,6 @@ class EventTimeline:
     # Queries
     # ------------------------------------------------------------------ #
     @property
-    def events(self) -> Tuple[Event, ...]:
-        """The events of the timeline, in frame order."""
-        return self._events
-
-    @property
     def num_frames(self) -> int:
         """Total number of frames covered."""
         return self._num_frames

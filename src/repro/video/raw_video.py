@@ -13,7 +13,7 @@ objects plus :class:`VideoMetadata`.  Two flavours are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -103,10 +103,6 @@ class RawVideo(VideoSource):
             raise ConfigurationError(
                 f"frame index {index} out of range [0, {len(self._frames)})")
         return self._frames[index]
-
-    def as_arrays(self) -> List[np.ndarray]:
-        """Return the underlying pixel arrays (no copy)."""
-        return [frame.data for frame in self._frames]
 
 
 class GeneratedVideo(VideoSource):

@@ -15,19 +15,6 @@ from repro.video import (ObjectClassSpec, Resolution, SceneProfile, SyntheticSce
                          make_scenario)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_cache_dir(tmp_path_factory):
-    """Point the on-disk artifact cache at a per-session temp directory.
-
-    Keeps the suite hermetic: tests never read a stale user-level cache and
-    never leave artifacts behind.  Individual tests that exercise the cache
-    monkeypatch ``REPRO_CACHE_DIR`` to their own directories on top.
-    """
-    from repro.datasets.diskcache import temporary_cache_dir
-    with temporary_cache_dir(tmp_path_factory.mktemp("repro-cache")):
-        yield
-
-
 @pytest.fixture(scope="session")
 def tiny_profile() -> SceneProfile:
     """A small single-object scene: one 'car' class, ~20 seconds, 64x40."""

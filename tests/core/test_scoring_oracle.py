@@ -71,7 +71,7 @@ def loop_propagation_accuracy(timeline, sample_indices):
 def loop_event_start_accuracy(timeline, sample_indices):
     indices = sorted(set(int(index) for index in sample_indices))
     wrong = 0
-    for event in timeline.events:
+    for event in timeline:
         inside = [index for index in indices
                   if event.start_frame <= index < event.end_frame]
         if not inside:

@@ -17,7 +17,8 @@ A few rows sweep callables outside ``__all__`` that take the library's
 configuration numbers (the cost model's methods, ``dct_matrix``,
 ``resized_frame_bytes``), or a number per event (the scheduler's,
 stations' and links' per-event methods, ``FaultPlan.validate_for``).
-A new public callable needs a row.
+A new public callable needs a row.  :data:`NAME_SEQUENCES` gives, per
+parameter that takes a sequence of names, the values it must refuse.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from repro.net import NetworkLink
 from repro.nn import (Conv2D, Dense, GlobalAveragePool, MaxPool2D,
                       OracleDetector, ReLU, SequentialModel, Softmax,
                       build_yolo_lite, classify_frames)
-from repro.parallel import WorkloadBuilder
 from repro.perf import section
 from repro.service import (ChunkFeeder, ClipAnalysis, FrameChunk,
                            RealTimeClock, StreamIngest, StreamingService,
@@ -191,7 +191,7 @@ REGISTRY: Dict[str, Tuple[Callable[[], tuple], object]] = {
                                (CodecError, ConfigurationError)),
     "select_events_from_keyframes": (lambda: (
         select_events_from_keyframes, ([0, 5], 10), {}), CodecError),
-    # repro.core, repro.experiments, repro.parallel, repro.datasets
+    # repro.core, repro.experiments, repro.datasets
     "f1_score": (lambda: (f1_score, (0.9, 0.8), {}), ConfigurationError),
     "SemanticEncoderTuner": (lambda: (SemanticEncoderTuner, (), {}),
                              (TuningError, ConfigurationError)),
@@ -206,8 +206,6 @@ REGISTRY: Dict[str, Tuple[Callable[[], tuple], object]] = {
                          ConfigurationError),
     "format_table": (lambda: (format_table, ([{"a": 1}], ["a"], "t"), {}),
                      ConfigurationError),
-    "WorkloadBuilder": (lambda: (WorkloadBuilder, (ExperimentConfig(),), {
-        "build_workers": 1}), ConfigurationError),
     "get_dataset": (lambda: (get_dataset, ("venice",), {}), DatasetError),
     "build_dataset": (lambda: (build_dataset, ("jackson_square", 0.2, 0.05, 0,
                                                "full"), {}),
@@ -312,6 +310,13 @@ REGISTRY: Dict[str, Tuple[Callable[[], tuple], object]] = {
         ConfigurationError),
 }
 
+#: ``(row, parameter)`` pairs that take a sequence of names, and what each
+#: must refuse with the row's error: a bare string (iterable, but as its
+#: letters), a non-iterable, ``None`` and an unknown name.
+NAME_SEQUENCES: Dict[Tuple[str, str], tuple] = {
+    ("ExperimentConfig", "datasets"): ("venice", 5, None, ("atlantis",)),
+}
+
 #: ``(row, parameter)`` pairs that may accept ``True`` or nan, with why.
 ALLOWED: Dict[Tuple[str, str], str] = {
     ("CameraJob", "accuracy"): "nan is an unlabelled stream's accuracy",
@@ -368,7 +373,7 @@ NOT_SWEPT: Dict[str, str] = {
     "snapshot_station": "builds a status record from a live station at the "
                         "service's own clock",
     **dict.fromkeys(("build_workload", "prepare_dataset", "prepare_workload",
-                     "execute_build_task", "BuildTask"),
+                     "WorkloadBuilder"),
                     "renders and analyses whole clips; their numbers reach "
                     "EncoderParameters, SystemConfig and ExperimentConfig, "
                     "which have rows"),
@@ -463,3 +468,12 @@ def test_allowed_pairs_name_swept_parameters():
     swept = {(row, parameter) for row in REGISTRY
              for parameter, _, _ in _swept(row)}
     assert set(ALLOWED) <= swept
+
+
+@pytest.mark.parametrize("row, parameter", sorted(NAME_SEQUENCES))
+def test_every_bad_name_sequence_is_refused_with_the_typed_error(row,
+                                                                 parameter):
+    findings = [f"{row}({parameter}={bad!r}) {outcome}"
+                for bad in NAME_SEQUENCES[(row, parameter)]
+                for outcome in [_outcome(row, parameter, bad)] if outcome]
+    assert not findings, "\n".join(findings)

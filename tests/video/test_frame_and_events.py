@@ -126,7 +126,7 @@ class TestEventTimeline:
         # Per-frame expansion reproduces the input exactly.
         assert frame_labels(timeline) == [as_label_set(l) for l in labels]
         # Events cover the video contiguously and adjacent events differ.
-        events = timeline.events
+        events = tuple(timeline)
         assert events[0].start_frame == 0
         assert events[-1].end_frame == len(labels)
         for earlier, later in zip(events, events[1:]):

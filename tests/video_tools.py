@@ -52,6 +52,6 @@ def video_from_arrays(name: str, arrays: Sequence[np.ndarray],
 def frame_labels(timeline: EventTimeline) -> List[LabelSet]:
     """The timeline expanded into one label set per frame."""
     labels: List[LabelSet] = []
-    for event in timeline.events:
+    for event in timeline:
         labels.extend([event.labels] * (event.end_frame - event.start_frame))
     return labels

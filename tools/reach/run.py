@@ -56,37 +56,37 @@ E2E_WORKLOADS = ("offline_build", "query_iframe", "query_fulldecode",
                  "fleet_replay", "service_soak", "adaptive_soak")
 
 
-def shipping_set(scratch: Path) -> List[Tuple[List[str], bool]]:
-    """``(argv, with_cache_dir)`` of every shipping run, in order."""
+def shipping_set(scratch: Path) -> List[List[str]]:
+    """The argv of every shipping run, in order."""
     python = sys.executable
-    runs: List[Tuple[List[str], bool]] = [
-        ([python, "examples/quickstart.py"], True),
-        ([python, "examples/edge_cloud_deployment.py"], True),
-        ([python, "examples/offline_tuning.py"], True),
-        ([python, "examples/event_detection_comparison.py"], True),
-        ([python, "examples/streaming_service.py", "--speedup", "400"], True),
-        ([python, "examples/chaos_soak.py", "--seed", "7", "--speedup", "400",
-          "--trace-out", str(scratch / "chaos-trace.txt")], True),
-        ([python, "examples/drift_soak.py", "--seed", "11", "--speedup", "400",
-          "--history-out", str(scratch / "drift-history.txt")], True),
-        ([python, "examples/scenario_fuzz.py", "--budget", "25", "--seed", "11",
-          "--out-dir", str(scratch / "fuzz-repros"),
-          "--summary-out", str(scratch / "fuzz-summary.txt")], True),
-        ([python, "examples/fleet_scaling.py", "--build-workers", "2",
-          "--scale-cameras", "50000",
-          "--json-out", str(scratch / "fleet-sweep.json")], True),
-        ([python, "-m", "pytest", "-q", "--benchmark-disable", "-p",
-          "no:cacheprovider"]
-         + sorted(str(path.relative_to(ROOT))
-                  for path in (ROOT / "benchmarks").glob("bench_*.py")), False),
-        ([python, "benchmarks/e2e/run.py", "--quick", "--seed", "0",
-          "--trace", "1"], False),
-        ([python, "benchmarks/e2e/run.py", "--quick", "--seed", "1"], False),
+    runs: List[List[str]] = [
+        [python, "examples/quickstart.py"],
+        [python, "examples/edge_cloud_deployment.py"],
+        [python, "examples/offline_tuning.py"],
+        [python, "examples/event_detection_comparison.py"],
+        [python, "examples/streaming_service.py", "--speedup", "400"],
+        [python, "examples/chaos_soak.py", "--seed", "7", "--speedup", "400",
+         "--trace-out", str(scratch / "chaos-trace.txt")],
+        [python, "examples/drift_soak.py", "--seed", "11", "--speedup", "400",
+         "--history-out", str(scratch / "drift-history.txt")],
+        [python, "examples/scenario_fuzz.py", "--budget", "25", "--seed", "11",
+         "--out-dir", str(scratch / "fuzz-repros"),
+         "--summary-out", str(scratch / "fuzz-summary.txt")],
+        [python, "examples/fleet_scaling.py", "--build-workers", "2",
+         "--scale-cameras", "50000",
+         "--json-out", str(scratch / "fleet-sweep.json")],
+        [python, "-m", "pytest", "-q", "--benchmark-disable", "-p",
+         "no:cacheprovider"]
+        + sorted(str(path.relative_to(ROOT))
+                 for path in (ROOT / "benchmarks").glob("bench_*.py")),
+        [python, "benchmarks/e2e/run.py", "--quick", "--seed", "0",
+         "--trace", "1"],
+        [python, "benchmarks/e2e/run.py", "--quick", "--seed", "1"],
     ]
-    runs += [([python, "benchmarks/e2e/run.py", "--workload", workload,
-               "--seed", "0", "--seconds", "1"], False)
+    runs += [[python, "benchmarks/e2e/run.py", "--workload", workload,
+              "--seed", "0", "--seconds", "1"]
              for workload in E2E_WORKLOADS]
-    runs.append(([python, "-c", SERVICE_STATE, "benchmarks/e2e"], False))
+    runs.append([python, "-c", SERVICE_STATE, "benchmarks/e2e"])
     return runs
 
 
@@ -104,14 +104,11 @@ def collect(data: Path) -> List[str]:
                 if not name.startswith("REPRO_")}
         base["PYTHONPATH"] = os.pathsep.join([str(site), str(ROOT / "src")])
         failed = []
-        for argv, with_cache_dir in shipping_set(scratch):
-            environment = dict(base)
-            if with_cache_dir:
-                environment["REPRO_CACHE_DIR"] = str(scratch / "cache")
+        for argv in shipping_set(scratch):
             label = ("<perf-gate service-state snippet>" if argv[1] == "-c"
                      else " ".join(argv[1:]))
             started = time.perf_counter()
-            code = subprocess.run(argv, cwd=ROOT, env=environment,
+            code = subprocess.run(argv, cwd=ROOT, env=base,
                                   stdout=subprocess.DEVNULL).returncode
             print(f"reach: {time.perf_counter() - started:7.1f} s  "
                   f"{label[:100]}", flush=True)
