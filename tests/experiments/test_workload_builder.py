@@ -18,6 +18,7 @@ import pytest
 
 from cache_tools import clear_prepared_cache
 from repro.config import SystemConfig
+from repro.errors import ConfigurationError
 from repro.experiments import (ExperimentConfig, WorkloadBuilder,
                                prepare_dataset, prepare_workload)
 from repro.experiments import common
@@ -152,6 +153,37 @@ class TestDegradationPaths:
         for name in serial:
             assert (dataset_fingerprint(rebuilt[name])
                     == dataset_fingerprint(serial[name]))
+
+
+class TestWorkerCount:
+    """``SystemConfig.build_workers`` is the one setting of the pool size,
+    capped at the number of artifacts missing from the cache."""
+
+    @pytest.mark.parametrize("build_workers, pool_size",
+                             [(1, None), (2, 2), (3, 2)])
+    def test_system_config_supplies_the_default_worker_count(
+            self, fresh_state, monkeypatch, build_workers, pool_size):
+        sizes = []
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            raise OSError("recorded; the serial pass builds")
+        monkeypatch.setattr(common, "ProcessPoolExecutor", recording_pool)
+        tiny = ExperimentConfig(duration_seconds=2.0, render_scale=0.05,
+                                datasets=QUICK.datasets)
+        builder = cold(SystemConfig(build_workers=build_workers), tiny)
+        built = builder.prepare_datasets()
+        assert list(built) == list(QUICK.datasets)
+        assert sizes == ([] if pool_size is None else [pool_size])
+
+    def test_invalid_worker_count_rejected(self):
+        for bad in (-1, 1.5, True, "2"):
+            with pytest.raises(ConfigurationError):
+                SystemConfig(build_workers=bad)
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ConfigurationError):
+            SystemConfig(build_workers=0)
 
 
 def _unpicklable_in_worker(*arguments):
